@@ -25,7 +25,7 @@ use fbdr_dit::{Modification, UpdateOp};
 use fbdr_ldap::{Entry, Filter, Scope, SearchRequest};
 use fbdr_resync::reconcile::entry_item_hash;
 use fbdr_resync::{
-    entry_key, ReSyncControl, ReconcileConfig, ReconcileItem, RetryConfig, SyncDriver,
+    entry_key, ReSyncControl, ReconcileConfig, ReconcileItem, RetryConfig, ShardId, SyncDriver,
     SyncMaster, SyncTraffic,
 };
 use serde::Serialize;
@@ -195,8 +195,9 @@ fn measure_rung(cfg: &RecoveryConfig, n: usize) -> RecoveryRung {
 
     let mut driver = SyncDriver::new(RetryConfig::default())
         .with_reconcile(ReconcileConfig { fpr: cfg.fpr, ..Default::default() });
-    let outcome =
-        driver.reconcile(&mut m, &request, &items, &resolve).expect("reconcile exchange");
+    let outcome = driver
+        .reconcile(&mut m, ShardId::ZERO, &request, &items, &resolve)
+        .expect("reconcile exchange");
 
     // Refuse to price a wrong recovery: applying the outcome to the held
     // content must reproduce the master's current evaluation exactly.

@@ -15,7 +15,9 @@
 //! `FilterReplica` answers from immutable content snapshots, so
 //! [`ReplicaNode::handle_search`](DirectoryService::handle_search) runs
 //! concurrently on any number of client threads, even while
-//! [`ReplicaNode::sync_with`] is mid-cycle on another.
+//! [`ReplicaNode::sync_with`] is mid-cycle on another. The same node
+//! serves an unsharded and a sharded master — the former is the
+//! one-shard configuration of its coordinator.
 //!
 //! ```
 //! use fbdr_core::deploy::ReplicaNode;
@@ -65,32 +67,51 @@ use fbdr_dit::DitStore;
 use fbdr_net::{DirectoryService, ServerOutcome};
 use fbdr_replica::{FilterReplica, SubtreeReplica};
 use fbdr_resync::{
-    Clock, ShardCoordinator, SyncDriver, SyncError, SyncTraffic, SyncTransport, SystemClock,
+    ShardCoordinator, ShardMap, SyncError, SyncTraffic, SyncTransport, SystemClock,
 };
 use parking_lot::{Mutex, RwLock};
 
 /// A filter-based replica addressable as a directory node: local answers
 /// for contained queries, a default referral to the master otherwise.
 ///
-/// The replica is held directly — no mutex. [`FilterReplica`]'s own
-/// read/write split makes `handle_search` safe from any number of threads
-/// while a sync cycle runs; the node is pure routing glue.
+/// The replica is held directly — no lock on the read path.
+/// [`FilterReplica`]'s own read/write split makes `handle_search` safe
+/// from any number of threads while a sync cycle runs. The node owns the
+/// [`ShardCoordinator`] that drives its sessions — one driver per master
+/// shard, so one slow or partitioned shard degrades only the filters
+/// overlapping it; against an unsharded master that is the single-shard
+/// coordinator [`ReplicaNode::new`] starts with. Only the coordinator
+/// sits behind a [`Mutex`], taken for the duration of an install or sync
+/// cycle.
 #[derive(Debug)]
 pub struct ReplicaNode {
     url: String,
     replica: FilterReplica,
+    coordinator: Mutex<ShardCoordinator<SystemClock>>,
     master_url: String,
 }
 
 impl ReplicaNode {
     /// Wraps a (loaded) replica as a network node referring misses to
-    /// `master_url`.
+    /// `master_url`, synchronizing against an unsharded master.
     pub fn new(
         url: impl Into<String>,
         replica: FilterReplica,
         master_url: impl Into<String>,
     ) -> Self {
-        ReplicaNode { url: url.into(), replica, master_url: master_url.into() }
+        ReplicaNode {
+            url: url.into(),
+            replica,
+            coordinator: Mutex::new(ShardCoordinator::new(ShardMap::single())),
+            master_url: master_url.into(),
+        }
+    }
+
+    /// Replaces the coordinator — the shard map of a sharded master,
+    /// and/or explicit retry and reconcile policies.
+    pub fn with_coordinator(mut self, coordinator: ShardCoordinator<SystemClock>) -> Self {
+        self.coordinator = Mutex::new(coordinator);
+        self
     }
 
     /// The underlying replica (all of whose operations take `&self`).
@@ -101,79 +122,6 @@ impl ReplicaNode {
     /// Hit statistics accumulated while serving.
     pub fn stats(&self) -> fbdr_replica::ReplicaStats {
         self.replica.stats()
-    }
-
-    /// Resynchronizes the deployed replica in place, through a retrying
-    /// driver (see [`FilterReplica::sync_with`]): the node keeps serving
-    /// — possibly stale — content while the cycle runs, and transport
-    /// outages degrade to staleness instead of failing the node.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-transient [`SyncError`]s.
-    pub fn sync_with<C: Clock>(
-        &self,
-        transport: &mut dyn SyncTransport,
-        driver: &mut SyncDriver<C>,
-    ) -> Result<SyncTraffic, SyncError> {
-        self.replica.sync_with(transport, driver)
-    }
-
-    /// Consumes the node, returning the replica.
-    pub fn into_replica(self) -> FilterReplica {
-        self.replica
-    }
-}
-
-impl DirectoryService for ReplicaNode {
-    fn url(&self) -> &str {
-        &self.url
-    }
-
-    fn handle_search(&self, req: &fbdr_ldap::SearchRequest) -> ServerOutcome {
-        match self.replica.try_answer(req) {
-            Some(entries) => ServerOutcome::Results { entries, continuations: Vec::new() },
-            None => ServerOutcome::DefaultReferral(self.master_url.clone()),
-        }
-    }
-}
-
-/// A filter-based replica deployed against a *sharded* master: the node
-/// owns a [`ShardCoordinator`] whose per-shard drivers track retry and
-/// reconcile state independently, so one slow or partitioned shard
-/// degrades only the filters overlapping it.
-///
-/// The read path is identical to [`ReplicaNode`] — lock-free snapshot
-/// answers, default referral on a miss. Only the coordinator sits behind
-/// a [`Mutex`], taken for the duration of an install or sync cycle.
-#[derive(Debug)]
-pub struct ShardedReplicaNode {
-    url: String,
-    replica: FilterReplica,
-    coordinator: Mutex<ShardCoordinator<SystemClock>>,
-    master_url: String,
-}
-
-impl ShardedReplicaNode {
-    /// Wraps a replica and its shard coordinator as a network node
-    /// referring misses to `master_url`.
-    pub fn new(
-        url: impl Into<String>,
-        replica: FilterReplica,
-        coordinator: ShardCoordinator<SystemClock>,
-        master_url: impl Into<String>,
-    ) -> Self {
-        ShardedReplicaNode {
-            url: url.into(),
-            replica,
-            coordinator: Mutex::new(coordinator),
-            master_url: master_url.into(),
-        }
-    }
-
-    /// The underlying replica (all of whose operations take `&self`).
-    pub fn replica(&self) -> &FilterReplica {
-        &self.replica
     }
 
     /// Loads a filter through the coordinator, opening one session on
@@ -191,10 +139,11 @@ impl ShardedReplicaNode {
         self.replica.install_filter_sharded(transport, &mut self.coordinator.lock(), request)
     }
 
-    /// Resynchronizes every filter across all overlapped shards (see
+    /// Resynchronizes the deployed replica in place (see
     /// [`FilterReplica::sync_with_sharded`]): the node keeps serving —
-    /// possibly stale — content while the cycle runs, and a failing shard
-    /// marks only the filters it backs stale.
+    /// possibly stale — content while the cycle runs, and a transport
+    /// outage or failing shard marks only the filters it backs stale
+    /// instead of failing the node.
     ///
     /// # Errors
     ///
@@ -208,9 +157,14 @@ impl ShardedReplicaNode {
     pub fn driver_stats(&self) -> fbdr_resync::DriverStats {
         self.coordinator.lock().stats()
     }
+
+    /// Consumes the node, returning the replica.
+    pub fn into_replica(self) -> FilterReplica {
+        self.replica
+    }
 }
 
-impl DirectoryService for ShardedReplicaNode {
+impl DirectoryService for ReplicaNode {
     fn url(&self) -> &str {
         &self.url
     }
@@ -363,10 +317,9 @@ mod tests {
                     .with("serialNumber", "040002"),
             ))
             .unwrap();
-        let mut driver = SyncDriver::default();
-        let t = node.sync_with(&mut master, &mut driver).unwrap();
+        let t = node.sync_with(&mut master).unwrap();
         assert_eq!(t.full_entries, 1);
-        assert_eq!(driver.stats().attempts, 1);
+        assert_eq!(node.driver_stats().attempts, 1);
 
         let q = SearchRequest::from_root(Filter::parse("(serialNumber=040002)").unwrap());
         match node.handle_search(&q) {
@@ -422,12 +375,8 @@ mod tests {
                 .unwrap();
         }
 
-        let node = ShardedReplicaNode::new(
-            "ldap://replica",
-            FilterReplica::new(0),
-            ShardCoordinator::new(map),
-            "ldap://master",
-        );
+        let node = ReplicaNode::new("ldap://replica", FilterReplica::new(0), "ldap://master")
+            .with_coordinator(ShardCoordinator::new(map));
         node.install_filter(
             &mut master,
             SearchRequest::from_root(Filter::parse("(serialNumber=04*)").unwrap()),

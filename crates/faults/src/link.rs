@@ -346,13 +346,16 @@ mod tests {
         let clock = link.clock().clone();
         let mut driver = SyncDriver::with_clock(RetryConfig::default(), clock);
 
-        let resp = driver.resync(&mut link, &req(), ReSyncControl::poll(None)).unwrap();
+        let resp = driver
+            .resync(&mut link, ShardId::ZERO, &req(), ReSyncControl::poll(None))
+            .unwrap();
         let cookie = resp.cookie.unwrap();
         link.master_mut()
             .apply(UpdateOp::Delete(dn("cn=045612,o=xyz")))
             .unwrap();
-        let resp =
-            driver.resync(&mut link, &req(), ReSyncControl::poll(Some(cookie))).unwrap();
+        let resp = driver
+            .resync(&mut link, ShardId::ZERO, &req(), ReSyncControl::poll(Some(cookie)))
+            .unwrap();
         assert_eq!(resp.actions.len(), 1, "the lost deletion is redelivered");
         assert!(resp.redelivered);
         assert_eq!(driver.stats().recovered, 1);
@@ -369,7 +372,7 @@ mod tests {
         let mut driver = SyncDriver::with_clock(RetryConfig::default(), clock);
 
         // An empty replica: everything the master holds is a definite miss.
-        let outcome = driver.reconcile(&mut link, &req(), &[], &|_| None).unwrap();
+        let outcome = driver.reconcile(&mut link, ShardId::ZERO, &req(), &[], &|_| None).unwrap();
         assert_eq!(outcome.upserts.len(), 2);
         assert!(outcome.delete_ids.is_empty());
         assert_eq!(driver.stats().reconciliations, 1);

@@ -24,8 +24,8 @@ use fbdr_ldap::{Entry, SearchRequest};
 use fbdr_obs::{event, Counter, Histogram, Obs};
 use fbdr_resync::reconcile::entry_item_hash;
 use fbdr_resync::{
-    dn_key, entry_key, Clock, CompositeCookie, Cookie, DnInterner, NotifyBatch, ReSyncControl,
-    ReconcileItem, ShardContent, ShardCoordinator, ShardId, ShardMap, ShardStatus, SyncAction,
+    dn_key, entry_key, Clock, CompositeCookie, DnInterner, NotifyBatch, ReconcileItem,
+    ShardContent, ShardCoordinator, ShardId, ShardMap, ShardOutcome, ShardStatus, SyncAction,
     SyncDriver, SyncError, SyncMaster, SyncTransport, SyncTraffic,
 };
 use parking_lot::{Mutex, RwLock};
@@ -184,9 +184,10 @@ impl Working {
 }
 
 /// One stored filter's held content sliced by shard ownership — the
-/// [`ShardContent`] view the coordinator reconciles/reinstalls against.
-/// Ownership is decided by the shard map over each held entry's DN, so a
-/// shard's slice is exactly what that shard's master serves.
+/// [`ShardContent`] view the recovery ladder reconciles/reinstalls
+/// against. Ownership is decided by the shard map over each held entry's
+/// DN, so a shard's slice is exactly what that shard's master serves
+/// (under [`ShardMap::single`], the whole content).
 struct WorkingShardContent<'a> {
     work: &'a Working,
     filter: usize,
@@ -233,21 +234,24 @@ impl ShardContent for WorkingShardContent<'_> {
 }
 
 /// Writer-side per-filter state that readers never touch: the ReSync
-/// session cookie and the optional persist-mode notification channel.
+/// session cookies and the optional persist-mode notification channel.
 ///
 /// Invariant: `WriterState::sessions` is index-aligned with the current
 /// snapshot's `filters` — every mutator that adds/removes a filter updates
 /// both under the writer lock before publishing.
 #[derive(Debug)]
 struct FilterSession {
-    cookie: Option<Cookie>,
+    /// One part per shard holding a live session; a filter on an
+    /// unsharded master has the single part [`ShardId::ZERO`].
+    cookie: CompositeCookie,
     /// Live notification channel for persist-mode filters.
     notifications: Option<Receiver<NotifyBatch>>,
-    /// Per-shard session cookies for filters installed against a sharded
-    /// master ([`FilterReplica::install_filter_sharded`]); `None` for
-    /// single-master filters.
-    composite: Option<CompositeCookie>,
 }
+
+/// "How to sync one filter", as the cycle sees it: poll the filter's
+/// slices (updating its cookie in place) and report one outcome per slice.
+type SyncOne<'a> =
+    dyn FnMut(&SearchRequest, &mut CompositeCookie, &dyn ShardContent) -> Vec<ShardOutcome> + 'a;
 
 /// All mutable bookkeeping, serialized behind one writer mutex.
 #[derive(Debug, Default)]
@@ -537,7 +541,8 @@ impl FilterReplica {
     // ------------------------------------------------------------------
 
     /// Installs a generalized filter: starts a ReSync session at the
-    /// master and loads the initial content. Returns the load traffic.
+    /// master and loads the initial content — the one-shard case of
+    /// [`FilterReplica::install_filter_sharded`]. Returns the load traffic.
     ///
     /// # Errors
     ///
@@ -547,11 +552,7 @@ impl FilterReplica {
         master: &mut SyncMaster,
         request: SearchRequest,
     ) -> Result<SyncTraffic, SyncError> {
-        let mut w = self.writer.lock();
-        let resp = master.resync(&request, ReSyncControl::poll(None))?;
-        let traffic = resp.traffic();
-        self.install_loaded(&mut w, request, resp.cookie, None, &resp.actions);
-        Ok(traffic)
+        self.install_filter_sharded(master, &mut ShardCoordinator::new(ShardMap::single()), request)
     }
 
     /// Installs a generalized filter in *persist* mode: the master streams
@@ -571,7 +572,8 @@ impl FilterReplica {
         let mut w = self.writer.lock();
         let (resp, rx) = master.resync_persist(&request, None)?;
         let traffic = resp.traffic();
-        self.install_loaded(&mut w, request, resp.cookie, Some(rx), &resp.actions);
+        let cookie = resp.cookie.map(|c| vec![(ShardId::ZERO, c)]).unwrap_or_default().into();
+        self.install_loaded(&mut w, request, cookie, Some(rx), &resp.actions);
         Ok(traffic)
     }
 
@@ -581,7 +583,7 @@ impl FilterReplica {
         &self,
         w: &mut WriterState,
         request: SearchRequest,
-        cookie: Option<Cookie>,
+        cookie: CompositeCookie,
         notifications: Option<Receiver<NotifyBatch>>,
         actions: &[SyncAction],
     ) {
@@ -595,7 +597,7 @@ impl FilterReplica {
         };
         self.timed_apply(&mut work, &mut w.refcount, &mut sf, actions);
         work.filters.push(Arc::new(sf));
-        w.sessions.push(FilterSession { cookie, notifications, composite: None });
+        w.sessions.push(FilterSession { cookie, notifications });
         self.publish(work.into_snapshot());
     }
 
@@ -647,9 +649,13 @@ impl FilterReplica {
     }
 
     /// Removes a generalized filter (revolution eviction), ending its sync
-    /// session and garbage-collecting entries no other stored query needs.
-    /// Returns true if the filter was present.
-    pub fn remove_filter(&self, master: &mut SyncMaster, request: &SearchRequest) -> bool {
+    /// session on every shard holding one and garbage-collecting entries
+    /// no other stored query needs. Returns true if the filter was present.
+    pub fn remove_filter(
+        &self,
+        transport: &mut dyn SyncTransport,
+        request: &SearchRequest,
+    ) -> bool {
         let mut w = self.writer.lock();
         let snap = self.snapshot();
         let Some(pos) = snap.filters.iter().position(|s| s.prepared.request() == request) else {
@@ -658,8 +664,8 @@ impl FilterReplica {
         let mut work = Working::from_snapshot(&snap);
         let removed = work.filters.remove(pos);
         let session = w.sessions.remove(pos);
-        if let Some(c) = session.cookie {
-            master.abandon(c);
+        for (shard, c) in session.cookie.iter() {
+            transport.abandon_at(shard, c);
         }
         for &id in &removed.ids {
             unref(&mut work, &mut w.refcount, id);
@@ -672,9 +678,11 @@ impl FilterReplica {
     /// updates. Returns the total resync traffic — component (i) of the
     /// filter replica's update traffic (§7.3).
     ///
-    /// When the master has expired a session (its §5.2 admin time limit),
-    /// the filter recovers automatically: a fresh session is established
-    /// and the content reloaded from scratch (stale entries are dropped).
+    /// This is [`FilterReplica::sync_with`] on a default driver: a
+    /// [`SyncMaster`] never fails transiently, so the only rung of the
+    /// ladder it can reach is session recovery — when the master has
+    /// expired a session (its §5.2 admin time limit) the filter is
+    /// reconciled, or reloaded when reconciliation is over budget.
     ///
     /// The whole cycle publishes as **one** new epoch, so concurrent
     /// readers see either the pre-cycle or the post-cycle content, never
@@ -682,65 +690,14 @@ impl FilterReplica {
     ///
     /// # Errors
     ///
-    /// Propagates other [`SyncError`]s; filters synced before the failure
-    /// keep their updates (the partial cycle is published before the error
-    /// returns).
+    /// As [`FilterReplica::sync_with`].
     pub fn sync(&self, master: &mut SyncMaster) -> Result<SyncTraffic, SyncError> {
-        let mut w = self.writer.lock();
-        let WriterState { sessions, refcount } = &mut *w;
-        let snap = self.snapshot();
-        let mut work = Working::from_snapshot(&snap);
-        let mut total = SyncTraffic::default();
-        let mut failed: Option<SyncError> = None;
-        for i in 0..work.filters.len() {
-            let request = work.filters[i].prepared.request().clone();
-            let session = &mut sessions[i];
-            let resp = match master.resync(&request, ReSyncControl::poll(session.cookie)) {
-                Ok(resp) => resp,
-                Err(e) if e.needs_reinstall() => {
-                    // Session expired at the master (its §5.2 admin time
-                    // limit) or a lost batch is past replay: start over
-                    // with a full reload of this filter's content. (The
-                    // driver-based `sync_with` tries the cheaper
-                    // reconciliation rung first.)
-                    if matches!(e, SyncError::ReplayExpired { .. }) {
-                        // The session still exists at the master.
-                        if let Some(c) = session.cookie {
-                            master.abandon(c);
-                        }
-                    }
-                    match master.resync(&request, ReSyncControl::poll(None)) {
-                        Ok(resp) => {
-                            drop_filter_content(&mut work, refcount, i);
-                            resp
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            };
-            session.cookie = resp.cookie;
-            total.absorb(&resp.traffic());
-            let mut sf = (*work.filters[i]).clone();
-            sf.stale = false;
-            self.timed_apply(&mut work, refcount, &mut sf, &resp.actions);
-            work.filters[i] = Arc::new(sf);
-        }
-        self.publish(work.into_snapshot());
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
+        self.sync_with(master, &mut SyncDriver::default())
     }
 
-    /// Polls the master through a retrying [`SyncDriver`], degrading
-    /// gracefully where the plain [`FilterReplica::sync`] would give up:
+    /// Polls the master through a retrying [`SyncDriver`]: every stored
+    /// filter is one slice walked down the recovery ladder
+    /// ([`SyncDriver::sync_slice`]) —
     ///
     /// - a transient failure that exhausts the driver's retry/time budget
     ///   marks the filter **stale** and moves on — the content keeps being
@@ -755,162 +712,41 @@ impl FilterReplica {
     ///   [`ReconcileConfig::divergence_budget`](fbdr_resync::ReconcileConfig)
     ///   and falls back to a full reinstall when the exchange fails;
     /// - the reinstall itself runs through the driver, so even the reload
-    ///   is retried on transient failures;
-    /// - everything else propagates as in [`FilterReplica::sync`].
+    ///   is retried on transient failures.
     ///
-    /// Returns the total resync traffic of the cycle. Like `sync`, the
-    /// cycle publishes one new epoch; readers keep answering from the
-    /// previous epoch while it runs.
+    /// This is the one-shard configuration of the sync cycle: every
+    /// exchange is addressed to [`ShardId::ZERO`], which any unsharded
+    /// transport serves through its plain legs. Filters spanning several
+    /// shards need [`FilterReplica::sync_with_sharded`].
+    ///
+    /// Returns the total resync traffic of the cycle. The cycle publishes
+    /// one new epoch; readers keep answering from the previous epoch
+    /// while it runs.
     ///
     /// # Errors
     ///
-    /// Non-transient, non-session [`SyncError`]s only; transport outages
-    /// never fail the cycle.
+    /// The first hard (non-transient, non-session) [`SyncError`] any
+    /// filter produced, after the cycle's partial progress is published;
+    /// transport outages never fail the cycle.
     pub fn sync_with<C: Clock>(
         &self,
         transport: &mut dyn SyncTransport,
         driver: &mut SyncDriver<C>,
     ) -> Result<SyncTraffic, SyncError> {
-        let mut w = self.writer.lock();
-        let WriterState { sessions, refcount } = &mut *w;
-        let snap = self.snapshot();
-        let mut work = Working::from_snapshot(&snap);
-        let mut total = SyncTraffic::default();
-        let mut failed: Option<SyncError> = None;
-        for i in 0..work.filters.len() {
-            let request = work.filters[i].prepared.request().clone();
-            let session = &mut sessions[i];
-            let resp = match driver.resync(transport, &request, ReSyncControl::poll(session.cookie))
-            {
-                Ok(resp) => resp,
-                Err(e) if e.is_transient() => {
-                    // Budget exhausted: serve what we have until the next
-                    // cycle rather than failing the whole replica.
-                    Arc::make_mut(&mut work.filters[i]).stale = true;
-                    event!(self.obs, "replica", "filter_stale", filter_index = i, reason = "sync");
-                    continue;
-                }
-                Err(e) if e.needs_reinstall() => {
-                    if matches!(e, SyncError::ReplayExpired { .. }) {
-                        if let Some(c) = session.cookie {
-                            transport.abandon(c);
-                        }
-                    }
-                    // Rung 2 of the ladder: reconcile — re-establish the
-                    // session at divergence-proportional cost instead of
-                    // re-shipping the whole content.
-                    let est = e.estimated_divergence();
-                    event!(
-                        self.obs,
-                        "replica",
-                        "session_lost",
-                        filter_index = i,
-                        divergence_known = est.is_some(),
-                        divergence = est.unwrap_or(0),
-                    );
-                    let budget = driver.reconcile_config().divergence_budget;
-                    if est.is_some_and(|d| d > budget) {
-                        driver.note_reconcile_fallback("divergence over budget");
-                    } else {
-                        let held = &work.filters[i].ids;
-                        let items: Vec<ReconcileItem> = held
-                            .iter()
-                            .filter_map(|&id| {
-                                let e = work.entries.get(id as usize)?.as_deref()?;
-                                Some(ReconcileItem { hash: entry_item_hash(e), id })
-                            })
-                            .collect();
-                        let resolve = |key: &str| {
-                            work.interner
-                                .get(key)
-                                .filter(|id| work.filters[i].ids.binary_search(id).is_ok())
-                        };
-                        match driver.reconcile(transport, &request, &items, &resolve) {
-                            Ok(outcome) => {
-                                session.cookie = Some(outcome.cookie);
-                                total.absorb(&outcome.traffic());
-                                // Deletes BEFORE upserts: a modify caught
-                                // as a round-two false positive arrives as
-                                // a delete of the stale version plus an
-                                // add of the current one.
-                                let mut actions: Vec<SyncAction> = Vec::with_capacity(
-                                    outcome.delete_ids.len() + outcome.upserts.len(),
-                                );
-                                for &id in &outcome.delete_ids {
-                                    if let Some(e) =
-                                        work.entries.get(id as usize).and_then(|s| s.as_deref())
-                                    {
-                                        actions.push(SyncAction::Delete(e.dn().clone()));
-                                    }
-                                }
-                                actions.extend(outcome.upserts.into_iter().map(SyncAction::Add));
-                                let mut sf = (*work.filters[i]).clone();
-                                sf.stale = false;
-                                self.timed_apply(&mut work, refcount, &mut sf, &actions);
-                                work.filters[i] = Arc::new(sf);
-                                continue;
-                            }
-                            Err(e) if e.is_transient() => {
-                                // The exchange could not get through; the
-                                // old content is still the best answer.
-                                Arc::make_mut(&mut work.filters[i]).stale = true;
-                                event!(
-                                    self.obs,
-                                    "replica",
-                                    "filter_stale",
-                                    filter_index = i,
-                                    reason = "reconcile",
-                                );
-                                continue;
-                            }
-                            Err(_) => {
-                                driver.note_reconcile_fallback("reconcile exchange failed");
-                            }
-                        }
-                    }
-                    // Rung 3: full reinstall.
-                    driver.note_reinstall();
-                    match driver.resync(transport, &request, ReSyncControl::poll(None)) {
-                        Ok(resp) => {
-                            drop_filter_content(&mut work, refcount, i);
-                            resp
-                        }
-                        Err(e) if e.is_transient() => {
-                            // Even the reinstall could not get through;
-                            // the old content is still the best answer.
-                            Arc::make_mut(&mut work.filters[i]).stale = true;
-                            event!(
-                                self.obs,
-                                "replica",
-                                "filter_stale",
-                                filter_index = i,
-                                reason = "reinstall",
-                            );
-                            continue;
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            };
-            session.cookie = resp.cookie;
-            total.absorb(&resp.traffic());
-            let mut sf = (*work.filters[i]).clone();
-            sf.stale = false;
-            self.timed_apply(&mut work, refcount, &mut sf, &resp.actions);
-            work.filters[i] = Arc::new(sf);
-        }
-        self.publish(work.into_snapshot());
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
+        self.sync_single(None, transport, driver).map(Option::unwrap_or_default)
+    }
+
+    /// The one-shard configuration of the cycle: each selected filter is a
+    /// single slice on [`ShardId::ZERO`], walked by the caller's driver.
+    fn sync_single<C: Clock>(
+        &self,
+        only: Option<&SearchRequest>,
+        transport: &mut dyn SyncTransport,
+        driver: &mut SyncDriver<C>,
+    ) -> Result<Option<SyncTraffic>, SyncError> {
+        self.run_cycle(only, &ShardMap::single(), &mut |request, cookie, content| {
+            vec![driver.sync_slice(transport, ShardId::ZERO, request, cookie, content)]
+        })
     }
 
     /// Installs a generalized filter against a **sharded** master: the
@@ -932,23 +768,21 @@ impl FilterReplica {
     ) -> Result<SyncTraffic, SyncError> {
         let mut w = self.writer.lock();
         let (actions, cookie, traffic) = coordinator.install(transport, &request)?;
-        self.install_loaded(&mut w, request, None, None, &actions);
-        w.sessions.last_mut().expect("install_loaded pushed a session").composite = Some(cookie);
+        self.install_loaded(&mut w, request, cookie, None, &actions);
         Ok(traffic)
     }
 
     /// One sync cycle against a sharded master: every stored filter polls
     /// each shard it overlaps **independently** through the coordinator's
-    /// per-shard retry/reconcile/reinstall ladders, so a slow or
-    /// partitioned shard degrades only its own slice to stale while the
-    /// other shards' updates land. A filter with any stale or failed
-    /// shard is marked stale as a whole (its answers may miss that
-    /// shard's updates) but keeps serving.
+    /// per-shard drivers, so a slow or partitioned shard degrades only
+    /// its own slice to stale while the other shards' updates land. A
+    /// filter with any stale or failed shard is marked stale as a whole
+    /// (its answers may miss that shard's updates) but keeps serving.
     ///
-    /// Filters installed via the unsharded paths are polled through the
-    /// plain transport legs, exactly as [`FilterReplica::sync_with`]
-    /// would, so mixed deployments can share one cycle. Publishes one
-    /// epoch.
+    /// Every stored filter is polled, however it was installed: one
+    /// installed through [`FilterReplica::install_filter`] holds its
+    /// session on [`ShardId::ZERO`], which is where a single-shard
+    /// coordinator polls it. Publishes one epoch.
     ///
     /// # Errors
     ///
@@ -959,67 +793,11 @@ impl FilterReplica {
         transport: &mut dyn SyncTransport,
         coordinator: &mut ShardCoordinator<C>,
     ) -> Result<SyncTraffic, SyncError> {
-        let mut w = self.writer.lock();
-        let WriterState { sessions, refcount } = &mut *w;
-        let snap = self.snapshot();
-        let mut work = Working::from_snapshot(&snap);
-        let mut total = SyncTraffic::default();
-        let mut failed: Option<SyncError> = None;
         let map = coordinator.map().clone();
-        for i in 0..work.filters.len() {
-            let request = work.filters[i].prepared.request().clone();
-            let session = &mut sessions[i];
-            let Some(mut composite) = session.composite.take() else {
-                // Not a sharded filter; nothing to coordinate this cycle.
-                continue;
-            };
-            let outcomes = {
-                let content = WorkingShardContent { work: &work, filter: i, map: &map };
-                coordinator.sync_filter(transport, &request, &mut composite, &content)
-            };
-            session.composite = Some(composite);
-            let mut fresh = true;
-            let mut actions: Vec<SyncAction> = Vec::new();
-            for out in outcomes {
-                total.absorb(&out.traffic);
-                actions.extend(out.actions);
-                match out.status {
-                    ShardStatus::Stale => {
-                        fresh = false;
-                        event!(
-                            self.obs,
-                            "replica",
-                            "shard_stale",
-                            filter_index = i,
-                            shard = out.shard.index(),
-                        );
-                    }
-                    ShardStatus::Failed(e) => {
-                        fresh = false;
-                        event!(
-                            self.obs,
-                            "replica",
-                            "shard_failed",
-                            filter_index = i,
-                            shard = out.shard.index(),
-                        );
-                        if failed.is_none() {
-                            failed = Some(e);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let mut sf = (*work.filters[i]).clone();
-            sf.stale = !fresh;
-            self.timed_apply(&mut work, refcount, &mut sf, &actions);
-            work.filters[i] = Arc::new(sf);
-        }
-        self.publish(work.into_snapshot());
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
+        self.run_cycle(None, &map, &mut |request, cookie, content| {
+            coordinator.sync_filter(transport, request, cookie, content)
+        })
+        .map(Option::unwrap_or_default)
     }
 
     /// Polls the master for a *single* stored filter, leaving the others
@@ -1028,32 +806,88 @@ impl FilterReplica {
     /// can poll frequently while stable ones poll rarely — something a
     /// subtree replica cannot do, since one subtree mixes object types.
     ///
-    /// Returns `Ok(None)` when `request` is not a stored filter.
+    /// Returns `Ok(None)` (and publishes nothing) when `request` is not a
+    /// stored filter.
     ///
     /// # Errors
     ///
-    /// Propagates [`SyncError`] from the master; on error nothing is
-    /// published (the previous epoch stays current).
+    /// As [`FilterReplica::sync`].
     pub fn sync_filter(
         &self,
         master: &mut SyncMaster,
         request: &SearchRequest,
     ) -> Result<Option<SyncTraffic>, SyncError> {
+        self.sync_single(Some(request), master, &mut SyncDriver::default())
+    }
+
+    /// The sync cycle — the only place stored filters are polled. Under
+    /// the writer lock: snapshot → for each selected filter (`only`, or
+    /// all of them), `sync_one` polls its slices, the slices' actions are
+    /// merged and applied, and the filter is marked stale when any slice
+    /// did not come back fresh → publish one epoch → report the first
+    /// hard error, else the traffic. `map` decides which held entries
+    /// belong to which slice.
+    ///
+    /// Returns `Ok(None)` without publishing when `only` names no stored
+    /// filter.
+    fn run_cycle(
+        &self,
+        only: Option<&SearchRequest>,
+        map: &ShardMap,
+        sync_one: &mut SyncOne<'_>,
+    ) -> Result<Option<SyncTraffic>, SyncError> {
         let mut w = self.writer.lock();
+        let WriterState { sessions, refcount } = &mut *w;
         let snap = self.snapshot();
-        let Some(pos) = snap.filters.iter().position(|s| s.prepared.request() == request) else {
-            return Ok(None);
+        let selected = match only {
+            None => 0..snap.filters.len(),
+            Some(req) => match snap.filters.iter().position(|s| s.prepared.request() == req) {
+                Some(pos) => pos..pos + 1,
+                None => return Ok(None),
+            },
         };
-        let resp = master.resync(request, ReSyncControl::poll(w.sessions[pos].cookie))?;
-        w.sessions[pos].cookie = resp.cookie;
-        let traffic = resp.traffic();
         let mut work = Working::from_snapshot(&snap);
-        let mut sf = (*work.filters[pos]).clone();
-        sf.stale = false;
-        self.timed_apply(&mut work, &mut w.refcount, &mut sf, &resp.actions);
-        work.filters[pos] = Arc::new(sf);
+        let mut total = SyncTraffic::default();
+        let mut failed: Option<SyncError> = None;
+        for i in selected {
+            let outcomes = sync_one(
+                work.filters[i].prepared.request(),
+                &mut sessions[i].cookie,
+                &WorkingShardContent { work: &work, filter: i, map },
+            );
+            let mut stale = false;
+            let mut actions: Vec<SyncAction> = Vec::new();
+            for out in outcomes {
+                total.absorb(&out.traffic);
+                actions.extend(out.actions);
+                let reason = match out.status {
+                    ShardStatus::Stale => "unreachable",
+                    ShardStatus::Failed(e) => {
+                        failed.get_or_insert(e);
+                        "failed"
+                    }
+                    _ => continue,
+                };
+                stale = true;
+                event!(
+                    self.obs,
+                    "replica",
+                    "filter_stale",
+                    filter_index = i,
+                    shard = out.shard.index(),
+                    reason = reason,
+                );
+            }
+            let mut sf = (*work.filters[i]).clone();
+            sf.stale = stale;
+            self.timed_apply(&mut work, refcount, &mut sf, &actions);
+            work.filters[i] = Arc::new(sf);
+        }
         self.publish(work.into_snapshot());
-        Ok(Some(traffic))
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(Some(total)),
+        }
     }
 
     /// Caches a recently performed user query and its result (fetched from
@@ -1435,16 +1269,6 @@ fn apply_actions(
     }
 }
 
-/// Drops every id a filter references (full-reload preparation),
-/// garbage-collecting entries no other filter needs.
-fn drop_filter_content(work: &mut Working, refcount: &mut HashMap<u32, usize>, pos: usize) {
-    let mut sf = (*work.filters[pos]).clone();
-    for id in std::mem::take(&mut sf.ids) {
-        unref(work, refcount, id);
-    }
-    work.filters[pos] = Arc::new(sf);
-}
-
 /// Drops one filter reference to an entry id, garbage-collecting the
 /// entry (slot + index postings) when no filter references remain.
 ///
@@ -1470,6 +1294,7 @@ mod tests {
     use super::*;
     use fbdr_dit::{Modification, UpdateOp};
     use fbdr_ldap::{Dn, Filter, Scope};
+    use fbdr_resync::{Cookie, ReSyncControl};
 
     fn dn(s: &str) -> Dn {
         s.parse().unwrap()
@@ -1709,9 +1534,10 @@ mod tests {
         m.apply(UpdateOp::Add(person("e", "us", "045650", "2406"))).unwrap();
         assert_eq!(m.expire_idle(0), 1);
 
-        // The poll recovers via a fresh full load; content converges.
+        // The poll recovers by reconciliation — only the divergence (one
+        // entry in, one out) crosses the wire; content converges.
         let t = r.sync(&mut m).unwrap();
-        assert_eq!(t.full_entries, 3, "full reload of the filter content");
+        assert_eq!((t.full_entries, t.dn_only), (1, 1));
         assert_eq!(r.entry_count(), 3);
         let hit = r.try_answer(&root_query("(serialNumber=0456*)")).unwrap();
         let dns: Vec<String> = hit.iter().map(|e| e.dn().to_string()).collect();
@@ -2158,6 +1984,56 @@ mod tests {
         assert_eq!(d.stats().reinstalls, 1);
         assert_eq!(t.full_entries, 5, "full reload of the whole content");
         assert_eq!(r.stale_filter_count(), 0);
+    }
+
+    /// [`master`]'s directory split in two shards, `c=us` and `c=in`.
+    fn sharded_master() -> fbdr_resync::ShardedMaster {
+        let map = ShardMap::by_suffixes(vec![dn("c=us,o=xyz"), dn("c=in,o=xyz")]);
+        let mut sharded = fbdr_resync::ShardedMaster::new(map.clone());
+        for (shard, c) in map.shards().zip(["us", "in"]) {
+            let dit = sharded.shard_mut(shard).dit_mut();
+            dit.add_suffix(dn("o=xyz"));
+            dit.add(Entry::new(dn("o=xyz"))).unwrap();
+            dit.add(Entry::new(dn(&format!("c={c},o=xyz")))).unwrap();
+        }
+        for (cn, c, sn, dept) in [
+            ("a", "us", "045611", "2406"),
+            ("b", "us", "045612", "2406"),
+            ("c", "in", "045621", "2407"),
+        ] {
+            sharded.apply(UpdateOp::Add(person(cn, c, sn, dept))).unwrap();
+        }
+        sharded
+    }
+
+    #[test]
+    fn sharded_cycle_polls_filters_installed_unsharded() {
+        // One cookie representation: a filter installed through the plain
+        // path is the one-part case and is polled by whichever cycle runs.
+        let mut m = master();
+        let r = FilterReplica::new(0);
+        r.install_filter(&mut m, root_query("(departmentNumber=2406)")).unwrap();
+        m.apply(UpdateOp::Add(person("e", "us", "045650", "2406"))).unwrap();
+
+        let mut coordinator = ShardCoordinator::new(ShardMap::single());
+        let t = r.sync_with_sharded(&mut m, &mut coordinator).unwrap();
+        assert_eq!(t.full_entries, 1, "the filter was polled, not skipped");
+        assert_eq!(r.try_answer(&root_query("(departmentNumber=2406)")).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn remove_filter_abandons_every_shard_session() {
+        let mut m = sharded_master();
+        let mut coordinator = ShardCoordinator::new(m.map().clone());
+        let r = FilterReplica::new(0);
+        let q = root_query("(serialNumber=0456*)");
+        r.install_filter_sharded(&mut m, &mut coordinator, q.clone()).unwrap();
+        assert_eq!(r.entry_count(), 3);
+        assert_eq!(m.session_count(), 2, "one session per overlapped shard");
+
+        assert!(r.remove_filter(&mut m, &q));
+        assert_eq!(m.session_count(), 0, "no session outlives its filter");
+        assert_eq!(r.entry_count(), 0);
     }
 
     #[test]

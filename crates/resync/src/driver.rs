@@ -8,12 +8,14 @@
 //! anything else is surfaced immediately. Time comes from a [`Clock`], so
 //! tests (and the fault-injection harness) can run on simulated time.
 
-use crate::protocol::{NotifyBatch, ReSyncControl, SyncError, SyncResponse};
+use crate::protocol::{
+    Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncResponse, SyncTraffic,
+};
 use crate::reconcile::{
     self, RangeRequest, RangeResponse, ReconcileConfig, ReconcileItem, ReconcileOutcome,
     ReconcileRequest, ReconcileResponse,
 };
-use crate::Cookie;
+use crate::shard::{CompositeCookie, ShardContent, ShardOutcome, ShardStatus};
 use crate::SyncMaster;
 use crossbeam::channel::Receiver;
 use fbdr_ldap::SearchRequest;
@@ -269,11 +271,20 @@ impl DriverStats {
     }
 }
 
+/// A slice the ladder brought back fresh: what to apply to it, and the
+/// session to resume from.
+struct Fresh {
+    status: ShardStatus,
+    actions: Vec<SyncAction>,
+    cookie: Option<Cookie>,
+    traffic: SyncTraffic,
+}
+
 /// Retrying wrapper around a [`SyncTransport`].
 ///
 /// ```
 /// use fbdr_ldap::{Entry, Filter, SearchRequest};
-/// use fbdr_resync::{ReSyncControl, SyncDriver, SyncMaster, SyncTransport};
+/// use fbdr_resync::{ReSyncControl, ShardId, SyncDriver, SyncMaster};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut master = SyncMaster::new();
@@ -285,7 +296,7 @@ impl DriverStats {
 /// // retries whatever transport it is given.
 /// let mut driver = SyncDriver::default();
 /// let request = SearchRequest::from_root(Filter::parse("(dept=7)")?);
-/// let resp = driver.resync(&mut master, &request, ReSyncControl::poll(None))?;
+/// let resp = driver.resync(&mut master, ShardId::ZERO, &request, ReSyncControl::poll(None))?;
 /// assert_eq!(resp.actions.len(), 1);
 /// assert_eq!(driver.stats().attempts, 1);
 /// assert_eq!(driver.stats().retries, 0);
@@ -367,11 +378,6 @@ impl<C: Clock> SyncDriver<C> {
         &self.config
     }
 
-    /// The reconciliation tuning in force.
-    pub fn reconcile_config(&self) -> &ReconcileConfig {
-        &self.reconcile
-    }
-
     /// Accumulated robustness counters.
     pub fn stats(&self) -> DriverStats {
         self.stats
@@ -387,9 +393,8 @@ impl<C: Clock> SyncDriver<C> {
         event!(self.obs, "driver", "poll_fallback");
     }
 
-    /// Counts a full reinstall (recorded by the replica when a session
-    /// proves unrecoverable and the content is reloaded from scratch).
-    pub fn note_reinstall(&mut self) {
+    /// Counts a full reinstall (rung 3 of [`SyncDriver::sync_slice`]).
+    fn note_reinstall(&mut self) {
         self.stats.reinstalls += 1;
         if self.obs.is_active() {
             self.obs.registry().counter("fbdr_resync_reinstalls_total").inc();
@@ -399,17 +404,20 @@ impl<C: Clock> SyncDriver<C> {
 
     /// Counts a reconcile→reinstall fallback (budget exceeded, transport
     /// incapable, or the exchange itself failed). The subsequent
-    /// reinstall is counted separately via [`SyncDriver::note_reinstall`].
-    pub fn note_reconcile_fallback(&mut self, reason: &str) {
+    /// reinstall is counted separately via `note_reinstall`.
+    fn note_reconcile_fallback(&mut self, reason: &str) {
         if self.obs.is_active() {
             self.obs.registry().counter("fbdr_resync_reconcile_fallbacks_total").inc();
         }
         event!(self.obs, "driver", "reconcile_fallback", reason = reason);
     }
 
-    /// Performs one resync exchange, retrying transient failures with
-    /// exponential backoff and deterministic jitter until the retry count
-    /// or time budget runs out.
+    /// Performs one resync exchange with `shard` of the transport
+    /// ([`ShardId::ZERO`] on an unsharded one), retrying transient
+    /// failures with exponential backoff and deterministic jitter until
+    /// the retry count or time budget runs out. The exchange goes through
+    /// [`SyncTransport::resync_at`], so a sharded transport cannot
+    /// re-route it by base.
     ///
     /// # Errors
     ///
@@ -418,29 +426,6 @@ impl<C: Clock> SyncDriver<C> {
     /// error, so `is_transient()` still holds); any non-transient
     /// [`SyncError`] immediately and unwrapped.
     pub fn resync(
-        &mut self,
-        transport: &mut dyn SyncTransport,
-        request: &SearchRequest,
-        ctl: ReSyncControl,
-    ) -> Result<SyncResponse, SyncError> {
-        let timer = self.exchange_hist.as_ref().map(|_| Instant::now());
-        let out = self.retry_loop(&mut |_attempt| transport.resync(request, ctl));
-        if let (Some(h), Some(t)) = (&self.exchange_hist, timer) {
-            h.record_since(t);
-        }
-        out
-    }
-
-    /// [`SyncDriver::resync`] addressed to one shard of a sharded
-    /// transport: the same retry ladder, but the exchange goes through
-    /// [`SyncTransport::resync_at`] so a sharded transport cannot
-    /// re-route it by base (the coordinator has already decided the
-    /// shard).
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncDriver::resync`].
-    pub fn resync_at(
         &mut self,
         transport: &mut dyn SyncTransport,
         shard: ShardId,
@@ -456,10 +441,11 @@ impl<C: Clock> SyncDriver<C> {
     }
 
     /// Runs a full reconciliation exchange (see [`crate::reconcile`])
-    /// under the driver's retry policy, with per-attempt digest re-salting
-    /// so a retried exchange draws fresh Bloom false positives. On
-    /// success the reconciliation counters and the
-    /// `fbdr_resync_reconcile_exchange_ns` histogram are recorded.
+    /// with `shard` of the transport under the driver's retry policy,
+    /// with per-attempt digest re-salting so a retried exchange draws
+    /// fresh Bloom false positives. On success the reconciliation
+    /// counters and the `fbdr_resync_reconcile_exchange_ns` histogram are
+    /// recorded.
     ///
     /// # Errors
     ///
@@ -467,44 +453,14 @@ impl<C: Clock> SyncDriver<C> {
     /// retry/time budget runs out on transient failures, any other
     /// [`SyncError`] immediately — including
     /// [`SyncError::ReconcileFailed`] when the transport or master cannot
-    /// reconcile (the caller falls back to reinstall).
+    /// reconcile (the ladder falls back to reinstall).
     pub fn reconcile(
-        &mut self,
-        transport: &mut dyn SyncTransport,
-        request: &SearchRequest,
-        items: &[ReconcileItem],
-        resolve: &dyn Fn(&str) -> Option<u32>,
-    ) -> Result<ReconcileOutcome, SyncError> {
-        self.reconcile_run(&mut |cfg| reconcile::reconcile(transport, request, items, resolve, cfg))
-    }
-
-    /// [`SyncDriver::reconcile`] addressed to one shard of a sharded
-    /// transport: same retry policy, re-salting and bookkeeping, with the
-    /// exchange legs going through [`SyncTransport::reconcile_at`] /
-    /// [`SyncTransport::reconcile_ranges_at`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncDriver::reconcile`].
-    pub fn reconcile_at(
         &mut self,
         transport: &mut dyn SyncTransport,
         shard: ShardId,
         request: &SearchRequest,
         items: &[ReconcileItem],
         resolve: &dyn Fn(&str) -> Option<u32>,
-    ) -> Result<ReconcileOutcome, SyncError> {
-        self.reconcile_run(&mut |cfg| {
-            reconcile::reconcile_at(transport, shard, request, items, resolve, cfg)
-        })
-    }
-
-    /// Shared body of [`SyncDriver::reconcile`]/[`SyncDriver::reconcile_at`]:
-    /// retry loop with per-attempt digest re-salting around `exchange`,
-    /// plus the success-side counters, events and histogram.
-    fn reconcile_run(
-        &mut self,
-        exchange: &mut dyn FnMut(&ReconcileConfig) -> Result<ReconcileOutcome, SyncError>,
     ) -> Result<ReconcileOutcome, SyncError> {
         let timer = self.reconcile_hist.as_ref().map(|_| Instant::now());
         let base = self.reconcile;
@@ -513,7 +469,7 @@ impl<C: Clock> SyncDriver<C> {
                 seed: base.seed ^ (u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 ..base
             };
-            exchange(&cfg)
+            reconcile::reconcile(transport, shard, request, items, resolve, &cfg)
         });
         if let Ok(outcome) = &out {
             self.stats.reconciliations += 1;
@@ -542,7 +498,144 @@ impl<C: Clock> SyncDriver<C> {
         out
     }
 
-    /// The shared retry ladder: runs `op` (receiving the 0-based attempt
+    /// The recovery ladder — the one place a session is polled and, when
+    /// the master has forgotten it, recovered — over one slice of one
+    /// filter: the sub-request `sub` against `shard`, resuming from
+    /// `cookie`'s part for that shard.
+    ///
+    /// 1. **Retry**: an incremental poll under the retry policy.
+    /// 2. **Reconcile**: a dead session
+    ///    ([`SyncError::needs_reinstall`]) is re-established by a digest
+    ///    exchange over the held slice, unless the master reported a
+    ///    divergence beyond
+    ///    [`ReconcileConfig::divergence_budget`] (an unknown divergence —
+    ///    the session is gone entirely — reconciles).
+    /// 3. **Reinstall**: when reconciliation is over budget or fails
+    ///    non-transiently, the slice is reloaded: deletes of everything
+    ///    held for the shard, then the fresh content.
+    /// 4. **Serve stale**: a transient failure on any rung that outlasts
+    ///    the retry budget ends the walk with [`ShardStatus::Stale`]; the
+    ///    held content keeps being served and the next cycle resumes.
+    ///
+    /// `cookie` is updated in place when the slice comes back fresh and
+    /// left untouched otherwise (a stale slice resumes from its old part;
+    /// a hard error leaves the session as it was at the master). Never
+    /// fails: hard errors come back as [`ShardStatus::Failed`].
+    pub fn sync_slice(
+        &mut self,
+        transport: &mut dyn SyncTransport,
+        shard: ShardId,
+        sub: &SearchRequest,
+        cookie: &mut CompositeCookie,
+        content: &dyn ShardContent,
+    ) -> ShardOutcome {
+        let prior = cookie.get(shard);
+        let walked = match self.resync(transport, shard, sub, ReSyncControl::poll(prior)) {
+            Ok(resp) => Ok(Fresh {
+                status: ShardStatus::Updated,
+                traffic: resp.traffic(),
+                actions: resp.actions,
+                cookie: resp.cookie,
+            }),
+            Err(e) if e.is_transient() => Err(ShardStatus::Stale),
+            Err(e) if e.needs_reinstall() => {
+                self.recover(transport, shard, sub, prior, &e, content)
+            }
+            Err(e) => Err(ShardStatus::Failed(e)),
+        };
+        match walked {
+            Ok(Fresh { status, actions, cookie: fresh, traffic }) => {
+                match fresh {
+                    Some(c) => cookie.insert(shard, c),
+                    None => {
+                        cookie.remove(shard);
+                    }
+                }
+                ShardOutcome { shard, actions, status, traffic }
+            }
+            Err(status) => ShardOutcome {
+                shard,
+                actions: Vec::new(),
+                status,
+                traffic: SyncTraffic::default(),
+            },
+        }
+    }
+
+    /// Rungs 2 and 3 of [`SyncDriver::sync_slice`]: the session behind
+    /// `prior` is dead (`lost` says how); re-establish it.
+    fn recover(
+        &mut self,
+        transport: &mut dyn SyncTransport,
+        shard: ShardId,
+        sub: &SearchRequest,
+        prior: Option<Cookie>,
+        lost: &SyncError,
+        content: &dyn ShardContent,
+    ) -> Result<Fresh, ShardStatus> {
+        if let (SyncError::ReplayExpired { .. }, Some(c)) = (lost, prior) {
+            // The session still exists at the master; release it before
+            // re-establishing.
+            transport.abandon_at(shard, c);
+        }
+        let divergence = lost.estimated_divergence();
+        event!(
+            self.obs,
+            "driver",
+            "session_lost",
+            shard = shard.index(),
+            divergence_known = divergence.is_some(),
+            divergence = divergence.unwrap_or(0),
+        );
+        if divergence.is_some_and(|d| d > self.reconcile.divergence_budget) {
+            self.note_reconcile_fallback("divergence over budget");
+        } else {
+            let items = content.items(shard);
+            let resolve = |key: &str| content.resolve(shard, key);
+            match self.reconcile(transport, shard, sub, &items, &resolve) {
+                Ok(outcome) => {
+                    let traffic = outcome.traffic();
+                    // Deletes BEFORE upserts: a modify caught as a
+                    // round-two false positive arrives as a delete of the
+                    // stale version plus an add of the current one.
+                    let mut actions: Vec<SyncAction> = outcome
+                        .delete_ids
+                        .iter()
+                        .filter_map(|&id| content.dn_of(shard, id))
+                        .map(SyncAction::Delete)
+                        .collect();
+                    actions.extend(outcome.upserts.into_iter().map(SyncAction::Add));
+                    return Ok(Fresh {
+                        status: ShardStatus::Reconciled,
+                        actions,
+                        cookie: Some(outcome.cookie),
+                        traffic,
+                    });
+                }
+                Err(e) if e.is_transient() => return Err(ShardStatus::Stale),
+                Err(_) => self.note_reconcile_fallback("reconcile exchange failed"),
+            }
+        }
+        self.note_reinstall();
+        match self.resync(transport, shard, sub, ReSyncControl::poll(None)) {
+            Ok(resp) => {
+                let traffic = resp.traffic();
+                let mut actions: Vec<SyncAction> =
+                    content.held_dns(shard).into_iter().map(SyncAction::Delete).collect();
+                actions.extend(resp.actions);
+                Ok(Fresh {
+                    status: ShardStatus::Reinstalled,
+                    actions,
+                    cookie: resp.cookie,
+                    traffic,
+                })
+            }
+            Err(e) if e.is_transient() => Err(ShardStatus::Stale),
+            Err(e) => Err(ShardStatus::Failed(e)),
+        }
+    }
+
+    /// The shared retry loop: runs `op` (receiving the 0-based attempt
     /// number), retrying transient failures with exponential backoff and
     /// deterministic jitter until the retry count or time budget runs
     /// out. Non-transient errors surface immediately.
@@ -678,7 +771,8 @@ mod tests {
         let calls = Rc::new(Cell::new(0));
         let mut t = Flaky { failures_left: 2, calls: calls.clone() };
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
-        let resp = d.resync(&mut t, &req(), ReSyncControl::poll(None)).expect("recovers");
+        let resp =
+            d.resync(&mut t, ShardId::ZERO, &req(), ReSyncControl::poll(None)).expect("recovers");
         assert!(resp.cookie.is_some());
         assert_eq!(calls.get(), 3);
         let s = d.stats();
@@ -694,7 +788,7 @@ mod tests {
         let mut t = Flaky { failures_left: 100, calls: calls.clone() };
         let cfg = RetryConfig { max_retries: 3, ..RetryConfig::default() };
         let mut d = SyncDriver::with_clock(cfg, TestClock::default());
-        let err = d.resync(&mut t, &req(), ReSyncControl::poll(None)).unwrap_err();
+        let err = d.resync(&mut t, ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap_err();
         assert!(err.is_transient());
         assert!(
             matches!(err, SyncError::RetriesExhausted { attempts: 4, .. }),
@@ -717,7 +811,7 @@ mod tests {
         };
         let clock = TestClock::default();
         let mut d = SyncDriver::with_clock(cfg, clock.clone());
-        let err = d.resync(&mut t, &req(), ReSyncControl::poll(None)).unwrap_err();
+        let err = d.resync(&mut t, ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap_err();
         assert!(err.is_transient());
         // Backoffs are 100..=150ms; at most two fit into the 250ms budget.
         assert!(calls.get() <= 3, "budget must cap attempts, saw {}", calls.get());
@@ -741,7 +835,8 @@ mod tests {
             fn abandon(&mut self, _cookie: Cookie) {}
         }
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
-        let err = d.resync(&mut Dead, &req(), ReSyncControl::poll(None)).unwrap_err();
+        let err =
+            d.resync(&mut Dead, ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap_err();
         assert!(err.needs_reinstall());
         assert_eq!(d.stats().attempts, 1);
         assert_eq!(d.stats().retries, 0);
@@ -753,7 +848,7 @@ mod tests {
         // Flaky relies on the trait's default reconcile legs.
         let mut t = Flaky { failures_left: 0, calls };
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
-        let err = d.reconcile(&mut t, &req(), &[], &|_| None).unwrap_err();
+        let err = d.reconcile(&mut t, ShardId::ZERO, &req(), &[], &|_| None).unwrap_err();
         assert!(matches!(err, SyncError::ReconcileFailed(_)));
         assert!(!err.is_transient());
         assert!(!err.needs_reinstall(), "classified as its own failure, not a dead session");
@@ -802,7 +897,8 @@ mod tests {
 
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
         let resolve = |key: &str| keys.iter().position(|k| k == key).map(|i| i as u32);
-        let outcome = d.reconcile(&mut m, &request, &items, &resolve).expect("reconciles");
+        let outcome =
+            d.reconcile(&mut m, ShardId::ZERO, &request, &items, &resolve).expect("reconciles");
 
         // Divergence-proportional: ~6 differing items out of 50, so far
         // fewer than the full content crosses the wire.
@@ -841,7 +937,7 @@ mod tests {
         // The cookie resumes incrementally at the current content.
         m.apply(fbdr_dit::UpdateOp::Add(person("late", "l@x"))).unwrap();
         let poll = d
-            .resync(&mut m, &request, ReSyncControl::poll(Some(outcome.cookie)))
+            .resync(&mut m, ShardId::ZERO, &request, ReSyncControl::poll(Some(outcome.cookie)))
             .expect("cookie is live");
         assert_eq!(poll.actions.len(), 1);
     }

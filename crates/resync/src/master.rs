@@ -332,10 +332,6 @@ pub struct SyncMaster {
     /// Reused candidate buffer, so steady-state routing allocates nothing.
     #[serde(skip)]
     scratch: Vec<u32>,
-    /// Disables unacknowledged-batch replay, restoring the pre-fix
-    /// fire-and-forget semantics. Only useful to demonstrate the
-    /// divergence the replay buffer prevents.
-    replay_disabled: bool,
     /// `Some(n)`: a pending batch is replayable for at most `n` applied
     /// updates; after that a retry gets [`SyncError::ReplayExpired`] and
     /// must reinstall. `None`: batches are held until acknowledged.
@@ -591,15 +587,6 @@ impl SyncMaster {
         self.replay_expiry_ops = Some(ops);
     }
 
-    /// Disables response replay, restoring the pre-fix fire-and-forget
-    /// behavior in which a lost response silently loses its batch (the
-    /// session history is cleared when the response is *built*, not when
-    /// it is acknowledged). Exists so tests can demonstrate the resulting
-    /// divergence; never use in a deployment.
-    pub fn disable_replay(&mut self) {
-        self.replay_disabled = true;
-    }
-
     // ------------------------------------------------------------------
     // Updates
     // ------------------------------------------------------------------
@@ -850,7 +837,6 @@ impl SyncMaster {
         };
         let ops_applied = self.ops_applied;
         let now_ms = self.now_ms;
-        let replay_disabled = self.replay_disabled;
         let expiry = self.replay_expiry_ops;
         let session = self
             .sessions
@@ -871,7 +857,7 @@ impl SyncMaster {
             session.parked_receiver = Some(rx);
         }
         let mut redelivery = None;
-        if let (Some(c), false) = (resumed, replay_disabled) {
+        if let Some(c) = resumed {
             if c.seq() == session.seq {
                 // The last issued batch is acknowledged as delivered:
                 // everything built at or before `pending_at` is stable on
@@ -2041,32 +2027,6 @@ mod tests {
         assert_eq!(replay.actions, lost.actions);
         assert_eq!(replay.cookie, lost.cookie);
         assert_eq!(restored.redeliveries(), 1);
-    }
-
-    #[test]
-    fn legacy_mode_loses_unacked_batch() {
-        // The pre-fix behavior this PR guards against: with replay
-        // disabled, a lost response silently discards its batch — the
-        // replica never learns about the deletion and diverges forever.
-        let mut m = master_with(vec![person("a", "7")]);
-        m.disable_replay();
-        let req = dept7();
-        let mut replica = ReplicaContent::new();
-        let resp = m.resync(&req, ReSyncControl::poll(None)).unwrap();
-        let c0 = resp.cookie.unwrap();
-        replica.apply_all(&resp.actions);
-
-        m.apply(UpdateOp::Delete(dn("cn=a,o=xyz"))).unwrap();
-        // The delete batch is built but the response never arrives.
-        let lost = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap();
-        assert_eq!(lost.actions.len(), 1);
-        // The retry comes back empty: the session history was already
-        // cleared, so the deletion is gone for good.
-        let retry = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap();
-        assert!(retry.actions.is_empty());
-        replica.apply_all(&retry.actions);
-        assert_eq!(replica.len(), 1, "replica still holds the deleted entry");
-        assert!(m.dit().search_dns(&req).is_empty(), "master content is empty");
     }
 
     #[test]

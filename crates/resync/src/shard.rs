@@ -13,10 +13,11 @@
 //! On the replica side a [`ShardCoordinator`] drives one ReSync session
 //! per shard a filter overlaps: it splits the filter's base/scope with
 //! [`ShardMap::split`], merges the per-shard cookies into a
-//! [`CompositeCookie`], and runs the retry/reconcile/reinstall ladder
-//! *independently per shard* — a slow or partitioned shard degrades to
-//! stale content for its slice while the other shards keep serving
-//! fresh updates.
+//! [`CompositeCookie`], and runs the recovery ladder
+//! ([`SyncDriver::sync_slice`]) *independently per shard* — a slow or
+//! partitioned shard degrades to stale content for its slice while the
+//! other shards keep serving fresh updates. An unsharded deployment is
+//! the one-shard case: [`ShardMap::single`], one part per cookie.
 
 use crate::driver::{Clock, DriverStats, RetryConfig, SyncDriver, SyncTransport, SystemClock};
 use crate::master::{GcConfig, GcReport, MasterFootprint, NotifyFlush, NotifyPolicy};
@@ -451,8 +452,8 @@ impl SyncTransport for ShardedMaster {
 // ----------------------------------------------------------------------
 
 /// The replica's view of one filter's held content, sliced by shard —
-/// what the coordinator needs to reconcile or reinstall a single shard
-/// without touching the others.
+/// what the recovery ladder ([`SyncDriver::sync_slice`]) needs to
+/// reconcile or reinstall a single shard without touching the others.
 pub trait ShardContent {
     /// Reconciliation items (item hash + replica-local id) for the held
     /// entries owned by `shard`.
@@ -482,8 +483,9 @@ pub enum ShardStatus {
     /// Transient failure; the shard's slice is served stale until the
     /// next cycle (its cookie, if any, is kept for resumption).
     Stale,
-    /// Hard failure; the shard's slice is stale and its session state
-    /// untrusted.
+    /// Hard failure (a malformed request — a caller bug); the shard's
+    /// slice is stale and its cookie kept, since such an error leaves the
+    /// session untouched at the master.
     Failed(SyncError),
 }
 
@@ -500,16 +502,6 @@ pub struct ShardOutcome {
     pub status: ShardStatus,
     /// Traffic cost of the exchange(s) for this shard.
     pub traffic: SyncTraffic,
-}
-
-impl ShardOutcome {
-    /// True when the shard delivered fresh content this cycle.
-    pub fn is_fresh(&self) -> bool {
-        matches!(
-            self.status,
-            ShardStatus::Updated | ShardStatus::Reconciled | ShardStatus::Reinstalled
-        )
-    }
 }
 
 /// Drives one filter's per-shard ReSync sessions against a sharded
@@ -595,7 +587,7 @@ impl<C: Clock> ShardCoordinator<C> {
         let mut cookie = CompositeCookie::new();
         let mut traffic = SyncTraffic::default();
         for (shard, sub) in self.map.split(request) {
-            let r = self.drivers[shard.index()].resync_at(
+            let r = self.drivers[shard.index()].resync(
                 transport,
                 shard,
                 &sub,
@@ -620,11 +612,10 @@ impl<C: Clock> ShardCoordinator<C> {
         Ok((actions, cookie, traffic))
     }
 
-    /// Runs one sync cycle for the filter: every overlapped shard gets an
-    /// incremental poll on its session, and failures walk the per-shard
-    /// recovery ladder (retry → reconcile within the divergence budget →
-    /// reinstall → serve stale). `cookie` is updated in place with each
-    /// shard's new session state; the outcomes carry the actions to
+    /// Runs one sync cycle for the filter: [`SyncDriver::sync_slice`] —
+    /// the recovery ladder — mapped over the filter's [`ShardMap::split`],
+    /// each shard on its own driver. `cookie` is updated in place with
+    /// each shard's new session state; the outcomes carry the actions to
     /// apply.
     ///
     /// Never fails as a whole: per-shard hard failures come back as
@@ -640,163 +631,9 @@ impl<C: Clock> ShardCoordinator<C> {
             .split(request)
             .into_iter()
             .map(|(shard, sub)| {
-                let out = self.sync_shard(transport, shard, &sub, cookie.get(shard), content);
-                match &out.status {
-                    ShardStatus::Stale => {} // keep the old cookie for resumption
-                    ShardStatus::Failed(_) => {
-                        cookie.remove(shard);
-                    }
-                    _ => match out.cookie {
-                        Some(c) => cookie.insert(shard, c),
-                        None => {
-                            cookie.remove(shard);
-                        }
-                    },
-                }
-                ShardOutcome {
-                    shard,
-                    actions: out.actions,
-                    status: out.status,
-                    traffic: out.traffic,
-                }
+                self.drivers[shard.index()].sync_slice(transport, shard, &sub, cookie, content)
             })
             .collect()
-    }
-
-    /// One shard's exchange plus its recovery ladder; mirrors the
-    /// unsharded ladder in `FilterReplica::sync_with`, scoped to the
-    /// shard's slice.
-    fn sync_shard(
-        &mut self,
-        transport: &mut dyn SyncTransport,
-        shard: ShardId,
-        sub: &SearchRequest,
-        prior: Option<Cookie>,
-        content: &dyn ShardContent,
-    ) -> ShardExchange {
-        let driver = &mut self.drivers[shard.index()];
-        match driver.resync_at(transport, shard, sub, ReSyncControl::poll(prior)) {
-            Ok(resp) => ShardExchange {
-                traffic: resp.traffic(),
-                actions: resp.actions,
-                cookie: resp.cookie,
-                status: ShardStatus::Updated,
-            },
-            Err(e) if e.is_transient() => ShardExchange::stale(),
-            Err(e) if e.needs_reinstall() => {
-                // The session is dead. Abandon leaked session state, then
-                // reconcile when the estimated divergence is within
-                // budget, otherwise reinstall from scratch.
-                if matches!(
-                    e,
-                    SyncError::ReplayExpired { .. }
-                        | SyncError::RetriesExhausted { .. }
-                ) {
-                    if let Some(c) = prior {
-                        transport.abandon_at(shard, c);
-                    }
-                }
-                let budget = driver.reconcile_config().divergence_budget;
-                let within = e.estimated_divergence().is_some_and(|d| d <= budget);
-                if within {
-                    let items = content.items(shard);
-                    let resolve = |key: &str| content.resolve(shard, key);
-                    match self.drivers[shard.index()]
-                        .reconcile_at(transport, shard, sub, &items, &resolve)
-                    {
-                        Ok(outcome) => {
-                            let traffic = outcome.traffic();
-                            let mut actions: Vec<SyncAction> = outcome
-                                .delete_ids
-                                .iter()
-                                .filter_map(|&id| content.dn_of(shard, id))
-                                .map(SyncAction::Delete)
-                                .collect();
-                            actions.extend(outcome.upserts.into_iter().map(SyncAction::Add));
-                            return ShardExchange {
-                                actions,
-                                cookie: Some(outcome.cookie),
-                                status: ShardStatus::Reconciled,
-                                traffic,
-                            };
-                        }
-                        Err(e) if e.is_transient() => return ShardExchange::stale(),
-                        Err(_) => {
-                            self.drivers[shard.index()]
-                                .note_reconcile_fallback("shard reconcile failed");
-                        }
-                    }
-                } else {
-                    self.drivers[shard.index()].note_reconcile_fallback(
-                        if e.estimated_divergence().is_some() {
-                            "divergence over budget"
-                        } else {
-                            "divergence unknown"
-                        },
-                    );
-                }
-                self.reinstall_shard(transport, shard, sub, content)
-            }
-            Err(e) => ShardExchange::failed(e),
-        }
-    }
-
-    /// Rung 3: reload the shard's slice from scratch — delete everything
-    /// held for the shard, then replay the fresh content.
-    fn reinstall_shard(
-        &mut self,
-        transport: &mut dyn SyncTransport,
-        shard: ShardId,
-        sub: &SearchRequest,
-        content: &dyn ShardContent,
-    ) -> ShardExchange {
-        let driver = &mut self.drivers[shard.index()];
-        driver.note_reinstall();
-        match driver.resync_at(transport, shard, sub, ReSyncControl::poll(None)) {
-            Ok(resp) => {
-                let traffic = resp.traffic();
-                let mut actions: Vec<SyncAction> =
-                    content.held_dns(shard).into_iter().map(SyncAction::Delete).collect();
-                actions.extend(resp.actions);
-                ShardExchange {
-                    actions,
-                    cookie: resp.cookie,
-                    status: ShardStatus::Reinstalled,
-                    traffic,
-                }
-            }
-            Err(e) if e.is_transient() => ShardExchange::stale(),
-            Err(e) => ShardExchange::failed(e),
-        }
-    }
-}
-
-/// Internal per-shard exchange result (before the cookie is merged back
-/// into the composite).
-struct ShardExchange {
-    actions: Vec<SyncAction>,
-    cookie: Option<Cookie>,
-    status: ShardStatus,
-    traffic: SyncTraffic,
-}
-
-impl ShardExchange {
-    fn stale() -> Self {
-        ShardExchange {
-            actions: Vec::new(),
-            cookie: None,
-            status: ShardStatus::Stale,
-            traffic: SyncTraffic::default(),
-        }
-    }
-
-    fn failed(e: SyncError) -> Self {
-        ShardExchange {
-            actions: Vec::new(),
-            cookie: None,
-            status: ShardStatus::Failed(e),
-            traffic: SyncTraffic::default(),
-        }
     }
 }
 
@@ -937,7 +774,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_session_on_one_shard_reinstalls_only_that_shard() {
+    fn dead_session_on_one_shard_recovers_only_that_shard() {
         let mut m = sharded();
         let mut coord = ShardCoordinator::new(m.map().clone());
         let req = subtree("o=xyz", "(dept=7)");
@@ -954,10 +791,13 @@ mod tests {
         let by_shard =
             |s: u16| outcomes.iter().find(|o| o.shard == ShardId::new(s)).unwrap();
         assert_eq!(by_shard(0).status, ShardStatus::Updated);
-        assert_eq!(by_shard(1).status, ShardStatus::Reinstalled);
-        // The reinstall replays shard 1's full slice.
+        // The divergence of a forgotten session is unknown: reconcile
+        // first. `NoContent` digests an empty held set, so the exchange
+        // ships shard 1's full slice — and only shard 1's.
+        assert_eq!(by_shard(1).status, ShardStatus::Reconciled);
         assert_eq!(by_shard(1).actions.len(), 2);
-        assert_eq!(coord.stats().reinstalls, 1);
+        assert_eq!(coord.stats().reconciliations, 1);
+        assert_eq!(coord.stats().reinstalls, 0);
         // Both shards hold live sessions again; the next poll is clean.
         assert_eq!(cookie.len(), 2);
         let outcomes = coord.sync_filter(&mut m, &req, &mut cookie, &NoContent);

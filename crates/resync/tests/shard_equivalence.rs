@@ -3,17 +3,21 @@
 //! to a single session against one unsharded `SyncMaster` holding the
 //! same directory — same search answers, same converged replica content
 //! at every poll boundary, and composite cookies that survive a serde
-//! round trip (including part reordering) mid-stream. Plus a chaos
-//! check: partitioning one shard leaves every other shard serving.
+//! round trip (including part reordering) mid-stream — also when a
+//! shard's session is killed behind the coordinator's back and the
+//! recovery ladder has to reconcile or reinstall that shard's slice. Plus
+//! a chaos check: partitioning one shard leaves every other shard serving.
 
 use fbdr_dit::{Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use crossbeam::channel::Receiver;
-use fbdr_resync::reconcile::{RangeRequest, RangeResponse, ReconcileRequest, ReconcileResponse};
+use fbdr_resync::reconcile::{
+    entry_item_hash, RangeRequest, RangeResponse, ReconcileRequest, ReconcileResponse,
+};
 use fbdr_resync::{
-    CompositeCookie, Cookie, ReSyncControl, ReconcileConfig, ReconcileItem, ReplicaContent,
-    RetryConfig, ShardContent, ShardCoordinator, ShardId, ShardMap, ShardStatus, ShardedMaster,
-    NotifyBatch, SyncError, SyncMaster, SyncResponse, SyncTransport,
+    entry_key, CompositeCookie, Cookie, ReSyncControl, ReconcileConfig, ReconcileItem,
+    ReplicaContent, RetryConfig, ShardContent, ShardCoordinator, ShardId, ShardMap, ShardStatus,
+    ShardedMaster, NotifyBatch, SyncError, SyncMaster, SyncResponse, SyncTransport,
 };
 use proptest::prelude::*;
 
@@ -23,6 +27,11 @@ const COUNTRIES: usize = 4;
 /// under its id's country (`c=s{id % COUNTRIES},o=xyz`). Renames change
 /// the RDN only, so an entry never crosses its shard boundary and both
 /// sides of the comparison see identical success/failure per op.
+///
+/// `KillSession` is not an update: it ends the coordinator's session on
+/// shard `shard % n_shards` at the sharded master only (by `abandon`, or
+/// by the §5.2 idle limit when `expire`), so the next poll of that shard
+/// has to walk the recovery ladder.
 #[derive(Debug, Clone)]
 enum Op {
     Add { id: usize, dept: u8 },
@@ -30,6 +39,7 @@ enum Op {
     SetDept { id: usize, dept: u8 },
     SetMail { id: usize, tag: u8 },
     Rename { id: usize, new_id: usize },
+    KillSession { shard: usize, expire: bool },
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -39,6 +49,7 @@ fn op() -> impl Strategy<Value = Op> {
         (0usize..16, 0u8..4).prop_map(|(id, dept)| Op::SetDept { id, dept }),
         (0usize..16, 0u8..4).prop_map(|(id, tag)| Op::SetMail { id, tag }),
         (0usize..16, 0usize..16).prop_map(|(id, new_id)| Op::Rename { id, new_id }),
+        (0usize..4, any::<bool>()).prop_map(|(shard, expire)| Op::KillSession { shard, expire }),
     ]
 }
 
@@ -59,6 +70,7 @@ fn entry_of(id: usize, dept: u8) -> Entry {
 
 fn to_update(op: &Op) -> UpdateOp {
     match op {
+        Op::KillSession { .. } => unreachable!("not an update"),
         Op::Add { id, dept } => UpdateOp::Add(entry_of(*id, *dept)),
         Op::Delete { id } => UpdateOp::Delete(dn_of(*id)),
         Op::SetDept { id, dept } => UpdateOp::Modify {
@@ -136,8 +148,7 @@ fn session_request(filter_idx: usize) -> SearchRequest {
     )
 }
 
-/// The happy path never walks the recovery ladder, so the coordinator's
-/// content view is never consulted.
+/// A content view for callers that hold nothing the ladder could consult.
 struct NoContent;
 
 impl ShardContent for NoContent {
@@ -152,6 +163,43 @@ impl ShardContent for NoContent {
     }
     fn held_dns(&self, _shard: ShardId) -> Vec<Dn> {
         Vec::new()
+    }
+}
+
+/// The replica's held content sliced by shard ownership — what the
+/// reconcile and reinstall rungs digest and delete. An entry's id is its
+/// position in `entries`.
+struct Held<'a> {
+    entries: Vec<&'a Entry>,
+    map: &'a ShardMap,
+}
+
+impl<'a> Held<'a> {
+    fn new(content: &'a ReplicaContent, map: &'a ShardMap) -> Self {
+        Held { entries: content.iter().collect(), map }
+    }
+
+    fn owned(&self, shard: ShardId) -> impl Iterator<Item = (u32, &'a Entry)> + '_ {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(move |(_, e)| self.map.shard_of(e.dn()) == shard)
+            .map(|(i, e)| (u32::try_from(i).expect("fits"), *e))
+    }
+}
+
+impl ShardContent for Held<'_> {
+    fn items(&self, shard: ShardId) -> Vec<ReconcileItem> {
+        self.owned(shard).map(|(id, e)| ReconcileItem { hash: entry_item_hash(e), id }).collect()
+    }
+    fn resolve(&self, shard: ShardId, key: &str) -> Option<u32> {
+        self.owned(shard).find(|(_, e)| entry_key(e) == key).map(|(id, _)| id)
+    }
+    fn dn_of(&self, shard: ShardId, id: u32) -> Option<Dn> {
+        self.owned(shard).find(|(i, _)| *i == id).map(|(_, e)| e.dn().clone())
+    }
+    fn held_dns(&self, shard: ShardId) -> Vec<Dn> {
+        self.owned(shard).map(|(_, e)| e.dn().clone()).collect()
     }
 }
 
@@ -171,17 +219,26 @@ proptest! {
 
     /// One coordinator-driven filter over N shards converges to exactly
     /// the content a single unsharded session converges to — answers,
-    /// replica content, and cookies that resume across serde round trips.
+    /// replica content, and cookies that resume across serde round trips —
+    /// whichever rung of the ladder each shard's poll ends on: a killed
+    /// session is reconciled, or reinstalled when the transport cannot
+    /// reconcile, and every other shard updates incrementally.
     #[test]
     fn coordinator_split_merge_equals_single_master(
         ops in prop::collection::vec(op(), 1..60),
         n_shards in 1usize..5,
         filter_idx in 0usize..6,
         poll_every in 1usize..8,
+        can_reconcile in any::<bool>(),
     ) {
         let mut single = unsharded();
-        let mut multi = sharded(n_shards);
-        let mut coord = ShardCoordinator::new(multi.map().clone());
+        let mut multi = FlakyShards {
+            inner: sharded(n_shards),
+            dead: ShardId::new(u16::MAX),
+            can_reconcile,
+        };
+        let map = multi.inner.map().clone();
+        let mut coord = ShardCoordinator::new(map.clone());
         let req = session_request(filter_idx);
 
         let single_resp = single.resync(&req, ReSyncControl::poll(None)).expect("single install");
@@ -194,23 +251,60 @@ proptest! {
         multi_content.apply_all(&actions);
         prop_assert_eq!(multi_content.sorted_dns(), single_content.sorted_dns());
 
+        // Shards whose session died since their last poll.
+        let mut killed: Vec<ShardId> = Vec::new();
+        // One poll of the sharded side: every shard must come back fresh,
+        // on the rung its session's fate dictates.
+        let mut poll_sharded = |coord: &mut ShardCoordinator,
+                                multi: &mut FlakyShards,
+                                composite: &mut CompositeCookie,
+                                content: &mut ReplicaContent,
+                                killed: &mut Vec<ShardId>| {
+            // The composite cookie resumes after a scrambled serde round
+            // trip mid-stream.
+            *composite = scramble_cookie(composite);
+            let outcomes = coord.sync_filter(multi, &req, composite, &Held::new(content, &map));
+            for out in &outcomes {
+                let want = match (killed.contains(&out.shard), can_reconcile) {
+                    (false, _) => ShardStatus::Updated,
+                    (true, true) => ShardStatus::Reconciled,
+                    (true, false) => ShardStatus::Reinstalled,
+                };
+                assert_eq!(out.status, want, "{} ended on the wrong rung", out.shard);
+                content.apply_all(&out.actions);
+            }
+            killed.clear();
+        };
+
         for (i, o) in ops.iter().enumerate() {
-            let up = to_update(o);
-            let expect_ok = single.apply(up.clone()).is_ok();
-            let got_ok = multi.apply(up).is_ok();
-            prop_assert_eq!(got_ok, expect_ok, "apply outcome diverged at op {}", i);
+            if let Op::KillSession { shard, expire } = o {
+                let shard = ShardId::new(u16::try_from(shard % n_shards).expect("fits"));
+                let master = multi.inner.shard_mut(shard);
+                let before = master.session_count();
+                match composite.get(shard) {
+                    Some(c) if !*expire => master.abandon(c),
+                    _ => {
+                        master.expire_idle(0);
+                    }
+                }
+                if master.session_count() < before && !killed.contains(&shard) {
+                    killed.push(shard);
+                }
+            } else {
+                let up = to_update(o);
+                let expect_ok = single.apply(up.clone()).is_ok();
+                let got_ok = multi.inner.apply(up).is_ok();
+                prop_assert_eq!(got_ok, expect_ok, "apply outcome diverged at op {}", i);
+            }
 
             if (i + 1) % poll_every == 0 {
-                // The composite cookie resumes after a scrambled serde
-                // round trip mid-stream.
-                composite = scramble_cookie(&composite);
-
-                let outcomes = coord.sync_filter(&mut multi, &req, &mut composite, &NoContent);
-                for out in &outcomes {
-                    prop_assert_eq!(&out.status, &ShardStatus::Updated,
-                        "healthy shard degraded at op {}", i);
-                    multi_content.apply_all(&out.actions);
-                }
+                poll_sharded(
+                    &mut coord,
+                    &mut multi,
+                    &mut composite,
+                    &mut multi_content,
+                    &mut killed,
+                );
                 let r = single
                     .resync(&req, ReSyncControl::poll(Some(single_cookie)))
                     .expect("single poll");
@@ -224,14 +318,11 @@ proptest! {
         }
 
         // Final drain on both sides.
-        composite = scramble_cookie(&composite);
-        for out in coord.sync_filter(&mut multi, &req, &mut composite, &NoContent) {
-            prop_assert_eq!(&out.status, &ShardStatus::Updated);
-            multi_content.apply_all(&out.actions);
-        }
+        poll_sharded(&mut coord, &mut multi, &mut composite, &mut multi_content, &mut killed);
         let r = single.resync(&req, ReSyncControl::poll(Some(single_cookie))).expect("final");
         single_content.apply_all(&r.actions);
         prop_assert_eq!(multi_content.sorted_dns(), single_content.sorted_dns());
+        let multi = multi.inner;
 
         // Exact convergence: the sharded replica content matches both the
         // unsharded replica and the masters' own answers, entries included.
@@ -260,13 +351,16 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// A transport wrapper that drops every shard-addressed exchange to one
-/// shard on the floor, as a network partition would.
-struct PartitionedShard {
+/// shard on the floor, as a network partition would, and — when
+/// `can_reconcile` is off — refuses the reconcile legs the way a
+/// transport predating reconciliation does.
+struct FlakyShards {
     inner: ShardedMaster,
     dead: ShardId,
+    can_reconcile: bool,
 }
 
-impl SyncTransport for PartitionedShard {
+impl SyncTransport for FlakyShards {
     fn resync(
         &mut self,
         request: &SearchRequest,
@@ -309,6 +403,9 @@ impl SyncTransport for PartitionedShard {
         if shard == self.dead {
             return Err(SyncError::Unavailable("partitioned".into()));
         }
+        if !self.can_reconcile {
+            return Err(SyncError::ReconcileFailed("transport cannot reconcile".into()));
+        }
         self.inner.reconcile_at(shard, request, req)
     }
     fn reconcile_ranges_at(
@@ -343,7 +440,8 @@ fn partitioned_shard_degrades_alone_and_catches_up() {
         snappy_retry(),
         ReconcileConfig::default(),
     );
-    let mut t = PartitionedShard { inner: sharded(4), dead: ShardId::new(u16::MAX) };
+    let mut t =
+        FlakyShards { inner: sharded(4), dead: ShardId::new(u16::MAX), can_reconcile: true };
     let req = session_request(4); // (mail=*)
     for id in 0..8 {
         t.inner.apply(UpdateOp::Add(entry_of(id, 1).with("mail", "a@x"))).unwrap();

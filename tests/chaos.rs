@@ -224,67 +224,60 @@ fn hundred_seeded_fault_schedules_converge() {
     assert!(total.poll_fallbacks > 0, "persist filters fell back to polling: {total:?}");
 }
 
-/// The divergence the replay buffer exists to prevent: with replay
-/// disabled (the pre-fix fire-and-forget semantics) the same fault
-/// schedules lose unacknowledged batches for good, and some replica ends
-/// up serving entries the master has deleted or moved out of the filter.
+/// The ladder is one mechanism at any shard count: when the master
+/// forgets a sharded filter's session on one shard, that shard's slice —
+/// and only that slice — of the replica's real held content is
+/// reconciled (a detached deletion included), while the other shard
+/// keeps updating incrementally on its live session.
 #[test]
-fn legacy_fire_and_forget_diverges_where_fixed_mode_converges() {
-    let mut divergent = 0;
-    for seed in 0..20 {
-        let plan = FaultPlan::builder(seed).drop_response(0.35).build();
-        let clock = SimClock::new();
-        let mut master = build_master();
-        master.disable_replay();
-        let replica = FilterReplica::new(0);
-        replica.install_filter(&mut master, filter_request()).unwrap();
-        let mut link = FaultyLink::new(master, plan, clock.clone());
-        let mut driver = SyncDriver::with_clock(
-            RetryConfig { max_retries: 2, base_backoff_ms: 10, jitter_seed: seed, ..RetryConfig::default() },
-            clock,
-        );
+fn lost_shard_session_reconciles_only_its_slice() {
+    use fbdr_resync::{ShardCoordinator, ShardId, ShardMap, ShardedMaster};
 
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD_EF01);
-        for step in 0..UPDATES {
-            let i = rng.gen_range(0..ENTRIES);
-            let roll: f64 = rng.gen();
-            // Deletions and boundary moves only — the updates a lost
-            // batch can never make up for without replay.
-            let op = if roll < 0.5 {
-                fbdr_dit::UpdateOp::Delete(dn(i))
-            } else {
-                fbdr_dit::UpdateOp::Modify {
-                    dn: dn(i),
-                    mods: vec![fbdr_dit::Modification::Replace(
-                        "serialNumber".into(),
-                        vec![serial(false, i).into()],
-                    )],
-                }
-            };
-            // Entries may already be gone; ignore no-op failures.
-            let _ = link.master_mut().apply(op);
-            if step % 2 == 0 {
-                let _ = replica.sync_with(&mut link, &mut driver);
-            }
-        }
-        link.quiesce();
-        for _ in 0..3 {
-            replica.sync_with(&mut link, &mut driver).expect("clean cycle");
-        }
-
-        let request = filter_request();
-        let mut want = link.master().dit().search(&request);
-        want.sort_by(|a, b| a.dn().cmp(b.dn()));
-        let mut got = replica.try_answer(&request).unwrap_or_default();
-        got.sort_by(|a, b| a.dn().cmp(b.dn()));
-        if got != want {
-            divergent += 1;
-        }
+    // Even entries live under c=a (shard 0), odd ones under c=b (shard 1).
+    let home = |i: usize| if i % 2 == 0 { "a" } else { "b" };
+    let sharded_dn =
+        |i: usize| -> fbdr_ldap::Dn { format!("cn=e{i},c={},o=xyz", home(i)).parse().unwrap() };
+    let sharded_entry = |i: usize| {
+        Entry::new(sharded_dn(i))
+            .with("objectclass", "person")
+            .with("serialNumber", &serial(true, i))
+    };
+    let map =
+        ShardMap::by_suffixes(vec!["c=a,o=xyz".parse().unwrap(), "c=b,o=xyz".parse().unwrap()]);
+    let mut master = ShardedMaster::new(map.clone());
+    for (shard, c) in map.shards().zip(["a", "b"]) {
+        let dit = master.shard_mut(shard).dit_mut();
+        dit.add_suffix("o=xyz".parse().unwrap());
+        dit.add(Entry::new("o=xyz".parse().unwrap())).unwrap();
+        dit.add(Entry::new(format!("c={c},o=xyz").parse().unwrap())).unwrap();
     }
-    assert!(
-        divergent > 0,
-        "fire-and-forget must lose batches under a 35% response-loss schedule"
-    );
+    for i in 0..ENTRIES {
+        master.apply(fbdr_dit::UpdateOp::Add(sharded_entry(i))).unwrap();
+    }
+
+    let replica = FilterReplica::new(0);
+    let mut coordinator = ShardCoordinator::new(map);
+    replica.install_filter_sharded(&mut master, &mut coordinator, filter_request()).unwrap();
+    assert_eq!(replica.entry_count(), ENTRIES);
+
+    // Both shards change; then shard 1's session hits the idle limit.
+    master.apply(fbdr_dit::UpdateOp::Add(sharded_entry(ENTRIES))).unwrap();
+    master.apply(fbdr_dit::UpdateOp::Add(sharded_entry(ENTRIES + 1))).unwrap();
+    master.apply(fbdr_dit::UpdateOp::Delete(sharded_dn(1))).unwrap();
+    assert_eq!(master.shard_mut(ShardId::new(1)).expire_idle(0), 1);
+
+    let t = replica.sync_with_sharded(&mut master, &mut coordinator).expect("cycle");
+    assert_eq!(t.full_entries, 2, "one add per shard — nothing held is re-shipped");
+    assert_eq!(t.dn_only, 1, "the detached deletion travels as one hash");
+    let d = coordinator.stats();
+    assert_eq!((d.reconciliations, d.reinstalls), (1, 0));
+    assert_eq!(replica.stale_filter_count(), 0);
+
+    let want = master.search(&filter_request());
+    let mut got = replica.try_answer(&filter_request()).expect("stored filter answers itself");
+    got.sort_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
+    assert_eq!(got, want);
+    assert_eq!(master.session_count(), 2, "the dead session was replaced, not leaked beside");
 }
 
 /// The observability layer sees the same chaos three ways: the master's
