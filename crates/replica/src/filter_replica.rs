@@ -13,9 +13,21 @@
 //! compiling its filter into an index plan, intersecting (galloping) with
 //! the winning stored filter's list, and verifying residual predicates
 //! only on the candidates. Repeated queries skip the containment check
-//! entirely through a per-epoch decision cache.
+//! entirely through a decision cache that lives as long as the filter set.
+//!
+//! # Publish cost
+//!
+//! An epoch shares with its predecessor everything the cycle did not
+//! touch, node by node: the entry store is a chunked copy-on-write
+//! [`SlotVec`], every map of the index a persistent [`PMap`](crate::persistent),
+//! every posting list and prepared query its own `Arc`. Starting a cycle
+//! copies two pointer vectors (stored filters, entry chunks); after that
+//! the first touch of a node copies it and later touches edit it in
+//! place, so publishing costs O(changed keys · node size), not
+//! O(replica), and a bulk install stays a bulk load.
 
 use crate::index::SnapshotIndex;
+use crate::persistent::SlotVec;
 use crate::posting;
 use crate::stats::{AtomicReplicaStats, ReplicaStats};
 use crossbeam::channel::{Receiver, TryRecvError};
@@ -50,12 +62,14 @@ pub enum StoredQueryKind {
 ///
 /// Immutable once published, except for the hit counter: that is an
 /// `Arc<AtomicU64>` shared across snapshot generations, so hits recorded
-/// against an old epoch survive the next publish.
+/// against an old epoch survive the next publish. A snapshot holds its
+/// filters by value; cloning one copies three pointers, and a cycle that
+/// changes a filter's content copies its posting list and nothing else.
 #[derive(Debug, Clone)]
 struct StoredFilter {
-    prepared: PreparedQuery,
+    prepared: Arc<PreparedQuery>,
     /// The filter's content as a sorted posting list of interned ids.
-    ids: Vec<u32>,
+    ids: Arc<Vec<u32>>,
     /// True when the last sync cycle could not reach the master: the
     /// content is served anyway (availability over freshness) but hits
     /// are accounted as stale until a cycle succeeds.
@@ -70,69 +84,70 @@ struct StoredFilter {
 /// concurrent writer publishing epoch `n+1` never disturbs a reader still
 /// answering from epoch `n`.
 ///
-/// The interner and index are themselves behind `Arc`s: an epoch that
-/// does not touch them shares its predecessor's allocation, and a sync
-/// cycle that does touch them pays one structural clone plus the delta.
+/// Nothing in a snapshot is copied whole to make its successor: the entry
+/// store and the index share with the previous epoch every chunk, map
+/// node and posting list the cycle between them did not touch (see the
+/// module documentation), and a stored filter is three `Arc`s. Ids are
+/// resolved from DNs only by the writer, so the DN → id map is not part
+/// of the read view ([`DnIds`]).
 #[derive(Debug)]
 struct ContentSnapshot {
     /// Monotonic generation number; bumped by every published mutation.
     epoch: u64,
-    filters: Vec<Arc<StoredFilter>>,
+    /// Generation of the stored-filter *set*: bumped by install and
+    /// remove only, so it names what containment decisions depend on.
+    filter_gen: u64,
+    filters: Vec<StoredFilter>,
     /// Id-addressed entry store: slot `id` holds the entry whose interned
-    /// DN is `id`, or `None` when no stored filter references it.
-    entries: Vec<Option<Arc<Entry>>>,
+    /// DN is `id`, or is empty when no stored filter references it.
+    entries: SlotVec<Arc<Entry>>,
     /// Number of occupied slots (the replica-size metric).
     live: usize,
-    /// DN-key → id map; ids are append-only and stable across epochs.
-    interner: Arc<DnInterner>,
     /// Equality/prefix/range posting lists over the occupied slots.
-    index: Arc<SnapshotIndex>,
+    index: SnapshotIndex,
 }
 
 impl ContentSnapshot {
     fn empty() -> Self {
         ContentSnapshot {
             epoch: 0,
+            filter_gen: 0,
             filters: Vec::new(),
-            entries: Vec::new(),
+            entries: SlotVec::default(),
             live: 0,
-            interner: Arc::new(DnInterner::new()),
-            index: Arc::new(SnapshotIndex::default()),
+            index: SnapshotIndex::default(),
         }
     }
 
     /// The entry stored under an interned id, if the slot is occupied.
     fn entry(&self, id: u32) -> Option<&Entry> {
-        self.entries.get(id as usize)?.as_deref()
-    }
-
-    /// True when a normalized DN key is held by some stored filter.
-    fn contains_key(&self, key: &str) -> bool {
-        self.interner.get(key).is_some_and(|id| self.entry(id).is_some())
+        self.entries.get(id as usize).map(Arc::as_ref)
     }
 }
 
 /// The writer's mutable working copy of a snapshot's content, threaded
-/// through every mutator. Cloning from the previous snapshot copies the
-/// filter/entry vectors (of `Arc`s — cheap) and *shares* the interner and
-/// index until the first mutation touches them (`Arc::make_mut`).
+/// through every mutator. Made from the previous snapshot by copying two
+/// vectors of `Arc`s (stored filters, entry chunks) and the index's root
+/// pointer; from there the first touch of a chunk, index node or posting
+/// list copies it and every later touch in the cycle edits it in place.
+/// A filter is edited on a clone that is put back ([`apply_actions`]).
 struct Working {
     epoch: u64,
-    filters: Vec<Arc<StoredFilter>>,
-    entries: Vec<Option<Arc<Entry>>>,
+    filter_gen: u64,
+    filters: Vec<StoredFilter>,
+    entries: SlotVec<Arc<Entry>>,
     live: usize,
-    interner: Arc<DnInterner>,
-    index: Arc<SnapshotIndex>,
+    index: SnapshotIndex,
 }
 
 impl Working {
     fn from_snapshot(snap: &ContentSnapshot) -> Self {
         Working {
             epoch: snap.epoch,
+            filter_gen: snap.filter_gen,
             filters: snap.filters.clone(),
             entries: snap.entries.clone(),
             live: snap.live,
-            interner: snap.interner.clone(),
             index: snap.index.clone(),
         }
     }
@@ -140,46 +155,33 @@ impl Working {
     fn into_snapshot(self) -> ContentSnapshot {
         ContentSnapshot {
             epoch: self.epoch + 1,
+            filter_gen: self.filter_gen,
             filters: self.filters,
             entries: self.entries,
             live: self.live,
-            interner: self.interner,
             index: self.index,
         }
     }
 
-    /// Interns a DN key (cloning the shared interner only on a genuinely
-    /// new DN) and grows the slot vector to fit.
-    fn intern(&mut self, key: &str) -> u32 {
-        let id = match self.interner.get(key) {
-            Some(id) => id,
-            None => Arc::make_mut(&mut self.interner).intern(key),
-        };
-        if self.entries.len() <= id as usize {
-            self.entries.resize(id as usize + 1, None);
-        }
-        id
-    }
-
-    /// Upserts an entry into its slot, keeping the index exact: the old
-    /// version's values are unindexed before the new ones are inserted.
+    /// Upserts an entry into its slot, keeping the index exact: only the
+    /// attribute values that differ from the slot's previous occupant are
+    /// re-indexed.
     fn store(&mut self, id: u32, e: Entry) {
-        let ix = Arc::make_mut(&mut self.index);
-        if let Some(old) = self.entries[id as usize].take() {
-            ix.remove_entry(id, &old);
-        } else {
+        let slot = self.entries.slot_mut(id as usize);
+        self.index.reindex(id, slot.as_deref(), Some(&e));
+        if slot.replace(Arc::new(e)).is_none() {
             self.live += 1;
         }
-        ix.insert_entry(id, &e);
-        self.entries[id as usize] = Some(Arc::new(e));
     }
 
     /// Clears a slot and unindexes the entry it held.
     fn evict(&mut self, id: u32) {
-        if let Some(old) = self.entries[id as usize].take() {
-            Arc::make_mut(&mut self.index).remove_entry(id, &old);
-            self.live -= 1;
+        if self.entries.get(id as usize).is_none() {
+            return;
         }
+        let old = self.entries.slot_mut(id as usize).take();
+        self.index.reindex(id, old.as_deref(), None);
+        self.live -= 1;
     }
 }
 
@@ -190,6 +192,7 @@ impl Working {
 /// (under [`ShardMap::single`], the whole content).
 struct WorkingShardContent<'a> {
     work: &'a Working,
+    interner: &'a DnInterner,
     filter: usize,
     map: &'a ShardMap,
 }
@@ -197,7 +200,7 @@ struct WorkingShardContent<'a> {
 impl WorkingShardContent<'_> {
     /// The held entry `id`, when it belongs to `shard`.
     fn owned_entry(&self, shard: ShardId, id: u32) -> Option<&Entry> {
-        let e = self.work.entries.get(id as usize)?.as_deref()?;
+        let e = self.work.entries.get(id as usize)?;
         (self.map.shard_of(e.dn()) == shard).then_some(e)
     }
 }
@@ -215,7 +218,7 @@ impl ShardContent for WorkingShardContent<'_> {
     }
 
     fn resolve(&self, shard: ShardId, key: &str) -> Option<u32> {
-        let id = self.work.interner.get(key)?;
+        let id = self.interner.get(key)?;
         self.work.filters[self.filter].ids.binary_search(&id).ok()?;
         self.owned_entry(shard, id).map(|_| id)
     }
@@ -257,6 +260,17 @@ type SyncOne<'a> =
 #[derive(Debug, Default)]
 struct WriterState {
     sessions: Vec<FilterSession>,
+    ids: DnIds,
+}
+
+/// The writer's id bookkeeping. It describes the *current* epoch only and
+/// is edited in place: readers address entries by id and never resolve a
+/// DN, so no published epoch carries a copy.
+#[derive(Debug, Default)]
+struct DnIds {
+    /// DN-key → id map. An id is stable while some filter holds its entry
+    /// and recycled afterwards ([`unref`]).
+    interner: DnInterner,
     /// How many filters reference each entry id (cache entries are owned
     /// by their cached query and not counted here).
     refcount: HashMap<u32, usize>,
@@ -290,14 +304,16 @@ impl QueryCache {
 /// map (Zipf traffic re-warms the hot keys within a few queries).
 const DECISION_CACHE_CAP: usize = 4096;
 
-/// Epoch-invalidated memo of containment decisions: normalized query key
-/// → index of the first stored filter that contains it (`Some`) or proof
-/// that none does (`None`). Valid only for the epoch it was filled in —
-/// any publish changes the filter list or content, so the map is cleared
-/// on the first probe against a newer epoch.
+/// Memo of containment decisions: normalized query key → index of the
+/// first stored filter that contains it (`Some`) or proof that none does
+/// (`None`). A decision depends on the stored filters' prepared queries
+/// and their order, not on content, so the memo is valid for one
+/// generation of the filter set ([`ContentSnapshot::filter_gen`]) and is
+/// cleared on the first probe against another; epochs that only change
+/// content keep it.
 #[derive(Debug, Default)]
 struct DecisionCache {
-    epoch: u64,
+    filter_gen: u64,
     map: HashMap<String, Option<usize>>,
 }
 
@@ -308,7 +324,7 @@ pub struct DecisionCacheStats {
     pub hits: u64,
     /// Probes that fell through to the containment engine.
     pub misses: u64,
-    /// Decisions currently memoized for the probing epoch.
+    /// Decisions currently memoized for the stored-filter set.
     pub entries: usize,
 }
 
@@ -451,17 +467,22 @@ impl FilterReplica {
     /// Number of distinct entries stored (replica size): filter-referenced
     /// entries plus cached-query entries not already covered by a filter.
     pub fn entry_count(&self) -> usize {
-        let snap = self.snapshot();
-        let mut extra: HashSet<&str> = HashSet::new();
         let cached = self.cache.view();
+        if cached.is_empty() {
+            return self.snapshot().live;
+        }
+        // Which DNs the filters hold is the writer's knowledge; under its
+        // lock the interner and the current snapshot agree.
+        let w = self.writer.lock();
+        let mut extra: HashSet<&str> = HashSet::new();
         for cq in &cached {
             for k in &cq.keys {
-                if !snap.contains_key(k) {
+                if w.ids.interner.get(k).is_none() {
                     extra.insert(k);
                 }
             }
         }
-        snap.live + extra.len()
+        self.snapshot().live + extra.len()
     }
 
     /// Number of stored queries (generalized + cached) — the §7.4
@@ -520,8 +541,8 @@ impl FilterReplica {
     }
 
     /// Drops all memoized containment decisions (the counters keep
-    /// accumulating). Invalidation is otherwise automatic on every
-    /// published epoch.
+    /// accumulating). Invalidation is otherwise automatic whenever a
+    /// filter is installed or removed.
     pub fn clear_decision_cache(&self) {
         self.decisions.lock().map.clear();
     }
@@ -587,16 +608,16 @@ impl FilterReplica {
         notifications: Option<Receiver<NotifyBatch>>,
         actions: &[SyncAction],
     ) {
-        let snap = self.snapshot();
-        let mut work = Working::from_snapshot(&snap);
+        let mut work = Working::from_snapshot(&self.snapshot());
         let mut sf = StoredFilter {
-            prepared: PreparedQuery::new(request),
-            ids: Vec::new(),
+            prepared: Arc::new(PreparedQuery::new(request)),
+            ids: Arc::default(),
             stale: false,
             hits: Arc::new(AtomicU64::new(0)),
         };
-        self.timed_apply(&mut work, &mut w.refcount, &mut sf, actions);
-        work.filters.push(Arc::new(sf));
+        self.timed_apply(&mut work, &mut w.ids, &mut sf, actions);
+        work.filters.push(sf);
+        work.filter_gen += 1;
         w.sessions.push(FilterSession { cookie, notifications });
         self.publish(work.into_snapshot());
     }
@@ -610,14 +631,14 @@ impl FilterReplica {
     /// channel is discarded, `poll_fallbacks` is incremented, and the
     /// next [`FilterReplica::sync`] picks the filter up incrementally via
     /// its cookie.
+    ///
+    /// A drain that finds every channel empty only polls the channels: it
+    /// builds no working copy and publishes nothing.
     pub fn drain_notifications(&self) -> SyncTraffic {
         let mut w = self.writer.lock();
-        let WriterState { sessions, refcount } = &mut *w;
-        let snap = self.snapshot();
-        let mut work = Working::from_snapshot(&snap);
         let mut traffic = SyncTraffic::default();
-        let mut changed = false;
-        for (i, session) in sessions.iter_mut().enumerate() {
+        let mut batches: Vec<(usize, Vec<SyncAction>)> = Vec::new();
+        for (i, session) in w.sessions.iter_mut().enumerate() {
             let Some(rx) = &session.notifications else { continue };
             let mut pending: Vec<SyncAction> = Vec::new();
             let disconnected = loop {
@@ -628,13 +649,7 @@ impl FilterReplica {
                 }
             };
             if !pending.is_empty() {
-                for a in &pending {
-                    traffic.count(a);
-                }
-                let mut sf = (*work.filters[i]).clone();
-                self.timed_apply(&mut work, refcount, &mut sf, &pending);
-                work.filters[i] = Arc::new(sf);
-                changed = true;
+                batches.push((i, pending));
             }
             if disconnected {
                 session.notifications = None;
@@ -642,9 +657,19 @@ impl FilterReplica {
                 event!(self.obs, "replica", "poll_fallback", filter_index = i);
             }
         }
-        if changed {
-            self.publish(work.into_snapshot());
+        if batches.is_empty() {
+            return traffic;
         }
+        let mut work = Working::from_snapshot(&self.snapshot());
+        for (i, pending) in &batches {
+            for a in pending {
+                traffic.count(a);
+            }
+            let mut sf = work.filters[*i].clone();
+            self.timed_apply(&mut work, &mut w.ids, &mut sf, pending);
+            work.filters[*i] = sf;
+        }
+        self.publish(work.into_snapshot());
         traffic
     }
 
@@ -667,9 +692,10 @@ impl FilterReplica {
         for (shard, c) in session.cookie.iter() {
             transport.abandon_at(shard, c);
         }
-        for &id in &removed.ids {
-            unref(&mut work, &mut w.refcount, id);
+        for &id in removed.ids.iter() {
+            unref(&mut work, &mut w.ids, id);
         }
+        work.filter_gen += 1;
         self.publish(work.into_snapshot());
         true
     }
@@ -837,7 +863,7 @@ impl FilterReplica {
         sync_one: &mut SyncOne<'_>,
     ) -> Result<Option<SyncTraffic>, SyncError> {
         let mut w = self.writer.lock();
-        let WriterState { sessions, refcount } = &mut *w;
+        let WriterState { sessions, ids } = &mut *w;
         let snap = self.snapshot();
         let selected = match only {
             None => 0..snap.filters.len(),
@@ -853,7 +879,7 @@ impl FilterReplica {
             let outcomes = sync_one(
                 work.filters[i].prepared.request(),
                 &mut sessions[i].cookie,
-                &WorkingShardContent { work: &work, filter: i, map },
+                &WorkingShardContent { work: &work, interner: &ids.interner, filter: i, map },
             );
             let mut stale = false;
             let mut actions: Vec<SyncAction> = Vec::new();
@@ -878,10 +904,10 @@ impl FilterReplica {
                     reason = reason,
                 );
             }
-            let mut sf = (*work.filters[i]).clone();
+            let mut sf = work.filters[i].clone();
             sf.stale = stale;
-            self.timed_apply(&mut work, refcount, &mut sf, &actions);
-            work.filters[i] = Arc::new(sf);
+            self.timed_apply(&mut work, ids, &mut sf, &actions);
+            work.filters[i] = sf;
         }
         self.publish(work.into_snapshot());
         match failed {
@@ -921,7 +947,7 @@ impl FilterReplica {
     fn timed_apply(
         &self,
         work: &mut Working,
-        refcount: &mut HashMap<u32, usize>,
+        ids: &mut DnIds,
         sf: &mut StoredFilter,
         actions: &[SyncAction],
     ) {
@@ -929,7 +955,7 @@ impl FilterReplica {
             return;
         }
         let start = self.metrics.as_ref().map(|_| Instant::now());
-        apply_actions(work, refcount, sf, actions);
+        apply_actions(work, ids, sf, actions);
         if let (Some(m), Some(t)) = (&self.metrics, start) {
             m.index_build_ns.record_since(t);
         }
@@ -997,17 +1023,17 @@ impl FilterReplica {
         snap: &ContentSnapshot,
     ) -> Option<Vec<Entry>> {
         // Generalized filters first (they are authoritative and synced).
-        // The containment decision is memoized per epoch: a repeat of a
-        // recently seen query skips the engine entirely.
+        // The containment decision is memoized per filter set: a repeat
+        // of a recently seen query skips the engine entirely.
         let qkey = query_key(query);
-        let decision = match self.cached_decision(snap.epoch, &qkey) {
+        let decision = match self.cached_decision(snap.filter_gen, &qkey) {
             Some(d) => d,
             None => {
                 let d = snap
                     .filters
                     .iter()
                     .position(|sf| self.engine.query_contained(prepared, &sf.prepared));
-                self.remember_decision(snap.epoch, qkey, d);
+                self.remember_decision(snap.filter_gen, qkey, d);
                 d
             }
         };
@@ -1043,12 +1069,12 @@ impl FilterReplica {
         None
     }
 
-    /// Probes the decision cache; a probe against a newer epoch clears the
-    /// stale memo first.
-    fn cached_decision(&self, epoch: u64, key: &str) -> Option<Option<usize>> {
+    /// Probes the decision cache; a probe against another filter set
+    /// clears the stale memo first.
+    fn cached_decision(&self, filter_gen: u64, key: &str) -> Option<Option<usize>> {
         let mut dc = self.decisions.lock();
-        if dc.epoch != epoch {
-            dc.epoch = epoch;
+        if dc.filter_gen != filter_gen {
+            dc.filter_gen = filter_gen;
             dc.map.clear();
         }
         let found = dc.map.get(key).copied();
@@ -1065,11 +1091,11 @@ impl FilterReplica {
         found
     }
 
-    /// Memoizes a containment decision, unless a publish raced in between
-    /// (the decision would poison the newer epoch).
-    fn remember_decision(&self, epoch: u64, key: String, decision: Option<usize>) {
+    /// Memoizes a containment decision, unless an install or remove
+    /// raced in between (the decision would poison the newer filter set).
+    fn remember_decision(&self, filter_gen: u64, key: String, decision: Option<usize>) {
         let mut dc = self.decisions.lock();
-        if dc.epoch != epoch {
+        if dc.filter_gen != filter_gen {
             return;
         }
         if dc.map.len() >= DECISION_CACHE_CAP {
@@ -1164,7 +1190,7 @@ impl FilterReplica {
         }
         // Candidates: stored filters whose region and attribute selection
         // cover the query's (the filter part is checked on the union).
-        let candidates: Vec<&Arc<StoredFilter>> = snap
+        let candidates: Vec<&StoredFilter> = snap
             .filters
             .iter()
             .filter(|sf| {
@@ -1244,23 +1270,24 @@ fn query_key(query: &SearchRequest) -> String {
 /// and the refcounts.
 fn apply_actions(
     work: &mut Working,
-    refcount: &mut HashMap<u32, usize>,
+    ids: &mut DnIds,
     sf: &mut StoredFilter,
     actions: &[SyncAction],
 ) {
+    let held = Arc::make_mut(&mut sf.ids);
     for a in actions {
         match a {
             SyncAction::Add(e) | SyncAction::Modify(e) => {
-                let id = work.intern(&entry_key(e));
-                if posting::insert_sorted(&mut sf.ids, id) {
-                    *refcount.entry(id).or_insert(0) += 1;
+                let id = ids.interner.intern(&entry_key(e));
+                if posting::insert_sorted(held, id) {
+                    *ids.refcount.entry(id).or_insert(0) += 1;
                 }
                 work.store(id, e.clone());
             }
             SyncAction::Delete(dn) => {
-                if let Some(id) = work.interner.get(&dn_key(dn)) {
-                    if posting::remove_sorted(&mut sf.ids, id) {
-                        unref(work, refcount, id);
+                if let Some(id) = ids.interner.get(&dn_key(dn)) {
+                    if posting::remove_sorted(held, id) {
+                        unref(work, ids, id);
                     }
                 }
             }
@@ -1277,14 +1304,15 @@ fn apply_actions(
 /// unindexed, so the interner slot is released for reuse and the
 /// replica's id space — and every id-addressed vector built on it —
 /// stops growing with lifetime churn. Earlier epochs are untouched: they
-/// share the *previous* interner `Arc`, and the release copies on write.
-fn unref(work: &mut Working, refcount: &mut HashMap<u32, usize>, id: u32) {
-    if let Some(rc) = refcount.get_mut(&id) {
+/// never resolve a DN, and the slot chunk and index nodes a recycled id
+/// lands in are copied before they are written.
+fn unref(work: &mut Working, ids: &mut DnIds, id: u32) {
+    if let Some(rc) = ids.refcount.get_mut(&id) {
         *rc -= 1;
         if *rc == 0 {
-            refcount.remove(&id);
+            ids.refcount.remove(&id);
             work.evict(id);
-            Arc::make_mut(&mut work.interner).release(id);
+            ids.interner.release(id);
         }
     }
 }
@@ -1692,13 +1720,25 @@ mod tests {
         let s = r.decision_cache_stats();
         assert_eq!((s.hits, s.misses, s.entries), (2, 2, 2));
 
-        // A publish (sync cycle) invalidates: the next probe misses and
-        // sees the fresh content.
+        // A sync cycle that changes content keeps the memo — the decision
+        // depends on the filter set only — and the answer is still
+        // evaluated against the fresh content.
         m.apply(UpdateOp::Add(person("e", "us", "045650", "2406"))).unwrap();
         r.sync(&mut m).unwrap();
         assert_eq!(r.try_answer(&q).unwrap().len(), 3);
         let s = r.decision_cache_stats();
-        assert_eq!((s.hits, s.misses, s.entries), (2, 3, 1));
+        assert_eq!((s.hits, s.misses, s.entries), (3, 2, 2));
+
+        // Install and remove change the filter set: each invalidates.
+        let serial = root_query("(serialNumber=12*)");
+        r.install_filter(&mut m, serial.clone()).unwrap();
+        assert!(r.try_answer(&miss).is_some(), "the memoized miss must not survive");
+        let s = r.decision_cache_stats();
+        assert_eq!((s.hits, s.misses, s.entries), (3, 3, 1));
+        assert!(r.remove_filter(&mut m, &serial));
+        assert!(r.try_answer(&miss).is_none(), "nor the memoized hit");
+        let s = r.decision_cache_stats();
+        assert_eq!((s.hits, s.misses, s.entries), (3, 4, 1));
 
         // Manual clearing keeps counters but drops memos.
         r.clear_decision_cache();
@@ -1708,7 +1748,8 @@ mod tests {
     #[test]
     fn epoch_shares_untouched_index() {
         // A sync cycle with no changes publishes a new epoch that shares
-        // the previous epoch's interner and index allocations.
+        // every index node, entry chunk and stored filter with the
+        // previous one.
         let mut m = master();
         let r = FilterReplica::new(0);
         r.install_filter(&mut m, root_query("(departmentNumber=2406)")).unwrap();
@@ -1716,13 +1757,132 @@ mod tests {
         r.sync(&mut m).unwrap();
         let after = r.snapshot();
         assert_eq!(after.epoch, before.epoch + 1);
-        assert!(Arc::ptr_eq(&before.index, &after.index), "index shared");
-        assert!(Arc::ptr_eq(&before.interner, &after.interner), "interner shared");
-        // A cycle that does apply changes replaces them.
-        m.apply(UpdateOp::Add(person("e", "us", "045650", "2406"))).unwrap();
-        r.sync(&mut m).unwrap();
-        let touched = r.snapshot();
-        assert!(!Arc::ptr_eq(&after.index, &touched.index));
+        assert_eq!(before.index.node_addrs(), after.index.node_addrs(), "index shared");
+        assert_eq!(before.entries.chunk_addrs(), after.entries.chunk_addrs(), "entries shared");
+        assert!(Arc::ptr_eq(&before.filters[0].ids, &after.filters[0].ids), "filter kept");
+    }
+
+    /// A master holding `n` people in one department, all inside the
+    /// `(departmentNumber=7)` filter.
+    fn big_master(n: usize) -> SyncMaster {
+        let mut m = SyncMaster::new();
+        m.dit_mut().add_suffix(dn("o=xyz"));
+        m.dit_mut().add(Entry::new(dn("o=xyz"))).unwrap();
+        m.dit_mut().add(Entry::new(dn("c=us,o=xyz"))).unwrap();
+        for i in 0..n {
+            let e = person(&format!("p{i:05}"), "us", &format!("{:06}", 100_000 + i), "7")
+                .with("mail", &format!("p{i}@xyz.com"));
+            m.dit_mut().add(e).unwrap();
+        }
+        m
+    }
+
+    fn replace_mail(cn: &str, mail: &str) -> UpdateOp {
+        UpdateOp::Modify {
+            dn: dn(&format!("cn={cn},c=us,o=xyz")),
+            mods: vec![Modification::Replace("mail".into(), vec![mail.into()])],
+        }
+    }
+
+    #[test]
+    fn one_entry_modify_shares_all_but_a_constant_number_of_nodes() {
+        let mut m = big_master(2_500);
+        let r = FilterReplica::new(0);
+        r.install_filter_persistent(&mut m, root_query("(departmentNumber=7)")).unwrap();
+        r.install_filter(&mut m, root_query("(serialNumber=1000*)")).unwrap();
+        let before = r.snapshot();
+        m.apply(replace_mail("p01234", "new@xyz.com")).unwrap();
+        assert_eq!(r.drain_notifications().full_entries, 1);
+        let after = r.snapshot();
+        assert_eq!(after.epoch, before.epoch + 1);
+
+        // Index: the path to the old and to the new mail value in the two
+        // value maps, the attribute map's path, the new posting lists.
+        let old: HashSet<usize> = before.index.node_addrs().into_iter().collect();
+        let new = after.index.node_addrs();
+        let copied = new.iter().filter(|a| !old.contains(a)).count();
+        assert!(new.len() > 10_000, "{} index nodes and lists", new.len());
+        assert!(copied <= 12, "{copied} of {} index nodes copied", new.len());
+        // Entries: one chunk.
+        let chunks = before.entries.chunk_addrs();
+        let shared = chunks.iter().zip(after.entries.chunk_addrs()).filter(|(a, b)| *a == b);
+        assert!(chunks.len() >= 2_500 / 64);
+        assert_eq!(shared.count(), chunks.len() - 1);
+        // Filters: the touched one has a new posting list beside the same
+        // prepared query, the other is untouched.
+        assert!(!Arc::ptr_eq(&before.filters[0].ids, &after.filters[0].ids));
+        assert!(Arc::ptr_eq(&before.filters[0].prepared, &after.filters[0].prepared));
+        assert!(Arc::ptr_eq(&before.filters[1].ids, &after.filters[1].ids));
+
+        let q = root_query("(mail=new@xyz.com)");
+        assert_eq!(r.evaluate_indexed(&after, &q, &after.filters[0].ids).len(), 1);
+        assert_eq!(r.evaluate_indexed(&before, &q, &before.filters[0].ids).len(), 0);
+    }
+
+    #[test]
+    fn empty_drain_publishes_nothing() {
+        let mut m = master();
+        let r = FilterReplica::new(0);
+        r.install_filter_persistent(&mut m, root_query("(departmentNumber=2406)")).unwrap();
+        // An update outside the filter reaches no channel.
+        m.apply(UpdateOp::Add(person("e", "us", "045650", "9900"))).unwrap();
+        let before = r.snapshot();
+        assert_eq!(r.drain_notifications().pdus(), 0);
+        let after = r.snapshot();
+        assert!(Arc::ptr_eq(&before, &after), "same published snapshot");
+        assert_eq!(after.epoch, before.epoch);
+    }
+
+    #[test]
+    fn held_epoch_is_isolated_from_id_recycling() {
+        let mut m = big_master(300);
+        let r = FilterReplica::new(0);
+        r.install_filter(&mut m, root_query("(departmentNumber=7)")).unwrap();
+        let queries = [
+            root_query("(departmentNumber=7)"),
+            root_query("(serialNumber=10001*)"),
+            root_query("(serialNumber>=100290)"),
+            root_query("(mail=p17@xyz.com)"),
+            root_query("(&(mail=*)(serialNumber<=100020))"),
+            root_query("(cn=*7)"), // unplannable: scans the posting list
+        ];
+        let held = r.snapshot();
+        let answers = |snap: &ContentSnapshot| -> String {
+            let ids = &snap.filters[0].ids;
+            let all: Vec<Vec<Entry>> =
+                queries.iter().map(|q| r.evaluate_indexed(snap, q, ids)).collect();
+            format!("{all:?}")
+        };
+        let before = answers(&held);
+
+        // Through epochs n+1..n+k: delete entries (their ids are
+        // released), add others (released ids are handed out again),
+        // modify survivors and newcomers.
+        let id_of = |key: &str| r.writer.lock().ids.interner.get(key);
+        let recycled = id_of("cn=p00017,c=us,o=xyz").expect("held");
+        for round in 0..6 {
+            for i in (round * 20)..(round * 20 + 20) {
+                m.apply(UpdateOp::Delete(dn(&format!("cn=p{i:05},c=us,o=xyz")))).unwrap();
+            }
+            r.sync(&mut m).unwrap();
+            for i in 0..15 {
+                let n = 1_000 + round * 15 + i;
+                let e = person(&format!("q{n}"), "us", &format!("{:06}", 100_000 + n), "7");
+                m.apply(UpdateOp::Add(e)).unwrap();
+            }
+            m.apply(replace_mail("p00299", &format!("round{round}@xyz.com"))).unwrap();
+            r.sync(&mut m).unwrap();
+            m.apply(replace_mail(&format!("q{}", 1_000 + round * 15), "moved@xyz.com")).unwrap();
+            r.sync(&mut m).unwrap();
+        }
+        let now = r.snapshot();
+        assert_eq!(now.epoch, held.epoch + 18);
+        assert_eq!(id_of("cn=p00017,c=us,o=xyz"), None);
+        let reused = now.entry(recycled).expect("the released id was handed out again");
+        assert_ne!(reused.dn(), held.entry(recycled).unwrap().dn());
+        assert_ne!(answers(&now), before);
+
+        assert_eq!(answers(&held), before, "the held epoch answers exactly as it did");
     }
 
     // ------------------------------------------------------------------
@@ -2099,7 +2259,7 @@ mod proptests {
 
     /// A replica whose single stored filter holds all generated entries,
     /// built through the real writer path (interner + incremental index).
-    fn build_state(specs: &[EntrySpec]) -> (FilterReplica, ContentSnapshot, Vec<u32>) {
+    fn build_state(specs: &[EntrySpec]) -> (FilterReplica, ContentSnapshot, Vec<u32>, DnIds) {
         let r = FilterReplica::new(0);
         let actions: Vec<SyncAction> = specs
             .iter()
@@ -2107,17 +2267,17 @@ mod proptests {
             .map(|(i, s)| SyncAction::Add(build_entry(i, s)))
             .collect();
         let mut work = Working::from_snapshot(&ContentSnapshot::empty());
-        let mut refcount = HashMap::new();
+        let mut dn_ids = DnIds::default();
         let mut sf = StoredFilter {
-            prepared: PreparedQuery::new(SearchRequest::from_root(Filter::match_all())),
-            ids: Vec::new(),
+            prepared: Arc::new(PreparedQuery::new(SearchRequest::from_root(Filter::match_all()))),
+            ids: Arc::default(),
             stale: false,
             hits: Arc::new(AtomicU64::new(0)),
         };
-        apply_actions(&mut work, &mut refcount, &mut sf, &actions);
-        let ids = sf.ids.clone();
-        work.filters.push(Arc::new(sf));
-        (r, work.into_snapshot(), ids)
+        apply_actions(&mut work, &mut dn_ids, &mut sf, &actions);
+        let ids = sf.ids.to_vec();
+        work.filters.push(sf);
+        (r, work.into_snapshot(), ids, dn_ids)
     }
 
     /// One leaf predicate, drawn to collide with generated values often
@@ -2181,7 +2341,7 @@ mod proptests {
             filters in prop::collection::vec(filter(), 1..6),
             doomed in prop::collection::vec(any::<bool>(), 0..40),
         ) {
-            let (r, snap, ids) = build_state(&specs);
+            let (r, snap, ids, mut dn_ids) = build_state(&specs);
             for f in &filters {
                 let q = SearchRequest::from_root(f.clone());
                 let indexed = r.evaluate_indexed(&snap, &q, &ids);
@@ -2198,12 +2358,10 @@ mod proptests {
                 .map(|(i, s)| SyncAction::Delete(build_entry(i, s).dn().clone()))
                 .collect();
             let mut work = Working::from_snapshot(&snap);
-            let mut refcount: HashMap<u32, usize> =
-                ids.iter().map(|&id| (id, 1usize)).collect();
-            let mut sf = (*work.filters[0]).clone();
-            apply_actions(&mut work, &mut refcount, &mut sf, &deletes);
-            let ids2 = sf.ids.clone();
-            work.filters[0] = Arc::new(sf);
+            let mut sf = work.filters[0].clone();
+            apply_actions(&mut work, &mut dn_ids, &mut sf, &deletes);
+            let ids2 = sf.ids.to_vec();
+            work.filters[0] = sf;
             let snap2 = work.into_snapshot();
             for f in &filters {
                 let q = SearchRequest::from_root(f.clone());

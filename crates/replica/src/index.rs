@@ -5,76 +5,105 @@
 //! (equality via normalized text, ranges via [`AttrValue`] order, prefix
 //! via text-range scans) but keyed by dense ids instead of DNs.
 //!
-//! Lifecycle: the writer keeps the index inside an `Arc` that each
-//! published snapshot shares. A sync cycle that touches no entries
-//! publishes the *same* `Arc` (zero rebuild); a cycle that does touch
-//! entries clones the structure once (`Arc::make_mut`) and applies only
-//! the delta — the index is never rebuilt from the entry store.
+//! Lifecycle: every map in the index is a persistent [`PMap`] and every
+//! posting list sits behind its own `Arc`, so cloning the index for the
+//! next epoch is one pointer copy and the two epochs share every node the
+//! writer does not touch. A cycle pays for what it changes: per changed
+//! `(attribute, value)` pair one root-to-leaf path in each of the two
+//! value maps (a few nodes of at most 32 items) plus the posting lists it
+//! edits; [`SnapshotIndex::reindex`] diffs the old and new version of an
+//! entry so a `Modify` touches only the values that differ. A node or
+//! list is copied on its first touch in a cycle and edited in place on
+//! every later one, so a bulk install stays a bulk load. The index is
+//! never rebuilt from the entry store.
 
+use crate::persistent::PMap;
 use crate::posting;
-use fbdr_ldap::{AttrName, AttrValue, Comparison, Entry, Filter, Predicate};
+use fbdr_ldap::{AttrValue, Comparison, Entry, Filter, Predicate};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
+use std::sync::Arc;
+
+/// A posting list shared between the epochs that do not edit it.
+type Ids = Arc<Vec<u32>>;
 
 /// Posting lists for one attribute.
 #[derive(Debug, Clone, Default)]
 struct AttrPostings {
     /// Normalized value text → ids, in lexicographic order (equality and
     /// prefix lookups).
-    text: BTreeMap<String, Vec<u32>>,
+    text: PMap<Arc<str>, Ids>,
     /// Values in [`AttrValue`] order (numeric-aware) → ids (range
     /// lookups with the same semantics as predicate evaluation).
-    ord: BTreeMap<AttrValue, Vec<u32>>,
+    ord: PMap<Arc<AttrValue>, Ids>,
     /// Ids of entries carrying the attribute at all.
-    present: Vec<u32>,
+    present: Ids,
+}
+
+/// An edit of one posting list; returns whether the list still holds an
+/// id afterwards (an emptied list is dropped with its key, unedited).
+type Edit = fn(&mut Ids, u32) -> bool;
+
+fn add_id(list: &mut Ids, id: u32) -> bool {
+    posting::insert_sorted(Arc::make_mut(list), id);
+    true
+}
+
+fn remove_id(list: &mut Ids, id: u32) -> bool {
+    if **list == [id] {
+        return false;
+    }
+    posting::remove_sorted(Arc::make_mut(list), id);
+    !list.is_empty()
+}
+
+impl AttrPostings {
+    fn edit_value(&mut self, v: &AttrValue, id: u32, edit: Edit) {
+        self.text.update(v.normalized(), || Arc::from(v.normalized()), |list| edit(list, id));
+        self.ord.update(v, || Arc::new(v.clone()), |list| edit(list, id));
+    }
 }
 
 /// Immutable-per-epoch equality/prefix/range index over snapshot entries.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SnapshotIndex {
-    by_attr: HashMap<AttrName, AttrPostings>,
+    /// Lowercased attribute name → the attribute's posting lists.
+    by_attr: PMap<Arc<str>, AttrPostings>,
 }
 
 impl SnapshotIndex {
-    /// Indexes every attribute value of `e` under `id`.
-    pub(crate) fn insert_entry(&mut self, id: u32, e: &Entry) {
-        for (attr, values) in e.attrs() {
-            let idx = self.by_attr.entry(attr.clone()).or_default();
-            posting::insert_sorted(&mut idx.present, id);
-            for v in values {
-                posting::insert_sorted(
-                    idx.text.entry(v.normalized().to_owned()).or_default(),
-                    id,
-                );
-                posting::insert_sorted(idx.ord.entry(v.clone()).or_default(), id);
-            }
+    /// Moves `id` from the attribute values of `old` to those of `new`
+    /// (`None`: the slot was, or becomes, empty), touching only what
+    /// differs. `old` must be the entry version last indexed under `id`.
+    pub(crate) fn reindex(&mut self, id: u32, old: Option<&Entry>, new: Option<&Entry>) {
+        if let Some(old) = old {
+            self.edit_difference(id, old, new, remove_id);
+        }
+        if let Some(new) = new {
+            self.edit_difference(id, new, old, add_id);
         }
     }
 
-    /// Removes every attribute value of `e` from under `id`. `e` must be
-    /// the entry version previously inserted for `id`.
-    pub(crate) fn remove_entry(&mut self, id: u32, e: &Entry) {
+    /// Applies `edit` to the posting list of every attribute and value
+    /// `e` carries and `other` does not.
+    fn edit_difference(&mut self, id: u32, e: &Entry, other: Option<&Entry>, edit: Edit) {
         for (attr, values) in e.attrs() {
-            let Some(idx) = self.by_attr.get_mut(attr) else { continue };
-            posting::remove_sorted(&mut idx.present, id);
-            for v in values {
-                if let Some(list) = idx.text.get_mut(v.normalized()) {
-                    posting::remove_sorted(list, id);
-                    if list.is_empty() {
-                        idx.text.remove(v.normalized());
-                    }
-                }
-                if let Some(list) = idx.ord.get_mut(v) {
-                    posting::remove_sorted(list, id);
-                    if list.is_empty() {
-                        idx.ord.remove(v);
-                    }
-                }
+            let attr_differs = !other.is_some_and(|o| o.has_attr(attr));
+            let differs = |v: &&AttrValue| !other.is_some_and(|o| o.has_value(attr, v));
+            if !attr_differs && !values.iter().any(|v| differs(&v)) {
+                continue;
             }
-            if idx.present.is_empty() {
-                self.by_attr.remove(attr);
-            }
+            self.by_attr.update(attr.lower(), || Arc::from(attr.lower()), |idx| {
+                // The last entry carrying the attribute takes the whole
+                // attribute with it.
+                if attr_differs && !edit(&mut idx.present, id) {
+                    return false;
+                }
+                for v in values.iter().filter(differs) {
+                    idx.edit_value(v, id, edit);
+                }
+                true
+            });
         }
     }
 
@@ -125,7 +154,7 @@ impl SnapshotIndex {
     }
 
     fn plan_pred<'a>(&'a self, p: &Predicate) -> Option<Cow<'a, [u32]>> {
-        let idx = self.by_attr.get(p.attr());
+        let idx = self.by_attr.get(p.attr().lower());
         match p.comparison() {
             Comparison::Eq(v) => Some(
                 idx.and_then(|i| i.text.get(v.normalized()))
@@ -141,7 +170,7 @@ impl SnapshotIndex {
                 let Some(i) = idx else { return Some(Cow::Owned(Vec::new())) };
                 let lists = i
                     .text
-                    .range::<str, _>((Bound::Included(init), Bound::Unbounded))
+                    .range::<str>(Bound::Included(init), Bound::Unbounded)
                     .take_while(|(k, _)| k.starts_with(init))
                     .map(|(_, l)| Cow::Borrowed(l.as_slice()))
                     .collect();
@@ -179,23 +208,45 @@ impl SnapshotIndex {
                     };
                     (Bound::Unbounded, b)
                 };
-                let lists = i.ord.range((lo, hi)).map(|(_, l)| Cow::Borrowed(l.as_slice()));
+                let lists = i
+                    .ord
+                    .range(lo.as_ref(), hi.as_ref())
+                    .map(|(_, l)| Cow::Borrowed(l.as_slice()));
                 posting::union_cows(lists.collect())
             }
             None => {
                 let key = bound.normalized();
-                let range: (Bound<&str>, Bound<&str>) = if is_lower {
+                let (lo, hi) = if is_lower {
                     (Bound::Included(key), Bound::Unbounded)
                 } else {
                     (Bound::Unbounded, Bound::Included(key))
                 };
                 let lists = i
                     .text
-                    .range::<str, _>(range)
+                    .range::<str>(lo, hi)
                     .map(|(_, l)| Cow::Borrowed(l.as_slice()));
                 posting::union_cows(lists.collect())
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl SnapshotIndex {
+    /// Addresses of every map node and posting list, for
+    /// structural-sharing assertions.
+    pub(crate) fn node_addrs(&self) -> Vec<usize> {
+        fn lists<K: Ord>(map: &PMap<K, Ids>, out: &mut Vec<usize>) {
+            out.extend(map.node_addrs());
+            out.extend(map.iter().map(|(_, l)| Arc::as_ptr(l) as usize));
+        }
+        let mut out = self.by_attr.node_addrs();
+        for (_, idx) in self.by_attr.iter() {
+            lists(&idx.text, &mut out);
+            lists(&idx.ord, &mut out);
+            out.push(Arc::as_ptr(&idx.present) as usize);
+        }
+        out
     }
 }
 
@@ -213,7 +264,7 @@ mod tests {
     fn sample(n: u32) -> SnapshotIndex {
         let mut ix = SnapshotIndex::default();
         for id in 0..n {
-            ix.insert_entry(id, &entry(id));
+            ix.reindex(id, None, Some(&entry(id)));
         }
         ix
     }
@@ -263,16 +314,38 @@ mod tests {
     }
 
     #[test]
+    fn reindex_moves_only_the_values_that_differ() {
+        let mut ix = sample(6);
+        let untouched = ix.by_attr.get("serialnumber").unwrap().text.node_addrs();
+        let mut new = entry(2);
+        new.replace("dept", ["7"]);
+        new.add("mail", "two@x");
+        ix.reindex(2, Some(&entry(2)), Some(&new));
+        assert_eq!(plan_of(&ix, "(dept=2)"), Some(vec![5]));
+        assert_eq!(plan_of(&ix, "(dept=7)"), Some(vec![2]));
+        assert_eq!(plan_of(&ix, "(dept>=3)"), Some(vec![2]));
+        assert_eq!(plan_of(&ix, "(mail=*)"), Some(vec![2]));
+        assert_eq!(plan_of(&ix, "(serialNumber=100002)"), Some(vec![2]));
+        assert_eq!(plan_of(&ix, "(objectclass=*)"), Some((0..6).collect()));
+        assert_eq!(ix.by_attr.get("serialnumber").unwrap().text.node_addrs(), untouched);
+        // Back again: the added attribute leaves with its only carrier.
+        ix.reindex(2, Some(&new), Some(&entry(2)));
+        assert_eq!(plan_of(&ix, "(mail=*)"), Some(vec![]));
+        assert!(ix.by_attr.get("mail").is_none());
+        assert_eq!(plan_of(&ix, "(dept=2)"), Some(vec![2, 5]));
+    }
+
+    #[test]
     fn remove_keeps_index_exact() {
         let mut ix = sample(6);
-        ix.remove_entry(2, &entry(2));
+        ix.reindex(2, Some(&entry(2)), None);
         assert_eq!(plan_of(&ix, "(serialNumber=100002)"), Some(vec![]));
         assert_eq!(plan_of(&ix, "(dept=2)"), Some(vec![5]));
         assert_eq!(plan_of(&ix, "(objectclass=*)"), Some(vec![0, 1, 3, 4, 5]));
         // Removing everything empties the maps entirely.
         for id in [0u32, 1, 3, 4, 5] {
-            ix.remove_entry(id, &entry(id));
+            ix.reindex(id, Some(&entry(id)), None);
         }
-        assert!(ix.by_attr.is_empty());
+        assert!(ix.by_attr.iter().next().is_none());
     }
 }

@@ -25,8 +25,8 @@
 //! maintained equality/prefix/range posting lists. A hit compiles the
 //! query filter into a candidate plan, intersects it (galloping) with the
 //! winning filter's list, and verifies residual predicates only on the
-//! candidates. Containment decisions are memoized per epoch
-//! ([`DecisionCacheStats`]).
+//! candidates. Containment decisions are memoized per stored-filter
+//! set ([`DecisionCacheStats`]).
 //!
 //! # Concurrency
 //!
@@ -38,6 +38,7 @@
 
 mod filter_replica;
 mod index;
+mod persistent;
 pub mod posting;
 mod stats;
 mod subtree;

@@ -1,0 +1,146 @@
+//! Publishing an epoch costs what the cycle changed, not what the replica
+//! holds: the allocations of a persist-mode drain that carries one
+//! `Modify` are few and do not grow with the number of held entries.
+//!
+//! Allocation counts repeat exactly, so the limits below are a noise-free
+//! regression guard for the structurally shared snapshot (DESIGN §7): a
+//! snapshot component that goes back to being copied whole per cycle costs
+//! at least one allocation per held entry and fails both.
+
+use fbdr::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts the allocations of the calling thread (tests run on parallel
+/// threads; each must see only its own).
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // Not counting is right while a thread's locals are being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's layout and
+// pointer unchanged; the counter touches no allocator state and does not
+// allocate (a `const`-initialised `Cell` without a destructor).
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations `f` makes on this thread.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+fn dn(s: &str) -> Dn {
+    s.parse().expect("static DN")
+}
+
+fn query(f: &str) -> SearchRequest {
+    SearchRequest::from_root(Filter::parse(f).expect("static filter"))
+}
+
+fn person(i: usize) -> Entry {
+    Entry::new(dn(&format!("cn=p{i:05},c=us,o=xyz")))
+        .with("objectclass", "inetOrgPerson")
+        .with("cn", &format!("p{i:05}"))
+        .with("sn", &format!("Surname{}", i % 97))
+        .with("serialNumber", &format!("{:06}", 100_000 + i))
+        .with("departmentNumber", &format!("{}", i % 40))
+        .with("mail", &format!("p{i}@us.xyz.com"))
+        .with("telephoneNumber", &format!("555-{i:05}"))
+        .with("location", &format!("bldg{}", i % 12))
+}
+
+/// A master with `n` people and a replica holding all of them through
+/// three persist-mode filters, two of which overlap on person 42.
+fn deployment(n: usize) -> (SyncMaster, FilterReplica) {
+    let mut master = SyncMaster::new();
+    master.dit_mut().add_suffix(dn("o=xyz"));
+    master.dit_mut().add(Entry::new(dn("o=xyz"))).expect("suffix entry");
+    master.dit_mut().add(Entry::new(dn("c=us,o=xyz"))).expect("country entry");
+    for i in 0..n {
+        master.dit_mut().add(person(i)).expect("person");
+    }
+    let replica = FilterReplica::new(0);
+    for f in ["(objectclass=inetOrgPerson)", "(serialNumber=1000*)", "(departmentNumber=7)"] {
+        replica.install_filter_persistent(&mut master, query(f)).expect("install");
+    }
+    assert_eq!(replica.entry_count(), n);
+    (master, replica)
+}
+
+/// Allocations of the drain that applies one `Modify` of person 42's
+/// mail (held by two filters) to a replica of `n` entries.
+fn single_modify_drain(n: usize) -> u64 {
+    let (mut master, replica) = deployment(n);
+    master
+        .apply(UpdateOp::Modify {
+            dn: dn("cn=p00042,c=us,o=xyz"),
+            mods: vec![Modification::Replace("mail".into(), vec!["moved@us.xyz.com".into()])],
+        })
+        .expect("modify");
+    let epoch = replica.epoch();
+    let (traffic, allocations) = allocations_of(|| replica.drain_notifications());
+    assert_eq!(traffic.full_entries, 2, "one notification per holding filter");
+    assert_eq!(replica.epoch(), epoch + 1);
+    let moved = query("(&(objectclass=inetOrgPerson)(mail=moved@us.xyz.com))");
+    let hit = replica.try_answer(&moved).expect("contained in the first filter");
+    assert_eq!(hit.len(), 1);
+    allocations
+}
+
+#[test]
+fn single_modify_drain_allocates_for_the_change_not_the_replica() {
+    let small = single_modify_drain(1_000);
+    let large = single_modify_drain(8_000);
+    println!("single-Modify drain: {small} allocations at 1000 entries, {large} at 8000");
+    assert!(small < 600, "{small} allocations at 1000 entries");
+    assert!(large < 600, "{large} allocations at 8000 entries");
+    assert!(
+        (large as f64) < 1.5 * small as f64,
+        "{small} allocations at 1000 entries grew to {large} at 8000"
+    );
+}
+
+#[test]
+fn empty_drain_allocates_nothing() {
+    let (mut master, replica) = deployment(1_000);
+    // An update that no stored filter covers reaches no channel.
+    master.apply(UpdateOp::Add(Entry::new(dn("c=in,o=xyz")))).expect("add");
+    let epoch = replica.epoch();
+    let (traffic, allocations) = allocations_of(|| replica.drain_notifications());
+    assert_eq!(traffic.pdus(), 0);
+    assert_eq!(replica.epoch(), epoch);
+    assert_eq!(allocations, 0);
+}
