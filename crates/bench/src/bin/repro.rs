@@ -304,13 +304,17 @@ fn run(which: &str, params: &Params) -> Table {
         ),
         "overheads" => table(
             "§7.4: query processing overhead vs # stored filters",
-            &["filters", "engine ns/q", "brute ns/q", "same-tmpl", "compiled", "never", "general"],
+            &[
+                "filters", "engine ns/q", "indexed ns/q", "brute ns/q", "same-tmpl", "compiled",
+                "never", "general",
+            ],
             tables::overheads(params)
                 .into_iter()
                 .map(|r| {
                     vec![
                         r.filters.to_string(),
                         format!("{:.0}", r.engine_ns),
+                        format!("{:.0}", r.indexed_ns),
                         format!("{:.0}", r.brute_ns),
                         r.same_template.to_string(),
                         r.compiled.to_string(),

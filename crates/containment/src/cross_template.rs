@@ -12,6 +12,7 @@
 
 use crate::same_template::{range_implies_ge, range_implies_le};
 use fbdr_ldap::{AttrValue, Comparison, Filter, Predicate, Template, TemplateId};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -38,8 +39,8 @@ impl Atom {
     fn eval(self, v1: &[AttrValue], v2: &[AttrValue]) -> bool {
         match self {
             Atom::EqEq(i, j) => v1[i] == v2[j],
-            Atom::EqSatGe(i, j) => Comparison::Ge(v2[j].clone()).matches_value(&v1[i]),
-            Atom::EqSatLe(i, j) => Comparison::Le(v2[j].clone()).matches_value(&v1[i]),
+            Atom::EqSatGe(i, j) => v1[i].range_cmp(&v2[j]).is_some_and(|o| o != Ordering::Less),
+            Atom::EqSatLe(i, j) => v1[i].range_cmp(&v2[j]).is_some_and(|o| o != Ordering::Greater),
             Atom::GeGe(i, j) => range_implies_ge(&v1[i], &v2[j]),
             Atom::LeLe(i, j) => range_implies_le(&v1[i], &v2[j]),
             Atom::EqStartsWith(i, j) => v1[i].normalized().starts_with(v2[j].normalized()),
@@ -178,7 +179,8 @@ pub(crate) fn compile(t1: &Template, t2: &Template) -> Option<CompiledCondition>
 }
 
 /// Cache of compiled cross-template conditions, keyed by ordered template
-/// pair.
+/// pair: `t1`'s id, then `t2`'s, so a lookup borrows both ids and
+/// allocates nothing.
 ///
 /// ```
 /// use fbdr_containment::CrossTemplateMatrix;
@@ -196,7 +198,7 @@ pub(crate) fn compile(t1: &Template, t2: &Template) -> Option<CompiledCondition>
 /// ```
 #[derive(Debug, Default)]
 pub struct CrossTemplateMatrix {
-    compiled: HashMap<(TemplateId, TemplateId), Option<Arc<CompiledCondition>>>,
+    compiled: HashMap<TemplateId, HashMap<TemplateId, Option<Arc<CompiledCondition>>>>,
 }
 
 impl CrossTemplateMatrix {
@@ -208,10 +210,10 @@ impl CrossTemplateMatrix {
     /// The compiled condition for `t1 ⊆ t2`, compiling (and caching) it on
     /// first use. `None` means the pair is outside the compilable class.
     pub fn condition(&mut self, t1: &Template, t2: &Template) -> Option<&CompiledCondition> {
-        self.compiled
-            .entry((t1.id().clone(), t2.id().clone()))
-            .or_insert_with(|| compile(t1, t2).map(Arc::new))
-            .as_deref()
+        if self.lookup(t1, t2).is_none() {
+            self.insert(t1, t2, Self::compile_pair(t1, t2));
+        }
+        self.compiled.get(t1.id())?.get(t2.id())?.as_deref()
     }
 
     /// Looks up the cached compile result for `t1 ⊆ t2` without compiling.
@@ -221,7 +223,7 @@ impl CrossTemplateMatrix {
     /// condition is shared (`Arc`), so callers can evaluate it after
     /// releasing any lock guarding the matrix.
     pub fn lookup(&self, t1: &Template, t2: &Template) -> Option<Option<Arc<CompiledCondition>>> {
-        self.compiled.get(&(t1.id().clone(), t2.id().clone())).cloned()
+        self.compiled.get(t1.id())?.get(t2.id()).cloned()
     }
 
     /// Records a compile result for `t1 ⊆ t2` (see
@@ -229,7 +231,7 @@ impl CrossTemplateMatrix {
     /// function of the templates, so concurrent duplicate inserts are
     /// benign: last writer wins with an identical value.
     pub fn insert(&mut self, t1: &Template, t2: &Template, cond: Option<Arc<CompiledCondition>>) {
-        self.compiled.insert((t1.id().clone(), t2.id().clone()), cond);
+        self.compiled.entry(t1.id().clone()).or_default().insert(t2.id().clone(), cond);
     }
 
     /// Compiles the Proposition 2 condition for a template pair without
@@ -241,7 +243,7 @@ impl CrossTemplateMatrix {
 
     /// Number of cached template pairs.
     pub fn len(&self) -> usize {
-        self.compiled.len()
+        self.compiled.values().map(HashMap::len).sum()
     }
 
     /// True when nothing has been compiled yet.

@@ -20,6 +20,7 @@
 
 use crate::{AttrName, AttrValue, Entry, FilterParseError};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -93,7 +94,8 @@ impl SubstringPattern {
         }
         // Reserve the final component from the tail.
         let tail_len = self.final_part.as_ref().map_or(0, |f| f.len());
-        if rest.len() < tail_len {
+        // A tail that starts inside a character cannot equal `final`.
+        if rest.len() < tail_len || !rest.is_char_boundary(rest.len() - tail_len) {
             return false;
         }
         let (mut middle, tail) = rest.split_at(rest.len() - tail_len);
@@ -164,8 +166,8 @@ impl Comparison {
     pub fn matches_value(&self, v: &AttrValue) -> bool {
         match self {
             Comparison::Eq(x) => v == x,
-            Comparison::Ge(x) => range_cmp(v, x).is_some_and(|o| o != std::cmp::Ordering::Less),
-            Comparison::Le(x) => range_cmp(v, x).is_some_and(|o| o != std::cmp::Ordering::Greater),
+            Comparison::Ge(x) => v.range_cmp(x).is_some_and(|o| o != std::cmp::Ordering::Less),
+            Comparison::Le(x) => v.range_cmp(x).is_some_and(|o| o != std::cmp::Ordering::Greater),
             Comparison::Present => true,
             Comparison::Substring(p) => p.matches(v),
         }
@@ -192,6 +194,41 @@ impl Comparison {
         match self {
             Comparison::Eq(v) | Comparison::Ge(v) | Comparison::Le(v) => Some(v),
             Comparison::Present | Comparison::Substring(_) => None,
+        }
+    }
+
+    /// The normalized text of one value that satisfies the comparison —
+    /// the assertion value itself for `=`, `>=` and `<=`, the components
+    /// in order for a substring pattern — or `None` for presence, which
+    /// every value satisfies. An entry holding, for each predicate of a
+    /// conjunction, this value under the predicate's attribute matches the
+    /// conjunction (attributes are multi-valued): its *witness*, which an
+    /// interest index looks up to find the filters that can contain it.
+    /// Borrowed except for a pattern of several components.
+    ///
+    /// ```
+    /// use fbdr_ldap::Filter;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let f = Filter::parse("(sn=Smi*th)")?;
+    /// let p = f.as_predicate().expect("single predicate");
+    /// assert_eq!(p.comparison().witness().as_deref(), Some("smith"));
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn witness(&self) -> Option<Cow<'_, str>> {
+        match self {
+            Comparison::Eq(v) | Comparison::Ge(v) | Comparison::Le(v) => {
+                Some(Cow::Borrowed(v.normalized()))
+            }
+            Comparison::Present => None,
+            Comparison::Substring(p) => {
+                let mut parts = p.components();
+                Some(match (parts.next(), parts.next()) {
+                    (only, None) => Cow::Borrowed(only.unwrap_or("")),
+                    _ => Cow::Owned(p.components().collect()),
+                })
+            }
         }
     }
 
@@ -410,6 +447,21 @@ impl Filter {
         }
     }
 
+    /// Visits the predicates of a **positive conjunctive** filter — a
+    /// predicate or nested `And`s of predicates — left to right, and
+    /// returns true; returns false (after visiting some prefix) as soon as
+    /// an `Or` or a `Not` is met.
+    pub fn for_each_conjunct<'a>(&'a self, f: &mut impl FnMut(&'a Predicate)) -> bool {
+        match self {
+            Filter::And(fs) => fs.iter().all(|sub| sub.for_each_conjunct(f)),
+            Filter::Or(_) | Filter::Not(_) => false,
+            Filter::Pred(p) => {
+                f(p);
+                true
+            }
+        }
+    }
+
     /// Collects all predicates, left to right.
     pub fn predicates(&self) -> Vec<&Predicate> {
         let mut out = Vec::new();
@@ -573,16 +625,6 @@ fn rebuild(children: &[Filter], conjunctive: bool) -> Filter {
         Filter::And(out)
     } else {
         Filter::Or(out)
-    }
-}
-
-/// Typed ordering for range assertions: integer assertions compare
-/// numerically and reject non-integer values (`None`); string assertions
-/// compare normalized text lexicographically.
-fn range_cmp(v: &AttrValue, assertion: &AttrValue) -> Option<std::cmp::Ordering> {
-    match assertion.as_int() {
-        Some(xi) => v.as_int().map(|vi| vi.cmp(&xi)),
-        None => Some(v.normalized().cmp(assertion.normalized())),
     }
 }
 
@@ -900,6 +942,13 @@ mod tests {
         let p2 = SubstringPattern::new(None, vec!["ab".into(), "ab".into()], None);
         assert!(p2.matches_str("abab"));
         assert!(!p2.matches_str("aab"));
+    }
+
+    #[test]
+    fn substring_final_inside_a_character_is_no_match() {
+        // "é" is two bytes: a one-byte tail would start inside it.
+        assert!(!SubstringPattern::new(None, vec![], Some("x".into())).matches_str("é"));
+        assert!(SubstringPattern::new(None, vec![], Some("é".into())).matches_str("xé"));
     }
 
     #[test]

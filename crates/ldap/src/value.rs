@@ -81,6 +81,17 @@ impl AttrValue {
         self.int.is_some() && other.int.is_some()
     }
 
+    /// Typed ordering of `self` against a range assertion value: an
+    /// integer assertion compares numerically and rejects non-integer
+    /// values (`None`); a string assertion compares normalized text
+    /// lexicographically.
+    pub fn range_cmp(&self, assertion: &AttrValue) -> Option<Ordering> {
+        match assertion.int {
+            Some(xi) => self.int.map(|vi| vi.cmp(&xi)),
+            None => Some(self.norm.cmp(&assertion.norm)),
+        }
+    }
+
     /// True if the normalized form of `self` starts with the normalized
     /// form of `prefix`. Used for substring (`initial`) assertions.
     pub fn starts_with(&self, prefix: &AttrValue) -> bool {

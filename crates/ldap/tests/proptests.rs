@@ -1,7 +1,7 @@
 //! Property tests for the LDAP data model: parser round trips and
 //! matching-semantics invariants.
 
-use fbdr_ldap::{AttrValue, Dn, Entry, Filter, Scope};
+use fbdr_ldap::{AttrValue, Dn, Entry, Filter, Predicate, Scope, SubstringPattern};
 use proptest::prelude::*;
 
 fn attr() -> impl Strategy<Value = String> {
@@ -51,8 +51,45 @@ fn filter_str() -> impl Strategy<Value = String> {
     })
 }
 
+/// Positive conjunctive filters — a predicate of any kind (every substring
+/// star shape included) or nested `And`s of them.
+fn conjunctive_filter() -> impl Strategy<Value = Filter> {
+    let leaf = ("[a-c]", value(), value(), 0u8..8).prop_map(|(a, v, w, kind)| {
+        let a = a.as_str();
+        Filter::pred(match kind {
+            0 => Predicate::eq(a, v),
+            1 => Predicate::ge(a, v),
+            2 => Predicate::le(a, v),
+            3 => Predicate::present(a),
+            4 => Predicate::substring(a, SubstringPattern::prefix(v)),
+            5 => Predicate::substring(a, SubstringPattern::new(None, vec![v], None)),
+            6 => Predicate::substring(a, SubstringPattern::new(None, vec![], Some(v))),
+            _ => Predicate::substring(a, SubstringPattern::new(Some(v), vec![w.clone()], Some(w))),
+        })
+    });
+    leaf.prop_recursive(2, 8, 3, |inner| {
+        prop::collection::vec(inner, 1..4).prop_map(Filter::And)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The witness of a positive conjunctive filter — per predicate, the
+    /// value `Comparison::witness` names (any value for presence) under
+    /// the predicate's attribute — matches the filter.
+    #[test]
+    fn witness_matches_its_conjunction(q in conjunctive_filter()) {
+        let mut witness = Entry::new("cn=w,o=y".parse().expect("dn"));
+        let conjunctive = q.for_each_conjunct(&mut |p| {
+            let value = p.comparison().witness().map_or("any".to_owned(), |v| v.into_owned());
+            witness.add(p.attr().clone(), value);
+        });
+        prop_assert!(conjunctive);
+        prop_assert!(q.matches(&witness), "{} does not match its witness {:?}", q, witness);
+        prop_assert!(!Filter::not(q.clone()).for_each_conjunct(&mut |_| ()));
+        prop_assert!(!Filter::Or(vec![q]).for_each_conjunct(&mut |_| ()));
+    }
 
     /// Filter print → parse is the identity.
     #[test]

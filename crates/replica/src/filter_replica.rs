@@ -15,6 +15,18 @@
 //! only on the candidates. Repeated queries skip the containment check
 //! entirely through a decision cache that lives as long as the filter set.
 //!
+//! # Stored-filter index
+//!
+//! *Which* stored filter answers a query is decided without scanning the
+//! filters: the stored-filter set of a snapshot, and the window of cached
+//! queries, are each registered in a [`RoutingIndex`] — the structure the
+//! master routes updates with — and a query looks its witness up in it
+//! (`fbdr_resync::routing`). The candidates that come back, in ascending
+//! position, get the exact containment check; a query with `Or` or `Not`
+//! has every filter for a candidate. The decision is the linear scan's —
+//! the first containing filter, the oldest containing cached query — at a
+//! cost that does not grow with the number of stored filters.
+//!
 //! # Publish cost
 //!
 //! An epoch shares with its predecessor everything the cycle did not
@@ -37,14 +49,14 @@ use fbdr_obs::{event, Counter, Histogram, Obs};
 use fbdr_resync::reconcile::entry_item_hash;
 use fbdr_resync::{
     dn_key, entry_key, Clock, CompositeCookie, DnInterner, NotifyBatch, ReconcileItem,
-    ShardContent, ShardCoordinator, ShardId, ShardMap, ShardOutcome, ShardStatus, SyncAction,
-    SyncDriver, SyncError, SyncMaster, SyncTransport, SyncTraffic,
+    RoutingIndex, ShardContent, ShardCoordinator, ShardId, ShardMap, ShardOutcome, ShardStatus,
+    SyncAction, SyncDriver, SyncError, SyncMaster, SyncTransport, SyncTraffic,
 };
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Why a query's content is stored in the replica.
@@ -89,7 +101,8 @@ struct StoredFilter {
 /// node and posting list the cycle between them did not touch (see the
 /// module documentation), and a stored filter is three `Arc`s. Ids are
 /// resolved from DNs only by the writer, so the DN → id map is not part
-/// of the read view ([`DnIds`]).
+/// of the read view ([`DnIds`]). The stored-filter index is shared by
+/// pointer among all epochs of one filter generation.
 #[derive(Debug)]
 struct ContentSnapshot {
     /// Monotonic generation number; bumped by every published mutation.
@@ -105,6 +118,29 @@ struct ContentSnapshot {
     live: usize,
     /// Equality/prefix/range posting lists over the occupied slots.
     index: SnapshotIndex,
+    /// The stored filters registered by position — a pure function of
+    /// `filters`' prepared queries, built by the first reader that needs
+    /// it. One cell per `filter_gen`: install and remove start a new one,
+    /// a content-only publish copies the pointer.
+    filter_index: Arc<OnceLock<RoutingIndex>>,
+}
+
+/// The ids among `all` that `index` makes candidates for containing
+/// `query`, ascending, and whether the index pruned them: a query with
+/// no witness (`Or`, `Not`) has every registered id for a candidate.
+fn containing_candidates(
+    index: &RoutingIndex,
+    query: &SearchRequest,
+    all: std::ops::Range<u32>,
+) -> (Vec<u32>, bool) {
+    let mut ids = Vec::new();
+    if !index.candidates_for_query(query.filter(), &mut ids) {
+        return (all.collect(), false);
+    }
+    index.residual_for_dn(query.base(), &mut ids);
+    ids.sort_unstable();
+    ids.dedup();
+    (ids, true)
 }
 
 impl ContentSnapshot {
@@ -116,13 +152,32 @@ impl ContentSnapshot {
             entries: SlotVec::default(),
             live: 0,
             index: SnapshotIndex::default(),
+            filter_index: Arc::default(),
         }
+    }
+
+    /// Positions of the stored filters that can contain `query`,
+    /// ascending, and whether the filter index pruned them.
+    fn filter_candidates(&self, query: &SearchRequest) -> (Vec<u32>, bool) {
+        let index = self.filter_index.get_or_init(|| {
+            let mut index = RoutingIndex::new();
+            for (pos, sf) in self.filters.iter().enumerate() {
+                register_prepared(&mut index, pos as u32, &sf.prepared);
+            }
+            index
+        });
+        containing_candidates(index, query, 0..self.filters.len() as u32)
     }
 
     /// The entry stored under an interned id, if the slot is occupied.
     fn entry(&self, id: u32) -> Option<&Entry> {
         self.entries.get(id as usize).map(Arc::as_ref)
     }
+}
+
+/// Registers a prepared query under `id` without abstracting it again.
+fn register_prepared(index: &mut RoutingIndex, id: u32, q: &PreparedQuery) {
+    index.register_prepared(id, q.template(), q.values(), q.request().base());
 }
 
 /// The writer's mutable working copy of a snapshot's content, threaded
@@ -138,6 +193,7 @@ struct Working {
     entries: SlotVec<Arc<Entry>>,
     live: usize,
     index: SnapshotIndex,
+    filter_index: Arc<OnceLock<RoutingIndex>>,
 }
 
 impl Working {
@@ -149,6 +205,7 @@ impl Working {
             entries: snap.entries.clone(),
             live: snap.live,
             index: snap.index.clone(),
+            filter_index: snap.filter_index.clone(),
         }
     }
 
@@ -160,7 +217,16 @@ impl Working {
             entries: self.entries,
             live: self.live,
             index: self.index,
+            filter_index: self.filter_index,
         }
+    }
+
+    /// The stored-filter *set* changed (install, remove): everything
+    /// derived from it — memoized decisions, the filter index — belongs
+    /// to the previous generation.
+    fn filter_set_changed(&mut self) {
+        self.filter_gen += 1;
+        self.filter_index = Arc::default();
     }
 
     /// Upserts an entry into its slot, keeping the index exact: only the
@@ -286,17 +352,50 @@ struct CachedQuery {
     hits: AtomicU64,
 }
 
-/// FIFO window of cached queries behind a short-critical-section mutex:
-/// the lock is held only to push/evict/copy the `Arc` list — containment
-/// checks and result evaluation run outside it.
+/// The FIFO window of cached queries, kept behind a short-critical-section
+/// mutex: the lock is held only to push/evict and to copy out the `Arc`s
+/// of the queries that can contain a given one — containment checks and
+/// result evaluation run outside it.
+///
+/// The queries, oldest first, are registered in an index under their
+/// sequence numbers: the query at position `i` has number `first + i`.
+/// Numbers only grow, so ascending candidate order is oldest-first order —
+/// the order a scan of the window meets them in.
 #[derive(Debug, Default)]
 struct QueryCache {
-    queries: Mutex<VecDeque<Arc<CachedQuery>>>,
+    queries: VecDeque<Arc<CachedQuery>>,
+    first: u32,
+    index: RoutingIndex,
 }
 
 impl QueryCache {
-    fn view(&self) -> Vec<Arc<CachedQuery>> {
-        self.queries.lock().iter().cloned().collect()
+    /// Appends a query and evicts the oldest ones beyond `cap`.
+    fn push(&mut self, cq: Arc<CachedQuery>, cap: usize) {
+        let len = self.queries.len() as u32;
+        if self.first.checked_add(len + 1).is_none() {
+            // Sequence numbers exhausted: number the window from 0 again.
+            self.first = 0;
+            self.index = RoutingIndex::new();
+            for (i, held) in self.queries.iter().enumerate() {
+                register_prepared(&mut self.index, i as u32, &held.prepared);
+            }
+        }
+        register_prepared(&mut self.index, self.first + len, &cq.prepared);
+        self.queries.push_back(cq);
+        while self.queries.len() > cap {
+            self.queries.pop_front();
+            self.index.remove(self.first);
+            self.first += 1;
+        }
+    }
+
+    /// The cached queries that can contain `query`, oldest first, and
+    /// whether the index pruned them.
+    fn candidates(&self, query: &SearchRequest) -> (Vec<Arc<CachedQuery>>, bool) {
+        let all = self.first..self.first + self.queries.len() as u32;
+        let (seqs, indexed) = containing_candidates(&self.index, query, all);
+        let held = |seq: &u32| self.queries[(seq - self.first) as usize].clone();
+        (seqs.iter().map(held).collect(), indexed)
     }
 }
 
@@ -350,6 +449,12 @@ struct AnswerMetrics {
     decision_hits: Arc<Counter>,
     /// `fbdr_replica_decision_cache_miss_total`.
     decision_misses: Arc<Counter>,
+    /// `fbdr_replica_filter_index_candidates` — stored filters the filter
+    /// index left to check, per lookup (a memoized decision makes none).
+    filter_index_candidates: Arc<Histogram>,
+    /// `fbdr_replica_filter_index_fallback_total` — lookups whose query
+    /// shape (`Or`, `Not`) made every stored filter a candidate.
+    filter_index_fallback: Arc<Counter>,
 }
 
 /// A filter-based replica: entries satisfying one or more stored LDAP
@@ -360,6 +465,17 @@ struct AnswerMetrics {
 /// [`FilterReplica::entry_count`] is the replica-size metric of Figures
 /// 4–7, and [`FilterReplica::stored_query_count`] the x-axis of Figures
 /// 8–9.
+///
+/// # Answering
+///
+/// A query is answered by the first stored filter, in install order,
+/// that contains it, else by the oldest cached query that does. Neither
+/// is found by scanning: each snapshot's stored filters and the cache
+/// window are registered in a filter-set index
+/// ([`fbdr_resync::RoutingIndex`]) that names the few that *can* contain
+/// the query, and only those get the exact containment check (see the
+/// module documentation). [`FilterReplica::try_answer_scan`] is the
+/// linear reference.
 ///
 /// # Concurrency
 ///
@@ -379,7 +495,7 @@ struct AnswerMetrics {
 #[derive(Debug)]
 pub struct FilterReplica {
     content: RwLock<Arc<ContentSnapshot>>,
-    cache: QueryCache,
+    cache: Mutex<QueryCache>,
     cache_window: usize,
     engine: ContainmentEngine,
     stats: AtomicReplicaStats,
@@ -403,10 +519,15 @@ impl FilterReplica {
     /// [`AtomicReplicaStats::bound`]), every
     /// [`try_answer`](FilterReplica::try_answer) is timed into
     /// `fbdr_replica_try_answer_ns`, index maintenance is timed into
-    /// `fbdr_replica_index_build_ns`, plan selectivity and decision-cache
-    /// effectiveness are counted, the embedded [`ContainmentEngine`]
-    /// records through the same handle, and QC hits/misses plus epoch
-    /// publishes emit trace events when a subscriber is installed. With
+    /// `fbdr_replica_index_build_ns`, plan selectivity, decision-cache
+    /// effectiveness and the filter index's candidates per lookup
+    /// (`fbdr_replica_filter_index_candidates`, and
+    /// `fbdr_replica_filter_index_fallback_total` for queries it cannot
+    /// prune) are counted, the embedded [`ContainmentEngine`]
+    /// records through the same handle, and QC hits/misses (a `qc_miss`
+    /// carries the number of `candidates` checked and a `reason`:
+    /// `no_candidate`, `candidates_rejected` or `unindexed_shape`) plus
+    /// epoch publishes emit trace events when a subscriber is installed. With
     /// [`Obs::off`] this is identical to [`FilterReplica::new`].
     pub fn with_obs(cache_window: usize, obs: Obs) -> Self {
         let (stats, metrics) = if obs.is_active() {
@@ -421,6 +542,10 @@ impl FilterReplica {
                     plan_scan: reg.counter("fbdr_replica_plan_scan_total"),
                     decision_hits: reg.counter("fbdr_replica_decision_cache_hit_total"),
                     decision_misses: reg.counter("fbdr_replica_decision_cache_miss_total"),
+                    filter_index_candidates: reg
+                        .histogram("fbdr_replica_filter_index_candidates"),
+                    filter_index_fallback: reg
+                        .counter("fbdr_replica_filter_index_fallback_total"),
                 }),
             )
         } else {
@@ -428,7 +553,7 @@ impl FilterReplica {
         };
         FilterReplica {
             content: RwLock::new(Arc::new(ContentSnapshot::empty())),
-            cache: QueryCache::default(),
+            cache: Mutex::default(),
             cache_window,
             engine: ContainmentEngine::with_obs(obs.clone()),
             stats,
@@ -467,15 +592,17 @@ impl FilterReplica {
     /// Number of distinct entries stored (replica size): filter-referenced
     /// entries plus cached-query entries not already covered by a filter.
     pub fn entry_count(&self) -> usize {
-        let cached = self.cache.view();
-        if cached.is_empty() {
+        if self.cache.lock().queries.is_empty() {
             return self.snapshot().live;
         }
         // Which DNs the filters hold is the writer's knowledge; under its
-        // lock the interner and the current snapshot agree.
+        // lock the interner and the current snapshot agree. The window's
+        // lock is taken second, so it is never held waiting for a writer
+        // (readers take it on every miss).
         let w = self.writer.lock();
+        let window = self.cache.lock();
         let mut extra: HashSet<&str> = HashSet::new();
-        for cq in &cached {
+        for cq in &window.queries {
             for k in &cq.keys {
                 if w.ids.interner.get(k).is_none() {
                     extra.insert(k);
@@ -498,7 +625,7 @@ impl FilterReplica {
 
     /// Number of cached user queries currently held.
     pub fn cached_query_count(&self) -> usize {
-        self.cache.queries.lock().len()
+        self.cache.lock().queries.len()
     }
 
     /// Number of generalized filters currently marked stale (their last
@@ -617,7 +744,7 @@ impl FilterReplica {
         };
         self.timed_apply(&mut work, &mut w.ids, &mut sf, actions);
         work.filters.push(sf);
-        work.filter_gen += 1;
+        work.filter_set_changed();
         w.sessions.push(FilterSession { cookie, notifications });
         self.publish(work.into_snapshot());
     }
@@ -695,7 +822,7 @@ impl FilterReplica {
         for &id in removed.ids.iter() {
             unref(&mut work, &mut w.ids, id);
         }
-        work.filter_gen += 1;
+        work.filter_set_changed();
         self.publish(work.into_snapshot());
         true
     }
@@ -930,16 +1057,12 @@ impl FilterReplica {
             entries: result.to_vec(),
             hits: AtomicU64::new(0),
         });
-        let mut q = self.cache.queries.lock();
-        q.push_back(cq);
-        while q.len() > self.cache_window {
-            q.pop_front();
-        }
+        self.cache.lock().push(cq, self.cache_window);
     }
 
     /// Drops all cached user queries.
     pub fn clear_query_cache(&self) {
-        self.cache.queries.lock().clear();
+        *self.cache.lock() = QueryCache::default();
     }
 
     /// Applies an action batch to the working content, timing the
@@ -1024,16 +1147,26 @@ impl FilterReplica {
     ) -> Option<Vec<Entry>> {
         // Generalized filters first (they are authoritative and synced).
         // The containment decision is memoized per filter set: a repeat
-        // of a recently seen query skips the engine entirely.
+        // of a recently seen query skips the engine entirely. Otherwise
+        // the filter index names the filters that can contain the query,
+        // and the first of them that does, in filter order, wins.
         let qkey = query_key(query);
+        let mut looked_up = None;
         let decision = match self.cached_decision(snap.filter_gen, &qkey) {
             Some(d) => d,
             None => {
-                let d = snap
-                    .filters
-                    .iter()
-                    .position(|sf| self.engine.query_contained(prepared, &sf.prepared));
+                let (candidates, indexed) = snap.filter_candidates(query);
+                if let Some(m) = &self.metrics {
+                    m.filter_index_candidates.record(candidates.len() as u64);
+                    if !indexed {
+                        m.filter_index_fallback.inc();
+                    }
+                }
+                let d = candidates.iter().map(|&pos| pos as usize).find(|&pos| {
+                    self.engine.query_contained(prepared, &snap.filters[pos].prepared)
+                });
                 self.remember_decision(snap.filter_gen, qkey, d);
+                looked_up = Some(candidates.len());
                 d
             }
         };
@@ -1051,7 +1184,9 @@ impl FilterReplica {
             );
             return Some(self.evaluate_indexed(snap, query, &sf.ids));
         }
-        for cq in self.cache.view() {
+        // Then the cached queries that can contain it, oldest first.
+        let (cached, indexed) = self.cache.lock().candidates(query);
+        for cq in &cached {
             if self.engine.query_contained(prepared, &cq.prepared) {
                 cq.hits.fetch_add(1, Ordering::Relaxed);
                 self.stats.record_cache_hit();
@@ -1059,13 +1194,25 @@ impl FilterReplica {
                 return Some(evaluate_cached(query, &cq.entries));
             }
         }
-        event!(
-            self.obs,
-            "replica",
-            "qc_miss",
-            epoch = snap.epoch,
-            filters = snap.filters.len(),
-        );
+        if self.obs.tracing_enabled() {
+            // A memoized decision skipped the filter lookup; the reason is
+            // still the one the lookup gives.
+            let filters = looked_up.unwrap_or_else(|| snap.filter_candidates(query).0.len());
+            let candidates = filters + cached.len();
+            event!(
+                self.obs,
+                "replica",
+                "qc_miss",
+                epoch = snap.epoch,
+                filters = snap.filters.len(),
+                candidates = candidates,
+                reason = match (indexed, candidates) {
+                    (false, _) => "unindexed_shape",
+                    (true, 0) => "no_candidate",
+                    (true, _) => "candidates_rejected",
+                },
+            );
+        }
         None
     }
 
@@ -1135,11 +1282,14 @@ impl FilterReplica {
         collect_matching(snap, query, &cands)
     }
 
-    /// Answers a query by brute-force scan, bypassing the index plan and
-    /// the decision cache — the reference evaluator the indexed path is
-    /// benchmarked and property-tested against. Runs the same containment
-    /// gate as [`try_answer`](FilterReplica::try_answer) but records no
-    /// replica statistics and no hit counts.
+    /// Answers a query by brute-force scan — the containment gate against
+    /// every stored filter in turn (the paper's §7.4 algorithm), then the
+    /// winner's posting list entry by entry — bypassing the filter index,
+    /// the index plan and the decision cache: the reference evaluator the
+    /// indexed path is benchmarked and property-tested against. Decides as
+    /// [`try_answer`](FilterReplica::try_answer) does among the stored
+    /// filters but records no replica statistics and no hit counts, and
+    /// does not consult the query cache.
     pub fn try_answer_scan(&self, query: &SearchRequest) -> Option<Vec<Entry>> {
         let prepared = PreparedQuery::new(query.clone());
         let snap = self.snapshot();
@@ -1324,7 +1474,7 @@ mod tests {
     use fbdr_ldap::{Dn, Filter, Scope};
     use fbdr_resync::{Cookie, ReSyncControl};
 
-    fn dn(s: &str) -> Dn {
+    pub(super) fn dn(s: &str) -> Dn {
         s.parse().unwrap()
     }
 
@@ -1336,7 +1486,7 @@ mod tests {
             .with("departmentNumber", dept)
     }
 
-    fn master() -> SyncMaster {
+    pub(super) fn master() -> SyncMaster {
         let mut m = SyncMaster::new();
         m.dit_mut().add_suffix(dn("o=xyz"));
         m.dit_mut().add(Entry::new(dn("o=xyz"))).unwrap();
@@ -1760,6 +1910,38 @@ mod tests {
         assert_eq!(before.index.node_addrs(), after.index.node_addrs(), "index shared");
         assert_eq!(before.entries.chunk_addrs(), after.entries.chunk_addrs(), "entries shared");
         assert!(Arc::ptr_eq(&before.filters[0].ids, &after.filters[0].ids), "filter kept");
+    }
+
+    #[test]
+    fn filter_index_lives_one_filter_generation() {
+        let mut m = master();
+        let r = FilterReplica::new(0);
+        r.install_filter(&mut m, root_query("(departmentNumber=2406)")).unwrap();
+        let installed = r.snapshot();
+        assert!(installed.filter_index.get().is_none(), "no reader yet: nothing built");
+        assert!(r.try_answer(&root_query("(departmentNumber=2406)")).is_some());
+        assert_eq!(installed.filter_index.get().map(RoutingIndex::len), Some(1));
+
+        // Content-only publishes carry the built index along by pointer.
+        m.apply(UpdateOp::Add(person("e", "us", "045650", "2406"))).unwrap();
+        r.sync(&mut m).unwrap();
+        let synced = r.snapshot();
+        assert_eq!(synced.filter_gen, installed.filter_gen);
+        assert!(Arc::ptr_eq(&installed.filter_index, &synced.filter_index));
+
+        // Install and remove start a new one; held epochs keep theirs.
+        r.install_filter(&mut m, root_query("(serialNumber=0456*)")).unwrap();
+        let grown = r.snapshot();
+        assert!(!Arc::ptr_eq(&synced.filter_index, &grown.filter_index));
+        assert!(grown.filter_index.get().is_none());
+        assert!(r.remove_filter(&mut m, &root_query("(departmentNumber=2406)")));
+        let shrunk = r.snapshot();
+        assert!(!Arc::ptr_eq(&grown.filter_index, &shrunk.filter_index));
+        // Position 0 is now the serial filter, and is found as such.
+        assert!(r.try_answer(&root_query("(serialNumber=045611)")).is_some());
+        assert!(r.try_answer(&root_query("(departmentNumber=2406)")).is_none());
+        assert_eq!(synced.filter_index.get().map(RoutingIndex::len), Some(1));
+        shrunk.filter_index.get().expect("built by the reader").debug_validate();
     }
 
     /// A master holding `n` people in one department, all inside the
@@ -2225,6 +2407,79 @@ mod tests {
         assert_eq!(t.full_entries, 1);
         assert_eq!(r.entry_count(), 4);
     }
+
+    #[test]
+    fn cache_window_renumbers_when_sequence_numbers_run_out() {
+        let m = master();
+        let r = FilterReplica::new(2);
+        let queries: Vec<SearchRequest> = ["045611", "045612", "045621", "120001"]
+            .iter()
+            .map(|sn| root_query(&format!("(serialNumber={sn})")))
+            .collect();
+        let cache = |q: &SearchRequest| r.cache_query(q.clone(), &m.dit().search(q));
+        cache(&queries[0]);
+        cache(&queries[1]);
+        // As if 2^32 - 3 queries had already passed through the window.
+        {
+            let mut window = r.cache.lock();
+            let held: Vec<_> = window.queries.iter().cloned().collect();
+            *window = QueryCache { first: u32::MAX - 3, ..QueryCache::default() };
+            for cq in held {
+                window.push(cq, 2);
+            }
+            assert_eq!(window.first, u32::MAX - 3);
+        }
+        cache(&queries[2]); // takes the last number, evicts queries[0]
+        assert_eq!(r.cache.lock().first, u32::MAX - 2);
+        cache(&queries[3]); // out of numbers: the window restarts at 0
+        {
+            let window = r.cache.lock();
+            assert_eq!((window.first, window.queries.len()), (1, 2));
+            window.index.debug_validate();
+            assert_eq!(window.index.len(), 2);
+        }
+        assert!(r.try_answer(&queries[0]).is_none());
+        assert!(r.try_answer(&queries[1]).is_none());
+        assert!(r.try_answer(&queries[2]).is_some());
+        assert!(r.try_answer(&queries[3]).is_some());
+    }
+
+    #[test]
+    fn miss_events_say_why_and_metrics_count_candidates() {
+        let mut m = master();
+        let obs = Obs::new();
+        let ring = Arc::new(fbdr_obs::RingBuffer::new(64));
+        obs.set_subscriber(ring.clone());
+        let r = FilterReplica::with_obs(2, obs.clone());
+        r.install_filter(&mut m, root_query("(serialNumber=0456*)")).unwrap();
+        r.install_filter(&mut m, root_query("(departmentNumber=2406)")).unwrap();
+        let miss = |f: &str| {
+            assert!(r.try_answer(&root_query(f)).is_none(), "{f}");
+            let events = ring.events();
+            let e = events.iter().rev().find(|e| e.name == "qc_miss").expect("qc_miss").clone();
+            let reason = match e.field("reason") {
+                Some(fbdr_obs::FieldValue::Str(s)) => s.clone(),
+                other => panic!("reason field: {other:?}"),
+            };
+            (reason, e.u64_field("candidates").expect("candidates"))
+        };
+        assert_eq!(miss("(mail=a@b)"), ("no_candidate".to_owned(), 0));
+        assert_eq!(miss("(serialNumber=0457*)"), ("no_candidate".to_owned(), 0));
+        assert_eq!(miss("(serialNumber=045*)"), ("no_candidate".to_owned(), 0));
+        // Wider base than the one candidate filter accepts → rejected.
+        r.install_filter(&mut m, sub_query("c=us,o=xyz", "(cn=*)")).unwrap();
+        assert_eq!(miss("(cn=a)"), ("candidates_rejected".to_owned(), 1));
+        // The same miss again is memoized; the event still says why.
+        assert_eq!(miss("(cn=a)"), ("candidates_rejected".to_owned(), 1));
+        assert_eq!(
+            miss("(|(serialNumber=12*)(cn=zz))"),
+            ("unindexed_shape".to_owned(), 3)
+        );
+        let reg = obs.registry();
+        // Five lookups ran (one miss was memoized), one of them a fallback.
+        assert_eq!(reg.histogram("fbdr_replica_filter_index_candidates").count(), 5);
+        assert_eq!(reg.counter("fbdr_replica_filter_index_fallback_total").get(), 1);
+    }
 }
 
 #[cfg(test)]
@@ -2234,8 +2489,10 @@ mod proptests {
     //! same entries in the same order — including across epochs where
     //! entries leave the content.
 
+    use super::tests::{dn, master};
     use super::*;
-    use fbdr_ldap::Filter;
+    use fbdr_dit::{Modification, UpdateOp};
+    use fbdr_ldap::{Filter, Scope};
     use proptest::prelude::*;
 
     /// Spec of one generated entry; the vector index names it. The tag
@@ -2368,6 +2625,173 @@ mod proptests {
                 let indexed = r.evaluate_indexed(&snap2, &q, &ids2);
                 let scanned = oracle(&snap2, &q, &ids2);
                 prop_assert_eq!(&indexed, &scanned, "epoch 2, filter {}", f);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The filter index decides what a linear scan decides
+    // ------------------------------------------------------------------
+
+    /// Stored filters `(base, filter)`: keyed by prefix, equality, presence,
+    /// `Or` and `And`; residual (range, `Not`); nested and overlapping, so
+    /// *which* containing filter comes first matters.
+    const STORED_POOL: &[(&str, &str)] = &[
+        ("", "(serialNumber=0456*)"),
+        ("", "(serialNumber=04*)"),
+        ("o=xyz", "(departmentNumber=2406)"),
+        ("", "(departmentNumber=240*)"),
+        ("c=us,o=xyz", "(objectclass=*)"),
+        ("", "(serialNumber>=045612)"),
+        ("o=xyz", "(!(departmentNumber=9900))"),
+        ("", "(|(departmentNumber=2406)(departmentNumber=2407))"),
+        ("", "(&(objectclass=inetOrgPerson)(departmentNumber=2406))"),
+        ("", "(cn=*)"),
+    ];
+
+    /// Queries `(base, filter)`: every predicate kind, conjunctions, and
+    /// the `Or`/`Not` shapes that fall back to the full candidate list.
+    const QUERY_POOL: &[(&str, &str)] = &[
+        ("", "(serialNumber=045611)"),
+        ("", "(serialNumber=045612)"),
+        ("c=in,o=xyz", "(serialNumber=045621)"),
+        ("", "(serialNumber=120001)"),
+        ("", "(serialNumber=0456*)"),
+        ("", "(serialNumber=04561*)"),
+        ("", "(departmentNumber=2406)"),
+        ("c=us,o=xyz", "(departmentNumber=2406)"),
+        ("", "(departmentNumber=24*6)"),
+        ("", "(&(objectclass=inetOrgPerson)(departmentNumber=2406))"),
+        ("", "(|(serialNumber=045611)(serialNumber=045612))"),
+        ("", "(&(departmentNumber=2406)(!(cn=a)))"),
+        ("", "(serialNumber>=045620)"),
+        ("", "(cn=a)"),
+        ("c=us,o=xyz", "(cn=*)"),
+    ];
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Install the pool filter if absent, remove it if present
+        /// (positions of the later filters shift).
+        Toggle(usize),
+        Ask(usize),
+        /// Fetch the query's result from the master and cache it.
+        Cache(usize),
+        /// Change content at the master and sync: a content-only publish.
+        Touch(u8),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0..STORED_POOL.len()).prop_map(Step::Toggle),
+            (0..QUERY_POOL.len()).prop_map(Step::Ask),
+            (0..QUERY_POOL.len()).prop_map(Step::Ask),
+            (0..QUERY_POOL.len()).prop_map(Step::Cache),
+            (0u8..4).prop_map(Step::Touch),
+        ]
+    }
+
+    fn pool_request((base, filter): (&str, &str)) -> SearchRequest {
+        SearchRequest::new(dn(base), Scope::Subtree, Filter::parse(filter).unwrap())
+    }
+
+    fn filter_hits(r: &FilterReplica) -> Vec<u64> {
+        r.filters().map(|(_, hits)| hits).collect()
+    }
+
+    fn window_hits(r: &FilterReplica) -> Vec<u64> {
+        let window = r.cache.lock();
+        window.queries.iter().map(|cq| cq.hits.load(Ordering::Relaxed)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Through installs, removes, content-only publishes and a live,
+        /// evicting cache window, `try_answer` picks the stored filter (or
+        /// else the cached query) that a linear scan in filter order (or
+        /// oldest-first) picks, and returns what the scan evaluator
+        /// returns.
+        #[test]
+        fn filter_index_decides_what_the_scan_decides(
+            steps in prop::collection::vec(step(), 1..48),
+        ) {
+            const WINDOW: usize = 3;
+            let mut m = master();
+            let r = FilterReplica::new(WINDOW);
+            let reference = ContainmentEngine::new();
+            // The model: pool indices in filter order, and the window.
+            let mut stored: Vec<usize> = Vec::new();
+            let mut window: VecDeque<(PreparedQuery, Vec<Entry>, u64)> = VecDeque::new();
+            for step in steps {
+                match step {
+                    Step::Toggle(i) => {
+                        let request = pool_request(STORED_POOL[i]);
+                        match stored.iter().position(|&held| held == i) {
+                            Some(pos) => {
+                                prop_assert!(r.remove_filter(&mut m, &request));
+                                stored.remove(pos);
+                            }
+                            None => {
+                                r.install_filter(&mut m, request).expect("install");
+                                stored.push(i);
+                            }
+                        }
+                    }
+                    Step::Cache(i) => {
+                        let query = pool_request(QUERY_POOL[i]);
+                        let result = m.dit().search(&query);
+                        r.cache_query(query.clone(), &result);
+                        window.push_back((PreparedQuery::new(query), result, 0));
+                        if window.len() > WINDOW {
+                            window.pop_front();
+                        }
+                    }
+                    Step::Touch(n) => {
+                        m.apply(UpdateOp::Modify {
+                            dn: dn("cn=d,c=in,o=xyz"),
+                            mods: vec![Modification::Replace(
+                                "departmentNumber".into(),
+                                vec![format!("240{}", 5 + n % 3).into()],
+                            )],
+                        })
+                        .expect("modify");
+                        let index_before = r.snapshot().filter_index.clone();
+                        r.sync(&mut m).expect("sync");
+                        prop_assert!(Arc::ptr_eq(&index_before, &r.snapshot().filter_index));
+                    }
+                    Step::Ask(i) => {
+                        let query = pool_request(QUERY_POOL[i]);
+                        let prepared = PreparedQuery::new(query.clone());
+                        let by_filter = stored.iter().position(|&held| {
+                            let s = PreparedQuery::new(pool_request(STORED_POOL[held]));
+                            reference.query_contained(&prepared, &s)
+                        });
+                        let mut expect_filter_hits = filter_hits(&r);
+                        let scanned = r.try_answer_scan(&query);
+                        let got = r.try_answer(&query);
+                        prop_assert_eq!(scanned.is_some(), by_filter.is_some());
+                        match by_filter {
+                            Some(pos) => {
+                                expect_filter_hits[pos] += 1;
+                                prop_assert_eq!(&got, &scanned, "{}", query);
+                            }
+                            None => {
+                                let by_cache = window
+                                    .iter_mut()
+                                    .find(|(cq, _, _)| reference.query_contained(&prepared, cq));
+                                let expected = by_cache.map(|(_, frozen, hits)| {
+                                    *hits += 1;
+                                    evaluate_cached(&query, frozen)
+                                });
+                                prop_assert_eq!(&got, &expected, "{}", query);
+                            }
+                        }
+                        prop_assert_eq!(filter_hits(&r), expect_filter_hits, "{}", query);
+                        let expect_window: Vec<u64> = window.iter().map(|w| w.2).collect();
+                        prop_assert_eq!(window_hits(&r), expect_window, "{}", query);
+                    }
+                }
             }
         }
     }

@@ -1,40 +1,70 @@
-//! Master-side session routing index: which sessions can an update touch?
+//! The filter-set index: one structure, two lookups.
 //!
-//! `SyncMaster::apply` must tell every *interested* session about an
-//! update, but evaluating every session's filter against every update is
-//! O(sessions) per op — the paper's templates (§4) exist precisely to
-//! prune that kind of per-filter work. This module applies the same idea
-//! to fan-out: sessions are grouped by LDAP template, the template's
-//! [`routing plan`](fbdr_ldap::Template::routing_plan) is computed once
-//! per template, and each session's concrete assertion values key into
-//! posting maps of session ids:
+//! A set of registered filters — the master's live sessions, a replica's
+//! stored filters, its window of cached queries — is indexed once and
+//! asked two dual questions:
 //!
-//! * **equality** `(attr, value)` → sessions asserting exactly that value,
-//! * **prefix** `(attr, initial)` → sessions with an initial-substring
-//!   assertion on `attr`,
-//! * **presence** `attr` → sessions asserting `(attr=*)`.
+//! * **entry → filters** ([`RoutingIndex::candidates_for_entry`]): which
+//!   registered filters can *match* this entry? `SyncMaster::apply` asks
+//!   it for the old and the new state of every updated entry instead of
+//!   evaluating every session's filter — O(sessions) per op otherwise.
+//! * **query → filters** ([`RoutingIndex::candidates_for_query`]): which
+//!   registered filters can *contain* this query? `FilterReplica` asks it
+//!   instead of running a containment check against every stored filter —
+//!   the §7.4 overhead "directly proportional to the number of stored
+//!   filters".
 //!
-//! Sessions whose filters have no sound routing keys (`Not`, substring
-//! without an initial segment, pure range filters, …) land on a
-//! **residual scan-list**, bucketed by the root-most RDN of their search
-//! base so an update under `o=xyz` never scans sessions rooted at
-//! `o=abc`.
+//! The paper's templates (§4) exist to prune exactly this kind of
+//! per-filter work. Registered filters are grouped by LDAP template, the
+//! template's [`routing plans`](fbdr_ldap::Template::routing_plans) are
+//! computed once per live template, and each filter's concrete assertion
+//! values key into posting maps of ids:
 //!
-//! The soundness contract (inherited from `routing_plan`): *if a
-//! session's filter matches an entry, at least one of its registered keys
-//! matches that entry's attribute state*. The master therefore looks up
-//! candidates from the entry's **old and new** values — an entry leaving
-//! a filter stops matching the new state, but its old state still hits
-//! the session's keys, which is exactly what routes the departure.
+//! * **equality** `(attr, value)` → filters asserting exactly that value,
+//! * **prefix** `(attr, initial)` → filters with an initial-substring
+//!   assertion on `attr`, keyed by the prefix text and probed once per
+//!   distinct registered prefix length,
+//! * **presence** `attr` → filters asserting `(attr=*)`.
 //!
-//! All posting structures hang off a single per-attribute map, so the
-//! per-update candidate lookup costs one hash probe per entry attribute
-//! and allocates nothing.
+//! Filters with no sound routing keys (`Not`, substring without an
+//! initial segment, pure range filters, …) land on a **residual
+//! scan-list**, bucketed by the root-most RDN of their search base so an
+//! update under `o=xyz` never scans sessions rooted at `o=abc`
+//! ([`RoutingIndex::residual_for_dn`], the same call for an entry's DN and
+//! for a query's base).
+//!
+//! # The two soundness contracts
+//!
+//! *Registration* (inherited from `routing_plans`): if a registered filter
+//! matches an entry, at least one of its registered keys matches that
+//! entry's attribute state. The master therefore looks up candidates from
+//! the entry's **old and new** values — an entry leaving a filter stops
+//! matching the new state, but its old state still hits the session's
+//! keys, which is exactly what routes the departure.
+//!
+//! *Witness*: a positive conjunctive query `Q` has a witness — the entry
+//! state holding, per predicate, the one value
+//! [`Comparison::witness`](fbdr_ldap::Comparison::witness) names — which
+//! matches `Q`. If a registered filter `S` contains `Q` then `S` matches
+//! the witness, so by the first contract one of `S`'s keys matches the
+//! witness's attribute state: looking the witness up like an entry yields
+//! every containing filter. A presence predicate's witness value is one
+//! equal to no registered key and extending no registered prefix (the
+//! string domain is infinite), so it reaches presence postings only. A
+//! query with `Or` or `Not` has no single witness and is reported
+//! unindexable: every registered filter is its candidate.
+//!
+//! All posting structures hang off a single per-attribute map, so a
+//! lookup costs one hash probe per entry attribute (or query predicate)
+//! plus one per value and per distinct prefix length, and allocates
+//! nothing but the caller's output vector (a query's substring pattern of
+//! several components builds its concatenated witness text).
 
-use fbdr_ldap::{Dn, SearchRequest, Template, TemplateId};
-use std::collections::HashMap;
+use fbdr_ldap::{AttrValue, Dn, Filter, SearchRequest, SlotKey, Template, TemplateId};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
-/// A concrete posting key a session is registered under.
+/// A concrete posting key a filter is registered under.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum RouteKey {
     /// Attribute (lowercased) asserted equal to a normalized value.
@@ -45,14 +75,37 @@ enum RouteKey {
     Present(String),
 }
 
-/// How one session is registered, remembered for exact removal.
+/// Where one filter is registered, remembered for exact removal.
 #[derive(Debug, Clone)]
-enum Registration {
+enum Place {
     /// Indexed under these posting keys.
     Keys(Vec<RouteKey>),
     /// On the residual scan-list under this base bucket (`None` = rooted
     /// at the empty DN, scanned for every update).
     Residual(Option<(String, String)>),
+}
+
+/// One registered filter: its template's cached plan and its place.
+#[derive(Debug, Clone)]
+struct Registration {
+    plan: Arc<TemplatePlan>,
+    place: Place,
+}
+
+/// The routing plans of one template, computed when its first filter
+/// registers and dropped with its last.
+#[derive(Debug)]
+struct TemplatePlan {
+    id: TemplateId,
+    /// `None` = no sound key set: the template's filters are residual.
+    alts: Option<Vec<Vec<SlotKey>>>,
+}
+
+/// A cached plan and the number of live registrations using it.
+#[derive(Debug, Clone)]
+struct PlanSlot {
+    plan: Arc<TemplatePlan>,
+    live: usize,
 }
 
 /// Counts of live index structures, for tests and observability.
@@ -70,7 +123,7 @@ pub struct RoutingStats {
     pub prefix_keys: usize,
     /// Distinct presence posting keys.
     pub present_keys: usize,
-    /// Distinct templates whose routing plan has been computed.
+    /// Distinct templates among the registered sessions.
     pub templates: usize,
 }
 
@@ -88,11 +141,14 @@ fn root_bucket(dn: &Dn) -> Option<(String, String)> {
 /// attribute.
 #[derive(Debug, Clone, Default)]
 struct AttrPostings {
-    /// Normalized value → sessions asserting equality with it.
+    /// Normalized value → filters asserting equality with it.
     eq: HashMap<String, Vec<u32>>,
-    /// `(normalized prefix, sessions)` pairs for initial-substring keys.
-    prefix: Vec<(String, Vec<u32>)>,
-    /// Sessions asserting presence of the attribute.
+    /// Normalized initial text → filters asserting values start with it.
+    prefix: HashMap<String, Vec<u32>>,
+    /// Byte length → number of `prefix` keys of that length: a value is
+    /// probed once per distinct length instead of once per key.
+    prefix_lens: BTreeMap<usize, usize>,
+    /// Filters asserting presence of the attribute.
     present: Vec<u32>,
 }
 
@@ -100,21 +156,60 @@ impl AttrPostings {
     fn is_empty(&self) -> bool {
         self.eq.is_empty() && self.prefix.is_empty() && self.present.is_empty()
     }
+
+    /// Appends the filters whose equality or prefix key matches one
+    /// normalized value of the attribute.
+    fn probe(&self, norm: &str, out: &mut Vec<u32>) {
+        if let Some(ids) = self.eq.get(norm) {
+            out.extend_from_slice(ids);
+        }
+        for &len in self.prefix_lens.keys() {
+            if len > norm.len() {
+                break;
+            }
+            // `None` off a char boundary: no (valid UTF-8) key ends there.
+            if let Some(ids) = norm.get(..len).and_then(|head| self.prefix.get(head)) {
+                out.extend_from_slice(ids);
+            }
+        }
+    }
+
+    fn prefix_insert(&mut self, p: &str, id: u32) {
+        if !self.prefix.contains_key(p) {
+            *self.prefix_lens.entry(p.len()).or_insert(0) += 1;
+        }
+        posting_insert(slot(&mut self.prefix, p), id);
+    }
+
+    fn prefix_remove(&mut self, p: &str, id: u32) {
+        let Some(ids) = self.prefix.get_mut(p) else {
+            return;
+        };
+        posting_remove(ids, id);
+        if ids.is_empty() {
+            self.prefix.remove(p);
+            if let Some(n) = self.prefix_lens.get_mut(&p.len()) {
+                *n -= 1;
+                if *n == 0 {
+                    self.prefix_lens.remove(&p.len());
+                }
+            }
+        }
+    }
 }
 
-/// An index from update content to the session ids it can affect.
+/// An index over a set of registered filters, answering which of them can
+/// match an entry and which can contain a query (see the module docs).
 ///
-/// Maintained by the master across the session lifecycle (`register` on
-/// install, `remove` on abandon/expiry); never serialized — the master
+/// Maintained across the filters' lifecycle (`register` on install,
+/// `remove` on abandon/expiry/eviction); never serialized — the master
 /// rebuilds it from the surviving sessions after deserialization.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingIndex {
-    /// Template id → cached routing plan presence (`false` = residual).
-    /// The concrete [`fbdr_ldap::SlotKey`] plan is recomputed per
-    /// registration (registrations are rare); what this cache buys is
-    /// the per-template *decision*, mirroring the paper's argument that
-    /// live filters collapse onto few templates.
-    plans: HashMap<TemplateId, bool>,
+    /// Template id → its routing plans, for the templates of the live
+    /// registrations: live filters collapse onto few templates (§4), so a
+    /// registration looks its plan up instead of deriving it again.
+    plans: HashMap<TemplateId, PlanSlot>,
     /// Lowercased attribute → its posting lists.
     by_attr: HashMap<String, AttrPostings>,
     /// Root RDN `(attr, value)` → residual sessions based under it.
@@ -122,6 +217,15 @@ pub struct RoutingIndex {
     /// Residual sessions based at the empty DN (scanned for every DN).
     residual_root: Vec<u32>,
     registered: HashMap<u32, Registration>,
+}
+
+/// The value under `key`, inserted empty when absent; the key is copied
+/// only then (registrations mostly land on attributes already present).
+fn slot<'a, V: Default>(map: &'a mut HashMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), V::default());
+    }
+    map.get_mut(key).expect("present or just inserted")
 }
 
 fn posting_insert(list: &mut Vec<u32>, id: u32) {
@@ -158,20 +262,18 @@ impl RoutingIndex {
     }
 
     /// Instantiates one plan alternative against the query's slot values.
-    fn concrete_keys(plan: &[fbdr_ldap::SlotKey], values: &[fbdr_ldap::AttrValue]) -> Vec<RouteKey> {
+    fn concrete_keys(plan: &[SlotKey], values: &[AttrValue]) -> Vec<RouteKey> {
         plan.iter()
             .map(|k| match k {
-                fbdr_ldap::SlotKey::Eq { attr, slot } => RouteKey::Eq(
+                SlotKey::Eq { attr, slot } => RouteKey::Eq(
                     attr.lower().to_owned(),
                     values[*slot].normalized().to_owned(),
                 ),
-                fbdr_ldap::SlotKey::Prefix { attr, slot } => RouteKey::Prefix(
+                SlotKey::Prefix { attr, slot } => RouteKey::Prefix(
                     attr.lower().to_owned(),
                     values[*slot].normalized().to_owned(),
                 ),
-                fbdr_ldap::SlotKey::Present { attr } => {
-                    RouteKey::Present(attr.lower().to_owned())
-                }
+                SlotKey::Present { attr } => RouteKey::Present(attr.lower().to_owned()),
             })
             .collect()
     }
@@ -189,8 +291,8 @@ impl RoutingIndex {
                 RouteKey::Prefix(a, p) => self
                     .by_attr
                     .get(a)
-                    .and_then(|b| b.prefix.iter().find(|(q, _)| q == p))
-                    .map_or(0, |(_, ids)| ids.len()),
+                    .and_then(|b| b.prefix.get(p))
+                    .map_or(0, Vec::len),
                 RouteKey::Present(a) => {
                     self.by_attr.get(a).map_or(0, |b| b.present.len())
                 }
@@ -198,8 +300,34 @@ impl RoutingIndex {
             .sum()
     }
 
-    /// Registers a session under the routing keys of its request filter,
-    /// or on the residual scan-list when the filter is not indexable.
+    /// Registers a session under the routing keys of its request filter
+    /// ([`RoutingIndex::register_prepared`] on the template extracted
+    /// here).
+    pub fn register(&mut self, id: u32, request: &SearchRequest) {
+        let (template, values) = Template::of(request.filter());
+        self.register_prepared(id, &template, &values, request.base());
+    }
+
+    /// The template's cached plan, derived on its first registration;
+    /// counts one more live registration.
+    fn plan_for(&mut self, template: &Template) -> Arc<TemplatePlan> {
+        if let Some(slot) = self.plans.get_mut(template.id()) {
+            slot.live += 1;
+            return slot.plan.clone();
+        }
+        let plan = Arc::new(TemplatePlan {
+            id: template.id().clone(),
+            alts: template.routing_plans(),
+        });
+        self.plans
+            .insert(template.id().clone(), PlanSlot { plan: plan.clone(), live: 1 });
+        plan
+    }
+
+    /// Registers a filter given as its already-extracted template and
+    /// slot values (what a `PreparedQuery` holds) plus its search base:
+    /// under the routing keys of one of the template's plans, or on the
+    /// residual scan-list when the template is not indexable.
     /// When the template offers several sound key sets (a conjunction of
     /// indexable children), the alternative whose posting lists currently
     /// hold the fewest sessions wins — near-constant assertions like
@@ -207,72 +335,63 @@ impl RoutingIndex {
     /// fleet of `(&(objectclass=person)(dept=N))` sessions keys on the
     /// selective `dept` slot instead of degenerating to a broadcast list.
     /// Re-registering an id first removes its old registration.
-    pub fn register(&mut self, id: u32, request: &SearchRequest) {
+    pub fn register_prepared(
+        &mut self,
+        id: u32,
+        template: &Template,
+        values: &[AttrValue],
+        base: &Dn,
+    ) {
         self.remove(id);
-        let (template, values) = Template::of(request.filter());
-        let plans = template.routing_plans();
-        self.plans.insert(template.id().clone(), plans.is_some());
-        let reg = match plans {
+        let plan = self.plan_for(template);
+        let place = match &plan.alts {
             Some(alts) => {
                 let keys = alts
                     .iter()
-                    .map(|plan| Self::concrete_keys(plan, &values))
+                    .map(|alt| Self::concrete_keys(alt, values))
                     .min_by_key(|keys| (self.key_load(keys), keys.len()))
                     .expect("routing_plans returns non-empty alternatives");
                 for key in &keys {
                     match key {
-                        RouteKey::Eq(a, v) => posting_insert(
-                            self.by_attr
-                                .entry(a.clone())
-                                .or_default()
-                                .eq
-                                .entry(v.clone())
-                                .or_default(),
-                            id,
-                        ),
-                        RouteKey::Prefix(a, p) => {
-                            let b = self.by_attr.entry(a.clone()).or_default();
-                            match b.prefix.iter_mut().find(|(q, _)| q == p) {
-                                Some((_, ids)) => posting_insert(ids, id),
-                                None => b.prefix.push((p.clone(), vec![id])),
-                            }
+                        RouteKey::Eq(a, v) => {
+                            posting_insert(slot(&mut slot(&mut self.by_attr, a).eq, v), id)
                         }
-                        RouteKey::Present(a) => posting_insert(
-                            &mut self.by_attr.entry(a.clone()).or_default().present,
-                            id,
-                        ),
+                        RouteKey::Prefix(a, p) => slot(&mut self.by_attr, a).prefix_insert(p, id),
+                        RouteKey::Present(a) => {
+                            posting_insert(&mut slot(&mut self.by_attr, a).present, id)
+                        }
                     }
                 }
-                Registration::Keys(keys)
+                Place::Keys(keys)
             }
             None => {
-                let bucket = root_bucket(request.base());
+                let bucket = root_bucket(base);
                 match &bucket {
-                    Some((a, v)) => posting_insert(
-                        self.residual
-                            .entry(a.clone())
-                            .or_default()
-                            .entry(v.clone())
-                            .or_default(),
-                        id,
-                    ),
+                    Some((a, v)) => posting_insert(slot(slot(&mut self.residual, a), v), id),
                     None => posting_insert(&mut self.residual_root, id),
                 }
-                Registration::Residual(bucket)
+                Place::Residual(bucket)
             }
         };
-        self.registered.insert(id, reg);
+        self.registered.insert(id, Registration { plan, place });
     }
 
     /// Removes a session from every posting list it appears in. A no-op
-    /// for unknown ids. Emptied posting lists are dropped so the key
+    /// for unknown ids. Emptied posting lists — and the cached plan of a
+    /// template that lost its last registration — are dropped, so the key
     /// space tracks the live session population.
     pub fn remove(&mut self, id: u32) {
         let Some(reg) = self.registered.remove(&id) else {
             return;
         };
-        match reg {
-            Registration::Keys(keys) => {
+        if let Some(slot) = self.plans.get_mut(&reg.plan.id) {
+            slot.live -= 1;
+            if slot.live == 0 {
+                self.plans.remove(&reg.plan.id);
+            }
+        }
+        match reg.place {
+            Place::Keys(keys) => {
                 for key in keys {
                     let attr = match &key {
                         RouteKey::Eq(a, _)
@@ -291,14 +410,7 @@ impl RoutingIndex {
                                 }
                             }
                         }
-                        RouteKey::Prefix(_, p) => {
-                            if let Some(pos) = b.prefix.iter().position(|(q, _)| q == p) {
-                                posting_remove(&mut b.prefix[pos].1, id);
-                                if b.prefix[pos].1.is_empty() {
-                                    b.prefix.remove(pos);
-                                }
-                            }
-                        }
+                        RouteKey::Prefix(_, p) => b.prefix_remove(p, id),
                         RouteKey::Present(_) => posting_remove(&mut b.present, id),
                     }
                     if b.is_empty() {
@@ -306,7 +418,7 @@ impl RoutingIndex {
                     }
                 }
             }
-            Registration::Residual(Some((a, v))) => {
+            Place::Residual(Some((a, v))) => {
                 if let Some(per_attr) = self.residual.get_mut(&a) {
                     if let Some(ids) = per_attr.get_mut(&v) {
                         posting_remove(ids, id);
@@ -319,7 +431,7 @@ impl RoutingIndex {
                     }
                 }
             }
-            Registration::Residual(None) => posting_remove(&mut self.residual_root, id),
+            Place::Residual(None) => posting_remove(&mut self.residual_root, id),
         }
     }
 
@@ -336,29 +448,49 @@ impl RoutingIndex {
             let Some(b) = self.by_attr.get(attr.lower()) else {
                 continue;
             };
-            if !b.present.is_empty() {
-                out.extend_from_slice(&b.present);
-            }
+            out.extend_from_slice(&b.present);
             if b.eq.is_empty() && b.prefix.is_empty() {
                 continue;
             }
             for v in values {
-                let norm = v.normalized();
-                if let Some(ids) = b.eq.get(norm) {
-                    out.extend_from_slice(ids);
-                }
-                for (p, ids) in &b.prefix {
-                    if norm.starts_with(p.as_str()) {
-                        out.extend_from_slice(ids);
-                    }
-                }
+                b.probe(v.normalized(), out);
             }
         }
     }
 
+    /// Appends to `out` every indexed filter that can contain a query
+    /// with this filter — those with a key matching the query's witness
+    /// (see the module docs) — and returns true; for a query that is not
+    /// positive conjunctive (it has an `Or` or a `Not`) appends nothing
+    /// and returns false: every registered filter is then a candidate.
+    /// Residual filters are candidates either way; add them with
+    /// [`RoutingIndex::residual_for_dn`] on the query's base. Duplicates
+    /// may be appended, as by
+    /// [`candidates_for_entry`](RoutingIndex::candidates_for_entry).
+    pub fn candidates_for_query(&self, filter: &Filter, out: &mut Vec<u32>) -> bool {
+        let start = out.len();
+        let conjunctive = filter.for_each_conjunct(&mut |p| {
+            let Some(b) = self.by_attr.get(p.attr().lower()) else {
+                return;
+            };
+            out.extend_from_slice(&b.present);
+            match p.comparison().witness() {
+                Some(value) => b.probe(&value, out),
+                // Presence: a value that extends no prefix but the empty one.
+                None => out.extend_from_slice(b.prefix.get("").map_or(&[], Vec::as_slice)),
+            }
+        });
+        if !conjunctive {
+            out.truncate(start);
+        }
+        conjunctive
+    }
+
     /// Appends to `out` every residual (scan-list) session whose base
-    /// bucket covers `dn`: the bucket of `dn`'s root-most RDN plus the
-    /// sessions based at the empty DN.
+    /// bucket covers `dn` — an updated entry's DN, or a query's base (a
+    /// filter that contains the query is based at or above it): the
+    /// bucket of `dn`'s root-most RDN plus the sessions based at the
+    /// empty DN.
     pub fn residual_for_dn(&self, dn: &Dn, out: &mut Vec<u32>) {
         if let Some(r) = dn.rdns().last() {
             if let Some(ids) = self
@@ -383,7 +515,7 @@ impl RoutingIndex {
         let residual = self
             .registered
             .values()
-            .filter(|r| matches!(r, Registration::Residual(_)))
+            .filter(|r| matches!(r.place, Place::Residual(_)))
             .count();
         RoutingStats {
             sessions: self.registered.len(),
@@ -396,8 +528,10 @@ impl RoutingIndex {
         }
     }
 
-    /// Panics if any posting list holds an id that is not registered, or
-    /// a registered id is missing from a posting list it should be on.
+    /// Panics if any posting list holds an id that is not registered, a
+    /// registered id is missing from a posting list it should be on, the
+    /// prefix-length counts disagree with the prefix keys, or the plan
+    /// cache does not hold exactly the live registrations' templates.
     /// Test-and-debug helper for the stale-id invariant.
     pub fn debug_validate(&self) {
         let check = |ids: &Vec<u32>, what: &str| {
@@ -415,10 +549,13 @@ impl RoutingIndex {
                 check(ids, &format!("eq {a}={v}"));
                 assert!(!ids.is_empty(), "eq {a}={v}: empty posting retained");
             }
+            let mut lens: BTreeMap<usize, usize> = BTreeMap::new();
             for (p, ids) in &b.prefix {
                 check(ids, &format!("prefix {a}={p}*"));
                 assert!(!ids.is_empty(), "prefix {a}={p}*: empty posting retained");
+                *lens.entry(p.len()).or_insert(0) += 1;
             }
+            assert_eq!(lens, b.prefix_lens, "attr {a}: prefix length counts drifted");
             check(&b.present, &format!("present {a}"));
         }
         for (a, per_attr) in &self.residual {
@@ -429,20 +566,20 @@ impl RoutingIndex {
             }
         }
         check(&self.residual_root, "residual root");
+        let mut live: HashMap<&TemplateId, usize> = HashMap::new();
         for (id, reg) in &self.registered {
+            *live.entry(&reg.plan.id).or_insert(0) += 1;
             let on = |ids: Option<&Vec<u32>>| ids.is_some_and(|l| l.binary_search(id).is_ok());
-            match reg {
-                Registration::Keys(keys) => {
+            match &reg.place {
+                Place::Keys(keys) => {
                     for key in keys {
                         let present = match key {
                             RouteKey::Eq(a, v) => {
                                 on(self.by_attr.get(a).and_then(|b| b.eq.get(v)))
                             }
-                            RouteKey::Prefix(a, p) => self
-                                .by_attr
-                                .get(a)
-                                .and_then(|b| b.prefix.iter().find(|(q, _)| q == p))
-                                .is_some_and(|(_, l)| l.binary_search(id).is_ok()),
+                            RouteKey::Prefix(a, p) => {
+                                on(self.by_attr.get(a).and_then(|b| b.prefix.get(p)))
+                            }
                             RouteKey::Present(a) => {
                                 on(self.by_attr.get(a).map(|b| &b.present))
                             }
@@ -450,19 +587,27 @@ impl RoutingIndex {
                         assert!(present, "session {id}: missing from posting for {key:?}");
                     }
                 }
-                Registration::Residual(Some((a, v))) => {
+                Place::Residual(Some((a, v))) => {
                     assert!(
                         on(self.residual.get(a).and_then(|per| per.get(v))),
                         "session {id}: missing from residual bucket {a}={v}"
                     );
                 }
-                Registration::Residual(None) => {
+                Place::Residual(None) => {
                     assert!(
                         on(Some(&self.residual_root)),
                         "session {id}: missing from the root residual list"
                     );
                 }
             }
+        }
+        assert_eq!(self.plans.len(), live.len(), "plan cache holds a dead template");
+        for (t, n) in live {
+            assert_eq!(
+                self.plans.get(t).map(|s| s.live),
+                Some(n),
+                "template {t}: live count drifted"
+            );
         }
     }
 }
@@ -543,6 +688,100 @@ mod tests {
         assert!(candidates(&ix, &e7).is_empty());
         assert_eq!(candidates(&ix, &e9), vec![7]);
         assert_eq!(ix.stats().eq_keys, 1);
+    }
+
+    fn query_candidates(ix: &RoutingIndex, base: &str, filter: &str) -> Option<Vec<u32>> {
+        let mut out = vec![u32::MAX]; // earlier content must survive
+        let indexed = ix.candidates_for_query(&Filter::parse(filter).unwrap(), &mut out);
+        assert_eq!(out[0], u32::MAX);
+        if !indexed {
+            assert_eq!(out.len(), 1, "an unindexable query appends nothing");
+            return None;
+        }
+        out.remove(0);
+        ix.residual_for_dn(&base.parse().unwrap(), &mut out);
+        out.sort_unstable();
+        out.dedup();
+        Some(out)
+    }
+
+    #[test]
+    fn query_lookup_finds_the_filters_that_can_contain_it() {
+        let mut ix = RoutingIndex::new();
+        ix.register(0, &req("o=xyz", "(sn=smi*)"));
+        ix.register(1, &req("o=xyz", "(sn=smith)"));
+        ix.register(2, &req("o=xyz", "(sn=*)"));
+        ix.register(3, &req("o=xyz", "(sn=s*)"));
+        ix.register(4, &req("o=xyz", "(age>=30)")); // residual under o=xyz
+        ix.register(5, &req("o=abc", "(age>=30)")); // residual elsewhere
+        ix.register(6, &req("o=xyz", "(&(objectclass=person)(dept=7))"));
+        ix.debug_validate();
+
+        // Equality: its value, the prefixes it extends, presence, residual.
+        assert_eq!(query_candidates(&ix, "o=xyz", "(sn=Smith)"), Some(vec![0, 1, 2, 3, 4]));
+        // A range or a substring looks its one witness value up the same way.
+        assert_eq!(query_candidates(&ix, "o=xyz", "(sn>=smithers)"), Some(vec![0, 2, 3, 4]));
+        assert_eq!(query_candidates(&ix, "c=us,o=xyz", "(sn=sm*it*h)"), Some(vec![0, 1, 2, 3, 4]));
+        assert_eq!(query_candidates(&ix, "o=xyz", "(sn=*son)"), Some(vec![2, 3, 4]));
+        // Presence reaches presence postings only.
+        assert_eq!(query_candidates(&ix, "o=xyz", "(sn=*)"), Some(vec![2, 4]));
+        // Conjunctions (nested too) union their predicates' candidates.
+        // (6 is keyed on objectclass: a query silent on it cannot be inside.)
+        assert_eq!(
+            query_candidates(&ix, "o=xyz", "(&(dept=7)(&(sn=jones)(mail=*)))"),
+            Some(vec![2, 4])
+        );
+        assert_eq!(
+            query_candidates(&ix, "o=xyz", "(&(dept=7)(&(objectClass=Person)(mail=*)))"),
+            Some(vec![4, 6])
+        );
+        // An attribute nobody mentions, under a base with no residual filter.
+        assert_eq!(query_candidates(&ix, "o=other", "(mail=a@b)"), Some(vec![]));
+        assert_eq!(query_candidates(&ix, "", "(mail=a@b)"), Some(vec![]));
+        // No single witness: unindexable.
+        assert_eq!(query_candidates(&ix, "o=xyz", "(|(sn=a)(sn=b))"), None);
+        assert_eq!(query_candidates(&ix, "o=xyz", "(&(sn=a)(!(sn=b)))"), None);
+    }
+
+    #[test]
+    fn prefixes_are_probed_per_distinct_length_on_char_boundaries() {
+        let mut ix = RoutingIndex::new();
+        for (id, f) in ["(cn=é*)", "(cn=éa*)", "(cn=éb*)", "(cn=x*)"].iter().enumerate() {
+            ix.register(id as u32, &req("o=xyz", f));
+        }
+        ix.debug_validate();
+        assert_eq!(ix.stats().prefix_keys, 4);
+        // "é" is two bytes: the length-1 probe of "éa…" falls inside it.
+        let e = Entry::new("cn=a,o=xyz".parse().unwrap()).with("cn", "Éa1");
+        assert_eq!(candidates(&ix, &e), vec![0, 1]);
+        assert_eq!(query_candidates(&ix, "o=xyz", "(cn=éb)"), Some(vec![0, 2]));
+        ix.remove(1);
+        ix.remove(2);
+        ix.debug_validate();
+        assert_eq!(candidates(&ix, &e), vec![0]);
+        assert_eq!(query_candidates(&ix, "o=xyz", "(cn=x)"), Some(vec![3]));
+    }
+
+    #[test]
+    fn plan_cache_tracks_live_templates() {
+        let mut ix = RoutingIndex::new();
+        ix.register(0, &req("o=xyz", "(dept=7)"));
+        ix.register(1, &req("o=xyz", "(dept=8)"));
+        ix.register(2, &req("o=xyz", "(!(dept=8))"));
+        assert_eq!(ix.stats().templates, 2);
+        ix.register(1, &req("o=xyz", "(sn=a*)")); // re-registration moves templates
+        ix.debug_validate();
+        assert_eq!(ix.stats().templates, 3);
+        ix.remove(0);
+        ix.remove(2);
+        ix.debug_validate();
+        assert_eq!(ix.stats().templates, 1);
+        // The pre-extracted entry point registers the same keys.
+        let r = req("o=xyz", "(dept=9)");
+        let (t, v) = Template::of(r.filter());
+        ix.register_prepared(5, &t, &v, r.base());
+        ix.debug_validate();
+        assert_eq!(query_candidates(&ix, "o=xyz", "(dept=9)"), Some(vec![5]));
     }
 
     #[test]

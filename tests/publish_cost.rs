@@ -6,6 +6,9 @@
 //! regression guard for the structurally shared snapshot (DESIGN §7): a
 //! snapshot component that goes back to being copied whole per cycle costs
 //! at least one allocation per held entry and fails both.
+//!
+//! The same counter guards the read path's inner loop: a containment
+//! check on the same-template and compiled paths allocates nothing.
 
 use fbdr::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -143,4 +146,35 @@ fn empty_drain_allocates_nothing() {
     assert_eq!(traffic.pdus(), 0);
     assert_eq!(replica.epoch(), epoch);
     assert_eq!(allocations, 0);
+}
+
+#[test]
+fn containment_check_allocates_nothing() {
+    let engine = ContainmentEngine::new();
+    let prepared = |f: &str| PreparedQuery::new(query(f));
+    let pairs = [
+        // Same template (Proposition 3): prefixes, ranges, conjunctions.
+        (prepared("(serialNumber=10004*)"), prepared("(serialNumber=1000*)")),
+        (prepared("(&(sn=Doe)(age>=40))"), prepared("(&(sn=doe)(age>=30))")),
+        // Compiled cross-template (Proposition 2): equality against a
+        // prefix, a typed range and presence; and a pair that compiles to
+        // "never".
+        (prepared("(serialNumber=100042)"), prepared("(serialNumber=1000*)")),
+        (prepared("(&(age=40)(sn=Doe))"), prepared("(&(age>=30)(sn=*))")),
+        (prepared("(&(age=40)(sn=Doe))"), prepared("(&(age<=30)(sn=d*))")),
+        (prepared("(sn=doe)"), prepared("(&(sn=doe)(ou=research))")),
+    ];
+    // The first check of a template pair compiles and caches its condition.
+    let warm: Vec<bool> = pairs.iter().map(|(q, s)| engine.query_contained(q, s)).collect();
+    assert_eq!(warm, [true, true, true, true, false, false]);
+    let before = engine.stats();
+    let (again, allocations) = allocations_of(|| {
+        pairs.iter().map(|(q, s)| engine.query_contained(q, s)).fold(0, |n, c| n + usize::from(c))
+    });
+    assert_eq!(again, 4);
+    let stats = engine.stats();
+    assert_eq!(stats.same_template - before.same_template, 2);
+    assert_eq!(stats.compiled - before.compiled, 3);
+    assert_eq!(stats.skipped_never - before.skipped_never, 1);
+    assert_eq!(allocations, 0, "allocations in six containment checks");
 }
