@@ -1,4 +1,5 @@
-//! Adaptation ablation over the adversarial scenario matrix: periodic
+//! `repro adaptation`: adaptation under the adversarial scenario matrix
+//! (an extension beyond the paper; DESIGN §17) — periodic
 //! revolutions (§6.2) vs the per-query evolution baseline (\[12\]) vs the
 //! budgeted online revolution, with a train-on-the-end-state oracle as
 //! the quality ceiling.
@@ -10,7 +11,8 @@
 //! replays only that phase — the quality a selector could reach if it
 //! had known the end state in advance.
 //!
-//! Gates (the committed `BENCH_selection.json` must pass all three):
+//! Hit ratios, installs and move counts are exact for a seed, so the
+//! table regenerates number for number. Three gates:
 //!
 //! 1. **adaptation** — per scenario, the online arm's final-phase hit
 //!    ratio reaches ≥ 90% of the oracle's (with a 2-point absolute slack
@@ -23,7 +25,12 @@
 //!    table (no full-set recompute on the hot path), as recorded by the
 //!    `fbdr_selection_revolve_moves` / `fbdr_selection_step_considered`
 //!    histograms.
+//!
+//! Gates 1–2 are asserted by this module's test at the `small`
+//! parameters; gate 3 by `fbdr-selection`'s
+//! `budgeted_steps_respect_budgets_and_stay_consistent`.
 
+use crate::Scale;
 use fbdr_core::experiment::{replay_filter, select_static_filters, ReplayConfig};
 use fbdr_core::{Replicator, ServedBy};
 use fbdr_obs::Obs;
@@ -34,16 +41,15 @@ use fbdr_selection::{
     EvolutionSelector, FilterSelector, OnlineConfig, OnlineSelector, SelectorConfig,
 };
 use fbdr_workload::{
-    DirectoryConfig, EnterpriseDirectory, Scenario, ScenarioConfig, ScenarioKind, TracedQuery,
-    WorkloadEvent,
+    EnterpriseDirectory, Scenario, ScenarioConfig, ScenarioKind, TracedQuery, WorkloadEvent,
 };
-use serde::{Deserialize, Serialize};
 
-/// Parameters of one adaptation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Parameters of one adaptation run. The directory is the scale's
+/// ([`crate::Params::directory`]).
+#[derive(Debug, Clone)]
 pub struct AdaptConfig {
-    /// Scenario names to run (see [`ScenarioKind::name`]); empty = all.
-    pub scenarios: Vec<String>,
+    /// Scenarios to run.
+    pub scenarios: Vec<ScenarioKind>,
     /// Queries per scenario phase.
     pub queries_per_phase: usize,
     /// Replica entry budget, every arm.
@@ -56,88 +62,83 @@ pub struct AdaptConfig {
     pub step_every: u64,
     /// Online arm: max promote/evict moves per step.
     pub move_budget: usize,
-    /// Use the small (1.2k entry) directory instead of the default 20k.
-    pub small_directory: bool,
     /// Scenario seed.
     pub seed: u64,
 }
 
-impl Default for AdaptConfig {
-    fn default() -> Self {
-        AdaptConfig {
-            scenarios: Vec::new(),
+impl AdaptConfig {
+    /// The parameters for a `repro --scale`: `small` runs the two spike
+    /// scenarios against the small directory's budget, `paper` and `large`
+    /// the whole matrix.
+    pub fn for_scale(scale: Scale) -> Self {
+        let paper = AdaptConfig {
+            scenarios: ScenarioKind::ALL.to_vec(),
             queries_per_phase: 6000,
             entry_budget: 1200,
             sync_every: 500,
             revolution_interval: 600,
             step_every: 60,
             move_budget: 4,
-            small_directory: false,
             seed: 0xADA7,
+        };
+        match scale {
+            Scale::Small => AdaptConfig {
+                scenarios: vec![ScenarioKind::FlashCrowd, ScenarioKind::ChurnFlip],
+                queries_per_phase: 1200,
+                entry_budget: 300,
+                sync_every: 200,
+                revolution_interval: 200,
+                step_every: 20,
+                ..paper
+            },
+            Scale::Paper | Scale::Large => paper,
         }
     }
 }
 
 /// One arm's outcome on one scenario.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ArmOutcome {
-    /// Queries replayed.
-    pub queries: u64,
-    /// Queries answered by the replica.
-    pub hits: u64,
-    /// `hits / queries`.
-    pub hit_ratio: f64,
     /// Final-phase queries.
     pub final_queries: u64,
     /// Final-phase replica answers.
     pub final_hits: u64,
-    /// `final_hits / final_queries` — end-state quality.
-    pub final_hit_ratio: f64,
     /// Filter installs (each costs a content load).
     pub installs: u64,
-    /// Filter evictions.
-    pub evictions: u64,
-    /// Batch revolutions / online steps / evolutions performed.
-    pub adaptations: u64,
     /// Content-load traffic, full entries.
     pub install_entries: u64,
-    /// ReSync poll traffic, full entries.
-    pub resync_entries: u64,
 }
 
 impl ArmOutcome {
-    fn seal(mut self) -> Self {
-        self.hit_ratio = self.hits as f64 / self.queries.max(1) as f64;
-        self.final_hit_ratio = self.final_hits as f64 / self.final_queries.max(1) as f64;
-        self
+    /// `final_hits / final_queries` — end-state quality.
+    pub fn final_hit_ratio(&self) -> f64 {
+        self.final_hits as f64 / self.final_queries.max(1) as f64
+    }
+
+    /// Counts one answered query; those from `final_start` on are the
+    /// final phase.
+    fn record(&mut self, idx: u64, final_start: u64, hit: bool) {
+        if idx >= final_start {
+            self.final_queries += 1;
+            self.final_hits += u64::from(hit);
+        }
     }
 }
 
 /// All arms on one scenario, plus the online-specific hot-path evidence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
     /// Scenario name.
     pub scenario: String,
-    /// Phases in the schedule.
-    pub phases: usize,
-    /// Total queries replayed per arm.
-    pub queries: usize,
-    /// Master updates interleaved.
-    pub updates: usize,
     /// Periodic batch revolutions (§6.2).
     pub periodic: ArmOutcome,
     /// Per-query evolution baseline (\[12\]).
     pub evolution: ArmOutcome,
-    /// Budgeted online revolution (this PR).
+    /// Budgeted online revolution.
     pub online: ArmOutcome,
     /// Oracle: frozen train-on-final-phase selection replaying the final
-    /// phase — `final_hit_ratio` is the only meaningful field.
+    /// phase.
     pub oracle_final_hit_ratio: f64,
-    /// Oracle filters installed.
-    pub oracle_filters: usize,
-    /// `online.final_hit_ratio / oracle_final_hit_ratio` (1.0 when the
-    /// oracle found nothing to replicate).
-    pub online_vs_oracle: f64,
     /// Largest single-step move count (must stay ≤ the move budget).
     pub online_max_moves: usize,
     /// Largest consideration set of any step.
@@ -145,36 +146,18 @@ pub struct ScenarioOutcome {
     /// Candidate-table size at end of run — `online_max_considered`
     /// strictly below this is the no-full-recompute evidence.
     pub online_candidates: usize,
-    /// Samples in the `fbdr_selection_revolve_moves` histogram (== steps).
-    pub revolve_moves_samples: u64,
 }
 
-/// Gate verdicts over the whole run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct AdaptGates {
-    /// Every scenario: online final-phase ratio ≥ 0.9×oracle (−0.02 slack).
-    pub adaptation_ok: bool,
-    /// Σ online installs ≤ Σ evolution installs / 3.
-    pub churn_ok: bool,
-    /// Moves bounded by budget and consideration sets below the table.
-    pub bounded_ok: bool,
-}
-
-/// The full report written to `BENCH_selection.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AdaptReport {
-    /// Echo of the configuration.
-    pub config: AdaptConfig,
-    /// One outcome per scenario.
-    pub scenarios: Vec<ScenarioOutcome>,
-    /// Σ online installs across scenarios.
-    pub online_installs_total: u64,
-    /// Σ evolution installs across scenarios.
-    pub evolution_installs_total: u64,
-    /// `online_installs_total / evolution_installs_total`.
-    pub install_ratio: f64,
-    /// Gate verdicts.
-    pub gates: AdaptGates,
+impl ScenarioOutcome {
+    /// `online / oracle` end-state hit ratio (1.0 when the oracle found
+    /// nothing to replicate).
+    pub fn online_vs_oracle(&self) -> f64 {
+        if self.oracle_final_hit_ratio > 0.0 {
+            self.online.final_hit_ratio() / self.oracle_final_hit_ratio
+        } else {
+            1.0
+        }
+    }
 }
 
 fn gens() -> Vec<Box<dyn Generalizer + Send>> {
@@ -182,22 +165,6 @@ fn gens() -> Vec<Box<dyn Generalizer + Send>> {
         Box::new(ValuePrefix::new("serialNumber", vec![4])),
         Box::new(WidenToPresence::new("dept")),
     ]
-}
-
-fn directory(cfg: &AdaptConfig) -> EnterpriseDirectory {
-    let dc = if cfg.small_directory { DirectoryConfig::small() } else { DirectoryConfig::default() };
-    EnterpriseDirectory::generate(dc)
-}
-
-fn kinds(cfg: &AdaptConfig) -> Vec<ScenarioKind> {
-    if cfg.scenarios.is_empty() {
-        ScenarioKind::ALL.to_vec()
-    } else {
-        cfg.scenarios
-            .iter()
-            .map(|s| ScenarioKind::parse(s).unwrap_or_else(|| panic!("unknown scenario {s:?}")))
-            .collect()
-    }
 }
 
 /// Replays the schedule against a [`Replicator`] (periodic or online arm).
@@ -208,19 +175,14 @@ fn drive_replicator(
 ) -> (ArmOutcome, Replicator) {
     let final_start = scenario.final_phase_first_query() as u64;
     let mut out = ArmOutcome::default();
+    let mut queries = 0u64;
     for ev in &scenario.events {
         match ev {
             WorkloadEvent::Query(tq) => {
-                let idx = out.queries;
                 let (_, served) = r.search(&tq.request);
-                out.queries += 1;
-                let hit = served == ServedBy::Replica;
-                out.hits += u64::from(hit);
-                if idx >= final_start {
-                    out.final_queries += 1;
-                    out.final_hits += u64::from(hit);
-                }
-                if cfg.sync_every > 0 && out.queries % cfg.sync_every as u64 == 0 {
+                out.record(queries, final_start, served == ServedBy::Replica);
+                queries += 1;
+                if cfg.sync_every > 0 && queries % cfg.sync_every as u64 == 0 {
                     let _ = r.sync();
                 }
             }
@@ -230,10 +192,8 @@ fn drive_replicator(
         }
     }
     let _ = r.sync();
-    let rep = r.report();
-    out.install_entries = rep.revolution_traffic.full_entries;
-    out.resync_entries = rep.resync_traffic.full_entries;
-    (out.seal(), r)
+    out.install_entries = r.report().revolution_traffic.full_entries;
+    (out, r)
 }
 
 /// Replays the schedule against the evolution/revolution baseline.
@@ -243,21 +203,17 @@ fn drive_evolution(master: &mut SyncMaster, scenario: &Scenario, cfg: &AdaptConf
     let mut driver: SyncDriver<SystemClock> = SyncDriver::default();
     let mut selector = EvolutionSelector::new(gens(), cfg.entry_budget, 0.95, 0.5);
     let mut out = ArmOutcome::default();
+    let mut queries = 0u64;
     for ev in &scenario.events {
         match ev {
             WorkloadEvent::Query(tq) => {
-                let idx = out.queries;
                 let hit = replica.try_answer(&tq.request).is_some();
-                out.queries += 1;
-                out.hits += u64::from(hit);
-                if idx >= final_start {
-                    out.final_queries += 1;
-                    out.final_hits += u64::from(hit);
-                }
+                out.record(queries, final_start, hit);
+                queries += 1;
                 // The baseline's defining property: selection runs on
                 // every query, not on a budgeted cadence.
                 let _ = selector.observe(&tq.request, master, &mut replica);
-                if cfg.sync_every > 0 && out.queries % cfg.sync_every as u64 == 0 {
+                if cfg.sync_every > 0 && queries % cfg.sync_every as u64 == 0 {
                     let _ = replica.sync_with(master, &mut driver);
                 }
             }
@@ -269,19 +225,13 @@ fn drive_evolution(master: &mut SyncMaster, scenario: &Scenario, cfg: &AdaptConf
     let _ = replica.sync_with(master, &mut driver);
     let rep = selector.report();
     out.installs = rep.installs;
-    out.evictions = rep.evictions;
-    out.adaptations = rep.installs + rep.evictions;
     out.install_entries = rep.traffic.full_entries;
-    out.seal()
+    out
 }
 
 /// Oracle: train a frozen selection on the final phase's queries, then
 /// replay exactly that phase against a fresh master.
-fn drive_oracle(
-    dir: &EnterpriseDirectory,
-    scenario: &Scenario,
-    cfg: &AdaptConfig,
-) -> (f64, usize) {
+fn drive_oracle(dir: &EnterpriseDirectory, scenario: &Scenario, cfg: &AdaptConfig) -> f64 {
     let final_queries: Vec<TracedQuery> = scenario
         .events
         .iter()
@@ -291,9 +241,7 @@ fn drive_oracle(
             WorkloadEvent::Update(_) => None,
         })
         .collect();
-    let filters =
-        select_static_filters(dir.dit(), &final_queries, gens(), cfg.entry_budget);
-    let count = filters.len();
+    let filters = select_static_filters(dir.dit(), &final_queries, gens(), cfg.entry_budget);
     let mut r = Replicator::new(SyncMaster::with_dit(dir.dit().clone()), 0);
     for f in filters {
         let _ = r.install_filter(f);
@@ -304,20 +252,20 @@ fn drive_oracle(
         &[],
         ReplayConfig { sync_every: 0, update_every: 0 },
     );
-    (out.overall.hit_ratio(), count)
+    out.overall.hit_ratio()
 }
 
-/// Runs the full ablation.
-pub fn run(cfg: &AdaptConfig) -> AdaptReport {
-    let dir = directory(cfg);
+/// Runs every configured scenario through the four arms.
+pub fn run(cfg: &AdaptConfig, dir: &EnterpriseDirectory) -> Vec<ScenarioOutcome> {
     let scfg = ScenarioConfig {
         seed: cfg.seed,
         queries_per_phase: cfg.queries_per_phase,
         ..ScenarioConfig::default()
     };
+    let fresh = || Replicator::new(SyncMaster::with_dit(dir.dit().clone()), 0);
     let mut scenarios = Vec::new();
-    for kind in kinds(cfg) {
-        let scenario = Scenario::build(kind, &dir, &scfg);
+    for &kind in &cfg.scenarios {
+        let scenario = Scenario::build(kind, dir, &scfg);
 
         // Periodic batch revolutions.
         let periodic_obs = Obs::new();
@@ -330,19 +278,15 @@ pub fn run(cfg: &AdaptConfig) -> AdaptReport {
             gens(),
         )
         .with_obs(periodic_obs.clone());
-        let periodic_repl = Replicator::new(SyncMaster::with_dit(dir.dit().clone()), 0)
-            .with_selector(periodic_sel);
-        let (mut periodic, periodic_repl) = drive_replicator(periodic_repl, &scenario, cfg);
-        periodic.adaptations = periodic_repl.report().revolutions;
+        let (mut periodic, _) =
+            drive_replicator(fresh().with_selector(periodic_sel), &scenario, cfg);
         periodic.installs = periodic_obs.registry().counter("fbdr_selection_installed_total").get();
-        periodic.evictions = periodic_obs.registry().counter("fbdr_selection_evicted_total").get();
 
         // Evolution baseline.
         let mut evo_master = SyncMaster::with_dit(dir.dit().clone());
         let evolution = drive_evolution(&mut evo_master, &scenario, cfg);
 
         // Budgeted online revolution.
-        let obs = Obs::new();
         let online_sel = OnlineSelector::new(
             OnlineConfig {
                 entry_budget: cfg.entry_budget,
@@ -351,63 +295,53 @@ pub fn run(cfg: &AdaptConfig) -> AdaptReport {
                 ..OnlineConfig::default()
             },
             gens(),
-        )
-        .with_obs(obs.clone());
-        let online_repl = Replicator::new(SyncMaster::with_dit(dir.dit().clone()), 0)
-            .with_online_selector(online_sel);
-        let (mut online, online_repl) = drive_replicator(online_repl, &scenario, cfg);
+        );
+        let (mut online, online_repl) =
+            drive_replicator(fresh().with_online_selector(online_sel), &scenario, cfg);
         let online_report = online_repl.online_report().expect("online arm attached");
         online.installs = online_report.installs;
-        online.evictions = online_report.evictions;
-        online.adaptations = online_report.steps;
-        let candidates = online_repl.online_candidates().unwrap_or(0);
 
-        // Oracle ceiling.
-        let (oracle_final, oracle_filters) = drive_oracle(&dir, &scenario, cfg);
-
-        let online_vs_oracle = if oracle_final > 0.0 {
-            online.final_hit_ratio / oracle_final
-        } else {
-            1.0
-        };
         scenarios.push(ScenarioOutcome {
             scenario: kind.name().to_owned(),
-            phases: scenario.phases.len(),
-            queries: scenario.queries,
-            updates: scenario.update_count(),
             periodic,
             evolution,
             online,
-            oracle_final_hit_ratio: oracle_final,
-            oracle_filters,
-            online_vs_oracle,
+            oracle_final_hit_ratio: drive_oracle(dir, &scenario, cfg),
             online_max_moves: online_report.max_moves,
             online_max_considered: online_report.max_considered,
-            online_candidates: candidates,
-            revolve_moves_samples: obs
-                .registry()
-                .histogram("fbdr_selection_revolve_moves")
-                .count(),
+            online_candidates: online_repl.online_candidates().unwrap_or(0),
         });
     }
+    scenarios
+}
 
-    let online_installs_total: u64 = scenarios.iter().map(|s| s.online.installs).sum();
-    let evolution_installs_total: u64 = scenarios.iter().map(|s| s.evolution.installs).sum();
-    let gates = AdaptGates {
-        adaptation_ok: scenarios
-            .iter()
-            .all(|s| s.online.final_hit_ratio + 0.02 >= 0.9 * s.oracle_final_hit_ratio),
-        churn_ok: online_installs_total * 3 <= evolution_installs_total,
-        bounded_ok: scenarios.iter().all(|s| {
-            s.online_max_moves <= cfg.move_budget && s.revolve_moves_samples > 0
-        }),
-    };
-    AdaptReport {
-        config: cfg.clone(),
-        scenarios,
-        online_installs_total,
-        evolution_installs_total,
-        install_ratio: online_installs_total as f64 / evolution_installs_total.max(1) as f64,
-        gates,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Params;
+
+    /// Gates 1–2 at `--scale small`: the online selector ends each
+    /// scenario within 0.9× of the end-state oracle (2 points of absolute
+    /// slack), and installs at most a third of what per-query evolutions
+    /// do. Exact for the seed.
+    #[test]
+    fn online_tracks_the_oracle_at_a_fraction_of_evolution_churn() {
+        let cfg = AdaptConfig::for_scale(Scale::Small);
+        let rows = run(&cfg, &Params::new(Scale::Small).directory());
+        assert_eq!(rows.len(), 2);
+        for s in &rows {
+            assert!(
+                s.online.final_hit_ratio() + 0.02 >= 0.9 * s.oracle_final_hit_ratio,
+                "{}: online end-state hit ratio {:.3} < 0.9 x oracle {:.3}",
+                s.scenario,
+                s.online.final_hit_ratio(),
+                s.oracle_final_hit_ratio
+            );
+            assert!(s.online_max_moves <= cfg.move_budget, "{s:?}");
+            assert!(s.online_max_considered < s.online_candidates, "full-table recompute: {s:?}");
+        }
+        let online: u64 = rows.iter().map(|s| s.online.installs).sum();
+        let evolution: u64 = rows.iter().map(|s| s.evolution.installs).sum();
+        assert!(online > 0 && online * 3 <= evolution, "online {online} vs evolution {evolution}");
     }
 }

@@ -1,17 +1,28 @@
-//! `repro` — regenerates every table and figure of the paper.
+//! `repro` — regenerates every table and figure of the paper, and the
+//! extension results that are exact tables.
 //!
 //! ```text
 //! repro [EXPERIMENT…] [--scale small|paper|large] [--json]
 //!
 //! EXPERIMENT: table1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 |
 //!             fig9 | other-queries | sync-ablation | selection-ablation |
-//!             overheads | latency | composition | all
+//!             overheads | latency | composition | recovery-cost |
+//!             adaptation | all
 //! ```
 //!
 //! `--json` emits one machine-readable document with every experiment's
 //! title, headers and rows (for plotting) instead of aligned text tables.
 
+use fbdr_bench::adaptation::{self, AdaptConfig};
+use fbdr_bench::recovery::{self, RecoveryConfig};
 use fbdr_bench::{hits, protocol, render_table, tables, traffic, Params, Scale};
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[&str] = &[
+    "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "other-queries",
+    "sync-ablation", "selection-ablation", "overheads", "latency", "composition",
+    "recovery-cost", "adaptation",
+];
 
 /// One rendered experiment: a titled table.
 struct Table {
@@ -47,9 +58,8 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: repro [EXPERIMENT…] [--scale small|paper|large] [--json]\n\
-                     experiments: table1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9\n\
-                     \x20            other-queries sync-ablation selection-ablation\n\
-                     \x20            overheads latency composition all"
+                     experiments: {} all",
+                    EXPERIMENTS.join(" ")
                 );
                 return;
             }
@@ -57,14 +67,7 @@ fn main() {
         }
     }
     if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = [
-            "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-            "other-queries", "sync-ablation", "selection-ablation", "overheads", "latency",
-            "composition",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        which = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
     }
     let params = Params::new(scale);
     if !json {
@@ -75,7 +78,7 @@ fn main() {
     }
     let mut docs: Vec<serde_json::Value> = Vec::new();
     for w in which {
-        let t = run(&w, &params);
+        let t = run(&w, scale, &params);
         if json {
             docs.push(serde_json::json!({
                 "experiment": w,
@@ -110,7 +113,7 @@ fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-fn run(which: &str, params: &Params) -> Table {
+fn run(which: &str, scale: Scale, params: &Params) -> Table {
     match which {
         "table1" => table(
             "Table 1: workload distribution",
@@ -347,6 +350,74 @@ fn run(which: &str, params: &Params) -> Table {
                 })
                 .collect(),
         ),
+        "recovery-cost" => {
+            let cfg = RecoveryConfig::for_scale(scale);
+            table(
+                format!(
+                    "Extension: session recovery cost vs divergence ({} entries, digest fpr {})",
+                    cfg.entries, cfg.fpr
+                ),
+                &[
+                    "updates missed", "entries diverged", "replay B", "reconcile B",
+                    "round trips", "digest B", "shipped", "deletes", "probes", "reinstall B",
+                    "reinstall entries", "reinstall/reconcile",
+                ],
+                recovery::run(&cfg)
+                    .into_iter()
+                    .map(|r| {
+                        vec![
+                            r.divergence.to_string(),
+                            r.diverged_entries.to_string(),
+                            r.replay_bytes.to_string(),
+                            r.reconcile_bytes.to_string(),
+                            r.reconcile_round_trips.to_string(),
+                            r.reconcile_digest_bytes.to_string(),
+                            r.reconcile_shipped_entries.to_string(),
+                            r.reconcile_deletes.to_string(),
+                            r.reconcile_fallback_probes.to_string(),
+                            r.reinstall_bytes.to_string(),
+                            r.reinstall_entries.to_string(),
+                            format!("{:.1}x", r.reinstall_over_reconcile),
+                        ]
+                    })
+                    .collect(),
+            )
+        }
+        "adaptation" => {
+            let cfg = AdaptConfig::for_scale(scale);
+            table(
+                format!(
+                    "Extension: adaptation under adversarial scenarios (end-state hit ratio; \
+                     budget {}, revolve every {}, step every {} with <={} moves)",
+                    cfg.entry_budget, cfg.revolution_interval, cfg.step_every, cfg.move_budget
+                ),
+                &[
+                    "scenario", "periodic", "evolution", "online", "oracle", "online/oracle",
+                    "installs per", "installs evo", "installs online", "load evo",
+                    "load online", "max moves", "considered/candidates",
+                ],
+                adaptation::run(&cfg, &params.directory())
+                    .into_iter()
+                    .map(|s| {
+                        vec![
+                            s.scenario.clone(),
+                            f3(s.periodic.final_hit_ratio()),
+                            f3(s.evolution.final_hit_ratio()),
+                            f3(s.online.final_hit_ratio()),
+                            f3(s.oracle_final_hit_ratio),
+                            format!("{:.2}", s.online_vs_oracle()),
+                            s.periodic.installs.to_string(),
+                            s.evolution.installs.to_string(),
+                            s.online.installs.to_string(),
+                            s.evolution.install_entries.to_string(),
+                            s.online.install_entries.to_string(),
+                            s.online_max_moves.to_string(),
+                            format!("{}/{}", s.online_max_considered, s.online_candidates),
+                        ]
+                    })
+                    .collect(),
+            )
+        }
         other => {
             eprintln!("unknown experiment {other:?}; see --help");
             std::process::exit(2);

@@ -16,19 +16,15 @@ pub enum Scale {
     /// Large: 100k employees, 100k queries per day (minutes per figure);
     /// approaches the paper's half-million-entry directory in spirit.
     Large,
-    /// Extra-large: 2M employees — past the paper's directory and into
-    /// sharded-master territory. Minutes to generate; bench-only.
-    Xl,
 }
 
 impl Scale {
-    /// Parses `small` / `paper`.
+    /// Parses `small` / `paper` / `large`.
     pub fn parse(s: &str) -> Option<Scale> {
         match s {
             "small" => Some(Scale::Small),
-            "paper" | "default" => Some(Scale::Paper),
+            "paper" => Some(Scale::Paper),
             "large" => Some(Scale::Large),
-            "xl" => Some(Scale::Xl),
             _ => None,
         }
     }
@@ -97,16 +93,6 @@ impl Params {
                 updates_per_day: 6_000,
                 sync_every: 500,
             },
-            Scale::Xl => Params {
-                dir: DirectoryConfig::xl(),
-                day_queries: 200_000,
-                r_small: 6_000,
-                r_large: 10_000,
-                size_fractions: vec![0.02, 0.05, 0.1, 0.2, 0.3, 0.4],
-                filter_counts: vec![25, 50, 100, 200, 400, 800],
-                updates_per_day: 12_000,
-                sync_every: 500,
-            },
         }
     }
 
@@ -159,7 +145,10 @@ mod tests {
     fn scale_parsing() {
         assert_eq!(Scale::parse("small"), Some(Scale::Small));
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
-        assert_eq!(Scale::parse("huge"), None);
+        assert_eq!(Scale::parse("large"), Some(Scale::Large));
+        for unknown in ["xl", "default", "huge"] {
+            assert_eq!(Scale::parse(unknown), None);
+        }
     }
 
     #[test]

@@ -110,10 +110,7 @@ impl Shell {
     }
 
     fn parse_query(&self, rest: &str) -> Result<SearchRequest, String> {
-        let (filter_str, base) = match rest.split_once(char::is_whitespace) {
-            Some((f, b)) => (f, b.trim()),
-            None => (rest, ""),
-        };
+        let (filter_str, base) = split_filter(rest);
         let filter = Filter::parse(filter_str).map_err(|e| e.to_string())?;
         if base.is_empty() {
             Ok(SearchRequest::from_root(filter))
@@ -152,9 +149,10 @@ impl Shell {
     }
 
     fn cmd_sort(&mut self, rest: &str) -> String {
-        let Some((filter_str, attr)) = rest.split_once(char::is_whitespace) else {
+        let (filter_str, attr) = split_filter(rest);
+        if attr.is_empty() {
             return "usage: sort <filter> <attr>".to_owned();
-        };
+        }
         let filter = match Filter::parse(filter_str) {
             Ok(f) => f,
             Err(e) => return e.to_string(),
@@ -279,6 +277,24 @@ impl Shell {
     }
 }
 
+/// Splits `<filter> [argument]` after the filter's balanced closing
+/// parenthesis, so values may contain spaces (RFC 2254 escapes literal
+/// parentheses, so counting them is exact). Anything that does not
+/// start with `(` falls back to the first whitespace.
+fn split_filter(rest: &str) -> (&str, &str) {
+    let mut depth = 0usize;
+    for (i, c) in rest.char_indices() {
+        match c {
+            '(' => depth += 1,
+            ')' if depth <= 1 => return (&rest[..=i], rest[i + 1..].trim()),
+            ')' => depth -= 1,
+            c if depth == 0 && c.is_whitespace() => return (&rest[..i], rest[i..].trim()),
+            _ => {}
+        }
+    }
+    (rest, "")
+}
+
 fn plural(n: usize) -> &'static str {
     if n == 1 {
         "y"
@@ -329,6 +345,18 @@ mod tests {
         // Repeat of the miss now hits the cache.
         let o = out(&mut sh, "rsearch (serialNumber=999999)");
         assert!(o.contains("replica (hit)"), "{o}");
+        // A value with a space: the command splits after the filter's
+        // closing parenthesis, not at the first blank.
+        out(&mut sh, "update cn=emp000001,c=g0,o=xyz description hello world");
+        for cmd in
+            ["search (description=hello world)", "search (description=hello world) c=g0,o=xyz"]
+        {
+            let o = out(&mut sh, cmd);
+            assert!(o.contains("1 entry") && o.contains("cn=emp000001"), "{cmd}: {o}");
+        }
+        let o = out(&mut sh, "install (&(objectclass=*)(description=hello world))");
+        assert!(o.contains("1 entries loaded"), "{o}");
+        assert!(out(&mut sh, "sort (description=hello world) cn").contains("emp000001"));
         let o = out(&mut sh, "stats");
         assert!(o.contains("hit ratio"), "{o}");
         assert!(out(&mut sh, "filters").contains("serialNumber=1000"));

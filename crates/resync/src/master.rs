@@ -615,29 +615,15 @@ impl SyncMaster {
 
     /// The pre-index fan-out reference: identical semantics to
     /// [`SyncMaster::apply`], but every live session is evaluated against
-    /// every update, O(sessions) per op. Kept as the equivalence oracle
-    /// and the baseline the `master_fanout` benchmark measures against.
+    /// every update, O(sessions) per op. Kept as the equivalence oracle:
+    /// `tests/routing_equivalence.rs` pins the routed path's actions, and
+    /// the evaluations per update it saves, against this one.
     ///
     /// # Errors
     ///
     /// As [`SyncMaster::apply`].
     pub fn apply_naive(&mut self, op: UpdateOp) -> Result<ChangeRecord, DitError> {
         self.apply_inner(op, true)
-    }
-
-    /// Applies a batch of updates through the routed path, amortizing the
-    /// routing scratch buffer and index-hydration checks across the
-    /// batch. Stops at the first store error (earlier ops stay applied,
-    /// exactly as if issued through [`SyncMaster::apply`] one by one).
-    ///
-    /// # Errors
-    ///
-    /// The first [`DitError`] encountered, if any.
-    pub fn apply_batch(
-        &mut self,
-        ops: impl IntoIterator<Item = UpdateOp>,
-    ) -> Result<Vec<ChangeRecord>, DitError> {
-        ops.into_iter().map(|op| self.apply_inner(op, false)).collect()
     }
 
     /// Rebuilds derived in-memory state when it is out of date: the DN

@@ -195,40 +195,6 @@ impl ShardedMaster {
         self.shards[shard.index()].apply(op)
     }
 
-    /// Applies a batch: ops are partitioned by owning shard (preserving
-    /// per-shard order) and each shard applies its part as one batch.
-    /// Records come back in the original op order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`DitError`]; earlier shards' batches stay
-    /// applied (same per-op semantics as [`SyncMaster::apply_batch`]).
-    pub fn apply_batch(
-        &mut self,
-        ops: impl IntoIterator<Item = UpdateOp>,
-    ) -> Result<Vec<ChangeRecord>, DitError> {
-        let ops: Vec<UpdateOp> = ops.into_iter().collect();
-        let mut buckets: Vec<(Vec<usize>, Vec<UpdateOp>)> =
-            (0..self.shards.len()).map(|_| (Vec::new(), Vec::new())).collect();
-        for (i, op) in ops.into_iter().enumerate() {
-            let shard = self.map.shard_of(op.target());
-            buckets[shard.index()].0.push(i);
-            buckets[shard.index()].1.push(op);
-        }
-        let mut out: Vec<Option<ChangeRecord>> = Vec::new();
-        out.resize_with(buckets.iter().map(|(idx, _)| idx.len()).sum(), || None);
-        for (shard, (indices, part)) in buckets.into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            let records = self.shards[shard].apply_batch(part)?;
-            for (i, r) in indices.into_iter().zip(records) {
-                out[i] = Some(r);
-            }
-        }
-        Ok(out.into_iter().map(|r| r.expect("every op was routed")).collect())
-    }
-
     /// Answers a search by evaluating the per-shard splits and
     /// concatenating; results come back in hierarchical DN order.
     ///
@@ -679,22 +645,6 @@ mod tests {
         assert_eq!(m.shard(ShardId::new(0)).ops_applied(), 1);
         assert_eq!(m.shard(ShardId::new(1)).ops_applied(), 1);
         assert_eq!(m.ops_applied(), 2);
-    }
-
-    #[test]
-    fn batch_preserves_original_record_order() {
-        let mut m = sharded();
-        let records = m
-            .apply_batch(vec![
-                UpdateOp::Add(person("e1", "b", "7")),
-                UpdateOp::Add(person("e2", "a", "7")),
-                UpdateOp::Delete(dn("cn=e1,c=b,o=xyz")),
-            ])
-            .unwrap();
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[0].dn, dn("cn=e1,c=b,o=xyz"));
-        assert_eq!(records[1].dn, dn("cn=e2,c=a,o=xyz"));
-        assert_eq!(records[2].dn, dn("cn=e1,c=b,o=xyz"));
     }
 
     #[test]

@@ -185,6 +185,91 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// What routing saves: evaluations per update
+// ---------------------------------------------------------------------
+
+/// A replica fleet as sessions: `sessions` department slices plus two
+/// residual `(!(mail=*))` sessions; every update moves one person to the
+/// next department, so exactly two slices are affected. Applies the same
+/// stream routed and naive, checks every
+/// session drains the same actions, and returns `(routed ops that reached
+/// sessions through posting keys, routed ops that dragged in the residual
+/// scan-list, sessions evaluated by the routed path, sessions evaluated by
+/// the naive path)`, each per update.
+fn dept_move_evaluations(sessions: usize) -> [u64; 4] {
+    const PEOPLE: usize = 64;
+    const UPDATES: usize = 128;
+    let build = || {
+        let mut m = fresh_master();
+        for i in 0..PEOPLE {
+            let person = Entry::new(dn_of(i))
+                .with("objectclass", "person")
+                .with("dept", &(i % sessions).to_string())
+                .with("mail", &format!("u{i}@xyz.com"));
+            m.dit_mut().add(person).expect("person");
+        }
+        let mut cookies = Vec::new();
+        let filters = (0..sessions)
+            .map(|s| format!("(dept={s})"))
+            .chain(["(!(mail=*))".to_owned(), "(!(mail=*))".to_owned()]);
+        for f in filters {
+            let req = SearchRequest::new(
+                "o=xyz".parse().expect("valid dn"),
+                Scope::Subtree,
+                Filter::parse(&f).expect("valid filter"),
+            );
+            let cookie = m.resync(&req, ReSyncControl::poll(None)).expect("install").cookie;
+            cookies.push((req, cookie.expect("cookie")));
+        }
+        (m, cookies)
+    };
+    let (mut routed, routed_sessions) = build();
+    let (mut naive, naive_sessions) = build();
+    let obs = fbdr_obs::Obs::new();
+    routed.set_obs(obs.clone());
+    for k in 0..UPDATES {
+        let (i, pass) = (k % PEOPLE, k / PEOPLE + 1);
+        let op = UpdateOp::Modify {
+            dn: dn_of(i),
+            mods: vec![Modification::Replace(
+                "dept".into(),
+                vec![((i + pass) % sessions).to_string().into()],
+            )],
+        };
+        routed.apply(op.clone()).expect("routed");
+        naive.apply_naive(op).expect("naive");
+    }
+    for ((req, rc), (_, nc)) in routed_sessions.iter().zip(&naive_sessions) {
+        let r = routed.resync(req, ReSyncControl::poll(Some(*rc))).expect("routed drain");
+        let n = naive.resync(req, ReSyncControl::poll(Some(*nc))).expect("naive drain");
+        assert_eq!(r.actions, n.actions, "drained actions diverge for {req}");
+    }
+    let reg = obs.registry();
+    let per_update = |n: u64| {
+        assert_eq!(n % UPDATES as u64, 0);
+        n / UPDATES as u64
+    };
+    [
+        per_update(reg.counter("fbdr_resync_route_indexed_total").get()),
+        per_update(reg.counter("fbdr_resync_route_scan_total").get()),
+        per_update(reg.histogram("fbdr_resync_route_candidates").snapshot().sum),
+        // The naive path evaluates every live session, by construction.
+        naive.session_count() as u64,
+    ]
+}
+
+#[test]
+fn evaluations_per_update_follow_affected_sessions_not_registered_ones() {
+    let (few, many) = (dept_move_evaluations(8), dept_move_evaluations(96));
+    println!("[indexed, scan, routed evaluations, naive evaluations] per update: {few:?} at 8 sessions, {many:?} at 96");
+    // Departure + arrival, plus the two residual sessions every update
+    // under their base must be shown to.
+    assert_eq!(few[..3], [1, 1, 2 + 2]);
+    assert_eq!(few[..3], many[..3], "routed work depends on the number of sessions");
+    assert_eq!([few[3], many[3]], [8 + 2, 96 + 2]);
+}
+
+// ---------------------------------------------------------------------
 // Routing-index maintenance across the session lifecycle
 // ---------------------------------------------------------------------
 

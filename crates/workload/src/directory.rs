@@ -61,23 +61,6 @@ impl DirectoryConfig {
             ..DirectoryConfig::default()
         }
     }
-
-    /// Extra-large: two million employees (2M+ entries with containers),
-    /// past the paper's half-million directory and into the range where a
-    /// single master becomes the bottleneck — the scale the sharded
-    /// master targets. Generation takes minutes and several GB; use only
-    /// from explicitly opted-in bench runs.
-    pub fn xl() -> Self {
-        DirectoryConfig {
-            employees: 2_000_000,
-            countries: 64,
-            geography_countries: 6,
-            divisions: 30,
-            depts_per_division: 60,
-            locations: 500,
-            ..DirectoryConfig::default()
-        }
-    }
 }
 
 /// Metadata about one generated employee (for workload generation).

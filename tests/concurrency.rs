@@ -8,9 +8,13 @@ use fbdr::dit::{DitStore, NamingContext};
 use fbdr::net::Network;
 use fbdr::prelude::*;
 use fbdr_faults::{FaultPlan, FaultyLink, SimClock};
-use fbdr_resync::{RetryConfig, SyncDriver};
+use fbdr_resync::{
+    Cookie, NotifyBatch, ReSyncControl, RetryConfig, SyncDriver, SyncError, SyncResponse,
+    SyncTransport, SystemClock,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 #[test]
 fn send_sync_markers() {
@@ -229,6 +233,89 @@ fn readers_see_consistent_epochs_under_faulty_sync() {
     }
     // The readers actually raced the writer.
     assert!(replica.stats().queries > 0);
+}
+
+/// A transport whose poll leg parks until released: the caller is held
+/// mid-cycle, writer lock taken, for as long as the test wants.
+struct ParkedLink {
+    master: SyncMaster,
+    parked: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+}
+
+impl SyncTransport for ParkedLink {
+    fn resync(
+        &mut self,
+        request: &SearchRequest,
+        ctl: ReSyncControl,
+    ) -> Result<SyncResponse, SyncError> {
+        self.parked.send(()).expect("test is listening");
+        self.release.recv().expect("test releases the writer");
+        self.master.resync(request, ctl)
+    }
+    fn take_receiver(
+        &mut self,
+        cookie: Cookie,
+    ) -> Option<crossbeam::channel::Receiver<NotifyBatch>> {
+        self.master.take_receiver(cookie)
+    }
+    fn abandon(&mut self, cookie: Cookie) {
+        self.master.abandon(cookie);
+    }
+}
+
+/// Readers never serialize behind the writer, as one deterministic
+/// schedule: a sync cycle is parked inside its transport leg (writer lock
+/// held, next epoch not yet published) and `try_answer` on another thread
+/// still returns, from the pre-cycle epoch. A read path that takes the
+/// writer lock blocks until the release and trips the timeout. (How
+/// reads *scale* with readers is wall-clock: `benchmark/`.)
+#[test]
+fn a_writer_parked_mid_cycle_does_not_block_readers() {
+    let mut master = SyncMaster::new();
+    master.dit_mut().add_suffix("o=xyz".parse().expect("dn"));
+    master.dit_mut().add(Entry::new("o=xyz".parse().expect("dn"))).expect("add");
+    let person = "cn=p,o=xyz".parse::<Dn>().expect("dn");
+    master
+        .dit_mut()
+        .add(Entry::new(person.clone()).with("objectclass", "person").with("ver", "v0"))
+        .expect("add");
+    let query = SearchRequest::from_root(Filter::parse("(objectclass=person)").expect("ok"));
+    let replica = FilterReplica::new(0);
+    replica.install_filter(&mut master, query.clone()).expect("install");
+    master
+        .apply(UpdateOp::Modify {
+            dn: person,
+            mods: vec![Modification::Replace("ver".into(), vec!["v1".into()])],
+        })
+        .expect("apply");
+    let ver = |answer: Option<Vec<Entry>>| {
+        let entries = answer.expect("the stored filter answers its own query");
+        entries[0].first_value(&"ver".into()).expect("ver").raw().to_owned()
+    };
+
+    let epoch = replica.epoch();
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let mut link = ParkedLink { master, parked: parked_tx, release: release_rx };
+    let mut driver: SyncDriver<SystemClock> = SyncDriver::default();
+    std::thread::scope(|s| {
+        let (replica, query) = (&replica, &query);
+        let writer = s.spawn(|| replica.sync_with(&mut link, &mut driver));
+        parked.recv_timeout(Duration::from_secs(10)).expect("the cycle reaches its poll leg");
+        // The read runs on its own thread so that a serialized read path
+        // fails the test instead of hanging it.
+        let (answered_tx, answered) = mpsc::channel();
+        s.spawn(move || answered_tx.send((replica.try_answer(query), replica.epoch())));
+        let seen = answered.recv_timeout(Duration::from_secs(5));
+        release.send(()).expect("writer is parked");
+        let (answer, seen_epoch) = seen.expect("try_answer waited for the parked writer");
+        assert_eq!(seen_epoch, epoch, "nothing is published mid-cycle");
+        assert_eq!(ver(answer), "v0", "the pre-cycle epoch's answer");
+        writer.join().expect("no panic").expect("clean cycle");
+    });
+    assert_eq!(replica.epoch(), epoch + 1);
+    assert_eq!(ver(replica.try_answer(&query)), "v1");
 }
 
 /// The metrics registry uses `Relaxed` atomics throughout — cheap on the

@@ -101,3 +101,44 @@ fn an_unindexable_query_checks_every_filter_and_decides_the_same() {
     assert_eq!(hits[25], 2);
     assert_eq!(hits.iter().sum::<u64>(), 2);
 }
+
+/// Verifying an answer costs the entries the query's *plan* selects, not
+/// the entries the containing filter holds (DESIGN §9) — a count, so it
+/// is gated here and not timed. Candidates evaluated for a point query and
+/// for a no-initial substring, at `held` entries under each of a prefix
+/// and a presence filter.
+fn plan_candidates(held: usize) -> [u64; 2] {
+    let mut master = SyncMaster::new();
+    master.dit_mut().add_suffix(dn("o=xyz"));
+    master.dit_mut().add(Entry::new(dn("o=xyz"))).expect("suffix entry");
+    for i in 0..held {
+        let person = Entry::new(dn(&format!("cn=p{i},o=xyz")))
+            .with("objectclass", "inetOrgPerson")
+            .with("serialNumber", &format!("{}", 100_000 + i));
+        master.dit_mut().add(person).expect("person");
+    }
+    let obs = Obs::new();
+    let replica = FilterReplica::with_obs(0, obs.clone());
+    for f in ["(serialNumber=1*)", "(serialNumber=*)"] {
+        replica.install_filter(&mut master, query(f)).expect("install");
+    }
+    assert_eq!(replica.entry_count(), held);
+    let candidates = obs.registry().histogram("fbdr_replica_plan_candidates");
+    [query("(serialNumber=100042)"), query("(serialNumber=*42)")].map(|q| {
+        let before = candidates.snapshot();
+        assert!(replica.try_answer(&q).is_some_and(|entries| !entries.is_empty()), "{q}");
+        let after = candidates.snapshot();
+        assert_eq!(after.count - before.count, 1, "one evaluation per answer");
+        after.sum - before.sum
+    })
+}
+
+#[test]
+fn a_point_query_verifies_one_candidate_however_many_entries_are_held() {
+    let (small, large) = (plan_candidates(300), plan_candidates(3_000));
+    println!("plan candidates [point, substring]: {small:?} at 300 entries, {large:?} at 3000");
+    assert_eq!([small[0], large[0]], [1, 1], "an equality plan is the one matching entry");
+    // A substring with no initial gives the planner nothing to bound:
+    // evaluation degrades to the containing filter's posting list.
+    assert_eq!([small[1], large[1]], [300, 3_000]);
+}

@@ -11,6 +11,10 @@
 //! arbitrary interleavings of updates and polls (including a session
 //! that goes silent through the churn and resumes right at the
 //! watermark) and asserts byte-for-byte equal responses throughout.
+//!
+//! The same harness carries the collector's reason to exist: over one
+//! fixed churn run with a dead session, the collecting twin's
+//! deterministic footprint stays flat while the other's only grows.
 
 use fbdr_ldap::{Entry, Filter, SearchRequest};
 use fbdr_resync::{Cookie, GcConfig, ReSyncControl, SyncMaster};
@@ -54,7 +58,8 @@ fn build_master() -> SyncMaster {
 /// Twin masters driven in lockstep: every mutation and every poll hits
 /// both; every response pair must match.
 struct Twins {
-    /// Collects after every single op, with a tiny stash cap.
+    /// Collects: in the proptest after every single op, with a tiny
+    /// stash cap.
     gc: SyncMaster,
     /// Never collects anything.
     raw: SyncMaster,
@@ -64,16 +69,18 @@ struct Twins {
 
 impl Twins {
     fn new(sessions: usize) -> Self {
+        Twins::with_gc(
+            sessions,
+            GcConfig { session_deadline_ms: None, stash_max_items: 8, every_ops: Some(1) },
+        )
+    }
+
+    fn with_gc(sessions: usize, config: GcConfig) -> Self {
         let mut gc = build_master();
-        gc.set_gc_config(GcConfig {
-            session_deadline_ms: None,
-            stash_max_items: 8,
-            every_ops: Some(1),
-        });
-        let raw = build_master();
+        gc.set_gc_config(config);
         // `GcConfig::disabled()` is the default for a master nobody
         // configures, but spell it out: this arm must never reclaim.
-        let mut raw = raw;
+        let mut raw = build_master();
         raw.set_gc_config(GcConfig::disabled());
         Twins { gc, raw, cookies: vec![None; sessions] }
     }
@@ -170,4 +177,64 @@ proptest! {
         prop_assert!(g.table_capacity <= r.table_capacity);
         prop_assert!(g.table_live <= r.table_live);
     }
+}
+
+/// Bounded memory, on the twin harness: a fixed churn run — base entries toggling across the filter boundary, a
+/// rolling window of fresh in-filter DNs added and deleted `WINDOW` steps
+/// later, two sessions polling on a cadence and one that installs and
+/// never returns. The collecting twin evicts the dead session at its
+/// deadline and its footprint high-water stays within 1.10x of the
+/// post-warm-up segment; the other twin, pinned by the dead session,
+/// grows monotonically. Byte accounting is the master's own
+/// (`MasterFootprint`), so the numbers are exact for the run. Every poll
+/// along the way is still compared across the twins.
+#[test]
+fn collected_footprint_stays_flat_while_the_uncollected_twin_grows() {
+    const STEPS: usize = 2_400;
+    const WINDOW: usize = 32;
+    const SEGMENTS: usize = 6;
+    let mut twins = Twins::with_gc(
+        3,
+        GcConfig { session_deadline_ms: Some(200), every_ops: Some(32), ..GcConfig::default() },
+    );
+    for s in 0..3 {
+        twins.poll(s, false).unwrap(); // session 2 is never heard from again
+    }
+    let mut high_water = [[0usize; SEGMENTS]; 2];
+    for step in 0..STEPS {
+        let i = step * 7 % ENTRIES;
+        twins.apply(fbdr_dit::UpdateOp::Modify {
+            dn: dn(i),
+            mods: vec![fbdr_dit::Modification::Replace(
+                "serialNumber".into(),
+                vec![serial(step / ENTRIES % 2 == 0, i).into()],
+            )],
+        });
+        let fresh = ENTRIES + step;
+        twins.apply(fbdr_dit::UpdateOp::Add(entry(fresh, &serial(true, fresh))));
+        if step >= WINDOW {
+            twins.apply(fbdr_dit::UpdateOp::Delete(dn(fresh - WINDOW)));
+        }
+        // One simulated millisecond per step; only the collecting twin
+        // has a deadline wired to the clock.
+        twins.gc.advance_to(step as u64 + 1);
+        twins.raw.advance_to(step as u64 + 1);
+        if step % 8 == 0 {
+            twins.poll(step / 8 % 2, step % 56 == 0).unwrap();
+        }
+        let segment = step * SEGMENTS / STEPS;
+        for (arm, master) in [&twins.gc, &twins.raw].into_iter().enumerate() {
+            let bytes = master.memory_footprint().total_bytes();
+            high_water[arm][segment] = high_water[arm][segment].max(bytes);
+        }
+    }
+    let [gc, raw] = high_water;
+    println!("footprint high-water per segment: collected {gc:?}, uncollected {raw:?}");
+    // Segment 0 is warm-up: the window is still filling.
+    let (baseline, peak) = (gc[1], *gc[2..].iter().max().unwrap());
+    assert!(peak * 100 <= baseline * 110, "collected footprint crept: {gc:?}");
+    assert!(raw.windows(2).all(|w| w[1] >= w[0]), "uncollected footprint shrank: {raw:?}");
+    assert!(raw[SEGMENTS - 1] * 2 > raw[0] * 3, "the run generates no garbage worth collecting");
+    assert_eq!(twins.gc.session_count(), 2, "the deadline evicts the dead session");
+    assert_eq!(twins.raw.session_count(), 3);
 }
