@@ -228,28 +228,6 @@ fn bench_posting(c: &mut Criterion) {
     g.finish();
 }
 
-/// The containment decision cache: a repeated point query answered with
-/// the memoized decision (warm) versus paying the full containment loop
-/// every time (cold — the cache is cleared each iteration).
-fn bench_decision_cache(c: &mut Criterion) {
-    let mut g = c.benchmark_group("decision_cache");
-    let mut m = small_master(5_000);
-    let r = FilterReplica::new(0);
-    for i in 0..200 {
-        let f = Filter::parse(&format!("(serialNumber={:05}*)", 10_000 + i)).expect("ok");
-        r.install_filter(&mut m, SearchRequest::from_root(f)).expect("install");
-    }
-    let hit = SearchRequest::from_root(Filter::parse("(serialNumber=100150)").expect("ok"));
-    g.bench_function("warm_hit_200_filters", |b| b.iter(|| r.try_answer(black_box(&hit))));
-    g.bench_function("cold_hit_200_filters", |b| {
-        b.iter(|| {
-            r.clear_decision_cache();
-            r.try_answer(black_box(&hit))
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_parse,
@@ -264,6 +242,5 @@ criterion_group!(
     bench_sort,
     bench_simplify,
     bench_posting,
-    bench_decision_cache,
 );
 criterion_main!(benches);

@@ -35,7 +35,7 @@ use fbdr_core::experiment::{replay_filter, select_static_filters, ReplayConfig};
 use fbdr_core::{Replicator, ServedBy};
 use fbdr_obs::Obs;
 use fbdr_replica::FilterReplica;
-use fbdr_resync::{SyncDriver, SyncMaster, SystemClock};
+use fbdr_resync::{ShardCoordinator, ShardedMaster, SyncMaster};
 use fbdr_selection::generalize::{Generalizer, ValuePrefix, WidenToPresence};
 use fbdr_selection::{
     EvolutionSelector, FilterSelector, OnlineConfig, OnlineSelector, SelectorConfig,
@@ -197,10 +197,14 @@ fn drive_replicator(
 }
 
 /// Replays the schedule against the evolution/revolution baseline.
-fn drive_evolution(master: &mut SyncMaster, scenario: &Scenario, cfg: &AdaptConfig) -> ArmOutcome {
+fn drive_evolution(
+    master: &mut ShardedMaster,
+    scenario: &Scenario,
+    cfg: &AdaptConfig,
+) -> ArmOutcome {
     let final_start = scenario.final_phase_first_query() as u64;
-    let mut replica = FilterReplica::new(0);
-    let mut driver: SyncDriver<SystemClock> = SyncDriver::default();
+    let replica = FilterReplica::new(0);
+    let mut coordinator = ShardCoordinator::new(master.map().clone());
     let mut selector = EvolutionSelector::new(gens(), cfg.entry_budget, 0.95, 0.5);
     let mut out = ArmOutcome::default();
     let mut queries = 0u64;
@@ -212,9 +216,9 @@ fn drive_evolution(master: &mut SyncMaster, scenario: &Scenario, cfg: &AdaptConf
                 queries += 1;
                 // The baseline's defining property: selection runs on
                 // every query, not on a budgeted cadence.
-                let _ = selector.observe(&tq.request, master, &mut replica);
+                let _ = selector.observe(&tq.request, master, &mut coordinator, &replica);
                 if cfg.sync_every > 0 && queries % cfg.sync_every as u64 == 0 {
-                    let _ = replica.sync_with(master, &mut driver);
+                    let _ = replica.sync_with_sharded(master, &mut coordinator);
                 }
             }
             WorkloadEvent::Update(op) => {
@@ -222,7 +226,7 @@ fn drive_evolution(master: &mut SyncMaster, scenario: &Scenario, cfg: &AdaptConf
             }
         }
     }
-    let _ = replica.sync_with(master, &mut driver);
+    let _ = replica.sync_with_sharded(master, &mut coordinator);
     let rep = selector.report();
     out.installs = rep.installs;
     out.install_entries = rep.traffic.full_entries;
@@ -283,7 +287,7 @@ pub fn run(cfg: &AdaptConfig, dir: &EnterpriseDirectory) -> Vec<ScenarioOutcome>
         periodic.installs = periodic_obs.registry().counter("fbdr_selection_installed_total").get();
 
         // Evolution baseline.
-        let mut evo_master = SyncMaster::with_dit(dir.dit().clone());
+        let mut evo_master = ShardedMaster::from(SyncMaster::with_dit(dir.dit().clone()));
         let evolution = drive_evolution(&mut evo_master, &scenario, cfg);
 
         // Budgeted online revolution.

@@ -1,22 +1,20 @@
-//! The `ldapsim` interactive sandbox: a master directory plus a
-//! filter-based replica, driven by simple text commands.
+//! The `ldapsim` interactive sandbox: a [`Replicator`] — a master
+//! directory plus a filter-based replica — driven by simple text commands.
 //!
 //! The command interpreter lives here (testable); the `ldapsim` binary is
 //! a thin stdin loop around [`Shell::run_command`].
 
-use fbdr_dit::{Modification, UpdateOp};
+use fbdr_core::{Replicator, ServedBy};
+use fbdr_dit::{DitStore, Modification, UpdateOp};
 use fbdr_ldap::{Filter, SearchRequest, SortKey};
-use fbdr_replica::FilterReplica;
-use fbdr_resync::SyncMaster;
+use fbdr_resync::{ShardId, SyncMaster};
 use fbdr_workload::{DirectoryConfig, EnterpriseDirectory};
 use std::fmt::Write as _;
 
 /// Interactive sandbox state: one master, one filter replica.
 #[derive(Debug)]
 pub struct Shell {
-    master: SyncMaster,
-    replica: FilterReplica,
-    wan_queries: u64,
+    repl: Replicator,
 }
 
 /// Outcome of one command.
@@ -37,7 +35,17 @@ impl Default for Shell {
 impl Shell {
     /// Creates an empty sandbox (empty master, 100-query cache).
     pub fn new() -> Self {
-        Shell { master: SyncMaster::new(), replica: FilterReplica::new(100), wan_queries: 0 }
+        Shell::over(SyncMaster::new())
+    }
+
+    /// A fresh replica (100-query cache) over `master`.
+    fn over(master: SyncMaster) -> Self {
+        Shell { repl: Replicator::new(master, 100) }
+    }
+
+    /// The master's store: the sandbox is the one-shard deployment.
+    fn dit(&self) -> &DitStore {
+        self.repl.master().shard(ShardId::ZERO).dit()
     }
 
     /// Executes one command line.
@@ -79,9 +87,7 @@ impl Shell {
         });
         let (dit, _) = dir.into_parts();
         let entries = dit.len();
-        self.master = SyncMaster::with_dit(dit);
-        self.replica = FilterReplica::new(100);
-        self.wan_queries = 0;
+        *self = Shell::over(SyncMaster::with_dit(dit));
         format!("generated enterprise directory: {entries} entries ({employees} employees)")
     }
 
@@ -89,22 +95,30 @@ impl Shell {
         if path.is_empty() {
             return "usage: import <file.ldif>".to_owned();
         }
-        match std::fs::read_to_string(path) {
-            Ok(text) => match self.master.dit_mut().import_ldif(&text) {
-                Ok(n) => format!("imported {n} entries from {path}"),
-                Err(e) => format!("import failed: {e}"),
-            },
-            Err(e) => format!("cannot read {path}: {e}"),
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) => return format!("cannot read {path}: {e}"),
+        };
+        // Loading behind the sessions' backs would leave stored filters
+        // wrong for good, so an import starts the replica over, as `gen`
+        // does; a failed one leaves the sandbox as it was.
+        let mut dit = self.dit().clone();
+        match dit.import_ldif(&text) {
+            Ok(n) => {
+                *self = Shell::over(SyncMaster::with_dit(dit));
+                format!("imported {n} entries from {path}")
+            }
+            Err(e) => format!("import failed: {e}"),
         }
     }
 
     fn cmd_export(&mut self, path: &str) -> String {
-        let text = self.master.dit().export_ldif(None);
+        let text = self.dit().export_ldif(None);
         if path.is_empty() {
             return text;
         }
         match std::fs::write(path, &text) {
-            Ok(()) => format!("exported {} entries to {path}", self.master.dit().len()),
+            Ok(()) => format!("exported {} entries to {path}", self.dit().len()),
             Err(e) => format!("cannot write {path}: {e}"),
         }
     }
@@ -126,17 +140,12 @@ impl Shell {
             Err(e) => return e,
         };
         let (entries, served) = if via_replica {
-            match self.replica.try_answer(&req) {
-                Some(es) => (es, "replica (hit)"),
-                None => {
-                    self.wan_queries += 1;
-                    let es = self.master.dit().search(&req);
-                    self.replica.cache_query(req.clone(), &es);
-                    (es, "master (miss, result cached)")
-                }
+            match self.repl.search(&req) {
+                (es, ServedBy::Replica) => (es, "replica (hit)"),
+                (es, ServedBy::Master) => (es, "master (miss, result cached)"),
             }
         } else {
-            (self.master.dit().search(&req), "master")
+            (self.repl.master().search(&req), "master")
         };
         let mut out = format!("{} entr{} from {served}\n", entries.len(), plural(entries.len()));
         for e in entries.iter().take(20) {
@@ -158,10 +167,7 @@ impl Shell {
             Err(e) => return e.to_string(),
         };
         let req = SearchRequest::from_root(filter);
-        let entries = self
-            .master
-            .dit()
-            .search_sorted(&req, &[SortKey::ascending(attr.trim())]);
+        let entries = self.dit().search_sorted(&req, &[SortKey::ascending(attr.trim())]);
         let mut out = format!("{} entr{} sorted by {attr}\n", entries.len(), plural(entries.len()));
         for e in entries.iter().take(20) {
             let v = e
@@ -178,7 +184,7 @@ impl Shell {
             Ok(r) => r,
             Err(e) => return e,
         };
-        match self.replica.install_filter(&mut self.master, req) {
+        match self.repl.install_filter(req) {
             Ok(t) => format!("installed; {} entries loaded", t.full_entries),
             Err(e) => format!("install failed: {e}"),
         }
@@ -189,7 +195,7 @@ impl Shell {
             Ok(r) => r,
             Err(e) => return e,
         };
-        if self.replica.remove_filter(&mut self.master, &req) {
+        if self.repl.remove_filter(&req) {
             "filter removed".to_owned()
         } else {
             "no such stored filter".to_owned()
@@ -199,7 +205,7 @@ impl Shell {
     fn cmd_filters(&mut self) -> String {
         let mut out = String::new();
         let mut n = 0;
-        for (req, hits) in self.replica.filters() {
+        for (req, hits) in self.repl.replica().filters() {
             let _ = writeln!(out, "  {hits:>6} hits  {}", req.filter());
             n += 1;
         }
@@ -218,7 +224,7 @@ impl Shell {
             Ok(d) => d,
             Err(e) => return format!("{e}"),
         };
-        match self.master.apply(UpdateOp::Modify {
+        match self.repl.apply_update(UpdateOp::Modify {
             dn,
             mods: vec![Modification::Replace((*attr).into(), vec![(*value).into()])],
         }) {
@@ -232,14 +238,14 @@ impl Shell {
             Ok(d) => d,
             Err(e) => return format!("{e}"),
         };
-        match self.master.apply(UpdateOp::Delete(dn)) {
+        match self.repl.apply_update(UpdateOp::Delete(dn)) {
             Ok(rec) => format!("deleted ({})", rec.csn),
             Err(e) => format!("delete failed: {e}"),
         }
     }
 
     fn cmd_sync(&mut self) -> String {
-        match self.replica.sync(&mut self.master) {
+        match self.repl.sync() {
             Ok(t) => format!(
                 "synced: {} full entries, {} DN-only PDUs, {} bytes",
                 t.full_entries, t.dn_only, t.bytes
@@ -249,25 +255,26 @@ impl Shell {
     }
 
     fn cmd_stats(&mut self) -> String {
-        let s = self.replica.stats();
-        let e = self.replica.engine_stats();
+        let replica = self.repl.replica();
+        let s = replica.stats();
+        let e = replica.engine_stats();
         format!(
             "master: {} entries, csn {}\n\
              replica: {} entries, {} filters, {} cached queries\n\
              queries: {} total, {} hits ({} generalized, {} cached), hit ratio {:.3}\n\
              wan queries forwarded: {}\n\
              containment checks: {} ({} same-template, {} compiled, {} skipped, {} general)",
-            self.master.dit().len(),
-            self.master.dit().csn(),
-            self.replica.entry_count(),
-            self.replica.filter_count(),
-            self.replica.cached_query_count(),
+            self.dit().len(),
+            self.dit().csn(),
+            replica.entry_count(),
+            replica.filter_count(),
+            replica.cached_query_count(),
             s.queries,
             s.hits,
             s.generalized_hits,
             s.cache_hits,
             s.hit_ratio(),
-            self.wan_queries,
+            self.repl.report().wan_queries,
             e.total(),
             e.same_template,
             e.compiled,
@@ -306,7 +313,7 @@ fn plural(n: usize) -> &'static str {
 const HELP: &str = "\
 commands:
   gen [employees]          generate a synthetic enterprise directory
-  import <file.ldif>       load LDIF into the master
+  import <file.ldif>       load LDIF into the master (the replica starts over)
   export [file.ldif]       dump the master as LDIF (stdout if no file)
   search <filter> [base]   search the master directly
   rsearch <filter> [base]  query via the replica (miss -> master + cache)

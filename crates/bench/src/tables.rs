@@ -257,6 +257,7 @@ pub struct SelectionAblationRow {
 pub fn selection_ablation(params: &Params) -> Vec<SelectionAblationRow> {
     use fbdr_core::experiment::{replay_filter, ReplayConfig as RC};
     use fbdr_replica::FilterReplica;
+    use fbdr_resync::{ShardCoordinator, ShardedMaster};
     use fbdr_selection::generalize::{Identity, WidenToPresence};
     use fbdr_selection::EvolutionSelector;
 
@@ -295,8 +296,9 @@ pub fn selection_ablation(params: &Params) -> Vec<SelectionAblationRow> {
 
     // Per-query evolutions ([12]).
     {
-        let mut master = SyncMaster::with_dit(dir.dit().clone());
-        let mut replica = FilterReplica::new(0);
+        let mut master = ShardedMaster::from(SyncMaster::with_dit(dir.dit().clone()));
+        let mut coordinator = ShardCoordinator::new(master.map().clone());
+        let replica = FilterReplica::new(0);
         let mut evo = EvolutionSelector::new(
             vec![Box::new(WidenToPresence::new("dept")), Box::new(Identity::new())],
             budget.max(1),
@@ -304,12 +306,12 @@ pub fn selection_ablation(params: &Params) -> Vec<SelectionAblationRow> {
             0.5,
         );
         for tq in &dept_day1 {
-            let _ = evo.observe(&tq.request, &mut master, &mut replica);
+            let _ = evo.observe(&tq.request, &mut master, &mut coordinator, &replica);
             let _ = replica.try_answer(&tq.request);
         }
         replica.reset_stats();
         for tq in &dept_day2 {
-            let _ = evo.observe(&tq.request, &mut master, &mut replica);
+            let _ = evo.observe(&tq.request, &mut master, &mut coordinator, &replica);
             let _ = replica.try_answer(&tq.request);
         }
         let rep = evo.report();

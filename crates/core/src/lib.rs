@@ -6,8 +6,11 @@
 //!   in replicated content and forwarded to the master otherwise
 //!   (optionally caching the result for temporal locality). Periodic
 //!   [`Replicator::sync`] keeps replicated filters consistent via ReSync,
-//!   and an optional `FilterSelector` adapts the stored filter set to
-//!   the access pattern.
+//!   and an optional `FilterSelector` or `OnlineSelector` adapts the
+//!   stored filter set to the access pattern. The master is a
+//!   `ShardedMaster` — the directory on one or several master shards; a
+//!   plain `SyncMaster` converts into the one-shard case — and there is no
+//!   second façade for the sharded deployment.
 //! * [`experiment`] — the trace-replay engine regenerating the paper's
 //!   figures: hit-ratio vs replica size, update traffic vs hit ratio, hit
 //!   ratio vs number of stored filters.
@@ -45,4 +48,4 @@ pub mod experiment;
 
 mod replicator;
 
-pub use replicator::{Replicator, ReplicatorReport, ServedBy, ShardedReplicator};
+pub use replicator::{Replicator, ReplicatorReport, ServedBy};

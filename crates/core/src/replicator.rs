@@ -1,12 +1,12 @@
-//! The `Replicator` façade: master + filter replica + optional dynamic
-//! selection behind one query interface.
+//! The `Replicator` façade: master deployment + filter replica + optional
+//! dynamic selection behind one query interface.
 
 use fbdr_dit::{ChangeRecord, DitError, UpdateOp};
 use fbdr_ldap::{Entry, SearchRequest};
 use fbdr_replica::{FilterReplica, ReplicaStats};
 use fbdr_resync::{
     DriverStats, NotifyFlush, NotifyPolicy, ReconcileConfig, RetryConfig, ShardCoordinator,
-    ShardId, ShardedMaster, SyncDriver, SyncError, SyncMaster, SyncTraffic, SystemClock,
+    ShardId, ShardedMaster, SyncError, SyncTraffic,
 };
 use fbdr_selection::{FilterSelector, OnlineReport, OnlineSelector};
 use serde::{Deserialize, Serialize};
@@ -47,16 +47,22 @@ pub struct ReplicatorReport {
     pub driver: DriverStats,
 }
 
-/// A remote filter-based replica bound to its master directory.
+/// A remote filter-based replica bound to its master deployment.
 ///
-/// Owns the [`SyncMaster`] (the simulated wide-area master) and a
-/// [`FilterReplica`]; optionally a [`FilterSelector`] observes the query
-/// stream and periodically *revolves* the stored filter set (§6.2).
+/// The master is a [`ShardedMaster`] — the directory partitioned across
+/// master shards by naming context, the simulated wide-area side — and an
+/// unsharded [`SyncMaster`](fbdr_resync::SyncMaster) converts into its
+/// one-shard case. Every stored filter holds one ReSync session per shard
+/// it overlaps, driven by the replicator's [`ShardCoordinator`]; a sync
+/// cycle degrades per shard — a partitioned shard leaves that shard's
+/// slice stale while the others keep delivering updates. Optionally a
+/// [`FilterSelector`] or an [`OnlineSelector`] observes the query stream
+/// and *revolves* the stored filter set (§6.2).
 #[derive(Debug)]
 pub struct Replicator {
-    master: SyncMaster,
+    master: ShardedMaster,
     replica: FilterReplica,
-    driver: SyncDriver<SystemClock>,
+    coordinator: ShardCoordinator,
     selector: Option<FilterSelector>,
     online: Option<OnlineSelector>,
     cache_misses: bool,
@@ -65,12 +71,15 @@ pub struct Replicator {
 
 impl Replicator {
     /// Creates a replicator; `cache_window` recent user queries are cached
-    /// (0 disables caching).
-    pub fn new(master: SyncMaster, cache_window: usize) -> Self {
+    /// (0 disables caching). The coordinator takes its shard map from the
+    /// master.
+    pub fn new(master: impl Into<ShardedMaster>, cache_window: usize) -> Self {
+        let master = master.into();
+        let coordinator = ShardCoordinator::new(master.map().clone());
         Replicator {
             master,
             replica: FilterReplica::new(cache_window),
-            driver: SyncDriver::default(),
+            coordinator,
             selector: None,
             online: None,
             cache_misses: cache_window > 0,
@@ -93,177 +102,6 @@ impl Replicator {
         self
     }
 
-    /// Overrides the sync driver's retry policy.
-    pub fn with_retry_config(mut self, config: RetryConfig) -> Self {
-        self.driver = SyncDriver::new(config);
-        self
-    }
-
-    /// Sets the master's persist-mode notification policy: how many raw
-    /// updates are batched per session wakeup and how long they may wait
-    /// ([`NotifyPolicy::coalescing`] vs the per-update default).
-    pub fn with_notify_policy(mut self, policy: NotifyPolicy) -> Self {
-        self.master.set_notify_policy(policy);
-        self
-    }
-
-    /// Advances the master's notification clock — drive this from the
-    /// deployment loop so coalescing max-delay deadlines can expire.
-    pub fn advance_to(&mut self, now_ms: u64) {
-        self.master.advance_to(now_ms);
-    }
-
-    /// Flushes due (or, with `force`, all) coalesced persist-mode
-    /// batches; returns one [`NotifyFlush`] per session wakeup.
-    pub fn flush_notifications(&mut self, force: bool) -> Vec<NotifyFlush> {
-        self.master.flush_notifications(force)
-    }
-
-    /// Read access to the master.
-    pub fn master(&self) -> &SyncMaster {
-        &self.master
-    }
-
-    /// Read access to the replica.
-    pub fn replica(&self) -> &FilterReplica {
-        &self.replica
-    }
-
-    /// Traffic report.
-    pub fn report(&self) -> ReplicatorReport {
-        self.report
-    }
-
-    /// Replica hit statistics.
-    pub fn stats(&self) -> ReplicaStats {
-        self.replica.stats()
-    }
-
-    /// Installs a statically configured generalized filter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SyncError`] from the master.
-    pub fn install_filter(&mut self, request: SearchRequest) -> Result<SyncTraffic, SyncError> {
-        let t = self.replica.install_filter(&mut self.master, request)?;
-        self.report.revolution_traffic.absorb(&t);
-        Ok(t)
-    }
-
-    /// Answers a query: locally when possible, otherwise from the master
-    /// (counting WAN traffic and, if enabled, caching the result).
-    pub fn search(&mut self, query: &SearchRequest) -> (Vec<Entry>, ServedBy) {
-        if let Some(sel) = &mut self.selector {
-            sel.observe(query);
-        }
-        if let Some(on) = &mut self.online {
-            on.observe(query);
-        }
-        if let Some(entries) = self.replica.try_answer(query) {
-            self.maybe_adapt();
-            return (entries, ServedBy::Replica);
-        }
-        let entries = self.master.dit().search(query);
-        self.report.wan_queries += 1;
-        self.report.wan_entries += entries.len() as u64;
-        if self.cache_misses {
-            self.replica.cache_query(query.clone(), &entries);
-        }
-        self.maybe_adapt();
-        (entries, ServedBy::Master)
-    }
-
-    /// Applies an update at the master (maintaining ReSync sessions).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DitError`] from the master's store.
-    pub fn apply_update(&mut self, op: UpdateOp) -> Result<ChangeRecord, DitError> {
-        self.master.apply(op)
-    }
-
-    /// Polls the master for all replicated filters, through the retrying
-    /// sync driver: transient failures are retried with backoff, lost
-    /// sessions are reconciled by set digest (shipping only the diverged
-    /// entries) or reinstalled when divergence exceeds the budget, and a
-    /// filter whose retry budget runs out is served stale until the next
-    /// cycle (see [`FilterReplica::sync_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-transient [`SyncError`]s.
-    pub fn sync(&mut self) -> Result<SyncTraffic, SyncError> {
-        let t = self.replica.sync_with(&mut self.master, &mut self.driver)?;
-        self.report.resync_traffic.absorb(&t);
-        self.report.driver = self.driver.stats();
-        Ok(t)
-    }
-
-    /// Cumulative counters of the attached online selector, if any.
-    pub fn online_report(&self) -> Option<OnlineReport> {
-        self.online.as_ref().map(|on| on.report())
-    }
-
-    /// Candidate-table size of the attached online selector, if any —
-    /// useful to show consideration sets stayed a strict subset of it.
-    pub fn online_candidates(&self) -> Option<usize> {
-        self.online.as_ref().map(|on| on.candidate_count())
-    }
-
-    fn maybe_adapt(&mut self) {
-        if let Some(sel) = &mut self.selector {
-            if sel.revolution_due() {
-                if let Ok(rep) = sel.revolve(&mut self.master, &mut self.replica) {
-                    self.report.revolutions += 1;
-                    self.report.revolution_traffic.absorb(&rep.traffic);
-                }
-            }
-        }
-        if let Some(on) = &mut self.online {
-            if on.step_due() {
-                if let Ok(step) = on.step(&mut self.master, &mut self.replica) {
-                    self.report.online_steps += 1;
-                    self.report.online_moves += step.moves as u64;
-                    self.report.revolution_traffic.absorb(&step.traffic);
-                }
-            }
-        }
-    }
-}
-
-/// A filter replica bound to a **sharded** master deployment: the
-/// directory is partitioned across several master shards by naming
-/// context ([`ShardedMaster`]), and every stored filter holds one ReSync
-/// session per shard it overlaps, driven independently by a
-/// [`ShardCoordinator`].
-///
-/// The query interface mirrors [`Replicator`]; the sync cycle degrades
-/// per shard — a partitioned shard leaves that shard's slice stale while
-/// the others keep delivering updates.
-#[derive(Debug)]
-pub struct ShardedReplicator {
-    master: ShardedMaster,
-    replica: FilterReplica,
-    coordinator: ShardCoordinator<SystemClock>,
-    cache_misses: bool,
-    report: ReplicatorReport,
-}
-
-impl ShardedReplicator {
-    /// Creates a sharded replicator; `cache_window` as for
-    /// [`Replicator::new`]. The coordinator takes its shard map from the
-    /// master.
-    pub fn new(master: ShardedMaster, cache_window: usize) -> Self {
-        let coordinator = ShardCoordinator::new(master.map().clone());
-        ShardedReplicator {
-            master,
-            replica: FilterReplica::new(cache_window),
-            coordinator,
-            cache_misses: cache_window > 0,
-            report: ReplicatorReport::default(),
-        }
-    }
-
     /// Overrides the per-shard retry and reconcile policies.
     pub fn with_config(mut self, retry: RetryConfig, reconcile: ReconcileConfig) -> Self {
         self.coordinator =
@@ -271,25 +109,28 @@ impl ShardedReplicator {
         self
     }
 
-    /// Sets every shard's persist-mode notification policy (see
-    /// [`Replicator::with_notify_policy`]).
+    /// Sets every shard's persist-mode notification policy: how many raw
+    /// updates are batched per session wakeup and how long they may wait
+    /// ([`NotifyPolicy::coalescing`] vs the per-update default).
     pub fn with_notify_policy(mut self, policy: NotifyPolicy) -> Self {
         self.master.set_notify_policy(policy);
         self
     }
 
-    /// Advances every shard's notification clock.
+    /// Advances every shard's notification clock — drive this from the
+    /// deployment loop so coalescing max-delay deadlines can expire.
     pub fn advance_to(&mut self, now_ms: u64) {
         self.master.advance_to(now_ms);
     }
 
-    /// Flushes due (or all, with `force`) coalesced persist-mode batches
-    /// across every shard, tagged with the owning [`ShardId`].
+    /// Flushes due (or, with `force`, all) coalesced persist-mode batches
+    /// across every shard; returns one [`NotifyFlush`] per session wakeup,
+    /// tagged with the [`ShardId`] it fired on.
     pub fn flush_notifications(&mut self, force: bool) -> Vec<(ShardId, NotifyFlush)> {
         self.master.flush_notifications(force)
     }
 
-    /// Read access to the sharded master.
+    /// Read access to the master deployment.
     pub fn master(&self) -> &ShardedMaster {
         &self.master
     }
@@ -309,7 +150,8 @@ impl ShardedReplicator {
         self.replica.stats()
     }
 
-    /// Installs a generalized filter: one session per overlapped shard.
+    /// Installs a statically configured generalized filter: one session
+    /// per overlapped shard.
     ///
     /// # Errors
     ///
@@ -324,11 +166,24 @@ impl ShardedReplicator {
         Ok(t)
     }
 
-    /// Answers a query: locally when possible, otherwise fanned out
-    /// across the master shards (counting WAN traffic and, if enabled,
-    /// caching the result).
+    /// Removes a stored filter, ending its session on every shard holding
+    /// one. Returns true if the filter was present.
+    pub fn remove_filter(&mut self, request: &SearchRequest) -> bool {
+        self.replica.remove_filter(&mut self.master, request)
+    }
+
+    /// Answers a query: locally when possible, otherwise from the master,
+    /// fanned out across the shards the query overlaps (counting WAN
+    /// traffic and, if enabled, caching the result).
     pub fn search(&mut self, query: &SearchRequest) -> (Vec<Entry>, ServedBy) {
+        if let Some(sel) = &mut self.selector {
+            sel.observe(query);
+        }
+        if let Some(on) = &mut self.online {
+            on.observe(query);
+        }
         if let Some(entries) = self.replica.try_answer(query) {
+            self.maybe_adapt();
             return (entries, ServedBy::Replica);
         }
         let entries = self.master.search(query);
@@ -337,10 +192,12 @@ impl ShardedReplicator {
         if self.cache_misses {
             self.replica.cache_query(query.clone(), &entries);
         }
+        self.maybe_adapt();
         (entries, ServedBy::Master)
     }
 
-    /// Applies an update at the shard owning its target DN.
+    /// Applies an update at the shard owning its target DN (maintaining
+    /// ReSync sessions).
     ///
     /// # Errors
     ///
@@ -349,9 +206,12 @@ impl ShardedReplicator {
         self.master.apply(op)
     }
 
-    /// One sync cycle: every filter polls each overlapped shard through
-    /// its own retry/reconcile ladder (see
-    /// [`FilterReplica::sync_with_sharded`]).
+    /// One sync cycle: every filter polls each shard it overlaps through
+    /// that shard's own retrying driver — transient failures are retried
+    /// with backoff, lost sessions are reconciled by set digest (shipping
+    /// only the diverged entries) or reinstalled when divergence exceeds
+    /// the budget, and a slice whose retry budget runs out is served stale
+    /// until the next cycle (see [`FilterReplica::sync_with_sharded`]).
     ///
     /// # Errors
     ///
@@ -363,12 +223,45 @@ impl ShardedReplicator {
         self.report.driver = self.coordinator.stats();
         Ok(t)
     }
+
+    /// Cumulative counters of the attached online selector, if any.
+    pub fn online_report(&self) -> Option<OnlineReport> {
+        self.online.as_ref().map(|on| on.report())
+    }
+
+    /// Candidate-table size of the attached online selector, if any —
+    /// useful to show consideration sets stayed a strict subset of it.
+    pub fn online_candidates(&self) -> Option<usize> {
+        self.online.as_ref().map(|on| on.candidate_count())
+    }
+
+    fn maybe_adapt(&mut self) {
+        let Replicator { master, coordinator, replica, report, selector, online, .. } = self;
+        if let Some(sel) = selector {
+            if sel.revolution_due() {
+                if let Ok(rep) = sel.revolve(master, coordinator, replica) {
+                    report.revolutions += 1;
+                    report.revolution_traffic.absorb(&rep.traffic);
+                }
+            }
+        }
+        if let Some(on) = online {
+            if on.step_due() {
+                if let Ok(step) = on.step(master, coordinator, replica) {
+                    report.online_steps += 1;
+                    report.online_moves += step.moves as u64;
+                    report.revolution_traffic.absorb(&step.traffic);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fbdr_ldap::Filter;
+    use fbdr_resync::SyncMaster;
     use fbdr_selection::generalize::ValuePrefix;
     use fbdr_selection::SelectorConfig;
 
@@ -444,7 +337,8 @@ mod tests {
         r.advance_to(60);
         let flushes = r.flush_notifications(false);
         assert_eq!(flushes.len(), 1, "three updates coalesce into one wakeup");
-        assert_eq!(flushes[0].coalesced_from, 3);
+        assert_eq!(flushes[0].0, ShardId::ZERO);
+        assert_eq!(flushes[0].1.coalesced_from, 3);
         let batch = rx.try_recv().unwrap();
         assert_eq!(batch.coalesced_from, 3);
         assert_eq!(batch.actions.len(), 3);
@@ -497,7 +391,7 @@ mod tests {
 
     #[test]
     fn sharded_replicator_syncs_across_shards() {
-        use fbdr_resync::{ShardId, ShardMap};
+        use fbdr_resync::ShardMap;
 
         // Two shards: country g0 on shard 0, g1 on shard 1; each shard's
         // master holds the skeleton plus its own country subtree.
@@ -507,7 +401,7 @@ mod tests {
         ]);
         let mut sharded = ShardedMaster::new(map);
         for i in 0..2u16 {
-            let m = sharded.shard_mut(fbdr_resync::ShardId::new(i));
+            let m = sharded.shard_mut(ShardId::new(i));
             m.dit_mut().add_suffix("o=xyz".parse().unwrap());
             m.dit_mut().add(Entry::new("o=xyz".parse().unwrap())).unwrap();
             m.dit_mut()
@@ -525,7 +419,7 @@ mod tests {
                 .unwrap();
         }
 
-        let mut r = ShardedReplicator::new(sharded, 0);
+        let mut r = Replicator::new(sharded, 0);
         r.install_filter(SearchRequest::from_root(Filter::parse("(serialNumber=040*)").unwrap()))
             .unwrap();
         // Both shards contributed content; hits answer locally.
@@ -559,6 +453,13 @@ mod tests {
         ));
         assert_eq!(served, ServedBy::Master);
         assert_eq!(es.len(), 12);
+        // Removing the filter ends its session on both shards.
+        assert_eq!(r.master().session_count(), 2);
+        assert!(r.remove_filter(&SearchRequest::from_root(
+            Filter::parse("(serialNumber=040*)").unwrap()
+        )));
+        assert_eq!(r.master().session_count(), 0);
+        assert_eq!(r.search(&q("040003")).1, ServedBy::Master);
     }
 
     #[test]
@@ -577,9 +478,10 @@ mod tests {
         let (es, served) = r.search(&q("040099"));
         assert_eq!(served, ServedBy::Replica);
         assert_eq!(es.len(), 1);
-        // The cycle ran through the driver: one clean attempt, no drama.
+        // Install and cycle each ran through the shard's driver: one clean
+        // attempt apiece, no drama.
         let d = r.report().driver;
-        assert_eq!(d.attempts, 1);
+        assert_eq!(d.attempts, 2);
         assert_eq!(d.retries, 0);
         assert_eq!(d.exhausted, 0);
     }

@@ -12,8 +12,7 @@
 //! writer (never rebuilt from the entry store). A query is answered by
 //! compiling its filter into an index plan, intersecting (galloping) with
 //! the winning stored filter's list, and verifying residual predicates
-//! only on the candidates. Repeated queries skip the containment check
-//! entirely through a decision cache that lives as long as the filter set.
+//! only on the candidates.
 //!
 //! # Stored-filter index
 //!
@@ -107,9 +106,6 @@ struct StoredFilter {
 struct ContentSnapshot {
     /// Monotonic generation number; bumped by every published mutation.
     epoch: u64,
-    /// Generation of the stored-filter *set*: bumped by install and
-    /// remove only, so it names what containment decisions depend on.
-    filter_gen: u64,
     filters: Vec<StoredFilter>,
     /// Id-addressed entry store: slot `id` holds the entry whose interned
     /// DN is `id`, or is empty when no stored filter references it.
@@ -120,7 +116,7 @@ struct ContentSnapshot {
     index: SnapshotIndex,
     /// The stored filters registered by position — a pure function of
     /// `filters`' prepared queries, built by the first reader that needs
-    /// it. One cell per `filter_gen`: install and remove start a new one,
+    /// it. One cell per filter *set*: install and remove start a new one,
     /// a content-only publish copies the pointer.
     filter_index: Arc<OnceLock<RoutingIndex>>,
 }
@@ -147,7 +143,6 @@ impl ContentSnapshot {
     fn empty() -> Self {
         ContentSnapshot {
             epoch: 0,
-            filter_gen: 0,
             filters: Vec::new(),
             entries: SlotVec::default(),
             live: 0,
@@ -188,7 +183,6 @@ fn register_prepared(index: &mut RoutingIndex, id: u32, q: &PreparedQuery) {
 /// A filter is edited on a clone that is put back ([`apply_actions`]).
 struct Working {
     epoch: u64,
-    filter_gen: u64,
     filters: Vec<StoredFilter>,
     entries: SlotVec<Arc<Entry>>,
     live: usize,
@@ -200,7 +194,6 @@ impl Working {
     fn from_snapshot(snap: &ContentSnapshot) -> Self {
         Working {
             epoch: snap.epoch,
-            filter_gen: snap.filter_gen,
             filters: snap.filters.clone(),
             entries: snap.entries.clone(),
             live: snap.live,
@@ -212,7 +205,6 @@ impl Working {
     fn into_snapshot(self) -> ContentSnapshot {
         ContentSnapshot {
             epoch: self.epoch + 1,
-            filter_gen: self.filter_gen,
             filters: self.filters,
             entries: self.entries,
             live: self.live,
@@ -221,11 +213,9 @@ impl Working {
         }
     }
 
-    /// The stored-filter *set* changed (install, remove): everything
-    /// derived from it — memoized decisions, the filter index — belongs
-    /// to the previous generation.
+    /// The stored-filter *set* changed (install, remove): the filter
+    /// index derived from it belongs to the previous epochs.
     fn filter_set_changed(&mut self) {
-        self.filter_gen += 1;
         self.filter_index = Arc::default();
     }
 
@@ -389,41 +379,28 @@ impl QueryCache {
         }
     }
 
-    /// The cached queries that can contain `query`, oldest first, and
-    /// whether the index pruned them.
-    fn candidates(&self, query: &SearchRequest) -> (Vec<Arc<CachedQuery>>, bool) {
+    /// The cached queries that can contain `query`, oldest first.
+    fn candidates(&self, query: &SearchRequest) -> Vec<Arc<CachedQuery>> {
         let all = self.first..self.first + self.queries.len() as u32;
-        let (seqs, indexed) = containing_candidates(&self.index, query, all);
+        let (seqs, _) = containing_candidates(&self.index, query, all);
         let held = |seq: &u32| self.queries[(seq - self.first) as usize].clone();
-        (seqs.iter().map(held).collect(), indexed)
+        seqs.iter().map(held).collect()
     }
 }
 
-/// Upper bound on memoized containment decisions; reaching it clears the
-/// map (Zipf traffic re-warms the hot keys within a few queries).
-const DECISION_CACHE_CAP: usize = 4096;
-
-/// Memo of containment decisions: normalized query key → index of the
-/// first stored filter that contains it (`Some`) or proof that none does
-/// (`None`). A decision depends on the stored filters' prepared queries
-/// and their order, not on content, so the memo is valid for one
-/// generation of the filter set ([`ContentSnapshot::filter_gen`]) and is
-/// cleared on the first probe against another; epochs that only change
-/// content keep it.
-#[derive(Debug, Default)]
-struct DecisionCache {
-    filter_gen: u64,
-    map: HashMap<String, Option<usize>>,
-}
-
-/// Point-in-time counters of the containment decision cache.
+/// Counters of the containment-decision memo the replica no longer has:
+/// always zero.
+// Kept, with `FilterReplica::decision_cache_stats`, only because the frozen
+// `benchmark/` reads them; ROADMAP item 1 (the benchmark-only PR) deletes
+// both.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionCacheStats {
-    /// Probes answered from the cache (containment check skipped).
+    /// Always 0.
     pub hits: u64,
-    /// Probes that fell through to the containment engine.
+    /// Always 0.
     pub misses: u64,
-    /// Decisions currently memoized for the stored-filter set.
+    /// Always 0.
     pub entries: usize,
 }
 
@@ -445,12 +422,8 @@ struct AnswerMetrics {
     /// `fbdr_replica_plan_scan_total` — answers that fell back to scanning
     /// the stored filter's posting list.
     plan_scan: Arc<Counter>,
-    /// `fbdr_replica_decision_cache_hit_total`.
-    decision_hits: Arc<Counter>,
-    /// `fbdr_replica_decision_cache_miss_total`.
-    decision_misses: Arc<Counter>,
     /// `fbdr_replica_filter_index_candidates` — stored filters the filter
-    /// index left to check, per lookup (a memoized decision makes none).
+    /// index left to check, per lookup.
     filter_index_candidates: Arc<Histogram>,
     /// `fbdr_replica_filter_index_fallback_total` — lookups whose query
     /// shape (`Or`, `Not`) made every stored filter a candidate.
@@ -500,9 +473,6 @@ pub struct FilterReplica {
     engine: ContainmentEngine,
     stats: AtomicReplicaStats,
     writer: Mutex<WriterState>,
-    decisions: Mutex<DecisionCache>,
-    decision_hits: AtomicU64,
-    decision_misses: AtomicU64,
     obs: Obs,
     metrics: Option<AnswerMetrics>,
 }
@@ -519,8 +489,8 @@ impl FilterReplica {
     /// [`AtomicReplicaStats::bound`]), every
     /// [`try_answer`](FilterReplica::try_answer) is timed into
     /// `fbdr_replica_try_answer_ns`, index maintenance is timed into
-    /// `fbdr_replica_index_build_ns`, plan selectivity, decision-cache
-    /// effectiveness and the filter index's candidates per lookup
+    /// `fbdr_replica_index_build_ns`, plan selectivity and the filter
+    /// index's candidates per lookup
     /// (`fbdr_replica_filter_index_candidates`, and
     /// `fbdr_replica_filter_index_fallback_total` for queries it cannot
     /// prune) are counted, the embedded [`ContainmentEngine`]
@@ -540,8 +510,6 @@ impl FilterReplica {
                     plan_candidates: reg.histogram("fbdr_replica_plan_candidates"),
                     plan_indexed: reg.counter("fbdr_replica_plan_indexed_total"),
                     plan_scan: reg.counter("fbdr_replica_plan_scan_total"),
-                    decision_hits: reg.counter("fbdr_replica_decision_cache_hit_total"),
-                    decision_misses: reg.counter("fbdr_replica_decision_cache_miss_total"),
                     filter_index_candidates: reg
                         .histogram("fbdr_replica_filter_index_candidates"),
                     filter_index_fallback: reg
@@ -558,9 +526,6 @@ impl FilterReplica {
             engine: ContainmentEngine::with_obs(obs.clone()),
             stats,
             writer: Mutex::new(WriterState::default()),
-            decisions: Mutex::new(DecisionCache::default()),
-            decision_hits: AtomicU64::new(0),
-            decision_misses: AtomicU64::new(0),
             obs,
             metrics,
         }
@@ -656,22 +621,10 @@ impl FilterReplica {
         self.engine.stats()
     }
 
-    /// Containment decision-cache counters: probes answered without
-    /// running the containment engine (`hits`) versus full checks
-    /// (`misses`), plus the number of currently memoized decisions.
+    /// Zeros; see [`DecisionCacheStats`].
+    #[doc(hidden)]
     pub fn decision_cache_stats(&self) -> DecisionCacheStats {
-        DecisionCacheStats {
-            hits: self.decision_hits.load(Ordering::Relaxed),
-            misses: self.decision_misses.load(Ordering::Relaxed),
-            entries: self.decisions.lock().map.len(),
-        }
-    }
-
-    /// Drops all memoized containment decisions (the counters keep
-    /// accumulating). Invalidation is otherwise automatic whenever a
-    /// filter is installed or removed.
-    pub fn clear_decision_cache(&self) {
-        self.decisions.lock().map.clear();
+        DecisionCacheStats::default()
     }
 
     /// The stored generalized filters with their accumulated hit counts.
@@ -1145,31 +1098,20 @@ impl FilterReplica {
         prepared: &PreparedQuery,
         snap: &ContentSnapshot,
     ) -> Option<Vec<Entry>> {
-        // Generalized filters first (they are authoritative and synced).
-        // The containment decision is memoized per filter set: a repeat
-        // of a recently seen query skips the engine entirely. Otherwise
+        // Generalized filters first (they are authoritative and synced):
         // the filter index names the filters that can contain the query,
         // and the first of them that does, in filter order, wins.
-        let qkey = query_key(query);
-        let mut looked_up = None;
-        let decision = match self.cached_decision(snap.filter_gen, &qkey) {
-            Some(d) => d,
-            None => {
-                let (candidates, indexed) = snap.filter_candidates(query);
-                if let Some(m) = &self.metrics {
-                    m.filter_index_candidates.record(candidates.len() as u64);
-                    if !indexed {
-                        m.filter_index_fallback.inc();
-                    }
-                }
-                let d = candidates.iter().map(|&pos| pos as usize).find(|&pos| {
-                    self.engine.query_contained(prepared, &snap.filters[pos].prepared)
-                });
-                self.remember_decision(snap.filter_gen, qkey, d);
-                looked_up = Some(candidates.len());
-                d
+        let (candidates, indexed) = snap.filter_candidates(query);
+        if let Some(m) = &self.metrics {
+            m.filter_index_candidates.record(candidates.len() as u64);
+            if !indexed {
+                m.filter_index_fallback.inc();
             }
-        };
+        }
+        let decision = candidates
+            .iter()
+            .map(|&pos| pos as usize)
+            .find(|&pos| self.engine.query_contained(prepared, &snap.filters[pos].prepared));
         if let Some(pos) = decision {
             let sf = &snap.filters[pos];
             sf.hits.fetch_add(1, Ordering::Relaxed);
@@ -1185,7 +1127,7 @@ impl FilterReplica {
             return Some(self.evaluate_indexed(snap, query, &sf.ids));
         }
         // Then the cached queries that can contain it, oldest first.
-        let (cached, indexed) = self.cache.lock().candidates(query);
+        let cached = self.cache.lock().candidates(query);
         for cq in &cached {
             if self.engine.query_contained(prepared, &cq.prepared) {
                 cq.hits.fetch_add(1, Ordering::Relaxed);
@@ -1195,10 +1137,7 @@ impl FilterReplica {
             }
         }
         if self.obs.tracing_enabled() {
-            // A memoized decision skipped the filter lookup; the reason is
-            // still the one the lookup gives.
-            let filters = looked_up.unwrap_or_else(|| snap.filter_candidates(query).0.len());
-            let candidates = filters + cached.len();
+            let candidates = candidates.len() + cached.len();
             event!(
                 self.obs,
                 "replica",
@@ -1214,41 +1153,6 @@ impl FilterReplica {
             );
         }
         None
-    }
-
-    /// Probes the decision cache; a probe against another filter set
-    /// clears the stale memo first.
-    fn cached_decision(&self, filter_gen: u64, key: &str) -> Option<Option<usize>> {
-        let mut dc = self.decisions.lock();
-        if dc.filter_gen != filter_gen {
-            dc.filter_gen = filter_gen;
-            dc.map.clear();
-        }
-        let found = dc.map.get(key).copied();
-        drop(dc);
-        match (&found, &self.metrics) {
-            (Some(_), Some(m)) => m.decision_hits.inc(),
-            (None, Some(m)) => m.decision_misses.inc(),
-            _ => {}
-        }
-        match found {
-            Some(_) => self.decision_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.decision_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Memoizes a containment decision, unless an install or remove
-    /// raced in between (the decision would poison the newer filter set).
-    fn remember_decision(&self, filter_gen: u64, key: String, decision: Option<usize>) {
-        let mut dc = self.decisions.lock();
-        if dc.filter_gen != filter_gen {
-            return;
-        }
-        if dc.map.len() >= DECISION_CACHE_CAP {
-            dc.map.clear();
-        }
-        dc.map.insert(key, decision);
     }
 
     /// Evaluates a query restricted to one stored filter's posting list,
@@ -1284,9 +1188,9 @@ impl FilterReplica {
 
     /// Answers a query by brute-force scan — the containment gate against
     /// every stored filter in turn (the paper's §7.4 algorithm), then the
-    /// winner's posting list entry by entry — bypassing the filter index,
-    /// the index plan and the decision cache: the reference evaluator the
-    /// indexed path is benchmarked and property-tested against. Decides as
+    /// winner's posting list entry by entry — bypassing the filter index
+    /// and the index plan: the reference evaluator the indexed path is
+    /// benchmarked and property-tested against. Decides as
     /// [`try_answer`](FilterReplica::try_answer) does among the stored
     /// filters but records no replica statistics and no hit counts, and
     /// does not consult the query cache.
@@ -1399,20 +1303,6 @@ fn evaluate_cached(query: &SearchRequest, entries: &[Entry]) -> Vec<Entry> {
         .collect();
     out.sort_by(|a, b| a.dn().cmp(b.dn()));
     out
-}
-
-/// A collision-free memo key for the decision cache: the query's region,
-/// selection and canonical filter text. The filter printer escapes
-/// `( ) * \` in values, so distinct queries cannot collide (a collision
-/// would unsoundly reuse another query's containment decision).
-fn query_key(query: &SearchRequest) -> String {
-    format!(
-        "{}\u{1f}{:?}\u{1f}{}\u{1f}{:?}",
-        dn_key(query.base()),
-        query.scope(),
-        query.filter(),
-        query.attrs(),
-    )
 }
 
 /// Applies one batch of sync actions to the working content: the filter's
@@ -1846,56 +1736,6 @@ mod tests {
     }
 
     #[test]
-    fn decision_cache_memoizes_and_invalidates() {
-        let mut m = master();
-        let r = FilterReplica::new(0);
-        r.install_filter(&mut m, root_query("(departmentNumber=2406)")).unwrap();
-        let q = root_query("(departmentNumber=2406)");
-
-        r.try_answer(&q);
-        let s = r.decision_cache_stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 1, 1));
-
-        // Repeat: the containment check is skipped, the answer unchanged.
-        let before = r.engine_stats().total();
-        assert_eq!(r.try_answer(&q).unwrap().len(), 2);
-        assert_eq!(r.engine_stats().total(), before, "engine not consulted");
-        let s = r.decision_cache_stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-
-        // Misses are memoized too.
-        let miss = root_query("(serialNumber=120001)");
-        assert!(r.try_answer(&miss).is_none());
-        assert!(r.try_answer(&miss).is_none());
-        let s = r.decision_cache_stats();
-        assert_eq!((s.hits, s.misses, s.entries), (2, 2, 2));
-
-        // A sync cycle that changes content keeps the memo — the decision
-        // depends on the filter set only — and the answer is still
-        // evaluated against the fresh content.
-        m.apply(UpdateOp::Add(person("e", "us", "045650", "2406"))).unwrap();
-        r.sync(&mut m).unwrap();
-        assert_eq!(r.try_answer(&q).unwrap().len(), 3);
-        let s = r.decision_cache_stats();
-        assert_eq!((s.hits, s.misses, s.entries), (3, 2, 2));
-
-        // Install and remove change the filter set: each invalidates.
-        let serial = root_query("(serialNumber=12*)");
-        r.install_filter(&mut m, serial.clone()).unwrap();
-        assert!(r.try_answer(&miss).is_some(), "the memoized miss must not survive");
-        let s = r.decision_cache_stats();
-        assert_eq!((s.hits, s.misses, s.entries), (3, 3, 1));
-        assert!(r.remove_filter(&mut m, &serial));
-        assert!(r.try_answer(&miss).is_none(), "nor the memoized hit");
-        let s = r.decision_cache_stats();
-        assert_eq!((s.hits, s.misses, s.entries), (3, 4, 1));
-
-        // Manual clearing keeps counters but drops memos.
-        r.clear_decision_cache();
-        assert_eq!(r.decision_cache_stats().entries, 0);
-    }
-
-    #[test]
     fn epoch_shares_untouched_index() {
         // A sync cycle with no changes publishes a new epoch that shares
         // every index node, entry chunk and stored filter with the
@@ -1926,7 +1766,6 @@ mod tests {
         m.apply(UpdateOp::Add(person("e", "us", "045650", "2406"))).unwrap();
         r.sync(&mut m).unwrap();
         let synced = r.snapshot();
-        assert_eq!(synced.filter_gen, installed.filter_gen);
         assert!(Arc::ptr_eq(&installed.filter_index, &synced.filter_index));
 
         // Install and remove start a new one; held epochs keep theirs.
@@ -2469,15 +2308,15 @@ mod tests {
         // Wider base than the one candidate filter accepts → rejected.
         r.install_filter(&mut m, sub_query("c=us,o=xyz", "(cn=*)")).unwrap();
         assert_eq!(miss("(cn=a)"), ("candidates_rejected".to_owned(), 1));
-        // The same miss again is memoized; the event still says why.
+        // The same miss again is looked up again, and says the same.
         assert_eq!(miss("(cn=a)"), ("candidates_rejected".to_owned(), 1));
         assert_eq!(
             miss("(|(serialNumber=12*)(cn=zz))"),
             ("unindexed_shape".to_owned(), 3)
         );
         let reg = obs.registry();
-        // Five lookups ran (one miss was memoized), one of them a fallback.
-        assert_eq!(reg.histogram("fbdr_replica_filter_index_candidates").count(), 5);
+        // Every query is one lookup; one of the six was a fallback.
+        assert_eq!(reg.histogram("fbdr_replica_filter_index_candidates").count(), 6);
         assert_eq!(reg.counter("fbdr_replica_filter_index_fallback_total").get(), 1);
     }
 }

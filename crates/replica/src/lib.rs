@@ -25,8 +25,9 @@
 //! maintained equality/prefix/range posting lists. A hit compiles the
 //! query filter into a candidate plan, intersects it (galloping) with the
 //! winning filter's list, and verifies residual predicates only on the
-//! candidates. Containment decisions are memoized per stored-filter
-//! set ([`DecisionCacheStats`]).
+//! candidates. Which filter wins is decided per query — a filter-set index
+//! names the few stored filters that can contain it, each gets the exact
+//! containment check — and not remembered.
 //!
 //! # Concurrency
 //!

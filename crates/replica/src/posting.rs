@@ -8,6 +8,7 @@
 //! country-sized stored-filter list costs `O(small · log large)` rather
 //! than `O(large)`.
 
+pub use fbdr_resync::posting::{contains, insert_sorted, remove_sorted};
 use std::borrow::Cow;
 
 /// First index in `slice` whose value is `>= target`, found by galloping:
@@ -102,33 +103,6 @@ pub fn union_cows<'a>(mut parts: Vec<Cow<'a, [u32]>>) -> Cow<'a, [u32]> {
         1 => parts.pop().expect("len checked"),
         _ => Cow::Owned(union_many(parts.iter().map(|p| p.as_ref()))),
     }
-}
-
-/// Inserts `id` into a sorted list; returns true when it was absent.
-pub fn insert_sorted(list: &mut Vec<u32>, id: u32) -> bool {
-    match list.binary_search(&id) {
-        Ok(_) => false,
-        Err(pos) => {
-            list.insert(pos, id);
-            true
-        }
-    }
-}
-
-/// Removes `id` from a sorted list; returns true when it was present.
-pub fn remove_sorted(list: &mut Vec<u32>, id: u32) -> bool {
-    match list.binary_search(&id) {
-        Ok(pos) => {
-            list.remove(pos);
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-/// Membership test by binary search.
-pub fn contains(list: &[u32], id: u32) -> bool {
-    list.binary_search(&id).is_ok()
 }
 
 #[cfg(test)]

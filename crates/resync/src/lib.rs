@@ -63,6 +63,7 @@ mod content;
 pub mod driver;
 mod intern;
 mod master;
+pub mod posting;
 mod protocol;
 pub mod reconcile;
 mod routing;

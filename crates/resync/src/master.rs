@@ -1,6 +1,7 @@
 //! The master (supplier) side of the ReSync protocol.
 
 use crate::intern::{dn_key, DnTable};
+use crate::posting;
 use crate::protocol::{
     Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncMode, SyncResponse,
 };
@@ -15,26 +16,6 @@ use fbdr_ldap::{Dn, Entry, SearchRequest};
 use fbdr_obs::{event, Obs};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Sorted-`Vec<u32>` posting-list helpers for session bookkeeping. The
-/// id space is the master's [`DnTable`]; lists are tiny relative to a
-/// `HashSet<Dn>` (4 bytes per member, no per-DN string hashing) and
-/// membership is a binary search.
-fn pl_contains(list: &[u32], id: u32) -> bool {
-    list.binary_search(&id).is_ok()
-}
-
-fn pl_insert(list: &mut Vec<u32>, id: u32) {
-    if let Err(pos) = list.binary_search(&id) {
-        list.insert(pos, id);
-    }
-}
-
-fn pl_remove(list: &mut Vec<u32>, id: u32) {
-    if let Ok(pos) = list.binary_search(&id) {
-        list.remove(pos);
-    }
-}
 
 /// Per-session state: the request, what the replica has been sent, the
 /// live content, and the **session history** — DNs that left the content
@@ -1500,16 +1481,16 @@ impl Session {
         now_ms: u64,
     ) -> NoteOutcome {
         let now_in = self.request.matches(entry);
-        let was_in = pl_contains(&self.current, id);
+        let was_in = posting::contains(&self.current, id);
         match (was_in, now_in) {
             (false, true) => {
-                pl_insert(&mut self.current, id);
-                pl_remove(&mut self.departed, id);
-                pl_insert(&mut self.changed, id);
+                posting::insert_sorted(&mut self.current, id);
+                posting::remove_sorted(&mut self.departed, id);
+                posting::insert_sorted(&mut self.changed, id);
                 self.notify_update(|| SyncAction::Add(entry.clone()), id, policy, now_ms)
             }
             (true, true) => {
-                pl_insert(&mut self.changed, id);
+                posting::insert_sorted(&mut self.changed, id);
                 self.notify_update(|| SyncAction::Modify(entry.clone()), id, policy, now_ms)
             }
             (true, false) => self.depart(id, entry.dn(), policy, now_ms),
@@ -1526,7 +1507,7 @@ impl Session {
         policy: &NotifyPolicy,
         now_ms: u64,
     ) -> NoteOutcome {
-        if pl_contains(&self.current, id) {
+        if posting::contains(&self.current, id) {
             self.depart(id, dn, policy, now_ms)
         } else {
             NoteOutcome::default()
@@ -1534,10 +1515,10 @@ impl Session {
     }
 
     fn depart(&mut self, id: u32, dn: &Dn, policy: &NotifyPolicy, now_ms: u64) -> NoteOutcome {
-        pl_remove(&mut self.current, id);
-        pl_remove(&mut self.changed, id);
-        if pl_contains(&self.sent, id) {
-            pl_insert(&mut self.departed, id);
+        posting::remove_sorted(&mut self.current, id);
+        posting::remove_sorted(&mut self.changed, id);
+        if posting::contains(&self.sent, id) {
+            posting::insert_sorted(&mut self.departed, id);
         }
         self.notify_update(|| SyncAction::Delete(dn.clone()), id, policy, now_ms)
     }
@@ -1602,11 +1583,11 @@ impl Session {
         // and, more importantly, must not *skip* the departure of an entry
         // the replica only learned about through the stream.
         if upsert {
-            pl_insert(&mut self.sent, id);
-            pl_remove(&mut self.changed, id);
+            posting::insert_sorted(&mut self.sent, id);
+            posting::remove_sorted(&mut self.changed, id);
         } else if delete {
-            pl_remove(&mut self.sent, id);
-            pl_remove(&mut self.departed, id);
+            posting::remove_sorted(&mut self.sent, id);
+            posting::remove_sorted(&mut self.departed, id);
         }
         1
     }
@@ -1627,7 +1608,7 @@ impl Session {
         let mut adds: Vec<&Dn> = self
             .current
             .iter()
-            .filter(|id| !pl_contains(&self.sent, **id))
+            .filter(|id| !posting::contains(&self.sent, **id))
             .filter_map(|&id| table.dn_of(id))
             .collect();
         adds.sort();
@@ -1639,7 +1620,7 @@ impl Session {
         let mut mods: Vec<&Dn> = self
             .changed
             .iter()
-            .filter(|id| pl_contains(&self.sent, **id) && pl_contains(&self.current, **id))
+            .filter(|id| posting::contains(&self.sent, **id) && posting::contains(&self.current, **id))
             .filter_map(|&id| table.dn_of(id))
             .collect();
         mods.sort();

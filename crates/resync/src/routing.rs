@@ -60,6 +60,7 @@
 //! nothing but the caller's output vector (a query's substring pattern of
 //! several components builds its concatenated witness text).
 
+use crate::posting::{insert_sorted, remove_sorted};
 use fbdr_ldap::{AttrValue, Dn, Filter, SearchRequest, SlotKey, Template, TemplateId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -178,14 +179,14 @@ impl AttrPostings {
         if !self.prefix.contains_key(p) {
             *self.prefix_lens.entry(p.len()).or_insert(0) += 1;
         }
-        posting_insert(slot(&mut self.prefix, p), id);
+        insert_sorted(slot(&mut self.prefix, p), id);
     }
 
     fn prefix_remove(&mut self, p: &str, id: u32) {
         let Some(ids) = self.prefix.get_mut(p) else {
             return;
         };
-        posting_remove(ids, id);
+        remove_sorted(ids, id);
         if ids.is_empty() {
             self.prefix.remove(p);
             if let Some(n) = self.prefix_lens.get_mut(&p.len()) {
@@ -226,18 +227,6 @@ fn slot<'a, V: Default>(map: &'a mut HashMap<String, V>, key: &str) -> &'a mut V
         map.insert(key.to_owned(), V::default());
     }
     map.get_mut(key).expect("present or just inserted")
-}
-
-fn posting_insert(list: &mut Vec<u32>, id: u32) {
-    if let Err(pos) = list.binary_search(&id) {
-        list.insert(pos, id);
-    }
-}
-
-fn posting_remove(list: &mut Vec<u32>, id: u32) {
-    if let Ok(pos) = list.binary_search(&id) {
-        list.remove(pos);
-    }
 }
 
 impl RoutingIndex {
@@ -354,11 +343,11 @@ impl RoutingIndex {
                 for key in &keys {
                     match key {
                         RouteKey::Eq(a, v) => {
-                            posting_insert(slot(&mut slot(&mut self.by_attr, a).eq, v), id)
+                            insert_sorted(slot(&mut slot(&mut self.by_attr, a).eq, v), id);
                         }
                         RouteKey::Prefix(a, p) => slot(&mut self.by_attr, a).prefix_insert(p, id),
                         RouteKey::Present(a) => {
-                            posting_insert(&mut slot(&mut self.by_attr, a).present, id)
+                            insert_sorted(&mut slot(&mut self.by_attr, a).present, id);
                         }
                     }
                 }
@@ -367,9 +356,9 @@ impl RoutingIndex {
             None => {
                 let bucket = root_bucket(base);
                 match &bucket {
-                    Some((a, v)) => posting_insert(slot(slot(&mut self.residual, a), v), id),
-                    None => posting_insert(&mut self.residual_root, id),
-                }
+                    Some((a, v)) => insert_sorted(slot(slot(&mut self.residual, a), v), id),
+                    None => insert_sorted(&mut self.residual_root, id),
+                };
                 Place::Residual(bucket)
             }
         };
@@ -404,14 +393,16 @@ impl RoutingIndex {
                     match &key {
                         RouteKey::Eq(_, v) => {
                             if let Some(ids) = b.eq.get_mut(v) {
-                                posting_remove(ids, id);
+                                remove_sorted(ids, id);
                                 if ids.is_empty() {
                                     b.eq.remove(v);
                                 }
                             }
                         }
                         RouteKey::Prefix(_, p) => b.prefix_remove(p, id),
-                        RouteKey::Present(_) => posting_remove(&mut b.present, id),
+                        RouteKey::Present(_) => {
+                            remove_sorted(&mut b.present, id);
+                        }
                     }
                     if b.is_empty() {
                         self.by_attr.remove(attr);
@@ -421,7 +412,7 @@ impl RoutingIndex {
             Place::Residual(Some((a, v))) => {
                 if let Some(per_attr) = self.residual.get_mut(&a) {
                     if let Some(ids) = per_attr.get_mut(&v) {
-                        posting_remove(ids, id);
+                        remove_sorted(ids, id);
                         if ids.is_empty() {
                             per_attr.remove(&v);
                         }
@@ -431,7 +422,9 @@ impl RoutingIndex {
                     }
                 }
             }
-            Place::Residual(None) => posting_remove(&mut self.residual_root, id),
+            Place::Residual(None) => {
+                remove_sorted(&mut self.residual_root, id);
+            }
         }
     }
 

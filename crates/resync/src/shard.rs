@@ -218,6 +218,31 @@ impl ShardedMaster {
         out
     }
 
+    /// Number of entries a search request matches — the "size" estimate of
+    /// filter selection (§6.2), over the request's region. Like
+    /// [`ShardedMaster::search`], every entry counts once, at the shard that
+    /// owns it: the glue copies other shards hold are skipped. Streams the
+    /// matches; no entry is cloned.
+    pub fn count_matching(&self, request: &SearchRequest) -> usize {
+        let mut n = 0;
+        for (shard, sub) in self.map.split(request) {
+            self.shards[shard.index()].dit().for_each_match(&sub, |e| {
+                n += usize::from(self.map.shard_of(e.dn()) == shard);
+            });
+        }
+        n
+    }
+
+    /// Number of entries in the directory: every entry once, at the shard
+    /// that owns it (glue copies excluded).
+    pub fn entry_count(&self) -> usize {
+        let owned = |shard: ShardId| {
+            let held = self.shards[shard.index()].dit().iter();
+            held.filter(|e| self.map.shard_of(e.dn()) == shard).count()
+        };
+        self.map.shards().map(owned).sum()
+    }
+
     /// Total updates applied across all shards.
     pub fn ops_applied(&self) -> u64 {
         self.shards.iter().map(SyncMaster::ops_applied).sum()
@@ -310,19 +335,6 @@ impl ShardedMaster {
         report
     }
 
-    /// The fleet's stability watermark: the minimum of every shard's (the
-    /// slowest acknowledger anywhere pins it). `None` when no shard has
-    /// sessions.
-    pub fn stability_watermark(&self) -> Option<u64> {
-        self.shards.iter().filter_map(SyncMaster::stability_watermark).min()
-    }
-
-    /// The worst per-shard stability lag (each shard's op counter runs
-    /// independently, so lags are comparable per shard, not summed).
-    pub fn stability_lag(&self) -> u64 {
-        self.shards.iter().map(SyncMaster::stability_lag).max().unwrap_or(0)
-    }
-
     /// Summed deterministic byte accounting across all shards (see
     /// [`SyncMaster::memory_footprint`]).
     pub fn memory_footprint(&self) -> MasterFootprint {
@@ -331,6 +343,14 @@ impl ShardedMaster {
             f.merge(shard.memory_footprint());
         }
         f
+    }
+}
+
+/// An unsharded deployment is the one-shard case: [`ShardMap::single`],
+/// the whole directory on [`ShardId::ZERO`].
+impl From<SyncMaster> for ShardedMaster {
+    fn from(master: SyncMaster) -> Self {
+        ShardedMaster { map: ShardMap::single(), shards: vec![master] }
     }
 }
 
@@ -656,6 +676,30 @@ mod tests {
         let hits = m.search(&subtree("o=xyz", "(dept=7)"));
         let dns: Vec<String> = hits.iter().map(|e| e.dn().to_string()).collect();
         assert_eq!(dns, vec!["cn=e1,c=a,o=xyz", "cn=e2,c=b,o=xyz"]);
+    }
+
+    #[test]
+    fn counts_skip_glue_copies_as_search_does() {
+        // Shard 1 has two suffixes under o=xyz, so its clamped sub-request
+        // is based at o=xyz and covers its own copy of that glue entry.
+        let map = ShardMap::new(ShardId::ZERO)
+            .with_subtree(dn("c=a,o=xyz"), ShardId::new(1))
+            .with_subtree(dn("c=b,o=xyz"), ShardId::new(1));
+        let mut m = ShardedMaster::new(map);
+        for i in 0..2 {
+            let s = m.shard_mut(ShardId::new(i));
+            s.dit_mut().add_suffix(dn("o=xyz"));
+            s.dit_mut().add(Entry::new(dn("o=xyz")).with("dept", "7")).unwrap();
+        }
+        for cc in ["a", "b"] {
+            m.apply(UpdateOp::Add(Entry::new(dn(&format!("c={cc},o=xyz"))))).unwrap();
+            m.apply(UpdateOp::Add(person("e", cc, "7"))).unwrap();
+        }
+        let all = subtree("", "(dept=7)");
+        assert_eq!(m.search(&all).len(), 3);
+        assert_eq!(m.count_matching(&all), 3);
+        assert_eq!(m.count_matching(&subtree("c=b,o=xyz", "(dept=7)")), 1);
+        assert_eq!(m.entry_count(), 5);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::generalize::Generalizer;
 use fbdr_ldap::SearchRequest;
 use fbdr_replica::FilterReplica;
-use fbdr_resync::{SyncError, SyncMaster, SyncTraffic};
+use fbdr_resync::{ShardCoordinator, ShardedMaster, SyncError, SyncTraffic};
 use std::collections::HashMap;
 
 /// Churn and traffic accounting for an evolution-based run.
@@ -80,6 +80,9 @@ impl EvolutionSelector {
     /// Processes one query: update benefits of both lists, evolve (swap a
     /// candidate in for the weakest actual if it now scores higher), and
     /// revolve when the candidate list collectively overtakes the actuals.
+    /// The master is a sharded deployment (an unsharded master is its
+    /// one-shard case); `coordinator` is the one that syncs `replica`
+    /// against it.
     ///
     /// # Errors
     ///
@@ -87,8 +90,9 @@ impl EvolutionSelector {
     pub fn observe(
         &mut self,
         query: &SearchRequest,
-        master: &mut SyncMaster,
-        replica: &mut FilterReplica,
+        master: &mut ShardedMaster,
+        coordinator: &mut ShardCoordinator,
+        replica: &FilterReplica,
     ) -> Result<(), SyncError> {
         // Decay all benefits.
         for s in self.actual.values_mut().chain(self.candidate.values_mut()) {
@@ -109,16 +113,21 @@ impl EvolutionSelector {
                 }
             }
         }
-        self.evolve(master, replica)?;
+        self.evolve(master, coordinator, replica)?;
         if self.revolution_trigger() {
-            self.revolve(master, replica)?;
+            self.revolve(master, coordinator, replica)?;
         }
         Ok(())
     }
 
     /// Evolution step: the best candidate replaces the worst actual when
     /// its benefit/size ratio is higher.
-    fn evolve(&mut self, master: &mut SyncMaster, replica: &mut FilterReplica) -> Result<(), SyncError> {
+    fn evolve(
+        &mut self,
+        master: &mut ShardedMaster,
+        coordinator: &mut ShardCoordinator,
+        replica: &FilterReplica,
+    ) -> Result<(), SyncError> {
         let Some((best_key, best_ratio)) = self.best_candidate(master) else {
             return Ok(());
         };
@@ -128,15 +137,13 @@ impl EvolutionSelector {
             .map(|(k, s)| (k.clone(), ratio(s)))
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         let evict = match &worst {
-            Some((_, worst_ratio)) if self.over_budget(master) || best_ratio > *worst_ratio => worst.clone(),
+            Some((_, worst_ratio)) if self.over_budget() || best_ratio > *worst_ratio => worst.clone(),
             None => None,
             _ => return Ok(()),
         };
         // Install the candidate.
         let mut cand = self.candidate.remove(&best_key).expect("best candidate exists");
-        let size = *cand
-            .size
-            .get_or_insert_with(|| master.dit().count_matching(cand.request.filter()));
+        let size = *cand.size.get_or_insert_with(|| master.count_matching(&cand.request));
         if size == 0 || size > self.entry_budget {
             return Ok(()); // useless or oversized; dropped from candidates
         }
@@ -149,14 +156,14 @@ impl EvolutionSelector {
                 }
             }
         }
-        let t = replica.install_filter(master, cand.request.clone())?;
+        let t = replica.install_filter_sharded(master, coordinator, cand.request.clone())?;
         self.report.installs += 1;
         self.report.traffic.absorb(&t);
         self.actual.insert(key(&cand.request), cand);
         Ok(())
     }
 
-    fn best_candidate(&mut self, master: &SyncMaster) -> Option<(String, f64)> {
+    fn best_candidate(&mut self, master: &ShardedMaster) -> Option<(String, f64)> {
         let budget = self.entry_budget;
         self.candidate
             .iter_mut()
@@ -164,8 +171,7 @@ impl EvolutionSelector {
                 if s.benefit <= 0.0 {
                     return None;
                 }
-                let size =
-                    *s.size.get_or_insert_with(|| master.dit().count_matching(s.request.filter()));
+                let size = *s.size.get_or_insert_with(|| master.count_matching(&s.request));
                 if size == 0 || size > budget {
                     return None;
                 }
@@ -174,13 +180,8 @@ impl EvolutionSelector {
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
     }
 
-    fn over_budget(&self, master: &SyncMaster) -> bool {
-        let used: usize = self
-            .actual
-            .values()
-            .map(|s| s.size.unwrap_or(0))
-            .sum();
-        let _ = master;
+    fn over_budget(&self) -> bool {
+        let used: usize = self.actual.values().map(|s| s.size.unwrap_or(0)).sum();
         used > self.entry_budget
     }
 
@@ -192,13 +193,18 @@ impl EvolutionSelector {
 
     /// Revolution: merge both lists and keep the best benefit/size set
     /// within budget.
-    fn revolve(&mut self, master: &mut SyncMaster, replica: &mut FilterReplica) -> Result<(), SyncError> {
+    fn revolve(
+        &mut self,
+        master: &mut ShardedMaster,
+        coordinator: &mut ShardCoordinator,
+        replica: &FilterReplica,
+    ) -> Result<(), SyncError> {
         self.report.revolutions += 1;
         let mut merged: Vec<Scored> = self.actual.values().cloned().collect();
         merged.extend(self.candidate.values().cloned());
         for s in &mut merged {
             if s.size.is_none() {
-                s.size = Some(master.dit().count_matching(s.request.filter()));
+                s.size = Some(master.count_matching(&s.request));
             }
         }
         merged.retain(|s| {
@@ -229,7 +235,7 @@ impl EvolutionSelector {
         }
         for (k, s) in selected {
             if !self.actual.contains_key(&k) {
-                let t = replica.install_filter(master, s.request.clone())?;
+                let t = replica.install_filter_sharded(master, coordinator, s.request.clone())?;
                 self.report.installs += 1;
                 self.report.traffic.absorb(&t);
                 self.candidate.remove(&k);
@@ -256,6 +262,15 @@ mod tests {
     use super::*;
     use crate::generalize::ValuePrefix;
     use fbdr_ldap::{Entry, Filter};
+    use fbdr_resync::SyncMaster;
+
+    /// The master as the one-shard deployment, with its coordinator and
+    /// an empty replica.
+    fn deployment() -> (ShardedMaster, ShardCoordinator, FilterReplica) {
+        let m = ShardedMaster::from(master());
+        let c = ShardCoordinator::new(m.map().clone());
+        (m, c, FilterReplica::new(0))
+    }
 
     fn master() -> SyncMaster {
         let mut m = SyncMaster::new();
@@ -290,11 +305,10 @@ mod tests {
 
     #[test]
     fn installs_popular_region() {
-        let mut m = master();
-        let mut replica = FilterReplica::new(0);
+        let (mut m, mut c, replica) = deployment();
         let mut s = selector(10);
         for i in 0..5 {
-            s.observe(&query(&format!("04560{i}")), &mut m, &mut replica).unwrap();
+            s.observe(&query(&format!("04560{i}")), &mut m, &mut c, &replica).unwrap();
         }
         assert!(replica.filter_count() >= 1);
         assert!(replica.try_answer(&query("045609")).is_some());
@@ -305,13 +319,12 @@ mod tests {
     fn churns_more_than_periodic_selection() {
         // Alternating access pattern: evolutions keep swapping the two
         // regions in and out — the churn the paper warns about.
-        let mut m = master();
-        let mut replica = FilterReplica::new(0);
+        let (mut m, mut c, replica) = deployment();
         let mut s = selector(10); // budget fits only one region
         for round in 0..20 {
             let pre = if round % 2 == 0 { "0456" } else { "1200" };
             for i in 0..3 {
-                s.observe(&query(&format!("{pre}0{i}")), &mut m, &mut replica).unwrap();
+                s.observe(&query(&format!("{pre}0{i}")), &mut m, &mut c, &replica).unwrap();
             }
         }
         let rep = s.report();
@@ -325,12 +338,11 @@ mod tests {
 
     #[test]
     fn respects_budget() {
-        let mut m = master();
-        let mut replica = FilterReplica::new(0);
+        let (mut m, mut c, replica) = deployment();
         let mut s = selector(10);
         for i in 0..5 {
-            s.observe(&query(&format!("04560{i}")), &mut m, &mut replica).unwrap();
-            s.observe(&query(&format!("12000{i}")), &mut m, &mut replica).unwrap();
+            s.observe(&query(&format!("04560{i}")), &mut m, &mut c, &replica).unwrap();
+            s.observe(&query(&format!("12000{i}")), &mut m, &mut c, &replica).unwrap();
         }
         // Only one 10-entry region fits the 10-entry budget.
         assert!(replica.filter_count() <= 1, "got {}", replica.filter_count());

@@ -11,8 +11,8 @@
 //!   statistics; every `R` queries (the *revolution interval*) the
 //!   candidates with the best benefit/size ratios are installed into the
 //!   replica, within an entry budget. Benefit = hits since the last
-//!   revolution; size = number of entries matching the filter at the
-//!   master.
+//!   revolution; size = number of entries the candidate matches at the
+//!   master, inside its own base and scope.
 //! * [`EvolutionSelector`] — the evolution/revolution baseline of
 //!   Kapitskaia, Ng and Srivastava \[12\], which updates the stored set on
 //!   *every* query; its filter churn shows why per-query evolutions are
@@ -24,6 +24,14 @@
 //!   stored set tracks the workload continuously without install storms.
 //!   All three selectors share one greedy benefit/size core, which is
 //!   what makes the online ≡ batch equivalence property checkable.
+//!
+//! The selectors act on the sharded deployment — a
+//! [`ShardedMaster`](fbdr_resync::ShardedMaster), of which an unsharded
+//! master is the one-shard case, and the
+//! [`ShardCoordinator`](fbdr_resync::ShardCoordinator) that syncs the
+//! replica against it: candidates are sized with
+//! `ShardedMaster::count_matching` (every entry once, at the shard that
+//! owns it) and installed with one session per overlapped shard.
 
 pub mod generalize;
 

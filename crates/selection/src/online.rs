@@ -38,7 +38,7 @@ use crate::greedy::{candidate_key, greedy_pick, Scored};
 use fbdr_ldap::SearchRequest;
 use fbdr_obs::{event, span, Obs};
 use fbdr_replica::FilterReplica;
-use fbdr_resync::{SyncError, SyncMaster, SyncTraffic};
+use fbdr_resync::{ShardCoordinator, ShardedMaster, SyncError, SyncTraffic};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -285,15 +285,18 @@ impl OnlineSelector {
     /// Performs one budgeted revolution step now: ranks the consideration
     /// set (touched ∪ pending ∪ stored) through the shared greedy core,
     /// then applies at most `move_budget` promote/evict moves against the
-    /// replica, gated by hysteresis and dwell.
+    /// replica, gated by hysteresis and dwell. The master is a sharded
+    /// deployment (an unsharded master is its one-shard case);
+    /// `coordinator` is the one that syncs `replica` against it.
     ///
     /// # Errors
     ///
     /// Propagates [`SyncError`] from installing filters at the master.
     pub fn step(
         &mut self,
-        master: &mut SyncMaster,
-        replica: &mut FilterReplica,
+        master: &mut ShardedMaster,
+        coordinator: &mut ShardCoordinator,
+        replica: &FilterReplica,
     ) -> Result<StepReport, SyncError> {
         let _span = span!(self.obs, "selection", "online_step");
         self.steps += 1;
@@ -325,7 +328,7 @@ impl OnlineSelector {
         consider.extend(self.managed.keys().cloned());
 
         let budget = self.config.entry_budget;
-        let dit_len = master.dit().len().max(1) as f64;
+        let dit_len = master.entry_count().max(1) as f64;
         let charge_per_entry =
             self.config.upd_weight * self.update_pressure / dit_len;
         let mut scored: Vec<Scored> = Vec::new();
@@ -336,8 +339,7 @@ impl OnlineSelector {
             if benefit <= 0.0 {
                 continue;
             }
-            let size =
-                *c.size.get_or_insert_with(|| master.dit().count_matching(c.request.filter()));
+            let size = *c.size.get_or_insert_with(|| master.count_matching(&c.request));
             if size == 0 || size > budget {
                 continue;
             }
@@ -368,9 +370,7 @@ impl OnlineSelector {
         let mut managed_sizes: HashMap<String, usize> = HashMap::new();
         for key in self.managed.keys() {
             let size = match self.candidates.get_mut(key) {
-                Some(c) => *c
-                    .size
-                    .get_or_insert_with(|| master.dit().count_matching(c.request.filter())),
+                Some(c) => *c.size.get_or_insert_with(|| master.count_matching(&c.request)),
                 None => 0,
             };
             managed_sizes.insert(key.clone(), size);
@@ -433,7 +433,7 @@ impl OnlineSelector {
             if used + s.size > budget {
                 continue; // room still held by a hysteresis-kept incumbent
             }
-            let t = replica.install_filter(master, s.request.clone())?;
+            let t = replica.install_filter_sharded(master, coordinator, s.request.clone())?;
             self.managed.insert(s.key.clone(), self.steps);
             used += s.size;
             moves += 1;
@@ -506,6 +506,7 @@ mod tests {
     use crate::generalize::ValuePrefix;
     use crate::{FilterSelector, SelectorConfig};
     use fbdr_ldap::{Entry, Filter};
+    use fbdr_resync::SyncMaster;
 
     fn master() -> SyncMaster {
         let mut m = SyncMaster::new();
@@ -526,6 +527,14 @@ mod tests {
         m
     }
 
+    /// The master as the one-shard deployment, with its coordinator and
+    /// an empty replica.
+    fn deployment() -> (ShardedMaster, ShardCoordinator, FilterReplica) {
+        let m = ShardedMaster::from(master());
+        let c = ShardCoordinator::new(m.map().clone());
+        (m, c, FilterReplica::new(0))
+    }
+
     fn query(sn: &str) -> SearchRequest {
         SearchRequest::from_root(Filter::parse(&format!("(serialNumber={sn})")).unwrap())
     }
@@ -536,8 +545,7 @@ mod tests {
 
     #[test]
     fn step_installs_hot_region() {
-        let mut m = master();
-        let mut replica = FilterReplica::new(0);
+        let (mut m, mut c, replica) = deployment();
         let mut s = OnlineSelector::new(
             OnlineConfig { entry_budget: 10, ..OnlineConfig::default() },
             gens(),
@@ -545,7 +553,7 @@ mod tests {
         for i in 0..5 {
             s.observe(&query(&format!("04560{i}")));
         }
-        let rep = s.step(&mut m, &mut replica).unwrap();
+        let rep = s.step(&mut m, &mut c, &replica).unwrap();
         assert_eq!(rep.promoted.len(), 1);
         assert_eq!(rep.moves, 1);
         assert!(replica.try_answer(&query("045609")).is_some());
@@ -554,8 +562,7 @@ mod tests {
 
     #[test]
     fn move_budget_bounds_each_step() {
-        let mut m = master();
-        let mut replica = FilterReplica::new(0);
+        let (mut m, mut c, replica) = deployment();
         let mut s = OnlineSelector::new(
             OnlineConfig {
                 entry_budget: 40,
@@ -572,13 +579,13 @@ mod tests {
                 s.observe(&query(&format!("{pre}0{i}")));
             }
         }
-        let r1 = s.step(&mut m, &mut replica).unwrap();
+        let r1 = s.step(&mut m, &mut c, &replica).unwrap();
         assert_eq!(r1.moves, 1, "budget of one move per step");
         assert_eq!(replica.filter_count(), 1);
         // Pending carry-over keeps the starved risers warm: subsequent
         // steps finish the job one move at a time without new queries.
         for _ in 0..3 {
-            s.step(&mut m, &mut replica).unwrap();
+            s.step(&mut m, &mut c, &replica).unwrap();
         }
         assert_eq!(replica.filter_count(), 4);
         assert_eq!(s.report().max_moves, 1);
@@ -587,8 +594,7 @@ mod tests {
     #[test]
     fn hysteresis_resists_flapping() {
         let run = |hysteresis: f64, min_dwell_steps: u64| {
-            let mut m = master();
-            let mut replica = FilterReplica::new(0);
+            let (mut m, mut c, replica) = deployment();
             let mut s = OnlineSelector::new(
                 OnlineConfig {
                     entry_budget: 10, // fits exactly one cluster
@@ -610,7 +616,7 @@ mod tests {
                     s.observe(&query(&format!("{pre}0{i}")));
                 }
                 if s.step_due() {
-                    s.step(&mut m, &mut replica).unwrap();
+                    s.step(&mut m, &mut c, &replica).unwrap();
                 }
             }
             s.report().installs
@@ -626,8 +632,7 @@ mod tests {
 
     #[test]
     fn update_pressure_vetoes_churny_region() {
-        let mut m = master();
-        let mut replica = FilterReplica::new(0);
+        let (mut m, mut c, replica) = deployment();
         let mut s = OnlineSelector::new(
             OnlineConfig {
                 entry_budget: 10,
@@ -651,7 +656,7 @@ mod tests {
             })
             .unwrap();
         }
-        let rep = s.step(&mut m, &mut replica).unwrap();
+        let rep = s.step(&mut m, &mut c, &replica).unwrap();
         assert!(rep.promoted.is_empty(), "net benefit must veto the install");
         // With no update charge the same stats install immediately.
         let mut s2 = OnlineSelector::new(
@@ -661,14 +666,13 @@ mod tests {
         for i in 0..3 {
             s2.observe(&query(&format!("04560{i}")));
         }
-        let rep2 = s2.step(&mut m, &mut replica).unwrap();
+        let rep2 = s2.step(&mut m, &mut c, &replica).unwrap();
         assert_eq!(rep2.promoted.len(), 1);
     }
 
     #[test]
     fn decay_swaps_to_the_new_hot_set() {
-        let mut m = master();
-        let mut replica = FilterReplica::new(0);
+        let (mut m, mut c, replica) = deployment();
         let mut s = OnlineSelector::new(
             OnlineConfig {
                 entry_budget: 10,
@@ -682,7 +686,7 @@ mod tests {
         for i in 0..6 {
             s.observe(&query(&format!("04560{i}")));
         }
-        s.step(&mut m, &mut replica).unwrap();
+        s.step(&mut m, &mut c, &replica).unwrap();
         assert!(replica.try_answer(&query("045600")).is_some());
         // The workload moves; the old region's decayed benefit loses to
         // the new one within a few steps.
@@ -690,7 +694,7 @@ mod tests {
             for i in 0..6 {
                 s.observe(&query(&format!("12000{i}")));
             }
-            s.step(&mut m, &mut replica).unwrap();
+            s.step(&mut m, &mut c, &replica).unwrap();
         }
         assert!(replica.try_answer(&query("120005")).is_some());
         assert!(replica.try_answer(&query("045600")).is_none(), "stale region evicted");
@@ -698,7 +702,6 @@ mod tests {
 
     #[test]
     fn unbudgeted_step_matches_batch_select() {
-        let mut m = master();
         let gens_b = gens();
         let mut batch = FilterSelector::new(
             SelectorConfig {
@@ -717,9 +720,9 @@ mod tests {
             }
         }
         let batch_set: HashSet<String> =
-            batch.select(m.dit()).iter().map(candidate_key).collect();
-        let mut replica = FilterReplica::new(0);
-        online.step(&mut m, &mut replica).unwrap();
+            batch.select(master().dit()).iter().map(candidate_key).collect();
+        let (mut m, mut c, replica) = deployment();
+        online.step(&mut m, &mut c, &replica).unwrap();
         let online_set: HashSet<String> =
             replica.filters().map(|(r, _)| candidate_key(&r)).collect();
         assert_eq!(batch_set, online_set);
@@ -727,8 +730,7 @@ mod tests {
 
     #[test]
     fn pruning_caps_candidates_but_keeps_managed() {
-        let mut m = master();
-        let mut replica = FilterReplica::new(0);
+        let (mut m, mut c, replica) = deployment();
         let mut s = OnlineSelector::new(
             OnlineConfig { entry_budget: 10, max_candidates: 8, ..OnlineConfig::default() },
             gens(),
@@ -736,7 +738,7 @@ mod tests {
         for i in 0..5 {
             s.observe(&query(&format!("04560{i}")));
         }
-        s.step(&mut m, &mut replica).unwrap();
+        s.step(&mut m, &mut c, &replica).unwrap();
         assert_eq!(s.managed_count(), 1);
         for i in 0..40 {
             s.observe(&query(&format!("{:06}", i * 137)));
@@ -752,8 +754,7 @@ mod tests {
     #[test]
     fn moves_histogram_is_recorded() {
         let obs = Obs::new();
-        let mut m = master();
-        let mut replica = FilterReplica::new(0);
+        let (mut m, mut c, replica) = deployment();
         let mut s = OnlineSelector::new(
             OnlineConfig { entry_budget: 10, ..OnlineConfig::default() },
             gens(),
@@ -762,7 +763,7 @@ mod tests {
         for i in 0..5 {
             s.observe(&query(&format!("04560{i}")));
         }
-        s.step(&mut m, &mut replica).unwrap();
+        s.step(&mut m, &mut c, &replica).unwrap();
         let snap = obs.registry().snapshot();
         assert_eq!(snap.counters["fbdr_selection_online_steps_total"], 1);
         assert_eq!(snap.counters["fbdr_selection_online_promotions_total"], 1);

@@ -2,10 +2,11 @@
 
 use crate::generalize::Generalizer;
 use crate::greedy::{candidate_key, greedy_pick, Scored};
+use fbdr_dit::DitStore;
 use fbdr_ldap::SearchRequest;
 use fbdr_obs::{event, span, Obs};
 use fbdr_replica::FilterReplica;
-use fbdr_resync::{SyncError, SyncMaster, SyncTraffic};
+use fbdr_resync::{ShardCoordinator, ShardedMaster, SyncError, SyncTraffic};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -141,20 +142,23 @@ impl FilterSelector {
 
     /// Performs a revolution if one is due: selects the best
     /// benefit-to-size candidates within the entry budget and swaps the
-    /// replica's stored filter set accordingly.
+    /// replica's stored filter set accordingly. The master is a sharded
+    /// deployment (an unsharded master is its one-shard case);
+    /// `coordinator` is the one that syncs `replica` against it.
     ///
     /// # Errors
     ///
     /// Propagates [`SyncError`] from installing filters at the master.
     pub fn maybe_revolve(
         &mut self,
-        master: &mut SyncMaster,
-        replica: &mut FilterReplica,
+        master: &mut ShardedMaster,
+        coordinator: &mut ShardCoordinator,
+        replica: &FilterReplica,
     ) -> Result<Option<RevolutionReport>, SyncError> {
         if !self.revolution_due() {
             return Ok(None);
         }
-        self.revolve(master, replica).map(Some)
+        self.revolve(master, coordinator, replica).map(Some)
     }
 
     /// Unconditionally performs a revolution.
@@ -164,13 +168,14 @@ impl FilterSelector {
     /// Propagates [`SyncError`] from installing filters at the master.
     pub fn revolve(
         &mut self,
-        master: &mut SyncMaster,
-        replica: &mut FilterReplica,
+        master: &mut ShardedMaster,
+        coordinator: &mut ShardCoordinator,
+        replica: &FilterReplica,
     ) -> Result<RevolutionReport, SyncError> {
         let _span = span!(self.obs, "selection", "revolve");
         self.revolutions += 1;
         let scored = self.candidates.values().filter(|c| c.hits > 0).count();
-        let selected = self.select(master.dit());
+        let selected = self.select_sized(|r| master.count_matching(r));
         let selected_keys: Vec<String> = selected.iter().map(candidate_key).collect();
 
         let mut report = RevolutionReport::default();
@@ -191,7 +196,7 @@ impl FilterSelector {
         for r in selected {
             let key = candidate_key(&r);
             if !current_keys.contains(&key) {
-                let t = replica.install_filter(master, r.clone())?;
+                let t = replica.install_filter_sharded(master, coordinator, r.clone())?;
                 event!(
                     self.obs,
                     "selection",
@@ -227,21 +232,29 @@ impl FilterSelector {
         Ok(report)
     }
 
-    /// Greedy benefit/size selection within the entry budget (also usable
-    /// standalone for static, train-then-freeze configurations — Figure 4).
+    /// Greedy benefit/size selection within the entry budget, standalone
+    /// against one store: the static, train-then-freeze configuration of
+    /// Figure 4. A candidate's size is what it matches inside its own base
+    /// and scope.
     ///
     /// The ranking, tie-breaks and containment skip live in the shared
     /// greedy core (the crate-private `greedy` module) so that the
     /// budgeted online selector provably computes the same target set
     /// from the same frozen statistics.
-    pub fn select(&mut self, master: &fbdr_dit::DitStore) -> Vec<SearchRequest> {
+    pub fn select(&mut self, master: &DitStore) -> Vec<SearchRequest> {
+        self.select_sized(|r| region_size(master, r))
+    }
+
+    /// [`FilterSelector::select`] with the size estimate left to the
+    /// caller: a revolution sizes at the sharded master.
+    fn select_sized(&mut self, size_of: impl Fn(&SearchRequest) -> usize) -> Vec<SearchRequest> {
         let budget = self.config.entry_budget;
         let mut scored: Vec<Scored> = Vec::new();
         for c in self.candidates.values_mut() {
             if c.hits == 0 {
                 continue;
             }
-            let size = *c.size.get_or_insert_with(|| master.count_matching(c.request.filter()));
+            let size = *c.size.get_or_insert_with(|| size_of(&c.request));
             if size == 0 || size > budget {
                 continue;
             }
@@ -259,13 +272,13 @@ impl FilterSelector {
     /// (best first), with their hit counts and size estimates. Used by the
     /// "hit ratio vs number of stored filters" sweeps (Figures 8–9), which
     /// take the top *k* regardless of an entry budget.
-    pub fn ranked_candidates(&mut self, master: &fbdr_dit::DitStore) -> Vec<(SearchRequest, u64, usize)> {
+    pub fn ranked_candidates(&mut self, master: &DitStore) -> Vec<(SearchRequest, u64, usize)> {
         let mut out: Vec<(SearchRequest, u64, usize)> = Vec::new();
         for c in self.candidates.values_mut() {
             if c.hits == 0 {
                 continue;
             }
-            let size = *c.size.get_or_insert_with(|| master.count_matching(c.request.filter()));
+            let size = *c.size.get_or_insert_with(|| region_size(master, &c.request));
             if size == 0 {
                 continue;
             }
@@ -289,11 +302,19 @@ impl FilterSelector {
     }
 }
 
+/// Entries of `dit` that `request` matches within its base and scope.
+fn region_size(dit: &DitStore, request: &SearchRequest) -> usize {
+    let mut n = 0;
+    dit.for_each_match(request, |_| n += 1);
+    n
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generalize::ValuePrefix;
-    use fbdr_ldap::{Entry, Filter};
+    use fbdr_ldap::{Entry, Filter, Scope};
+    use fbdr_resync::SyncMaster;
 
     fn master() -> SyncMaster {
         let mut m = SyncMaster::new();
@@ -377,17 +398,24 @@ mod tests {
         assert!(small.select(m.dit()).is_empty());
     }
 
+    /// The master as the one-shard deployment, with its coordinator.
+    fn deployment() -> (ShardedMaster, ShardCoordinator) {
+        let m = ShardedMaster::from(master());
+        let c = ShardCoordinator::new(m.map().clone());
+        (m, c)
+    }
+
     #[test]
     fn revolution_installs_and_evicts() {
-        let mut m = master();
-        let mut replica = FilterReplica::new(0);
+        let (mut m, mut c) = deployment();
+        let replica = FilterReplica::new(0);
         let mut s = selector(3, 10);
 
         for i in 0..3 {
             s.observe(&query(&format!("04560{i}")));
         }
         assert!(s.revolution_due());
-        let report = s.maybe_revolve(&mut m, &mut replica).unwrap().expect("due");
+        let report = s.maybe_revolve(&mut m, &mut c, &replica).unwrap().expect("due");
         assert_eq!(report.installed.len(), 1);
         assert_eq!(report.traffic.full_entries, 10);
         assert_eq!(replica.filter_count(), 1);
@@ -398,7 +426,7 @@ mod tests {
         for i in 0..3 {
             s.observe(&query(&format!("12000{i}")));
         }
-        let report = s.maybe_revolve(&mut m, &mut replica).unwrap().expect("due");
+        let report = s.maybe_revolve(&mut m, &mut c, &replica).unwrap().expect("due");
         assert_eq!(report.installed.len(), 1);
         assert_eq!(report.removed.len(), 1);
         assert!(replica.try_answer(&query("120005")).is_some());
@@ -408,12 +436,52 @@ mod tests {
 
     #[test]
     fn no_revolution_between_intervals() {
-        let mut m = master();
-        let mut replica = FilterReplica::new(0);
+        let (mut m, mut c) = deployment();
+        let replica = FilterReplica::new(0);
         let mut s = selector(10, 10);
         s.observe(&query("045601"));
         assert!(!s.revolution_due());
-        assert!(s.maybe_revolve(&mut m, &mut replica).unwrap().is_none());
+        assert!(s.maybe_revolve(&mut m, &mut c, &replica).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_scoped_candidate_is_sized_by_its_region() {
+        // 0456* matches 13 entries in the whole directory, 3 of them under
+        // ou=lab. A query scoped to ou=lab generalizes to a candidate with
+        // the same base: it fits a budget of 5 only when charged the 3
+        // entries of its region, not the filter's 13.
+        let mut m = master();
+        m.dit_mut().add(Entry::new("ou=lab,o=xyz".parse().unwrap())).unwrap();
+        for i in 0..3 {
+            m.dit_mut()
+                .add(
+                    Entry::new(format!("cn=l{i},ou=lab,o=xyz").parse().unwrap())
+                        .with("objectclass", "person")
+                        .with("serialNumber", &format!("04569{i}")),
+                )
+                .unwrap();
+        }
+        let scoped = |sn: &str| {
+            let f = Filter::parse(&format!("(serialNumber={sn})")).unwrap();
+            SearchRequest::new("ou=lab,o=xyz".parse().unwrap(), Scope::Subtree, f)
+        };
+        let trained = || {
+            let mut s = selector(2, 5);
+            s.observe(&scoped("045690"));
+            s.observe(&scoped("045691"));
+            s
+        };
+        let picked = trained().select(m.dit());
+        assert_eq!(picked.len(), 1, "{picked:?}");
+        assert_eq!(picked[0].base().to_string(), "ou=lab,o=xyz");
+
+        // A revolution sizes the same way, at the sharded master.
+        let mut m = ShardedMaster::from(m);
+        let mut c = ShardCoordinator::new(m.map().clone());
+        let replica = FilterReplica::new(0);
+        let report = trained().revolve(&mut m, &mut c, &replica).unwrap();
+        assert_eq!(report.traffic.full_entries, 3);
+        assert!(replica.try_answer(&scoped("045692")).is_some());
     }
 
     #[test]

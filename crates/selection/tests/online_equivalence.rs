@@ -11,7 +11,7 @@
 
 use fbdr_ldap::{Entry, Filter, SearchRequest};
 use fbdr_replica::FilterReplica;
-use fbdr_resync::SyncMaster;
+use fbdr_resync::{ShardCoordinator, ShardedMaster, SyncMaster};
 use fbdr_selection::generalize::{Generalizer, ValuePrefix};
 use fbdr_selection::{FilterSelector, OnlineConfig, OnlineSelector, SelectorConfig};
 use proptest::prelude::*;
@@ -41,6 +41,14 @@ fn master() -> SyncMaster {
     m
 }
 
+/// The master as the one-shard deployment the selectors act on, with its
+/// coordinator and an empty replica.
+fn deployment() -> (ShardedMaster, ShardCoordinator, FilterReplica) {
+    let m = ShardedMaster::from(master());
+    let c = ShardCoordinator::new(m.map().clone());
+    (m, c, FilterReplica::new(0))
+}
+
 fn query(c: usize, i: usize) -> SearchRequest {
     SearchRequest::from_root(
         Filter::parse(&format!("(serialNumber={:02}{:04})", 10 + c, i)).unwrap(),
@@ -66,7 +74,6 @@ proptest! {
         budget_tens in 1usize..13,
     ) {
         let budget = budget_tens * 10;
-        let mut m = master();
         let mut batch = FilterSelector::new(
             SelectorConfig {
                 revolution_interval: u64::MAX,
@@ -82,9 +89,9 @@ proptest! {
             online.observe(&q);
         }
 
-        let batch_set: HashSet<String> = batch.select(m.dit()).iter().map(key).collect();
-        let mut replica = FilterReplica::new(0);
-        let step = online.step(&mut m, &mut replica).unwrap();
+        let batch_set: HashSet<String> = batch.select(master().dit()).iter().map(key).collect();
+        let (mut m, mut coord, replica) = deployment();
+        let step = online.step(&mut m, &mut coord, &replica).unwrap();
         let online_set: HashSet<String> = replica.filters().map(|(r, _)| key(&r)).collect();
 
         prop_assert_eq!(&batch_set, &online_set,
@@ -119,18 +126,17 @@ proptest! {
             pending_cap: 16,
             max_candidates: 4096,
         };
-        let mut m = master();
+        let (mut m, mut coord, replica) = deployment();
         let mut online = OnlineSelector::new(config, gens());
-        let mut replica = FilterReplica::new(0);
         for (c, i) in &picks {
             online.observe(&query(*c, *i));
             if online.step_due() {
-                let step = online.step(&mut m, &mut replica).unwrap();
+                let step = online.step(&mut m, &mut coord, &replica).unwrap();
                 prop_assert!(step.moves <= move_budget,
                     "step made {} moves, budget {}", step.moves, move_budget);
                 let stored: usize = replica
                     .filters()
-                    .map(|(r, _)| m.dit().count_matching(r.filter()))
+                    .map(|(r, _)| m.count_matching(&r))
                     .sum();
                 prop_assert!(stored <= budget,
                     "stored {} entries, budget {}", stored, budget);

@@ -12,7 +12,7 @@ use fbdr_faults::{FaultPlan, FaultyLink, SimClock};
 use fbdr_ldap::{Entry, Filter, SearchRequest};
 use fbdr_obs::{Obs, RingBuffer};
 use fbdr_replica::FilterReplica;
-use fbdr_resync::{RetryConfig, SyncDriver, SyncMaster};
+use fbdr_resync::{RetryConfig, ShardCoordinator, ShardedMaster, SyncDriver, SyncMaster};
 use fbdr_selection::generalize::ValuePrefix;
 use fbdr_selection::{FilterSelector, SelectorConfig};
 use std::sync::Arc;
@@ -45,7 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in 0..40 {
         master.dit_mut().add(person(i))?;
     }
-    let mut replica = FilterReplica::with_obs(8, obs.clone());
+    // Selectors act on the sharded deployment; this is its one-shard case.
+    let mut master = ShardedMaster::from(master);
+    let mut coordinator = ShardCoordinator::new(master.map().clone());
+    let replica = FilterReplica::with_obs(8, obs.clone());
     let mut selector = FilterSelector::new(
         SelectorConfig { revolution_interval: 16, entry_budget: 100, max_candidates: 64 },
         vec![Box::new(ValuePrefix::new("serialNumber", vec![4]))],
@@ -58,7 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in 0..16 {
         selector.observe(&query(&format!("0456{:02}", i % 40)));
     }
-    let report = selector.maybe_revolve(&mut master, &mut replica)?.expect("revolution due");
+    let report = selector
+        .maybe_revolve(&mut master, &mut coordinator, &replica)?
+        .expect("revolution due");
     println!(
         "revolution: installed {:?}, evicted {:?}",
         report.installed.iter().map(|r| r.filter().to_string()).collect::<Vec<_>>(),

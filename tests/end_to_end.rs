@@ -74,7 +74,7 @@ fn replica_stays_correct_across_updates_and_syncs() {
         // After a sync, hits must match the master exactly.
         let (entries, served) = repl.search(&tq.request);
         if served == ServedBy::Replica {
-            let want = repl.master().dit().search(&tq.request);
+            let want = repl.master().search(&tq.request);
             let got: Vec<String> = entries.iter().map(|e| e.dn().to_string()).collect();
             let want: Vec<String> = want.iter().map(|e| e.dn().to_string()).collect();
             assert_eq!(got, want, "stale/wrong replica answer for {}", tq.request);
