@@ -25,10 +25,10 @@
 
 use crate::Scale;
 use fbdr_dit::{Modification, UpdateOp};
-use fbdr_ldap::{Entry, Filter, Scope, SearchRequest};
+use fbdr_ldap::{Dn, Entry, Filter, Scope, SearchRequest};
 use fbdr_resync::reconcile::entry_item_hash;
 use fbdr_resync::{
-    entry_key, ReSyncControl, ReconcileConfig, ReconcileItem, RetryConfig, ShardId, SyncDriver,
+    ReSyncControl, ReconcileConfig, ReconcileItem, RetryConfig, ShardId, SyncDriver,
     SyncMaster, SyncTraffic,
 };
 use std::collections::{BTreeMap, HashMap};
@@ -177,9 +177,9 @@ fn measure_rung(cfg: &RecoveryConfig, n: usize) -> RecoveryRung {
         .enumerate()
         .map(|(id, e)| ReconcileItem { hash: entry_item_hash(e), id: id as u32 })
         .collect();
-    let by_key: HashMap<String, u32> =
-        held.iter().enumerate().map(|(id, e)| (entry_key(e), id as u32)).collect();
-    let resolve = |key: &str| by_key.get(key).copied();
+    let by_dn: HashMap<&Dn, u32> =
+        held.iter().enumerate().map(|(id, e)| (e.dn(), id as u32)).collect();
+    let resolve = |dn: &Dn| by_dn.get(dn).copied();
 
     let mut driver = SyncDriver::new(RetryConfig::default())
         .with_reconcile(ReconcileConfig { fpr: cfg.fpr, ..Default::default() });
@@ -189,17 +189,16 @@ fn measure_rung(cfg: &RecoveryConfig, n: usize) -> RecoveryRung {
 
     // Refuse to price a wrong recovery: applying the outcome to the held
     // content must reproduce the master's current evaluation exactly.
-    let mut recovered: BTreeMap<String, Entry> =
-        held.iter().map(|e| (entry_key(e), e.clone())).collect();
+    let mut recovered: BTreeMap<&Dn, &Entry> = held.iter().map(|e| (e.dn(), e)).collect();
     for &id in &outcome.delete_ids {
-        recovered.remove(&entry_key(&held[id as usize]));
+        recovered.remove(held[id as usize].dn());
     }
     for e in &outcome.upserts {
-        recovered.insert(entry_key(e), e.clone());
+        recovered.insert(e.dn(), e);
     }
     let mut want = m.dit().search(&request);
     want.sort_by(|a, b| a.dn().cmp(b.dn()));
-    let got: Vec<&Entry> = recovered.values().collect();
+    let got: Vec<&Entry> = recovered.values().copied().collect();
     assert_eq!(got.len(), want.len(), "reconcile diverged at N={n}: entry count");
     for (g, w) in got.iter().zip(want.iter()) {
         assert_eq!(

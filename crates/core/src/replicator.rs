@@ -5,8 +5,8 @@ use fbdr_dit::{ChangeRecord, DitError, UpdateOp};
 use fbdr_ldap::{Entry, SearchRequest};
 use fbdr_replica::{FilterReplica, ReplicaStats};
 use fbdr_resync::{
-    DriverStats, NotifyFlush, NotifyPolicy, ReconcileConfig, RetryConfig, ShardCoordinator,
-    ShardId, ShardedMaster, SyncError, SyncTraffic,
+    DriverStats, ReconcileConfig, RetryConfig, ShardCoordinator, ShardedMaster, SyncError,
+    SyncTraffic,
 };
 use fbdr_selection::{FilterSelector, OnlineReport, OnlineSelector};
 use serde::{Deserialize, Serialize};
@@ -107,27 +107,6 @@ impl Replicator {
         self.coordinator =
             ShardCoordinator::with_config(self.master.map().clone(), retry, reconcile);
         self
-    }
-
-    /// Sets every shard's persist-mode notification policy: how many raw
-    /// updates are batched per session wakeup and how long they may wait
-    /// ([`NotifyPolicy::coalescing`] vs the per-update default).
-    pub fn with_notify_policy(mut self, policy: NotifyPolicy) -> Self {
-        self.master.set_notify_policy(policy);
-        self
-    }
-
-    /// Advances every shard's notification clock — drive this from the
-    /// deployment loop so coalescing max-delay deadlines can expire.
-    pub fn advance_to(&mut self, now_ms: u64) {
-        self.master.advance_to(now_ms);
-    }
-
-    /// Flushes due (or, with `force`, all) coalesced persist-mode batches
-    /// across every shard; returns one [`NotifyFlush`] per session wakeup,
-    /// tagged with the [`ShardId`] it fired on.
-    pub fn flush_notifications(&mut self, force: bool) -> Vec<(ShardId, NotifyFlush)> {
-        self.master.flush_notifications(force)
     }
 
     /// Read access to the master deployment.
@@ -261,7 +240,7 @@ impl Replicator {
 mod tests {
     use super::*;
     use fbdr_ldap::Filter;
-    use fbdr_resync::SyncMaster;
+    use fbdr_resync::{ShardId, SyncMaster};
     use fbdr_selection::generalize::ValuePrefix;
     use fbdr_selection::SelectorConfig;
 
@@ -308,40 +287,6 @@ mod tests {
         assert_eq!(s2, ServedBy::Replica);
         assert_eq!(es.len(), 1);
         assert_eq!(r.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn notify_policy_wiring_coalesces_persist_batches() {
-        use fbdr_dit::Modification;
-        use fbdr_resync::ReSyncControl;
-
-        let mut m = master();
-        let resp = m
-            .resync(
-                &SearchRequest::from_root(Filter::parse("(serialNumber=04*)").unwrap()),
-                ReSyncControl::persist(None),
-            )
-            .unwrap();
-        let rx = m.take_receiver(resp.cookie.unwrap()).unwrap();
-
-        let mut r = Replicator::new(m, 0).with_notify_policy(NotifyPolicy::coalescing(10, 50));
-        for i in 0..3 {
-            r.apply_update(UpdateOp::Modify {
-                dn: format!("cn=e{i},o=xyz").parse().unwrap(),
-                mods: vec![Modification::Replace("mail".into(), vec![format!("e{i}@x").into()])],
-            })
-            .unwrap();
-        }
-        // Not due yet: nothing waited max_delay.
-        assert!(r.flush_notifications(false).is_empty());
-        r.advance_to(60);
-        let flushes = r.flush_notifications(false);
-        assert_eq!(flushes.len(), 1, "three updates coalesce into one wakeup");
-        assert_eq!(flushes[0].0, ShardId::ZERO);
-        assert_eq!(flushes[0].1.coalesced_from, 3);
-        let batch = rx.try_recv().unwrap();
-        assert_eq!(batch.coalesced_from, 3);
-        assert_eq!(batch.actions.len(), 3);
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl ShardContent for NoContent {
     fn items(&self, _shard: ShardId) -> Vec<ReconcileItem> {
         Vec::new()
     }
-    fn resolve(&self, _shard: ShardId, _key: &str) -> Option<u32> {
+    fn resolve(&self, _shard: ShardId, _dn: &Dn) -> Option<u32> {
         None
     }
     fn dn_of(&self, _shard: ShardId, _id: u32) -> Option<Dn> {

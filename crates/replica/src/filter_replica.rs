@@ -47,7 +47,7 @@ use fbdr_ldap::{Entry, SearchRequest};
 use fbdr_obs::{event, Counter, Histogram, Obs};
 use fbdr_resync::reconcile::entry_item_hash;
 use fbdr_resync::{
-    dn_key, entry_key, Clock, CompositeCookie, DnInterner, NotifyBatch, ReconcileItem,
+    Clock, CompositeCookie, DnTable, NotifyBatch, ReconcileItem,
     RoutingIndex, ShardContent, ShardCoordinator, ShardId, ShardMap, ShardOutcome, ShardStatus,
     SyncAction, SyncDriver, SyncError, SyncMaster, SyncTransport, SyncTraffic,
 };
@@ -248,7 +248,7 @@ impl Working {
 /// (under [`ShardMap::single`], the whole content).
 struct WorkingShardContent<'a> {
     work: &'a Working,
-    interner: &'a DnInterner,
+    table: &'a DnTable,
     filter: usize,
     map: &'a ShardMap,
 }
@@ -273,8 +273,8 @@ impl ShardContent for WorkingShardContent<'_> {
             .collect()
     }
 
-    fn resolve(&self, shard: ShardId, key: &str) -> Option<u32> {
-        let id = self.interner.get(key)?;
+    fn resolve(&self, shard: ShardId, dn: &fbdr_ldap::Dn) -> Option<u32> {
+        let id = self.table.get(dn)?;
         self.work.filters[self.filter].ids.binary_search(&id).ok()?;
         self.owned_entry(shard, id).map(|_| id)
     }
@@ -324,9 +324,9 @@ struct WriterState {
 /// DN, so no published epoch carries a copy.
 #[derive(Debug, Default)]
 struct DnIds {
-    /// DN-key → id map. An id is stable while some filter holds its entry
+    /// DN ↔ id table. An id is stable while some filter holds its entry
     /// and recycled afterwards ([`unref`]).
-    interner: DnInterner,
+    table: DnTable,
     /// How many filters reference each entry id (cache entries are owned
     /// by their cached query and not counted here).
     refcount: HashMap<u32, usize>,
@@ -338,7 +338,6 @@ struct DnIds {
 struct CachedQuery {
     prepared: PreparedQuery,
     entries: Vec<Entry>,
-    keys: HashSet<String>,
     hits: AtomicU64,
 }
 
@@ -561,19 +560,17 @@ impl FilterReplica {
             return self.snapshot().live;
         }
         // Which DNs the filters hold is the writer's knowledge; under its
-        // lock the interner and the current snapshot agree. The window's
+        // lock the id table and the current snapshot agree. The window's
         // lock is taken second, so it is never held waiting for a writer
         // (readers take it on every miss).
         let w = self.writer.lock();
         let window = self.cache.lock();
-        let mut extra: HashSet<&str> = HashSet::new();
-        for cq in &window.queries {
-            for k in &cq.keys {
-                if w.ids.interner.get(k).is_none() {
-                    extra.insert(k);
-                }
-            }
-        }
+        let extra: HashSet<&fbdr_ldap::Dn> = window
+            .queries
+            .iter()
+            .flat_map(|cq| cq.entries.iter().map(Entry::dn))
+            .filter(|dn| w.ids.table.get(dn).is_none())
+            .collect();
         self.snapshot().live + extra.len()
     }
 
@@ -959,7 +956,7 @@ impl FilterReplica {
             let outcomes = sync_one(
                 work.filters[i].prepared.request(),
                 &mut sessions[i].cookie,
-                &WorkingShardContent { work: &work, interner: &ids.interner, filter: i, map },
+                &WorkingShardContent { work: &work, table: &ids.table, filter: i, map },
             );
             let mut stale = false;
             let mut actions: Vec<SyncAction> = Vec::new();
@@ -1006,7 +1003,6 @@ impl FilterReplica {
         }
         let cq = Arc::new(CachedQuery {
             prepared: PreparedQuery::new(request),
-            keys: result.iter().map(entry_key).collect(),
             entries: result.to_vec(),
             hits: AtomicU64::new(0),
         });
@@ -1318,14 +1314,14 @@ fn apply_actions(
     for a in actions {
         match a {
             SyncAction::Add(e) | SyncAction::Modify(e) => {
-                let id = ids.interner.intern(&entry_key(e));
+                let id = ids.table.intern(e.dn());
                 if posting::insert_sorted(held, id) {
                     *ids.refcount.entry(id).or_insert(0) += 1;
                 }
                 work.store(id, e.clone());
             }
             SyncAction::Delete(dn) => {
-                if let Some(id) = ids.interner.get(&dn_key(dn)) {
+                if let Some(id) = ids.table.get(dn) {
                     if posting::remove_sorted(held, id) {
                         unref(work, ids, id);
                     }
@@ -1341,7 +1337,7 @@ fn apply_actions(
 ///
 /// The id itself is recycled at that point: no filter posting list holds
 /// it (refcount is zero), the slot was just emptied and the index
-/// unindexed, so the interner slot is released for reuse and the
+/// unindexed, so the table slot is released for reuse and the
 /// replica's id space — and every id-addressed vector built on it —
 /// stops growing with lifetime churn. Earlier epochs are untouched: they
 /// never resolve a DN, and the slot chunk and index nodes a recycled id
@@ -1352,7 +1348,7 @@ fn unref(work: &mut Working, ids: &mut DnIds, id: u32) {
         if *rc == 0 {
             ids.refcount.remove(&id);
             work.evict(id);
-            ids.interner.release(id);
+            ids.table.release(id);
         }
     }
 }
@@ -1879,7 +1875,7 @@ mod tests {
         // Through epochs n+1..n+k: delete entries (their ids are
         // released), add others (released ids are handed out again),
         // modify survivors and newcomers.
-        let id_of = |key: &str| r.writer.lock().ids.interner.get(key);
+        let id_of = |key: &str| r.writer.lock().ids.table.get(&dn(key));
         let recycled = id_of("cn=p00017,c=us,o=xyz").expect("held");
         for round in 0..6 {
             for i in (round * 20)..(round * 20 + 20) {
@@ -2354,7 +2350,7 @@ mod proptests {
     }
 
     /// A replica whose single stored filter holds all generated entries,
-    /// built through the real writer path (interner + incremental index).
+    /// built through the real writer path (id table + incremental index).
     fn build_state(specs: &[EntrySpec]) -> (FilterReplica, ContentSnapshot, Vec<u32>, DnIds) {
         let r = FilterReplica::new(0);
         let actions: Vec<SyncAction> = specs

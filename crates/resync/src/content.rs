@@ -1,18 +1,13 @@
 //! The replica-side content of one synchronized search request.
 
-use crate::intern::{dn_key, DnInterner};
+use crate::intern::dn_key;
 use crate::protocol::SyncAction;
 use fbdr_ldap::{Dn, Entry};
+use std::collections::BTreeMap;
 
 /// The set of entries a replica holds for one replicated search request,
-/// updated by applying [`SyncAction`]s.
-///
-/// Entries are stored in id-addressed slots: each distinct DN is interned
-/// to a dense `u32` once ([`DnInterner`]) and every later action touching
-/// that DN resolves to a direct vector index instead of re-hashing the
-/// string key. This is the same id space the filter replica's posting
-/// lists use, so content handed from the sync layer to a replica keeps
-/// its ids.
+/// updated by applying [`SyncAction`]s. Keyed by DN under LDAP matching
+/// rules (`Dn`'s own equality), so `CN=B,O=X` finds `cn=b,o=x`.
 ///
 /// `Retain` actions participate in the history-free scheme of equation
 /// (3): a sync cycle built from retain/add/modify actions implicitly
@@ -20,9 +15,7 @@ use fbdr_ldap::{Dn, Entry};
 /// [`ReplicaContent::apply_snapshot_cycle`].
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaContent {
-    interner: DnInterner,
-    slots: Vec<Option<Entry>>,
-    live: usize,
+    entries: BTreeMap<Dn, Entry>,
 }
 
 impl ReplicaContent {
@@ -33,63 +26,34 @@ impl ReplicaContent {
 
     /// Number of entries held.
     pub fn len(&self) -> usize {
-        self.live
+        self.entries.len()
     }
 
     /// True when no entries are held.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.entries.is_empty()
     }
 
     /// Looks up an entry by DN.
     pub fn get(&self, dn: &Dn) -> Option<&Entry> {
-        let id = self.interner.get(&dn_key(dn))?;
-        self.slots[id as usize].as_ref()
+        self.entries.get(dn)
     }
 
     /// True if the DN is in the content.
     pub fn contains(&self, dn: &Dn) -> bool {
-        self.get(dn).is_some()
+        self.entries.contains_key(dn)
     }
 
     /// Iterates the held entries (unordered).
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.slots.iter().flatten()
+        self.entries.values()
     }
 
-    /// DNs held, sorted (for deterministic comparisons).
+    /// Normalized DN keys held, sorted (for deterministic comparisons).
     pub fn sorted_dns(&self) -> Vec<String> {
-        let mut dns: Vec<String> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .filter_map(|(id, _)| self.interner.key_of(id as u32))
-            .map(str::to_owned)
-            .collect();
+        let mut dns: Vec<String> = self.entries.keys().map(dn_key).collect();
         dns.sort();
         dns
-    }
-
-    /// Interns a DN key and returns its slot id, growing storage to fit.
-    fn slot_of(&mut self, key: &str) -> u32 {
-        let id = self.interner.intern(key);
-        if self.slots.len() <= id as usize {
-            self.slots.resize(id as usize + 1, None);
-        }
-        id
-    }
-
-    fn put(&mut self, id: u32, e: Entry) {
-        if self.slots[id as usize].replace(e).is_none() {
-            self.live += 1;
-        }
-    }
-
-    fn clear_slot(&mut self, id: u32) {
-        if self.slots[id as usize].take().is_some() {
-            self.live -= 1;
-        }
     }
 
     /// Applies one incremental action (add/modify upsert, delete removes;
@@ -97,13 +61,10 @@ impl ReplicaContent {
     pub fn apply(&mut self, action: &SyncAction) {
         match action {
             SyncAction::Add(e) | SyncAction::Modify(e) => {
-                let id = self.slot_of(&dn_key(e.dn()));
-                self.put(id, e.clone());
+                self.entries.insert(e.dn().clone(), e.clone());
             }
             SyncAction::Delete(dn) => {
-                if let Some(id) = self.interner.get(&dn_key(dn)) {
-                    self.clear_slot(id);
-                }
+                self.entries.remove(dn);
             }
             SyncAction::Retain(_) => {}
         }
@@ -119,39 +80,23 @@ impl ReplicaContent {
     /// Applies a *snapshot cycle* (equation (3)): every entry the cycle
     /// does not mention via add/modify/retain is dropped.
     pub fn apply_snapshot_cycle<'a, I: IntoIterator<Item = &'a SyncAction>>(&mut self, actions: I) {
-        let mut next: Vec<Option<Entry>> = vec![None; self.slots.len()];
-        let mut live = 0usize;
+        let mut next = BTreeMap::new();
         for a in actions {
             match a {
                 SyncAction::Add(e) | SyncAction::Modify(e) => {
-                    let id = self.slot_of(&dn_key(e.dn()));
-                    if next.len() <= id as usize {
-                        next.resize(id as usize + 1, None);
-                    }
-                    if next[id as usize].replace(e.clone()).is_none() {
-                        live += 1;
-                    }
+                    next.insert(e.dn().clone(), e.clone());
                 }
                 SyncAction::Retain(dn) => {
-                    if let Some(id) = self.interner.get(&dn_key(dn)) {
-                        if let Some(e) = self.slots[id as usize].take() {
-                            if next[id as usize].replace(e).is_none() {
-                                live += 1;
-                            }
-                        }
+                    if let Some((dn, e)) = self.entries.remove_entry(dn) {
+                        next.insert(dn, e);
                     }
                 }
                 SyncAction::Delete(dn) => {
-                    if let Some(id) = self.interner.get(&dn_key(dn)) {
-                        if (id as usize) < next.len() && next[id as usize].take().is_some() {
-                            live -= 1;
-                        }
-                    }
+                    next.remove(dn);
                 }
             }
         }
-        self.slots = next;
-        self.live = live;
+        self.entries = next;
     }
 }
 

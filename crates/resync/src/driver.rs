@@ -18,7 +18,7 @@ use crate::reconcile::{
 use crate::shard::{CompositeCookie, ShardContent, ShardOutcome, ShardStatus};
 use crate::SyncMaster;
 use crossbeam::channel::Receiver;
-use fbdr_ldap::SearchRequest;
+use fbdr_ldap::{Dn, SearchRequest};
 use fbdr_net::ShardId;
 use fbdr_obs::{event, Histogram, Obs};
 use serde::{Deserialize, Serialize};
@@ -460,7 +460,7 @@ impl<C: Clock> SyncDriver<C> {
         shard: ShardId,
         request: &SearchRequest,
         items: &[ReconcileItem],
-        resolve: &dyn Fn(&str) -> Option<u32>,
+        resolve: &dyn Fn(&Dn) -> Option<u32>,
     ) -> Result<ReconcileOutcome, SyncError> {
         let timer = self.reconcile_hist.as_ref().map(|_| Instant::now());
         let base = self.reconcile;
@@ -591,7 +591,7 @@ impl<C: Clock> SyncDriver<C> {
             self.note_reconcile_fallback("divergence over budget");
         } else {
             let items = content.items(shard);
-            let resolve = |key: &str| content.resolve(shard, key);
+            let resolve = |dn: &Dn| content.resolve(shard, dn);
             match self.reconcile(transport, shard, sub, &items, &resolve) {
                 Ok(outcome) => {
                     let traffic = outcome.traffic();
@@ -896,7 +896,7 @@ mod tests {
             .collect();
 
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
-        let resolve = |key: &str| keys.iter().position(|k| k == key).map(|i| i as u32);
+        let resolve = |dn: &Dn| held.iter().position(|e| e.dn() == dn).map(|i| i as u32);
         let outcome =
             d.reconcile(&mut m, ShardId::ZERO, &request, &items, &resolve).expect("reconciles");
 

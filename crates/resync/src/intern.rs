@@ -1,22 +1,20 @@
-//! Dense `u32` interning of normalized DN keys, with id recycling.
+//! Dense `u32` interning of DNs, with id recycling.
 //!
-//! Replica-side content stores are keyed by DN. Hashing the full string
-//! form of a DN on every lookup is measurable on the query path, so the
-//! sync layer interns each distinct DN key once and hands *ids* to the
-//! stores: an id is a dense `u32` usable as a direct vector index, and a
-//! set of ids is a sorted posting list that intersects without hashing.
+//! Content stores on both sides of the protocol are keyed by DN. The sync
+//! layer interns each distinct DN once and hands *ids* to the stores: an
+//! id is a dense `u32` usable as a direct vector index, and a set of ids
+//! is a sorted posting list that intersects without hashing.
 //!
-//! Ids are stable while a key is interned: a DN that stays in the
-//! content keeps its id across epochs, which is what lets immutable
-//! per-epoch structures (posting lists, attribute indexes) be shared
-//! across epochs without re-translation. A key that has been deleted
-//! *and is provably unreferenced* can be [released](DnInterner::release):
-//! its slot joins a free list and is handed out again by a later
-//! `intern`, so the id space — and every id-addressed vector built on it
-//! — stops growing with lifetime churn. Each slot carries a
-//! **generation tag** that increments on release, so holders of a stale
-//! id can detect that the slot has been recycled out from under them
-//! ([`DnInterner::generation`]).
+//! Ids are stable while a DN is interned: a DN that stays in the content
+//! keeps its id across epochs, which is what lets immutable per-epoch
+//! structures (posting lists, attribute indexes) be shared across epochs
+//! without re-translation. A DN that has been deleted *and is provably
+//! unreferenced* can be [released](DnTable::release): its slot joins a
+//! free list and is handed out again by a later `intern`, so the id space
+//! — and every id-addressed vector built on it — stops growing with
+//! lifetime churn. Each slot carries a **generation tag** that increments
+//! on release, so holders of a stale id can detect that the slot has been
+//! recycled out from under them ([`DnTable::generation`]).
 
 use fbdr_ldap::{Dn, Entry};
 use serde::{Deserialize, Serialize};
@@ -54,145 +52,19 @@ pub fn dn_approx_bytes(dn: &Dn) -> usize {
         .sum()
 }
 
-/// A map from normalized DN keys to dense `u32` ids with free-list
-/// recycling.
-///
-/// `intern` assigns ids in first-seen order, reusing released slots
-/// before growing; an id stays valid (a direct index into id-addressed
-/// storage of length [`DnInterner::capacity`]) until it is explicitly
-/// [released](DnInterner::release) by the owner that proved it
-/// unreferenced.
-///
-/// ```
-/// use fbdr_resync::DnInterner;
-///
-/// let mut it = DnInterner::new();
-/// let a = it.intern("cn=a,o=x");
-/// let b = it.intern("cn=b,o=x");
-/// assert_ne!(a, b);
-/// assert_eq!(it.intern("cn=a,o=x"), a); // stable while interned
-/// assert_eq!(it.get("cn=b,o=x"), Some(b));
-/// assert_eq!(it.key_of(a), Some("cn=a,o=x"));
-/// assert_eq!(it.len(), 2);
-///
-/// // Releasing a slot recycles its id under a fresh generation.
-/// it.release(a);
-/// assert_eq!(it.key_of(a), None);
-/// let c = it.intern("cn=c,o=x");
-/// assert_eq!(c, a); // recycled, not grown
-/// assert_eq!(it.generation(c), 1);
-/// assert_eq!(it.capacity(), 2);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct DnInterner {
-    ids: HashMap<String, u32>,
-    keys: Vec<Option<String>>,
-    gens: Vec<u32>,
-    free: Vec<u32>,
-}
-
-impl DnInterner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        DnInterner::default()
-    }
-
-    /// Number of distinct keys currently interned (live slots).
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Upper bound of the id space: every id ever handed out is
-    /// `< capacity()`, so id-addressed vectors of this length cover all
-    /// live ids.
-    pub fn capacity(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when nothing is currently interned.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Returns the id of `key`, reusing a released slot — or assigning
-    /// the next dense id — on first sight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u32::MAX` slots are live at once.
-    pub fn intern(&mut self, key: &str) -> u32 {
-        if let Some(&id) = self.ids.get(key) {
-            return id;
-        }
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.keys[id as usize] = Some(key.to_owned());
-                id
-            }
-            None => {
-                let id = u32::try_from(self.keys.len()).expect("id space exhausted");
-                self.keys.push(Some(key.to_owned()));
-                self.gens.push(0);
-                id
-            }
-        };
-        self.ids.insert(key.to_owned(), id);
-        id
-    }
-
-    /// The id of `key`, if it is currently interned.
-    pub fn get(&self, key: &str) -> Option<u32> {
-        self.ids.get(key).copied()
-    }
-
-    /// The key an id is currently assigned to (sync-time reverse
-    /// resolution); `None` for released or never-assigned slots.
-    pub fn key_of(&self, id: u32) -> Option<&str> {
-        self.keys.get(id as usize).and_then(|s| s.as_deref())
-    }
-
-    /// The generation tag of a slot: 0 while on its first assignment,
-    /// incremented every time the slot is released. A holder that
-    /// remembers `(id, generation)` can later detect recycling.
-    pub fn generation(&self, id: u32) -> u32 {
-        self.gens.get(id as usize).copied().unwrap_or(0)
-    }
-
-    /// Releases a live slot back to the free list, bumping its
-    /// generation. The caller asserts nothing still indexes by this id.
-    /// Returns `true` if the slot was live.
-    pub fn release(&mut self, id: u32) -> bool {
-        let Some(slot) = self.keys.get_mut(id as usize) else {
-            return false;
-        };
-        let Some(key) = slot.take() else {
-            return false;
-        };
-        self.ids.remove(&key);
-        self.gens[id as usize] += 1;
-        self.free.push(id);
-        true
-    }
-
-    /// Deterministic byte accounting: interned key bytes plus fixed
-    /// per-slot overhead (map entry, slot, generation, free-list entry).
-    pub fn approx_bytes(&self) -> usize {
-        let key_bytes: usize =
-            self.keys.iter().flatten().map(|k| 2 * k.len() + 48).sum();
-        key_bytes + self.keys.len() * 32 + self.free.len() * 4
-    }
-}
-
-/// A bidirectional DN ↔ dense `u32` id table for master-side session
-/// bookkeeping, with free-list recycling.
+/// A bidirectional DN ↔ dense `u32` id table with free-list recycling:
+/// the master's session bookkeeping and the filter replica's content
+/// store both address entries through one.
 ///
 /// Pairs a DN → id map with id-indexed DN slots so the sync layer can
 /// both intern a DN touched by an update *and* resolve ids back to DNs
 /// when draining actions. Only the slot vector (plus generations and the
 /// free list) is serialized; the map is rebuilt lazily after
-/// deserialization. Slots whose DNs no session references any more are
-/// [released](DnTable::release) by the master's garbage collector and
-/// reused by later interns under a bumped generation tag.
+/// deserialization. `intern` assigns ids in first-seen order, reusing
+/// released slots before growing; an id stays valid (a direct index into
+/// id-addressed storage of length [`DnTable::capacity`]) until the owner
+/// that proved it unreferenced — the master's garbage collector, the
+/// replica's refcounts — [releases](DnTable::release) it.
 ///
 /// ```
 /// use fbdr_resync::DnTable;
@@ -300,9 +172,9 @@ impl DnTable {
     }
 
     /// Releases a live slot back to the free list, bumping its
-    /// generation. The caller (the master's GC) asserts no session
-    /// posting list or stash still references this id. Returns `true`
-    /// if the slot was live.
+    /// generation. The caller asserts nothing still indexes by this id
+    /// (the master's GC: no session posting list or stash; the replica:
+    /// no filter's refcount). Returns `true` if the slot was live.
     pub fn release(&mut self, id: u32) -> bool {
         self.rehydrate();
         let Some(slot) = self.slots.get_mut(id as usize) else {
@@ -340,56 +212,28 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_dense_and_stable() {
-        let mut it = DnInterner::new();
+    fn ids_are_dense_stable_and_recycled() {
+        let parse = |i: u32| -> Dn { format!("cn=e{i},o=x").parse().unwrap() };
+        let mut t = DnTable::new();
         for i in 0..100u32 {
-            assert_eq!(it.intern(&format!("cn=e{i},o=x")), i);
+            assert_eq!(t.intern(&parse(i)), i);
         }
         for i in 0..100u32 {
-            assert_eq!(it.intern(&format!("cn=e{i},o=x")), i, "re-intern is stable");
-            assert_eq!(it.key_of(i), Some(format!("cn=e{i},o=x").as_str()));
+            assert_eq!(t.intern(&parse(i)), i, "re-intern is stable");
         }
-        assert_eq!(it.len(), 100);
-        assert_eq!(it.get("cn=missing,o=x"), None);
-        assert_eq!(it.key_of(100), None);
-    }
-
-    #[test]
-    fn interner_recycles_released_slots() {
-        let mut it = DnInterner::new();
-        let a = it.intern("cn=a,o=x");
-        let b = it.intern("cn=b,o=x");
-        assert!(it.release(a));
-        assert!(!it.release(a), "double release is a no-op");
-        assert_eq!(it.len(), 1);
-        assert_eq!(it.capacity(), 2);
-        assert_eq!(it.get("cn=a,o=x"), None);
-        // The released slot is reused before the id space grows.
-        let c = it.intern("cn=c,o=x");
-        assert_eq!(c, a);
-        assert_eq!(it.generation(c), 1);
-        assert_eq!(it.generation(b), 0);
-        assert_eq!(it.capacity(), 2);
-        // A brand-new key after the free list drains grows the space.
-        let d = it.intern("cn=d,o=x");
-        assert_eq!(d, 2);
-        // Churning one key in place keeps capacity flat forever.
-        for i in 0..1000 {
-            let id = it.intern(&format!("cn=churn{i},o=x"));
-            it.release(id);
+        assert_eq!(t.len(), 100);
+        assert_eq!(t.get(&parse(100)), None);
+        assert_eq!(t.dn_of(100), None);
+        assert!(!t.release(100), "never-assigned slot");
+        // Churning one DN in place keeps capacity flat forever.
+        for i in 1_000..2_000 {
+            let id = t.intern(&parse(i));
+            assert_eq!(id, 100);
+            assert!(t.release(id));
+            assert!(!t.release(id), "double release is a no-op");
         }
-        assert_eq!(it.capacity(), 4);
-    }
-
-    #[test]
-    fn interner_bytes_shrink_on_release() {
-        let mut it = DnInterner::new();
-        let ids: Vec<u32> = (0..50).map(|i| it.intern(&format!("cn=e{i},o=x"))).collect();
-        let full = it.approx_bytes();
-        for id in ids {
-            it.release(id);
-        }
-        assert!(it.approx_bytes() < full);
+        assert_eq!(t.capacity(), 101);
+        assert_eq!(t.generation(100), 1_000);
     }
 
     #[test]

@@ -70,7 +70,7 @@ mod routing;
 pub mod shard;
 
 pub use content::ReplicaContent;
-pub use intern::{dn_key, entry_key, DnInterner, DnTable};
+pub use intern::{dn_key, entry_key, DnTable};
 pub use driver::{Clock, DriverStats, RetryConfig, SyncDriver, SyncTransport, SystemClock};
 pub use fbdr_net::{ShardId, ShardMap};
 pub use intern::dn_approx_bytes;

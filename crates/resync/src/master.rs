@@ -18,8 +18,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-session state: the request, what the replica has been sent, the
-/// live content, and the **session history** — DNs that left the content
-/// since the last response (the paper's alternative to changelogs and
+/// live content, and the **session history** — which DNs were touched
+/// since the last delivery (the paper's alternative to changelogs and
 /// tombstones).
 ///
 /// All DN sets are interned-id posting lists (sorted `Vec<u32>`) over the
@@ -28,15 +28,16 @@ use std::collections::HashMap;
 #[derive(Debug, Serialize, Deserialize)]
 struct Session {
     request: SearchRequest,
-    /// Ids of DNs the replica holds (content as of the last response).
+    /// Ids of DNs the replica holds (content as of the last delivery).
     sent: Vec<u32>,
     /// Current content ids, maintained at update time.
     current: Vec<u32>,
-    /// `E10`: ids that left the content since the last response and are
-    /// held by the replica.
-    departed: Vec<u32>,
-    /// `E11` candidates: in-content ids modified since the last response.
-    changed: Vec<u32>,
+    /// Ids whose membership or content changed since the last delivery,
+    /// always within `sent ∪ current`. *What* happened to each is not
+    /// recorded: [`Session::build`] classifies an id once, at delivery
+    /// time, by where it stands in `current` and `sent`. A fresh session
+    /// starts with `touched = current`.
+    touched: Vec<u32>,
     /// Persist-mode notification channel, if the session is persistent.
     /// Not persisted: a restored persist session degrades to polling (its
     /// cookie stays valid), exactly like a dropped TCP connection.
@@ -45,8 +46,8 @@ struct Session {
     /// Receiver parked until the client picks it up.
     #[serde(skip)]
     parked_receiver: Option<Receiver<NotifyBatch>>,
-    /// Raw updates queued for the next notification flush (coalescing
-    /// policies only; the immediate policy sends at apply time). Not
+    /// Raw updates queued for the next notification flush (the immediate
+    /// policy flushes at the end of the apply that queued them). Not
     /// persisted: the channel the queue feeds does not survive either.
     #[serde(skip)]
     dirty: u64,
@@ -187,8 +188,8 @@ pub struct MasterFootprint {
     pub table_capacity: usize,
     /// [`DnTable`] bytes (interned DNs plus per-slot overhead).
     pub table_bytes: usize,
-    /// Per-session posting-list bytes (`sent`/`current`/`departed`/
-    /// `changed` capacities).
+    /// Per-session posting-list bytes (`sent`/`current`/`touched`
+    /// capacities).
     pub postings_bytes: usize,
     /// Unacknowledged replay-buffer bytes (pending batches).
     pub replay_bytes: usize,
@@ -216,12 +217,16 @@ impl MasterFootprint {
 
 /// When persist-mode notifications are handed to a session's channel.
 ///
-/// The [immediate](NotifyPolicy::immediate) policy (the default, and the
-/// original behavior) sends one [`NotifyBatch`] per update the moment it
-/// is applied — lowest staleness, one wakeup per update per interested
-/// session. A [coalescing](NotifyPolicy::coalescing) policy queues
-/// updates on the session ledger instead and flushes them in one batch
-/// when either knob fires ([`SyncMaster::flush_notifications`]):
+/// Every update is queued on the ledger of each session it touches, and
+/// one flush delivers a session's queue as one [`NotifyBatch`]; the
+/// policy only decides *when* that flush runs. The
+/// [immediate](NotifyPolicy::immediate) policy (the default) runs it at
+/// the end of the [`SyncMaster::apply`] that queued the update — lowest
+/// staleness, one wakeup per update per interested session (a `ModifyDn`
+/// is one batch `[Delete, Add]`). A
+/// [coalescing](NotifyPolicy::coalescing) policy leaves the queue for
+/// [`SyncMaster::flush_notifications`], where it is due when either knob
+/// fires:
 ///
 /// * `max_batch` — the session has this many raw updates queued;
 /// * `max_delay_ms` — the oldest queued update has waited this long.
@@ -234,19 +239,21 @@ impl MasterFootprint {
 /// delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NotifyPolicy {
-    /// `false`: send per update at apply time. `true`: queue and flush.
+    /// `false`: flush at the end of the apply that queued the update.
+    /// `true`: flush from [`SyncMaster::flush_notifications`].
     pub coalesce: bool,
     /// Flush when a session has this many raw updates queued.
     pub max_batch: u64,
     /// Flush when the oldest queued update has waited this long (ms).
     pub max_delay_ms: u64,
     /// Tear down a session's channel when its queue exceeds this many raw
-    /// updates (coalescing only; the immediate policy never queues).
+    /// updates (coalescing only; the immediate policy never leaves a
+    /// queue behind).
     pub max_queue: u64,
 }
 
 impl NotifyPolicy {
-    /// One notification per update, sent at apply time (the default).
+    /// One notification per update, flushed at apply time (the default).
     pub fn immediate() -> Self {
         NotifyPolicy { coalesce: false, max_batch: 1, max_delay_ms: 0, max_queue: u64::MAX }
     }
@@ -450,13 +457,10 @@ impl SyncMaster {
     ///
     /// A queue whose updates cancelled out (an entry arrived and departed
     /// between flushes) is cleared without a wakeup — the replica's
-    /// content is unaffected, so there is nothing to deliver. Only
-    /// meaningful under a coalescing policy; under the immediate policy
-    /// queues are always empty and this returns nothing.
+    /// content is unaffected, so there is nothing to deliver. Under the
+    /// immediate policy every apply has already flushed what it queued,
+    /// so this finds nothing.
     pub fn flush_notifications(&mut self, force: bool) -> Vec<NotifyFlush> {
-        if self.sessions.is_empty() {
-            return Vec::new();
-        }
         let policy = self.notify_policy;
         let now = self.now_ms;
         let mut due: Vec<u64> = self
@@ -475,63 +479,34 @@ impl SyncMaster {
         due.sort_unstable();
         let mut flushes = Vec::new();
         for sid in due {
-            let Some(session) = self.sessions.get_mut(&sid) else { continue };
-            let coalesced_from = session.dirty;
-            let first_enqueued_ms = session.dirty_since_ms.unwrap_or(now);
-            session.dirty = 0;
-            session.dirty_since_ms = None;
-            // A dropped receiver means the client abandoned the
-            // persistent search: tear the channel down *before* touching
-            // the ledger, so every queued action survives for the poll
-            // the reconnecting replica will eventually issue.
-            let live = session.notify.as_ref().is_some_and(|tx| !tx.is_disconnected());
-            if !live {
-                session.notify = None;
-                continue;
+            if let Some(session) = self.sessions.get_mut(&sid) {
+                flushes.extend(session.flush(sid as u32, &self.dit, &self.table, now));
             }
-            let actions = session.build_actions(&self.dit, &self.table);
-            if actions.is_empty() {
-                // The queued updates cancelled out (arrived and departed
-                // between flushes): nothing to deliver, nothing to keep.
-                session.commit_drain();
-                continue;
-            }
-            let n_actions = actions.len();
-            let batch = NotifyBatch {
-                actions,
-                coalesced_from,
-                first_enqueued_ms,
-                flushed_ms: now,
-            };
-            let sent = session.notify.as_ref().is_some_and(|tx| tx.send(batch).is_ok());
-            if !sent {
-                // Disconnected between the probe and the send: keep the
-                // ledger uncommitted — the poll path still owns delivery.
-                session.notify = None;
-                continue;
-            }
-            session.commit_drain();
-            self.notify_wakeups += 1;
-            self.notify_updates += coalesced_from;
-            flushes.push(NotifyFlush {
-                session: sid as u32,
-                actions: n_actions,
-                coalesced_from,
-                first_enqueued_ms,
-            });
         }
-        if !flushes.is_empty() && self.obs.is_active() {
+        self.record_flushes(&flushes);
+        flushes
+    }
+
+    /// Accounts the wakeups a flush trigger produced (either one: an
+    /// apply under the immediate policy, or
+    /// [`SyncMaster::flush_notifications`]).
+    fn record_flushes(&mut self, flushes: &[NotifyFlush]) {
+        if flushes.is_empty() {
+            return;
+        }
+        let wakeups = flushes.len() as u64;
+        let updates: u64 = flushes.iter().map(|f| f.coalesced_from).sum();
+        self.notify_wakeups += wakeups;
+        self.notify_updates += updates;
+        if self.obs.is_active() {
             let reg = self.obs.registry();
-            let wakeups = flushes.len() as u64;
-            let updates: u64 = flushes.iter().map(|f| f.coalesced_from).sum();
             reg.counter("fbdr_resync_notify_wakeups_total").add(wakeups);
             reg.counter("fbdr_resync_notify_updates_total").add(updates);
             let depth = reg.histogram("fbdr_resync_notify_batch_updates");
-            for f in &flushes {
+            for f in flushes {
                 depth.record(f.coalesced_from);
             }
         }
-        flushes
     }
 
     /// Attaches observability: resync exchanges increment
@@ -573,8 +548,8 @@ impl SyncMaster {
     // ------------------------------------------------------------------
 
     /// Applies an update to the DIT and maintains every live session's
-    /// content and history; persist-mode sessions are notified
-    /// immediately.
+    /// content and history; persist-mode sessions are notified when the
+    /// [`NotifyPolicy`] says (by default, before this returns).
     ///
     /// Fan-out is **routed**: the [`RoutingIndex`] computes the candidate
     /// session set from the entry's *old* attribute state (looked up
@@ -699,40 +674,41 @@ impl SyncMaster {
         let new_id = if renamed { self.table.intern(new_dn) } else { target_id };
         let policy = self.notify_policy;
         let now_ms = self.now_ms;
-        let mut outcome = NoteOutcome::default();
+        let mut flushes = Vec::new();
+        let mut overflows = 0u64;
         for &sid in &cand {
             let Some(session) = self.sessions.get_mut(&u64::from(sid)) else {
                 continue;
             };
+            // A rename is a departure at the old DN, then an arrival at the
+            // new one: two raw updates on a session that sees both.
+            let mut queued = 0;
             if renamed {
-                outcome.merge(session.note_departure(target_id, target, &policy, now_ms));
-                if let Some(e) = new_entry {
-                    outcome.merge(session.note_arrival_or_change(e, new_id, &policy, now_ms));
-                }
-            } else {
-                match new_entry {
-                    Some(e) => {
-                        outcome.merge(session.note_arrival_or_change(e, target_id, &policy, now_ms));
-                    }
-                    None => outcome.merge(session.note_departure(target_id, target, &policy, now_ms)),
-                }
+                queued += u64::from(session.note(target_id, None));
+            }
+            queued += u64::from(session.note(new_id, new_entry));
+            if queued == 0 || session.notify.is_none() {
+                continue;
+            }
+            session.dirty += queued;
+            session.dirty_since_ms.get_or_insert(now_ms);
+            if !policy.coalesce {
+                flushes.extend(session.flush(sid, &self.dit, &self.table, now_ms));
+            } else if session.dirty > policy.max_queue {
+                // Backpressure: the consumer is not keeping up. Tear the
+                // channel down — the replica observes the disconnect and
+                // degrades to polling, and the ledger (which holds every
+                // queued update) hands them to that poll.
+                session.disarm();
+                overflows += 1;
             }
         }
         self.scratch = cand;
-        if outcome.sent > 0 || outcome.overflows > 0 {
-            self.notify_wakeups += u64::from(outcome.sent);
-            self.notify_updates += u64::from(outcome.sent);
-            self.notify_overflows += u64::from(outcome.overflows);
+        self.record_flushes(&flushes);
+        if overflows > 0 {
+            self.notify_overflows += overflows;
             if self.obs.is_active() {
-                let reg = self.obs.registry();
-                if outcome.sent > 0 {
-                    reg.counter("fbdr_resync_notify_wakeups_total").add(u64::from(outcome.sent));
-                    reg.counter("fbdr_resync_notify_updates_total").add(u64::from(outcome.sent));
-                }
-                if outcome.overflows > 0 {
-                    reg.counter("fbdr_resync_notify_overflows_total")
-                        .add(u64::from(outcome.overflows));
-                }
+                self.obs.registry().counter("fbdr_resync_notify_overflows_total").add(overflows);
             }
         }
         self.maybe_collect();
@@ -818,7 +794,11 @@ impl SyncMaster {
         // replica has either completed it (this is the follow-up poll) or
         // abandoned it. Either way the frozen stash is garbage now.
         session.reconcile = None;
-        if ctl.mode == SyncMode::Persist && session.notify.is_none() {
+        if ctl.mode == SyncMode::Persist && !session.channel_live() {
+            // Absent, or the client dropped its receiver and is asking
+            // again: either way this response carries everything queued,
+            // and later updates go to a fresh channel.
+            session.disarm();
             let (tx, rx) = unbounded();
             session.notify = Some(tx);
             session.parked_receiver = Some(rx);
@@ -878,7 +858,9 @@ impl SyncMaster {
             );
             return Ok(resp);
         }
-        let actions = session.drain_actions(&self.dit, &self.table);
+        // A poll is build + commit: delivery is the replay buffer's job.
+        let actions = session.build(&self.dit, &self.table);
+        session.commit();
         session.seq = session.seq.wrapping_add(1);
         session.pending = Some(actions.clone());
         session.pending_at = ops_applied;
@@ -960,10 +942,10 @@ impl SyncMaster {
             self.obs.registry().counter("fbdr_resync_reconcile_requests_total").inc();
         }
         let sid = self.start_session(request);
-        let current = self.sessions[&sid].current.clone();
+        let current = &self.sessions[&sid].current;
         let mut items: Vec<(u64, u32)> = Vec::with_capacity(current.len());
         let mut missing: Vec<&Dn> = Vec::new();
-        for &id in &current {
+        for &id in current {
             let dn = self.table.dn_of(id).expect("current ids resolve");
             let Some(e) = self.dit.get(dn) else { continue };
             let h = item_hash(&dn_key(dn), entry_version(e));
@@ -980,7 +962,8 @@ impl SyncMaster {
         items.sort_unstable();
         let stash = ReconcileStash { shift: summary.shift(), items, at: self.ops_applied };
         let session = self.sessions.get_mut(&sid).expect("just created");
-        session.sent = current;
+        // The exchange itself brings the replica to the current content.
+        session.commit();
         session.seq = 1;
         session.pending = None;
         session.reconcile = Some(stash);
@@ -1100,16 +1083,7 @@ impl SyncMaster {
     /// pollable with their cookies; replicas observe the disconnect and
     /// fall back to polling. Returns how many channels were dropped.
     pub fn drop_persist_channels(&mut self) -> usize {
-        let mut dropped = 0;
-        for s in self.sessions.values_mut() {
-            if s.notify.take().is_some() {
-                dropped += 1;
-            }
-            s.parked_receiver = None;
-            s.dirty = 0;
-            s.dirty_since_ms = None;
-        }
-        dropped
+        self.sessions.values_mut().map(|s| usize::from(s.disarm())).sum()
     }
 
     /// Expires sessions idle for more than `max_idle_ops` applied updates
@@ -1124,10 +1098,7 @@ impl SyncMaster {
         let dead: Vec<u64> = self
             .sessions
             .iter()
-            .filter(|(_, s)| {
-                let live_persist = s.notify.as_ref().is_some_and(|tx| !tx.is_disconnected());
-                !(s.last_active >= cutoff || live_persist)
-            })
+            .filter(|(_, s)| !(s.last_active >= cutoff || s.channel_live()))
             .map(|(&id, _)| id)
             .collect();
         for id in &dead {
@@ -1207,9 +1178,7 @@ impl SyncMaster {
                 .sessions
                 .iter()
                 .filter(|(_, s)| {
-                    let live_persist =
-                        s.notify.as_ref().is_some_and(|tx| !tx.is_disconnected());
-                    now.saturating_sub(s.last_active_ms) > deadline && !live_persist
+                    now.saturating_sub(s.last_active_ms) > deadline && !s.channel_live()
                 })
                 .map(|(&id, _)| id)
                 .collect();
@@ -1250,8 +1219,7 @@ impl SyncMaster {
         for s in self.sessions.values_mut() {
             mark(&s.sent, &mut marked);
             mark(&s.current, &mut marked);
-            mark(&s.departed, &mut marked);
-            mark(&s.changed, &mut marked);
+            mark(&s.touched, &mut marked);
             if let Some(stash) = &s.reconcile {
                 for &(_, id) in &stash.items {
                     if let Some(m) = marked.get_mut(id as usize) {
@@ -1259,7 +1227,7 @@ impl SyncMaster {
                     }
                 }
             }
-            for list in [&mut s.sent, &mut s.current, &mut s.departed, &mut s.changed] {
+            for list in [&mut s.sent, &mut s.current, &mut s.touched] {
                 if list.capacity() > 16 && list.capacity() > 2 * list.len() {
                     list.shrink_to_fit();
                 }
@@ -1347,11 +1315,8 @@ impl SyncMaster {
             ..MasterFootprint::default()
         };
         for s in self.sessions.values() {
-            f.postings_bytes += 4
-                * (s.sent.capacity()
-                    + s.current.capacity()
-                    + s.departed.capacity()
-                    + s.changed.capacity());
+            f.postings_bytes +=
+                4 * (s.sent.capacity() + s.current.capacity() + s.touched.capacity());
             if let Some(pending) = &s.pending {
                 f.replay_bytes +=
                     32 + pending.iter().map(SyncAction::estimated_size).sum::<usize>();
@@ -1427,9 +1392,8 @@ impl SyncMaster {
             Session {
                 request: request.clone(),
                 sent: Vec::new(), // nothing sent yet → everything is an add
+                touched: current.clone(),
                 current,
-                departed: Vec::new(),
-                changed: Vec::new(),
                 notify: None,
                 parked_receiver: None,
                 dirty: 0,
@@ -1450,202 +1414,157 @@ impl SyncMaster {
     }
 }
 
-/// What a session noted about one update's persist-channel handling, so
-/// the master can account wakeups and overflows without the session
-/// holding observability handles.
-#[derive(Debug, Default, Clone, Copy)]
-struct NoteOutcome {
-    /// Immediate-mode batches sent.
-    sent: u32,
-    /// Channels torn down by the queue bound.
-    overflows: u32,
-}
-
-impl NoteOutcome {
-    fn merge(&mut self, other: NoteOutcome) {
-        self.sent += other.sent;
-        self.overflows += other.overflows;
-    }
+/// What a delivery says about one touched id, decided by where the id
+/// stands in `(current, sent)`. Declaration order is batch order: deletes,
+/// then adds, then modifies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Delivery {
+    /// Held by the replica, no longer in the content (`E10`).
+    Delete,
+    /// In the content, not yet held (`E01`).
+    Add,
+    /// In the content and held, but changed since (`E11`).
+    Modify,
 }
 
 impl Session {
-    /// Handles an entry that now exists at `entry.dn()` (added, modified
-    /// or rename target). `id` is the interned id of `entry.dn()`. The
-    /// entry is cloned only when an immediate-policy persist channel
-    /// needs the action now; coalescing policies queue by id alone.
-    fn note_arrival_or_change(
-        &mut self,
-        entry: &Entry,
-        id: u32,
-        policy: &NotifyPolicy,
-        now_ms: u64,
-    ) -> NoteOutcome {
-        let now_in = self.request.matches(entry);
+    /// Records where the DN `id` stands after an update: `entry` is the
+    /// entry now at that DN (added, modified or rename target), `None`
+    /// when nothing is (deleted or rename source). Returns whether the
+    /// update concerns this session at all.
+    fn note(&mut self, id: u32, entry: Option<&Entry>) -> bool {
+        let now_in = entry.is_some_and(|e| self.request.matches(e));
         let was_in = posting::contains(&self.current, id);
         match (was_in, now_in) {
+            (false, false) => return false,
             (false, true) => {
                 posting::insert_sorted(&mut self.current, id);
-                posting::remove_sorted(&mut self.departed, id);
-                posting::insert_sorted(&mut self.changed, id);
-                self.notify_update(|| SyncAction::Add(entry.clone()), id, policy, now_ms)
             }
-            (true, true) => {
-                posting::insert_sorted(&mut self.changed, id);
-                self.notify_update(|| SyncAction::Modify(entry.clone()), id, policy, now_ms)
+            (true, false) => {
+                posting::remove_sorted(&mut self.current, id);
             }
-            (true, false) => self.depart(id, entry.dn(), policy, now_ms),
-            (false, false) => NoteOutcome::default(),
+            (true, true) => {}
         }
-    }
-
-    /// Handles an entry that no longer exists at `dn` (deleted or rename
-    /// source). `id` is the interned id of `dn`.
-    fn note_departure(
-        &mut self,
-        id: u32,
-        dn: &Dn,
-        policy: &NotifyPolicy,
-        now_ms: u64,
-    ) -> NoteOutcome {
-        if posting::contains(&self.current, id) {
-            self.depart(id, dn, policy, now_ms)
+        if now_in || posting::contains(&self.sent, id) {
+            posting::insert_sorted(&mut self.touched, id);
         } else {
-            NoteOutcome::default()
+            // Arrived and departed between deliveries: the replica never
+            // needs to know, and `touched` stays within `sent ∪ current`.
+            posting::remove_sorted(&mut self.touched, id);
+        }
+        true
+    }
+
+    /// True while a client holds the other end of the persist channel.
+    fn channel_live(&self) -> bool {
+        self.notify.as_ref().is_some_and(|tx| !tx.is_disconnected())
+    }
+
+    /// Tears the persist channel down and forgets its queue. The ledger
+    /// is untouched — it holds every queued update for the poll path.
+    /// Returns whether a channel was armed.
+    fn disarm(&mut self) -> bool {
+        self.parked_receiver = None;
+        self.dirty = 0;
+        self.dirty_since_ms = None;
+        self.notify.take().is_some()
+    }
+
+    /// Turns the ledger into a batch without touching session state: each
+    /// touched id is classified by `(in current, in sent)` — add, modify,
+    /// delete, or nothing when it is in neither. Ids resolve through the
+    /// master's [`DnTable`]; each action group is emitted in DN order
+    /// (ids are assigned in first-touch order, which is not canonical
+    /// across masters).
+    fn build(&self, dit: &DitStore, table: &DnTable) -> Vec<SyncAction> {
+        let mut deliveries: Vec<(Delivery, &Dn)> = self
+            .touched
+            .iter()
+            .filter_map(|&id| {
+                let in_current = posting::contains(&self.current, id);
+                let in_sent = posting::contains(&self.sent, id);
+                let delivery = match (in_current, in_sent) {
+                    (true, false) => Delivery::Add,
+                    (true, true) => Delivery::Modify,
+                    (false, true) => Delivery::Delete,
+                    (false, false) => return None,
+                };
+                Some((delivery, table.dn_of(id)?))
+            })
+            .collect();
+        deliveries.sort_unstable();
+        deliveries
+            .into_iter()
+            .filter_map(|(delivery, dn)| match delivery {
+                Delivery::Delete => Some(SyncAction::Delete(dn.clone())),
+                Delivery::Add => dit.get(dn).map(|e| SyncAction::Add(e.clone())),
+                Delivery::Modify => dit.get(dn).map(|e| SyncAction::Modify(e.clone())),
+            })
+            .collect()
+    }
+
+    /// Advances the session past a delivered batch: `sent` catches up
+    /// with `current` on exactly the touched ids, and the history
+    /// restarts.
+    fn commit(&mut self) {
+        if self.sent.is_empty() {
+            // `current \ sent ⊆ touched ⊆ sent ∪ current`, so with nothing
+            // sent the touched ids *are* the content: a fresh session's
+            // first delivery hands the list over instead of inserting id
+            // by id.
+            debug_assert_eq!(self.touched, self.current);
+            self.sent = std::mem::take(&mut self.touched);
+            return;
+        }
+        for id in self.touched.drain(..) {
+            if posting::contains(&self.current, id) {
+                posting::insert_sorted(&mut self.sent, id);
+            } else {
+                posting::remove_sorted(&mut self.sent, id);
+            }
         }
     }
 
-    fn depart(&mut self, id: u32, dn: &Dn, policy: &NotifyPolicy, now_ms: u64) -> NoteOutcome {
-        posting::remove_sorted(&mut self.current, id);
-        posting::remove_sorted(&mut self.changed, id);
-        if posting::contains(&self.sent, id) {
-            posting::insert_sorted(&mut self.departed, id);
-        }
-        self.notify_update(|| SyncAction::Delete(dn.clone()), id, policy, now_ms)
-    }
-
-    /// Records one raw update against the persist channel: an immediate
-    /// policy sends a batch-of-one now (the action is built lazily, so
-    /// nothing is cloned without an armed channel); a coalescing policy
-    /// queues the update for the next flush and enforces the queue bound.
-    fn notify_update(
+    /// Delivers the ledger on the persist channel: build → send → commit
+    /// on success. The one push-mode delivery, whichever trigger runs it
+    /// (the apply that queued the update under the immediate policy,
+    /// [`SyncMaster::flush_notifications`] under a coalescing one).
+    /// Returns the wakeup, if one was spent.
+    fn flush(
         &mut self,
-        action: impl FnOnce() -> SyncAction,
-        id: u32,
-        policy: &NotifyPolicy,
+        session: u32,
+        dit: &DitStore,
+        table: &DnTable,
         now_ms: u64,
-    ) -> NoteOutcome {
-        let mut out = NoteOutcome::default();
-        if self.notify.is_none() {
-            return out;
+    ) -> Option<NotifyFlush> {
+        let coalesced_from = std::mem::take(&mut self.dirty);
+        let first_enqueued_ms = self.dirty_since_ms.take().unwrap_or(now_ms);
+        // A dropped receiver means the client abandoned the persistent
+        // search: tear the channel down *before* touching the ledger, so
+        // every queued action survives for the poll the reconnecting
+        // replica will eventually issue.
+        if !self.channel_live() {
+            self.disarm();
+            return None;
         }
-        if !policy.coalesce {
-            out.sent = self.push(action(), id, now_ms);
-            return out;
+        let actions = self.build(dit, table);
+        if actions.is_empty() {
+            // The queued updates cancelled out (arrived and departed
+            // between flushes): nothing to deliver, nothing to keep.
+            self.commit();
+            return None;
         }
-        self.dirty += 1;
-        self.dirty_since_ms.get_or_insert(now_ms);
-        if self.dirty > policy.max_queue {
-            // Backpressure: the consumer is not keeping up. Tear the
-            // channel down — the replica observes the disconnect and
-            // degrades to polling, and the ledger (which holds every
-            // queued update) hands them to that poll.
-            self.notify = None;
-            self.parked_receiver = None;
-            self.dirty = 0;
-            self.dirty_since_ms = None;
-            out.overflows = 1;
+        let n_actions = actions.len();
+        let batch = NotifyBatch { actions, coalesced_from, first_enqueued_ms, flushed_ms: now_ms };
+        let sent = self.notify.as_ref().is_some_and(|tx| tx.send(batch).is_ok());
+        if !sent {
+            // Disconnected between the probe and the send: keep the
+            // ledger uncommitted — the poll path still owns delivery.
+            self.disarm();
+            return None;
         }
-        out
-    }
-
-    /// Streams a batch-of-one on the persist channel (immediate policy).
-    /// Returns how many batches were sent (0 or 1).
-    fn push(&mut self, action: SyncAction, id: u32, now_ms: u64) -> u32 {
-        let Some(tx) = &self.notify else { return 0 };
-        let upsert = matches!(action, SyncAction::Add(_) | SyncAction::Modify(_));
-        let delete = matches!(action, SyncAction::Delete(_));
-        let batch = NotifyBatch {
-            actions: vec![action],
-            coalesced_from: 1,
-            first_enqueued_ms: now_ms,
-            flushed_ms: now_ms,
-        };
-        if tx.send(batch).is_err() {
-            // A dropped receiver means the client abandoned the persistent
-            // search; stop streaming — the session stays pollable and the
-            // untouched poll ledger takes over from here.
-            self.notify = None;
-            return 0;
-        }
-        // The notification is in the replica's channel (delivery is the
-        // channel's job now), so advance the poll ledger to match: a later
-        // poll on this session must not re-send what the stream carried —
-        // and, more importantly, must not *skip* the departure of an entry
-        // the replica only learned about through the stream.
-        if upsert {
-            posting::insert_sorted(&mut self.sent, id);
-            posting::remove_sorted(&mut self.changed, id);
-        } else if delete {
-            posting::remove_sorted(&mut self.sent, id);
-            posting::remove_sorted(&mut self.departed, id);
-        }
-        1
-    }
-
-    /// Builds the poll/flush batch without touching session state: adds
-    /// (current \ sent), modifies (changed ∩ current ∩ sent) and deletes
-    /// (departed). Ids resolve through the master's [`DnTable`]; each
-    /// action group is emitted in DN order (ids are assigned in
-    /// first-touch order, which is not canonical across masters).
-    fn build_actions(&self, dit: &DitStore, table: &DnTable) -> Vec<SyncAction> {
-        let mut actions = Vec::new();
-        let mut departed: Vec<&Dn> =
-            self.departed.iter().filter_map(|&id| table.dn_of(id)).collect();
-        departed.sort();
-        for dn in departed {
-            actions.push(SyncAction::Delete(dn.clone()));
-        }
-        let mut adds: Vec<&Dn> = self
-            .current
-            .iter()
-            .filter(|id| !posting::contains(&self.sent, **id))
-            .filter_map(|&id| table.dn_of(id))
-            .collect();
-        adds.sort();
-        for dn in adds {
-            if let Some(e) = dit.get(dn) {
-                actions.push(SyncAction::Add(e.clone()));
-            }
-        }
-        let mut mods: Vec<&Dn> = self
-            .changed
-            .iter()
-            .filter(|id| posting::contains(&self.sent, **id) && posting::contains(&self.current, **id))
-            .filter_map(|&id| table.dn_of(id))
-            .collect();
-        mods.sort();
-        for dn in mods {
-            if let Some(e) = dit.get(dn) {
-                actions.push(SyncAction::Modify(e.clone()));
-            }
-        }
-        actions
-    }
-
-    /// Advances the session past a delivered batch: the replica now holds
-    /// the current content, and the history intervals restart.
-    fn commit_drain(&mut self) {
-        self.sent = self.current.clone();
-        self.departed.clear();
-        self.changed.clear();
-    }
-
-    /// [`Session::build_actions`] + [`Session::commit_drain`] — the poll
-    /// path, where delivery is the replay buffer's job.
-    fn drain_actions(&mut self, dit: &DitStore, table: &DnTable) -> Vec<SyncAction> {
-        let actions = self.build_actions(dit, table);
-        self.commit_drain();
-        actions
+        self.commit();
+        Some(NotifyFlush { session, actions: n_actions, coalesced_from, first_enqueued_ms })
     }
 }
 
@@ -1824,6 +1743,27 @@ mod tests {
     }
 
     #[test]
+    fn immediate_rename_is_one_batch() {
+        let mut m = master_with(vec![person("a", "7")]);
+        let (_, rx) = m.resync_persist(&dept7(), None).unwrap();
+        m.apply(UpdateOp::ModifyDn {
+            dn: dn("cn=a,o=xyz"),
+            new_rdn: Rdn::new("cn", "a2"),
+            new_superior: None,
+        })
+        .unwrap();
+        let batches: Vec<NotifyBatch> = rx.try_iter().collect();
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].coalesced_from, 2);
+        assert!(matches!(
+            &batches[0].actions[..],
+            [SyncAction::Delete(d), SyncAction::Add(e)]
+                if *d == dn("cn=a,o=xyz") && e.dn() == &dn("cn=a2,o=xyz")
+        ));
+        assert_eq!((m.notify_wakeups(), m.notify_updates()), (1, 2));
+    }
+
+    #[test]
     fn poll_then_upgrade_to_persist() {
         let mut m = master_with(vec![person("a", "7")]);
         let req = dept7();
@@ -1835,6 +1775,23 @@ mod tests {
         assert_eq!(resp.actions.len(), 1);
         m.apply(UpdateOp::Add(person("e", "7"))).unwrap();
         assert_eq!(rx.try_iter().count(), 1);
+    }
+
+    #[test]
+    fn persist_rerequest_after_dropped_receiver_rearms() {
+        // Regression: the session still held the dead `Sender`, so the
+        // re-request drained the ledger and then failed at `take_receiver`
+        // — the response was lost.
+        let mut m = master_with(vec![person("a", "7")]);
+        let req = dept7();
+        let (resp, rx) = m.resync_persist(&req, None).unwrap();
+        drop(rx);
+        let (resp, rx) = m.resync_persist(&req, resp.cookie).unwrap();
+        assert!(resp.actions.is_empty());
+        m.apply(UpdateOp::Add(person("b", "7"))).unwrap();
+        let batches: Vec<NotifyBatch> = rx.try_iter().collect();
+        assert_eq!(batches.len(), 1, "the next apply arrives on the new receiver");
+        assert!(matches!(&batches[0].actions[..], [SyncAction::Add(e)] if e.dn() == &dn("cn=b,o=xyz")));
     }
 
     #[test]

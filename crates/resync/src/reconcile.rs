@@ -42,7 +42,7 @@
 use crate::driver::SyncTransport;
 use crate::intern::entry_key;
 use crate::protocol::{Cookie, SyncError, SyncTraffic};
-use fbdr_ldap::{Entry, SearchRequest};
+use fbdr_ldap::{Dn, Entry, SearchRequest};
 use fbdr_net::cost::{ExchangeTracker, HopDirection, OpStats};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -518,7 +518,7 @@ impl ReconcileOutcome {
 /// unsharded transport — its `_at` legs default to the plain ones).
 ///
 /// `items` is the replica's current held set for the filter; `resolve`
-/// maps a normalized DN key to the replica-local id of a held item (used
+/// maps a DN to the replica-local id of a held item (used
 /// to drop superseded local versions from the post-upsert set, and to be
 /// consistent with how `items` was built). The function is read-only with
 /// respect to replica content: it returns what to apply, it does not
@@ -535,7 +535,7 @@ pub fn reconcile(
     shard: fbdr_net::ShardId,
     request: &SearchRequest,
     items: &[ReconcileItem],
-    resolve: &dyn Fn(&str) -> Option<u32>,
+    resolve: &dyn Fn(&Dn) -> Option<u32>,
     config: &ReconcileConfig,
 ) -> Result<ReconcileOutcome, SyncError> {
     let hashes: Vec<u64> = items.iter().map(|it| it.hash).collect();
@@ -560,7 +560,7 @@ pub fn reconcile(
     let mut post: Vec<u64> = Vec::with_capacity(items.len() + resp.upserts.len());
     let mut post_ids: HashMap<u64, u32> = HashMap::with_capacity(items.len());
     for e in &resp.upserts {
-        if let Some(id) = resolve(&entry_key(e)) {
+        if let Some(id) = resolve(e.dn()) {
             superseded.push(id);
         }
         post.push(entry_item_hash(e));

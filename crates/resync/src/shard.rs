@@ -445,9 +445,9 @@ pub trait ShardContent {
     /// entries owned by `shard`.
     fn items(&self, shard: ShardId) -> Vec<ReconcileItem>;
 
-    /// Resolves a normalized DN key to the replica-local id of a held
-    /// item on `shard` (as used to build [`ShardContent::items`]).
-    fn resolve(&self, shard: ShardId, key: &str) -> Option<u32>;
+    /// Resolves a DN to the replica-local id of a held item on `shard`
+    /// (as used to build [`ShardContent::items`]).
+    fn resolve(&self, shard: ShardId, dn: &Dn) -> Option<u32>;
 
     /// The DN of the held item `id` on `shard`.
     fn dn_of(&self, shard: ShardId, id: u32) -> Option<Dn>;
@@ -756,7 +756,7 @@ mod tests {
         fn items(&self, _shard: ShardId) -> Vec<ReconcileItem> {
             Vec::new()
         }
-        fn resolve(&self, _shard: ShardId, _key: &str) -> Option<u32> {
+        fn resolve(&self, _shard: ShardId, _dn: &Dn) -> Option<u32> {
             None
         }
         fn dn_of(&self, _shard: ShardId, _id: u32) -> Option<Dn> {

@@ -7,7 +7,7 @@ use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use fbdr_resync::baseline::{
     divergence, ChangelogSync, FullReload, RetainSync, Synchronizer, TombstoneSync,
 };
-use fbdr_resync::{ReSyncControl, ReplicaContent, SyncMaster};
+use fbdr_resync::{NotifyPolicy, ReSyncControl, ReplicaContent, SyncAction, SyncMaster};
 use proptest::prelude::*;
 
 /// An abstract operation against a pool of person entries.
@@ -46,6 +46,21 @@ fn fresh_master() -> SyncMaster {
     m.dit_mut().add_suffix("o=xyz".parse().expect("valid dn"));
     m.dit_mut().add(Entry::new("o=xyz".parse().expect("valid dn"))).expect("suffix add");
     m
+}
+
+/// A master that already holds content when the sessions start: four
+/// entries inside the replicated filter, two outside it.
+fn seeded_master() -> SyncMaster {
+    let mut m = fresh_master();
+    for id in 0..6 {
+        m.dit_mut().add(entry_of(id, if id < 4 { 1 } else { 2 })).expect("seed entry");
+    }
+    m
+}
+
+/// A coalescing policy whose knobs never fire: only a forced flush sends.
+fn flush_on_demand() -> NotifyPolicy {
+    NotifyPolicy::coalescing(u64::MAX, u64::MAX)
 }
 
 /// Applies an abstract op, ignoring precondition failures (they model
@@ -134,6 +149,105 @@ proptest! {
         for batch in rx.try_iter() {
             replica.apply_all(&batch.actions);
         }
+        assert_converged(&m, &req, &replica);
+    }
+
+    /// One drain, three triggers: the same op stream — renames, entries
+    /// that arrive and depart (or depart and return) between deliveries —
+    /// reaches a replica by a poll every `k` ops, by the immediate persist
+    /// policy, and by a coalescing policy force-flushed every `k` ops. A
+    /// poll and a flush at the same boundary carry the same actions in the
+    /// same order, all three contents equal the master's answer, and a
+    /// poll on either persist session afterwards finds nothing left over.
+    #[test]
+    fn poll_flush_and_immediate_deliver_the_same_ledger(
+        ops in prop::collection::vec(op(), 1..60),
+        k in 1usize..7,
+    ) {
+        let req = request();
+        let mut polled = seeded_master();
+        let mut immediate = seeded_master();
+        let mut coalesced = seeded_master();
+        coalesced.set_notify_policy(flush_on_demand());
+
+        let (mut by_poll, mut by_push, mut by_flush) =
+            (ReplicaContent::new(), ReplicaContent::new(), ReplicaContent::new());
+        let first = polled.resync(&req, ReSyncControl::poll(None)).expect("initial poll");
+        by_poll.apply_all(&first.actions);
+        let mut poll_cookie = first.cookie.expect("cookie issued");
+        let (first, push_rx) = immediate.resync_persist(&req, None).expect("initial persist");
+        by_push.apply_all(&first.actions);
+        let push_cookie = first.cookie.expect("cookie issued");
+        let (first, flush_rx) = coalesced.resync_persist(&req, None).expect("initial persist");
+        by_flush.apply_all(&first.actions);
+        let flush_cookie = first.cookie.expect("cookie issued");
+
+        for (i, o) in ops.iter().enumerate() {
+            for m in [&mut polled, &mut immediate, &mut coalesced] {
+                apply(m, o);
+            }
+            for batch in push_rx.try_iter() {
+                by_push.apply_all(&batch.actions);
+            }
+            assert_converged(&immediate, &req, &by_push);
+            if (i + 1) % k == 0 || i + 1 == ops.len() {
+                let resp =
+                    polled.resync(&req, ReSyncControl::poll(Some(poll_cookie))).expect("poll");
+                poll_cookie = resp.cookie.expect("cookie issued");
+                let wakeups = coalesced.flush_notifications(true).len();
+                let flushed: Vec<SyncAction> =
+                    flush_rx.try_iter().flat_map(|batch| batch.actions).collect();
+                prop_assert_eq!(&resp.actions, &flushed, "poll and flush differ at op {}", i);
+                prop_assert_eq!(wakeups, usize::from(!flushed.is_empty()));
+                by_poll.apply_all(&resp.actions);
+                by_flush.apply_all(&flushed);
+                assert_converged(&polled, &req, &by_poll);
+                assert_converged(&coalesced, &req, &by_flush);
+            }
+        }
+        for (m, cookie) in [(&mut immediate, push_cookie), (&mut coalesced, flush_cookie)] {
+            let resp = m.resync(&req, ReSyncControl::poll(Some(cookie))).expect("poll after push");
+            prop_assert!(resp.actions.is_empty(), "the push left {:?} behind", resp.actions);
+        }
+    }
+
+    /// The persist channel goes away mid-stream — after the replica has
+    /// applied what reached it — and the replica finishes by polling the
+    /// same session. Whatever the policy, the poll picks up exactly where
+    /// the stream stopped and no deletion is lost (chaos seed 80's
+    /// property, by construction of the one ledger rather than by a
+    /// coherence rule).
+    #[test]
+    fn dropped_receiver_finishes_by_poll_without_a_lost_deletion(
+        ops in prop::collection::vec(op(), 1..60),
+        drop_at in 0usize..60,
+        k in 1usize..7,
+        coalesce in any::<bool>(),
+    ) {
+        let req = request();
+        let mut m = seeded_master();
+        if coalesce {
+            m.set_notify_policy(flush_on_demand());
+        }
+        let mut replica = ReplicaContent::new();
+        let (first, rx) = m.resync_persist(&req, None).expect("initial persist");
+        replica.apply_all(&first.actions);
+        let cookie = first.cookie.expect("cookie issued");
+
+        let mut rx = Some(rx);
+        for (i, o) in ops.iter().enumerate() {
+            if i == drop_at % ops.len() {
+                for batch in rx.take().expect("dropped once").try_iter() {
+                    replica.apply_all(&batch.actions);
+                }
+            }
+            apply(&mut m, o);
+            if (i + 1) % k == 0 {
+                m.flush_notifications(true);
+            }
+        }
+        let resp = m.resync(&req, ReSyncControl::poll(Some(cookie))).expect("poll after the drop");
+        replica.apply_all(&resp.actions);
         assert_converged(&m, &req, &replica);
     }
 

@@ -15,7 +15,7 @@ use fbdr_resync::reconcile::{
     entry_item_hash, RangeRequest, RangeResponse, ReconcileRequest, ReconcileResponse,
 };
 use fbdr_resync::{
-    entry_key, CompositeCookie, Cookie, ReSyncControl, ReconcileConfig, ReconcileItem,
+    CompositeCookie, Cookie, ReSyncControl, ReconcileConfig, ReconcileItem,
     ReplicaContent, RetryConfig, ShardContent, ShardCoordinator, ShardId, ShardMap, ShardStatus,
     ShardedMaster, NotifyBatch, SyncError, SyncMaster, SyncResponse, SyncTransport,
 };
@@ -155,7 +155,7 @@ impl ShardContent for NoContent {
     fn items(&self, _shard: ShardId) -> Vec<ReconcileItem> {
         Vec::new()
     }
-    fn resolve(&self, _shard: ShardId, _key: &str) -> Option<u32> {
+    fn resolve(&self, _shard: ShardId, _dn: &Dn) -> Option<u32> {
         None
     }
     fn dn_of(&self, _shard: ShardId, _id: u32) -> Option<Dn> {
@@ -192,8 +192,8 @@ impl ShardContent for Held<'_> {
     fn items(&self, shard: ShardId) -> Vec<ReconcileItem> {
         self.owned(shard).map(|(id, e)| ReconcileItem { hash: entry_item_hash(e), id }).collect()
     }
-    fn resolve(&self, shard: ShardId, key: &str) -> Option<u32> {
-        self.owned(shard).find(|(_, e)| entry_key(e) == key).map(|(id, _)| id)
+    fn resolve(&self, shard: ShardId, dn: &Dn) -> Option<u32> {
+        self.owned(shard).find(|(_, e)| e.dn() == dn).map(|(id, _)| id)
     }
     fn dn_of(&self, shard: ShardId, id: u32) -> Option<Dn> {
         self.owned(shard).find(|(i, _)| *i == id).map(|(_, e)| e.dn().clone())

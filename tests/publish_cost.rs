@@ -9,36 +9,44 @@
 //!
 //! The same counter guards the read path's inner loop: a containment
 //! check on the same-template and compiled paths allocates nothing.
+//!
+//! The allocator also counts bytes, for the master's side of a delivery:
+//! a poll or a coalesced flush that carries one `Modify` allocates the
+//! same bytes whatever the session holds (DESIGN §6, the one drain) — a
+//! ledger list copied whole per delivery costs 4 B per held entry.
 
 use fbdr::prelude::*;
+use fbdr::resync::NotifyPolicy;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Counts the allocations of the calling thread (tests run on parallel
-/// threads; each must see only its own).
+/// Counts the allocations of the calling thread, and the bytes they asked
+/// for (tests run on parallel threads; each must see only its own).
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn note_allocation() {
+fn note_allocation(size: usize) {
     // Not counting is right while a thread's locals are being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
 // SAFETY: every method forwards to `System` with the caller's layout and
-// pointer unchanged; the counter touches no allocator state and does not
-// allocate (a `const`-initialised `Cell` without a destructor).
+// pointer unchanged; the counters touch no allocator state and do not
+// allocate (`const`-initialised `Cell`s without a destructor).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
+        note_allocation(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
+        note_allocation(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -49,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
+        note_allocation(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -63,6 +71,13 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Bytes `f` asks the allocator for on this thread.
+fn bytes_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 fn dn(s: &str) -> Dn {
@@ -85,9 +100,8 @@ fn person(i: usize) -> Entry {
         .with("location", &format!("bldg{}", i % 12))
 }
 
-/// A master with `n` people and a replica holding all of them through
-/// three persist-mode filters, two of which overlap on person 42.
-fn deployment(n: usize) -> (SyncMaster, FilterReplica) {
+/// A master with `n` people.
+fn master_of(n: usize) -> SyncMaster {
     let mut master = SyncMaster::new();
     master.dit_mut().add_suffix(dn("o=xyz"));
     master.dit_mut().add(Entry::new(dn("o=xyz"))).expect("suffix entry");
@@ -95,6 +109,13 @@ fn deployment(n: usize) -> (SyncMaster, FilterReplica) {
     for i in 0..n {
         master.dit_mut().add(person(i)).expect("person");
     }
+    master
+}
+
+/// A master with `n` people and a replica holding all of them through
+/// three persist-mode filters, two of which overlap on person 42.
+fn deployment(n: usize) -> (SyncMaster, FilterReplica) {
+    let mut master = master_of(n);
     let replica = FilterReplica::new(0);
     for f in ["(objectclass=inetOrgPerson)", "(serialNumber=1000*)", "(departmentNumber=7)"] {
         replica.install_filter_persistent(&mut master, query(f)).expect("install");
@@ -103,16 +124,20 @@ fn deployment(n: usize) -> (SyncMaster, FilterReplica) {
     (master, replica)
 }
 
-/// Allocations of the drain that applies one `Modify` of person 42's
-/// mail (held by two filters) to a replica of `n` entries.
-fn single_modify_drain(n: usize) -> u64 {
-    let (mut master, replica) = deployment(n);
+fn move_person_42(master: &mut SyncMaster) {
     master
         .apply(UpdateOp::Modify {
             dn: dn("cn=p00042,c=us,o=xyz"),
             mods: vec![Modification::Replace("mail".into(), vec!["moved@us.xyz.com".into()])],
         })
         .expect("modify");
+}
+
+/// Allocations of the drain that applies one `Modify` of person 42's
+/// mail (held by two filters) to a replica of `n` entries.
+fn single_modify_drain(n: usize) -> u64 {
+    let (mut master, replica) = deployment(n);
+    move_person_42(&mut master);
     let epoch = replica.epoch();
     let (traffic, allocations) = allocations_of(|| replica.drain_notifications());
     assert_eq!(traffic.full_entries, 2, "one notification per holding filter");
@@ -134,6 +159,43 @@ fn single_modify_drain_allocates_for_the_change_not_the_replica() {
         (large as f64) < 1.5 * small as f64,
         "{small} allocations at 1000 entries grew to {large} at 8000"
     );
+}
+
+/// Bytes the master allocates to deliver one `Modify` on a session that
+/// holds `n` entries: by a poll, and by a forced coalesced flush.
+fn single_modify_delivery(n: usize) -> (u64, u64) {
+    let everyone = query("(objectclass=inetOrgPerson)");
+    let moved = dn("cn=p00042,c=us,o=xyz");
+    let is_one_modify =
+        |actions: &[SyncAction]| matches!(actions, [SyncAction::Modify(e)] if e.dn() == &moved);
+
+    let mut master = master_of(n);
+    let first = master.resync(&everyone, ReSyncControl::poll(None)).expect("initial poll");
+    assert_eq!(first.actions.len(), n);
+    move_person_42(&mut master);
+    let (resp, poll) =
+        bytes_of(|| master.resync(&everyone, ReSyncControl::poll(first.cookie)).expect("poll"));
+    assert!(is_one_modify(&resp.actions), "{:?}", resp.actions);
+
+    let mut master = master_of(n);
+    master.set_notify_policy(NotifyPolicy::coalescing(32, 50));
+    let (first, rx) = master.resync_persist(&everyone, None).expect("persist install");
+    assert_eq!(first.actions.len(), n);
+    move_person_42(&mut master);
+    let (flushes, flush) = bytes_of(|| master.flush_notifications(true));
+    assert_eq!(flushes.len(), 1);
+    assert!(is_one_modify(&rx.try_recv().expect("one batch").actions));
+    (poll, flush)
+}
+
+#[test]
+fn a_delivery_allocates_for_what_changed() {
+    let (small_poll, small_flush) = single_modify_delivery(1_000);
+    let (large_poll, large_flush) = single_modify_delivery(8_000);
+    println!("single-Modify poll: {small_poll} B at 1000 held entries, {large_poll} B at 8000");
+    println!("single-Modify flush: {small_flush} B at 1000 held entries, {large_flush} B at 8000");
+    assert_eq!(small_poll, large_poll, "a poll's bytes grew with the entries held");
+    assert_eq!(small_flush, large_flush, "a flush's bytes grew with the entries held");
 }
 
 #[test]
