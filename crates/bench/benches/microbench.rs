@@ -217,7 +217,7 @@ fn bench_posting(c: &mut Criterion) {
     ];
     for (name, a, b_list) in &shapes {
         g.bench_with_input(BenchmarkId::new("gallop", name), &(), |b, ()| {
-            b.iter(|| fbdr_replica::posting::intersect(black_box(a), black_box(b_list)))
+            b.iter(|| fbdr_dit::posting::intersect(black_box(a), black_box(b_list)))
         });
         let sa: BTreeSet<u32> = a.iter().copied().collect();
         let sb: BTreeSet<u32> = b_list.iter().copied().collect();

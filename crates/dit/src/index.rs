@@ -1,175 +1,253 @@
-//! Attribute indexes: equality, ordering (range) and prefix (substring).
+//! The index rulebook, and the master store's attribute index.
 //!
-//! Every attribute is indexed two ways:
+//! Both stores — the master's [`DitStore`](crate::DitStore) and the
+//! replica's per-epoch snapshot — answer a filter from sorted
+//! [`posting`] lists of dense entry ids. The rules live here, once; a
+//! store brings only its storage and a `lists_for_predicate`:
 //!
-//! * `text` — normalized value text in lexicographic order, serving equality
-//!   lookups and `initial` substring (prefix) scans;
-//! * `ord` — values in [`AttrValue`] order (numeric-aware), serving `>=` /
-//!   `<=` range scans with semantics identical to predicate evaluation.
+//! * **what is indexed** ([`keys_only_in`]) — every value under its
+//!   normalized text, a value with an integer view additionally under
+//!   that `i64`, nothing else: no per-attribute presence list, no
+//!   non-integer in the numeric map;
+//! * **how a predicate is scanned** ([`predicate_scan`], [`bound_scan`],
+//!   [`scan_lists`]) — equality is one text key, an `initial` substring a
+//!   text prefix, a range bound is typed by its assertion exactly as
+//!   predicate evaluation is ([`AttrValue::range_cmp`]); presence and
+//!   substrings without `initial` have no scan;
+//! * **how a filter plans** ([`plan`]) — `And` intersects every plannable
+//!   child, `Or` unions when every child plans, `Not` never plans.
+//!
+//! The storage differs because the stores do: the replica publishes
+//! immutable epochs and keeps its lists behind `Arc`s in a persistent map,
+//! the master edits plain `std` maps of `Vec<u32>` (`Indexes`, below) in
+//! place.
 
-use fbdr_ldap::{AttrName, AttrValue, Dn};
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::posting;
+use fbdr_ldap::{AttrName, AttrValue, Comparison, Filter, Predicate};
+use std::borrow::{Borrow, Cow};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-struct AttrIndex {
-    text: BTreeMap<String, BTreeSet<Dn>>,
-    #[serde(with = "crate::serde_util")]
-    ord: BTreeMap<AttrValue, BTreeSet<Dn>>,
+/// One key an entry's id is listed under, within one attribute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Key<'a> {
+    /// A value's normalized text.
+    Text(&'a str),
+    /// A value's integer view; alternate spellings ("0500", "500", "+500")
+    /// share the key.
+    Num(i64),
 }
 
-/// Index over all attributes of a store.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+/// The keys an entry holding `values` of an attribute is listed under and
+/// one holding `other` is not — the whole "what is indexed" rule, as the
+/// difference an edit has to apply. `other` is called once or twice per
+/// value; an attribute's values are few.
+///
+/// A numeric key belongs to every spelling of the integer at once, so it
+/// leaves only with the last of them: going from `{"0500", "500"}` to
+/// `{"500"}` drops the text key `0500` and keeps `Num(500)`.
+pub fn keys_only_in<'a, 'b, I>(
+    values: impl IntoIterator<Item = &'a AttrValue>,
+    other: impl Fn() -> I + Copy,
+) -> impl Iterator<Item = Key<'a>>
+where
+    I: Iterator<Item = &'b AttrValue>,
+{
+    values.into_iter().filter(move |v| !other().any(|w| w == *v)).flat_map(move |v| {
+        let num = v.as_int().filter(|&n| !other().any(|w| w.as_int() == Some(n)));
+        std::iter::once(Key::Text(v.normalized())).chain(num.map(Key::Num))
+    })
+}
+
+/// Which posting lists hold a predicate's candidates: their union is a
+/// superset of the matching entries, exact for everything but a substring
+/// pattern with more than an `initial` component.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scan<'a> {
+    /// The list under one text key.
+    Point(&'a str),
+    /// The lists under every text key starting with the prefix.
+    Prefix(&'a str),
+    /// The lists under the text keys between the bounds.
+    Text(Bound<&'a str>, Bound<&'a str>),
+    /// The lists under the numeric keys between the bounds.
+    Num(Bound<i64>, Bound<i64>),
+}
+
+/// The scan of a single `>=` (`is_lower`) or `<=` bound, typed as the
+/// predicate is: an integer assertion matches integer values only,
+/// numerically — an exact range of the numeric map, whatever the values'
+/// spellings; a string assertion compares normalized text, which is the
+/// text map's own order.
+pub fn bound_scan(bound: &AttrValue, is_lower: bool) -> Scan<'_> {
+    match (bound.as_int(), is_lower) {
+        (Some(n), true) => Scan::Num(Bound::Included(n), Bound::Unbounded),
+        (Some(n), false) => Scan::Num(Bound::Unbounded, Bound::Included(n)),
+        (None, true) => Scan::Text(Bound::Included(bound.normalized()), Bound::Unbounded),
+        (None, false) => Scan::Text(Bound::Unbounded, Bound::Included(bound.normalized())),
+    }
+}
+
+/// The scan that bounds a predicate, `None` when the index cannot:
+/// presence (its list would be population-sized for every attribute, and
+/// edited on every add and delete) and substring patterns without an
+/// `initial` component. The caller scans, or the other conjuncts bound
+/// the result.
+pub fn predicate_scan(p: &Predicate) -> Option<Scan<'_>> {
+    match p.comparison() {
+        Comparison::Eq(v) => Some(Scan::Point(v.normalized())),
+        Comparison::Ge(v) => Some(bound_scan(v, true)),
+        Comparison::Le(v) => Some(bound_scan(v, false)),
+        Comparison::Present => None,
+        Comparison::Substring(pat) => pat.initial().map(Scan::Prefix),
+    }
+}
+
+/// Reads the lists a scan names off the two ordered maps a store keeps per
+/// attribute, and unions them: `point` looks one text key up, `text` and
+/// `num` walk a key range in order.
+pub fn scan_lists<'a, 's, T, N>(
+    scan: &'s Scan<'s>,
+    point: impl FnOnce(&'s str) -> Option<&'a [u32]>,
+    text: impl FnOnce(Bound<&'s str>, Bound<&'s str>) -> T,
+    num: impl FnOnce(Bound<&'s i64>, Bound<&'s i64>) -> N,
+) -> Cow<'a, [u32]>
+where
+    T: Iterator<Item = (&'a str, &'a [u32])>,
+    N: Iterator<Item = &'a [u32]>,
+{
+    use crate::posting::union_cows as union;
+    match *scan {
+        Scan::Point(k) => point(k).map_or(Cow::Owned(Vec::new()), Cow::Borrowed),
+        Scan::Prefix(p) => union(
+            text(Bound::Included(p), Bound::Unbounded)
+                .take_while(|(k, _)| k.starts_with(p))
+                .map(|(_, list)| Cow::Borrowed(list)),
+        ),
+        Scan::Text(lo, hi) => union(text(lo, hi).map(|(_, list)| Cow::Borrowed(list))),
+        Scan::Num(ref lo, ref hi) => union(num(lo.as_ref(), hi.as_ref()).map(Cow::Borrowed)),
+    }
+}
+
+/// Compiles a filter into a candidate posting list: a sorted id set
+/// guaranteed to be a **superset** of the entries matching `filter`
+/// (callers verify the filter on the candidates). `lists_for_predicate`
+/// is the store: [`scan_lists`] of what [`predicate_scan`] names over the
+/// predicate's attribute, `None` when it names nothing. Returns `None`
+/// when the index cannot bound the result and the caller must scan.
+///
+/// Conjunctions intersect every plannable child, smallest first
+/// (galloping); disjunctions require every child to plan and union them.
+pub fn plan<'a>(
+    filter: &Filter,
+    lists_for_predicate: &impl Fn(&Predicate) -> Option<Cow<'a, [u32]>>,
+) -> Option<Cow<'a, [u32]>> {
+    match filter {
+        Filter::Pred(p) => lists_for_predicate(p),
+        Filter::Not(_) => None,
+        Filter::And(fs) => {
+            let mut plans: Vec<Cow<'a, [u32]>> =
+                fs.iter().filter_map(|f| plan(f, lists_for_predicate)).collect();
+            plans.sort_by_key(|p| p.len());
+            plans.into_iter().reduce(|acc, p| Cow::Owned(posting::intersect(&acc, &p)))
+        }
+        Filter::Or(fs) => {
+            let parts: Option<Vec<_>> = fs.iter().map(|f| plan(f, lists_for_predicate)).collect();
+            parts.map(posting::union_cows)
+        }
+    }
+}
+
+/// Posting lists for one attribute, edited in place.
+#[derive(Debug, Default, Clone, PartialEq)]
+struct AttrIndex {
+    text: BTreeMap<Box<str>, Vec<u32>>,
+    num: BTreeMap<i64, Vec<u32>>,
+}
+
+fn add<K, Q>(map: &mut BTreeMap<K, Vec<u32>>, key: &Q, make_key: impl FnOnce() -> K, id: u32)
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ?Sized,
+{
+    match map.get_mut(key) {
+        Some(list) => {
+            posting::insert_sorted(list, id);
+        }
+        None => {
+            map.insert(make_key(), vec![id]);
+        }
+    }
+}
+
+fn remove<K, Q>(map: &mut BTreeMap<K, Vec<u32>>, key: &Q, id: u32)
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ?Sized,
+{
+    if let Some(list) = map.get_mut(key) {
+        posting::remove_sorted(list, id);
+        if list.is_empty() {
+            map.remove(key);
+        }
+    }
+}
+
+/// The master store's index over all attributes, keyed by the lowercased
+/// attribute name. Never serialized: the store rebuilds it from its
+/// entries.
+#[derive(Debug, Default, Clone, PartialEq)]
 pub(crate) struct Indexes {
-    #[serde(with = "crate::serde_util")]
-    by_attr: HashMap<AttrName, AttrIndex>,
+    by_attr: HashMap<Box<str>, AttrIndex>,
 }
 
 impl Indexes {
-    pub(crate) fn insert(&mut self, attr: &AttrName, value: &AttrValue, dn: &Dn) {
-        let idx = self.by_attr.entry(attr.clone()).or_default();
-        idx.text.entry(value.normalized().to_owned()).or_default().insert(dn.clone());
-        idx.ord.entry(value.clone()).or_default().insert(dn.clone());
-    }
-
-    pub(crate) fn remove(&mut self, attr: &AttrName, value: &AttrValue, dn: &Dn) {
-        if let Some(idx) = self.by_attr.get_mut(attr) {
-            if let Some(set) = idx.text.get_mut(value.normalized()) {
-                set.remove(dn);
-                if set.is_empty() {
-                    idx.text.remove(value.normalized());
-                }
-            }
-            if let Some(set) = idx.ord.get_mut(value) {
-                set.remove(dn);
-                if set.is_empty() {
-                    idx.ord.remove(value);
-                }
-            }
+    /// Lists `id` under `keys` of `attr`.
+    pub(crate) fn insert<'a>(&mut self, attr: &AttrName, keys: impl Iterator<Item = Key<'a>>, id: u32) {
+        let mut keys = keys.peekable();
+        if keys.peek().is_none() {
+            return;
         }
-    }
-
-    /// DNs of entries having `attr = value` (normalized equality),
-    /// borrowed straight from the index — `None` when no entry carries the
-    /// value (callers treat it as the empty set).
-    pub(crate) fn lookup_eq(&self, attr: &AttrName, value: &AttrValue) -> Option<&BTreeSet<Dn>> {
-        self.by_attr.get(attr).and_then(|i| i.text.get(value.normalized()))
-    }
-
-    /// DNs of entries having a value of `attr` starting with `prefix`
-    /// (normalized). A superset check for substring predicates with an
-    /// `initial` component. An empty prefix matches every value, so it
-    /// short-circuits to a presence lookup instead of walking (and
-    /// `starts_with`-testing) every key in the text map.
-    pub(crate) fn lookup_prefix(&self, attr: &AttrName, prefix: &str) -> BTreeSet<Dn> {
-        if prefix.is_empty() {
-            return self.lookup_present(attr);
-        }
-        let mut out = BTreeSet::new();
-        if let Some(i) = self.by_attr.get(attr) {
-            for (_k, dns) in i
-                .text
-                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-                .take_while(|(k, _)| k.starts_with(prefix))
-            {
-                out.extend(dns.iter().cloned());
-            }
-        }
-        out
-    }
-
-    /// DNs of entries having a value in `[ge, le]` (either bound
-    /// optional). The result is a *superset* of the matching entries
-    /// (callers verify with full predicate evaluation). Bounds dispatch on
-    /// their type, mirroring typed range predicates:
-    ///
-    /// * integer-typed bounds scan the `ord` map (where all integers sort
-    ///   numerically before all non-integers), widened to the neighbouring
-    ///   integer because alternate spellings of the bound value ("0500"
-    ///   for 500) sort before its canonical spelling — yet every spelling
-    ///   of `i` sorts strictly after every spelling of `i - 1`;
-    /// * string-typed bounds scan the `text` map, which is exactly the
-    ///   lexicographic order the predicate uses.
-    pub(crate) fn lookup_range(
-        &self,
-        attr: &AttrName,
-        ge: Option<&AttrValue>,
-        le: Option<&AttrValue>,
-    ) -> BTreeSet<Dn> {
-        let mut parts: Vec<BTreeSet<Dn>> = Vec::new();
-        if let Some(v) = ge {
-            parts.push(self.lookup_one_bound(attr, v, true));
-        }
-        if let Some(v) = le {
-            parts.push(self.lookup_one_bound(attr, v, false));
-        }
-        match parts.len() {
-            0 => self.lookup_present(attr),
-            1 => parts.pop().expect("len checked"),
-            _ => {
-                let b = parts.pop().expect("len checked");
-                let a = parts.pop().expect("len checked");
-                a.intersection(&b).cloned().collect()
-            }
-        }
-    }
-
-    /// Candidates for a single `>=` (`is_lower`) or `<=` bound.
-    fn lookup_one_bound(&self, attr: &AttrName, bound: &AttrValue, is_lower: bool) -> BTreeSet<Dn> {
-        let mut out = BTreeSet::new();
-        let Some(i) = self.by_attr.get(attr) else {
-            return out;
+        let idx = match self.by_attr.get_mut(attr.lower()) {
+            Some(idx) => idx,
+            None => self.by_attr.entry(attr.lower().into()).or_default(),
         };
-        match bound.as_int() {
-            Some(n) => {
-                // Integer-typed: only integer values can match; widen by
-                // one to cover alternate spellings of the bound value.
-                let (lo, hi) = if is_lower {
-                    let b = if n > i64::MIN {
-                        Bound::Excluded(AttrValue::new((n - 1).to_string()))
-                    } else {
-                        Bound::Unbounded
-                    };
-                    (b, Bound::Unbounded)
-                } else {
-                    let b = if n < i64::MAX {
-                        Bound::Excluded(AttrValue::new((n + 1).to_string()))
-                    } else {
-                        Bound::Unbounded
-                    };
-                    (Bound::Unbounded, b)
-                };
-                for (_v, dns) in i.ord.range((lo, hi)) {
-                    out.extend(dns.iter().cloned());
-                }
-            }
-            None => {
-                // String-typed: the text map is keyed by normalized text
-                // in exactly the predicate's lexicographic order.
-                let key = bound.normalized();
-                let range: (Bound<&str>, Bound<&str>) = if is_lower {
-                    (Bound::Included(key), Bound::Unbounded)
-                } else {
-                    (Bound::Unbounded, Bound::Included(key))
-                };
-                for (_k, dns) in i.text.range::<str, _>(range) {
-                    out.extend(dns.iter().cloned());
-                }
+        for key in keys {
+            match key {
+                Key::Text(k) => add(&mut idx.text, k, || k.into(), id),
+                Key::Num(n) => add(&mut idx.num, &n, || n, id),
             }
         }
-        out
     }
 
-    /// DNs of entries where `attr` is present.
-    pub(crate) fn lookup_present(&self, attr: &AttrName) -> BTreeSet<Dn> {
-        let mut out = BTreeSet::new();
-        if let Some(i) = self.by_attr.get(attr) {
-            for dns in i.text.values() {
-                out.extend(dns.iter().cloned());
+    /// Unlists `id` from `keys` of `attr`; the attribute leaves with its
+    /// last key. Both maps are asked: an integer changing its spelling
+    /// takes the only text key out while its numeric key stays listed.
+    pub(crate) fn remove<'a>(&mut self, attr: &AttrName, keys: impl Iterator<Item = Key<'a>>, id: u32) {
+        let Some(idx) = self.by_attr.get_mut(attr.lower()) else { return };
+        for key in keys {
+            match key {
+                Key::Text(k) => remove(&mut idx.text, k, id),
+                Key::Num(n) => remove(&mut idx.num, &n, id),
             }
         }
-        out
+        if idx.text.is_empty() && idx.num.is_empty() {
+            self.by_attr.remove(attr.lower());
+        }
+    }
+
+    /// The store's half of [`plan`].
+    pub(crate) fn lists_for_predicate(&self, p: &Predicate) -> Option<Cow<'_, [u32]>> {
+        let scan = predicate_scan(p)?;
+        let Some(idx) = self.by_attr.get(p.attr().lower()) else {
+            return Some(Cow::Owned(Vec::new()));
+        };
+        Some(scan_lists(
+            &scan,
+            |k| idx.text.get(k).map(Vec::as_slice),
+            |lo, hi| idx.text.range::<str, _>((lo, hi)).map(|(k, list)| (&**k, list.as_slice())),
+            |lo, hi| idx.num.range((lo, hi)).map(|(_, list)| list.as_slice()),
+        ))
     }
 }
 
@@ -177,65 +255,127 @@ impl Indexes {
 mod tests {
     use super::*;
 
-    fn dn(s: &str) -> Dn {
-        s.parse().unwrap()
+    /// Lists `id` under every key of `attr: value`, as adding an entry
+    /// with that one value would.
+    fn insert(ix: &mut Indexes, attr: &str, value: &str, id: u32) {
+        let (attr, value) = (AttrName::new(attr), AttrValue::new(value));
+        ix.insert(&attr, keys_only_in([&value], std::iter::empty), id);
+    }
+
+    fn remove(ix: &mut Indexes, attr: &str, value: &str, id: u32) {
+        let (attr, value) = (AttrName::new(attr), AttrValue::new(value));
+        ix.remove(&attr, keys_only_in([&value], std::iter::empty), id);
     }
 
     fn sample() -> Indexes {
         let mut ix = Indexes::default();
-        let sn: AttrName = "serialNumber".into();
-        ix.insert(&sn, &"045612".into(), &dn("cn=a,o=x"));
-        ix.insert(&sn, &"045699".into(), &dn("cn=b,o=x"));
-        ix.insert(&sn, &"120000".into(), &dn("cn=c,o=x"));
+        insert(&mut ix, "serialNumber", "045612", 0);
+        insert(&mut ix, "serialNumber", "045699", 1);
+        insert(&mut ix, "serialNumber", "120000", 2);
         ix
+    }
+
+    fn plan_of(ix: &Indexes, f: &str) -> Option<Vec<u32>> {
+        plan(&Filter::parse(f).unwrap(), &|p| ix.lists_for_predicate(p)).map(Cow::into_owned)
     }
 
     #[test]
     fn eq_lookup() {
         let ix = sample();
-        let got = ix.lookup_eq(&"serialnumber".into(), &"045612".into()).expect("indexed");
-        assert_eq!(got.len(), 1);
-        assert!(got.contains(&dn("cn=a,o=x")));
-        assert!(ix.lookup_eq(&"serialnumber".into(), &"999".into()).is_none());
-        assert!(ix.lookup_eq(&"mail".into(), &"x".into()).is_none());
+        assert_eq!(plan_of(&ix, "(serialnumber=045612)"), Some(vec![0]));
+        assert_eq!(plan_of(&ix, "(serialnumber=999)"), Some(vec![]));
+        assert_eq!(plan_of(&ix, "(mail=x)"), Some(vec![]));
     }
 
     #[test]
     fn prefix_lookup() {
         let ix = sample();
-        assert_eq!(ix.lookup_prefix(&"serialnumber".into(), "0456").len(), 2);
-        assert_eq!(ix.lookup_prefix(&"serialnumber".into(), "04561").len(), 1);
-        assert_eq!(ix.lookup_prefix(&"serialnumber".into(), "9").len(), 0);
-        assert_eq!(ix.lookup_prefix(&"serialnumber".into(), "").len(), 3);
+        assert_eq!(plan_of(&ix, "(serialnumber=0456*)"), Some(vec![0, 1]));
+        assert_eq!(plan_of(&ix, "(serialnumber=04561*)"), Some(vec![0]));
+        assert_eq!(plan_of(&ix, "(serialnumber=9*)"), Some(vec![]));
+        // No initial component: cannot plan.
+        assert_eq!(plan_of(&ix, "(serialnumber=*5)"), None);
     }
 
     #[test]
     fn range_lookup_is_numeric_for_ints() {
         let ix = sample();
         // 45612 and 45699 and 120000 numerically.
-        let ge = AttrValue::new("45650");
-        assert_eq!(ix.lookup_range(&"serialnumber".into(), Some(&ge), None).len(), 2);
-        let le = AttrValue::new("45650");
-        assert_eq!(ix.lookup_range(&"serialnumber".into(), None, Some(&le)).len(), 1);
-        assert_eq!(ix.lookup_range(&"serialnumber".into(), None, None).len(), 3);
+        assert_eq!(plan_of(&ix, "(serialnumber>=45650)"), Some(vec![1, 2]));
+        assert_eq!(plan_of(&ix, "(serialnumber<=45650)"), Some(vec![0]));
+        // A string-typed bound compares text: "045…" < "10x" < "120000".
+        assert_eq!(plan_of(&ix, "(serialnumber>=10x)"), Some(vec![2]));
+        assert_eq!(plan_of(&ix, "(serialnumber<=10x)"), Some(vec![0, 1]));
     }
 
     #[test]
-    fn present_lookup_and_removal() {
-        let mut ix = sample();
-        assert_eq!(ix.lookup_present(&"serialnumber".into()).len(), 3);
-        ix.remove(&"serialNumber".into(), &"045612".into(), &dn("cn=a,o=x"));
-        assert_eq!(ix.lookup_present(&"serialnumber".into()).len(), 2);
-        assert!(ix.lookup_eq(&"serialnumber".into(), &"045612".into()).is_none());
-    }
-
-    #[test]
-    fn multiple_dns_per_value() {
+    fn integer_bounds_are_exact_over_spellings_and_skip_non_integers() {
         let mut ix = Indexes::default();
-        ix.insert(&"dept".into(), &"2406".into(), &dn("cn=a,o=x"));
-        ix.insert(&"dept".into(), &"2406".into(), &dn("cn=b,o=x"));
-        assert_eq!(ix.lookup_eq(&"dept".into(), &"2406".into()).unwrap().len(), 2);
-        ix.remove(&"dept".into(), &"2406".into(), &dn("cn=a,o=x"));
-        assert_eq!(ix.lookup_eq(&"dept".into(), &"2406".into()).unwrap().len(), 1);
+        for (id, v) in ["0500", "500", "+500", "499", "501", "5oo", "abc"].iter().enumerate() {
+            insert(&mut ix, "n", v, id as u32);
+        }
+        insert(&mut ix, "n", &i64::MIN.to_string(), 7);
+        insert(&mut ix, "n", &i64::MAX.to_string(), 8);
+        assert_eq!(plan_of(&ix, "(n>=500)"), Some(vec![0, 1, 2, 4, 8]));
+        assert_eq!(plan_of(&ix, "(n<=500)"), Some(vec![0, 1, 2, 3, 7]));
+        assert_eq!(plan_of(&ix, "(&(n>=500)(n<=0500))"), Some(vec![0, 1, 2]));
+        assert_eq!(plan_of(&ix, &format!("(n>={})", i64::MIN)), Some(vec![0, 1, 2, 3, 4, 7, 8]));
+        assert_eq!(plan_of(&ix, &format!("(n>={})", i64::MAX)), Some(vec![8]));
+        assert_eq!(plan_of(&ix, &format!("(n<={})", i64::MIN)), Some(vec![7]));
+        // Equality stays textual: one spelling, one entry.
+        assert_eq!(plan_of(&ix, "(n=500)"), Some(vec![1]));
+    }
+
+    #[test]
+    fn a_numeric_key_leaves_with_its_last_spelling() {
+        let (old, new) = ([AttrValue::new("0500"), AttrValue::new("500")], [AttrValue::new("500")]);
+        let gone: Vec<Key<'_>> = keys_only_in(&old, || new.iter()).collect();
+        assert_eq!(gone, [Key::Text("0500")]);
+        let gained: Vec<Key<'_>> = keys_only_in(&new, || old.iter()).collect();
+        assert_eq!(gained, []);
+        let all: Vec<Key<'_>> = keys_only_in(&old, std::iter::empty).collect();
+        assert_eq!(all, [Key::Text("0500"), Key::Num(500), Key::Text("500"), Key::Num(500)]);
+    }
+
+    #[test]
+    fn removal_drops_emptied_lists() {
+        let mut ix = sample();
+        remove(&mut ix, "serialNumber", "045612", 0);
+        assert_eq!(plan_of(&ix, "(serialnumber=045612)"), Some(vec![]));
+        assert_eq!(plan_of(&ix, "(serialnumber<=45650)"), Some(vec![]));
+        let idx = &ix.by_attr["serialnumber"];
+        assert_eq!((idx.text.len(), idx.num.len()), (2, 2));
+    }
+
+    #[test]
+    fn multiple_ids_per_value() {
+        let mut ix = Indexes::default();
+        insert(&mut ix, "dept", "2406", 3);
+        insert(&mut ix, "dept", "2406", 1);
+        assert_eq!(plan_of(&ix, "(dept=2406)"), Some(vec![1, 3]));
+        remove(&mut ix, "dept", "2406", 3);
+        assert_eq!(plan_of(&ix, "(dept=2406)"), Some(vec![1]));
+    }
+
+    #[test]
+    fn boolean_plans() {
+        let mut ix = Indexes::default();
+        for id in 0..12u32 {
+            insert(&mut ix, "serialNumber", &format!("{}", 100_000 + id), id);
+            insert(&mut ix, "dept", &format!("{}", id % 3), id);
+        }
+        // And intersects every plannable conjunct.
+        assert_eq!(plan_of(&ix, "(&(dept=0)(serialNumber>=100006))"), Some(vec![6, 9]));
+        // A non-plannable conjunct is simply dropped from the plan.
+        assert_eq!(plan_of(&ix, "(&(dept=1)(serialNumber=*x*))"), Some(vec![1, 4, 7, 10]));
+        assert_eq!(plan_of(&ix, "(&(dept=1)(dept=*))"), Some(vec![1, 4, 7, 10]));
+        // Or unions, but only if every branch plans.
+        assert_eq!(plan_of(&ix, "(|(serialNumber=100001)(dept=2))"), Some(vec![1, 2, 5, 8, 11]));
+        assert_eq!(plan_of(&ix, "(|(dept=0)(x=*y))"), None);
+        assert_eq!(plan_of(&ix, "(|(dept=0)(dept=*))"), None);
+        assert_eq!(plan_of(&ix, "(!(dept=0))"), None);
+        assert_eq!(plan_of(&ix, "(&(!(dept=0))(x=*y))"), None);
+        // Presence has no list.
+        assert_eq!(plan_of(&ix, "(dept=*)"), None);
     }
 }

@@ -7,6 +7,9 @@
 //! * [`DitStore`] — a hierarchical entry store with attribute indexes,
 //!   LDAP-style update operations ([`UpdateOp`]) and indexed search
 //!   evaluation for [`SearchRequest`]s.
+//! * [`index`] and [`posting`] — the index rulebook (what is indexed, how
+//!   a predicate is scanned, how a filter plans) and the sorted id lists
+//!   it works on, shared by this store and the replica's snapshot index.
 //! * [`ChangeRecord`] / change sequence numbers ([`Csn`]) — an RFC-changelog
 //!   style record of update operations (changed attributes only), used by
 //!   the changelog-based synchronization baseline.
@@ -40,8 +43,8 @@
 mod changelog;
 mod context;
 mod error;
-mod index;
-mod serde_util;
+pub mod index;
+pub mod posting;
 mod store;
 mod update;
 

@@ -1,15 +1,42 @@
-//! Sorted `u32` posting lists: the id-set representation behind indexed
-//! snapshot evaluation.
+//! Sorted `u32` posting lists: the one id-set representation in the stack.
 //!
-//! A posting list is a strictly increasing `Vec<u32>` of interned entry
-//! ids. Set operations stay allocation-light and branch-predictable:
-//! intersection *gallops* (exponential probe + binary search) through the
-//! longer list, so intersecting a point-query candidate list with a
-//! country-sized stored-filter list costs `O(small · log large)` rather
-//! than `O(large)`.
+//! A posting list is a strictly increasing `Vec<u32>` of dense entry (or
+//! session) ids: the master store's attribute index, its session ledgers
+//! and routing buckets, and the replica's filter contents and snapshot
+//! index are all edited and combined with the functions here. A list is 4
+//! bytes per member and membership is a binary search. Intersection
+//! *gallops* (exponential probe + binary search) through the longer list,
+//! so intersecting a point-query candidate list with a country-sized list
+//! costs `O(small · log large)` rather than `O(large)`.
 
-pub use fbdr_resync::posting::{contains, insert_sorted, remove_sorted};
 use std::borrow::Cow;
+
+/// Inserts `id` into a sorted list; returns true when it was absent.
+pub fn insert_sorted(list: &mut Vec<u32>, id: u32) -> bool {
+    match list.binary_search(&id) {
+        Ok(_) => false,
+        Err(pos) => {
+            list.insert(pos, id);
+            true
+        }
+    }
+}
+
+/// Removes `id` from a sorted list; returns true when it was present.
+pub fn remove_sorted(list: &mut Vec<u32>, id: u32) -> bool {
+    match list.binary_search(&id) {
+        Ok(pos) => {
+            list.remove(pos);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+/// Membership test by binary search.
+pub fn contains(list: &[u32], id: u32) -> bool {
+    list.binary_search(&id).is_ok()
+}
 
 /// First index in `slice` whose value is `>= target`, found by galloping:
 /// probe positions 1, 2, 4, 8, … then binary-search the final octave.
@@ -33,7 +60,7 @@ fn gallop(slice: &[u32], target: u32) -> usize {
 /// one-element equality list against a country-sized filter list.
 ///
 /// ```
-/// use fbdr_replica::posting;
+/// use fbdr_dit::posting;
 ///
 /// let big: Vec<u32> = (0..1000).collect();
 /// assert_eq!(posting::intersect(&[3, 500, 2000], &big), vec![3, 500]);
@@ -96,8 +123,8 @@ pub fn union_many<'a, I: IntoIterator<Item = &'a [u32]>>(lists: I) -> Vec<u32> {
 
 /// Unions a sequence of copy-on-write lists, borrowing when a single
 /// non-empty input makes the union trivial.
-pub fn union_cows<'a>(mut parts: Vec<Cow<'a, [u32]>>) -> Cow<'a, [u32]> {
-    parts.retain(|p| !p.is_empty());
+pub fn union_cows<'a>(parts: impl IntoIterator<Item = Cow<'a, [u32]>>) -> Cow<'a, [u32]> {
+    let mut parts: Vec<_> = parts.into_iter().filter(|p| !p.is_empty()).collect();
     match parts.len() {
         0 => Cow::Owned(Vec::new()),
         1 => parts.pop().expect("len checked"),

@@ -2,33 +2,19 @@
 
 use crate::changelog::{ChangeKind, ChangeRecord, Csn, Tombstone};
 use crate::error::{DitError, ImportError};
-use crate::index::Indexes;
+use crate::index::{self, Indexes};
 use crate::update::{Modification, UpdateOp};
-use fbdr_ldap::{AttrName, AttrValue, Comparison, Dn, Entry, Filter, Scope, SearchRequest};
+use fbdr_ldap::{AttrName, AttrValue, Dn, Entry, Scope, SearchRequest};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
 /// Hierarchical map key: orders DNs root-first over normalized RDN
 /// components ([`Dn::cmp_hierarchical`]), so that the subtree of a DN is
 /// a contiguous key range in a `BTreeMap`. Wrapping the `Dn` itself (a
-/// cheap refcounted clone) keeps lookups allocation-free — the previous
-/// `Vec<String>` key cost one formatted string per RDN per probe.
+/// cheap refcounted clone) keeps lookups allocation-free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct TreeKey(Dn);
-
-impl Serialize for TreeKey {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.0.serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for TreeKey {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Dn::deserialize(deserializer).map(TreeKey)
-    }
-}
 
 impl Ord for TreeKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
@@ -42,8 +28,103 @@ impl PartialOrd for TreeKey {
     }
 }
 
-fn path_key(dn: &Dn) -> TreeKey {
-    TreeKey(dn.clone())
+/// The entries, addressed by dense id: `slots[id]` holds the entry,
+/// `by_dn` gives DN → id and the hierarchical order, and the attribute
+/// index lists ids. An id is stable while its entry lives — across
+/// modifies and renames — and is recycled through `free` once the entry is
+/// deleted. Only the entries are data: they serialize as a sequence in
+/// hierarchical order, and ids, free list and index are rebuilt from it on
+/// load.
+#[derive(Debug, Default, Clone)]
+struct Entries {
+    slots: Vec<Option<Entry>>,
+    free: Vec<u32>,
+    by_dn: BTreeMap<TreeKey, u32>,
+    indexes: Indexes,
+}
+
+impl Entries {
+    fn id_of(&self, dn: &Dn) -> Option<u32> {
+        self.by_dn.get(&TreeKey(dn.clone())).copied()
+    }
+
+    fn get(&self, id: u32) -> &Entry {
+        self.slots[id as usize].as_ref().expect("listed ids are live")
+    }
+
+    /// Stores and indexes an entry whose DN is not taken.
+    fn insert(&mut self, entry: Entry) {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            u32::try_from(self.slots.len() - 1).expect("id space exhausted")
+        });
+        for (a, vs) in entry.attrs() {
+            self.indexes.insert(a, index::keys_only_in(vs, std::iter::empty), id);
+        }
+        self.by_dn.insert(TreeKey(entry.dn().clone()), id);
+        self.slots[id as usize] = Some(entry);
+    }
+
+    /// Removes the entry at `dn` from slots, order and index.
+    fn remove(&mut self, dn: &Dn) {
+        let Some(id) = self.by_dn.remove(&TreeKey(dn.clone())) else { return };
+        let entry = self.slots[id as usize].take().expect("listed ids are live");
+        for (a, vs) in entry.attrs() {
+            self.indexes.remove(a, index::keys_only_in(vs, std::iter::empty), id);
+        }
+        self.free.push(id);
+    }
+
+    /// Edits the entry in slot `id` in place and moves the id between the
+    /// index keys of the `touched` attributes — the only ones `edit` may
+    /// change — so an update costs its change, not the entry. When `edit`
+    /// fails the touched attributes are put back and the index is left
+    /// alone.
+    fn edit(
+        &mut self,
+        id: u32,
+        touched: &[AttrName],
+        edit: impl FnOnce(&mut Entry) -> Result<(), DitError>,
+    ) -> Result<&Entry, DitError> {
+        let entry = self.slots[id as usize].as_mut().expect("listed ids are live");
+        let before: Vec<Vec<AttrValue>> =
+            touched.iter().map(|a| entry.values(a).cloned().collect()).collect();
+        if let Err(err) = edit(entry) {
+            for (a, old) in touched.iter().zip(before) {
+                // An empty snapshot means the attribute did not exist.
+                entry.replace(a.clone(), old);
+            }
+            return Err(err);
+        }
+        for (a, old) in touched.iter().zip(&before) {
+            self.indexes.remove(a, index::keys_only_in(old, || entry.values(a)), id);
+            self.indexes.insert(a, index::keys_only_in(entry.values(a), || old.iter()), id);
+        }
+        Ok(entry)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Entry> {
+        self.by_dn.values().map(move |&id| self.get(id))
+    }
+}
+
+impl Serialize for Entries {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.collect_seq(self.iter())
+    }
+}
+
+impl<'de> Deserialize<'de> for Entries {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let mut entries = Entries::default();
+        for e in Vec::<Entry>::deserialize(deserializer)? {
+            if entries.id_of(e.dn()).is_some() {
+                return Err(serde::de::Error::custom(format!("duplicate entry {}", e.dn())));
+            }
+            entries.insert(e);
+        }
+        Ok(entries)
+    }
 }
 
 /// An in-memory Directory Information Tree with attribute indexes, a
@@ -57,10 +138,8 @@ fn path_key(dn: &Dn) -> TreeKey {
 /// increasing [`Csn`]; the record is also appended to the store's changelog.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct DitStore {
-    #[serde(with = "crate::serde_util")]
-    entries: BTreeMap<TreeKey, Entry>,
+    entries: Entries,
     suffixes: Vec<Dn>,
-    indexes: Indexes,
     csn: Csn,
     changelog: Vec<ChangeRecord>,
     tombstones: Vec<Tombstone>,
@@ -87,12 +166,12 @@ impl DitStore {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.by_dn.len()
     }
 
     /// True when the store holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.by_dn.is_empty()
     }
 
     /// Current (latest applied) change sequence number.
@@ -119,34 +198,36 @@ impl DitStore {
 
     /// Looks up an entry by DN.
     pub fn get(&self, dn: &Dn) -> Option<&Entry> {
-        self.entries.get(&path_key(dn))
+        self.entries.id_of(dn).map(|id| self.entries.get(id))
     }
 
     /// True if an entry exists at `dn`.
     pub fn contains(&self, dn: &Dn) -> bool {
-        self.entries.contains_key(&path_key(dn))
+        self.entries.id_of(dn).is_some()
     }
 
     /// True if `dn` has at least one child entry.
     pub fn has_children(&self, dn: &Dn) -> bool {
         self.entries
-            .range((Bound::Excluded(path_key(dn)), Bound::Unbounded))
+            .by_dn
+            .range((Bound::Excluded(TreeKey(dn.clone())), Bound::Unbounded))
             .next()
             .is_some_and(|(k, _)| dn.is_ancestor_or_self_of(&k.0))
     }
 
     /// Iterates all entries in DN (hierarchical) order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.values()
+        self.entries.iter()
     }
 
     /// Iterates entries in the subtree rooted at `base` (including `base`).
     pub fn subtree(&self, base: &Dn) -> impl Iterator<Item = &Entry> {
         let base = base.clone();
         self.entries
-            .range((Bound::Included(path_key(&base)), Bound::Unbounded))
+            .by_dn
+            .range((Bound::Included(TreeKey(base.clone())), Bound::Unbounded))
             .take_while(move |(k, _)| base.is_ancestor_or_self_of(&k.0))
-            .map(|(_, e)| e)
+            .map(move |(_, &id)| self.entries.get(id))
     }
 
     /// Iterates immediate children of `base`.
@@ -232,16 +313,11 @@ impl DitStore {
                 _ => return Err(DitError::NoParent(dn)),
             }
         }
-        for (a, vs) in entry.attrs() {
-            for v in vs {
-                self.indexes.insert(a, v, &dn);
-            }
-        }
         let changes = entry
             .attrs()
             .map(|(a, vs)| (a.clone(), vs.iter().cloned().collect()))
             .collect();
-        self.entries.insert(path_key(&dn), entry);
+        self.entries.insert(entry);
         Ok(self.record(dn, ChangeKind::Add, changes, None))
     }
 
@@ -258,12 +334,7 @@ impl DitStore {
         if self.has_children(dn) {
             return Err(DitError::NotLeaf(dn.clone()));
         }
-        let entry = self.entries.remove(&path_key(dn)).expect("checked contains");
-        for (a, vs) in entry.attrs() {
-            for v in vs {
-                self.indexes.remove(a, v, dn);
-            }
-        }
+        self.entries.remove(dn);
         let rec = self.record(dn.clone(), ChangeKind::Delete, Vec::new(), None);
         self.tombstones.push(Tombstone { dn: dn.clone(), csn: rec.csn });
         Ok(rec)
@@ -277,69 +348,42 @@ impl DitStore {
     /// * [`DitError::NoSuchValue`] when deleting a value/attribute that is
     ///   not present (the store is left unchanged).
     pub fn modify(&mut self, dn: &Dn, mods: Vec<Modification>) -> Result<ChangeRecord, DitError> {
-        let key = path_key(dn);
-        let Some(entry) = self.entries.get_mut(&key) else {
+        let Some(id) = self.entries.id_of(dn) else {
             return Err(DitError::NoSuchEntry(dn.clone()));
         };
-        // Snapshot only the touched attributes, apply in place, and roll
-        // the snapshots back on failure — copying the whole entry and
-        // diffing every attribute against the index made modify cost
-        // scale with entry size rather than with the change.
-        let touched: Vec<AttrName> = {
-            let mut t: Vec<AttrName> = mods.iter().map(|m| m.attr().clone()).collect();
-            t.dedup();
-            t
-        };
-        let before: Vec<(AttrName, Vec<AttrValue>)> = touched
-            .iter()
-            .map(|a| (a.clone(), entry.values(a).cloned().collect()))
-            .collect();
-        let mut failed = None;
-        'apply: for m in &mods {
-            match m {
-                Modification::AddValues(a, vs) => {
-                    for v in vs {
-                        entry.add(a.clone(), v.clone());
-                    }
-                }
-                Modification::DeleteValues(a, vs) => {
-                    for v in vs {
-                        if !entry.remove_value(a, v) {
-                            failed = Some(DitError::NoSuchValue(dn.clone(), format!("{a}: {v}")));
-                            break 'apply;
+        let mut touched: Vec<AttrName> = Vec::new();
+        for m in &mods {
+            if !touched.contains(m.attr()) {
+                touched.push(m.attr().clone());
+            }
+        }
+        let entry = self.entries.edit(id, &touched, |entry| {
+            for m in &mods {
+                match m {
+                    Modification::AddValues(a, vs) => {
+                        for v in vs {
+                            entry.add(a.clone(), v.clone());
                         }
                     }
-                }
-                Modification::DeleteAttr(a) => {
-                    if !entry.remove_attr(a) {
-                        failed = Some(DitError::NoSuchValue(dn.clone(), a.to_string()));
-                        break 'apply;
+                    Modification::DeleteValues(a, vs) => {
+                        for v in vs {
+                            if !entry.remove_value(a, v) {
+                                return Err(DitError::NoSuchValue(dn.clone(), format!("{a}: {v}")));
+                            }
+                        }
+                    }
+                    Modification::DeleteAttr(a) => {
+                        if !entry.remove_attr(a) {
+                            return Err(DitError::NoSuchValue(dn.clone(), a.to_string()));
+                        }
+                    }
+                    Modification::Replace(a, vs) => {
+                        entry.replace(a.clone(), vs.iter().cloned());
                     }
                 }
-                Modification::Replace(a, vs) => {
-                    entry.replace(a.clone(), vs.iter().cloned());
-                }
             }
-        }
-        if let Some(err) = failed {
-            for (a, vals) in before {
-                // An empty snapshot means the attribute did not exist.
-                entry.replace(a, vals);
-            }
-            return Err(err);
-        }
-        for (a, old_vals) in &before {
-            for v in old_vals {
-                if !entry.has_value(a, v) {
-                    self.indexes.remove(a, v, dn);
-                }
-            }
-            for v in entry.values(a) {
-                if !old_vals.contains(v) {
-                    self.indexes.insert(a, v, dn);
-                }
-            }
-        }
+            Ok(())
+        })?;
         let changes = touched
             .into_iter()
             .map(|a| {
@@ -352,7 +396,8 @@ impl DitStore {
 
     /// Renames and/or moves a leaf entry. Implements `deleteOldRDN=TRUE`
     /// semantics: the old RDN value is removed from the entry's attributes
-    /// and the new one added.
+    /// and the new one added. The entry keeps its id, so only the naming
+    /// values are re-indexed.
     ///
     /// # Errors
     ///
@@ -367,9 +412,9 @@ impl DitStore {
         new_rdn: fbdr_ldap::Rdn,
         new_superior: Option<Dn>,
     ) -> Result<ChangeRecord, DitError> {
-        if !self.contains(dn) {
+        let Some(id) = self.entries.id_of(dn) else {
             return Err(DitError::NoSuchEntry(dn.clone()));
-        }
+        };
         if self.has_children(dn) {
             return Err(DitError::NotLeaf(dn.clone()));
         }
@@ -389,29 +434,23 @@ impl DitStore {
         if self.contains(&new_dn) {
             return Err(DitError::AlreadyExists(new_dn));
         }
-        let mut entry = self.entries.remove(&path_key(dn)).expect("checked contains");
-        // Index removal under the old DN.
-        for (a, vs) in entry.attrs() {
-            for v in vs {
-                self.indexes.remove(a, v, dn);
+        let mut naming = vec![new_rdn.attr().clone()];
+        naming.extend(dn.rdn().map(|old| old.attr().clone()).filter(|a| a != new_rdn.attr()));
+        let renamed = self.entries.edit(id, &naming, |entry| {
+            // deleteOldRDN: drop the old naming value, add the new one.
+            if let Some(old_rdn) = dn.rdn() {
+                entry.remove_value(old_rdn.attr(), old_rdn.value());
             }
-        }
-        // deleteOldRDN: drop the old naming value, add the new one.
-        if let Some(old_rdn) = dn.rdn() {
-            entry.remove_value(old_rdn.attr(), old_rdn.value());
-        }
-        entry.add(new_rdn.attr().clone(), new_rdn.value().clone());
-        entry.set_dn(new_dn.clone());
-        for (a, vs) in entry.attrs() {
-            for v in vs {
-                self.indexes.insert(a, v, &new_dn);
-            }
-        }
+            entry.add(new_rdn.attr().clone(), new_rdn.value().clone());
+            entry.set_dn(new_dn.clone());
+            Ok(())
+        });
         let changes = vec![(
             new_rdn.attr().clone(),
-            entry.values(new_rdn.attr()).cloned().collect(),
+            renamed?.values(new_rdn.attr()).cloned().collect(),
         )];
-        self.entries.insert(path_key(&new_dn), entry);
+        self.entries.by_dn.remove(&TreeKey(dn.clone()));
+        self.entries.by_dn.insert(TreeKey(new_dn.clone()), id);
         Ok(self.record(dn.clone(), ChangeKind::ModifyDn, changes, Some(new_dn)))
     }
 
@@ -452,141 +491,67 @@ impl DitStore {
         self.search_refs(req).into_iter().map(|e| e.dn().clone()).collect()
     }
 
-    /// Number of entries matching a filter anywhere in the store — the
-    /// "size" estimate used by filter selection (§6.2).
-    pub fn count_matching(&self, filter: &Filter) -> usize {
-        match self.plan(filter) {
-            Some(cands) => cands
-                .iter()
-                .filter(|dn| self.get(dn).is_some_and(|e| filter.matches(e)))
-                .count(),
-            None => self.iter().filter(|e| filter.matches(e)).count(),
-        }
-    }
-
     /// Streams every entry matching a search request to `f`, answering
     /// through the indexed candidate plan where possible, **without**
     /// cloning entries or DNs and without materializing a result vector.
     ///
     /// Visit order is unspecified (the planned path visits candidates in
-    /// index order, the scan fallback in hierarchical order) — callers
+    /// id order, the scan fallback in hierarchical order) — callers
     /// needing DN order should collect and sort, or use
     /// [`DitStore::search`]. This is the bulk-enumeration seam the sync
     /// layer's session installation uses: it interns ids straight off the
     /// borrowed entries instead of paying for an owned result set.
-    pub fn for_each_match(&self, req: &SearchRequest, mut f: impl FnMut(&Entry)) {
-        match req.scope() {
-            Scope::Base => {
-                if let Some(e) = self.get(req.base()) {
-                    if req.filter().matches(e) {
-                        f(e);
-                    }
-                }
-            }
-            Scope::OneLevel => {
-                for e in self.children(req.base()) {
-                    if req.filter().matches(e) {
-                        f(e);
-                    }
-                }
-            }
-            Scope::Subtree => match self.plan(req.filter()) {
-                Some(cands) => {
-                    for dn in cands.iter() {
-                        if !req.scope().contains(req.base(), dn) {
-                            continue;
-                        }
-                        if let Some(e) = self.get(dn) {
-                            if req.filter().matches(e) {
-                                f(e);
-                            }
-                        }
-                    }
-                }
-                None => {
-                    for e in self.subtree(req.base()) {
-                        if req.filter().matches(e) {
-                            f(e);
-                        }
-                    }
-                }
-            },
-        }
+    pub fn for_each_match(&self, req: &SearchRequest, f: impl FnMut(&Entry)) {
+        self.walk(req, f);
     }
 
+    /// The matches in hierarchical order.
     fn search_refs(&self, req: &SearchRequest) -> Vec<&Entry> {
-        match req.scope() {
-            Scope::Base => {
-                return self
-                    .get(req.base())
-                    .filter(|e| req.filter().matches(e))
-                    .into_iter()
-                    .collect();
-            }
-            Scope::OneLevel => {
-                return self.children(req.base()).filter(|e| req.filter().matches(e)).collect();
-            }
-            Scope::Subtree => {}
+        let mut out = Vec::new();
+        if !self.walk(req, |e| out.push(e)) {
+            out.sort_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
         }
-        if let Some(cands) = self.plan(req.filter()) {
-            let mut out: Vec<&Entry> = cands
-                .iter()
-                .filter(|dn| req.scope().contains(req.base(), dn))
-                .filter_map(|dn| self.get(dn))
-                .filter(|e| req.filter().matches(e))
-                .collect();
-            out.sort_by_key(|e| path_key(e.dn()));
-            out
-        } else {
-            self.subtree(req.base()).filter(|e| req.filter().matches(e)).collect()
-        }
+        out
     }
 
-    /// Index-based candidate planning: returns a superset of the DNs whose
-    /// entries can match `filter`, or `None` when the index cannot help
-    /// (e.g. negations) and a scan is required. Equality plans borrow the
-    /// index's posting set directly (the common point-query shape copies
-    /// nothing until projection).
-    fn plan(&self, filter: &Filter) -> Option<Cow<'_, std::collections::BTreeSet<Dn>>> {
-        match filter {
-            Filter::Pred(p) => match p.comparison() {
-                Comparison::Eq(v) => Some(
-                    self.indexes
-                        .lookup_eq(p.attr(), v)
-                        .map_or_else(|| Cow::Owned(Default::default()), Cow::Borrowed),
-                ),
-                Comparison::Ge(v) => {
-                    Some(Cow::Owned(self.indexes.lookup_range(p.attr(), Some(v), None)))
-                }
-                Comparison::Le(v) => {
-                    Some(Cow::Owned(self.indexes.lookup_range(p.attr(), None, Some(v))))
-                }
-                Comparison::Present => Some(Cow::Owned(self.indexes.lookup_present(p.attr()))),
-                Comparison::Substring(pat) => pat
-                    .initial()
-                    .map(|init| Cow::Owned(self.indexes.lookup_prefix(p.attr(), init))),
-            },
-            Filter::And(fs) => {
-                // Any one conjunct's candidates form a superset of the
-                // answer; take the smallest available.
-                fs.iter().filter_map(|f| self.plan(f)).min_by_key(|s| s.len())
+    /// The one candidate walk every search runs: plan → slot → scope →
+    /// `matches`. Base and one-level scopes read the tree directly; a
+    /// subtree search the index can bound ([`index::plan`]) visits the
+    /// plan's candidates in id order, any other scans the subtree.
+    /// Returns whether the visits were in hierarchical order — every path
+    /// but the planned one.
+    fn walk<'a>(&'a self, req: &SearchRequest, mut f: impl FnMut(&'a Entry)) -> bool {
+        let visit = |e: &'a Entry| {
+            if req.filter().matches(e) {
+                f(e);
             }
-            Filter::Or(fs) => {
-                let mut out = std::collections::BTreeSet::new();
-                for f in fs {
-                    out.extend(self.plan(f)?.into_owned());
+        };
+        match req.scope() {
+            Scope::Base => self.get(req.base()).into_iter().for_each(visit),
+            Scope::OneLevel => self.children(req.base()).for_each(visit),
+            Scope::Subtree => {
+                let indexes = &self.entries.indexes;
+                match index::plan(req.filter(), &|p| indexes.lists_for_predicate(p)) {
+                    None => self.subtree(req.base()).for_each(visit),
+                    Some(cands) => {
+                        cands
+                            .iter()
+                            .map(|&id| self.entries.get(id))
+                            .filter(|e| req.base().is_ancestor_or_self_of(e.dn()))
+                            .for_each(visit);
+                        return false;
+                    }
                 }
-                Some(Cow::Owned(out))
             }
-            Filter::Not(_) => None,
         }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbdr_ldap::Rdn;
+    use fbdr_ldap::{Filter, Rdn};
 
     fn dn(s: &str) -> Dn {
         s.parse().unwrap()
@@ -744,6 +709,105 @@ mod tests {
     }
 
     #[test]
+    fn modify_lists_each_touched_attribute_once() {
+        let mut s = base_store();
+        let rec = s
+            .modify(
+                &dn("cn=John Doe,c=us,o=xyz"),
+                vec![
+                    Modification::Replace("mail".into(), vec!["a@x".into()]),
+                    Modification::Replace("tel".into(), vec!["1".into()]),
+                    Modification::AddValues("MAIL".into(), vec!["b@x".into()]),
+                ],
+            )
+            .unwrap();
+        let attrs: Vec<&str> = rec.changes.iter().map(|(a, _)| a.as_str()).collect();
+        assert_eq!(attrs, ["mail", "tel"]);
+        assert_eq!(rec.changes[0].1, vec!["a@x".into(), "b@x".into()]);
+    }
+
+    /// The index lists exactly what the entries hold: it equals one
+    /// rebuilt from the slots under the same ids, so no posting is
+    /// missing and none is stale.
+    fn assert_index_exact(s: &DitStore) {
+        let mut rebuilt = Indexes::default();
+        for (id, e) in s.entries.slots.iter().enumerate() {
+            for (a, vs) in e.iter().flat_map(Entry::attrs) {
+                rebuilt.insert(a, index::keys_only_in(vs, std::iter::empty), id as u32);
+            }
+        }
+        assert_eq!(s.entries.indexes, rebuilt);
+    }
+
+    #[test]
+    fn index_stays_exact_through_recycling_renames_and_spellings() {
+        let mut s = base_store();
+        let john = dn("cn=John Doe,c=us,o=xyz");
+        let id = s.entries.id_of(&john).unwrap();
+        s.delete(&john).unwrap();
+        assert_index_exact(&s);
+        // The freed id goes to the next add, with none of John's postings.
+        let heir = dn("cn=Heir,c=in,o=xyz");
+        s.add(Entry::new(heir.clone()).with("cn", "Heir").with("n", "0500").with("n", "500")).unwrap();
+        assert_eq!(s.entries.id_of(&heir), Some(id));
+        assert_index_exact(&s);
+        // A rename keeps the id and moves only the naming value.
+        s.modify_dn(&heir, Rdn::new("cn", "Heiress"), Some(dn("c=us,o=xyz"))).unwrap();
+        assert_eq!(s.entries.id_of(&dn("cn=Heiress,c=us,o=xyz")), Some(id));
+        assert_index_exact(&s);
+        // The numeric key 500 leaves with the last spelling of it.
+        let heir = dn("cn=Heiress,c=us,o=xyz");
+        let drop = |v: &str| vec![Modification::DeleteValues("n".into(), vec![v.into()])];
+        s.modify(&heir, drop("500")).unwrap();
+        assert_index_exact(&s);
+        assert_eq!(s.search_dns(&sub("o=xyz", "(&(n>=500)(n<=500))")), vec![heir.clone()]);
+        // A failed modify rolls the entry back and leaves the index alone.
+        let mut both = drop("0500");
+        both.extend(drop("absent"));
+        assert!(s.modify(&heir, both).is_err());
+        assert_index_exact(&s);
+        s.modify(&heir, drop("0500")).unwrap();
+        assert_index_exact(&s);
+        assert_eq!(s.search_dns(&sub("o=xyz", "(n>=0)")), Vec::<Dn>::new());
+        // Emptying the store empties the index.
+        let leaves_first: Vec<Dn> = s.iter().map(|e| e.dn().clone()).collect();
+        for d in leaves_first.iter().rev() {
+            s.delete(d).unwrap();
+        }
+        assert_eq!(s.entries.indexes, Indexes::default());
+        assert_eq!(s.entries.free.len(), s.entries.slots.len());
+    }
+
+    #[test]
+    fn a_sole_carrier_respelling_its_integer_keeps_the_numeric_key() {
+        // The old text key goes before the new one arrives, so the
+        // attribute's text map is empty in between; `Num(500)` is in
+        // neither pass and must sit the edit out.
+        let carrier = dn("cn=John Doe,c=us,o=xyz");
+        let respell: [fn(&str, &str) -> Vec<Modification>; 2] = [
+            |_, to| vec![Modification::Replace("n".into(), vec![to.into()])],
+            |from, to| {
+                vec![
+                    Modification::DeleteValues("n".into(), vec![from.into()]),
+                    Modification::AddValues("n".into(), vec![to.into()]),
+                ]
+            },
+        ];
+        for mods in respell {
+            let mut s = base_store();
+            s.modify(&carrier, vec![Modification::AddValues("n".into(), vec!["500".into()])]).unwrap();
+            for (from, to) in [("500", "0500"), ("0500", "+500")] {
+                s.modify(&carrier, mods(from, to)).unwrap();
+                assert_index_exact(&s);
+                for f in ["(n>=1)", "(&(n>=500)(n<=500))", &format!("(n={to})")] {
+                    assert_eq!(s.search_dns(&sub("o=xyz", f)), vec![carrier.clone()], "{f} after {from} -> {to}");
+                }
+                assert_eq!(s.search_dns(&sub("o=xyz", &format!("(n={from})"))), Vec::<Dn>::new());
+            }
+        }
+    }
+
+    #[test]
     fn modify_failure_leaves_store_unchanged() {
         let mut s = base_store();
         let target = dn("cn=John Doe,c=us,o=xyz");
@@ -811,11 +875,16 @@ mod tests {
     }
 
     #[test]
-    fn count_matching() {
+    fn for_each_match_counts() {
         let s = base_store();
-        assert_eq!(s.count_matching(&Filter::parse("(objectclass=inetOrgPerson)").unwrap()), 3);
-        assert_eq!(s.count_matching(&Filter::parse("(serialNumber=0456*)").unwrap()), 2);
-        assert_eq!(s.count_matching(&Filter::parse("(!(objectclass=*))").unwrap()), 0);
+        let count = |f: &str| {
+            let mut n = 0;
+            s.for_each_match(&sub("o=xyz", f), |_| n += 1);
+            n
+        };
+        assert_eq!(count("(objectclass=inetOrgPerson)"), 3);
+        assert_eq!(count("(serialNumber=0456*)"), 2);
+        assert_eq!(count("(!(objectclass=*))"), 0);
     }
 
     #[test]
@@ -848,6 +917,20 @@ mod tests {
             let q = sub("o=xyz", f);
             assert_eq!(restored.search_dns(&q), s.search_dns(&q), "{f}");
         }
+    }
+
+    #[test]
+    fn a_snapshot_naming_one_dn_twice_is_rejected() {
+        let mut s = DitStore::new();
+        s.add_suffix(dn("o=xyz"));
+        s.add(Entry::new(dn("o=xyz")).with("objectclass", "organization")).unwrap();
+        let json = serde_json::to_string(&s).unwrap();
+        let (head, tail) = json.split_once("\"entries\":[").expect("entries are a sequence");
+        let (one, tail) = tail.split_once("],\"suffixes\"").expect("suffixes follow");
+        let with = |entries: &str| format!("{head}\"entries\":[{entries}],\"suffixes\"{tail}");
+        assert_eq!(serde_json::from_str::<DitStore>(&with(one)).unwrap().len(), 1);
+        let err = serde_json::from_str::<DitStore>(&with(&format!("{one},{one}"))).unwrap_err();
+        assert!(err.to_string().contains("duplicate entry o=xyz"), "{err}");
     }
 
     #[test]

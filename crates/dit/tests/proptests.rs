@@ -6,21 +6,55 @@ use fbdr_dit::{diff_entries, ChangeKind, DitStore, Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use proptest::prelude::*;
 
+/// Values of the multi-valued attribute `n`: three spellings of one
+/// integer, its neighbours, a negative, and non-integers that sort around
+/// them as text.
+const SPELLINGS: &[&str] = &["0500", "500", "+500", "499", "501", "-3", "5oo", "abc"];
+
 #[derive(Debug, Clone)]
 enum Op {
-    Add { id: usize, dept: u8, serial: u16 },
+    Add { id: usize, dept: u8, serial: u16, n: usize },
     Delete { id: usize },
     SetDept { id: usize, dept: u8 },
     Rename { id: usize, new_id: usize },
+    /// Adds one value to `n` (a no-op when present).
+    AddN { id: usize, n: usize },
+    /// Deletes one value of `n` (fails when absent).
+    DropN { id: usize, n: usize },
+    /// Replaces every value of `n` in one modify, so an integer can change
+    /// spelling while the entry's last text key of the attribute goes.
+    SetN { id: usize, values: Vec<usize> },
+    /// Serde round trip: ids, free list and index are rebuilt.
+    Reload,
 }
 
-fn op() -> impl Strategy<Value = Op> {
+/// One op over the person ids `0..people`.
+fn op(people: usize) -> impl Strategy<Value = Op> {
+    let n = || 0..SPELLINGS.len();
+    let id = move || 0..people;
     prop_oneof![
-        (0usize..16, 0u8..5, 0u16..1000).prop_map(|(id, dept, serial)| Op::Add { id, dept, serial }),
-        (0usize..16).prop_map(|id| Op::Delete { id }),
-        (0usize..16, 0u8..5).prop_map(|(id, dept)| Op::SetDept { id, dept }),
-        (0usize..16, 0usize..16).prop_map(|(id, new_id)| Op::Rename { id, new_id }),
+        (id(), 0u8..5, 0u16..1000, n())
+            .prop_map(|(id, dept, serial, n)| Op::Add { id, dept, serial, n }),
+        (id(), 0u8..5, 0u16..1000, n())
+            .prop_map(|(id, dept, serial, n)| Op::Add { id, dept, serial, n }),
+        id().prop_map(|id| Op::Delete { id }),
+        (id(), 0u8..5).prop_map(|(id, dept)| Op::SetDept { id, dept }),
+        (id(), id()).prop_map(|(id, new_id)| Op::Rename { id, new_id }),
+        (id(), n()).prop_map(|(id, n)| Op::AddN { id, n }),
+        (id(), n()).prop_map(|(id, n)| Op::DropN { id, n }),
+        (id(), prop::collection::vec(n(), 0..3)).prop_map(|(id, values)| Op::SetN { id, values }),
+        // Spellings of 500 only (the first three): often nothing but the
+        // spelling moves.
+        (id(), prop::collection::vec(0usize..3, 1..3)).prop_map(|(id, values)| Op::SetN { id, values }),
+        Just(Op::Reload),
     ]
+}
+
+/// Up to `len` ops over a population of 1 to 16 people, every other time
+/// of one or two: there an entry is often the only carrier of an attribute.
+fn ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
+    prop_oneof![1usize..=2, 1usize..=16]
+        .prop_flat_map(move |people| prop::collection::vec(op(people), 0..len))
 }
 
 fn dn_of(id: usize) -> Dn {
@@ -34,25 +68,55 @@ fn fresh() -> DitStore {
     d
 }
 
+fn reload(d: &DitStore) -> DitStore {
+    let json = serde_json::to_string(d).expect("store serializes");
+    serde_json::from_str(&json).expect("store deserializes")
+}
+
 fn apply(d: &mut DitStore, op: &Op) {
+    let modify = |dn, m| UpdateOp::Modify { dn, mods: vec![m] };
+    let n_value = |n: &usize| vec![SPELLINGS[*n].into()];
     let _ = match op {
-        Op::Add { id, dept, serial } => d.apply(UpdateOp::Add(
+        Op::Add { id, dept, serial, n } => d.apply(UpdateOp::Add(
             Entry::new(dn_of(*id))
                 .with("objectclass", "person")
                 .with("dept", &dept.to_string())
-                .with("serialNumber", &format!("{serial:06}")),
+                .with("serialNumber", &format!("{serial:06}"))
+                .with("n", SPELLINGS[*n]),
         )),
         Op::Delete { id } => d.apply(UpdateOp::Delete(dn_of(*id))),
-        Op::SetDept { id, dept } => d.apply(UpdateOp::Modify {
-            dn: dn_of(*id),
-            mods: vec![Modification::Replace("dept".into(), vec![dept.to_string().into()])],
-        }),
+        Op::SetDept { id, dept } => d.apply(modify(
+            dn_of(*id),
+            Modification::Replace("dept".into(), vec![dept.to_string().into()]),
+        )),
         Op::Rename { id, new_id } => d.apply(UpdateOp::ModifyDn {
             dn: dn_of(*id),
             new_rdn: Rdn::new("cn", format!("p{new_id}")),
             new_superior: None,
         }),
+        Op::AddN { id, n } => {
+            d.apply(modify(dn_of(*id), Modification::AddValues("n".into(), n_value(n))))
+        }
+        Op::DropN { id, n } => {
+            d.apply(modify(dn_of(*id), Modification::DeleteValues("n".into(), n_value(n))))
+        }
+        Op::SetN { id, values } => d.apply(modify(
+            dn_of(*id),
+            Modification::Replace("n".into(), values.iter().map(|&n| SPELLINGS[n].into()).collect()),
+        )),
+        Op::Reload => {
+            *d = reload(d);
+            return;
+        }
     };
+}
+
+fn subtree(filter: &str) -> SearchRequest {
+    SearchRequest::new(
+        "o=xyz".parse().expect("valid dn"),
+        Scope::Subtree,
+        Filter::parse(filter).expect("valid filter"),
+    )
 }
 
 fn queries() -> Vec<SearchRequest> {
@@ -68,60 +132,164 @@ fn queries() -> Vec<SearchRequest> {
         "(cn>=p1)",
         "(cn<=p12)",
         "(&(cn>=p1)(cn<=p5))",
+        // Integer bounds: every spelling of the bound, against every
+        // spelling of the value and against non-integers.
+        "(n>=500)",
+        "(n<=500)",
+        "(n>=0500)",
+        "(n<=+500)",
+        "(n>=501)",
+        "(n<=-3)",
+        "(&(n>=499)(n<=501))",
+        "(&(n>=500)(n<=500))",
+        // String bounds see integers as text.
+        "(n>=5a)",
+        "(n<=5oo)",
+        "(n<=abc)",
+        // Equality and prefix stay textual.
+        "(n=500)",
+        "(n=+500)",
+        "(n=5*)",
+        // An unplannable branch makes the whole `Or` scan.
+        "(|(dept=1)(n=*0))",
+        "(|(dept=1)(!(dept=2)))",
+        "(|(dept=4)(n=*))",
+        // Presence never plans: alone it scans, in an `And` the other
+        // conjuncts bound it.
+        "(n=*)",
+        "(ghost=*)",
+        "(&(n=*)(dept=2))",
+        "(&(dept=*)(n>=500)(!(n=abc)))",
     ];
-    filters
-        .iter()
-        .map(|f| {
-            SearchRequest::new(
-                "o=xyz".parse().expect("valid dn"),
-                Scope::Subtree,
-                Filter::parse(f).expect("valid filter"),
-            )
-        })
-        .collect()
+    filters.iter().map(|f| subtree(f)).collect()
+}
+
+fn brute_force(d: &DitStore, req: &SearchRequest) -> Vec<Dn> {
+    d.iter().filter(|e| req.matches(e)).map(|e| e.dn().clone()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Indexed search results equal a brute-force scan, after any op mix.
+    /// Indexed search results equal a brute-force scan — same entries,
+    /// same (hierarchical) order — after any op mix, reloads included.
     #[test]
-    fn search_equals_brute_force(ops in prop::collection::vec(op(), 0..60)) {
+    fn search_equals_brute_force(ops in ops(60)) {
         let mut d = fresh();
         for o in &ops {
             apply(&mut d, o);
         }
         for req in queries() {
-            let mut got = d.search_dns(&req);
-            got.sort();
-            let mut want: Vec<Dn> = d
-                .iter()
-                .filter(|e| req.matches(e))
-                .map(|e| e.dn().clone())
-                .collect();
-            want.sort();
-            prop_assert_eq!(got, want, "index/scan mismatch for {}", req);
+            prop_assert_eq!(d.search_dns(&req), brute_force(&d, &req), "index/scan mismatch for {}", req);
         }
     }
 
-    /// count_matching equals the brute-force count.
+    /// Streaming visits exactly the brute-force matches, each once.
     #[test]
-    fn count_matching_is_exact(ops in prop::collection::vec(op(), 0..60)) {
+    fn for_each_match_is_exact(ops in ops(60)) {
         let mut d = fresh();
         for o in &ops {
             apply(&mut d, o);
         }
         for req in queries() {
-            let got = d.count_matching(req.filter());
-            let want = d.iter().filter(|e| req.filter().matches(e)).count();
-            prop_assert_eq!(got, want, "count mismatch for {}", req.filter());
+            let mut got: Vec<Dn> = Vec::new();
+            d.for_each_match(&req, |e| got.push(e.dn().clone()));
+            got.sort();
+            let mut want = brute_force(&d, &req);
+            want.sort();
+            prop_assert_eq!(got, want, "stream mismatch for {}", req.filter());
+        }
+    }
+
+    /// An id freed by a delete and handed to the next add answers for the
+    /// new entry only: nothing of the old entry's postings comes back.
+    #[test]
+    fn a_recycled_id_does_not_resurrect_its_old_postings(
+        ops in ops(40),
+        victim in 0usize..16,
+        reload_between in any::<bool>(),
+    ) {
+        let mut d = fresh();
+        for o in &ops {
+            apply(&mut d, o);
+        }
+        // Make sure the victim exists, carrying values nothing else has.
+        let _ = d.delete(&dn_of(victim));
+        d.add(
+            Entry::new(dn_of(victim))
+                .with("objectclass", "person")
+                .with("cn", "victim")
+                .with("dept", "77")
+                .with("n", "7700")
+                .with("n", "old"),
+        )
+        .expect("victim's DN is free");
+        d.delete(&dn_of(victim)).expect("victim is a leaf");
+        if reload_between {
+            d = reload(&d);
+        }
+        // The next add takes the freed id.
+        let heir: Dn = "cn=heir,o=xyz".parse().expect("valid dn");
+        d.add(
+            Entry::new(heir.clone())
+                .with("objectclass", "person")
+                .with("cn", "heir")
+                .with("dept", "78")
+                .with("n", "7800"),
+        )
+        .expect("heir's DN is free");
+        for f in ["(dept=77)", "(n=7700)", "(n=old)", "(&(n>=7700)(n<=7700))", "(n=ol*)", "(cn=victim)"] {
+            prop_assert_eq!(d.search_dns(&subtree(f)), Vec::<Dn>::new(), "{}", f);
+        }
+        for f in ["(dept=78)", "(n=7800)", "(&(n>=7701)(n<=7800))", "(cn=heir)"] {
+            prop_assert_eq!(d.search_dns(&subtree(f)), vec![heir.clone()], "{}", f);
+        }
+        for req in queries() {
+            prop_assert_eq!(d.search_dns(&req), brute_force(&d, &req), "{}", req);
+        }
+    }
+
+    /// A renamed entry answers under its new DN and naming value only, and
+    /// every other value keeps answering — the entry kept its id.
+    #[test]
+    fn a_rename_answers_under_the_new_dn_only(
+        ops in ops(40),
+        from in 0usize..16,
+        reload_after in any::<bool>(),
+    ) {
+        let mut d = fresh();
+        for o in &ops {
+            apply(&mut d, o);
+        }
+        let _ = d.delete(&dn_of(from));
+        d.add(
+            Entry::new(dn_of(from))
+                .with("objectclass", "person")
+                .with("cn", &format!("p{from}"))
+                .with("dept", "88")
+                .with("n", "0880"),
+        )
+        .expect("source DN is free");
+        let to: Dn = "cn=moved,o=xyz".parse().expect("valid dn");
+        d.modify_dn(&dn_of(from), Rdn::new("cn", "moved"), None).expect("rename");
+        if reload_after {
+            d = reload(&d);
+        }
+        prop_assert!(d.get(&dn_of(from)).is_none());
+        prop_assert_eq!(d.get(&to).map(|e| e.dn()), Some(&to));
+        prop_assert_eq!(d.search_dns(&subtree(&format!("(cn=p{from})"))), Vec::<Dn>::new());
+        for f in ["(cn=moved)", "(cn=mov*)", "(dept=88)", "(&(n>=880)(n<=880))", "(&(dept=88)(cn=*))"] {
+            prop_assert_eq!(d.search_dns(&subtree(f)), vec![to.clone()], "{}", f);
+        }
+        for req in queries() {
+            prop_assert_eq!(d.search_dns(&req), brute_force(&d, &req), "{}", req);
         }
     }
 
     /// The changelog's CSNs increase strictly and deletes produce
     /// tombstones with matching CSNs.
     #[test]
-    fn changelog_csn_monotone(ops in prop::collection::vec(op(), 0..60)) {
+    fn changelog_csn_monotone(ops in ops(60)) {
         let mut d = fresh();
         for o in &ops {
             apply(&mut d, o);
@@ -174,7 +342,7 @@ proptest! {
 
     /// Parent links stay intact: every entry except suffixes has a parent.
     #[test]
-    fn tree_structure_invariant(ops in prop::collection::vec(op(), 0..60)) {
+    fn tree_structure_invariant(ops in ops(60)) {
         let mut d = fresh();
         for o in &ops {
             apply(&mut d, o);

@@ -39,10 +39,10 @@
 
 use crate::index::SnapshotIndex;
 use crate::persistent::SlotVec;
-use crate::posting;
 use crate::stats::{AtomicReplicaStats, ReplicaStats};
 use crossbeam::channel::{Receiver, TryRecvError};
 use fbdr_containment::{ContainmentEngine, EngineStats, PreparedQuery};
+use fbdr_dit::posting;
 use fbdr_ldap::{Entry, SearchRequest};
 use fbdr_obs::{event, Counter, Histogram, Obs};
 use fbdr_resync::reconcile::entry_item_hash;
@@ -1278,27 +1278,25 @@ impl FilterReplica {
 }
 
 /// Verifies a candidate id list against the full query, sorts the
-/// survivors by DN (deterministic output order) and projects the selected
-/// attributes — projection runs only on entries that made the answer.
+/// survivors hierarchically — the order the master answers in, so a hit
+/// and a miss return the same sequence — and projects the selected
+/// attributes; projection runs only on entries that made the answer.
 fn collect_matching(snap: &ContentSnapshot, query: &SearchRequest, ids: &[u32]) -> Vec<Entry> {
     let mut hits: Vec<&Entry> = ids
         .iter()
         .filter_map(|&id| snap.entry(id))
         .filter(|e| query.matches(e))
         .collect();
-    hits.sort_by(|a, b| a.dn().cmp(b.dn()));
+    hits.sort_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
     hits.into_iter().map(|e| query.attrs().project(e)).collect()
 }
 
-/// Evaluates a query over a cached query's frozen result set.
+/// Evaluates a query over a cached query's frozen result set, in the
+/// same hierarchical order.
 fn evaluate_cached(query: &SearchRequest, entries: &[Entry]) -> Vec<Entry> {
-    let mut out: Vec<Entry> = entries
-        .iter()
-        .filter(|e| query.matches(e))
-        .map(|e| query.attrs().project(e))
-        .collect();
-    out.sort_by(|a, b| a.dn().cmp(b.dn()));
-    out
+    let mut hits: Vec<&Entry> = entries.iter().filter(|e| query.matches(e)).collect();
+    hits.sort_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
+    hits.into_iter().map(|e| query.attrs().project(e)).collect()
 }
 
 /// Applies one batch of sync actions to the working content: the filter's
@@ -1484,7 +1482,7 @@ mod tests {
         assert_eq!(r.epoch(), epoch_before + 1, "one cycle = one epoch");
         let hit = r.try_answer(&root_query("(departmentNumber=2406)")).unwrap();
         let dns: Vec<String> = hit.iter().map(|e| e.dn().to_string()).collect();
-        assert_eq!(dns, ["cn=b,c=us,o=xyz", "cn=d,c=in,o=xyz"]);
+        assert_eq!(dns, ["cn=d,c=in,o=xyz", "cn=b,c=us,o=xyz"]);
     }
 
     #[test]
@@ -1554,7 +1552,7 @@ mod tests {
         assert!(r.try_answer(&q).is_none(), "single-filter containment must miss");
         let hit = r.try_answer_composed(&q).expect("union containment hits");
         let dns: Vec<String> = hit.iter().map(|e| e.dn().to_string()).collect();
-        assert_eq!(dns, ["cn=b,c=us,o=xyz", "cn=d,c=in,o=xyz"]);
+        assert_eq!(dns, ["cn=d,c=in,o=xyz", "cn=b,c=us,o=xyz"]);
         assert_eq!(r.stats().generalized_hits, 1);
         // The explicit try_answer above plus the composed call count two
         // query attempts; the composed hit is counted exactly once.
@@ -1605,7 +1603,7 @@ mod tests {
         assert_eq!(r.entry_count(), 3);
         let hit = r.try_answer(&root_query("(serialNumber=0456*)")).unwrap();
         let dns: Vec<String> = hit.iter().map(|e| e.dn().to_string()).collect();
-        assert_eq!(dns, ["cn=b,c=us,o=xyz", "cn=c,c=in,o=xyz", "cn=e,c=us,o=xyz"]);
+        assert_eq!(dns, ["cn=c,c=in,o=xyz", "cn=b,c=us,o=xyz", "cn=e,c=us,o=xyz"]);
         // The stale entry (a, now 999999) is gone.
         assert!(r.try_answer(&root_query("(serialNumber=999999)")).is_none());
 
@@ -2334,12 +2332,22 @@ mod proptests {
     /// byte encodes an optional attribute: values ≥ 4 mean "absent".
     type EntrySpec = (u8, u8, bool, u8);
 
+    /// Values of `n`: spellings of one integer, its neighbours, and
+    /// non-integers that sort around them as text.
+    const SPELLINGS: &[&str] = &["0500", "500", "+500", "499", "501", "5oo", "abc"];
+
     fn build_entry(i: usize, spec: &EntrySpec) -> Entry {
         let (dept, sn, has_mail, tag) = spec;
+        let spelling = |k: u8| SPELLINGS[k as usize % SPELLINGS.len()];
         let mut e = Entry::new(format!("cn=e{i},o=x").parse().unwrap())
             .with("objectclass", "person")
             .with("dept", &format!("{}", dept % 5))
-            .with("sn", &format!("{}", 100_000 + (*sn as u32 % 40)));
+            .with("sn", &format!("{}", 100_000 + (*sn as u32 % 40)))
+            .with("n", spelling(*sn));
+        if *tag >= 6 {
+            // Multi-valued: sometimes a second spelling of the same integer.
+            e = e.with("n", spelling(*dept));
+        }
         if *has_mail {
             e = e.with("mail", &format!("u{i}@x.com"));
         }
@@ -2380,10 +2388,12 @@ mod proptests {
             Just("sn".to_owned()),
             Just("mail".to_owned()),
             Just("tag".to_owned()),
+            Just("n".to_owned()),
             Just("ghost".to_owned()),
         ];
         (attr, 0u8..8, 0u8..7).prop_map(|(a, v, kind)| {
             let val = match a.as_str() {
+                "n" => SPELLINGS[v as usize % SPELLINGS.len()].to_owned(),
                 "dept" => format!("{}", v % 5),
                 "sn" => format!("{}", 100_000 + (v as u32 % 40)),
                 "mail" => format!("u{v}@x.com"),
@@ -2429,11 +2439,24 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(192))]
         #[test]
         fn indexed_evaluation_matches_scan_oracle(
-            specs in prop::collection::vec((0u8..8, 0u8..8, any::<bool>(), 0u8..8), 0..40),
+            // Often a handful of entries: the only carrier of a value is
+            // where an edit can take more of the index than it should.
+            specs in prop_oneof![
+                prop::collection::vec((0u8..8, 0u8..8, any::<bool>(), 0u8..8), 0..4),
+                prop::collection::vec((0u8..8, 0u8..8, any::<bool>(), 0u8..8), 0..40),
+            ],
             filters in prop::collection::vec(filter(), 1..6),
             doomed in prop::collection::vec(any::<bool>(), 0..40),
+            // Indexes `SPELLINGS`; past its end the entry stays as it is.
+            respelled in prop::collection::vec(0usize..=SPELLINGS.len(), 0..40),
         ) {
             let (r, snap, ids, mut dn_ids) = build_state(&specs);
+            // Beside the drawn filters, integer bounds in every epoch.
+            let filters: Vec<Filter> = ["(n>=1)", "(n<=500)", "(&(n>=500)(n<=0500))"]
+                .iter()
+                .map(|f| Filter::parse(f).expect("valid filter"))
+                .chain(filters)
+                .collect();
             for f in &filters {
                 let q = SearchRequest::from_root(f.clone());
                 let indexed = r.evaluate_indexed(&snap, &q, &ids);
@@ -2441,17 +2464,27 @@ mod proptests {
                 prop_assert_eq!(&indexed, &scanned, "epoch 1, filter {}", f);
             }
 
-            // Entries leave between epochs: delete a subset through the
-            // writer path and re-check equivalence on the new epoch.
-            let deletes: Vec<SyncAction> = specs
+            // Entries leave and change between epochs: through the writer
+            // path, delete a subset and replace the values of `n` in
+            // another — an integer may only change its spelling — then
+            // re-check equivalence on the new epoch.
+            let changes: Vec<SyncAction> = specs
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| doomed.get(*i).copied().unwrap_or(false))
-                .map(|(i, s)| SyncAction::Delete(build_entry(i, s).dn().clone()))
+                .filter_map(|(i, s)| {
+                    let e = build_entry(i, s);
+                    if doomed.get(i).copied().unwrap_or(false) {
+                        return Some(SyncAction::Delete(e.dn().clone()));
+                    }
+                    let spelling = SPELLINGS.get(*respelled.get(i)?)?;
+                    let mut e = e;
+                    e.replace("n", [*spelling]);
+                    Some(SyncAction::Modify(e))
+                })
                 .collect();
             let mut work = Working::from_snapshot(&snap);
             let mut sf = work.filters[0].clone();
-            apply_actions(&mut work, &mut dn_ids, &mut sf, &deletes);
+            apply_actions(&mut work, &mut dn_ids, &mut sf, &changes);
             let ids2 = sf.ids.to_vec();
             work.filters[0] = sf;
             let snap2 = work.into_snapshot();

@@ -1,27 +1,28 @@
 //! Per-epoch attribute indexes over a content snapshot.
 //!
 //! A [`SnapshotIndex`] maps attribute values to sorted posting lists of
-//! interned entry ids, mirroring the master-side DIT index design
-//! (equality via normalized text, ranges via [`AttrValue`] order, prefix
-//! via text-range scans) but keyed by dense ids instead of DNs.
+//! interned entry ids. What it lists an entry under, which lists a
+//! predicate reads and how a filter combines them are the rules of
+//! [`fbdr_dit::index`], the same ones the master's store answers by; this
+//! module is the storage an epoch-publishing store needs under them.
 //!
 //! Lifecycle: every map in the index is a persistent [`PMap`] and every
 //! posting list sits behind its own `Arc`, so cloning the index for the
 //! next epoch is one pointer copy and the two epochs share every node the
 //! writer does not touch. A cycle pays for what it changes: per changed
-//! `(attribute, value)` pair one root-to-leaf path in each of the two
-//! value maps (a few nodes of at most 32 items) plus the posting lists it
-//! edits; [`SnapshotIndex::reindex`] diffs the old and new version of an
-//! entry so a `Modify` touches only the values that differ. A node or
-//! list is copied on its first touch in a cycle and edited in place on
-//! every later one, so a bulk install stays a bulk load. The index is
-//! never rebuilt from the entry store.
+//! index key one root-to-leaf path in its value map (a few nodes of at
+//! most 32 items) plus the posting list it edits;
+//! [`SnapshotIndex::reindex`] diffs the old and new version of an entry so
+//! a `Modify` touches only the values that differ. A node or list is
+//! copied on its first touch in a cycle and edited in place on every later
+//! one, so a bulk install stays a bulk load. The index is never rebuilt
+//! from the entry store.
 
 use crate::persistent::PMap;
-use crate::posting;
-use fbdr_ldap::{AttrValue, Comparison, Entry, Filter, Predicate};
+use fbdr_dit::index::{self, Key};
+use fbdr_dit::posting;
+use fbdr_ldap::{Entry, Filter, Predicate};
 use std::borrow::Cow;
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// A posting list shared between the epochs that do not edit it.
@@ -30,14 +31,10 @@ type Ids = Arc<Vec<u32>>;
 /// Posting lists for one attribute.
 #[derive(Debug, Clone, Default)]
 struct AttrPostings {
-    /// Normalized value text → ids, in lexicographic order (equality and
-    /// prefix lookups).
+    /// Normalized value text → ids, in lexicographic order.
     text: PMap<Arc<str>, Ids>,
-    /// Values in [`AttrValue`] order (numeric-aware) → ids (range
-    /// lookups with the same semantics as predicate evaluation).
-    ord: PMap<Arc<AttrValue>, Ids>,
-    /// Ids of entries carrying the attribute at all.
-    present: Ids,
+    /// Integer view of the values that have one → ids.
+    num: PMap<i64, Ids>,
 }
 
 /// An edit of one posting list; returns whether the list still holds an
@@ -55,13 +52,6 @@ fn remove_id(list: &mut Ids, id: u32) -> bool {
     }
     posting::remove_sorted(Arc::make_mut(list), id);
     !list.is_empty()
-}
-
-impl AttrPostings {
-    fn edit_value(&mut self, v: &AttrValue, id: u32, edit: Edit) {
-        self.text.update(v.normalized(), || Arc::from(v.normalized()), |list| edit(list, id));
-        self.ord.update(v, || Arc::new(v.clone()), |list| edit(list, id));
-    }
 }
 
 /// Immutable-per-epoch equality/prefix/range index over snapshot entries.
@@ -84,150 +74,50 @@ impl SnapshotIndex {
         }
     }
 
-    /// Applies `edit` to the posting list of every attribute and value
-    /// `e` carries and `other` does not.
+    /// Applies `edit` to the posting list of every index key `e` is
+    /// listed under and `other` is not.
     fn edit_difference(&mut self, id: u32, e: &Entry, other: Option<&Entry>, edit: Edit) {
         for (attr, values) in e.attrs() {
-            let attr_differs = !other.is_some_and(|o| o.has_attr(attr));
-            let differs = |v: &&AttrValue| !other.is_some_and(|o| o.has_value(attr, v));
-            if !attr_differs && !values.iter().any(|v| differs(&v)) {
+            let mut keys =
+                index::keys_only_in(values, || other.into_iter().flat_map(|o| o.values(attr)))
+                    .peekable();
+            if keys.peek().is_none() {
                 continue;
             }
             self.by_attr.update(attr.lower(), || Arc::from(attr.lower()), |idx| {
-                // The last entry carrying the attribute takes the whole
-                // attribute with it.
-                if attr_differs && !edit(&mut idx.present, id) {
-                    return false;
+                for key in keys {
+                    match key {
+                        Key::Text(k) => idx.text.update(k, || Arc::from(k), |list| edit(list, id)),
+                        Key::Num(n) => idx.num.update(&n, || n, |list| edit(list, id)),
+                    }
                 }
-                for v in values.iter().filter(differs) {
-                    idx.edit_value(v, id, edit);
-                }
-                true
+                // The attribute leaves with its last key. Both maps are
+                // asked: an integer changing its spelling takes the only
+                // text key out while its numeric key stays listed.
+                !(idx.text.is_empty() && idx.num.is_empty())
             });
         }
     }
 
-    /// Compiles a filter into a candidate posting list: a sorted id set
-    /// guaranteed to be a **superset** of the entries matching `filter`
-    /// (callers verify residual predicates on the candidates). Returns
-    /// `None` when the index cannot bound the result (negations,
-    /// substring patterns without an `initial` component) and the caller
-    /// must scan.
-    ///
-    /// Conjunctions intersect every plannable child (galloping);
-    /// disjunctions require every child to plan and union them.
+    /// Compiles a filter into a candidate posting list by the shared
+    /// rules ([`index::plan`]): a sorted superset of the ids of the
+    /// entries matching `filter`, `None` when the caller must scan.
     pub(crate) fn plan<'a>(&'a self, filter: &Filter) -> Option<Cow<'a, [u32]>> {
-        if let Some(p) = filter.as_predicate() {
-            return self.plan_pred(p);
-        }
-        if filter.negated().is_some() {
-            return None;
-        }
-        let children = filter.children();
-        match filter {
-            Filter::And(_) => {
-                let mut plans: Vec<Cow<'a, [u32]>> =
-                    children.iter().filter_map(|c| self.plan(c)).collect();
-                if plans.is_empty() {
-                    return None;
-                }
-                plans.sort_by_key(|p| p.len());
-                let mut it = plans.into_iter();
-                let mut acc = it.next().expect("non-empty");
-                for p in it {
-                    if acc.is_empty() {
-                        break;
-                    }
-                    acc = Cow::Owned(posting::intersect(&acc, &p));
-                }
-                Some(acc)
-            }
-            Filter::Or(_) => {
-                let mut parts: Vec<Cow<'a, [u32]>> = Vec::with_capacity(children.len());
-                for c in children {
-                    parts.push(self.plan(c)?);
-                }
-                Some(posting::union_cows(parts))
-            }
-            _ => None,
-        }
+        index::plan(filter, &|p| self.lists_for_predicate(p))
     }
 
-    fn plan_pred<'a>(&'a self, p: &Predicate) -> Option<Cow<'a, [u32]>> {
-        let idx = self.by_attr.get(p.attr().lower());
-        match p.comparison() {
-            Comparison::Eq(v) => Some(
-                idx.and_then(|i| i.text.get(v.normalized()))
-                    .map_or(Cow::Owned(Vec::new()), |l| Cow::Borrowed(l.as_slice())),
-            ),
-            Comparison::Ge(v) => Some(self.one_bound(idx, v, true)),
-            Comparison::Le(v) => Some(self.one_bound(idx, v, false)),
-            Comparison::Present => {
-                Some(idx.map_or(Cow::Owned(Vec::new()), |i| Cow::Borrowed(i.present.as_slice())))
-            }
-            Comparison::Substring(pat) => {
-                let init = pat.initial()?;
-                let Some(i) = idx else { return Some(Cow::Owned(Vec::new())) };
-                let lists = i
-                    .text
-                    .range::<str>(Bound::Included(init), Bound::Unbounded)
-                    .take_while(|(k, _)| k.starts_with(init))
-                    .map(|(_, l)| Cow::Borrowed(l.as_slice()))
-                    .collect();
-                Some(posting::union_cows(lists))
-            }
-        }
-    }
-
-    /// Candidates for a single `>=` (`is_lower`) or `<=` bound. Mirrors
-    /// the DIT index's typed dispatch: integer bounds scan the `ord` map
-    /// widened by one (alternate spellings of the bound value, "0500" for
-    /// 500, sort before its canonical spelling), string bounds scan the
-    /// `text` map whose order is exactly the predicate's.
-    fn one_bound<'a>(
-        &'a self,
-        idx: Option<&'a AttrPostings>,
-        bound: &AttrValue,
-        is_lower: bool,
-    ) -> Cow<'a, [u32]> {
-        let Some(i) = idx else { return Cow::Owned(Vec::new()) };
-        match bound.as_int() {
-            Some(n) => {
-                let (lo, hi) = if is_lower {
-                    let b = if n > i64::MIN {
-                        Bound::Excluded(AttrValue::new((n - 1).to_string()))
-                    } else {
-                        Bound::Unbounded
-                    };
-                    (b, Bound::Unbounded)
-                } else {
-                    let b = if n < i64::MAX {
-                        Bound::Excluded(AttrValue::new((n + 1).to_string()))
-                    } else {
-                        Bound::Unbounded
-                    };
-                    (Bound::Unbounded, b)
-                };
-                let lists = i
-                    .ord
-                    .range(lo.as_ref(), hi.as_ref())
-                    .map(|(_, l)| Cow::Borrowed(l.as_slice()));
-                posting::union_cows(lists.collect())
-            }
-            None => {
-                let key = bound.normalized();
-                let (lo, hi) = if is_lower {
-                    (Bound::Included(key), Bound::Unbounded)
-                } else {
-                    (Bound::Unbounded, Bound::Included(key))
-                };
-                let lists = i
-                    .text
-                    .range::<str>(lo, hi)
-                    .map(|(_, l)| Cow::Borrowed(l.as_slice()));
-                posting::union_cows(lists.collect())
-            }
-        }
+    /// The store's half of [`index::plan`].
+    fn lists_for_predicate<'a>(&'a self, p: &Predicate) -> Option<Cow<'a, [u32]>> {
+        let scan = index::predicate_scan(p)?;
+        let Some(idx) = self.by_attr.get(p.attr().lower()) else {
+            return Some(Cow::Owned(Vec::new()));
+        };
+        Some(index::scan_lists(
+            &scan,
+            |k| idx.text.get(k).map(|list| list.as_slice()),
+            |lo, hi| idx.text.range::<str>(lo, hi).map(|(k, list)| (&**k, list.as_slice())),
+            |lo, hi| idx.num.range(lo, hi).map(|(_, list)| list.as_slice()),
+        ))
     }
 }
 
@@ -243,8 +133,7 @@ impl SnapshotIndex {
         let mut out = self.by_attr.node_addrs();
         for (_, idx) in self.by_attr.iter() {
             lists(&idx.text, &mut out);
-            lists(&idx.ord, &mut out);
-            out.push(Arc::as_ptr(&idx.present) as usize);
+            lists(&idx.num, &mut out);
         }
         out
     }
@@ -274,12 +163,13 @@ mod tests {
     }
 
     #[test]
-    fn equality_and_present_plans() {
+    fn equality_plans_and_presence_does_not() {
         let ix = sample(10);
         assert_eq!(plan_of(&ix, "(serialNumber=100003)"), Some(vec![3]));
         assert_eq!(plan_of(&ix, "(serialNumber=999999)"), Some(vec![]));
         assert_eq!(plan_of(&ix, "(missing=1)"), Some(vec![]));
-        assert_eq!(plan_of(&ix, "(objectclass=*)"), Some((0..10).collect()));
+        assert_eq!(plan_of(&ix, "(objectclass=*)"), None);
+        assert_eq!(plan_of(&ix, "(&(objectclass=*)(dept=1))"), Some(vec![1, 4, 7]));
     }
 
     #[test]
@@ -324,13 +214,13 @@ mod tests {
         assert_eq!(plan_of(&ix, "(dept=2)"), Some(vec![5]));
         assert_eq!(plan_of(&ix, "(dept=7)"), Some(vec![2]));
         assert_eq!(plan_of(&ix, "(dept>=3)"), Some(vec![2]));
-        assert_eq!(plan_of(&ix, "(mail=*)"), Some(vec![2]));
+        assert_eq!(plan_of(&ix, "(mail=two@x)"), Some(vec![2]));
         assert_eq!(plan_of(&ix, "(serialNumber=100002)"), Some(vec![2]));
-        assert_eq!(plan_of(&ix, "(objectclass=*)"), Some((0..6).collect()));
+        assert_eq!(plan_of(&ix, "(objectclass=person)"), Some((0..6).collect()));
         assert_eq!(ix.by_attr.get("serialnumber").unwrap().text.node_addrs(), untouched);
         // Back again: the added attribute leaves with its only carrier.
         ix.reindex(2, Some(&new), Some(&entry(2)));
-        assert_eq!(plan_of(&ix, "(mail=*)"), Some(vec![]));
+        assert_eq!(plan_of(&ix, "(mail=two@x)"), Some(vec![]));
         assert!(ix.by_attr.get("mail").is_none());
         assert_eq!(plan_of(&ix, "(dept=2)"), Some(vec![2, 5]));
     }
@@ -341,11 +231,47 @@ mod tests {
         ix.reindex(2, Some(&entry(2)), None);
         assert_eq!(plan_of(&ix, "(serialNumber=100002)"), Some(vec![]));
         assert_eq!(plan_of(&ix, "(dept=2)"), Some(vec![5]));
-        assert_eq!(plan_of(&ix, "(objectclass=*)"), Some(vec![0, 1, 3, 4, 5]));
+        assert_eq!(plan_of(&ix, "(objectclass=person)"), Some(vec![0, 1, 3, 4, 5]));
         // Removing everything empties the maps entirely.
         for id in [0u32, 1, 3, 4, 5] {
             ix.reindex(id, Some(&entry(id)), None);
         }
-        assert!(ix.by_attr.iter().next().is_none());
+        assert!(ix.by_attr.is_empty());
+    }
+
+    #[test]
+    fn a_numeric_key_outlives_all_but_its_last_spelling() {
+        let e = |values: &[&str]| {
+            values.iter().fold(Entry::new("cn=e,o=x".parse().unwrap()), |e, v| e.with("n", v))
+        };
+        let mut ix = SnapshotIndex::default();
+        ix.reindex(0, None, Some(&e(&["0500", "500", "5oo"])));
+        assert_eq!(plan_of(&ix, "(n>=500)"), Some(vec![0]));
+        ix.reindex(0, Some(&e(&["0500", "500", "5oo"])), Some(&e(&["0500", "5oo"])));
+        assert_eq!(plan_of(&ix, "(n=500)"), Some(vec![]));
+        assert_eq!(plan_of(&ix, "(&(n>=500)(n<=500))"), Some(vec![0]));
+        ix.reindex(0, Some(&e(&["0500", "5oo"])), Some(&e(&["5oo"])));
+        assert_eq!(plan_of(&ix, "(n>=-9)"), Some(vec![]));
+        assert!(ix.by_attr.get("n").unwrap().num.is_empty());
+        assert_eq!(plan_of(&ix, "(n>=5a)"), Some(vec![0]));
+    }
+
+    #[test]
+    fn a_sole_carrier_respelling_its_integer_keeps_the_numeric_key() {
+        // The old text key goes before the new one arrives, so the
+        // attribute's text map is empty in between; the numeric key is in
+        // neither pass and must sit the edit out.
+        let e = |v: &str| Entry::new("cn=e,o=x".parse().unwrap()).with("n", v);
+        let mut ix = SnapshotIndex::default();
+        ix.reindex(0, None, Some(&e("500")));
+        for (from, to) in [("500", "0500"), ("0500", "+500")] {
+            ix.reindex(0, Some(&e(from)), Some(&e(to)));
+            assert_eq!(plan_of(&ix, "(n>=1)"), Some(vec![0]), "{from} -> {to}");
+            assert_eq!(plan_of(&ix, "(&(n>=500)(n<=500))"), Some(vec![0]));
+            assert_eq!(plan_of(&ix, &format!("(n={to})")), Some(vec![0]));
+            assert_eq!(plan_of(&ix, &format!("(n={from})")), Some(vec![]));
+        }
+        ix.reindex(0, Some(&e("+500")), None);
+        assert!(ix.by_attr.is_empty());
     }
 }

@@ -21,8 +21,9 @@
 //!
 //! [`FilterReplica`] answers queries through a per-epoch snapshot index:
 //! entry DNs are interned to dense `u32` ids, stored-filter contents are
-//! sorted [`posting`] lists, and each epoch carries incrementally
-//! maintained equality/prefix/range posting lists. A hit compiles the
+//! sorted posting lists ([`fbdr_dit::posting`]), and each epoch carries
+//! incrementally maintained equality/prefix/range posting lists under the
+//! master store's own index rules ([`fbdr_dit::index`]). A hit compiles the
 //! query filter into a candidate plan, intersects it (galloping) with the
 //! winning filter's list, and verifies residual predicates only on the
 //! candidates. Which filter wins is decided per query — a filter-set index
@@ -40,7 +41,6 @@
 mod filter_replica;
 mod index;
 mod persistent;
-pub mod posting;
 mod stats;
 mod subtree;
 

@@ -162,6 +162,12 @@ impl<K, V> Default for PMap<K, V> {
 }
 
 impl<K, V> PMap<K, V> {
+    /// True when the map holds no key: [`PMap::update`] collapses a
+    /// root left with one child, so an empty map is an empty root.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.root.len() == 0
+    }
+
     /// The value stored under `key`.
     pub(crate) fn get<Q>(&self, key: &Q) -> Option<&V>
     where

@@ -12,9 +12,7 @@
 //! unreferenced* can be [released](DnTable::release): its slot joins a
 //! free list and is handed out again by a later `intern`, so the id space
 //! — and every id-addressed vector built on it — stops growing with
-//! lifetime churn. Each slot carries a **generation tag** that increments
-//! on release, so holders of a stale id can detect that the slot has been
-//! recycled out from under them ([`DnTable::generation`]).
+//! lifetime churn.
 
 use fbdr_ldap::{Dn, Entry};
 use serde::{Deserialize, Serialize};
@@ -58,8 +56,8 @@ pub fn dn_approx_bytes(dn: &Dn) -> usize {
 ///
 /// Pairs a DN → id map with id-indexed DN slots so the sync layer can
 /// both intern a DN touched by an update *and* resolve ids back to DNs
-/// when draining actions. Only the slot vector (plus generations and the
-/// free list) is serialized; the map is rebuilt lazily after
+/// when draining actions. Only the slot vector and the free list are
+/// serialized; the map is rebuilt lazily after
 /// deserialization. `intern` assigns ids in first-seen order, reusing
 /// released slots before growing; an id stays valid (a direct index into
 /// id-addressed storage of length [`DnTable::capacity`]) until the owner
@@ -77,12 +75,10 @@ pub fn dn_approx_bytes(dn: &Dn) -> usize {
 /// t.release(a);
 /// let b = t.intern(&"cn=B,o=X".parse().unwrap());
 /// assert_eq!(b, a); // recycled
-/// assert_eq!(t.generation(b), 1);
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DnTable {
     slots: Vec<Option<Dn>>,
-    gens: Vec<u32>,
     free: Vec<u32>,
     /// `Dn`'s `Eq`/`Hash` are case-insensitive over precomputed forms, so
     /// keying by the DN itself matches LDAP matching-rule equality without
@@ -144,7 +140,6 @@ impl DnTable {
             None => {
                 let id = u32::try_from(self.slots.len()).expect("id space exhausted");
                 self.slots.push(Some(dn.clone()));
-                self.gens.push(0);
                 id
             }
         };
@@ -165,14 +160,8 @@ impl DnTable {
         self.slots.get(id as usize).and_then(|s| s.as_ref())
     }
 
-    /// The generation tag of a slot: 0 on first assignment, incremented
-    /// every time the slot is released.
-    pub fn generation(&self, id: u32) -> u32 {
-        self.gens.get(id as usize).copied().unwrap_or(0)
-    }
-
-    /// Releases a live slot back to the free list, bumping its
-    /// generation. The caller asserts nothing still indexes by this id
+    /// Releases a live slot back to the free list. The caller asserts
+    /// nothing still indexes by this id
     /// (the master's GC: no session posting list or stash; the replica:
     /// no filter's refcount). Returns `true` if the slot was live.
     pub fn release(&mut self, id: u32) -> bool {
@@ -184,14 +173,13 @@ impl DnTable {
             return false;
         };
         self.ids.remove(&dn);
-        self.gens[id as usize] += 1;
         self.free.push(id);
         true
     }
 
     /// Deterministic byte accounting: interned DN bytes (normalized
     /// forms plus fixed per-RDN overhead) plus per-slot overhead for the
-    /// map entry, slot, generation, and free-list bookkeeping.
+    /// map entry, slot and free-list bookkeeping.
     pub fn approx_bytes(&self) -> usize {
         let dn_bytes: usize =
             self.slots.iter().flatten().map(|dn| 2 * dn_approx_bytes(dn) + 48).sum();
@@ -233,7 +221,6 @@ mod tests {
             assert!(!t.release(id), "double release is a no-op");
         }
         assert_eq!(t.capacity(), 101);
-        assert_eq!(t.generation(100), 1_000);
     }
 
     #[test]
@@ -265,11 +252,10 @@ mod tests {
         assert_eq!(t.dn_of(a), None);
         assert_eq!(t.get(&"cn=a,o=x".parse().unwrap()), None);
 
-        // The free list and generations survive serialization.
+        // The free list survives serialization.
         let json = serde_json::to_string(&t).unwrap();
         let mut back: DnTable = serde_json::from_str(&json).unwrap();
         assert_eq!(back.len(), 1);
-        assert_eq!(back.generation(a), 1);
         let c = back.intern(&"cn=C,o=X".parse().unwrap());
         assert_eq!(c, a, "released slot reused after a round trip");
         assert_eq!(back.get(&"cn=B,o=X".parse().unwrap()), Some(b));

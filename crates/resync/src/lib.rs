@@ -63,7 +63,6 @@ mod content;
 pub mod driver;
 mod intern;
 mod master;
-pub mod posting;
 mod protocol;
 pub mod reconcile;
 mod routing;
@@ -75,7 +74,7 @@ pub use driver::{Clock, DriverStats, RetryConfig, SyncDriver, SyncTransport, Sys
 pub use fbdr_net::{ShardId, ShardMap};
 pub use intern::dn_approx_bytes;
 pub use master::{GcConfig, GcReport, MasterFootprint, NotifyFlush, NotifyPolicy, SyncMaster};
-pub use reconcile::{ReconcileConfig, ReconcileConfigBuilder, ReconcileItem, ReconcileOutcome};
+pub use reconcile::{ReconcileConfig, ReconcileItem, ReconcileOutcome};
 pub use routing::{RoutingIndex, RoutingStats};
 pub use shard::{
     CompositeCookie, ShardContent, ShardCoordinator, ShardOutcome, ShardStatus, ShardedMaster,

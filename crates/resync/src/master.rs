@@ -1,7 +1,6 @@
 //! The master (supplier) side of the ReSync protocol.
 
 use crate::intern::{dn_key, DnTable};
-use crate::posting;
 use crate::protocol::{
     Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncMode, SyncResponse,
 };
@@ -11,7 +10,7 @@ use crate::reconcile::{
 };
 use crate::routing::RoutingIndex;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use fbdr_dit::{ChangeRecord, DitError, DitStore, UpdateOp};
+use fbdr_dit::{posting, ChangeRecord, DitError, DitStore, UpdateOp};
 use fbdr_ldap::{Dn, Entry, SearchRequest};
 use fbdr_obs::{event, Obs};
 use serde::{Deserialize, Serialize};
@@ -1161,7 +1160,7 @@ impl SyncMaster {
     ///    exchange first.
     /// 4. **Id recycling** — every [`DnTable`] slot referenced by no
     ///    surviving session ledger or stash is released to the free list
-    ///    (reused under a bumped generation tag), and session posting
+    ///    (reused by a later `intern`), and session posting
     ///    lists are shrunk to fit. Reclamation is reference-driven, so a
     ///    GC'd master answers every live session identically to an
     ///    un-GC'd one.

@@ -405,12 +405,6 @@ impl Default for ReconcileConfig {
 }
 
 impl ReconcileConfig {
-    /// A builder starting from the defaults. New knobs get a builder
-    /// method and a default instead of breaking every construction site.
-    pub fn builder() -> ReconcileConfigBuilder {
-        ReconcileConfigBuilder { config: ReconcileConfig::default() }
-    }
-
     /// The effective summary bucket count for `items` held entries.
     pub fn effective_buckets(&self, items: usize) -> u32 {
         if self.summary_buckets > 0 {
@@ -418,43 +412,6 @@ impl ReconcileConfig {
         } else {
             ((items / 8) as u32).clamp(16, 4096).next_power_of_two()
         }
-    }
-}
-
-/// Builder for [`ReconcileConfig`]; see [`ReconcileConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct ReconcileConfigBuilder {
-    config: ReconcileConfig,
-}
-
-impl ReconcileConfigBuilder {
-    /// Target Bloom false-positive rate.
-    pub fn fpr(mut self, fpr: f64) -> Self {
-        self.config.fpr = fpr;
-        self
-    }
-
-    /// Range-summary bucket count (`0` = automatic).
-    pub fn summary_buckets(mut self, buckets: u32) -> Self {
-        self.config.summary_buckets = buckets;
-        self
-    }
-
-    /// Base digest seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Maximum estimated divergence to attempt reconciliation for.
-    pub fn divergence_budget(mut self, budget: u64) -> Self {
-        self.config.divergence_budget = budget;
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> ReconcileConfig {
-        self.config
     }
 }
 

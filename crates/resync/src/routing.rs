@@ -60,7 +60,7 @@
 //! nothing but the caller's output vector (a query's substring pattern of
 //! several components builds its concatenated witness text).
 
-use crate::posting::{insert_sorted, remove_sorted};
+use fbdr_dit::posting::{insert_sorted, remove_sorted};
 use fbdr_ldap::{AttrValue, Dn, Filter, SearchRequest, SlotKey, Template, TemplateId};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;

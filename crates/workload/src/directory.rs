@@ -318,7 +318,9 @@ mod tests {
     fn employee_count_matches_config() {
         let d = small();
         assert_eq!(d.employee_count(), 1200);
-        let persons = d.dit().count_matching(&Filter::parse("(objectclass=inetOrgPerson)").unwrap());
+        let mut persons = 0;
+        let req = SearchRequest::from_root(Filter::parse("(objectclass=inetOrgPerson)").unwrap());
+        d.dit().for_each_match(&req, |_| persons += 1);
         assert_eq!(persons, 1200);
     }
 

@@ -84,6 +84,51 @@ fn replica_stays_correct_across_updates_and_syncs() {
     assert!(checked > 0, "the test should exercise the hit path");
 }
 
+/// One result order: the same query returns the same *sequence* — the
+/// master's hierarchical order — whether the master answers it (a miss),
+/// the cached window does, or a stored filter does.
+#[test]
+fn a_query_returns_one_order_as_miss_cached_hit_and_filter_hit() {
+    let dn = |s: &str| -> Dn { s.parse().expect("dn parses") };
+    let mut dit = DitStore::new();
+    dit.add_suffix(dn("o=xyz"));
+    for (name, dept) in [
+        ("o=xyz", None),
+        ("c=us,o=xyz", None),
+        ("c=in,o=xyz", None),
+        // Leaf-first `cn=a` sorts before `cn=b`; root-first `c=in` sorts
+        // before `c=us`.
+        ("cn=a,c=us,o=xyz", Some("7")),
+        ("cn=b,c=in,o=xyz", Some("7")),
+        ("cn=c,c=in,o=xyz", Some("8")),
+    ] {
+        let mut e = Entry::new(dn(name)).with("objectclass", "top");
+        if let Some(dept) = dept {
+            e = e.with("dept", dept);
+        }
+        dit.add(e).expect("add");
+    }
+    let query = SearchRequest::new(dn("o=xyz"), Scope::Subtree, "(dept=7)".parse().expect("filter"));
+    let names = |entries: &[Entry]| -> Vec<String> {
+        entries.iter().map(|e| e.dn().to_string()).collect()
+    };
+
+    let mut repl = Replicator::new(SyncMaster::with_dit(dit), 1);
+    let (miss, served) = repl.search(&query);
+    assert_eq!(served, ServedBy::Master);
+    assert_eq!(names(&miss), ["cn=b,c=in,o=xyz", "cn=a,c=us,o=xyz"]);
+
+    let (cached, served) = repl.search(&query);
+    assert_eq!(served, ServedBy::Replica, "answered from the cached window");
+    assert_eq!(names(&cached), names(&miss));
+
+    repl.install_filter(query.clone()).expect("install");
+    let (hit, served) = repl.search(&query);
+    assert_eq!(served, ServedBy::Replica);
+    assert_eq!(repl.stats().generalized_hits, 1, "answered by the stored filter");
+    assert_eq!(names(&hit), names(&miss));
+}
+
 #[test]
 fn full_pipeline_smoke() {
     let (dir, trace) = small_world();
