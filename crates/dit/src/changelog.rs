@@ -88,14 +88,14 @@ pub struct ChangeRecord {
 impl ChangeRecord {
     /// Estimated wire size in bytes (cost model for changelog shipping).
     pub fn estimated_size(&self) -> usize {
-        let mut n = self.dn.to_string().len() + 12;
+        let mut n = self.dn.display_len() + 12;
         for (a, vs) in &self.changes {
             for v in vs {
                 n += a.as_str().len() + v.raw().len() + 4;
             }
         }
         if let Some(d) = &self.new_dn {
-            n += d.to_string().len();
+            n += d.display_len();
         }
         n
     }

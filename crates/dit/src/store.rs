@@ -75,10 +75,11 @@ impl Entries {
         self.free.push(id);
     }
 
-    /// Edits the entry in slot `id` in place and moves the id between the
-    /// index keys of the `touched` attributes — the only ones `edit` may
-    /// change — so an update costs its change, not the entry. When `edit`
-    /// fails the touched attributes are put back and the index is left
+    /// Edits the entry in slot `id` and moves the id between the index
+    /// keys of the `touched` attributes — the only ones `edit` may change —
+    /// so an update costs its change, not the entry. The previous handle
+    /// is the snapshot: the index diff reads the old values off it, and
+    /// when `edit` fails it goes back in the slot and the index is left
     /// alone.
     fn edit(
         &mut self,
@@ -87,18 +88,14 @@ impl Entries {
         edit: impl FnOnce(&mut Entry) -> Result<(), DitError>,
     ) -> Result<&Entry, DitError> {
         let entry = self.slots[id as usize].as_mut().expect("listed ids are live");
-        let before: Vec<Vec<AttrValue>> =
-            touched.iter().map(|a| entry.values(a).cloned().collect()).collect();
+        let before = entry.clone();
         if let Err(err) = edit(entry) {
-            for (a, old) in touched.iter().zip(before) {
-                // An empty snapshot means the attribute did not exist.
-                entry.replace(a.clone(), old);
-            }
+            *entry = before;
             return Err(err);
         }
-        for (a, old) in touched.iter().zip(&before) {
-            self.indexes.remove(a, index::keys_only_in(old, || entry.values(a)), id);
-            self.indexes.insert(a, index::keys_only_in(entry.values(a), || old.iter()), id);
+        for a in touched {
+            self.indexes.remove(a, index::keys_only_in(before.values(a), || entry.values(a)), id);
+            self.indexes.insert(a, index::keys_only_in(entry.values(a), || before.values(a)), id);
         }
         Ok(entry)
     }
@@ -472,7 +469,9 @@ impl DitStore {
     // ---------------------------------------------------------------
 
     /// Evaluates a search request, returning matching entries projected on
-    /// the requested attributes, in DN order.
+    /// the requested attributes, in DN order. The result holds handles on
+    /// the stored bodies ([`Entry`] is shared copy-on-write): it costs its
+    /// list, not a copy per entry, and later updates do not show through it.
     pub fn search(&self, req: &SearchRequest) -> Vec<Entry> {
         self.search_refs(req).into_iter().map(|e| req.attrs().project(e)).collect()
     }
@@ -492,15 +491,15 @@ impl DitStore {
     }
 
     /// Streams every entry matching a search request to `f`, answering
-    /// through the indexed candidate plan where possible, **without**
-    /// cloning entries or DNs and without materializing a result vector.
+    /// through the indexed candidate plan where possible, without
+    /// materializing a result vector and without sorting.
     ///
     /// Visit order is unspecified (the planned path visits candidates in
     /// id order, the scan fallback in hierarchical order) — callers
     /// needing DN order should collect and sort, or use
     /// [`DitStore::search`]. This is the bulk-enumeration seam the sync
     /// layer's session installation uses: it interns ids straight off the
-    /// borrowed entries instead of paying for an owned result set.
+    /// borrowed entries, however many match.
     pub fn for_each_match(&self, req: &SearchRequest, f: impl FnMut(&Entry)) {
         self.walk(req, f);
     }
@@ -917,6 +916,31 @@ mod tests {
             let q = sub("o=xyz", f);
             assert_eq!(restored.search_dns(&q), s.search_dns(&q), "{f}");
         }
+    }
+
+    /// The snapshot format does not see how an entry shares its body: the
+    /// bytes are the ones the owned `BTreeMap` of sets serialized to.
+    #[test]
+    fn an_entry_serializes_to_the_bytes_it_always_did() {
+        let e = Entry::new(dn("cn=Doe\\, John,ou=research,c=us,o=xyz"))
+            .with("objectClass", "inetOrgPerson")
+            .with("cn", "John Doe")
+            .with("cn", "John M Doe")
+            .with("serialNumber", "0456")
+            .with("mail", "john@us.xyz.com");
+        let json = concat!(
+            r#"{"dn":[{"attr":"cn","value":"Doe, John"},{"attr":"ou","value":"research"},"#,
+            r#"{"attr":"c","value":"us"},{"attr":"o","value":"xyz"}],"#,
+            r#""attrs":{"cn":["John Doe","John M Doe"],"mail":["john@us.xyz.com"],"#,
+            r#""objectClass":["inetOrgPerson"],"serialNumber":["0456"]}}"#,
+        );
+        assert_eq!(serde_json::to_string(&e).expect("entry serializes"), json);
+        // A shared and since-written handle reads and writes the same form.
+        let mut twin = e.clone();
+        twin.add("mail", "jd@us.xyz.com");
+        twin.remove_value(&"mail".into(), &"jd@us.xyz.com".into());
+        assert_eq!(serde_json::to_string(&twin).expect("entry serializes"), json);
+        assert_eq!(serde_json::from_str::<Entry>(json).expect("entry deserializes"), e);
     }
 
     #[test]

@@ -6,12 +6,14 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// An LDAP attribute type name (e.g. `cn`, `serialNumber`).
 ///
 /// Attribute names are case-insensitive in LDAP; `AttrName` keeps the
 /// original spelling for display but compares, orders and hashes by the
-/// ASCII-lowercased form.
+/// ASCII-lowercased form. Both spellings are refcounted — one string when
+/// the name is already lowercase — so a clone copies no text.
 ///
 /// ```
 /// use fbdr_ldap::AttrName;
@@ -20,8 +22,8 @@ use std::hash::{Hash, Hasher};
 /// ```
 #[derive(Debug, Clone)]
 pub struct AttrName {
-    raw: String,
-    lower: String,
+    raw: Arc<str>,
+    lower: Arc<str>,
 }
 
 impl Serialize for AttrName {
@@ -40,9 +42,7 @@ impl<'de> Deserialize<'de> for AttrName {
 impl AttrName {
     /// Creates an attribute name from its spelling.
     pub fn new(raw: impl Into<String>) -> Self {
-        let raw = raw.into();
-        let lower = raw.to_ascii_lowercase();
-        AttrName { raw, lower }
+        AttrName::from(raw.into().as_str())
     }
 
     /// The original spelling.
@@ -90,7 +90,13 @@ impl fmt::Display for AttrName {
 
 impl From<&str> for AttrName {
     fn from(s: &str) -> Self {
-        AttrName::new(s)
+        let raw: Arc<str> = s.into();
+        let mut lower = raw.clone();
+        if s.bytes().any(|b| b.is_ascii_uppercase()) {
+            lower = s.into();
+            Arc::get_mut(&mut lower).expect("not shared yet").make_ascii_lowercase();
+        }
+        AttrName { raw, lower }
     }
 }
 
@@ -118,6 +124,16 @@ mod tests {
     #[test]
     fn ordering_ignores_case() {
         assert!(AttrName::new("CN") < AttrName::new("mail"));
+    }
+
+    #[test]
+    fn a_lowercase_name_is_one_string_and_a_clone_copies_none() {
+        let cn = AttrName::new("cn");
+        assert!(Arc::ptr_eq(&cn.raw, &cn.lower));
+        let serial = AttrName::new("serialNumber");
+        assert_eq!((serial.as_str(), serial.lower()), ("serialNumber", "serialnumber"));
+        let copy = serial.clone();
+        assert!(Arc::ptr_eq(&copy.raw, &serial.raw) && Arc::ptr_eq(&copy.lower, &serial.lower));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::{AttrName, AttrValue, NameParseError};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
-use std::fmt;
+use std::fmt::{self, Write};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -45,7 +45,14 @@ impl Rdn {
 
 impl fmt::Display for Rdn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.attr, escape_value(self.value.raw()))
+        write!(f, "{}=", self.attr)?;
+        for c in self.value.raw().chars() {
+            if needs_escape(c) {
+                f.write_char('\\')?;
+            }
+            f.write_char(c)?;
+        }
+        Ok(())
     }
 }
 
@@ -178,6 +185,17 @@ impl fmt::Display for Dn {
     }
 }
 
+impl Dn {
+    /// `self.to_string().len()` without building the string: the byte
+    /// length of the LDAP string form, escapes included. What the traffic
+    /// cost model prices a DN by, once per delivered action.
+    pub fn display_len(&self) -> usize {
+        let escapes = |s: &str| s.chars().filter(|&c| needs_escape(c)).count();
+        let rdn = |r: &Rdn| r.attr.as_str().len() + 1 + r.value.raw().len() + escapes(r.value.raw());
+        self.rdns.iter().map(rdn).sum::<usize>() + self.rdns.len().saturating_sub(1)
+    }
+}
+
 impl FromStr for Dn {
     type Err = NameParseError;
 
@@ -255,15 +273,9 @@ fn unescape(s: &str) -> String {
     out
 }
 
-fn escape_value(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        if matches!(c, ',' | '=' | '\\') {
-            out.push('\\');
-        }
-        out.push(c);
-    }
-    out
+/// The characters a value's string form writes behind a backslash.
+fn needs_escape(c: char) -> bool {
+    matches!(c, ',' | '=' | '\\')
 }
 
 #[cfg(test)]

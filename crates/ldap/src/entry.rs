@@ -4,6 +4,14 @@ use crate::{AttrName, AttrValue, Dn};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
+
+/// The values of one attribute.
+type Values = BTreeSet<AttrValue>;
+
+/// Attribute name → value set: the part of an entry's body that says which
+/// sets it is made of.
+type Spine = BTreeMap<AttrName, Arc<Values>>;
 
 /// An entry in the Directory Information Tree.
 ///
@@ -24,16 +32,28 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
+///
+/// # Sharing
+///
+/// An `Entry` is a handle on a body shared copy-on-write in two levels:
+/// the attribute map sits behind one `Arc` and each attribute's value set
+/// behind its own. [`Clone`] bumps two refcounts (the DN's and the map's)
+/// and copies no text, so a search result, a sync action and a replica's
+/// slot hold the very body the master's store does. A clone is still a
+/// value — nothing written through one handle shows through another: the
+/// first write to a shared body copies the map's pointers and the one set
+/// it changes, every other set stays shared, and a write that changes
+/// nothing copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Entry {
     dn: Dn,
-    attrs: BTreeMap<AttrName, BTreeSet<AttrValue>>,
+    attrs: Arc<Spine>,
 }
 
 impl Entry {
     /// Creates an empty entry with the given name.
     pub fn new(dn: Dn) -> Self {
-        Entry { dn, attrs: BTreeMap::new() }
+        Entry { dn, attrs: Arc::default() }
     }
 
     /// The entry's distinguished name.
@@ -47,9 +67,21 @@ impl Entry {
         self.dn = dn;
     }
 
+    /// The attribute map for writing — the copy-on-write step of every
+    /// mutator, taken once it knows the call changes something: a map other
+    /// handles share is first copied, pointer by pointer. A mutator that
+    /// edits a value set in place unshares that set the same way.
+    fn spine_mut(&mut self) -> &mut Spine {
+        Arc::make_mut(&mut self.attrs)
+    }
+
     /// Adds a value; returns true if it was not already present.
     pub fn add(&mut self, attr: impl Into<AttrName>, value: impl Into<AttrValue>) -> bool {
-        self.attrs.entry(attr.into()).or_default().insert(value.into())
+        let (attr, value) = (attr.into(), value.into());
+        if self.has_value(&attr, &value) {
+            return false;
+        }
+        Arc::make_mut(self.spine_mut().entry(attr).or_default()).insert(value)
     }
 
     /// Convenience for `add` with string literals.
@@ -66,20 +98,21 @@ impl Entry {
     /// Removes a single value; returns true if it was present. Removes the
     /// attribute entirely when its last value goes.
     pub fn remove_value(&mut self, attr: &AttrName, value: &AttrValue) -> bool {
-        if let Some(set) = self.attrs.get_mut(attr) {
-            let removed = set.remove(value);
-            if set.is_empty() {
-                self.attrs.remove(attr);
-            }
-            removed
-        } else {
-            false
+        let held = match self.attrs.get(attr) {
+            Some(set) if set.contains(value) => set.len(),
+            _ => return false,
+        };
+        if held == 1 {
+            self.spine_mut().remove(attr);
+        } else if let Some(set) = self.spine_mut().get_mut(attr) {
+            Arc::make_mut(set).remove(value);
         }
+        true
     }
 
     /// Removes an attribute and all its values; returns true if present.
     pub fn remove_attr(&mut self, attr: &AttrName) -> bool {
-        self.attrs.remove(attr).is_some()
+        self.has_attr(attr) && self.spine_mut().remove(attr).is_some()
     }
 
     /// Replaces all values of an attribute. An empty iterator removes the
@@ -90,11 +123,20 @@ impl Entry {
         V: Into<AttrValue>,
     {
         let attr = attr.into();
-        let set: BTreeSet<AttrValue> = values.into_iter().map(Into::into).collect();
+        let set: Values = values.into_iter().map(Into::into).collect();
+        // Changes nothing only if every spelling stays: equal values may
+        // be written differently, and the new set brings its own.
+        let unchanged = match self.attrs.get(&attr) {
+            Some(old) => old.iter().map(AttrValue::raw).eq(set.iter().map(AttrValue::raw)),
+            None => set.is_empty(),
+        };
+        if unchanged {
+            return;
+        }
         if set.is_empty() {
-            self.attrs.remove(&attr);
+            self.spine_mut().remove(&attr);
         } else {
-            self.attrs.insert(attr, set);
+            self.spine_mut().insert(attr, Arc::new(set));
         }
     }
 
@@ -110,7 +152,7 @@ impl Entry {
 
     /// Iterates the values of an attribute (empty if absent).
     pub fn values<'a>(&'a self, attr: &AttrName) -> impl Iterator<Item = &'a AttrValue> + 'a {
-        self.attrs.get(attr).into_iter().flatten()
+        self.attrs.get(attr).into_iter().flat_map(|set| set.iter())
     }
 
     /// The first value of an attribute, if any.
@@ -120,7 +162,7 @@ impl Entry {
 
     /// Iterates `(name, values)` pairs in attribute-name order.
     pub fn attrs(&self) -> impl Iterator<Item = (&AttrName, &BTreeSet<AttrValue>)> {
-        self.attrs.iter()
+        self.attrs.iter().map(|(a, vs)| (a, &**vs))
     }
 
     /// Names of all present attributes.
@@ -134,18 +176,19 @@ impl Entry {
     }
 
     /// Projects the entry onto a subset of attributes (used when answering
-    /// searches that request specific attributes). The DN is always kept.
+    /// searches that request specific attributes). The DN is always kept;
+    /// the projection shares the value sets it keeps.
     pub fn project<'a, I>(&self, attrs: I) -> Entry
     where
         I: IntoIterator<Item = &'a AttrName>,
     {
-        let mut out = Entry::new(self.dn.clone());
+        let mut spine = Spine::new();
         for a in attrs {
             if let Some(set) = self.attrs.get(a) {
-                out.attrs.insert(a.clone(), set.clone());
+                spine.insert(a.clone(), set.clone());
             }
         }
-        out
+        Entry { dn: self.dn.clone(), attrs: Arc::new(spine) }
     }
 
     /// Estimated wire size in bytes: DN plus every attribute name and value.
@@ -153,8 +196,8 @@ impl Entry {
     /// Used by the traffic cost model; this intentionally approximates a
     /// BER-encoded LDAP entry PDU rather than reproducing ASN.1 exactly.
     pub fn estimated_size(&self) -> usize {
-        let mut n = self.dn.to_string().len() + 8;
-        for (a, vs) in &self.attrs {
+        let mut n = self.dn.display_len() + 8;
+        for (a, vs) in self.attrs() {
             for v in vs {
                 n += a.as_str().len() + v.raw().len() + 4;
             }
@@ -167,7 +210,7 @@ impl fmt::Display for Entry {
     /// LDIF-like rendering.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "dn: {}", self.dn)?;
-        for (a, vs) in &self.attrs {
+        for (a, vs) in self.attrs() {
             for v in vs {
                 writeln!(f, "{a}: {v}")?;
             }
@@ -235,6 +278,44 @@ mod tests {
         assert!(p.has_attr(&"mail".into()));
         assert!(!p.has_attr(&"serialNumber".into()));
         assert_eq!(p.dn(), e.dn());
+    }
+
+    /// Handles cross threads: the replica's readers hold the bodies its
+    /// writer and the master's store do.
+    const _: fn() = || {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Entry>();
+    };
+
+    #[test]
+    fn a_clone_shares_the_body_and_a_write_copies_what_it_changes() {
+        let held = person();
+        let mut e = held.clone();
+        // Writes that change nothing, and a rename, leave the body shared.
+        assert!(!e.add("cn", "john doe"));
+        assert!(!e.remove_value(&"cn".into(), &"absent".into()));
+        assert!(!e.remove_attr(&"fax".into()));
+        e.replace("mail", ["john@us.xyz.com"]);
+        e.replace("fax", Vec::<&str>::new());
+        e.set_dn("cn=Renamed,o=xyz".parse().unwrap());
+        assert!(Arc::ptr_eq(&e.attrs, &held.attrs));
+        // The first write that changes something copies the map's
+        // pointers and the one set it edits.
+        assert!(e.add("cn", "Johnny"));
+        assert!(!Arc::ptr_eq(&e.attrs, &held.attrs));
+        for (a, set) in held.attrs.iter() {
+            assert_eq!(Arc::ptr_eq(set, &e.attrs[a]), a.lower() != "cn", "{a}");
+        }
+        e.set_dn(held.dn().clone());
+        assert_eq!(held, person());
+        assert_ne!(e, held);
+        // Another spelling of a held value is a change.
+        e.replace("mail", ["JOHN@us.xyz.com"]);
+        assert_eq!(e.first_value(&"mail".into()).unwrap().raw(), "JOHN@us.xyz.com");
+        assert_eq!(held.first_value(&"mail".into()).unwrap().raw(), "john@us.xyz.com");
+        // A projection shares the sets it keeps.
+        let mail = AttrName::new("mail");
+        assert!(Arc::ptr_eq(&held.project([&mail]).attrs[&mail], &held.attrs[&mail]));
     }
 
     #[test]

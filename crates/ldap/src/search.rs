@@ -149,7 +149,7 @@ impl SearchRequest {
 
     /// Estimated wire size of the request in bytes (for the cost model).
     pub fn estimated_size(&self) -> usize {
-        self.base.to_string().len() + self.filter.to_string().len() + 16
+        self.base.display_len() + self.filter.to_string().len() + 16
     }
 }
 

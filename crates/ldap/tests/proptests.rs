@@ -1,8 +1,9 @@
 //! Property tests for the LDAP data model: parser round trips and
 //! matching-semantics invariants.
 
-use fbdr_ldap::{AttrValue, Dn, Entry, Filter, Predicate, Scope, SubstringPattern};
+use fbdr_ldap::{AttrName, AttrValue, Dn, Entry, Filter, Predicate, Scope, SubstringPattern};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn attr() -> impl Strategy<Value = String> {
     "[a-zA-Z][a-zA-Z0-9-]{0,8}"
@@ -72,8 +73,122 @@ fn conjunctive_filter() -> impl Strategy<Value = Filter> {
     })
 }
 
+/// What a handle must read as, kept deep and apart from every other
+/// handle's: the DN and, per lowercased attribute, its values' spellings.
+type Model = (String, BTreeMap<String, BTreeSet<String>>);
+
+/// Names and values with a second spelling of one of them: the entry
+/// compares both case-insensitively and keeps the spelling it met first.
+const ATTRS: [&str; 4] = ["a", "A", "b", "mail"];
+const VALUES: [&str; 5] = ["v0", "V0", "v1", "7", "x y"];
+
+fn read(e: &Entry) -> Model {
+    let values = |vs: &BTreeSet<AttrValue>| vs.iter().map(|v| v.raw().to_owned()).collect();
+    (e.dn().to_string(), e.attrs().map(|(a, vs)| (a.lower().to_owned(), values(vs))).collect())
+}
+
+/// The spelling of `value` the model's attribute holds, if any.
+fn held(model: &Model, attr: &str, value: &str) -> Option<String> {
+    let set = model.1.get(&attr.to_lowercase())?;
+    set.iter().find(|held| held.to_lowercase() == value.to_lowercase()).cloned()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A clone is a value. A family of handles cloned and projected from
+    /// one another, written through one at a time: after every step each
+    /// handle still reads as its own model — a write never shows through
+    /// a sibling, whether it changes something or nothing, and whether
+    /// the body it lands on is shared or (the last sibling dropped) not.
+    #[test]
+    fn a_write_through_one_handle_never_shows_through_another(
+        steps in prop::collection::vec((0u8..9, any::<u8>(), 0usize..4, 0usize..5, 0usize..5), 1..60),
+    ) {
+        let first = Entry::new("cn=n0,o=x".parse().expect("dn"));
+        let mut family: Vec<(Entry, Model)> = vec![(first.clone(), read(&first))];
+        for (kind, pick, a, v, w) in steps {
+            let i = pick as usize % family.len();
+            let (attr, value) = (ATTRS[a], VALUES[v]);
+            let (name, key) = (AttrName::new(attr), attr.to_lowercase());
+            let room = family.len() < 8;
+            match kind {
+                0 if room => {
+                    let twin = family[i].clone();
+                    family.push(twin);
+                }
+                1 if family.len() > 1 => {
+                    family.swap_remove(i);
+                }
+                8 if room => {
+                    let (entry, model) = &family[i];
+                    let keep = [name, AttrName::new(ATTRS[w % 4])];
+                    let kept = |k: &String| keep.iter().any(|a| a.lower() == k);
+                    let attrs = model.1.iter().filter(|(k, _)| kept(k)).map(|(k, vs)| (k.clone(), vs.clone()));
+                    let projection = (entry.project(&keep), (model.0.clone(), attrs.collect()));
+                    family.push(projection);
+                }
+                _ => {
+                    let (entry, model) = &mut family[i];
+                    match kind {
+                        2 => {
+                            let fresh = held(model, attr, value).is_none();
+                            prop_assert_eq!(entry.add(attr, value), fresh);
+                            if fresh {
+                                model.1.entry(key).or_default().insert(value.to_owned());
+                            }
+                        }
+                        3 => {
+                            let spelling = held(model, attr, value);
+                            prop_assert_eq!(entry.remove_value(&name, &value.into()), spelling.is_some());
+                            if let Some(spelling) = spelling {
+                                let set = model.1.get_mut(&key).expect("holds the value");
+                                set.remove(&spelling);
+                                if set.is_empty() {
+                                    model.1.remove(&key);
+                                }
+                            }
+                        }
+                        4 => prop_assert_eq!(entry.remove_attr(&name), model.1.remove(&key).is_some()),
+                        5 | 6 => {
+                            // One value, two, or none; never two
+                            // spellings of one.
+                            let values = match (kind, VALUES[w]) {
+                                (5, _) => vec![value],
+                                (_, other) if other.to_lowercase() == value.to_lowercase() => vec![],
+                                (_, other) => vec![value, other],
+                            };
+                            entry.replace(attr, values.iter().copied());
+                            model.1.remove(&key);
+                            if !values.is_empty() {
+                                model.1.insert(key, values.iter().map(|v| (*v).to_owned()).collect());
+                            }
+                        }
+                        7 => {
+                            model.0 = format!("cn=n{v},o=x");
+                            entry.set_dn(model.0.parse().expect("dn"));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            for (n, (entry, model)) in family.iter().enumerate() {
+                prop_assert_eq!(&read(entry), model, "handle {} after step kind {}", n, kind);
+            }
+        }
+    }
+
+    /// `Dn::display_len` is the printed length, escapes and multi-byte
+    /// characters included.
+    #[test]
+    fn dn_display_len_is_the_printed_length(
+        parts in prop::collection::vec(("[a-zA-Z]{1,5}", prop_oneof!["[ -~]{1,10}", "[α-ω,=\\\\]{1,6}"]), 0..5)
+    ) {
+        let dn = Dn::from_rdns(
+            parts.iter().map(|(a, v)| fbdr_ldap::Rdn::new(a.as_str(), v.as_str())).collect(),
+        );
+        prop_assert_eq!(dn.display_len(), dn.to_string().len(), "{}", dn);
+    }
 
     /// The witness of a positive conjunctive filter — per predicate, the
     /// value `Comparison::witness` names (any value for presence) under

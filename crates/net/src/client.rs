@@ -179,7 +179,7 @@ impl<'a> Client<'a> {
                     }
                     for (base, next_url) in continuations {
                         stats.referrals_received += 1;
-                        stats.bytes_received += (base.to_string().len() + next_url.len()) as u64 + overhead;
+                        stats.bytes_received += (base.display_len() + next_url.len()) as u64 + overhead;
                         event!(
                             self.net.obs(),
                             "net",

@@ -43,7 +43,7 @@ use crate::stats::{AtomicReplicaStats, ReplicaStats};
 use crossbeam::channel::{Receiver, TryRecvError};
 use fbdr_containment::{ContainmentEngine, EngineStats, PreparedQuery};
 use fbdr_dit::posting;
-use fbdr_ldap::{Entry, SearchRequest};
+use fbdr_ldap::{AttrSelection, Entry, SearchRequest};
 use fbdr_obs::{event, Counter, Histogram, Obs};
 use fbdr_resync::reconcile::entry_item_hash;
 use fbdr_resync::{
@@ -109,7 +109,7 @@ struct ContentSnapshot {
     filters: Vec<StoredFilter>,
     /// Id-addressed entry store: slot `id` holds the entry whose interned
     /// DN is `id`, or is empty when no stored filter references it.
-    entries: SlotVec<Arc<Entry>>,
+    entries: SlotVec<Entry>,
     /// Number of occupied slots (the replica-size metric).
     live: usize,
     /// Equality/prefix/range posting lists over the occupied slots.
@@ -166,7 +166,7 @@ impl ContentSnapshot {
 
     /// The entry stored under an interned id, if the slot is occupied.
     fn entry(&self, id: u32) -> Option<&Entry> {
-        self.entries.get(id as usize).map(Arc::as_ref)
+        self.entries.get(id as usize)
     }
 }
 
@@ -184,7 +184,7 @@ fn register_prepared(index: &mut RoutingIndex, id: u32, q: &PreparedQuery) {
 struct Working {
     epoch: u64,
     filters: Vec<StoredFilter>,
-    entries: SlotVec<Arc<Entry>>,
+    entries: SlotVec<Entry>,
     live: usize,
     index: SnapshotIndex,
     filter_index: Arc<OnceLock<RoutingIndex>>,
@@ -221,11 +221,12 @@ impl Working {
 
     /// Upserts an entry into its slot, keeping the index exact: only the
     /// attribute values that differ from the slot's previous occupant are
-    /// re-indexed.
+    /// re-indexed. The slot holds the handle it is given — the body the
+    /// sync action carried, which an in-process master still shares.
     fn store(&mut self, id: u32, e: Entry) {
         let slot = self.entries.slot_mut(id as usize);
-        self.index.reindex(id, slot.as_deref(), Some(&e));
-        if slot.replace(Arc::new(e)).is_none() {
+        self.index.reindex(id, slot.as_ref(), Some(&e));
+        if slot.replace(e).is_none() {
             self.live += 1;
         }
     }
@@ -236,7 +237,7 @@ impl Working {
             return;
         }
         let old = self.entries.slot_mut(id as usize).take();
-        self.index.reindex(id, old.as_deref(), None);
+        self.index.reindex(id, old.as_ref(), None);
         self.live -= 1;
     }
 }
@@ -447,7 +448,10 @@ struct AnswerMetrics {
 /// ([`fbdr_resync::RoutingIndex`]) that names the few that *can* contain
 /// the query, and only those get the exact containment check (see the
 /// module documentation). [`FilterReplica::try_answer_scan`] is the
-/// linear reference.
+/// linear reference. An answer is a list of handles on the held entries
+/// ([`Entry`] is shared copy-on-write): returning an entry costs a
+/// refcount, and nothing written later shows through an answer already
+/// given.
 ///
 /// # Concurrency
 ///
@@ -996,7 +1000,10 @@ impl FilterReplica {
     /// Caches a recently performed user query and its result (fetched from
     /// the master after a miss). Evicts the oldest cached query beyond the
     /// window. Cached queries are not synchronized: the result set is
-    /// frozen at cache time (§7.4).
+    /// frozen at cache time (§7.4) — the window keeps handles on the
+    /// result's entries, which no later write reaches. A cached query that
+    /// selected an attribute list answers only queries whose filter reads
+    /// attributes on that list: its copies hold nothing else to match.
     pub fn cache_query(&self, request: SearchRequest, result: &[Entry]) {
         if self.cache_window == 0 {
             return;
@@ -1125,7 +1132,9 @@ impl FilterReplica {
         // Then the cached queries that can contain it, oldest first.
         let cached = self.cache.lock().candidates(query);
         for cq in &cached {
-            if self.engine.query_contained(prepared, &cq.prepared) {
+            if filter_readable_from(query, cq.prepared.request())
+                && self.engine.query_contained(prepared, &cq.prepared)
+            {
                 cq.hits.fetch_add(1, Ordering::Relaxed);
                 self.stats.record_cache_hit();
                 event!(self.obs, "replica", "qc_hit", kind = "cached", epoch = snap.epoch);
@@ -1289,6 +1298,18 @@ fn collect_matching(snap: &ContentSnapshot, query: &SearchRequest, ids: &[u32]) 
         .collect();
     hits.sort_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
     hits.into_iter().map(|e| query.attrs().project(e)).collect()
+}
+
+/// Whether a cached query's frozen result can evaluate `query`'s filter.
+/// The master projected the held copies onto the cached request's
+/// attributes, so an explicit list must name every attribute the filter
+/// reads — containment alone would match `(mail=ab*)` against copies that
+/// kept only `cn` and answer nothing. Stored filters hold whole entries.
+fn filter_readable_from(query: &SearchRequest, cached: &SearchRequest) -> bool {
+    match cached.attrs() {
+        AttrSelection::All => true,
+        AttrSelection::List(held) => query.filter().attr_names().iter().all(|a| held.contains(a)),
+    }
 }
 
 /// Evaluates a query over a cached query's frozen result set, in the

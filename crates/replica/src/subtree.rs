@@ -150,14 +150,14 @@ impl SubtreeReplica {
                 ChangeKind::Delete => {
                     if old_held {
                         traffic.dn_only += 1;
-                        traffic.bytes += rec.dn.to_string().len() as u64 + 8;
+                        traffic.bytes += rec.dn.display_len() as u64 + 8;
                         let _ = self.store.delete(&rec.dn);
                     }
                 }
                 ChangeKind::ModifyDn => {
                     if old_held {
                         traffic.dn_only += 1;
-                        traffic.bytes += rec.dn.to_string().len() as u64 + 8;
+                        traffic.bytes += rec.dn.display_len() as u64 + 8;
                         let _ = self.store.delete(&rec.dn);
                     }
                     if let Some(new_dn) = &rec.new_dn {

@@ -106,7 +106,7 @@ impl SyncAction {
     pub fn estimated_size(&self) -> usize {
         match self {
             SyncAction::Add(e) | SyncAction::Modify(e) => e.estimated_size() + 8,
-            SyncAction::Delete(dn) | SyncAction::Retain(dn) => dn.to_string().len() + 8,
+            SyncAction::Delete(dn) | SyncAction::Retain(dn) => dn.display_len() + 8,
         }
     }
 

@@ -293,6 +293,12 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
     }
 }
 
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn serialize<S: Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        (**self).serialize(ser)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize<S: Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
         match self {
@@ -464,6 +470,12 @@ impl<'de> Deserialize<'de> for Value {
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
     fn deserialize<D: Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
         T::deserialize(de).map(Box::new)
+    }
+}
+
+impl<'de, T: Deserialize<'de>> Deserialize<'de> for std::sync::Arc<T> {
+    fn deserialize<D: Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        T::deserialize(de).map(std::sync::Arc::new)
     }
 }
 

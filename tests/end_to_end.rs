@@ -129,6 +129,113 @@ fn a_query_returns_one_order_as_miss_cached_hit_and_filter_hit() {
     assert_eq!(names(&hit), names(&miss));
 }
 
+fn dn(s: &str) -> Dn {
+    s.parse().expect("dn parses")
+}
+
+/// Three people under `c=us,o=xyz`: `abe` and `abi` in department 7, `bo`
+/// in department 8.
+fn three_people() -> DitStore {
+    let mut dit = DitStore::new();
+    dit.add_suffix(dn("o=xyz"));
+    dit.add(Entry::new(dn("o=xyz")).with("objectclass", "top")).expect("add");
+    dit.add(Entry::new(dn("c=us,o=xyz")).with("objectclass", "top")).expect("add");
+    for (cn, dept) in [("abe", "7"), ("abi", "7"), ("bo", "8")] {
+        let person = Entry::new(dn(&format!("cn={cn},c=us,o=xyz")))
+            .with("objectclass", "person")
+            .with("cn", cn)
+            .with("dept", dept)
+            .with("mail", &format!("{cn}@xyz.com"));
+        dit.add(person).expect("add");
+    }
+    dit
+}
+
+/// The cached window answers only what its copies can evaluate: the
+/// master projected them onto the cached request's attributes, so a query
+/// whose filter reads an attribute the list left out is a miss, however
+/// well the filters contain each other.
+#[test]
+fn the_cached_window_answers_only_filters_its_projected_copies_can_evaluate() {
+    let selecting = |filter: &str, attrs: &[&str]| {
+        SearchRequest::with_attrs(
+            dn("o=xyz"),
+            Scope::Subtree,
+            filter.parse().expect("filter"),
+            AttrSelection::list(attrs.iter().copied()),
+        )
+    };
+    // The copies keep `cn` only: matching `mail` against them finds nothing.
+    let mut repl = Replicator::new(SyncMaster::with_dit(three_people()), 4);
+    let query = selecting("(mail=ab*)", &["cn"]);
+    let truth = repl.master().search(&query);
+    assert_eq!(truth.len(), 2);
+    assert!(truth.iter().all(|e| !e.has_attr(&"mail".into())));
+    for _ in 0..2 {
+        assert_eq!(repl.search(&query), (truth.clone(), ServedBy::Master));
+    }
+    assert_eq!(repl.stats().cache_hits, 0);
+    // Selecting the filter's attribute as well makes the copies enough.
+    let query = selecting("(mail=ab*)", &["cn", "mail"]);
+    let truth = repl.master().search(&query);
+    assert_eq!(repl.search(&query), (truth.clone(), ServedBy::Master));
+    assert_eq!(repl.search(&query), (truth.clone(), ServedBy::Replica));
+    // ... for a narrower selection of a narrower filter too.
+    let narrower = selecting("(mail=abe*)", &["cn"]);
+    assert_eq!(repl.search(&narrower), (repl.master().search(&narrower), ServedBy::Replica));
+    assert_eq!(repl.stats().cache_hits, 2);
+}
+
+/// An answer is a value. Results share entry bodies with the master's
+/// store, the replica's slots and the cached window, and none of them is
+/// written through: an answer taken before a master `Modify` and a sync
+/// reads the old values afterwards, the next one the new.
+#[test]
+fn an_answer_taken_before_a_modify_still_reads_the_old_values() {
+    let mails = |entries: &[Entry]| -> Vec<String> {
+        entries
+            .iter()
+            .flat_map(|e| e.values(&"mail".into()))
+            .map(|v| v.raw().to_owned())
+            .collect()
+    };
+    let by_dept = |dept: &str| {
+        SearchRequest::new(dn("o=xyz"), Scope::Subtree, format!("(dept={dept})").parse().expect("filter"))
+    };
+    let (stored, passing) = (by_dept("7"), by_dept("8"));
+    let mut repl = Replicator::new(SyncMaster::with_dit(three_people()), 1);
+    repl.install_filter(stored.clone()).expect("install");
+
+    let (hit, served) = repl.search(&stored);
+    assert_eq!(served, ServedBy::Replica);
+    let (miss, served) = repl.search(&passing);
+    assert_eq!(served, ServedBy::Master);
+    let (cached, served) = repl.search(&passing);
+    assert_eq!(served, ServedBy::Replica, "answered from the cached window");
+    assert_eq!(repl.stats().cache_hits, 1);
+
+    for cn in ["abe", "bo"] {
+        repl.apply_update(UpdateOp::Modify {
+            dn: dn(&format!("cn={cn},c=us,o=xyz")),
+            mods: vec![Modification::Replace("mail".into(), vec![format!("{cn}@new.com").into()])],
+        })
+        .expect("modify");
+    }
+    repl.sync().expect("sync");
+
+    assert_eq!(mails(&hit), ["abe@xyz.com", "abi@xyz.com"]);
+    assert_eq!(mails(&miss), ["bo@xyz.com"]);
+    assert_eq!(mails(&cached), ["bo@xyz.com"]);
+    let (hit, served) = repl.search(&stored);
+    assert_eq!(served, ServedBy::Replica);
+    assert_eq!(mails(&hit), ["abe@new.com", "abi@xyz.com"]);
+    assert_eq!(mails(&repl.master().search(&passing)), ["bo@new.com"]);
+    // The window is frozen at cache time (§7.4), not written through.
+    let (cached, served) = repl.search(&passing);
+    assert_eq!(served, ServedBy::Replica);
+    assert_eq!(mails(&cached), ["bo@xyz.com"]);
+}
+
 #[test]
 fn full_pipeline_smoke() {
     let (dir, trace) = small_world();

@@ -14,6 +14,10 @@
 //! a poll or a coalesced flush that carries one `Modify` allocates the
 //! same bytes whatever the session holds (DESIGN §6, the one drain) — a
 //! ledger list copied whole per delivery costs 4 B per held entry.
+//!
+//! And, in bytes again, the entry representation (DESIGN §5): an answer
+//! allocates for its list, not for the entries on it, and a write to an
+//! entry someone else holds copies the set it changes, not the entry.
 
 use fbdr::prelude::*;
 use fbdr::resync::NotifyPolicy;
@@ -239,4 +243,85 @@ fn containment_check_allocates_nothing() {
     assert_eq!(stats.compiled - before.compiled, 3);
     assert_eq!(stats.skipped_never - before.skipped_never, 1);
     assert_eq!(allocations, 0, "allocations in six containment checks");
+}
+
+/// A master of 1 000 people, 50 of them in team `a` and 200 in team `b`,
+/// and a replica holding all of them.
+fn teams() -> (SyncMaster, FilterReplica) {
+    let mut master = master_of(0);
+    for i in 0..1_000 {
+        let teamed = match i {
+            0..=49 => person(i).with("team", "a"),
+            50..=249 => person(i).with("team", "b"),
+            _ => person(i),
+        };
+        master.dit_mut().add(teamed).expect("person");
+    }
+    let replica = FilterReplica::new(2);
+    replica.install_filter(&mut master, query("(objectclass=inetOrgPerson)")).expect("install");
+    (master, replica)
+}
+
+fn team_query(team: &str) -> SearchRequest {
+    query(&format!("(&(objectclass=inetOrgPerson)(team={team}))"))
+}
+
+/// Bytes `answer` allocates per entry it returns beyond the first 50,
+/// between the 50-entry and the 200-entry team; each asked once before,
+/// so that what the first call of a kind sets up is not counted.
+fn bytes_per_further_entry(mut answer: impl FnMut(&SearchRequest) -> usize) -> u64 {
+    let mut bytes_of_team = |team: &str, size: usize| {
+        let q = team_query(team);
+        answer(&q);
+        let (returned, bytes) = bytes_of(|| answer(&q));
+        assert_eq!(returned, size);
+        bytes
+    };
+    let (small, large) = (bytes_of_team("a", 50), bytes_of_team("b", 200));
+    (large - small) / 150
+}
+
+#[test]
+fn an_answer_allocates_for_the_list_not_the_entries() {
+    let (master, replica) = teams();
+    let hit = bytes_per_further_entry(|q| replica.try_answer(q).expect("contained").len());
+    let search = bytes_per_further_entry(|q| master.dit().search(q).len());
+    let results = |q: &SearchRequest| master.dit().search(q);
+    let (small, large) = (results(&team_query("a")), results(&team_query("b")));
+    let cache = bytes_per_further_entry(|q| {
+        let result = if q == &team_query("a") { &small } else { &large };
+        replica.cache_query(q.clone(), result);
+        result.len()
+    });
+    println!("per further returned entry: hit {hit} B, master search {search} B, cache_query {cache} B");
+    assert!(hit <= 100, "a replica hit allocates {hit} B per further entry");
+    assert!(search <= 100, "a master search allocates {search} B per further entry");
+    assert!(cache <= 100, "caching a result allocates {cache} B per further entry");
+}
+
+/// Bytes the master allocates to replace person 42's one `mail` value
+/// while a persist-mode replica holds the entry, every other attribute of
+/// which carries `others` values.
+fn shared_entry_modify(others: usize) -> u64 {
+    let mut master = master_of(100);
+    let wide: Vec<Modification> = ["sn", "departmentNumber", "telephoneNumber", "location"]
+        .into_iter()
+        .map(|a| Modification::Replace(a.into(), (0..others).map(|v| format!("{v:04}").into()).collect()))
+        .collect();
+    master.apply(UpdateOp::Modify { dn: dn("cn=p00042,c=us,o=xyz"), mods: wide }).expect("widen");
+    let replica = FilterReplica::new(0);
+    replica.install_filter_persistent(&mut master, query("(serialNumber=1000*)")).expect("install");
+    let (_, bytes) = bytes_of(|| move_person_42(&mut master));
+    assert_eq!(replica.drain_notifications().full_entries, 1);
+    let moved = replica.try_answer(&query("(serialNumber=100042)")).expect("contained");
+    assert!(moved[0].has_value(&"mail".into(), &"moved@us.xyz.com".into()));
+    assert_eq!(moved[0].values(&"location".into()).count(), others);
+    bytes
+}
+
+#[test]
+fn a_write_to_a_shared_entry_copies_what_it_changes() {
+    let (narrow, wide) = (shared_entry_modify(1), shared_entry_modify(16));
+    println!("one-value modify of a held entry: {narrow} B beside 1-value attributes, {wide} B beside 16-value ones");
+    assert_eq!(narrow, wide, "the write copied values it did not change");
 }
