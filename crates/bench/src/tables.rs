@@ -5,6 +5,7 @@ use crate::setup::Params;
 use fbdr_containment::filter_contained;
 use fbdr_core::experiment::{replay_filter, ReplayConfig};
 use fbdr_core::Replicator;
+use fbdr_dit::History;
 use fbdr_ldap::{Filter, Scope, SearchRequest};
 use fbdr_resync::baseline::{
     divergence, ChangelogSync, FullReload, NaiveChangelogSync, RetainSync, Synchronizer,
@@ -169,8 +170,10 @@ pub fn sync_ablation(params: &Params) -> Vec<SyncAblationRow> {
     let cycles = 10usize;
     let chunk = updates.len().div_ceil(cycles);
 
-    // One master; every strategy consumes the same history.
+    // One master; every baseline consumes the same history of it, kept
+    // here (the master keeps none) and trimmed once all have read a cycle.
     let mut master = SyncMaster::with_dit(dir.dit().clone());
+    let mut history = History::new();
 
     // ReSync session.
     let resp = master.resync(&request, ReSyncControl::poll(None)).expect("initial resync");
@@ -188,27 +191,30 @@ pub fn sync_ablation(params: &Params) -> Vec<SyncAblationRow> {
     ];
     // Initial loads (not counted: every strategy pays the same bootstrap).
     for (s, content, _) in &mut baselines {
-        let _ = s.sync(master.dit(), &request, content);
+        let _ = s.sync(master.dit(), &history, &request, content);
     }
     // The naive changelog consumer is bootstrapped with a full load and
     // reads the log only from there — the realistic §5.2 setting.
     let mut naive_content = ReplicaContent::new();
-    FullReload.sync(master.dit(), &request, &mut naive_content);
+    FullReload.sync(master.dit(), &history, &request, &mut naive_content);
     let mut naive = NaiveChangelogSync::starting_at(master.dit().csn());
     let mut naive_traffic = SyncTraffic::default();
 
     for part in updates.chunks(chunk.max(1)) {
         for op in part {
-            let _ = master.apply(op.clone());
+            if let Ok(rec) = master.apply(op.clone()) {
+                history.record(rec);
+            }
         }
         let resp = master.resync(&request, ReSyncControl::poll(Some(cookie))).expect("poll");
         cookie = resp.cookie.expect("cookie issued");
         resync_traffic.absorb(&resp.traffic());
         resync_content.apply_all(&resp.actions);
         for (s, content, traffic) in &mut baselines {
-            traffic.absorb(&s.sync(master.dit(), &request, content));
+            traffic.absorb(&s.sync(master.dit(), &history, &request, content));
         }
-        naive_traffic.absorb(&naive.sync(master.dit(), &request, &mut naive_content));
+        naive_traffic.absorb(&naive.sync(master.dit(), &history, &request, &mut naive_content));
+        history.trim(master.dit().csn());
     }
 
     let mut rows = vec![SyncAblationRow {

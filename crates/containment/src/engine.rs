@@ -5,7 +5,7 @@ use crate::cross_template::{CompiledCondition, CrossTemplateMatrix};
 use crate::qc::region_contained;
 use crate::same_template::same_template_contained;
 use crate::{filter_contained, Containment};
-use fbdr_ldap::{AttrValue, Filter, SearchRequest, Template};
+use fbdr_ldap::{AttrValue, SearchRequest, Template};
 use fbdr_obs::{event, Counter, Histogram, MetricsRegistry, Obs};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -270,14 +270,6 @@ impl ContainmentEngine {
             && self.filter_contained(q, s)
     }
 
-    /// Convenience: checks an unprepared filter pair through the dispatch
-    /// (templates are extracted on the fly).
-    pub fn filters_contained(&self, f1: &Filter, f2: &Filter) -> bool {
-        let q = PreparedQuery::new(SearchRequest::from_root(f1.clone()));
-        let s = PreparedQuery::new(SearchRequest::from_root(f2.clone()));
-        self.filter_contained(&q, &s)
-    }
-
     /// The compiled condition for the pair, from the cache when present;
     /// otherwise compiled *outside* the lock and recorded afterwards.
     fn condition_for(&self, t1: &Template, t2: &Template) -> Option<Arc<CompiledCondition>> {
@@ -293,7 +285,7 @@ impl ContainmentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbdr_ldap::Scope;
+    use fbdr_ldap::{Filter, Scope};
 
     fn prep(base: &str, filter: &str) -> PreparedQuery {
         PreparedQuery::new(SearchRequest::new(

@@ -63,7 +63,7 @@
 //! # }
 //! ```
 
-use fbdr_dit::DitStore;
+use fbdr_dit::{DitStore, History};
 use fbdr_net::{DirectoryService, ServerOutcome};
 use fbdr_replica::{FilterReplica, SubtreeReplica};
 use fbdr_resync::{
@@ -157,11 +157,6 @@ impl ReplicaNode {
     pub fn driver_stats(&self) -> fbdr_resync::DriverStats {
         self.coordinator.lock().stats()
     }
-
-    /// Consumes the node, returning the replica.
-    pub fn into_replica(self) -> FilterReplica {
-        self.replica
-    }
 }
 
 impl DirectoryService for ReplicaNode {
@@ -211,11 +206,11 @@ impl SubtreeReplicaNode {
         self.replica.read().stats()
     }
 
-    /// Ships every pending change of the held contexts from the master
-    /// (readers block for the duration of the cycle). Returns the sync
-    /// traffic.
-    pub fn sync_from(&self, master: &DitStore) -> SyncTraffic {
-        self.replica.write().sync_from(master)
+    /// Ships every pending change of the held contexts from the master,
+    /// read off the caller's `history` of it (readers block for the
+    /// duration of the cycle). Returns the sync traffic.
+    pub fn sync_from(&self, master: &DitStore, history: &History) -> SyncTraffic {
+        self.replica.write().sync_from(master, history)
     }
 }
 
@@ -235,7 +230,7 @@ impl DirectoryService for SubtreeReplicaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbdr_dit::{DitStore, NamingContext};
+    use fbdr_dit::NamingContext;
     use fbdr_ldap::{Entry, Filter, Scope, SearchRequest};
     use fbdr_net::{Network, Server};
     use fbdr_resync::SyncMaster;
@@ -474,13 +469,14 @@ mod tests {
         sub.replicate_context(&dit, NamingContext::new("c=us,o=xyz".parse().unwrap()));
         let node = SubtreeReplicaNode::new("ldap://sub", sub, "ldap://master");
 
-        dit.add(
+        let mut history = History::new();
+        let added = dit.add(
             Entry::new("cn=n,c=us,o=xyz".parse().unwrap())
                 .with("objectclass", "person")
                 .with("serialNumber", "049999"),
-        )
-        .unwrap();
-        let t = node.sync_from(&dit);
+        );
+        history.record(added.unwrap());
+        let t = node.sync_from(&dit, &history);
         assert_eq!(t.full_entries, 1);
 
         let q = SearchRequest::new(

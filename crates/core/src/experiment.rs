@@ -17,7 +17,7 @@
 
 use crate::replicator::{Replicator, ServedBy};
 use fbdr_containment::EngineStats;
-use fbdr_dit::{DitStore, NamingContext, UpdateOp};
+use fbdr_dit::{DitStore, History, NamingContext, UpdateOp};
 use fbdr_ldap::SearchRequest;
 use fbdr_replica::{ReplicaStats, SubtreeReplica};
 use fbdr_resync::SyncTraffic;
@@ -84,13 +84,6 @@ impl ReplayOutcome {
             Some((q, h)) if *q > 0 => *h as f64 / *q as f64,
             _ => 0.0,
         }
-    }
-
-    /// Total update traffic in entries (full entries shipped; DN-only
-    /// PDUs weighted as entries is deliberately avoided — the paper
-    /// reports entries).
-    pub fn update_traffic_entries(&self) -> u64 {
-        self.resync_traffic.full_entries + self.revolution_traffic.full_entries
     }
 }
 
@@ -169,6 +162,8 @@ pub fn replay_subtree(
     routing: Routing,
 ) -> ReplayOutcome {
     let mut out = ReplayOutcome::default();
+    // The replica's feed: what the master applied since the last cycle.
+    let mut history = History::new();
     let mut next_update = 0usize;
     for (i, tq) in trace.iter().enumerate() {
         let hit = match routing {
@@ -185,15 +180,18 @@ pub fn replay_subtree(
         };
         record(&mut out.per_kind, tq.kind, hit);
         if cfg.update_every > 0 && (i + 1) % cfg.update_every == 0 && next_update < updates.len() {
-            let _ = master.apply(updates[next_update].clone());
+            if let Ok(rec) = master.apply(updates[next_update].clone()) {
+                history.record(rec);
+            }
             next_update += 1;
             out.updates_applied += 1;
         }
         if cfg.sync_every > 0 && (i + 1) % cfg.sync_every == 0 {
-            out.resync_traffic.absorb(&replica.sync_from(master));
+            out.resync_traffic.absorb(&replica.sync_from(master, &history));
+            history.trim(master.csn());
         }
     }
-    out.resync_traffic.absorb(&replica.sync_from(master));
+    out.resync_traffic.absorb(&replica.sync_from(master, &history));
     if routing == Routing::Strict {
         out.overall = replica.stats();
     }

@@ -11,10 +11,11 @@
 //!   a predicate is scanned, how a filter plans) and the sorted id lists
 //!   it works on, shared by this store and the replica's snapshot index.
 //! * [`ChangeRecord`] / change sequence numbers ([`Csn`]) — an RFC-changelog
-//!   style record of update operations (changed attributes only), used by
-//!   the changelog-based synchronization baseline.
-//! * [`Tombstone`]s — hidden markers for deleted entries, used by the
-//!   tombstone-based synchronization baseline.
+//!   style record of one update operation (changed attributes only), which
+//!   every `apply` returns and the store does not keep.
+//! * [`History`] — a consumer's own changelog and [`Tombstone`] list, fed
+//!   from those records: what the changelog- and tombstone-based
+//!   synchronization baselines and the subtree replica's feed read.
 //! * [`NamingContext`] — the `(suffix, referrals…)` tuple of the LDAP
 //!   distributed directory model (§2.3 of the paper).
 //!
@@ -48,7 +49,7 @@ pub mod posting;
 mod store;
 mod update;
 
-pub use changelog::{ChangeKind, ChangeRecord, Csn, Tombstone};
+pub use changelog::{ChangeKind, ChangeRecord, Csn, History, Tombstone};
 pub use context::NamingContext;
 pub use error::{DitError, ImportError};
 pub use store::DitStore;

@@ -1,13 +1,14 @@
 //! The DIT store: hierarchical entry storage, indexed search, updates.
 
-use crate::changelog::{ChangeKind, ChangeRecord, Csn, Tombstone};
+use crate::changelog::{ChangeKind, ChangeRecord, Csn};
 use crate::error::{DitError, ImportError};
 use crate::index::{self, Indexes};
 use crate::update::{Modification, UpdateOp};
 use fbdr_ldap::{AttrName, AttrValue, Dn, Entry, Scope, SearchRequest};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Hierarchical map key: orders DNs root-first over normalized RDN
 /// components ([`Dn::cmp_hierarchical`]), so that the subtree of a DN is
@@ -28,24 +29,30 @@ impl PartialOrd for TreeKey {
     }
 }
 
-/// The entries, addressed by dense id: `slots[id]` holds the entry,
-/// `by_dn` gives DN → id and the hierarchical order, and the attribute
-/// index lists ids. An id is stable while its entry lives — across
-/// modifies and renames — and is recycled through `free` once the entry is
-/// deleted. Only the entries are data: they serialize as a sequence in
-/// hierarchical order, and ids, free list and index are rebuilt from it on
-/// load.
+/// The entries, addressed by dense id: `slots[id]` holds the entry, two
+/// maps give DN → id, and the attribute index lists ids. `ids` is
+/// *identity* — which id a DN has, one hash of the DN's normalized text —
+/// and answers every point lookup; `by_dn` is *order* — the hierarchical
+/// sequence in which a subtree is one contiguous run — and answers only
+/// what walks it (`subtree`, `children`, `has_children`, `iter`,
+/// serialization). Both hold the same key set and ids (`Dn`'s `Hash` and
+/// `Eq` agree with `TreeKey`'s: all compare normalized RDNs). An id is
+/// stable while its entry lives — across modifies and renames — and is
+/// recycled through `free` once the entry is deleted. Only the entries are
+/// data: they serialize as a sequence in hierarchical order, and ids, free
+/// list, both maps and index are rebuilt from it on load.
 #[derive(Debug, Default, Clone)]
 struct Entries {
     slots: Vec<Option<Entry>>,
     free: Vec<u32>,
     by_dn: BTreeMap<TreeKey, u32>,
+    ids: HashMap<Dn, u32>,
     indexes: Indexes,
 }
 
 impl Entries {
     fn id_of(&self, dn: &Dn) -> Option<u32> {
-        self.by_dn.get(&TreeKey(dn.clone())).copied()
+        self.ids.get(dn).copied()
     }
 
     fn get(&self, id: u32) -> &Entry {
@@ -62,12 +69,14 @@ impl Entries {
             self.indexes.insert(a, index::keys_only_in(vs, std::iter::empty), id);
         }
         self.by_dn.insert(TreeKey(entry.dn().clone()), id);
+        self.ids.insert(entry.dn().clone(), id);
         self.slots[id as usize] = Some(entry);
     }
 
-    /// Removes the entry at `dn` from slots, order and index.
+    /// Removes the entry at `dn` from slots, both maps and index.
     fn remove(&mut self, dn: &Dn) {
-        let Some(id) = self.by_dn.remove(&TreeKey(dn.clone())) else { return };
+        let Some(id) = self.ids.remove(dn) else { return };
+        self.by_dn.remove(&TreeKey(dn.clone()));
         let entry = self.slots[id as usize].take().expect("listed ids are live");
         for (a, vs) in entry.attrs() {
             self.indexes.remove(a, index::keys_only_in(vs, std::iter::empty), id);
@@ -100,9 +109,30 @@ impl Entries {
         Ok(entry)
     }
 
+    /// Moves the id of the entry renamed from `old` to `new` under its new
+    /// name in both maps.
+    fn rekey(&mut self, old: &Dn, new: Dn) {
+        let Some(id) = self.ids.remove(old) else { return };
+        self.by_dn.remove(&TreeKey(old.clone()));
+        self.by_dn.insert(TreeKey(new.clone()), id);
+        self.ids.insert(new, id);
+    }
+
     fn iter(&self) -> impl Iterator<Item = &Entry> {
         self.by_dn.values().map(move |&id| self.get(id))
     }
+}
+
+/// The value sets of `attrs` as `entry` now holds them, shared with it; an
+/// attribute the entry lacks lists no values.
+fn changes_of<'a>(
+    entry: &Entry,
+    attrs: impl IntoIterator<Item = &'a AttrName>,
+) -> Vec<(AttrName, Arc<BTreeSet<AttrValue>>)> {
+    attrs
+        .into_iter()
+        .map(|a| (a.clone(), entry.value_set(a).cloned().unwrap_or_default()))
+        .collect()
 }
 
 impl Serialize for Entries {
@@ -124,22 +154,21 @@ impl<'de> Deserialize<'de> for Entries {
     }
 }
 
-/// An in-memory Directory Information Tree with attribute indexes, a
-/// changelog and tombstones.
+/// An in-memory Directory Information Tree with attribute indexes.
 ///
 /// Entries may only be added under an existing parent or at a registered
 /// suffix ([`DitStore::add_suffix`]). Deletes and renames require leaf
 /// entries, matching LDAP semantics.
 ///
-/// Every applied update produces a [`ChangeRecord`] with a monotonically
-/// increasing [`Csn`]; the record is also appended to the store's changelog.
+/// Every applied update returns a [`ChangeRecord`] with a monotonically
+/// increasing [`Csn`]. The store keeps the counter, not the records: a
+/// consumer that needs a changelog or tombstones feeds what `apply`
+/// returns to its own [`History`](crate::History).
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct DitStore {
     entries: Entries,
     suffixes: Vec<Dn>,
     csn: Csn,
-    changelog: Vec<ChangeRecord>,
-    tombstones: Vec<Tombstone>,
 }
 
 impl DitStore {
@@ -174,23 +203,6 @@ impl DitStore {
     /// Current (latest applied) change sequence number.
     pub fn csn(&self) -> Csn {
         self.csn
-    }
-
-    /// The full changelog, oldest first.
-    pub fn changelog(&self) -> &[ChangeRecord] {
-        &self.changelog
-    }
-
-    /// Changelog records with CSN strictly greater than `since`.
-    pub fn changelog_since(&self, since: Csn) -> &[ChangeRecord] {
-        // CSNs are assigned 1,2,3… so record i has CSN i+1.
-        let start = (since.0 as usize).min(self.changelog.len());
-        &self.changelog[start..]
-    }
-
-    /// Tombstones of entries deleted after `since`.
-    pub fn tombstones_since(&self, since: Csn) -> impl Iterator<Item = &Tombstone> {
-        self.tombstones.iter().filter(move |t| t.csn > since)
     }
 
     /// Looks up an entry by DN.
@@ -310,10 +322,7 @@ impl DitStore {
                 _ => return Err(DitError::NoParent(dn)),
             }
         }
-        let changes = entry
-            .attrs()
-            .map(|(a, vs)| (a.clone(), vs.iter().cloned().collect()))
-            .collect();
+        let changes = changes_of(&entry, entry.attr_names());
         self.entries.insert(entry);
         Ok(self.record(dn, ChangeKind::Add, changes, None))
     }
@@ -332,9 +341,7 @@ impl DitStore {
             return Err(DitError::NotLeaf(dn.clone()));
         }
         self.entries.remove(dn);
-        let rec = self.record(dn.clone(), ChangeKind::Delete, Vec::new(), None);
-        self.tombstones.push(Tombstone { dn: dn.clone(), csn: rec.csn });
-        Ok(rec)
+        Ok(self.record(dn.clone(), ChangeKind::Delete, Vec::new(), None))
     }
 
     /// Modifies an entry's attributes.
@@ -381,13 +388,7 @@ impl DitStore {
             }
             Ok(())
         })?;
-        let changes = touched
-            .into_iter()
-            .map(|a| {
-                let vals: Vec<AttrValue> = entry.values(&a).cloned().collect();
-                (a, vals)
-            })
-            .collect();
+        let changes = changes_of(entry, &touched);
         Ok(self.record(dn.clone(), ChangeKind::Modify, changes, None))
     }
 
@@ -442,12 +443,8 @@ impl DitStore {
             entry.set_dn(new_dn.clone());
             Ok(())
         });
-        let changes = vec![(
-            new_rdn.attr().clone(),
-            renamed?.values(new_rdn.attr()).cloned().collect(),
-        )];
-        self.entries.by_dn.remove(&TreeKey(dn.clone()));
-        self.entries.by_dn.insert(TreeKey(new_dn.clone()), id);
+        let changes = changes_of(renamed?, [new_rdn.attr()]);
+        self.entries.rekey(dn, new_dn.clone());
         Ok(self.record(dn.clone(), ChangeKind::ModifyDn, changes, Some(new_dn)))
     }
 
@@ -455,13 +452,11 @@ impl DitStore {
         &mut self,
         dn: Dn,
         kind: ChangeKind,
-        changes: Vec<(AttrName, Vec<AttrValue>)>,
+        changes: Vec<(AttrName, Arc<BTreeSet<AttrValue>>)>,
         new_dn: Option<Dn>,
     ) -> ChangeRecord {
         self.csn = self.csn.next();
-        let rec = ChangeRecord { csn: self.csn, dn, kind, changes, new_dn };
-        self.changelog.push(rec.clone());
-        rec
+        ChangeRecord { csn: self.csn, dn, kind, changes, new_dn }
     }
 
     // ---------------------------------------------------------------
@@ -550,6 +545,7 @@ impl DitStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::History;
     use fbdr_ldap::{Filter, Rdn};
 
     fn dn(s: &str) -> Dn {
@@ -610,8 +606,6 @@ mod tests {
             s.delete(&dn("cn=John Doe,c=us,o=xyz")),
             Err(DitError::NoSuchEntry(_))
         ));
-        // Tombstone recorded.
-        assert_eq!(s.tombstones_since(Csn::ZERO).count(), 1);
     }
 
     #[test]
@@ -722,12 +716,17 @@ mod tests {
             .unwrap();
         let attrs: Vec<&str> = rec.changes.iter().map(|(a, _)| a.as_str()).collect();
         assert_eq!(attrs, ["mail", "tel"]);
-        assert_eq!(rec.changes[0].1, vec!["a@x".into(), "b@x".into()]);
+        assert_eq!(*rec.changes[0].1, BTreeSet::from(["a@x".into(), "b@x".into()]));
+        // The record shares the stored entry's sets; it copies no value.
+        let stored = s.get(&dn("cn=John Doe,c=us,o=xyz")).unwrap();
+        assert!(Arc::ptr_eq(&rec.changes[0].1, stored.value_set(&"mail".into()).unwrap()));
     }
 
-    /// The index lists exactly what the entries hold: it equals one
-    /// rebuilt from the slots under the same ids, so no posting is
-    /// missing and none is stale.
+    /// The derived state says exactly what the entries hold. The index
+    /// equals one rebuilt from the slots under the same ids, so no posting
+    /// is missing and none is stale; the identity map and the order map
+    /// name the same DNs under the same ids, each the id of the slot that
+    /// holds the entry of that name.
     fn assert_index_exact(s: &DitStore) {
         let mut rebuilt = Indexes::default();
         for (id, e) in s.entries.slots.iter().enumerate() {
@@ -736,6 +735,13 @@ mod tests {
             }
         }
         assert_eq!(s.entries.indexes, rebuilt);
+        let live = s.entries.slots.iter().flatten().count();
+        assert_eq!(s.entries.ids.len(), live);
+        assert_eq!(s.entries.by_dn.len(), live);
+        for (key, &id) in &s.entries.by_dn {
+            assert_eq!(s.entries.ids.get(&key.0), Some(&id), "{}", key.0);
+            assert_eq!(s.entries.get(id).dn(), &key.0);
+        }
     }
 
     #[test]
@@ -753,7 +759,19 @@ mod tests {
         // A rename keeps the id and moves only the naming value.
         s.modify_dn(&heir, Rdn::new("cn", "Heiress"), Some(dn("c=us,o=xyz"))).unwrap();
         assert_eq!(s.entries.id_of(&dn("cn=Heiress,c=us,o=xyz")), Some(id));
+        assert_eq!(s.entries.id_of(&heir), None);
         assert_index_exact(&s);
+        // Another spelling of the name is the same name: one key, one id.
+        assert_eq!(s.entries.id_of(&dn("CN=heiress, C=US, O=XYZ")), Some(id));
+        assert!(matches!(
+            s.add(Entry::new(dn("CN=HEIRESS,c=us,o=xyz"))),
+            Err(DitError::AlreadyExists(_))
+        ));
+        assert_index_exact(&s);
+        // A reload derives the same maps from the entries alone.
+        let reloaded: DitStore = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
+        assert_index_exact(&reloaded);
+        assert!(reloaded.contains(&dn("cn=HEIRESS,c=us,o=xyz")));
         // The numeric key 500 leaves with the last spelling of it.
         let heir = dn("cn=Heiress,c=us,o=xyz");
         let drop = |v: &str| vec![Modification::DeleteValues("n".into(), vec![v.into()])];
@@ -854,23 +872,24 @@ mod tests {
     }
 
     #[test]
-    fn changelog_accumulates_in_csn_order() {
+    fn a_history_fed_from_apply_accumulates_in_csn_order() {
         let mut s = base_store();
-        let n0 = s.changelog().len();
         let c0 = s.csn();
-        s.delete(&dn("cn=Ravi Rao,c=in,o=xyz")).unwrap();
-        s.modify(
-            &dn("cn=Jane Roe,c=us,o=xyz"),
-            vec![Modification::Replace("mail".into(), vec!["j@x".into()])],
-        )
-        .unwrap();
-        assert_eq!(s.changelog().len(), n0 + 2);
-        let since = s.changelog_since(c0);
+        let mut h = History::new();
+        h.record(s.delete(&dn("cn=Ravi Rao,c=in,o=xyz")).unwrap());
+        let mail = vec![Modification::Replace("mail".into(), vec!["j@x".into()])];
+        h.record(s.modify(&dn("cn=Jane Roe,c=us,o=xyz"), mail).unwrap());
+        // A refused update takes no CSN and leaves no record.
+        assert!(s.delete(&dn("cn=Ravi Rao,c=in,o=xyz")).is_err());
+        let since = h.since(c0);
         assert_eq!(since.len(), 2);
-        assert!(since[0].csn < since[1].csn);
+        assert_eq!((since[0].csn, since[1].csn), (c0.next(), s.csn()));
         assert_eq!(since[0].kind, ChangeKind::Delete);
         // Delete records carry no attributes — the changelog limitation.
         assert!(since[0].changes.is_empty());
+        let tombstones = h.tombstones_since(Csn::ZERO);
+        assert_eq!(tombstones.len(), 1);
+        assert_eq!((&tombstones[0].dn, tombstones[0].csn), (&since[0].dn, since[0].csn));
     }
 
     #[test]
@@ -906,11 +925,8 @@ mod tests {
         let restored: DitStore = serde_json::from_str(&json).expect("store deserializes");
         assert_eq!(restored.len(), s.len());
         assert_eq!(restored.csn(), s.csn());
-        assert_eq!(restored.changelog().len(), s.changelog().len());
-        assert_eq!(
-            restored.tombstones_since(Csn::ZERO).count(),
-            s.tombstones_since(Csn::ZERO).count()
-        );
+        // The store keeps no history, so its serialized form carries none.
+        assert!(!json.contains("changelog") && !json.contains("tombstones"), "{json}");
         // Indexed searches behave identically after the round trip.
         for f in ["(serialNumber=0456*)", "(serialNumber>=45650)", "(mail=*xyz.com)"] {
             let q = sub("o=xyz", f);
@@ -941,6 +957,40 @@ mod tests {
         twin.remove_value(&"mail".into(), &"jd@us.xyz.com".into());
         assert_eq!(serde_json::to_string(&twin).expect("entry serializes"), json);
         assert_eq!(serde_json::from_str::<Entry>(json).expect("entry deserializes"), e);
+    }
+
+    /// A store serialized before the log left it (literal bytes, taken
+    /// from that code) still loads: the two history keys are dropped, and
+    /// entries, suffixes and the CSN counter carry on as they were.
+    #[test]
+    fn a_snapshot_that_carries_a_changelog_loads_without_it() {
+        let a = r#"{"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"attrs":{"cn":["a"],"dept":["7"],"mail":["a@x"]}}"#;
+        let old = concat!(
+            r#"{"entries":[{"dn":[{"attr":"o","value":"xyz"}],"attrs":{"objectclass":["organization"]}},"#,
+            r#"{"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"attrs":{"cn":["a"],"dept":["7"],"mail":["a@x"]}}],"#,
+            r#""suffixes":[[{"attr":"o","value":"xyz"}]],"csn":5,"#,
+            r#""changelog":[{"csn":1,"dn":[{"attr":"o","value":"xyz"}],"kind":"Add","changes":[["objectclass",["organization"]]],"new_dn":null},"#,
+            r#"{"csn":2,"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"kind":"Add","changes":[["cn",["a"]],["dept",["7"]]],"new_dn":null},"#,
+            r#"{"csn":3,"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"kind":"Add","changes":[["cn",["b"]],["dept",["7"]]],"new_dn":null},"#,
+            r#"{"csn":4,"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"kind":"Delete","changes":[],"new_dn":null},"#,
+            r#"{"csn":5,"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"kind":"Modify","changes":[["mail",["a@x"]]],"new_dn":null}],"#,
+            r#""tombstones":[{"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"csn":4}]}"#,
+        );
+        let mut s: DitStore = serde_json::from_str(old).expect("an old snapshot loads");
+        assert_index_exact(&s);
+        assert_eq!((s.len(), s.csn(), s.suffixes()), (2, Csn(5), &[dn("o=xyz")][..]));
+        assert_eq!(serde_json::to_string(s.get(&dn("cn=a,o=xyz")).unwrap()).unwrap(), a);
+        assert_eq!(s.search_dns(&sub("o=xyz", "(dept=7)")), vec![dn("cn=a,o=xyz")]);
+        // Written back, it is the old form less the two keys.
+        let (kept, _) = old.split_once(r#","changelog""#).unwrap();
+        assert_eq!(serde_json::to_string(&s).unwrap(), format!("{kept}}}"));
+        let rec = s.add(Entry::new(dn("cn=b,o=xyz")).with("cn", "b")).unwrap();
+        assert_eq!(rec.csn, Csn(6));
+        // A record's changes read and write the form they had as lists.
+        let rec5 = r#"{"csn":5,"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"kind":"Modify","changes":[["mail",["a@x"]]],"new_dn":null}"#;
+        let read: ChangeRecord = serde_json::from_str(rec5).unwrap();
+        assert_eq!(read.changes, [("mail".into(), Arc::new(BTreeSet::from(["a@x".into()])))]);
+        assert_eq!(serde_json::to_string(&read).unwrap(), rec5);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests for the DIT store: indexed search must agree with a
-//! brute-force scan after any sequence of updates, and the changelog must
-//! replay to the same state.
+//! brute-force scan after any sequence of updates, point lookups must
+//! agree with the tree walk, and a history fed from `apply` must be a
+//! well-formed changelog.
 
-use fbdr_dit::{diff_entries, ChangeKind, DitStore, Modification, UpdateOp};
+use fbdr_dit::{diff_entries, ChangeKind, ChangeRecord, Csn, DitStore, History, Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use proptest::prelude::*;
 
@@ -73,10 +74,11 @@ fn reload(d: &DitStore) -> DitStore {
     serde_json::from_str(&json).expect("store deserializes")
 }
 
-fn apply(d: &mut DitStore, op: &Op) {
+/// Applies one op; the record, when the store accepted an update.
+fn apply(d: &mut DitStore, op: &Op) -> Option<ChangeRecord> {
     let modify = |dn, m| UpdateOp::Modify { dn, mods: vec![m] };
     let n_value = |n: &usize| vec![SPELLINGS[*n].into()];
-    let _ = match op {
+    let applied = match op {
         Op::Add { id, dept, serial, n } => d.apply(UpdateOp::Add(
             Entry::new(dn_of(*id))
                 .with("objectclass", "person")
@@ -106,9 +108,10 @@ fn apply(d: &mut DitStore, op: &Op) {
         )),
         Op::Reload => {
             *d = reload(d);
-            return;
+            return None;
         }
     };
+    applied.ok()
 }
 
 fn subtree(filter: &str) -> SearchRequest {
@@ -286,27 +289,58 @@ proptest! {
         }
     }
 
-    /// The changelog's CSNs increase strictly and deletes produce
-    /// tombstones with matching CSNs.
+    /// Point lookups (the identity map) and tree walks (the order map)
+    /// name the same entries after every op — recycled ids, renames,
+    /// reloads — whichever way a DN is spelled: each walked entry is the
+    /// one a lookup of its name returns, and no other name resolves.
     #[test]
-    fn changelog_csn_monotone(ops in ops(60)) {
+    fn lookups_agree_with_the_tree_walk(ops in ops(60)) {
         let mut d = fresh();
         for o in &ops {
             apply(&mut d, o);
+            let walked: Vec<&Entry> = d.iter().collect();
+            prop_assert_eq!(walked.len(), d.len());
+            for e in &walked {
+                let shouted: Dn = e.dn().to_string().to_uppercase().parse().expect("valid dn");
+                for name in [e.dn(), &shouted] {
+                    prop_assert!(d.contains(name), "{} after {:?}", name, o);
+                    prop_assert!(d.get(name).is_some_and(|got| std::ptr::eq(got, *e)), "{} after {:?}", name, o);
+                }
+            }
+            for id in 0..16 {
+                let listed = walked.iter().any(|e| e.dn() == &dn_of(id));
+                prop_assert_eq!(d.contains(&dn_of(id)), listed, "p{} after {:?}", id, o);
+            }
         }
-        let mut last = fbdr_dit::Csn::ZERO;
-        for rec in d.changelog() {
-            prop_assert!(rec.csn > last);
+    }
+
+    /// A history fed what `apply` returns is a changelog: CSNs increase
+    /// strictly, one per accepted update up to the store's own counter, and
+    /// deletes leave tombstones with matching CSNs.
+    #[test]
+    fn changelog_csn_monotone(ops in ops(60)) {
+        let mut d = fresh();
+        let born = d.csn();
+        let mut h = History::new();
+        for o in &ops {
+            if let Some(rec) = apply(&mut d, o) {
+                prop_assert_eq!(rec.csn, d.csn());
+                h.record(rec);
+            }
+        }
+        let mut last = born;
+        for rec in h.since(Csn::ZERO) {
+            prop_assert_eq!(rec.csn, last.next());
             last = rec.csn;
         }
-        let delete_csns: Vec<_> = d
-            .changelog()
+        prop_assert_eq!(last, d.csn());
+        let delete_csns: Vec<_> = h
+            .since(Csn::ZERO)
             .iter()
             .filter(|r| r.kind == ChangeKind::Delete)
             .map(|r| r.csn)
             .collect();
-        let tombstone_csns: Vec<_> =
-            d.tombstones_since(fbdr_dit::Csn::ZERO).map(|t| t.csn).collect();
+        let tombstone_csns: Vec<_> = h.tombstones_since(Csn::ZERO).iter().map(|t| t.csn).collect();
         prop_assert_eq!(delete_csns, tombstone_csns);
     }
 

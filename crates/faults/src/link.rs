@@ -106,11 +106,6 @@ impl<M: FaultTarget> FaultyLink<M> {
         &mut self.master
     }
 
-    /// Unwraps the link, returning the master.
-    pub fn into_master(self) -> M {
-        self.master
-    }
-
     /// The simulated clock the link advances.
     pub fn clock(&self) -> &SimClock {
         &self.clock

@@ -162,11 +162,6 @@ impl FaultPlan {
         FaultPlan::builder(0).build()
     }
 
-    /// Number of operations decided so far.
-    pub fn ops_decided(&self) -> u64 {
-        self.op
-    }
-
     /// Stops injecting faults from the next operation onward.
     pub fn quiesce(&mut self) {
         self.config.quiesce_after = Some(self.op);

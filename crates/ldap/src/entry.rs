@@ -155,6 +155,13 @@ impl Entry {
         self.attrs.get(attr).into_iter().flat_map(|set| set.iter())
     }
 
+    /// The value set of an attribute as the entry holds it, for a reader
+    /// that keeps it: cloning the `Arc` shares the set instead of copying
+    /// its values.
+    pub fn value_set(&self, attr: &AttrName) -> Option<&Arc<BTreeSet<AttrValue>>> {
+        self.attrs.get(attr)
+    }
+
     /// The first value of an attribute, if any.
     pub fn first_value(&self, attr: &AttrName) -> Option<&AttrValue> {
         self.values(attr).next()

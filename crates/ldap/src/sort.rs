@@ -48,11 +48,6 @@ impl SortKey {
         &self.attr
     }
 
-    /// True when the order is reversed.
-    pub fn is_descending(&self) -> bool {
-        self.reverse
-    }
-
     /// Compares two entries under this key.
     fn compare(&self, a: &Entry, b: &Entry) -> Ordering {
         let ka = sort_value(a, &self.attr);

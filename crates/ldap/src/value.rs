@@ -75,12 +75,6 @@ impl AttrValue {
         self.int
     }
 
-    /// True if both `self` and `other` are integers (and hence compare
-    /// numerically).
-    pub fn is_numeric_with(&self, other: &AttrValue) -> bool {
-        self.int.is_some() && other.int.is_some()
-    }
-
     /// Typed ordering of `self` against a range assertion value: an
     /// integer assertion compares numerically and rejects non-integer
     /// values (`None`); a string assertion compares normalized text

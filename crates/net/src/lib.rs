@@ -75,11 +75,6 @@ impl Network {
         Network::default()
     }
 
-    /// Creates an empty network with an explicit cost model.
-    pub fn with_cost(cost: CostModel) -> Self {
-        Network { cost, ..Network::default() }
-    }
-
     /// Attaches observability: clients created via [`Network::client`]
     /// count searches, round trips and referrals into the registry and
     /// emit `net.referral` trace events while chasing.

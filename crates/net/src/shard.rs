@@ -109,11 +109,6 @@ impl ShardMap {
         usize::from(self.shard_count)
     }
 
-    /// The shard owning DNs outside every assigned suffix.
-    pub fn default_shard(&self) -> ShardId {
-        self.default
-    }
-
     /// The `(suffix, shard)` assignments.
     pub fn entries(&self) -> &[(Dn, ShardId)] {
         &self.entries

@@ -1,7 +1,7 @@
 //! The subtree-based replication model (§3.4.1).
 
 use crate::stats::{AtomicReplicaStats, ReplicaStats};
-use fbdr_dit::{ChangeKind, Csn, DitStore, NamingContext};
+use fbdr_dit::{ChangeKind, Csn, DitStore, History, NamingContext};
 use fbdr_ldap::{Dn, Entry, Scope, SearchRequest};
 use fbdr_resync::SyncTraffic;
 
@@ -140,11 +140,12 @@ impl SubtreeReplica {
     /// held context is shipped (full entry for adds/mods, DN for
     /// deletes/renames). Subtree replication has no filter to consult, so
     /// *all* entries of the subtree travel, whether or not any query needs
-    /// them — the §3.2 update-traffic argument.
-    pub fn sync_from(&mut self, master: &DitStore) -> SyncTraffic {
+    /// them — the §3.2 update-traffic argument. `history` is the feed: the
+    /// records the master's `apply` returned since this replica last
+    /// synchronized (or loaded its contexts), kept by whoever drives it.
+    pub fn sync_from(&mut self, master: &DitStore, history: &History) -> SyncTraffic {
         let mut traffic = SyncTraffic::default();
-        let records: Vec<_> = master.changelog_since(self.last_csn).to_vec();
-        for rec in records {
+        for rec in history.since(self.last_csn) {
             let old_held = self.holds_dn(&rec.dn);
             match rec.kind {
                 ChangeKind::Delete => {
@@ -314,19 +315,13 @@ mod tests {
     fn sync_ships_all_subtree_changes() {
         let mut m = master();
         let mut r = us_replica(&m);
+        let mut h = History::new();
+        let mail = |v: &str| vec![Modification::Replace("mail".into(), vec![v.into()])];
         // Change inside the context: shipped even though no query needs it.
-        m.modify(
-            &dn("cn=a,c=us,o=xyz"),
-            vec![Modification::Replace("mail".into(), vec!["a@x".into()])],
-        )
-        .unwrap();
+        h.record(m.modify(&dn("cn=a,c=us,o=xyz"), mail("a@x")).unwrap());
         // Change outside the context: not shipped.
-        m.modify(
-            &dn("cn=c,c=in,o=xyz"),
-            vec![Modification::Replace("mail".into(), vec!["c@x".into()])],
-        )
-        .unwrap();
-        let t = r.sync_from(&m);
+        h.record(m.modify(&dn("cn=c,c=in,o=xyz"), mail("c@x")).unwrap());
+        let t = r.sync_from(&m, &h);
         assert_eq!(t.full_entries, 1);
         assert_eq!(t.dn_only, 0);
         // Replica content reflects the modify.
@@ -338,15 +333,14 @@ mod tests {
     fn sync_handles_add_delete_rename() {
         let mut m = master();
         let mut r = us_replica(&m);
-        m.add(
-            Entry::new(dn("cn=e,c=us,o=xyz"))
-                .with("objectclass", "person")
-                .with("serialNumber", "045699"),
-        )
-        .unwrap();
-        m.delete(&dn("cn=b,c=us,o=xyz")).unwrap();
-        m.modify_dn(&dn("cn=a,c=us,o=xyz"), fbdr_ldap::Rdn::new("cn", "a2"), None).unwrap();
-        let t = r.sync_from(&m);
+        let mut h = History::new();
+        let e = Entry::new(dn("cn=e,c=us,o=xyz"))
+            .with("objectclass", "person")
+            .with("serialNumber", "045699");
+        h.record(m.add(e).unwrap());
+        h.record(m.delete(&dn("cn=b,c=us,o=xyz")).unwrap());
+        h.record(m.modify_dn(&dn("cn=a,c=us,o=xyz"), fbdr_ldap::Rdn::new("cn", "a2"), None).unwrap());
+        let t = r.sync_from(&m, &h);
         assert_eq!(t.full_entries, 2); // add e + rename target a2
         assert_eq!(t.dn_only, 2); // delete b + rename source a
         assert_eq!(r.entry_count(), 3); // c=us, e, a2

@@ -1,9 +1,14 @@
 //! Baseline synchronization strategies ReSync is compared against (§5.2).
 //!
 //! Each strategy implements [`Synchronizer`]: given read access to the
-//! master's [`DitStore`] (including its changelog and tombstones), bring a
-//! [`ReplicaContent`] up to date and report the traffic spent. The
-//! strategies differ in what history they can consult:
+//! master's [`DitStore`] and to a [`History`] — the changelog and
+//! tombstones the store itself does not keep; whoever drives the strategies
+//! owns one and feeds it the records `apply` returns — bring a
+//! [`ReplicaContent`] up to date and report the traffic spent. A history
+//! need not reach back to the entries' creation, so the two log-driven
+//! convergent strategies load the content in full on their first cycle and
+//! read the log from there. The strategies differ in what history they can
+//! consult:
 //!
 //! | strategy | history used | converges? | delete traffic |
 //! |---|---|---|---|
@@ -18,7 +23,7 @@
 
 use crate::content::ReplicaContent;
 use crate::protocol::{SyncAction, SyncTraffic};
-use fbdr_dit::{ChangeKind, Csn, DitStore};
+use fbdr_dit::{ChangeKind, Csn, DitStore, History};
 use fbdr_ldap::{Dn, Entry, SearchRequest};
 use std::collections::{HashMap, HashSet};
 
@@ -27,11 +32,12 @@ pub trait Synchronizer {
     /// Human-readable strategy name (for experiment output).
     fn name(&self) -> &'static str;
 
-    /// Brings `replica` up to date with `master` for `request`, returning
-    /// the traffic this cycle cost.
+    /// Brings `replica` up to date with `master` for `request`, reading
+    /// what changed from `history`; returns the traffic this cycle cost.
     fn sync(
         &mut self,
         master: &DitStore,
+        history: &History,
         request: &SearchRequest,
         replica: &mut ReplicaContent,
     ) -> SyncTraffic;
@@ -57,6 +63,7 @@ impl Synchronizer for FullReload {
     fn sync(
         &mut self,
         master: &DitStore,
+        _history: &History,
         request: &SearchRequest,
         replica: &mut ReplicaContent,
     ) -> SyncTraffic {
@@ -87,10 +94,11 @@ impl Synchronizer for RetainSync {
     fn sync(
         &mut self,
         master: &DitStore,
+        history: &History,
         request: &SearchRequest,
         replica: &mut ReplicaContent,
     ) -> SyncTraffic {
-        let changed: HashSet<String> = changed_dns(master, self.last_csn);
+        let changed: HashSet<String> = changed_dns(history, self.last_csn);
         let mut actions = Vec::new();
         for e in master.search(request) {
             let k = e.dn().to_string();
@@ -112,7 +120,8 @@ impl Synchronizer for RetainSync {
 /// modified entry that no longer matches gets a conservative delete.
 #[derive(Debug, Default)]
 pub struct TombstoneSync {
-    last_csn: Csn,
+    /// Where the last cycle stopped reading; `None` before the first.
+    last_csn: Option<Csn>,
 }
 
 impl Synchronizer for TombstoneSync {
@@ -123,17 +132,21 @@ impl Synchronizer for TombstoneSync {
     fn sync(
         &mut self,
         master: &DitStore,
+        history: &History,
         request: &SearchRequest,
         replica: &mut ReplicaContent,
     ) -> SyncTraffic {
+        let Some(since) = self.last_csn.replace(master.csn()) else {
+            return FullReload.sync(master, history, request, replica);
+        };
         let mut actions = Vec::new();
         let mut seen: HashSet<String> = HashSet::new();
         // Tombstones are keyed by deletion CSN; walking the modified-DN
         // set (the changelog targets) in CSN order and emitting each
         // tombstoned delete at its own position keeps replica application
         // chronological (a delete-then-re-add must not end deleted).
-        let mut tombstones = master.tombstones_since(self.last_csn).peekable();
-        for rec in master.changelog_since(self.last_csn) {
+        let mut tombstones = history.tombstones_since(since).iter().peekable();
+        for rec in history.since(since) {
             if rec.kind == ChangeKind::Delete {
                 if let Some(ts) = tombstones.next_if(|t| t.csn <= rec.csn) {
                     actions.push(SyncAction::Delete(ts.dn.clone()));
@@ -161,7 +174,6 @@ impl Synchronizer for TombstoneSync {
         for ts in tombstones {
             actions.push(SyncAction::Delete(ts.dn.clone()));
         }
-        self.last_csn = master.csn();
         replica.apply_all(&actions);
         traffic_of(&actions)
     }
@@ -172,7 +184,8 @@ impl Synchronizer for TombstoneSync {
 /// are re-fetched and conservatively deleted when they no longer match.
 #[derive(Debug, Default)]
 pub struct ChangelogSync {
-    last_csn: Csn,
+    /// Where the last cycle stopped reading; `None` before the first.
+    last_csn: Option<Csn>,
 }
 
 impl Synchronizer for ChangelogSync {
@@ -183,11 +196,15 @@ impl Synchronizer for ChangelogSync {
     fn sync(
         &mut self,
         master: &DitStore,
+        history: &History,
         request: &SearchRequest,
         replica: &mut ReplicaContent,
     ) -> SyncTraffic {
+        let Some(since) = self.last_csn.replace(master.csn()) else {
+            return FullReload.sync(master, history, request, replica);
+        };
         let mut actions = Vec::new();
-        for rec in master.changelog_since(self.last_csn) {
+        for rec in history.since(since) {
             match rec.kind {
                 ChangeKind::Delete => actions.push(SyncAction::Delete(rec.dn.clone())),
                 ChangeKind::ModifyDn => {
@@ -207,7 +224,6 @@ impl Synchronizer for ChangelogSync {
                 },
             }
         }
-        self.last_csn = master.csn();
         replica.apply_all(&actions);
         traffic_of(&actions)
     }
@@ -255,11 +271,12 @@ impl Synchronizer for NaiveChangelogSync {
     fn sync(
         &mut self,
         master: &DitStore,
+        history: &History,
         request: &SearchRequest,
         replica: &mut ReplicaContent,
     ) -> SyncTraffic {
         let mut actions = Vec::new();
-        for rec in master.changelog_since(self.last_csn) {
+        for rec in history.since(self.last_csn) {
             let k = rec.dn.to_string();
             match rec.kind {
                 ChangeKind::Add => {
@@ -325,9 +342,9 @@ impl Synchronizer for NaiveChangelogSync {
 
 /// DNs touched by any change since `since` (targets and rename
 /// destinations).
-fn changed_dns(master: &DitStore, since: Csn) -> HashSet<String> {
+fn changed_dns(history: &History, since: Csn) -> HashSet<String> {
     let mut out = HashSet::new();
-    for rec in master.changelog_since(since) {
+    for rec in history.since(since) {
         out.insert(rec.dn.to_string());
         if let Some(nd) = &rec.new_dn {
             out.insert(nd.to_string());
@@ -382,26 +399,22 @@ mod tests {
         SearchRequest::new(dn("o=xyz"), Scope::Subtree, Filter::parse("(dept=7)").unwrap())
     }
 
+    /// The history starts where the test does: the master's initial load
+    /// is not in it.
     fn run_scenario(sync: &mut dyn Synchronizer) -> (DitStore, ReplicaContent, Vec<SyncTraffic>) {
         let mut m = master();
+        let mut h = History::new();
         let req = dept7();
         let mut replica = ReplicaContent::new();
         let mut traffics = Vec::new();
-        traffics.push(sync.sync(&m, &req, &mut replica));
+        traffics.push(sync.sync(&m, &h, &req, &mut replica));
         // Round of updates: b leaves (modify), c joins, a deleted, d added.
-        m.modify(
-            &dn("cn=b,o=xyz"),
-            vec![Modification::Replace("dept".into(), vec!["8".into()])],
-        )
-        .unwrap();
-        m.modify(
-            &dn("cn=c,o=xyz"),
-            vec![Modification::Replace("dept".into(), vec!["7".into()])],
-        )
-        .unwrap();
-        m.delete(&dn("cn=a,o=xyz")).unwrap();
-        m.apply(UpdateOp::Add(person("d", "7"))).unwrap();
-        traffics.push(sync.sync(&m, &req, &mut replica));
+        let dept = |v: &str| vec![Modification::Replace("dept".into(), vec![v.into()])];
+        h.record(m.modify(&dn("cn=b,o=xyz"), dept("8")).unwrap());
+        h.record(m.modify(&dn("cn=c,o=xyz"), dept("7")).unwrap());
+        h.record(m.delete(&dn("cn=a,o=xyz")).unwrap());
+        h.record(m.apply(UpdateOp::Add(person("d", "7"))).unwrap());
+        traffics.push(sync.sync(&m, &h, &req, &mut replica));
         (m, replica, traffics)
     }
 
@@ -425,13 +438,14 @@ mod tests {
     #[test]
     fn retain_sync_touches_whole_content_every_cycle() {
         let m = master();
+        let h = History::new();
         let req = dept7();
         let mut s = RetainSync::default();
         let mut replica = ReplicaContent::new();
-        let t0 = s.sync(&m, &req, &mut replica);
+        let t0 = s.sync(&m, &h, &req, &mut replica);
         assert_eq!(t0.full_entries, 2);
         // Nothing changed, but the whole content still travels as retains.
-        let t1 = s.sync(&m, &req, &mut replica);
+        let t1 = s.sync(&m, &h, &req, &mut replica);
         assert_eq!(t1.full_entries, 0);
         assert_eq!(t1.dn_only, 2);
         assert!(divergence(&m, &req, &replica).is_empty());
@@ -461,6 +475,7 @@ mod tests {
         // filter attribute (objectclass), so the naive log reader can
         // never establish membership and keeps a ghost.
         let mut m = master();
+        let mut h = History::new();
         let req = SearchRequest::new(
             dn("o=xyz"),
             Scope::Subtree,
@@ -469,16 +484,17 @@ mod tests {
         let mut replica = ReplicaContent::new();
         // Bootstrap the naive replica with a full reload (common practice),
         // then switch to naive changelog consumption.
-        FullReload.sync(&m, &req, &mut replica);
-        let mut naive = NaiveChangelogSync { last_csn: m.csn(), ..Default::default() };
+        FullReload.sync(&m, &h, &req, &mut replica);
+        let mut naive = NaiveChangelogSync::starting_at(m.csn());
+        // A convergent consumer of the same history, bootstrapped with it.
+        let mut replica2 = ReplicaContent::new();
+        let mut ts = TombstoneSync::default();
+        ts.sync(&m, &h, &req, &mut replica2);
 
-        m.modify(
-            &dn("cn=a,o=xyz"),
-            vec![Modification::Replace("dept".into(), vec!["8".into()])],
-        )
-        .unwrap();
-        m.delete(&dn("cn=a,o=xyz")).unwrap();
-        naive.sync(&m, &req, &mut replica);
+        let dept8 = vec![Modification::Replace("dept".into(), vec!["8".into()])];
+        h.record(m.modify(&dn("cn=a,o=xyz"), dept8).unwrap());
+        h.record(m.delete(&dn("cn=a,o=xyz")).unwrap());
+        naive.sync(&m, &h, &req, &mut replica);
 
         let ghosts = divergence(&m, &req, &replica);
         assert!(
@@ -486,9 +502,7 @@ mod tests {
             "naive changelog should diverge (ghost entry) but converged"
         );
         // The convergent strategies handle the same history fine.
-        let mut replica2 = ReplicaContent::new();
-        let mut ts = TombstoneSync::default();
-        ts.sync(&m, &req, &mut replica2);
+        ts.sync(&m, &h, &req, &mut replica2);
         assert!(divergence(&m, &req, &replica2).is_empty());
     }
 

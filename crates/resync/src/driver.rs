@@ -383,16 +383,6 @@ impl<C: Clock> SyncDriver<C> {
         self.stats
     }
 
-    /// Counts a persist→poll degradation (recorded by the replica when it
-    /// observes a disconnected notification channel).
-    pub fn note_poll_fallback(&mut self) {
-        self.stats.poll_fallbacks += 1;
-        if self.obs.is_active() {
-            self.obs.registry().counter("fbdr_resync_poll_fallbacks_total").inc();
-        }
-        event!(self.obs, "driver", "poll_fallback");
-    }
-
     /// Counts a full reinstall (rung 3 of [`SyncDriver::sync_slice`]).
     fn note_reinstall(&mut self) {
         self.stats.reinstalls += 1;

@@ -14,7 +14,7 @@ use fbdr_dit::{posting, ChangeRecord, DitError, DitStore, UpdateOp};
 use fbdr_ldap::{Dn, Entry, SearchRequest};
 use fbdr_obs::{event, Obs};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Per-session state: the request, what the replica has been sent, the
 /// live content, and the **session history** — which DNs were touched
@@ -319,6 +319,15 @@ pub struct SyncMaster {
     /// Reused candidate buffer, so steady-state routing allocates nothing.
     #[serde(skip)]
     scratch: Vec<u32>,
+    /// Sessions whose notification queue may hold something: an apply
+    /// under a coalescing policy lists a session when it takes its `dirty`
+    /// from zero, and [`SyncMaster::flush_notifications`] — the only
+    /// reader — drops an id once it finds the queue flushed, torn down or
+    /// the session gone. So a flush tests what was queued, not every
+    /// session. Derived and not persisted: a restored session has no
+    /// channel and an empty queue.
+    #[serde(skip)]
+    queued: BTreeSet<u64>,
     /// `Some(n)`: a pending batch is replayable for at most `n` applied
     /// updates; after that a retry gets [`SyncError::ReplayExpired`] and
     /// must reinstall. `None`: batches are held until acknowledged.
@@ -462,26 +471,23 @@ impl SyncMaster {
     pub fn flush_notifications(&mut self, force: bool) -> Vec<NotifyFlush> {
         let policy = self.notify_policy;
         let now = self.now_ms;
-        let mut due: Vec<u64> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| {
-                s.notify.is_some()
-                    && s.dirty > 0
-                    && (force
-                        || s.dirty >= policy.max_batch
-                        || s.dirty_since_ms
-                            .is_some_and(|t0| now.saturating_sub(t0) >= policy.max_delay_ms))
-            })
-            .map(|(&sid, _)| sid)
-            .collect();
-        due.sort_unstable();
         let mut flushes = Vec::new();
-        for sid in due {
-            if let Some(session) = self.sessions.get_mut(&sid) {
+        // Ascending by session id, and only an undue queue stays listed.
+        self.queued.retain(|&sid| {
+            let Some(session) = self.sessions.get_mut(&sid) else { return false };
+            if session.notify.is_none() || session.dirty == 0 {
+                return false;
+            }
+            let due = force
+                || session.dirty >= policy.max_batch
+                || session
+                    .dirty_since_ms
+                    .is_some_and(|t0| now.saturating_sub(t0) >= policy.max_delay_ms);
+            if due {
                 flushes.extend(session.flush(sid as u32, &self.dit, &self.table, now));
             }
-        }
+            !due
+        });
         self.record_flushes(&flushes);
         flushes
     }
@@ -689,6 +695,7 @@ impl SyncMaster {
             if queued == 0 || session.notify.is_none() {
                 continue;
             }
+            let was_empty = session.dirty == 0;
             session.dirty += queued;
             session.dirty_since_ms.get_or_insert(now_ms);
             if !policy.coalesce {
@@ -700,6 +707,8 @@ impl SyncMaster {
                 // queued update) hands them to that poll.
                 session.disarm();
                 overflows += 1;
+            } else if was_empty {
+                self.queued.insert(u64::from(sid));
             }
         }
         self.scratch = cand;
@@ -1327,21 +1336,6 @@ impl SyncMaster {
         f
     }
 
-    /// The DNs a session's replica currently holds, sorted — test and
-    /// debugging aid.
-    pub fn session_sent_dns(&self, cookie: Cookie) -> Option<Vec<String>> {
-        self.sessions.get(&u64::from(cookie.session())).map(|s| {
-            let mut v: Vec<String> = s
-                .sent
-                .iter()
-                .filter_map(|&id| self.table.dn_of(id))
-                .map(|d| d.to_string())
-                .collect();
-            v.sort();
-            v
-        })
-    }
-
     /// Live counts of the routing index's structures — test and
     /// observability aid.
     pub fn routing_stats(&self) -> crate::routing::RoutingStats {
@@ -1839,6 +1833,42 @@ mod tests {
         assert_eq!(restored.dit().search_dns(&req).len(), 2);
     }
 
+    /// A master serialized before the log left the store (literal bytes,
+    /// taken from that code: one polled session with an add pending) still
+    /// loads and carries on; written back, neither history key is there.
+    #[test]
+    fn a_snapshot_from_before_the_store_dropped_its_log_still_loads() {
+        let old = concat!(
+            r#"{"dit":{"entries":[{"dn":[{"attr":"o","value":"xyz"}],"attrs":{"objectclass":["organization"]}},{"dn":[{"attr":"cn","value":"a"},"#,
+            r#"{"attr":"o","value":"xyz"}],"attrs":{"cn":["a"],"dept":["7"],"mail":["a@x"]}},{"dn":[{"attr":"cn","value":"c"},"#,
+            r#"{"attr":"o","value":"xyz"}],"attrs":{"cn":["c"],"dept":["7"]}}],"suffixes":[[{"attr":"o","value":"xyz"}]],"csn":6,"changelog":[{"csn":1,"dn":[{"attr":"o","value":"xyz"}],"kind":"Add","changes":[["objectclass",["organization"]]],"new_dn":null},"#,
+            r#"{"csn":2,"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"kind":"Add","changes":[["cn",["a"]],["dept",["7"]]],"new_dn":null},"#,
+            r#"{"csn":3,"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"kind":"Add","changes":[["cn",["b"]],["dept",["7"]]],"new_dn":null},"#,
+            r#"{"csn":4,"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"kind":"Delete","changes":[],"new_dn":null},"#,
+            r#"{"csn":5,"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"kind":"Modify","changes":[["mail",["a@x"]]],"new_dn":null},"#,
+            r#"{"csn":6,"dn":[{"attr":"cn","value":"c"},"#,
+            r#"{"attr":"o","value":"xyz"}],"kind":"Add","changes":[["cn",["c"]],["dept",["7"]]],"new_dn":null}],"tombstones":[{"dn":[{"attr":"cn","value":"b"},"#,
+            r#"{"attr":"o","value":"xyz"}],"csn":4}]},"#,
+            r#""sessions":{"1":{"request":{"base":[{"attr":"o","value":"xyz"}],"scope":"Subtree","filter":{"Pred":{"attr":"dept","cmp":{"Eq":"7"}}},"attrs":"All"},"#,
+            r#""sent":[0],"current":[0,1],"touched":[1],"last_active":0,"last_active_ms":0,"stable_at":0,"seq":1,"pending":[{"Add":{"dn":[{"attr":"cn","value":"a"},"#,
+            r#"{"attr":"o","value":"xyz"}],"attrs":{"cn":["a"],"dept":["7"],"mail":["a@x"]}}}],"pending_at":0,"reconcile":null}},"#,
+            r#""next_session":1,"ops_applied":1,"table":{"slots":[[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],[{"attr":"cn","value":"c"},"#,
+            r#"{"attr":"o","value":"xyz"}]],"free":[]},"#,
+            r#""replay_expiry_ops":null,"redeliveries":0,"notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"max_queue":18446744073709551615},"#,
+            r#""gc":{"session_deadline_ms":null,"stash_max_items":1048576,"every_ops":1024},"now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
+        );
+        assert!(old.contains(r#""changelog":["#) && old.contains(r#""tombstones":["#));
+        let mut m: SyncMaster = serde_json::from_str(old).expect("an old snapshot loads");
+        assert_eq!((m.session_count(), m.dit().len(), m.dit().csn()), (1, 3, fbdr_dit::Csn(6)));
+        let again = serde_json::to_string(&m).expect("serializes");
+        assert!(!again.contains("changelog") && !again.contains("tombstones"), "{again}");
+        // The session resumes where it stood: `c` was added after its poll.
+        let resp = m.resync(&dept7(), ReSyncControl::poll(Some(Cookie::new(1, 1)))).unwrap();
+        assert_eq!(resp.actions, vec![SyncAction::Add(Entry::new(dn("cn=c,o=xyz")).with("cn", "c").with("dept", "7"))]);
+        let rec = m.apply(UpdateOp::Delete(dn("cn=c,o=xyz"))).unwrap();
+        assert_eq!(rec.csn, fbdr_dit::Csn(7));
+    }
+
     #[test]
     fn restored_persist_session_degrades_to_polling() {
         let mut m = master_with(vec![person("a", "7")]);
@@ -2210,6 +2240,174 @@ mod tests {
         assert_eq!(m.notify_wakeups(), 0);
         let resp = m.resync(&req, ReSyncControl::poll(Some(c))).unwrap();
         assert_eq!(resp.actions.len(), 1);
+    }
+
+    /// What `flush_notifications` did before it kept a list of queued
+    /// sessions: test every session for due-ness, flush the due ones in id
+    /// order. The reference the listed flush is pinned to below.
+    fn flush_by_sweep(m: &mut SyncMaster, force: bool) -> Vec<NotifyFlush> {
+        let (policy, now) = (m.notify_policy, m.now_ms);
+        let mut due: Vec<u64> = m
+            .sessions
+            .iter()
+            .filter(|(_, s)| {
+                s.notify.is_some()
+                    && s.dirty > 0
+                    && (force
+                        || s.dirty >= policy.max_batch
+                        || s.dirty_since_ms.is_some_and(|t0| now.saturating_sub(t0) >= policy.max_delay_ms))
+            })
+            .map(|(&sid, _)| sid)
+            .collect();
+        due.sort_unstable();
+        let mut flushes = Vec::new();
+        for sid in due {
+            let session = m.sessions.get_mut(&sid).expect("listed from the map");
+            flushes.extend(session.flush(sid as u32, &m.dit, &m.table, now));
+        }
+        m.record_flushes(&flushes);
+        flushes
+    }
+
+    mod flush_list {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Step {
+            Add { id: usize, dept: u8 },
+            Delete { id: usize },
+            SetDept { id: usize, dept: u8 },
+            Advance(u64),
+            Flush { force: bool },
+            DropReceiver(usize),
+            Abandon(usize),
+            /// Asks for persist mode again on the session's last cookie.
+            Rearm(usize),
+            Policy { coalesce: bool },
+        }
+
+        const SESSIONS: usize = 4;
+
+        fn step() -> impl Strategy<Value = Step> {
+            let id = || 0usize..8;
+            prop_oneof![
+                3 => (id(), 0u8..3).prop_map(|(id, dept)| Step::Add { id, dept }),
+                2 => id().prop_map(|id| Step::Delete { id }),
+                4 => (id(), 0u8..3).prop_map(|(id, dept)| Step::SetDept { id, dept }),
+                3 => (0u64..8).prop_map(Step::Advance),
+                4 => any::<bool>().prop_map(|force| Step::Flush { force }),
+                1 => (0..SESSIONS).prop_map(Step::DropReceiver),
+                1 => (0..SESSIONS).prop_map(Step::Abandon),
+                1 => (0..SESSIONS).prop_map(Step::Rearm),
+                1 => any::<bool>().prop_map(|coalesce| Step::Policy { coalesce }),
+            ]
+        }
+
+        fn coalescing() -> NotifyPolicy {
+            NotifyPolicy::coalescing(3, 10).with_max_queue(5)
+        }
+
+        fn requests() -> Vec<SearchRequest> {
+            ["(dept=0)", "(dept=1)", "(dept=2)", "(objectclass=person)"]
+                .iter()
+                .map(|f| SearchRequest::new(dn("o=xyz"), Scope::Subtree, Filter::parse(f).unwrap()))
+                .collect()
+        }
+
+        /// One side of the comparison: a master, its persist sessions'
+        /// cookies and the receivers not yet dropped.
+        struct Side {
+            m: SyncMaster,
+            cookies: Vec<Cookie>,
+            rx: Vec<Option<Receiver<NotifyBatch>>>,
+        }
+
+        impl Side {
+            fn new() -> Side {
+                let mut m = master_with((0..4).map(|i| person(&format!("p{i}"), &(i % 3).to_string())).collect());
+                m.set_notify_policy(coalescing());
+                let (mut cookies, mut rx) = (Vec::new(), Vec::new());
+                for req in requests() {
+                    let (resp, r) = m.resync_persist(&req, None).unwrap();
+                    cookies.push(resp.cookie.unwrap());
+                    rx.push(Some(r));
+                }
+                Side { m, cookies, rx }
+            }
+
+            /// Runs a step; a `Flush` goes through `flush`.
+            fn run(
+                &mut self,
+                step: &Step,
+                flush: fn(&mut SyncMaster, bool) -> Vec<NotifyFlush>,
+            ) -> Vec<NotifyFlush> {
+                let of = |id: &usize| dn(&format!("cn=p{id},o=xyz"));
+                match step {
+                    Step::Add { id, dept } => {
+                        let _ = self.m.apply(UpdateOp::Add(person(&format!("p{id}"), &dept.to_string())));
+                    }
+                    Step::Delete { id } => {
+                        let _ = self.m.apply(UpdateOp::Delete(of(id)));
+                    }
+                    Step::SetDept { id, dept } => {
+                        let mods = vec![Modification::Replace("dept".into(), vec![dept.to_string().into()])];
+                        let _ = self.m.apply(UpdateOp::Modify { dn: of(id), mods });
+                    }
+                    Step::Advance(ms) => self.m.advance_to(self.m.now_ms() + ms),
+                    Step::Flush { force } => return flush(&mut self.m, *force),
+                    Step::DropReceiver(k) => self.rx[*k] = None,
+                    Step::Abandon(k) => self.m.abandon(self.cookies[*k]),
+                    Step::Rearm(k) => {
+                        let again = self.m.resync_persist(&requests()[*k], Some(self.cookies[*k]));
+                        if let Ok((resp, r)) = again {
+                            self.cookies[*k] = resp.cookie.unwrap();
+                            self.rx[*k] = Some(r);
+                        }
+                    }
+                    Step::Policy { coalesce } => self.m.set_notify_policy(if *coalesce {
+                        coalescing()
+                    } else {
+                        NotifyPolicy::immediate()
+                    }),
+                }
+                Vec::new()
+            }
+
+            fn received(&self) -> Vec<Vec<NotifyBatch>> {
+                self.rx.iter().map(|r| r.iter().flat_map(|r| r.try_iter()).collect()).collect()
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The master that flushes from its list of queued sessions
+            /// and a twin flushed by the sweep over every session send the
+            /// same `NotifyFlush`es in the same order and the same batches
+            /// to every receiver, step for step, and end with the same
+            /// counters and the same poll answers.
+            #[test]
+            fn listed_flush_equals_the_sweep_over_every_session(steps in prop::collection::vec(step(), 1..80)) {
+                let (mut listed, mut swept) = (Side::new(), Side::new());
+                for step in &steps {
+                    let got = listed.run(step, |m, force| m.flush_notifications(force));
+                    let want = swept.run(step, flush_by_sweep);
+                    prop_assert_eq!(got, want, "flushes at {:?}", step);
+                    prop_assert_eq!(listed.received(), swept.received(), "batches at {:?}", step);
+                    // Every non-empty queue is listed.
+                    for (sid, s) in &listed.m.sessions {
+                        prop_assert!(s.dirty == 0 || listed.m.queued.contains(sid), "session {} at {:?}", sid, step);
+                    }
+                }
+                let counters = |m: &SyncMaster| (m.notify_wakeups(), m.notify_updates(), m.notify_overflows());
+                prop_assert_eq!(counters(&listed.m), counters(&swept.m));
+                for (k, req) in requests().iter().enumerate() {
+                    let poll = |s: &mut Side| s.m.resync(req, ReSyncControl::poll(Some(s.cookies[k]))).map(|r| r.actions);
+                    prop_assert_eq!(poll(&mut listed), poll(&mut swept), "final poll of session {}", k);
+                }
+            }
+        }
     }
 
     #[test]

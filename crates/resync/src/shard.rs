@@ -525,17 +525,6 @@ impl ShardCoordinator<SystemClock> {
 }
 
 impl<C: Clock> ShardCoordinator<C> {
-    /// A coordinator over explicit per-shard drivers (e.g. on simulated
-    /// clocks in tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the driver count does not match the map.
-    pub fn with_drivers(map: ShardMap, drivers: Vec<SyncDriver<C>>) -> Self {
-        assert_eq!(drivers.len(), map.shard_count(), "one driver per shard");
-        ShardCoordinator { map, drivers }
-    }
-
     /// The shard map in force.
     pub fn map(&self) -> &ShardMap {
         &self.map

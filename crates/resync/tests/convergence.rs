@@ -2,7 +2,7 @@
 //! the replica content equals the master's current answer — for ReSync
 //! (poll and persist) and for every convergent baseline.
 
-use fbdr_dit::{Modification, UpdateOp};
+use fbdr_dit::{ChangeRecord, History, Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use fbdr_resync::baseline::{
     divergence, ChangelogSync, FullReload, RetainSync, Synchronizer, TombstoneSync,
@@ -64,9 +64,9 @@ fn flush_on_demand() -> NotifyPolicy {
 }
 
 /// Applies an abstract op, ignoring precondition failures (they model
-/// clients racing each other).
-fn apply(m: &mut SyncMaster, op: &Op) {
-    let _ = match op {
+/// clients racing each other); the record of an accepted one.
+fn apply(m: &mut SyncMaster, op: &Op) -> Option<ChangeRecord> {
+    let applied = match op {
         Op::Add { id, dept } => m.apply(UpdateOp::Add(entry_of(*id, *dept))),
         Op::Delete { id } => m.apply(UpdateOp::Delete(dn_of(*id))),
         Op::SetDept { id, dept } => m.apply(UpdateOp::Modify {
@@ -83,6 +83,7 @@ fn apply(m: &mut SyncMaster, op: &Op) {
             new_superior: None,
         }),
     };
+    applied.ok()
 }
 
 fn request() -> SearchRequest {
@@ -334,14 +335,17 @@ proptest! {
         ];
         for mut s in strategies {
             let mut m = fresh_master();
+            let mut history = History::new();
             let mut replica = ReplicaContent::new();
-            s.sync(m.dit(), &req, &mut replica);
+            s.sync(m.dit(), &history, &req, &mut replica);
             let chunk = ops.len().div_ceil(cycles);
             for part in ops.chunks(chunk.max(1)) {
                 for o in part {
-                    apply(&mut m, o);
+                    if let Some(rec) = apply(&mut m, o) {
+                        history.record(rec);
+                    }
                 }
-                s.sync(m.dit(), &req, &mut replica);
+                s.sync(m.dit(), &history, &req, &mut replica);
                 prop_assert!(
                     divergence(m.dit(), &req, &replica).is_empty(),
                     "{} diverged", s.name()

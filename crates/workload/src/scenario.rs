@@ -207,11 +207,6 @@ impl Scenario {
     pub fn final_phase_first_query(&self) -> usize {
         self.phases.last().map(|p| p.first_query).unwrap_or(0)
     }
-
-    /// Number of update events in the schedule.
-    pub fn update_count(&self) -> usize {
-        self.events.iter().filter(|e| matches!(e, WorkloadEvent::Update(_))).count()
-    }
 }
 
 /// Picks `n` distinct *non-geography* hot countries (the countries list is

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example sync_strategies`
 
-use fbdr::dit::{Modification, UpdateOp};
+use fbdr::dit::{History, Modification, UpdateOp};
 use fbdr::prelude::*;
 use fbdr::resync::baseline::{
     divergence, ChangelogSync, FullReload, NaiveChangelogSync, RetainSync, Synchronizer,
@@ -34,6 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Filter::parse("(&(objectclass=person)(dept=7))")?,
     );
 
+    // The baselines read a changelog and tombstones. The master keeps
+    // neither — ReSync needs no history beyond its sessions — so this
+    // driver keeps one, fed with the record of every update it applies.
+    let mut history = History::new();
+
     // One replica per strategy, all bootstrapped identically.
     let resp = master.resync(&s, ReSyncControl::poll(None))?;
     let cookie = resp.cookie.expect("cookie");
@@ -48,10 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (Box::new(FullReload), ReplicaContent::new(), SyncTraffic::default()),
     ];
     for (strategy, content, _) in &mut baselines {
-        strategy.sync(master.dit(), &s, content); // bootstrap, not counted
+        strategy.sync(master.dit(), &history, &s, content); // bootstrap, not counted
     }
     let mut naive_content = ReplicaContent::new();
-    FullReload.sync(master.dit(), &s, &mut naive_content);
+    FullReload.sync(master.dit(), &history, &s, &mut naive_content);
     let mut naive = NaiveChangelogSync::starting_at(master.dit().csn());
     let mut naive_traffic = SyncTraffic::default();
 
@@ -62,26 +67,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for round in 0..3 {
         for i in 0..20 {
             let id = round * 20 + i;
-            master.apply(UpdateOp::Modify {
+            history.record(master.apply(UpdateOp::Modify {
                 dn: format!("cn=p{id:03},o=xyz").parse()?,
                 mods: vec![Modification::Replace("mail".into(), vec![format!("r{round}@x").into()])],
-            })?;
+            })?);
         }
         if round == 1 {
-            master.apply(UpdateOp::Modify {
+            history.record(master.apply(UpdateOp::Modify {
                 dn: "cn=p000,o=xyz".parse()?,
                 mods: vec![Modification::Replace("dept".into(), vec!["9".into()])],
-            })?;
-            master.apply(UpdateOp::Delete("cn=p000,o=xyz".parse()?))?;
+            })?);
+            history.record(master.apply(UpdateOp::Delete("cn=p000,o=xyz".parse()?))?);
         }
 
         let resp = master.resync(&s, ReSyncControl::poll(Some(cookie)))?;
         resync_traffic.absorb(&resp.traffic());
         resync_content.apply_all(&resp.actions);
         for (strategy, content, traffic) in &mut baselines {
-            traffic.absorb(&strategy.sync(master.dit(), &s, content));
+            traffic.absorb(&strategy.sync(master.dit(), &history, &s, content));
         }
-        naive_traffic.absorb(&naive.sync(master.dit(), &s, &mut naive_content));
+        naive_traffic.absorb(&naive.sync(master.dit(), &history, &s, &mut naive_content));
     }
 
     println!("strategy                      entries   DN-only   bytes     diverged");

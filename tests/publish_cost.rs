@@ -18,25 +18,39 @@
 //! And, in bytes again, the entry representation (DESIGN §5): an answer
 //! allocates for its list, not for the entries on it, and a write to an
 //! entry someone else holds copies the set it changes, not the entry.
+//!
+//! Last, the allocator tracks the thread's *live* bytes, for what the
+//! master keeps: under a stream of updates to a fixed population its heap
+//! stays where it was, with and without sessions (DESIGN §5, *Session
+//! history* — the store keeps no log) — measured on the heap itself, not
+//! by `MasterFootprint`'s own arithmetic.
 
 use fbdr::prelude::*;
-use fbdr::resync::NotifyPolicy;
+use fbdr::resync::{Cookie, NotifyPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Counts the allocations of the calling thread, and the bytes they asked
-/// for (tests run on parallel threads; each must see only its own).
+/// Counts the allocations of the calling thread, the bytes they asked
+/// for, and the bytes it has allocated and not freed (tests run on
+/// parallel threads; each must see only its own, and each frees on the
+/// thread it allocated on).
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 fn note_allocation(size: usize) {
     // Not counting is right while a thread's locals are being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
+    let _ = LIVE.try_with(|n| n.set(n.get() + size as i64));
+}
+
+fn note_release(size: usize) {
+    let _ = LIVE.try_with(|n| n.set(n.get() - size as i64));
 }
 
 // SAFETY: every method forwards to `System` with the caller's layout and
@@ -56,11 +70,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_release(layout.size());
         // SAFETY: `ptr` was returned by this allocator with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_release(layout.size());
         note_allocation(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -82,6 +98,11 @@ fn bytes_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = BYTES.with(Cell::get);
     let out = f();
     (out, BYTES.with(Cell::get) - before)
+}
+
+/// Bytes this thread has allocated and not yet freed.
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 fn dn(s: &str) -> Dn {
@@ -324,4 +345,64 @@ fn a_write_to_a_shared_entry_copies_what_it_changes() {
     let (narrow, wide) = (shared_entry_modify(1), shared_entry_modify(16));
     println!("one-value modify of a held entry: {narrow} B beside 1-value attributes, {wide} B beside 16-value ones");
     assert_eq!(narrow, wide, "the write copied values it did not change");
+}
+
+/// How far the thread's live heap moves over 100 000 single-value
+/// `Replace`s on a master of 1 000 people with `sessions` polled sessions,
+/// and what one person's body weighs. The stream swaps everyone's `mail`
+/// between two spellings, pass by pass, so both readings are taken with
+/// the directory in the same state: after two passes that size every
+/// list, map and ledger, and after a hundred more. Before each reading
+/// every session is polled twice (the second poll acknowledges the first
+/// and leaves an empty replay buffer).
+fn heap_drift_over_100k_replaces(sessions: usize) -> (i64, i64) {
+    let before = live_bytes();
+    let body = {
+        let one = person(0);
+        let held = live_bytes() - before;
+        drop(one);
+        held
+    };
+    let mut master = master_of(1_000);
+    let requests: Vec<SearchRequest> =
+        (0..sessions).map(|d| query(&format!("(departmentNumber={d})"))).collect();
+    let mut cookies: Vec<Cookie> = requests
+        .iter()
+        .map(|r| master.resync(r, ReSyncControl::poll(None)).expect("install").cookie.expect("cookie"))
+        .collect();
+    let passes = |master: &mut SyncMaster, cookies: &mut Vec<Cookie>, n: usize| {
+        for pass in 0..n {
+            for i in 0..1_000 {
+                let mail = format!("p{i}@{}.xyz.com", if pass % 2 == 0 { "eu" } else { "us" });
+                master
+                    .apply(UpdateOp::Modify {
+                        dn: dn(&format!("cn=p{i:05},c=us,o=xyz")),
+                        mods: vec![Modification::Replace("mail".into(), vec![mail.into()])],
+                    })
+                    .expect("modify");
+            }
+        }
+        for _ in 0..2 {
+            for (request, cookie) in requests.iter().zip(cookies.iter_mut()) {
+                let resp = master.resync(request, ReSyncControl::poll(Some(*cookie))).expect("poll");
+                *cookie = resp.cookie.expect("cookie");
+            }
+        }
+        master.collect_garbage();
+        live_bytes()
+    };
+    let sized = passes(&mut master, &mut cookies, 2);
+    let after = passes(&mut master, &mut cookies, 100);
+    assert_eq!(master.ops_applied(), 102_000);
+    assert_eq!(master.session_count(), sessions);
+    (after - sized, body)
+}
+
+#[test]
+fn a_master_under_100k_updates_keeps_its_heap_where_it_was() {
+    for sessions in [0, 50] {
+        let (drift, body) = heap_drift_over_100k_replaces(sessions);
+        println!("{sessions} sessions: live heap moved {drift} B over 100 000 replaces (one entry body: {body} B)");
+        assert!(drift.abs() <= body, "{sessions} sessions: live heap moved {drift} B, more than one entry body ({body} B)");
+    }
 }
