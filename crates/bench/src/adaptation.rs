@@ -33,13 +33,10 @@
 use crate::Scale;
 use fbdr_core::experiment::{replay_filter, select_static_filters, ReplayConfig};
 use fbdr_core::{Replicator, ServedBy};
-use fbdr_obs::Obs;
 use fbdr_replica::FilterReplica;
 use fbdr_resync::{ShardCoordinator, ShardedMaster, SyncMaster};
 use fbdr_selection::generalize::{Generalizer, ValuePrefix, WidenToPresence};
-use fbdr_selection::{
-    EvolutionSelector, FilterSelector, OnlineConfig, OnlineSelector, SelectorConfig,
-};
+use fbdr_selection::{EvolutionSelector, FilterSelector, SelectorConfig, StepConfig};
 use fbdr_workload::{
     EnterpriseDirectory, Scenario, ScenarioConfig, ScenarioKind, TracedQuery, WorkloadEvent,
 };
@@ -192,6 +189,7 @@ fn drive_replicator(
         }
     }
     let _ = r.sync();
+    out.installs = r.selector().expect("arm's selector attached").report().installs;
     out.install_entries = r.report().revolution_traffic.full_entries;
     (out, r)
 }
@@ -272,7 +270,6 @@ pub fn run(cfg: &AdaptConfig, dir: &EnterpriseDirectory) -> Vec<ScenarioOutcome>
         let scenario = Scenario::build(kind, dir, &scfg);
 
         // Periodic batch revolutions.
-        let periodic_obs = Obs::new();
         let periodic_sel = FilterSelector::new(
             SelectorConfig {
                 revolution_interval: cfg.revolution_interval,
@@ -280,30 +277,27 @@ pub fn run(cfg: &AdaptConfig, dir: &EnterpriseDirectory) -> Vec<ScenarioOutcome>
                 max_candidates: 4096,
             },
             gens(),
-        )
-        .with_obs(periodic_obs.clone());
-        let (mut periodic, _) =
-            drive_replicator(fresh().with_selector(periodic_sel), &scenario, cfg);
-        periodic.installs = periodic_obs.registry().counter("fbdr_selection_installed_total").get();
+        );
+        let (periodic, _) = drive_replicator(fresh().with_selector(periodic_sel), &scenario, cfg);
 
         // Evolution baseline.
         let mut evo_master = ShardedMaster::from(SyncMaster::with_dit(dir.dit().clone()));
         let evolution = drive_evolution(&mut evo_master, &scenario, cfg);
 
         // Budgeted online revolution.
-        let online_sel = OnlineSelector::new(
-            OnlineConfig {
+        let online_sel = FilterSelector::new(
+            StepConfig {
                 entry_budget: cfg.entry_budget,
                 step_every: cfg.step_every,
                 move_budget: cfg.move_budget,
-                ..OnlineConfig::default()
+                ..StepConfig::default()
             },
             gens(),
         );
-        let (mut online, online_repl) =
-            drive_replicator(fresh().with_online_selector(online_sel), &scenario, cfg);
-        let online_report = online_repl.online_report().expect("online arm attached");
-        online.installs = online_report.installs;
+        let (online, online_repl) =
+            drive_replicator(fresh().with_selector(online_sel), &scenario, cfg);
+        let online_sel = online_repl.selector().expect("online arm attached");
+        let online_report = online_sel.report();
 
         scenarios.push(ScenarioOutcome {
             scenario: kind.name().to_owned(),
@@ -313,7 +307,7 @@ pub fn run(cfg: &AdaptConfig, dir: &EnterpriseDirectory) -> Vec<ScenarioOutcome>
             oracle_final_hit_ratio: drive_oracle(dir, &scenario, cfg),
             online_max_moves: online_report.max_moves,
             online_max_considered: online_report.max_considered,
-            online_candidates: online_repl.online_candidates().unwrap_or(0),
+            online_candidates: online_sel.candidate_count(),
         });
     }
     scenarios

@@ -7,7 +7,6 @@ use fbdr_core::experiment::{
 };
 use fbdr_core::Replicator;
 use fbdr_dit::NamingContext;
-use fbdr_ldap::SearchRequest;
 use fbdr_replica::SubtreeReplica;
 use fbdr_resync::SyncMaster;
 use fbdr_selection::generalize::{Generalizer, Identity, ValuePrefix, WidenToPresence};
@@ -270,11 +269,7 @@ fn fig_filters(
     for tq in recent {
         selector.observe(&tq.request);
     }
-    let ranked: Vec<SearchRequest> = selector
-        .ranked_candidates(dir.dit())
-        .into_iter()
-        .map(|(r, _, _)| r)
-        .collect();
+    let ranked = selector.ranked_candidates(dir.dit());
 
     let mut rows = Vec::new();
     for &k in counts {

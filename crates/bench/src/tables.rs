@@ -85,7 +85,7 @@ pub fn other_queries(params: &Params) -> Vec<OtherQueriesRow> {
         }
         let ranked = selector.ranked_candidates(dir.dit());
         let mut repl = Replicator::new(SyncMaster::with_dit(dir.dit().clone()), 0);
-        for (f, _, _) in ranked.into_iter().take(k) {
+        for f in ranked.into_iter().take(k) {
             repl.install_filter(f).expect("fresh master accepts filters");
         }
         let stored = repl.replica().filter_count();
@@ -155,7 +155,7 @@ pub fn sync_ablation(params: &Params) -> Vec<SyncAblationRow> {
         selector.observe(&tq.request);
     }
     let ranked = selector.ranked_candidates(dir.dit());
-    let request = ranked.first().map(|(r, _, _)| r.clone()).unwrap_or_else(|| {
+    let request = ranked.first().cloned().unwrap_or_else(|| {
         SearchRequest::new(
             "o=xyz".parse().expect("static"),
             Scope::Subtree,
@@ -279,7 +279,7 @@ pub fn selection_ablation(params: &Params) -> Vec<SelectionAblationRow> {
     // Periodic revolutions (the paper's scheme).
     {
         let r = params.r_small / 6; // dept-only stream is ~1/6 of the mix
-        let selector = fbdr_selection::FilterSelector::new(
+        let selector = FilterSelector::new(
             SelectorConfig {
                 revolution_interval: r.max(1),
                 entry_budget: budget.max(1),
@@ -387,8 +387,7 @@ pub fn composition(params: &Params) -> Vec<CompositionRow> {
     for tq in recent {
         selector.observe(&tq.request);
     }
-    let ranked: Vec<SearchRequest> =
-        selector.ranked_candidates(dir.dit()).into_iter().map(|(r, _, _)| r).collect();
+    let ranked = selector.ranked_candidates(dir.dit());
 
     let mut rows = Vec::new();
     for &k in &params.filter_counts {

@@ -6,8 +6,9 @@
 //!   in replicated content and forwarded to the master otherwise
 //!   (optionally caching the result for temporal locality). Periodic
 //!   [`Replicator::sync`] keeps replicated filters consistent via ReSync,
-//!   and an optional `FilterSelector` or `OnlineSelector` adapts the
-//!   stored filter set to the access pattern. The master is a
+//!   and an optional `FilterSelector` — the paper's periodic revolution
+//!   or its budgeted online configuration — adapts the stored filter set
+//!   to the access pattern. The master is a
 //!   `ShardedMaster` — the directory on one or several master shards; a
 //!   plain `SyncMaster` converts into the one-shard case — and there is no
 //!   second façade for the sharded deployment.

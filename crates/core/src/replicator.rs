@@ -8,7 +8,7 @@ use fbdr_resync::{
     DriverStats, ReconcileConfig, RetryConfig, ShardCoordinator, ShardedMaster, SyncError,
     SyncTraffic,
 };
-use fbdr_selection::{FilterSelector, OnlineReport, OnlineSelector};
+use fbdr_selection::FilterSelector;
 use serde::{Deserialize, Serialize};
 
 /// Who answered a query.
@@ -32,15 +32,11 @@ pub struct ReplicatorReport {
     pub wan_queries: u64,
     /// Entries fetched from the master on misses.
     pub wan_entries: u64,
-    /// Revolutions performed.
+    /// Revolutions performed: the selector's steps.
     pub revolutions: u64,
-    /// Budgeted online selection steps performed.
-    #[serde(default)]
-    pub online_steps: u64,
-    /// Promote/evict moves made by online selection steps (each step is
-    /// capped at the configured move budget).
-    #[serde(default)]
-    pub online_moves: u64,
+    /// Promote/evict moves those steps made (each step is capped at the
+    /// configured move budget).
+    pub moves: u64,
     /// What the sync driver had to do to keep the replica converged:
     /// retries, recoveries, reconciliations, reinstalls (the robustness
     /// cost of §5.2-style failures, alongside the bandwidth cost above).
@@ -56,15 +52,14 @@ pub struct ReplicatorReport {
 /// it overlaps, driven by the replicator's [`ShardCoordinator`]; a sync
 /// cycle degrades per shard — a partitioned shard leaves that shard's
 /// slice stale while the others keep delivering updates. Optionally a
-/// [`FilterSelector`] or an [`OnlineSelector`] observes the query stream
-/// and *revolves* the stored filter set (§6.2).
+/// [`FilterSelector`] observes the query stream and *revolves* the stored
+/// filter set (§6.2).
 #[derive(Debug)]
 pub struct Replicator {
     master: ShardedMaster,
     replica: FilterReplica,
     coordinator: ShardCoordinator,
     selector: Option<FilterSelector>,
-    online: Option<OnlineSelector>,
     cache_misses: bool,
     report: ReplicatorReport,
 }
@@ -81,24 +76,16 @@ impl Replicator {
             replica: FilterReplica::new(cache_window),
             coordinator,
             selector: None,
-            online: None,
             cache_misses: cache_window > 0,
             report: ReplicatorReport::default(),
         }
     }
 
-    /// Attaches a dynamic filter selector.
+    /// Attaches a dynamic filter selector: it observes every query, and
+    /// whenever one of its steps is due the stored filter set is adjusted
+    /// on the search path, by at most the selector's move budget.
     pub fn with_selector(mut self, selector: FilterSelector) -> Self {
         self.selector = Some(selector);
-        self
-    }
-
-    /// Attaches a budgeted *online* selector: instead of periodic batch
-    /// revolutions, the stored filter set is adjusted by at most the
-    /// selector's move budget every `step_every` queries, on the search
-    /// path (see [`OnlineSelector`]).
-    pub fn with_online_selector(mut self, selector: OnlineSelector) -> Self {
-        self.online = Some(selector);
         self
     }
 
@@ -117,6 +104,12 @@ impl Replicator {
     /// Read access to the replica.
     pub fn replica(&self) -> &FilterReplica {
         &self.replica
+    }
+
+    /// The attached selector, if any: its cumulative report and
+    /// candidate-table size.
+    pub fn selector(&self) -> Option<&FilterSelector> {
+        self.selector.as_ref()
     }
 
     /// Traffic report.
@@ -157,9 +150,6 @@ impl Replicator {
     pub fn search(&mut self, query: &SearchRequest) -> (Vec<Entry>, ServedBy) {
         if let Some(sel) = &mut self.selector {
             sel.observe(query);
-        }
-        if let Some(on) = &mut self.online {
-            on.observe(query);
         }
         if let Some(entries) = self.replica.try_answer(query) {
             self.maybe_adapt();
@@ -203,32 +193,13 @@ impl Replicator {
         Ok(t)
     }
 
-    /// Cumulative counters of the attached online selector, if any.
-    pub fn online_report(&self) -> Option<OnlineReport> {
-        self.online.as_ref().map(|on| on.report())
-    }
-
-    /// Candidate-table size of the attached online selector, if any —
-    /// useful to show consideration sets stayed a strict subset of it.
-    pub fn online_candidates(&self) -> Option<usize> {
-        self.online.as_ref().map(|on| on.candidate_count())
-    }
-
     fn maybe_adapt(&mut self) {
-        let Replicator { master, coordinator, replica, report, selector, online, .. } = self;
+        let Replicator { master, coordinator, replica, report, selector, .. } = self;
         if let Some(sel) = selector {
-            if sel.revolution_due() {
-                if let Ok(rep) = sel.revolve(master, coordinator, replica) {
+            if sel.step_due() {
+                if let Ok(step) = sel.step(master, coordinator, replica) {
                     report.revolutions += 1;
-                    report.revolution_traffic.absorb(&rep.traffic);
-                }
-            }
-        }
-        if let Some(on) = online {
-            if on.step_due() {
-                if let Ok(step) = on.step(master, coordinator, replica) {
-                    report.online_steps += 1;
-                    report.online_moves += step.moves as u64;
+                    report.moves += step.moves as u64;
                     report.revolution_traffic.absorb(&step.traffic);
                 }
             }
@@ -242,7 +213,7 @@ mod tests {
     use fbdr_ldap::Filter;
     use fbdr_resync::{ShardId, SyncMaster};
     use fbdr_selection::generalize::ValuePrefix;
-    use fbdr_selection::SelectorConfig;
+    use fbdr_selection::{SelectorConfig, StepConfig};
 
     fn master() -> SyncMaster {
         let mut m = SyncMaster::new();
@@ -308,30 +279,28 @@ mod tests {
 
     #[test]
     fn online_selection_adapts_on_search_path() {
-        use fbdr_selection::{OnlineConfig, OnlineSelector};
-
-        let selector = OnlineSelector::new(
-            OnlineConfig {
+        let selector = FilterSelector::new(
+            StepConfig {
                 entry_budget: 50,
                 step_every: 10,
                 move_budget: 2,
                 min_dwell_steps: 0,
-                ..OnlineConfig::default()
+                ..StepConfig::default()
             },
             vec![Box::new(ValuePrefix::new("serialNumber", vec![4]))],
         );
-        let mut r = Replicator::new(master(), 0).with_online_selector(selector);
+        let mut r = Replicator::new(master(), 0).with_selector(selector);
         for i in 0..20 {
             r.search(&q(&format!("04{:04}", i % 5)));
         }
         let rep = r.report();
-        assert_eq!(rep.online_steps, 2, "a step every 10 queries");
-        assert!(rep.online_moves >= 1, "hot region promoted");
-        assert!(rep.online_moves <= 4, "two steps × move budget 2");
+        assert_eq!(rep.revolutions, 2, "a step every 10 queries");
+        assert!(rep.moves >= 1, "hot region promoted");
+        assert!(rep.moves <= 4, "two steps × move budget 2");
         assert!(r.replica().filter_count() >= 1);
         let (_, served) = r.search(&q("040003"));
         assert_eq!(served, ServedBy::Replica);
-        assert_eq!(r.online_report().unwrap().steps, 2);
+        assert_eq!(r.selector().unwrap().report().steps, 2);
     }
 
     #[test]

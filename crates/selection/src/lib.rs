@@ -12,18 +12,14 @@
 //!   candidates with the best benefit/size ratios are installed into the
 //!   replica, within an entry budget. Benefit = hits since the last
 //!   revolution; size = number of entries the candidate matches at the
-//!   master, inside its own base and scope.
+//!   master, inside its own base and scope. That periodic revolution
+//!   ([`SelectorConfig`]) is one configuration of the selector's budgeted
+//!   step; the *online* one ([`StepConfig`]'s default) relaxes it so the
+//!   stored set tracks the workload continuously, a few moves at a time.
 //! * [`EvolutionSelector`] — the evolution/revolution baseline of
 //!   Kapitskaia, Ng and Srivastava \[12\], which updates the stored set on
 //!   *every* query; its filter churn shows why per-query evolutions are
 //!   unsuitable for a replication scenario (§6.2).
-//! * [`OnlineSelector`] — the incremental, budgeted online revolution:
-//!   decayed benefits updated on `observe`, and every `step_every`
-//!   queries a re-rank of only the *changed* candidates followed by at
-//!   most `move_budget` promote/evict moves with hysteresis, so the
-//!   stored set tracks the workload continuously without install storms.
-//!   All three selectors share one greedy benefit/size core, which is
-//!   what makes the online ≡ batch equivalence property checkable.
 //!
 //! The selectors act on the sharded deployment — a
 //! [`ShardedMaster`](fbdr_resync::ShardedMaster), of which an unsharded
@@ -36,10 +32,7 @@
 pub mod generalize;
 
 mod evolution;
-mod greedy;
-mod online;
 mod selector;
 
 pub use evolution::{EvolutionReport, EvolutionSelector};
-pub use online::{OnlineConfig, OnlineReport, OnlineSelector, StepReport};
-pub use selector::{FilterSelector, RevolutionReport, SelectorConfig};
+pub use selector::{FilterSelector, SelectionReport, SelectorConfig, StepConfig, StepReport};

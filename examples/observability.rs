@@ -61,13 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in 0..16 {
         selector.observe(&query(&format!("0456{:02}", i % 40)));
     }
-    let report = selector
-        .maybe_revolve(&mut master, &mut coordinator, &replica)?
-        .expect("revolution due");
+    assert!(selector.step_due(), "revolution due");
+    let report = selector.step(&mut master, &mut coordinator, &replica)?;
     println!(
         "revolution: installed {:?}, evicted {:?}",
         report.installed.iter().map(|r| r.filter().to_string()).collect::<Vec<_>>(),
-        report.removed.len(),
+        report.evicted.len(),
     );
 
     // Faulty sync: 30% of responses are lost in flight. The driver's

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use fbdr_resync::{
         ReSyncControl, ReplicaContent, SyncAction, SyncMaster, SyncMode, SyncTraffic,
     };
-    pub use fbdr_selection::{FilterSelector, SelectorConfig};
+    pub use fbdr_selection::{FilterSelector, SelectorConfig, StepConfig};
     pub use fbdr_workload::{
         DirectoryConfig, EnterpriseDirectory, QueryKind, TraceConfig, TraceGenerator, UpdateConfig,
         UpdateGenerator,

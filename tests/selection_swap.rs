@@ -10,7 +10,6 @@
 
 use fbdr::prelude::*;
 use fbdr::selection::generalize::ValuePrefix;
-use fbdr::selection::{OnlineConfig, OnlineSelector};
 
 /// Two 20-entry serial regions: `0400xx` and `0500xx`.
 fn master() -> SyncMaster {
@@ -88,8 +87,8 @@ fn online_swap_keeps_every_answer_master_correct() {
     // the two regions: the hot set flips mid-trace, forcing a live
     // evict+install swap. Every single answer — before, during and after
     // the swap — must equal what the master would return.
-    let selector = OnlineSelector::new(
-        OnlineConfig {
+    let selector = FilterSelector::new(
+        StepConfig {
             entry_budget: 25,
             step_every: 10,
             move_budget: 2,
@@ -97,11 +96,11 @@ fn online_swap_keeps_every_answer_master_correct() {
             decay: 0.5,
             upd_weight: 0.0,
             min_dwell_steps: 0,
-            ..OnlineConfig::default()
+            ..StepConfig::default()
         },
         vec![Box::new(ValuePrefix::new("serialNumber", vec![4]))],
     );
-    let mut r = Replicator::new(master(), 0).with_online_selector(selector);
+    let mut r = Replicator::new(master(), 0).with_selector(selector);
 
     let phase_a: Vec<SearchRequest> =
         (0..30).map(|i| q(&format!("0400{:02}", i % 5))).collect();
@@ -119,7 +118,7 @@ fn online_swap_keeps_every_answer_master_correct() {
     assert_eq!(served, ServedBy::Replica);
     let (_, served) = r.search(&q("040003"));
     assert_eq!(served, ServedBy::Master);
-    let report = r.online_report().expect("online selector attached");
+    let report = r.selector().expect("online selector attached").report();
     assert!(report.installs >= 2, "A then B installed");
     assert!(report.evictions >= 1, "A evicted on the flip");
 }

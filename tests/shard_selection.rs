@@ -3,8 +3,9 @@
 //! One directory — on a single `SyncMaster`, and partitioned by country
 //! over 3 and over 4 master shards — is driven through the one
 //! [`Replicator`] with the same trace — queries
-//! with updates and sync cycles interleaved — once under a periodic
-//! [`FilterSelector`] and once under a budgeted [`OnlineSelector`]. Every
+//! with updates and sync cycles interleaved — once under the periodic
+//! configuration of [`FilterSelector`] and once under a budgeted online
+//! one. Every
 //! observable must be the same at every shard count: who served each
 //! query, the hit statistics, the stored-filter set, the selector's moves
 //! and the traffic they cost; and every answer must be the master's.
@@ -18,7 +19,6 @@
 use fbdr::prelude::*;
 use fbdr::resync::{ShardId, ShardMap, ShardedMaster};
 use fbdr::selection::generalize::{Generalizer, ValuePrefix};
-use fbdr::selection::{OnlineConfig, OnlineSelector};
 
 const COUNTRIES: usize = 4;
 /// People per serial region `040r**`; region 0 also holds the glue entry.
@@ -154,7 +154,7 @@ struct Observed {
     stats: fbdr::replica::ReplicaStats,
     stored: Vec<String>,
     revolutions: u64,
-    online_moves: u64,
+    moves: u64,
     wan_queries: u64,
     install_entries: u64,
     resync_entries: u64,
@@ -187,7 +187,7 @@ fn run(mut r: Replicator) -> Observed {
         stats: r.stats(),
         stored,
         revolutions: report.revolutions,
-        online_moves: report.online_moves,
+        moves: report.moves,
         wan_queries: report.wan_queries,
         install_entries: report.revolution_traffic.full_entries,
         resync_entries: report.resync_traffic.full_entries,
@@ -225,19 +225,19 @@ fn periodic_selection_is_the_same_on_one_and_many_shards() {
 #[test]
 fn online_selection_is_the_same_on_one_and_many_shards() {
     let seen = same_at_every_shard_count(|r| {
-        r.with_online_selector(OnlineSelector::new(
-            OnlineConfig {
+        r.with_selector(FilterSelector::new(
+            StepConfig {
                 entry_budget: BUDGET,
                 step_every: 10,
                 move_budget: 2,
                 decay: 0.5,
                 min_dwell_steps: 1,
-                ..OnlineConfig::default()
+                ..StepConfig::default()
             },
             gens(),
         ))
     });
-    assert!(seen.online_moves >= 4, "the hot region moved: {seen:?}");
+    assert!(seen.moves >= 4, "the hot region moved: {seen:?}");
     assert!(seen.stats.generalized_hits > 100, "{seen:?}");
     assert!(seen.resync_entries > 0, "{seen:?}");
 }
