@@ -11,7 +11,8 @@
 //! #literals) assertion-value comparisons.
 
 use crate::same_template::{range_implies_ge, range_implies_le};
-use fbdr_ldap::{AttrValue, Comparison, Filter, Predicate, Template, TemplateId};
+use fbdr_ldap::{AttrValue, Comparison, Filter, Predicate, Template};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,16 +36,26 @@ enum Atom {
     PrefixStartsWith(usize, usize),
 }
 
+/// Slot `i` of an assertion-value vector, owned or borrowed.
+fn slot(values: &[impl Borrow<AttrValue>], i: usize) -> &AttrValue {
+    values[i].borrow()
+}
+
 impl Atom {
-    fn eval(self, v1: &[AttrValue], v2: &[AttrValue]) -> bool {
+    fn eval(self, v1: &[impl Borrow<AttrValue>], v2: &[impl Borrow<AttrValue>]) -> bool {
         match self {
-            Atom::EqEq(i, j) => v1[i] == v2[j],
-            Atom::EqSatGe(i, j) => v1[i].range_cmp(&v2[j]).is_some_and(|o| o != Ordering::Less),
-            Atom::EqSatLe(i, j) => v1[i].range_cmp(&v2[j]).is_some_and(|o| o != Ordering::Greater),
-            Atom::GeGe(i, j) => range_implies_ge(&v1[i], &v2[j]),
-            Atom::LeLe(i, j) => range_implies_le(&v1[i], &v2[j]),
-            Atom::EqStartsWith(i, j) => v1[i].normalized().starts_with(v2[j].normalized()),
-            Atom::PrefixStartsWith(i, j) => v1[i].normalized().starts_with(v2[j].normalized()),
+            Atom::EqEq(i, j) => slot(v1, i) == slot(v2, j),
+            Atom::EqSatGe(i, j) => {
+                slot(v1, i).range_cmp(slot(v2, j)).is_some_and(|o| o != Ordering::Less)
+            }
+            Atom::EqSatLe(i, j) => {
+                slot(v1, i).range_cmp(slot(v2, j)).is_some_and(|o| o != Ordering::Greater)
+            }
+            Atom::GeGe(i, j) => range_implies_ge(slot(v1, i), slot(v2, j)),
+            Atom::LeLe(i, j) => range_implies_le(slot(v1, i), slot(v2, j)),
+            Atom::EqStartsWith(i, j) | Atom::PrefixStartsWith(i, j) => {
+                slot(v1, i).normalized().starts_with(slot(v2, j).normalized())
+            }
         }
     }
 }
@@ -60,8 +71,8 @@ pub struct CompiledCondition {
 
 impl CompiledCondition {
     /// Evaluates the condition for a concrete pair of assertion-value
-    /// vectors (in template slot order).
-    pub fn eval(&self, v1: &[AttrValue], v2: &[AttrValue]) -> bool {
+    /// vectors (in template slot order), owned or borrowed.
+    pub fn eval(&self, v1: &[impl Borrow<AttrValue>], v2: &[impl Borrow<AttrValue>]) -> bool {
         !self.never && self.clauses.iter().all(|cl| cl.iter().any(|a| a.eval(v1, v2)))
     }
 
@@ -179,8 +190,13 @@ pub(crate) fn compile(t1: &Template, t2: &Template) -> Option<CompiledCondition>
 }
 
 /// Cache of compiled cross-template conditions, keyed by ordered template
-/// pair: `t1`'s id, then `t2`'s, so a lookup borrows both ids and
-/// allocates nothing.
+/// pair — by the templates' identity, the two small integers the template
+/// table gave them ([`Template::table_index`]), so a lookup hashes eight
+/// bytes and copies nothing.
+///
+/// A template extracted after the table filled up has no identity to key
+/// by: a pair with one is compiled when asked for and not kept, so a flood
+/// of shapes does not grow the cache either.
 ///
 /// ```
 /// use fbdr_containment::CrossTemplateMatrix;
@@ -198,7 +214,7 @@ pub(crate) fn compile(t1: &Template, t2: &Template) -> Option<CompiledCondition>
 /// ```
 #[derive(Debug, Default)]
 pub struct CrossTemplateMatrix {
-    compiled: HashMap<TemplateId, HashMap<TemplateId, Option<Arc<CompiledCondition>>>>,
+    compiled: HashMap<(u32, u32), Option<Arc<CompiledCondition>>>,
 }
 
 impl CrossTemplateMatrix {
@@ -207,31 +223,40 @@ impl CrossTemplateMatrix {
         CrossTemplateMatrix::default()
     }
 
+    fn key(t1: &Template, t2: &Template) -> Option<(u32, u32)> {
+        Some((t1.table_index()?, t2.table_index()?))
+    }
+
     /// The compiled condition for `t1 ⊆ t2`, compiling (and caching) it on
     /// first use. `None` means the pair is outside the compilable class.
-    pub fn condition(&mut self, t1: &Template, t2: &Template) -> Option<&CompiledCondition> {
-        if self.lookup(t1, t2).is_none() {
-            self.insert(t1, t2, Self::compile_pair(t1, t2));
-        }
-        self.compiled.get(t1.id())?.get(t2.id())?.as_deref()
+    pub fn condition(&mut self, t1: &Template, t2: &Template) -> Option<Arc<CompiledCondition>> {
+        self.lookup(t1, t2).unwrap_or_else(|| {
+            let compiled = Self::compile_pair(t1, t2);
+            self.insert(t1, t2, compiled.clone());
+            compiled
+        })
     }
 
     /// Looks up the cached compile result for `t1 ⊆ t2` without compiling.
     ///
-    /// Outer `None` means the pair has never been compiled; `Some(None)`
+    /// Outer `None` means the pair is not cached (never compiled, or one
+    /// of the templates is not in the template table); `Some(None)`
     /// means it was compiled and found outside the compilable class. The
     /// condition is shared (`Arc`), so callers can evaluate it after
     /// releasing any lock guarding the matrix.
     pub fn lookup(&self, t1: &Template, t2: &Template) -> Option<Option<Arc<CompiledCondition>>> {
-        self.compiled.get(t1.id())?.get(t2.id()).cloned()
+        self.compiled.get(&Self::key(t1, t2)?).cloned()
     }
 
     /// Records a compile result for `t1 ⊆ t2` (see
-    /// [`CrossTemplateMatrix::compile_pair`]). Compilation is a pure
+    /// [`CrossTemplateMatrix::compile_pair`]); a no-op for a pair with a
+    /// template outside the template table. Compilation is a pure
     /// function of the templates, so concurrent duplicate inserts are
     /// benign: last writer wins with an identical value.
     pub fn insert(&mut self, t1: &Template, t2: &Template, cond: Option<Arc<CompiledCondition>>) {
-        self.compiled.entry(t1.id().clone()).or_default().insert(t2.id().clone(), cond);
+        if let Some(key) = Self::key(t1, t2) {
+            self.compiled.insert(key, cond);
+        }
     }
 
     /// Compiles the Proposition 2 condition for a template pair without
@@ -243,7 +268,7 @@ impl CrossTemplateMatrix {
 
     /// Number of cached template pairs.
     pub fn len(&self) -> usize {
-        self.compiled.values().map(HashMap::len).sum()
+        self.compiled.len()
     }
 
     /// True when nothing has been compiled yet.
@@ -310,7 +335,7 @@ mod tests {
         let (ts, _) = Template::of(&fs);
         let cond = compile(&tq, &ts).unwrap();
         assert!(cond.is_never());
-        assert!(!cond.eval(&[], &[]));
+        assert!(!cond.eval(&[] as &[AttrValue], &[] as &[AttrValue]));
     }
 
     #[test]

@@ -6,9 +6,10 @@ use crate::qc::region_contained;
 use crate::same_template::same_template_contained;
 use crate::{filter_contained, Containment};
 use fbdr_ldap::{AttrValue, SearchRequest, Template};
-use fbdr_obs::{event, Counter, Histogram, MetricsRegistry, Obs};
+use fbdr_obs::{event, Counter, Gauge, Histogram, MetricsRegistry, Obs};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -87,20 +88,37 @@ impl EngineCounters {
     }
 }
 
-/// A query prepared for repeated containment checks: the request plus its
-/// extracted template and assertion values.
+/// A query prepared for repeated containment checks: the request, its
+/// template — a shared handle looked up in the process-wide table
+/// ([`Template::of_borrowed`]) — and its assertion values.
+///
+/// The request is owned or borrowed. [`PreparedQuery::new`] takes a
+/// request to keep (a stored filter, a cached query) and copies its
+/// values beside it; [`PreparedQuery::borrowed`] prepares a caller's
+/// request for the length of one answer and copies nothing: its values
+/// are references into the request's filter (substring components, which
+/// the filter holds as text, are the only ones made).
 #[derive(Debug, Clone)]
-pub struct PreparedQuery {
-    request: SearchRequest,
+pub struct PreparedQuery<'a> {
+    request: Cow<'a, SearchRequest>,
     template: Template,
-    values: Vec<AttrValue>,
+    values: Vec<Cow<'a, AttrValue>>,
 }
 
-impl PreparedQuery {
-    /// Extracts the template and values of a request.
+impl PreparedQuery<'static> {
+    /// Prepares a request and keeps it.
     pub fn new(request: SearchRequest) -> Self {
-        let (template, values) = Template::of(request.filter());
-        PreparedQuery { request, template, values }
+        let (template, values) = Template::of_borrowed(request.filter());
+        let values = values.into_iter().map(|v| Cow::Owned(v.into_owned())).collect();
+        PreparedQuery { request: Cow::Owned(request), template, values }
+    }
+}
+
+impl<'a> PreparedQuery<'a> {
+    /// Prepares a request the caller keeps.
+    pub fn borrowed(request: &'a SearchRequest) -> Self {
+        let (template, values) = Template::of_borrowed(request.filter());
+        PreparedQuery { request: Cow::Borrowed(request), template, values }
     }
 
     /// The underlying search request.
@@ -114,7 +132,7 @@ impl PreparedQuery {
     }
 
     /// The assertion values in slot order.
-    pub fn values(&self) -> &[AttrValue] {
+    pub fn values(&self) -> &[Cow<'a, AttrValue>] {
         &self.values
     }
 }
@@ -160,6 +178,10 @@ pub struct ContainmentEngine {
     /// Pre-resolved `fbdr_containment_check_ns` histogram; `None` on an
     /// unobserved engine, so the uninstrumented check costs one branch.
     check_hist: Option<Arc<Histogram>>,
+    /// `fbdr_ldap_templates_interned` and
+    /// `fbdr_ldap_templates_uninterned_total`: the process-wide template
+    /// table, mirrored into this engine's registry (`None` unobserved).
+    template_table: Option<(Arc<Gauge>, Arc<Counter>)>,
 }
 
 impl Default for ContainmentEngine {
@@ -169,6 +191,7 @@ impl Default for ContainmentEngine {
             counters: EngineCounters::default(),
             obs: Obs::off(),
             check_hist: None,
+            template_table: None,
         }
     }
 }
@@ -183,17 +206,36 @@ impl ContainmentEngine {
     /// `fbdr_containment_*_total`, every dispatched check is timed into
     /// the `fbdr_containment_check_ns` histogram, and each decision emits
     /// a `containment.decision` trace event when a subscriber is
-    /// installed. With [`Obs::off`] this is identical to
-    /// [`ContainmentEngine::new`].
+    /// installed. The registry also gets the size of the process-wide
+    /// template table (`fbdr_ldap_templates_interned`) and the number of
+    /// extractions it turned away (`fbdr_ldap_templates_uninterned_total`),
+    /// refreshed whenever a check meets a template pair with no cached
+    /// condition — a new template, or one past the table's cap. With
+    /// [`Obs::off`] this is identical to [`ContainmentEngine::new`].
     pub fn with_obs(obs: Obs) -> Self {
         if !obs.is_active() {
             return ContainmentEngine::default();
         }
-        ContainmentEngine {
+        let reg = obs.registry();
+        let engine = ContainmentEngine {
             matrix: RwLock::new(CrossTemplateMatrix::new()),
-            counters: EngineCounters::bound(obs.registry()),
-            check_hist: Some(obs.registry().histogram("fbdr_containment_check_ns")),
+            counters: EngineCounters::bound(reg),
+            check_hist: Some(reg.histogram("fbdr_containment_check_ns")),
+            template_table: Some((
+                reg.gauge("fbdr_ldap_templates_interned"),
+                reg.counter("fbdr_ldap_templates_uninterned_total"),
+            )),
             obs,
+        };
+        engine.publish_template_table();
+        engine
+    }
+
+    fn publish_template_table(&self) {
+        if let Some((interned, uninterned)) = &self.template_table {
+            let stats = Template::table_stats();
+            interned.set(stats.interned as i64);
+            uninterned.raise_to(stats.uninterned);
         }
     }
 
@@ -220,9 +262,9 @@ impl ContainmentEngine {
 
     /// Template-aware filter containment: is `q`'s filter contained in
     /// `s`'s filter?
-    pub fn filter_contained(&self, q: &PreparedQuery, s: &PreparedQuery) -> bool {
+    pub fn filter_contained(&self, q: &PreparedQuery<'_>, s: &PreparedQuery<'_>) -> bool {
         let start = self.check_hist.as_ref().map(|_| Instant::now());
-        let (path, contained) = if q.template.id() == s.template.id() {
+        let (path, contained) = if q.template == s.template {
             self.counters.same_template.inc();
             (
                 "same_template",
@@ -252,7 +294,7 @@ impl ContainmentEngine {
             "decision",
             contained = contained,
             path = path,
-            cross_template = q.template.id() != s.template.id(),
+            cross_template = q.template != s.template,
             stored_template = s.template.id().to_string(),
         );
         contained
@@ -260,7 +302,7 @@ impl ContainmentEngine {
 
     /// Full `QC(Q, Qs)` with template-aware filter dispatch: region,
     /// attribute-subset and filter containment.
-    pub fn query_contained(&self, q: &PreparedQuery, s: &PreparedQuery) -> bool {
+    pub fn query_contained(&self, q: &PreparedQuery<'_>, s: &PreparedQuery<'_>) -> bool {
         region_contained(
             q.request.base(),
             q.request.scope(),
@@ -271,11 +313,13 @@ impl ContainmentEngine {
     }
 
     /// The compiled condition for the pair, from the cache when present;
-    /// otherwise compiled *outside* the lock and recorded afterwards.
+    /// otherwise compiled *outside* the lock and recorded afterwards (the
+    /// matrix keeps only pairs of interned templates).
     fn condition_for(&self, t1: &Template, t2: &Template) -> Option<Arc<CompiledCondition>> {
         if let Some(cached) = self.matrix.read().lookup(t1, t2) {
             return cached;
         }
+        self.publish_template_table();
         let compiled = CrossTemplateMatrix::compile_pair(t1, t2);
         self.matrix.write().insert(t1, t2, compiled.clone());
         compiled
@@ -287,7 +331,7 @@ mod tests {
     use super::*;
     use fbdr_ldap::{Filter, Scope};
 
-    fn prep(base: &str, filter: &str) -> PreparedQuery {
+    fn prep(base: &str, filter: &str) -> PreparedQuery<'static> {
         PreparedQuery::new(SearchRequest::new(
             base.parse().unwrap(),
             Scope::Subtree,

@@ -29,6 +29,14 @@
 //! implements the full `QC(Q, Qs)` algorithm including base/scope/attribute
 //! checks.
 //!
+//! The engine checks [`PreparedQuery`]s: a request beside its template and
+//! assertion values. Preparing is a lookup — templates are interned
+//! process-wide ([`fbdr_ldap::Template`]) — and the request is kept
+//! ([`PreparedQuery::new`], for a stored filter) or only borrowed for the
+//! length of an answer ([`PreparedQuery::borrowed`], which copies
+//! nothing). "Same template" is a pointer compare, and the
+//! [`CrossTemplateMatrix`] is keyed by the two templates' table indexes.
+//!
 //! # Example
 //!
 //! ```

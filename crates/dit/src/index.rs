@@ -20,13 +20,115 @@
 //! The storage differs because the stores do: the replica publishes
 //! immutable epochs and keeps its lists behind `Arc`s in a persistent map,
 //! the master edits plain `std` maps of `Vec<u32>` (`Indexes`, below) in
-//! place.
+//! place. Both key their text maps by [`TextKey`], which keeps short text
+//! in the map node itself: a walk down either tree compares the bytes it
+//! finds in the nodes it descends and follows no pointer per key.
 
 use crate::posting;
 use fbdr_ldap::{AttrName, AttrValue, Comparison, Filter, Predicate};
 use std::borrow::{Borrow, Cow};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
+use std::sync::Arc;
+
+/// Bytes of text a [`TextKey`] holds inline: what is left of 24 bytes
+/// after the variant tag and the length. Serial numbers, department
+/// numbers, surnames and attribute names fit; a mail address mostly does
+/// not and goes behind the `Arc`. The size is the one the benchmark's
+/// `resident_bytes_per_entry` bound (6 %) allows (DESIGN §9): 32 bytes
+/// (text of up to 30) measured +6.2 … +10.5 %, 24 bytes −2.2 … +1.5 %.
+const INLINE: usize = 22;
+
+/// The key of a text map in either store's index: a normalized value's
+/// text, or a lowercased attribute name.
+///
+/// 24 bytes. Text of at most 22 bytes sits in the key — in the map node —
+/// and longer text behind an `Arc<str>`, so a key is cheap to clone with
+/// its node either way. Keys order, compare and hash as their bytes, which
+/// is `str`'s own order, and borrow as `[u8]`: a map is searched with
+/// `text.as_bytes()` and no key is built to look one up.
+///
+/// ```
+/// use fbdr_dit::index::TextKey;
+/// use std::collections::BTreeMap;
+///
+/// let mut map: BTreeMap<TextKey, u32> = BTreeMap::new();
+/// map.insert(TextKey::new("045612"), 1);
+/// map.insert(TextKey::new("a.rather.long.address@us.xyz.com"), 2);
+/// assert_eq!(map.get("045612".as_bytes()), Some(&1));
+/// assert_eq!(map.keys().next().map(TextKey::as_bytes), Some("045612".as_bytes()));
+/// ```
+#[derive(Clone)]
+pub struct TextKey(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Heap(Arc<str>),
+}
+
+impl TextKey {
+    /// The key of `text`.
+    pub fn new(text: &str) -> Self {
+        let mut bytes = [0; INLINE];
+        match bytes.get_mut(..text.len()) {
+            Some(head) => {
+                head.copy_from_slice(text.as_bytes());
+                TextKey(Repr::Inline { len: text.len() as u8, bytes })
+            }
+            None => TextKey(Repr::Heap(text.into())),
+        }
+    }
+
+    /// The text's bytes (valid UTF-8: a key is only made from a `str`).
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(text) => text.as_bytes(),
+        }
+    }
+}
+
+impl Borrow<[u8]> for TextKey {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl PartialEq for TextKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for TextKey {}
+
+impl PartialOrd for TextKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TextKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for TextKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl fmt::Debug for TextKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&String::from_utf8_lossy(self.as_bytes()), f)
+    }
+}
 
 /// One key an entry's id is listed under, within one attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,26 +207,29 @@ pub fn predicate_scan(p: &Predicate) -> Option<Scan<'_>> {
 
 /// Reads the lists a scan names off the two ordered maps a store keeps per
 /// attribute, and unions them: `point` looks one text key up, `text` and
-/// `num` walk a key range in order.
+/// `num` walk a key range in order. Text keys go in and come out as bytes
+/// ([`TextKey`]).
 pub fn scan_lists<'a, 's, T, N>(
     scan: &'s Scan<'s>,
-    point: impl FnOnce(&'s str) -> Option<&'a [u32]>,
-    text: impl FnOnce(Bound<&'s str>, Bound<&'s str>) -> T,
+    point: impl FnOnce(&'s [u8]) -> Option<&'a [u32]>,
+    text: impl FnOnce(Bound<&'s [u8]>, Bound<&'s [u8]>) -> T,
     num: impl FnOnce(Bound<&'s i64>, Bound<&'s i64>) -> N,
 ) -> Cow<'a, [u32]>
 where
-    T: Iterator<Item = (&'a str, &'a [u32])>,
+    T: Iterator<Item = (&'a TextKey, &'a [u32])>,
     N: Iterator<Item = &'a [u32]>,
 {
     use crate::posting::union_cows as union;
     match *scan {
-        Scan::Point(k) => point(k).map_or(Cow::Owned(Vec::new()), Cow::Borrowed),
+        Scan::Point(k) => point(k.as_bytes()).map_or(Cow::Owned(Vec::new()), Cow::Borrowed),
         Scan::Prefix(p) => union(
-            text(Bound::Included(p), Bound::Unbounded)
-                .take_while(|(k, _)| k.starts_with(p))
+            text(Bound::Included(p.as_bytes()), Bound::Unbounded)
+                .take_while(|(k, _)| k.as_bytes().starts_with(p.as_bytes()))
                 .map(|(_, list)| Cow::Borrowed(list)),
         ),
-        Scan::Text(lo, hi) => union(text(lo, hi).map(|(_, list)| Cow::Borrowed(list))),
+        Scan::Text(lo, hi) => union(
+            text(lo.map(str::as_bytes), hi.map(str::as_bytes)).map(|(_, list)| Cow::Borrowed(list)),
+        ),
         Scan::Num(ref lo, ref hi) => union(num(lo.as_ref(), hi.as_ref()).map(Cow::Borrowed)),
     }
 }
@@ -161,7 +266,7 @@ pub fn plan<'a>(
 /// Posting lists for one attribute, edited in place.
 #[derive(Debug, Default, Clone, PartialEq)]
 struct AttrIndex {
-    text: BTreeMap<Box<str>, Vec<u32>>,
+    text: BTreeMap<TextKey, Vec<u32>>,
     num: BTreeMap<i64, Vec<u32>>,
 }
 
@@ -214,7 +319,7 @@ impl Indexes {
         };
         for key in keys {
             match key {
-                Key::Text(k) => add(&mut idx.text, k, || k.into(), id),
+                Key::Text(k) => add(&mut idx.text, k.as_bytes(), || TextKey::new(k), id),
                 Key::Num(n) => add(&mut idx.num, &n, || n, id),
             }
         }
@@ -227,7 +332,7 @@ impl Indexes {
         let Some(idx) = self.by_attr.get_mut(attr.lower()) else { return };
         for key in keys {
             match key {
-                Key::Text(k) => remove(&mut idx.text, k, id),
+                Key::Text(k) => remove(&mut idx.text, k.as_bytes(), id),
                 Key::Num(n) => remove(&mut idx.num, &n, id),
             }
         }
@@ -245,7 +350,7 @@ impl Indexes {
         Some(scan_lists(
             &scan,
             |k| idx.text.get(k).map(Vec::as_slice),
-            |lo, hi| idx.text.range::<str, _>((lo, hi)).map(|(k, list)| (&**k, list.as_slice())),
+            |lo, hi| idx.text.range::<[u8], _>((lo, hi)).map(|(k, list)| (k, list.as_slice())),
             |lo, hi| idx.num.range((lo, hi)).map(|(_, list)| list.as_slice()),
         ))
     }
@@ -254,6 +359,103 @@ impl Indexes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn a_text_key_is_24_bytes_and_holds_22_inline() {
+        assert_eq!(std::mem::size_of::<TextKey>(), 24);
+        let inline = |s: &str| matches!(TextKey::new(s).0, Repr::Inline { .. });
+        assert!(inline(""));
+        assert!(inline(&"a".repeat(22)));
+        assert!(!inline(&"a".repeat(23)));
+        // "é" is two bytes: it ends on byte 22, or straddles it.
+        assert!(inline(&format!("{}é", "a".repeat(20))));
+        assert!(!inline(&format!("{}é", "a".repeat(21))));
+        for s in ["", "045612", &"a".repeat(22), &"a".repeat(23), &format!("{}é", "a".repeat(21))] {
+            assert_eq!(TextKey::new(s).as_bytes(), s.as_bytes());
+            assert_eq!(format!("{:?}", TextKey::new(s)), format!("{s:?}"));
+        }
+        // Padding is not text: a key is its length's worth of bytes.
+        assert!(TextKey::new("ab") < TextKey::new("ab\0"));
+        assert_ne!(TextKey::new("ab"), TextKey::new("ab\0"));
+        assert!(TextKey::new(&"a".repeat(22)) < TextKey::new(&"a".repeat(23)));
+        assert!(TextKey::new(&"a".repeat(23)) < TextKey::new("b"));
+    }
+
+    /// Text around the inline width: up to 32 characters of one to three
+    /// bytes each, NUL among them.
+    fn text() -> impl Strategy<Value = String> {
+        let letter = prop_oneof![Just('a'), Just('b'), Just('z'), Just('\0'), Just('é'), Just('語')];
+        prop::collection::vec(letter, 0..32).prop_map(String::from_iter)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn text_keys_order_compare_and_hash_as_their_text(a in text(), b in text()) {
+            use std::hash::BuildHasher;
+            let (ka, kb) = (TextKey::new(&a), TextKey::new(&b));
+            prop_assert_eq!(ka.cmp(&kb), a.cmp(&b), "{:?} against {:?}", a, b);
+            prop_assert_eq!(ka == kb, a == b);
+            prop_assert_eq!(ka.as_bytes(), a.as_bytes());
+            let state = std::collections::hash_map::RandomState::new();
+            prop_assert_eq!(state.hash_one(&ka), state.hash_one(a.as_bytes()));
+        }
+
+        /// A map keyed by text keys, inline and heap side by side, is
+        /// read — point, prefix, range — as the same map keyed by strings.
+        #[test]
+        fn a_text_key_map_scans_as_a_string_map(
+            keys in prop::collection::vec(text(), 0..48),
+            probes in prop::collection::vec(text(), 1..6),
+        ) {
+            let mut map: BTreeMap<TextKey, Vec<u32>> = BTreeMap::new();
+            let mut model: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
+            for (id, k) in keys.iter().enumerate() {
+                super::add(&mut map, k.as_bytes(), || TextKey::new(k), id as u32);
+                model.entry(k.as_str()).or_default().push(id as u32);
+            }
+            prop_assert!(map.keys().map(TextKey::as_bytes).eq(model.keys().map(|k| k.as_bytes())));
+            let scan = |scan: Scan<'_>| {
+                scan_lists(
+                    &scan,
+                    |k| map.get(k).map(Vec::as_slice),
+                    |lo, hi| map.range::<[u8], _>((lo, hi)).map(|(k, list)| (k, list.as_slice())),
+                    |_, _| std::iter::empty(),
+                )
+                .into_owned()
+            };
+            let expect = |keep: &dyn Fn(&str) -> bool| {
+                let mut ids: Vec<u32> =
+                    model.iter().filter(|(k, _)| keep(k)).flat_map(|(_, l)| l.clone()).collect();
+                ids.sort_unstable();
+                ids
+            };
+            for p in probes.iter().chain(&keys) {
+                let p = p.as_str();
+                prop_assert_eq!(scan(Scan::Point(p)), expect(&|k| k == p), "point {:?}", p);
+                prop_assert_eq!(scan(Scan::Prefix(p)), expect(&|k| k.starts_with(p)), "prefix {:?}", p);
+                prop_assert_eq!(
+                    scan(Scan::Text(Bound::Included(p), Bound::Unbounded)),
+                    expect(&|k| k >= p),
+                    ">= {:?}", p
+                );
+                prop_assert_eq!(
+                    scan(Scan::Text(Bound::Unbounded, Bound::Included(p))),
+                    expect(&|k| k <= p),
+                    "<= {:?}", p
+                );
+            }
+            for k in &keys {
+                let ids = map.get(k.as_bytes()).cloned().unwrap_or_default();
+                for id in ids {
+                    super::remove(&mut map, k.as_bytes(), id);
+                }
+            }
+            prop_assert!(map.is_empty());
+        }
+    }
 
     /// Lists `id` under every key of `attr: value`, as adding an entry
     /// with that one value would.

@@ -234,13 +234,14 @@ impl Comparison {
 
     /// Short kind label used by templates (`=`, `>=`, `<=`, `=*`, substring
     /// star-shape). Two comparisons of the same kind differ only in
-    /// assertion values.
-    pub fn kind(&self) -> String {
-        match self {
-            Comparison::Eq(_) => "=".to_owned(),
-            Comparison::Ge(_) => ">=".to_owned(),
-            Comparison::Le(_) => "<=".to_owned(),
-            Comparison::Present => "=*".to_owned(),
+    /// assertion values. The four fixed labels are static; only a star
+    /// shape is built.
+    pub fn kind(&self) -> Cow<'static, str> {
+        Cow::Borrowed(match self {
+            Comparison::Eq(_) => "=",
+            Comparison::Ge(_) => ">=",
+            Comparison::Le(_) => "<=",
+            Comparison::Present => "=*",
             Comparison::Substring(p) => {
                 // Encode the star shape, e.g. `_*` or `_*_` or `*_*`.
                 let mut s = String::new();
@@ -255,9 +256,9 @@ impl Comparison {
                 if p.final_part().is_some() {
                     s.push('_');
                 }
-                s
+                return Cow::Owned(s);
             }
-        }
+        })
     }
 }
 

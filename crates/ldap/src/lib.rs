@@ -16,7 +16,10 @@
 //!   ([`Filter::parse`]) and canonical printer, and direct evaluation
 //!   against entries ([`Filter::matches`]).
 //! * [`Template`] — LDAP templates (query prototypes, §3.4.2 of the paper):
-//!   a filter with every assertion value replaced by `_`.
+//!   a filter with every assertion value replaced by `_`. A template is
+//!   built once per process and handed out as a shared handle from one
+//!   capped table ([`TEMPLATE_TABLE_CAP`]); extracting a known shape is a
+//!   lookup, and two templates are compared by identity.
 //! * [`SearchRequest`] / [`Scope`] — the query quadruple *(base, scope,
 //!   filter, attributes)*.
 //!
@@ -60,5 +63,5 @@ pub use error::{FilterParseError, NameParseError};
 pub use filter::{Comparison, Filter, Predicate, SubstringPattern};
 pub use search::{AttrSelection, Scope, SearchRequest};
 pub use sort::{sort_entries, SortKey};
-pub use template::{SlotKey, Template, TemplateId};
+pub use template::{SlotKey, Template, TemplateId, TemplateTableStats, TEMPLATE_TABLE_CAP};
 pub use value::AttrValue;

@@ -1,7 +1,9 @@
 //! Property tests for the LDAP data model: parser round trips and
 //! matching-semantics invariants.
 
-use fbdr_ldap::{AttrName, AttrValue, Dn, Entry, Filter, Predicate, Scope, SubstringPattern};
+use fbdr_ldap::{
+    AttrName, AttrValue, Comparison, Dn, Entry, Filter, Predicate, Scope, SubstringPattern, Template,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -52,10 +54,9 @@ fn filter_str() -> impl Strategy<Value = String> {
     })
 }
 
-/// Positive conjunctive filters — a predicate of any kind (every substring
-/// star shape included) or nested `And`s of them.
-fn conjunctive_filter() -> impl Strategy<Value = Filter> {
-    let leaf = ("[a-c]", value(), value(), 0u8..8).prop_map(|(a, v, w, kind)| {
+/// A predicate of any kind, every substring star shape included.
+fn any_predicate() -> impl Strategy<Value = Filter> {
+    ("[a-c]", value(), value(), 0u8..8).prop_map(|(a, v, w, kind)| {
         let a = a.as_str();
         Filter::pred(match kind {
             0 => Predicate::eq(a, v),
@@ -67,10 +68,73 @@ fn conjunctive_filter() -> impl Strategy<Value = Filter> {
             6 => Predicate::substring(a, SubstringPattern::new(None, vec![], Some(v))),
             _ => Predicate::substring(a, SubstringPattern::new(Some(v), vec![w.clone()], Some(w))),
         })
-    });
-    leaf.prop_recursive(2, 8, 3, |inner| {
+    })
+}
+
+/// Positive conjunctive filters — a predicate of any kind or nested
+/// `And`s of them.
+fn conjunctive_filter() -> impl Strategy<Value = Filter> {
+    any_predicate().prop_recursive(2, 8, 3, |inner| {
         prop::collection::vec(inner, 1..4).prop_map(Filter::And)
     })
+}
+
+/// Filters of any structure over predicates of any kind.
+fn any_filter() -> impl Strategy<Value = Filter> {
+    any_predicate().prop_recursive(3, 12, 3, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 1..4).prop_map(Filter::And),
+            prop::collection::vec(inner.clone(), 1..4).prop_map(Filter::Or),
+            inner.prop_map(Filter::not),
+        ]
+    })
+}
+
+/// `f` rebuilt predicate by predicate: attribute names through `attr`,
+/// every value and substring component through `text`.
+fn rebuilt(f: &Filter, attr: &impl Fn(&str) -> String, text: &impl Fn(&str) -> String) -> Filter {
+    let all = |fs: &[Filter]| fs.iter().map(|sub| rebuilt(sub, attr, text)).collect();
+    match f {
+        Filter::And(fs) => Filter::And(all(fs)),
+        Filter::Or(fs) => Filter::Or(all(fs)),
+        Filter::Not(sub) => Filter::not(rebuilt(sub, attr, text)),
+        Filter::Pred(p) => {
+            let a = attr(p.attr().as_str());
+            Filter::pred(match p.comparison() {
+                Comparison::Eq(v) => Predicate::eq(a, text(v.raw())),
+                Comparison::Ge(v) => Predicate::ge(a, text(v.raw())),
+                Comparison::Le(v) => Predicate::le(a, text(v.raw())),
+                Comparison::Present => Predicate::present(a),
+                Comparison::Substring(pat) => Predicate::substring(
+                    a,
+                    SubstringPattern::new(
+                        pat.initial().map(text),
+                        pat.any().iter().map(|c| text(c)).collect(),
+                        pat.final_part().map(text),
+                    ),
+                ),
+            })
+        }
+    }
+}
+
+/// A template extracted from scratch, the long way: the id printed off
+/// the filter with its names lowercased and its values blanked, one
+/// `(attribute, kind)` slot and one value per assertion value.
+fn extracted(f: &Filter) -> (String, Vec<(String, String)>, Vec<AttrValue>) {
+    let id = rebuilt(f, &str::to_lowercase, &|_| "_".to_owned()).to_string();
+    let (mut slots, mut values) = (Vec::new(), Vec::new());
+    for p in f.predicates() {
+        let held: Vec<AttrValue> = match p.comparison() {
+            Comparison::Substring(pat) => pat.components().map(AttrValue::new).collect(),
+            other => other.assertion().cloned().into_iter().collect(),
+        };
+        for v in held {
+            slots.push((p.attr().lower().to_owned(), p.comparison().kind().into_owned()));
+            values.push(v);
+        }
+    }
+    (id, slots, values)
 }
 
 /// What a handle must read as, kept deep and apart from every other
@@ -204,6 +268,41 @@ proptest! {
         prop_assert!(q.matches(&witness), "{} does not match its witness {:?}", q, witness);
         prop_assert!(!Filter::not(q.clone()).for_each_conjunct(&mut |_| ()));
         prop_assert!(!Filter::Or(vec![q]).for_each_conjunct(&mut |_| ()));
+    }
+
+    /// The template the table hands out is the template extracted from
+    /// scratch — id, slots, values, and a filter back from `instantiate`
+    /// — whether the table had the shape, took it or was full; templates
+    /// are equal exactly when their ids are, handles of the table exactly
+    /// when they are the same entry of it; and neither the spelling of an
+    /// attribute name nor a value makes a different template.
+    #[test]
+    fn the_interned_template_is_the_extracted_one(f in any_filter(), other in any_filter()) {
+        let (t, values) = Template::of(&f);
+        let (id, slots, expected_values) = extracted(&f);
+        prop_assert_eq!(t.id().as_str(), id.as_str());
+        let got: Vec<(String, String)> =
+            t.slots().iter().map(|s| (s.attr().as_str().to_owned(), s.kind().to_owned())).collect();
+        prop_assert_eq!(got, slots);
+        prop_assert_eq!(&values, &expected_values);
+        let raw = |vs: &[AttrValue]| vs.iter().map(|v| v.raw().to_owned()).collect::<Vec<_>>();
+        prop_assert_eq!(raw(&values), raw(&expected_values));
+        prop_assert_eq!(t.instantiate(&values), Some(f.clone()));
+        prop_assert_eq!(t.instantiate(&values[..values.len().saturating_sub(1)]).is_some(), values.is_empty());
+        let (borrowing, borrowed) = Template::of_borrowed(&f);
+        prop_assert_eq!(&borrowing, &t);
+        prop_assert!(borrowed.iter().map(|v| &**v).eq(values.iter()));
+
+        let respelt = rebuilt(&f, &str::to_uppercase, &|v| format!("{v}x"));
+        for g in [&respelt, &other] {
+            let (u, _) = Template::of(g);
+            let same_id = u.id() == t.id();
+            prop_assert_eq!(u == t, same_id, "{} and {}", f, g);
+            if let (Some(i), Some(j)) = (t.table_index(), u.table_index()) {
+                prop_assert_eq!(i == j, same_id, "{} and {}", f, g);
+            }
+        }
+        prop_assert_eq!(Template::of(&respelt).0, t);
     }
 
     /// Filter print → parse is the identity.

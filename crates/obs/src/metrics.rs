@@ -43,6 +43,13 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the counter to `total` if it is below it: how a tally kept
+    /// elsewhere (a process-wide one, say) is mirrored into a registry by
+    /// any number of observers without being counted twice.
+    pub fn raise_to(&self, total: u64) {
+        self.value.fetch_max(total, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)

@@ -78,7 +78,7 @@ pub enum StoredQueryKind {
 /// changes a filter's content copies its posting list and nothing else.
 #[derive(Debug, Clone)]
 struct StoredFilter {
-    prepared: Arc<PreparedQuery>,
+    prepared: Arc<PreparedQuery<'static>>,
     /// The filter's content as a sorted posting list of interned ids.
     ids: Arc<Vec<u32>>,
     /// True when the last sync cycle could not reach the master: the
@@ -168,10 +168,15 @@ impl ContentSnapshot {
     fn entry(&self, id: u32) -> Option<&Entry> {
         self.entries.get(id as usize)
     }
+
+    /// The entries stored under a list of ids.
+    fn entries_of<'a>(&'a self, ids: &'a [u32]) -> impl Iterator<Item = &'a Entry> {
+        ids.iter().filter_map(|&id| self.entry(id))
+    }
 }
 
 /// Registers a prepared query under `id` without abstracting it again.
-fn register_prepared(index: &mut RoutingIndex, id: u32, q: &PreparedQuery) {
+fn register_prepared(index: &mut RoutingIndex, id: u32, q: &PreparedQuery<'_>) {
     index.register_prepared(id, q.template(), q.values(), q.request().base());
 }
 
@@ -337,7 +342,7 @@ struct DnIds {
 /// are not synchronized, §7.4, so the result is a snapshot at cache time).
 #[derive(Debug)]
 struct CachedQuery {
-    prepared: PreparedQuery,
+    prepared: PreparedQuery<'static>,
     entries: Vec<Entry>,
     hits: AtomicU64,
 }
@@ -1084,7 +1089,7 @@ impl FilterReplica {
     pub fn try_answer(&self, query: &SearchRequest) -> Option<Vec<Entry>> {
         let start = self.metrics.as_ref().map(|_| Instant::now());
         self.stats.record_query();
-        let prepared = PreparedQuery::new(query.clone());
+        let prepared = PreparedQuery::borrowed(query);
         let snap = self.snapshot();
         let out = self.answer_prepared(query, &prepared, &snap);
         if let (Some(m), Some(t)) = (&self.metrics, start) {
@@ -1098,7 +1103,7 @@ impl FilterReplica {
     fn answer_prepared(
         &self,
         query: &SearchRequest,
-        prepared: &PreparedQuery,
+        prepared: &PreparedQuery<'_>,
         snap: &ContentSnapshot,
     ) -> Option<Vec<Entry>> {
         // Generalized filters first (they are authoritative and synced):
@@ -1138,7 +1143,7 @@ impl FilterReplica {
                 cq.hits.fetch_add(1, Ordering::Relaxed);
                 self.stats.record_cache_hit();
                 event!(self.obs, "replica", "qc_hit", kind = "cached", epoch = snap.epoch);
-                return Some(evaluate_cached(query, &cq.entries));
+                return Some(collect_matching(query, cq.entries.iter()));
             }
         }
         if self.obs.tracing_enabled() {
@@ -1188,7 +1193,7 @@ impl FilterReplica {
                 Cow::Borrowed(ids)
             }
         };
-        collect_matching(snap, query, &cands)
+        collect_matching(query, snap.entries_of(&cands))
     }
 
     /// Answers a query by brute-force scan — the containment gate against
@@ -1200,11 +1205,11 @@ impl FilterReplica {
     /// filters but records no replica statistics and no hit counts, and
     /// does not consult the query cache.
     pub fn try_answer_scan(&self, query: &SearchRequest) -> Option<Vec<Entry>> {
-        let prepared = PreparedQuery::new(query.clone());
+        let prepared = PreparedQuery::borrowed(query);
         let snap = self.snapshot();
         for sf in &snap.filters {
             if self.engine.query_contained(&prepared, &sf.prepared) {
-                return Some(collect_matching(&snap, query, &sf.ids));
+                return Some(collect_matching(query, snap.entries_of(&sf.ids)));
             }
         }
         None
@@ -1229,7 +1234,7 @@ impl FilterReplica {
     pub fn try_answer_composed(&self, query: &SearchRequest) -> Option<Vec<Entry>> {
         let start = self.metrics.as_ref().map(|_| Instant::now());
         self.stats.record_query();
-        let prepared = PreparedQuery::new(query.clone());
+        let prepared = PreparedQuery::borrowed(query);
         let snap = self.snapshot();
         let out = self.answer_composed_prepared(query, &prepared, &snap);
         if let (Some(m), Some(t)) = (&self.metrics, start) {
@@ -1241,7 +1246,7 @@ impl FilterReplica {
     fn answer_composed_prepared(
         &self,
         query: &SearchRequest,
-        prepared: &PreparedQuery,
+        prepared: &PreparedQuery<'_>,
         snap: &ContentSnapshot,
     ) -> Option<Vec<Entry>> {
         if let Some(hit) = self.answer_prepared(query, prepared, snap) {
@@ -1286,16 +1291,16 @@ impl FilterReplica {
     }
 }
 
-/// Verifies a candidate id list against the full query, sorts the
+/// Verifies candidate entries — a stored filter's, looked up by id, or a
+/// cached query's frozen result — against the full query, sorts the
 /// survivors hierarchically — the order the master answers in, so a hit
 /// and a miss return the same sequence — and projects the selected
 /// attributes; projection runs only on entries that made the answer.
-fn collect_matching(snap: &ContentSnapshot, query: &SearchRequest, ids: &[u32]) -> Vec<Entry> {
-    let mut hits: Vec<&Entry> = ids
-        .iter()
-        .filter_map(|&id| snap.entry(id))
-        .filter(|e| query.matches(e))
-        .collect();
+fn collect_matching<'a>(
+    query: &SearchRequest,
+    candidates: impl Iterator<Item = &'a Entry>,
+) -> Vec<Entry> {
+    let mut hits: Vec<&Entry> = candidates.filter(|e| query.matches(e)).collect();
     hits.sort_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
     hits.into_iter().map(|e| query.attrs().project(e)).collect()
 }
@@ -1310,14 +1315,6 @@ fn filter_readable_from(query: &SearchRequest, cached: &SearchRequest) -> bool {
         AttrSelection::All => true,
         AttrSelection::List(held) => query.filter().attr_names().iter().all(|a| held.contains(a)),
     }
-}
-
-/// Evaluates a query over a cached query's frozen result set, in the
-/// same hierarchical order.
-fn evaluate_cached(query: &SearchRequest, entries: &[Entry]) -> Vec<Entry> {
-    let mut hits: Vec<&Entry> = entries.iter().filter(|e| query.matches(e)).collect();
-    hits.sort_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
-    hits.into_iter().map(|e| query.attrs().project(e)).collect()
 }
 
 /// Applies one batch of sync actions to the working content: the filter's
@@ -2453,7 +2450,7 @@ mod proptests {
 
     /// Scan oracle: same verification/order/projection tail, no plan.
     fn oracle(snap: &ContentSnapshot, query: &SearchRequest, ids: &[u32]) -> Vec<Entry> {
-        collect_matching(snap, query, ids)
+        collect_matching(query, snap.entries_of(ids))
     }
 
     proptest! {
@@ -2651,7 +2648,7 @@ mod proptests {
                     }
                     Step::Ask(i) => {
                         let query = pool_request(QUERY_POOL[i]);
-                        let prepared = PreparedQuery::new(query.clone());
+                        let prepared = PreparedQuery::borrowed(&query);
                         let by_filter = stored.iter().position(|&held| {
                             let s = PreparedQuery::new(pool_request(STORED_POOL[held]));
                             reference.query_contained(&prepared, &s)
@@ -2671,7 +2668,7 @@ mod proptests {
                                     .find(|(cq, _, _)| reference.query_contained(&prepared, cq));
                                 let expected = by_cache.map(|(_, frozen, hits)| {
                                     *hits += 1;
-                                    evaluate_cached(&query, frozen)
+                                    collect_matching(&query, frozen.iter())
                                 });
                                 prop_assert_eq!(&got, &expected, "{}", query);
                             }

@@ -6,7 +6,8 @@
 //! [`fbdr_dit::index`], the same ones the master's store answers by; this
 //! module is the storage an epoch-publishing store needs under them.
 //!
-//! Lifecycle: every map in the index is a persistent [`PMap`] and every
+//! Lifecycle: every map in the index is a persistent [`PMap`] — its text
+//! keys the shared [`TextKey`], compared in the node — and every
 //! posting list sits behind its own `Arc`, so cloning the index for the
 //! next epoch is one pointer copy and the two epochs share every node the
 //! writer does not touch. A cycle pays for what it changes: per changed
@@ -19,7 +20,7 @@
 //! from the entry store.
 
 use crate::persistent::PMap;
-use fbdr_dit::index::{self, Key};
+use fbdr_dit::index::{self, Key, TextKey};
 use fbdr_dit::posting;
 use fbdr_ldap::{Entry, Filter, Predicate};
 use std::borrow::Cow;
@@ -32,7 +33,7 @@ type Ids = Arc<Vec<u32>>;
 #[derive(Debug, Clone, Default)]
 struct AttrPostings {
     /// Normalized value text → ids, in lexicographic order.
-    text: PMap<Arc<str>, Ids>,
+    text: PMap<TextKey, Ids>,
     /// Integer view of the values that have one → ids.
     num: PMap<i64, Ids>,
 }
@@ -58,7 +59,7 @@ fn remove_id(list: &mut Ids, id: u32) -> bool {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SnapshotIndex {
     /// Lowercased attribute name → the attribute's posting lists.
-    by_attr: PMap<Arc<str>, AttrPostings>,
+    by_attr: PMap<TextKey, AttrPostings>,
 }
 
 impl SnapshotIndex {
@@ -84,10 +85,12 @@ impl SnapshotIndex {
             if keys.peek().is_none() {
                 continue;
             }
-            self.by_attr.update(attr.lower(), || Arc::from(attr.lower()), |idx| {
+            self.by_attr.update(attr.lower().as_bytes(), || TextKey::new(attr.lower()), |idx| {
                 for key in keys {
                     match key {
-                        Key::Text(k) => idx.text.update(k, || Arc::from(k), |list| edit(list, id)),
+                        Key::Text(k) => {
+                            idx.text.update(k.as_bytes(), || TextKey::new(k), |list| edit(list, id))
+                        }
                         Key::Num(n) => idx.num.update(&n, || n, |list| edit(list, id)),
                     }
                 }
@@ -109,13 +112,13 @@ impl SnapshotIndex {
     /// The store's half of [`index::plan`].
     fn lists_for_predicate<'a>(&'a self, p: &Predicate) -> Option<Cow<'a, [u32]>> {
         let scan = index::predicate_scan(p)?;
-        let Some(idx) = self.by_attr.get(p.attr().lower()) else {
+        let Some(idx) = self.by_attr.get(p.attr().lower().as_bytes()) else {
             return Some(Cow::Owned(Vec::new()));
         };
         Some(index::scan_lists(
             &scan,
             |k| idx.text.get(k).map(|list| list.as_slice()),
-            |lo, hi| idx.text.range::<str>(lo, hi).map(|(k, list)| (&**k, list.as_slice())),
+            |lo, hi| idx.text.range::<[u8]>(lo, hi).map(|(k, list)| (k, list.as_slice())),
             |lo, hi| idx.num.range(lo, hi).map(|(_, list)| list.as_slice()),
         ))
     }
@@ -206,7 +209,7 @@ mod tests {
     #[test]
     fn reindex_moves_only_the_values_that_differ() {
         let mut ix = sample(6);
-        let untouched = ix.by_attr.get("serialnumber").unwrap().text.node_addrs();
+        let untouched = ix.by_attr.get("serialnumber".as_bytes()).unwrap().text.node_addrs();
         let mut new = entry(2);
         new.replace("dept", ["7"]);
         new.add("mail", "two@x");
@@ -217,11 +220,11 @@ mod tests {
         assert_eq!(plan_of(&ix, "(mail=two@x)"), Some(vec![2]));
         assert_eq!(plan_of(&ix, "(serialNumber=100002)"), Some(vec![2]));
         assert_eq!(plan_of(&ix, "(objectclass=person)"), Some((0..6).collect()));
-        assert_eq!(ix.by_attr.get("serialnumber").unwrap().text.node_addrs(), untouched);
+        assert_eq!(ix.by_attr.get("serialnumber".as_bytes()).unwrap().text.node_addrs(), untouched);
         // Back again: the added attribute leaves with its only carrier.
         ix.reindex(2, Some(&new), Some(&entry(2)));
         assert_eq!(plan_of(&ix, "(mail=two@x)"), Some(vec![]));
-        assert!(ix.by_attr.get("mail").is_none());
+        assert!(ix.by_attr.get("mail".as_bytes()).is_none());
         assert_eq!(plan_of(&ix, "(dept=2)"), Some(vec![2, 5]));
     }
 
@@ -252,7 +255,7 @@ mod tests {
         assert_eq!(plan_of(&ix, "(&(n>=500)(n<=500))"), Some(vec![0]));
         ix.reindex(0, Some(&e(&["0500", "5oo"])), Some(&e(&["5oo"])));
         assert_eq!(plan_of(&ix, "(n>=-9)"), Some(vec![]));
-        assert!(ix.by_attr.get("n").unwrap().num.is_empty());
+        assert!(ix.by_attr.get("n".as_bytes()).unwrap().num.is_empty());
         assert_eq!(plan_of(&ix, "(n>=5a)"), Some(vec![0]));
     }
 

@@ -366,29 +366,38 @@ impl<T> SlotVec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbdr_dit::index::TextKey;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    type Map = PMap<Arc<str>, u32>;
+    /// Keyed as the snapshot index keys its text maps.
+    type Map = PMap<TextKey, u32>;
     type Model = BTreeMap<String, u32>;
 
+    /// Every third key is too long to sit in the map node, so inline and
+    /// heap keys neighbour each other in every leaf and prefix.
     fn key(k: u16) -> String {
-        format!("{:04}", k % 4096)
+        let k = k % 4096;
+        if k.is_multiple_of(3) {
+            format!("{k:04}-the-text-of-this-key-goes-behind-an-arc")
+        } else {
+            format!("{k:04}")
+        }
     }
 
     fn set(map: &mut Map, k: &str, v: u32) {
-        map.update(k, || Arc::from(k), |slot| {
+        map.update(k.as_bytes(), || TextKey::new(k), |slot| {
             *slot = v;
             true
         });
     }
 
     fn unset(map: &mut Map, k: &str) {
-        map.update(k, || Arc::from(k), |_| false);
+        map.update(k.as_bytes(), || TextKey::new(k), |_| false);
     }
 
-    fn items<'a>(it: impl Iterator<Item = (&'a Arc<str>, &'a u32)>) -> Vec<(String, u32)> {
-        it.map(|(k, v)| (k.to_string(), *v)).collect()
+    fn items<'a>(it: impl Iterator<Item = (&'a TextKey, &'a u32)>) -> Vec<(String, u32)> {
+        it.map(|(k, v)| (String::from_utf8(k.as_bytes().to_vec()).expect("made from a str"), *v)).collect()
     }
 
     fn model_items<'a>(it: impl Iterator<Item = (&'a String, &'a u32)>) -> Vec<(String, u32)> {
@@ -400,7 +409,7 @@ mod tests {
         assert_eq!(items(map.iter()), model_items(model.iter()));
         for &(a, b) in probes {
             let (a, b) = (key(a), key(b));
-            assert_eq!(map.get(a.as_str()), model.get(&a));
+            assert_eq!(map.get(a.as_bytes()), model.get(&a));
             let (lo, hi) = if a <= b { (&a, &b) } else { (&b, &a) };
             for (l, h) in [
                 (Bound::Included(lo), Bound::Included(hi)),
@@ -411,11 +420,11 @@ mod tests {
                 if lo == hi && matches!((l, h), (Bound::Excluded(_), Bound::Excluded(_))) {
                     continue; // BTreeMap::range panics on an empty exclusive range
                 }
-                fn bound(b: Bound<&String>) -> Bound<&str> {
-                    b.map(|s| s.as_str())
+                fn bound(b: Bound<&String>) -> Bound<&[u8]> {
+                    b.map(|s| s.as_bytes())
                 }
                 assert_eq!(
-                    items(map.range::<str>(bound(l), bound(h))),
+                    items(map.range::<[u8]>(bound(l), bound(h))),
                     model_items(model.range::<String, _>((l, h))),
                     "range {l:?}..{h:?}"
                 );
@@ -423,8 +432,8 @@ mod tests {
             // Prefix scan, the way the index plans `(attr=ab*)`.
             let prefix = &a[..2];
             let scanned = map
-                .range::<str>(Bound::Included(prefix), Bound::Unbounded)
-                .take_while(|(k, _)| k.starts_with(prefix));
+                .range::<[u8]>(Bound::Included(prefix.as_bytes()), Bound::Unbounded)
+                .take_while(|(k, _)| k.as_bytes().starts_with(prefix.as_bytes()));
             let expected = model.iter().filter(|(k, _)| k.starts_with(prefix));
             assert_eq!(items(scanned), model_items(expected), "prefix {prefix}");
         }
@@ -525,7 +534,7 @@ mod tests {
         // ... and the branch is merged into its thinned-out left sibling.
         edit(&mut map, &mut (1024..1360), false);
         for k in (1536..1568).map(key) {
-            assert_eq!(map.get(k.as_str()), Some(&1), "key {k}");
+            assert_eq!(map.get(k.as_bytes()), Some(&1), "key {k}");
         }
     }
 
@@ -542,8 +551,8 @@ mod tests {
         let copied = new.iter().filter(|a| !old.contains(a)).count();
         assert!(new.len() > 128, "{} nodes", new.len());
         assert!(copied <= 3, "{copied} of {} nodes copied", new.len());
-        assert_eq!(before.get(key(1234).as_str()), Some(&0));
-        assert_eq!(map.get(key(1234).as_str()), Some(&1));
+        assert_eq!(before.get(key(1234).as_bytes()), Some(&0));
+        assert_eq!(map.get(key(1234).as_bytes()), Some(&1));
 
         let mut slots: SlotVec<u32> = SlotVec::default();
         for i in 0..4096 {

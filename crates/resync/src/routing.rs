@@ -15,9 +15,10 @@
 //!   filters".
 //!
 //! The paper's templates (§4) exist to prune exactly this kind of
-//! per-filter work. Registered filters are grouped by LDAP template, the
-//! template's [`routing plans`](fbdr_ldap::Template::routing_plans) are
-//! computed once per live template, and each filter's concrete assertion
+//! per-filter work. A registered filter's LDAP template is a handle on a
+//! body every filter of the template shares, in every index of the
+//! process; the template's [`routing plans`](fbdr_ldap::Template::routing_plans)
+//! are derived once on that body, and each filter's concrete assertion
 //! values key into posting maps of ids:
 //!
 //! * **equality** `(attr, value)` → filters asserting exactly that value,
@@ -61,9 +62,9 @@
 //! several components builds its concatenated witness text).
 
 use fbdr_dit::posting::{insert_sorted, remove_sorted};
-use fbdr_ldap::{AttrValue, Dn, Filter, SearchRequest, SlotKey, Template, TemplateId};
+use fbdr_ldap::{AttrValue, Dn, Filter, SearchRequest, SlotKey, Template};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 /// A concrete posting key a filter is registered under.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -86,29 +87,6 @@ enum Place {
     Residual(Option<(String, String)>),
 }
 
-/// One registered filter: its template's cached plan and its place.
-#[derive(Debug, Clone)]
-struct Registration {
-    plan: Arc<TemplatePlan>,
-    place: Place,
-}
-
-/// The routing plans of one template, computed when its first filter
-/// registers and dropped with its last.
-#[derive(Debug)]
-struct TemplatePlan {
-    id: TemplateId,
-    /// `None` = no sound key set: the template's filters are residual.
-    alts: Option<Vec<Vec<SlotKey>>>,
-}
-
-/// A cached plan and the number of live registrations using it.
-#[derive(Debug, Clone)]
-struct PlanSlot {
-    plan: Arc<TemplatePlan>,
-    live: usize,
-}
-
 /// Counts of live index structures, for tests and observability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoutingStats {
@@ -124,8 +102,6 @@ pub struct RoutingStats {
     pub prefix_keys: usize,
     /// Distinct presence posting keys.
     pub present_keys: usize,
-    /// Distinct templates among the registered sessions.
-    pub templates: usize,
 }
 
 /// The root-most RDN of a DN as a lowercased attribute and normalized
@@ -207,17 +183,13 @@ impl AttrPostings {
 /// rebuilds it from the surviving sessions after deserialization.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingIndex {
-    /// Template id → its routing plans, for the templates of the live
-    /// registrations: live filters collapse onto few templates (§4), so a
-    /// registration looks its plan up instead of deriving it again.
-    plans: HashMap<TemplateId, PlanSlot>,
     /// Lowercased attribute → its posting lists.
     by_attr: HashMap<String, AttrPostings>,
     /// Root RDN `(attr, value)` → residual sessions based under it.
     residual: HashMap<String, HashMap<String, Vec<u32>>>,
     /// Residual sessions based at the empty DN (scanned for every DN).
     residual_root: Vec<u32>,
-    registered: HashMap<u32, Registration>,
+    registered: HashMap<u32, Place>,
 }
 
 /// The value under `key`, inserted empty when absent; the key is copied
@@ -251,17 +223,14 @@ impl RoutingIndex {
     }
 
     /// Instantiates one plan alternative against the query's slot values.
-    fn concrete_keys(plan: &[SlotKey], values: &[AttrValue]) -> Vec<RouteKey> {
+    fn concrete_keys(plan: &[SlotKey], values: &[impl Borrow<AttrValue>]) -> Vec<RouteKey> {
+        let text = |slot: &usize| values[*slot].borrow().normalized().to_owned();
         plan.iter()
             .map(|k| match k {
-                SlotKey::Eq { attr, slot } => RouteKey::Eq(
-                    attr.lower().to_owned(),
-                    values[*slot].normalized().to_owned(),
-                ),
-                SlotKey::Prefix { attr, slot } => RouteKey::Prefix(
-                    attr.lower().to_owned(),
-                    values[*slot].normalized().to_owned(),
-                ),
+                SlotKey::Eq { attr, slot } => RouteKey::Eq(attr.lower().to_owned(), text(slot)),
+                SlotKey::Prefix { attr, slot } => {
+                    RouteKey::Prefix(attr.lower().to_owned(), text(slot))
+                }
                 SlotKey::Present { attr } => RouteKey::Present(attr.lower().to_owned()),
             })
             .collect()
@@ -297,26 +266,11 @@ impl RoutingIndex {
         self.register_prepared(id, &template, &values, request.base());
     }
 
-    /// The template's cached plan, derived on its first registration;
-    /// counts one more live registration.
-    fn plan_for(&mut self, template: &Template) -> Arc<TemplatePlan> {
-        if let Some(slot) = self.plans.get_mut(template.id()) {
-            slot.live += 1;
-            return slot.plan.clone();
-        }
-        let plan = Arc::new(TemplatePlan {
-            id: template.id().clone(),
-            alts: template.routing_plans(),
-        });
-        self.plans
-            .insert(template.id().clone(), PlanSlot { plan: plan.clone(), live: 1 });
-        plan
-    }
-
     /// Registers a filter given as its already-extracted template and
-    /// slot values (what a `PreparedQuery` holds) plus its search base:
-    /// under the routing keys of one of the template's plans, or on the
-    /// residual scan-list when the template is not indexable.
+    /// slot values (what a `PreparedQuery` holds, owned or borrowed) plus
+    /// its search base: under the routing keys of one of the template's
+    /// plans, or on the residual scan-list when the template is not
+    /// indexable.
     /// When the template offers several sound key sets (a conjunction of
     /// indexable children), the alternative whose posting lists currently
     /// hold the fewest sessions wins — near-constant assertions like
@@ -328,12 +282,11 @@ impl RoutingIndex {
         &mut self,
         id: u32,
         template: &Template,
-        values: &[AttrValue],
+        values: &[impl Borrow<AttrValue>],
         base: &Dn,
     ) {
         self.remove(id);
-        let plan = self.plan_for(template);
-        let place = match &plan.alts {
+        let place = match template.routing_plans() {
             Some(alts) => {
                 let keys = alts
                     .iter()
@@ -362,24 +315,17 @@ impl RoutingIndex {
                 Place::Residual(bucket)
             }
         };
-        self.registered.insert(id, Registration { plan, place });
+        self.registered.insert(id, place);
     }
 
     /// Removes a session from every posting list it appears in. A no-op
-    /// for unknown ids. Emptied posting lists — and the cached plan of a
-    /// template that lost its last registration — are dropped, so the key
+    /// for unknown ids. Emptied posting lists are dropped, so the key
     /// space tracks the live session population.
     pub fn remove(&mut self, id: u32) {
-        let Some(reg) = self.registered.remove(&id) else {
+        let Some(place) = self.registered.remove(&id) else {
             return;
         };
-        if let Some(slot) = self.plans.get_mut(&reg.plan.id) {
-            slot.live -= 1;
-            if slot.live == 0 {
-                self.plans.remove(&reg.plan.id);
-            }
-        }
-        match reg.place {
+        match place {
             Place::Keys(keys) => {
                 for key in keys {
                     let attr = match &key {
@@ -508,7 +454,7 @@ impl RoutingIndex {
         let residual = self
             .registered
             .values()
-            .filter(|r| matches!(r.place, Place::Residual(_)))
+            .filter(|place| matches!(place, Place::Residual(_)))
             .count();
         RoutingStats {
             sessions: self.registered.len(),
@@ -517,14 +463,12 @@ impl RoutingIndex {
             eq_keys: self.by_attr.values().map(|b| b.eq.len()).sum(),
             prefix_keys: self.by_attr.values().map(|b| b.prefix.len()).sum(),
             present_keys: self.by_attr.values().filter(|b| !b.present.is_empty()).count(),
-            templates: self.plans.len(),
         }
     }
 
     /// Panics if any posting list holds an id that is not registered, a
-    /// registered id is missing from a posting list it should be on, the
-    /// prefix-length counts disagree with the prefix keys, or the plan
-    /// cache does not hold exactly the live registrations' templates.
+    /// registered id is missing from a posting list it should be on, or the
+    /// prefix-length counts disagree with the prefix keys.
     /// Test-and-debug helper for the stale-id invariant.
     pub fn debug_validate(&self) {
         let check = |ids: &Vec<u32>, what: &str| {
@@ -559,11 +503,9 @@ impl RoutingIndex {
             }
         }
         check(&self.residual_root, "residual root");
-        let mut live: HashMap<&TemplateId, usize> = HashMap::new();
-        for (id, reg) in &self.registered {
-            *live.entry(&reg.plan.id).or_insert(0) += 1;
+        for (id, place) in &self.registered {
             let on = |ids: Option<&Vec<u32>>| ids.is_some_and(|l| l.binary_search(id).is_ok());
-            match &reg.place {
+            match place {
                 Place::Keys(keys) => {
                     for key in keys {
                         let present = match key {
@@ -593,14 +535,6 @@ impl RoutingIndex {
                     );
                 }
             }
-        }
-        assert_eq!(self.plans.len(), live.len(), "plan cache holds a dead template");
-        for (t, n) in live {
-            assert_eq!(
-                self.plans.get(t).map(|s| s.live),
-                Some(n),
-                "template {t}: live count drifted"
-            );
         }
     }
 }
@@ -756,25 +690,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_tracks_live_templates() {
+    fn a_prepared_registration_lands_on_the_same_keys() {
         let mut ix = RoutingIndex::new();
-        ix.register(0, &req("o=xyz", "(dept=7)"));
-        ix.register(1, &req("o=xyz", "(dept=8)"));
-        ix.register(2, &req("o=xyz", "(!(dept=8))"));
-        assert_eq!(ix.stats().templates, 2);
-        ix.register(1, &req("o=xyz", "(sn=a*)")); // re-registration moves templates
-        ix.debug_validate();
-        assert_eq!(ix.stats().templates, 3);
-        ix.remove(0);
-        ix.remove(2);
-        ix.debug_validate();
-        assert_eq!(ix.stats().templates, 1);
-        // The pre-extracted entry point registers the same keys.
         let r = req("o=xyz", "(dept=9)");
-        let (t, v) = Template::of(r.filter());
+        ix.register(4, &r);
+        let (t, v) = Template::of_borrowed(r.filter());
         ix.register_prepared(5, &t, &v, r.base());
         ix.debug_validate();
-        assert_eq!(query_candidates(&ix, "o=xyz", "(dept=9)"), Some(vec![5]));
+        assert_eq!(ix.stats().eq_keys, 1);
+        assert_eq!(query_candidates(&ix, "o=xyz", "(dept=9)"), Some(vec![4, 5]));
     }
 
     #[test]

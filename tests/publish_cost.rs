@@ -8,7 +8,11 @@
 //! at least one allocation per held entry and fails both.
 //!
 //! The same counter guards the read path's inner loop: a containment
-//! check on the same-template and compiled paths allocates nothing.
+//! check on the same-template and compiled paths allocates nothing — and
+//! what comes before it: a query of a known template is prepared by
+//! looking the template up, so extracting it allocates for its values and
+//! a whole point-query hit for its lists (DESIGN §5, *Templates*; the table under a
+//! flood of shapes is `tests/template_flood.rs`, a process of its own).
 //!
 //! The allocator also counts bytes, for the master's side of a delivery:
 //! a poll or a coalesced flush that carries one `Modify` allocates the
@@ -25,85 +29,11 @@
 //! history* — the store keeps no log) — measured on the heap itself, not
 //! by `MasterFootprint`'s own arithmetic.
 
+mod support;
+
 use fbdr::prelude::*;
 use fbdr::resync::{Cookie, NotifyPolicy};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Counts the allocations of the calling thread, the bytes they asked
-/// for, and the bytes it has allocated and not freed (tests run on
-/// parallel threads; each must see only its own, and each frees on the
-/// thread it allocated on).
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-fn note_allocation(size: usize) {
-    // Not counting is right while a thread's locals are being torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
-    let _ = LIVE.try_with(|n| n.set(n.get() + size as i64));
-}
-
-fn note_release(size: usize) {
-    let _ = LIVE.try_with(|n| n.set(n.get() - size as i64));
-}
-
-// SAFETY: every method forwards to `System` with the caller's layout and
-// pointer unchanged; the counters touch no allocator state and do not
-// allocate (`const`-initialised `Cell`s without a destructor).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_allocation(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note_release(layout.size());
-        // SAFETY: `ptr` was returned by this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_release(layout.size());
-        note_allocation(new_size);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations `f` makes on this thread.
-fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
-
-/// Bytes `f` asks the allocator for on this thread.
-fn bytes_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = BYTES.with(Cell::get);
-    let out = f();
-    (out, BYTES.with(Cell::get) - before)
-}
-
-/// Bytes this thread has allocated and not yet freed.
-fn live_bytes() -> i64 {
-    LIVE.with(Cell::get)
-}
+use support::{allocations_of, bytes_of, live_bytes};
 
 fn dn(s: &str) -> Dn {
     s.parse().expect("static DN")
@@ -264,6 +194,36 @@ fn containment_check_allocates_nothing() {
     assert_eq!(stats.compiled - before.compiled, 3);
     assert_eq!(stats.skipped_never - before.skipped_never, 1);
     assert_eq!(allocations, 0, "allocations in six containment checks");
+}
+
+#[test]
+fn a_known_template_is_extracted_for_the_price_of_its_values() {
+    let filter = Filter::parse("(&(objectclass=inetOrgPerson)(departmentNumber=7))").expect("filter");
+    let (first, _) = Template::of(&filter);
+    let again = Filter::parse("(&(objectClass=person)(departmentnumber=12))").expect("filter");
+    // References into the filter: the list that holds them.
+    let ((borrowing, values), allocations) = allocations_of(|| Template::of_borrowed(&again));
+    assert_eq!((borrowing, values.len()), (first.clone(), 2));
+    assert_eq!(allocations, 1, "allocations of a borrowing extraction");
+    // Copies: the list, and two strings per value.
+    let ((owning, values), allocations) = allocations_of(|| Template::of(&again));
+    assert_eq!((owning, values.len()), (first, 2));
+    assert_eq!(allocations, 5, "allocations of an owning extraction");
+}
+
+#[test]
+fn a_warm_point_hit_allocates_for_its_lists() {
+    let mut master = master_of(1_000);
+    let replica = FilterReplica::new(0);
+    replica.install_filter(&mut master, query("(serialNumber=1000*)")).expect("install");
+    // The first query of the template interns it and compiles its
+    // condition against the stored filter's.
+    assert_eq!(replica.try_answer(&query("(serialNumber=100042)")).expect("contained").len(), 1);
+    let next = query("(serialNumber=100043)");
+    let (hit, allocations) = allocations_of(|| replica.try_answer(&next));
+    assert_eq!(hit.expect("contained").len(), 1);
+    println!("warm point hit: {allocations} allocations");
+    assert!(allocations <= 10, "{allocations} allocations in a warm point-query hit");
 }
 
 /// A master of 1 000 people, 50 of them in team `a` and 200 in team `b`,
