@@ -5,7 +5,7 @@ use crate::cross_template::{CompiledCondition, CrossTemplateMatrix};
 use crate::qc::region_contained;
 use crate::same_template::same_template_contained;
 use crate::{filter_contained, Containment};
-use fbdr_ldap::{AttrValue, SearchRequest, Template};
+use fbdr_ldap::{AttrName, AttrValue, SearchRequest, Template};
 use fbdr_obs::{event, Counter, Gauge, Histogram, MetricsRegistry, Obs};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -178,10 +178,12 @@ pub struct ContainmentEngine {
     /// Pre-resolved `fbdr_containment_check_ns` histogram; `None` on an
     /// unobserved engine, so the uninstrumented check costs one branch.
     check_hist: Option<Arc<Histogram>>,
-    /// `fbdr_ldap_templates_interned` and
-    /// `fbdr_ldap_templates_uninterned_total`: the process-wide template
-    /// table, mirrored into this engine's registry (`None` unobserved).
-    template_table: Option<(Arc<Gauge>, Arc<Counter>)>,
+    /// `fbdr_ldap_templates_interned`,
+    /// `fbdr_ldap_templates_uninterned_total` and
+    /// `fbdr_ldap_attr_names_interned`: the process-wide template and
+    /// attribute-name tables, mirrored into this engine's registry (`None`
+    /// unobserved).
+    template_table: Option<(Arc<Gauge>, Arc<Counter>, Arc<Gauge>)>,
 }
 
 impl Default for ContainmentEngine {
@@ -207,10 +209,12 @@ impl ContainmentEngine {
     /// the `fbdr_containment_check_ns` histogram, and each decision emits
     /// a `containment.decision` trace event when a subscriber is
     /// installed. The registry also gets the size of the process-wide
-    /// template table (`fbdr_ldap_templates_interned`) and the number of
-    /// extractions it turned away (`fbdr_ldap_templates_uninterned_total`),
-    /// refreshed whenever a check meets a template pair with no cached
-    /// condition — a new template, or one past the table's cap. With
+    /// template table (`fbdr_ldap_templates_interned`), the number of
+    /// extractions it turned away (`fbdr_ldap_templates_uninterned_total`)
+    /// and the size of the attribute-name table beside it
+    /// (`fbdr_ldap_attr_names_interned`), refreshed whenever a check meets
+    /// a template pair with no cached condition — a new template, which is
+    /// what a new attribute name makes, or one past the table's cap. With
     /// [`Obs::off`] this is identical to [`ContainmentEngine::new`].
     pub fn with_obs(obs: Obs) -> Self {
         if !obs.is_active() {
@@ -224,6 +228,7 @@ impl ContainmentEngine {
             template_table: Some((
                 reg.gauge("fbdr_ldap_templates_interned"),
                 reg.counter("fbdr_ldap_templates_uninterned_total"),
+                reg.gauge("fbdr_ldap_attr_names_interned"),
             )),
             obs,
         };
@@ -232,10 +237,11 @@ impl ContainmentEngine {
     }
 
     fn publish_template_table(&self) {
-        if let Some((interned, uninterned)) = &self.template_table {
+        if let Some((interned, uninterned, names)) = &self.template_table {
             let stats = Template::table_stats();
             interned.set(stats.interned as i64);
             uninterned.raise_to(stats.uninterned);
+            names.set(AttrName::interned() as i64);
         }
     }
 

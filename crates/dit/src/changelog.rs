@@ -17,11 +17,9 @@
 //! numbers each applied update and hands back its [`ChangeRecord`]; a
 //! consumer that wants a log feeds the records to a [`History`] of its own.
 
-use fbdr_ldap::{AttrName, AttrValue, Dn};
+use fbdr_ldap::{AttrName, Dn, ValueSet};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 
 /// A change sequence number: totally ordered, monotonically increasing per
 /// store. CSN 0 means "before any change".
@@ -85,7 +83,7 @@ pub struct ChangeRecord {
     /// (attribute name, new values after the change). For `Add`: all
     /// attributes of the new entry. Empty for `Delete`. The value sets are
     /// the stored entry's own, shared — a record copies no value.
-    pub changes: Vec<(AttrName, Arc<BTreeSet<AttrValue>>)>,
+    pub changes: Vec<(AttrName, ValueSet)>,
     /// For `ModifyDn`: the new DN.
     pub new_dn: Option<Dn>,
 }
@@ -95,7 +93,7 @@ impl ChangeRecord {
     pub fn estimated_size(&self) -> usize {
         let mut n = self.dn.display_len() + 12;
         for (a, vs) in &self.changes {
-            for v in vs.iter() {
+            for v in vs {
                 n += a.as_str().len() + v.raw().len() + 4;
             }
         }
@@ -245,7 +243,7 @@ mod tests {
             csn: Csn(1),
             dn: "cn=a,o=xyz".parse().unwrap(),
             kind: ChangeKind::Modify,
-            changes: vec![("mail".into(), Arc::new(BTreeSet::from(["a@b.c".into()])))],
+            changes: vec![("mail".into(), ValueSet::from_iter(["a@b.c".into()]))],
             new_dn: None,
         };
         let empty = ChangeRecord { changes: vec![], ..rec.clone() };

@@ -25,7 +25,7 @@
 //! finds in the nodes it descends and follows no pointer per key.
 
 use crate::posting;
-use fbdr_ldap::{AttrName, AttrValue, Comparison, Filter, Predicate};
+use fbdr_ldap::{AttrName, AttrValue, Comparison, Filter, Predicate, ValueSet};
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
@@ -142,21 +142,19 @@ pub enum Key<'a> {
 
 /// The keys an entry holding `values` of an attribute is listed under and
 /// one holding `other` is not — the whole "what is indexed" rule, as the
-/// difference an edit has to apply. `other` is called once or twice per
-/// value; an attribute's values are few.
+/// difference an edit has to apply. `other` is asked once or twice per
+/// value, by binary search: a member added to a group of ten thousand
+/// costs the group's length, not its square.
 ///
 /// A numeric key belongs to every spelling of the integer at once, so it
 /// leaves only with the last of them: going from `{"0500", "500"}` to
 /// `{"500"}` drops the text key `0500` and keeps `Num(500)`.
-pub fn keys_only_in<'a, 'b, I>(
+pub fn keys_only_in<'a>(
     values: impl IntoIterator<Item = &'a AttrValue>,
-    other: impl Fn() -> I + Copy,
-) -> impl Iterator<Item = Key<'a>>
-where
-    I: Iterator<Item = &'b AttrValue>,
-{
-    values.into_iter().filter(move |v| !other().any(|w| w == *v)).flat_map(move |v| {
-        let num = v.as_int().filter(|&n| !other().any(|w| w.as_int() == Some(n)));
+    other: Option<&'a ValueSet>,
+) -> impl Iterator<Item = Key<'a>> {
+    values.into_iter().filter(move |v| !other.is_some_and(|o| o.contains(v))).flat_map(move |v| {
+        let num = v.as_int().filter(|&n| !other.is_some_and(|o| o.contains_int(n)));
         std::iter::once(Key::Text(v.normalized())).chain(num.map(Key::Num))
     })
 }
@@ -461,12 +459,12 @@ mod tests {
     /// with that one value would.
     fn insert(ix: &mut Indexes, attr: &str, value: &str, id: u32) {
         let (attr, value) = (AttrName::new(attr), AttrValue::new(value));
-        ix.insert(&attr, keys_only_in([&value], std::iter::empty), id);
+        ix.insert(&attr, keys_only_in([&value], None), id);
     }
 
     fn remove(ix: &mut Indexes, attr: &str, value: &str, id: u32) {
         let (attr, value) = (AttrName::new(attr), AttrValue::new(value));
-        ix.remove(&attr, keys_only_in([&value], std::iter::empty), id);
+        ix.remove(&attr, keys_only_in([&value], None), id);
     }
 
     fn sample() -> Indexes {
@@ -530,13 +528,29 @@ mod tests {
 
     #[test]
     fn a_numeric_key_leaves_with_its_last_spelling() {
-        let (old, new) = ([AttrValue::new("0500"), AttrValue::new("500")], [AttrValue::new("500")]);
-        let gone: Vec<Key<'_>> = keys_only_in(&old, || new.iter()).collect();
+        let old = ValueSet::from_iter(["0500".into(), "500".into()]);
+        let new = ValueSet::from_iter(["500".into()]);
+        let gone: Vec<Key<'_>> = keys_only_in(&old, Some(&new)).collect();
         assert_eq!(gone, [Key::Text("0500")]);
-        let gained: Vec<Key<'_>> = keys_only_in(&new, || old.iter()).collect();
+        let gained: Vec<Key<'_>> = keys_only_in(&new, Some(&old)).collect();
         assert_eq!(gained, []);
-        let all: Vec<Key<'_>> = keys_only_in(&old, std::iter::empty).collect();
+        let all: Vec<Key<'_>> = keys_only_in(&old, None).collect();
         assert_eq!(all, [Key::Text("0500"), Key::Num(500), Key::Text("500"), Key::Num(500)]);
+    }
+
+    /// A modify of a large attribute yields the keys of what it changed
+    /// and nothing else: text and number of a member that joins, the text
+    /// alone of a spelling whose number another member keeps.
+    #[test]
+    fn a_modify_of_five_thousand_values_yields_the_keys_it_changed() {
+        let member = |i: usize| AttrValue::new(if i.is_multiple_of(2) { format!("{i}") } else { format!("uid={i:04}") });
+        let old: ValueSet = (0..5_000).map(member).chain(["04998".into()]).collect();
+        let new: ValueSet = (0..5_000).map(member).chain(["5000".into(), "uid=5001".into()]).collect();
+        assert_eq!((old.len(), new.len()), (5_001, 5_002));
+        let gained: Vec<Key<'_>> = keys_only_in(&new, Some(&old)).collect();
+        assert_eq!(gained, [Key::Text("5000"), Key::Num(5000), Key::Text("uid=5001")]);
+        let gone: Vec<Key<'_>> = keys_only_in(&old, Some(&new)).collect();
+        assert_eq!(gone, [Key::Text("04998")]);
     }
 
     #[test]

@@ -4,11 +4,10 @@ use crate::changelog::{ChangeKind, ChangeRecord, Csn};
 use crate::error::{DitError, ImportError};
 use crate::index::{self, Indexes};
 use crate::update::{Modification, UpdateOp};
-use fbdr_ldap::{AttrName, AttrValue, Dn, Entry, Scope, SearchRequest};
+use fbdr_ldap::{AttrName, Dn, Entry, Scope, SearchRequest, ValueSet};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
-use std::sync::Arc;
 
 /// Hierarchical map key: orders DNs root-first over normalized RDN
 /// components ([`Dn::cmp_hierarchical`]), so that the subtree of a DN is
@@ -66,7 +65,7 @@ impl Entries {
             u32::try_from(self.slots.len() - 1).expect("id space exhausted")
         });
         for (a, vs) in entry.attrs() {
-            self.indexes.insert(a, index::keys_only_in(vs, std::iter::empty), id);
+            self.indexes.insert(a, index::keys_only_in(vs, None), id);
         }
         self.by_dn.insert(TreeKey(entry.dn().clone()), id);
         self.ids.insert(entry.dn().clone(), id);
@@ -79,7 +78,7 @@ impl Entries {
         self.by_dn.remove(&TreeKey(dn.clone()));
         let entry = self.slots[id as usize].take().expect("listed ids are live");
         for (a, vs) in entry.attrs() {
-            self.indexes.remove(a, index::keys_only_in(vs, std::iter::empty), id);
+            self.indexes.remove(a, index::keys_only_in(vs, None), id);
         }
         self.free.push(id);
     }
@@ -103,8 +102,9 @@ impl Entries {
             return Err(err);
         }
         for a in touched {
-            self.indexes.remove(a, index::keys_only_in(before.values(a), || entry.values(a)), id);
-            self.indexes.insert(a, index::keys_only_in(entry.values(a), || before.values(a)), id);
+            let (old, new) = (before.value_set(a), entry.value_set(a));
+            self.indexes.remove(a, index::keys_only_in(old.into_iter().flatten(), new), id);
+            self.indexes.insert(a, index::keys_only_in(new.into_iter().flatten(), old), id);
         }
         Ok(entry)
     }
@@ -128,7 +128,7 @@ impl Entries {
 fn changes_of<'a>(
     entry: &Entry,
     attrs: impl IntoIterator<Item = &'a AttrName>,
-) -> Vec<(AttrName, Arc<BTreeSet<AttrValue>>)> {
+) -> Vec<(AttrName, ValueSet)> {
     attrs
         .into_iter()
         .map(|a| (a.clone(), entry.value_set(a).cloned().unwrap_or_default()))
@@ -452,7 +452,7 @@ impl DitStore {
         &mut self,
         dn: Dn,
         kind: ChangeKind,
-        changes: Vec<(AttrName, Arc<BTreeSet<AttrValue>>)>,
+        changes: Vec<(AttrName, ValueSet)>,
         new_dn: Option<Dn>,
     ) -> ChangeRecord {
         self.csn = self.csn.next();
@@ -716,10 +716,10 @@ mod tests {
             .unwrap();
         let attrs: Vec<&str> = rec.changes.iter().map(|(a, _)| a.as_str()).collect();
         assert_eq!(attrs, ["mail", "tel"]);
-        assert_eq!(*rec.changes[0].1, BTreeSet::from(["a@x".into(), "b@x".into()]));
+        assert_eq!(rec.changes[0].1, ValueSet::from_iter(["a@x".into(), "b@x".into()]));
         // The record shares the stored entry's sets; it copies no value.
         let stored = s.get(&dn("cn=John Doe,c=us,o=xyz")).unwrap();
-        assert!(Arc::ptr_eq(&rec.changes[0].1, stored.value_set(&"mail".into()).unwrap()));
+        assert!(rec.changes[0].1.ptr_eq(stored.value_set(&"mail".into()).unwrap()));
     }
 
     /// The derived state says exactly what the entries hold. The index
@@ -731,7 +731,7 @@ mod tests {
         let mut rebuilt = Indexes::default();
         for (id, e) in s.entries.slots.iter().enumerate() {
             for (a, vs) in e.iter().flat_map(Entry::attrs) {
-                rebuilt.insert(a, index::keys_only_in(vs, std::iter::empty), id as u32);
+                rebuilt.insert(a, index::keys_only_in(vs, None), id as u32);
             }
         }
         assert_eq!(s.entries.indexes, rebuilt);
@@ -989,7 +989,7 @@ mod tests {
         // A record's changes read and write the form they had as lists.
         let rec5 = r#"{"csn":5,"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"kind":"Modify","changes":[["mail",["a@x"]]],"new_dn":null}"#;
         let read: ChangeRecord = serde_json::from_str(rec5).unwrap();
-        assert_eq!(read.changes, [("mail".into(), Arc::new(BTreeSet::from(["a@x".into()])))]);
+        assert_eq!(read.changes, [("mail".into(), ValueSet::from_iter(["a@x".into()]))]);
         assert_eq!(serde_json::to_string(&read).unwrap(), rec5);
     }
 

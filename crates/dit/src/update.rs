@@ -57,10 +57,8 @@ pub fn diff_entries(old: &Entry, new: &Entry) -> Vec<Modification> {
     }
     // Added or changed attributes.
     for (a, vs) in new.attrs() {
-        let same = old.has_attr(a)
-            && old.values(a).count() == vs.len()
-            && vs.iter().all(|v| old.has_value(a, v));
-        if !same {
+        // Spelling by spelling, as `Entry::replace` decides what a change is.
+        if !old.value_set(a).is_some_and(|held| held.same_spellings(vs)) {
             mods.push(Modification::Replace(a.clone(), vs.iter().cloned().collect()));
         }
     }
@@ -132,6 +130,18 @@ mod tests {
         assert_eq!(UpdateOp::Add(Entry::new(dn.clone())).target(), &dn);
         let m = UpdateOp::Modify { dn: dn.clone(), mods: vec![] };
         assert_eq!(m.target(), &dn);
+    }
+
+    #[test]
+    fn a_change_of_spelling_is_a_modification() {
+        let dn: Dn = "cn=a,o=x".parse().unwrap();
+        let old = Entry::new(dn.clone()).with("cn", "John Doe").with("mail", "jd@x");
+        let new = Entry::new(dn).with("cn", "JOHN DOE").with("mail", "jd@x");
+        assert_eq!(old, new);
+        let mods = diff_entries(&old, &new);
+        let [Modification::Replace(attr, values)] = &mods[..] else { panic!("{mods:?}") };
+        assert_eq!((attr.as_str(), values[0].raw(), values.len()), ("cn", "JOHN DOE", 1));
+        assert_eq!(diff_entries(&old, &old.clone()), []);
     }
 
     #[test]

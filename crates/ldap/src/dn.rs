@@ -12,6 +12,7 @@
 
 use crate::{AttrName, AttrValue, NameParseError};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::borrow::Cow;
 use std::fmt::{self, Write};
 use std::str::FromStr;
 use std::sync::Arc;
@@ -226,38 +227,35 @@ impl FromStr for Dn {
             if attr.is_empty() {
                 return Err(NameParseError::new(format!("empty attribute in {comp:?}")));
             }
-            rdns.push(Rdn::new(attr, unescape(value.trim())));
+            rdns.push(Rdn::new(attr, &*unescape(value.trim())));
         }
         Ok(Dn { rdns: rdns.into() })
     }
 }
 
-/// Splits `s` on `sep`, honouring backslash escapes.
-fn split_unescaped(s: &str, sep: char) -> impl Iterator<Item = String> + '_ {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut escaped = false;
-    for c in s.chars() {
-        if escaped {
-            cur.push('\\');
-            cur.push(c);
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == sep {
-            parts.push(std::mem::take(&mut cur));
-        } else {
-            cur.push(c);
+/// Splits `s` on `sep`, honouring backslash escapes: the parts of `s`
+/// between its unescaped separators, escapes left as written.
+fn split_unescaped(s: &str, sep: char) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        let mut escaped = false;
+        for (at, c) in s.char_indices() {
+            if !escaped && c == sep {
+                rest = Some(&s[at + c.len_utf8()..]);
+                return Some(&s[..at]);
+            }
+            escaped = !escaped && c == '\\';
         }
-    }
-    if escaped {
-        cur.push('\\');
-    }
-    parts.push(cur);
-    parts.into_iter()
+        rest = None;
+        Some(s)
+    })
 }
 
-fn unescape(s: &str) -> String {
+fn unescape(s: &str) -> Cow<'_, str> {
+    if !s.contains('\\') {
+        return Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len());
     let mut escaped = false;
     for c in s.chars() {
@@ -270,7 +268,7 @@ fn unescape(s: &str) -> String {
             out.push(c);
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// The characters a value's string form writes behind a backslash.

@@ -1,17 +1,31 @@
 //! Directory entries: DN-named sets of attribute/value pairs.
 
-use crate::{AttrName, AttrValue, Dn};
+use crate::{AttrName, AttrValue, Dn, ValueSet};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// The values of one attribute.
-type Values = BTreeSet<AttrValue>;
+/// One attribute of an entry: its name and its values, never none.
+type Attr = (AttrName, ValueSet);
 
-/// Attribute name → value set: the part of an entry's body that says which
-/// sets it is made of.
-type Spine = BTreeMap<AttrName, Arc<Values>>;
+/// An entry's attributes, ascending by name: one shared slice. Serialized
+/// as the map it is, name → values.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Spine(Arc<[Attr]>);
+
+impl Serialize for Spine {
+    fn serialize<S: serde::Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        ser.collect_map(self.0.iter().map(|(a, vs)| (a, vs)))
+    }
+}
+
+impl<'de> Deserialize<'de> for Spine {
+    fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        let attrs = BTreeMap::<AttrName, ValueSet>::deserialize(de)?;
+        Ok(Spine(attrs.into_iter().filter(|(_, vs)| !vs.is_empty()).collect()))
+    }
+}
 
 /// An entry in the Directory Information Tree.
 ///
@@ -36,24 +50,30 @@ type Spine = BTreeMap<AttrName, Arc<Values>>;
 /// # Sharing
 ///
 /// An `Entry` is a handle on a body shared copy-on-write in two levels:
-/// the attribute map sits behind one `Arc` and each attribute's value set
-/// behind its own. [`Clone`] bumps two refcounts (the DN's and the map's)
-/// and copies no text, so a search result, a sync action and a replica's
-/// slot hold the very body the master's store does. A clone is still a
-/// value — nothing written through one handle shows through another: the
-/// first write to a shared body copies the map's pointers and the one set
-/// it changes, every other set stays shared, and a write that changes
-/// nothing copies nothing.
+/// the attributes are one sorted slice of `(name, values)` behind one
+/// `Arc`, a single value sits in the slice and a [`ValueSet`] of several
+/// behind an `Arc` of its own. [`Clone`] bumps two refcounts (the DN's
+/// and the slice's) and copies no text, so a search result, a sync action
+/// and a replica's slot hold the very body the master's store does. A
+/// clone is still a value — nothing written through one handle shows
+/// through another: the first write to a shared body copies the slice's
+/// pointers and the one set it changes, every other set stays shared, and
+/// a write that changes nothing copies nothing.
+///
+/// The body is its values' bytes and little else: names come out of one
+/// process-wide table ([`AttrName`]), a value is one string
+/// ([`AttrValue`]), and an eight-attribute person is about a kilobyte in
+/// some twenty allocations (DESIGN §5, *Entry representation*).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Entry {
     dn: Dn,
-    attrs: Arc<Spine>,
+    attrs: Spine,
 }
 
 impl Entry {
     /// Creates an empty entry with the given name.
     pub fn new(dn: Dn) -> Self {
-        Entry { dn, attrs: Arc::default() }
+        Entry { dn, attrs: Spine(Arc::default()) }
     }
 
     /// The entry's distinguished name.
@@ -67,21 +87,41 @@ impl Entry {
         self.dn = dn;
     }
 
-    /// The attribute map for writing — the copy-on-write step of every
-    /// mutator, taken once it knows the call changes something: a map other
-    /// handles share is first copied, pointer by pointer. A mutator that
-    /// edits a value set in place unshares that set the same way.
-    fn spine_mut(&mut self) -> &mut Spine {
-        Arc::make_mut(&mut self.attrs)
+    /// Where `attr` is in the slice, or where it would go.
+    fn position(&self, attr: &AttrName) -> Result<usize, usize> {
+        self.attrs.0.binary_search_by(|(held, _)| held.cmp(attr))
+    }
+
+    /// The values of the attribute at `at`, for writing — the
+    /// copy-on-write step of a mutator that edits an attribute it holds,
+    /// taken once it knows the call changes something: a slice other
+    /// handles share is first copied, pointer by pointer.
+    fn values_mut(&mut self, at: usize) -> &mut ValueSet {
+        &mut Arc::make_mut(&mut self.attrs.0)[at].1
+    }
+
+    /// Gaining an attribute is a new slice, shared or not.
+    fn insert_at(&mut self, at: usize, attr: Attr) {
+        let (before, after) = self.attrs.0.split_at(at);
+        self.attrs.0 = before.iter().cloned().chain([attr]).chain(after.iter().cloned()).collect();
+    }
+
+    /// And so is losing one.
+    fn remove_at(&mut self, at: usize) {
+        let (before, after) = (&self.attrs.0[..at], &self.attrs.0[at + 1..]);
+        self.attrs.0 = before.iter().chain(after).cloned().collect();
     }
 
     /// Adds a value; returns true if it was not already present.
     pub fn add(&mut self, attr: impl Into<AttrName>, value: impl Into<AttrValue>) -> bool {
         let (attr, value) = (attr.into(), value.into());
-        if self.has_value(&attr, &value) {
-            return false;
+        match self.position(&attr) {
+            Ok(at) => !self.attrs.0[at].1.contains(&value) && self.values_mut(at).insert(value),
+            Err(at) => {
+                self.insert_at(at, (attr, value.into()));
+                true
+            }
         }
-        Arc::make_mut(self.spine_mut().entry(attr).or_default()).insert(value)
     }
 
     /// Convenience for `add` with string literals.
@@ -98,21 +138,26 @@ impl Entry {
     /// Removes a single value; returns true if it was present. Removes the
     /// attribute entirely when its last value goes.
     pub fn remove_value(&mut self, attr: &AttrName, value: &AttrValue) -> bool {
-        let held = match self.attrs.get(attr) {
-            Some(set) if set.contains(value) => set.len(),
-            _ => return false,
-        };
-        if held == 1 {
-            self.spine_mut().remove(attr);
-        } else if let Some(set) = self.spine_mut().get_mut(attr) {
-            Arc::make_mut(set).remove(value);
+        let Ok(at) = self.position(attr) else { return false };
+        let held = &self.attrs.0[at].1;
+        if !held.contains(value) {
+            return false;
+        }
+        if held.len() == 1 {
+            self.remove_at(at);
+        } else {
+            self.values_mut(at).remove(value);
         }
         true
     }
 
     /// Removes an attribute and all its values; returns true if present.
     pub fn remove_attr(&mut self, attr: &AttrName) -> bool {
-        self.has_attr(attr) && self.spine_mut().remove(attr).is_some()
+        let held = self.position(attr);
+        if let Ok(at) = held {
+            self.remove_at(at);
+        }
+        held.is_ok()
     }
 
     /// Replaces all values of an attribute. An empty iterator removes the
@@ -123,43 +168,37 @@ impl Entry {
         V: Into<AttrValue>,
     {
         let attr = attr.into();
-        let set: Values = values.into_iter().map(Into::into).collect();
-        // Changes nothing only if every spelling stays: equal values may
-        // be written differently, and the new set brings its own.
-        let unchanged = match self.attrs.get(&attr) {
-            Some(old) => old.iter().map(AttrValue::raw).eq(set.iter().map(AttrValue::raw)),
-            None => set.is_empty(),
-        };
-        if unchanged {
-            return;
-        }
-        if set.is_empty() {
-            self.spine_mut().remove(&attr);
-        } else {
-            self.spine_mut().insert(attr, Arc::new(set));
+        let set: ValueSet = values.into_iter().map(Into::into).collect();
+        match self.position(&attr) {
+            // Changes nothing only if every spelling stays: equal values
+            // may be written differently, and the new set brings its own.
+            Ok(at) if self.attrs.0[at].1.same_spellings(&set) => {}
+            Ok(at) if set.is_empty() => self.remove_at(at),
+            Ok(at) => *self.values_mut(at) = set,
+            Err(_) if set.is_empty() => {}
+            Err(at) => self.insert_at(at, (attr, set)),
         }
     }
 
     /// True if the attribute exists with the given value.
     pub fn has_value(&self, attr: &AttrName, value: &AttrValue) -> bool {
-        self.attrs.get(attr).is_some_and(|s| s.contains(value))
+        self.value_set(attr).is_some_and(|s| s.contains(value))
     }
 
     /// True if the attribute is present with at least one value.
     pub fn has_attr(&self, attr: &AttrName) -> bool {
-        self.attrs.contains_key(attr)
+        self.position(attr).is_ok()
     }
 
     /// Iterates the values of an attribute (empty if absent).
     pub fn values<'a>(&'a self, attr: &AttrName) -> impl Iterator<Item = &'a AttrValue> + 'a {
-        self.attrs.get(attr).into_iter().flat_map(|set| set.iter())
+        self.value_set(attr).into_iter().flatten()
     }
 
     /// The value set of an attribute as the entry holds it, for a reader
-    /// that keeps it: cloning the `Arc` shares the set instead of copying
-    /// its values.
-    pub fn value_set(&self, attr: &AttrName) -> Option<&Arc<BTreeSet<AttrValue>>> {
-        self.attrs.get(attr)
+    /// that keeps it: a clone shares the values instead of copying them.
+    pub fn value_set(&self, attr: &AttrName) -> Option<&ValueSet> {
+        self.position(attr).ok().map(|at| &self.attrs.0[at].1)
     }
 
     /// The first value of an attribute, if any.
@@ -168,13 +207,13 @@ impl Entry {
     }
 
     /// Iterates `(name, values)` pairs in attribute-name order.
-    pub fn attrs(&self) -> impl Iterator<Item = (&AttrName, &BTreeSet<AttrValue>)> {
-        self.attrs.iter().map(|(a, vs)| (a, &**vs))
+    pub fn attrs(&self) -> impl Iterator<Item = (&AttrName, &ValueSet)> {
+        self.attrs.0.iter().map(|(a, vs)| (a, vs))
     }
 
     /// Names of all present attributes.
     pub fn attr_names(&self) -> impl Iterator<Item = &AttrName> {
-        self.attrs.keys()
+        self.attrs.0.iter().map(|(a, _)| a)
     }
 
     /// Values of the `objectclass` attribute.
@@ -189,13 +228,11 @@ impl Entry {
     where
         I: IntoIterator<Item = &'a AttrName>,
     {
-        let mut spine = Spine::new();
-        for a in attrs {
-            if let Some(set) = self.attrs.get(a) {
-                spine.insert(a.clone(), set.clone());
-            }
-        }
-        Entry { dn: self.dn.clone(), attrs: Arc::new(spine) }
+        let mut kept: Vec<usize> = attrs.into_iter().filter_map(|a| self.position(a).ok()).collect();
+        kept.sort_unstable();
+        kept.dedup();
+        let attrs = kept.into_iter().map(|at| self.attrs.0[at].clone()).collect();
+        Entry { dn: self.dn.clone(), attrs: Spine(attrs) }
     }
 
     /// Estimated wire size in bytes: DN plus every attribute name and value.
@@ -287,6 +324,14 @@ mod tests {
         assert_eq!(p.dn(), e.dn());
     }
 
+    /// The sizes DESIGN §5 counts an entry's bytes with.
+    #[cfg(target_pointer_width = "64")]
+    const _: () = {
+        assert!(std::mem::size_of::<Entry>() == 32);
+        assert!(std::mem::size_of::<Attr>() == 56);
+        assert!(std::mem::size_of::<AttrValue>() == 40 && std::mem::size_of::<AttrName>() == 16);
+    };
+
     /// Handles cross threads: the replica's readers hold the bodies its
     /// writer and the master's store do.
     const _: fn() = || {
@@ -305,13 +350,13 @@ mod tests {
         e.replace("mail", ["john@us.xyz.com"]);
         e.replace("fax", Vec::<&str>::new());
         e.set_dn("cn=Renamed,o=xyz".parse().unwrap());
-        assert!(Arc::ptr_eq(&e.attrs, &held.attrs));
-        // The first write that changes something copies the map's
+        assert!(Arc::ptr_eq(&e.attrs.0, &held.attrs.0));
+        // The first write that changes something copies the slice's
         // pointers and the one set it edits.
         assert!(e.add("cn", "Johnny"));
-        assert!(!Arc::ptr_eq(&e.attrs, &held.attrs));
-        for (a, set) in held.attrs.iter() {
-            assert_eq!(Arc::ptr_eq(set, &e.attrs[a]), a.lower() != "cn", "{a}");
+        assert!(!Arc::ptr_eq(&e.attrs.0, &held.attrs.0));
+        for (a, set) in held.attrs() {
+            assert_eq!(set.ptr_eq(e.value_set(a).unwrap()), a.lower() != "cn", "{a}");
         }
         e.set_dn(held.dn().clone());
         assert_eq!(held, person());
@@ -322,7 +367,7 @@ mod tests {
         assert_eq!(held.first_value(&"mail".into()).unwrap().raw(), "john@us.xyz.com");
         // A projection shares the sets it keeps.
         let mail = AttrName::new("mail");
-        assert!(Arc::ptr_eq(&held.project([&mail]).attrs[&mail], &held.attrs[&mail]));
+        assert!(held.project([&mail]).value_set(&mail).unwrap().ptr_eq(held.value_set(&mail).unwrap()));
     }
 
     #[test]

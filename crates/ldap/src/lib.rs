@@ -11,7 +11,10 @@
 //! * [`AttrName`] / [`AttrValue`] — attribute names (case-insensitive) and
 //!   values with LDAP `caseIgnoreMatch`-style normalization plus a typed
 //!   integer view used for exact range reasoning.
-//! * [`Entry`] — a set of attribute/value pairs named by a DN.
+//! * [`Entry`] / [`ValueSet`] — a set of attribute/value pairs named by a
+//!   DN: a copy-on-write handle on one sorted slice of attributes, each
+//!   one inline value or one sorted list, names shared process-wide
+//!   ([`ATTR_NAME_TABLE_CAP`]).
 //! * [`Filter`] — the RFC 2254 search-filter AST with a parser
 //!   ([`Filter::parse`]) and canonical printer, and direct evaluation
 //!   against entries ([`Filter::matches`]).
@@ -56,7 +59,7 @@ mod search;
 mod template;
 mod value;
 
-pub use attr::AttrName;
+pub use attr::{AttrName, ATTR_NAME_TABLE_CAP};
 pub use dn::{Dn, Rdn};
 pub use entry::Entry;
 pub use error::{FilterParseError, NameParseError};
@@ -64,4 +67,4 @@ pub use filter::{Comparison, Filter, Predicate, SubstringPattern};
 pub use search::{AttrSelection, Scope, SearchRequest};
 pub use sort::{sort_entries, SortKey};
 pub use template::{SlotKey, Template, TemplateId, TemplateTableStats, TEMPLATE_TABLE_CAP};
-pub use value::AttrValue;
+pub use value::{AttrValue, ValueSet};

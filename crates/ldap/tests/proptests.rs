@@ -3,9 +3,13 @@
 
 use fbdr_ldap::{
     AttrName, AttrValue, Comparison, Dn, Entry, Filter, Predicate, Scope, SubstringPattern, Template,
+    ValueSet,
 };
 use proptest::prelude::*;
+use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 
 fn attr() -> impl Strategy<Value = String> {
     "[a-zA-Z][a-zA-Z0-9-]{0,8}"
@@ -147,8 +151,81 @@ const ATTRS: [&str; 4] = ["a", "A", "b", "mail"];
 const VALUES: [&str; 5] = ["v0", "V0", "v1", "7", "x y"];
 
 fn read(e: &Entry) -> Model {
-    let values = |vs: &BTreeSet<AttrValue>| vs.iter().map(|v| v.raw().to_owned()).collect();
+    let values = |vs: &ValueSet| vs.iter().map(|v| v.raw().to_owned()).collect();
     (e.dn().to_string(), e.attrs().map(|(a, vs)| (a.lower().to_owned(), values(vs))).collect())
+}
+
+/// What `e` says, built again from nothing, text by text: an entry that
+/// shares no name's, value's or set's memory with any handle.
+fn deep_copy(e: &Entry) -> Entry {
+    let mut deep = Entry::new(e.dn().to_string().parse().expect("printed dn"));
+    for (a, vs) in e.attrs() {
+        for v in vs {
+            deep.add(a.as_str().to_owned(), v.raw().to_owned());
+        }
+    }
+    deep
+}
+
+/// A value as the parent commit held it — the normalized form always
+/// stored beside the spelling, this function its definition, character by
+/// character — and the integer view parsed off it.
+fn reference(raw: &str) -> (String, Option<i64>) {
+    let mut norm = String::new();
+    let mut last_space = true;
+    for c in raw.chars() {
+        if !c.is_whitespace() {
+            norm.extend(c.to_lowercase());
+        } else if !last_space {
+            norm.push(' ');
+        }
+        last_space = c.is_whitespace();
+    }
+    let norm = norm.trim_end_matches(' ').to_owned();
+    let int = norm.parse().ok();
+    (norm, int)
+}
+
+/// The parent's `Ord`: integers first, by number and then by text.
+fn reference_cmp(a: &(String, Option<i64>), b: &(String, Option<i64>)) -> Ordering {
+    match (a.1, b.1) {
+        (Some(x), Some(y)) => x.cmp(&y).then_with(|| a.0.cmp(&b.0)),
+        (Some(_), None) => Ordering::Less,
+        (None, Some(_)) => Ordering::Greater,
+        (None, None) => a.0.cmp(&b.0),
+    }
+}
+
+/// Letters whose lowercase is longer (`İ`), another letter of the same
+/// case (`ǅ`) or sensitive to context in a string but not here (`Σ`);
+/// every kind of whitespace, and a zero-width space that is none; signs
+/// and digits.
+const PIECES: [&str; 23] = [
+    "İ", "ı", "ẞ", "ß", "Σ", "ς", "Ǆ", "ǅ", "É", "é", "文", " ", "  ", "\t", "\n", "\u{a0}", "\u{2003}",
+    "\u{3000}", "\u{85}", "\u{200b}", "+", "-", "0",
+];
+
+/// One integer spelt several ways, and the edges of `i64`.
+const NUMBERS: [&str; 8] =
+    ["0456", "456", "+456", " 456 ", "-0", "9223372036854775807", "9223372036854775808", "-9223372036854775808"];
+
+/// Text that exercises normalization.
+fn unicode_text() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        "[a-zA-Z]{1,3}",
+        "[0-9]{1,4}",
+        (0..PIECES.len()).prop_map(|i| PIECES[i].to_owned()),
+    ];
+    prop_oneof![
+        prop::collection::vec(piece, 0..6).prop_map(|ps| ps.concat()),
+        (0..NUMBERS.len()).prop_map(|i| NUMBERS[i].to_owned()),
+    ]
+}
+
+fn hash_of(v: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
 }
 
 /// The spelling of `value` the model's attribute holds, if any.
@@ -167,7 +244,7 @@ proptest! {
     /// the body it lands on is shared or (the last sibling dropped) not.
     #[test]
     fn a_write_through_one_handle_never_shows_through_another(
-        steps in prop::collection::vec((0u8..9, any::<u8>(), 0usize..4, 0usize..5, 0usize..5), 1..60),
+        steps in prop::collection::vec((0u8..11, any::<u8>(), 0usize..4, 0usize..5, 0usize..5), 1..60),
     ) {
         let first = Entry::new("cn=n0,o=x".parse().expect("dn"));
         let mut family: Vec<(Entry, Model)> = vec![(first.clone(), read(&first))];
@@ -232,12 +309,37 @@ proptest! {
                             model.0 = format!("cn=n{v},o=x");
                             entry.set_dn(model.0.parse().expect("dn"));
                         }
+                        9 => {
+                            // Many at once: `value` and every other
+                            // value there is, one spelling of each.
+                            let others = VALUES.iter().filter(|o| o.to_lowercase() != value.to_lowercase());
+                            let values: BTreeSet<&str> = others.filter(|o| **o != "V0").copied().chain([value]).collect();
+                            entry.replace(attr, values.iter().copied());
+                            prop_assert_eq!(entry.value_set(&name).map(ValueSet::len), Some(values.len()));
+                            model.1.insert(key, values.iter().map(|v| (*v).to_owned()).collect());
+                        }
+                        10 => {
+                            // Over the boundary and back: a lone value
+                            // gains a second, then loses the first.
+                            let second = VALUES[(v + 2) % 5];
+                            entry.replace(attr, [value]);
+                            prop_assert!(entry.add(attr, second));
+                            prop_assert_eq!(entry.value_set(&name).map(ValueSet::len), Some(2));
+                            prop_assert!(entry.remove_value(&name, &value.into()));
+                            prop_assert_eq!(entry.value_set(&name).map(ValueSet::len), Some(1));
+                            model.1.insert(key, BTreeSet::from([second.to_owned()]));
+                        }
                         _ => {}
                     }
                 }
             }
             for (n, (entry, model)) in family.iter().enumerate() {
                 prop_assert_eq!(&read(entry), model, "handle {} after step kind {}", n, kind);
+                // However its sets came to be one value or many, shared
+                // or not, a handle serializes as a deep copy of it does.
+                let json = serde_json::to_string(entry).expect("entry serializes");
+                prop_assert_eq!(&json, &serde_json::to_string(&deep_copy(entry)).expect("entry serializes"));
+                prop_assert_eq!(&serde_json::from_str::<Entry>(&json).expect("entry deserializes"), entry);
             }
         }
     }
@@ -349,6 +451,31 @@ proptest! {
             dn = child;
         }
         prop_assert!(Dn::root().is_ancestor_or_self_of(&dn));
+    }
+
+    /// A value means what it did when it stored its normalized form
+    /// beside every spelling: the same text to match by, the same
+    /// equality, order, hash, integer view, range and prefix answers.
+    #[test]
+    fn a_value_means_what_its_always_stored_normal_form_did(a in unicode_text(), b in unicode_text()) {
+        let (x, y) = (AttrValue::new(a.as_str()), AttrValue::from(b.clone()));
+        let (p, q) = (reference(&a), reference(&b));
+        prop_assert_eq!((x.raw(), x.normalized(), x.as_int()), (a.as_str(), p.0.as_str(), p.1));
+        prop_assert_eq!((y.raw(), y.normalized(), y.as_int()), (b.as_str(), q.0.as_str(), q.1));
+        prop_assert_eq!(x == y, p.0 == q.0);
+        prop_assert_eq!(x.cmp(&y), reference_cmp(&p, &q));
+        prop_assert_eq!(hash_of(&x), hash_of(&p.0));
+        let range = match q.1 {
+            Some(bound) => p.1.map(|n| n.cmp(&bound)),
+            None => Some(p.0.cmp(&q.0)),
+        };
+        prop_assert_eq!(x.range_cmp(&y), range);
+        prop_assert_eq!(x.starts_with(&y), p.0.starts_with(&q.0));
+        // A clone, and the spelling read back, are the same value.
+        let (twin, respelt) = (x.clone(), AttrValue::new(x.raw()));
+        prop_assert_eq!((twin.raw(), twin.normalized(), twin.as_int()), (x.raw(), x.normalized(), x.as_int()));
+        prop_assert_eq!((respelt.raw(), respelt.normalized()), (x.raw(), x.normalized()));
+        prop_assert_eq!(x.to_string(), a);
     }
 
     /// AttrValue ordering is a lawful total order consistent with Eq.

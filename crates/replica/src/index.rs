@@ -80,8 +80,7 @@ impl SnapshotIndex {
     fn edit_difference(&mut self, id: u32, e: &Entry, other: Option<&Entry>, edit: Edit) {
         for (attr, values) in e.attrs() {
             let mut keys =
-                index::keys_only_in(values, || other.into_iter().flat_map(|o| o.values(attr)))
-                    .peekable();
+                index::keys_only_in(values, other.and_then(|o| o.value_set(attr))).peekable();
             if keys.peek().is_none() {
                 continue;
             }

@@ -70,10 +70,10 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 /// Deterministic content hash of an entry: attribute names (lowercased)
-/// and values (normalized) in their canonical `BTreeMap`/`BTreeSet`
-/// order. Two entries equal under LDAP matching rules hash equally on
-/// both sides of the wire, so `(DN key, version)` identifies an item
-/// independent of which server computed it.
+/// and values (normalized) in the entry's own order — names ascending,
+/// each attribute's values ascending. Two entries equal under LDAP
+/// matching rules hash equally on both sides of the wire, so `(DN key,
+/// version)` identifies an item independent of which server computed it.
 pub fn entry_version(e: &Entry) -> u64 {
     let mut h = FNV_OFFSET;
     for (name, values) in e.attrs() {

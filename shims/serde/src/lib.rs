@@ -77,6 +77,15 @@ pub mod ser {
             let seq = iter.into_iter().map(|item| super::__private::to_value(&item)).collect();
             self.serialize_value(Value::Seq(seq))
         }
+
+        fn collect_map<K, V, I>(self, iter: I) -> Result<Self::Ok, Self::Error>
+        where
+            K: Serialize,
+            V: Serialize,
+            I: IntoIterator<Item = (K, V)>,
+        {
+            super::serialize_map_pairs(iter.into_iter(), self)
+        }
     }
 }
 
@@ -362,15 +371,15 @@ impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
     }
 }
 
-fn serialize_map_pairs<'a, K, V, S, I>(iter: I, ser: S) -> Result<S::Ok, S::Error>
+fn serialize_map_pairs<K, V, S, I>(iter: I, ser: S) -> Result<S::Ok, S::Error>
 where
-    K: Serialize + 'a,
-    V: Serialize + 'a,
+    K: Serialize,
+    V: Serialize,
     S: Serializer,
-    I: Iterator<Item = (&'a K, &'a V)>,
+    I: Iterator<Item = (K, V)>,
 {
     let fields = iter
-        .map(|(k, v)| (__private::key_string(__private::to_value(k)), __private::to_value(v)))
+        .map(|(k, v)| (__private::key_string(__private::to_value(&k)), __private::to_value(&v)))
         .collect();
     ser.serialize_value(Value::Map(fields))
 }

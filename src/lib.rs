@@ -73,6 +73,7 @@ pub mod prelude {
     pub use fbdr_dit::{DitStore, Modification, NamingContext, UpdateOp};
     pub use fbdr_ldap::{
         AttrName, AttrSelection, AttrValue, Dn, Entry, Filter, Rdn, Scope, SearchRequest, Template,
+        ValueSet,
     };
     pub use fbdr_net::{Network, Server};
     pub use fbdr_obs::{MetricsRegistry, Obs, RingBuffer};

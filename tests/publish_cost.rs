@@ -43,16 +43,29 @@ fn query(f: &str) -> SearchRequest {
     SearchRequest::from_root(Filter::parse(f).expect("static filter"))
 }
 
+/// What person `i` says, as text: the DN and eight attributes, §7's
+/// `inetOrgPerson`.
+fn person_texts(i: usize) -> (String, [(&'static str, String); 8]) {
+    let attrs = [
+        ("objectclass", "inetOrgPerson".to_owned()),
+        ("cn", format!("p{i:05}")),
+        ("sn", format!("Surname{}", i % 97)),
+        ("serialNumber", format!("{:06}", 100_000 + i)),
+        ("departmentNumber", format!("{}", i % 40)),
+        ("mail", format!("p{i}@us.xyz.com")),
+        ("telephoneNumber", format!("555-{i:05}")),
+        ("location", format!("bldg{}", i % 12)),
+    ];
+    (format!("cn=p{i:05},c=us,o=xyz"), attrs)
+}
+
+fn person_of(name: &str, attrs: &[(&str, String)]) -> Entry {
+    attrs.iter().fold(Entry::new(dn(name)), |e, (a, v)| e.with(a, v))
+}
+
 fn person(i: usize) -> Entry {
-    Entry::new(dn(&format!("cn=p{i:05},c=us,o=xyz")))
-        .with("objectclass", "inetOrgPerson")
-        .with("cn", &format!("p{i:05}"))
-        .with("sn", &format!("Surname{}", i % 97))
-        .with("serialNumber", &format!("{:06}", 100_000 + i))
-        .with("departmentNumber", &format!("{}", i % 40))
-        .with("mail", &format!("p{i}@us.xyz.com"))
-        .with("telephoneNumber", &format!("555-{i:05}"))
-        .with("location", &format!("bldg{}", i % 12))
+    let (name, attrs) = person_texts(i);
+    person_of(&name, &attrs)
 }
 
 /// A master with `n` people.
@@ -205,10 +218,10 @@ fn a_known_template_is_extracted_for_the_price_of_its_values() {
     let ((borrowing, values), allocations) = allocations_of(|| Template::of_borrowed(&again));
     assert_eq!((borrowing, values.len()), (first.clone(), 2));
     assert_eq!(allocations, 1, "allocations of a borrowing extraction");
-    // Copies: the list, and two strings per value.
+    // Handles of its own: the list again, a refcount per value.
     let ((owning, values), allocations) = allocations_of(|| Template::of(&again));
     assert_eq!((owning, values.len()), (first, 2));
-    assert_eq!(allocations, 5, "allocations of an owning extraction");
+    assert_eq!(allocations, 1, "allocations of an owning extraction");
 }
 
 #[test]
@@ -305,6 +318,73 @@ fn a_write_to_a_shared_entry_copies_what_it_changes() {
     let (narrow, wide) = (shared_entry_modify(1), shared_entry_modify(16));
     println!("one-value modify of a held entry: {narrow} B beside 1-value attributes, {wide} B beside 16-value ones");
     assert_eq!(narrow, wide, "the write copied values it did not change");
+    // The whole apply: the request's own value, the new slice of nine
+    // pointers, the index keys, the change record (3 506 B when the write
+    // copied a `BTreeMap` spine and built a set behind an `Arc`).
+    assert!(narrow <= 2_000, "a one-value modify of a held entry allocated {narrow} B");
+}
+
+/// What `build` leaves on the heap, and the allocations it took.
+fn live_and_allocations_of<T>(build: impl FnOnce() -> T) -> (T, i64, u64) {
+    let before = live_bytes();
+    let (built, allocations) = allocations_of(build);
+    (built, live_bytes() - before, allocations)
+}
+
+#[test]
+fn an_entry_is_the_bytes_of_its_values() {
+    // Another person first, so that the attribute names are in the
+    // process's table as they are for every entry of a directory but one.
+    let _names = person(1);
+    let (name, attrs) = person_texts(0);
+    let (one, live, allocations) = live_and_allocations_of(|| person_of(&name, &attrs));
+    println!("one person: {live} B live in {allocations} allocations");
+    // From the texts above: the DN parsed, eight values added. 7 416 B in
+    // 70 allocations as a `BTreeMap` of `Arc<BTreeSet>`s of two-string
+    // values with a name built per attribute.
+    assert!(live <= 1_500, "one person holds {live} B");
+    assert!(allocations <= 25, "one person took {allocations} allocations");
+
+    let (twin, live, allocations) = live_and_allocations_of(|| one.clone());
+    assert_eq!((live, allocations), (0, 0), "a clone allocated");
+    assert_eq!(twin, one);
+
+    // Bodies, both DN maps and the index: 8 026 B with the layout above.
+    let (store, live, _) = live_and_allocations_of(|| master_of(2_000));
+    let per_entry = live / 2_000;
+    println!("a store of 2 000 people: {per_entry} B live per entry");
+    assert!(per_entry <= 2_500, "a loaded store holds {per_entry} B per entry");
+    assert_eq!(store.dit().len(), 2_002);
+}
+
+#[test]
+fn a_large_attribute_grows_in_place() {
+    let mut group = Entry::new(dn("cn=everyone,o=xyz"));
+    let (_, allocated) = bytes_of(|| {
+        for i in 0..10_000 {
+            group.add("member", format!("uid={i:05},o=xyz"));
+        }
+    });
+    let held = {
+        let before = live_bytes();
+        let twin = deep_copy(&group);
+        let held = live_bytes() - before;
+        drop(twin);
+        held as u64
+    };
+    println!("10 000 adds: {allocated} B allocated for an attribute of {held} B");
+    assert_eq!(group.values(&"member".into()).count(), 10_000);
+    // A fresh list per add would be 10 000 lists: 2 GB.
+    assert!(allocated <= 4 * held, "10 000 adds allocated {allocated} B for {held} B");
+}
+
+/// `e` again, sharing nothing with it.
+fn deep_copy(e: &Entry) -> Entry {
+    let mut copy = Entry::new(e.dn().clone());
+    for (a, vs) in e.attrs() {
+        copy.replace(a.clone(), vs.iter().map(|v| v.raw().to_owned()));
+    }
+    copy
 }
 
 /// How far the thread's live heap moves over 100 000 single-value
@@ -363,6 +443,9 @@ fn a_master_under_100k_updates_keeps_its_heap_where_it_was() {
     for sessions in [0, 50] {
         let (drift, body) = heap_drift_over_100k_replaces(sessions);
         println!("{sessions} sessions: live heap moved {drift} B over 100 000 replaces (one entry body: {body} B)");
-        assert!(drift.abs() <= body, "{sessions} sessions: live heap moved {drift} B, more than one entry body ({body} B)");
+        // A few nodes of the index's B-trees — 544 B a leaf, and a tree's
+        // shape depends on the order its keys came in; a log would be
+        // 100 000 records.
+        assert!(drift.abs() <= 8 * 544, "{sessions} sessions: live heap moved {drift} B");
     }
 }
