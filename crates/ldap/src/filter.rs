@@ -752,19 +752,26 @@ impl<'a> Parser<'a> {
         }
         // Substring / presence: parts = [initial, any..., final] where empty
         // initial/final mean "absent".
-        if parts.len() == 2 && parts[0].is_empty() && parts[1].is_empty() {
-            return Ok(Predicate::present(attr));
-        }
         let mut it = parts.into_iter();
         let first = it.next().expect("at least one part");
         let mut rest: Vec<String> = it.collect();
         let last = rest.pop().expect("substring has >= 2 parts");
-        let initial = if first.is_empty() { None } else { Some(first) };
-        let final_part = if last.is_empty() { None } else { Some(last) };
         if rest.iter().any(|s| s.is_empty()) {
             return self.err("empty 'any' component in substring (adjacent '*')");
         }
-        Ok(Predicate::substring(attr, SubstringPattern::new(initial, rest, final_part)))
+        // A component that normalizes to nothing (`(a= *)`, `(a=x* *y)`)
+        // constrains nothing and would print as nothing: drop it, so the
+        // printed form re-parses to this filter.
+        let norm = |s: &String| Some(normalize_component(s)).filter(|n| !n.is_empty());
+        let pattern = SubstringPattern {
+            initial: norm(&first),
+            any: rest.iter().filter_map(norm).collect(),
+            final_part: norm(&last),
+        };
+        if pattern.components().next().is_none() {
+            return Ok(Predicate::present(attr));
+        }
+        Ok(Predicate::substring(attr, pattern))
     }
 
     fn attr_name(&mut self) -> Result<AttrName, FilterParseError> {
@@ -929,6 +936,24 @@ mod tests {
         assert!(f("(serialNumber=0456*)").matches(&entry()));
         assert!(!f("(serialNumber=0457*)").matches(&entry()));
         assert!(f("(mail=*@us.xyz.com)").matches(&entry()));
+    }
+
+    #[test]
+    fn blank_substring_components_print_as_they_parse() {
+        // A component that normalizes to nothing is dropped at parse time:
+        // printed, it would leave two adjacent stars (`(a=~**0😀)` did not
+        // re-parse) or turn into presence.
+        for (text, printed) in [
+            ("(ab=~* *0😀)", "(ab=~*0😀)"),
+            ("(a= *x)", "(a=*x)"),
+            ("(a=x* )", "(a=x*)"),
+            ("(a= *)", "(a=*)"),
+            ("(a=* * *)", "(a=*)"),
+        ] {
+            let parsed = f(text);
+            assert_eq!(parsed.to_string(), printed, "{text}");
+            assert_eq!(f(printed), parsed, "{text}");
+        }
     }
 
     #[test]

@@ -528,9 +528,12 @@ proptest! {
         prop_assert_eq!(simp.simplify(), simp);
     }
 
-    /// The filter parser never panics and errors carry sane positions.
+    /// The filter parser never panics and errors carry sane positions. The
+    /// three parsers' alphabets add two-, three- and four-byte characters
+    /// and a combining mark (U+0301) to ASCII, so a byte offset can land
+    /// inside a character (PR 15's `SubstringPattern` panic was one).
     #[test]
-    fn parser_total_on_arbitrary_input(s in "[\\x00-\\x7f]{0,40}") {
+    fn parser_total_on_arbitrary_input(s in "[\\x00-\\x7féß中😀\u{301}]{0,40}") {
         match Filter::parse(&s) {
             Ok(f) => {
                 // Whatever parsed must round-trip.
@@ -543,13 +546,13 @@ proptest! {
 
     /// The DN parser never panics on arbitrary input.
     #[test]
-    fn dn_parser_total_on_arbitrary_input(s in "[\\x00-\\x7f]{0,40}") {
+    fn dn_parser_total_on_arbitrary_input(s in "[\\x00-\\x7féß中😀\u{301}]{0,40}") {
         let _ = s.parse::<Dn>();
     }
 
     /// LDIF parsing never panics on arbitrary input.
     #[test]
-    fn ldif_parser_total_on_arbitrary_input(s in "[\\x00-\\x7f]{0,120}") {
+    fn ldif_parser_total_on_arbitrary_input(s in "[\\x00-\\x7féß中😀\u{301}]{0,120}") {
         let _ = fbdr_ldap::ldif::parse_ldif(&s);
     }
 

@@ -42,14 +42,12 @@
 
 mod client;
 pub mod cost;
-pub mod link;
 mod server;
 mod service;
 pub mod shard;
 
 pub use client::{Client, NetError, SearchResult};
 pub use cost::{CostModel, ExchangeTracker, Hop, HopDirection, OpStats};
-pub use link::LinkProfile;
 pub use server::{Server, ServerOutcome};
 pub use service::DirectoryService;
 pub use shard::{ShardId, ShardMap};

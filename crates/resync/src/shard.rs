@@ -294,22 +294,6 @@ impl ShardedMaster {
         out
     }
 
-    /// Total persist-mode wakeups sent across all shards.
-    pub fn notify_wakeups(&self) -> u64 {
-        self.shards.iter().map(SyncMaster::notify_wakeups).sum()
-    }
-
-    /// Total raw updates carried by those wakeups across all shards.
-    pub fn notify_updates(&self) -> u64 {
-        self.shards.iter().map(SyncMaster::notify_updates).sum()
-    }
-
-    /// Total notification-queue overflows (channel teardowns) across all
-    /// shards.
-    pub fn notify_overflows(&self) -> u64 {
-        self.shards.iter().map(SyncMaster::notify_overflows).sum()
-    }
-
     /// Sets every shard's garbage-collector knobs (see [`GcConfig`]).
     pub fn set_gc_config(&mut self, gc: GcConfig) {
         for shard in &mut self.shards {

@@ -6,7 +6,9 @@
 //! round trip (including part reordering) mid-stream — also when a
 //! shard's session is killed behind the coordinator's back and the
 //! recovery ladder has to reconcile or reinstall that shard's slice. Plus
-//! a chaos check: partitioning one shard leaves every other shard serving.
+//! a chaos check: partitioning one shard leaves every other shard serving,
+//! and a persist fleet: coalesced flushes deliver what immediate push
+//! does, in fewer wakeups.
 
 use fbdr_dit::{Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
@@ -15,11 +17,13 @@ use fbdr_resync::reconcile::{
     entry_item_hash, RangeRequest, RangeResponse, ReconcileRequest, ReconcileResponse,
 };
 use fbdr_resync::{
-    CompositeCookie, Cookie, ReSyncControl, ReconcileConfig, ReconcileItem,
+    CompositeCookie, Cookie, NotifyPolicy, ReSyncControl, ReconcileConfig, ReconcileItem,
     ReplicaContent, RetryConfig, ShardContent, ShardCoordinator, ShardId, ShardMap, ShardStatus,
     ShardedMaster, NotifyBatch, SyncError, SyncMaster, SyncResponse, SyncTransport,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const COUNTRIES: usize = 4;
 
@@ -490,4 +494,205 @@ fn partitioned_shard_degrades_alone_and_catches_up() {
     assert_eq!(content.sorted_dns().len(), 16);
     assert_eq!(coord.stats().reinstalls, 0);
     assert_eq!(coord.stats().reconciliations, 0);
+}
+
+// ---------------------------------------------------------------------
+// Persist fleet: a coalesced flush delivers what immediate push does
+// ---------------------------------------------------------------------
+
+/// People per country in the persist fleet.
+const FLEET_PEOPLE: usize = 64;
+/// Departments those people cycle through; a session watches one.
+const FLEET_DEPTS: usize = 4;
+
+/// What a persist-fleet run varies besides the shard count and the seed.
+#[derive(Clone, Copy)]
+struct FleetShape {
+    /// The first `countries` countries hold sessions and take updates.
+    countries: usize,
+    sessions: usize,
+    updates: usize,
+    /// The coalesced arm is force-flushed after every `flush_every` ops.
+    flush_every: usize,
+    /// Whether the op stream also deletes, re-adds and renames people.
+    departures: bool,
+}
+
+/// The shape's seeded op stream: op `j` lands in country `j % countries`,
+/// every fourth touches `mail` in place, and the rest move a person between
+/// departments — or, with `departures`, one time in four delete, re-add or
+/// rename them (within the country, so the shard never changes).
+fn fleet_ops(shape: FleetShape, seed: u64) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let person = |rng: &mut StdRng, j: usize| {
+        rng.gen_range(0..FLEET_PEOPLE) * COUNTRIES + j % shape.countries
+    };
+    (0..shape.updates)
+        .map(|j| {
+            let id = person(&mut rng, j);
+            let dept = rng.gen_range(0..FLEET_DEPTS as u8);
+            match (j % 4, rng.gen_range(0..8u8)) {
+                (3, _) => Op::SetMail { id, tag: j as u8 },
+                (_, 0) if shape.departures => Op::Delete { id },
+                (_, 1) if shape.departures => Op::Add { id, dept },
+                (_, 2) if shape.departures => Op::Rename { id, new_id: person(&mut rng, j) },
+                _ => Op::SetDept { id, dept },
+            }
+        })
+        .collect()
+}
+
+/// One persist session of the fleet and what its replica holds.
+struct FleetSession {
+    shard: ShardId,
+    request: SearchRequest,
+    rx: Receiver<NotifyBatch>,
+    content: ReplicaContent,
+}
+
+/// A `k`-shard master with `FLEET_PEOPLE` people in every country and the
+/// shape's persist sessions: session `r` watches `(dept=d)` under country
+/// `c = r % countries`, `d = r / countries % FLEET_DEPTS` (the deleted fleet
+/// simulator's assignment), so `countries * FLEET_DEPTS` sessions are one
+/// per country and department. Every shard reports into one registry.
+struct Fleet {
+    master: ShardedMaster,
+    sessions: Vec<FleetSession>,
+    obs: fbdr_obs::Obs,
+}
+
+impl Fleet {
+    fn new(k: usize, shape: FleetShape, policy: NotifyPolicy) -> Self {
+        let mut master = sharded(k);
+        for id in 0..FLEET_PEOPLE * COUNTRIES {
+            let dept = u8::try_from(id / COUNTRIES % FLEET_DEPTS).expect("fits");
+            master.apply(UpdateOp::Add(entry_of(id, dept))).expect("person add");
+        }
+        master.set_notify_policy(policy);
+        let obs = fbdr_obs::Obs::new();
+        master.set_obs(obs.clone());
+        let sessions = (0..shape.sessions)
+            .map(|r| {
+                let (c, d) = (r % shape.countries, r / shape.countries % FLEET_DEPTS);
+                let shard = master.map().shard_of(&country_dn(c));
+                let filter = Filter::parse(&format!("(dept={d})")).expect("valid filter");
+                let request = SearchRequest::new(country_dn(c), Scope::Subtree, filter);
+                let resp =
+                    master.resync_at(shard, &request, ReSyncControl::persist(None)).expect("install");
+                let cookie = resp.cookie.expect("persist sessions carry a cookie");
+                let rx = master.take_receiver_at(shard, cookie).expect("parked receiver");
+                let mut content = ReplicaContent::new();
+                content.apply_all(&resp.actions);
+                FleetSession { shard, request, rx, content }
+            })
+            .collect();
+        Fleet { master, sessions, obs }
+    }
+
+    /// Applies one op (a refused one is a client race, as above) and hands
+    /// every session what its channel holds. Returns whether it applied.
+    fn apply(&mut self, op: &Op) -> bool {
+        let applied = self.master.apply(to_update(op)).is_ok();
+        self.drain();
+        applied
+    }
+
+    fn drain(&mut self) {
+        for s in &mut self.sessions {
+            for batch in s.rx.try_iter() {
+                s.content.apply_all(&batch.actions);
+            }
+        }
+    }
+
+    /// Wakeups summed over the shards' own counters — which the one
+    /// registry they all report into must agree with.
+    fn wakeups(&self) -> u64 {
+        let m = &self.master;
+        let sum: u64 = m.map().shards().map(|s| m.shard(s).notify_wakeups()).sum();
+        let exported = self.obs.registry().counter("fbdr_resync_notify_wakeups_total").get();
+        assert_eq!(exported, sum, "the registry missed a shard's wakeups");
+        sum
+    }
+
+    /// Every session holds what a fresh poll of its filter returns, DNs
+    /// and entries.
+    fn assert_converged(&mut self, arm: &str) {
+        let Fleet { master, sessions, .. } = self;
+        for (r, s) in sessions.iter().enumerate() {
+            let fresh =
+                master.resync_at(s.shard, &s.request, ReSyncControl::poll(None)).expect("poll");
+            let mut want = ReplicaContent::new();
+            want.apply_all(&fresh.actions);
+            assert_eq!(s.content.sorted_dns(), want.sorted_dns(), "{arm}: session {r}'s DNs");
+            for e in want.iter() {
+                assert_eq!(s.content.get(e.dn()), Some(e), "{arm}: session {r}, {}", e.dn());
+            }
+        }
+    }
+}
+
+/// Runs `seed`'s op stream through two `k`-shard fleets of one shape —
+/// immediate push, and coalescing force-flushed every `flush_every` ops —
+/// checks both against fresh polls after the drain, and returns their
+/// wakeups, immediate first.
+fn both_arms(k: usize, shape: FleetShape, seed: u64) -> (u64, u64) {
+    let mut immediate = Fleet::new(k, shape, NotifyPolicy::immediate());
+    let mut coalesced = Fleet::new(k, shape, NotifyPolicy::coalescing(64, u64::MAX));
+    for (i, op) in fleet_ops(shape, seed).iter().enumerate() {
+        assert_eq!(immediate.apply(op), coalesced.apply(op), "op {i} applied on one arm only");
+        if (i + 1) % shape.flush_every == 0 {
+            coalesced.master.flush_notifications(true);
+            coalesced.drain();
+        }
+    }
+    coalesced.master.flush_notifications(true);
+    coalesced.drain();
+    immediate.assert_converged("immediate");
+    coalesced.assert_converged("coalesced");
+    (immediate.wakeups(), coalesced.wakeups())
+}
+
+/// One session per country and department at 1, 2 and 4 shards: whatever
+/// the flush cadence, the coalesced arm's sessions end where the immediate
+/// arm's do — each a fresh poll of its filter — and it never wakes them
+/// more often.
+#[test]
+fn coalesced_and_immediate_persist_reach_the_same_content() {
+    for k in [1, 2, 4] {
+        for seed in 0..6u64 {
+            let shape = FleetShape {
+                countries: COUNTRIES,
+                sessions: COUNTRIES * FLEET_DEPTS,
+                updates: 125,
+                flush_every: 1 + seed as usize,
+                departures: true,
+            };
+            let (immediate, coalesced) = both_arms(k, shape, seed);
+            assert!(immediate > 0, "{k} shards, seed {seed}: nothing was pushed");
+            assert!(
+                coalesced <= immediate,
+                "{k} shards, seed {seed}: coalescing woke {coalesced} times, immediate {immediate}"
+            );
+        }
+    }
+}
+
+/// The deleted fleet simulator's headline, on the real master and its
+/// shape — 60 sessions over two countries of 64 people, 200 department
+/// moves and `mail` touches, batch 64, one flush per 20 ops (its 200 ms
+/// hold at one update per 10 ms): the same content at a third of the
+/// wakeups or fewer, at 1, 2 and 4 shards (at 4 the two countries sit on
+/// shards 0 and 1).
+#[test]
+fn coalescing_cuts_wakeups_at_equal_content() {
+    let shape =
+        FleetShape { countries: 2, sessions: 60, updates: 200, flush_every: 20, departures: false };
+    for k in [1, 2, 4] {
+        let (immediate, coalesced) = both_arms(k, shape, 3);
+        assert!(
+            coalesced * 3 <= immediate,
+            "{k} shards: coalescing should cut wakeups at least 3x: {coalesced} vs {immediate}"
+        );
+    }
 }

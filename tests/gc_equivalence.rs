@@ -197,6 +197,8 @@ fn collected_footprint_stays_flat_while_the_uncollected_twin_grows() {
         3,
         GcConfig { session_deadline_ms: Some(200), every_ops: Some(32), ..GcConfig::default() },
     );
+    let obs = fbdr_obs::Obs::new();
+    twins.gc.set_obs(obs.clone());
     for s in 0..3 {
         twins.poll(s, false).unwrap(); // session 2 is never heard from again
     }
@@ -237,4 +239,9 @@ fn collected_footprint_stays_flat_while_the_uncollected_twin_grows() {
     assert!(raw[SEGMENTS - 1] * 2 > raw[0] * 3, "the run generates no garbage worth collecting");
     assert_eq!(twins.gc.session_count(), 2, "the deadline evicts the dead session");
     assert_eq!(twins.raw.session_count(), 3);
+    // The collector reports itself through the master's registry.
+    let reg = obs.registry();
+    assert!(reg.counter("fbdr_resync_gc_runs_total").get() > 0);
+    assert_eq!(reg.counter("fbdr_resync_gc_sessions_evicted_total").get(), 1);
+    assert!(reg.render_prometheus().contains("fbdr_resync_stability_lag"));
 }
