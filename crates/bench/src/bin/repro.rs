@@ -355,7 +355,7 @@ fn run(which: &str, scale: Scale, params: &Params) -> Table {
             table(
                 format!(
                     "Extension: session recovery cost vs divergence ({} entries, digest fpr {})",
-                    cfg.entries, cfg.fpr
+                    cfg.entries, fbdr_resync::reconcile::DIGEST_FPR
                 ),
                 &[
                     "updates missed", "entries diverged", "replay B", "reconcile B",

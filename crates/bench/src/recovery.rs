@@ -28,8 +28,7 @@ use fbdr_dit::{Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Scope, SearchRequest};
 use fbdr_resync::reconcile::entry_item_hash;
 use fbdr_resync::{
-    ReSyncControl, ReconcileConfig, ReconcileItem, RetryConfig, ShardId, SyncDriver,
-    SyncMaster, SyncTraffic,
+    ReSyncControl, ReconcileItem, RetryConfig, ShardId, SyncDriver, SyncMaster, SyncTraffic,
 };
 use std::collections::{BTreeMap, HashMap};
 
@@ -40,8 +39,6 @@ pub struct RecoveryConfig {
     pub entries: usize,
     /// Divergence ladder: updates applied while the session is detached.
     pub rungs: Vec<usize>,
-    /// Bloom digest false-positive rate for the reconcile leg.
-    pub fpr: f64,
 }
 
 impl RecoveryConfig {
@@ -54,7 +51,7 @@ impl RecoveryConfig {
             Scale::Paper => (2_000, vec![1, 10, 100, 1_000, 10_000]),
             Scale::Large => (20_000, vec![1, 10, 100, 1_000, 10_000, 100_000]),
         };
-        RecoveryConfig { entries, rungs, fpr: 0.01 }
+        RecoveryConfig { entries, rungs }
     }
 }
 
@@ -181,8 +178,7 @@ fn measure_rung(cfg: &RecoveryConfig, n: usize) -> RecoveryRung {
         held.iter().enumerate().map(|(id, e)| (e.dn(), id as u32)).collect();
     let resolve = |dn: &Dn| by_dn.get(dn).copied();
 
-    let mut driver = SyncDriver::new(RetryConfig::default())
-        .with_reconcile(ReconcileConfig { fpr: cfg.fpr, ..Default::default() });
+    let mut driver = SyncDriver::new(RetryConfig::default());
     let outcome = driver
         .reconcile(&mut m, ShardId::ZERO, &request, &items, &resolve)
         .expect("reconcile exchange");

@@ -46,15 +46,21 @@ impl Rdn {
 
 impl fmt::Display for Rdn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}=", self.attr)?;
-        for c in self.value.raw().chars() {
-            if needs_escape(c) {
-                f.write_char('\\')?;
-            }
-            f.write_char(c)?;
-        }
-        Ok(())
+        write_escaped(f, self.attr.as_str())?;
+        f.write_char('=')?;
+        write_escaped(f, self.value.raw())
     }
+}
+
+/// Writes `s` with each [`needs_escape`] character behind a backslash.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    for c in s.chars() {
+        if needs_escape(c) {
+            f.write_char('\\')?;
+        }
+        f.write_char(c)?;
+    }
+    Ok(())
 }
 
 /// A distinguished name; empty means the DIT root.
@@ -191,8 +197,8 @@ impl Dn {
     /// length of the LDAP string form, escapes included. What the traffic
     /// cost model prices a DN by, once per delivered action.
     pub fn display_len(&self) -> usize {
-        let escapes = |s: &str| s.chars().filter(|&c| needs_escape(c)).count();
-        let rdn = |r: &Rdn| r.attr.as_str().len() + 1 + r.value.raw().len() + escapes(r.value.raw());
+        let part = |s: &str| s.len() + s.chars().filter(|&c| needs_escape(c)).count();
+        let rdn = |r: &Rdn| part(r.attr.as_str()) + 1 + part(r.value.raw());
         self.rdns.iter().map(rdn).sum::<usize>() + self.rdns.len().saturating_sub(1)
     }
 }
@@ -200,8 +206,8 @@ impl Dn {
 impl FromStr for Dn {
     type Err = NameParseError;
 
-    /// Parses the LDAP string form. Commas and equals signs inside values
-    /// may be escaped with a backslash (`\,`, `\=`, `\\`).
+    /// Parses the LDAP string form. Commas, equals signs and backslashes
+    /// in types and values may be escaped (`\,`, `\=`, `\\`), as printed.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim();
         if s.is_empty() {
@@ -223,6 +229,7 @@ impl FromStr for Dn {
             if parts.next().is_some() {
                 return Err(NameParseError::new(format!("unescaped '=' in value of {comp:?}")));
             }
+            let attr = unescape(attr.trim());
             let attr = attr.trim();
             if attr.is_empty() {
                 return Err(NameParseError::new(format!("empty attribute in {comp:?}")));
@@ -348,6 +355,22 @@ mod tests {
         // Round trips through Display.
         let d2: Dn = d.to_string().parse().unwrap();
         assert_eq!(d, d2);
+    }
+
+    #[test]
+    fn attribute_type_escapes_round_trip() {
+        // `\ ` escapes the space, which trimming then drops: the type is
+        // `a`, not `a\` (printed `a\=v`, which named no type at all).
+        let d = dn(r"a\ =v,o=xyz");
+        assert_eq!(d.rdn().unwrap().attr().as_str(), "a");
+        assert_eq!(d.to_string(), "a=v,o=xyz");
+        // A type that does hold a backslash prints it escaped and parses
+        // back to itself.
+        let odd = Dn::from_rdns(vec![Rdn::new(r"a\", "v"), Rdn::new("o", "xyz")]);
+        assert_eq!(odd.to_string(), r"a\\=v,o=xyz");
+        assert_eq!(odd.to_string().parse::<Dn>().unwrap(), odd);
+        assert_eq!(odd.display_len(), odd.to_string().len());
+        assert!(r"\ =v".parse::<Dn>().is_err(), "a type of nothing but an escape is empty");
     }
 
     #[test]

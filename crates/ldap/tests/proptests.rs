@@ -348,7 +348,7 @@ proptest! {
     /// characters included.
     #[test]
     fn dn_display_len_is_the_printed_length(
-        parts in prop::collection::vec(("[a-zA-Z]{1,5}", prop_oneof!["[ -~]{1,10}", "[α-ω,=\\\\]{1,6}"]), 0..5)
+        parts in prop::collection::vec(("[a-zA-Z]{1,5}[,=\\\\]?", prop_oneof!["[ -~]{1,10}", "[α-ω,=\\\\]{1,6}"]), 0..5)
     ) {
         let dn = Dn::from_rdns(
             parts.iter().map(|(a, v)| fbdr_ldap::Rdn::new(a.as_str(), v.as_str())).collect(),
@@ -418,10 +418,10 @@ proptest! {
     }
 
     /// DN display → parse is the identity (values may contain commas,
-    /// equals signs and backslashes).
+    /// equals signs and backslashes; types may end in a backslash).
     #[test]
     fn dn_display_parse_round_trip(
-        parts in prop::collection::vec(("[a-z]{1,5}", "[ -~&&[^\\\\]]{1,10}"), 1..5)
+        parts in prop::collection::vec(("[a-z]{1,5}\\\\?", "[ -~&&[^\\\\]]{1,10}"), 1..5)
     ) {
         let dn = Dn::from_rdns(
             parts

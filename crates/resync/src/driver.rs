@@ -347,8 +347,7 @@ impl<C: Clock> SyncDriver<C> {
         }
     }
 
-    /// Sets the reconciliation tuning (digest false-positive rate, range
-    /// bucket count, divergence budget).
+    /// Sets the reconciliation tuning (the divergence budget).
     pub fn with_reconcile(mut self, config: ReconcileConfig) -> Self {
         self.reconcile = config;
         self
@@ -453,13 +452,8 @@ impl<C: Clock> SyncDriver<C> {
         resolve: &dyn Fn(&Dn) -> Option<u32>,
     ) -> Result<ReconcileOutcome, SyncError> {
         let timer = self.reconcile_hist.as_ref().map(|_| Instant::now());
-        let base = self.reconcile;
         let out = self.retry_loop(&mut |attempt| {
-            let cfg = ReconcileConfig {
-                seed: base.seed ^ (u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                ..base
-            };
-            reconcile::reconcile(transport, shard, request, items, resolve, &cfg)
+            reconcile::reconcile(transport, shard, request, items, resolve, attempt)
         });
         if let Ok(outcome) = &out {
             self.stats.reconciliations += 1;

@@ -162,7 +162,7 @@ impl DnTable {
 
     /// Releases a live slot back to the free list. The caller asserts
     /// nothing still indexes by this id
-    /// (the master's GC: no session posting list or stash; the replica:
+    /// (the master's GC: no session posting list; the replica:
     /// no filter's refcount). Returns `true` if the slot was live.
     pub fn release(&mut self, id: u32) -> bool {
         self.rehydrate();

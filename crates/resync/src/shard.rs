@@ -3,8 +3,8 @@
 //!
 //! A [`ShardedMaster`] owns one `SyncMaster` per shard of a
 //! [`ShardMap`]; updates route to the shard owning the target DN, so
-//! each shard maintains its own `RoutingIndex`, replay buffers and
-//! reconcile stash over just its slice of the DIT. Because the shard
+//! each shard maintains its own `RoutingIndex`, session ledgers and
+//! replay buffers over just its slice of the DIT. Because the shard
 //! map partitions by subtree suffix and each shard's store holds only
 //! its own slice, a search region that spans shards is answered by
 //! evaluating per-shard sub-requests and concatenating — the union is

@@ -1,14 +1,27 @@
 //! Convergence properties: after any sequence of updates and a sync cycle,
 //! the replica content equals the master's current answer — for ReSync
-//! (poll and persist) and for every convergent baseline.
+//! (poll and persist), for a reconciliation whose master moves between
+//! its two rounds, and for every convergent baseline.
 
+use crossbeam::channel::Receiver;
 use fbdr_dit::{ChangeRecord, History, Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use fbdr_resync::baseline::{
     divergence, ChangelogSync, FullReload, RetainSync, Synchronizer, TombstoneSync,
 };
-use fbdr_resync::{NotifyPolicy, ReSyncControl, ReplicaContent, SyncAction, SyncMaster};
+use fbdr_resync::reconcile::{RangeRequest, RangeResponse, ReconcileRequest, ReconcileResponse};
+use fbdr_resync::{
+    CompositeCookie, Cookie, NotifyBatch, NotifyPolicy, ReSyncControl, ReplicaContent,
+    RetryConfig, ShardId, ShardMap, ShardStatus, ShardedMaster, SyncAction, SyncDriver, SyncError,
+    SyncMaster, SyncResponse, SyncTransport,
+};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+mod common;
+use common::Held;
 
 /// An abstract operation against a pool of person entries.
 #[derive(Debug, Clone)]
@@ -34,11 +47,16 @@ fn dn_of(id: usize) -> Dn {
     format!("cn=p{id},o=xyz").parse().expect("valid dn")
 }
 
-fn entry_of(id: usize, dept: u8) -> Entry {
-    Entry::new(dn_of(id))
+/// Person `id` at `dn`.
+fn person(dn: Dn, id: usize, dept: u8) -> Entry {
+    Entry::new(dn)
         .with("objectclass", "person")
         .with("cn", &format!("p{id}"))
         .with("dept", &dept.to_string())
+}
+
+fn entry_of(id: usize, dept: u8) -> Entry {
+    person(dn_of(id), id, dept)
 }
 
 fn fresh_master() -> SyncMaster {
@@ -63,27 +81,32 @@ fn flush_on_demand() -> NotifyPolicy {
     NotifyPolicy::coalescing(u64::MAX, u64::MAX)
 }
 
+/// The update an abstract op stands for, with person `id` at `dn(id)`.
+/// A rename changes the RDN only.
+fn update(op: &Op, dn: fn(usize) -> Dn) -> UpdateOp {
+    match op {
+        Op::Add { id, dept } => UpdateOp::Add(person(dn(*id), *id, *dept)),
+        Op::Delete { id } => UpdateOp::Delete(dn(*id)),
+        Op::SetDept { id, dept } => UpdateOp::Modify {
+            dn: dn(*id),
+            mods: vec![Modification::Replace("dept".into(), vec![dept.to_string().into()])],
+        },
+        Op::SetMail { id, tag } => UpdateOp::Modify {
+            dn: dn(*id),
+            mods: vec![Modification::Replace("mail".into(), vec![format!("m{tag}@x").into()])],
+        },
+        Op::Rename { id, new_id } => UpdateOp::ModifyDn {
+            dn: dn(*id),
+            new_rdn: Rdn::new("cn", format!("p{new_id}")),
+            new_superior: None,
+        },
+    }
+}
+
 /// Applies an abstract op, ignoring precondition failures (they model
 /// clients racing each other); the record of an accepted one.
 fn apply(m: &mut SyncMaster, op: &Op) -> Option<ChangeRecord> {
-    let applied = match op {
-        Op::Add { id, dept } => m.apply(UpdateOp::Add(entry_of(*id, *dept))),
-        Op::Delete { id } => m.apply(UpdateOp::Delete(dn_of(*id))),
-        Op::SetDept { id, dept } => m.apply(UpdateOp::Modify {
-            dn: dn_of(*id),
-            mods: vec![Modification::Replace("dept".into(), vec![dept.to_string().into()])],
-        }),
-        Op::SetMail { id, tag } => m.apply(UpdateOp::Modify {
-            dn: dn_of(*id),
-            mods: vec![Modification::Replace("mail".into(), vec![format!("m{tag}@x").into()])],
-        }),
-        Op::Rename { id, new_id } => m.apply(UpdateOp::ModifyDn {
-            dn: dn_of(*id),
-            new_rdn: Rdn::new("cn", format!("p{new_id}")),
-            new_superior: None,
-        }),
-    };
-    applied.ok()
+    m.apply(update(op, dn_of)).ok()
 }
 
 fn request() -> SearchRequest {
@@ -351,6 +374,231 @@ proptest! {
                     "{} diverged", s.name()
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Updates between the two rounds of a reconciliation
+// ---------------------------------------------------------------------
+
+/// Countries the reconciled directory spreads people over; on the
+/// sharded master each is a shard of its own.
+const COUNTRIES: usize = 2;
+
+fn country_dn(c: usize) -> Dn {
+    format!("c=s{c},o=xyz").parse().expect("valid dn")
+}
+
+/// Person `id` under its country, so a leaf rename never crosses a shard.
+fn placed_dn(id: usize) -> Dn {
+    format!("cn=p{id},c=s{},o=xyz", id % COUNTRIES).parse().expect("valid dn")
+}
+
+/// A master the wrapper moves between the rounds, and the answer a
+/// replica of it must end on.
+trait Master: SyncTransport {
+    fn update(&mut self, op: UpdateOp);
+    fn answer(&self, req: &SearchRequest) -> Vec<Entry>;
+}
+
+impl Master for SyncMaster {
+    fn update(&mut self, op: UpdateOp) {
+        let _ = self.apply(op);
+    }
+    fn answer(&self, req: &SearchRequest) -> Vec<Entry> {
+        self.dit().search(req)
+    }
+}
+
+impl Master for ShardedMaster {
+    fn update(&mut self, op: UpdateOp) {
+        let _ = self.apply(op);
+    }
+    fn answer(&self, req: &SearchRequest) -> Vec<Entry> {
+        self.search(req)
+    }
+}
+
+/// A transport that moves the master between the two rounds of every
+/// reconciliation: before forwarding a range round it applies `k`
+/// updates drawn from a seeded stream.
+struct UpdatesBetweenRounds<M> {
+    inner: M,
+    rng: StdRng,
+    k: usize,
+    range_rounds: usize,
+}
+
+impl<M: Master> SyncTransport for UpdatesBetweenRounds<M> {
+    fn resync(
+        &mut self,
+        request: &SearchRequest,
+        ctl: ReSyncControl,
+    ) -> Result<SyncResponse, SyncError> {
+        self.inner.resync(request, ctl)
+    }
+    fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+        self.inner.take_receiver(cookie)
+    }
+    fn abandon(&mut self, cookie: Cookie) {
+        self.inner.abandon(cookie);
+    }
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+    fn resync_at(
+        &mut self,
+        shard: ShardId,
+        request: &SearchRequest,
+        ctl: ReSyncControl,
+    ) -> Result<SyncResponse, SyncError> {
+        self.inner.resync_at(shard, request, ctl)
+    }
+    fn take_receiver_at(&mut self, shard: ShardId, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+        self.inner.take_receiver_at(shard, cookie)
+    }
+    fn abandon_at(&mut self, shard: ShardId, cookie: Cookie) {
+        self.inner.abandon_at(shard, cookie);
+    }
+    fn reconcile_at(
+        &mut self,
+        shard: ShardId,
+        request: &SearchRequest,
+        req: ReconcileRequest,
+    ) -> Result<ReconcileResponse, SyncError> {
+        self.inner.reconcile_at(shard, request, req)
+    }
+    fn reconcile_ranges_at(
+        &mut self,
+        shard: ShardId,
+        cookie: Cookie,
+        req: &RangeRequest,
+    ) -> Result<RangeResponse, SyncError> {
+        self.range_rounds += 1;
+        for _ in 0..self.k {
+            let op = between_op(&mut self.rng);
+            self.inner.update(update(&op, placed_dn));
+        }
+        self.inner.reconcile_ranges_at(shard, cookie, req)
+    }
+}
+
+/// One update between the rounds: an add, a modify, a delete or a leaf
+/// rename, of a person who ends up in the filter (`dept=1`) or out of it.
+fn between_op(rng: &mut StdRng) -> Op {
+    let id = rng.gen_range(0..12);
+    let dept = if rng.gen_bool(0.5) { 1 } else { rng.gen_range(2..4) };
+    match rng.gen_range(0..4) {
+        0 => Op::Add { id, dept },
+        1 => Op::SetDept { id, dept },
+        2 => Op::Delete { id },
+        _ => Op::Rename { id, new_id: rng.gen_range(0..12) },
+    }
+}
+
+/// `people[id]` is person `id`'s department, under the skeleton
+/// `o=xyz` / `c=s0` / `c=s1`: on one master, or on two shards of one
+/// country each.
+fn placed_masters(people: &[u8]) -> (SyncMaster, ShardedMaster) {
+    let skeleton = |countries: &[usize]| {
+        let mut m = fresh_master();
+        for &c in countries {
+            let country = Entry::new(country_dn(c)).with("objectclass", "country");
+            m.dit_mut().add(country).expect("country add");
+        }
+        m
+    };
+    let mut map = ShardMap::new(ShardId::ZERO);
+    map.assign(country_dn(1), ShardId::new(1));
+    let mut one = skeleton(&[0, 1]);
+    let mut two = ShardedMaster::from_masters(map, vec![skeleton(&[0]), skeleton(&[1])]);
+    for (id, &dept) in people.iter().enumerate() {
+        one.apply(UpdateOp::Add(person(placed_dn(id), id, dept))).expect("person add");
+        two.apply(UpdateOp::Add(person(placed_dn(id), id, dept))).expect("person add");
+    }
+    (one, two)
+}
+
+/// Installs every slice of the filter on `master`, lets `detached` land
+/// while the replica is away (its held set goes stale and keeps deleted
+/// people), kills the sessions, and syncs through
+/// [`SyncDriver::sync_slice`]: every slice must reconcile — `k` updates
+/// landing between the rounds of each exchange — and one follow-up poll
+/// must leave the replica on the master's answer, entries included.
+/// Returns whether any range round ran.
+fn reconcile_through_moving_master<M: Master>(
+    master: M,
+    map: &ShardMap,
+    detached: &[Op],
+    k: usize,
+    seed: u64,
+) -> Result<bool, TestCaseError> {
+    let req = request();
+    let mut t =
+        UpdatesBetweenRounds { inner: master, rng: StdRng::seed_from_u64(seed), k, range_rounds: 0 };
+    let mut driver = SyncDriver::new(RetryConfig::default());
+    let mut cookie = CompositeCookie::new();
+    let mut replica = ReplicaContent::new();
+    for (shard, sub) in map.split(&req) {
+        let resp = driver.resync(&mut t, shard, &sub, ReSyncControl::poll(None)).expect("install");
+        replica.apply_all(&resp.actions);
+        cookie.insert(shard, resp.cookie.expect("cookie issued"));
+    }
+    for op in detached {
+        t.inner.update(update(op, placed_dn));
+    }
+    for (shard, c) in cookie.iter() {
+        t.abandon_at(shard, c);
+    }
+    for want in [ShardStatus::Reconciled, ShardStatus::Updated] {
+        for (shard, sub) in map.split(&req) {
+            let out = driver.sync_slice(&mut t, shard, &sub, &mut cookie, &Held::new(&replica, map));
+            prop_assert_eq!(&out.status, &want, "{} ended on the wrong rung", shard);
+            replica.apply_all(&out.actions);
+        }
+    }
+    let mut want = t.inner.answer(&req);
+    want.sort_by(|a, b| a.dn().cmp(b.dn()));
+    let lost = replica.iter().filter(|e| !want.iter().any(|w| w.dn() == e.dn())).count();
+    prop_assert_eq!(lost, 0, "deletions lost");
+    prop_assert_eq!(replica.iter().collect::<Vec<_>>(), want.iter().collect::<Vec<_>>());
+    Ok(t.range_rounds > 0)
+}
+
+/// Reconciliations run by `updates_between_the_rounds_reach_the_replica`,
+/// and how many of them needed a range round.
+static RECONCILED: AtomicUsize = AtomicUsize::new(0);
+static RANGE_ROUNDS: AtomicUsize = AtomicUsize::new(0);
+const BETWEEN_ROUNDS_CASES: u32 = 64;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(BETWEEN_ROUNDS_CASES))]
+
+    /// The range round answers from the master's live content, so the
+    /// master may move between the two rounds: whatever changed since
+    /// round one is in the session's ledger and reaches the replica by
+    /// the next poll. On one `SyncMaster` and on a two-shard
+    /// `ShardedMaster`.
+    #[test]
+    fn updates_between_the_rounds_reach_the_replica(
+        people in prop::collection::vec(0u8..4, 12),
+        detached in prop::collection::vec(op(), 1..16),
+        k in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let (one, two) = placed_masters(&people);
+        let two_map = two.map().clone();
+        let ranged = [
+            reconcile_through_moving_master(one, &ShardMap::single(), &detached, k, seed)?,
+            reconcile_through_moving_master(two, &two_map, &detached, k, seed)?,
+        ];
+        let ran = ranged.iter().filter(|&&r| r).count();
+        let runs = RECONCILED.fetch_add(ranged.len(), Ordering::Relaxed) + ranged.len();
+        let ran = RANGE_ROUNDS.fetch_add(ran, Ordering::Relaxed) + ran;
+        if runs == ranged.len() * BETWEEN_ROUNDS_CASES as usize {
+            // Not vacuous: the rounds the updates fall between did run.
+            prop_assert!(4 * ran >= runs, "a range round ran in {} of {} reconciliations", ran, runs);
         }
     }
 }

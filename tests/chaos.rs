@@ -445,11 +445,7 @@ fn soak_memory_high_water_stays_flat_over_ten_x_churn() {
         .build();
     let clock = SimClock::new();
     let mut master = build_master();
-    master.set_gc_config(fbdr_resync::GcConfig {
-        session_deadline_ms: None,
-        stash_max_items: 1 << 16,
-        every_ops: Some(16),
-    });
+    master.set_gc_config(fbdr_resync::GcConfig { session_deadline_ms: None, every_ops: Some(16) });
     let replica = FilterReplica::new(0);
     replica.install_filter(&mut master, filter_request()).unwrap();
     let mut link = FaultyLink::new(master, plan, clock.clone());

@@ -2,8 +2,8 @@
 //! observationally identical to one that never collects, for every live
 //! session, at every poll boundary.
 //!
-//! Causal-stability GC reclaims replay buffers, posting-list slack,
-//! reconcile stashes and interned ids strictly *below* the stability
+//! Causal-stability GC reclaims replay buffers, posting-list slack and
+//! interned ids strictly *below* the stability
 //! watermark — state no live session can ever ask about again. If that
 //! invariant holds, the wire protocol cannot tell the two masters apart:
 //! same actions, same cookies, same replay on duplicate cookies, same
@@ -58,8 +58,7 @@ fn build_master() -> SyncMaster {
 /// Twin masters driven in lockstep: every mutation and every poll hits
 /// both; every response pair must match.
 struct Twins {
-    /// Collects: in the proptest after every single op, with a tiny
-    /// stash cap.
+    /// Collects: in the proptest after every single op.
     gc: SyncMaster,
     /// Never collects anything.
     raw: SyncMaster,
@@ -71,7 +70,7 @@ impl Twins {
     fn new(sessions: usize) -> Self {
         Twins::with_gc(
             sessions,
-            GcConfig { session_deadline_ms: None, stash_max_items: 8, every_ops: Some(1) },
+            GcConfig { session_deadline_ms: None, every_ops: Some(1) },
         )
     }
 
