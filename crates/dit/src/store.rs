@@ -494,8 +494,10 @@ impl DitStore {
     /// needing DN order should collect and sort, or use
     /// [`DitStore::search`]. This is the bulk-enumeration seam the sync
     /// layer's session installation uses: it interns ids straight off the
-    /// borrowed entries, however many match.
-    pub fn for_each_match(&self, req: &SearchRequest, f: impl FnMut(&Entry)) {
+    /// borrowed entries, however many match. The entries are lent for the
+    /// store's borrow, not just the call, so a caller merging several
+    /// stores' matches can keep the references and sort them once.
+    pub fn for_each_match<'a>(&'a self, req: &SearchRequest, f: impl FnMut(&'a Entry)) {
         self.walk(req, f);
     }
 

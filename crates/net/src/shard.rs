@@ -10,9 +10,12 @@
 //! `fbdr-resync`.
 
 use fbdr_dit::NamingContext;
-use fbdr_ldap::{Dn, Scope, SearchRequest};
-use serde::{Deserialize, Serialize};
+use fbdr_ldap::{Dn, Rdn, Scope, SearchRequest};
+use serde::de::Error as _;
+use serde::{Deserialize, Deserializer, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies one master shard within a sharded deployment.
 ///
@@ -49,30 +52,143 @@ impl fmt::Display for ShardId {
 /// Each entry assigns the subtree rooted at a suffix DN to a shard; the
 /// deepest containing suffix wins, so shards can nest (a sub-suffix can
 /// be carved out of an enclosing shard's territory). DNs outside every
-/// suffix belong to the default shard.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// suffix belong to the default shard. A suffix assigned twice belongs to
+/// its last assignment.
+///
+/// Only the assignments, the default and the shard count are data; the
+/// owner index [`ShardMap::shard_of`] reads is derived from them, and a
+/// loaded map is checked to name no shard at or past its count.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ShardMap {
-    /// `(suffix, shard)` assignments. Order is irrelevant for lookup
-    /// (deepest match wins); kept in insertion order.
+    /// `(suffix, shard)` assignments, in insertion order.
     entries: Vec<(Dn, ShardId)>,
     default: ShardId,
     shard_count: u16,
+    #[serde(skip)]
+    owners: Owners,
+}
+
+/// The owner of every assigned suffix, keyed by the suffix's RDNs
+/// (leaf-first, as [`Dn::rdns`] lists them), and the distinct suffix
+/// depths, deepest first: a DN's owner is the first hit among its own
+/// suffixes of those depths — one probe per depth, not a test per suffix.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Owners {
+    by_suffix: HashMap<Box<[Rdn]>, ShardId, BuildHasherDefault<MixHasher>>,
+    depths: Vec<usize>,
+}
+
+impl Owners {
+    /// A later assignment of a suffix replaces an earlier one.
+    fn assign(&mut self, suffix: &Dn, shard: ShardId) {
+        self.by_suffix.insert(suffix.rdns().into(), shard);
+        let depth = suffix.depth();
+        if let Err(at) = self.depths.binary_search_by(|d| depth.cmp(d)) {
+            self.depths.insert(at, depth);
+        }
+    }
+
+    fn owner(&self, dn: &Dn) -> Option<ShardId> {
+        let rdns = dn.rdns();
+        self.depths
+            .iter()
+            .skip_while(|&&depth| depth > rdns.len())
+            .find_map(|&depth| self.by_suffix.get(&rdns[rdns.len() - depth..]).copied())
+    }
+}
+
+/// The multiply-rotate step of FxHash, once per eight bytes of text: a
+/// DN's owner costs one multiply per short RDN component and no
+/// allocation. The keys are an operator's few dozen suffixes, not client
+/// input, so a DN built to collide costs at most the scan of them the
+/// index replaced.
+#[derive(Debug, Default, Clone, Copy)]
+struct MixHasher(u64);
+
+impl MixHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            self.mix(rest.iter().fold(0, |word, &b| word << 8 | u64::from(b)));
+        }
+    }
+
+    /// A string's terminator and a slice's length are added, not mixed:
+    /// the text around them is mixed anyway.
+    fn write_u8(&mut self, n: u8) {
+        self.0 = self.0.wrapping_add(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = self.0.wrapping_add(n as u64);
+    }
+
+    /// The multiply leaves its best bits at the top; the table indexes by
+    /// the bottom ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+impl<'de> Deserialize<'de> for ShardMap {
+    /// Loads the assignments and derives the owner index from them.
+    ///
+    /// # Errors
+    ///
+    /// A default or assigned shard at or past `shard_count`: a sharded
+    /// master would index past its shards on the first update or search.
+    fn deserialize<D: Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Wire {
+            entries: Vec<(Dn, ShardId)>,
+            default: ShardId,
+            shard_count: u16,
+        }
+        let Wire { entries, default, shard_count } = Wire::deserialize(de)?;
+        let beyond = |shard: ShardId| shard.0 >= shard_count;
+        if beyond(default) {
+            return Err(D::Error::custom(format!(
+                "default {default} is not below shard_count {shard_count}"
+            )));
+        }
+        if let Some((suffix, shard)) = entries.iter().find(|(_, shard)| beyond(*shard)) {
+            return Err(D::Error::custom(format!(
+                "suffix {suffix} on {shard} is not below shard_count {shard_count}"
+            )));
+        }
+        let mut map = ShardMap { entries: Vec::new(), default, shard_count, owners: Owners::default() };
+        for (suffix, shard) in entries {
+            map.assign(suffix, shard);
+        }
+        Ok(map)
+    }
 }
 
 impl ShardMap {
     /// The trivial map: one shard owning the whole namespace.
     pub fn single() -> Self {
-        ShardMap { entries: Vec::new(), default: ShardId::ZERO, shard_count: 1 }
+        ShardMap::new(ShardId::ZERO)
     }
 
     /// An empty map with the given default shard.
     pub fn new(default: ShardId) -> Self {
-        ShardMap { entries: Vec::new(), default, shard_count: default.0 + 1 }
+        ShardMap { entries: Vec::new(), default, shard_count: default.0 + 1, owners: Owners::default() }
     }
 
     /// Assigns the subtree rooted at `suffix` to `shard`.
     pub fn assign(&mut self, suffix: Dn, shard: ShardId) {
         self.shard_count = self.shard_count.max(shard.0 + 1);
+        self.owners.assign(&suffix, shard);
         self.entries.push((suffix, shard));
     }
 
@@ -120,13 +236,10 @@ impl ShardMap {
     }
 
     /// The shard owning `dn`: the deepest assigned suffix containing it,
-    /// or the default shard.
+    /// or the default shard. One hash probe per distinct suffix depth,
+    /// deepest first; allocates nothing.
     pub fn shard_of(&self, dn: &Dn) -> ShardId {
-        self.entries
-            .iter()
-            .filter(|(s, _)| s.is_ancestor_or_self_of(dn))
-            .max_by_key(|(s, _)| s.depth())
-            .map_or(self.default, |(_, id)| *id)
+        self.owners.owner(dn).unwrap_or(self.default)
     }
 
     /// Shards whose territory can intersect the region `(base, scope)`:
@@ -306,6 +419,47 @@ mod tests {
         // their common ancestor (over-covering is fine — shard 1 only
         // holds its own slice).
         assert_eq!(parts[1].1.base(), &dn("o=xyz"));
+    }
+
+    #[test]
+    fn a_suffix_assigned_twice_belongs_to_its_last_shard() {
+        let m = ShardMap::new(ShardId::ZERO)
+            .with_subtree(dn("c=us,o=xyz"), ShardId::new(1))
+            .with_subtree(dn("C=US,O=XYZ"), ShardId::new(2));
+        assert_eq!(m.shard_of(&dn("cn=a,c=us,o=xyz")), ShardId::new(2));
+        assert_eq!(m.shard_count(), 3);
+        // The root as a suffix owns whatever no deeper suffix does.
+        let m = m.with_subtree(Dn::root(), ShardId::new(1));
+        assert_eq!(m.shard_of(&dn("o=abc")), ShardId::new(1));
+        assert_eq!(m.shard_of(&Dn::root()), ShardId::new(1));
+        assert_eq!(m.shard_of(&dn("c=us,o=xyz")), ShardId::new(2));
+    }
+
+    /// The shape every load check below edits: one country on shard 1 of
+    /// two.
+    const C_A: &str = r#"[{"attr":"c","value":"a"},{"attr":"o","value":"xyz"}]"#;
+
+    fn load(json: &str) -> Result<ShardMap, String> {
+        serde_json::from_str(json).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn a_map_assigning_a_shard_past_its_count_is_refused() {
+        let sound = load(&format!(r#"{{"entries":[[{C_A},1]],"default":0,"shard_count":2}}"#))
+            .expect("a sound map loads");
+        assert_eq!(sound.shard_of(&dn("cn=x,c=a,o=xyz")), ShardId::new(1));
+        let err = load(&format!(r#"{{"entries":[[{C_A},7]],"default":0,"shard_count":1}}"#))
+            .expect_err("shard 7 of 1");
+        assert!(err.contains("suffix c=a,o=xyz on shard7 is not below shard_count 1"), "{err}");
+    }
+
+    #[test]
+    fn a_map_defaulting_to_a_shard_past_its_count_is_refused() {
+        let err = load(&format!(r#"{{"entries":[[{C_A},0]],"default":2,"shard_count":2}}"#))
+            .expect_err("default 2 of 2");
+        assert!(err.contains("default shard2 is not below shard_count 2"), "{err}");
+        let err = load(r#"{"entries":[],"default":0,"shard_count":0}"#).expect_err("no shards");
+        assert!(err.contains("default shard0 is not below shard_count 0"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property tests for the distributed directory: referral chasing must be
 //! *complete* (collect exactly the entries a global view would return) and
-//! must terminate on arbitrary partitions of a random tree.
+//! must terminate on arbitrary partitions of a random tree; and a shard
+//! map's owner lookup must name the shard the deepest-match scan over its
+//! suffixes names, before and after a JSON round trip.
 
 use fbdr_dit::{DitStore, NamingContext};
-use fbdr_ldap::{Dn, Entry, Filter, Scope, SearchRequest};
-use fbdr_net::{Network, Server};
+use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
+use fbdr_net::{Network, Server, ShardId, ShardMap};
 use proptest::prelude::*;
 
 /// A random two-level DIT under o=xyz: containers `ou=o<i>` with leaves
@@ -159,4 +161,159 @@ proptest! {
         prop_assert_eq!(result.entries.len(), 1);
         prop_assert_eq!(result.entries[0].dn(), &target);
     }
+}
+
+// ---------------------------------------------------------------------
+// Shard ownership: the owner index against the scan it replaced
+// ---------------------------------------------------------------------
+
+/// The linear deepest-match scan `ShardMap::shard_of` replaced, kept as
+/// its oracle: every suffix is tested, the deepest one containing `dn`
+/// wins (`max_by_key` keeps the last of equal depths, so a suffix
+/// assigned twice belongs to its last shard), and the default shard
+/// catches the rest.
+fn scan_owner(entries: &[(Dn, ShardId)], default: ShardId, dn: &Dn) -> ShardId {
+    entries
+        .iter()
+        .filter(|(s, _)| s.is_ancestor_or_self_of(dn))
+        .max_by_key(|(s, _)| s.depth())
+        .map_or(default, |(_, id)| *id)
+}
+
+/// One naming component from a deliberately small alphabet, in either
+/// case: suffixes drawn from it nest, repeat and re-spell each other.
+fn rdn() -> impl Strategy<Value = Rdn> {
+    (0usize..2, 0usize..2, any::<bool>()).prop_map(|(a, v, upper)| {
+        let (attr, value) = (["ou", "c"][a], ["a", "b"][v]);
+        if upper {
+            Rdn::new(attr.to_uppercase(), value.to_uppercase())
+        } else {
+            Rdn::new(attr, value)
+        }
+    })
+}
+
+/// A DN of `depth` components drawn from [`rdn`]'s alphabet.
+fn dn_of_depth(depth: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Dn> {
+    prop::collection::vec(rdn(), depth).prop_map(Dn::from_rdns)
+}
+
+/// `dn` with every component's case flipped: another spelling of the
+/// same name.
+fn respelled(dn: &Dn) -> Dn {
+    let flip = |s: &str| {
+        if s.starts_with(|c: char| c.is_ascii_lowercase()) {
+            s.to_uppercase()
+        } else {
+            s.to_lowercase()
+        }
+    };
+    Dn::from_rdns(
+        dn.rdns().iter().map(|r| Rdn::new(flip(r.attr().as_str()), flip(r.value().raw()))).collect(),
+    )
+}
+
+/// A shard map as an operator writes it: the default shard, then the
+/// `(suffix, shard)` assignments in order.
+#[derive(Debug, Clone)]
+struct Assignments {
+    default: u16,
+    suffixes: Vec<(Dn, u16)>,
+}
+
+impl Assignments {
+    fn build(&self) -> ShardMap {
+        let mut map = ShardMap::new(ShardId::new(self.default));
+        for (suffix, shard) in &self.suffixes {
+            map.assign(suffix.clone(), ShardId::new(*shard));
+        }
+        map
+    }
+}
+
+/// Random suffixes of depth 1–3 over four shards (nested ones and equal
+/// ones come from the small alphabet), plus on request: a carve-back of a
+/// child of the first suffix to the default shard, the first suffix again
+/// in another spelling on another shard, and the root as a suffix.
+fn assignments() -> impl Strategy<Value = Assignments> {
+    (
+        0u16..4,
+        prop::collection::vec((dn_of_depth(1..=3), 0u16..4), 0..8),
+        any::<bool>(),
+        any::<bool>(),
+        (0u8..4, 0u16..4),
+    )
+        .prop_map(|(default, mut suffixes, carve, twice, (root, root_shard))| {
+            if let Some((first, shard)) = suffixes.first().cloned() {
+                if carve {
+                    suffixes.push((first.child(Rdn::new("ou", "a")), default));
+                }
+                if twice {
+                    suffixes.push((respelled(&first), (shard + 1) % 4));
+                }
+            }
+            if root == 0 {
+                suffixes.push((Dn::root(), root_shard));
+            }
+            Assignments { default, suffixes }
+        })
+}
+
+/// Every DN named by `leaves` and every ancestor of one: a tree.
+fn tree_of(leaves: &[Dn]) -> Vec<Dn> {
+    let mut tree: Vec<Dn> = Vec::new();
+    for leaf in leaves {
+        let mut at = Some(leaf.clone());
+        while let Some(dn) = at {
+            at = dn.parent();
+            if !tree.contains(&dn) {
+                tree.push(dn);
+            }
+        }
+    }
+    tree
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every DN of a random tree gets the owner the deepest-match scan
+    /// gives, and so does every DN once the map has been through JSON.
+    #[test]
+    fn shard_of_is_the_deepest_match_scan(
+        a in assignments(),
+        leaves in prop::collection::vec(dn_of_depth(0..=5), 1..24),
+    ) {
+        let map = a.build();
+        let json = serde_json::to_string(&map).expect("a map serializes");
+        let loaded: ShardMap = serde_json::from_str(&json).expect("a map loads");
+        prop_assert_eq!(&loaded, &map);
+        prop_assert_eq!(serde_json::to_string(&loaded).expect("a map serializes"), json);
+        let default = ShardId::new(a.default);
+        for dn in tree_of(&leaves) {
+            let want = scan_owner(map.entries(), default, &dn);
+            prop_assert_eq!(map.shard_of(&dn), want, "{}", dn);
+            prop_assert_eq!(loaded.shard_of(&dn), want, "{} after a JSON round trip", dn);
+        }
+    }
+}
+
+/// The wire form of a map is its assignments, default and count, in the
+/// bytes they always had: the owner index derived from them stays out.
+#[test]
+fn a_shard_map_serializes_its_assignments_and_nothing_else() {
+    let map = ShardMap::new(ShardId::ZERO)
+        .with_subtree(dn("c=us,o=xyz"), ShardId::new(1))
+        .with_subtree(dn("ou=research,c=us,o=xyz"), ShardId::new(2))
+        .with_subtree(dn("c=in,o=xyz"), ShardId::new(1));
+    let json = concat!(
+        r#"{"entries":[[[{"attr":"c","value":"us"},{"attr":"o","value":"xyz"}],1],"#,
+        r#"[[{"attr":"ou","value":"research"},{"attr":"c","value":"us"},{"attr":"o","value":"xyz"}],2],"#,
+        r#"[[{"attr":"c","value":"in"},{"attr":"o","value":"xyz"}],1]],"#,
+        r#""default":0,"shard_count":3}"#,
+    );
+    assert_eq!(serde_json::to_string(&map).expect("a map serializes"), json);
+    let loaded: ShardMap = serde_json::from_str(json).expect("a map loads");
+    assert_eq!(loaded, map);
+    assert_eq!(loaded.shard_of(&dn("cn=x,ou=research,c=us,o=xyz")), ShardId::new(2));
 }

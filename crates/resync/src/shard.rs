@@ -144,10 +144,37 @@ impl From<CompositeCookie> for Vec<(ShardId, Cookie)> {
 /// `abandon`, `reconcile_ranges`) are inert — a bare cookie does not
 /// identify a shard, and per-shard session ids collide across shards,
 /// so only the `_at` forms can act safely.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct ShardedMaster {
     map: ShardMap,
     shards: Vec<SyncMaster>,
+}
+
+impl<'de> Deserialize<'de> for ShardedMaster {
+    /// Loads the map and one master per shard of it.
+    ///
+    /// # Errors
+    ///
+    /// A map that fails its own load check, or a shard list whose length
+    /// is not the map's shard count: an update or search routed to a
+    /// missing shard would index past the list.
+    fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        use serde::de::Error as _;
+        #[derive(Deserialize)]
+        struct Wire {
+            map: ShardMap,
+            shards: Vec<SyncMaster>,
+        }
+        let Wire { map, shards } = Wire::deserialize(de)?;
+        if shards.len() != map.shard_count() {
+            return Err(D::Error::custom(format!(
+                "{} shard masters for a map of {} shards",
+                shards.len(),
+                map.shard_count()
+            )));
+        }
+        Ok(ShardedMaster { map, shards })
+    }
 }
 
 impl ShardedMaster {
@@ -195,41 +222,43 @@ impl ShardedMaster {
         self.shards[shard.index()].apply(op)
     }
 
-    /// Answers a search by evaluating the per-shard splits and
-    /// concatenating; results come back in hierarchical DN order.
+    /// Streams every entry `request` matches to `f`, once, from the shard
+    /// that owns it, in no particular order.
     ///
-    /// Each shard's answer is restricted to the entries the map assigns
+    /// Each shard's matches are restricted to the entries the map assigns
     /// to it: shards hold disjoint *owned* slices, but glue entries (the
     /// suffix skeleton above a shard's subtrees) are materialized on
     /// every shard, and an over-covering clamped sub-request would
     /// otherwise return those copies once per shard.
-    pub fn search(&self, request: &SearchRequest) -> Vec<Entry> {
-        let mut out = Vec::new();
+    fn for_each_owned_match<'a>(&'a self, request: &SearchRequest, mut f: impl FnMut(&'a Entry)) {
         for (shard, sub) in self.map.split(request) {
-            out.extend(
-                self.shards[shard.index()]
-                    .dit()
-                    .search(&sub)
-                    .into_iter()
-                    .filter(|e| self.map.shard_of(e.dn()) == shard),
-            );
+            self.shards[shard.index()].dit().for_each_match(&sub, |e| {
+                if self.map.shard_of(e.dn()) == shard {
+                    f(e);
+                }
+            });
         }
-        out.sort_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
-        out
+    }
+
+    /// Answers a search in one pass: the owned matches of every shard are
+    /// collected as references, sorted once into hierarchical DN order and
+    /// only then projected — what one store's
+    /// [`DitStore::search`](fbdr_dit::DitStore::search) over the same
+    /// entries returns.
+    pub fn search(&self, request: &SearchRequest) -> Vec<Entry> {
+        let mut hits: Vec<&Entry> = Vec::new();
+        self.for_each_owned_match(request, |e| hits.push(e));
+        hits.sort_unstable_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
+        hits.into_iter().map(|e| request.attrs().project(e)).collect()
     }
 
     /// Number of entries a search request matches — the "size" estimate of
     /// filter selection (§6.2), over the request's region. Like
     /// [`ShardedMaster::search`], every entry counts once, at the shard that
-    /// owns it: the glue copies other shards hold are skipped. Streams the
-    /// matches; no entry is cloned.
+    /// owns it. Streams the matches; no entry is cloned.
     pub fn count_matching(&self, request: &SearchRequest) -> usize {
         let mut n = 0;
-        for (shard, sub) in self.map.split(request) {
-            self.shards[shard.index()].dit().for_each_match(&sub, |e| {
-                n += usize::from(self.map.shard_of(e.dn()) == shard);
-            });
-        }
+        self.for_each_owned_match(request, |_| n += 1);
         n
     }
 
@@ -673,6 +702,42 @@ mod tests {
         assert_eq!(m.count_matching(&all), 3);
         assert_eq!(m.count_matching(&subtree("c=b,o=xyz", "(dept=7)")), 1);
         assert_eq!(m.entry_count(), 5);
+    }
+
+    /// One empty shard master, as it serializes.
+    const EMPTY_SHARD: &str = concat!(
+        r#"{"dit":{"entries":[],"suffixes":[],"csn":0},"sessions":{},"next_session":0,"#,
+        r#""ops_applied":0,"table":{"slots":[],"free":[]},"replay_expiry_ops":null,"#,
+        r#""redeliveries":0,"notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"#,
+        r#""max_queue":18446744073709551615},"gc":{"session_deadline_ms":null,"every_ops":1024},"#,
+        r#""now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
+    );
+
+    /// A snapshot of a two-shard master (`c=b,o=xyz` on shard 1) holding
+    /// the given shard masters.
+    fn two_shard_snapshot(shards: &[&str]) -> String {
+        let map = r#"{"entries":[[[{"attr":"c","value":"b"},{"attr":"o","value":"xyz"}],1]],"default":0,"shard_count":2}"#;
+        format!(r#"{{"map":{map},"shards":[{}]}}"#, shards.join(","))
+    }
+
+    #[test]
+    fn a_snapshot_whose_shard_list_is_not_the_maps_is_refused() {
+        let sound = two_shard_snapshot(&[EMPTY_SHARD, EMPTY_SHARD]);
+        let mut m: ShardedMaster = serde_json::from_str(&sound).expect("two shards for two load");
+        assert_eq!(serde_json::to_string(&m).expect("serializes"), sound);
+        // Routed to shard 1, which exists: refused by its store, not a panic.
+        let add = UpdateOp::Add(person("e", "b", "7"));
+        assert!(matches!(m.apply(add), Err(DitError::NoParent(_))));
+        assert!(m.search(&subtree("", "(dept=7)")).is_empty());
+
+        let short = two_shard_snapshot(&[EMPTY_SHARD]);
+        let err = serde_json::from_str::<ShardedMaster>(&short).expect_err("one shard for two");
+        assert!(err.to_string().contains("1 shard masters for a map of 2 shards"), "{err}");
+        // A map naming a shard past its own count fails its own check.
+        let past = sound.replacen("}],1]]", "}],7]]", 1);
+        assert_ne!(past, sound);
+        let err = serde_json::from_str::<ShardedMaster>(&past).expect_err("shard 7 of 2");
+        assert!(err.to_string().contains("on shard7 is not below shard_count 2"), "{err}");
     }
 
     #[test]

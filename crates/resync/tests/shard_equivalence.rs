@@ -1,7 +1,8 @@
 //! Sharded split-merge equivalence: a `ShardCoordinator` driving one
 //! session per shard of a `ShardedMaster` must be observably identical
 //! to a single session against one unsharded `SyncMaster` holding the
-//! same directory — same search answers, same converged replica content
+//! same directory — same search answers (whole projected entries, in
+//! order, for any base, scope and selection), same converged replica content
 //! at every poll boundary, and composite cookies that survive a serde
 //! round trip (including part reordering) mid-stream — also when a
 //! shard's session is killed behind the coordinator's back and the
@@ -11,7 +12,7 @@
 //! does, in fewer wakeups.
 
 use fbdr_dit::{Modification, UpdateOp};
-use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
+use fbdr_ldap::{AttrSelection, Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use crossbeam::channel::Receiver;
 use fbdr_resync::reconcile::{RangeRequest, RangeResponse, ReconcileRequest, ReconcileResponse};
 use fbdr_resync::{
@@ -311,6 +312,47 @@ proptest! {
             single.dit().search(&req).iter().map(|e| e.dn().to_string()).collect();
         single_answer.sort();
         prop_assert_eq!(sharded_answer, single_answer);
+    }
+
+    /// After a random op stream, the sharded master's fan-out search
+    /// answers every request exactly as one store holding the whole
+    /// directory does: the same projected entries, in the same order — for
+    /// bases at the root, the suffix (a glue entry on every shard), a
+    /// country and a person, under every scope, with all attributes or a
+    /// list, and every session filter.
+    #[test]
+    fn sharded_search_equals_one_stores_search(
+        ops in prop::collection::vec(op(), 1..60),
+        n_shards in 1usize..5,
+        pick in 0usize..16,
+    ) {
+        let mut single = unsharded();
+        let mut multi = sharded(n_shards);
+        for (i, o) in ops.iter().enumerate() {
+            if matches!(o, Op::KillSession { .. }) {
+                continue;
+            }
+            let up = to_update(o);
+            let expect_ok = single.apply(up.clone()).is_ok();
+            prop_assert_eq!(multi.apply(up).is_ok(), expect_ok, "apply outcome diverged at op {}", i);
+        }
+        let person = (0..16)
+            .map(|i| dn_of((pick + i) % 16))
+            .find(|d| single.dit().contains(d))
+            .unwrap_or_else(|| dn_of(pick));
+        let bases = [Dn::root(), "o=xyz".parse().expect("valid dn"), country_dn(pick % COUNTRIES), person];
+        let selections = [AttrSelection::All, AttrSelection::list(["dept", "mail"])];
+        for base in &bases {
+            for scope in [Scope::Base, Scope::OneLevel, Scope::Subtree] {
+                for attrs in &selections {
+                    for f in SESSION_FILTERS {
+                        let filter = Filter::parse(f).expect("valid filter");
+                        let req = SearchRequest::with_attrs(base.clone(), scope, filter, attrs.clone());
+                        prop_assert_eq!(multi.search(&req), single.dit().search(&req), "{}", req);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -20,8 +20,10 @@
 //! ledger list copied whole per delivery costs 4 B per held entry.
 //!
 //! And, in bytes again, the entry representation (DESIGN §5): an answer
-//! allocates for its list, not for the entries on it, and a write to an
-//! entry someone else holds copies the set it changes, not the entry.
+//! allocates for its list, not for the entries on it — a four-shard
+//! master's fan-out for no more list than one store's (DESIGN §14) — and a
+//! write to an entry someone else holds copies the set it changes, not the
+//! entry.
 //!
 //! Last, the allocator tracks the thread's *live* bytes, for what the
 //! master keeps: under a stream of updates to a fixed population its heap
@@ -32,7 +34,7 @@
 mod support;
 
 use fbdr::prelude::*;
-use fbdr::resync::{Cookie, NotifyPolicy};
+use fbdr::resync::{Cookie, NotifyPolicy, ShardId, ShardMap, ShardedMaster};
 use support::{allocations_of, bytes_of, live_bytes};
 
 fn dn(s: &str) -> Dn {
@@ -239,21 +241,47 @@ fn a_warm_point_hit_allocates_for_its_lists() {
     assert!(allocations <= 10, "{allocations} allocations in a warm point-query hit");
 }
 
+/// Person `i` of the teams below, named `name`: the first 50 in team `a`,
+/// the next 200 in team `b`.
+fn team_member(i: usize, name: &str) -> Entry {
+    let (_, attrs) = person_texts(i);
+    let e = person_of(name, &attrs);
+    match i {
+        0..=49 => e.with("team", "a"),
+        50..=249 => e.with("team", "b"),
+        _ => e,
+    }
+}
+
 /// A master of 1 000 people, 50 of them in team `a` and 200 in team `b`,
 /// and a replica holding all of them.
 fn teams() -> (SyncMaster, FilterReplica) {
     let mut master = master_of(0);
     for i in 0..1_000 {
-        let teamed = match i {
-            0..=49 => person(i).with("team", "a"),
-            50..=249 => person(i).with("team", "b"),
-            _ => person(i),
-        };
-        master.dit_mut().add(teamed).expect("person");
+        master.dit_mut().add(team_member(i, &person_texts(i).0)).expect("person");
     }
     let replica = FilterReplica::new(2);
     replica.install_filter(&mut master, query("(objectclass=inetOrgPerson)")).expect("install");
     (master, replica)
+}
+
+/// The same 1 000 people dealt to four countries, `c=c0` … `c=c3`, one per
+/// shard of a four-shard master; the `o=xyz` glue entry is on every shard.
+fn sharded_teams() -> ShardedMaster {
+    let countries: Vec<Dn> = (0..4).map(|c| dn(&format!("c=c{c},o=xyz"))).collect();
+    let map = ShardMap::by_suffixes(countries.clone());
+    let mut master = ShardedMaster::new(map.clone());
+    for (shard, country) in map.shards().zip(countries) {
+        let dit = master.shard_mut(shard).dit_mut();
+        dit.add_suffix(dn("o=xyz"));
+        dit.add(Entry::new(dn("o=xyz"))).expect("glue entry");
+        dit.add(Entry::new(country)).expect("country entry");
+    }
+    for i in 0..1_000 {
+        let person = team_member(i, &format!("cn=p{i:05},c=c{},o=xyz", i % 4));
+        master.shard_mut(map.shard_of(person.dn())).dit_mut().add(person).expect("person");
+    }
+    master
 }
 
 fn team_query(team: &str) -> SearchRequest {
@@ -287,10 +315,27 @@ fn an_answer_allocates_for_the_list_not_the_entries() {
         replica.cache_query(q.clone(), result);
         result.len()
     });
-    println!("per further returned entry: hit {hit} B, master search {search} B, cache_query {cache} B");
+    let sharded = sharded_teams();
+    let fanout = bytes_per_further_entry(|q| sharded.search(q).len());
+    println!(
+        "per further returned entry: hit {hit} B, master search {search} B, \
+         4-shard search {fanout} B, cache_query {cache} B"
+    );
     assert!(hit <= 100, "a replica hit allocates {hit} B per further entry");
     assert!(search <= 100, "a master search allocates {search} B per further entry");
     assert!(cache <= 100, "caching a result allocates {cache} B per further entry");
+    // One list of references, sorted in place, then the answer: a fan-out
+    // that collects, sorts or projects per shard allocates those lists too.
+    assert!(
+        fanout <= search + 16,
+        "a 4-shard search allocates {fanout} B per further entry, one store's {search} B"
+    );
+    // Ownership is a hash probe on the DN's own components.
+    let dns: Vec<Dn> = sharded.search(&team_query("b")).iter().map(|e| e.dn().clone()).collect();
+    let (owned, allocations) =
+        allocations_of(|| dns.iter().filter(|d| sharded.map().shard_of(d) == ShardId::new(1)).count());
+    assert_eq!(owned, 50);
+    assert_eq!(allocations, 0, "allocations of {} ownership lookups", dns.len());
 }
 
 /// Bytes the master allocates to replace person 42's one `mail` value
