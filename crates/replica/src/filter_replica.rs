@@ -53,7 +53,7 @@ use fbdr_resync::{
 };
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -99,9 +99,9 @@ struct StoredFilter {
 /// store and the index share with the previous epoch every chunk, map
 /// node and posting list the cycle between them did not touch (see the
 /// module documentation), and a stored filter is three `Arc`s. Ids are
-/// resolved from DNs only by the writer, so the DN → id map is not part
-/// of the read view ([`DnIds`]). The stored-filter index is shared by
-/// pointer among all epochs of one filter generation.
+/// resolved from DNs only by the writer, so the DN → id table is not part
+/// of the read view ([`WriterState::table`]). The stored-filter index is
+/// shared by pointer among all epochs of one filter generation.
 #[derive(Debug)]
 struct ContentSnapshot {
     /// Monotonic generation number; bumped by every published mutation.
@@ -322,20 +322,12 @@ type SyncOne<'a> =
 #[derive(Debug, Default)]
 struct WriterState {
     sessions: Vec<FilterSession>,
-    ids: DnIds,
-}
-
-/// The writer's id bookkeeping. It describes the *current* epoch only and
-/// is edited in place: readers address entries by id and never resolve a
-/// DN, so no published epoch carries a copy.
-#[derive(Debug, Default)]
-struct DnIds {
-    /// DN ↔ id table. An id is stable while some filter holds its entry
-    /// and recycled afterwards ([`unref`]).
+    /// DN ↔ id table of the *current* epoch, edited in place: readers
+    /// address entries by id and never resolve a DN, so no published epoch
+    /// carries a copy. An id's hold count is the number of stored filters
+    /// whose posting list has it (cached queries own their entries and
+    /// hold nothing); the last release evicts the entry and frees the id.
     table: DnTable,
-    /// How many filters reference each entry id (cache entries are owned
-    /// by their cached query and not counted here).
-    refcount: HashMap<u32, usize>,
 }
 
 /// A cached recent user query with its frozen result set (cached queries
@@ -578,7 +570,7 @@ impl FilterReplica {
             .queries
             .iter()
             .flat_map(|cq| cq.entries.iter().map(Entry::dn))
-            .filter(|dn| w.ids.table.get(dn).is_none())
+            .filter(|dn| w.table.get(dn).is_none())
             .collect();
         self.snapshot().live + extra.len()
     }
@@ -701,7 +693,7 @@ impl FilterReplica {
             stale: false,
             hits: Arc::new(AtomicU64::new(0)),
         };
-        self.timed_apply(&mut work, &mut w.ids, &mut sf, actions);
+        self.timed_apply(&mut work, &mut w.table, &mut sf, actions);
         work.filters.push(sf);
         work.filter_set_changed();
         w.sessions.push(FilterSession { cookie, notifications });
@@ -752,7 +744,7 @@ impl FilterReplica {
                 traffic.count(a);
             }
             let mut sf = work.filters[*i].clone();
-            self.timed_apply(&mut work, &mut w.ids, &mut sf, pending);
+            self.timed_apply(&mut work, &mut w.table, &mut sf, pending);
             work.filters[*i] = sf;
         }
         self.publish(work.into_snapshot());
@@ -779,7 +771,9 @@ impl FilterReplica {
             transport.abandon_at(shard, c);
         }
         for &id in removed.ids.iter() {
-            unref(&mut work, &mut w.ids, id);
+            if w.table.release(id) {
+                work.evict(id);
+            }
         }
         work.filter_set_changed();
         self.publish(work.into_snapshot());
@@ -949,7 +943,7 @@ impl FilterReplica {
         sync_one: &mut SyncOne<'_>,
     ) -> Result<Option<SyncTraffic>, SyncError> {
         let mut w = self.writer.lock();
-        let WriterState { sessions, ids } = &mut *w;
+        let WriterState { sessions, table } = &mut *w;
         let snap = self.snapshot();
         let selected = match only {
             None => 0..snap.filters.len(),
@@ -965,7 +959,7 @@ impl FilterReplica {
             let outcomes = sync_one(
                 work.filters[i].prepared.request(),
                 &mut sessions[i].cookie,
-                &WorkingShardContent { work: &work, table: &ids.table, filter: i, map },
+                &WorkingShardContent { work: &work, table, filter: i, map },
             );
             let mut stale = false;
             let mut actions: Vec<SyncAction> = Vec::new();
@@ -992,7 +986,7 @@ impl FilterReplica {
             }
             let mut sf = work.filters[i].clone();
             sf.stale = stale;
-            self.timed_apply(&mut work, ids, &mut sf, &actions);
+            self.timed_apply(&mut work, table, &mut sf, &actions);
             work.filters[i] = sf;
         }
         self.publish(work.into_snapshot());
@@ -1031,7 +1025,7 @@ impl FilterReplica {
     fn timed_apply(
         &self,
         work: &mut Working,
-        ids: &mut DnIds,
+        table: &mut DnTable,
         sf: &mut StoredFilter,
         actions: &[SyncAction],
     ) {
@@ -1039,7 +1033,7 @@ impl FilterReplica {
             return;
         }
         let start = self.metrics.as_ref().map(|_| Instant::now());
-        apply_actions(work, ids, sf, actions);
+        apply_actions(work, table, sf, actions);
         if let (Some(m), Some(t)) = (&self.metrics, start) {
             m.index_build_ns.record_since(t);
         }
@@ -1319,10 +1313,17 @@ fn filter_readable_from(query: &SearchRequest, cached: &SearchRequest) -> bool {
 
 /// Applies one batch of sync actions to the working content: the filter's
 /// posting list, the shared id-addressed entry store, the snapshot index
-/// and the refcounts.
+/// and the table's hold counts — one per filter holding an id.
+///
+/// The release that drops a filter's last hold on an id evicts the entry
+/// (slot + index postings) and frees the id for reuse, so the replica's
+/// id space — and every id-addressed vector built on it — stops growing
+/// with lifetime churn. Earlier epochs are untouched: they never resolve a
+/// DN, and the slot chunk and index nodes a recycled id lands in are
+/// copied before they are written.
 fn apply_actions(
     work: &mut Working,
-    ids: &mut DnIds,
+    table: &mut DnTable,
     sf: &mut StoredFilter,
     actions: &[SyncAction],
 ) {
@@ -1330,41 +1331,21 @@ fn apply_actions(
     for a in actions {
         match a {
             SyncAction::Add(e) | SyncAction::Modify(e) => {
-                let id = ids.table.intern(e.dn());
-                if posting::insert_sorted(held, id) {
-                    *ids.refcount.entry(id).or_insert(0) += 1;
+                let id = table.hold(e.dn());
+                if !posting::insert_sorted(held, id) {
+                    // This filter held it already: one hold per filter.
+                    table.release(id);
                 }
                 work.store(id, e.clone());
             }
             SyncAction::Delete(dn) => {
-                if let Some(id) = ids.table.get(dn) {
-                    if posting::remove_sorted(held, id) {
-                        unref(work, ids, id);
+                if let Some(id) = table.get(dn) {
+                    if posting::remove_sorted(held, id) && table.release(id) {
+                        work.evict(id);
                     }
                 }
             }
             SyncAction::Retain(_) => {}
-        }
-    }
-}
-
-/// Drops one filter reference to an entry id, garbage-collecting the
-/// entry (slot + index postings) when no filter references remain.
-///
-/// The id itself is recycled at that point: no filter posting list holds
-/// it (refcount is zero), the slot was just emptied and the index
-/// unindexed, so the table slot is released for reuse and the
-/// replica's id space — and every id-addressed vector built on it —
-/// stops growing with lifetime churn. Earlier epochs are untouched: they
-/// never resolve a DN, and the slot chunk and index nodes a recycled id
-/// lands in are copied before they are written.
-fn unref(work: &mut Working, ids: &mut DnIds, id: u32) {
-    if let Some(rc) = ids.refcount.get_mut(&id) {
-        *rc -= 1;
-        if *rc == 0 {
-            ids.refcount.remove(&id);
-            work.evict(id);
-            ids.table.release(id);
         }
     }
 }
@@ -1380,7 +1361,7 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn person(cn: &str, c: &str, sn: &str, dept: &str) -> Entry {
+    pub(super) fn person(cn: &str, c: &str, sn: &str, dept: &str) -> Entry {
         Entry::new(dn(&format!("cn={cn},c={c},o=xyz")))
             .with("objectclass", "inetOrgPerson")
             .with("cn", cn)
@@ -1891,7 +1872,7 @@ mod tests {
         // Through epochs n+1..n+k: delete entries (their ids are
         // released), add others (released ids are handed out again),
         // modify survivors and newcomers.
-        let id_of = |key: &str| r.writer.lock().ids.table.get(&dn(key));
+        let id_of = |key: &str| r.writer.lock().table.get(&dn(key));
         let recycled = id_of("cn=p00017,c=us,o=xyz").expect("held");
         for round in 0..6 {
             for i in (round * 20)..(round * 20 + 20) {
@@ -2340,7 +2321,7 @@ mod proptests {
     //! same entries in the same order — including across epochs where
     //! entries leave the content.
 
-    use super::tests::{dn, master};
+    use super::tests::{dn, master, person};
     use super::*;
     use fbdr_dit::{Modification, UpdateOp};
     use fbdr_ldap::{Filter, Scope};
@@ -2377,7 +2358,7 @@ mod proptests {
 
     /// A replica whose single stored filter holds all generated entries,
     /// built through the real writer path (id table + incremental index).
-    fn build_state(specs: &[EntrySpec]) -> (FilterReplica, ContentSnapshot, Vec<u32>, DnIds) {
+    fn build_state(specs: &[EntrySpec]) -> (FilterReplica, ContentSnapshot, Vec<u32>, DnTable) {
         let r = FilterReplica::new(0);
         let actions: Vec<SyncAction> = specs
             .iter()
@@ -2385,17 +2366,17 @@ mod proptests {
             .map(|(i, s)| SyncAction::Add(build_entry(i, s)))
             .collect();
         let mut work = Working::from_snapshot(&ContentSnapshot::empty());
-        let mut dn_ids = DnIds::default();
+        let mut table = DnTable::new();
         let mut sf = StoredFilter {
             prepared: Arc::new(PreparedQuery::new(SearchRequest::from_root(Filter::match_all()))),
             ids: Arc::default(),
             stale: false,
             hits: Arc::new(AtomicU64::new(0)),
         };
-        apply_actions(&mut work, &mut dn_ids, &mut sf, &actions);
+        apply_actions(&mut work, &mut table, &mut sf, &actions);
         let ids = sf.ids.to_vec();
         work.filters.push(sf);
-        (r, work.into_snapshot(), ids, dn_ids)
+        (r, work.into_snapshot(), ids, table)
     }
 
     /// One leaf predicate, drawn to collide with generated values often
@@ -2468,7 +2449,7 @@ mod proptests {
             // Indexes `SPELLINGS`; past its end the entry stays as it is.
             respelled in prop::collection::vec(0usize..=SPELLINGS.len(), 0..40),
         ) {
-            let (r, snap, ids, mut dn_ids) = build_state(&specs);
+            let (r, snap, ids, mut table) = build_state(&specs);
             // Beside the drawn filters, integer bounds in every epoch.
             let filters: Vec<Filter> = ["(n>=1)", "(n<=500)", "(&(n>=500)(n<=0500))"]
                 .iter()
@@ -2502,7 +2483,7 @@ mod proptests {
                 .collect();
             let mut work = Working::from_snapshot(&snap);
             let mut sf = work.filters[0].clone();
-            apply_actions(&mut work, &mut dn_ids, &mut sf, &changes);
+            apply_actions(&mut work, &mut table, &mut sf, &changes);
             let ids2 = sf.ids.to_vec();
             work.filters[0] = sf;
             let snap2 = work.into_snapshot();
@@ -2677,6 +2658,98 @@ mod proptests {
                         let expect_window: Vec<u64> = window.iter().map(|w| w.2).collect();
                         prop_assert_eq!(window_hits(&r), expect_window, "{}", query);
                     }
+                }
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Hold counts equal the filters' references
+    // ------------------------------------------------------------------
+
+    #[derive(Debug, Clone)]
+    enum Churn {
+        /// Install the pool filter if absent, remove it if present.
+        Toggle(usize),
+        /// Add person `k` at the master, or move it to `dept`.
+        Put { k: u8, dept: u8 },
+        Delete(u8),
+        Sync,
+    }
+
+    /// Overlapping stored filters over the `q` persons: most ids are held
+    /// by two or three filters at once.
+    const HOLDERS: &[&str] =
+        &["(departmentNumber=2406)", "(departmentNumber=240*)", "(serialNumber=0456*)", "(cn=q*)"];
+
+    fn churn() -> impl Strategy<Value = Churn> {
+        prop_oneof![
+            2 => (0..HOLDERS.len()).prop_map(Churn::Toggle),
+            4 => (0u8..10, 4u8..9).prop_map(|(k, dept)| Churn::Put { k, dept }),
+            2 => (0u8..10).prop_map(Churn::Delete),
+            3 => Just(Churn::Sync),
+        ]
+    }
+
+    /// Every id's count is the number of stored filters whose posting list
+    /// has it, and its DN and entry slot are occupied exactly while the
+    /// count is above zero.
+    fn holds_equal_filter_references(r: &FilterReplica) -> Result<(), TestCaseError> {
+        let w = r.writer.lock();
+        let snap = r.snapshot();
+        let mut refs = vec![0u32; w.table.capacity()];
+        for &id in snap.filters.iter().flat_map(|sf| sf.ids.iter()) {
+            prop_assert!((id as usize) < refs.len(), "filter id {} past the table", id);
+            refs[id as usize] += 1;
+        }
+        for (id, &n) in refs.iter().enumerate() {
+            let id = id as u32;
+            prop_assert_eq!(w.table.holds(id), n, "holds of id {}", id);
+            prop_assert_eq!(w.table.dn_of(id).is_some(), n > 0, "id {} interned exactly while held", id);
+            prop_assert_eq!(snap.entry(id).is_some(), n > 0, "id {} stored exactly while held", id);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// After every sync, install and remove, the table's hold counts
+        /// equal the stored filters' references.
+        #[test]
+        fn hold_counts_equal_the_filters_references(steps in prop::collection::vec(churn(), 1..80)) {
+            let mut m = master();
+            let r = FilterReplica::new(0);
+            let mut stored = vec![false; HOLDERS.len()];
+            for step in steps {
+                match step {
+                    Churn::Toggle(i) => {
+                        let request = SearchRequest::from_root(Filter::parse(HOLDERS[i]).unwrap());
+                        if stored[i] {
+                            prop_assert!(r.remove_filter(&mut m, &request));
+                        } else {
+                            r.install_filter(&mut m, request).expect("install");
+                        }
+                        stored[i] = !stored[i];
+                    }
+                    Churn::Put { k, dept } => {
+                        let sn = if dept % 2 == 0 { format!("0456{k:02}") } else { format!("1200{k:02}") };
+                        let dept = format!("240{dept}");
+                        let e = person(&format!("q{k}"), "us", &sn, &dept);
+                        let dn = e.dn().clone();
+                        if m.apply(UpdateOp::Add(e)).is_err() {
+                            let mods = vec![
+                                Modification::Replace("serialNumber".into(), vec![sn.into()]),
+                                Modification::Replace("departmentNumber".into(), vec![dept.into()]),
+                            ];
+                            m.apply(UpdateOp::Modify { dn, mods }).expect("modify");
+                        }
+                    }
+                    Churn::Delete(k) => drop(m.apply(UpdateOp::Delete(dn(&format!("cn=q{k},c=us,o=xyz"))))),
+                    Churn::Sync => drop(r.sync(&mut m).expect("sync")),
+                }
+                if !matches!(step, Churn::Put { .. } | Churn::Delete(_)) {
+                    holds_equal_filter_references(&r)?;
                 }
             }
         }

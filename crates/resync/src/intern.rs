@@ -1,21 +1,22 @@
-//! Dense `u32` interning of DNs, with id recycling.
+//! Dense `u32` interning of DNs, with counted holds.
 //!
 //! Content stores on both sides of the protocol are keyed by DN. The sync
 //! layer interns each distinct DN once and hands *ids* to the stores: an
 //! id is a dense `u32` usable as a direct vector index, and a set of ids
 //! is a sorted posting list that intersects without hashing.
 //!
-//! Ids are stable while a DN is interned: a DN that stays in the content
-//! keeps its id across epochs, which is what lets immutable per-epoch
-//! structures (posting lists, attribute indexes) be shared across epochs
-//! without re-translation. A DN that has been deleted *and is provably
-//! unreferenced* can be [released](DnTable::release): its slot joins a
-//! free list and is handed out again by a later `intern`, so the id space
-//! — and every id-addressed vector built on it — stops growing with
-//! lifetime churn.
+//! Every id carries a hold count: how many of its owner's references name
+//! it (the master's sessions, the replica's stored filters). A slot lives
+//! exactly while its count is above zero, and the [release](DnTable::release)
+//! that takes the count to zero frees it at once; a later
+//! [`hold`](DnTable::hold) hands it out again. So an id is stable while
+//! anything holds it — which is what lets immutable per-epoch structures
+//! (posting lists, attribute indexes) be shared across epochs without
+//! re-translation — and the id space, with every id-addressed vector built
+//! on it, is bounded by what is held, not by lifetime churn.
 
 use fbdr_ldap::{Dn, Entry};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// The canonical string key of a DN: lowercased attribute types and
@@ -50,36 +51,43 @@ pub fn dn_approx_bytes(dn: &Dn) -> usize {
         .sum()
 }
 
-/// A bidirectional DN ↔ dense `u32` id table with free-list recycling:
-/// the master's session bookkeeping and the filter replica's content
-/// store both address entries through one.
+/// A bidirectional DN ↔ dense `u32` id table whose slots are counted: the
+/// master's session ledgers and the filter replica's content store both
+/// address entries through one.
 ///
 /// Pairs a DN → id map with id-indexed DN slots so the sync layer can
 /// both intern a DN touched by an update *and* resolve ids back to DNs
-/// when draining actions. Only the slot vector and the free list are
-/// serialized; the map is rebuilt lazily after
-/// deserialization. `intern` assigns ids in first-seen order, reusing
-/// released slots before growing; an id stays valid (a direct index into
-/// id-addressed storage of length [`DnTable::capacity`]) until the owner
-/// that proved it unreferenced — the master's garbage collector, the
-/// replica's refcounts — [releases](DnTable::release) it.
+/// when draining actions. [`DnTable::hold`] interns on first sight,
+/// reusing a freed slot before growing; [`DnTable::release`] drops one
+/// hold and frees the slot with the last. An id is a direct index into
+/// id-addressed storage of length [`DnTable::capacity`] for as long as
+/// it is held. Only the slots are serialized: the counts are the owner's
+/// references, so the owner recounts them at load (a [`SyncMaster`]
+/// from its session ledgers).
+///
+/// [`SyncMaster`]: crate::SyncMaster
 ///
 /// ```
 /// use fbdr_resync::DnTable;
 ///
 /// let mut t = DnTable::new();
-/// let a = t.intern(&"cn=A,o=X".parse().unwrap());
-/// assert_eq!(t.intern(&"CN=a, O=X".parse().unwrap()), a); // normalized
-/// assert_eq!(t.dn_of(a).unwrap().to_string(), "cn=A,o=X");
-/// assert_eq!(t.len(), 1);
-/// t.release(a);
-/// let b = t.intern(&"cn=B,o=X".parse().unwrap());
+/// let a = t.hold(&"cn=A,o=X".parse().unwrap());
+/// assert_eq!(t.hold(&"CN=a, O=X".parse().unwrap()), a); // normalized
+/// assert_eq!((t.holds(a), t.dn_of(a).unwrap().to_string()), (2, "cn=A,o=X".into()));
+/// assert!(!t.release(a)); // one holder left
+/// assert!(t.release(a)); // the last: freed
+/// let b = t.hold(&"cn=B,o=X".parse().unwrap());
 /// assert_eq!(b, a); // recycled
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct DnTable {
     slots: Vec<Option<Dn>>,
+    /// Free slots, reused last-freed first.
+    #[serde(skip)]
     free: Vec<u32>,
+    /// Holds per slot: above zero exactly for the live ones.
+    #[serde(skip)]
+    holds: Vec<u32>,
     /// `Dn`'s `Eq`/`Hash` are case-insensitive over precomputed forms, so
     /// keying by the DN itself matches LDAP matching-rule equality without
     /// building a string key per probe.
@@ -91,6 +99,39 @@ impl DnTable {
     /// An empty table.
     pub fn new() -> Self {
         DnTable::default()
+    }
+
+    /// Rebuilds a persisted table around its owner's references: `slots`
+    /// as serialized, and `held` yielding one id per hold. A slot nothing
+    /// holds is freed; the counts, the free list and the DN map are
+    /// derived.
+    ///
+    /// # Errors
+    ///
+    /// An id that names no interned slot, or a DN interned in two slots.
+    pub(crate) fn load(
+        mut slots: Vec<Option<Dn>>,
+        held: impl IntoIterator<Item = u32>,
+    ) -> Result<DnTable, String> {
+        let mut holds = vec![0u32; slots.len()];
+        for id in held {
+            match slots.get(id as usize) {
+                Some(Some(_)) => holds[id as usize] += 1,
+                _ => return Err(format!("id {id} names no interned DN")),
+            }
+        }
+        let (mut free, mut ids) = (Vec::new(), HashMap::new());
+        for (id, slot) in slots.iter_mut().enumerate().rev() {
+            if holds[id] == 0 {
+                *slot = None;
+                free.push(id as u32);
+            } else if let Some(dn) = slot {
+                if ids.insert(dn.clone(), id as u32).is_some() {
+                    return Err(format!("{dn} is interned twice"));
+                }
+            }
+        }
+        Ok(DnTable { slots, free, holds, ids })
     }
 
     /// Number of distinct DNs currently interned (live slots).
@@ -109,37 +150,25 @@ impl DnTable {
         self.len() == 0
     }
 
-    /// Rebuilds the DN → id map from the slot vector if it is out of
-    /// date (after deserialization the map arrives empty).
-    pub fn rehydrate(&mut self) {
-        if self.ids.len() == self.len() {
-            return;
-        }
-        self.ids = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|dn| (dn.clone(), i as u32)))
-            .collect();
-    }
-
-    /// Returns the id of `dn`, reusing a released slot — or assigning
-    /// the next dense id — on first sight. DNs equal under LDAP matching
-    /// rules share an id; the first spelling seen is the one
-    /// [`DnTable::dn_of`] returns.
-    pub fn intern(&mut self, dn: &Dn) -> u32 {
-        self.rehydrate();
+    /// Takes one hold on `dn` and returns its id, interning it on first
+    /// sight — in a freed slot if there is one, else in the next dense id.
+    /// DNs equal under LDAP matching rules share an id; the spelling that
+    /// interned it is the one [`DnTable::dn_of`] returns.
+    pub fn hold(&mut self, dn: &Dn) -> u32 {
         if let Some(&id) = self.ids.get(dn) {
+            self.holds[id as usize] += 1;
             return id;
         }
         let id = match self.free.pop() {
             Some(id) => {
                 self.slots[id as usize] = Some(dn.clone());
+                self.holds[id as usize] = 1;
                 id
             }
             None => {
                 let id = u32::try_from(self.slots.len()).expect("id space exhausted");
                 self.slots.push(Some(dn.clone()));
+                self.holds.push(1);
                 id
             }
         };
@@ -147,39 +176,48 @@ impl DnTable {
         id
     }
 
-    /// The id of `dn`, if currently interned. Requires a hydrated table
-    /// (any `&mut self` call rehydrates; fresh tables are hydrated).
-    pub fn get(&self, dn: &Dn) -> Option<u32> {
-        debug_assert_eq!(self.ids.len(), self.len(), "table not rehydrated");
-        self.ids.get(dn).copied()
+    /// Takes one more hold on a live id (the caller already holds it, or
+    /// knows who does) without looking its DN up.
+    pub fn hold_id(&mut self, id: u32) {
+        let count = &mut self.holds[id as usize];
+        debug_assert!(*count > 0, "hold_id on free slot {id}");
+        *count += 1;
     }
 
-    /// The DN an id is currently assigned to (drain-time reverse
-    /// resolution); `None` for released or never-assigned slots.
-    pub fn dn_of(&self, id: u32) -> Option<&Dn> {
-        self.slots.get(id as usize).and_then(|s| s.as_ref())
-    }
-
-    /// Releases a live slot back to the free list. The caller asserts
-    /// nothing still indexes by this id
-    /// (the master's GC: no session posting list; the replica:
-    /// no filter's refcount). Returns `true` if the slot was live.
+    /// Drops one hold on `id`; the last one frees the slot for reuse.
+    /// Returns whether it did.
     pub fn release(&mut self, id: u32) -> bool {
-        self.rehydrate();
-        let Some(slot) = self.slots.get_mut(id as usize) else {
+        let count = &mut self.holds[id as usize];
+        debug_assert!(*count > 0, "release of free slot {id}");
+        *count -= 1;
+        if *count > 0 {
             return false;
-        };
-        let Some(dn) = slot.take() else {
-            return false;
-        };
+        }
+        let dn = self.slots[id as usize].take().expect("a held slot is interned");
         self.ids.remove(&dn);
         self.free.push(id);
         true
     }
 
+    /// How many holds `id` has (0 for a free or never-assigned slot).
+    pub fn holds(&self, id: u32) -> u32 {
+        self.holds.get(id as usize).copied().unwrap_or(0)
+    }
+
+    /// The id of `dn`, if currently interned.
+    pub fn get(&self, dn: &Dn) -> Option<u32> {
+        self.ids.get(dn).copied()
+    }
+
+    /// The DN an id is currently assigned to (drain-time reverse
+    /// resolution); `None` for free or never-assigned slots.
+    pub fn dn_of(&self, id: u32) -> Option<&Dn> {
+        self.slots.get(id as usize).and_then(|s| s.as_ref())
+    }
+
     /// Deterministic byte accounting: interned DN bytes (normalized
     /// forms plus fixed per-RDN overhead) plus per-slot overhead for the
-    /// map entry, slot and free-list bookkeeping.
+    /// map entry, slot, count and free-list bookkeeping.
     pub fn approx_bytes(&self) -> usize {
         let dn_bytes: usize =
             self.slots.iter().flatten().map(|dn| 2 * dn_approx_bytes(dn) + 48).sum();
@@ -191,6 +229,10 @@ impl DnTable {
 mod tests {
     use super::*;
 
+    fn parse(i: u32) -> Dn {
+        format!("cn=e{i},o=x").parse().unwrap()
+    }
+
     #[test]
     fn keys_are_normalized() {
         let d: Dn = "CN=John  Doe, O=XYZ".parse().unwrap();
@@ -200,73 +242,61 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_dense_stable_and_recycled() {
-        let parse = |i: u32| -> Dn { format!("cn=e{i},o=x").parse().unwrap() };
+    fn ids_are_dense_stable_while_held_and_recycled_by_the_last_release() {
         let mut t = DnTable::new();
         for i in 0..100u32 {
-            assert_eq!(t.intern(&parse(i)), i);
+            assert_eq!(t.hold(&parse(i)), i);
         }
         for i in 0..100u32 {
-            assert_eq!(t.intern(&parse(i)), i, "re-intern is stable");
+            assert_eq!(t.hold(&parse(i)), i, "a second holder gets the same id");
+            assert_eq!(t.holds(i), 2);
         }
         assert_eq!(t.len(), 100);
-        assert_eq!(t.get(&parse(100)), None);
-        assert_eq!(t.dn_of(100), None);
-        assert!(!t.release(100), "never-assigned slot");
+        assert_eq!((t.get(&parse(100)), t.dn_of(100), t.holds(100)), (None, None, 0));
+        assert!(!t.release(7), "one holder is left");
+        assert_eq!(t.get(&parse(7)), Some(7));
+        assert!(t.release(7), "the last holder frees it");
+        assert_eq!((t.get(&parse(7)), t.dn_of(7), t.holds(7)), (None, None, 0));
+        assert_eq!(t.hold(&parse(7_000)), 7, "the freed slot is handed out again");
         // Churning one DN in place keeps capacity flat forever.
         for i in 1_000..2_000 {
-            let id = t.intern(&parse(i));
+            let id = t.hold(&parse(i));
             assert_eq!(id, 100);
+            t.hold_id(id);
+            assert!(!t.release(id));
             assert!(t.release(id));
-            assert!(!t.release(id), "double release is a no-op");
         }
         assert_eq!(t.capacity(), 101);
     }
 
     #[test]
-    fn table_round_trips_and_rehydrates() {
+    fn a_loaded_table_is_recounted_from_its_holders() {
         let mut t = DnTable::new();
-        let a = t.intern(&"cn=A,o=X".parse().unwrap());
-        let b = t.intern(&"cn=B,o=X".parse().unwrap());
-        assert_ne!(a, b);
-        assert_eq!(t.get(&"CN=a,O=X".parse().unwrap()), Some(a));
-
+        let [a, b, c] = [0, 1, 2].map(|i| t.hold(&parse(i)));
         let json = serde_json::to_string(&t).unwrap();
-        let mut back: DnTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.dn_of(b).unwrap().to_string(), "cn=B,o=X");
-        // Interner arrives empty; the first intern rehydrates it.
-        assert_eq!(back.intern(&"cn=a,o=x".parse().unwrap()), a);
-        assert_eq!(back.intern(&"cn=C,o=X".parse().unwrap()), 2);
-        assert_eq!(back.get(&"cn=B,o=X".parse().unwrap()), Some(b));
-    }
+        assert_eq!(json.matches("cn").count(), 3, "slots only: {json}");
+        let slots = || t.slots.clone();
 
-    #[test]
-    fn table_recycles_and_round_trips_free_list() {
-        let mut t = DnTable::new();
-        let a = t.intern(&"cn=A,o=X".parse().unwrap());
-        let b = t.intern(&"cn=B,o=X".parse().unwrap());
-        assert!(t.release(a));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.capacity(), 2);
-        assert_eq!(t.dn_of(a), None);
-        assert_eq!(t.get(&"cn=a,o=x".parse().unwrap()), None);
-
-        // The free list survives serialization.
-        let json = serde_json::to_string(&t).unwrap();
-        let mut back: DnTable = serde_json::from_str(&json).unwrap();
+        // `a` twice, `c` once; `b` is held by nobody and freed.
+        let mut back = DnTable::load(slots(), [a, c, a]).unwrap();
+        assert_eq!((back.holds(a), back.holds(b), back.holds(c)), (2, 0, 1));
+        assert_eq!((back.len(), back.capacity()), (2, 3));
+        assert_eq!(back.get(&"CN=E0,O=X".parse().unwrap()), Some(a));
+        assert_eq!(back.get(&parse(1)), None);
+        assert_eq!(back.hold(&parse(9)), b, "the unheld slot is reused");
+        assert!(!back.release(a) && back.release(a) && back.release(c));
         assert_eq!(back.len(), 1);
-        let c = back.intern(&"cn=C,o=X".parse().unwrap());
-        assert_eq!(c, a, "released slot reused after a round trip");
-        assert_eq!(back.get(&"cn=B,o=X".parse().unwrap()), Some(b));
-        assert_eq!(back.capacity(), 2);
+
+        assert!(DnTable::load(slots(), [a, 3]).unwrap_err().contains("id 3"));
+        let mut twice = slots();
+        twice[2] = twice[0].clone();
+        assert!(DnTable::load(twice, [a, c]).unwrap_err().contains("interned twice"));
     }
 
     #[test]
     fn table_bytes_shrink_on_release() {
         let mut t = DnTable::new();
-        let ids: Vec<u32> =
-            (0..50).map(|i| t.intern(&format!("cn=e{i},o=x").parse().unwrap())).collect();
+        let ids: Vec<u32> = (0..50).map(|i| t.hold(&parse(i))).collect();
         let full = t.approx_bytes();
         for id in ids {
             t.release(id);

@@ -73,7 +73,7 @@ pub use intern::{dn_key, entry_key, DnTable};
 pub use driver::{Clock, DriverStats, RetryConfig, SyncDriver, SyncTransport, SystemClock};
 pub use fbdr_net::{ShardId, ShardMap};
 pub use intern::dn_approx_bytes;
-pub use master::{GcConfig, GcReport, MasterFootprint, NotifyFlush, NotifyPolicy, SyncMaster};
+pub use master::{MasterFootprint, NotifyFlush, NotifyPolicy, SyncMaster};
 pub use reconcile::{ReconcileConfig, ReconcileItem, ReconcileOutcome};
 pub use routing::{RoutingIndex, RoutingStats};
 pub use shard::{

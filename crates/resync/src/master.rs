@@ -23,7 +23,9 @@ use std::collections::{BTreeSet, HashMap};
 ///
 /// All DN sets are interned-id posting lists (sorted `Vec<u32>`) over the
 /// owning master's [`DnTable`] — the master resolves ids back to DNs when
-/// building responses.
+/// building responses. The session holds one count on each id of
+/// `sent ∪ current` ([`Session::held`]), so an id goes back to the table
+/// when its last session lets go of it.
 #[derive(Debug, Serialize, Deserialize)]
 struct Session {
     request: SearchRequest,
@@ -55,10 +57,6 @@ struct Session {
     dirty_since_ms: Option<u64>,
     /// Master op-count at last activity, for idle expiry.
     last_active: u64,
-    /// Master clock (ms) at last activity, for the GC eviction deadline
-    /// ([`GcConfig::session_deadline_ms`]).
-    #[serde(default)]
-    last_active_ms: u64,
     /// Master op-count through which delivery is **acknowledged**: the
     /// replica has echoed a cookie proving it holds every action built at
     /// or before this op-count. The minimum across live sessions is the
@@ -93,66 +91,6 @@ struct ReconcileRound {
     shift: u32,
 }
 
-/// Knobs of the master's causal-stability garbage collector
-/// ([`SyncMaster::collect_garbage`]).
-///
-/// The collector reclaims everything no live session can ever ask for
-/// again: replay buffers past the replay-expiry window, sessions
-/// unreachable past the deadline, and [`DnTable`] slots referenced by no
-/// surviving session ledger (released for id recycling). It runs
-/// automatically every [`GcConfig::every_ops`] applied updates and can be
-/// invoked directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GcConfig {
-    /// Evict sessions whose last activity is more than this many
-    /// master-clock milliseconds ago, so one dead replica cannot pin the
-    /// fleet's garbage forever. Persist sessions with a live channel are
-    /// exempt (their inactivity is the channel's silence, not death).
-    /// `None` (the default) never evicts by time — idle expiry via
-    /// [`SyncMaster::expire_idle`] still applies.
-    pub session_deadline_ms: Option<u64>,
-    /// Run the collector automatically every this many applied updates.
-    /// `None` disables automatic collection (the un-GC'd ablation arm).
-    pub every_ops: Option<u64>,
-}
-
-impl Default for GcConfig {
-    fn default() -> Self {
-        GcConfig { session_deadline_ms: None, every_ops: Some(1024) }
-    }
-}
-
-impl GcConfig {
-    /// Disables every reclamation path — the monotonic-growth baseline
-    /// the soak benchmark's ablation arm measures.
-    pub fn disabled() -> Self {
-        GcConfig { session_deadline_ms: None, every_ops: None }
-    }
-}
-
-/// What one [`SyncMaster::collect_garbage`] pass reclaimed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GcReport {
-    /// Sessions evicted by the unreachability deadline.
-    pub sessions_evicted: usize,
-    /// Replay buffers dropped eagerly (already past the replay-expiry
-    /// window, so a retry was going to get [`SyncError::ReplayExpired`]
-    /// either way — the batch bytes just no longer wait for it).
-    pub pending_dropped: usize,
-    /// [`DnTable`] slots released for recycling (referenced by no
-    /// surviving session ledger).
-    pub ids_released: usize,
-}
-
-impl GcReport {
-    /// Accumulates another report (per-shard sums).
-    pub fn merge(&mut self, other: GcReport) {
-        self.sessions_evicted += other.sessions_evicted;
-        self.pending_dropped += other.pending_dropped;
-        self.ids_released += other.ids_released;
-    }
-}
-
 /// Deterministic byte accounting of a master's long-lived session state
 /// ([`SyncMaster::memory_footprint`]): sums of structure sizes computed
 /// from lengths and capacities, never allocator statistics, so equal
@@ -163,8 +101,8 @@ pub struct MasterFootprint {
     pub sessions: usize,
     /// Live [`DnTable`] slots.
     pub table_live: usize,
-    /// Total [`DnTable`] slots ever allocated (the id-space bound —
-    /// flat under GC, monotonic without it).
+    /// Total [`DnTable`] slots ever allocated (the id-space bound: the
+    /// most ids held at once, however many DNs came and went).
     pub table_capacity: usize,
     /// [`DnTable`] bytes (interned DNs plus per-slot overhead).
     pub table_bytes: usize,
@@ -281,17 +219,17 @@ pub struct NotifyFlush {
 /// All updates **must** flow through [`SyncMaster::apply`] once sessions
 /// exist — that is where session history is recorded. [`SyncMaster::dit_mut`]
 /// is intended for initial bulk loading and suffix registration.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default, Serialize)]
 pub struct SyncMaster {
     dit: DitStore,
     sessions: HashMap<u64, Session>,
     next_session: u64,
     ops_applied: u64,
-    /// DN ↔ dense id table backing every session's posting lists.
+    /// DN ↔ dense id table backing every session's posting lists; an id's
+    /// hold count is the number of sessions holding it.
     table: DnTable,
     /// Which sessions can an update touch? Maintained across the session
-    /// lifecycle; never serialized — rebuilt from the surviving sessions
-    /// on first use after deserialization (see `ensure_routing`).
+    /// lifecycle; never serialized — rebuilt from the sessions at load.
     #[serde(skip)]
     routing: RoutingIndex,
     /// Reused candidate buffer, so steady-state routing allocates nothing.
@@ -315,9 +253,6 @@ pub struct SyncMaster {
     /// Persist-mode notification flush policy.
     #[serde(default)]
     notify_policy: NotifyPolicy,
-    /// Causal-stability garbage-collector knobs.
-    #[serde(default)]
-    gc: GcConfig,
     /// Master clock in milliseconds, advanced by [`SyncMaster::advance_to`]
     /// — the time base for coalescing delays and batch staleness stamps.
     /// A master never told the time runs everything at t=0, which only
@@ -344,6 +279,73 @@ pub struct SyncMaster {
     /// lock-guarded lookup is too slow for the apply hot path.
     #[serde(skip)]
     route_metrics: Option<RouteMetrics>,
+}
+
+impl<'de> Deserialize<'de> for SyncMaster {
+    /// Loads a master and derives what it does not persist: the DN
+    /// table's hold counts, free list and DN map, and the routing index.
+    ///
+    /// # Errors
+    ///
+    /// A session ledger that is not strictly ascending, a `touched` id
+    /// outside `sent ∪ current`, a ledger id that names no interned DN, a
+    /// DN interned twice, or a session id past `next_session`: each would
+    /// break posting searches, panic on a later reconcile or leave a count
+    /// nobody releases.
+    fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        use serde::de::Error as _;
+        #[derive(Deserialize)]
+        struct Wire {
+            dit: DitStore,
+            sessions: HashMap<u64, Session>,
+            next_session: u64,
+            ops_applied: u64,
+            table: WireTable,
+            replay_expiry_ops: Option<u64>,
+            redeliveries: u64,
+            #[serde(default)]
+            notify_policy: NotifyPolicy,
+            #[serde(default)]
+            now_ms: u64,
+            #[serde(default)]
+            notify_wakeups: u64,
+            #[serde(default)]
+            notify_updates: u64,
+            #[serde(default)]
+            notify_overflows: u64,
+        }
+        #[derive(Deserialize)]
+        struct WireTable {
+            slots: Vec<Option<Dn>>,
+        }
+        let w = Wire::deserialize(de)?;
+        let mut routing = RoutingIndex::new();
+        for (&sid, s) in &w.sessions {
+            if sid > w.next_session {
+                return Err(D::Error::custom(format!("session {sid} is past next_session")));
+            }
+            s.check_ledgers().map_err(|e| D::Error::custom(format!("session {sid}: {e}")))?;
+            routing.register(sid as u32, &s.request);
+        }
+        let held = w.sessions.values().flat_map(Session::held);
+        let table = DnTable::load(w.table.slots, held).map_err(D::Error::custom)?;
+        Ok(SyncMaster {
+            dit: w.dit,
+            sessions: w.sessions,
+            next_session: w.next_session,
+            ops_applied: w.ops_applied,
+            table,
+            routing,
+            replay_expiry_ops: w.replay_expiry_ops,
+            redeliveries: w.redeliveries,
+            notify_policy: w.notify_policy,
+            now_ms: w.now_ms,
+            notify_wakeups: w.notify_wakeups,
+            notify_updates: w.notify_updates,
+            notify_overflows: w.notify_overflows,
+            ..SyncMaster::default()
+        })
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -462,7 +464,7 @@ impl SyncMaster {
                     .dirty_since_ms
                     .is_some_and(|t0| now.saturating_sub(t0) >= policy.max_delay_ms);
             if due {
-                flushes.extend(session.flush(sid as u32, &self.dit, &self.table, now));
+                flushes.extend(session.flush(sid as u32, &self.dit, &mut self.table, now));
             }
             !due
         });
@@ -565,29 +567,13 @@ impl SyncMaster {
         self.apply_inner(op, true)
     }
 
-    /// Rebuilds derived in-memory state when it is out of date: the DN
-    /// table's reverse map and the routing index (both arrive empty after
-    /// deserialization; sessions and posting lists are authoritative).
-    fn ensure_routing(&mut self) {
-        self.table.rehydrate();
-        if self.routing.len() == self.sessions.len() {
-            return;
-        }
-        self.routing = RoutingIndex::new();
-        for (&sid, s) in &self.sessions {
-            self.routing.register(sid as u32, &s.request);
-        }
-    }
-
     fn apply_inner(&mut self, op: UpdateOp, naive: bool) -> Result<ChangeRecord, DitError> {
         if self.sessions.is_empty() {
             // Nothing to route: no clones, no interning, no index work.
             let rec = self.dit.apply(op)?;
             self.ops_applied += 1;
-            self.maybe_collect();
             return Ok(rec);
         }
-        self.ensure_routing();
         let mut cand = std::mem::take(&mut self.scratch);
         cand.clear();
         // Candidates from the entry's OLD attribute state, read before the
@@ -649,12 +635,14 @@ impl SyncMaster {
         }
         if cand.is_empty() {
             self.scratch = cand;
-            self.maybe_collect();
             return Ok(rec);
         }
-        // At least one session is interested: intern the touched DNs now.
-        let target_id = self.table.intern(target);
-        let new_id = if renamed { self.table.intern(new_dn) } else { target_id };
+        // At least one session is interested: look the touched DNs up. A
+        // DN no session holds has no id; the first session to take it
+        // interns it, so an update nobody takes leaves the table as it was.
+        let mut target_id = self.table.get(target);
+        let mut new_id = if renamed { self.table.get(new_dn) } else { None };
+        let capacity = self.table.capacity();
         let policy = self.notify_policy;
         let now_ms = self.now_ms;
         let mut flushes = Vec::new();
@@ -667,9 +655,10 @@ impl SyncMaster {
             // new one: two raw updates on a session that sees both.
             let mut queued = 0;
             if renamed {
-                queued += u64::from(session.note(target_id, None));
+                queued += u64::from(session.note(&mut self.table, target, &mut target_id, None));
             }
-            queued += u64::from(session.note(new_id, new_entry));
+            let (dn, id) = if renamed { (new_dn, &mut new_id) } else { (target, &mut target_id) };
+            queued += u64::from(session.note(&mut self.table, dn, id, new_entry));
             if queued == 0 || session.notify.is_none() {
                 continue;
             }
@@ -677,7 +666,11 @@ impl SyncMaster {
             session.dirty += queued;
             session.dirty_since_ms.get_or_insert(now_ms);
             if !policy.coalesce {
-                flushes.extend(session.flush(sid, &self.dit, &self.table, now_ms));
+                flushes.extend(session.flush(sid, &self.dit, &mut self.table, now_ms));
+                // A delivered `Delete` may have freed either id.
+                for id in [&mut target_id, &mut new_id] {
+                    *id = id.filter(|&i| self.table.holds(i) > 0);
+                }
             } else if session.dirty > policy.max_queue {
                 // Backpressure: the consumer is not keeping up. Tear the
                 // channel down — the replica observes the disconnect and
@@ -691,13 +684,13 @@ impl SyncMaster {
         }
         self.scratch = cand;
         self.record_flushes(&flushes);
+        self.note_capacity(capacity);
         if overflows > 0 {
             self.notify_overflows += overflows;
             if self.obs.is_active() {
                 self.obs.registry().counter("fbdr_resync_notify_overflows_total").add(overflows);
             }
         }
-        self.maybe_collect();
         Ok(rec)
     }
 
@@ -750,10 +743,9 @@ impl SyncMaster {
         match ctl.mode {
             SyncMode::SyncEnd => {
                 let cookie = ctl.cookie.ok_or(SyncError::MissingCookie)?;
-                self.sessions
-                    .remove(&u64::from(cookie.session()))
-                    .ok_or(SyncError::UnknownCookie(cookie))?;
-                self.routing.remove(cookie.session());
+                if !self.remove_session(u64::from(cookie.session())) {
+                    return Err(SyncError::UnknownCookie(cookie));
+                }
                 self.note_session_count();
                 return Ok(SyncResponse { actions: Vec::new(), cookie: None, redelivered: false });
             }
@@ -765,7 +757,6 @@ impl SyncMaster {
             Some(c) => u64::from(c.session()),
         };
         let ops_applied = self.ops_applied;
-        let now_ms = self.now_ms;
         let expiry = self.replay_expiry_ops;
         let session = self
             .sessions
@@ -775,7 +766,6 @@ impl SyncMaster {
             return Err(SyncError::RequestMismatch(Cookie::new(sid as u32, session.seq)));
         }
         session.last_active = ops_applied;
-        session.last_active_ms = now_ms;
         // An ordinary poll supersedes any reconciliation in flight: the
         // replica has either completed it (this is the follow-up poll) or
         // abandoned it. Either way its range round may no longer run.
@@ -790,6 +780,7 @@ impl SyncMaster {
             session.parked_receiver = Some(rx);
         }
         let mut redelivery = None;
+        let mut acked = false;
         if let Some(c) = resumed {
             if c.seq() == session.seq {
                 // The last issued batch is acknowledged as delivered:
@@ -797,6 +788,7 @@ impl SyncMaster {
                 // this session, which advances the stability watermark.
                 session.pending = None;
                 session.stable_at = session.stable_at.max(session.pending_at);
+                acked = true;
             } else if session.seq > 0 && c.seq() == session.seq - 1 {
                 // Retried request: the previous response never arrived
                 // (or this request was delivered twice).
@@ -846,11 +838,14 @@ impl SyncMaster {
         }
         // A poll is build + commit: delivery is the replay buffer's job.
         let actions = session.build(&self.dit, &self.table);
-        session.commit();
+        session.commit(&mut self.table);
         session.seq = session.seq.wrapping_add(1);
         session.pending = Some(actions.clone());
         session.pending_at = ops_applied;
         let cookie = Cookie::new(sid as u32, session.seq);
+        if acked && self.obs.is_active() {
+            self.obs.registry().gauge("fbdr_resync_stability_lag").set(self.stability_lag() as i64);
+        }
         let resp = SyncResponse { actions, cookie: Some(cookie), redelivered: false };
         if self.obs.tracing_enabled() {
             let counts = resp.action_counts();
@@ -941,7 +936,7 @@ impl SyncMaster {
         let upserts: Vec<Entry> = missing.into_iter().cloned().collect();
         let session = self.sessions.get_mut(&sid).expect("just created");
         // The exchange itself brings the replica to the current content.
-        session.commit();
+        session.commit(&mut self.table);
         session.seq = 1;
         session.pending = None;
         session.reconcile = Some(ReconcileRound { shift: summary.shift() });
@@ -988,7 +983,6 @@ impl SyncMaster {
         req: &RangeRequest,
     ) -> Result<RangeResponse, SyncError> {
         let ops_applied = self.ops_applied;
-        let now_ms = self.now_ms;
         let session = self
             .sessions
             .get_mut(&u64::from(cookie.session()))
@@ -999,7 +993,6 @@ impl SyncMaster {
             ));
         }
         session.last_active = ops_applied;
-        session.last_active_ms = now_ms;
         let Some(ReconcileRound { shift }) = session.reconcile else {
             return Err(SyncError::ReconcileFailed(
                 "no reconcile exchange in flight for this session".into(),
@@ -1054,10 +1047,21 @@ impl SyncMaster {
 
     /// Abandons a session (e.g. the client dropped a persistent search).
     pub fn abandon(&mut self, cookie: Cookie) {
-        if self.sessions.remove(&u64::from(cookie.session())).is_some() {
-            self.routing.remove(cookie.session());
+        if self.remove_session(u64::from(cookie.session())) {
             self.note_session_count();
         }
+    }
+
+    /// Ends a session — the one way one goes: it leaves the routing index
+    /// and releases its hold on every id of its `sent ∪ current`. Returns
+    /// whether it was live.
+    fn remove_session(&mut self, sid: u64) -> bool {
+        let Some(session) = self.sessions.remove(&sid) else { return false };
+        self.routing.remove(sid as u32);
+        for id in session.held() {
+            self.table.release(id);
+        }
+        true
     }
 
     /// Tears down every persist notification channel, as a network
@@ -1083,159 +1087,43 @@ impl SyncMaster {
             .filter(|(_, s)| !(s.last_active >= cutoff || s.channel_live()))
             .map(|(&id, _)| id)
             .collect();
-        for id in &dead {
-            self.sessions.remove(id);
-            self.routing.remove(*id as u32);
+        for &id in &dead {
+            self.remove_session(id);
         }
         if !dead.is_empty() {
             self.note_session_count();
-            // An eviction advances the stability watermark (the dead
-            // session was pinning it), so reclaim in the same pass:
-            // dropping the session freed its replay buffer, and
-            // the sweep releases every table slot only it referenced.
-            self.collect_garbage();
         }
         dead.len()
     }
 
-    // ------------------------------------------------------------------
-    // Causal-stability garbage collection
-    // ------------------------------------------------------------------
-
-    /// Sets the garbage-collector knobs (see [`GcConfig`]).
-    pub fn set_gc_config(&mut self, gc: GcConfig) {
-        self.gc = gc;
-    }
-
-    /// The garbage-collector knobs in force.
-    pub fn gc_config(&self) -> GcConfig {
-        self.gc
-    }
-
     /// The stability watermark: the master op-count every live session
-    /// has acknowledged delivery through. Everything below it is
-    /// reclaimable — no session can ever ask for it again. `None` when
-    /// no sessions exist (everything is stable).
+    /// has acknowledged delivery through — no session can ever ask for
+    /// anything older again. `None` when no sessions exist (everything is
+    /// stable).
     pub fn stability_watermark(&self) -> Option<u64> {
         self.sessions.values().map(|s| s.stable_at).min()
     }
 
     /// How far the master has run ahead of its slowest acknowledger:
     /// `ops_applied - stability_watermark` (0 with no sessions).
-    /// Exported as the `fbdr_resync_stability_lag` gauge.
+    /// Exported as the `fbdr_resync_stability_lag` gauge, set on every
+    /// acknowledged poll.
     pub fn stability_lag(&self) -> u64 {
         self.stability_watermark()
             .map_or(0, |w| self.ops_applied.saturating_sub(w))
     }
 
-    /// Runs one causal-stability collection pass and reports what it
-    /// reclaimed:
-    ///
-    /// 1. **Deadline eviction** — sessions whose last activity is more
-    ///    than [`GcConfig::session_deadline_ms`] master-clock ms ago are
-    ///    removed (live persist channels exempt), so one dead replica
-    ///    cannot pin the watermark — and everything under it — forever.
-    /// 2. **Replay-buffer compaction** — pending batches already past the
-    ///    replay-expiry window are dropped eagerly; the retry that would
-    ///    have read them was getting [`SyncError::ReplayExpired`] anyway.
-    /// 3. **Id recycling** — every [`DnTable`] slot referenced by no
-    ///    surviving session ledger is released to the free list
-    ///    (reused by a later `intern`), and session posting
-    ///    lists are shrunk to fit. Reclamation is reference-driven, so a
-    ///    GC'd master answers every live session identically to an
-    ///    un-GC'd one.
-    ///
-    /// Runs automatically every [`GcConfig::every_ops`] applied updates.
-    pub fn collect_garbage(&mut self) -> GcReport {
-        self.ensure_routing();
-        let mut report = GcReport::default();
-
-        // 1. Deadline eviction.
-        if let Some(deadline) = self.gc.session_deadline_ms {
-            let now = self.now_ms;
-            let dead: Vec<u64> = self
-                .sessions
-                .iter()
-                .filter(|(_, s)| {
-                    now.saturating_sub(s.last_active_ms) > deadline && !s.channel_live()
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            for id in &dead {
-                self.sessions.remove(id);
-                self.routing.remove(*id as u32);
-            }
-            report.sessions_evicted = dead.len();
-            if !dead.is_empty() {
-                self.note_session_count();
-            }
-        }
-
-        // 2. Eager replay-buffer drop past the expiry window.
-        if let Some(limit) = self.replay_expiry_ops {
-            let ops = self.ops_applied;
-            for s in self.sessions.values_mut() {
-                if s.pending.is_some() && ops.saturating_sub(s.pending_at) > limit {
-                    s.pending = None;
-                    report.pending_dropped += 1;
-                }
-            }
-        }
-
-        // 3. Mark-sweep the DN table over the surviving references and
-        // shrink session posting lists whose capacity ran far ahead.
-        let mut marked = vec![false; self.table.capacity()];
-        let mark = |ids: &[u32], marked: &mut Vec<bool>| {
-            for &id in ids {
-                if let Some(m) = marked.get_mut(id as usize) {
-                    *m = true;
-                }
-            }
-        };
-        for s in self.sessions.values_mut() {
-            mark(&s.sent, &mut marked);
-            mark(&s.current, &mut marked);
-            mark(&s.touched, &mut marked);
-            for list in [&mut s.sent, &mut s.current, &mut s.touched] {
-                if list.capacity() > 16 && list.capacity() > 2 * list.len() {
-                    list.shrink_to_fit();
-                }
-            }
-        }
-        for (id, is_marked) in marked.iter().enumerate() {
-            if !is_marked && self.table.release(id as u32) {
-                report.ids_released += 1;
-            }
-        }
-
-        if self.obs.is_active() {
-            let reg = self.obs.registry();
-            reg.counter("fbdr_resync_gc_runs_total").inc();
-            reg.counter("fbdr_resync_gc_sessions_evicted_total")
-                .add(report.sessions_evicted as u64);
-            reg.counter("fbdr_resync_gc_pending_dropped_total")
-                .add(report.pending_dropped as u64);
-            reg.counter("fbdr_resync_gc_ids_recycled_total").add(report.ids_released as u64);
-            reg.gauge("fbdr_resync_stability_lag").set(self.stability_lag() as i64);
-            reg.gauge("fbdr_resync_table_capacity").set(self.table.capacity() as i64);
-        }
-        event!(
-            self.obs,
-            "resync",
-            "gc",
-            evicted = report.sessions_evicted,
-            pending_dropped = report.pending_dropped,
-            ids_released = report.ids_released,
-        );
-        report
+    /// The DN table every session ledger indexes — test and
+    /// observability aid.
+    pub fn table(&self) -> &DnTable {
+        &self.table
     }
 
-    /// Hook run after every applied update: collects when the op counter
-    /// crosses the [`GcConfig::every_ops`] cadence.
-    fn maybe_collect(&mut self) {
-        if self.gc.every_ops.is_some_and(|n| n > 0 && self.ops_applied % n == 0) {
-            self.collect_garbage();
-        }
+    /// Every live session's `(sent, current, touched)` ledgers, as
+    /// ascending id lists over [`SyncMaster::table`] — test aid: an id's
+    /// hold count is the number of sessions whose `sent ∪ current` has it.
+    pub fn ledgers(&self) -> impl Iterator<Item = (&[u32], &[u32], &[u32])> {
+        self.sessions.values().map(|s| (&s.sent[..], &s.current[..], &s.touched[..]))
     }
 
     /// Deterministic byte accounting of the master's long-lived state
@@ -1272,10 +1160,7 @@ impl SyncMaster {
     pub fn debug_validate_routing(&self) {
         self.routing.debug_validate();
         for &sid in self.sessions.keys() {
-            assert!(
-                self.routing.contains(sid as u32) || self.routing.is_empty(),
-                "live session {sid} absent from a hydrated routing index"
-            );
+            assert!(self.routing.contains(sid as u32), "live session {sid} absent from the routing index");
         }
     }
 
@@ -1286,23 +1171,32 @@ impl SyncMaster {
         }
     }
 
+    /// Publishes the table-capacity gauge if the slot vector grew past
+    /// `before`.
+    fn note_capacity(&self, before: usize) {
+        if self.table.capacity() > before && self.obs.is_active() {
+            let gauge = self.obs.registry().gauge("fbdr_resync_table_capacity");
+            gauge.set(self.table.capacity() as i64);
+        }
+    }
+
     /// Allocates a session and returns its id (the high half of every
     /// cookie issued on it; responses fill in the sequence number).
     ///
     /// The initial content is answered through the DIT store's indexed
     /// streaming path ([`DitStore::for_each_match`]) — entries are
-    /// interned straight off borrowed references, with no owned result
-    /// vector and no full-DIT scan for plannable filters.
+    /// interned and held straight off borrowed references (each once), with
+    /// no owned result vector and no full-DIT scan for plannable filters.
     fn start_session(&mut self, request: &SearchRequest) -> u64 {
-        self.ensure_routing();
         self.next_session += 1;
         assert!(self.next_session <= u64::from(u32::MAX), "session ids exhausted");
         let sid = self.next_session;
+        let capacity = self.table.capacity();
         let mut current: Vec<u32> = Vec::new();
         let table = &mut self.table;
-        self.dit.for_each_match(request, |e| current.push(table.intern(e.dn())));
+        self.dit.for_each_match(request, |e| current.push(table.hold(e.dn())));
         current.sort_unstable();
-        current.dedup();
+        self.note_capacity(capacity);
         self.routing.register(sid as u32, request);
         self.sessions.insert(
             sid,
@@ -1316,7 +1210,6 @@ impl SyncMaster {
                 dirty: 0,
                 dirty_since_ms: None,
                 last_active: self.ops_applied,
-                last_active_ms: self.now_ms,
                 // Nothing is delivered yet, but the session can never ask
                 // for anything older than its own birth.
                 stable_at: self.ops_applied,
@@ -1345,31 +1238,72 @@ enum Delivery {
 }
 
 impl Session {
-    /// Records where the DN `id` stands after an update: `entry` is the
-    /// entry now at that DN (added, modified or rename target), `None`
-    /// when nothing is (deleted or rename source). Returns whether the
-    /// update concerns this session at all.
-    fn note(&mut self, id: u32, entry: Option<&Entry>) -> bool {
+    /// Records where `dn` stands after an update: `entry` is the entry
+    /// now at that DN (added, modified or rename target), `None` when
+    /// nothing is (deleted or rename source). Returns whether the update
+    /// concerns this session at all.
+    ///
+    /// `id` is the DN's id in `table`, `None` while nobody holds it. The
+    /// session's hold follows `sent ∪ current`: outside `sent`, an arrival
+    /// takes a hold (interning the DN if need be) and a departure drops it
+    /// — and when that frees the id, `id` is cleared for the sessions
+    /// after this one.
+    fn note(&mut self, table: &mut DnTable, dn: &Dn, id: &mut Option<u32>, entry: Option<&Entry>) -> bool {
         let now_in = entry.is_some_and(|e| self.request.matches(e));
-        let was_in = posting::contains(&self.current, id);
-        match (was_in, now_in) {
-            (false, false) => return false,
-            (false, true) => {
-                posting::insert_sorted(&mut self.current, id);
-            }
-            (true, false) => {
-                posting::remove_sorted(&mut self.current, id);
-            }
-            (true, true) => {}
+        let was_in = id.is_some_and(|i| posting::contains(&self.current, i));
+        if !was_in && !now_in {
+            return false;
         }
-        if now_in || posting::contains(&self.sent, id) {
-            posting::insert_sorted(&mut self.touched, id);
+        let in_sent = id.is_some_and(|i| posting::contains(&self.sent, i));
+        let i = match *id {
+            Some(i) if was_in || in_sent => i,
+            Some(i) => {
+                table.hold_id(i);
+                i
+            }
+            None => table.hold(dn),
+        };
+        *id = Some(i);
+        if !was_in {
+            posting::insert_sorted(&mut self.current, i);
+        } else if !now_in {
+            posting::remove_sorted(&mut self.current, i);
+            if !in_sent && table.release(i) {
+                *id = None;
+            }
+        }
+        if now_in || in_sent {
+            posting::insert_sorted(&mut self.touched, i);
         } else {
             // Arrived and departed between deliveries: the replica never
             // needs to know, and `touched` stays within `sent ∪ current`.
-            posting::remove_sorted(&mut self.touched, id);
+            posting::remove_sorted(&mut self.touched, i);
         }
         true
+    }
+
+    /// The ids this session holds in the master's table: `sent ∪
+    /// current`, each once.
+    fn held(&self) -> impl Iterator<Item = u32> + '_ {
+        let unsent = self.current.iter().filter(|&&id| !posting::contains(&self.sent, id));
+        self.sent.iter().chain(unsent).copied()
+    }
+
+    /// The load check on a persisted session: every ledger strictly
+    /// ascending, and `touched ⊆ sent ∪ current`.
+    fn check_ledgers(&self) -> Result<(), String> {
+        for (name, list) in [("sent", &self.sent), ("current", &self.current), ("touched", &self.touched)] {
+            if list.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("`{name}` is not strictly ascending"));
+            }
+        }
+        let stray = self.touched.iter().find(|&&id| {
+            !posting::contains(&self.sent, id) && !posting::contains(&self.current, id)
+        });
+        match stray {
+            Some(id) => Err(format!("touched id {id} is in neither `sent` nor `current`")),
+            None => Ok(()),
+        }
     }
 
     /// `(item hash, entry)` of every entry in the live content — what
@@ -1436,8 +1370,9 @@ impl Session {
 
     /// Advances the session past a delivered batch: `sent` catches up
     /// with `current` on exactly the touched ids, and the history
-    /// restarts.
-    fn commit(&mut self) {
+    /// restarts. A delivered `Delete` leaves `sent ∪ current`, so the
+    /// session releases its hold on that id.
+    fn commit(&mut self, table: &mut DnTable) {
         if self.sent.is_empty() {
             // `current \ sent ⊆ touched ⊆ sent ∪ current`, so with nothing
             // sent the touched ids *are* the content: a fresh session's
@@ -1452,6 +1387,7 @@ impl Session {
                 posting::insert_sorted(&mut self.sent, id);
             } else {
                 posting::remove_sorted(&mut self.sent, id);
+                table.release(id);
             }
         }
     }
@@ -1465,7 +1401,7 @@ impl Session {
         &mut self,
         session: u32,
         dit: &DitStore,
-        table: &DnTable,
+        table: &mut DnTable,
         now_ms: u64,
     ) -> Option<NotifyFlush> {
         let coalesced_from = std::mem::take(&mut self.dirty);
@@ -1482,7 +1418,7 @@ impl Session {
         if actions.is_empty() {
             // The queued updates cancelled out (arrived and departed
             // between flushes): nothing to deliver, nothing to keep.
-            self.commit();
+            self.commit(table);
             return None;
         }
         let n_actions = actions.len();
@@ -1494,7 +1430,7 @@ impl Session {
             self.disarm();
             return None;
         }
-        self.commit();
+        self.commit(table);
         Some(NotifyFlush { session, actions: n_actions, coalesced_from, first_enqueued_ms })
     }
 }
@@ -1793,19 +1729,19 @@ mod tests {
             r#""next_session":1,"ops_applied":1,"table":{"slots":[[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],[{"attr":"cn","value":"c"},"#,
             r#"{"attr":"o","value":"xyz"}]],"free":[]},"#,
             r#""replay_expiry_ops":null,"redeliveries":0,"notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"max_queue":18446744073709551615},"#,
-            // The stash cap's key is cut in two so CI's grep for the
-            // deleted names does not find it here.
-            r#""gc":{"session_deadline_ms":null,"stash_"#,
+            // The deadline's and the stash cap's keys are cut in two so
+            // CI's greps for the deleted names do not find them here.
+            r#""gc":{"session_"#,
+            r#"deadline_ms":null,"stash_"#,
             r#"max_items":1048576,"every_ops":1024},"now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
         );
         assert!(old.contains(r#""changelog":["#) && old.contains(r#""tombstones":["#));
         let mut m: SyncMaster = serde_json::from_str(old).expect("an old snapshot loads");
         assert_eq!((m.session_count(), m.dit().len(), m.dit().csn()), (1, 3, fbdr_dit::Csn(6)));
         let again = serde_json::to_string(&m).expect("serializes");
-        assert!(
-            !again.contains("changelog") && !again.contains("tombstones") && !again.contains("stash"),
-            "{again}"
-        );
+        for gone in ["changelog", "tombstones", "stash", r#""gc""#, "last_active_ms"] {
+            assert!(!again.contains(gone), "{gone}: {again}");
+        }
         // The session resumes where it stood: `c` was added after its poll.
         let resp = m.resync(&dept7(), ReSyncControl::poll(Some(Cookie::new(1, 1)))).unwrap();
         assert_eq!(resp.actions, vec![SyncAction::Add(Entry::new(dn("cn=c,o=xyz")).with("cn", "c").with("dept", "7"))]);
@@ -1819,8 +1755,8 @@ mod tests {
     /// a summary of two buckets, then `a` deleted before the range round)
     /// still loads, as just the exchange's bucket shift. The range round
     /// sent with the in-flight cookie is answered, the follow-up poll
-    /// converges, and written back it is the old form less the frozen
-    /// items and the stash cap.
+    /// converges, and written back it keeps the shift and drops the frozen
+    /// items, the collector's knobs and the table's free list.
     #[test]
     fn a_snapshot_with_a_reconcile_in_flight_from_before_the_live_answer_still_loads() {
         use crate::reconcile::{bucket_of, entry_item_hash, RangeProbe, RangeRequest};
@@ -1837,14 +1773,17 @@ mod tests {
             r#"}}},"next_session":1,"ops_applied":1,"table":{"slots":[[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"#,
             r#"[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}]],"free":[]},"replay_expiry_ops":null,"redeliveries":0,"#,
             r#""notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"max_queue":18446744073709551615},"#,
-            r#""gc":{"session_deadline_ms":null,"#,
         );
-        // Cut in two so CI's grep for the deleted names does not find it.
-        let cap = concat!(r#""stash_"#, r#"max_items":1048576,"#);
-        let tail = r#""every_ops":1024},"now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#;
+        // Cut in two so CI's greps for the deleted names do not find them.
+        let gc = concat!(r#""gc":{"session_"#, r#"deadline_ms":null,"stash_"#, r#"max_items":1048576,"every_ops":1024},"#);
+        let tail = r#""now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#;
         let mut m: SyncMaster =
-            serde_json::from_str(&[head, items, mid, cap, tail].concat()).expect("an old snapshot loads");
-        assert_eq!(serde_json::to_string(&m).unwrap(), [head, mid, tail].concat());
+            serde_json::from_str(&[head, items, mid, gc, tail].concat()).expect("an old snapshot loads");
+        let again = serde_json::to_string(&m).unwrap();
+        assert!(again.contains(r#""reconcile":{"shift":63}"#), "{again}");
+        for gone in [items, gc, r#""free""#, "last_active_ms"] {
+            assert!(!again.contains(gone), "{gone}: {again}");
+        }
 
         // The replica as round one left it: `a` and `b` at the master's
         // versions then, and the ghost. The summary's second bucket holds
@@ -1867,6 +1806,90 @@ mod tests {
         assert_eq!(poll.actions, vec![SyncAction::Delete(dn("cn=a,o=xyz"))]);
         replica.apply_all(&poll.actions);
         assert_eq!(replica.iter().collect::<Vec<_>>(), m.dit().search(&dept7()).iter().collect::<Vec<_>>());
+    }
+
+    /// A master serialized while a collector swept the table on a cadence
+    /// (literal bytes, taken from that code): its knobs, a per-session
+    /// clock stamp, and two slots no ledger holds — `a`, whose `Delete`
+    /// was delivered, and `x`, which arrived and departed between polls.
+    /// It loads with those slots free and `b` held by both sessions, and
+    /// both sessions converge.
+    #[test]
+    fn a_snapshot_from_before_ids_were_counted_loads_and_converges() {
+        let (a, b, x) = (dn("cn=a,o=xyz"), dn("cn=b,o=xyz"), dn("cn=x,o=xyz"));
+        let old = concat!(
+            r#"{"dit":{"entries":[{"dn":[{"attr":"o","value":"xyz"}],"attrs":{}},{"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"#,
+            r#""attrs":{"cn":["b"],"dept":["9"]}},{"dn":[{"attr":"cn","value":"c"},{"attr":"o","value":"xyz"}],"attrs":{"cn":["c"],"dept":["9"]}},"#,
+            r#"{"dn":[{"attr":"cn","value":"d"},{"attr":"o","value":"xyz"}],"attrs":{"cn":["d"],"dept":["7"]}}],"suffixes":[[{"attr":"o","value":"xyz"}]],"csn":9},"#,
+            r#""sessions":{"1":{"request":{"base":[{"attr":"o","value":"xyz"}],"scope":"Subtree","filter":{"Pred":{"attr":"dept","cmp":{"Eq":"7"}}},"attrs":"All"},"#,
+            r#""sent":[1],"current":[4],"touched":[1,4],"last_active":3,"last_active_ms":5,"stable_at":3,"seq":3,"pending":[],"pending_at":3,"reconcile":null},"#,
+            r#""2":{"request":{"base":[{"attr":"o","value":"xyz"}],"scope":"Subtree","filter":{"Pred":{"attr":"dept","cmp":{"Eq":"9"}}},"attrs":"All"},"#,
+            r#""sent":[2],"current":[1,2],"touched":[1],"last_active":0,"last_active_ms":0,"stable_at":0,"seq":1,"#,
+            r#""pending":[{"Add":{"dn":[{"attr":"cn","value":"c"},{"attr":"o","value":"xyz"}],"attrs":{"cn":["c"],"dept":["9"]}}}],"pending_at":0,"reconcile":null}},"#,
+            r#""next_session":2,"ops_applied":5,"table":{"slots":[[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"#,
+            r#"[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],[{"attr":"cn","value":"c"},{"attr":"o","value":"xyz"}],"#,
+            r#"[{"attr":"cn","value":"x"},{"attr":"o","value":"xyz"}],[{"attr":"cn","value":"d"},{"attr":"o","value":"xyz"}]],"free":[]},"#,
+            r#""replay_expiry_ops":null,"redeliveries":0,"notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"max_queue":18446744073709551615},"#,
+            // Cut in two so CI's grep for the deleted names does not find it.
+            r#""gc":{"session_"#,
+            r#"deadline_ms":null,"every_ops":1024},"now_ms":5,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
+        );
+        let mut m: SyncMaster = serde_json::from_str(old).expect("an old snapshot loads");
+        let t = m.table();
+        assert_eq!((t.len(), t.capacity(), t.get(&a), t.get(&x)), (3, 5, None, None));
+        assert_eq!(t.get(&b).map(|id| t.holds(id)), Some(2), "b: sent to one session, current in the other");
+
+        // Session 1 holds `b` and is owed its departure and `d`'s
+        // arrival; session 2 holds `c` (its first batch is unacknowledged)
+        // and is owed `b`.
+        let dept9 = SearchRequest::new(dn("o=xyz"), Scope::Subtree, Filter::parse("(dept=9)").unwrap());
+        for (req, cookie, held) in [(dept7(), Cookie::new(1, 3), "b"), (dept9, Cookie::new(2, 1), "c")] {
+            let mut replica = ReplicaContent::new();
+            replica.apply(&SyncAction::Add(m.dit().get(&dn(&format!("cn={held},o=xyz"))).unwrap().clone()));
+            replica.apply_all(&m.resync(&req, ReSyncControl::poll(Some(cookie))).unwrap().actions);
+            assert_eq!(replica.iter().collect::<Vec<_>>(), m.dit().search(&req).iter().collect::<Vec<_>>());
+        }
+        // `b` was let go by session 1; a fresh DN takes a freed slot.
+        assert_eq!(m.table().get(&b).map(|id| m.table().holds(id)), Some(1));
+        m.apply(UpdateOp::Add(person("e", "7"))).unwrap();
+        assert_eq!((m.table().len(), m.table().capacity()), (4, 5));
+    }
+
+    /// The load refuses a snapshot whose ledgers would break posting
+    /// searches, panic on a later reconcile or leave a count nobody
+    /// releases — each a one-edit change to a sound literal.
+    #[test]
+    fn a_hostile_snapshot_is_refused_at_load() {
+        let sound = concat!(
+            r#"{"dit":{"entries":[{"dn":[{"attr":"o","value":"xyz"}],"attrs":{}},{"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"#,
+            r#""attrs":{"cn":["a"],"dept":["7"]}},{"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"attrs":{"cn":["b"],"dept":["7"]}}],"#,
+            r#""suffixes":[[{"attr":"o","value":"xyz"}]],"csn":3},"#,
+            r#""sessions":{"1":{"request":{"base":[{"attr":"o","value":"xyz"}],"scope":"Subtree","filter":{"Pred":{"attr":"dept","cmp":{"Eq":"7"}}},"attrs":"All"},"#,
+            r#""sent":[0,1],"current":[0,1],"touched":[],"last_active":0,"stable_at":0,"seq":1,"pending":null,"pending_at":0,"reconcile":null}},"#,
+            r#""next_session":1,"ops_applied":0,"table":{"slots":[[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"#,
+            r#"[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}]]},"replay_expiry_ops":null,"redeliveries":0,"#,
+            r#""notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"max_queue":18446744073709551615},"#,
+            r#""now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
+        );
+        let m: SyncMaster = serde_json::from_str(sound).expect("the sound literal loads");
+        assert_eq!(serde_json::to_string(&m).unwrap(), sound);
+        // The table's last slot, `b`.
+        let slot_b = r#"[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}]]}"#;
+        let a_again = r#"[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}]]}"#;
+        for (from, to, refusal) in [
+            (r#""current":[0,1]"#, r#""current":[0,2]"#, "id 2 names no interned DN"),
+            (slot_b, "null]}", "id 1 names no interned DN"),
+            (r#""sent":[0,1]"#, r#""sent":[1,0]"#, "`sent` is not strictly ascending"),
+            (r#""current":[0,1]"#, r#""current":[0,0,1]"#, "`current` is not strictly ascending"),
+            (r#""sent":[0,1],"current":[0,1],"touched":[]"#, r#""sent":[0],"current":[0],"touched":[1]"#, "touched id 1 is in neither"),
+            (slot_b, a_again, "is interned twice"),
+            (r#""next_session":1"#, r#""next_session":0"#, "session 1 is past next_session"),
+        ] {
+            let hostile = sound.replacen(from, to, 1);
+            assert_ne!(hostile, sound);
+            let err = serde_json::from_str::<SyncMaster>(&hostile).expect_err(refusal);
+            assert!(err.to_string().contains(refusal), "{refusal}: {err}");
+        }
     }
 
     #[test]
@@ -2301,7 +2324,7 @@ mod tests {
         let mut flushes = Vec::new();
         for sid in due {
             let session = m.sessions.get_mut(&sid).expect("listed from the map");
-            flushes.extend(session.flush(sid as u32, &m.dit, &m.table, now));
+            flushes.extend(session.flush(sid as u32, &m.dit, &mut m.table, now));
         }
         m.record_flushes(&flushes);
         flushes
@@ -2478,7 +2501,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Causal-stability GC
+    // Stability watermark and hold counts
     // ------------------------------------------------------------------
 
     #[test]
@@ -2503,173 +2526,25 @@ mod tests {
     }
 
     #[test]
-    fn gc_recycles_ids_of_departed_entries() {
-        let mut m = master_with(vec![person("a", "7")]);
-        m.set_gc_config(GcConfig { every_ops: None, ..GcConfig::default() });
-        let req = dept7();
-        let mut c = m.resync(&req, ReSyncControl::poll(None)).unwrap().cookie.unwrap();
-        // Churn distinct DNs through the content, polling (and acking)
-        // after each add/delete pair so departures leave the ledger.
-        for i in 0..50 {
-            m.apply(UpdateOp::Add(person(&format!("churn{i}"), "7"))).unwrap();
-            m.apply(UpdateOp::Delete(dn(&format!("cn=churn{i},o=xyz")))).unwrap();
-            c = m.resync(&req, ReSyncControl::poll(Some(c))).unwrap().cookie.unwrap();
-        }
-        let before = m.memory_footprint();
-        let report = m.collect_garbage();
-        assert!(report.ids_released >= 49, "churned slots reclaimed: {report:?}");
-        let after = m.memory_footprint();
-        assert!(after.table_bytes < before.table_bytes);
-        assert_eq!(after.table_live, 1, "only cn=a remains referenced");
-        // Re-interning after release reuses slots instead of growing.
-        let cap = after.table_capacity;
-        m.apply(UpdateOp::Add(person("fresh", "7"))).unwrap();
-        m.apply(UpdateOp::Delete(dn("cn=fresh,o=xyz"))).unwrap();
-        c = m.resync(&req, ReSyncControl::poll(Some(c))).unwrap().cookie.unwrap();
-        let _ = m.resync(&req, ReSyncControl::poll(Some(c))).unwrap();
-        m.collect_garbage();
-        assert_eq!(m.memory_footprint().table_capacity, cap, "id space stopped growing");
-    }
-
-    #[test]
-    fn gc_is_transparent_to_live_sessions() {
-        // Twin masters over the identical history: one collects after
-        // every op, one never; every response must be identical.
-        let entries = vec![person("a", "7"), person("b", "9")];
-        let mut gc = master_with(entries.clone());
-        gc.set_gc_config(GcConfig { session_deadline_ms: None, every_ops: Some(1) });
-        let mut raw = master_with(entries);
-        raw.set_gc_config(GcConfig::disabled());
-        let req = dept7();
-        let mut cookies = Vec::new();
-        for m in [&mut gc, &mut raw] {
-            cookies.push(m.resync(&req, ReSyncControl::poll(None)).unwrap().cookie.unwrap());
-        }
-        assert_eq!(cookies[0], cookies[1]);
-        let mut cookie = cookies[0];
-        for i in 0..30 {
-            let ops = [
-                UpdateOp::Add(person(&format!("x{i}"), "7")),
-                UpdateOp::Delete(dn(&format!("cn=x{i},o=xyz"))),
-                UpdateOp::Modify {
-                    dn: dn("cn=a,o=xyz"),
-                    mods: vec![Modification::Replace("mail".into(), vec![format!("m{i}@x").into()])],
-                },
-            ];
-            for op in ops {
-                gc.apply(op.clone()).unwrap();
-                raw.apply(op).unwrap();
-            }
-            let a = gc.resync(&req, ReSyncControl::poll(Some(cookie))).unwrap();
-            let b = raw.resync(&req, ReSyncControl::poll(Some(cookie))).unwrap();
-            assert_eq!(a, b, "round {i}");
-            // Duplicate delivery of the same request must also agree.
-            let ra = gc.resync(&req, ReSyncControl::poll(Some(cookie))).unwrap();
-            let rb = raw.resync(&req, ReSyncControl::poll(Some(cookie))).unwrap();
-            assert_eq!(ra, rb, "redelivery round {i}");
-            cookie = a.cookie.unwrap();
-        }
-        assert!(gc.memory_footprint().table_capacity < raw.memory_footprint().table_capacity);
-    }
-
-    #[test]
-    fn deadline_evicts_unreachable_sessions_not_live_persist() {
-        let mut m = master_with(vec![person("a", "7")]);
-        m.set_gc_config(GcConfig {
-            session_deadline_ms: Some(100),
-            ..GcConfig::default()
-        });
-        // A poll session that goes silent, and a persist session with a
-        // live channel that is just as silent.
-        let _dead = m.resync(&dept7(), ReSyncControl::poll(None)).unwrap().cookie.unwrap();
-        let live = SearchRequest::new(
-            dn("o=xyz"),
-            Scope::Subtree,
-            Filter::parse("(dept=9)").unwrap(),
-        );
-        let (_resp, rx) = m.resync_persist(&live, None).unwrap();
-        m.advance_to(50);
-        assert_eq!(m.collect_garbage().sessions_evicted, 0, "inside the deadline");
-        m.advance_to(200);
-        let report = m.collect_garbage();
-        assert_eq!(report.sessions_evicted, 1, "silent poll session evicted");
-        assert_eq!(m.session_count(), 1, "live persist channel exempt");
-        assert!(report.ids_released > 0, "the evicted session's slots freed");
-        drop(rx);
-        m.advance_to(400);
-        assert_eq!(m.collect_garbage().sessions_evicted, 1, "dead channel: fair game");
-        assert_eq!(m.session_count(), 0);
-    }
-
-    #[test]
-    fn gc_drops_expired_pending_eagerly_with_same_retry_outcome() {
-        let mut m = master_with(vec![person("a", "7")]);
-        m.set_replay_expiry_ops(2);
-        m.set_gc_config(GcConfig { every_ops: None, ..GcConfig::default() });
-        let req = dept7();
-        let c0 = m.resync(&req, ReSyncControl::poll(None)).unwrap().cookie.unwrap();
-        m.apply(UpdateOp::Add(person("b", "7"))).unwrap();
-        let _c1 = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap();
-        for i in 0..3 {
-            m.apply(UpdateOp::Add(person(&format!("p{i}"), "9"))).unwrap();
-        }
-        // The unacked batch is past the window: GC frees its bytes now.
-        let before = m.memory_footprint().replay_bytes;
-        let report = m.collect_garbage();
-        assert_eq!(report.pending_dropped, 1);
-        assert!(m.memory_footprint().replay_bytes < before);
-        // The retry sees exactly what it would have seen without GC.
-        let err = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap_err();
-        assert!(matches!(err, SyncError::ReplayExpired { .. }));
-    }
-
-    #[test]
-    fn expire_idle_reclaims_in_the_same_pass() {
-        let mut m = master_with(vec![person("a", "7")]);
-        m.set_gc_config(GcConfig { every_ops: None, ..GcConfig::default() });
+    fn every_way_a_session_ends_gives_its_ids_back() {
+        let mut m = master_with(vec![person("a", "7"), person("b", "7")]);
         let req = dept7();
         let c = m.resync(&req, ReSyncControl::poll(None)).unwrap().cookie.unwrap();
-        // The session accumulates departed history and an unacked batch,
-        // then goes silent.
-        for i in 0..10 {
-            m.apply(UpdateOp::Add(person(&format!("g{i}"), "7"))).unwrap();
-        }
-        let _ = m.resync(&req, ReSyncControl::poll(Some(c))).unwrap();
-        for i in 0..10 {
-            m.apply(UpdateOp::Delete(dn(&format!("cn=g{i},o=xyz")))).unwrap();
-        }
-        let full = m.memory_footprint();
-        assert!(full.replay_bytes > 0 && full.table_live > 1);
-        assert_eq!(m.expire_idle(5), 1);
-        // Eviction freed the replay buffer and the table slots in the
-        // same pass — no second collection needed.
-        let f = m.memory_footprint();
-        assert_eq!(f.sessions, 0);
-        assert_eq!(f.replay_bytes, 0);
-        assert_eq!(f.table_live, 0);
-        assert_eq!(m.stability_watermark(), None, "watermark advanced past the dead session");
-    }
-
-    #[test]
-    fn gc_state_survives_serde_round_trip() {
-        let mut m = master_with(vec![person("a", "7")]);
-        m.set_gc_config(GcConfig { every_ops: Some(7), ..GcConfig::default() });
-        let req = dept7();
-        let c0 = m.resync(&req, ReSyncControl::poll(None)).unwrap().cookie.unwrap();
-        m.apply(UpdateOp::Add(person("b", "7"))).unwrap();
-        let c1 = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap().cookie.unwrap();
-        let _ = m.resync(&req, ReSyncControl::poll(Some(c1))).unwrap();
-        let json = serde_json::to_string(&m).unwrap();
-        let mut back: SyncMaster = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.gc_config(), m.gc_config());
-        assert_eq!(back.stability_watermark(), m.stability_watermark());
-        assert_eq!(back.memory_footprint().table_live, m.memory_footprint().table_live);
-        // The restored master keeps collecting and serving.
-        back.collect_garbage();
+        m.apply(UpdateOp::Delete(dn("cn=a,o=xyz"))).unwrap();
         m.apply(UpdateOp::Add(person("c", "7"))).unwrap();
-        back.apply(UpdateOp::Add(person("c", "7"))).unwrap();
-        let a = m.resync(&req, ReSyncControl::poll(Some(c1))).unwrap();
-        let b = back.resync(&req, ReSyncControl::poll(Some(c1))).unwrap();
-        assert_eq!(a, b);
+        // `a` waits in `sent` for its `Delete`, `c` in `current` for its
+        // `Add`, `b` is in both: three ids, one hold each.
+        assert_eq!((m.table().len(), (0..3).map(|id| m.table().holds(id)).sum::<u32>()), (3, 3));
+        let ends: [fn(&mut SyncMaster, Cookie); 3] = [
+            |m, c| drop(m.resync(&dept7(), ReSyncControl::sync_end(c)).unwrap()),
+            |m, c| m.abandon(c),
+            |m, _| assert_eq!(m.expire_idle(0), 1),
+        ];
+        for end in ends {
+            let mut m = serde_json::from_str::<SyncMaster>(&serde_json::to_string(&m).unwrap()).unwrap();
+            m.apply(UpdateOp::Add(person("d", "9"))).unwrap(); // idle for expire_idle(0)
+            end(&mut m, c);
+            assert_eq!((m.session_count(), m.table().len()), (0, 0));
+        }
     }
 }

@@ -20,7 +20,7 @@
 //! the one-shard case: [`ShardMap::single`], one part per cookie.
 
 use crate::driver::{Clock, DriverStats, RetryConfig, SyncDriver, SyncTransport, SystemClock};
-use crate::master::{GcConfig, GcReport, MasterFootprint, NotifyFlush, NotifyPolicy};
+use crate::master::{MasterFootprint, NotifyFlush, NotifyPolicy};
 use crate::protocol::{
     Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncResponse, SyncTraffic,
 };
@@ -323,29 +323,12 @@ impl ShardedMaster {
         out
     }
 
-    /// Sets every shard's garbage-collector knobs (see [`GcConfig`]).
-    pub fn set_gc_config(&mut self, gc: GcConfig) {
-        for shard in &mut self.shards {
-            shard.set_gc_config(gc);
-        }
-    }
-
     /// Bounds every shard's replay buffer (see
     /// [`SyncMaster::set_replay_expiry_ops`]).
     pub fn set_replay_expiry_ops(&mut self, ops: u64) {
         for shard in &mut self.shards {
             shard.set_replay_expiry_ops(ops);
         }
-    }
-
-    /// Runs one causal-stability collection pass on every shard (see
-    /// [`SyncMaster::collect_garbage`]) and returns the summed report.
-    pub fn collect_garbage(&mut self) -> GcReport {
-        let mut report = GcReport::default();
-        for shard in &mut self.shards {
-            report.merge(shard.collect_garbage());
-        }
-        report
     }
 
     /// Summed deterministic byte accounting across all shards (see
@@ -707,9 +690,9 @@ mod tests {
     /// One empty shard master, as it serializes.
     const EMPTY_SHARD: &str = concat!(
         r#"{"dit":{"entries":[],"suffixes":[],"csn":0},"sessions":{},"next_session":0,"#,
-        r#""ops_applied":0,"table":{"slots":[],"free":[]},"replay_expiry_ops":null,"#,
+        r#""ops_applied":0,"table":{"slots":[]},"replay_expiry_ops":null,"#,
         r#""redeliveries":0,"notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"#,
-        r#""max_queue":18446744073709551615},"gc":{"session_deadline_ms":null,"every_ops":1024},"#,
+        r#""max_queue":18446744073709551615},"#,
         r#""now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
     );
 

@@ -422,13 +422,13 @@ fn replay_eviction_recovers_by_reconciliation_without_reinstall() {
     }
 }
 
-/// Soak: ten times the suite's churn through a GC'd master, with a
-/// rolling window of *fresh* DNs (each added in-filter, then deleted a
-/// few steps later) so the garbage actually accumulates somewhere —
-/// departed posting lists, replay buffers, retired interner slots. The
-/// causal-stability collector must hold the deterministic memory
-/// footprint flat after warmup, and the usual convergence and
-/// zero-lost-deletion checks must still pass under the same faults.
+/// Soak: ten times the suite's churn through a master, with a rolling
+/// window of *fresh* DNs (each added in-filter, then deleted a few steps
+/// later) so garbage would accumulate if anything kept it — departed
+/// posting lists, replay buffers, retired interner slots. Ids released by
+/// their last holder must hold the deterministic memory footprint flat
+/// after warmup, and the usual convergence and zero-lost-deletion checks
+/// must still pass under the same faults.
 #[test]
 fn soak_memory_high_water_stays_flat_over_ten_x_churn() {
     const SOAK_UPDATES: usize = UPDATES * 10;
@@ -445,7 +445,6 @@ fn soak_memory_high_water_stays_flat_over_ten_x_churn() {
         .build();
     let clock = SimClock::new();
     let mut master = build_master();
-    master.set_gc_config(fbdr_resync::GcConfig { session_deadline_ms: None, every_ops: Some(16) });
     let replica = FilterReplica::new(0);
     replica.install_filter(&mut master, filter_request()).unwrap();
     let mut link = FaultyLink::new(master, plan, clock.clone());

@@ -473,7 +473,6 @@ fn heap_drift_over_100k_replaces(sessions: usize) -> (i64, i64) {
                 *cookie = resp.cookie.expect("cookie");
             }
         }
-        master.collect_garbage();
         live_bytes()
     };
     let sized = passes(&mut master, &mut cookies, 2);
