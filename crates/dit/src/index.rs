@@ -15,7 +15,11 @@
 //!   predicate evaluation is ([`AttrValue::range_cmp`]); presence and
 //!   substrings without `initial` have no scan;
 //! * **how a filter plans** ([`plan`]) — `And` intersects every plannable
-//!   child, `Or` unions when every child plans, `Not` never plans.
+//!   child, `Or` unions when every child plans, `Not` never plans;
+//! * **when a plan is the answer** ([`Plan::exact`]) — a predicate whose
+//!   scan names its whole match set (`scan_is_exact`), an `And` of
+//!   exact children that all planned, an `Or` of exact children. A store
+//!   visits an exact plan's ids without evaluating the filter on them.
 //!
 //! The storage differs because the stores do: the replica publishes
 //! immutable epochs and keeps its lists behind `Arc`s in a persistent map,
@@ -161,7 +165,7 @@ pub fn keys_only_in<'a>(
 
 /// Which posting lists hold a predicate's candidates: their union is a
 /// superset of the matching entries, exact for everything but a substring
-/// pattern with more than an `initial` component.
+/// pattern with more than an `initial` component (`scan_is_exact`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scan<'a> {
     /// The list under one text key.
@@ -203,6 +207,22 @@ pub fn predicate_scan(p: &Predicate) -> Option<Scan<'_>> {
     }
 }
 
+/// Whether the lists [`predicate_scan`] names hold *exactly* the entries
+/// matching `p`. They do when the scan reads the very key predicate
+/// evaluation compares: equality the value's normalized text, a `>=` or
+/// `<=` bound the integer view under an integer assertion and the
+/// normalized text otherwise ([`AttrValue::range_cmp`]), a prefix-only
+/// substring every normalized text starting with its `initial`. A pattern
+/// with an `any` or `final` part is only bounded by its prefix — `p1*2`
+/// scans `p13` too — and presence has no scan.
+fn scan_is_exact(p: &Predicate) -> bool {
+    match p.comparison() {
+        Comparison::Eq(_) | Comparison::Ge(_) | Comparison::Le(_) => true,
+        Comparison::Present => false,
+        Comparison::Substring(pat) => pat.is_prefix_only(),
+    }
+}
+
 /// Reads the lists a scan names off the two ordered maps a store keeps per
 /// attribute, and unions them: `point` looks one text key up, `text` and
 /// `num` walk a key range in order. Text keys go in and come out as bytes
@@ -232,31 +252,60 @@ where
     }
 }
 
+/// What [`plan`] compiles a filter into.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Plan<'a> {
+    /// A sorted id set holding every entry the filter matches.
+    pub ids: Cow<'a, [u32]>,
+    /// True when `ids` hold nothing else: they *are* the filter's answer,
+    /// and a caller has no filter left to verify on them (only its own
+    /// base and scope). Derived from the filter's shape alone: a predicate
+    /// by `scan_is_exact`, an `And` when every child planned and is exact,
+    /// an `Or` when every child is exact. `Not` never plans.
+    pub exact: bool,
+}
+
 /// Compiles a filter into a candidate posting list: a sorted id set
-/// guaranteed to be a **superset** of the entries matching `filter`
-/// (callers verify the filter on the candidates). `lists_for_predicate`
-/// is the store: [`scan_lists`] of what [`predicate_scan`] names over the
+/// guaranteed to be a **superset** of the entries matching `filter`, and
+/// whether it is exactly that set ([`Plan::exact`]). Callers verify the
+/// filter on the candidates of an inexact plan. `lists_for_predicate` is
+/// the store: [`scan_lists`] of what [`predicate_scan`] names over the
 /// predicate's attribute, `None` when it names nothing. Returns `None`
 /// when the index cannot bound the result and the caller must scan.
 ///
 /// Conjunctions intersect every plannable child, smallest first
-/// (galloping); disjunctions require every child to plan and union them.
+/// (galloping); a child that does not plan is left out of the
+/// intersection, which then bounds the answer without deciding it.
+/// Disjunctions require every child to plan and union them.
 pub fn plan<'a>(
     filter: &Filter,
     lists_for_predicate: &impl Fn(&Predicate) -> Option<Cow<'a, [u32]>>,
-) -> Option<Cow<'a, [u32]>> {
+) -> Option<Plan<'a>> {
     match filter {
-        Filter::Pred(p) => lists_for_predicate(p),
+        Filter::Pred(p) => lists_for_predicate(p).map(|ids| Plan { ids, exact: scan_is_exact(p) }),
         Filter::Not(_) => None,
         Filter::And(fs) => {
-            let mut plans: Vec<Cow<'a, [u32]>> =
-                fs.iter().filter_map(|f| plan(f, lists_for_predicate)).collect();
-            plans.sort_by_key(|p| p.len());
-            plans.into_iter().reduce(|acc, p| Cow::Owned(posting::intersect(&acc, &p)))
+            let mut exact = true;
+            let mut lists: Vec<Cow<'a, [u32]>> = Vec::with_capacity(fs.len());
+            for f in fs {
+                match plan(f, lists_for_predicate) {
+                    Some(p) => {
+                        exact &= p.exact;
+                        lists.push(p.ids);
+                    }
+                    None => exact = false,
+                }
+            }
+            lists.sort_by_key(|l| l.len());
+            let ids = lists.into_iter().reduce(|acc, l| Cow::Owned(posting::intersect(&acc, &l)))?;
+            Some(Plan { ids, exact })
         }
         Filter::Or(fs) => {
-            let parts: Option<Vec<_>> = fs.iter().map(|f| plan(f, lists_for_predicate)).collect();
-            parts.map(posting::union_cows)
+            let parts: Option<Vec<Plan<'a>>> =
+                fs.iter().map(|f| plan(f, lists_for_predicate)).collect();
+            let parts = parts?;
+            let exact = parts.iter().all(|p| p.exact);
+            Some(Plan { ids: posting::union_cows(parts.into_iter().map(|p| p.ids)), exact })
         }
     }
 }
@@ -353,6 +402,9 @@ impl Indexes {
         ))
     }
 }
+
+#[cfg(test)]
+mod exactness;
 
 #[cfg(test)]
 mod tests {
@@ -476,7 +528,11 @@ mod tests {
     }
 
     fn plan_of(ix: &Indexes, f: &str) -> Option<Vec<u32>> {
-        plan(&Filter::parse(f).unwrap(), &|p| ix.lists_for_predicate(p)).map(Cow::into_owned)
+        plan(&Filter::parse(f).unwrap(), &|p| ix.lists_for_predicate(p)).map(|p| p.ids.into_owned())
+    }
+
+    fn exact_of(ix: &Indexes, f: &str) -> Option<bool> {
+        plan(&Filter::parse(f).unwrap(), &|p| ix.lists_for_predicate(p)).map(|p| p.exact)
     }
 
     #[test]
@@ -593,5 +649,42 @@ mod tests {
         assert_eq!(plan_of(&ix, "(&(!(dept=0))(x=*y))"), None);
         // Presence has no list.
         assert_eq!(plan_of(&ix, "(dept=*)"), None);
+    }
+
+    #[test]
+    fn exactness_follows_the_filter_shape() {
+        let mut ix = Indexes::default();
+        for id in 0..12u32 {
+            insert(&mut ix, "serialNumber", &format!("{}", 100_000 + id), id);
+            insert(&mut ix, "dept", &format!("{}", id % 3), id);
+        }
+        for f in [
+            "(dept=1)",
+            "(serialNumber>=100006)",
+            "(serialNumber<=10000x)",
+            "(serialNumber=10000*)",
+            "(ghost=1)",
+            "(&(dept=0)(serialNumber>=100006))",
+            "(|(serialNumber=100001)(dept=2))",
+            "(&(dept=1)(|(serialNumber=1000*)(dept=2)))",
+        ] {
+            assert_eq!(exact_of(&ix, f), Some(true), "{f}");
+        }
+        for f in [
+            // More than an `initial`: the prefix bounds, the rest decides.
+            "(serialNumber=1*1)",
+            "(serialNumber=10*0*)",
+            // A conjunct that does not plan leaves the plan a bound.
+            "(&(dept=1)(serialNumber=*x*))",
+            "(&(dept=1)(dept=*))",
+            "(&(dept=1)(!(dept=2)))",
+            "(|(dept=1)(serialNumber=1*1))",
+        ] {
+            assert_eq!(exact_of(&ix, f), Some(false), "{f}");
+        }
+        // Unplannable shapes have no plan to be exact.
+        for f in ["(dept=*)", "(!(dept=1))", "(serialNumber=*1)", "(|(dept=1)(dept=*))"] {
+            assert_eq!(exact_of(&ix, f), None, "{f}");
+        }
     }
 }

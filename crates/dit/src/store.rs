@@ -513,28 +513,27 @@ impl DitStore {
     /// The one candidate walk every search runs: plan → slot → scope →
     /// `matches`. Base and one-level scopes read the tree directly; a
     /// subtree search the index can bound ([`index::plan`]) visits the
-    /// plan's candidates in id order, any other scans the subtree.
+    /// plan's candidates in id order, any other scans the subtree. An
+    /// exact plan ([`index::Plan::exact`]) is the filter's answer, so its
+    /// candidates get the base check alone.
     /// Returns whether the visits were in hierarchical order — every path
     /// but the planned one.
-    fn walk<'a>(&'a self, req: &SearchRequest, mut f: impl FnMut(&'a Entry)) -> bool {
-        let visit = |e: &'a Entry| {
-            if req.filter().matches(e) {
-                f(e);
-            }
-        };
+    fn walk<'a>(&'a self, req: &SearchRequest, f: impl FnMut(&'a Entry)) -> bool {
+        let matches = |e: &&'a Entry| req.filter().matches(e);
         match req.scope() {
-            Scope::Base => self.get(req.base()).into_iter().for_each(visit),
-            Scope::OneLevel => self.children(req.base()).for_each(visit),
+            Scope::Base => self.get(req.base()).into_iter().filter(matches).for_each(f),
+            Scope::OneLevel => self.children(req.base()).filter(matches).for_each(f),
             Scope::Subtree => {
                 let indexes = &self.entries.indexes;
                 match index::plan(req.filter(), &|p| indexes.lists_for_predicate(p)) {
-                    None => self.subtree(req.base()).for_each(visit),
-                    Some(cands) => {
-                        cands
+                    None => self.subtree(req.base()).filter(matches).for_each(f),
+                    Some(plan) => {
+                        plan.ids
                             .iter()
                             .map(|&id| self.entries.get(id))
                             .filter(|e| req.base().is_ancestor_or_self_of(e.dn()))
-                            .for_each(visit);
+                            .filter(|e| plan.exact || matches(e))
+                            .for_each(f);
                         return false;
                     }
                 }

@@ -82,6 +82,7 @@ fn apply(d: &mut DitStore, op: &Op) -> Option<ChangeRecord> {
         Op::Add { id, dept, serial, n } => d.apply(UpdateOp::Add(
             Entry::new(dn_of(*id))
                 .with("objectclass", "person")
+                .with("cn", &format!("p{id}"))
                 .with("dept", &dept.to_string())
                 .with("serialNumber", &format!("{serial:06}"))
                 .with("n", SPELLINGS[*n]),
@@ -120,6 +121,26 @@ fn subtree(filter: &str) -> SearchRequest {
         Scope::Subtree,
         Filter::parse(filter).expect("valid filter"),
     )
+}
+
+/// A search region: the suffix, the root, an entry below the suffix, or a
+/// base outside it, under each of the three scopes.
+fn region() -> impl Strategy<Value = (Dn, Scope)> {
+    let base = prop_oneof![
+        Just("o=xyz".to_owned()),
+        Just(String::new()),
+        prop_oneof![Just(0), Just(1), Just(12), Just(3)].prop_map(|id| format!("cn=p{id},o=xyz")),
+        Just("cn=p1,o=elsewhere".to_owned()),
+    ];
+    let scope = prop_oneof![Just(Scope::Base), Just(Scope::OneLevel), Just(Scope::Subtree)];
+    (base, scope).prop_map(|(base, scope)| (base.parse().expect("valid dn"), scope))
+}
+
+/// [`queries`] as they are — subtree searches of the suffix, which the
+/// index plans — and then their filters over another region.
+fn queries_and((base, scope): &(Dn, Scope)) -> Vec<SearchRequest> {
+    let rebased = |q: SearchRequest| SearchRequest::new(base.clone(), *scope, q.filter().clone());
+    queries().into_iter().chain(queries().into_iter().map(rebased)).collect()
 }
 
 fn queries() -> Vec<SearchRequest> {
@@ -163,10 +184,19 @@ fn queries() -> Vec<SearchRequest> {
         "(ghost=*)",
         "(&(n=*)(dept=2))",
         "(&(dept=*)(n>=500)(!(n=abc)))",
+        // More than an `initial`: the prefix bounds the scan (`p1` lists
+        // `p13`, `p102`), the rest is verified — alone, beside an exact
+        // conjunct, and as one branch of an `Or`.
+        "(cn=p1*2)",
+        "(serialNumber=0*1*)",
+        "(&(dept=2)(cn=p*0))",
+        "(|(dept=1)(cn=p1*2))",
     ];
     filters.iter().map(|f| subtree(f)).collect()
 }
 
+/// The reference the index is checked against: it evaluates the request
+/// on every entry, and must never take the exact-plan shortcut.
 fn brute_force(d: &DitStore, req: &SearchRequest) -> Vec<Dn> {
     d.iter().filter(|e| req.matches(e)).map(|e| e.dn().clone()).collect()
 }
@@ -175,32 +205,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Indexed search results equal a brute-force scan — same entries,
-    /// same (hierarchical) order — after any op mix, reloads included.
+    /// same (hierarchical) order — after any op mix, reloads included, at
+    /// the suffix and in a drawn region.
     #[test]
-    fn search_equals_brute_force(ops in ops(60)) {
+    fn search_equals_brute_force(ops in ops(60), region in region()) {
         let mut d = fresh();
         for o in &ops {
             apply(&mut d, o);
         }
-        for req in queries() {
+        for req in queries_and(&region) {
             prop_assert_eq!(d.search_dns(&req), brute_force(&d, &req), "index/scan mismatch for {}", req);
         }
     }
 
     /// Streaming visits exactly the brute-force matches, each once.
     #[test]
-    fn for_each_match_is_exact(ops in ops(60)) {
+    fn for_each_match_is_exact(ops in ops(60), region in region()) {
         let mut d = fresh();
         for o in &ops {
             apply(&mut d, o);
         }
-        for req in queries() {
+        for req in queries_and(&region) {
             let mut got: Vec<Dn> = Vec::new();
             d.for_each_match(&req, |e| got.push(e.dn().clone()));
             got.sort();
             let mut want = brute_force(&d, &req);
             want.sort();
-            prop_assert_eq!(got, want, "stream mismatch for {}", req.filter());
+            prop_assert_eq!(got, want, "stream mismatch for {}", req);
         }
     }
 

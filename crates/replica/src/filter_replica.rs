@@ -12,7 +12,8 @@
 //! writer (never rebuilt from the entry store). A query is answered by
 //! compiling its filter into an index plan, intersecting (galloping) with
 //! the winning stored filter's list, and verifying residual predicates
-//! only on the candidates.
+//! only on the candidates — none at all when the plan is exact: then the
+//! intersection is the answer, and only the query's region is checked.
 //!
 //! # Stored-filter index
 //!
@@ -52,7 +53,6 @@ use fbdr_resync::{
     SyncAction, SyncDriver, SyncError, SyncMaster, SyncTransport, SyncTraffic,
 };
 use parking_lot::{Mutex, RwLock};
-use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -416,6 +416,9 @@ struct AnswerMetrics {
     plan_candidates: Arc<Histogram>,
     /// `fbdr_replica_plan_indexed_total` — answers served via an index plan.
     plan_indexed: Arc<Counter>,
+    /// `fbdr_replica_plan_exact_total` — of those, answers whose plan was
+    /// exact, so no candidate was verified against the filter.
+    plan_exact: Arc<Counter>,
     /// `fbdr_replica_plan_scan_total` — answers that fell back to scanning
     /// the stored filter's posting list.
     plan_scan: Arc<Counter>,
@@ -489,8 +492,9 @@ impl FilterReplica {
     /// [`AtomicReplicaStats::bound`]), every
     /// [`try_answer`](FilterReplica::try_answer) is timed into
     /// `fbdr_replica_try_answer_ns`, index maintenance is timed into
-    /// `fbdr_replica_index_build_ns`, plan selectivity and the filter
-    /// index's candidates per lookup
+    /// `fbdr_replica_index_build_ns`, plan selectivity, exact plans
+    /// (`fbdr_replica_plan_exact_total`) and the filter index's candidates
+    /// per lookup
     /// (`fbdr_replica_filter_index_candidates`, and
     /// `fbdr_replica_filter_index_fallback_total` for queries it cannot
     /// prune) are counted, the embedded [`ContainmentEngine`]
@@ -509,6 +513,7 @@ impl FilterReplica {
                     index_build_ns: reg.histogram("fbdr_replica_index_build_ns"),
                     plan_candidates: reg.histogram("fbdr_replica_plan_candidates"),
                     plan_indexed: reg.counter("fbdr_replica_plan_indexed_total"),
+                    plan_exact: reg.counter("fbdr_replica_plan_exact_total"),
                     plan_scan: reg.counter("fbdr_replica_plan_scan_total"),
                     filter_index_candidates: reg
                         .histogram("fbdr_replica_filter_index_candidates"),
@@ -1161,33 +1166,39 @@ impl FilterReplica {
 
     /// Evaluates a query restricted to one stored filter's posting list,
     /// through the snapshot index: the filter is compiled to a candidate
-    /// plan, intersected (galloping) with the filter's list, and only the
-    /// surviving candidates are verified against the full query. Falls
-    /// back to scanning the posting list when the filter is unplannable.
+    /// plan and intersected (galloping) with the filter's list. An exact
+    /// plan ([`fbdr_dit::index::Plan::exact`]) leaves the query's matches
+    /// among the filter's entries, and only the query's region is checked
+    /// on them; an inexact plan's survivors are verified against the full
+    /// query. Falls back to scanning the posting list when the filter is
+    /// unplannable.
     fn evaluate_indexed(
         &self,
         snap: &ContentSnapshot,
         query: &SearchRequest,
         ids: &[u32],
     ) -> Vec<Entry> {
-        let cands: Cow<'_, [u32]> = match snap.index.plan(query.filter()) {
-            Some(plan) => {
-                let sel = posting::intersect(&plan, ids);
-                if let Some(m) = &self.metrics {
-                    m.plan_indexed.inc();
-                    m.plan_candidates.record(sel.len() as u64);
-                }
-                Cow::Owned(sel)
+        let Some(plan) = snap.index.plan(query.filter()) else {
+            if let Some(m) = &self.metrics {
+                m.plan_scan.inc();
+                m.plan_candidates.record(ids.len() as u64);
             }
-            None => {
-                if let Some(m) = &self.metrics {
-                    m.plan_scan.inc();
-                    m.plan_candidates.record(ids.len() as u64);
-                }
-                Cow::Borrowed(ids)
-            }
+            return collect_matching(query, snap.entries_of(ids));
         };
-        collect_matching(query, snap.entries_of(&cands))
+        let sel = posting::intersect(&plan.ids, ids);
+        if let Some(m) = &self.metrics {
+            m.plan_indexed.inc();
+            m.plan_candidates.record(sel.len() as u64);
+            if plan.exact {
+                m.plan_exact.inc();
+            }
+        }
+        if plan.exact {
+            let in_region = |e: &&Entry| query.scope().contains(query.base(), e.dn());
+            sorted_answer(query, snap.entries_of(&sel).filter(in_region))
+        } else {
+            collect_matching(query, snap.entries_of(&sel))
+        }
     }
 
     /// Answers a query by brute-force scan — the containment gate against
@@ -1197,7 +1208,8 @@ impl FilterReplica {
     /// benchmarked and property-tested against. Decides as
     /// [`try_answer`](FilterReplica::try_answer) does among the stored
     /// filters but records no replica statistics and no hit counts, and
-    /// does not consult the query cache.
+    /// does not consult the query cache. Being the reference, it verifies
+    /// every entry and never takes the exact-plan shortcut.
     pub fn try_answer_scan(&self, query: &SearchRequest) -> Option<Vec<Entry>> {
         let prepared = PreparedQuery::borrowed(query);
         let snap = self.snapshot();
@@ -1286,15 +1298,21 @@ impl FilterReplica {
 }
 
 /// Verifies candidate entries — a stored filter's, looked up by id, or a
-/// cached query's frozen result — against the full query, sorts the
-/// survivors hierarchically — the order the master answers in, so a hit
-/// and a miss return the same sequence — and projects the selected
-/// attributes; projection runs only on entries that made the answer.
+/// cached query's frozen result — against the full query and answers
+/// with the survivors ([`sorted_answer`]).
 fn collect_matching<'a>(
     query: &SearchRequest,
     candidates: impl Iterator<Item = &'a Entry>,
 ) -> Vec<Entry> {
-    let mut hits: Vec<&Entry> = candidates.filter(|e| query.matches(e)).collect();
+    sorted_answer(query, candidates.filter(|e| query.matches(e)))
+}
+
+/// Sorts a query's matches hierarchically — the order the master answers
+/// in, so a hit and a miss return the same sequence — and projects the
+/// selected attributes; projection runs only on entries that made the
+/// answer.
+fn sorted_answer<'a>(query: &SearchRequest, hits: impl Iterator<Item = &'a Entry>) -> Vec<Entry> {
+    let mut hits: Vec<&Entry> = hits.collect();
     hits.sort_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
     hits.into_iter().map(|e| query.attrs().project(e)).collect()
 }
@@ -2312,6 +2330,41 @@ mod tests {
         assert_eq!(reg.histogram("fbdr_replica_filter_index_candidates").count(), 6);
         assert_eq!(reg.counter("fbdr_replica_filter_index_fallback_total").get(), 1);
     }
+
+    /// `fbdr_replica_plan_exact_total` counts the hits answered without
+    /// verifying a candidate: equality, prefix, range and a conjunction of
+    /// them. A conjunct that does not plan (presence), a pattern with more
+    /// than an `initial`, or a `Not` leaves the plan a bound, verified as
+    /// before. Either way the answer is the scan reference's.
+    #[test]
+    fn the_exact_plan_counter_counts_the_hits_that_skip_verification() {
+        let mut m = master();
+        let obs = Obs::new();
+        let r = FilterReplica::with_obs(0, obs.clone());
+        for f in ["(serialNumber=0456*)", "(departmentNumber=2406)", "(serialNumber>=045600)"] {
+            r.install_filter(&mut m, root_query(f)).unwrap();
+        }
+        let hit = |f: &str| -> Vec<String> {
+            let q = root_query(f);
+            let answer = r.try_answer(&q).unwrap_or_else(|| panic!("{f} is a hit"));
+            assert_eq!(Some(&answer), r.try_answer_scan(&q).as_ref(), "{f}");
+            answer.iter().map(|e| e.dn().to_string()).collect()
+        };
+        let (a, b) = ("cn=a,c=us,o=xyz", "cn=b,c=us,o=xyz");
+        let (c, d) = ("cn=c,c=in,o=xyz", "cn=d,c=in,o=xyz");
+        let reg = obs.registry();
+        let exact = || reg.counter("fbdr_replica_plan_exact_total").get();
+        assert_eq!(hit("(serialNumber=045612)"), [b]);
+        assert_eq!(hit("(serialNumber=04561*)"), [a, b]);
+        assert_eq!(hit("(serialNumber>=045612)"), [c, d, b]);
+        assert_eq!(hit("(&(departmentNumber=2406)(serialNumber=045612))"), [b]);
+        assert_eq!(exact(), 4);
+        assert_eq!(hit("(&(departmentNumber=2406)(objectclass=*))"), [a, b]);
+        assert_eq!(hit("(&(departmentNumber=2406)(cn=*b*))"), [b]);
+        assert_eq!(hit("(&(departmentNumber=2406)(!(cn=a)))"), [b]);
+        assert_eq!(exact(), 4);
+        assert_eq!(reg.counter("fbdr_replica_plan_indexed_total").get(), 7);
+    }
 }
 
 #[cfg(test)]
@@ -2324,7 +2377,7 @@ mod proptests {
     use super::tests::{dn, master, person};
     use super::*;
     use fbdr_dit::{Modification, UpdateOp};
-    use fbdr_ldap::{Filter, Scope};
+    use fbdr_ldap::{Dn, Filter, Scope};
     use proptest::prelude::*;
 
     /// Spec of one generated entry; the vector index names it. The tag
@@ -2335,10 +2388,13 @@ mod proptests {
     /// non-integers that sort around them as text.
     const SPELLINGS: &[&str] = &["0500", "500", "+500", "499", "501", "5oo", "abc"];
 
+    /// Groups the entries are dealt to: entry `i` is `cn=e{i},ou=g{i % 3},o=x`.
+    const GROUPS: usize = 3;
+
     fn build_entry(i: usize, spec: &EntrySpec) -> Entry {
         let (dept, sn, has_mail, tag) = spec;
         let spelling = |k: u8| SPELLINGS[k as usize % SPELLINGS.len()];
-        let mut e = Entry::new(format!("cn=e{i},o=x").parse().unwrap())
+        let mut e = Entry::new(format!("cn=e{i},ou=g{},o=x", i % GROUPS).parse().unwrap())
             .with("objectclass", "person")
             .with("dept", &format!("{}", dept % 5))
             .with("sn", &format!("{}", 100_000 + (*sn as u32 % 40)))
@@ -2390,7 +2446,7 @@ mod proptests {
             Just("n".to_owned()),
             Just("ghost".to_owned()),
         ];
-        (attr, 0u8..8, 0u8..7).prop_map(|(a, v, kind)| {
+        (attr, 0u8..8, 0u8..8).prop_map(|(a, v, kind)| {
             let val = match a.as_str() {
                 "n" => SPELLINGS[v as usize % SPELLINGS.len()].to_owned(),
                 "dept" => format!("{}", v % 5),
@@ -2414,6 +2470,13 @@ mod proptests {
                     let cut = val.len().min(2);
                     format!("({a}=*{}*)", &val[val.len() - cut..])
                 }
+                6 => {
+                    // `initial*final`: the prefix plans, inexactly — the
+                    // final part is verified.
+                    let (head, tail) = val.split_at(val.len().min(2));
+                    let last = tail.chars().last().map_or(String::new(), String::from);
+                    format!("({a}={head}*{last})")
+                }
                 _ => format!("(!({a}={val}))"),
             };
             Filter::parse(&text).expect("generated filter parses")
@@ -2427,6 +2490,14 @@ mod proptests {
             1 => Filter::or(leaves),
             _ => leaves.into_iter().next().expect("non-empty"),
         })
+    }
+
+    /// A query region over the two-level layout: the root, the suffix, a
+    /// group, one entry, or a base outside the suffix, under each scope.
+    fn region() -> impl Strategy<Value = (Dn, Scope)> {
+        const BASES: &[&str] = &["", "o=x", "ou=g1,o=x", "cn=e4,ou=g1,o=x", "ou=g1,o=y"];
+        let scope = prop_oneof![Just(Scope::Base), Just(Scope::OneLevel), Just(Scope::Subtree)];
+        (0..BASES.len(), scope).prop_map(|(b, scope)| (dn(BASES[b]), scope))
     }
 
     /// Scan oracle: same verification/order/projection tail, no plan.
@@ -2445,6 +2516,8 @@ mod proptests {
                 prop::collection::vec((0u8..8, 0u8..8, any::<bool>(), 0u8..8), 0..40),
             ],
             filters in prop::collection::vec(filter(), 1..6),
+            // The root-based subtree query always; beside it, drawn ones.
+            regions in prop::collection::vec(region(), 1..4),
             doomed in prop::collection::vec(any::<bool>(), 0..40),
             // Indexes `SPELLINGS`; past its end the entry stays as it is.
             respelled in prop::collection::vec(0usize..=SPELLINGS.len(), 0..40),
@@ -2456,11 +2529,18 @@ mod proptests {
                 .map(|f| Filter::parse(f).expect("valid filter"))
                 .chain(filters)
                 .collect();
-            for f in &filters {
-                let q = SearchRequest::from_root(f.clone());
-                let indexed = r.evaluate_indexed(&snap, &q, &ids);
-                let scanned = oracle(&snap, &q, &ids);
-                prop_assert_eq!(&indexed, &scanned, "epoch 1, filter {}", f);
+            let queries: Vec<SearchRequest> = filters
+                .iter()
+                .flat_map(|f| {
+                    std::iter::once((Dn::root(), Scope::Subtree))
+                        .chain(regions.iter().cloned())
+                        .map(move |(base, scope)| SearchRequest::new(base, scope, f.clone()))
+                })
+                .collect();
+            for q in &queries {
+                let indexed = r.evaluate_indexed(&snap, q, &ids);
+                let scanned = oracle(&snap, q, &ids);
+                prop_assert_eq!(&indexed, &scanned, "epoch 1, {}", q);
             }
 
             // Entries leave and change between epochs: through the writer
@@ -2487,11 +2567,10 @@ mod proptests {
             let ids2 = sf.ids.to_vec();
             work.filters[0] = sf;
             let snap2 = work.into_snapshot();
-            for f in &filters {
-                let q = SearchRequest::from_root(f.clone());
-                let indexed = r.evaluate_indexed(&snap2, &q, &ids2);
-                let scanned = oracle(&snap2, &q, &ids2);
-                prop_assert_eq!(&indexed, &scanned, "epoch 2, filter {}", f);
+            for q in &queries {
+                let indexed = r.evaluate_indexed(&snap2, q, &ids2);
+                let scanned = oracle(&snap2, q, &ids2);
+                prop_assert_eq!(&indexed, &scanned, "epoch 2, {}", q);
             }
         }
     }

@@ -20,7 +20,7 @@
 //! from the entry store.
 
 use crate::persistent::PMap;
-use fbdr_dit::index::{self, Key, TextKey};
+use fbdr_dit::index::{self, Key, Plan, TextKey};
 use fbdr_dit::posting;
 use fbdr_ldap::{Entry, Filter, Predicate};
 use std::borrow::Cow;
@@ -103,8 +103,9 @@ impl SnapshotIndex {
 
     /// Compiles a filter into a candidate posting list by the shared
     /// rules ([`index::plan`]): a sorted superset of the ids of the
-    /// entries matching `filter`, `None` when the caller must scan.
-    pub(crate) fn plan<'a>(&'a self, filter: &Filter) -> Option<Cow<'a, [u32]>> {
+    /// entries matching `filter`, and whether it is exactly that set;
+    /// `None` when the caller must scan.
+    pub(crate) fn plan<'a>(&'a self, filter: &Filter) -> Option<Plan<'a>> {
         index::plan(filter, &|p| self.lists_for_predicate(p))
     }
 
@@ -161,7 +162,7 @@ mod tests {
     }
 
     fn plan_of(ix: &SnapshotIndex, f: &str) -> Option<Vec<u32>> {
-        ix.plan(&Filter::parse(f).unwrap()).map(|c| c.into_owned())
+        ix.plan(&Filter::parse(f).unwrap()).map(|p| p.ids.into_owned())
     }
 
     #[test]

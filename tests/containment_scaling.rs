@@ -102,11 +102,12 @@ fn an_unindexable_query_checks_every_filter_and_decides_the_same() {
     assert_eq!(hits.iter().sum::<u64>(), 2);
 }
 
-/// Verifying an answer costs the entries the query's *plan* selects, not
-/// the entries the containing filter holds (DESIGN §9) — a count, so it
-/// is gated here and not timed. Candidates evaluated for a point query and
-/// for a no-initial substring, at `held` entries under each of a prefix
-/// and a presence filter.
+/// Answering costs the entries the query's *plan* selects, not the
+/// entries the containing filter holds (DESIGN §9) — a count, so it is
+/// gated here and not timed. Candidates selected for a point query (its
+/// plan is exact: the one candidate is read, not verified) and for a
+/// no-initial substring (every one verified), at `held` entries under
+/// each of a prefix and a presence filter.
 fn plan_candidates(held: usize) -> [u64; 2] {
     let mut master = SyncMaster::new();
     master.dit_mut().add_suffix(dn("o=xyz"));
