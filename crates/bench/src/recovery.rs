@@ -25,12 +25,12 @@
 
 use crate::Scale;
 use fbdr_dit::{Modification, UpdateOp};
-use fbdr_ldap::{Dn, Entry, Filter, Scope, SearchRequest};
+use fbdr_ldap::{Entry, Filter, Scope, SearchRequest};
 use fbdr_resync::reconcile::entry_item_hash;
 use fbdr_resync::{
-    ReSyncControl, ReconcileItem, RetryConfig, ShardId, SyncDriver, SyncMaster, SyncTraffic,
+    ReSyncControl, ReplicaContent, RetryConfig, ShardId, SyncAction, SyncDriver, SyncMaster,
+    SyncTraffic,
 };
-use std::collections::{BTreeMap, HashMap};
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -141,7 +141,7 @@ fn apply_divergence(m: &mut SyncMaster, n: usize, entries: usize) -> usize {
     touched.len()
 }
 
-fn traffic_of(actions: &[fbdr_resync::SyncAction]) -> SyncTraffic {
+fn traffic_of(actions: &[SyncAction]) -> SyncTraffic {
     let mut t = SyncTraffic::default();
     for a in actions {
         t.count(a);
@@ -169,32 +169,19 @@ fn measure_rung(cfg: &RecoveryConfig, n: usize) -> RecoveryRung {
     held.sort_by(|a, b| a.dn().cmp(b.dn()));
     let diverged_entries = apply_divergence(&mut m, n, cfg.entries);
 
-    let items: Vec<ReconcileItem> = held
-        .iter()
-        .enumerate()
-        .map(|(id, e)| ReconcileItem { hash: entry_item_hash(e), id: id as u32 })
-        .collect();
-    let by_dn: HashMap<&Dn, u32> =
-        held.iter().enumerate().map(|(id, e)| (e.dn(), id as u32)).collect();
-    let resolve = |dn: &Dn| by_dn.get(dn).copied();
-
     let mut driver = SyncDriver::new(RetryConfig::default());
     let outcome = driver
-        .reconcile(&mut m, ShardId::ZERO, &request, &items, &resolve)
+        .reconcile(&mut m, ShardId::ZERO, &request, &|| held.clone())
         .expect("reconcile exchange");
 
     // Refuse to price a wrong recovery: applying the outcome to the held
     // content must reproduce the master's current evaluation exactly.
-    let mut recovered: BTreeMap<&Dn, &Entry> = held.iter().map(|e| (e.dn(), e)).collect();
-    for &id in &outcome.delete_ids {
-        recovered.remove(held[id as usize].dn());
-    }
-    for e in &outcome.upserts {
-        recovered.insert(e.dn(), e);
-    }
+    let mut recovered = ReplicaContent::new();
+    recovered.apply_all(&held.into_iter().map(SyncAction::Add).collect::<Vec<_>>());
+    recovered.apply_all(&outcome.actions);
     let mut want = m.dit().search(&request);
     want.sort_by(|a, b| a.dn().cmp(b.dn()));
-    let got: Vec<&Entry> = recovered.values().copied().collect();
+    let got: Vec<&Entry> = recovered.iter().collect();
     assert_eq!(got.len(), want.len(), "reconcile diverged at N={n}: entry count");
     for (g, w) in got.iter().zip(want.iter()) {
         assert_eq!(

@@ -48,6 +48,10 @@ struct EngineCounters {
     compiled: Arc<Counter>,
     skipped_never: Arc<Counter>,
     general: Arc<Counter>,
+    /// General-path checks that came back [`Containment::Unknown`] and
+    /// were answered as "not contained" — exported only, not part of
+    /// [`EngineStats`].
+    unknown: Arc<Counter>,
 }
 
 impl Default for EngineCounters {
@@ -57,6 +61,7 @@ impl Default for EngineCounters {
             compiled: Arc::new(Counter::new()),
             skipped_never: Arc::new(Counter::new()),
             general: Arc::new(Counter::new()),
+            unknown: Arc::new(Counter::new()),
         }
     }
 }
@@ -68,6 +73,7 @@ impl EngineCounters {
             compiled: registry.counter("fbdr_containment_compiled_total"),
             skipped_never: registry.counter("fbdr_containment_skipped_never_total"),
             general: registry.counter("fbdr_containment_general_total"),
+            unknown: registry.counter("fbdr_containment_unknown_total"),
         }
     }
 
@@ -85,6 +91,7 @@ impl EngineCounters {
         self.compiled.reset();
         self.skipped_never.reset();
         self.general.reset();
+        self.unknown.reset();
     }
 }
 
@@ -286,10 +293,11 @@ impl ContainmentEngine {
             }
         } else {
             self.counters.general.inc();
-            (
-                "general",
-                filter_contained(q.request.filter(), s.request.filter()) == Containment::Yes,
-            )
+            let verdict = filter_contained(q.request.filter(), s.request.filter());
+            if verdict == Containment::Unknown {
+                self.counters.unknown.inc();
+            }
+            ("general", verdict == Containment::Yes)
         };
         if let (Some(h), Some(t)) = (&self.check_hist, start) {
             h.record_since(t);
@@ -388,6 +396,24 @@ mod tests {
         let s = prep("o=xyz", "(|(sn=a)(sn=b)(sn=c))");
         assert!(e.filter_contained(&q, &s));
         assert_eq!(e.stats().general, 1);
+    }
+
+    #[test]
+    fn an_undecided_general_check_is_counted() {
+        let obs = Obs::new();
+        let e = ContainmentEngine::with_obs(obs.clone());
+        let unknown = || obs.registry().counter("fbdr_containment_unknown_total").get();
+        // Decided by the general procedure: no count.
+        let q = prep("o=xyz", "(|(sn=a)(sn=b))");
+        assert!(e.filter_contained(&q, &prep("o=xyz", "(|(sn=a)(sn=b)(sn=c))")));
+        assert_eq!((e.stats().general, unknown()), (1, 0));
+        // A value strictly between "a" and "a0": sat.rs finds no witness
+        // and no proof, so the check is undecided — a miss, counted.
+        let q = prep("o=xyz", "(&(sn=*)(!(sn<=a)))");
+        assert!(!e.filter_contained(&q, &prep("o=xyz", "(sn>=a0)")));
+        assert_eq!((e.stats().general, unknown()), (2, 1));
+        e.reset_stats();
+        assert_eq!(unknown(), 0);
     }
 
     #[test]

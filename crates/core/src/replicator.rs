@@ -5,8 +5,7 @@ use fbdr_dit::{ChangeRecord, DitError, UpdateOp};
 use fbdr_ldap::{Entry, SearchRequest};
 use fbdr_replica::{FilterReplica, ReplicaStats};
 use fbdr_resync::{
-    DriverStats, ReconcileConfig, RetryConfig, ShardCoordinator, ShardedMaster, SyncError,
-    SyncTraffic,
+    DriverStats, RetryConfig, ShardCoordinator, ShardedMaster, SyncError, SyncTraffic,
 };
 use fbdr_selection::FilterSelector;
 use serde::{Deserialize, Serialize};
@@ -89,10 +88,9 @@ impl Replicator {
         self
     }
 
-    /// Overrides the per-shard retry and reconcile policies.
-    pub fn with_config(mut self, retry: RetryConfig, reconcile: ReconcileConfig) -> Self {
-        self.coordinator =
-            ShardCoordinator::with_config(self.master.map().clone(), retry, reconcile);
+    /// Overrides the per-shard retry policy.
+    pub fn with_config(mut self, retry: RetryConfig) -> Self {
+        self.coordinator = ShardCoordinator::with_config(self.master.map().clone(), retry);
         self
     }
 

@@ -367,9 +367,8 @@ mod tests {
         let mut driver = SyncDriver::with_clock(RetryConfig::default(), clock);
 
         // An empty replica: everything the master holds is a definite miss.
-        let outcome = driver.reconcile(&mut link, ShardId::ZERO, &req(), &[], &|_| None).unwrap();
-        assert_eq!(outcome.upserts.len(), 2);
-        assert!(outcome.delete_ids.is_empty());
+        let outcome = driver.reconcile(&mut link, ShardId::ZERO, &req(), &Vec::new).unwrap();
+        assert_eq!((outcome.cost.shipped_entries, outcome.cost.deletes), (2, 0));
         assert_eq!(driver.stats().reconciliations, 1);
         assert_eq!(driver.stats().recovered, 1);
         assert_eq!(link.faults_injected(), 1);

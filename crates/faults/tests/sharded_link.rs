@@ -11,10 +11,9 @@
 use fbdr_dit::UpdateOp;
 use fbdr_faults::{FaultKind, FaultPlan, FaultyLink, SimClock};
 use fbdr_ldap::{Dn, Entry, Filter, Scope, SearchRequest};
-use fbdr_resync::reconcile::ReconcileItem;
 use fbdr_resync::{
-    ReSyncControl, ReconcileConfig, ReplicaContent, RetryConfig, ShardContent, ShardCoordinator,
-    ShardId, ShardMap, ShardStatus, ShardedMaster, SyncTransport,
+    ReSyncControl, ReplicaContent, RetryConfig, ShardCoordinator, ShardId, ShardMap, ShardStatus,
+    ShardedMaster, SyncTransport,
 };
 
 const COUNTRIES: usize = 2;
@@ -68,23 +67,10 @@ fn snappy_retry() -> RetryConfig {
     }
 }
 
-/// The recovery ladder here never reaches reconcile, so the content view
-/// is never consulted.
-struct NoContent;
-
-impl ShardContent for NoContent {
-    fn items(&self, _shard: ShardId) -> Vec<ReconcileItem> {
-        Vec::new()
-    }
-    fn resolve(&self, _shard: ShardId, _dn: &Dn) -> Option<u32> {
-        None
-    }
-    fn dn_of(&self, _shard: ShardId, _id: u32) -> Option<Dn> {
-        None
-    }
-    fn held_dns(&self, _shard: ShardId) -> Vec<Dn> {
-        Vec::new()
-    }
+/// The held entries, as the recovery ladder reads them (here it never
+/// reaches reconcile, so they are never read).
+fn held(content: &ReplicaContent) -> impl Fn() -> Vec<Entry> + '_ {
+    || content.iter().cloned().collect()
 }
 
 #[test]
@@ -98,8 +84,7 @@ fn faulty_sharded_transport_heals_per_shard() {
         .at(3, FaultKind::DropResponse)
         .build();
     let mut link = FaultyLink::new(sharded(), plan, SimClock::new());
-    let mut coord =
-        ShardCoordinator::with_config(link.master().map().clone(), snappy_retry(), ReconcileConfig::default());
+    let mut coord = ShardCoordinator::with_config(link.master().map().clone(), snappy_retry());
     for id in 0..4 {
         link.master_mut().apply(UpdateOp::Add(entry_of(id))).unwrap();
     }
@@ -115,7 +100,7 @@ fn faulty_sharded_transport_heals_per_shard() {
     for id in 4..8 {
         link.master_mut().apply(UpdateOp::Add(entry_of(id))).unwrap();
     }
-    let outcomes = coord.sync_filter(&mut link, &req(), &mut composite, &NoContent);
+    let outcomes = coord.sync_filter(&mut link, &req(), &mut composite, &held(&content));
     let stale: Vec<ShardId> = outcomes
         .iter()
         .filter(|o| o.status == ShardStatus::Stale)
@@ -137,7 +122,7 @@ fn faulty_sharded_transport_heals_per_shard() {
 
     // Faults over: the kept cookie resumes by replay — the missed batch
     // arrives, with no reinstall and no reconciliation.
-    let outcomes = coord.sync_filter(&mut link, &req(), &mut composite, &NoContent);
+    let outcomes = coord.sync_filter(&mut link, &req(), &mut composite, &held(&content));
     for out in &outcomes {
         assert_eq!(out.status, ShardStatus::Updated);
         content.apply_all(&out.actions);
@@ -176,11 +161,7 @@ fn crash_restart_of_a_sharded_master_preserves_every_shards_sessions() {
     // every cookie resumes incrementally.
     let plan = FaultPlan::builder(3).at(2, FaultKind::CrashRestart).build();
     let mut link = FaultyLink::new(sharded(), plan, SimClock::new());
-    let mut coord = ShardCoordinator::with_config(
-        link.master().map().clone(),
-        snappy_retry(),
-        ReconcileConfig::default(),
-    );
+    let mut coord = ShardCoordinator::with_config(link.master().map().clone(), snappy_retry());
     for id in 0..4 {
         link.master_mut().apply(UpdateOp::Add(entry_of(id))).unwrap();
     }
@@ -191,7 +172,7 @@ fn crash_restart_of_a_sharded_master_preserves_every_shards_sessions() {
     for id in 4..8 {
         link.master_mut().apply(UpdateOp::Add(entry_of(id))).unwrap();
     }
-    let outcomes = coord.sync_filter(&mut link, &req(), &mut composite, &NoContent);
+    let outcomes = coord.sync_filter(&mut link, &req(), &mut composite, &held(&content));
     for out in &outcomes {
         assert_eq!(out.status, ShardStatus::Updated, "sessions must survive the crash");
         content.apply_all(&out.actions);

@@ -46,11 +46,10 @@ use fbdr_containment::{ContainmentEngine, EngineStats, PreparedQuery};
 use fbdr_dit::posting;
 use fbdr_ldap::{AttrSelection, Entry, SearchRequest};
 use fbdr_obs::{event, Counter, Histogram, Obs};
-use fbdr_resync::reconcile::entry_item_hash;
 use fbdr_resync::{
-    Clock, CompositeCookie, DnTable, NotifyBatch, ReconcileItem,
-    RoutingIndex, ShardContent, ShardCoordinator, ShardId, ShardMap, ShardOutcome, ShardStatus,
-    SyncAction, SyncDriver, SyncError, SyncMaster, SyncTransport, SyncTraffic,
+    Clock, CompositeCookie, DnTable, NotifyBatch, RoutingIndex, ShardCoordinator, ShardId,
+    ShardMap, ShardOutcome, ShardStatus, SyncAction, SyncDriver, SyncError, SyncMaster,
+    SyncTransport, SyncTraffic,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashSet, VecDeque};
@@ -95,14 +94,17 @@ struct StoredFilter {
 /// concurrent writer publishing epoch `n+1` never disturbs a reader still
 /// answering from epoch `n`.
 ///
-/// Nothing in a snapshot is copied whole to make its successor: the entry
-/// store and the index share with the previous epoch every chunk, map
-/// node and posting list the cycle between them did not touch (see the
-/// module documentation), and a stored filter is three `Arc`s. Ids are
-/// resolved from DNs only by the writer, so the DN → id table is not part
-/// of the read view ([`WriterState::table`]). The stored-filter index is
-/// shared by pointer among all epochs of one filter generation.
-#[derive(Debug)]
+/// The writer works on a clone of the current snapshot and publishes it
+/// as the next epoch. Nothing is copied whole to make that clone: it
+/// copies two vectors of `Arc`s (stored filters, entry chunks) and the
+/// index's root pointer, and from there the first touch of a chunk, index
+/// node or posting list copies it and every later touch in the cycle
+/// edits it in place (see the module documentation). A filter is edited
+/// on a clone that is put back ([`apply_actions`]). Ids are resolved from
+/// DNs only by the writer, so the DN → id table is not part of the read
+/// view ([`WriterState::table`]). The stored-filter index is shared by
+/// pointer among all epochs of one filter generation.
+#[derive(Debug, Clone)]
 struct ContentSnapshot {
     /// Monotonic generation number; bumped by every published mutation.
     epoch: u64,
@@ -173,50 +175,6 @@ impl ContentSnapshot {
     fn entries_of<'a>(&'a self, ids: &'a [u32]) -> impl Iterator<Item = &'a Entry> {
         ids.iter().filter_map(|&id| self.entry(id))
     }
-}
-
-/// Registers a prepared query under `id` without abstracting it again.
-fn register_prepared(index: &mut RoutingIndex, id: u32, q: &PreparedQuery<'_>) {
-    index.register_prepared(id, q.template(), q.values(), q.request().base());
-}
-
-/// The writer's mutable working copy of a snapshot's content, threaded
-/// through every mutator. Made from the previous snapshot by copying two
-/// vectors of `Arc`s (stored filters, entry chunks) and the index's root
-/// pointer; from there the first touch of a chunk, index node or posting
-/// list copies it and every later touch in the cycle edits it in place.
-/// A filter is edited on a clone that is put back ([`apply_actions`]).
-struct Working {
-    epoch: u64,
-    filters: Vec<StoredFilter>,
-    entries: SlotVec<Entry>,
-    live: usize,
-    index: SnapshotIndex,
-    filter_index: Arc<OnceLock<RoutingIndex>>,
-}
-
-impl Working {
-    fn from_snapshot(snap: &ContentSnapshot) -> Self {
-        Working {
-            epoch: snap.epoch,
-            filters: snap.filters.clone(),
-            entries: snap.entries.clone(),
-            live: snap.live,
-            index: snap.index.clone(),
-            filter_index: snap.filter_index.clone(),
-        }
-    }
-
-    fn into_snapshot(self) -> ContentSnapshot {
-        ContentSnapshot {
-            epoch: self.epoch + 1,
-            filters: self.filters,
-            entries: self.entries,
-            live: self.live,
-            index: self.index,
-            filter_index: self.filter_index,
-        }
-    }
 
     /// The stored-filter *set* changed (install, remove): the filter
     /// index derived from it belongs to the previous epochs.
@@ -247,55 +205,9 @@ impl Working {
     }
 }
 
-/// One stored filter's held content sliced by shard ownership — the
-/// [`ShardContent`] view the recovery ladder reconciles/reinstalls
-/// against. Ownership is decided by the shard map over each held entry's
-/// DN, so a shard's slice is exactly what that shard's master serves
-/// (under [`ShardMap::single`], the whole content).
-struct WorkingShardContent<'a> {
-    work: &'a Working,
-    table: &'a DnTable,
-    filter: usize,
-    map: &'a ShardMap,
-}
-
-impl WorkingShardContent<'_> {
-    /// The held entry `id`, when it belongs to `shard`.
-    fn owned_entry(&self, shard: ShardId, id: u32) -> Option<&Entry> {
-        let e = self.work.entries.get(id as usize)?;
-        (self.map.shard_of(e.dn()) == shard).then_some(e)
-    }
-}
-
-impl ShardContent for WorkingShardContent<'_> {
-    fn items(&self, shard: ShardId) -> Vec<ReconcileItem> {
-        self.work.filters[self.filter]
-            .ids
-            .iter()
-            .filter_map(|&id| {
-                let e = self.owned_entry(shard, id)?;
-                Some(ReconcileItem { hash: entry_item_hash(e), id })
-            })
-            .collect()
-    }
-
-    fn resolve(&self, shard: ShardId, dn: &fbdr_ldap::Dn) -> Option<u32> {
-        let id = self.table.get(dn)?;
-        self.work.filters[self.filter].ids.binary_search(&id).ok()?;
-        self.owned_entry(shard, id).map(|_| id)
-    }
-
-    fn dn_of(&self, shard: ShardId, id: u32) -> Option<fbdr_ldap::Dn> {
-        self.owned_entry(shard, id).map(|e| e.dn().clone())
-    }
-
-    fn held_dns(&self, shard: ShardId) -> Vec<fbdr_ldap::Dn> {
-        self.work.filters[self.filter]
-            .ids
-            .iter()
-            .filter_map(|&id| self.owned_entry(shard, id).map(|e| e.dn().clone()))
-            .collect()
-    }
+/// Registers a prepared query under `id` without abstracting it again.
+fn register_prepared(index: &mut RoutingIndex, id: u32, q: &PreparedQuery<'_>) {
+    index.register_prepared(id, q.template(), q.values(), q.request().base());
 }
 
 /// Writer-side per-filter state that readers never touch: the ReSync
@@ -314,9 +226,11 @@ struct FilterSession {
 }
 
 /// "How to sync one filter", as the cycle sees it: poll the filter's
-/// slices (updating its cookie in place) and report one outcome per slice.
+/// slices (updating its cookie in place; the last argument yields the
+/// filter's held entries) and report one outcome per slice.
 type SyncOne<'a> =
-    dyn FnMut(&SearchRequest, &mut CompositeCookie, &dyn ShardContent) -> Vec<ShardOutcome> + 'a;
+    dyn FnMut(&SearchRequest, &mut CompositeCookie, &dyn Fn() -> Vec<Entry>) -> Vec<ShardOutcome>
+        + 'a;
 
 /// All mutable bookkeeping, serialized behind one writer mutex.
 #[derive(Debug, Default)]
@@ -546,8 +460,10 @@ impl FilterReplica {
         self.content.read().clone()
     }
 
-    /// Publishes a new snapshot; the write lock is held only for the swap.
-    fn publish(&self, snap: ContentSnapshot) {
+    /// Publishes the writer's copy as the next epoch; the write lock is
+    /// held only for the swap.
+    fn publish(&self, mut snap: ContentSnapshot) {
+        snap.epoch += 1;
         event!(
             self.obs,
             "replica",
@@ -691,7 +607,7 @@ impl FilterReplica {
         notifications: Option<Receiver<NotifyBatch>>,
         actions: &[SyncAction],
     ) {
-        let mut work = Working::from_snapshot(&self.snapshot());
+        let mut work = ContentSnapshot::clone(&self.snapshot());
         let mut sf = StoredFilter {
             prepared: Arc::new(PreparedQuery::new(request)),
             ids: Arc::default(),
@@ -702,7 +618,7 @@ impl FilterReplica {
         work.filters.push(sf);
         work.filter_set_changed();
         w.sessions.push(FilterSession { cookie, notifications });
-        self.publish(work.into_snapshot());
+        self.publish(work);
     }
 
     /// Applies every pending persist-mode notification across all
@@ -743,7 +659,7 @@ impl FilterReplica {
         if batches.is_empty() {
             return traffic;
         }
-        let mut work = Working::from_snapshot(&self.snapshot());
+        let mut work = ContentSnapshot::clone(&self.snapshot());
         for (i, pending) in &batches {
             for a in pending {
                 traffic.count(a);
@@ -752,7 +668,7 @@ impl FilterReplica {
             self.timed_apply(&mut work, &mut w.table, &mut sf, pending);
             work.filters[*i] = sf;
         }
-        self.publish(work.into_snapshot());
+        self.publish(work);
         traffic
     }
 
@@ -769,7 +685,7 @@ impl FilterReplica {
         let Some(pos) = snap.filters.iter().position(|s| s.prepared.request() == request) else {
             return false;
         };
-        let mut work = Working::from_snapshot(&snap);
+        let mut work = ContentSnapshot::clone(&snap);
         let removed = work.filters.remove(pos);
         let session = w.sessions.remove(pos);
         for (shard, c) in session.cookie.iter() {
@@ -781,7 +697,7 @@ impl FilterReplica {
             }
         }
         work.filter_set_changed();
-        self.publish(work.into_snapshot());
+        self.publish(work);
         true
     }
 
@@ -793,7 +709,7 @@ impl FilterReplica {
     /// [`SyncMaster`] never fails transiently, so the only rung of the
     /// ladder it can reach is session recovery — when the master has
     /// expired a session (its §5.2 admin time limit) the filter is
-    /// reconciled, or reloaded when reconciliation is over budget.
+    /// reconciled.
     ///
     /// The whole cycle publishes as **one** new epoch, so concurrent
     /// readers see either the pre-cycle or the post-cycle content, never
@@ -818,10 +734,8 @@ impl FilterReplica {
     ///   window) first attempts a **reconciliation** exchange
     ///   (`fbdr_resync::reconcile`): the replica digests its held items
     ///   and receives only what actually diverged, re-establishing a live
-    ///   cookie at divergence-proportional cost. Reconciliation is skipped
-    ///   when the estimated divergence exceeds the driver's
-    ///   [`ReconcileConfig::divergence_budget`](fbdr_resync::ReconcileConfig)
-    ///   and falls back to a full reinstall when the exchange fails;
+    ///   cookie at divergence-proportional cost, and falls back to a full
+    ///   reinstall when the exchange fails;
     /// - the reinstall itself runs through the driver, so even the reload
     ///   is retried on transient failures.
     ///
@@ -855,8 +769,8 @@ impl FilterReplica {
         transport: &mut dyn SyncTransport,
         driver: &mut SyncDriver<C>,
     ) -> Result<Option<SyncTraffic>, SyncError> {
-        self.run_cycle(only, &ShardMap::single(), &mut |request, cookie, content| {
-            vec![driver.sync_slice(transport, ShardId::ZERO, request, cookie, content)]
+        self.run_cycle(only, &mut |request, cookie, held| {
+            vec![driver.sync_slice(transport, ShardId::ZERO, request, cookie, held)]
         })
     }
 
@@ -904,9 +818,8 @@ impl FilterReplica {
         transport: &mut dyn SyncTransport,
         coordinator: &mut ShardCoordinator<C>,
     ) -> Result<SyncTraffic, SyncError> {
-        let map = coordinator.map().clone();
-        self.run_cycle(None, &map, &mut |request, cookie, content| {
-            coordinator.sync_filter(transport, request, cookie, content)
+        self.run_cycle(None, &mut |request, cookie, held| {
+            coordinator.sync_filter(transport, request, cookie, held)
         })
         .map(Option::unwrap_or_default)
     }
@@ -936,15 +849,14 @@ impl FilterReplica {
     /// all of them), `sync_one` polls its slices, the slices' actions are
     /// merged and applied, and the filter is marked stale when any slice
     /// did not come back fresh → publish one epoch → report the first
-    /// hard error, else the traffic. `map` decides which held entries
-    /// belong to which slice.
+    /// hard error, else the traffic. `sync_one` reads the filter's held
+    /// entries only when a slice needs them (to reconcile or reinstall).
     ///
     /// Returns `Ok(None)` without publishing when `only` names no stored
     /// filter.
     fn run_cycle(
         &self,
         only: Option<&SearchRequest>,
-        map: &ShardMap,
         sync_one: &mut SyncOne<'_>,
     ) -> Result<Option<SyncTraffic>, SyncError> {
         let mut w = self.writer.lock();
@@ -957,15 +869,13 @@ impl FilterReplica {
                 None => return Ok(None),
             },
         };
-        let mut work = Working::from_snapshot(&snap);
+        let mut work = ContentSnapshot::clone(&snap);
         let mut total = SyncTraffic::default();
         let mut failed: Option<SyncError> = None;
         for i in selected {
-            let outcomes = sync_one(
-                work.filters[i].prepared.request(),
-                &mut sessions[i].cookie,
-                &WorkingShardContent { work: &work, table, filter: i, map },
-            );
+            let sf = &work.filters[i];
+            let held = || work.entries_of(&sf.ids).cloned().collect();
+            let outcomes = sync_one(sf.prepared.request(), &mut sessions[i].cookie, &held);
             let mut stale = false;
             let mut actions: Vec<SyncAction> = Vec::new();
             for out in outcomes {
@@ -994,7 +904,7 @@ impl FilterReplica {
             self.timed_apply(&mut work, table, &mut sf, &actions);
             work.filters[i] = sf;
         }
-        self.publish(work.into_snapshot());
+        self.publish(work);
         match failed {
             Some(e) => Err(e),
             None => Ok(Some(total)),
@@ -1029,7 +939,7 @@ impl FilterReplica {
     /// incremental index maintenance when the replica is observed.
     fn timed_apply(
         &self,
-        work: &mut Working,
+        work: &mut ContentSnapshot,
         table: &mut DnTable,
         sf: &mut StoredFilter,
         actions: &[SyncAction],
@@ -1340,7 +1250,7 @@ fn filter_readable_from(query: &SearchRequest, cached: &SearchRequest) -> bool {
 /// DN, and the slot chunk and index nodes a recycled id lands in are
 /// copied before they are written.
 fn apply_actions(
-    work: &mut Working,
+    work: &mut ContentSnapshot,
     table: &mut DnTable,
     sf: &mut StoredFilter,
     actions: &[SyncAction],
@@ -2140,44 +2050,6 @@ mod tests {
         assert_eq!(r.stale_filter_count(), 0);
     }
 
-    #[test]
-    fn sync_with_respects_the_divergence_budget() {
-        // A replay overrun reports how far behind the replica is; a
-        // driver with a zero budget must skip reconciliation and
-        // reinstall directly.
-        let mut m = master();
-        m.set_replay_expiry_ops(0);
-        let r = FilterReplica::new(0);
-        r.install_filter(&mut m, root_query("(serialNumber=0456*)")).unwrap();
-        m.apply(UpdateOp::Add(person("e", "us", "045650", "2406"))).unwrap();
-
-        // The poll's response is lost; with no retries left the filter
-        // goes stale while the master's session moves one batch ahead.
-        let mut link = FlakyMaster { master: m, outage: 0, drop_responses: 1 };
-        let mut d = SyncDriver::with_clock(
-            fbdr_resync::RetryConfig { max_retries: 0, ..Default::default() },
-            TestClock::default(),
-        )
-        .with_reconcile(fbdr_resync::ReconcileConfig {
-            divergence_budget: 0,
-            ..Default::default()
-        });
-        let t = r.sync_with(&mut link, &mut d).unwrap();
-        assert_eq!(t.full_entries, 0);
-        assert_eq!(r.stale_filter_count(), 1);
-
-        // More updates land before the next cycle: the pending batch is
-        // past its replay window, divergence (1) exceeds the budget (0).
-        link.master
-            .apply(UpdateOp::Add(person("f", "in", "045660", "7")))
-            .unwrap();
-        let t = r.sync_with(&mut link, &mut d).unwrap();
-        assert_eq!(d.stats().reconciliations, 0, "budget forbids reconciliation");
-        assert_eq!(d.stats().reinstalls, 1);
-        assert_eq!(t.full_entries, 5, "full reload of the whole content");
-        assert_eq!(r.stale_filter_count(), 0);
-    }
-
     /// [`master`]'s directory split in two shards, `c=us` and `c=in`.
     fn sharded_master() -> fbdr_resync::ShardedMaster {
         let map = ShardMap::by_suffixes(vec![dn("c=us,o=xyz"), dn("c=in,o=xyz")]);
@@ -2421,7 +2293,7 @@ mod proptests {
             .enumerate()
             .map(|(i, s)| SyncAction::Add(build_entry(i, s)))
             .collect();
-        let mut work = Working::from_snapshot(&ContentSnapshot::empty());
+        let mut work = ContentSnapshot::empty();
         let mut table = DnTable::new();
         let mut sf = StoredFilter {
             prepared: Arc::new(PreparedQuery::new(SearchRequest::from_root(Filter::match_all()))),
@@ -2432,7 +2304,7 @@ mod proptests {
         apply_actions(&mut work, &mut table, &mut sf, &actions);
         let ids = sf.ids.to_vec();
         work.filters.push(sf);
-        (r, work.into_snapshot(), ids, table)
+        (r, work, ids, table)
     }
 
     /// One leaf predicate, drawn to collide with generated values often
@@ -2561,12 +2433,12 @@ mod proptests {
                     Some(SyncAction::Modify(e))
                 })
                 .collect();
-            let mut work = Working::from_snapshot(&snap);
+            let mut work = ContentSnapshot::clone(&snap);
             let mut sf = work.filters[0].clone();
             apply_actions(&mut work, &mut table, &mut sf, &changes);
             let ids2 = sf.ids.to_vec();
             work.filters[0] = sf;
-            let snap2 = work.into_snapshot();
+            let snap2 = work;
             for q in &queries {
                 let indexed = r.evaluate_indexed(&snap2, q, &ids2);
                 let scanned = oracle(&snap2, q, &ids2);

@@ -12,13 +12,12 @@ use crate::protocol::{
     Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncResponse, SyncTraffic,
 };
 use crate::reconcile::{
-    self, RangeRequest, RangeResponse, ReconcileConfig, ReconcileItem, ReconcileOutcome,
-    ReconcileRequest, ReconcileResponse,
+    self, RangeRequest, RangeResponse, ReconcileOutcome, ReconcileRequest, ReconcileResponse,
 };
-use crate::shard::{CompositeCookie, ShardContent, ShardOutcome, ShardStatus};
+use crate::shard::{CompositeCookie, ShardOutcome, ShardStatus};
 use crate::SyncMaster;
 use crossbeam::channel::Receiver;
-use fbdr_ldap::{Dn, SearchRequest};
+use fbdr_ldap::{Entry, SearchRequest};
 use fbdr_net::ShardId;
 use fbdr_obs::{event, Histogram, Obs};
 use serde::{Deserialize, Serialize};
@@ -307,7 +306,6 @@ struct Fresh {
 pub struct SyncDriver<C: Clock = SystemClock> {
     clock: C,
     config: RetryConfig,
-    reconcile: ReconcileConfig,
     jitter_state: u64,
     stats: DriverStats,
     obs: Obs,
@@ -338,19 +336,12 @@ impl<C: Clock> SyncDriver<C> {
         SyncDriver {
             clock,
             config,
-            reconcile: ReconcileConfig::default(),
             jitter_state,
             stats: DriverStats::default(),
             obs: Obs::off(),
             exchange_hist: None,
             reconcile_hist: None,
         }
-    }
-
-    /// Sets the reconciliation tuning (the divergence budget).
-    pub fn with_reconcile(mut self, config: ReconcileConfig) -> Self {
-        self.reconcile = config;
-        self
     }
 
     /// Attaches observability: every exchange is timed into the
@@ -389,16 +380,6 @@ impl<C: Clock> SyncDriver<C> {
             self.obs.registry().counter("fbdr_resync_reinstalls_total").inc();
         }
         event!(self.obs, "driver", "reinstall");
-    }
-
-    /// Counts a reconcile→reinstall fallback (budget exceeded, transport
-    /// incapable, or the exchange itself failed). The subsequent
-    /// reinstall is counted separately via `note_reinstall`.
-    fn note_reconcile_fallback(&mut self, reason: &str) {
-        if self.obs.is_active() {
-            self.obs.registry().counter("fbdr_resync_reconcile_fallbacks_total").inc();
-        }
-        event!(self.obs, "driver", "reconcile_fallback", reason = reason);
     }
 
     /// Performs one resync exchange with `shard` of the transport
@@ -448,12 +429,11 @@ impl<C: Clock> SyncDriver<C> {
         transport: &mut dyn SyncTransport,
         shard: ShardId,
         request: &SearchRequest,
-        items: &[ReconcileItem],
-        resolve: &dyn Fn(&Dn) -> Option<u32>,
+        held: &dyn Fn() -> Vec<Entry>,
     ) -> Result<ReconcileOutcome, SyncError> {
         let timer = self.reconcile_hist.as_ref().map(|_| Instant::now());
         let out = self.retry_loop(&mut |attempt| {
-            reconcile::reconcile(transport, shard, request, items, resolve, attempt)
+            reconcile::reconcile(transport, shard, request, held, attempt)
         });
         if let Ok(outcome) = &out {
             self.stats.reconciliations += 1;
@@ -471,8 +451,8 @@ impl<C: Clock> SyncDriver<C> {
                 "reconcile",
                 rounds = outcome.cost.stats.round_trips,
                 bytes = bytes,
-                upserts = outcome.upserts.len(),
-                deletes = outcome.delete_ids.len(),
+                upserts = outcome.cost.shipped_entries,
+                deletes = outcome.cost.deletes,
                 fallback_probes = outcome.cost.fallback_probes,
             );
         }
@@ -490,28 +470,29 @@ impl<C: Clock> SyncDriver<C> {
     /// 1. **Retry**: an incremental poll under the retry policy.
     /// 2. **Reconcile**: a dead session
     ///    ([`SyncError::needs_reinstall`]) is re-established by a digest
-    ///    exchange over the held slice, unless the master reported a
-    ///    divergence beyond
-    ///    [`ReconcileConfig::divergence_budget`] (an unknown divergence —
-    ///    the session is gone entirely — reconciles).
-    /// 3. **Reinstall**: when reconciliation is over budget or fails
-    ///    non-transiently, the slice is reloaded: deletes of everything
-    ///    held for the shard, then the fresh content.
+    ///    exchange over the held slice.
+    /// 3. **Reinstall**: when reconciliation fails non-transiently (the
+    ///    transport cannot reconcile, or the master refused the
+    ///    exchange), the slice is reloaded: deletes of everything held for
+    ///    the shard, then the fresh content.
     /// 4. **Serve stale**: a transient failure on any rung that outlasts
     ///    the retry budget ends the walk with [`ShardStatus::Stale`]; the
     ///    held content keeps being served and the next cycle resumes.
     ///
-    /// `cookie` is updated in place when the slice comes back fresh and
-    /// left untouched otherwise (a stale slice resumes from its old part;
-    /// a hard error leaves the session as it was at the master). Never
-    /// fails: hard errors come back as [`ShardStatus::Failed`].
+    /// `held` yields the entries the replica holds for the slice; only the
+    /// reconcile and reinstall rungs read it, so a poll that comes back
+    /// fresh touches no held entry. `cookie` is updated in place when the
+    /// slice comes back fresh and left untouched otherwise (a stale slice
+    /// resumes from its old part; a hard error leaves the session as it
+    /// was at the master). Never fails: hard errors come back as
+    /// [`ShardStatus::Failed`].
     pub fn sync_slice(
         &mut self,
         transport: &mut dyn SyncTransport,
         shard: ShardId,
         sub: &SearchRequest,
         cookie: &mut CompositeCookie,
-        content: &dyn ShardContent,
+        held: &dyn Fn() -> Vec<Entry>,
     ) -> ShardOutcome {
         let prior = cookie.get(shard);
         let walked = match self.resync(transport, shard, sub, ReSyncControl::poll(prior)) {
@@ -523,7 +504,7 @@ impl<C: Clock> SyncDriver<C> {
             }),
             Err(e) if e.is_transient() => Err(ShardStatus::Stale),
             Err(e) if e.needs_reinstall() => {
-                self.recover(transport, shard, sub, prior, &e, content)
+                self.recover(transport, shard, sub, prior, &e, held)
             }
             Err(e) => Err(ShardStatus::Failed(e)),
         };
@@ -555,49 +536,29 @@ impl<C: Clock> SyncDriver<C> {
         sub: &SearchRequest,
         prior: Option<Cookie>,
         lost: &SyncError,
-        content: &dyn ShardContent,
+        held: &dyn Fn() -> Vec<Entry>,
     ) -> Result<Fresh, ShardStatus> {
         if let (SyncError::ReplayExpired { .. }, Some(c)) = (lost, prior) {
             // The session still exists at the master; release it before
             // re-establishing.
             transport.abandon_at(shard, c);
         }
-        let divergence = lost.estimated_divergence();
-        event!(
-            self.obs,
-            "driver",
-            "session_lost",
-            shard = shard.index(),
-            divergence_known = divergence.is_some(),
-            divergence = divergence.unwrap_or(0),
-        );
-        if divergence.is_some_and(|d| d > self.reconcile.divergence_budget) {
-            self.note_reconcile_fallback("divergence over budget");
-        } else {
-            let items = content.items(shard);
-            let resolve = |dn: &Dn| content.resolve(shard, dn);
-            match self.reconcile(transport, shard, sub, &items, &resolve) {
-                Ok(outcome) => {
-                    let traffic = outcome.traffic();
-                    // Deletes BEFORE upserts: a modify caught as a
-                    // round-two false positive arrives as a delete of the
-                    // stale version plus an add of the current one.
-                    let mut actions: Vec<SyncAction> = outcome
-                        .delete_ids
-                        .iter()
-                        .filter_map(|&id| content.dn_of(shard, id))
-                        .map(SyncAction::Delete)
-                        .collect();
-                    actions.extend(outcome.upserts.into_iter().map(SyncAction::Add));
-                    return Ok(Fresh {
-                        status: ShardStatus::Reconciled,
-                        actions,
-                        cookie: Some(outcome.cookie),
-                        traffic,
-                    });
+        event!(self.obs, "driver", "session_lost", shard = shard.index());
+        match self.reconcile(transport, shard, sub, held) {
+            Ok(outcome) => {
+                return Ok(Fresh {
+                    status: ShardStatus::Reconciled,
+                    traffic: outcome.traffic(),
+                    actions: outcome.actions,
+                    cookie: Some(outcome.cookie),
+                });
+            }
+            Err(e) if e.is_transient() => return Err(ShardStatus::Stale),
+            Err(e) => {
+                if self.obs.is_active() {
+                    self.obs.registry().counter("fbdr_resync_reconcile_fallbacks_total").inc();
                 }
-                Err(e) if e.is_transient() => return Err(ShardStatus::Stale),
-                Err(_) => self.note_reconcile_fallback("reconcile exchange failed"),
+                event!(self.obs, "driver", "reconcile_fallback", reason = e.to_string());
             }
         }
         self.note_reinstall();
@@ -605,7 +566,7 @@ impl<C: Clock> SyncDriver<C> {
             Ok(resp) => {
                 let traffic = resp.traffic();
                 let mut actions: Vec<SyncAction> =
-                    content.held_dns(shard).into_iter().map(SyncAction::Delete).collect();
+                    held().iter().map(|e| SyncAction::Delete(e.dn().clone())).collect();
                 actions.extend(resp.actions);
                 Ok(Fresh {
                     status: ShardStatus::Reinstalled,
@@ -832,7 +793,7 @@ mod tests {
         // Flaky relies on the trait's default reconcile legs.
         let mut t = Flaky { failures_left: 0, calls };
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
-        let err = d.reconcile(&mut t, ShardId::ZERO, &req(), &[], &|_| None).unwrap_err();
+        let err = d.reconcile(&mut t, ShardId::ZERO, &req(), &Vec::new).unwrap_err();
         assert!(matches!(err, SyncError::ReconcileFailed(_)));
         assert!(!err.is_transient());
         assert!(!err.needs_reinstall(), "classified as its own failure, not a dead session");
@@ -841,11 +802,9 @@ mod tests {
 
     #[test]
     fn reconcile_exchange_converges_with_divergence_proportional_shipping() {
-        use crate::intern::entry_key;
-        use crate::reconcile::{entry_item_hash, ReconcileItem};
-        use crate::ReSyncControl;
-        use fbdr_ldap::{Entry, Filter, Scope};
-        use std::collections::HashMap;
+        use crate::reconcile::entry_item_hash;
+        use crate::{ReSyncControl, ReplicaContent};
+        use fbdr_ldap::{Filter, Scope};
 
         let person = |cn: &str, mail: &str| {
             Entry::new(format!("cn={cn},o=xyz").parse().unwrap())
@@ -872,49 +831,39 @@ mod tests {
             (0..45).map(|i| person(&format!("e{i}"), &format!("e{i}@x"))).collect();
         held.push(person("e45", "stale@x"));
         held.push(person("ghost", "g@x"));
-        let keys: Vec<String> = held.iter().map(entry_key).collect();
-        let items: Vec<ReconcileItem> = held
-            .iter()
-            .enumerate()
-            .map(|(i, e)| ReconcileItem { hash: entry_item_hash(e), id: i as u32 })
-            .collect();
 
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
-        let resolve = |dn: &Dn| held.iter().position(|e| e.dn() == dn).map(|i| i as u32);
         let outcome =
-            d.reconcile(&mut m, ShardId::ZERO, &request, &items, &resolve).expect("reconciles");
+            d.reconcile(&mut m, ShardId::ZERO, &request, &|| held.clone()).expect("reconciles");
 
         // Divergence-proportional: ~6 differing items out of 50, so far
         // fewer than the full content crosses the wire.
-        assert!(
-            outcome.upserts.len() <= 10,
-            "shipped {} entries for ~6 diverged items",
-            outcome.upserts.len()
-        );
-        assert!(!outcome.delete_ids.is_empty(), "stale e45 and the ghost must be deleted");
-        assert!(outcome.cost.stats.round_trips <= 2);
+        let cost = &outcome.cost;
+        let shipped = cost.shipped_entries;
+        assert!(shipped <= 10, "shipped {shipped} entries for ~6 diverged items");
+        assert!(cost.deletes > 0, "the ghost must be deleted");
+        assert!(cost.stats.round_trips <= 2);
         assert_eq!(d.stats().reconciliations, 1);
+        // Deletes come first, each naming a held DN.
+        let deletes = outcome.actions.iter().take_while(|a| matches!(a, SyncAction::Delete(_)));
+        assert_eq!(deletes.count() as u64, cost.deletes);
+        assert_eq!(outcome.actions.len() as u64, cost.deletes + cost.shipped_entries);
 
-        // Deletes before upserts converges the replica byte-for-byte.
-        let mut content: HashMap<String, Entry> =
-            keys.iter().cloned().zip(held.iter().cloned()).collect();
-        for &id in &outcome.delete_ids {
-            content.remove(&keys[id as usize]);
-        }
-        for e in &outcome.upserts {
-            content.insert(entry_key(e), e.clone());
-        }
-        let mut got: Vec<String> = content.keys().cloned().collect();
-        got.sort();
+        // Applied in order to the held content, the actions converge the
+        // replica byte-for-byte.
+        let mut content = ReplicaContent::new();
+        content.apply_all(&held.iter().cloned().map(SyncAction::Add).collect::<Vec<_>>());
+        content.apply_all(&outcome.actions);
         let mut want: Vec<String> =
             m.dit().search_dns(&request).iter().map(crate::dn_key).collect();
         want.sort();
-        assert_eq!(got, want);
-        for (key, e) in &content {
+        assert_eq!(content.sorted_dns(), want);
+        for e in content.iter() {
             assert_eq!(
                 entry_item_hash(e),
                 entry_item_hash(m.dit().get(e.dn()).unwrap()),
-                "content mismatch at {key}"
+                "content mismatch at {}",
+                e.dn()
             );
         }
 

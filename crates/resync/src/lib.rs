@@ -74,11 +74,9 @@ pub use driver::{Clock, DriverStats, RetryConfig, SyncDriver, SyncTransport, Sys
 pub use fbdr_net::{ShardId, ShardMap};
 pub use intern::dn_approx_bytes;
 pub use master::{MasterFootprint, NotifyFlush, NotifyPolicy, SyncMaster};
-pub use reconcile::{ReconcileConfig, ReconcileItem, ReconcileOutcome};
+pub use reconcile::ReconcileOutcome;
 pub use routing::{RoutingIndex, RoutingStats};
-pub use shard::{
-    CompositeCookie, ShardContent, ShardCoordinator, ShardOutcome, ShardStatus, ShardedMaster,
-};
+pub use shard::{CompositeCookie, ShardCoordinator, ShardOutcome, ShardStatus, ShardedMaster};
 pub use protocol::{
     ActionCounts, Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncMode,
     SyncResponse, SyncTraffic,

@@ -292,17 +292,14 @@ pub enum SyncError {
     RequestMismatch(Cookie),
     /// The master can no longer replay the batch the cookie refers to
     /// (the replay buffer expired or the cookie is from an older exchange).
-    /// The replica must re-establish the session — by reconciliation if
-    /// divergence is modest, by full reload otherwise.
+    /// The replica must re-establish the session — by reconciliation, or
+    /// by full reload when reconciliation fails.
     ///
     /// Invariant: the session still exists at the master (unlike
     /// [`UnknownCookie`](SyncError::UnknownCookie)); the caller should
     /// `abandon` it before re-establishing to avoid leaking session
     /// state. `ops_applied - oldest_retained` bounds how many updates
-    /// the replica has missed
-    /// ([`estimated_divergence`](SyncError::estimated_divergence)),
-    /// which is what the recovery ladder uses to choose reconcile vs
-    /// reinstall.
+    /// the replica has missed.
     ReplayExpired {
         /// The cookie the caller sent (exactly as sent).
         cookie: Cookie,
@@ -361,20 +358,6 @@ impl SyncError {
             SyncError::UnknownCookie(_) | SyncError::ReplayExpired { .. } => true,
             SyncError::RetriesExhausted { last, .. } => last.needs_reinstall(),
             _ => false,
-        }
-    }
-
-    /// How many master updates the replica has missed, when the master
-    /// could tell ([`ReplayExpired`](SyncError::ReplayExpired) carries its
-    /// retention bounds). `None` when divergence is unknown (e.g. the
-    /// session is gone entirely).
-    pub fn estimated_divergence(&self) -> Option<u64> {
-        match self {
-            SyncError::ReplayExpired { oldest_retained, ops_applied, .. } => {
-                Some(ops_applied.saturating_sub(*oldest_retained))
-            }
-            SyncError::RetriesExhausted { last, .. } => last.estimated_divergence(),
-            _ => None,
         }
     }
 }
@@ -485,16 +468,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_expired_estimates_divergence() {
+    fn replay_expired_says_how_far_behind() {
         let expired =
             SyncError::ReplayExpired { cookie: Cookie(1), oldest_retained: 10, ops_applied: 17 };
-        assert_eq!(expired.estimated_divergence(), Some(7));
         assert!(expired.to_string().contains("~7 updates behind"));
-        // Divergence is unknown for a dead session, and transparent
-        // through the retry wrapper.
-        assert_eq!(SyncError::UnknownCookie(Cookie(1)).estimated_divergence(), None);
-        let wrapped = SyncError::RetriesExhausted { attempts: 2, last: Box::new(expired) };
-        assert_eq!(wrapped.estimated_divergence(), Some(7));
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //!    says why nothing needs freezing between the rounds).
 //!
 //! Deletes travel as item hashes (the master cannot name replica-only
-//! DNs); the replica resolves them locally. Applying **deletes before
-//! upserts** makes the modify-false-positive case converge: a stale local
-//! version is deleted and immediately replaced by the round-two upsert of
-//! the same DN.
+//! DNs); the replica resolves each to the held entry it hashed, and the
+//! exchange comes back as actions naming entries by DN, as ReSync's do.
+//! Applying **deletes before adds** makes the modify-false-positive case
+//! converge: a stale local version is deleted and immediately replaced by
+//! the round-two upsert of the same DN.
 //!
 //! Every hop is accounted through [`fbdr_net::cost::ExchangeTracker`],
 //! splitting payload (entries) from metadata (digest, summary, probes),
@@ -42,11 +43,11 @@
 
 use crate::driver::SyncTransport;
 use crate::intern::entry_key;
-use crate::protocol::{Cookie, SyncError, SyncTraffic};
+use crate::protocol::{Cookie, SyncAction, SyncError, SyncTraffic};
 use fbdr_ldap::{Dn, Entry, SearchRequest};
 use fbdr_net::cost::{ExchangeTracker, HopDirection, OpStats};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 // ----------------------------------------------------------------------
 // Item hashing
@@ -97,16 +98,6 @@ pub fn item_hash(key: &str, version: u64) -> u64 {
 /// The item hash of an entry (key + version in one step).
 pub fn entry_item_hash(e: &Entry) -> u64 {
     item_hash(&entry_key(e), entry_version(e))
-}
-
-/// One replica-held item: its reconciliation hash and the replica-local
-/// interned id it resolves back to (for applying deletes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReconcileItem {
-    /// [`item_hash`] of the held entry.
-    pub hash: u64,
-    /// Replica-local interned id of the entry's DN.
-    pub id: u32,
 }
 
 // ----------------------------------------------------------------------
@@ -387,22 +378,8 @@ impl RangeResponse {
 }
 
 // ----------------------------------------------------------------------
-// Config / outcome
+// Outcome
 // ----------------------------------------------------------------------
-
-/// Tuning for the reconciliation exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReconcileConfig {
-    /// Reconcile only when the estimated divergence (when known) is at
-    /// most this many updates; above it, go straight to reinstall.
-    pub divergence_budget: u64,
-}
-
-impl Default for ReconcileConfig {
-    fn default() -> Self {
-        ReconcileConfig { divergence_budget: u64::MAX }
-    }
-}
 
 /// Where the bytes of one reconciliation exchange went.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -421,16 +398,14 @@ pub struct ReconcileCost {
 }
 
 /// The result of a completed reconciliation: what to apply and what it
-/// cost. Apply **`delete_ids` before `upserts`** — a stale local version
-/// of a modified entry is deleted and then re-added at the master's
-/// version.
+/// cost.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReconcileOutcome {
-    /// Entries to upsert (adds + modifies), master's current versions.
-    pub upserts: Vec<Entry>,
-    /// Replica-local ids of entries to delete, resolved from the master's
-    /// delete hashes.
-    pub delete_ids: Vec<u32>,
+    /// Actions to apply in order: every [`SyncAction::Delete`] first, then
+    /// an [`SyncAction::Add`] per shipped entry at the master's version —
+    /// so a stale held version of a modified entry is deleted and then
+    /// re-added.
+    pub actions: Vec<SyncAction>,
     /// The re-established session cookie, valid for incremental polls.
     pub cookie: Cookie,
     /// Byte/round-trip accounting for the exchange.
@@ -443,8 +418,8 @@ impl ReconcileOutcome {
     /// deletes as DN-only PDUs, bytes as actual wire bytes both ways.
     pub fn traffic(&self) -> SyncTraffic {
         SyncTraffic {
-            full_entries: self.upserts.len() as u64,
-            dn_only: self.delete_ids.len() as u64,
+            full_entries: self.cost.shipped_entries,
+            dn_only: self.cost.deletes,
             bytes: self.cost.stats.bytes_total(),
             redelivered_pdus: 0,
         }
@@ -459,12 +434,11 @@ impl ReconcileOutcome {
 /// of `transport` (the only shard, [`fbdr_net::ShardId::ZERO`], on an
 /// unsharded transport — its `_at` legs default to the plain ones).
 ///
-/// `items` is the replica's current held set for the filter; `resolve`
-/// maps a DN to the replica-local id of a held item (used
-/// to drop superseded local versions from the post-upsert set, and to be
-/// consistent with how `items` was built). `attempt` (0 on a first try)
-/// salts the digest seed. The function is read-only with respect to
-/// replica content: it returns what to apply, it does not apply it.
+/// `held` yields the replica's current held entries for the slice; it is
+/// read once. `attempt` (0 on a first try) salts the digest seed. The
+/// function is read-only with respect to replica content: it returns
+/// what to apply, it does not apply it. A delete hash from the range
+/// round resolves to the held DN it was computed from.
 ///
 /// # Errors
 ///
@@ -476,15 +450,15 @@ pub fn reconcile(
     transport: &mut dyn SyncTransport,
     shard: fbdr_net::ShardId,
     request: &SearchRequest,
-    items: &[ReconcileItem],
-    resolve: &dyn Fn(&Dn) -> Option<u32>,
+    held: &dyn Fn() -> Vec<Entry>,
     attempt: u32,
 ) -> Result<ReconcileOutcome, SyncError> {
-    let hashes: Vec<u64> = items.iter().map(|it| it.hash).collect();
+    let held = held();
+    let hashes: Vec<u64> = held.iter().map(entry_item_hash).collect();
     let seed = DIGEST_SEED ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let req = ReconcileRequest {
         digest: BloomDigest::build(&hashes, DIGEST_FPR, seed),
-        summary_buckets: summary_buckets(items.len()),
+        summary_buckets: summary_buckets(held.len()),
     };
     let digest_bytes = req.wire_bytes();
 
@@ -494,28 +468,21 @@ pub fn reconcile(
     let resp = transport.reconcile_at(shard, request, req)?;
     tracker.register(HopDirection::RemoteToLocal, resp.state_bytes(), resp.metadata_bytes());
 
-    // The replica's item set *after* applying round-one upserts: local
+    // The replica's item set *after* applying round-one upserts: held
     // items whose DN was not superseded, plus the shipped entries at the
     // master's version.
-    let mut superseded: Vec<u32> = Vec::new();
-    let mut post: Vec<u64> = Vec::with_capacity(items.len() + resp.upserts.len());
-    let mut post_ids: HashMap<u64, u32> = HashMap::with_capacity(items.len());
-    for e in &resp.upserts {
-        if let Some(id) = resolve(e.dn()) {
-            superseded.push(id);
-        }
-        post.push(entry_item_hash(e));
-    }
-    superseded.sort_unstable();
-    for it in items {
-        if superseded.binary_search(&it.id).is_err() {
-            post.push(it.hash);
-            post_ids.insert(it.hash, it.id);
+    let superseded: HashSet<&Dn> = resp.upserts.iter().map(Entry::dn).collect();
+    let mut post: Vec<u64> = resp.upserts.iter().map(entry_item_hash).collect();
+    let mut post_dns: HashMap<u64, &Dn> = HashMap::with_capacity(held.len());
+    for (e, &h) in held.iter().zip(&hashes) {
+        if !superseded.contains(e.dn()) {
+            post.push(h);
+            post_dns.insert(h, e.dn());
         }
     }
 
+    let mut actions: Vec<SyncAction> = Vec::new();
     let mut upserts = resp.upserts;
-    let mut delete_ids: Vec<u32> = Vec::new();
     let mut fallback_probes = 0u64;
     let mismatched = resp.summary.mismatched_buckets(&post);
     if !mismatched.is_empty() {
@@ -542,27 +509,24 @@ pub fn reconcile(
         tracker.register(HopDirection::LocalToRemote, 0, rreq.wire_bytes());
         let r2 = transport.reconcile_ranges_at(shard, resp.cookie, &rreq)?;
         tracker.register(HopDirection::RemoteToLocal, r2.state_bytes(), r2.metadata_bytes());
-        for h in &r2.delete_hashes {
-            // Unknown hashes (cannot happen with a well-behaved master)
-            // are ignored — deleting nothing is safe.
-            if let Some(&id) = post_ids.get(h) {
-                delete_ids.push(id);
-            }
-        }
+        // Unknown hashes (cannot happen with a well-behaved master) are
+        // ignored — deleting nothing is safe.
+        let deletes = r2.delete_hashes.iter().filter_map(|h| post_dns.get(h));
+        actions.extend(deletes.map(|&dn| SyncAction::Delete(dn.clone())));
         // A round-two upsert of a DN we still hold (modify false
-        // positive) supersedes the local version; the delete of its stale
-        // hash has already been collected above, and delete-before-upsert
+        // positive) supersedes the held version; the delete of its stale
+        // hash has already been collected above, and delete-before-add
         // apply order makes the pair converge.
         upserts.extend(r2.upserts);
     }
 
+    let deletes = actions.len() as u64;
     let shipped_entries = upserts.len() as u64;
-    let deletes = delete_ids.len() as u64;
+    actions.extend(upserts.into_iter().map(SyncAction::Add));
     let mut stats = tracker.to_stats();
     stats.entries_returned = shipped_entries;
     Ok(ReconcileOutcome {
-        upserts,
-        delete_ids,
+        actions,
         cookie: resp.cookie,
         cost: ReconcileCost {
             stats,

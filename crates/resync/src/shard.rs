@@ -24,14 +24,11 @@ use crate::master::{MasterFootprint, NotifyFlush, NotifyPolicy};
 use crate::protocol::{
     Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncResponse, SyncTraffic,
 };
-use crate::reconcile::{
-    RangeRequest, RangeResponse, ReconcileConfig, ReconcileItem, ReconcileRequest,
-    ReconcileResponse,
-};
+use crate::reconcile::{RangeRequest, RangeResponse, ReconcileRequest, ReconcileResponse};
 use crate::SyncMaster;
 use crossbeam::channel::Receiver;
 use fbdr_dit::{ChangeRecord, DitError, UpdateOp};
-use fbdr_ldap::{Dn, Entry, SearchRequest};
+use fbdr_ldap::{Entry, SearchRequest};
 use fbdr_net::{ShardId, ShardMap};
 use fbdr_obs::Obs;
 use serde::{Deserialize, Serialize};
@@ -433,26 +430,6 @@ impl SyncTransport for ShardedMaster {
 // Replica-side coordinator
 // ----------------------------------------------------------------------
 
-/// The replica's view of one filter's held content, sliced by shard —
-/// what the recovery ladder ([`SyncDriver::sync_slice`]) needs to
-/// reconcile or reinstall a single shard without touching the others.
-pub trait ShardContent {
-    /// Reconciliation items (item hash + replica-local id) for the held
-    /// entries owned by `shard`.
-    fn items(&self, shard: ShardId) -> Vec<ReconcileItem>;
-
-    /// Resolves a DN to the replica-local id of a held item on `shard`
-    /// (as used to build [`ShardContent::items`]).
-    fn resolve(&self, shard: ShardId, dn: &Dn) -> Option<u32>;
-
-    /// The DN of the held item `id` on `shard`.
-    fn dn_of(&self, shard: ShardId, id: u32) -> Option<Dn>;
-
-    /// DNs of all held entries owned by `shard` (deleted wholesale
-    /// before a reinstall replays the shard's content).
-    fn held_dns(&self, shard: ShardId) -> Vec<Dn>;
-}
-
 /// How one shard's exchange ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardStatus {
@@ -500,20 +477,18 @@ pub struct ShardCoordinator<C: Clock = SystemClock> {
 }
 
 impl ShardCoordinator<SystemClock> {
-    /// A coordinator on wall-clock time with default retry/reconcile
-    /// policies.
+    /// A coordinator on wall-clock time with the default retry policy.
     pub fn new(map: ShardMap) -> Self {
-        ShardCoordinator::with_config(map, RetryConfig::default(), ReconcileConfig::default())
+        ShardCoordinator::with_config(map, RetryConfig::default())
     }
 
-    /// A coordinator with explicit retry and reconcile policies (applied
-    /// to every shard's driver; per-shard jitter seeds are decorrelated).
-    pub fn with_config(map: ShardMap, retry: RetryConfig, reconcile: ReconcileConfig) -> Self {
+    /// A coordinator with an explicit retry policy (applied to every
+    /// shard's driver; per-shard jitter seeds are decorrelated).
+    pub fn with_config(map: ShardMap, retry: RetryConfig) -> Self {
         let drivers = (0..map.shard_count())
             .map(|i| {
                 let seed = retry.jitter_seed ^ (i as u64).wrapping_mul(0xA076_1D64_78BD_642F);
                 SyncDriver::new(RetryConfig { jitter_seed: seed, ..retry })
-                    .with_reconcile(reconcile)
             })
             .collect();
         ShardCoordinator { map, drivers }
@@ -521,11 +496,6 @@ impl ShardCoordinator<SystemClock> {
 }
 
 impl<C: Clock> ShardCoordinator<C> {
-    /// The shard map in force.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
     /// One shard's driver.
     pub fn driver(&self, shard: ShardId) -> &SyncDriver<C> {
         &self.drivers[shard.index()]
@@ -585,9 +555,11 @@ impl<C: Clock> ShardCoordinator<C> {
 
     /// Runs one sync cycle for the filter: [`SyncDriver::sync_slice`] —
     /// the recovery ladder — mapped over the filter's [`ShardMap::split`],
-    /// each shard on its own driver. `cookie` is updated in place with
-    /// each shard's new session state; the outcomes carry the actions to
-    /// apply.
+    /// each shard on its own driver. `held` yields the entries the replica
+    /// holds for the whole filter; a shard that needs them (to reconcile
+    /// or reinstall) reads them and keeps the ones the map assigns to it.
+    /// `cookie` is updated in place with each shard's new session state;
+    /// the outcomes carry the actions to apply.
     ///
     /// Never fails as a whole: per-shard hard failures come back as
     /// [`ShardStatus::Failed`] while the other shards' outcomes stand.
@@ -596,13 +568,18 @@ impl<C: Clock> ShardCoordinator<C> {
         transport: &mut dyn SyncTransport,
         request: &SearchRequest,
         cookie: &mut CompositeCookie,
-        content: &dyn ShardContent,
+        held: &dyn Fn() -> Vec<Entry>,
     ) -> Vec<ShardOutcome> {
-        self.map
-            .split(request)
+        let ShardCoordinator { map, drivers } = self;
+        map.split(request)
             .into_iter()
             .map(|(shard, sub)| {
-                self.drivers[shard.index()].sync_slice(transport, shard, &sub, cookie, content)
+                let owned = || {
+                    let mut slice = held();
+                    slice.retain(|e| map.shard_of(e.dn()) == shard);
+                    slice
+                };
+                drivers[shard.index()].sync_slice(transport, shard, &sub, cookie, &owned)
             })
             .collect()
     }
@@ -611,7 +588,7 @@ impl<C: Clock> ShardCoordinator<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbdr_ldap::{Filter, Scope};
+    use fbdr_ldap::{Dn, Filter, Scope};
 
     fn dn(s: &str) -> Dn {
         s.parse().unwrap()
@@ -763,29 +740,11 @@ mod tests {
         // An update on shard 1 reaches only shard 1's session.
         m.apply(UpdateOp::Add(person("e3", "b", "7"))).unwrap();
         let outs = m.map().split(&req).len();
-        let content = NoContent;
-        let outcomes = coord.sync_filter(&mut m, &req, &mut cookie, &content);
+        let outcomes = coord.sync_filter(&mut m, &req, &mut cookie, &Vec::new);
         assert_eq!(outcomes.len(), outs);
         let total: usize = outcomes.iter().map(|o| o.actions.len()).sum();
         assert_eq!(total, 1);
         assert!(outcomes.iter().all(|o| o.status == ShardStatus::Updated));
-    }
-
-    /// A content view for tests that hold nothing locally.
-    struct NoContent;
-    impl ShardContent for NoContent {
-        fn items(&self, _shard: ShardId) -> Vec<ReconcileItem> {
-            Vec::new()
-        }
-        fn resolve(&self, _shard: ShardId, _dn: &Dn) -> Option<u32> {
-            None
-        }
-        fn dn_of(&self, _shard: ShardId, _id: u32) -> Option<Dn> {
-            None
-        }
-        fn held_dns(&self, _shard: ShardId) -> Vec<Dn> {
-            Vec::new()
-        }
     }
 
     #[test]
@@ -802,20 +761,19 @@ mod tests {
         m.shard_mut(ShardId::new(1)).abandon(c1);
 
         m.apply(UpdateOp::Add(person("e3", "b", "7"))).unwrap();
-        let outcomes = coord.sync_filter(&mut m, &req, &mut cookie, &NoContent);
+        let outcomes = coord.sync_filter(&mut m, &req, &mut cookie, &Vec::new);
         let by_shard =
             |s: u16| outcomes.iter().find(|o| o.shard == ShardId::new(s)).unwrap();
         assert_eq!(by_shard(0).status, ShardStatus::Updated);
-        // The divergence of a forgotten session is unknown: reconcile
-        // first. `NoContent` digests an empty held set, so the exchange
-        // ships shard 1's full slice — and only shard 1's.
+        // A forgotten session reconciles. Nothing is held, so the
+        // exchange ships shard 1's full slice — and only shard 1's.
         assert_eq!(by_shard(1).status, ShardStatus::Reconciled);
         assert_eq!(by_shard(1).actions.len(), 2);
         assert_eq!(coord.stats().reconciliations, 1);
         assert_eq!(coord.stats().reinstalls, 0);
         // Both shards hold live sessions again; the next poll is clean.
         assert_eq!(cookie.len(), 2);
-        let outcomes = coord.sync_filter(&mut m, &req, &mut cookie, &NoContent);
+        let outcomes = coord.sync_filter(&mut m, &req, &mut cookie, &Vec::new);
         assert!(outcomes.iter().all(|o| o.status == ShardStatus::Updated));
     }
 }

@@ -1,7 +1,8 @@
 //! Convergence properties: after any sequence of updates and a sync cycle,
 //! the replica content equals the master's current answer — for ReSync
 //! (poll and persist), for a reconciliation whose master moves between
-//! its two rounds, and for every convergent baseline.
+//! its two rounds, for a reconciliation whose round one ships nothing,
+//! and for every convergent baseline.
 
 use crossbeam::channel::Receiver;
 use fbdr_dit::{ChangeRecord, History, Modification, UpdateOp};
@@ -12,16 +13,13 @@ use fbdr_resync::baseline::{
 use fbdr_resync::reconcile::{RangeRequest, RangeResponse, ReconcileRequest, ReconcileResponse};
 use fbdr_resync::{
     CompositeCookie, Cookie, NotifyBatch, NotifyPolicy, ReSyncControl, ReplicaContent,
-    RetryConfig, ShardId, ShardMap, ShardStatus, ShardedMaster, SyncAction, SyncDriver, SyncError,
-    SyncMaster, SyncResponse, SyncTransport,
+    RetryConfig, ShardCoordinator, ShardId, ShardMap, ShardStatus, ShardedMaster, SyncAction,
+    SyncDriver, SyncError, SyncMaster, SyncResponse, SyncTransport,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-mod common;
-use common::Held;
 
 /// An abstract operation against a pool of person entries.
 #[derive(Debug, Clone)]
@@ -553,7 +551,9 @@ fn reconcile_through_moving_master<M: Master>(
     }
     for want in [ShardStatus::Reconciled, ShardStatus::Updated] {
         for (shard, sub) in map.split(&req) {
-            let out = driver.sync_slice(&mut t, shard, &sub, &mut cookie, &Held::new(&replica, map));
+            let owned = |e: &&Entry| map.shard_of(e.dn()) == shard;
+            let held = || replica.iter().filter(owned).cloned().collect();
+            let out = driver.sync_slice(&mut t, shard, &sub, &mut cookie, &held);
             prop_assert_eq!(&out.status, &want, "{} ended on the wrong rung", shard);
             replica.apply_all(&out.actions);
         }
@@ -601,4 +601,151 @@ proptest! {
             prop_assert!(4 * ran >= runs, "a range round ran in {} of {} reconciliations", ran, runs);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The range round alone
+// ---------------------------------------------------------------------
+
+/// A transport that loses every entry round one ships, as if each
+/// diverged item were a Bloom false positive: whatever the replica lacks,
+/// only the range round can bring it back.
+struct NoRoundOneUpserts<M> {
+    inner: M,
+    dropped: usize,
+    range_rounds: usize,
+}
+
+impl<M: Master> SyncTransport for NoRoundOneUpserts<M> {
+    fn resync(
+        &mut self,
+        request: &SearchRequest,
+        ctl: ReSyncControl,
+    ) -> Result<SyncResponse, SyncError> {
+        self.inner.resync(request, ctl)
+    }
+    fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+        self.inner.take_receiver(cookie)
+    }
+    fn abandon(&mut self, cookie: Cookie) {
+        self.inner.abandon(cookie);
+    }
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+    fn resync_at(
+        &mut self,
+        shard: ShardId,
+        request: &SearchRequest,
+        ctl: ReSyncControl,
+    ) -> Result<SyncResponse, SyncError> {
+        self.inner.resync_at(shard, request, ctl)
+    }
+    fn abandon_at(&mut self, shard: ShardId, cookie: Cookie) {
+        self.inner.abandon_at(shard, cookie);
+    }
+    fn reconcile_at(
+        &mut self,
+        shard: ShardId,
+        request: &SearchRequest,
+        req: ReconcileRequest,
+    ) -> Result<ReconcileResponse, SyncError> {
+        let mut resp = self.inner.reconcile_at(shard, request, req)?;
+        self.dropped += resp.upserts.len();
+        resp.upserts.clear();
+        Ok(resp)
+    }
+    fn reconcile_ranges_at(
+        &mut self,
+        shard: ShardId,
+        cookie: Cookie,
+        req: &RangeRequest,
+    ) -> Result<RangeResponse, SyncError> {
+        self.range_rounds += 1;
+        self.inner.reconcile_ranges_at(shard, cookie, req)
+    }
+}
+
+/// Eight people in the filter, installed through a coordinator over
+/// `map`; then, while the sessions are dead, the master adds p8, modifies
+/// p1, deletes p2 and renames p3 to p9 (on two shards: p2 and p8 live on
+/// shard 0, p1 and p3 on shard 1). Every slice must reconcile with round
+/// one's entries lost: round two alone brings back every change — p1 as a
+/// delete of the held version followed by an add of the same DN — and a
+/// follow-up poll has nothing left to send.
+fn round_two_alone<M: Master>(master: M, map: ShardMap) {
+    let req = request();
+    let mut t = NoRoundOneUpserts { inner: master, dropped: 0, range_rounds: 0 };
+    let mut coord = ShardCoordinator::new(map);
+    let (actions, mut cookie, _) = coord.install(&mut t, &req).expect("install");
+    let mut replica = ReplicaContent::new();
+    replica.apply_all(&actions);
+    assert_eq!(replica.len(), 8);
+
+    let detached = [
+        Op::Add { id: 8, dept: 1 },
+        Op::SetMail { id: 1, tag: 7 },
+        Op::Delete { id: 2 },
+        Op::Rename { id: 3, new_id: 9 },
+    ];
+    for op in &detached {
+        t.inner.update(update(op, placed_dn));
+    }
+    for (shard, c) in cookie.iter() {
+        t.abandon_at(shard, c);
+    }
+
+    let held = || replica.iter().cloned().collect();
+    let outcomes = coord.sync_filter(&mut t, &req, &mut cookie, &held);
+    let slices = outcomes.len();
+    assert!(t.dropped >= 3, "round one shipped p1, p8 and p9, and lost them: {}", t.dropped);
+    assert_eq!(t.range_rounds, slices, "every slice ran its range round");
+    let (mut deleted, mut added) = (Vec::new(), Vec::new());
+    for out in &outcomes {
+        assert_eq!(out.status, ShardStatus::Reconciled, "{} ended on the wrong rung", out.shard);
+        let p1 = placed_dn(1);
+        let at = |add: bool| {
+            let kind = |a: &SyncAction| matches!(a, SyncAction::Add(_)) == add;
+            out.actions.iter().position(|a| kind(a) && a.dn() == &p1)
+        };
+        if let Some(add) = at(true) {
+            let delete = at(false).expect("p1's held version is deleted");
+            assert!(delete < add, "p1 is deleted before it is added again");
+        }
+        for a in &out.actions {
+            match a {
+                SyncAction::Delete(dn) => deleted.push(dn.to_string()),
+                SyncAction::Add(e) => added.push(e.dn().to_string()),
+                other => panic!("a reconcile returned {other:?}"),
+            }
+        }
+        replica.apply_all(&out.actions);
+    }
+    deleted.sort();
+    added.sort();
+    let names = |ids: &[usize]| ids.iter().map(|&id| placed_dn(id).to_string()).collect::<Vec<_>>();
+    assert_eq!(deleted, names(&[1, 2, 3]));
+    assert_eq!(added, names(&[1, 8, 9]));
+    let mut want = t.inner.answer(&req);
+    want.sort_by(|a, b| a.dn().cmp(b.dn()));
+    assert_eq!(replica.iter().collect::<Vec<_>>(), want.iter().collect::<Vec<_>>());
+
+    let held = || replica.iter().cloned().collect();
+    for out in coord.sync_filter(&mut t, &req, &mut cookie, &held) {
+        assert_eq!(out.status, ShardStatus::Updated);
+        assert!(out.actions.is_empty(), "{} had {:?} left to send", out.shard, out.actions);
+    }
+}
+
+#[test]
+fn the_range_round_alone_recovers_every_change_on_one_shard() {
+    let (one, _) = placed_masters(&[1; 8]);
+    round_two_alone(one, ShardMap::single());
+}
+
+#[test]
+fn the_range_round_alone_recovers_every_change_on_two_shards() {
+    let (_, two) = placed_masters(&[1; 8]);
+    let map = two.map().clone();
+    round_two_alone(two, map);
 }

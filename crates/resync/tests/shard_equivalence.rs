@@ -16,16 +16,13 @@ use fbdr_ldap::{AttrSelection, Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use crossbeam::channel::Receiver;
 use fbdr_resync::reconcile::{RangeRequest, RangeResponse, ReconcileRequest, ReconcileResponse};
 use fbdr_resync::{
-    CompositeCookie, Cookie, NotifyPolicy, ReSyncControl, ReconcileConfig, ReconcileItem,
-    ReplicaContent, RetryConfig, ShardContent, ShardCoordinator, ShardId, ShardMap, ShardStatus,
-    ShardedMaster, NotifyBatch, SyncError, SyncMaster, SyncResponse, SyncTransport,
+    CompositeCookie, Cookie, NotifyPolicy, ReSyncControl, ReplicaContent, RetryConfig,
+    ShardCoordinator, ShardId, ShardMap, ShardStatus, ShardedMaster, NotifyBatch, SyncError,
+    SyncMaster, SyncResponse, SyncTransport,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-mod common;
-use common::Held;
 
 const COUNTRIES: usize = 4;
 
@@ -154,22 +151,9 @@ fn session_request(filter_idx: usize) -> SearchRequest {
     )
 }
 
-/// A content view for callers that hold nothing the ladder could consult.
-struct NoContent;
-
-impl ShardContent for NoContent {
-    fn items(&self, _shard: ShardId) -> Vec<ReconcileItem> {
-        Vec::new()
-    }
-    fn resolve(&self, _shard: ShardId, _dn: &Dn) -> Option<u32> {
-        None
-    }
-    fn dn_of(&self, _shard: ShardId, _id: u32) -> Option<Dn> {
-        None
-    }
-    fn held_dns(&self, _shard: ShardId) -> Vec<Dn> {
-        Vec::new()
-    }
+/// The held entries, as the recovery ladder reads them.
+fn held(content: &ReplicaContent) -> impl Fn() -> Vec<Entry> + '_ {
+    || content.iter().cloned().collect()
 }
 
 /// Serde round trip with the parts deliberately reversed: the decoded
@@ -206,8 +190,7 @@ proptest! {
             dead: ShardId::new(u16::MAX),
             can_reconcile,
         };
-        let map = multi.inner.map().clone();
-        let mut coord = ShardCoordinator::new(map.clone());
+        let mut coord = ShardCoordinator::new(multi.inner.map().clone());
         let req = session_request(filter_idx);
 
         let single_resp = single.resync(&req, ReSyncControl::poll(None)).expect("single install");
@@ -232,7 +215,7 @@ proptest! {
             // The composite cookie resumes after a scrambled serde round
             // trip mid-stream.
             *composite = scramble_cookie(composite);
-            let outcomes = coord.sync_filter(multi, &req, composite, &Held::new(content, &map));
+            let outcomes = coord.sync_filter(multi, &req, composite, &held(content));
             for out in &outcomes {
                 let want = match (killed.contains(&out.shard), can_reconcile) {
                     (false, _) => ShardStatus::Updated,
@@ -445,11 +428,7 @@ fn snappy_retry() -> RetryConfig {
 
 #[test]
 fn partitioned_shard_degrades_alone_and_catches_up() {
-    let mut coord = ShardCoordinator::with_config(
-        map_for(4),
-        snappy_retry(),
-        ReconcileConfig::default(),
-    );
+    let mut coord = ShardCoordinator::with_config(map_for(4), snappy_retry());
     let mut t =
         FlakyShards { inner: sharded(4), dead: ShardId::new(u16::MAX), can_reconcile: true };
     let req = session_request(4); // (mail=*)
@@ -470,7 +449,7 @@ fn partitioned_shard_degrades_alone_and_catches_up() {
     }
     let dead = ShardId::new(2);
     t.dead = dead;
-    let outcomes = coord.sync_filter(&mut t, &req, &mut composite, &NoContent);
+    let outcomes = coord.sync_filter(&mut t, &req, &mut composite, &held(&content));
     let mut fresh_actions = 0usize;
     for out in &outcomes {
         if out.shard == dead {
@@ -492,7 +471,7 @@ fn partitioned_shard_degrades_alone_and_catches_up() {
     // Partition heals: the kept cookie resumes incrementally — no
     // reinstall, no reconcile, just the missed batch.
     t.dead = ShardId::new(u16::MAX);
-    let outcomes = coord.sync_filter(&mut t, &req, &mut composite, &NoContent);
+    let outcomes = coord.sync_filter(&mut t, &req, &mut composite, &held(&content));
     for out in &outcomes {
         assert_eq!(out.status, ShardStatus::Updated);
         content.apply_all(&out.actions);

@@ -9,10 +9,14 @@
 //! was lost. The same seed always produces the same schedule, so any
 //! failure here is replayable with `chaos_run(seed)`.
 
+use crossbeam::channel::Receiver;
 use fbdr_faults::{FaultKind, FaultPlan, FaultyLink, SimClock};
 use fbdr_ldap::{Entry, Filter, SearchRequest};
 use fbdr_replica::FilterReplica;
-use fbdr_resync::{ReconcileConfig, RetryConfig, SyncDriver, SyncMaster};
+use fbdr_resync::{
+    Cookie, NotifyBatch, ReSyncControl, RetryConfig, SyncDriver, SyncError, SyncMaster,
+    SyncResponse, SyncTransport,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -53,6 +57,28 @@ fn build_master() -> SyncMaster {
     m
 }
 
+/// The link with its reconcile legs left at the trait's failing defaults:
+/// a lost session behind it can only be reinstalled.
+struct ReinstallOnly<'a>(&'a mut FaultyLink);
+
+impl SyncTransport for ReinstallOnly<'_> {
+    fn resync(
+        &mut self,
+        request: &SearchRequest,
+        ctl: ReSyncControl,
+    ) -> Result<SyncResponse, SyncError> {
+        self.0.resync(request, ctl)
+    }
+
+    fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+        self.0.take_receiver(cookie)
+    }
+
+    fn abandon(&mut self, cookie: Cookie) {
+        self.0.abandon(cookie);
+    }
+}
+
 /// What one chaos run did, for aggregate assertions over the suite.
 #[derive(Debug, Default)]
 struct RunReport {
@@ -88,7 +114,7 @@ fn chaos_run(seed: u64) -> RunReport {
         // Aggressive replay expiry: a batch missed across a cycle
         // boundary is gone and the filter must recover — by digest
         // reconciliation normally, or by reinstall on the seeds whose
-        // divergence budget is zero (below).
+        // link cannot reconcile (below).
         master.set_replay_expiry_ops(0);
     }
 
@@ -111,12 +137,17 @@ fn chaos_run(seed: u64) -> RunReport {
         },
         clock,
     );
-    if seed % 6 == 0 {
-        // A sixth of the schedules forbid reconciliation outright, so the
-        // suite keeps exercising the reinstall rung of the ladder too.
-        driver =
-            driver.with_reconcile(ReconcileConfig { divergence_budget: 0, ..Default::default() });
-    }
+    // A sixth of the schedules sync through a link that cannot reconcile,
+    // so the suite keeps exercising the reinstall rung of the ladder too.
+    let reconciles = seed % 6 != 0;
+    let mut sync = |link: &mut FaultyLink| {
+        replica.drain_notifications();
+        if reconciles {
+            replica.sync_with(link, &mut driver)
+        } else {
+            replica.sync_with(&mut ReinstallOnly(link), &mut driver)
+        }
+    };
 
     // Seed-derived workload: toggle entries across the filter boundary,
     // delete and re-add them, syncing every `cadence` updates.
@@ -156,18 +187,14 @@ fn chaos_run(seed: u64) -> RunReport {
         }
         link.master_mut().apply(op).unwrap();
         if step % cadence == 0 {
-            replica.drain_notifications();
-            replica
-                .sync_with(&mut link, &mut driver)
-                .expect("only non-transient errors may surface");
+            sync(&mut link).expect("only non-transient errors may surface");
         }
     }
 
     // Faults cease; a few clean cycles must fully converge the replica.
     link.quiesce();
     for _ in 0..3 {
-        replica.drain_notifications();
-        replica.sync_with(&mut link, &mut driver).expect("clean cycle");
+        sync(&mut link).expect("clean cycle");
     }
     assert_eq!(replica.stale_filter_count(), 0, "seed {seed}: still stale after quiesce");
 
@@ -220,7 +247,7 @@ fn hundred_seeded_fault_schedules_converge() {
     assert!(total.recovered > 0, "driver retries recovered exchanges: {total:?}");
     assert!(total.exhausted > 0, "some exchanges exhausted their budget: {total:?}");
     assert!(total.reconciliations > 0, "expired sessions were reconciled: {total:?}");
-    assert!(total.reinstalls > 0, "zero-budget seeds fell back to reinstall: {total:?}");
+    assert!(total.reinstalls > 0, "seeds that cannot reconcile reinstalled: {total:?}");
     assert!(total.poll_fallbacks > 0, "persist filters fell back to polling: {total:?}");
 }
 
@@ -357,9 +384,8 @@ fn trace_events_and_counters_agree_under_response_loss() {
 /// retries, every dropped response strands the replica one batch behind,
 /// the batch is evicted before the next poll, and the cookie comes back
 /// `ReplayExpired`. Every such loss must be repaired by the reconcile
-/// rung — under the default (unlimited) divergence budget the reinstall
-/// counter stays at zero, and no deletion carried by a lost batch
-/// survives in the replica.
+/// rung — the reinstall counter stays at zero, and no deletion carried by
+/// a lost batch survives in the replica.
 #[test]
 fn replay_eviction_recovers_by_reconciliation_without_reinstall() {
     let clock = SimClock::new();
@@ -405,7 +431,7 @@ fn replay_eviction_recovers_by_reconciliation_without_reinstall() {
 
     let d = driver.stats();
     assert!(d.reconciliations > 0, "evicted batches forced reconciliation: {d:?}");
-    assert_eq!(d.reinstalls, 0, "nothing exceeded the unlimited budget: {d:?}");
+    assert_eq!(d.reinstalls, 0, "every lost session reconciled: {d:?}");
     assert_eq!(replica.stale_filter_count(), 0);
 
     let request = filter_request();
