@@ -6,7 +6,7 @@
 
 use fbdr_core::{Replicator, ServedBy};
 use fbdr_dit::{DitStore, Modification, UpdateOp};
-use fbdr_ldap::{Filter, SearchRequest, SortKey};
+use fbdr_ldap::{Dn, Entry, Filter, SearchRequest, SortKey};
 use fbdr_resync::{ShardId, SyncMaster};
 use fbdr_workload::{DirectoryConfig, EnterpriseDirectory};
 use std::fmt::Write as _;
@@ -148,8 +148,11 @@ impl Shell {
             (self.repl.master().search(&req), "master")
         };
         let mut out = format!("{} entr{} from {served}\n", entries.len(), plural(entries.len()));
-        for e in entries.iter().take(20) {
-            let _ = writeln!(out, "  {}", e.dn());
+        // An answer has no order; the listing has one, whoever answered.
+        let mut dns: Vec<&Dn> = entries.iter().map(Entry::dn).collect();
+        dns.sort_by(|a, b| a.cmp_hierarchical(b));
+        for dn in dns.iter().take(20) {
+            let _ = writeln!(out, "  {dn}");
         }
         if entries.len() > 20 {
             let _ = writeln!(out, "  … {} more", entries.len() - 20);
@@ -383,6 +386,24 @@ mod tests {
         let o = out(&mut sh, "rsearch (mail=changed@x)");
         // mail query is not contained in the serial filter -> miss.
         assert!(o.contains("miss"), "{o}");
+    }
+
+    #[test]
+    fn a_listing_is_in_dn_order_whatever_the_store_order() {
+        // cn=b is imported first, so it has the lower id and the index
+        // plan visits it first.
+        let ldif = "dn: o=x\nobjectclass: organization\n\n\
+                    dn: cn=b,o=x\ncn: b\ndept: 7\n\n\
+                    dn: cn=a,o=x\ncn: a\ndept: 7\n";
+        let path = std::env::temp_dir().join("fbdr-shell-order-test.ldif");
+        std::fs::write(&path, ldif).expect("write temp file");
+        let mut sh = Shell::new();
+        let o = out(&mut sh, &format!("import {}", path.display()));
+        let _ = std::fs::remove_file(&path);
+        assert!(o.contains("imported 3"), "{o}");
+        let o = out(&mut sh, "search (dept=7)");
+        let listed: Vec<&str> = o.lines().skip(1).map(str::trim).collect();
+        assert_eq!(listed, ["cn=a,o=x", "cn=b,o=x"], "{o}");
     }
 
     #[test]

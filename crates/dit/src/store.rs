@@ -464,11 +464,16 @@ impl DitStore {
     // ---------------------------------------------------------------
 
     /// Evaluates a search request, returning matching entries projected on
-    /// the requested attributes, in DN order. The result holds handles on
-    /// the stored bodies ([`Entry`] is shared copy-on-write): it costs its
-    /// list, not a copy per entry, and later updates do not show through it.
+    /// the requested attributes, in no particular order
+    /// ([`search_sorted`](DitStore::search_sorted) gives one). The result
+    /// holds handles on the stored bodies ([`Entry`] is shared
+    /// copy-on-write): it costs its list, not a copy per entry, and later
+    /// updates do not show through it.
     pub fn search(&self, req: &SearchRequest) -> Vec<Entry> {
-        self.search_refs(req).into_iter().map(|e| req.attrs().project(e)).collect()
+        // References first, so the projected list is allocated at its length.
+        let mut hits = Vec::new();
+        self.for_each_match(req, |e| hits.push(e));
+        hits.into_iter().map(|e| req.attrs().project(e)).collect()
     }
 
     /// Evaluates a search request and sorts the results server-side per
@@ -480,45 +485,29 @@ impl DitStore {
         out
     }
 
-    /// Evaluates a search request, returning only the DNs of matches.
+    /// Evaluates a search request, returning only the DNs of matches, in
+    /// no particular order.
     pub fn search_dns(&self, req: &SearchRequest) -> Vec<Dn> {
-        self.search_refs(req).into_iter().map(|e| e.dn().clone()).collect()
+        let mut dns = Vec::new();
+        self.for_each_match(req, |e| dns.push(e.dn().clone()));
+        dns
     }
 
-    /// Streams every entry matching a search request to `f`, answering
-    /// through the indexed candidate plan where possible, without
-    /// materializing a result vector and without sorting.
+    /// Streams every entry matching a search request to `f`, without
+    /// materializing a result vector: the one candidate walk every search
+    /// runs, plan → slot → scope → `matches`. Base and one-level scopes
+    /// read the tree directly; a subtree search the index can bound
+    /// ([`index::plan`]) visits the plan's candidates in id order, any
+    /// other scans the subtree in tree order. An exact plan
+    /// ([`index::Plan::exact`]) is the filter's answer, so its candidates
+    /// get the base check alone.
     ///
-    /// Visit order is unspecified (the planned path visits candidates in
-    /// id order, the scan fallback in hierarchical order) — callers
-    /// needing DN order should collect and sort, or use
-    /// [`DitStore::search`]. This is the bulk-enumeration seam the sync
-    /// layer's session installation uses: it interns ids straight off the
-    /// borrowed entries, however many match. The entries are lent for the
-    /// store's borrow, not just the call, so a caller merging several
-    /// stores' matches can keep the references and sort them once.
+    /// This is the bulk-enumeration seam the sync layer's session
+    /// installation uses: it interns ids straight off the borrowed
+    /// entries, however many match. The entries are lent for the store's
+    /// borrow, not just the call, so a caller merging several stores'
+    /// matches can keep the references and project them once.
     pub fn for_each_match<'a>(&'a self, req: &SearchRequest, f: impl FnMut(&'a Entry)) {
-        self.walk(req, f);
-    }
-
-    /// The matches in hierarchical order.
-    fn search_refs(&self, req: &SearchRequest) -> Vec<&Entry> {
-        let mut out = Vec::new();
-        if !self.walk(req, |e| out.push(e)) {
-            out.sort_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
-        }
-        out
-    }
-
-    /// The one candidate walk every search runs: plan → slot → scope →
-    /// `matches`. Base and one-level scopes read the tree directly; a
-    /// subtree search the index can bound ([`index::plan`]) visits the
-    /// plan's candidates in id order, any other scans the subtree. An
-    /// exact plan ([`index::Plan::exact`]) is the filter's answer, so its
-    /// candidates get the base check alone.
-    /// Returns whether the visits were in hierarchical order — every path
-    /// but the planned one.
-    fn walk<'a>(&'a self, req: &SearchRequest, f: impl FnMut(&'a Entry)) -> bool {
         let matches = |e: &&'a Entry| req.filter().matches(e);
         match req.scope() {
             Scope::Base => self.get(req.base()).into_iter().filter(matches).for_each(f),
@@ -527,19 +516,16 @@ impl DitStore {
                 let indexes = &self.entries.indexes;
                 match index::plan(req.filter(), &|p| indexes.lists_for_predicate(p)) {
                     None => self.subtree(req.base()).filter(matches).for_each(f),
-                    Some(plan) => {
-                        plan.ids
-                            .iter()
-                            .map(|&id| self.entries.get(id))
-                            .filter(|e| req.base().is_ancestor_or_self_of(e.dn()))
-                            .filter(|e| plan.exact || matches(e))
-                            .for_each(f);
-                        return false;
-                    }
+                    Some(plan) => plan
+                        .ids
+                        .iter()
+                        .map(|&id| self.entries.get(id))
+                        .filter(|e| req.base().is_ancestor_or_self_of(e.dn()))
+                        .filter(|e| plan.exact || matches(e))
+                        .for_each(f),
                 }
             }
         }
-        true
     }
 }
 
@@ -931,7 +917,12 @@ mod tests {
         // Indexed searches behave identically after the round trip.
         for f in ["(serialNumber=0456*)", "(serialNumber>=45650)", "(mail=*xyz.com)"] {
             let q = sub("o=xyz", f);
-            assert_eq!(restored.search_dns(&q), s.search_dns(&q), "{f}");
+            let dns = |store: &DitStore| {
+                let mut dns = store.search_dns(&q);
+                dns.sort();
+                dns
+            };
+            assert_eq!(dns(&restored), dns(&s), "{f}");
         }
     }
 

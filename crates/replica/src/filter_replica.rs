@@ -1052,7 +1052,7 @@ impl FilterReplica {
                 cq.hits.fetch_add(1, Ordering::Relaxed);
                 self.stats.record_cache_hit();
                 event!(self.obs, "replica", "qc_hit", kind = "cached", epoch = snap.epoch);
-                return Some(collect_matching(query, cq.entries.iter()));
+                return Some(collect_matching(query, cq.entries.iter(), false));
             }
         }
         if self.obs.tracing_enabled() {
@@ -1093,7 +1093,7 @@ impl FilterReplica {
                 m.plan_scan.inc();
                 m.plan_candidates.record(ids.len() as u64);
             }
-            return collect_matching(query, snap.entries_of(ids));
+            return collect_matching(query, snap.entries_of(ids), false);
         };
         let sel = posting::intersect(&plan.ids, ids);
         if let Some(m) = &self.metrics {
@@ -1103,12 +1103,7 @@ impl FilterReplica {
                 m.plan_exact.inc();
             }
         }
-        if plan.exact {
-            let in_region = |e: &&Entry| query.scope().contains(query.base(), e.dn());
-            sorted_answer(query, snap.entries_of(&sel).filter(in_region))
-        } else {
-            collect_matching(query, snap.entries_of(&sel))
-        }
+        collect_matching(query, snap.entries_of(&sel), plan.exact)
     }
 
     /// Answers a query by brute-force scan — the containment gate against
@@ -1125,7 +1120,7 @@ impl FilterReplica {
         let snap = self.snapshot();
         for sf in &snap.filters {
             if self.engine.query_contained(&prepared, &sf.prepared) {
-                return Some(collect_matching(query, snap.entries_of(&sf.ids)));
+                return Some(collect_matching(query, snap.entries_of(&sf.ids), false));
             }
         }
         None
@@ -1207,23 +1202,25 @@ impl FilterReplica {
     }
 }
 
-/// Verifies candidate entries — a stored filter's, looked up by id, or a
-/// cached query's frozen result — against the full query and answers
-/// with the survivors ([`sorted_answer`]).
+/// Answers a query from candidate entries — a stored filter's, looked up by
+/// id, or a cached query's frozen result — in the order they come. Each
+/// candidate is verified against the full query, or, when an exact plan
+/// ([`fbdr_dit::index::Plan::exact`]) chose them, checked against the
+/// query's region alone. The survivors are collected as references and
+/// only then projected, so the answer is allocated once, at its length.
 fn collect_matching<'a>(
     query: &SearchRequest,
     candidates: impl Iterator<Item = &'a Entry>,
+    exact: bool,
 ) -> Vec<Entry> {
-    sorted_answer(query, candidates.filter(|e| query.matches(e)))
-}
-
-/// Sorts a query's matches hierarchically — the order the master answers
-/// in, so a hit and a miss return the same sequence — and projects the
-/// selected attributes; projection runs only on entries that made the
-/// answer.
-fn sorted_answer<'a>(query: &SearchRequest, hits: impl Iterator<Item = &'a Entry>) -> Vec<Entry> {
-    let mut hits: Vec<&Entry> = hits.collect();
-    hits.sort_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
+    let keep = |e: &&Entry| {
+        if exact {
+            query.scope().contains(query.base(), e.dn())
+        } else {
+            query.matches(e)
+        }
+    };
+    let hits: Vec<&Entry> = candidates.filter(keep).collect();
     hits.into_iter().map(|e| query.attrs().project(e)).collect()
 }
 
@@ -1478,8 +1475,9 @@ mod tests {
         let q = root_query("(|(serialNumber=045612)(serialNumber=120001))");
         assert!(r.try_answer(&q).is_none(), "single-filter containment must miss");
         let hit = r.try_answer_composed(&q).expect("union containment hits");
-        let dns: Vec<String> = hit.iter().map(|e| e.dn().to_string()).collect();
-        assert_eq!(dns, ["cn=d,c=in,o=xyz", "cn=b,c=us,o=xyz"]);
+        let mut dns: Vec<String> = hit.iter().map(|e| e.dn().to_string()).collect();
+        dns.sort();
+        assert_eq!(dns, ["cn=b,c=us,o=xyz", "cn=d,c=in,o=xyz"]);
         assert_eq!(r.stats().generalized_hits, 1);
         // The explicit try_answer above plus the composed call count two
         // query attempts; the composed hit is counted exactly once.
@@ -1529,8 +1527,9 @@ mod tests {
         assert_eq!((t.full_entries, t.dn_only), (1, 1));
         assert_eq!(r.entry_count(), 3);
         let hit = r.try_answer(&root_query("(serialNumber=0456*)")).unwrap();
-        let dns: Vec<String> = hit.iter().map(|e| e.dn().to_string()).collect();
-        assert_eq!(dns, ["cn=c,c=in,o=xyz", "cn=b,c=us,o=xyz", "cn=e,c=us,o=xyz"]);
+        let mut dns: Vec<String> = hit.iter().map(|e| e.dn().to_string()).collect();
+        dns.sort();
+        assert_eq!(dns, ["cn=b,c=us,o=xyz", "cn=c,c=in,o=xyz", "cn=e,c=us,o=xyz"]);
         // The stale entry (a, now 999999) is gone.
         assert!(r.try_answer(&root_query("(serialNumber=999999)")).is_none());
 
@@ -2216,11 +2215,16 @@ mod tests {
         for f in ["(serialNumber=0456*)", "(departmentNumber=2406)", "(serialNumber>=045600)"] {
             r.install_filter(&mut m, root_query(f)).unwrap();
         }
+        let names = |answer: Vec<Entry>| -> Vec<String> {
+            let mut names: Vec<String> = answer.iter().map(|e| e.dn().to_string()).collect();
+            names.sort();
+            names
+        };
         let hit = |f: &str| -> Vec<String> {
             let q = root_query(f);
-            let answer = r.try_answer(&q).unwrap_or_else(|| panic!("{f} is a hit"));
-            assert_eq!(Some(&answer), r.try_answer_scan(&q).as_ref(), "{f}");
-            answer.iter().map(|e| e.dn().to_string()).collect()
+            let answer = names(r.try_answer(&q).unwrap_or_else(|| panic!("{f} is a hit")));
+            assert_eq!(Some(&answer), r.try_answer_scan(&q).map(names).as_ref(), "{f}");
+            answer
         };
         let (a, b) = ("cn=a,c=us,o=xyz", "cn=b,c=us,o=xyz");
         let (c, d) = ("cn=c,c=in,o=xyz", "cn=d,c=in,o=xyz");
@@ -2228,7 +2232,7 @@ mod tests {
         let exact = || reg.counter("fbdr_replica_plan_exact_total").get();
         assert_eq!(hit("(serialNumber=045612)"), [b]);
         assert_eq!(hit("(serialNumber=04561*)"), [a, b]);
-        assert_eq!(hit("(serialNumber>=045612)"), [c, d, b]);
+        assert_eq!(hit("(serialNumber>=045612)"), [b, c, d]);
         assert_eq!(hit("(&(departmentNumber=2406)(serialNumber=045612))"), [b]);
         assert_eq!(exact(), 4);
         assert_eq!(hit("(&(departmentNumber=2406)(objectclass=*))"), [a, b]);
@@ -2374,7 +2378,7 @@ mod proptests {
 
     /// Scan oracle: same verification/order/projection tail, no plan.
     fn oracle(snap: &ContentSnapshot, query: &SearchRequest, ids: &[u32]) -> Vec<Entry> {
-        collect_matching(query, snap.entries_of(ids))
+        collect_matching(query, snap.entries_of(ids), false)
     }
 
     proptest! {
@@ -2600,7 +2604,7 @@ mod proptests {
                                     .find(|(cq, _, _)| reference.query_contained(&prepared, cq));
                                 let expected = by_cache.map(|(_, frozen, hits)| {
                                     *hits += 1;
-                                    collect_matching(&query, frozen.iter())
+                                    collect_matching(&query, frozen.iter(), false)
                                 });
                                 prop_assert_eq!(&got, &expected, "{}", query);
                             }

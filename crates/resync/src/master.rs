@@ -2151,8 +2151,11 @@ mod tests {
             ]
         );
         replica.apply_all(&poll.actions);
-        let want = m.dit().search(&req);
-        assert_eq!(replica.iter().collect::<Vec<_>>(), want.iter().collect::<Vec<_>>());
+        let mut want: Vec<Entry> = m.dit().search(&req);
+        want.sort_by(|a, b| a.dn().cmp(b.dn()));
+        let mut got: Vec<&Entry> = replica.iter().collect();
+        got.sort_by(|a, b| a.dn().cmp(b.dn()));
+        assert_eq!(got, want.iter().collect::<Vec<_>>());
     }
 
     #[test]

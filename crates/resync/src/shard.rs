@@ -237,15 +237,14 @@ impl ShardedMaster {
         }
     }
 
-    /// Answers a search in one pass: the owned matches of every shard are
-    /// collected as references, sorted once into hierarchical DN order and
-    /// only then projected — what one store's
+    /// Answers a search in one pass, shard by shard and in no particular
+    /// order: the owned matches of every shard are collected as references
+    /// and only then projected — the entries one store's
     /// [`DitStore::search`](fbdr_dit::DitStore::search) over the same
-    /// entries returns.
+    /// directory returns.
     pub fn search(&self, request: &SearchRequest) -> Vec<Entry> {
         let mut hits: Vec<&Entry> = Vec::new();
         self.for_each_owned_match(request, |e| hits.push(e));
-        hits.sort_unstable_by(|a, b| a.dn().cmp_hierarchical(b.dn()));
         hits.into_iter().map(|e| request.attrs().project(e)).collect()
     }
 

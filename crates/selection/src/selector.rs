@@ -40,6 +40,10 @@ use std::collections::{HashMap, HashSet};
 /// this, every stored weight is renormalized once (rare, amortized O(1)).
 const RESCALE_AT: f64 = 1e12;
 
+/// Near-miss candidates carried into the next step's consideration set
+/// even if untouched — budget-starved risers are not forgotten.
+const PENDING_CAP: usize = 64;
+
 /// Configuration of the selector's budgeted step.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct StepConfig {
@@ -72,9 +76,6 @@ pub struct StepConfig {
     /// Steps a fresh install is immune to eviction (lets its content
     /// load pay off before the ranking may swap it back out).
     pub min_dwell_steps: u64,
-    /// Near-miss candidates carried into the next step's consideration
-    /// set even if untouched — budget-starved risers are not forgotten.
-    pub pending_cap: usize,
     /// Upper bound on candidates tracked; beyond it the bottom quartile
     /// by benefit is pruned (never the stored set).
     pub max_candidates: usize,
@@ -91,7 +92,6 @@ impl Default for StepConfig {
             decay: 0.9,
             upd_weight: 0.25,
             min_dwell_steps: 3,
-            pending_cap: 64,
             max_candidates: 4096,
         }
     }
@@ -124,7 +124,6 @@ impl From<SelectorConfig> for StepConfig {
             upd_weight: 0.0,
             min_dwell_steps: 0,
             max_candidates: c.max_candidates,
-            ..StepConfig::default()
         }
     }
 }
@@ -463,7 +462,7 @@ impl FilterSelector {
         self.pending = target
             .iter()
             .filter(|s| !self.managed.contains_key(&s.key))
-            .take(self.config.pending_cap)
+            .take(PENDING_CAP)
             .map(|s| s.key.clone())
             .collect();
 

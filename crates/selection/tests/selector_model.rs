@@ -187,7 +187,6 @@ proptest! {
             decay: f64::from(decay_pct) / 100.0,
             upd_weight: 0.0,
             min_dwell_steps: 1,
-            pending_cap: 16,
             max_candidates: 4096,
         };
         let (mut m, mut coord, replica) = deployment();

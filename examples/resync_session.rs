@@ -86,8 +86,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {dn}");
     }
     // The replica converged to the master's current answer for S.
-    let master_dns: Vec<String> =
+    let mut master_dns: Vec<String> =
         master.dit().search_dns(&s).iter().map(|d| d.to_string().to_lowercase()).collect();
+    master_dns.sort();
     assert_eq!(replica.sorted_dns(), master_dns);
     println!("(matches the master's current content for S — converged)");
     Ok(())
