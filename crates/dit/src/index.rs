@@ -21,14 +21,18 @@
 //!   exact children that all planned, an `Or` of exact children. A store
 //!   visits an exact plan's ids without evaluating the filter on them.
 //!
-//! The storage differs because the stores do: the replica publishes
-//! immutable epochs and keeps its lists behind `Arc`s in a persistent map,
-//! the master edits plain `std` maps of `Vec<u32>` (`Indexes`, below) in
-//! place. Both key their text maps by [`TextKey`], which keeps short text
-//! in the map node itself: a walk down either tree compares the bytes it
-//! finds in the nodes it descends and follows no pointer per key.
+//! The maps differ because the stores do: the replica publishes immutable
+//! epochs from a persistent map, the master edits plain `std` maps
+//! (`Indexes`, below) in place. What the maps hold is the same: their text
+//! keys are [`TextKey`]s, which keep short text in the map node, and their
+//! values [`Posting`]s, which keep a lone id there too; both stores edit a
+//! posting by `Posting::insert` and `Posting::remove` alone. A key that
+//! one entry holds — a serial number — is then all in the node, so a walk
+//! down either tree over a prefix or a range compares the bytes and reads
+//! the ids it finds in the nodes it descends, and follows a pointer only
+//! to long text or to a list that several entries share.
 
-use crate::posting;
+use crate::posting::{self, Posting};
 use fbdr_ldap::{AttrName, AttrValue, Comparison, Filter, Predicate, ValueSet};
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
@@ -223,32 +227,36 @@ fn scan_is_exact(p: &Predicate) -> bool {
     }
 }
 
-/// Reads the lists a scan names off the two ordered maps a store keeps per
-/// attribute, and unions them: `point` looks one text key up, `text` and
+/// Reads the postings a scan names off the two ordered maps a store keeps
+/// per attribute, and unions them as the walk yields them
+/// ([`posting::union_walk`]): `point` looks one text key up, `text` and
 /// `num` walk a key range in order. Text keys go in and come out as bytes
 /// ([`TextKey`]).
 pub fn scan_lists<'a, 's, T, N>(
     scan: &'s Scan<'s>,
-    point: impl FnOnce(&'s [u8]) -> Option<&'a [u32]>,
+    point: impl FnOnce(&'s [u8]) -> Option<&'a Posting>,
     text: impl FnOnce(Bound<&'s [u8]>, Bound<&'s [u8]>) -> T,
     num: impl FnOnce(Bound<&'s i64>, Bound<&'s i64>) -> N,
 ) -> Cow<'a, [u32]>
 where
-    T: Iterator<Item = (&'a TextKey, &'a [u32])>,
-    N: Iterator<Item = &'a [u32]>,
+    T: Iterator<Item = (&'a TextKey, &'a Posting)>,
+    N: Iterator<Item = (&'a i64, &'a Posting)>,
 {
-    use crate::posting::union_cows as union;
+    use crate::posting::union_walk as union;
+    fn ids<K>((_, ids): (K, &Posting)) -> &[u32] {
+        ids.as_slice()
+    }
     match *scan {
-        Scan::Point(k) => point(k.as_bytes()).map_or(Cow::Owned(Vec::new()), Cow::Borrowed),
+        Scan::Point(k) => {
+            point(k.as_bytes()).map_or(Cow::Owned(Vec::new()), |ids| Cow::Borrowed(ids.as_slice()))
+        }
         Scan::Prefix(p) => union(
             text(Bound::Included(p.as_bytes()), Bound::Unbounded)
                 .take_while(|(k, _)| k.as_bytes().starts_with(p.as_bytes()))
-                .map(|(_, list)| Cow::Borrowed(list)),
+                .map(ids),
         ),
-        Scan::Text(lo, hi) => union(
-            text(lo.map(str::as_bytes), hi.map(str::as_bytes)).map(|(_, list)| Cow::Borrowed(list)),
-        ),
-        Scan::Num(ref lo, ref hi) => union(num(lo.as_ref(), hi.as_ref()).map(Cow::Borrowed)),
+        Scan::Text(lo, hi) => union(text(lo.map(str::as_bytes), hi.map(str::as_bytes)).map(ids)),
+        Scan::Num(ref lo, ref hi) => union(num(lo.as_ref(), hi.as_ref()).map(ids)),
     }
 }
 
@@ -310,37 +318,37 @@ pub fn plan<'a>(
     }
 }
 
-/// Posting lists for one attribute, edited in place.
+/// Postings for one attribute, edited in place.
 #[derive(Debug, Default, Clone, PartialEq)]
 struct AttrIndex {
-    text: BTreeMap<TextKey, Vec<u32>>,
-    num: BTreeMap<i64, Vec<u32>>,
+    text: BTreeMap<TextKey, Posting>,
+    num: BTreeMap<i64, Posting>,
 }
 
-fn add<K, Q>(map: &mut BTreeMap<K, Vec<u32>>, key: &Q, make_key: impl FnOnce() -> K, id: u32)
-where
+/// The replica's `PMap::update` over a `std` map, so that both stores edit
+/// a posting the same way: `edit` sees the posting under `key` — an empty
+/// one when the key is absent, listed under `make_key()` only if it then
+/// holds an id — and returns whether the key stays.
+fn update<K, Q>(
+    map: &mut BTreeMap<K, Posting>,
+    key: &Q,
+    make_key: impl FnOnce() -> K,
+    edit: impl FnOnce(&mut Posting) -> bool,
+) where
     K: Ord + Borrow<Q>,
     Q: Ord + ?Sized,
 {
     match map.get_mut(key) {
-        Some(list) => {
-            posting::insert_sorted(list, id);
+        Some(ids) => {
+            if !edit(ids) {
+                map.remove(key);
+            }
         }
         None => {
-            map.insert(make_key(), vec![id]);
-        }
-    }
-}
-
-fn remove<K, Q>(map: &mut BTreeMap<K, Vec<u32>>, key: &Q, id: u32)
-where
-    K: Ord + Borrow<Q>,
-    Q: Ord + ?Sized,
-{
-    if let Some(list) = map.get_mut(key) {
-        posting::remove_sorted(list, id);
-        if list.is_empty() {
-            map.remove(key);
+            let mut ids = Posting::default();
+            if edit(&mut ids) {
+                map.insert(make_key(), ids);
+            }
         }
     }
 }
@@ -356,6 +364,30 @@ pub(crate) struct Indexes {
 impl Indexes {
     /// Lists `id` under `keys` of `attr`.
     pub(crate) fn insert<'a>(&mut self, attr: &AttrName, keys: impl Iterator<Item = Key<'a>>, id: u32) {
+        self.edit(attr, keys, |ids| {
+            ids.insert(id);
+            true
+        });
+    }
+
+    /// Unlists `id` from `keys` of `attr`.
+    pub(crate) fn remove<'a>(&mut self, attr: &AttrName, keys: impl Iterator<Item = Key<'a>>, id: u32) {
+        self.edit(attr, keys, |ids| {
+            ids.remove(id);
+            !ids.is_empty()
+        });
+    }
+
+    /// Edits the posting under each of `keys` of `attr` ([`update`]); the
+    /// attribute leaves with its last key. Both maps are asked: an integer
+    /// changing its spelling takes the only text key out while its numeric
+    /// key stays listed.
+    fn edit<'a>(
+        &mut self,
+        attr: &AttrName,
+        keys: impl Iterator<Item = Key<'a>>,
+        edit: impl Fn(&mut Posting) -> bool,
+    ) {
         let mut keys = keys.peekable();
         if keys.peek().is_none() {
             return;
@@ -366,21 +398,8 @@ impl Indexes {
         };
         for key in keys {
             match key {
-                Key::Text(k) => add(&mut idx.text, k.as_bytes(), || TextKey::new(k), id),
-                Key::Num(n) => add(&mut idx.num, &n, || n, id),
-            }
-        }
-    }
-
-    /// Unlists `id` from `keys` of `attr`; the attribute leaves with its
-    /// last key. Both maps are asked: an integer changing its spelling
-    /// takes the only text key out while its numeric key stays listed.
-    pub(crate) fn remove<'a>(&mut self, attr: &AttrName, keys: impl Iterator<Item = Key<'a>>, id: u32) {
-        let Some(idx) = self.by_attr.get_mut(attr.lower()) else { return };
-        for key in keys {
-            match key {
-                Key::Text(k) => remove(&mut idx.text, k.as_bytes(), id),
-                Key::Num(n) => remove(&mut idx.num, &n, id),
+                Key::Text(k) => update(&mut idx.text, k.as_bytes(), || TextKey::new(k), &edit),
+                Key::Num(n) => update(&mut idx.num, &n, || n, &edit),
             }
         }
         if idx.text.is_empty() && idx.num.is_empty() {
@@ -396,9 +415,9 @@ impl Indexes {
         };
         Some(scan_lists(
             &scan,
-            |k| idx.text.get(k).map(Vec::as_slice),
-            |lo, hi| idx.text.range::<[u8], _>((lo, hi)).map(|(k, list)| (k, list.as_slice())),
-            |lo, hi| idx.num.range((lo, hi)).map(|(_, list)| list.as_slice()),
+            |k| idx.text.get(k),
+            |lo, hi| idx.text.range::<[u8], _>((lo, hi)),
+            |lo, hi| idx.num.range((lo, hi)),
         ))
     }
 }
@@ -453,25 +472,31 @@ mod tests {
             prop_assert_eq!(state.hash_one(&ka), state.hash_one(a.as_bytes()));
         }
 
-        /// A map keyed by text keys, inline and heap side by side, is
-        /// read — point, prefix, range — as the same map keyed by strings.
+        /// A map keyed by text keys, inline and heap side by side, of
+        /// postings, inline and heap side by side, is read — point,
+        /// prefix, range — as the same map of strings to id lists, and
+        /// empties key by key under the edit both stores make.
         #[test]
         fn a_text_key_map_scans_as_a_string_map(
             keys in prop::collection::vec(text(), 0..48),
             probes in prop::collection::vec(text(), 1..6),
         ) {
-            let mut map: BTreeMap<TextKey, Vec<u32>> = BTreeMap::new();
+            let mut map: BTreeMap<TextKey, Posting> = BTreeMap::new();
             let mut model: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
             for (id, k) in keys.iter().enumerate() {
-                super::add(&mut map, k.as_bytes(), || TextKey::new(k), id as u32);
+                super::update(&mut map, k.as_bytes(), || TextKey::new(k), |ids| {
+                    ids.insert(id as u32);
+                    true
+                });
                 model.entry(k.as_str()).or_default().push(id as u32);
             }
             prop_assert!(map.keys().map(TextKey::as_bytes).eq(model.keys().map(|k| k.as_bytes())));
+            prop_assert!(map.values().all(|ids| ids.is_inline() == (ids.as_slice().len() == 1)));
             let scan = |scan: Scan<'_>| {
                 scan_lists(
                     &scan,
-                    |k| map.get(k).map(Vec::as_slice),
-                    |lo, hi| map.range::<[u8], _>((lo, hi)).map(|(k, list)| (k, list.as_slice())),
+                    |k| map.get(k),
+                    |lo, hi| map.range::<[u8], _>((lo, hi)),
                     |_, _| std::iter::empty(),
                 )
                 .into_owned()
@@ -499,8 +524,11 @@ mod tests {
             }
             for k in &keys {
                 let ids = map.get(k.as_bytes()).cloned().unwrap_or_default();
-                for id in ids {
-                    super::remove(&mut map, k.as_bytes(), id);
+                for &id in ids.as_slice() {
+                    super::update(&mut map, k.as_bytes(), || TextKey::new(k), |ids| {
+                        ids.remove(id);
+                        !ids.is_empty()
+                    });
                 }
             }
             prop_assert!(map.is_empty());

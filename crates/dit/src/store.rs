@@ -4,7 +4,7 @@ use crate::changelog::{ChangeKind, ChangeRecord, Csn};
 use crate::error::{DitError, ImportError};
 use crate::index::{self, Indexes};
 use crate::update::{Modification, UpdateOp};
-use fbdr_ldap::{AttrName, Dn, Entry, Scope, SearchRequest, ValueSet};
+use fbdr_ldap::{AttrName, Dn, Entry, Filter, Scope, SearchRequest, ValueSet};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -508,19 +508,33 @@ impl DitStore {
     /// borrow, not just the call, so a caller merging several stores'
     /// matches can keep the references and project them once.
     pub fn for_each_match<'a>(&'a self, req: &SearchRequest, f: impl FnMut(&'a Entry)) {
-        let matches = |e: &&'a Entry| req.filter().matches(e);
-        match req.scope() {
-            Scope::Base => self.get(req.base()).into_iter().filter(matches).for_each(f),
-            Scope::OneLevel => self.children(req.base()).filter(matches).for_each(f),
+        self.for_each_match_in(req.base(), req.scope(), req.filter(), f);
+    }
+
+    /// [`for_each_match`](DitStore::for_each_match) over a region and a
+    /// filter given apart, for a caller that holds them apart — a sharded
+    /// search clamps a shard's base and borrows the request's filter
+    /// (`fbdr_net::ShardMap::split`), and builds no request to ask.
+    pub fn for_each_match_in<'a>(
+        &'a self,
+        base: &Dn,
+        scope: Scope,
+        filter: &Filter,
+        f: impl FnMut(&'a Entry),
+    ) {
+        let matches = |e: &&'a Entry| filter.matches(e);
+        match scope {
+            Scope::Base => self.get(base).into_iter().filter(matches).for_each(f),
+            Scope::OneLevel => self.children(base).filter(matches).for_each(f),
             Scope::Subtree => {
                 let indexes = &self.entries.indexes;
-                match index::plan(req.filter(), &|p| indexes.lists_for_predicate(p)) {
-                    None => self.subtree(req.base()).filter(matches).for_each(f),
+                match index::plan(filter, &|p| indexes.lists_for_predicate(p)) {
+                    None => self.subtree(base).filter(matches).for_each(f),
                     Some(plan) => plan
                         .ids
                         .iter()
                         .map(|&id| self.entries.get(id))
-                        .filter(|e| req.base().is_ancestor_or_self_of(e.dn()))
+                        .filter(|e| base.is_ancestor_or_self_of(e.dn()))
                         .filter(|e| plan.exact || matches(e))
                         .for_each(f),
                 }

@@ -99,6 +99,12 @@ impl AttrName {
     pub fn interned() -> usize {
         table().read().unwrap_or_else(PoisonError::into_inner).len()
     }
+
+    /// True when both are handles on one string: the same spelling, from
+    /// the table. Equal names of other spellings are not the same handle.
+    pub(crate) fn same_handle(&self, other: &AttrName) -> bool {
+        Arc::ptr_eq(&self.text, &other.text)
+    }
 }
 
 impl PartialEq for AttrName {

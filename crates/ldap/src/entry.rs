@@ -87,9 +87,17 @@ impl Entry {
         self.dn = dn;
     }
 
-    /// Where `attr` is in the slice, or where it would go.
+    /// Where `attr` is in the slice, or where it would go. A name spelled
+    /// as the entry spells it — a filter's, nearly always — is the entry's
+    /// own handle, found by comparing pointers along the slice, so a filter
+    /// verified on a thousand entries reads each one's names in order and
+    /// compares no strings. Any other spelling, and an absent name, is
+    /// binary-searched by lowercased name.
     fn position(&self, attr: &AttrName) -> Result<usize, usize> {
-        self.attrs.0.binary_search_by(|(held, _)| held.cmp(attr))
+        match self.attrs.0.iter().position(|(held, _)| held.same_handle(attr)) {
+            Some(at) => Ok(at),
+            None => self.attrs.0.binary_search_by(|(held, _)| held.cmp(attr)),
+        }
     }
 
     /// The values of the attribute at `at`, for writing — the
@@ -283,6 +291,28 @@ mod tests {
         let e = person();
         assert_eq!(e.values(&"cn".into()).count(), 2);
         assert!(e.has_value(&"cn".into(), &"JOHN M DOE".into()));
+    }
+
+    /// The entry's own spelling is found by handle, any other by name, and
+    /// a name the entry lacks goes where the slice's order puts it.
+    #[test]
+    fn a_name_is_found_by_handle_or_by_spelling() {
+        let mut e = person();
+        let first = |e: &Entry, a: &str| e.first_value(&a.into()).map(|v| v.raw().to_owned());
+        for a in ["serialNumber", "SERIALNUMBER", "serialnumber"] {
+            assert_eq!(first(&e, a).as_deref(), Some("0456"), "{a}");
+        }
+        assert_eq!(first(&e, "sn"), None);
+        e.add("SN", "Doe");
+        e.add("aa", "first");
+        e.add("zz", "last");
+        let names: Vec<&str> = e.attr_names().map(AttrName::lower).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        assert_eq!(names, sorted);
+        assert_eq!(first(&e, "sn").as_deref(), Some("Doe"));
+        assert!(e.remove_attr(&"Sn".into()));
+        assert_eq!(first(&e, "SN"), None);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use client::{Client, NetError, SearchResult};
 pub use cost::{CostModel, ExchangeTracker, Hop, HopDirection, OpStats};
 pub use server::{Server, ServerOutcome};
 pub use service::DirectoryService;
-pub use shard::{ShardId, ShardMap};
+pub use shard::{ShardId, ShardMap, SubRequest};
 
 use fbdr_obs::Obs;
 use std::collections::HashMap;

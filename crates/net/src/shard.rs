@@ -10,9 +10,10 @@
 //! `fbdr-resync`.
 
 use fbdr_dit::NamingContext;
-use fbdr_ldap::{Dn, Rdn, Scope, SearchRequest};
+use fbdr_ldap::{AttrSelection, Dn, Filter, Rdn, Scope, SearchRequest};
 use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -272,7 +273,9 @@ impl ShardMap {
     }
 
     /// Splits a search request across the shards it overlaps: one
-    /// sub-request per shard, ascending by shard id.
+    /// sub-request per shard, ascending by shard id. The sub-requests
+    /// borrow the request's filter and attributes; only a clamped base is
+    /// their own.
     ///
     /// The owner of the base keeps the request verbatim. A shard reached
     /// only through suffixes *below* the base gets its base clamped down
@@ -281,7 +284,7 @@ impl ShardMap {
     /// still over-covers (several suffixes under one ancestor) is
     /// harmless: the shard's evaluation cannot see entries it does not
     /// hold.
-    pub fn split(&self, request: &SearchRequest) -> Vec<(ShardId, SearchRequest)> {
+    pub fn split<'a>(&self, request: &'a SearchRequest) -> Vec<(ShardId, SubRequest<'a>)> {
         let base = request.base();
         let scope = request.scope();
         let base_owner = self.shard_of(base);
@@ -289,52 +292,89 @@ impl ShardMap {
             .into_iter()
             .map(|shard| {
                 if shard == base_owner {
-                    return (shard, request.clone());
+                    return (shard, SubRequest { request, clamped: None });
                 }
-                let in_region: Vec<&Dn> = self
-                    .entries
-                    .iter()
-                    .filter(|(s, id)| *id == shard && scope.contains(base, s) && base != s)
-                    .map(|(s, _)| s)
-                    .collect();
-                let clamped = common_ancestor(&in_region).unwrap_or_else(|| base.clone());
+                let in_region = || {
+                    self.entries
+                        .iter()
+                        .filter(move |(s, id)| *id == shard && scope.contains(base, s) && base != s)
+                        .map(|(s, _)| s)
+                };
+                let clamped = common_ancestor(in_region()).unwrap_or_else(|| base.clone());
                 let sub_scope = match scope {
                     // The region's only reachable point of a child suffix
                     // is the suffix entry itself.
-                    Scope::OneLevel if in_region.len() == 1 => Scope::Base,
+                    Scope::OneLevel if in_region().count() == 1 => Scope::Base,
                     s => s,
                 };
-                (
-                    shard,
-                    SearchRequest::with_attrs(
-                        clamped,
-                        sub_scope,
-                        request.filter().clone(),
-                        request.attrs().clone(),
-                    ),
-                )
+                (shard, SubRequest { request, clamped: Some((clamped, sub_scope)) })
             })
             .collect()
     }
 }
 
-/// The deepest DN that is an ancestor-or-self of every input (root-first
-/// longest common prefix of the RDN sequences). `None` for an empty set.
-fn common_ancestor(dns: &[&Dn]) -> Option<Dn> {
-    let first = dns.first()?;
-    let mut prefix: Vec<_> = first.rdns().iter().rev().cloned().collect();
-    for dn in &dns[1..] {
-        let mut len = 0;
-        for (a, b) in prefix.iter().zip(dn.rdns().iter().rev()) {
-            if a != b {
-                break;
-            }
-            len += 1;
-        }
-        prefix.truncate(len);
+/// One shard's part of a [`ShardMap::split`]: the request's filter and
+/// attributes, borrowed, over the request's own region or over one clamped
+/// down to the shard's suffixes below its base.
+#[derive(Debug, Clone)]
+pub struct SubRequest<'a> {
+    request: &'a SearchRequest,
+    /// The clamped base and scope; `None` keeps the request's.
+    clamped: Option<(Dn, Scope)>,
+}
+
+impl<'a> SubRequest<'a> {
+    /// The search base at this shard.
+    pub fn base(&self) -> &Dn {
+        self.clamped.as_ref().map_or(self.request.base(), |(base, _)| base)
     }
-    prefix.reverse();
-    Some(Dn::from_rdns(prefix))
+
+    /// The search scope at this shard.
+    pub fn scope(&self) -> Scope {
+        self.clamped.as_ref().map_or(self.request.scope(), |&(_, scope)| scope)
+    }
+
+    /// The request's filter.
+    pub fn filter(&self) -> &'a Filter {
+        self.request.filter()
+    }
+
+    /// The request's attributes.
+    pub fn attrs(&self) -> &'a AttrSelection {
+        self.request.attrs()
+    }
+
+    /// The sub-request as a request of its own: the original when this
+    /// shard keeps it verbatim, else a copy with the clamped region.
+    pub fn to_request(&self) -> Cow<'a, SearchRequest> {
+        match &self.clamped {
+            None => Cow::Borrowed(self.request),
+            Some((base, scope)) => Cow::Owned(SearchRequest::with_attrs(
+                base.clone(),
+                *scope,
+                self.filter().clone(),
+                self.attrs().clone(),
+            )),
+        }
+    }
+}
+
+/// The deepest DN that is an ancestor-or-self of every input (root-first
+/// longest common prefix of the RDN sequences): the first input itself,
+/// shared, when it is above all the others — always, for one suffix — and
+/// a new DN otherwise. `None` for an empty set.
+fn common_ancestor<'a>(mut dns: impl Iterator<Item = &'a Dn>) -> Option<Dn> {
+    let first = dns.next()?;
+    let rdns = first.rdns();
+    let depth = dns.fold(rdns.len(), |depth, dn| {
+        let root_first = rdns.iter().rev().zip(dn.rdns().iter().rev());
+        depth.min(root_first.take_while(|(a, b)| a == b).count())
+    });
+    Some(if depth == rdns.len() {
+        first.clone()
+    } else {
+        Dn::from_rdns(rdns[rdns.len() - depth..].to_vec())
+    })
 }
 
 #[cfg(test)]
@@ -388,13 +428,17 @@ mod tests {
         let req = SearchRequest::new(dn("o=xyz"), Scope::Subtree, Filter::match_all());
         let parts = m.split(&req);
         assert_eq!(parts.len(), 2);
-        // Shard 0 owns the base: request verbatim.
+        // Shard 0 owns the base: request verbatim, borrowed.
         assert_eq!(parts[0].0, ShardId::new(0));
-        assert_eq!(&parts[0].1, &req);
-        // Shard 1 is reached through its suffix: base clamped down.
+        assert!(matches!(parts[0].1.to_request(), Cow::Borrowed(r) if std::ptr::eq(r, &req)));
+        // Shard 1 is reached through its suffix: base clamped down, filter
+        // and attributes still the request's own.
         assert_eq!(parts[1].0, ShardId::new(1));
         assert_eq!(parts[1].1.base(), &dn("c=g1,o=xyz"));
         assert_eq!(parts[1].1.scope(), Scope::Subtree);
+        assert!(std::ptr::eq(parts[1].1.filter(), req.filter()));
+        let clamped = SearchRequest::new(dn("c=g1,o=xyz"), Scope::Subtree, Filter::match_all());
+        assert_eq!(parts[1].1.to_request().into_owned(), clamped);
     }
 
     #[test]
@@ -478,6 +522,9 @@ mod tests {
         assert_eq!(m.shard_count(), 1);
         assert_eq!(m.shard_of(&dn("cn=anything,o=anywhere")), ShardId::ZERO);
         let req = SearchRequest::from_root(Filter::match_all());
-        assert_eq!(m.split(&req), vec![(ShardId::ZERO, req)]);
+        let parts = m.split(&req);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].0, ShardId::ZERO);
+        assert_eq!(parts[0].1.to_request().into_owned(), req);
     }
 }

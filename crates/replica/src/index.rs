@@ -7,52 +7,32 @@
 //! module is the storage an epoch-publishing store needs under them.
 //!
 //! Lifecycle: every map in the index is a persistent [`PMap`] — its text
-//! keys the shared [`TextKey`], compared in the node — and every
-//! posting list sits behind its own `Arc`, so cloning the index for the
-//! next epoch is one pointer copy and the two epochs share every node the
-//! writer does not touch. A cycle pays for what it changes: per changed
-//! index key one root-to-leaf path in its value map (a few nodes of at
-//! most 32 items) plus the posting list it edits;
-//! [`SnapshotIndex::reindex`] diffs the old and new version of an entry so
-//! a `Modify` touches only the values that differ. A node or list is
-//! copied on its first touch in a cycle and edited in place on every later
-//! one, so a bulk install stays a bulk load. The index is never rebuilt
-//! from the entry store.
+//! keys the shared [`TextKey`], its values [`Posting`]s, both kept in the
+//! node when short — so cloning the index for the next epoch is one
+//! pointer copy and the two epochs share every node the writer does not
+//! touch. A key that one entry holds keeps its id in its node; a key of
+//! two or more ids shares its list between the epochs behind an `Arc`. A cycle
+//! pays for what it changes: per changed index key one root-to-leaf path
+//! in its value map (a few nodes of at most 32 items) plus the shared list
+//! it edits, if the key has one; [`SnapshotIndex::reindex`] diffs the old
+//! and new version of an entry so a `Modify` touches only the values that
+//! differ. A node or list is copied on its first touch in a cycle and
+//! edited in place on every later one, so a bulk install stays a bulk
+//! load. The index is never rebuilt from the entry store.
 
 use crate::persistent::PMap;
 use fbdr_dit::index::{self, Key, Plan, TextKey};
-use fbdr_dit::posting;
+use fbdr_dit::posting::Posting;
 use fbdr_ldap::{Entry, Filter, Predicate};
 use std::borrow::Cow;
-use std::sync::Arc;
 
-/// A posting list shared between the epochs that do not edit it.
-type Ids = Arc<Vec<u32>>;
-
-/// Posting lists for one attribute.
+/// Postings for one attribute.
 #[derive(Debug, Clone, Default)]
 struct AttrPostings {
     /// Normalized value text → ids, in lexicographic order.
-    text: PMap<TextKey, Ids>,
+    text: PMap<TextKey, Posting>,
     /// Integer view of the values that have one → ids.
-    num: PMap<i64, Ids>,
-}
-
-/// An edit of one posting list; returns whether the list still holds an
-/// id afterwards (an emptied list is dropped with its key, unedited).
-type Edit = fn(&mut Ids, u32) -> bool;
-
-fn add_id(list: &mut Ids, id: u32) -> bool {
-    posting::insert_sorted(Arc::make_mut(list), id);
-    true
-}
-
-fn remove_id(list: &mut Ids, id: u32) -> bool {
-    if **list == [id] {
-        return false;
-    }
-    posting::remove_sorted(Arc::make_mut(list), id);
-    !list.is_empty()
+    num: PMap<i64, Posting>,
 }
 
 /// Immutable-per-epoch equality/prefix/range index over snapshot entries.
@@ -68,16 +48,28 @@ impl SnapshotIndex {
     /// differs. `old` must be the entry version last indexed under `id`.
     pub(crate) fn reindex(&mut self, id: u32, old: Option<&Entry>, new: Option<&Entry>) {
         if let Some(old) = old {
-            self.edit_difference(id, old, new, remove_id);
+            self.edit_difference(old, new, |ids| {
+                ids.remove(id);
+                !ids.is_empty()
+            });
         }
         if let Some(new) = new {
-            self.edit_difference(id, new, old, add_id);
+            self.edit_difference(new, old, |ids| {
+                ids.insert(id);
+                true
+            });
         }
     }
 
-    /// Applies `edit` to the posting list of every index key `e` is
-    /// listed under and `other` is not.
-    fn edit_difference(&mut self, id: u32, e: &Entry, other: Option<&Entry>, edit: Edit) {
+    /// Applies `edit` to the posting of every index key `e` is listed
+    /// under and `other` is not; `edit` returns whether the key stays (a
+    /// key goes with its last id).
+    fn edit_difference(
+        &mut self,
+        e: &Entry,
+        other: Option<&Entry>,
+        edit: impl Fn(&mut Posting) -> bool,
+    ) {
         for (attr, values) in e.attrs() {
             let mut keys =
                 index::keys_only_in(values, other.and_then(|o| o.value_set(attr))).peekable();
@@ -87,10 +79,8 @@ impl SnapshotIndex {
             self.by_attr.update(attr.lower().as_bytes(), || TextKey::new(attr.lower()), |idx| {
                 for key in keys {
                     match key {
-                        Key::Text(k) => {
-                            idx.text.update(k.as_bytes(), || TextKey::new(k), |list| edit(list, id))
-                        }
-                        Key::Num(n) => idx.num.update(&n, || n, |list| edit(list, id)),
+                        Key::Text(k) => idx.text.update(k.as_bytes(), || TextKey::new(k), &edit),
+                        Key::Num(n) => idx.num.update(&n, || n, &edit),
                     }
                 }
                 // The attribute leaves with its last key. Both maps are
@@ -117,26 +107,39 @@ impl SnapshotIndex {
         };
         Some(index::scan_lists(
             &scan,
-            |k| idx.text.get(k).map(|list| list.as_slice()),
-            |lo, hi| idx.text.range::<[u8]>(lo, hi).map(|(k, list)| (k, list.as_slice())),
-            |lo, hi| idx.num.range(lo, hi).map(|(_, list)| list.as_slice()),
+            |k| idx.text.get(k),
+            |lo, hi| idx.text.range::<[u8]>(lo, hi),
+            |lo, hi| idx.num.range(lo, hi),
         ))
     }
 }
 
 #[cfg(test)]
 impl SnapshotIndex {
-    /// Addresses of every map node and posting list, for
-    /// structural-sharing assertions.
+    /// Addresses of every map node and of every list still on the heap —
+    /// a key's, when it holds two or more ids — for structural-sharing
+    /// assertions.
     pub(crate) fn node_addrs(&self) -> Vec<usize> {
-        fn lists<K: Ord>(map: &PMap<K, Ids>, out: &mut Vec<usize>) {
+        fn lists<K: Ord>(map: &PMap<K, Posting>, out: &mut Vec<usize>) {
             out.extend(map.node_addrs());
-            out.extend(map.iter().map(|(_, l)| Arc::as_ptr(l) as usize));
+            let heap = map.iter().filter(|(_, ids)| !ids.is_inline());
+            out.extend(heap.map(|(_, ids)| ids.as_slice().as_ptr() as usize));
         }
         let mut out = self.by_attr.node_addrs();
         for (_, idx) in self.by_attr.iter() {
             lists(&idx.text, &mut out);
             lists(&idx.num, &mut out);
+        }
+        out
+    }
+
+    /// Every posting, text keys' then numeric keys', attribute by
+    /// attribute.
+    pub(crate) fn postings(&self) -> Vec<&Posting> {
+        let mut out = Vec::new();
+        for (_, idx) in self.by_attr.iter() {
+            out.extend(idx.text.iter().map(|(_, ids)| ids));
+            out.extend(idx.num.iter().map(|(_, ids)| ids));
         }
         out
     }

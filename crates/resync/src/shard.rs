@@ -229,7 +229,8 @@ impl ShardedMaster {
     /// otherwise return those copies once per shard.
     fn for_each_owned_match<'a>(&'a self, request: &SearchRequest, mut f: impl FnMut(&'a Entry)) {
         for (shard, sub) in self.map.split(request) {
-            self.shards[shard.index()].dit().for_each_match(&sub, |e| {
+            let dit = self.shards[shard.index()].dit();
+            dit.for_each_match_in(sub.base(), sub.scope(), sub.filter(), |e| {
                 if self.map.shard_of(e.dn()) == shard {
                     f(e);
                 }
@@ -530,7 +531,7 @@ impl<C: Clock> ShardCoordinator<C> {
             let r = self.drivers[shard.index()].resync(
                 transport,
                 shard,
-                &sub,
+                &sub.to_request(),
                 ReSyncControl::poll(None),
             );
             match r {
@@ -578,6 +579,7 @@ impl<C: Clock> ShardCoordinator<C> {
                     slice.retain(|e| map.shard_of(e.dn()) == shard);
                     slice
                 };
+                let sub = sub.to_request();
                 drivers[shard.index()].sync_slice(transport, shard, &sub, cookie, &owned)
             })
             .collect()

@@ -539,7 +539,7 @@ fn reconcile_through_moving_master<M: Master>(
     let mut cookie = CompositeCookie::new();
     let mut replica = ReplicaContent::new();
     for (shard, sub) in map.split(&req) {
-        let resp = driver.resync(&mut t, shard, &sub, ReSyncControl::poll(None)).expect("install");
+        let resp = driver.resync(&mut t, shard, &sub.to_request(), ReSyncControl::poll(None)).expect("install");
         replica.apply_all(&resp.actions);
         cookie.insert(shard, resp.cookie.expect("cookie issued"));
     }
@@ -553,7 +553,7 @@ fn reconcile_through_moving_master<M: Master>(
         for (shard, sub) in map.split(&req) {
             let owned = |e: &&Entry| map.shard_of(e.dn()) == shard;
             let held = || replica.iter().filter(owned).cloned().collect();
-            let out = driver.sync_slice(&mut t, shard, &sub, &mut cookie, &held);
+            let out = driver.sync_slice(&mut t, shard, &sub.to_request(), &mut cookie, &held);
             prop_assert_eq!(&out.status, &want, "{} ended on the wrong rung", shard);
             replica.apply_all(&out.actions);
         }

@@ -21,9 +21,11 @@
 //!
 //! And, in bytes again, the entry representation (DESIGN §5): an answer
 //! allocates for its list, not for the entries on it — a four-shard
-//! master's fan-out for no more list than one store's (DESIGN §14) — and a
-//! write to an entry someone else holds copies the set it changes, not the
-//! entry.
+//! master's fan-out for no more list than one store's (DESIGN §14), and
+//! for no copy of the request per shard — and a write to an entry someone
+//! else holds copies the set it changes, not the entry. What an entry
+//! weighs in a loaded store, and what holding one costs a replica, are
+//! mostly index (DESIGN §9): a key one entry holds keeps its id inline.
 //!
 //! Last, the allocator tracks the thread's *live* bytes, for what the
 //! master keeps: under a stream of updates to a fixed population its heap
@@ -338,6 +340,25 @@ fn an_answer_allocates_for_the_list_not_the_entries() {
     assert_eq!(allocations, 0, "allocations of {} ownership lookups", dns.len());
 }
 
+#[test]
+fn a_sharded_miss_borrows_its_request() {
+    let (master, _) = teams();
+    let sharded = sharded_teams();
+    let nobody = team_query("z");
+    let (found, one_store) = allocations_of(|| master.dit().search(&nobody).len());
+    assert_eq!(found, 0);
+    let (found, four_shards) = allocations_of(|| sharded.search(&nobody).len());
+    assert_eq!(found, 0);
+    println!("a search that matches nothing: {one_store} allocations at one store, {four_shards} at 4 shards");
+    // The split's two lists and a plan at each further shard: the clamped
+    // bases are the shards' own suffixes, shared. A request copied per
+    // shard allocated 21 times here.
+    assert!(
+        four_shards <= one_store + 8,
+        "a 4-shard search allocated {four_shards} times, one store's {one_store}"
+    );
+}
+
 /// Bytes the master allocates to replace person 42's one `mail` value
 /// while a persist-mode replica holds the entry, every other attribute of
 /// which carries `others` values.
@@ -394,12 +415,32 @@ fn an_entry_is_the_bytes_of_its_values() {
     assert_eq!((live, allocations), (0, 0), "a clone allocated");
     assert_eq!(twin, one);
 
-    // Bodies, both DN maps and the index: 8 026 B with the layout above.
+    // Bodies, both DN maps and the index: 8 026 B with the layout above,
+    // 1 576 B while every index key had a list on the heap.
     let (store, live, _) = live_and_allocations_of(|| master_of(2_000));
     let per_entry = live / 2_000;
     println!("a store of 2 000 people: {per_entry} B live per entry");
-    assert!(per_entry <= 2_500, "a loaded store holds {per_entry} B per entry");
+    assert!(per_entry <= 1_550, "a loaded store holds {per_entry} B per entry");
     assert_eq!(store.dit().len(), 2_002);
+}
+
+#[test]
+fn a_held_entry_is_the_bytes_of_its_index() {
+    let mut master = master_of(2_000);
+    let (replica, live, allocations) = live_and_allocations_of(|| {
+        let replica = FilterReplica::new(0);
+        replica.install_filter(&mut master, query("(objectclass=inetOrgPerson)")).expect("install");
+        replica
+    });
+    assert_eq!(replica.entry_count(), 2_000);
+    let (per_entry, allocations) = (live / 2_000, allocations / 2_000);
+    println!("a replica holding 2 000 people: {per_entry} B live in {allocations} allocations per held entry");
+    // The bodies are the master's, shared. What an install adds per held
+    // entry is mostly index: five of a person's values are the person's
+    // alone, and their keys hold the id inline in the map node (885 B in
+    // 11 allocations while each of those keys had a list on the heap).
+    assert!(per_entry <= 800, "a held entry costs {per_entry} B");
+    assert!(allocations <= 2, "a held entry costs {allocations} allocations");
 }
 
 #[test]
@@ -487,9 +528,9 @@ fn a_master_under_100k_updates_keeps_its_heap_where_it_was() {
     for sessions in [0, 50] {
         let (drift, body) = heap_drift_over_100k_replaces(sessions);
         println!("{sessions} sessions: live heap moved {drift} B over 100 000 replaces (one entry body: {body} B)");
-        // A few nodes of the index's B-trees — 544 B a leaf, and a tree's
-        // shape depends on the order its keys came in; a log would be
-        // 100 000 records.
-        assert!(drift.abs() <= 8 * 544, "{sessions} sessions: live heap moved {drift} B");
+        // A few nodes of the index's B-trees — 456 B a leaf of eleven
+        // text keys and postings, and a tree's shape depends on the order
+        // its keys came in; a log would be 100 000 records.
+        assert!(drift.abs() <= 8 * 456, "{sessions} sessions: live heap moved {drift} B");
     }
 }
