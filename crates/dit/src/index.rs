@@ -10,10 +10,11 @@
 //!   that `i64`, nothing else: no per-attribute presence list, no
 //!   non-integer in the numeric map;
 //! * **how a predicate is scanned** ([`predicate_scan`], [`bound_scan`],
-//!   [`scan_lists`]) — equality is one text key, an `initial` substring a
-//!   text prefix, a range bound is typed by its assertion exactly as
-//!   predicate evaluation is ([`AttrValue::range_cmp`]); presence and
-//!   substrings without `initial` have no scan;
+//!   [`scan_lists`], [`text_key_in`]) — equality is one text key, an
+//!   `initial` substring a text prefix, a range bound is typed by its
+//!   assertion exactly as predicate evaluation is
+//!   ([`AttrValue::range_cmp`]); presence and substrings without `initial`
+//!   have no scan;
 //! * **how a filter plans** ([`plan`]) — `And` intersects every plannable
 //!   child, `Or` unions when every child plans, `Not` never plans;
 //! * **when a plan is the answer** ([`Plan::exact`]) — a predicate whose
@@ -31,6 +32,11 @@
 //! down either tree over a prefix or a range compares the bytes and reads
 //! the ids it finds in the nodes it descends, and follows a pointer only
 //! to long text or to a list that several entries share.
+//!
+//! A third store keeps its keys in no order: the replica's key column over
+//! a large cached result, one `(position, text key)` pair per value. It
+//! asks [`text_key_in`] of every pair instead of walking a map, and has no
+//! numeric keys, so a numeric scan does not plan on it.
 
 use crate::posting::{self, Posting};
 use fbdr_ldap::{AttrName, AttrValue, Comparison, Filter, Predicate, ValueSet};
@@ -39,7 +45,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
 /// Bytes of text a [`TextKey`] holds inline: what is left of 24 bytes
@@ -258,6 +264,19 @@ where
         Scan::Text(lo, hi) => union(text(lo.map(str::as_bytes), hi.map(str::as_bytes)).map(ids)),
         Scan::Num(ref lo, ref hi) => union(num(lo.as_ref(), hi.as_ref()).map(ids)),
     }
+}
+
+/// Whether `key`, a value's normalized text, is one of the text keys a scan
+/// names — the test [`scan_lists`] makes by walking an ordered map, made of
+/// one key, for a store that keeps its keys in no order. `None` for a
+/// numeric scan: it names integer keys, and a text key is not one.
+pub fn text_key_in(scan: &Scan<'_>, key: &[u8]) -> Option<bool> {
+    Some(match *scan {
+        Scan::Point(k) => key == k.as_bytes(),
+        Scan::Prefix(p) => key.starts_with(p.as_bytes()),
+        Scan::Text(lo, hi) => (lo.map(str::as_bytes), hi.map(str::as_bytes)).contains(key),
+        Scan::Num(..) => return None,
+    })
 }
 
 /// What [`plan`] compiles a filter into.
@@ -532,6 +551,64 @@ mod tests {
                 }
             }
             prop_assert!(map.is_empty());
+        }
+
+        /// A column — one `(id, text key)` pair per value, ids ascending,
+        /// an id with several values or with none — filtered by
+        /// `text_key_in` names the ids `scan_lists` reads off a map of the
+        /// same pairs, under every text scan. A numeric scan names no text
+        /// key.
+        #[test]
+        fn a_column_filtered_by_text_key_in_is_the_map_scanned(
+            values in prop::collection::vec(prop::collection::vec(text(), 0..3), 0..40),
+            probes in prop::collection::vec(text(), 1..6),
+        ) {
+            let column: Vec<(u32, TextKey)> = values
+                .iter()
+                .enumerate()
+                .flat_map(|(id, vs)| vs.iter().map(move |v| (id as u32, TextKey::new(v))))
+                .collect();
+            let mut map: BTreeMap<TextKey, Posting> = BTreeMap::new();
+            for (id, key) in &column {
+                super::update(&mut map, key.as_bytes(), || key.clone(), |ids| {
+                    ids.insert(*id);
+                    true
+                });
+            }
+            let filtered = |scan: &Scan<'_>| -> Option<Vec<u32>> {
+                let mut ids: Vec<u32> = Vec::new();
+                for (id, key) in &column {
+                    if text_key_in(scan, key.as_bytes())? && ids.last() != Some(id) {
+                        ids.push(*id);
+                    }
+                }
+                Some(ids)
+            };
+            let walked = |scan: &Scan<'_>| {
+                scan_lists(
+                    scan,
+                    |k| map.get(k),
+                    |lo, hi| map.range::<[u8], _>((lo, hi)),
+                    |_, _| std::iter::empty(),
+                )
+                .into_owned()
+            };
+            let probes: Vec<&str> =
+                probes.iter().chain(values.iter().flatten()).map(String::as_str).collect();
+            for (&p, &q) in probes.iter().zip(probes.iter().cycle().skip(1)) {
+                let (lo, hi) = if p <= q { (p, q) } else { (q, p) };
+                for scan in [
+                    Scan::Point(p),
+                    Scan::Prefix(p),
+                    Scan::Text(Bound::Included(p), Bound::Unbounded),
+                    Scan::Text(Bound::Unbounded, Bound::Included(p)),
+                    Scan::Text(Bound::Included(lo), Bound::Excluded(hi)),
+                    Scan::Text(Bound::Excluded(lo), Bound::Included(hi)),
+                ] {
+                    prop_assert_eq!(filtered(&scan), Some(walked(&scan)), "{:?}", scan);
+                }
+                prop_assert_eq!(text_key_in(&Scan::Num(Bound::Unbounded, Bound::Unbounded), p.as_bytes()), None);
+            }
         }
     }
 

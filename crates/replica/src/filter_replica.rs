@@ -15,6 +15,15 @@
 //! only on the candidates — none at all when the plan is exact: then the
 //! intersection is the answer, and only the query's region is checked.
 //!
+//! A hit reads only what it returns. A query asking exactly what its
+//! container holds — the same filter, base and scope — is the container's
+//! content, with no plan and no check: a cached query's frozen result
+//! always (it is the master's answer to that query), a stored filter's
+//! entries when the filter is *settled*, holding no body it does not
+//! match. Any other query contained in a large frozen result plans through
+//! the result's key columns ([`KeyColumns`]) instead of verifying every
+//! frozen entry.
+//!
 //! # Stored-filter index
 //!
 //! *Which* stored filter answers a query is decided without scanning the
@@ -38,7 +47,7 @@
 //! place, so publishing costs O(changed keys · node size), not
 //! O(replica), and a bulk install stays a bulk load.
 
-use crate::index::SnapshotIndex;
+use crate::index::{KeyColumns, SnapshotIndex};
 use crate::persistent::SlotVec;
 use crate::stats::{AtomicReplicaStats, ReplicaStats};
 use crossbeam::channel::{Receiver, TryRecvError};
@@ -84,6 +93,15 @@ struct StoredFilter {
     /// content is served anyway (availability over freshness) but hits
     /// are accounted as stale until a cycle succeeds.
     stale: bool,
+    /// True when every entry the filter holds matches it, so that a query
+    /// asking exactly for the filter's content is answered by handing the
+    /// content over ([`FilterReplica::try_answer`]). True at install. The
+    /// filter's own `Add`s and `Modify`s keep it: the master sent those
+    /// bodies as matches. A different body stored by another filter at an
+    /// id this one also holds clears it ([`apply_actions`]), and a cycle
+    /// that brings every filter back fresh sets it on all of them again
+    /// (`FilterReplica::run_cycle`).
+    settled: bool,
     hits: Arc<AtomicU64>,
 }
 
@@ -186,12 +204,15 @@ impl ContentSnapshot {
     /// attribute values that differ from the slot's previous occupant are
     /// re-indexed. The slot holds the handle it is given — the body the
     /// sync action carried, which an in-process master still shares.
-    fn store(&mut self, id: u32, e: Entry) {
+    /// Returns true when the slot held a different body.
+    fn store(&mut self, id: u32, e: Entry) -> bool {
         let slot = self.entries.slot_mut(id as usize);
+        let replaced = slot.as_ref().is_some_and(|old| *old != e);
         self.index.reindex(id, slot.as_ref(), Some(&e));
         if slot.replace(e).is_none() {
             self.live += 1;
         }
+        replaced
     }
 
     /// Clears a slot and unindexes the entry it held.
@@ -242,7 +263,25 @@ struct WriterState {
     /// whose posting list has it (cached queries own their entries and
     /// hold nothing); the last release evicts the entry and frees the id.
     table: DnTable,
+    /// Set for good once a filter is installed in persist mode. A drain
+    /// applies a batch between cycles, flushed whenever the master flushed
+    /// it, so it can store an older body over one a polled filter was sent
+    /// later, which that filter's session never sends again: no cycle can
+    /// then vouch for every filter's held bodies, and filters are settled
+    /// at install only ([`StoredFilter::settled`]).
+    streamed: bool,
 }
+
+/// Frozen results of at least this many entries are cached with key
+/// columns ([`KeyColumns`]) over the attributes their filter names. Timed
+/// on the benchmark's `range_sharded` workload (2-vCPU VM, release build,
+/// results of ≈ 1 000 people): building a column costs 55–62 µs, paid by
+/// the miss that caches the result; a contained query spent 45–48 µs
+/// verifying every frozen entry, and costs 6–7 µs through the column.
+/// 256 lies between that workload's 100- and 1 000-entry results, so both
+/// sides are measured. A smaller result is verified entry by entry, and
+/// caching it allocates what it did before columns existed.
+const COLUMN_AT: usize = 256;
 
 /// A cached recent user query with its frozen result set (cached queries
 /// are not synchronized, §7.4, so the result is a snapshot at cache time).
@@ -250,7 +289,24 @@ struct WriterState {
 struct CachedQuery {
     prepared: PreparedQuery<'static>,
     entries: Vec<Entry>,
+    /// Empty below [`COLUMN_AT`] entries.
+    columns: KeyColumns,
     hits: AtomicU64,
+}
+
+impl CachedQuery {
+    /// Answers a query this one contains but does not equal from the
+    /// frozen result: through the key columns' plan when they bound it,
+    /// else by verifying every frozen entry.
+    fn answer(&self, query: &SearchRequest) -> Vec<Entry> {
+        match self.columns.plan(query.filter()) {
+            Some(plan) => {
+                let candidates = plan.ids.iter().map(|&pos| &self.entries[pos as usize]);
+                collect_matching(query, candidates, plan.exact)
+            }
+            None => collect_matching(query, self.entries.iter(), false),
+        }
+    }
 }
 
 /// The FIFO window of cached queries, kept behind a short-critical-section
@@ -336,6 +392,9 @@ struct AnswerMetrics {
     /// `fbdr_replica_plan_scan_total` — answers that fell back to scanning
     /// the stored filter's posting list.
     plan_scan: Arc<Counter>,
+    /// `fbdr_replica_answer_whole_total` — hits answered with their
+    /// container's whole content: no plan, no intersection, no check.
+    answer_whole: Arc<Counter>,
     /// `fbdr_replica_filter_index_candidates` — stored filters the filter
     /// index left to check, per lookup.
     filter_index_candidates: Arc<Histogram>,
@@ -407,7 +466,9 @@ impl FilterReplica {
     /// [`try_answer`](FilterReplica::try_answer) is timed into
     /// `fbdr_replica_try_answer_ns`, index maintenance is timed into
     /// `fbdr_replica_index_build_ns`, plan selectivity, exact plans
-    /// (`fbdr_replica_plan_exact_total`) and the filter index's candidates
+    /// (`fbdr_replica_plan_exact_total`), hits answered with a container's
+    /// whole content (`fbdr_replica_answer_whole_total`; a `qc_hit` event
+    /// says `whole`) and the filter index's candidates
     /// per lookup
     /// (`fbdr_replica_filter_index_candidates`, and
     /// `fbdr_replica_filter_index_fallback_total` for queries it cannot
@@ -429,6 +490,7 @@ impl FilterReplica {
                     plan_indexed: reg.counter("fbdr_replica_plan_indexed_total"),
                     plan_exact: reg.counter("fbdr_replica_plan_exact_total"),
                     plan_scan: reg.counter("fbdr_replica_plan_scan_total"),
+                    answer_whole: reg.counter("fbdr_replica_answer_whole_total"),
                     filter_index_candidates: reg
                         .histogram("fbdr_replica_filter_index_candidates"),
                     filter_index_fallback: reg
@@ -593,6 +655,7 @@ impl FilterReplica {
         let (resp, rx) = master.resync_persist(&request, None)?;
         let traffic = resp.traffic();
         let cookie = resp.cookie.map(|c| vec![(ShardId::ZERO, c)]).unwrap_or_default().into();
+        w.streamed = true;
         self.install_loaded(&mut w, request, cookie, Some(rx), &resp.actions);
         Ok(traffic)
     }
@@ -612,6 +675,7 @@ impl FilterReplica {
             prepared: Arc::new(PreparedQuery::new(request)),
             ids: Arc::default(),
             stale: false,
+            settled: true,
             hits: Arc::new(AtomicU64::new(0)),
         };
         self.timed_apply(&mut work, &mut w.table, &mut sf, actions);
@@ -852,6 +916,15 @@ impl FilterReplica {
     /// hard error, else the traffic. `sync_one` reads the filter's held
     /// entries only when a slice needs them (to reconcile or reinstall).
     ///
+    /// A cycle over every filter in which every slice came back fresh and
+    /// none was a redelivery leaves each filter holding the master's
+    /// answer for it, in the master's bodies, all read from the state the
+    /// master is in while the cycle holds the transport: it settles every
+    /// filter ([`StoredFilter::settled`]), unless the replica streams. A
+    /// redelivered batch was built for an earlier, lost answer, so it
+    /// leaves its filter at an older state — possibly over a newer body
+    /// another filter was sent — and the cycle settles nothing.
+    ///
     /// Returns `Ok(None)` without publishing when `only` names no stored
     /// filter.
     fn run_cycle(
@@ -860,7 +933,7 @@ impl FilterReplica {
         sync_one: &mut SyncOne<'_>,
     ) -> Result<Option<SyncTraffic>, SyncError> {
         let mut w = self.writer.lock();
-        let WriterState { sessions, table } = &mut *w;
+        let WriterState { sessions, table, streamed } = &mut *w;
         let snap = self.snapshot();
         let selected = match only {
             None => 0..snap.filters.len(),
@@ -872,6 +945,7 @@ impl FilterReplica {
         let mut work = ContentSnapshot::clone(&snap);
         let mut total = SyncTraffic::default();
         let mut failed: Option<SyncError> = None;
+        let mut settles = only.is_none() && !*streamed;
         for i in selected {
             let sf = &work.filters[i];
             let held = || work.entries_of(&sf.ids).cloned().collect();
@@ -880,6 +954,7 @@ impl FilterReplica {
             let mut actions: Vec<SyncAction> = Vec::new();
             for out in outcomes {
                 total.absorb(&out.traffic);
+                settles &= !out.redelivered;
                 actions.extend(out.actions);
                 let reason = match out.status {
                     ShardStatus::Stale => "unreachable",
@@ -899,10 +974,16 @@ impl FilterReplica {
                     reason = reason,
                 );
             }
+            settles &= !stale;
             let mut sf = work.filters[i].clone();
             sf.stale = stale;
             self.timed_apply(&mut work, table, &mut sf, &actions);
             work.filters[i] = sf;
+        }
+        if settles {
+            for sf in &mut work.filters {
+                sf.settled = true;
+            }
         }
         self.publish(work);
         match failed {
@@ -911,20 +992,33 @@ impl FilterReplica {
         }
     }
 
-    /// Caches a recently performed user query and its result (fetched from
-    /// the master after a miss). Evicts the oldest cached query beyond the
-    /// window. Cached queries are not synchronized: the result set is
-    /// frozen at cache time (§7.4) — the window keeps handles on the
-    /// result's entries, which no later write reaches. A cached query that
-    /// selected an attribute list answers only queries whose filter reads
-    /// attributes on that list: its copies hold nothing else to match.
+    /// Caches a recently performed user query and its result, fetched from
+    /// the master after a miss. `result` must be the master's answer to
+    /// `request`: a repeat of the request — the same filter, base and
+    /// scope — is answered with it whole, unchecked. Evicts the oldest
+    /// cached query beyond the window. Cached queries are not
+    /// synchronized: the result set is frozen at cache time (§7.4) — the
+    /// window keeps handles on the result's entries, which no later write
+    /// reaches. A cached query that selected an attribute list answers
+    /// only queries whose filter reads attributes on that list: its copies
+    /// hold nothing else to match. A large result (256 entries or more)
+    /// is given key columns over the attributes its filter names, built
+    /// here, before the window is locked, so that a query it contains is
+    /// planned rather than verified on every frozen entry.
     pub fn cache_query(&self, request: SearchRequest, result: &[Entry]) {
         if self.cache_window == 0 {
             return;
         }
+        let entries = result.to_vec();
+        let columns = if entries.len() >= COLUMN_AT {
+            KeyColumns::build(&request.filter().attr_names(), &entries)
+        } else {
+            KeyColumns::default()
+        };
         let cq = Arc::new(CachedQuery {
             prepared: PreparedQuery::new(request),
-            entries: result.to_vec(),
+            entries,
+            columns,
             hits: AtomicU64::new(0),
         });
         self.cache.lock().push(cq, self.cache_window);
@@ -1029,18 +1123,28 @@ impl FilterReplica {
             .iter()
             .map(|&pos| pos as usize)
             .find(|&pos| self.engine.query_contained(prepared, &snap.filters[pos].prepared));
+        // A query that asks exactly what its container holds is answered
+        // with the whole content: a stored filter's when it is settled, a
+        // cached query's always (its frozen result is the master's answer
+        // to that query).
         if let Some(pos) = decision {
             let sf = &snap.filters[pos];
             sf.hits.fetch_add(1, Ordering::Relaxed);
             self.stats.record_generalized_hit(sf.stale);
+            let whole = sf.settled && same_question(query, sf.prepared.request());
             event!(
                 self.obs,
                 "replica",
                 "qc_hit",
                 kind = "generalized",
                 stale = sf.stale,
+                whole = whole,
                 epoch = snap.epoch,
             );
+            if whole {
+                self.count_whole();
+                return Some(project_all(query, snap.entries_of(&sf.ids)));
+            }
             return Some(self.evaluate_indexed(snap, query, &sf.ids));
         }
         // Then the cached queries that can contain it, oldest first.
@@ -1051,8 +1155,20 @@ impl FilterReplica {
             {
                 cq.hits.fetch_add(1, Ordering::Relaxed);
                 self.stats.record_cache_hit();
-                event!(self.obs, "replica", "qc_hit", kind = "cached", epoch = snap.epoch);
-                return Some(collect_matching(query, cq.entries.iter(), false));
+                let whole = same_question(query, cq.prepared.request());
+                event!(
+                    self.obs,
+                    "replica",
+                    "qc_hit",
+                    kind = "cached",
+                    whole = whole,
+                    epoch = snap.epoch,
+                );
+                if whole {
+                    self.count_whole();
+                    return Some(project_all(query, cq.entries.iter()));
+                }
+                return Some(cq.answer(query));
             }
         }
         if self.obs.tracing_enabled() {
@@ -1072,6 +1188,13 @@ impl FilterReplica {
             );
         }
         None
+    }
+
+    /// Counts a hit answered with its container's whole content.
+    fn count_whole(&self) {
+        if let Some(m) = &self.metrics {
+            m.answer_whole.inc();
+        }
     }
 
     /// Evaluates a query restricted to one stored filter's posting list,
@@ -1228,6 +1351,23 @@ fn collect_matching<'a>(
     hits.into_iter().map(|e| query.attrs().project(e)).collect()
 }
 
+/// A container's whole content, projected onto the query's attributes, in
+/// a list allocated once.
+fn project_all<'a>(query: &SearchRequest, content: impl Iterator<Item = &'a Entry>) -> Vec<Entry> {
+    let (_, all) = content.size_hint();
+    let mut answer = Vec::with_capacity(all.unwrap_or(0));
+    answer.extend(content.map(|e| query.attrs().project(e)));
+    answer
+}
+
+/// Whether a query asks exactly what a container holds: the same filter,
+/// base and scope. Its attributes may be fewer; containment checked them.
+fn same_question(query: &SearchRequest, container: &SearchRequest) -> bool {
+    query.filter() == container.filter()
+        && query.scope() == container.scope()
+        && query.base() == container.base()
+}
+
 /// Whether a cached query's frozen result can evaluate `query`'s filter.
 /// The master projected the held copies onto the cached request's
 /// attributes, so an explicit list must name every attribute the filter
@@ -1244,6 +1384,12 @@ fn filter_readable_from(query: &SearchRequest, cached: &SearchRequest) -> bool {
 /// posting list, the shared id-addressed entry store, the snapshot index
 /// and the table's hold counts — one per filter holding an id.
 ///
+/// `sf` is edited outside `work.filters`, and put back by the caller.
+/// When the batch stores a different body at an id another filter holds,
+/// that filter may now hold a body it does not match, and every filter in
+/// `work.filters` is unsettled ([`StoredFilter::settled`]); `sf` keeps
+/// its flag, since the master sent it these bodies as matches.
+///
 /// The release that drops a filter's last hold on an id evicts the entry
 /// (slot + index postings) and frees the id for reuse, so the replica's
 /// id space — and every id-addressed vector built on it — stops growing
@@ -1257,6 +1403,7 @@ fn apply_actions(
     actions: &[SyncAction],
 ) {
     let held = Arc::make_mut(&mut sf.ids);
+    let mut unsettles = false;
     for a in actions {
         match a {
             SyncAction::Add(e) | SyncAction::Modify(e) => {
@@ -1265,7 +1412,7 @@ fn apply_actions(
                     // This filter held it already: one hold per filter.
                     table.release(id);
                 }
-                work.store(id, e.clone());
+                unsettles |= work.store(id, e.clone()) && table.holds(id) > 1;
             }
             SyncAction::Delete(dn) => {
                 if let Some(id) = table.get(dn) {
@@ -1275,6 +1422,11 @@ fn apply_actions(
                 }
             }
             SyncAction::Retain(_) => {}
+        }
+    }
+    if unsettles {
+        for other in &mut work.filters {
+            other.settled = false;
         }
     }
 }
@@ -2250,6 +2402,79 @@ mod tests {
         assert_eq!(exact(), 4);
         assert_eq!(reg.counter("fbdr_replica_plan_indexed_total").get(), 7);
     }
+
+    /// A query asking exactly what its container holds is answered with
+    /// the whole content — counted by `fbdr_replica_answer_whole_total`,
+    /// and said by `qc_hit`'s `whole` — from a cached query always, and
+    /// from a stored filter while it is settled: another filter storing a
+    /// new body of an entry both hold unsettles it, and a cycle that
+    /// brings every filter back fresh settles it again — unless a filter
+    /// streams: a batch waiting in its channel is not the cycle's to see.
+    #[test]
+    fn a_query_equal_to_its_container_is_answered_whole() {
+        let mut m = master();
+        let obs = Obs::new();
+        let ring = Arc::new(fbdr_obs::RingBuffer::new(64));
+        obs.set_subscriber(ring.clone());
+        let r = FilterReplica::with_obs(2, obs.clone());
+        let dept = root_query("(departmentNumber=2406)");
+        let serial = root_query("(serialNumber=0456*)");
+        r.install_filter(&mut m, dept.clone()).unwrap();
+        r.install_filter(&mut m, serial.clone()).unwrap();
+        let ask = |q: &SearchRequest| -> (usize, bool) {
+            let answer = r.try_answer(q).unwrap_or_else(|| panic!("{q} is a hit"));
+            let events = ring.events();
+            let hit = events.iter().rev().find(|e| e.name == "qc_hit").expect("qc_hit");
+            let whole = match hit.field("whole") {
+                Some(fbdr_obs::FieldValue::Bool(whole)) => *whole,
+                other => panic!("whole field: {other:?}"),
+            };
+            (answer.len(), whole)
+        };
+        let counted = || obs.registry().counter("fbdr_replica_answer_whole_total").get();
+
+        assert_eq!(ask(&dept), (2, true));
+        assert_eq!(ask(&root_query("(serialNumber=045611)")), (1, false));
+        assert_eq!(counted(), 1);
+
+        // b leaves the department but keeps its serial; only the serial
+        // filter polls, and stores b's new body under the department's
+        // filter too.
+        m.apply(UpdateOp::Modify {
+            dn: dn("cn=b,c=us,o=xyz"),
+            mods: vec![Modification::Replace("departmentNumber".into(), vec!["2409".into()])],
+        })
+        .unwrap();
+        r.sync_filter(&mut m, &serial).unwrap();
+        assert_eq!(ask(&dept), (1, false), "checked: the department holds a body it does not match");
+        assert_eq!(r.try_answer(&dept), r.try_answer_scan(&dept));
+        r.sync(&mut m).unwrap();
+        assert_eq!(ask(&dept), (1, true));
+        assert_eq!(counted(), 2);
+
+        // A streaming filter's pending batch is not the cycle's to see: a
+        // fresh cycle leaves it unsettled, holding a body it no longer
+        // matches until the drain.
+        let person = root_query("(objectclass=inetOrgPerson)");
+        r.install_filter_persistent(&mut m, person.clone()).unwrap();
+        m.apply(UpdateOp::Modify {
+            dn: dn("cn=a,c=us,o=xyz"),
+            mods: vec![Modification::Replace("objectclass".into(), vec!["person".into()])],
+        })
+        .unwrap();
+        r.sync(&mut m).unwrap();
+        assert_eq!(ask(&person), (3, false), "a is held until the drain, and checked");
+        assert_eq!(r.try_answer(&person), r.try_answer_scan(&person));
+        assert_eq!(counted(), 2);
+
+        // A cached query's repeat is its frozen result, whatever changed.
+        let c = root_query("(cn=c)");
+        assert!(r.try_answer(&c).is_none());
+        r.cache_query(c.clone(), &m.dit().search(&c));
+        m.apply(UpdateOp::Delete(dn("cn=c,c=in,o=xyz"))).unwrap();
+        assert_eq!(ask(&c), (1, true));
+        assert_eq!(counted(), 3);
+    }
 }
 
 #[cfg(test)]
@@ -2312,6 +2537,7 @@ mod proptests {
             prepared: Arc::new(PreparedQuery::new(SearchRequest::from_root(Filter::match_all()))),
             ids: Arc::default(),
             stale: false,
+            settled: true,
             hits: Arc::new(AtomicU64::new(0)),
         };
         apply_actions(&mut work, &mut table, &mut sf, &actions);
@@ -2456,6 +2682,48 @@ mod proptests {
                 let indexed = r.evaluate_indexed(&snap2, q, &ids2);
                 let scanned = oracle(&snap2, q, &ids2);
                 prop_assert_eq!(&indexed, &scanned, "epoch 2, {}", q);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A frozen result of `COLUMN_AT` entries or more is cached with
+        /// key columns over every attribute the generated queries read —
+        /// multi-valued ones and every spelling of one integer among them
+        /// — and a query is answered from them (point, prefix, `initial*
+        /// final`, text and integer bounds, presence, `And`, `Or`, `Not`,
+        /// in every scope) as verifying each frozen entry answers it:
+        /// through the window's own answer, and through `try_answer`
+        /// whenever the cached query contains it.
+        #[test]
+        fn key_columns_answer_what_verification_answers(
+            specs in prop::collection::vec((0u8..8, 0u8..8, any::<bool>(), 0u8..8), COLUMN_AT..COLUMN_AT + 40),
+            filters in prop::collection::vec(filter(), 1..6),
+            regions in prop::collection::vec(region(), 1..4),
+        ) {
+            let frozen: Vec<Entry> = specs.iter().enumerate().map(|(i, s)| build_entry(i, s)).collect();
+            let every = Filter::parse("(|(dept=*)(sn=*)(n=*)(mail=*)(tag=*))").expect("valid filter");
+            let r = FilterReplica::new(1);
+            r.cache_query(SearchRequest::from_root(every.clone()), &frozen);
+            let cq = r.cache.lock().queries[0].clone();
+            prop_assert!(cq.columns.plan(&Filter::parse("(dept=1)").expect("valid filter")).is_some());
+            let queries: Vec<SearchRequest> = filters
+                .iter()
+                .chain([&every])
+                .flat_map(|f| {
+                    std::iter::once((Dn::root(), Scope::Subtree))
+                        .chain(regions.iter().cloned())
+                        .map(move |(base, scope)| SearchRequest::new(base, scope, f.clone()))
+                })
+                .collect();
+            for q in &queries {
+                let verified = collect_matching(q, frozen.iter(), false);
+                prop_assert_eq!(&cq.answer(q), &verified, "{}", q);
+                if let Some(hit) = r.try_answer(q) {
+                    prop_assert_eq!(&hit, &verified, "hit {}", q);
+                }
             }
         }
     }
@@ -2639,6 +2907,14 @@ mod proptests {
         Put { k: u8, dept: u8 },
         Delete(u8),
         Sync,
+        /// Poll the pool filter alone, if stored: the others fall behind,
+        /// and it stores bodies they hold.
+        SyncOne(usize),
+        /// A cycle over every filter in which the pool filter's slice comes
+        /// back stale: its request never reaches the master, or the
+        /// master answers it (`answered`) and the answer is lost, to be
+        /// redelivered by the filter's next poll.
+        SyncWithout { i: usize, answered: bool },
     }
 
     /// Overlapping stored filters over the `q` persons: most ids are held
@@ -2646,13 +2922,69 @@ mod proptests {
     const HOLDERS: &[&str] =
         &["(departmentNumber=2406)", "(departmentNumber=240*)", "(serialNumber=0456*)", "(cn=q*)"];
 
+    fn holder(i: usize) -> SearchRequest {
+        SearchRequest::from_root(Filter::parse(HOLDERS[i]).unwrap())
+    }
+
     fn churn() -> impl Strategy<Value = Churn> {
         prop_oneof![
             2 => (0..HOLDERS.len()).prop_map(Churn::Toggle),
             4 => (0u8..10, 4u8..9).prop_map(|(k, dept)| Churn::Put { k, dept }),
             2 => (0u8..10).prop_map(Churn::Delete),
-            3 => Just(Churn::Sync),
+            2 => Just(Churn::Sync),
+            2 => (0..HOLDERS.len()).prop_map(Churn::SyncOne),
+            2 => (0..HOLDERS.len(), any::<bool>())
+                .prop_map(|(i, answered)| Churn::SyncWithout { i, answered }),
         ]
+    }
+
+    /// The master, cut off from one filter's requests only: before it
+    /// reads them, or (`answers`) after it has answered them.
+    struct Cut<'a> {
+        master: &'a mut SyncMaster,
+        filter: Filter,
+        answers: bool,
+    }
+
+    impl SyncTransport for Cut<'_> {
+        fn resync(
+            &mut self,
+            request: &SearchRequest,
+            ctl: fbdr_resync::ReSyncControl,
+        ) -> Result<fbdr_resync::SyncResponse, SyncError> {
+            if request.filter() == &self.filter {
+                if self.answers {
+                    self.master.resync(request, ctl)?;
+                }
+                return Err(SyncError::Unavailable("cut".into()));
+            }
+            self.master.resync(request, ctl)
+        }
+
+        fn take_receiver(&mut self, cookie: fbdr_resync::Cookie) -> Option<Receiver<NotifyBatch>> {
+            self.master.take_receiver(cookie)
+        }
+
+        fn abandon(&mut self, cookie: fbdr_resync::Cookie) {
+            self.master.abandon(cookie);
+        }
+    }
+
+    /// A settled filter holds only bodies it matches, so every stored
+    /// filter answers its own request as the scan reference does.
+    fn settled_filters_hold_their_matches(r: &FilterReplica) -> Result<(), TestCaseError> {
+        let snap = r.snapshot();
+        for sf in snap.filters.iter().filter(|sf| sf.settled) {
+            let request = sf.prepared.request();
+            for e in snap.entries_of(&sf.ids) {
+                prop_assert!(request.matches(e), "{} is settled and holds {}", request, e.dn());
+            }
+        }
+        for sf in &snap.filters {
+            let request = sf.prepared.request();
+            prop_assert_eq!(r.try_answer(request), r.try_answer_scan(request), "{}", request);
+        }
+        Ok(())
     }
 
     /// Every id's count is the number of stored filters whose posting list
@@ -2675,47 +3007,98 @@ mod proptests {
         Ok(())
     }
 
+    /// Runs `steps` against a fresh master and replica. After every sync,
+    /// install and remove, the table's hold counts equal the stored
+    /// filters' references; and after every step, single-filter, stale
+    /// and redelivering cycles included, every settled filter holds only
+    /// bodies it matches.
+    fn churn_holds(steps: &[Churn]) -> Result<(), TestCaseError> {
+        let mut m = master();
+        let r = FilterReplica::new(0);
+        let mut driver =
+            SyncDriver::new(fbdr_resync::RetryConfig { max_retries: 0, ..Default::default() });
+        let mut stored = vec![false; HOLDERS.len()];
+        for step in steps {
+            match *step {
+                Churn::Toggle(i) => {
+                    let request = holder(i);
+                    if stored[i] {
+                        prop_assert!(r.remove_filter(&mut m, &request));
+                    } else {
+                        r.install_filter(&mut m, request).expect("install");
+                    }
+                    stored[i] = !stored[i];
+                }
+                Churn::Put { k, dept } => {
+                    let sn = if dept % 2 == 0 { format!("0456{k:02}") } else { format!("1200{k:02}") };
+                    let dept = format!("240{dept}");
+                    let e = person(&format!("q{k}"), "us", &sn, &dept);
+                    let dn = e.dn().clone();
+                    if m.apply(UpdateOp::Add(e)).is_err() {
+                        let mods = vec![
+                            Modification::Replace("serialNumber".into(), vec![sn.into()]),
+                            Modification::Replace("departmentNumber".into(), vec![dept.into()]),
+                        ];
+                        m.apply(UpdateOp::Modify { dn, mods }).expect("modify");
+                    }
+                }
+                Churn::Delete(k) => drop(m.apply(UpdateOp::Delete(dn(&format!("cn=q{k},c=us,o=xyz"))))),
+                Churn::Sync => drop(r.sync(&mut m).expect("sync")),
+                Churn::SyncOne(i) => {
+                    let synced = r.sync_filter(&mut m, &holder(i)).expect("sync");
+                    prop_assert_eq!(synced.is_some(), stored[i]);
+                }
+                Churn::SyncWithout { i, answered } => {
+                    let filter = holder(i).filter().clone();
+                    let mut link = Cut { master: &mut m, filter, answers: answered };
+                    r.sync_with(&mut link, &mut driver).expect("a stale slice fails no cycle");
+                }
+            }
+            if !matches!(step, Churn::Put { .. } | Churn::Delete(_)) {
+                holds_equal_filter_references(&r)?;
+            }
+            settled_filters_hold_their_matches(&r)?;
+        }
+        Ok(())
+    }
+
+    /// A cycle that applies a redelivered batch settles nothing: the batch
+    /// leaves its filter at the state the lost answer was built from.
+    /// Both shapes, with the department filter (0) under the prefix (1):
+    /// the department's empty answer is lost and q0 then leaves it, or
+    /// the prefix's answer moving q0 to 2407 is lost and q0 then joins
+    /// the department — the next full cycle stores the prefix's older
+    /// body over the department's newer one.
+    #[test]
+    fn a_redelivered_answer_settles_no_filter() {
+        use Churn::{Put, Sync, SyncWithout, Toggle};
+        let lost = |i| SyncWithout { i, answered: true };
+        let cases: [&[Churn]; 2] = [
+            &[Toggle(0), Toggle(1), Put { k: 0, dept: 6 }, Sync, lost(0), Put { k: 0, dept: 5 }, Sync],
+            &[
+                Toggle(0),
+                Toggle(1),
+                Put { k: 0, dept: 5 },
+                Sync,
+                Put { k: 0, dept: 7 },
+                lost(1),
+                Put { k: 0, dept: 6 },
+                Sync,
+            ],
+        ];
+        for steps in cases {
+            churn_holds(steps).unwrap_or_else(|e| panic!("{steps:?}: {e}"));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// After every sync, install and remove, the table's hold counts
-        /// equal the stored filters' references.
+        /// Hold counts and settled filters hold through arbitrary churn
+        /// ([`churn_holds`]).
         #[test]
         fn hold_counts_equal_the_filters_references(steps in prop::collection::vec(churn(), 1..80)) {
-            let mut m = master();
-            let r = FilterReplica::new(0);
-            let mut stored = vec![false; HOLDERS.len()];
-            for step in steps {
-                match step {
-                    Churn::Toggle(i) => {
-                        let request = SearchRequest::from_root(Filter::parse(HOLDERS[i]).unwrap());
-                        if stored[i] {
-                            prop_assert!(r.remove_filter(&mut m, &request));
-                        } else {
-                            r.install_filter(&mut m, request).expect("install");
-                        }
-                        stored[i] = !stored[i];
-                    }
-                    Churn::Put { k, dept } => {
-                        let sn = if dept % 2 == 0 { format!("0456{k:02}") } else { format!("1200{k:02}") };
-                        let dept = format!("240{dept}");
-                        let e = person(&format!("q{k}"), "us", &sn, &dept);
-                        let dn = e.dn().clone();
-                        if m.apply(UpdateOp::Add(e)).is_err() {
-                            let mods = vec![
-                                Modification::Replace("serialNumber".into(), vec![sn.into()]),
-                                Modification::Replace("departmentNumber".into(), vec![dept.into()]),
-                            ];
-                            m.apply(UpdateOp::Modify { dn, mods }).expect("modify");
-                        }
-                    }
-                    Churn::Delete(k) => drop(m.apply(UpdateOp::Delete(dn(&format!("cn=q{k},c=us,o=xyz"))))),
-                    Churn::Sync => drop(r.sync(&mut m).expect("sync")),
-                }
-                if !matches!(step, Churn::Put { .. } | Churn::Delete(_)) {
-                    holds_equal_filter_references(&r)?;
-                }
-            }
+            churn_holds(&steps)?;
         }
     }
 }

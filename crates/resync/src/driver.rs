@@ -277,6 +277,7 @@ struct Fresh {
     actions: Vec<SyncAction>,
     cookie: Option<Cookie>,
     traffic: SyncTraffic,
+    redelivered: bool,
 }
 
 /// Retrying wrapper around a [`SyncTransport`].
@@ -501,6 +502,7 @@ impl<C: Clock> SyncDriver<C> {
                 traffic: resp.traffic(),
                 actions: resp.actions,
                 cookie: resp.cookie,
+                redelivered: resp.redelivered,
             }),
             Err(e) if e.is_transient() => Err(ShardStatus::Stale),
             Err(e) if e.needs_reinstall() => {
@@ -509,20 +511,21 @@ impl<C: Clock> SyncDriver<C> {
             Err(e) => Err(ShardStatus::Failed(e)),
         };
         match walked {
-            Ok(Fresh { status, actions, cookie: fresh, traffic }) => {
+            Ok(Fresh { status, actions, cookie: fresh, traffic, redelivered }) => {
                 match fresh {
                     Some(c) => cookie.insert(shard, c),
                     None => {
                         cookie.remove(shard);
                     }
                 }
-                ShardOutcome { shard, actions, status, traffic }
+                ShardOutcome { shard, actions, status, traffic, redelivered }
             }
             Err(status) => ShardOutcome {
                 shard,
                 actions: Vec::new(),
                 status,
                 traffic: SyncTraffic::default(),
+                redelivered: false,
             },
         }
     }
@@ -551,6 +554,7 @@ impl<C: Clock> SyncDriver<C> {
                     traffic: outcome.traffic(),
                     actions: outcome.actions,
                     cookie: Some(outcome.cookie),
+                    redelivered: false,
                 });
             }
             Err(e) if e.is_transient() => return Err(ShardStatus::Stale),
@@ -573,6 +577,7 @@ impl<C: Clock> SyncDriver<C> {
                     actions,
                     cookie: resp.cookie,
                     traffic,
+                    redelivered: resp.redelivered,
                 })
             }
             Err(e) if e.is_transient() => Err(ShardStatus::Stale),

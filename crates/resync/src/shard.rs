@@ -461,6 +461,10 @@ pub struct ShardOutcome {
     pub status: ShardStatus,
     /// Traffic cost of the exchange(s) for this shard.
     pub traffic: SyncTraffic,
+    /// True when the master answered with a batch it built for an
+    /// earlier request whose answer was lost: the actions bring the slice
+    /// up to the master as it stood then, not as it stands now.
+    pub redelivered: bool,
 }
 
 /// Drives one filter's per-shard ReSync sessions against a sharded

@@ -79,6 +79,15 @@ impl SyncTransport for ReinstallOnly<'_> {
     }
 }
 
+/// At a quiescent point every stored filter answers its own request as the
+/// scan reference does: one answered with its whole content holds only
+/// entries it matches.
+fn filters_answer_themselves_as_the_scan_does(replica: &FilterReplica) {
+    for (request, _) in replica.filters() {
+        assert_eq!(replica.try_answer(&request), replica.try_answer_scan(&request), "{request}");
+    }
+}
+
 /// What one chaos run did, for aggregate assertions over the suite.
 #[derive(Debug, Default)]
 struct RunReport {
@@ -197,6 +206,7 @@ fn chaos_run(seed: u64) -> RunReport {
         sync(&mut link).expect("clean cycle");
     }
     assert_eq!(replica.stale_filter_count(), 0, "seed {seed}: still stale after quiesce");
+    filters_answer_themselves_as_the_scan_does(&replica);
 
     // Convergence: the replica's answer equals the master's evaluation.
     let request = filter_request();
@@ -299,6 +309,7 @@ fn lost_shard_session_reconciles_only_its_slice() {
     let d = coordinator.stats();
     assert_eq!((d.reconciliations, d.reinstalls), (1, 0));
     assert_eq!(replica.stale_filter_count(), 0);
+    filters_answer_themselves_as_the_scan_does(&replica);
 
     let mut want = master.search(&filter_request());
     let mut got = replica.try_answer(&filter_request()).expect("stored filter answers itself");
@@ -434,6 +445,7 @@ fn replay_eviction_recovers_by_reconciliation_without_reinstall() {
     assert!(d.reconciliations > 0, "evicted batches forced reconciliation: {d:?}");
     assert_eq!(d.reinstalls, 0, "every lost session reconciled: {d:?}");
     assert_eq!(replica.stale_filter_count(), 0);
+    filters_answer_themselves_as_the_scan_does(&replica);
 
     let request = filter_request();
     let mut want = link.master().dit().search(&request);
@@ -557,6 +569,7 @@ fn soak_memory_high_water_stays_flat_over_ten_x_churn() {
         replica.sync_with(&mut link, &mut driver).expect("clean cycle");
     }
     assert_eq!(replica.stale_filter_count(), 0, "soak: still stale after quiesce");
+    filters_answer_themselves_as_the_scan_does(&replica);
 
     // Convergence under churn, exactly as the per-seed runs check it.
     let request = filter_request();
@@ -664,6 +677,7 @@ mod recovery_equivalence {
             let d = driver.stats();
             prop_assert_eq!(d.reconciliations, 1, "recovery went through reconcile: {:?}", d);
             prop_assert_eq!(d.reinstalls, 0);
+            filters_answer_themselves_as_the_scan_does(&replica);
 
             // ...while a fresh replica installs the same filter from
             // scratch — the reinstall rung's exact content.

@@ -12,7 +12,10 @@
 //! what comes before it: a query of a known template is prepared by
 //! looking the template up, so extracting it allocates for its values and
 //! a whole point-query hit for its lists (DESIGN §5, *Templates*; the table under a
-//! flood of shapes is `tests/template_flood.rs`, a process of its own).
+//! flood of shapes is `tests/template_flood.rs`, a process of its own). A
+//! hit reads only what it returns: a query equal to its container
+//! allocates its answer, a point inside a large cached result its plan and
+//! answer, and a small result is cached without key columns.
 //!
 //! The allocator also counts bytes, for the master's side of a delivery:
 //! a poll or a coalesced flush that carries one `Modify` allocates the
@@ -241,6 +244,80 @@ fn a_warm_point_hit_allocates_for_its_lists() {
     assert_eq!(hit.expect("contained").len(), 1);
     println!("warm point hit: {allocations} allocations");
     assert!(allocations <= 10, "{allocations} allocations in a warm point-query hit");
+}
+
+/// A query asking exactly what a settled stored filter holds is the
+/// filter's content (DESIGN §9, *Query planner*): it allocates its answer
+/// and a few small lists beside it, where a plan, an intersection and a
+/// list of references were three more lists of a thousand (52 323 B
+/// against the answer's 32 000).
+#[test]
+fn an_equal_query_hit_allocates_its_answer() {
+    let mut master = master_of(1_000);
+    let replica = FilterReplica::new(0);
+    let block = query("(serialNumber=100*)");
+    replica.install_filter(&mut master, block.clone()).expect("install");
+    assert_eq!(replica.try_answer(&block).expect("contained").len(), 1_000);
+    let (answered, bytes) = bytes_of(|| replica.try_answer(&block).expect("contained").len());
+    assert_eq!(answered, 1_000);
+    let answer = 1_000 * std::mem::size_of::<Entry>() as u64;
+    println!("equal-query hit on 1 000 held entries: {bytes} B, its answer's list {answer} B");
+    assert!(bytes <= answer + 128, "an equal-query hit allocated {bytes} B, its answer {answer} B");
+}
+
+/// A point contained in a large cached result is planned through the
+/// result's key columns (DESIGN §7, *Query cache*): it allocates the
+/// plan's list and its answer beside the lookup's small lists, where
+/// verifying every frozen entry allocated a list of references sized for
+/// all thousand (8 096 B).
+#[test]
+fn a_point_in_a_large_cached_result_allocates_its_plan_and_answer() {
+    let master = master_of(1_000);
+    let replica = FilterReplica::new(2);
+    let block = query("(serialNumber=100*)");
+    replica.cache_query(block.clone(), &master.dit().search(&block));
+    assert_eq!(replica.try_answer(&query("(serialNumber=100042)")).expect("cached").len(), 1);
+    let point = query("(serialNumber=100043)");
+    let ((answered, allocations), bytes) =
+        bytes_of(|| allocations_of(|| replica.try_answer(&point).expect("cached").len()));
+    assert_eq!(answered, 1);
+    println!("point in a cached 1 000-entry result: {allocations} allocations, {bytes} B");
+    assert!(bytes <= 256, "a point in a cached 1 000-entry result allocated {bytes} B");
+}
+
+/// Caching a result below the size that gets key columns allocates what it
+/// did before columns existed: the prepared request, the result's list of
+/// handles, the window's bookkeeping — 15 allocations and 7 088 B for 200
+/// entries then, the same 15 and 24 B more now, the cached query's empty
+/// list of columns. A result at the size pays for one column per attribute
+/// its filter names.
+#[test]
+fn caching_a_small_result_builds_no_columns() {
+    let master = master_of(1_000);
+    let replica = FilterReplica::new(2);
+    let cache = |q: &SearchRequest, result: &[Entry]| {
+        // The window is full and holds its size: each call evicts one.
+        for _ in 0..3 {
+            replica.cache_query(q.clone(), result);
+        }
+        let ((), allocations) = allocations_of(|| replica.cache_query(q.clone(), result));
+        let ((), bytes) = bytes_of(|| replica.cache_query(q.clone(), result));
+        (allocations, bytes)
+    };
+    let two_blocks = query("(|(serialNumber=1001*)(serialNumber=1002*))");
+    let small = master.dit().search(&two_blocks);
+    assert_eq!(small.len(), 200);
+    let (allocations, bytes) = cache(&two_blocks, &small);
+    let block = query("(serialNumber=100*)");
+    let (large_allocations, large_bytes) = cache(&block, &master.dit().search(&block));
+    println!(
+        "cache_query: {allocations} allocations, {bytes} B for 200 entries; \
+         {large_allocations} allocations, {large_bytes} B for 1 000"
+    );
+    assert!(
+        allocations <= 15 && bytes <= 7_088 + 24,
+        "caching 200 entries: {allocations} allocations, {bytes} B"
+    );
 }
 
 /// Person `i` of the teams below, named `name`: the first 50 in team `a`,
