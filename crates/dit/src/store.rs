@@ -141,34 +141,61 @@ impl Serialize for Entries {
     }
 }
 
-impl<'de> Deserialize<'de> for Entries {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut entries = Entries::default();
-        for e in Vec::<Entry>::deserialize(deserializer)? {
-            if entries.id_of(e.dn()).is_some() {
-                return Err(serde::de::Error::custom(format!("duplicate entry {}", e.dn())));
-            }
-            entries.insert(e);
-        }
-        Ok(entries)
-    }
-}
-
 /// An in-memory Directory Information Tree with attribute indexes.
 ///
 /// Entries may only be added under an existing parent or at a registered
-/// suffix ([`DitStore::add_suffix`]). Deletes and renames require leaf
-/// entries, matching LDAP semantics.
+/// suffix ([`DitStore::add_suffix`]), so every entry lies at or below a
+/// registered suffix. Deletes and renames require leaf entries, matching
+/// LDAP semantics.
 ///
 /// Every applied update returns a [`ChangeRecord`] with a monotonically
 /// increasing [`Csn`]. The store keeps the counter, not the records: a
 /// consumer that needs a changelog or tombstones feeds what `apply`
 /// returns to its own [`History`](crate::History).
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Serialize)]
 pub struct DitStore {
     entries: Entries,
     suffixes: Vec<Dn>,
     csn: Csn,
+}
+
+impl<'de> Deserialize<'de> for DitStore {
+    /// Loads the entries, parents first, and rebuilds ids, both DN maps
+    /// and the index from them.
+    ///
+    /// # Errors
+    ///
+    /// An entry [`DitStore::add`] would refuse at its place in the
+    /// sequence: one named twice, or an orphan — neither a registered
+    /// suffix nor the child of an entry loaded before it. A search skips
+    /// the base check when its base covers every suffix, and would return
+    /// an orphan from anywhere.
+    fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        use serde::de::Error as _;
+        #[derive(Deserialize)]
+        struct Wire {
+            entries: Vec<Entry>,
+            suffixes: Vec<Dn>,
+            csn: Csn,
+        }
+        let Wire { entries, suffixes, csn } = Wire::deserialize(de)?;
+        let mut store = DitStore { entries: Entries::default(), suffixes, csn };
+        for e in entries {
+            match store.check_place(e.dn()) {
+                Ok(()) => store.entries.insert(e),
+                Err(DitError::AlreadyExists(dn)) => {
+                    return Err(D::Error::custom(format!("duplicate entry {dn}")));
+                }
+                Err(_) => {
+                    return Err(D::Error::custom(format!(
+                        "orphan entry {}: neither a suffix nor the child of an entry before it",
+                        e.dn()
+                    )));
+                }
+            }
+        }
+        Ok(store)
+    }
 }
 
 impl DitStore {
@@ -311,20 +338,23 @@ impl DitStore {
     /// * [`DitError::NoParent`] if the parent is absent and the DN is not a
     ///   registered suffix.
     pub fn add(&mut self, entry: Entry) -> Result<ChangeRecord, DitError> {
+        self.check_place(entry.dn())?;
         let dn = entry.dn().clone();
-        if self.contains(&dn) {
-            return Err(DitError::AlreadyExists(dn));
-        }
-        let is_suffix = self.suffixes.contains(&dn);
-        if !is_suffix {
-            match dn.parent() {
-                Some(p) if self.contains(&p) => {}
-                _ => return Err(DitError::NoParent(dn)),
-            }
-        }
         let changes = changes_of(&entry, entry.attr_names());
         self.entries.insert(entry);
         Ok(self.record(dn, ChangeKind::Add, changes, None))
+    }
+
+    /// Whether a new entry may be named `dn`: the name is free, and it is a
+    /// registered suffix or the child of an entry.
+    fn check_place(&self, dn: &Dn) -> Result<(), DitError> {
+        if self.contains(dn) {
+            return Err(DitError::AlreadyExists(dn.clone()));
+        }
+        if !self.suffixes.contains(dn) && !dn.parent().is_some_and(|p| self.contains(&p)) {
+            return Err(DitError::NoParent(dn.clone()));
+        }
+        Ok(())
     }
 
     /// Deletes a leaf entry.
@@ -402,7 +432,9 @@ impl DitStore {
     /// * [`DitError::NoSuchEntry`] if the source is absent.
     /// * [`DitError::NotLeaf`] if the source has children.
     /// * [`DitError::AlreadyExists`] if the destination DN is taken.
-    /// * [`DitError::NoParent`] if the new superior does not exist.
+    /// * [`DitError::NoParent`] if the destination is not a registered
+    ///   suffix and its parent does not exist: a renamed entry stays where
+    ///   [`DitStore::add`] could have put it.
     /// * [`DitError::MoveUnderSelf`] if the new superior is under the source.
     pub fn modify_dn(
         &mut self,
@@ -421,17 +453,12 @@ impl DitStore {
                 if dn.is_ancestor_or_self_of(&p) {
                     return Err(DitError::MoveUnderSelf(dn.clone()));
                 }
-                if !self.contains(&p) && !self.suffixes.contains(&p) {
-                    return Err(DitError::NoParent(p));
-                }
                 p
             }
             None => dn.parent().ok_or_else(|| DitError::NoSuchEntry(dn.clone()))?,
         };
         let new_dn = parent.child(new_rdn.clone());
-        if self.contains(&new_dn) {
-            return Err(DitError::AlreadyExists(new_dn));
-        }
+        self.check_place(&new_dn)?;
         let mut naming = vec![new_rdn.attr().clone()];
         naming.extend(dn.rdn().map(|old| old.attr().clone()).filter(|a| a != new_rdn.attr()));
         let renamed = self.entries.edit(id, &naming, |entry| {
@@ -500,7 +527,8 @@ impl DitStore {
     /// ([`index::plan`]) visits the plan's candidates in id order, any
     /// other scans the subtree in tree order. An exact plan
     /// ([`index::Plan::exact`]) is the filter's answer, so its candidates
-    /// get the base check alone.
+    /// get the base check alone — and not even that when the base covers
+    /// every registered suffix, since every entry lies under one.
     ///
     /// This is the bulk-enumeration seam the sync layer's session
     /// installation uses: it interns ids straight off the borrowed
@@ -530,13 +558,15 @@ impl DitStore {
                 let indexes = &self.entries.indexes;
                 match index::plan(filter, &|p| indexes.lists_for_predicate(p)) {
                     None => self.subtree(base).filter(matches).for_each(f),
-                    Some(plan) => plan
-                        .ids
-                        .iter()
-                        .map(|&id| self.entries.get(id))
-                        .filter(|e| base.is_ancestor_or_self_of(e.dn()))
-                        .filter(|e| plan.exact || matches(e))
-                        .for_each(f),
+                    Some(plan) => {
+                        let everywhere = self.suffixes.iter().all(|s| base.is_ancestor_or_self_of(s));
+                        plan.ids
+                            .iter()
+                            .map(|&id| self.entries.get(id))
+                            .filter(|e| everywhere || base.is_ancestor_or_self_of(e.dn()))
+                            .filter(|e| plan.exact || matches(e))
+                            .for_each(f)
+                    }
                 }
             }
         }
@@ -873,6 +903,26 @@ mod tests {
     }
 
     #[test]
+    fn modify_dn_keeps_the_entry_under_a_suffix() {
+        let mut s = DitStore::new();
+        s.add_suffix(dn("o=xyz"));
+        s.add_suffix(dn("o=abc"));
+        s.add(Entry::new(dn("o=xyz")).with("mail", "m")).unwrap();
+        s.add(Entry::new(dn("cn=a,o=xyz")).with("mail", "m")).unwrap();
+        // An entry moved under the absent o=abc would have no parent, and
+        // the suffix entry renamed in place would sit under no suffix:
+        // `add` refuses both places, so does a rename.
+        let moved = s.modify_dn(&dn("cn=a,o=xyz"), Rdn::new("cn", "a"), Some(dn("o=abc")));
+        assert!(matches!(moved, Err(DitError::NoParent(_))), "{moved:?}");
+        s.add(Entry::new(dn("o=abc"))).unwrap();
+        s.modify_dn(&dn("cn=a,o=xyz"), Rdn::new("cn", "a"), Some(dn("o=abc"))).unwrap();
+        let renamed = s.modify_dn(&dn("o=xyz"), Rdn::new("o", "elsewhere"), None);
+        assert!(matches!(renamed, Err(DitError::NoParent(_))), "{renamed:?}");
+        // A base that covers o=xyz alone does not reach the moved entry.
+        assert_eq!(s.search_dns(&sub("o=xyz", "(mail=m)")), vec![dn("o=xyz")]);
+    }
+
+    #[test]
     fn a_history_fed_from_apply_accumulates_in_csn_order() {
         let mut s = base_store();
         let c0 = s.csn();
@@ -1011,6 +1061,30 @@ mod tests {
         assert_eq!(serde_json::from_str::<DitStore>(&with(one)).unwrap().len(), 1);
         let err = serde_json::from_str::<DitStore>(&with(&format!("{one},{one}"))).unwrap_err();
         assert!(err.to_string().contains("duplicate entry o=xyz"), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_holding_an_orphan_is_refused() {
+        let entry = |dn: &str| format!(r#"{{"dn":{dn},"attrs":{{"dept":["7"]}}}}"#);
+        let xyz = entry(r#"[{"attr":"o","value":"xyz"}]"#);
+        let a = entry(r#"[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}]"#);
+        let stray = entry(r#"[{"attr":"cn","value":"s"},{"attr":"o","value":"abc"}]"#);
+        let snapshot = |entries: &[&String]| {
+            let entries: Vec<&str> = entries.iter().map(|e| e.as_str()).collect();
+            format!(
+                r#"{{"entries":[{}],"suffixes":[[{{"attr":"o","value":"xyz"}}]],"csn":2}}"#,
+                entries.join(",")
+            )
+        };
+        let sound: DitStore = serde_json::from_str(&snapshot(&[&xyz, &a])).expect("parents first");
+        let everywhere = SearchRequest::new(Dn::root(), Scope::Subtree, Filter::parse("(dept=7)").unwrap());
+        assert_eq!(sound.search_dns(&everywhere).len(), 2);
+        // A child before its parent, and an entry under no suffix: either
+        // would answer a root search from a place `add` never lets it be.
+        for (entries, orphan) in [([&a, &xyz], "cn=a,o=xyz"), ([&xyz, &stray], "cn=s,o=abc")] {
+            let err = serde_json::from_str::<DitStore>(&snapshot(&entries)).unwrap_err();
+            assert!(err.to_string().contains(&format!("orphan entry {orphan}")), "{err}");
+        }
     }
 
     #[test]

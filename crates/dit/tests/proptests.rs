@@ -69,6 +69,23 @@ fn fresh() -> DitStore {
     d
 }
 
+/// Registers `o=abc` beside `o=xyz` and puts people under it whose values
+/// the queries below plan to: their ids share the index with `o=xyz`'s.
+fn add_second_suffix(d: &mut DitStore) {
+    let abc: Dn = "o=abc".parse().expect("valid dn");
+    d.add_suffix(abc.clone());
+    d.add(Entry::new(abc)).expect("add second root");
+    for (id, dept, serial, n) in [(1, 1, "000100", "500"), (2, 2, "000700", "0500"), (12, 3, "000001", "-3")] {
+        let person = Entry::new(format!("cn=p{id},o=abc").parse().expect("valid dn"))
+            .with("objectclass", "person")
+            .with("cn", &format!("p{id}"))
+            .with("dept", &dept.to_string())
+            .with("serialNumber", serial)
+            .with("n", n);
+        d.add(person).expect("add person under o=abc");
+    }
+}
+
 fn reload(d: &DitStore) -> DitStore {
     let json = serde_json::to_string(d).expect("store serializes");
     serde_json::from_str(&json).expect("store deserializes")
@@ -225,10 +242,13 @@ proptest! {
         }
     }
 
-    /// Streaming visits exactly the brute-force matches, each once.
+    /// Streaming visits exactly the brute-force matches, each once — also
+    /// beside a second suffix, whose entries a base covering `o=xyz` alone
+    /// must leave out however well they match.
     #[test]
     fn for_each_match_is_exact(ops in ops(60), region in region()) {
         let mut d = fresh();
+        add_second_suffix(&mut d);
         for o in &ops {
             apply(&mut d, o);
         }

@@ -73,10 +73,44 @@ pub struct ShardMap {
 /// (leaf-first, as [`Dn::rdns`] lists them), and the distinct suffix
 /// depths, deepest first: a DN's owner is the first hit among its own
 /// suffixes of those depths — one probe per depth, not a test per suffix.
+/// Beside it, each shard's [`Territory`], which a split and a fan-out
+/// read once per shard instead of scanning every assignment.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Owners {
     by_suffix: HashMap<Box<[Rdn]>, ShardId, BuildHasherDefault<MixHasher>>,
     depths: Vec<usize>,
+    /// Indexed by shard; `None`, or a shard past the end, has no suffix.
+    territories: Vec<Option<Territory>>,
+}
+
+/// What a split and a fan-out read of the suffixes assigned to one shard
+/// (every assignment to it, as [`ShardMap::entries`] lists them).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Territory {
+    /// The deepest DN at or above every suffix.
+    common: Dn,
+    /// Depth of the shallowest suffix.
+    shallowest: usize,
+    /// Depth of the deepest suffix: the shard's glue depth.
+    deepest: usize,
+}
+
+impl Territory {
+    fn of(suffix: &Dn) -> Territory {
+        Territory { common: suffix.clone(), shallowest: suffix.depth(), deepest: suffix.depth() }
+    }
+
+    fn add(&mut self, suffix: &Dn) {
+        self.common = common_ancestor([&self.common, suffix].into_iter()).expect("two DNs");
+        self.shallowest = self.shallowest.min(suffix.depth());
+        self.deepest = self.deepest.max(suffix.depth());
+    }
+
+    /// Whether every suffix lies strictly below `base`, so that a subtree
+    /// there holds them all.
+    fn lies_below(&self, base: &Dn) -> bool {
+        base.depth() < self.shallowest && base.is_ancestor_or_self_of(&self.common)
+    }
 }
 
 impl Owners {
@@ -87,6 +121,13 @@ impl Owners {
         if let Err(at) = self.depths.binary_search_by(|d| depth.cmp(d)) {
             self.depths.insert(at, depth);
         }
+        if self.territories.len() <= shard.index() {
+            self.territories.resize(shard.index() + 1, None);
+        }
+        match &mut self.territories[shard.index()] {
+            Some(t) => t.add(suffix),
+            none => *none = Some(Territory::of(suffix)),
+        }
     }
 
     fn owner(&self, dn: &Dn) -> Option<ShardId> {
@@ -95,6 +136,10 @@ impl Owners {
             .iter()
             .skip_while(|&&depth| depth > rdns.len())
             .find_map(|&depth| self.by_suffix.get(&rdns[rdns.len() - depth..]).copied())
+    }
+
+    fn territory(&self, shard: ShardId) -> Option<&Territory> {
+        self.territories.get(shard.index())?.as_ref()
     }
 }
 
@@ -243,33 +288,48 @@ impl ShardMap {
         self.owners.owner(dn).unwrap_or(self.default)
     }
 
+    /// The depth of `shard`'s deepest assigned suffix (0 for a shard with
+    /// none). Glue — the ancestors of a shard's own suffixes, which its
+    /// store holds so that the suffixes have parents — lies above it, so a
+    /// store that holds only its shard's slice owns every entry at or below
+    /// this depth, and only a shallower one needs [`ShardMap::shard_of`].
+    pub fn glue_depth(&self, shard: ShardId) -> usize {
+        self.owners.territory(shard).map_or(0, |t| t.deepest)
+    }
+
     /// Shards whose territory can intersect the region `(base, scope)`:
     /// the owner of the base plus, for scopes reaching below it, the
     /// owners of every assigned suffix inside the region.
     pub fn overlapping(&self, base: &Dn, scope: Scope) -> Vec<ShardId> {
-        let mut out = vec![self.shard_of(base)];
-        match scope {
-            Scope::Base => {}
-            Scope::OneLevel => {
-                out.extend(
-                    self.entries
-                        .iter()
-                        .filter(|(s, _)| base.is_parent_of(s))
-                        .map(|(_, id)| *id),
-                );
-            }
-            Scope::Subtree => {
-                out.extend(
-                    self.entries
-                        .iter()
-                        .filter(|(s, _)| base.is_ancestor_of(s))
-                        .map(|(_, id)| *id),
-                );
-            }
+        let owner = self.shard_of(base);
+        self.shards().filter(|&s| s == owner || self.clamp(s, base, scope).is_some()).collect()
+    }
+
+    /// `shard`'s part of the region `(base, scope)` when another shard owns
+    /// the base: the deepest DN covering its suffixes inside the region,
+    /// with the scope that reaches them, or `None` when none lies inside.
+    /// A subtree based strictly above every suffix of the shard holds them
+    /// all and reads their common ancestor, kept since they were assigned;
+    /// any other region scans the assignments.
+    fn clamp(&self, shard: ShardId, base: &Dn, scope: Scope) -> Option<(Dn, Scope)> {
+        let territory = self.owners.territory(shard)?;
+        if scope == Scope::Subtree && territory.lies_below(base) {
+            return Some((territory.common.clone(), scope));
         }
-        out.sort_unstable();
-        out.dedup();
-        out
+        let in_region = || {
+            self.entries
+                .iter()
+                .filter(move |(s, id)| *id == shard && scope.contains(base, s) && base != s)
+                .map(|(s, _)| s)
+        };
+        let clamped = common_ancestor(in_region())?;
+        let sub_scope = match scope {
+            // The region's only reachable point of a child suffix is the
+            // suffix entry itself.
+            Scope::OneLevel if in_region().count() == 1 => Scope::Base,
+            s => s,
+        };
+        Some((clamped, sub_scope))
     }
 
     /// Splits a search request across the shards it overlaps: one
@@ -283,31 +343,18 @@ impl ShardMap {
     /// — a shard only ever stores its own slice, so a clamped base that
     /// still over-covers (several suffixes under one ancestor) is
     /// harmless: the shard's evaluation cannot see entries it does not
-    /// hold.
+    /// hold. A subtree based above all of a shard's suffixes — a search
+    /// from the root — reads the shard's common ancestor, computed when
+    /// the suffixes were assigned: the split then costs one owner probe and
+    /// a DN comparison per shard.
     pub fn split<'a>(&self, request: &'a SearchRequest) -> Vec<(ShardId, SubRequest<'a>)> {
-        let base = request.base();
-        let scope = request.scope();
+        let (base, scope) = (request.base(), request.scope());
         let base_owner = self.shard_of(base);
-        self.overlapping(base, scope)
-            .into_iter()
-            .map(|shard| {
-                if shard == base_owner {
-                    return (shard, SubRequest { request, clamped: None });
-                }
-                let in_region = || {
-                    self.entries
-                        .iter()
-                        .filter(move |(s, id)| *id == shard && scope.contains(base, s) && base != s)
-                        .map(|(s, _)| s)
-                };
-                let clamped = common_ancestor(in_region()).unwrap_or_else(|| base.clone());
-                let sub_scope = match scope {
-                    // The region's only reachable point of a child suffix
-                    // is the suffix entry itself.
-                    Scope::OneLevel if in_region().count() == 1 => Scope::Base,
-                    s => s,
-                };
-                (shard, SubRequest { request, clamped: Some((clamped, sub_scope)) })
+        self.shards()
+            .filter_map(|shard| {
+                let clamped =
+                    if shard == base_owner { None } else { Some(self.clamp(shard, base, scope)?) };
+                Some((shard, SubRequest { request, clamped }))
             })
             .collect()
     }

@@ -298,6 +298,79 @@ proptest! {
     }
 }
 
+/// The split `ShardMap::split` made before each shard's suffixes were
+/// kept apart, kept as its oracle: every assignment is scanned for the
+/// shards the region reaches, and again per reached shard for its suffixes
+/// inside the region, whose root-first common prefix is the clamped base.
+/// The base's owner keeps the request's region (`None`).
+fn scan_split(map: &ShardMap, base: &Dn, scope: Scope) -> Vec<(ShardId, Option<(Dn, Scope)>)> {
+    let owner = map.shard_of(base);
+    let mut reached: Vec<ShardId> = map
+        .entries()
+        .iter()
+        .filter(|(s, _)| scope.contains(base, s) && base != s)
+        .map(|(_, id)| *id)
+        .chain([owner])
+        .collect();
+    reached.sort_unstable();
+    reached.dedup();
+    reached
+        .into_iter()
+        .map(|shard| {
+            if shard == owner {
+                return (shard, None);
+            }
+            let in_region: Vec<&Dn> = map
+                .entries()
+                .iter()
+                .filter(|(s, id)| *id == shard && scope.contains(base, s) && base != s)
+                .map(|(s, _)| s)
+                .collect();
+            let first = in_region[0].rdns();
+            let depth = in_region
+                .iter()
+                .map(|s| first.iter().rev().zip(s.rdns().iter().rev()).take_while(|(a, b)| a == b).count())
+                .min()
+                .expect("a reached shard has a suffix in the region");
+            let clamped = Dn::from_rdns(first[first.len() - depth..].to_vec());
+            let sub_scope = if scope == Scope::OneLevel && in_region.len() == 1 { Scope::Base } else { scope };
+            (shard, Some((clamped, sub_scope)))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A split names the shards, bases and scopes the scan over every
+    /// assignment names, for regions at every DN of a random tree and at
+    /// the root, in every scope; and `overlapping` names the same shards.
+    #[test]
+    fn split_is_the_assignment_scan(
+        a in assignments(),
+        leaves in prop::collection::vec(dn_of_depth(0..=4), 1..12),
+    ) {
+        let map = a.build();
+        for base in tree_of(&leaves) {
+            for scope in [Scope::Base, Scope::OneLevel, Scope::Subtree] {
+                let req = SearchRequest::new(base.clone(), scope, Filter::match_all());
+                let got: Vec<(ShardId, Dn, Scope)> =
+                    map.split(&req).iter().map(|(s, sub)| (*s, sub.base().clone(), sub.scope())).collect();
+                let want: Vec<(ShardId, Dn, Scope)> = scan_split(&map, &base, scope)
+                    .into_iter()
+                    .map(|(s, clamped)| {
+                        let (b, sc) = clamped.unwrap_or_else(|| (base.clone(), scope));
+                        (s, b, sc)
+                    })
+                    .collect();
+                prop_assert_eq!(&got, &want, "{} {}", base, scope);
+                let shards: Vec<ShardId> = want.iter().map(|(s, _, _)| *s).collect();
+                prop_assert_eq!(map.overlapping(&base, scope), shards, "{} {}", base, scope);
+            }
+        }
+    }
+}
+
 /// The wire form of a map is its assignments, default and count, in the
 /// bytes they always had: the owner index derived from them stays out.
 #[test]

@@ -297,14 +297,16 @@ struct CachedQuery {
 impl CachedQuery {
     /// Answers a query this one contains but does not equal from the
     /// frozen result: through the key columns' plan when they bound it,
-    /// else by verifying every frozen entry.
+    /// else by verifying every frozen entry (its filter alone, when this
+    /// query's region lies inside the query's).
     fn answer(&self, query: &SearchRequest) -> Vec<Entry> {
+        let region = !region_inside(query, self.prepared.request());
         match self.columns.plan(query.filter()) {
             Some(plan) => {
                 let candidates = plan.ids.iter().map(|&pos| &self.entries[pos as usize]);
-                collect_matching(query, candidates, plan.exact)
+                collect_checked(query, candidates, Check { region, filter: !plan.exact })
             }
-            None => collect_matching(query, self.entries.iter(), false),
+            None => collect_checked(query, self.entries.iter(), Check { region, filter: true }),
         }
     }
 }
@@ -1145,7 +1147,8 @@ impl FilterReplica {
                 self.count_whole();
                 return Some(project_all(query, snap.entries_of(&sf.ids)));
             }
-            return Some(self.evaluate_indexed(snap, query, &sf.ids));
+            let inside = region_inside(query, sf.prepared.request());
+            return Some(self.evaluate_indexed(snap, query, &sf.ids, inside));
         }
         // Then the cached queries that can contain it, oldest first.
         let cached = self.cache.lock().candidates(query);
@@ -1203,20 +1206,22 @@ impl FilterReplica {
     /// plan ([`fbdr_dit::index::Plan::exact`]) leaves the query's matches
     /// among the filter's entries, and only the query's region is checked
     /// on them; an inexact plan's survivors are verified against the full
-    /// query. Falls back to scanning the posting list when the filter is
-    /// unplannable.
+    /// query. When `inside` — the entries' container lies inside the
+    /// query's region — the region is not checked either. Falls back to
+    /// scanning the posting list when the filter is unplannable.
     fn evaluate_indexed(
         &self,
         snap: &ContentSnapshot,
         query: &SearchRequest,
         ids: &[u32],
+        inside: bool,
     ) -> Vec<Entry> {
         let Some(plan) = snap.index.plan(query.filter()) else {
             if let Some(m) = &self.metrics {
                 m.plan_scan.inc();
                 m.plan_candidates.record(ids.len() as u64);
             }
-            return collect_matching(query, snap.entries_of(ids), false);
+            return collect_checked(query, snap.entries_of(ids), Check { region: !inside, filter: true });
         };
         let sel = posting::intersect(&plan.ids, ids);
         if let Some(m) = &self.metrics {
@@ -1226,7 +1231,7 @@ impl FilterReplica {
                 m.plan_exact.inc();
             }
         }
-        collect_matching(query, snap.entries_of(&sel), plan.exact)
+        collect_checked(query, snap.entries_of(&sel), Check { region: !inside, filter: !plan.exact })
     }
 
     /// Answers a query by brute-force scan — the containment gate against
@@ -1321,7 +1326,7 @@ impl FilterReplica {
             lists.push(&sf.ids);
         }
         let ids = posting::union_walk(lists);
-        Some(self.evaluate_indexed(snap, query, &ids))
+        Some(self.evaluate_indexed(snap, query, &ids, false))
     }
 }
 
@@ -1329,21 +1334,46 @@ impl FilterReplica {
 /// id, or a cached query's frozen result — in the order they come. Each
 /// candidate is verified against the full query, or, when an exact plan
 /// ([`fbdr_dit::index::Plan::exact`]) chose them, checked against the
-/// query's region alone. The survivors are collected as references — in a
-/// list sized for every candidate, which an exact plan's nearly all are,
-/// so that it is allocated once instead of grown — and only then
-/// projected, so the answer is allocated once, at its length.
+/// query's region alone.
 fn collect_matching<'a>(
     query: &SearchRequest,
     candidates: impl Iterator<Item = &'a Entry>,
     exact: bool,
 ) -> Vec<Entry> {
+    collect_checked(query, candidates, Check { region: true, filter: !exact })
+}
+
+/// What a container's candidate still has to pass to be in a query's
+/// answer.
+#[derive(Debug, Clone, Copy)]
+struct Check {
+    /// The query's region — unless the container's lies inside it, so that
+    /// every entry the container holds does too.
+    region: bool,
+    /// The query's filter — unless an exact plan chose the candidate.
+    filter: bool,
+}
+
+/// Whether `container`'s region lies inside `query`'s: then no candidate
+/// drawn from it needs its DN checked. A query asked from its container's
+/// base, the usual case, checks none.
+fn region_inside(query: &SearchRequest, container: &SearchRequest) -> bool {
+    fbdr_containment::region_contained(container.base(), container.scope(), query.base(), query.scope())
+}
+
+/// [`collect_matching`] with the checks spelled out. The survivors are
+/// collected as references — in a list sized for every candidate, which an
+/// exact plan's nearly all are, so that it is allocated once instead of
+/// grown — and only then projected, so the answer is allocated once, at
+/// its length.
+fn collect_checked<'a>(
+    query: &SearchRequest,
+    candidates: impl Iterator<Item = &'a Entry>,
+    check: Check,
+) -> Vec<Entry> {
     let keep = |e: &&Entry| {
-        if exact {
-            query.scope().contains(query.base(), e.dn())
-        } else {
-            query.matches(e)
-        }
+        (!check.region || query.scope().contains(query.base(), e.dn()))
+            && (!check.filter || query.filter().matches(e))
     };
     let (_, all) = candidates.size_hint();
     let mut hits: Vec<&Entry> = Vec::with_capacity(all.unwrap_or(0));
@@ -1917,8 +1947,8 @@ mod tests {
         assert!(Arc::ptr_eq(&before.filters[1].ids, &after.filters[1].ids));
 
         let q = root_query("(mail=new@xyz.com)");
-        assert_eq!(r.evaluate_indexed(&after, &q, &after.filters[0].ids).len(), 1);
-        assert_eq!(r.evaluate_indexed(&before, &q, &before.filters[0].ids).len(), 0);
+        assert_eq!(r.evaluate_indexed(&after, &q, &after.filters[0].ids, false).len(), 1);
+        assert_eq!(r.evaluate_indexed(&before, &q, &before.filters[0].ids, false).len(), 0);
     }
 
     #[test]
@@ -1952,7 +1982,7 @@ mod tests {
         let answers = |snap: &ContentSnapshot| -> String {
             let ids = &snap.filters[0].ids;
             let all: Vec<Vec<Entry>> =
-                queries.iter().map(|q| r.evaluate_indexed(snap, q, ids)).collect();
+                queries.iter().map(|q| r.evaluate_indexed(snap, q, ids, false)).collect();
             format!("{all:?}")
         };
         let before = answers(&held);
@@ -2649,7 +2679,7 @@ mod proptests {
                 })
                 .collect();
             for q in &queries {
-                let indexed = r.evaluate_indexed(&snap, q, &ids);
+                let indexed = r.evaluate_indexed(&snap, q, &ids, false);
                 let scanned = oracle(&snap, q, &ids);
                 prop_assert_eq!(&indexed, &scanned, "epoch 1, {}", q);
             }
@@ -2679,7 +2709,7 @@ mod proptests {
             work.filters[0] = sf;
             let snap2 = work;
             for q in &queries {
-                let indexed = r.evaluate_indexed(&snap2, q, &ids2);
+                let indexed = r.evaluate_indexed(&snap2, q, &ids2, false);
                 let scanned = oracle(&snap2, q, &ids2);
                 prop_assert_eq!(&indexed, &scanned, "epoch 2, {}", q);
             }

@@ -154,7 +154,9 @@ impl<'de> Deserialize<'de> for ShardedMaster {
     ///
     /// A map that fails its own load check, or a shard list whose length
     /// is not the map's shard count: an update or search routed to a
-    /// missing shard would index past the list.
+    /// missing shard would index past the list. Also a shard holding, at
+    /// or below its glue depth ([`ShardMap::glue_depth`]), an entry the map
+    /// assigns to another shard: a search would return it from both.
     fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
         use serde::de::Error as _;
         #[derive(Deserialize)]
@@ -169,6 +171,17 @@ impl<'de> Deserialize<'de> for ShardedMaster {
                 shards.len(),
                 map.shard_count()
             )));
+        }
+        for (shard, master) in map.shards().zip(&shards) {
+            let glue_depth = map.glue_depth(shard);
+            let mut held = master.dit().iter().filter(|e| e.dn().depth() >= glue_depth);
+            if let Some(e) = held.find(|e| map.shard_of(e.dn()) != shard) {
+                return Err(D::Error::custom(format!(
+                    "{shard} holds {}, which the map assigns to {}",
+                    e.dn(),
+                    map.shard_of(e.dn())
+                )));
+            }
         }
         Ok(ShardedMaster { map, shards })
     }
@@ -185,6 +198,11 @@ impl ShardedMaster {
 
     /// Wraps pre-built masters, one per shard of `map` (shard `i` ↔
     /// `masters[i]`).
+    ///
+    /// Each master must hold only its shard's slice: the entries the map
+    /// assigns to the shard, plus glue above its glue depth
+    /// ([`ShardMap::glue_depth`]). A search takes every held entry at or
+    /// below that depth to be the shard's own without asking the map.
     ///
     /// # Panics
     ///
@@ -205,8 +223,21 @@ impl ShardedMaster {
     }
 
     /// Mutable access to one shard's master (e.g. to load its DIT slice).
+    ///
+    /// What the master holds must stay the shard's slice: the entries the
+    /// map assigns to the shard, plus glue above its glue depth
+    /// ([`ShardMap::glue_depth`]), as [`ShardedMaster::from_masters`]
+    /// requires.
     pub fn shard_mut(&mut self, shard: ShardId) -> &mut SyncMaster {
         &mut self.shards[shard.index()]
+    }
+
+    /// Whether an entry held in `shard`'s store is the shard's own rather
+    /// than glue. Only an entry above the shard's glue depth can be glue,
+    /// so only such an entry costs an owner lookup; the depth is read once.
+    fn owned_by(&self, shard: ShardId) -> impl Fn(&Entry) -> bool + '_ {
+        let glue_depth = self.map.glue_depth(shard);
+        move |e| e.dn().depth() >= glue_depth || self.map.shard_of(e.dn()) == shard
     }
 
     /// Applies one update at the shard owning its target DN.
@@ -226,12 +257,15 @@ impl ShardedMaster {
     /// to it: shards hold disjoint *owned* slices, but glue entries (the
     /// suffix skeleton above a shard's subtrees) are materialized on
     /// every shard, and an over-covering clamped sub-request would
-    /// otherwise return those copies once per shard.
+    /// otherwise return those copies once per shard. Glue lies above the
+    /// shard's glue depth, so a match at or below it is owned without a
+    /// lookup.
     fn for_each_owned_match<'a>(&'a self, request: &SearchRequest, mut f: impl FnMut(&'a Entry)) {
         for (shard, sub) in self.map.split(request) {
             let dit = self.shards[shard.index()].dit();
+            let owns = self.owned_by(shard);
             dit.for_each_match_in(sub.base(), sub.scope(), sub.filter(), |e| {
-                if self.map.shard_of(e.dn()) == shard {
+                if owns(e) {
                     f(e);
                 }
             });
@@ -263,8 +297,8 @@ impl ShardedMaster {
     /// that owns it (glue copies excluded).
     pub fn entry_count(&self) -> usize {
         let owned = |shard: ShardId| {
-            let held = self.shards[shard.index()].dit().iter();
-            held.filter(|e| self.map.shard_of(e.dn()) == shard).count()
+            let owns = self.owned_by(shard);
+            self.shards[shard.index()].dit().iter().filter(|e| owns(e)).count()
         };
         self.map.shards().map(owned).sum()
     }
@@ -703,6 +737,35 @@ mod tests {
         assert_ne!(past, sound);
         let err = serde_json::from_str::<ShardedMaster>(&past).expect_err("shard 7 of 2");
         assert!(err.to_string().contains("on shard7 is not below shard_count 2"), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_whose_shard_holds_anothers_entry_is_refused() {
+        // Each shard holds o=xyz: glue on shard 1, above its glue depth 2.
+        let mut sound = sharded();
+        sound.apply(UpdateOp::Add(person("e", "b", "7"))).unwrap();
+        let json = serde_json::to_string(&sound).expect("serializes");
+        let loaded: ShardedMaster = serde_json::from_str(&json).expect("every shard holds its slice");
+        assert_eq!(loaded.entry_count(), 4);
+
+        // Shard 0 also holds c=b, at its glue depth: a search would return
+        // it from both shards.
+        let holding = |dns: &[&str]| {
+            let mut m = SyncMaster::new();
+            m.dit_mut().add_suffix(dn("o=xyz"));
+            for d in dns {
+                m.dit_mut().add(Entry::new(dn(d))).unwrap();
+            }
+            m
+        };
+        let shards = vec![
+            holding(&["o=xyz", "c=a,o=xyz", "c=b,o=xyz"]),
+            holding(&["o=xyz", "c=b,o=xyz"]),
+        ];
+        let m = ShardedMaster::from_masters(sound.map().clone(), shards);
+        let json = serde_json::to_string(&m).expect("serializes");
+        let err = serde_json::from_str::<ShardedMaster>(&json).expect_err("a misplaced entry");
+        assert!(err.to_string().contains("shard0 holds c=b,o=xyz, which the map assigns to shard1"), "{err}");
     }
 
     #[test]

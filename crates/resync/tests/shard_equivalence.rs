@@ -117,7 +117,45 @@ fn unsharded() -> SyncMaster {
 /// A sharded master over `k` shards, each shard's DIT holding the
 /// skeleton plus its own countries.
 fn sharded(k: usize) -> ShardedMaster {
-    let map = map_for(k);
+    sharded_on(map_for(k))
+}
+
+/// The lab of the nested layout: a suffix inside country 0.
+fn lab_dn() -> Dn {
+    "ou=lab,c=s0,o=xyz".parse().expect("valid dn")
+}
+
+/// The lab's entry and four people in it, parents first.
+fn lab_entries() -> Vec<Entry> {
+    let people = (0..4u8).map(|i| {
+        let person = Entry::new(format!("cn=lab{i},ou=lab,c=s0,o=xyz").parse().expect("valid dn"))
+            .with("objectclass", "person")
+            .with("cn", &format!("lab{i}"))
+            .with("dept", &i.to_string());
+        if i % 2 == 0 { person.with("mail", "lab@x") } else { person }
+    });
+    std::iter::once(Entry::new(lab_dn()).with("objectclass", "organizationalUnit")).chain(people).collect()
+}
+
+/// [`sharded`] with the lab carved out of country 0 for the last shard,
+/// which (unless it owns country 0) holds the country's entry as glue at
+/// depth 2 — below the `o=xyz` glue every shard holds, and above the
+/// lab. The lab itself is not added.
+fn sharded_with_lab(k: usize) -> ShardedMaster {
+    let mut map = map_for(k);
+    let lab_shard = ShardId::new(u16::try_from(k - 1).expect("fits"));
+    map.assign(lab_dn(), lab_shard);
+    let mut m = sharded_on(map);
+    if m.map().shard_of(&country_dn(0)) != lab_shard {
+        let glue = Entry::new(country_dn(0)).with("objectclass", "country");
+        m.shard_mut(lab_shard).dit_mut().add(glue).expect("glue add");
+    }
+    m
+}
+
+/// Every shard's DIT holding the suffix entry and the countries `map`
+/// assigns to it.
+fn sharded_on(map: ShardMap) -> ShardedMaster {
     let mut m = ShardedMaster::new(map.clone());
     for shard in map.shards() {
         let dit = m.shard_mut(shard).dit_mut();
@@ -302,15 +340,24 @@ proptest! {
     /// directory does: the same projected entries — for
     /// bases at the root, the suffix (a glue entry on every shard), a
     /// country and a person, under every scope, with all attributes or a
-    /// list, and every session filter.
+    /// list, and every session filter. Half the cases nest a lab suffix
+    /// inside country 0 on another shard, whose glue then reaches depth 2,
+    /// and also search from the lab.
     #[test]
     fn sharded_search_equals_one_stores_search(
         ops in prop::collection::vec(op(), 1..60),
         n_shards in 1usize..5,
         pick in 0usize..16,
+        lab in any::<bool>(),
     ) {
         let mut single = unsharded();
-        let mut multi = sharded(n_shards);
+        let mut multi = if lab { sharded_with_lab(n_shards) } else { sharded(n_shards) };
+        if lab {
+            for e in lab_entries() {
+                single.apply(UpdateOp::Add(e.clone())).expect("lab add");
+                multi.apply(UpdateOp::Add(e)).expect("lab add");
+            }
+        }
         for (i, o) in ops.iter().enumerate() {
             if matches!(o, Op::KillSession { .. }) {
                 continue;
@@ -323,7 +370,10 @@ proptest! {
             .map(|i| dn_of((pick + i) % 16))
             .find(|d| single.dit().contains(d))
             .unwrap_or_else(|| dn_of(pick));
-        let bases = [Dn::root(), "o=xyz".parse().expect("valid dn"), country_dn(pick % COUNTRIES), person];
+        let mut bases = vec![Dn::root(), "o=xyz".parse().expect("valid dn"), country_dn(pick % COUNTRIES), person];
+        if lab {
+            bases.push(lab_dn());
+        }
         let selections = [AttrSelection::All, AttrSelection::list(["dept", "mail"])];
         for base in &bases {
             for scope in [Scope::Base, Scope::OneLevel, Scope::Subtree] {
