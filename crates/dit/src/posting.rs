@@ -1,21 +1,24 @@
 //! Sorted `u32` posting lists: the one id-set representation in the stack.
 //!
 //! A posting list is a strictly increasing sequence of dense entry (or
-//! session) ids: the master store's attribute index, its session ledgers
-//! and routing buckets, and the replica's filter contents and snapshot
-//! index are all edited and combined with the functions here. A list is 4
+//! session) ids: the master store's attribute index, its session ledgers,
+//! and the replica's filter contents and snapshot index are all edited
+//! and combined with the functions here. A list is 4
 //! bytes per member and membership is a binary search. Intersection
 //! *gallops* (exponential probe + binary search) through the longer list,
 //! so intersecting a point-query candidate list with a country-sized list
 //! costs `O(small · log large)` rather than `O(large)`.
 //!
-//! Under an index key the list is a [`Posting`], the one type both stores'
-//! indexes hold: a key that one entry holds — nearly every `serialNumber`,
-//! `mail` or `cn` — keeps its id inline, in the map node, and only a key
-//! of two or more ids has a list on the heap, shared behind an `Arc`
-//! between the replica's epochs. A walk over a prefix or a range reads the
-//! ids off the nodes it descends ([`union_walk`]) and follows a pointer
-//! only for a key that several entries share.
+//! Under an index key the list is a [`Posting`], the one type every index
+//! holds: both stores' attribute indexes, and the routing index's
+//! equality, prefix, presence and residual buckets of filter ids
+//! (`fbdr_resync::RoutingIndex`). A key that one entry holds — nearly
+//! every `serialNumber`, `mail` or `cn` — or one filter asserts keeps its
+//! id inline, in the map node, and only a key of two or more ids has a
+//! list on the heap, shared behind an `Arc` between the replica's epochs.
+//! A walk over a prefix or a range reads the ids off the nodes it descends
+//! ([`union_walk`]) and follows a pointer only for a key that several
+//! entries share.
 
 use std::borrow::Cow;
 use std::fmt;

@@ -66,17 +66,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Why a query's content is stored in the replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoredQueryKind {
-    /// A generalized filter, statically or dynamically selected, kept in
-    /// sync with the master via ReSync.
-    Generalized,
-    /// A recently performed user query, cached for temporal locality and
-    /// *not* updated (§7.4) — evicted FIFO from a fixed window.
-    Cached,
-}
-
 /// One synchronized generalized filter inside a content snapshot.
 ///
 /// Immutable once published, except for the hit counter: that is an

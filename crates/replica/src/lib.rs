@@ -44,7 +44,7 @@ mod persistent;
 mod stats;
 mod subtree;
 
-pub use filter_replica::{DecisionCacheStats, FilterReplica, StoredQueryKind};
+pub use filter_replica::{DecisionCacheStats, FilterReplica};
 pub use stats::{AtomicReplicaStats, ReplicaStats};
 pub use subtree::SubtreeReplica;
 

@@ -55,26 +55,58 @@
 //! query with `Or` or `Not` has no single witness and is reported
 //! unindexable: every registered filter is its candidate.
 //!
-//! All posting structures hang off a single per-attribute map, so a
-//! lookup costs one hash probe per entry attribute (or query predicate)
-//! plus one per value and per distinct prefix length, and allocates
-//! nothing but the caller's output vector (a query's substring pattern of
-//! several components builds its concatenated witness text).
+//! # Keys
+//!
+//! The index speaks the stores' vocabulary (DESIGN §9): an attribute is
+//! keyed by its [`AttrName`] handle, a value or prefix by its normalized
+//! text as a [`TextKey`], and the filters under a key are a [`Posting`],
+//! edited by `Posting::insert` and `Posting::remove` and dropped with its
+//! last id. Every posting structure, the residual buckets included, hangs
+//! off one per-attribute map, so a lookup costs one hash probe per entry
+//! attribute (or query predicate) plus one per value and per distinct
+//! prefix length, borrows the probed text as bytes, and allocates nothing
+//! but the caller's output vector (a query's substring pattern of several
+//! components builds its concatenated witness text). Registering a filter
+//! of a known template on a warm index allocates once, for the list of
+//! keys it is remembered under, and removing it allocates nothing: one
+//! allocation for an equality, a prefix or a two-alternative conjunction
+//! and none for a residual filter, by the count in `tests/publish_cost.rs`
+//! (a value longer than a `TextKey` holds inline adds its text).
 
-use fbdr_dit::posting::{insert_sorted, remove_sorted};
-use fbdr_ldap::{AttrValue, Dn, Filter, SearchRequest, SlotKey, Template};
+use fbdr_dit::index::TextKey;
+use fbdr_dit::posting::Posting;
+use fbdr_ldap::{AttrName, AttrValue, Dn, Filter, SearchRequest, SlotKey, Template};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 
 /// A concrete posting key a filter is registered under.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 enum RouteKey {
-    /// Attribute (lowercased) asserted equal to a normalized value.
-    Eq(String, String),
-    /// Attribute (lowercased) asserted to start with a normalized prefix.
-    Prefix(String, String),
-    /// Attribute (lowercased) asserted present.
-    Present(String),
+    /// Attribute asserted equal to a normalized value.
+    Eq(AttrName, TextKey),
+    /// Attribute asserted to start with a normalized prefix.
+    Prefix(AttrName, TextKey),
+    /// Attribute asserted present.
+    Present(AttrName),
+}
+
+impl RouteKey {
+    /// Instantiates one key of a plan alternative against the filter's
+    /// slot values.
+    fn of(key: &SlotKey, values: &[impl Borrow<AttrValue>]) -> Self {
+        let text = |slot: &usize| TextKey::new(values[*slot].borrow().normalized());
+        match key {
+            SlotKey::Eq { attr, slot } => RouteKey::Eq(attr.clone(), text(slot)),
+            SlotKey::Prefix { attr, slot } => RouteKey::Prefix(attr.clone(), text(slot)),
+            SlotKey::Present { attr } => RouteKey::Present(attr.clone()),
+        }
+    }
+
+    fn attr(&self) -> &AttrName {
+        match self {
+            RouteKey::Eq(a, _) | RouteKey::Prefix(a, _) | RouteKey::Present(a) => a,
+        }
+    }
 }
 
 /// Where one filter is registered, remembered for exact removal.
@@ -82,9 +114,10 @@ enum RouteKey {
 enum Place {
     /// Indexed under these posting keys.
     Keys(Vec<RouteKey>),
-    /// On the residual scan-list under this base bucket (`None` = rooted
-    /// at the empty DN, scanned for every update).
-    Residual(Option<(String, String)>),
+    /// On the residual scan-list under this base bucket, the root RDN's
+    /// attribute and normalized value (`None` = rooted at the empty DN,
+    /// scanned for every update).
+    Residual(Option<(AttrName, TextKey)>),
 }
 
 /// Counts of live index structures, for tests and observability.
@@ -104,74 +137,94 @@ pub struct RoutingStats {
     pub present_keys: usize,
 }
 
-/// The root-most RDN of a DN as a lowercased attribute and normalized
-/// value, or `None` for the empty DN. Buckets residual sessions by
-/// naming context.
-fn root_bucket(dn: &Dn) -> Option<(String, String)> {
-    dn.rdns()
-        .last()
-        .map(|r| (r.attr().lower().to_owned(), r.value().normalized().to_owned()))
-}
-
-/// Every posting list attached to one attribute. Grouping the three key
-/// kinds under a single map keeps the hot path at one probe per entry
+/// Every posting list attached to one attribute. Grouping the key kinds
+/// under a single map keeps the hot path at one probe per entry
 /// attribute.
 #[derive(Debug, Clone, Default)]
 struct AttrPostings {
     /// Normalized value → filters asserting equality with it.
-    eq: HashMap<String, Vec<u32>>,
+    eq: HashMap<TextKey, Posting>,
     /// Normalized initial text → filters asserting values start with it.
-    prefix: HashMap<String, Vec<u32>>,
+    prefix: HashMap<TextKey, Posting>,
     /// Byte length → number of `prefix` keys of that length: a value is
     /// probed once per distinct length instead of once per key.
     prefix_lens: BTreeMap<usize, usize>,
     /// Filters asserting presence of the attribute.
-    present: Vec<u32>,
+    present: Posting,
+    /// Normalized value → residual filters based under a root RDN of
+    /// this attribute and value.
+    residual: HashMap<TextKey, Posting>,
 }
 
 impl AttrPostings {
     fn is_empty(&self) -> bool {
-        self.eq.is_empty() && self.prefix.is_empty() && self.present.is_empty()
+        self.eq.is_empty()
+            && self.prefix.is_empty()
+            && self.present.is_empty()
+            && self.residual.is_empty()
     }
 
     /// Appends the filters whose equality or prefix key matches one
     /// normalized value of the attribute.
     fn probe(&self, norm: &str, out: &mut Vec<u32>) {
-        if let Some(ids) = self.eq.get(norm) {
-            out.extend_from_slice(ids);
-        }
+        out.extend_from_slice(ids(&self.eq, norm.as_bytes()));
         for &len in self.prefix_lens.keys() {
             if len > norm.len() {
                 break;
             }
-            // `None` off a char boundary: no (valid UTF-8) key ends there.
-            if let Some(ids) = norm.get(..len).and_then(|head| self.prefix.get(head)) {
-                out.extend_from_slice(ids);
+            // Cut inside a character, the head is no UTF-8 and no key.
+            out.extend_from_slice(ids(&self.prefix, &norm.as_bytes()[..len]));
+        }
+    }
+
+    /// Lists (`add`) or unlists `id` under one key of this attribute.
+    fn edit(&mut self, key: &RouteKey, id: u32, add: bool) {
+        match key {
+            RouteKey::Eq(_, v) => {
+                edit(&mut self.eq, v, id, add);
             }
-        }
-    }
-
-    fn prefix_insert(&mut self, p: &str, id: u32) {
-        if !self.prefix.contains_key(p) {
-            *self.prefix_lens.entry(p.len()).or_insert(0) += 1;
-        }
-        insert_sorted(slot(&mut self.prefix, p), id);
-    }
-
-    fn prefix_remove(&mut self, p: &str, id: u32) {
-        let Some(ids) = self.prefix.get_mut(p) else {
-            return;
-        };
-        remove_sorted(ids, id);
-        if ids.is_empty() {
-            self.prefix.remove(p);
-            if let Some(n) = self.prefix_lens.get_mut(&p.len()) {
-                *n -= 1;
-                if *n == 0 {
-                    self.prefix_lens.remove(&p.len());
+            RouteKey::Prefix(_, p) => {
+                if edit(&mut self.prefix, p, id, add) {
+                    let n = self.prefix_lens.entry(p.as_bytes().len()).or_insert(0);
+                    *n = if add { *n + 1 } else { *n - 1 };
+                    if *n == 0 {
+                        self.prefix_lens.remove(&p.as_bytes().len());
+                    }
+                }
+            }
+            RouteKey::Present(_) => {
+                if add {
+                    self.present.insert(id);
+                } else {
+                    self.present.remove(id);
                 }
             }
         }
+    }
+}
+
+/// The ids under `key`, none when it is absent.
+fn ids<'a>(map: &'a HashMap<TextKey, Posting>, key: &[u8]) -> &'a [u32] {
+    map.get(key).map_or(&[], Posting::as_slice)
+}
+
+/// Lists (`add`) or unlists `id` under `key`: the key is listed with its
+/// first id and dropped with its last. Returns true when the key came or
+/// went.
+fn edit(map: &mut HashMap<TextKey, Posting>, key: &TextKey, id: u32, add: bool) -> bool {
+    match map.get_mut(key.as_bytes()) {
+        Some(ids) if add => {
+            ids.insert(id);
+            false
+        }
+        Some(ids) => ids.remove(id) && ids.is_empty() && map.remove(key.as_bytes()).is_some(),
+        None if add => {
+            let mut ids = Posting::default();
+            ids.insert(id);
+            map.insert(key.clone(), ids);
+            true
+        }
+        None => false,
     }
 }
 
@@ -183,22 +236,11 @@ impl AttrPostings {
 /// rebuilds it from the surviving sessions after deserialization.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingIndex {
-    /// Lowercased attribute → its posting lists.
-    by_attr: HashMap<String, AttrPostings>,
-    /// Root RDN `(attr, value)` → residual sessions based under it.
-    residual: HashMap<String, HashMap<String, Vec<u32>>>,
+    /// Attribute → its posting lists, residual buckets included.
+    by_attr: HashMap<AttrName, AttrPostings>,
     /// Residual sessions based at the empty DN (scanned for every DN).
-    residual_root: Vec<u32>,
+    residual_root: Posting,
     registered: HashMap<u32, Place>,
-}
-
-/// The value under `key`, inserted empty when absent; the key is copied
-/// only then (registrations mostly land on attributes already present).
-fn slot<'a, V: Default>(map: &'a mut HashMap<String, V>, key: &str) -> &'a mut V {
-    if !map.contains_key(key) {
-        map.insert(key.to_owned(), V::default());
-    }
-    map.get_mut(key).expect("present or just inserted")
 }
 
 impl RoutingIndex {
@@ -222,40 +264,19 @@ impl RoutingIndex {
         self.registered.contains_key(&id)
     }
 
-    /// Instantiates one plan alternative against the query's slot values.
-    fn concrete_keys(plan: &[SlotKey], values: &[impl Borrow<AttrValue>]) -> Vec<RouteKey> {
-        let text = |slot: &usize| values[*slot].borrow().normalized().to_owned();
-        plan.iter()
-            .map(|k| match k {
-                SlotKey::Eq { attr, slot } => RouteKey::Eq(attr.lower().to_owned(), text(slot)),
-                SlotKey::Prefix { attr, slot } => {
-                    RouteKey::Prefix(attr.lower().to_owned(), text(slot))
-                }
-                SlotKey::Present { attr } => RouteKey::Present(attr.lower().to_owned()),
-            })
-            .collect()
-    }
-
-    /// How many sessions already sit on this key set's posting lists —
-    /// the expected extra fan-out of picking it. Lower is better.
-    fn key_load(&self, keys: &[RouteKey]) -> usize {
-        keys.iter()
-            .map(|k| match k {
-                RouteKey::Eq(a, v) => self
-                    .by_attr
-                    .get(a)
-                    .and_then(|b| b.eq.get(v))
-                    .map_or(0, Vec::len),
-                RouteKey::Prefix(a, p) => self
-                    .by_attr
-                    .get(a)
-                    .and_then(|b| b.prefix.get(p))
-                    .map_or(0, Vec::len),
-                RouteKey::Present(a) => {
-                    self.by_attr.get(a).map_or(0, |b| b.present.len())
-                }
-            })
-            .sum()
+    /// How many sessions already sit on the posting list one plan key
+    /// names for these slot values — its share of the expected extra
+    /// fan-out of picking the key's alternative. Lower is better.
+    fn load(&self, key: &SlotKey, values: &[impl Borrow<AttrValue>]) -> usize {
+        let text = |slot: &usize| values[*slot].borrow().normalized().as_bytes();
+        let ids = match key {
+            SlotKey::Eq { attr, slot } => self.by_attr.get(attr).map(|b| ids(&b.eq, text(slot))),
+            SlotKey::Prefix { attr, slot } => {
+                self.by_attr.get(attr).map(|b| ids(&b.prefix, text(slot)))
+            }
+            SlotKey::Present { attr } => self.by_attr.get(attr).map(|b| b.present.as_slice()),
+        };
+        ids.map_or(0, <[u32]>::len)
     }
 
     /// Registers a session under the routing keys of its request filter
@@ -288,30 +309,31 @@ impl RoutingIndex {
         self.remove(id);
         let place = match template.routing_plans() {
             Some(alts) => {
-                let keys = alts
+                let best = alts
                     .iter()
-                    .map(|alt| Self::concrete_keys(alt, values))
-                    .min_by_key(|keys| (self.key_load(keys), keys.len()))
+                    .min_by_key(|alt| {
+                        (alt.iter().map(|k| self.load(k, values)).sum::<usize>(), alt.len())
+                    })
                     .expect("routing_plans returns non-empty alternatives");
+                let keys: Vec<RouteKey> = best.iter().map(|k| RouteKey::of(k, values)).collect();
                 for key in &keys {
-                    match key {
-                        RouteKey::Eq(a, v) => {
-                            insert_sorted(slot(&mut slot(&mut self.by_attr, a).eq, v), id);
-                        }
-                        RouteKey::Prefix(a, p) => slot(&mut self.by_attr, a).prefix_insert(p, id),
-                        RouteKey::Present(a) => {
-                            insert_sorted(&mut slot(&mut self.by_attr, a).present, id);
-                        }
-                    }
+                    self.by_attr.entry(key.attr().clone()).or_default().edit(key, id, true);
                 }
                 Place::Keys(keys)
             }
             None => {
-                let bucket = root_bucket(base);
+                let bucket = base
+                    .rdns()
+                    .last()
+                    .map(|r| (r.attr().clone(), TextKey::new(r.value().normalized())));
                 match &bucket {
-                    Some((a, v)) => insert_sorted(slot(slot(&mut self.residual, a), v), id),
-                    None => insert_sorted(&mut self.residual_root, id),
-                };
+                    Some((a, v)) => {
+                        edit(&mut self.by_attr.entry(a.clone()).or_default().residual, v, id, true);
+                    }
+                    None => {
+                        self.residual_root.insert(id);
+                    }
+                }
                 Place::Residual(bucket)
             }
         };
@@ -325,51 +347,28 @@ impl RoutingIndex {
         let Some(place) = self.registered.remove(&id) else {
             return;
         };
-        match place {
+        match &place {
             Place::Keys(keys) => {
                 for key in keys {
-                    let attr = match &key {
-                        RouteKey::Eq(a, _)
-                        | RouteKey::Prefix(a, _)
-                        | RouteKey::Present(a) => a,
-                    };
-                    let Some(b) = self.by_attr.get_mut(attr) else {
-                        continue;
-                    };
-                    match &key {
-                        RouteKey::Eq(_, v) => {
-                            if let Some(ids) = b.eq.get_mut(v) {
-                                remove_sorted(ids, id);
-                                if ids.is_empty() {
-                                    b.eq.remove(v);
-                                }
-                            }
-                        }
-                        RouteKey::Prefix(_, p) => b.prefix_remove(p, id),
-                        RouteKey::Present(_) => {
-                            remove_sorted(&mut b.present, id);
-                        }
-                    }
-                    if b.is_empty() {
-                        self.by_attr.remove(attr);
-                    }
+                    self.unlist(key.attr(), |b| b.edit(key, id, false));
                 }
             }
-            Place::Residual(Some((a, v))) => {
-                if let Some(per_attr) = self.residual.get_mut(&a) {
-                    if let Some(ids) = per_attr.get_mut(&v) {
-                        remove_sorted(ids, id);
-                        if ids.is_empty() {
-                            per_attr.remove(&v);
-                        }
-                    }
-                    if per_attr.is_empty() {
-                        self.residual.remove(&a);
-                    }
-                }
-            }
+            Place::Residual(Some((a, v))) => self.unlist(a, |b| {
+                edit(&mut b.residual, v, id, false);
+            }),
             Place::Residual(None) => {
-                remove_sorted(&mut self.residual_root, id);
+                self.residual_root.remove(id);
+            }
+        }
+    }
+
+    /// Applies `edit` to the postings of `attr`, dropping them when it
+    /// leaves them empty.
+    fn unlist(&mut self, attr: &AttrName, edit: impl FnOnce(&mut AttrPostings)) {
+        if let Some(b) = self.by_attr.get_mut(attr) {
+            edit(b);
+            if b.is_empty() {
+                self.by_attr.remove(attr);
             }
         }
     }
@@ -384,10 +383,10 @@ impl RoutingIndex {
             return;
         }
         for (attr, values) in entry.attrs() {
-            let Some(b) = self.by_attr.get(attr.lower()) else {
+            let Some(b) = self.by_attr.get(attr) else {
                 continue;
             };
-            out.extend_from_slice(&b.present);
+            out.extend_from_slice(b.present.as_slice());
             if b.eq.is_empty() && b.prefix.is_empty() {
                 continue;
             }
@@ -409,14 +408,14 @@ impl RoutingIndex {
     pub fn candidates_for_query(&self, filter: &Filter, out: &mut Vec<u32>) -> bool {
         let start = out.len();
         let conjunctive = filter.for_each_conjunct(&mut |p| {
-            let Some(b) = self.by_attr.get(p.attr().lower()) else {
+            let Some(b) = self.by_attr.get(p.attr()) else {
                 return;
             };
-            out.extend_from_slice(&b.present);
+            out.extend_from_slice(b.present.as_slice());
             match p.comparison().witness() {
                 Some(value) => b.probe(&value, out),
                 // Presence: a value that extends no prefix but the empty one.
-                None => out.extend_from_slice(b.prefix.get("").map_or(&[], Vec::as_slice)),
+                None => out.extend_from_slice(ids(&b.prefix, b"")),
             }
         });
         if !conjunctive {
@@ -432,15 +431,11 @@ impl RoutingIndex {
     /// empty DN.
     pub fn residual_for_dn(&self, dn: &Dn, out: &mut Vec<u32>) {
         if let Some(r) = dn.rdns().last() {
-            if let Some(ids) = self
-                .residual
-                .get(r.attr().lower())
-                .and_then(|per| per.get(r.value().normalized()))
-            {
-                out.extend_from_slice(ids);
+            if let Some(b) = self.by_attr.get(r.attr()) {
+                out.extend_from_slice(ids(&b.residual, r.value().normalized().as_bytes()));
             }
         }
-        out.extend_from_slice(&self.residual_root);
+        out.extend_from_slice(self.residual_root.as_slice());
     }
 
     /// Appends every registered session id to `out` (the naive
@@ -451,11 +446,8 @@ impl RoutingIndex {
 
     /// Live structure counts.
     pub fn stats(&self) -> RoutingStats {
-        let residual = self
-            .registered
-            .values()
-            .filter(|place| matches!(place, Place::Residual(_)))
-            .count();
+        let residual =
+            self.registered.values().filter(|place| matches!(place, Place::Residual(_))).count();
         RoutingStats {
             sessions: self.registered.len(),
             indexed: self.registered.len() - residual,
@@ -466,66 +458,53 @@ impl RoutingIndex {
         }
     }
 
-    /// Panics if any posting list holds an id that is not registered, a
-    /// registered id is missing from a posting list it should be on, or the
-    /// prefix-length counts disagree with the prefix keys.
+    /// Panics if any posting list holds an id that is not registered or
+    /// none, a registered id is missing from a posting list it should be
+    /// on, or the prefix-length counts disagree with the prefix keys.
     /// Test-and-debug helper for the stale-id invariant.
     pub fn debug_validate(&self) {
-        let check = |ids: &Vec<u32>, what: &str| {
-            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{what}: unsorted postings");
-            for id in ids {
-                assert!(
-                    self.registered.contains_key(id),
-                    "{what}: stale session id {id} in posting list"
-                );
+        let check = |ids: &Posting, what: &str| {
+            for id in ids.as_slice() {
+                assert!(self.registered.contains_key(id), "{what}: stale session id {id}");
             }
         };
         for (a, b) in &self.by_attr {
             assert!(!b.is_empty(), "attr {a}: empty posting group retained");
-            for (v, ids) in &b.eq {
-                check(ids, &format!("eq {a}={v}"));
-                assert!(!ids.is_empty(), "eq {a}={v}: empty posting retained");
+            for (kind, map) in [("eq", &b.eq), ("prefix", &b.prefix), ("residual", &b.residual)] {
+                for (k, ids) in map {
+                    let what = format!("{kind} {a}={k:?}");
+                    assert!(!ids.is_empty(), "{what}: empty posting retained");
+                    check(ids, &what);
+                }
             }
+            check(&b.present, &format!("present {a}"));
             let mut lens: BTreeMap<usize, usize> = BTreeMap::new();
-            for (p, ids) in &b.prefix {
-                check(ids, &format!("prefix {a}={p}*"));
-                assert!(!ids.is_empty(), "prefix {a}={p}*: empty posting retained");
-                *lens.entry(p.len()).or_insert(0) += 1;
+            for p in b.prefix.keys() {
+                *lens.entry(p.as_bytes().len()).or_insert(0) += 1;
             }
             assert_eq!(lens, b.prefix_lens, "attr {a}: prefix length counts drifted");
-            check(&b.present, &format!("present {a}"));
-        }
-        for (a, per_attr) in &self.residual {
-            assert!(!per_attr.is_empty(), "residual {a}: empty attr map retained");
-            for (v, ids) in per_attr {
-                check(ids, &format!("residual bucket {a}={v}"));
-                assert!(!ids.is_empty(), "residual {a}={v}: empty bucket retained");
-            }
         }
         check(&self.residual_root, "residual root");
         for (id, place) in &self.registered {
-            let on = |ids: Option<&Vec<u32>>| ids.is_some_and(|l| l.binary_search(id).is_ok());
+            let on =
+                |ids: Option<&Posting>| ids.is_some_and(|l| l.as_slice().binary_search(id).is_ok());
+            let group = |a: &AttrName| self.by_attr.get(a);
             match place {
                 Place::Keys(keys) => {
                     for key in keys {
+                        let b = group(key.attr());
                         let present = match key {
-                            RouteKey::Eq(a, v) => {
-                                on(self.by_attr.get(a).and_then(|b| b.eq.get(v)))
-                            }
-                            RouteKey::Prefix(a, p) => {
-                                on(self.by_attr.get(a).and_then(|b| b.prefix.get(p)))
-                            }
-                            RouteKey::Present(a) => {
-                                on(self.by_attr.get(a).map(|b| &b.present))
-                            }
+                            RouteKey::Eq(_, v) => on(b.and_then(|b| b.eq.get(v))),
+                            RouteKey::Prefix(_, p) => on(b.and_then(|b| b.prefix.get(p))),
+                            RouteKey::Present(_) => on(b.map(|b| &b.present)),
                         };
                         assert!(present, "session {id}: missing from posting for {key:?}");
                     }
                 }
                 Place::Residual(Some((a, v))) => {
                     assert!(
-                        on(self.residual.get(a).and_then(|per| per.get(v))),
-                        "session {id}: missing from residual bucket {a}={v}"
+                        on(group(a).and_then(|b| b.residual.get(v))),
+                        "session {id}: missing from residual bucket {a}={v:?}"
                     );
                 }
                 Place::Residual(None) => {
@@ -699,6 +678,29 @@ mod tests {
         ix.debug_validate();
         assert_eq!(ix.stats().eq_keys, 1);
         assert_eq!(query_candidates(&ix, "o=xyz", "(dept=9)"), Some(vec![4, 5]));
+    }
+
+    /// Residual buckets hang off the same per-attribute map as the keys:
+    /// a bucket under `o=xyz` and an equality key on `o` come and go
+    /// independently.
+    #[test]
+    fn a_residual_bucket_and_keys_share_an_attribute() {
+        let mut ix = RoutingIndex::new();
+        ix.register(0, &req("o=xyz", "(o=xyz)"));
+        ix.register(1, &req("o=xyz", "(!(cn=a))")); // residual under o=xyz
+        ix.debug_validate();
+        let e = Entry::new("o=xyz".parse().unwrap()).with("o", "xyz");
+        assert_eq!(candidates(&ix, &e), vec![0, 1]);
+        ix.remove(0);
+        ix.debug_validate();
+        assert_eq!(candidates(&ix, &e), vec![1]);
+        ix.register(0, &req("o=xyz", "(o=xyz)"));
+        ix.remove(1);
+        ix.debug_validate();
+        assert_eq!(candidates(&ix, &e), vec![0]);
+        assert_eq!(query_candidates(&ix, "o=xyz", "(o=xyz)"), Some(vec![0]));
+        ix.remove(0);
+        assert!(ix.by_attr.is_empty());
     }
 
     #[test]

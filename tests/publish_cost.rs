@@ -39,7 +39,7 @@
 mod support;
 
 use fbdr::prelude::*;
-use fbdr::resync::{Cookie, NotifyPolicy, ShardId, ShardMap, ShardedMaster};
+use fbdr::resync::{Cookie, NotifyPolicy, RoutingIndex, ShardId, ShardMap, ShardedMaster};
 use support::{allocations_of, bytes_of, live_bytes};
 
 fn dn(s: &str) -> Dn {
@@ -285,12 +285,11 @@ fn a_point_in_a_large_cached_result_allocates_its_plan_and_answer() {
     assert!(bytes <= 256, "a point in a cached 1 000-entry result allocated {bytes} B");
 }
 
-/// Caching a result below the size that gets key columns allocates what it
-/// did before columns existed: the prepared request, the result's list of
-/// handles, the window's bookkeeping — 15 allocations and 7 088 B for 200
-/// entries then, the same 15 and 24 B more now, the cached query's empty
-/// list of columns. A result at the size pays for one column per attribute
-/// its filter names.
+/// Caching a result below the size that gets key columns allocates the
+/// prepared request, the result's list of handles and the window's
+/// bookkeeping: 11 allocations and 7 064 B for 200 entries, where the
+/// window's registration keyed by `String`s made it 15 and 7 112 B. A
+/// result at the size pays for one column per attribute its filter names.
 #[test]
 fn caching_a_small_result_builds_no_columns() {
     let master = master_of(1_000);
@@ -315,9 +314,47 @@ fn caching_a_small_result_builds_no_columns() {
          {large_allocations} allocations, {large_bytes} B for 1 000"
     );
     assert!(
-        allocations <= 15 && bytes <= 7_088 + 24,
+        allocations <= 11 && bytes <= 7_112,
         "caching 200 entries: {allocations} allocations, {bytes} B"
     );
+}
+
+/// Registering a filter in a warm routing index allocates once, for the
+/// list of keys it is remembered under, and removing it allocates nothing
+/// (DESIGN §12): the index keys by the stack's `AttrName` and `TextKey`
+/// and lists ids in a `Posting`, so no key is copied into a `String` and a
+/// key that one filter holds keeps its id inline. Keyed by `String`s with
+/// a heap list per key, the four shapes below allocated 5, 5, 8 and 2
+/// times.
+#[test]
+fn a_routing_registration_allocates_for_its_place() {
+    let base = dn("c=us,o=xyz");
+    let shapes: [(&str, fn(usize) -> String); 4] = [
+        ("(serialNumber=045612)", |i| format!("(serialNumber={})", 100_000 + i)),
+        ("(serialNumber=0456*)", |i| format!("(serialNumber={}*)", 1_000 + i)),
+        ("(&(objectclass=person)(departmentNumber=7))", |i| {
+            format!("(&(objectclass=person)(departmentNumber={}))", 100 + i)
+        }),
+        ("(!(cn=x))", |i| format!("(!(cn=y{i}))")),
+    ];
+    for (filter, sibling) in shapes {
+        let mut index = RoutingIndex::new();
+        for i in 0..64 {
+            let (template, values) = Template::of(&Filter::parse(&sibling(i)).expect("filter"));
+            index.register_prepared(i as u32, &template, &values, &base);
+        }
+        let (template, values) = Template::of(&Filter::parse(filter).expect("filter"));
+        index.register_prepared(64, &template, &values, &base);
+        index.remove(64);
+        let ((), registered) =
+            allocations_of(|| index.register_prepared(64, &template, &values, &base));
+        let ((), removed) = allocations_of(|| index.remove(64));
+        index.debug_validate();
+        assert_eq!(index.len(), 64);
+        println!("routing {filter}: {registered} allocations to register, {removed} to remove");
+        assert!(registered <= 1, "registering {filter}: {registered} allocations");
+        assert_eq!(removed, 0, "removing {filter}: {removed} allocations");
+    }
 }
 
 /// Person `i` of the teams below, named `name`: the first 50 in team `a`,
