@@ -77,10 +77,9 @@ impl FaultTarget for ShardedMaster {
 ///
 /// The link is generic over its [`FaultTarget`]: wrap a [`SyncMaster`]
 /// for a single-master deployment or a [`ShardedMaster`] for a sharded
-/// one. The shard-addressed `_at` legs forward the explicit shard to the
-/// wrapped master (with the same per-exchange fault decisions), so a
-/// shard coordinator above the link sees per-shard faults rather than
-/// having its addressing silently collapsed to the plain legs.
+/// one. Every leg forwards its shard to the wrapped master, under the
+/// same per-exchange fault decisions, so a shard coordinator above the
+/// link sees per-shard faults.
 #[derive(Debug)]
 pub struct FaultyLink<M: FaultTarget = SyncMaster> {
     master: M,
@@ -160,38 +159,6 @@ impl<M: FaultTarget> FaultyLink<M> {
 }
 
 impl<M: FaultTarget> SyncTransport for FaultyLink<M> {
-    fn resync(
-        &mut self,
-        request: &SearchRequest,
-        ctl: ReSyncControl,
-    ) -> Result<SyncResponse, SyncError> {
-        self.exchange(|m| m.resync(request, ctl))
-    }
-
-    fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
-        self.master.take_receiver(cookie)
-    }
-
-    fn abandon(&mut self, cookie: Cookie) {
-        self.master.abandon(cookie);
-    }
-
-    fn reconcile(
-        &mut self,
-        request: &SearchRequest,
-        req: ReconcileRequest,
-    ) -> Result<ReconcileResponse, SyncError> {
-        self.exchange(|m| m.reconcile(request, req.clone()))
-    }
-
-    fn reconcile_ranges(
-        &mut self,
-        cookie: Cookie,
-        req: &RangeRequest,
-    ) -> Result<RangeResponse, SyncError> {
-        self.exchange(|m| m.reconcile_ranges(cookie, req))
-    }
-
     fn shard_count(&self) -> usize {
         self.master.shard_count()
     }
@@ -303,7 +270,7 @@ mod tests {
     #[test]
     fn clean_plan_is_transparent() {
         let mut link = FaultyLink::new(master(), FaultPlan::clean(), SimClock::new());
-        let resp = link.resync(&req(), ReSyncControl::poll(None)).unwrap();
+        let resp = link.resync_at(ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap();
         assert_eq!(resp.actions.len(), 2);
         assert_eq!(link.faults_injected(), 0);
     }
@@ -312,7 +279,7 @@ mod tests {
     fn dropped_request_never_reaches_the_master() {
         let plan = FaultPlan::builder(0).at(0, FaultKind::DropRequest).build();
         let mut link = FaultyLink::new(master(), plan, SimClock::new());
-        let err = link.resync(&req(), ReSyncControl::poll(None)).unwrap_err();
+        let err = link.resync_at(ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap_err();
         assert!(err.is_transient());
         assert_eq!(link.master().session_count(), 0, "master never saw it");
     }
@@ -321,14 +288,14 @@ mod tests {
     fn dropped_response_is_recoverable_by_retry() {
         let plan = FaultPlan::builder(0).at(0, FaultKind::DropResponse).build();
         let mut link = FaultyLink::new(master(), plan, SimClock::new());
-        let err = link.resync(&req(), ReSyncControl::poll(None)).unwrap_err();
+        let err = link.resync_at(ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap_err();
         assert!(err.is_transient());
         // The master processed the request: the session exists and the
         // retry (same cookie: none) starts a second session — the replica
         // never learned the first cookie. Master-side expiry cleans the
         // orphan up later.
         assert_eq!(link.master().session_count(), 1);
-        let resp = link.resync(&req(), ReSyncControl::poll(None)).unwrap();
+        let resp = link.resync_at(ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap();
         assert_eq!(resp.actions.len(), 2);
     }
 
@@ -375,7 +342,9 @@ mod tests {
         // The orphan session from the lost first attempt lingers until
         // idle expiry; the live one answers the cookie.
         assert_eq!(link.master().session_count(), 2);
-        let resp = link.resync(&req(), ReSyncControl::poll(Some(outcome.cookie))).unwrap();
+        let resp = link
+            .resync_at(ShardId::ZERO, &req(), ReSyncControl::poll(Some(outcome.cookie)))
+            .unwrap();
         assert!(resp.actions.is_empty(), "cookie is already at the current content");
     }
 
@@ -383,13 +352,14 @@ mod tests {
     fn crash_restart_preserves_sessions_and_pending() {
         let plan = FaultPlan::builder(0).at(1, FaultKind::CrashRestart).build();
         let mut link = FaultyLink::new(master(), plan, SimClock::new());
-        let resp = link.resync(&req(), ReSyncControl::poll(None)).unwrap();
+        let resp = link.resync_at(ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap();
         let cookie = resp.cookie.unwrap();
         link.master_mut()
             .apply(UpdateOp::Delete(dn("cn=045611,o=xyz")))
             .unwrap();
         // The poll lands right after the restart and still works.
-        let resp = link.resync(&req(), ReSyncControl::poll(Some(cookie))).unwrap();
+        let resp =
+            link.resync_at(ShardId::ZERO, &req(), ReSyncControl::poll(Some(cookie))).unwrap();
         assert_eq!(resp.actions.len(), 1);
     }
 
@@ -397,8 +367,8 @@ mod tests {
     fn latency_advances_the_simulated_clock() {
         let plan = FaultPlan::builder(0).latency_ms(10, 10).build();
         let mut link = FaultyLink::new(master(), plan, SimClock::new());
-        link.resync(&req(), ReSyncControl::poll(None)).unwrap();
-        link.resync(&req(), ReSyncControl::poll(None)).unwrap();
+        link.resync_at(ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap();
+        link.resync_at(ShardId::ZERO, &req(), ReSyncControl::poll(None)).unwrap();
         assert_eq!(link.clock().now_ms(), 20);
     }
 

@@ -1,12 +1,12 @@
 //! Fault injection over a *sharded* transport: a `FaultyLink` wrapping a
-//! `ShardedMaster` must keep the shard-addressed `_at` legs intact — the
+//! `ShardedMaster` must forward each leg's shard intact — the
 //! coordinator's per-shard recovery (serve one shard stale, heal it by
 //! replay while the others keep serving) and persist-mode receivers must
 //! work exactly as they do against the unwrapped master. This is the
 //! combined coverage the single-master link tests and the fault-free
-//! sharded tests each miss: a wrapper that collapsed `_at` to the plain
-//! legs would route every exchange by the request base and silently
-//! return `None` for every parked persist receiver.
+//! sharded tests each miss: a wrapper that dropped the shard would send
+//! every exchange to shard 0 and miss every other shard's parked persist
+//! receiver.
 
 use fbdr_dit::UpdateOp;
 use fbdr_faults::{FaultKind, FaultPlan, FaultyLink, SimClock};
@@ -141,9 +141,7 @@ fn persist_receivers_reach_through_a_faulty_sharded_link() {
 
     let resp = link.resync_at(shard, &sub, ReSyncControl::persist(None)).unwrap();
     let cookie = resp.cookie.expect("persist session cookie");
-    // The plain leg cannot name a shard, so it must stay inert...
-    assert!(link.take_receiver(cookie).is_none());
-    // ...while the shard-addressed leg reaches the parked receiver.
+    // The shard-addressed leg reaches the parked receiver.
     let rx = link
         .take_receiver_at(shard, cookie)
         .expect("the _at leg must reach shard 1's parked receiver");

@@ -795,8 +795,8 @@ impl FilterReplica {
     ///   is retried on transient failures.
     ///
     /// This is the one-shard configuration of the sync cycle: every
-    /// exchange is addressed to [`ShardId::ZERO`], which any unsharded
-    /// transport serves through its plain legs. Filters spanning several
+    /// exchange is addressed to [`ShardId::ZERO`], which an unsharded
+    /// transport serves as its one master. Filters spanning several
     /// shards need [`FilterReplica::sync_with_sharded`].
     ///
     /// Returns the total resync traffic of the cycle. The cycle publishes
@@ -2036,8 +2036,9 @@ mod tests {
     }
 
     impl SyncTransport for FlakyMaster {
-        fn resync(
+        fn resync_at(
             &mut self,
+            _shard: ShardId,
             request: &SearchRequest,
             ctl: ReSyncControl,
         ) -> Result<fbdr_resync::SyncResponse, SyncError> {
@@ -2053,16 +2054,17 @@ mod tests {
             self.master.resync(request, ctl)
         }
 
-        fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+        fn take_receiver_at(&mut self, _: ShardId, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
             self.master.take_receiver(cookie)
         }
 
-        fn abandon(&mut self, cookie: Cookie) {
+        fn abandon_at(&mut self, _shard: ShardId, cookie: Cookie) {
             self.master.abandon(cookie);
         }
 
-        fn reconcile(
+        fn reconcile_at(
             &mut self,
+            _shard: ShardId,
             request: &SearchRequest,
             req: fbdr_resync::reconcile::ReconcileRequest,
         ) -> Result<fbdr_resync::reconcile::ReconcileResponse, SyncError> {
@@ -2073,8 +2075,9 @@ mod tests {
             self.master.reconcile(request, req)
         }
 
-        fn reconcile_ranges(
+        fn reconcile_ranges_at(
             &mut self,
+            _shard: ShardId,
             cookie: Cookie,
             req: &fbdr_resync::reconcile::RangeRequest,
         ) -> Result<fbdr_resync::reconcile::RangeResponse, SyncError> {
@@ -2199,17 +2202,18 @@ mod tests {
             master: SyncMaster,
         }
         impl SyncTransport for PlainLink {
-            fn resync(
+            fn resync_at(
                 &mut self,
+                _shard: ShardId,
                 request: &SearchRequest,
                 ctl: ReSyncControl,
             ) -> Result<fbdr_resync::SyncResponse, SyncError> {
                 self.master.resync(request, ctl)
             }
-            fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
-                self.master.take_receiver(cookie)
+            fn take_receiver_at(&mut self, _: ShardId, c: Cookie) -> Option<Receiver<NotifyBatch>> {
+                self.master.take_receiver(c)
             }
-            fn abandon(&mut self, cookie: Cookie) {
+            fn abandon_at(&mut self, _shard: ShardId, cookie: Cookie) {
                 self.master.abandon(cookie);
             }
         }
@@ -2966,8 +2970,9 @@ mod proptests {
     }
 
     impl SyncTransport for Cut<'_> {
-        fn resync(
+        fn resync_at(
             &mut self,
+            _shard: ShardId,
             request: &SearchRequest,
             ctl: fbdr_resync::ReSyncControl,
         ) -> Result<fbdr_resync::SyncResponse, SyncError> {
@@ -2980,11 +2985,15 @@ mod proptests {
             self.master.resync(request, ctl)
         }
 
-        fn take_receiver(&mut self, cookie: fbdr_resync::Cookie) -> Option<Receiver<NotifyBatch>> {
+        fn take_receiver_at(
+            &mut self,
+            _shard: ShardId,
+            cookie: fbdr_resync::Cookie,
+        ) -> Option<Receiver<NotifyBatch>> {
             self.master.take_receiver(cookie)
         }
 
-        fn abandon(&mut self, cookie: fbdr_resync::Cookie) {
+        fn abandon_at(&mut self, _shard: ShardId, cookie: fbdr_resync::Cookie) {
             self.master.abandon(cookie);
         }
     }

@@ -50,28 +50,41 @@ impl Clock for SystemClock {
 }
 
 /// Anything that can carry the ReSync protocol between a replica and its
-/// master: the master itself (in-process), or a wrapper injecting
-/// failures/latency in between.
+/// master: the master itself (in-process), a sharded master, or a wrapper
+/// injecting failures/latency in between.
+///
+/// Every leg is addressed to one shard. A transport with one master
+/// behind it serves every shard id as that master; a sharded one (see
+/// `crate::shard`) fails [`SyncError::UnknownShard`] for an id past its
+/// shard count.
 pub trait SyncTransport {
-    /// Performs one ReSync exchange.
+    /// Number of shards behind this transport (1 unless sharded).
+    fn shard_count(&self) -> usize {
+        1
+    }
+
+    /// Performs one ReSync exchange with `shard`.
     ///
     /// # Errors
     ///
     /// [`SyncError`] as for `SyncMaster::resync`, plus
-    /// [`SyncError::Unavailable`] for transport-level failures.
-    fn resync(
+    /// [`SyncError::Unavailable`] for transport-level failures and
+    /// [`SyncError::UnknownShard`] for a shard the transport does not have.
+    fn resync_at(
         &mut self,
+        shard: ShardId,
         request: &SearchRequest,
         ctl: ReSyncControl,
     ) -> Result<SyncResponse, SyncError>;
 
-    /// Takes the parked persist-mode notification receiver for a session.
-    fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>>;
+    /// Takes the parked persist-mode notification receiver for a session
+    /// on `shard`.
+    fn take_receiver_at(&mut self, shard: ShardId, cookie: Cookie) -> Option<Receiver<NotifyBatch>>;
 
-    /// Abandons a session.
-    fn abandon(&mut self, cookie: Cookie);
+    /// Abandons a session on `shard`.
+    fn abandon_at(&mut self, shard: ShardId, cookie: Cookie);
 
-    /// Digest round of a reconciliation exchange (see
+    /// Digest round of a reconciliation exchange with `shard` (see
     /// [`crate::reconcile`]). The default implementation reports the
     /// transport as incapable, which routes the recovery ladder straight
     /// to reinstall — correct for transports predating reconciliation.
@@ -79,121 +92,103 @@ pub trait SyncTransport {
     /// # Errors
     ///
     /// [`SyncError::ReconcileFailed`] by default.
-    fn reconcile(
+    fn reconcile_at(
         &mut self,
+        _shard: ShardId,
         _request: &SearchRequest,
         _req: ReconcileRequest,
     ) -> Result<ReconcileResponse, SyncError> {
         Err(SyncError::ReconcileFailed("transport does not support reconciliation".into()))
     }
 
-    /// Range round of a reconciliation exchange.
+    /// Range round of a reconciliation exchange with `shard`.
     ///
     /// # Errors
     ///
     /// [`SyncError::ReconcileFailed`] by default.
-    fn reconcile_ranges(
+    fn reconcile_ranges_at(
         &mut self,
+        _shard: ShardId,
         _cookie: Cookie,
         _req: &RangeRequest,
     ) -> Result<RangeResponse, SyncError> {
         Err(SyncError::ReconcileFailed("transport does not support reconciliation".into()))
     }
 
-    // ---- shard-addressed legs ----------------------------------------
-    //
-    // A sharded transport (see `crate::shard`) fronts several masters;
-    // the replica-side coordinator addresses each exchange to an explicit
-    // shard. Single-shard transports get identity defaults that delegate
-    // to the unsharded methods above, so existing transports — including
-    // fault-injecting wrappers that override those methods — keep their
-    // behavior without implementing anything new.
+    // The unaddressed legs below are shard zero's. They exist only
+    // because the frozen benchmark harness still overrides them, and go
+    // with its edit (ROADMAP item 1a). The library calls only the `_at`
+    // legs.
 
-    /// Number of shards behind this transport (1 unless sharded).
-    fn shard_count(&self) -> usize {
-        1
+    #[doc(hidden)]
+    fn resync(
+        &mut self,
+        request: &SearchRequest,
+        ctl: ReSyncControl,
+    ) -> Result<SyncResponse, SyncError> {
+        self.resync_at(ShardId::ZERO, request, ctl)
     }
 
-    /// [`SyncTransport::resync`] addressed to one shard.
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncTransport::resync`].
+    #[doc(hidden)]
+    fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+        self.take_receiver_at(ShardId::ZERO, cookie)
+    }
+
+    #[doc(hidden)]
+    fn abandon(&mut self, cookie: Cookie) {
+        self.abandon_at(ShardId::ZERO, cookie);
+    }
+
+    #[doc(hidden)]
+    fn reconcile(
+        &mut self,
+        request: &SearchRequest,
+        req: ReconcileRequest,
+    ) -> Result<ReconcileResponse, SyncError> {
+        self.reconcile_at(ShardId::ZERO, request, req)
+    }
+
+    #[doc(hidden)]
+    fn reconcile_ranges(
+        &mut self,
+        cookie: Cookie,
+        req: &RangeRequest,
+    ) -> Result<RangeResponse, SyncError> {
+        self.reconcile_ranges_at(ShardId::ZERO, cookie, req)
+    }
+}
+
+/// One master serves every shard id as its only shard.
+impl SyncTransport for SyncMaster {
     fn resync_at(
         &mut self,
         _shard: ShardId,
         request: &SearchRequest,
         ctl: ReSyncControl,
     ) -> Result<SyncResponse, SyncError> {
-        self.resync(request, ctl)
+        SyncMaster::resync(self, request, ctl)
     }
 
-    /// [`SyncTransport::take_receiver`] addressed to one shard.
     fn take_receiver_at(&mut self, _shard: ShardId, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
-        self.take_receiver(cookie)
+        SyncMaster::take_receiver(self, cookie)
     }
 
-    /// [`SyncTransport::abandon`] addressed to one shard.
     fn abandon_at(&mut self, _shard: ShardId, cookie: Cookie) {
-        self.abandon(cookie);
+        SyncMaster::abandon(self, cookie)
     }
 
-    /// [`SyncTransport::reconcile`] addressed to one shard.
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncTransport::reconcile`].
     fn reconcile_at(
         &mut self,
         _shard: ShardId,
         request: &SearchRequest,
         req: ReconcileRequest,
     ) -> Result<ReconcileResponse, SyncError> {
-        self.reconcile(request, req)
-    }
-
-    /// [`SyncTransport::reconcile_ranges`] addressed to one shard.
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncTransport::reconcile_ranges`].
-    fn reconcile_ranges_at(
-        &mut self,
-        _shard: ShardId,
-        cookie: Cookie,
-        req: &RangeRequest,
-    ) -> Result<RangeResponse, SyncError> {
-        self.reconcile_ranges(cookie, req)
-    }
-}
-
-impl SyncTransport for SyncMaster {
-    fn resync(
-        &mut self,
-        request: &SearchRequest,
-        ctl: ReSyncControl,
-    ) -> Result<SyncResponse, SyncError> {
-        SyncMaster::resync(self, request, ctl)
-    }
-
-    fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
-        SyncMaster::take_receiver(self, cookie)
-    }
-
-    fn abandon(&mut self, cookie: Cookie) {
-        SyncMaster::abandon(self, cookie)
-    }
-
-    fn reconcile(
-        &mut self,
-        request: &SearchRequest,
-        req: ReconcileRequest,
-    ) -> Result<ReconcileResponse, SyncError> {
         SyncMaster::reconcile(self, request, req)
     }
 
-    fn reconcile_ranges(
+    fn reconcile_ranges_at(
         &mut self,
+        _shard: ShardId,
         cookie: Cookie,
         req: &RangeRequest,
     ) -> Result<RangeResponse, SyncError> {
@@ -692,8 +687,9 @@ mod tests {
     }
 
     impl SyncTransport for Flaky {
-        fn resync(
+        fn resync_at(
             &mut self,
+            _shard: ShardId,
             _request: &SearchRequest,
             _ctl: ReSyncControl,
         ) -> Result<SyncResponse, SyncError> {
@@ -705,11 +701,11 @@ mod tests {
             Ok(SyncResponse { actions: Vec::new(), cookie: Some(Cookie::new(1, 1)), redelivered: false })
         }
 
-        fn take_receiver(&mut self, _cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+        fn take_receiver_at(&mut self, _: ShardId, _: Cookie) -> Option<Receiver<NotifyBatch>> {
             None
         }
 
-        fn abandon(&mut self, _cookie: Cookie) {}
+        fn abandon_at(&mut self, _shard: ShardId, _cookie: Cookie) {}
     }
 
     fn req() -> SearchRequest {
@@ -772,17 +768,18 @@ mod tests {
     fn non_transient_errors_surface_immediately() {
         struct Dead;
         impl SyncTransport for Dead {
-            fn resync(
+            fn resync_at(
                 &mut self,
+                _shard: ShardId,
                 _request: &SearchRequest,
                 _ctl: ReSyncControl,
             ) -> Result<SyncResponse, SyncError> {
                 Err(SyncError::UnknownCookie(Cookie::new(9, 1)))
             }
-            fn take_receiver(&mut self, _cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+            fn take_receiver_at(&mut self, _: ShardId, _: Cookie) -> Option<Receiver<NotifyBatch>> {
                 None
             }
-            fn abandon(&mut self, _cookie: Cookie) {}
+            fn abandon_at(&mut self, _shard: ShardId, _cookie: Cookie) {}
         }
         let mut d = SyncDriver::with_clock(RetryConfig::default(), TestClock::default());
         let err =

@@ -1,6 +1,7 @@
 //! Wire-level types of the ReSync protocol.
 
 use fbdr_ldap::{Dn, Entry};
+use fbdr_net::ShardId;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -325,6 +326,13 @@ pub enum SyncError {
     /// reached the master or its response was lost, and the at-least-once
     /// cookie protocol makes the eventual retry safe.
     Unavailable(String),
+    /// The request named a shard the transport does not have: the
+    /// replica's shard map has more shards than the master behind it.
+    ///
+    /// Invariant: nothing reached any master, so no session state
+    /// changed; neither transient nor session-fatal — retrying or
+    /// reinstalling against the same transport fails the same way.
+    UnknownShard(ShardId),
     /// A retrying driver gave up: `attempts` tries all failed, `last`
     /// being the final error. Produced only by `SyncDriver`, never by the
     /// master or a transport.
@@ -382,6 +390,7 @@ impl fmt::Display for SyncError {
                 write!(f, "reconciliation failed: {why}")
             }
             SyncError::Unavailable(why) => write!(f, "master unavailable: {why}"),
+            SyncError::UnknownShard(shard) => write!(f, "no master serves {shard}"),
             SyncError::RetriesExhausted { attempts, last } => {
                 write!(f, "sync gave up after {attempts} attempts: {last}")
             }

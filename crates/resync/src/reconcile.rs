@@ -432,7 +432,7 @@ impl ReconcileOutcome {
 
 /// Runs one full reconciliation exchange for `request` against `shard`
 /// of `transport` (the only shard, [`fbdr_net::ShardId::ZERO`], on an
-/// unsharded transport — its `_at` legs default to the plain ones).
+/// unsharded transport, which serves every shard id as its one master).
 ///
 /// `held` yields the replica's current held entries for the slice; it is
 /// read once. `attempt` (0 on a first try) salts the digest seed. The

@@ -134,13 +134,10 @@ impl From<CompositeCookie> for Vec<(ShardId, Cookie)> {
 ///
 /// Updates route to the shard owning the target DN
 /// ([`UpdateOp::target`]); searches and session establishment split by
-/// base/scope. As a [`SyncTransport`] the facade is fully
-/// shard-addressable through the `_at` legs; the plain legs serve
-/// requests that stay within one shard (they route by the request
-/// base's owner), while the cookie-only plain legs (`take_receiver`,
-/// `abandon`, `reconcile_ranges`) are inert — a bare cookie does not
-/// identify a shard, and per-shard session ids collide across shards,
-/// so only the `_at` forms can act safely.
+/// base/scope. As a [`SyncTransport`] every leg names its shard, since
+/// per-shard session ids collide across shards; a leg addressed past the
+/// shard count fails [`SyncError::UnknownShard`] (or finds no receiver,
+/// or abandons nothing).
 #[derive(Debug, Serialize)]
 pub struct ShardedMaster {
     map: ShardMap,
@@ -230,6 +227,12 @@ impl ShardedMaster {
     /// requires.
     pub fn shard_mut(&mut self, shard: ShardId) -> &mut SyncMaster {
         &mut self.shards[shard.index()]
+    }
+
+    /// The master a transport leg addressed to `shard` reaches: a replica
+    /// whose map has more shards than this master names one it lacks.
+    fn serving(&mut self, shard: ShardId) -> Result<&mut SyncMaster, SyncError> {
+        self.shards.get_mut(shard.index()).ok_or(SyncError::UnknownShard(shard))
     }
 
     /// Whether an entry held in `shard`'s store is the shard's own rather
@@ -382,44 +385,6 @@ impl From<SyncMaster> for ShardedMaster {
 }
 
 impl SyncTransport for ShardedMaster {
-    fn resync(
-        &mut self,
-        request: &SearchRequest,
-        ctl: ReSyncControl,
-    ) -> Result<SyncResponse, SyncError> {
-        let shard = self.map.shard_of(request.base());
-        self.shards[shard.index()].resync(request, ctl)
-    }
-
-    fn take_receiver(&mut self, _cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
-        // A bare cookie does not identify a shard; see the type docs.
-        None
-    }
-
-    fn abandon(&mut self, _cookie: Cookie) {
-        // Inert: session ids collide across shards, so acting on a bare
-        // cookie could kill an unrelated shard's session.
-    }
-
-    fn reconcile(
-        &mut self,
-        request: &SearchRequest,
-        req: ReconcileRequest,
-    ) -> Result<ReconcileResponse, SyncError> {
-        let shard = self.map.shard_of(request.base());
-        self.shards[shard.index()].reconcile(request, req)
-    }
-
-    fn reconcile_ranges(
-        &mut self,
-        _cookie: Cookie,
-        _req: &RangeRequest,
-    ) -> Result<RangeResponse, SyncError> {
-        Err(SyncError::ReconcileFailed(
-            "a bare cookie does not identify a shard; use reconcile_ranges_at".into(),
-        ))
-    }
-
     fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -430,15 +395,17 @@ impl SyncTransport for ShardedMaster {
         request: &SearchRequest,
         ctl: ReSyncControl,
     ) -> Result<SyncResponse, SyncError> {
-        self.shards[shard.index()].resync(request, ctl)
+        self.serving(shard)?.resync(request, ctl)
     }
 
     fn take_receiver_at(&mut self, shard: ShardId, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
-        self.shards[shard.index()].take_receiver(cookie)
+        self.serving(shard).ok()?.take_receiver(cookie)
     }
 
     fn abandon_at(&mut self, shard: ShardId, cookie: Cookie) {
-        self.shards[shard.index()].abandon(cookie);
+        if let Ok(master) = self.serving(shard) {
+            master.abandon(cookie);
+        }
     }
 
     fn reconcile_at(
@@ -447,7 +414,7 @@ impl SyncTransport for ShardedMaster {
         request: &SearchRequest,
         req: ReconcileRequest,
     ) -> Result<ReconcileResponse, SyncError> {
-        self.shards[shard.index()].reconcile(request, req)
+        self.serving(shard)?.reconcile(request, req)
     }
 
     fn reconcile_ranges_at(
@@ -456,7 +423,7 @@ impl SyncTransport for ShardedMaster {
         cookie: Cookie,
         req: &RangeRequest,
     ) -> Result<RangeResponse, SyncError> {
-        self.shards[shard.index()].reconcile_ranges(cookie, req)
+        self.serving(shard)?.reconcile_ranges(cookie, req)
     }
 }
 
@@ -813,6 +780,48 @@ mod tests {
         let total: usize = outcomes.iter().map(|o| o.actions.len()).sum();
         assert_eq!(total, 1);
         assert!(outcomes.iter().all(|o| o.status == ShardStatus::Updated));
+    }
+
+    #[test]
+    fn a_shard_the_master_lacks_is_an_error_not_a_panic() {
+        // The replica's map has two shards; the master behind it has one,
+        // holding both countries.
+        let mut one = SyncMaster::new();
+        one.dit_mut().add_suffix(dn("o=xyz"));
+        for d in ["o=xyz", "c=a,o=xyz", "c=b,o=xyz"] {
+            one.dit_mut().add(Entry::new(dn(d))).unwrap();
+        }
+        let mut m = ShardedMaster::from(one);
+        m.apply(UpdateOp::Add(person("e1", "a", "7"))).unwrap();
+        m.apply(UpdateOp::Add(person("e2", "b", "7"))).unwrap();
+        let map = sharded().map().clone();
+        let req = subtree("o=xyz", "(dept=7)");
+        assert_eq!(map.split(&req)[0].0, ShardId::ZERO, "shard 0 installs first");
+        let missing = ShardId::new(1);
+        let unknown = SyncError::UnknownShard(missing);
+
+        // All or nothing: shard 0's session goes with shard 1's failure.
+        let mut coord = ShardCoordinator::new(map);
+        assert_eq!(coord.install(&mut m, &req).unwrap_err(), unknown);
+        assert_eq!(m.session_count(), 0);
+
+        let mut cookie = CompositeCookie::new();
+        let outcomes = coord.sync_filter(&mut m, &req, &mut cookie, &Vec::new);
+        let status = |s| &outcomes.iter().find(|o| o.shard == s).unwrap().status;
+        assert_eq!(status(ShardId::ZERO), &ShardStatus::Updated);
+        assert_eq!(status(missing), &ShardStatus::Failed(unknown.clone()));
+        assert!(!unknown.is_transient() && !unknown.needs_reinstall());
+
+        // The other legs check the shard too.
+        let c = cookie.get(ShardId::ZERO).expect("shard 0 polled in");
+        assert!(m.take_receiver_at(missing, c).is_none());
+        m.abandon_at(missing, c);
+        assert_eq!(m.session_count(), 1, "shard 0's session is not a bare cookie's");
+        let digest = crate::reconcile::BloomDigest::build(&[], 0.01, 1);
+        let rec = ReconcileRequest { digest, summary_buckets: 4 };
+        assert_eq!(m.reconcile_at(missing, &req, rec).unwrap_err(), unknown);
+        let ranges = RangeRequest { probes: Vec::new() };
+        assert_eq!(m.reconcile_ranges_at(missing, c, &ranges).unwrap_err(), unknown);
     }
 
     #[test]

@@ -429,19 +429,6 @@ struct UpdatesBetweenRounds<M> {
 }
 
 impl<M: Master> SyncTransport for UpdatesBetweenRounds<M> {
-    fn resync(
-        &mut self,
-        request: &SearchRequest,
-        ctl: ReSyncControl,
-    ) -> Result<SyncResponse, SyncError> {
-        self.inner.resync(request, ctl)
-    }
-    fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
-        self.inner.take_receiver(cookie)
-    }
-    fn abandon(&mut self, cookie: Cookie) {
-        self.inner.abandon(cookie);
-    }
     fn shard_count(&self) -> usize {
         self.inner.shard_count()
     }
@@ -617,19 +604,6 @@ struct NoRoundOneUpserts<M> {
 }
 
 impl<M: Master> SyncTransport for NoRoundOneUpserts<M> {
-    fn resync(
-        &mut self,
-        request: &SearchRequest,
-        ctl: ReSyncControl,
-    ) -> Result<SyncResponse, SyncError> {
-        self.inner.resync(request, ctl)
-    }
-    fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
-        self.inner.take_receiver(cookie)
-    }
-    fn abandon(&mut self, cookie: Cookie) {
-        self.inner.abandon(cookie);
-    }
     fn shard_count(&self) -> usize {
         self.inner.shard_count()
     }
@@ -640,6 +614,9 @@ impl<M: Master> SyncTransport for NoRoundOneUpserts<M> {
         ctl: ReSyncControl,
     ) -> Result<SyncResponse, SyncError> {
         self.inner.resync_at(shard, request, ctl)
+    }
+    fn take_receiver_at(&mut self, shard: ShardId, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+        self.inner.take_receiver_at(shard, cookie)
     }
     fn abandon_at(&mut self, shard: ShardId, cookie: Cookie) {
         self.inner.abandon_at(shard, cookie);

@@ -408,19 +408,6 @@ struct FlakyShards {
 }
 
 impl SyncTransport for FlakyShards {
-    fn resync(
-        &mut self,
-        request: &SearchRequest,
-        ctl: ReSyncControl,
-    ) -> Result<SyncResponse, SyncError> {
-        self.inner.resync(request, ctl)
-    }
-    fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
-        self.inner.take_receiver(cookie)
-    }
-    fn abandon(&mut self, cookie: Cookie) {
-        self.inner.abandon(cookie);
-    }
     fn shard_count(&self) -> usize {
         self.inner.shard_count()
     }

@@ -14,8 +14,8 @@ use fbdr_faults::{FaultKind, FaultPlan, FaultyLink, SimClock};
 use fbdr_ldap::{Entry, Filter, SearchRequest};
 use fbdr_replica::FilterReplica;
 use fbdr_resync::{
-    Cookie, NotifyBatch, ReSyncControl, RetryConfig, SyncDriver, SyncError, SyncMaster,
-    SyncResponse, SyncTransport,
+    Cookie, NotifyBatch, ReSyncControl, RetryConfig, ShardId, SyncDriver, SyncError,
+    SyncMaster, SyncResponse, SyncTransport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,20 +62,21 @@ fn build_master() -> SyncMaster {
 struct ReinstallOnly<'a>(&'a mut FaultyLink);
 
 impl SyncTransport for ReinstallOnly<'_> {
-    fn resync(
+    fn resync_at(
         &mut self,
+        shard: ShardId,
         request: &SearchRequest,
         ctl: ReSyncControl,
     ) -> Result<SyncResponse, SyncError> {
-        self.0.resync(request, ctl)
+        self.0.resync_at(shard, request, ctl)
     }
 
-    fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
-        self.0.take_receiver(cookie)
+    fn take_receiver_at(&mut self, shard: ShardId, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
+        self.0.take_receiver_at(shard, cookie)
     }
 
-    fn abandon(&mut self, cookie: Cookie) {
-        self.0.abandon(cookie);
+    fn abandon_at(&mut self, shard: ShardId, cookie: Cookie) {
+        self.0.abandon_at(shard, cookie);
     }
 }
 
@@ -268,7 +269,7 @@ fn hundred_seeded_fault_schedules_converge() {
 /// keeps updating incrementally on its live session.
 #[test]
 fn lost_shard_session_reconciles_only_its_slice() {
-    use fbdr_resync::{ShardCoordinator, ShardId, ShardMap, ShardedMaster};
+    use fbdr_resync::{ShardCoordinator, ShardMap, ShardedMaster};
 
     // Even entries live under c=a (shard 0), odd ones under c=b (shard 1).
     let home = |i: usize| if i % 2 == 0 { "a" } else { "b" };

@@ -9,8 +9,8 @@ use fbdr::net::Network;
 use fbdr::prelude::*;
 use fbdr_faults::{FaultPlan, FaultyLink, SimClock};
 use fbdr_resync::{
-    Cookie, NotifyBatch, ReSyncControl, RetryConfig, SyncDriver, SyncError, SyncResponse,
-    SyncTransport, SystemClock,
+    Cookie, NotifyBatch, ReSyncControl, RetryConfig, ShardId, SyncDriver, SyncError,
+    SyncResponse, SyncTransport, SystemClock,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -244,8 +244,9 @@ struct ParkedLink {
 }
 
 impl SyncTransport for ParkedLink {
-    fn resync(
+    fn resync_at(
         &mut self,
+        _shard: ShardId,
         request: &SearchRequest,
         ctl: ReSyncControl,
     ) -> Result<SyncResponse, SyncError> {
@@ -253,13 +254,14 @@ impl SyncTransport for ParkedLink {
         self.release.recv().expect("test releases the writer");
         self.master.resync(request, ctl)
     }
-    fn take_receiver(
+    fn take_receiver_at(
         &mut self,
+        _shard: ShardId,
         cookie: Cookie,
     ) -> Option<crossbeam::channel::Receiver<NotifyBatch>> {
         self.master.take_receiver(cookie)
     }
-    fn abandon(&mut self, cookie: Cookie) {
+    fn abandon_at(&mut self, _shard: ShardId, cookie: Cookie) {
         self.master.abandon(cookie);
     }
 }
