@@ -141,14 +141,6 @@ fn apply_divergence(m: &mut SyncMaster, n: usize, entries: usize) -> usize {
     touched.len()
 }
 
-fn traffic_of(actions: &[SyncAction]) -> SyncTraffic {
-    let mut t = SyncTraffic::default();
-    for a in actions {
-        t.count(a);
-    }
-    t
-}
-
 /// Measures one rung: replay, reconcile, reinstall, each on its own
 /// identically-built master.
 fn measure_rung(cfg: &RecoveryConfig, n: usize) -> RecoveryRung {
@@ -160,7 +152,7 @@ fn measure_rung(cfg: &RecoveryConfig, n: usize) -> RecoveryRung {
     let cookie = resp.cookie.expect("cookie");
     apply_divergence(&mut m, n, cfg.entries);
     let resp = m.resync(&request, ReSyncControl::poll(Some(cookie))).expect("replay poll");
-    let replay = traffic_of(&resp.actions);
+    let replay = SyncTraffic::of(&resp.actions);
 
     // Leg 2 — reconcile: the session is dead; only the held content
     // (the pre-divergence filter evaluation) survives replica-side.
@@ -197,7 +189,7 @@ fn measure_rung(cfg: &RecoveryConfig, n: usize) -> RecoveryRung {
     let mut m = build_master(cfg.entries);
     apply_divergence(&mut m, n, cfg.entries);
     let resp = m.resync(&request, ReSyncControl::poll(None)).expect("reinstall");
-    let reinstall = traffic_of(&resp.actions);
+    let reinstall = SyncTraffic::of(&resp.actions);
 
     let reconcile_bytes = cost.stats.bytes_total();
     RecoveryRung {

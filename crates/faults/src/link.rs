@@ -349,6 +349,30 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicated_persist_install_leaves_an_orphan_that_expires() {
+        use fbdr_resync::{ShardCoordinator, ShardMap, SyncMode};
+        // The install request reaches the master twice: two sessions, and
+        // the replica learns only the second.
+        let plan = FaultPlan::builder(0).at(0, FaultKind::Duplicate).build();
+        let mut link = FaultyLink::new(master(), plan, SimClock::new());
+        let mut coord = ShardCoordinator::new(ShardMap::single());
+        let (actions, cookie, _, receivers) =
+            coord.install(&mut link, &req(), SyncMode::Persist).unwrap();
+        assert_eq!((actions.len(), cookie.len(), receivers.len()), (2, 1, 1));
+        assert_eq!(link.master().session_count(), 2);
+
+        // Nobody holds the orphan's receiver, so it does not keep its
+        // session alive; the installed one streams on.
+        link.master_mut().apply(UpdateOp::Delete(dn("cn=045611,o=xyz"))).unwrap();
+        assert_eq!(link.master_mut().expire_idle(0), 1);
+        assert_eq!(link.master().session_count(), 1);
+        link.master_mut().apply(UpdateOp::Delete(dn("cn=045612,o=xyz"))).unwrap();
+        assert_eq!(receivers[0].try_iter().count(), 2);
+        let c = cookie.get(ShardId::ZERO).unwrap();
+        assert!(link.master_mut().take_receiver(c).is_none(), "taken at install");
+    }
+
+    #[test]
     fn crash_restart_preserves_sessions_and_pending() {
         let plan = FaultPlan::builder(0).at(1, FaultKind::CrashRestart).build();
         let mut link = FaultyLink::new(master(), plan, SimClock::new());

@@ -13,7 +13,7 @@ use fbdr_faults::{FaultKind, FaultPlan, FaultyLink, SimClock};
 use fbdr_ldap::{Dn, Entry, Filter, Scope, SearchRequest};
 use fbdr_resync::{
     ReSyncControl, ReplicaContent, RetryConfig, ShardCoordinator, ShardId, ShardMap, ShardStatus,
-    ShardedMaster, SyncTransport,
+    ShardedMaster, SyncMode, SyncTransport,
 };
 
 const COUNTRIES: usize = 2;
@@ -89,7 +89,8 @@ fn faulty_sharded_transport_heals_per_shard() {
         link.master_mut().apply(UpdateOp::Add(entry_of(id))).unwrap();
     }
 
-    let (actions, mut composite, _) = coord.install(&mut link, &req()).expect("install");
+    let (actions, mut composite, _, _) =
+        coord.install(&mut link, &req(), SyncMode::Poll).expect("install");
     let mut content = ReplicaContent::new();
     content.apply_all(&actions);
     assert_eq!(content.len(), 4);
@@ -163,7 +164,8 @@ fn crash_restart_of_a_sharded_master_preserves_every_shards_sessions() {
     for id in 0..4 {
         link.master_mut().apply(UpdateOp::Add(entry_of(id))).unwrap();
     }
-    let (actions, mut composite, _) = coord.install(&mut link, &req()).expect("install");
+    let (actions, mut composite, _, _) =
+        coord.install(&mut link, &req(), SyncMode::Poll).expect("install");
     let mut content = ReplicaContent::new();
     content.apply_all(&actions);
 

@@ -405,7 +405,7 @@ impl fmt::Display for Template {
 }
 
 /// One routing key of a template, referring to value slots by index
-/// (see [`Template::routing_plan`]).
+/// (see [`Template::routing_plans`]).
 ///
 /// A key *matches* an entry when the entry has a value for `attr` that is
 /// equal to / starts with / merely exists for the instantiated slot value.
@@ -447,27 +447,36 @@ impl SlotKey {
 }
 
 impl Template {
-    /// Extracts a **sound routing plan** from the template shape: a set of
-    /// slot-level keys such that *any* entry matched by *any* query of
-    /// this template must satisfy at least one key (instantiated with that
-    /// query's slot values). Returns `None` when no such key set exists
-    /// (negations, range assertions, substring patterns without an
-    /// initial component) and the query must go on a residual scan list.
+    /// Every **sound routing plan** of the template shape: each returned
+    /// key set is independently sufficient — *any* entry matched by *any*
+    /// query of this template satisfies at least one of its keys
+    /// (instantiated with that query's slot values). Returns `None` when
+    /// the shape has no sound keys at all (negations, range assertions,
+    /// substring patterns without an initial component) and the query
+    /// must go on a residual scan list.
     ///
-    /// The plan depends only on the template, so it is derived once, on
-    /// the shared body, and every interest index over same-template
-    /// queries instantiates it per query — the paper's template argument
-    /// (§4) applied to update fan-out instead of containment.
+    /// The plans depend only on the template, so they are derived once,
+    /// on the body every handle of the template shares, and every
+    /// interest index over same-template queries instantiates them per
+    /// query — the paper's template argument (§4) applied to update
+    /// fan-out instead of containment.
     ///
     /// Soundness per node:
     /// * a predicate keys on itself (`=` → [`SlotKey::Eq`], `initial*` →
     ///   [`SlotKey::Prefix`], `=*` → [`SlotKey::Present`]); ranges,
     ///   negations and star-leading substrings are not indexable;
     /// * a conjunction is covered by *any one* child's keys (every match
-    ///   satisfies all children) — the most selective indexable child is
-    ///   chosen;
+    ///   satisfies all children), so it offers one alternative per
+    ///   indexable child — a consumer that knows the live key population
+    ///   (an interest index) picks the one with the least-loaded posting
+    ///   lists, which matters when a template mixes a high-selectivity
+    ///   slot with a near-constant one (`(&(objectclass=_)(dept=_))`:
+    ///   keying every query on its `objectclass` value degenerates to a
+    ///   broadcast);
     /// * a disjunction needs *all* children indexable (a match may satisfy
-    ///   any one branch); its plan is the union of the children's keys.
+    ///   any one branch); its one alternative is the union of each child's
+    ///   most selective keys (equality over prefix over presence, then
+    ///   fewer keys).
     ///
     /// ```
     /// use fbdr_ldap::{Filter, SlotKey, Template};
@@ -475,37 +484,15 @@ impl Template {
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
     /// let q = Filter::parse("(&(objectclass=person)(dept=7))")?;
     /// let (t, values) = Template::of(&q);
-    /// let plan = t.routing_plan().expect("conjunction of equalities");
-    /// // One key suffices for an AND; the plan picks an equality slot.
-    /// assert_eq!(plan.len(), 1);
-    /// let SlotKey::Eq { slot, .. } = &plan[0] else { panic!("eq key") };
+    /// let plans = t.routing_plans().expect("conjunction of equalities");
+    /// // One key suffices for an AND: each child is an alternative.
+    /// assert_eq!(plans.len(), 2);
+    /// let SlotKey::Eq { slot, .. } = &plans[0][0] else { panic!("eq key") };
     /// assert_eq!(values[*slot].raw(), "person");
-    /// assert!(Template::of(&Filter::parse("(!(dept=7))")?).0.routing_plan().is_none());
+    /// assert!(Template::of(&Filter::parse("(!(dept=7))")?).0.routing_plans().is_none());
     /// # Ok(())
     /// # }
     /// ```
-    pub fn routing_plan(&self) -> Option<Vec<SlotKey>> {
-        self.routing_plans().map(|alts| {
-            // min_by_key keeps the first of equally-scored alternatives.
-            alts.iter()
-                .min_by_key(|a| plan_score(a))
-                .expect("alternatives are non-empty")
-                .clone()
-        })
-    }
-
-    /// Every sound routing plan of the template: each returned key set is
-    /// independently sufficient (see [`Template::routing_plan`] for the
-    /// soundness contract). A conjunction offers one alternative per
-    /// indexable child — a consumer that knows the live key population
-    /// (e.g. an interest index) can pick the alternative with the
-    /// least-loaded posting lists instead of the statically best-ranked
-    /// one, which matters when a template mixes a high-selectivity slot
-    /// with a near-constant one (`(&(objectclass=_)(dept=_))`: keying
-    /// every query on its `objectclass` value degenerates to a broadcast).
-    /// Returns `None` when the shape has no sound keys at all. Computed
-    /// by the first caller, on the body every handle of the template
-    /// shares.
     pub fn routing_plans(&self) -> Option<&[Vec<SlotKey>]> {
         self.0.plans.get_or_init(|| plan_node(&self.0.shape, &mut 0)).as_deref()
     }
@@ -720,72 +707,90 @@ mod tests {
     }
 
     #[test]
-    fn routing_plan_simple_predicates() {
+    fn routing_plans_simple_predicates() {
         let (t, _) = Template::of(&f("(uid=jdoe)"));
-        assert_eq!(
-            t.routing_plan(),
-            Some(vec![SlotKey::Eq { attr: "uid".into(), slot: 0 }])
-        );
+        let uid = SlotKey::Eq { attr: "uid".into(), slot: 0 };
+        assert_eq!(t.routing_plans(), Some(&[vec![uid]][..]));
         let (t, _) = Template::of(&f("(sn=smi*)"));
         assert_eq!(
-            t.routing_plan(),
-            Some(vec![SlotKey::Prefix { attr: "sn".into(), slot: 0 }])
+            t.routing_plans(),
+            Some(&[vec![SlotKey::Prefix { attr: "sn".into(), slot: 0 }]][..])
         );
         let (t, _) = Template::of(&f("(mail=*)"));
-        assert_eq!(t.routing_plan(), Some(vec![SlotKey::Present { attr: "mail".into() }]));
+        assert_eq!(t.routing_plans(), Some(&[vec![SlotKey::Present { attr: "mail".into() }]][..]));
     }
 
     #[test]
-    fn routing_plan_residual_shapes() {
+    fn routing_plans_residual_shapes() {
         for s in ["(age>=30)", "(age<=30)", "(sn=*ith)", "(!(uid=x))", "(|(uid=x)(age>=3))"] {
             let (t, _) = Template::of(&f(s));
-            assert_eq!(t.routing_plan(), None, "{s} should be residual");
+            assert_eq!(t.routing_plans(), None, "{s} should be residual");
         }
     }
 
     #[test]
-    fn routing_plan_and_picks_most_selective_child_with_correct_slot() {
+    fn routing_plans_and_offers_each_indexable_child_with_correct_slot() {
         // The range slot (0) is unindexable; the equality must key slot 1.
         let (t, vals) = Template::of(&f("(&(age>=30)(uid=jdoe))"));
-        assert_eq!(
-            t.routing_plan(),
-            Some(vec![SlotKey::Eq { attr: "uid".into(), slot: 1 }])
-        );
+        let uid = SlotKey::Eq { attr: "uid".into(), slot: 1 };
+        assert_eq!(t.routing_plans(), Some(&[vec![uid]][..]));
         assert_eq!(vals[1].raw(), "jdoe");
-        // Equality beats prefix beats presence.
         let (t, _) = Template::of(&f("(&(mail=*)(sn=smi*)(uid=jdoe))"));
         assert_eq!(
-            t.routing_plan(),
-            Some(vec![SlotKey::Eq { attr: "uid".into(), slot: 1 }])
+            t.routing_plans(),
+            Some(
+                &[
+                    vec![SlotKey::Present { attr: "mail".into() }],
+                    vec![SlotKey::Prefix { attr: "sn".into(), slot: 0 }],
+                    vec![SlotKey::Eq { attr: "uid".into(), slot: 1 }],
+                ][..]
+            )
         );
     }
 
     #[test]
-    fn routing_plan_or_unions_all_branches() {
+    fn routing_plans_or_unions_all_branches() {
         let (t, vals) = Template::of(&f("(|(dept=7)(sn=smi*th))"));
         // The OR needs both branches; the substring contributes its
         // initial slot (slot 1; slot 2 is the final component).
         assert_eq!(
-            t.routing_plan(),
-            Some(vec![
-                SlotKey::Eq { attr: "dept".into(), slot: 0 },
-                SlotKey::Prefix { attr: "sn".into(), slot: 1 },
-            ])
+            t.routing_plans(),
+            Some(
+                &[vec![
+                    SlotKey::Eq { attr: "dept".into(), slot: 0 },
+                    SlotKey::Prefix { attr: "sn".into(), slot: 1 },
+                ]][..]
+            )
         );
         assert_eq!(vals.len(), 3);
+        // A conjunctive branch gives its most selective child: equality
+        // beats prefix beats presence.
+        let (t, _) = Template::of(&f("(|(&(mail=*)(sn=smi*)(uid=jdoe))(dept=7))"));
+        assert_eq!(
+            t.routing_plans(),
+            Some(
+                &[vec![
+                    SlotKey::Eq { attr: "uid".into(), slot: 1 },
+                    SlotKey::Eq { attr: "dept".into(), slot: 2 },
+                ]][..]
+            )
+        );
     }
 
     #[test]
-    fn routing_plan_slot_indices_survive_nesting() {
+    fn routing_plans_slot_indices_survive_nesting() {
         // Slots: 0 = a's value, 1..=2 = substring components, 3 = c, 4 = d.
         let (t, vals) = Template::of(&f("(&(|(a=1)(b=*x*y))(|(c=3)(d=4)))"));
-        // First OR is residual (no initial component); second OR wins.
+        // First OR is residual (no initial component); the second is the
+        // one alternative.
         assert_eq!(
-            t.routing_plan(),
-            Some(vec![
-                SlotKey::Eq { attr: "c".into(), slot: 3 },
-                SlotKey::Eq { attr: "d".into(), slot: 4 },
-            ])
+            t.routing_plans(),
+            Some(
+                &[vec![
+                    SlotKey::Eq { attr: "c".into(), slot: 3 },
+                    SlotKey::Eq { attr: "d".into(), slot: 4 },
+                ]][..]
+            )
         );
         assert_eq!(vals[3].raw(), "3");
         assert_eq!(vals[4].raw(), "4");

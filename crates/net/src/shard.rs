@@ -16,7 +16,6 @@ use serde::{Deserialize, Deserializer, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies one master shard within a sharded deployment.
 ///
@@ -77,7 +76,7 @@ pub struct ShardMap {
 /// read once per shard instead of scanning every assignment.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Owners {
-    by_suffix: HashMap<Box<[Rdn]>, ShardId, BuildHasherDefault<MixHasher>>,
+    by_suffix: HashMap<Box<[Rdn]>, ShardId>,
     depths: Vec<usize>,
     /// Indexed by shard; `None`, or a shard past the end, has no suffix.
     territories: Vec<Option<Territory>>,
@@ -140,49 +139,6 @@ impl Owners {
 
     fn territory(&self, shard: ShardId) -> Option<&Territory> {
         self.territories.get(shard.index())?.as_ref()
-    }
-}
-
-/// The multiply-rotate step of FxHash, once per eight bytes of text: a
-/// DN's owner costs one multiply per short RDN component and no
-/// allocation. The keys are an operator's few dozen suffixes, not client
-/// input, so a DN built to collide costs at most the scan of them the
-/// index replaced.
-#[derive(Debug, Default, Clone, Copy)]
-struct MixHasher(u64);
-
-impl MixHasher {
-    fn mix(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for MixHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.mix(u64::from_le_bytes(word.try_into().expect("eight bytes")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            self.mix(rest.iter().fold(0, |word, &b| word << 8 | u64::from(b)));
-        }
-    }
-
-    /// A string's terminator and a slice's length are added, not mixed:
-    /// the text around them is mixed anyway.
-    fn write_u8(&mut self, n: u8) {
-        self.0 = self.0.wrapping_add(u64::from(n));
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.0 = self.0.wrapping_add(n as u64);
-    }
-
-    /// The multiply leaves its best bits at the top; the table indexes by
-    /// the bottom ones.
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
     }
 }
 

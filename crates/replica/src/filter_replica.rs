@@ -57,7 +57,7 @@ use fbdr_ldap::{AttrSelection, Entry, SearchRequest};
 use fbdr_obs::{event, Counter, Histogram, Obs};
 use fbdr_resync::{
     Clock, CompositeCookie, DnTable, NotifyBatch, RoutingIndex, ShardCoordinator, ShardId,
-    ShardMap, ShardOutcome, ShardStatus, SyncAction, SyncDriver, SyncError, SyncMaster,
+    ShardMap, ShardOutcome, ShardStatus, SyncAction, SyncDriver, SyncError, SyncMaster, SyncMode,
     SyncTransport, SyncTraffic,
 };
 use parking_lot::{Mutex, RwLock};
@@ -231,8 +231,14 @@ struct FilterSession {
     /// One part per shard holding a live session; a filter on an
     /// unsharded master has the single part [`ShardId::ZERO`].
     cookie: CompositeCookie,
-    /// Live notification channel for persist-mode filters.
-    notifications: Option<Receiver<NotifyBatch>>,
+    /// The notification receivers a persist install took, one per shard
+    /// session; a receiver whose channel disconnects is dropped
+    /// ([`FilterReplica::drain_notifications`]). `None` for a polled
+    /// filter. Boxed, so that a polled filter's session is its cookie and
+    /// one pointer: the replica keeps a session per stored filter, and
+    /// only a persist filter pays for the list.
+    #[allow(clippy::box_collection)]
+    notifications: Option<Box<Vec<Receiver<NotifyBatch>>>>,
 }
 
 /// "How to sync one filter", as the cycle sees it: poll the filter's
@@ -252,7 +258,8 @@ struct WriterState {
     /// whose posting list has it (cached queries own their entries and
     /// hold nothing); the last release evicts the entry and frees the id.
     table: DnTable,
-    /// Set for good once a filter is installed in persist mode. A drain
+    /// Set for good once an install brings notification receivers (a
+    /// persist install; [`FilterSession::notifications`]). A drain
     /// applies a batch between cycles, flushed whenever the master flushed
     /// it, so it can store an older body over one a polled filter was sent
     /// later, which that filter's session never sends again: no cycle can
@@ -625,7 +632,8 @@ impl FilterReplica {
         master: &mut SyncMaster,
         request: SearchRequest,
     ) -> Result<SyncTraffic, SyncError> {
-        self.install_filter_sharded(master, &mut ShardCoordinator::new(ShardMap::single()), request)
+        let mut one_shard = ShardCoordinator::new(ShardMap::single());
+        self.install(master, &mut one_shard, request, SyncMode::Poll)
     }
 
     /// Installs a generalized filter in *persist* mode: the master streams
@@ -633,6 +641,11 @@ impl FilterReplica {
     /// polls; [`FilterReplica::drain_notifications`] applies whatever has
     /// arrived. This is the persistent-search-style strong(er) consistency
     /// option of §5.2, at the cost of one open connection per filter.
+    ///
+    /// It is [`FilterReplica::install_filter`]'s exchange with the persist
+    /// control: the same one-shard coordinator install, which also takes
+    /// the session's receiver. The filter's cookie is kept, so a filter
+    /// whose channel disconnects is polled from where its stream stopped.
     ///
     /// # Errors
     ///
@@ -642,25 +655,48 @@ impl FilterReplica {
         master: &mut SyncMaster,
         request: SearchRequest,
     ) -> Result<SyncTraffic, SyncError> {
-        let mut w = self.writer.lock();
-        let (resp, rx) = master.resync_persist(&request, None)?;
-        let traffic = resp.traffic();
-        let cookie = resp.cookie.map(|c| vec![(ShardId::ZERO, c)]).unwrap_or_default().into();
-        w.streamed = true;
-        self.install_loaded(&mut w, request, cookie, Some(rx), &resp.actions);
-        Ok(traffic)
+        let mut one_shard = ShardCoordinator::new(ShardMap::single());
+        self.install(master, &mut one_shard, request, SyncMode::Persist)
     }
 
-    /// Shared install tail: builds the filter, applies the initial load
-    /// and publishes the next epoch. Caller holds the writer lock.
-    fn install_loaded(
+    /// Installs a generalized filter against a **sharded** master: the
+    /// coordinator splits the filter's base/scope across the shards it
+    /// overlaps, establishes one ReSync session per shard, and the merged
+    /// per-shard cookies are kept as a [`CompositeCookie`] for
+    /// [`FilterReplica::sync_with_sharded`] cycles. Returns the load
+    /// traffic.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`SyncError`] any shard produced
+    /// (all-or-nothing: partial sessions are abandoned).
+    pub fn install_filter_sharded<C: Clock>(
         &self,
-        w: &mut WriterState,
+        transport: &mut dyn SyncTransport,
+        coordinator: &mut ShardCoordinator<C>,
         request: SearchRequest,
-        cookie: CompositeCookie,
-        notifications: Option<Receiver<NotifyBatch>>,
-        actions: &[SyncAction],
-    ) {
+    ) -> Result<SyncTraffic, SyncError> {
+        self.install(transport, coordinator, request, SyncMode::Poll)
+    }
+
+    /// The one install: the coordinator opens the filter's sessions in
+    /// `mode` ([`ShardCoordinator::install`]), then, under the writer
+    /// lock, the filter is built, its initial load applied and the next
+    /// epoch published. The session keeps whatever receivers the install
+    /// took, and a replica that holds one streams from then on
+    /// ([`WriterState::streamed`]).
+    fn install<C: Clock>(
+        &self,
+        transport: &mut dyn SyncTransport,
+        coordinator: &mut ShardCoordinator<C>,
+        request: SearchRequest,
+        mode: SyncMode,
+    ) -> Result<SyncTraffic, SyncError> {
+        let mut w = self.writer.lock();
+        let (actions, cookie, traffic, receivers) =
+            coordinator.install(transport, &request, mode)?;
+        let notifications = (!receivers.is_empty()).then(|| Box::new(receivers));
+        w.streamed |= notifications.is_some();
         let mut work = ContentSnapshot::clone(&self.snapshot());
         let mut sf = StoredFilter {
             prepared: Arc::new(PreparedQuery::new(request)),
@@ -669,20 +705,22 @@ impl FilterReplica {
             settled: true,
             hits: Arc::new(AtomicU64::new(0)),
         };
-        self.timed_apply(&mut work, &mut w.table, &mut sf, actions);
+        self.timed_apply(&mut work, &mut w.table, &mut sf, &actions);
         work.filters.push(sf);
         work.filter_set_changed();
         w.sessions.push(FilterSession { cookie, notifications });
         self.publish(work);
+        Ok(traffic)
     }
 
     /// Applies every pending persist-mode notification across all
-    /// persistent filters. Returns the traffic the notifications
-    /// represent.
+    /// persistent filters: each session's receivers — one per shard its
+    /// persist install opened — are drained in turn. Returns the traffic
+    /// the notifications represent.
     ///
-    /// A filter whose notification channel has disconnected (master
-    /// restart, dropped connection) degrades to cookie-based polling: the
-    /// channel is discarded, `poll_fallbacks` is incremented, and the
+    /// A receiver whose channel has disconnected (master restart, dropped
+    /// connection) degrades its shard to cookie-based polling: the
+    /// receiver is discarded, `poll_fallbacks` is incremented, and the
     /// next [`FilterReplica::sync`] picks the filter up incrementally via
     /// its cookie.
     ///
@@ -690,35 +728,35 @@ impl FilterReplica {
     /// builds no working copy and publishes nothing.
     pub fn drain_notifications(&self) -> SyncTraffic {
         let mut w = self.writer.lock();
-        let mut traffic = SyncTraffic::default();
         let mut batches: Vec<(usize, Vec<SyncAction>)> = Vec::new();
         for (i, session) in w.sessions.iter_mut().enumerate() {
-            let Some(rx) = &session.notifications else { continue };
+            let Some(receivers) = &mut session.notifications else { continue };
             let mut pending: Vec<SyncAction> = Vec::new();
-            let disconnected = loop {
-                match rx.try_recv() {
-                    Ok(b) => pending.extend(b.actions),
-                    Err(TryRecvError::Empty) => break false,
-                    Err(TryRecvError::Disconnected) => break true,
+            receivers.retain(|rx| {
+                let connected = loop {
+                    match rx.try_recv() {
+                        Ok(b) => pending.extend(b.actions),
+                        Err(TryRecvError::Empty) => break true,
+                        Err(TryRecvError::Disconnected) => break false,
+                    }
+                };
+                if !connected {
+                    self.stats.record_poll_fallback();
+                    event!(self.obs, "replica", "poll_fallback", filter_index = i);
                 }
-            };
+                connected
+            });
             if !pending.is_empty() {
                 batches.push((i, pending));
             }
-            if disconnected {
-                session.notifications = None;
-                self.stats.record_poll_fallback();
-                event!(self.obs, "replica", "poll_fallback", filter_index = i);
-            }
         }
+        let mut traffic = SyncTraffic::default();
         if batches.is_empty() {
             return traffic;
         }
         let mut work = ContentSnapshot::clone(&self.snapshot());
         for (i, pending) in &batches {
-            for a in pending {
-                traffic.count(a);
-            }
+            traffic.absorb(&SyncTraffic::of(pending));
             let mut sf = work.filters[*i].clone();
             self.timed_apply(&mut work, &mut w.table, &mut sf, pending);
             work.filters[*i] = sf;
@@ -827,29 +865,6 @@ impl FilterReplica {
         self.run_cycle(only, &mut |request, cookie, held| {
             vec![driver.sync_slice(transport, ShardId::ZERO, request, cookie, held)]
         })
-    }
-
-    /// Installs a generalized filter against a **sharded** master: the
-    /// coordinator splits the filter's base/scope across the shards it
-    /// overlaps, establishes one ReSync session per shard, and the merged
-    /// per-shard cookies are kept as a [`CompositeCookie`] for
-    /// [`FilterReplica::sync_with_sharded`] cycles. Returns the load
-    /// traffic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SyncError`] any shard produced
-    /// (all-or-nothing: partial sessions are abandoned).
-    pub fn install_filter_sharded<C: Clock>(
-        &self,
-        transport: &mut dyn SyncTransport,
-        coordinator: &mut ShardCoordinator<C>,
-        request: SearchRequest,
-    ) -> Result<SyncTraffic, SyncError> {
-        let mut w = self.writer.lock();
-        let (actions, cookie, traffic) = coordinator.install(transport, &request)?;
-        self.install_loaded(&mut w, request, cookie, None, &actions);
-        Ok(traffic)
     }
 
     /// One sync cycle against a sharded master: every stored filter polls
@@ -1237,7 +1252,8 @@ impl FilterReplica {
         let snap = self.snapshot();
         for sf in &snap.filters {
             if self.engine.query_contained(&prepared, &sf.prepared) {
-                return Some(collect_matching(query, snap.entries_of(&sf.ids), false));
+                let check = Check { region: true, filter: true };
+                return Some(collect_checked(query, snap.entries_of(&sf.ids), check));
             }
         }
         None
@@ -1319,19 +1335,6 @@ impl FilterReplica {
     }
 }
 
-/// Answers a query from candidate entries — a stored filter's, looked up by
-/// id, or a cached query's frozen result — in the order they come. Each
-/// candidate is verified against the full query, or, when an exact plan
-/// ([`fbdr_dit::index::Plan::exact`]) chose them, checked against the
-/// query's region alone.
-fn collect_matching<'a>(
-    query: &SearchRequest,
-    candidates: impl Iterator<Item = &'a Entry>,
-    exact: bool,
-) -> Vec<Entry> {
-    collect_checked(query, candidates, Check { region: true, filter: !exact })
-}
-
 /// What a container's candidate still has to pass to be in a query's
 /// answer.
 #[derive(Debug, Clone, Copy)]
@@ -1350,7 +1353,9 @@ fn region_inside(query: &SearchRequest, container: &SearchRequest) -> bool {
     fbdr_containment::region_contained(container.base(), container.scope(), query.base(), query.scope())
 }
 
-/// [`collect_matching`] with the checks spelled out. The survivors are
+/// Answers a query from candidate entries — a stored filter's, looked up by
+/// id, or a cached query's frozen result — in the order they come, each
+/// candidate passing what `check` asks of it. The survivors are
 /// collected as references — in a list sized for every candidate, which an
 /// exact plan's nearly all are, so that it is allocated once instead of
 /// grown — and only then projected, so the answer is allocated once, at
@@ -2636,7 +2641,7 @@ mod proptests {
 
     /// Scan oracle: same verification/order/projection tail, no plan.
     fn oracle(snap: &ContentSnapshot, query: &SearchRequest, ids: &[u32]) -> Vec<Entry> {
-        collect_matching(query, snap.entries_of(ids), false)
+        collect_checked(query, snap.entries_of(ids), Check { region: true, filter: true })
     }
 
     proptest! {
@@ -2742,7 +2747,8 @@ mod proptests {
                 })
                 .collect();
             for q in &queries {
-                let verified = collect_matching(q, frozen.iter(), false);
+                let check = Check { region: true, filter: true };
+                let verified = collect_checked(q, frozen.iter(), check);
                 prop_assert_eq!(&cq.answer(q), &verified, "{}", q);
                 if let Some(hit) = r.try_answer(q) {
                     prop_assert_eq!(&hit, &verified, "hit {}", q);
@@ -2904,7 +2910,8 @@ mod proptests {
                                     .find(|(cq, _, _)| reference.query_contained(&prepared, cq));
                                 let expected = by_cache.map(|(_, frozen, hits)| {
                                     *hits += 1;
-                                    collect_matching(&query, frozen.iter(), false)
+                                    let check = Check { region: true, filter: true };
+                                    collect_checked(&query, frozen.iter(), check)
                                 });
                                 prop_assert_eq!(&got, &expected, "{}", query);
                             }

@@ -43,14 +43,6 @@ pub trait Synchronizer {
     ) -> SyncTraffic;
 }
 
-fn traffic_of(actions: &[SyncAction]) -> SyncTraffic {
-    let mut t = SyncTraffic::default();
-    for a in actions {
-        t.count(a);
-    }
-    t
-}
-
 /// Resend the complete content every cycle.
 #[derive(Debug, Default)]
 pub struct FullReload;
@@ -73,7 +65,7 @@ impl Synchronizer for FullReload {
             .map(SyncAction::Add)
             .collect();
         replica.apply_snapshot_cycle(&actions);
-        traffic_of(&actions)
+        SyncTraffic::of(&actions)
     }
 }
 
@@ -110,7 +102,7 @@ impl Synchronizer for RetainSync {
         }
         self.last_csn = master.csn();
         replica.apply_snapshot_cycle(&actions);
-        traffic_of(&actions)
+        SyncTraffic::of(&actions)
     }
 }
 
@@ -175,7 +167,7 @@ impl Synchronizer for TombstoneSync {
             actions.push(SyncAction::Delete(ts.dn.clone()));
         }
         replica.apply_all(&actions);
-        traffic_of(&actions)
+        SyncTraffic::of(&actions)
     }
 }
 
@@ -225,7 +217,7 @@ impl Synchronizer for ChangelogSync {
             }
         }
         replica.apply_all(&actions);
-        traffic_of(&actions)
+        SyncTraffic::of(&actions)
     }
 }
 
@@ -336,7 +328,7 @@ impl Synchronizer for NaiveChangelogSync {
         }
         self.last_csn = master.csn();
         replica.apply_all(&actions);
-        traffic_of(&actions)
+        SyncTraffic::of(&actions)
     }
 }
 

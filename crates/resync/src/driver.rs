@@ -265,14 +265,16 @@ impl DriverStats {
     }
 }
 
-/// A slice the ladder brought back fresh: what to apply to it, and the
+/// The outcome of a slice the master answered with `resp`, and the
 /// session to resume from.
-struct Fresh {
+fn answered(
+    shard: ShardId,
     status: ShardStatus,
-    actions: Vec<SyncAction>,
-    cookie: Option<Cookie>,
-    traffic: SyncTraffic,
-    redelivered: bool,
+    resp: SyncResponse,
+) -> (ShardOutcome, Option<Cookie>) {
+    let traffic = resp.traffic();
+    let redelivered = resp.redelivered;
+    (ShardOutcome { shard, status, traffic, actions: resp.actions, redelivered }, resp.cookie)
 }
 
 /// Retrying wrapper around a [`SyncTransport`].
@@ -492,13 +494,7 @@ impl<C: Clock> SyncDriver<C> {
     ) -> ShardOutcome {
         let prior = cookie.get(shard);
         let walked = match self.resync(transport, shard, sub, ReSyncControl::poll(prior)) {
-            Ok(resp) => Ok(Fresh {
-                status: ShardStatus::Updated,
-                traffic: resp.traffic(),
-                actions: resp.actions,
-                cookie: resp.cookie,
-                redelivered: resp.redelivered,
-            }),
+            Ok(resp) => Ok(answered(shard, ShardStatus::Updated, resp)),
             Err(e) if e.is_transient() => Err(ShardStatus::Stale),
             Err(e) if e.needs_reinstall() => {
                 self.recover(transport, shard, sub, prior, &e, held)
@@ -506,14 +502,14 @@ impl<C: Clock> SyncDriver<C> {
             Err(e) => Err(ShardStatus::Failed(e)),
         };
         match walked {
-            Ok(Fresh { status, actions, cookie: fresh, traffic, redelivered }) => {
-                match fresh {
+            Ok((out, next)) => {
+                match next {
                     Some(c) => cookie.insert(shard, c),
                     None => {
                         cookie.remove(shard);
                     }
                 }
-                ShardOutcome { shard, actions, status, traffic, redelivered }
+                out
             }
             Err(status) => ShardOutcome {
                 shard,
@@ -526,7 +522,9 @@ impl<C: Clock> SyncDriver<C> {
     }
 
     /// Rungs 2 and 3 of [`SyncDriver::sync_slice`]: the session behind
-    /// `prior` is dead (`lost` says how); re-establish it.
+    /// `prior` is dead (`lost` says how); re-establish it. Returns the
+    /// slice's outcome and the session to resume from, or the status of a
+    /// slice that did not come back fresh.
     fn recover(
         &mut self,
         transport: &mut dyn SyncTransport,
@@ -535,7 +533,7 @@ impl<C: Clock> SyncDriver<C> {
         prior: Option<Cookie>,
         lost: &SyncError,
         held: &dyn Fn() -> Vec<Entry>,
-    ) -> Result<Fresh, ShardStatus> {
+    ) -> Result<(ShardOutcome, Option<Cookie>), ShardStatus> {
         if let (SyncError::ReplayExpired { .. }, Some(c)) = (lost, prior) {
             // The session still exists at the master; release it before
             // re-establishing.
@@ -544,13 +542,14 @@ impl<C: Clock> SyncDriver<C> {
         event!(self.obs, "driver", "session_lost", shard = shard.index());
         match self.reconcile(transport, shard, sub, held) {
             Ok(outcome) => {
-                return Ok(Fresh {
+                let out = ShardOutcome {
+                    shard,
                     status: ShardStatus::Reconciled,
                     traffic: outcome.traffic(),
                     actions: outcome.actions,
-                    cookie: Some(outcome.cookie),
                     redelivered: false,
-                });
+                };
+                return Ok((out, Some(outcome.cookie)));
             }
             Err(e) if e.is_transient() => return Err(ShardStatus::Stale),
             Err(e) => {
@@ -563,17 +562,10 @@ impl<C: Clock> SyncDriver<C> {
         self.note_reinstall();
         match self.resync(transport, shard, sub, ReSyncControl::poll(None)) {
             Ok(resp) => {
-                let traffic = resp.traffic();
-                let mut actions: Vec<SyncAction> =
-                    held().iter().map(|e| SyncAction::Delete(e.dn().clone())).collect();
-                actions.extend(resp.actions);
-                Ok(Fresh {
-                    status: ShardStatus::Reinstalled,
-                    actions,
-                    cookie: resp.cookie,
-                    traffic,
-                    redelivered: resp.redelivered,
-                })
+                let (mut out, next) = answered(shard, ShardStatus::Reinstalled, resp);
+                let deletes = held().into_iter().map(|e| SyncAction::Delete(e.dn().clone()));
+                out.actions.splice(0..0, deletes);
+                Ok((out, next))
             }
             Err(e) if e.is_transient() => Err(ShardStatus::Stale),
             Err(e) => Err(ShardStatus::Failed(e)),

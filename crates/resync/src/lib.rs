@@ -76,7 +76,9 @@ pub use intern::dn_approx_bytes;
 pub use master::{MasterFootprint, NotifyFlush, NotifyPolicy, SyncMaster};
 pub use reconcile::ReconcileOutcome;
 pub use routing::{RoutingIndex, RoutingStats};
-pub use shard::{CompositeCookie, ShardCoordinator, ShardOutcome, ShardStatus, ShardedMaster};
+pub use shard::{
+    CompositeCookie, Installed, ShardCoordinator, ShardOutcome, ShardStatus, ShardedMaster,
+};
 pub use protocol::{
     ActionCounts, Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncMode,
     SyncResponse, SyncTraffic,

@@ -704,7 +704,9 @@ impl SyncMaster {
     /// * `cookie == Some` — sends updates accumulated since the last
     ///   request on that session.
     /// * mode `Persist` — additionally arms a notification channel; fetch
-    ///   it with [`SyncMaster::take_receiver`].
+    ///   it with [`SyncMaster::take_receiver`]. Until it is taken the
+    ///   channel is not live: a flush tears it down, leaving its updates
+    ///   to the ledger, and the session may idle out.
     /// * mode `SyncEnd` — terminates the session.
     ///
     /// # At-least-once delivery
@@ -1075,10 +1077,12 @@ impl SyncMaster {
     /// Expires sessions idle for more than `max_idle_ops` applied updates
     /// — the admin time limit of §5.2. Returns how many were dropped.
     ///
-    /// Persist sessions are exempt only while their notification channel
-    /// has a live receiver; once the client drops its end, the session is
-    /// an ordinary idle candidate (otherwise abandoned persistent searches
-    /// would pin their history forever).
+    /// Persist sessions are exempt only while a client holds their
+    /// notification receiver: once the client drops its end, or when
+    /// nobody ever took it (a persist response lost or answered twice
+    /// leaves its receiver parked), the session is an ordinary idle
+    /// candidate (otherwise abandoned persistent searches would pin their
+    /// history forever).
     pub fn expire_idle(&mut self, max_idle_ops: u64) -> usize {
         let cutoff = self.ops_applied.saturating_sub(max_idle_ops);
         let dead: Vec<u64> = self
@@ -1320,9 +1324,13 @@ impl Session {
         })
     }
 
-    /// True while a client holds the other end of the persist channel.
+    /// True while a client holds the other end of the persist channel: the
+    /// receiver was taken and is still connected. A receiver still parked
+    /// is nobody's — the response that named it may never have arrived —
+    /// so it keeps no session from expiry, and a flush disarms it.
     fn channel_live(&self) -> bool {
-        self.notify.as_ref().is_some_and(|tx| !tx.is_disconnected())
+        self.parked_receiver.is_none()
+            && self.notify.as_ref().is_some_and(|tx| !tx.is_disconnected())
     }
 
     /// Tears the persist channel down and forgets its queue. The ledger
@@ -2030,11 +2038,15 @@ mod tests {
             Filter::parse("(dept=9)").unwrap(),
         );
         let (_resp2, live_rx) = m.resync_persist(&live, None).unwrap();
+        // A third persist session whose receiver nobody takes: its
+        // response was lost, or the request was answered twice.
+        m.resync(&req, ReSyncControl::persist(None)).unwrap();
         for i in 0..5 {
             m.apply(UpdateOp::Add(person(&format!("p{i}"), "8"))).unwrap();
         }
-        // Both receivers alive: neither session expires.
-        assert_eq!(m.expire_idle(3), 0);
+        // Both taken receivers alive: only the orphan expires.
+        assert_eq!(m.expire_idle(3), 1);
+        assert_eq!(m.session_count(), 2);
         // The first client goes away; only its session is collectable.
         drop(rx);
         assert_eq!(m.expire_idle(3), 1);
@@ -2042,6 +2054,18 @@ mod tests {
         drop(live_rx);
         assert_eq!(m.expire_idle(3), 1);
         assert_eq!(m.session_count(), 0);
+    }
+
+    #[test]
+    fn a_flush_disarms_a_parked_receiver_and_the_poll_gets_the_update() {
+        let mut m = master_with(vec![person("a", "7")]);
+        let req = dept7();
+        let c = m.resync(&req, ReSyncControl::persist(None)).unwrap().cookie.unwrap();
+        m.apply(UpdateOp::Add(person("b", "7"))).unwrap();
+        // The immediate flush found nobody on the channel and tore it down.
+        assert!(m.take_receiver(c).is_none());
+        let resp = m.resync(&req, ReSyncControl::poll(Some(c))).unwrap();
+        assert!(matches!(&resp.actions[..], [SyncAction::Add(e)] if e.dn() == &dn("cn=b,o=xyz")));
     }
 
     #[test]

@@ -159,11 +159,7 @@ impl NotifyBatch {
     /// Aggregated traffic cost of this batch (same accounting as
     /// [`SyncResponse::traffic`]).
     pub fn traffic(&self) -> SyncTraffic {
-        let mut t = SyncTraffic::default();
-        for a in &self.actions {
-            t.count(a);
-        }
-        t
+        SyncTraffic::of(&self.actions)
     }
 }
 
@@ -183,10 +179,7 @@ pub struct SyncResponse {
 impl SyncResponse {
     /// Aggregated traffic cost of this response.
     pub fn traffic(&self) -> SyncTraffic {
-        let mut t = SyncTraffic::default();
-        for a in &self.actions {
-            t.count(a);
-        }
+        let mut t = SyncTraffic::of(&self.actions);
         if self.redelivered {
             t.redelivered_pdus = t.pdus();
         }
@@ -239,6 +232,15 @@ pub struct SyncTraffic {
 }
 
 impl SyncTraffic {
+    /// The traffic of sending `actions` once.
+    pub fn of(actions: &[SyncAction]) -> SyncTraffic {
+        let mut t = SyncTraffic::default();
+        for a in actions {
+            t.count(a);
+        }
+        t
+    }
+
     /// Accounts one action.
     pub fn count(&mut self, action: &SyncAction) {
         if action.carries_entry() {

@@ -22,7 +22,8 @@
 use crate::driver::{Clock, DriverStats, RetryConfig, SyncDriver, SyncTransport, SystemClock};
 use crate::master::{MasterFootprint, NotifyFlush, NotifyPolicy};
 use crate::protocol::{
-    Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncResponse, SyncTraffic,
+    Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncMode, SyncResponse,
+    SyncTraffic,
 };
 use crate::reconcile::{RangeRequest, RangeResponse, ReconcileRequest, ReconcileResponse};
 use crate::SyncMaster;
@@ -468,6 +469,11 @@ pub struct ShardOutcome {
     pub redelivered: bool,
 }
 
+/// What [`ShardCoordinator::install`] brings back: the initial content
+/// actions, the composite cookie, the load traffic, and the notification
+/// receivers of the sessions it opened in persist mode (none in poll mode).
+pub type Installed = (Vec<SyncAction>, CompositeCookie, SyncTraffic, Vec<Receiver<NotifyBatch>>);
+
 /// Drives one filter's per-shard ReSync sessions against a sharded
 /// transport, each shard independently: retries, the
 /// reconcile-vs-reinstall ladder, and serve-stale degradation are all
@@ -515,37 +521,44 @@ impl<C: Clock> ShardCoordinator<C> {
         out
     }
 
-    /// Establishes one session per shard the filter overlaps and returns
-    /// the initial content actions, the composite cookie, and the load
-    /// traffic. All-or-nothing: on any failure the sessions already
-    /// established are abandoned and the error propagates.
+    /// Establishes one session per shard the filter overlaps, in `mode`,
+    /// and returns what it loaded ([`Installed`]). Poll and persist are
+    /// one request whose control says how later updates travel (§5): in
+    /// [`SyncMode::Persist`] each opened session's receiver is taken
+    /// through [`SyncTransport::take_receiver_at`], one per shard, in
+    /// split order; in [`SyncMode::Poll`] there are none. All-or-nothing:
+    /// on any failure the sessions already established are abandoned and
+    /// the error propagates.
     ///
     /// # Errors
     ///
     /// The first [`SyncError`] any shard's exchange produced (after that
-    /// shard's retry budget).
+    /// shard's retry budget), or [`SyncError::UnknownCookie`] for a
+    /// persist session whose receiver could not be taken.
     pub fn install(
         &mut self,
         transport: &mut dyn SyncTransport,
         request: &SearchRequest,
-    ) -> Result<(Vec<SyncAction>, CompositeCookie, SyncTraffic), SyncError> {
-        let mut actions = Vec::new();
-        let mut cookie = CompositeCookie::new();
-        let mut traffic = SyncTraffic::default();
+        mode: SyncMode,
+    ) -> Result<Installed, SyncError> {
+        let mut installed = Installed::default();
+        let (actions, cookie, traffic, receivers) = &mut installed;
         for (shard, sub) in self.map.split(request) {
-            let r = self.drivers[shard.index()].resync(
-                transport,
-                shard,
-                &sub.to_request(),
-                ReSyncControl::poll(None),
-            );
-            match r {
+            let opened = self.drivers[shard.index()]
+                .resync(transport, shard, &sub.to_request(), ReSyncControl { mode, cookie: None })
+                .and_then(|resp| {
+                    let Some(c) = resp.cookie else { return Ok(resp) };
+                    cookie.insert(shard, c);
+                    if mode == SyncMode::Persist {
+                        let rx = transport.take_receiver_at(shard, c);
+                        receivers.push(rx.ok_or(SyncError::UnknownCookie(c))?);
+                    }
+                    Ok(resp)
+                });
+            match opened {
                 Ok(resp) => {
                     traffic.absorb(&resp.traffic());
                     actions.extend(resp.actions);
-                    if let Some(c) = resp.cookie {
-                        cookie.insert(shard, c);
-                    }
                 }
                 Err(e) => {
                     for (s, c) in cookie.iter() {
@@ -555,7 +568,7 @@ impl<C: Clock> ShardCoordinator<C> {
                 }
             }
         }
-        Ok((actions, cookie, traffic))
+        Ok(installed)
     }
 
     /// Runs one sync cycle for the filter: [`SyncDriver::sync_slice`] —
@@ -767,7 +780,7 @@ mod tests {
 
         m.apply(UpdateOp::Add(person("e1", "a", "7"))).unwrap();
         m.apply(UpdateOp::Add(person("e2", "b", "7"))).unwrap();
-        let (actions, mut cookie, _) = coord.install(&mut m, &req).unwrap();
+        let (actions, mut cookie, _, _) = coord.install(&mut m, &req, SyncMode::Poll).unwrap();
         assert_eq!(actions.len(), 2);
         assert_eq!(cookie.len(), 2, "one session per overlapped shard");
         assert_eq!(m.session_count(), 2);
@@ -780,6 +793,78 @@ mod tests {
         let total: usize = outcomes.iter().map(|o| o.actions.len()).sum();
         assert_eq!(total, 1);
         assert!(outcomes.iter().all(|o| o.status == ShardStatus::Updated));
+    }
+
+    #[test]
+    fn a_persist_install_takes_one_receiver_per_shard() {
+        let mut m = sharded();
+        let mut coord = ShardCoordinator::new(m.map().clone());
+        let req = subtree("o=xyz", "(dept=7)");
+        let shards: Vec<ShardId> = m.map().split(&req).iter().map(|(s, _)| *s).collect();
+        assert_eq!(shards, [ShardId::new(0), ShardId::new(1)]);
+        let (_, cookie, _, receivers) = coord.install(&mut m, &req, SyncMode::Persist).unwrap();
+        assert_eq!((cookie.len(), receivers.len()), (2, 2));
+
+        // Each shard's update arrives on that shard's receiver (receivers
+        // come in split order), and on no other.
+        for (k, cc) in ["a", "b"].into_iter().enumerate() {
+            m.apply(UpdateOp::Add(person("e", cc, "7"))).unwrap();
+            let got: Vec<Vec<NotifyBatch>> =
+                receivers.iter().map(|r| r.try_iter().collect()).collect();
+            assert!(got[1 - k].is_empty(), "the other shard's receiver stays quiet");
+            let want = dn(&format!("cn=e,c={cc},o=xyz"));
+            let [batch] = &got[k][..] else { panic!("one batch on shard {k}: {got:?}") };
+            assert!(matches!(&batch.actions[..], [SyncAction::Add(e)] if e.dn() == &want));
+        }
+    }
+
+    /// Forwards the legs of a sharded master, but takes no receiver.
+    struct NoReceivers<'a>(&'a mut ShardedMaster);
+
+    impl SyncTransport for NoReceivers<'_> {
+        fn shard_count(&self) -> usize {
+            self.0.shard_count()
+        }
+
+        fn resync_at(
+            &mut self,
+            shard: ShardId,
+            request: &SearchRequest,
+            ctl: ReSyncControl,
+        ) -> Result<SyncResponse, SyncError> {
+            self.0.resync_at(shard, request, ctl)
+        }
+
+        fn take_receiver_at(&mut self, _: ShardId, _: Cookie) -> Option<Receiver<NotifyBatch>> {
+            None
+        }
+
+        fn abandon_at(&mut self, shard: ShardId, cookie: Cookie) {
+            self.0.abandon_at(shard, cookie);
+        }
+    }
+
+    #[test]
+    fn a_failed_persist_install_abandons_what_it_opened() {
+        let req = subtree("o=xyz", "(dept=7)");
+        // A receiver that cannot be taken fails the install, and the
+        // session it belongs to goes with it.
+        let mut m = sharded();
+        let mut coord = ShardCoordinator::new(m.map().clone());
+        let err = coord.install(&mut NoReceivers(&mut m), &req, SyncMode::Persist).unwrap_err();
+        assert!(matches!(err, SyncError::UnknownCookie(_)), "{err:?}");
+        assert_eq!(m.session_count(), 0);
+
+        // Shard 1 missing: shard 0's persist session, receiver taken, is
+        // abandoned.
+        let mut one = SyncMaster::new();
+        one.dit_mut().add_suffix(dn("o=xyz"));
+        one.dit_mut().add(Entry::new(dn("o=xyz"))).unwrap();
+        let mut m = ShardedMaster::from(one);
+        let mut coord = ShardCoordinator::new(sharded().map().clone());
+        let err = coord.install(&mut m, &req, SyncMode::Persist).unwrap_err();
+        assert_eq!(err, SyncError::UnknownShard(ShardId::new(1)));
+        assert_eq!(m.session_count(), 0);
     }
 
     #[test]
@@ -802,7 +887,7 @@ mod tests {
 
         // All or nothing: shard 0's session goes with shard 1's failure.
         let mut coord = ShardCoordinator::new(map);
-        assert_eq!(coord.install(&mut m, &req).unwrap_err(), unknown);
+        assert_eq!(coord.install(&mut m, &req, SyncMode::Poll).unwrap_err(), unknown);
         assert_eq!(m.session_count(), 0);
 
         let mut cookie = CompositeCookie::new();
@@ -831,7 +916,7 @@ mod tests {
         let req = subtree("o=xyz", "(dept=7)");
         m.apply(UpdateOp::Add(person("e1", "a", "7"))).unwrap();
         m.apply(UpdateOp::Add(person("e2", "b", "7"))).unwrap();
-        let (_, mut cookie, _) = coord.install(&mut m, &req).unwrap();
+        let (_, mut cookie, _, _) = coord.install(&mut m, &req, SyncMode::Poll).unwrap();
 
         // Kill shard 1's session behind the coordinator's back.
         let c1 = cookie.get(ShardId::new(1)).unwrap();

@@ -14,7 +14,7 @@ use fbdr_resync::reconcile::{RangeRequest, RangeResponse, ReconcileRequest, Reco
 use fbdr_resync::{
     CompositeCookie, Cookie, NotifyBatch, NotifyPolicy, ReSyncControl, ReplicaContent,
     RetryConfig, ShardCoordinator, ShardId, ShardMap, ShardStatus, ShardedMaster, SyncAction,
-    SyncDriver, SyncError, SyncMaster, SyncResponse, SyncTransport,
+    SyncDriver, SyncError, SyncMaster, SyncMode, SyncResponse, SyncTransport,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -654,7 +654,7 @@ fn round_two_alone<M: Master>(master: M, map: ShardMap) {
     let req = request();
     let mut t = NoRoundOneUpserts { inner: master, dropped: 0, range_rounds: 0 };
     let mut coord = ShardCoordinator::new(map);
-    let (actions, mut cookie, _) = coord.install(&mut t, &req).expect("install");
+    let (actions, mut cookie, _, _) = coord.install(&mut t, &req, SyncMode::Poll).expect("install");
     let mut replica = ReplicaContent::new();
     replica.apply_all(&actions);
     assert_eq!(replica.len(), 8);

@@ -18,7 +18,7 @@ use fbdr_resync::reconcile::{RangeRequest, RangeResponse, ReconcileRequest, Reco
 use fbdr_resync::{
     CompositeCookie, Cookie, NotifyPolicy, ReSyncControl, ReplicaContent, RetryConfig,
     ShardCoordinator, ShardId, ShardMap, ShardStatus, ShardedMaster, NotifyBatch, SyncError,
-    SyncMaster, SyncResponse, SyncTransport,
+    SyncMaster, SyncMode, SyncResponse, SyncTransport,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -236,7 +236,8 @@ proptest! {
         let mut single_content = ReplicaContent::new();
         single_content.apply_all(&single_resp.actions);
 
-        let (actions, mut composite, _) = coord.install(&mut multi, &req).expect("install");
+        let (actions, mut composite, _, _) =
+            coord.install(&mut multi, &req, SyncMode::Poll).expect("install");
         let mut multi_content = ReplicaContent::new();
         multi_content.apply_all(&actions);
         prop_assert_eq!(multi_content.sorted_dns(), single_content.sorted_dns());
@@ -478,7 +479,8 @@ fn partitioned_shard_degrades_alone_and_catches_up() {
     }
 
     // Install while healthy.
-    let (actions, mut composite, _) = coord.install(&mut t, &req).expect("install");
+    let (actions, mut composite, _, _) =
+        coord.install(&mut t, &req, SyncMode::Poll).expect("install");
     let mut content = ReplicaContent::new();
     content.apply_all(&actions);
     assert_eq!(content.sorted_dns().len(), 8);
