@@ -224,11 +224,6 @@ impl Entry {
         self.attrs.0.iter().map(|(a, _)| a)
     }
 
-    /// Values of the `objectclass` attribute.
-    pub fn object_classes(&self) -> impl Iterator<Item = &AttrValue> {
-        self.values(&AttrName::new("objectclass"))
-    }
-
     /// Projects the entry onto a subset of attributes (used when answering
     /// searches that request specific attributes). The DN is always kept;
     /// the projection shares the value sets it keeps.
@@ -398,13 +393,6 @@ mod tests {
         // A projection shares the sets it keeps.
         let mail = AttrName::new("mail");
         assert!(held.project([&mail]).value_set(&mail).unwrap().ptr_eq(held.value_set(&mail).unwrap()));
-    }
-
-    #[test]
-    fn object_classes_accessor() {
-        let e = person();
-        let ocs: Vec<_> = e.object_classes().map(|v| v.normalized().to_owned()).collect();
-        assert_eq!(ocs, ["inetorgperson"]);
     }
 
     #[test]

@@ -470,13 +470,6 @@ impl Filter {
         out
     }
 
-    /// Number of predicates.
-    pub fn predicate_count(&self) -> usize {
-        let mut n = 0;
-        self.for_each_predicate(&mut |_| n += 1);
-        n
-    }
-
     /// Structurally simplifies the filter without changing its semantics:
     ///
     /// * nested `And`/`Or` of the same kind are flattened
@@ -1040,7 +1033,6 @@ mod tests {
         let filt = f("(&(sn=Doe)(|(a=1)(b=2)))");
         let attrs: Vec<_> = filt.predicates().iter().map(|p| p.attr().as_str().to_owned()).collect();
         assert_eq!(attrs, ["sn", "a", "b"]);
-        assert_eq!(filt.predicate_count(), 3);
     }
 
     #[test]

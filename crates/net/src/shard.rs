@@ -9,7 +9,6 @@
 //! shards it overlaps — the routing core behind the sharded master in
 //! `fbdr-resync`.
 
-use fbdr_dit::NamingContext;
 use fbdr_ldap::{AttrSelection, Dn, Filter, Rdn, Scope, SearchRequest};
 use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize};
@@ -213,13 +212,6 @@ impl ShardMap {
             map.assign(s, ShardId(id));
         }
         map
-    }
-
-    /// Context `i`'s suffix goes to shard `i` (referrals are delimiting
-    /// metadata, not shard boundaries — a referral target that should be
-    /// its own shard gets its own context).
-    pub fn by_contexts(contexts: &[NamingContext]) -> Self {
-        ShardMap::by_suffixes(contexts.iter().map(|c| c.suffix().clone()).collect())
     }
 
     /// Number of shards the map addresses (dense: `0..shard_count`).
@@ -507,16 +499,6 @@ mod tests {
         assert!(err.contains("default shard2 is not below shard_count 2"), "{err}");
         let err = load(r#"{"entries":[],"default":0,"shard_count":0}"#).expect_err("no shards");
         assert!(err.contains("default shard0 is not below shard_count 0"), "{err}");
-    }
-
-    #[test]
-    fn by_contexts_uses_suffixes() {
-        let m = ShardMap::by_contexts(&[
-            NamingContext::new(dn("c=us,o=xyz")),
-            NamingContext::new(dn("c=in,o=xyz")),
-        ]);
-        assert_eq!(m.shard_of(&dn("cn=x,c=in,o=xyz")), ShardId::new(1));
-        assert_eq!(m.shard_count(), 2);
     }
 
     #[test]

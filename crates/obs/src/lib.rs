@@ -157,15 +157,6 @@ impl Obs {
         self.inner.tracing.store(true, Ordering::Relaxed);
     }
 
-    /// Removes the subscriber; subsequent events are dropped cheaply.
-    pub fn clear_subscriber(&self) {
-        if !self.inner.active {
-            return;
-        }
-        self.inner.tracing.store(false, Ordering::Relaxed);
-        *self.inner.subscriber.write() = None;
-    }
-
     /// Delivers `event` to the subscriber, if one is installed. Callers
     /// normally go through [`event!`], which skips building the event
     /// entirely when tracing is off.
@@ -354,17 +345,6 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].u64_field("seq"), Some(3));
         assert!(events[0].u64_field("duration_ns").is_some());
-    }
-
-    #[test]
-    fn clear_subscriber_stops_delivery() {
-        let obs = Obs::new();
-        let rb = Arc::new(RingBuffer::new(4));
-        obs.set_subscriber(rb.clone());
-        event!(obs, "t", "a");
-        obs.clear_subscriber();
-        event!(obs, "t", "b");
-        assert_eq!(rb.len(), 1);
     }
 
     #[test]

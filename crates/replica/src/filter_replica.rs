@@ -1030,11 +1030,6 @@ impl FilterReplica {
         self.cache.lock().push(cq, self.cache_window);
     }
 
-    /// Drops all cached user queries.
-    pub fn clear_query_cache(&self) {
-        *self.cache.lock() = QueryCache::default();
-    }
-
     /// Applies an action batch to the working content, timing the
     /// incremental index maintenance when the replica is observed.
     fn timed_apply(
@@ -1628,19 +1623,6 @@ mod tests {
         }
         assert_eq!(r.cached_query_count(), 2);
         assert!(r.try_answer(&q1).is_none(), "q1 should be evicted");
-    }
-
-    #[test]
-    fn clear_query_cache_drops_entries() {
-        let m = master();
-        let r = FilterReplica::new(4);
-        let q = root_query("(serialNumber=045611)");
-        let res = m.dit().search(&q);
-        r.cache_query(q, &res);
-        assert_eq!(r.entry_count(), 1);
-        r.clear_query_cache();
-        assert_eq!(r.entry_count(), 0);
-        assert_eq!(r.cached_query_count(), 0);
     }
 
     #[test]

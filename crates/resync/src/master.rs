@@ -1,44 +1,30 @@
 //! The master (supplier) side of the ReSync protocol.
 
-use crate::intern::{dn_key, DnTable};
+use crate::intern::dn_approx_bytes;
 use crate::protocol::{
     Cookie, NotifyBatch, ReSyncControl, SyncAction, SyncError, SyncMode, SyncResponse,
 };
 use crate::reconcile::{
-    bucket_of, entry_version, item_hash, RangeRequest, RangeResponse, RangeSummary,
-    ReconcileRequest, ReconcileResponse,
+    bucket_of, entry_item_hash, RangeRequest, RangeResponse, RangeSummary, ReconcileRequest,
+    ReconcileResponse,
 };
 use crate::routing::RoutingIndex;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use fbdr_dit::{posting, ChangeRecord, DitError, DitStore, UpdateOp};
+use fbdr_dit::{ChangeRecord, DitError, DitStore, UpdateOp};
 use fbdr_ldap::{Dn, Entry, SearchRequest};
 use fbdr_obs::{event, Obs};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// Per-session state: the request, what the replica has been sent, the
-/// live content, and the **session history** — which DNs were touched
-/// since the last delivery (the paper's alternative to changelogs and
-/// tombstones).
-///
-/// All DN sets are interned-id posting lists (sorted `Vec<u32>`) over the
-/// owning master's [`DnTable`] — the master resolves ids back to DNs when
-/// building responses. The session holds one count on each id of
-/// `sent ∪ current` ([`Session::held`]), so an id goes back to the table
-/// when its last session lets go of it.
-#[derive(Debug, Serialize, Deserialize)]
+/// Per-session state: the request, its **history** since the last
+/// delivery (the paper's alternative to changelogs and tombstones), and
+/// the delivery bookkeeping. The session keeps no copy of the content:
+/// its first delivery and both reconcile rounds read the content off the
+/// DIT.
+#[derive(Debug, Serialize)]
 struct Session {
     request: SearchRequest,
-    /// Ids of DNs the replica holds (content as of the last delivery).
-    sent: Vec<u32>,
-    /// Current content ids, maintained at update time.
-    current: Vec<u32>,
-    /// Ids whose membership or content changed since the last delivery,
-    /// always within `sent ∪ current`. *What* happened to each is not
-    /// recorded: [`Session::build`] classifies an id once, at delivery
-    /// time, by where it stands in `current` and `sent`. A fresh session
-    /// starts with `touched = current`.
-    touched: Vec<u32>,
+    history: History,
     /// Persist-mode notification channel, if the session is persistent.
     /// Not persisted: a restored persist session degrades to polling (its
     /// cookie stays valid), exactly like a dropped TCP connection.
@@ -61,7 +47,6 @@ struct Session {
     /// replica has echoed a cookie proving it holds every action built at
     /// or before this op-count. The minimum across live sessions is the
     /// master's stability watermark.
-    #[serde(default)]
     stable_at: u64,
     /// Sequence number of the last response issued on this session (the
     /// low 32 bits of the cookie the replica holds).
@@ -78,12 +63,28 @@ struct Session {
     /// round. Cleared by the first ordinary poll on the session.
     /// Persisted so an in-flight reconciliation survives a master crash
     /// between rounds.
-    #[serde(default)]
     reconcile: Option<ReconcileRound>,
 }
 
+/// What a session's replica has not been told yet: the DNs that entered
+/// the content (`E01`), changed inside it (`E11`) or left it (`E10`)
+/// since the last delivery, each set ascending. [`History::note`] keeps
+/// the three disjoint, so a delivery is the deletes, then the adds, then
+/// the modifies, each in DN order.
+#[derive(Debug, Default, Serialize, Deserialize)]
+struct History {
+    /// In the content, not held by the replica.
+    added: BTreeSet<Dn>,
+    /// In the content and held by the replica, but changed since (or
+    /// gone and back).
+    modified: BTreeSet<Dn>,
+    /// Held by the replica, no longer in the content: the DN the entry
+    /// had when it left.
+    gone: BTreeSet<Dn>,
+}
+
 /// A reconciliation in flight: the bucket shift of its digest round's
-/// range summary, all the range round needs besides the live ledger (see
+/// range summary, all the range round needs besides the live content (see
 /// [`SyncMaster::reconcile_ranges`]). An older snapshot's frozen items
 /// load as nothing: fields are read by name and the rest ignored.
 #[derive(Debug, Serialize, Deserialize)]
@@ -93,22 +94,15 @@ struct ReconcileRound {
 
 /// Deterministic byte accounting of a master's long-lived session state
 /// ([`SyncMaster::memory_footprint`]): sums of structure sizes computed
-/// from lengths and capacities, never allocator statistics, so equal
-/// histories report equal bytes on every platform.
+/// from lengths, never allocator statistics, so equal histories report
+/// equal bytes on every platform.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MasterFootprint {
     /// Live sessions.
     pub sessions: usize,
-    /// Live [`DnTable`] slots.
-    pub table_live: usize,
-    /// Total [`DnTable`] slots ever allocated (the id-space bound: the
-    /// most ids held at once, however many DNs came and went).
-    pub table_capacity: usize,
-    /// [`DnTable`] bytes (interned DNs plus per-slot overhead).
-    pub table_bytes: usize,
-    /// Per-session posting-list bytes (`sent`/`current`/`touched`
-    /// capacities).
-    pub postings_bytes: usize,
+    /// Session history bytes: each recorded DN (normalized forms plus
+    /// per-RDN overhead) plus a per-item slot.
+    pub history_bytes: usize,
     /// Unacknowledged replay-buffer bytes (pending batches).
     pub replay_bytes: usize,
 }
@@ -116,23 +110,20 @@ pub struct MasterFootprint {
 impl MasterFootprint {
     /// Total accounted bytes.
     pub fn total_bytes(&self) -> usize {
-        self.table_bytes + self.postings_bytes + self.replay_bytes
+        self.history_bytes + self.replay_bytes
     }
 
     /// Accumulates another footprint (per-shard sums).
     pub fn merge(&mut self, other: MasterFootprint) {
         self.sessions += other.sessions;
-        self.table_live += other.table_live;
-        self.table_capacity += other.table_capacity;
-        self.table_bytes += other.table_bytes;
-        self.postings_bytes += other.postings_bytes;
+        self.history_bytes += other.history_bytes;
         self.replay_bytes += other.replay_bytes;
     }
 }
 
 /// When persist-mode notifications are handed to a session's channel.
 ///
-/// Every update is queued on the ledger of each session it touches, and
+/// Every update is recorded in the history of each session it touches, and
 /// one flush delivers a session's queue as one [`NotifyBatch`]; the
 /// policy only decides *when* that flush runs. The
 /// [immediate](NotifyPolicy::immediate) policy (the default) runs it at
@@ -149,8 +140,8 @@ impl MasterFootprint {
 /// Coalescing bounds each session's queue with `max_queue`: a session
 /// that accumulates more raw updates than that between flushes has its
 /// channel torn down (backpressure — the replica observes the disconnect
-/// and falls back to polling, the standard degradation path). The poll
-/// ledger is unaffected, so no update is ever lost, only its push-mode
+/// and falls back to polling, the standard degradation path). The
+/// history is unaffected, so no update is ever lost, only its push-mode
 /// delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NotifyPolicy {
@@ -222,12 +213,9 @@ pub struct NotifyFlush {
 #[derive(Debug, Default, Serialize)]
 pub struct SyncMaster {
     dit: DitStore,
-    sessions: HashMap<u64, Session>,
-    next_session: u64,
+    sessions: HashMap<u32, Session>,
+    next_session: u32,
     ops_applied: u64,
-    /// DN ↔ dense id table backing every session's posting lists; an id's
-    /// hold count is the number of sessions holding it.
-    table: DnTable,
     /// Which sessions can an update touch? Maintained across the session
     /// lifecycle; never serialized — rebuilt from the sessions at load.
     #[serde(skip)]
@@ -243,7 +231,7 @@ pub struct SyncMaster {
     /// session. Derived and not persisted: a restored session has no
     /// channel and an empty queue.
     #[serde(skip)]
-    queued: BTreeSet<u64>,
+    queued: BTreeSet<u32>,
     /// `Some(n)`: a pending batch is replayable for at most `n` applied
     /// updates; after that a retry gets [`SyncError::ReplayExpired`] and
     /// must reinstall. `None`: batches are held until acknowledged.
@@ -282,24 +270,25 @@ pub struct SyncMaster {
 }
 
 impl<'de> Deserialize<'de> for SyncMaster {
-    /// Loads a master and derives what it does not persist: the DN
-    /// table's hold counts, free list and DN map, and the routing index.
+    /// Loads a master and derives what it does not persist: the routing
+    /// index. A session written before sessions kept their history is read
+    /// from its id ledgers over the snapshot's DN table.
     ///
     /// # Errors
     ///
-    /// A session ledger that is not strictly ascending, a `touched` id
-    /// outside `sent ∪ current`, a ledger id that names no interned DN, a
-    /// DN interned twice, or a session id past `next_session`: each would
-    /// break posting searches, panic on a later reconcile or leave a count
-    /// nobody releases.
+    /// A session id past `next_session`, or a `next_session` that leaves
+    /// no id to hand out; in an older snapshot, a ledger that is not
+    /// strictly ascending, a `touched` id outside `sent ∪ current`, a
+    /// ledger id that names no DN, or a DN two held ids name.
     fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
         use serde::de::Error as _;
         #[derive(Deserialize)]
         struct Wire {
             dit: DitStore,
-            sessions: HashMap<u64, Session>,
-            next_session: u64,
+            sessions: HashMap<u32, WireSession>,
+            next_session: u32,
             ops_applied: u64,
+            #[serde(default)]
             table: WireTable,
             replay_expiry_ops: Option<u64>,
             redeliveries: u64,
@@ -314,27 +303,44 @@ impl<'de> Deserialize<'de> for SyncMaster {
             #[serde(default)]
             notify_overflows: u64,
         }
-        #[derive(Deserialize)]
+        #[derive(Default, Deserialize)]
         struct WireTable {
             slots: Vec<Option<Dn>>,
         }
         let w = Wire::deserialize(de)?;
+        if w.next_session == u32::MAX {
+            return Err(D::Error::custom("next_session leaves no session id"));
+        }
+        // An older snapshot's ledger ids: each names a DN, no DN twice.
+        let slots = &w.table.slots;
+        let mut held: Vec<u32> =
+            w.sessions.values().flat_map(|s| s.sent.iter().chain(&s.current)).copied().collect();
+        held.sort_unstable();
+        held.dedup();
+        let mut named = HashSet::new();
+        for id in held {
+            let dn = slot(slots, id).map_err(D::Error::custom)?;
+            if !named.insert(dn) {
+                return Err(D::Error::custom(format!("{dn} is interned twice")));
+            }
+        }
         let mut routing = RoutingIndex::new();
-        for (&sid, s) in &w.sessions {
+        let mut sessions = HashMap::with_capacity(w.sessions.len());
+        for (sid, s) in w.sessions {
             if sid > w.next_session {
                 return Err(D::Error::custom(format!("session {sid} is past next_session")));
             }
-            s.check_ledgers().map_err(|e| D::Error::custom(format!("session {sid}: {e}")))?;
-            routing.register(sid as u32, &s.request);
+            let s = s
+                .into_session(slots)
+                .map_err(|e| D::Error::custom(format!("session {sid}: {e}")))?;
+            routing.register(sid, &s.request);
+            sessions.insert(sid, s);
         }
-        let held = w.sessions.values().flat_map(Session::held);
-        let table = DnTable::load(w.table.slots, held).map_err(D::Error::custom)?;
         Ok(SyncMaster {
             dit: w.dit,
-            sessions: w.sessions,
+            sessions,
             next_session: w.next_session,
             ops_applied: w.ops_applied,
-            table,
             routing,
             replay_expiry_ops: w.replay_expiry_ops,
             redeliveries: w.redeliveries,
@@ -346,6 +352,80 @@ impl<'de> Deserialize<'de> for SyncMaster {
             ..SyncMaster::default()
         })
     }
+}
+
+/// A persisted [`Session`]. A snapshot written before sessions kept their
+/// history has none: it has the replica's content as of the last delivery
+/// (`sent`), the live content (`current`) and what changed since
+/// (`touched`), as ascending ids over the master's DN table.
+#[derive(Deserialize)]
+struct WireSession {
+    request: SearchRequest,
+    #[serde(default)]
+    history: History,
+    #[serde(default)]
+    sent: Vec<u32>,
+    #[serde(default)]
+    current: Vec<u32>,
+    #[serde(default)]
+    touched: Vec<u32>,
+    last_active: u64,
+    #[serde(default)]
+    stable_at: u64,
+    seq: u32,
+    pending: Option<Vec<SyncAction>>,
+    pending_at: u64,
+    #[serde(default)]
+    reconcile: Option<ReconcileRound>,
+}
+
+impl WireSession {
+    /// The session, with an older snapshot's ledgers read into its
+    /// history: a touched id is added, modified or gone as it stands in
+    /// `(current, sent)`.
+    fn into_session(self, slots: &[Option<Dn>]) -> Result<Session, String> {
+        let ledgers = [("sent", &self.sent), ("current", &self.current), ("touched", &self.touched)];
+        for (name, list) in ledgers {
+            if list.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("`{name}` is not strictly ascending"));
+            }
+        }
+        let mut history = self.history;
+        for &id in &self.touched {
+            let now = self.current.binary_search(&id).is_ok();
+            let set = match (now, self.sent.binary_search(&id).is_ok()) {
+                (true, false) => &mut history.added,
+                (true, true) => &mut history.modified,
+                (false, true) => &mut history.gone,
+                (false, false) => {
+                    return Err(format!("touched id {id} is in neither `sent` nor `current`"))
+                }
+            };
+            set.insert(slot(slots, id)?.clone());
+        }
+        Ok(Session {
+            request: self.request,
+            history,
+            notify: None,
+            parked_receiver: None,
+            dirty: 0,
+            dirty_since_ms: None,
+            last_active: self.last_active,
+            stable_at: self.stable_at,
+            seq: self.seq,
+            pending: self.pending,
+            pending_at: self.pending_at,
+            reconcile: self.reconcile,
+        })
+    }
+}
+
+/// The DN an older snapshot's table gives ledger id `id`.
+fn slot(slots: &[Option<Dn>], id: u32) -> Result<&Dn, String> {
+    slots
+        .get(id as usize)
+        .and_then(Option::as_ref)
+        .ok_or_else(|| format!("id {id} names no interned DN"))
 }
 
 #[derive(Debug, Clone)]
@@ -464,7 +544,7 @@ impl SyncMaster {
                     .dirty_since_ms
                     .is_some_and(|t0| now.saturating_sub(t0) >= policy.max_delay_ms);
             if due {
-                flushes.extend(session.flush(sid as u32, &self.dit, &mut self.table, now));
+                flushes.extend(session.flush(sid, &self.dit, now));
             }
             !due
         });
@@ -532,8 +612,8 @@ impl SyncMaster {
     // Updates
     // ------------------------------------------------------------------
 
-    /// Applies an update to the DIT and maintains every live session's
-    /// content and history; persist-mode sessions are notified when the
+    /// Applies an update to the DIT and records it in every live session's
+    /// history; persist-mode sessions are notified when the
     /// [`NotifyPolicy`] says (by default, before this returns).
     ///
     /// Fan-out is **routed**: the [`RoutingIndex`] computes the candidate
@@ -542,9 +622,8 @@ impl SyncMaster {
     /// matching afterwards, but its old values still hit the session's
     /// keys, which is what routes the departure) and its *new* state,
     /// plus the residual scan-list for the affected naming context. Only
-    /// candidates are evaluated; sessions outside the set provably need
-    /// no action. DN interning and entry clones happen only once routing
-    /// finds at least one candidate.
+    /// candidates are evaluated, each against the old and the new entry;
+    /// sessions outside the set provably need no action.
     ///
     /// # Errors
     ///
@@ -569,20 +648,21 @@ impl SyncMaster {
 
     fn apply_inner(&mut self, op: UpdateOp, naive: bool) -> Result<ChangeRecord, DitError> {
         if self.sessions.is_empty() {
-            // Nothing to route: no clones, no interning, no index work.
+            // Nothing to route: no handles, no index work.
             let rec = self.dit.apply(op)?;
             self.ops_applied += 1;
             return Ok(rec);
         }
         let mut cand = std::mem::take(&mut self.scratch);
         cand.clear();
-        // Candidates from the entry's OLD attribute state, read before the
-        // store mutates it. Borrow-only: no DN or entry clones yet.
+        // The target's OLD state: a handle (a refcount, not a copy) that
+        // outlives the store's apply.
+        let old = self.dit.get(op.target()).cloned();
         let mut residual_hits = 0usize;
         if naive {
             self.routing.all_sessions(&mut cand);
         } else {
-            if let Some(old) = self.dit.get(op.target()) {
+            if let Some(old) = &old {
                 self.routing.candidates_for_entry(old, &mut cand);
             }
             let before = cand.len();
@@ -597,8 +677,7 @@ impl SyncMaster {
             }
         };
         self.ops_applied += 1;
-        let target = &rec.dn;
-        let new_dn = rec.new_dn.as_ref().unwrap_or(target);
+        let new_dn = rec.new_dn.as_ref().unwrap_or(&rec.dn);
         let renamed = rec.new_dn.is_some();
         // Entry state after the operation (None if deleted) — borrowed,
         // never cloned on this path.
@@ -633,32 +712,24 @@ impl SyncMaster {
                 }
             }
         }
-        if cand.is_empty() {
-            self.scratch = cand;
-            return Ok(rec);
-        }
-        // At least one session is interested: look the touched DNs up. A
-        // DN no session holds has no id; the first session to take it
-        // interns it, so an update nobody takes leaves the table as it was.
-        let mut target_id = self.table.get(target);
-        let mut new_id = if renamed { self.table.get(new_dn) } else { None };
-        let capacity = self.table.capacity();
         let policy = self.notify_policy;
         let now_ms = self.now_ms;
         let mut flushes = Vec::new();
         let mut overflows = 0u64;
         for &sid in &cand {
-            let Some(session) = self.sessions.get_mut(&u64::from(sid)) else {
+            let Some(session) = self.sessions.get_mut(&sid) else {
                 continue;
             };
+            let was_in = old.as_ref().filter(|e| session.request.matches(e));
+            let now_in = new_entry.filter(|e| session.request.matches(e));
             // A rename is a departure at the old DN, then an arrival at the
             // new one: two raw updates on a session that sees both.
-            let mut queued = 0;
-            if renamed {
-                queued += u64::from(session.note(&mut self.table, target, &mut target_id, None));
-            }
-            let (dn, id) = if renamed { (new_dn, &mut new_id) } else { (target, &mut target_id) };
-            queued += u64::from(session.note(&mut self.table, dn, id, new_entry));
+            let h = &mut session.history;
+            let queued = if renamed {
+                u64::from(h.note(was_in, None)) + u64::from(h.note(None, now_in))
+            } else {
+                u64::from(h.note(was_in, now_in))
+            };
             if queued == 0 || session.notify.is_none() {
                 continue;
             }
@@ -666,25 +737,20 @@ impl SyncMaster {
             session.dirty += queued;
             session.dirty_since_ms.get_or_insert(now_ms);
             if !policy.coalesce {
-                flushes.extend(session.flush(sid, &self.dit, &mut self.table, now_ms));
-                // A delivered `Delete` may have freed either id.
-                for id in [&mut target_id, &mut new_id] {
-                    *id = id.filter(|&i| self.table.holds(i) > 0);
-                }
+                flushes.extend(session.flush(sid, &self.dit, now_ms));
             } else if session.dirty > policy.max_queue {
                 // Backpressure: the consumer is not keeping up. Tear the
                 // channel down — the replica observes the disconnect and
-                // degrades to polling, and the ledger (which holds every
+                // degrades to polling, and the history (which holds every
                 // queued update) hands them to that poll.
                 session.disarm();
                 overflows += 1;
             } else if was_empty {
-                self.queued.insert(u64::from(sid));
+                self.queued.insert(sid);
             }
         }
         self.scratch = cand;
         self.record_flushes(&flushes);
-        self.note_capacity(capacity);
         if overflows > 0 {
             self.notify_overflows += overflows;
             if self.obs.is_active() {
@@ -706,7 +772,7 @@ impl SyncMaster {
     /// * mode `Persist` — additionally arms a notification channel; fetch
     ///   it with [`SyncMaster::take_receiver`]. Until it is taken the
     ///   channel is not live: a flush tears it down, leaving its updates
-    ///   to the ledger, and the session may idle out.
+    ///   to the history, and the session may idle out.
     /// * mode `SyncEnd` — terminates the session.
     ///
     /// # At-least-once delivery
@@ -745,7 +811,7 @@ impl SyncMaster {
         match ctl.mode {
             SyncMode::SyncEnd => {
                 let cookie = ctl.cookie.ok_or(SyncError::MissingCookie)?;
-                if !self.remove_session(u64::from(cookie.session())) {
+                if !self.remove_session(cookie.session()) {
                     return Err(SyncError::UnknownCookie(cookie));
                 }
                 self.note_session_count();
@@ -756,7 +822,7 @@ impl SyncMaster {
         let resumed = ctl.cookie;
         let sid = match resumed {
             None => self.start_session(request),
-            Some(c) => u64::from(c.session()),
+            Some(c) => c.session(),
         };
         let ops_applied = self.ops_applied;
         let expiry = self.replay_expiry_ops;
@@ -765,7 +831,7 @@ impl SyncMaster {
             .get_mut(&sid)
             .ok_or_else(|| SyncError::UnknownCookie(resumed.expect("fresh sessions exist")))?;
         if session.request != *request {
-            return Err(SyncError::RequestMismatch(Cookie::new(sid as u32, session.seq)));
+            return Err(SyncError::RequestMismatch(Cookie::new(sid, session.seq)));
         }
         session.last_active = ops_applied;
         // An ordinary poll supersedes any reconciliation in flight: the
@@ -823,7 +889,7 @@ impl SyncMaster {
         }
         if let Some(actions) = redelivery {
             let seq = self.sessions[&sid].seq;
-            let cookie = Cookie::new(sid as u32, seq);
+            let cookie = Cookie::new(sid, seq);
             self.redeliveries += 1;
             if self.obs.is_active() {
                 self.obs.registry().counter("fbdr_resync_redeliveries_total").inc();
@@ -838,13 +904,20 @@ impl SyncMaster {
             );
             return Ok(resp);
         }
-        // A poll is build + commit: delivery is the replay buffer's job.
-        let actions = session.build(&self.dit, &self.table);
-        session.commit(&mut self.table);
+        // A poll builds and starts the history over: delivery is the replay
+        // buffer's job. A fresh session's first delivery is the content.
+        let actions = match resumed {
+            None => content(&self.dit, request)
+                .into_iter()
+                .map(|e| SyncAction::Add(e.clone()))
+                .collect(),
+            Some(_) => session.history.build(&self.dit),
+        };
+        session.history = History::default();
         session.seq = session.seq.wrapping_add(1);
         session.pending = Some(actions.clone());
         session.pending_at = ops_applied;
-        let cookie = Cookie::new(sid as u32, session.seq);
+        let cookie = Cookie::new(sid, session.seq);
         if acked && self.obs.is_active() {
             self.obs.registry().gauge("fbdr_resync_stability_lag").set(self.stability_lag() as i64);
         }
@@ -926,23 +999,22 @@ impl SyncMaster {
         }
         let sid = self.start_session(request);
         let mut hashes: Vec<u64> = Vec::new();
-        let mut missing: Vec<&Entry> = Vec::new();
-        for (h, e) in self.sessions[&sid].items(&self.dit, &self.table) {
+        let mut upserts: Vec<Entry> = Vec::new();
+        for e in content(&self.dit, request) {
+            let h = entry_item_hash(e);
             hashes.push(h);
             if !req.digest.contains(h) {
-                missing.push(e);
+                upserts.push(e.clone());
             }
         }
         let summary = RangeSummary::build(req.summary_buckets, &hashes);
-        missing.sort_unstable_by(|a, b| a.dn().cmp(b.dn()));
-        let upserts: Vec<Entry> = missing.into_iter().cloned().collect();
+        // The exchange itself brings the replica to the current content,
+        // so the session's history starts empty.
         let session = self.sessions.get_mut(&sid).expect("just created");
-        // The exchange itself brings the replica to the current content.
-        session.commit(&mut self.table);
         session.seq = 1;
         session.pending = None;
         session.reconcile = Some(ReconcileRound { shift: summary.shift() });
-        let cookie = Cookie::new(sid as u32, 1);
+        let cookie = Cookie::new(sid, 1);
         event!(
             self.obs,
             "resync",
@@ -950,7 +1022,7 @@ impl SyncMaster {
             session = cookie.session(),
             digest_items = req.digest.items(),
             shipped = upserts.len(),
-            content = self.sessions[&sid].sent.len(),
+            content = hashes.len(),
         );
         Ok(ReconcileResponse { upserts, summary, cookie })
     }
@@ -963,16 +1035,16 @@ impl SyncMaster {
     /// bucket shift, so a duplicated or retried request is answered again,
     /// from whatever is live then.
     ///
-    /// Why live content is enough: the digest round committed the session
-    /// at `sent` = the round-one content, so every id that arrives,
-    /// departs or changes version afterwards is in the session's `touched`
-    /// ledger. Every difference between this answer and one frozen at
-    /// round one is an item in one set and not the other — an id the
-    /// ledger touched after round one. Whatever round two did with such an
-    /// id, the follow-up poll delivers it again at its live state (add and
-    /// modify upsert, a delete of what the replica lacks is a no-op); every
-    /// other id gets the same answer either way. So round two plus one
-    /// poll converges exactly as a frozen answer would.
+    /// Why live content is enough: the digest round started the session's
+    /// history at the round-one content, so every DN that arrives, departs
+    /// or changes version afterwards is in that history. Every difference
+    /// between this answer and one frozen at round one is an item in one
+    /// set and not the other — a DN the history recorded after round one.
+    /// Whatever round two did with such a DN, the follow-up poll delivers
+    /// it again at its live state (add and modify upsert, a delete of what
+    /// the replica lacks is a no-op); every other DN gets the same answer
+    /// either way. So round two plus one poll converges exactly as a
+    /// frozen answer would.
     ///
     /// # Errors
     ///
@@ -987,7 +1059,7 @@ impl SyncMaster {
         let ops_applied = self.ops_applied;
         let session = self
             .sessions
-            .get_mut(&u64::from(cookie.session()))
+            .get_mut(&cookie.session())
             .ok_or(SyncError::UnknownCookie(cookie))?;
         if cookie.seq() != session.seq {
             return Err(SyncError::ReconcileFailed(
@@ -1004,8 +1076,9 @@ impl SyncMaster {
         // is the hash's top bits, so each bucket is one contiguous range.
         let mut probed: Vec<usize> = req.probes.iter().map(|p| p.bucket as usize).collect();
         probed.sort_unstable();
-        let mut live: Vec<(u64, &Entry)> = session
-            .items(&self.dit, &self.table)
+        let mut live: Vec<(u64, &Entry)> = content(&self.dit, &session.request)
+            .into_iter()
+            .map(|e| (entry_item_hash(e), e))
             .filter(|&(h, _)| probed.binary_search(&bucket_of(h, shift)).is_ok())
             .collect();
         live.sort_unstable_by_key(|&(h, _)| h);
@@ -1044,26 +1117,24 @@ impl SyncMaster {
     /// Returns `None` if the session is unknown or the receiver was
     /// already taken.
     pub fn take_receiver(&mut self, cookie: Cookie) -> Option<Receiver<NotifyBatch>> {
-        self.sessions.get_mut(&u64::from(cookie.session()))?.parked_receiver.take()
+        self.sessions.get_mut(&cookie.session())?.parked_receiver.take()
     }
 
     /// Abandons a session (e.g. the client dropped a persistent search).
     pub fn abandon(&mut self, cookie: Cookie) {
-        if self.remove_session(u64::from(cookie.session())) {
+        if self.remove_session(cookie.session()) {
             self.note_session_count();
         }
     }
 
     /// Ends a session — the one way one goes: it leaves the routing index
-    /// and releases its hold on every id of its `sent ∪ current`. Returns
-    /// whether it was live.
-    fn remove_session(&mut self, sid: u64) -> bool {
-        let Some(session) = self.sessions.remove(&sid) else { return false };
-        self.routing.remove(sid as u32);
-        for id in session.held() {
-            self.table.release(id);
+    /// with its history. Returns whether it was live.
+    fn remove_session(&mut self, sid: u32) -> bool {
+        let live = self.sessions.remove(&sid).is_some();
+        if live {
+            self.routing.remove(sid);
         }
-        true
+        live
     }
 
     /// Tears down every persist notification channel, as a network
@@ -1085,7 +1156,7 @@ impl SyncMaster {
     /// history forever).
     pub fn expire_idle(&mut self, max_idle_ops: u64) -> usize {
         let cutoff = self.ops_applied.saturating_sub(max_idle_ops);
-        let dead: Vec<u64> = self
+        let dead: Vec<u32> = self
             .sessions
             .iter()
             .filter(|(_, s)| !(s.last_active >= cutoff || s.channel_live()))
@@ -1117,33 +1188,15 @@ impl SyncMaster {
             .map_or(0, |w| self.ops_applied.saturating_sub(w))
     }
 
-    /// The DN table every session ledger indexes — test and
-    /// observability aid.
-    pub fn table(&self) -> &DnTable {
-        &self.table
-    }
-
-    /// Every live session's `(sent, current, touched)` ledgers, as
-    /// ascending id lists over [`SyncMaster::table`] — test aid: an id's
-    /// hold count is the number of sessions whose `sent ∪ current` has it.
-    pub fn ledgers(&self) -> impl Iterator<Item = (&[u32], &[u32], &[u32])> {
-        self.sessions.values().map(|s| (&s.sent[..], &s.current[..], &s.touched[..]))
-    }
-
     /// Deterministic byte accounting of the master's long-lived state
     /// (see [`MasterFootprint`]) — the soak benchmark's memory
     /// high-water instrument.
     pub fn memory_footprint(&self) -> MasterFootprint {
-        let mut f = MasterFootprint {
-            sessions: self.sessions.len(),
-            table_live: self.table.len(),
-            table_capacity: self.table.capacity(),
-            table_bytes: self.table.approx_bytes(),
-            ..MasterFootprint::default()
-        };
+        let mut f = MasterFootprint { sessions: self.sessions.len(), ..MasterFootprint::default() };
         for s in self.sessions.values() {
-            f.postings_bytes +=
-                4 * (s.sent.capacity() + s.current.capacity() + s.touched.capacity());
+            let h = &s.history;
+            let dns = h.added.iter().chain(&h.modified).chain(&h.gone);
+            f.history_bytes += dns.map(|dn| dn_approx_bytes(dn) + 32).sum::<usize>();
             if let Some(pending) = &s.pending {
                 f.replay_bytes +=
                     32 + pending.iter().map(SyncAction::estimated_size).sum::<usize>();
@@ -1164,7 +1217,7 @@ impl SyncMaster {
     pub fn debug_validate_routing(&self) {
         self.routing.debug_validate();
         for &sid in self.sessions.keys() {
-            assert!(self.routing.contains(sid as u32), "live session {sid} absent from the routing index");
+            assert!(self.routing.contains(sid), "live session {sid} absent from the routing index");
         }
     }
 
@@ -1175,40 +1228,18 @@ impl SyncMaster {
         }
     }
 
-    /// Publishes the table-capacity gauge if the slot vector grew past
-    /// `before`.
-    fn note_capacity(&self, before: usize) {
-        if self.table.capacity() > before && self.obs.is_active() {
-            let gauge = self.obs.registry().gauge("fbdr_resync_table_capacity");
-            gauge.set(self.table.capacity() as i64);
-        }
-    }
-
     /// Allocates a session and returns its id (the high half of every
-    /// cookie issued on it; responses fill in the sequence number).
-    ///
-    /// The initial content is answered through the DIT store's indexed
-    /// streaming path ([`DitStore::for_each_match`]) — entries are
-    /// interned and held straight off borrowed references (each once), with
-    /// no owned result vector and no full-DIT scan for plannable filters.
-    fn start_session(&mut self, request: &SearchRequest) -> u64 {
-        self.next_session += 1;
-        assert!(self.next_session <= u64::from(u32::MAX), "session ids exhausted");
+    /// cookie issued on it; responses fill in the sequence number). Its
+    /// history starts empty: the caller delivers the content itself.
+    fn start_session(&mut self, request: &SearchRequest) -> u32 {
+        self.next_session = self.next_session.checked_add(1).expect("session ids exhausted");
         let sid = self.next_session;
-        let capacity = self.table.capacity();
-        let mut current: Vec<u32> = Vec::new();
-        let table = &mut self.table;
-        self.dit.for_each_match(request, |e| current.push(table.hold(e.dn())));
-        current.sort_unstable();
-        self.note_capacity(capacity);
-        self.routing.register(sid as u32, request);
+        self.routing.register(sid, request);
         self.sessions.insert(
             sid,
             Session {
                 request: request.clone(),
-                sent: Vec::new(), // nothing sent yet → everything is an add
-                touched: current.clone(),
-                current,
+                history: History::default(),
                 notify: None,
                 parked_receiver: None,
                 dirty: 0,
@@ -1228,102 +1259,57 @@ impl SyncMaster {
     }
 }
 
-/// What a delivery says about one touched id, decided by where the id
-/// stands in `(current, sent)`. Declaration order is batch order: deletes,
-/// then adds, then modifies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Delivery {
-    /// Held by the replica, no longer in the content (`E10`).
-    Delete,
-    /// In the content, not yet held (`E01`).
-    Add,
-    /// In the content and held, but changed since (`E11`).
-    Modify,
+/// The request's live content off the store, in DN order: a fresh
+/// session's first delivery, and what both reconcile rounds answer from.
+fn content<'a>(dit: &'a DitStore, request: &SearchRequest) -> Vec<&'a Entry> {
+    let mut out = Vec::new();
+    dit.for_each_match(request, |e| out.push(e));
+    out.sort_unstable_by(|a, b| a.dn().cmp(b.dn()));
+    out
 }
 
-impl Session {
-    /// Records where `dn` stands after an update: `entry` is the entry
-    /// now at that DN (added, modified or rename target), `None` when
-    /// nothing is (deleted or rename source). Returns whether the update
-    /// concerns this session at all.
-    ///
-    /// `id` is the DN's id in `table`, `None` while nobody holds it. The
-    /// session's hold follows `sent ∪ current`: outside `sent`, an arrival
-    /// takes a hold (interning the DN if need be) and a departure drops it
-    /// — and when that frees the id, `id` is cleared for the sessions
-    /// after this one.
-    fn note(&mut self, table: &mut DnTable, dn: &Dn, id: &mut Option<u32>, entry: Option<&Entry>) -> bool {
-        let now_in = entry.is_some_and(|e| self.request.matches(e));
-        let was_in = id.is_some_and(|i| posting::contains(&self.current, i));
-        if !was_in && !now_in {
-            return false;
-        }
-        let in_sent = id.is_some_and(|i| posting::contains(&self.sent, i));
-        let i = match *id {
-            Some(i) if was_in || in_sent => i,
-            Some(i) => {
-                table.hold_id(i);
-                i
+impl History {
+    /// Records one update at a DN from where its entry stands for the
+    /// session: `old` is the entry before the update if it was in the
+    /// content, `new` the entry after if it is now. Returns whether the
+    /// session saw the update at all.
+    fn note(&mut self, old: Option<&Entry>, new: Option<&Entry>) -> bool {
+        match (old, new) {
+            (None, None) => return false,
+            // Changed inside: news only to a replica that holds it.
+            (Some(_), Some(e)) => {
+                if !self.added.contains(e.dn()) {
+                    self.modified.insert(e.dn().clone());
+                }
             }
-            None => table.hold(dn),
-        };
-        *id = Some(i);
-        if !was_in {
-            posting::insert_sorted(&mut self.current, i);
-        } else if !now_in {
-            posting::remove_sorted(&mut self.current, i);
-            if !in_sent && table.release(i) {
-                *id = None;
+            // Left: an arrival the replica never got is dropped.
+            (Some(e), None) => {
+                if !self.added.remove(e.dn()) {
+                    self.modified.remove(e.dn());
+                    self.gone.insert(e.dn().clone());
+                }
             }
-        }
-        if now_in || in_sent {
-            posting::insert_sorted(&mut self.touched, i);
-        } else {
-            // Arrived and departed between deliveries: the replica never
-            // needs to know, and `touched` stays within `sent ∪ current`.
-            posting::remove_sorted(&mut self.touched, i);
+            // Entered: a DN the replica still holds comes back modified.
+            (None, Some(e)) => {
+                let back = self.gone.remove(e.dn());
+                if back { &mut self.modified } else { &mut self.added }.insert(e.dn().clone());
+            }
         }
         true
     }
 
-    /// The ids this session holds in the master's table: `sent ∪
-    /// current`, each once.
-    fn held(&self) -> impl Iterator<Item = u32> + '_ {
-        let unsent = self.current.iter().filter(|&&id| !posting::contains(&self.sent, id));
-        self.sent.iter().chain(unsent).copied()
+    /// The batch the history stands for: deletes, then adds, then
+    /// modifies, each in DN order, the entries read off the store.
+    fn build<'a>(&'a self, dit: &'a DitStore) -> Vec<SyncAction> {
+        let deletes = self.gone.iter().map(|dn| SyncAction::Delete(dn.clone()));
+        let entries = |set: &'a BTreeSet<Dn>| set.iter().filter_map(|dn| dit.get(dn)).cloned();
+        let adds = entries(&self.added).map(SyncAction::Add);
+        let modifies = entries(&self.modified).map(SyncAction::Modify);
+        deletes.chain(adds).chain(modifies).collect()
     }
+}
 
-    /// The load check on a persisted session: every ledger strictly
-    /// ascending, and `touched ⊆ sent ∪ current`.
-    fn check_ledgers(&self) -> Result<(), String> {
-        for (name, list) in [("sent", &self.sent), ("current", &self.current), ("touched", &self.touched)] {
-            if list.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("`{name}` is not strictly ascending"));
-            }
-        }
-        let stray = self.touched.iter().find(|&&id| {
-            !posting::contains(&self.sent, id) && !posting::contains(&self.current, id)
-        });
-        match stray {
-            Some(id) => Err(format!("touched id {id} is in neither `sent` nor `current`")),
-            None => Ok(()),
-        }
-    }
-
-    /// `(item hash, entry)` of every entry in the live content — what
-    /// both rounds of a reconciliation answer from.
-    fn items<'a>(
-        &'a self,
-        dit: &'a DitStore,
-        table: &'a DnTable,
-    ) -> impl Iterator<Item = (u64, &'a Entry)> + 'a {
-        self.current.iter().filter_map(move |&id| {
-            let dn = table.dn_of(id).expect("current ids resolve");
-            let e = dit.get(dn)?;
-            Some((item_hash(&dn_key(dn), entry_version(e)), e))
-        })
-    }
-
+impl Session {
     /// True while a client holds the other end of the persist channel: the
     /// receiver was taken and is still connected. A receiver still parked
     /// is nobody's — the response that named it may never have arrived —
@@ -1333,7 +1319,7 @@ impl Session {
             && self.notify.as_ref().is_some_and(|tx| !tx.is_disconnected())
     }
 
-    /// Tears the persist channel down and forgets its queue. The ledger
+    /// Tears the persist channel down and forgets its queue. The history
     /// is untouched — it holds every queued update for the poll path.
     /// Returns whether a channel was armed.
     fn disarm(&mut self) -> bool {
@@ -1343,90 +1329,26 @@ impl Session {
         self.notify.take().is_some()
     }
 
-    /// Turns the ledger into a batch without touching session state: each
-    /// touched id is classified by `(in current, in sent)` — add, modify,
-    /// delete, or nothing when it is in neither. Ids resolve through the
-    /// master's [`DnTable`]; each action group is emitted in DN order
-    /// (ids are assigned in first-touch order, which is not canonical
-    /// across masters).
-    fn build(&self, dit: &DitStore, table: &DnTable) -> Vec<SyncAction> {
-        let mut deliveries: Vec<(Delivery, &Dn)> = self
-            .touched
-            .iter()
-            .filter_map(|&id| {
-                let in_current = posting::contains(&self.current, id);
-                let in_sent = posting::contains(&self.sent, id);
-                let delivery = match (in_current, in_sent) {
-                    (true, false) => Delivery::Add,
-                    (true, true) => Delivery::Modify,
-                    (false, true) => Delivery::Delete,
-                    (false, false) => return None,
-                };
-                Some((delivery, table.dn_of(id)?))
-            })
-            .collect();
-        deliveries.sort_unstable();
-        deliveries
-            .into_iter()
-            .filter_map(|(delivery, dn)| match delivery {
-                Delivery::Delete => Some(SyncAction::Delete(dn.clone())),
-                Delivery::Add => dit.get(dn).map(|e| SyncAction::Add(e.clone())),
-                Delivery::Modify => dit.get(dn).map(|e| SyncAction::Modify(e.clone())),
-            })
-            .collect()
-    }
-
-    /// Advances the session past a delivered batch: `sent` catches up
-    /// with `current` on exactly the touched ids, and the history
-    /// restarts. A delivered `Delete` leaves `sent ∪ current`, so the
-    /// session releases its hold on that id.
-    fn commit(&mut self, table: &mut DnTable) {
-        if self.sent.is_empty() {
-            // `current \ sent ⊆ touched ⊆ sent ∪ current`, so with nothing
-            // sent the touched ids *are* the content: a fresh session's
-            // first delivery hands the list over instead of inserting id
-            // by id.
-            debug_assert_eq!(self.touched, self.current);
-            self.sent = std::mem::take(&mut self.touched);
-            return;
-        }
-        for id in self.touched.drain(..) {
-            if posting::contains(&self.current, id) {
-                posting::insert_sorted(&mut self.sent, id);
-            } else {
-                posting::remove_sorted(&mut self.sent, id);
-                table.release(id);
-            }
-        }
-    }
-
-    /// Delivers the ledger on the persist channel: build → send → commit
-    /// on success. The one push-mode delivery, whichever trigger runs it
-    /// (the apply that queued the update under the immediate policy,
-    /// [`SyncMaster::flush_notifications`] under a coalescing one).
-    /// Returns the wakeup, if one was spent.
-    fn flush(
-        &mut self,
-        session: u32,
-        dit: &DitStore,
-        table: &mut DnTable,
-        now_ms: u64,
-    ) -> Option<NotifyFlush> {
+    /// Delivers the history on the persist channel: build → send → start
+    /// the history over on success. The one push-mode delivery, whichever
+    /// trigger runs it (the apply that queued the update under the
+    /// immediate policy, [`SyncMaster::flush_notifications`] under a
+    /// coalescing one). Returns the wakeup, if one was spent.
+    fn flush(&mut self, session: u32, dit: &DitStore, now_ms: u64) -> Option<NotifyFlush> {
         let coalesced_from = std::mem::take(&mut self.dirty);
         let first_enqueued_ms = self.dirty_since_ms.take().unwrap_or(now_ms);
         // A dropped receiver means the client abandoned the persistent
-        // search: tear the channel down *before* touching the ledger, so
+        // search: tear the channel down *before* touching the history, so
         // every queued action survives for the poll the reconnecting
         // replica will eventually issue.
         if !self.channel_live() {
             self.disarm();
             return None;
         }
-        let actions = self.build(dit, table);
+        let actions = self.history.build(dit);
         if actions.is_empty() {
             // The queued updates cancelled out (arrived and departed
-            // between flushes): nothing to deliver, nothing to keep.
-            self.commit(table);
+            // between flushes): nothing to deliver.
             return None;
         }
         let n_actions = actions.len();
@@ -1434,11 +1356,11 @@ impl Session {
         let sent = self.notify.as_ref().is_some_and(|tx| tx.send(batch).is_ok());
         if !sent {
             // Disconnected between the probe and the send: keep the
-            // ledger uncommitted — the poll path still owns delivery.
+            // history — the poll path still owns delivery.
             self.disarm();
             return None;
         }
-        self.commit(table);
+        self.history = History::default();
         Some(NotifyFlush { session, actions: n_actions, coalesced_from, first_enqueued_ms })
     }
 }
@@ -1820,11 +1742,11 @@ mod tests {
     /// (literal bytes, taken from that code): its knobs, a per-session
     /// clock stamp, and two slots no ledger holds — `a`, whose `Delete`
     /// was delivered, and `x`, which arrived and departed between polls.
-    /// It loads with those slots free and `b` held by both sessions, and
-    /// both sessions converge.
+    /// It loads with each session's touched ids read into its history,
+    /// and both sessions converge.
     #[test]
     fn a_snapshot_from_before_ids_were_counted_loads_and_converges() {
-        let (a, b, x) = (dn("cn=a,o=xyz"), dn("cn=b,o=xyz"), dn("cn=x,o=xyz"));
+        let (b, d) = (dn("cn=b,o=xyz"), dn("cn=d,o=xyz"));
         let old = concat!(
             r#"{"dit":{"entries":[{"dn":[{"attr":"o","value":"xyz"}],"attrs":{}},{"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"#,
             r#""attrs":{"cn":["b"],"dept":["9"]}},{"dn":[{"attr":"cn","value":"c"},{"attr":"o","value":"xyz"}],"attrs":{"cn":["c"],"dept":["9"]}},"#,
@@ -1843,9 +1765,15 @@ mod tests {
             r#"deadline_ms":null,"every_ops":1024},"now_ms":5,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
         );
         let mut m: SyncMaster = serde_json::from_str(old).expect("an old snapshot loads");
-        let t = m.table();
-        assert_eq!((t.len(), t.capacity(), t.get(&a), t.get(&x)), (3, 5, None, None));
-        assert_eq!(t.get(&b).map(|id| t.holds(id)), Some(2), "b: sent to one session, current in the other");
+        // Each session's history is its touched ids, as they stood in its
+        // ledgers; `a` and `x`, which no ledger holds, are in neither.
+        let history = |m: &SyncMaster, sid: u32| {
+            let h = &m.sessions[&sid].history;
+            [&h.added, &h.modified, &h.gone].map(|set| set.iter().cloned().collect::<Vec<Dn>>())
+        };
+        assert_eq!(history(&m, 1), [vec![d.clone()], vec![], vec![b.clone()]], "b gone from one session, d added");
+        assert_eq!(history(&m, 2), [vec![b.clone()], vec![], vec![]], "b added to the other");
+        assert!(!serde_json::to_string(&m).unwrap().contains(r#""table""#), "written back, there is no table");
 
         // Session 1 holds `b` and is owed its departure and `d`'s
         // arrival; session 2 holds `c` (its first batch is unacknowledged)
@@ -1857,15 +1785,17 @@ mod tests {
             replica.apply_all(&m.resync(&req, ReSyncControl::poll(Some(cookie))).unwrap().actions);
             assert_eq!(replica.iter().collect::<Vec<_>>(), m.dit().search(&req).iter().collect::<Vec<_>>());
         }
-        // `b` was let go by session 1; a fresh DN takes a freed slot.
-        assert_eq!(m.table().get(&b).map(|id| m.table().holds(id)), Some(1));
+        // Delivered: both histories start over, and the next arrival is
+        // all session 1 records.
+        assert_eq!([history(&m, 1), history(&m, 2)], [[vec![], vec![], vec![]], [vec![], vec![], vec![]]]);
         m.apply(UpdateOp::Add(person("e", "7"))).unwrap();
-        assert_eq!((m.table().len(), m.table().capacity()), (4, 5));
+        assert_eq!(history(&m, 1), [vec![dn("cn=e,o=xyz")], vec![], vec![]]);
     }
 
-    /// The load refuses a snapshot whose ledgers would break posting
-    /// searches, panic on a later reconcile or leave a count nobody
-    /// releases — each a one-edit change to a sound literal.
+    /// The load refuses a snapshot (written while sessions kept id
+    /// ledgers) whose ledgers would break the reading of its history, or
+    /// whose session ids do not fit a cookie — each an edit to a sound
+    /// literal.
     #[test]
     fn a_hostile_snapshot_is_refused_at_load() {
         let sound = concat!(
@@ -1880,21 +1810,35 @@ mod tests {
             r#""now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
         );
         let m: SyncMaster = serde_json::from_str(sound).expect("the sound literal loads");
-        assert_eq!(serde_json::to_string(&m).unwrap(), sound);
+        // What it writes loads back to the same bytes.
+        let written = serde_json::to_string(&m).unwrap();
+        let again: SyncMaster = serde_json::from_str(&written).expect("what it writes loads");
+        assert_eq!(serde_json::to_string(&again).unwrap(), written);
         // The table's last slot, `b`.
         let slot_b = r#"[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}]]}"#;
         let a_again = r#"[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}]]}"#;
-        for (from, to, refusal) in [
-            (r#""current":[0,1]"#, r#""current":[0,2]"#, "id 2 names no interned DN"),
-            (slot_b, "null]}", "id 1 names no interned DN"),
-            (r#""sent":[0,1]"#, r#""sent":[1,0]"#, "`sent` is not strictly ascending"),
-            (r#""current":[0,1]"#, r#""current":[0,0,1]"#, "`current` is not strictly ascending"),
-            (r#""sent":[0,1],"current":[0,1],"touched":[]"#, r#""sent":[0],"current":[0],"touched":[1]"#, "touched id 1 is in neither"),
-            (slot_b, a_again, "is interned twice"),
-            (r#""next_session":1"#, r#""next_session":0"#, "session 1 is past next_session"),
-        ] {
+        let edit = |from: &str, to: &str| {
             let hostile = sound.replacen(from, to, 1);
             assert_ne!(hostile, sound);
+            hostile
+        };
+        for (hostile, refusal) in [
+            (edit(r#""current":[0,1]"#, r#""current":[0,2]"#), "id 2 names no interned DN"),
+            (edit(slot_b, "null]}"), "id 1 names no interned DN"),
+            (edit(r#""sent":[0,1]"#, r#""sent":[1,0]"#), "`sent` is not strictly ascending"),
+            (edit(r#""current":[0,1]"#, r#""current":[0,0,1]"#), "`current` is not strictly ascending"),
+            (edit(r#""sent":[0,1],"current":[0,1],"touched":[]"#, r#""sent":[0],"current":[0],"touched":[1]"#), "touched id 1 is in neither"),
+            (edit(slot_b, a_again), "is interned twice"),
+            (edit(r#""next_session":1"#, r#""next_session":0"#), "session 1 is past next_session"),
+            // Session ids are `u32`: a wider one would reach the routing
+            // index truncated, and the next fresh session would panic.
+            (
+                edit(r#""sessions":{"1":"#, r#""sessions":{"4294967297":"#)
+                    .replacen(r#""next_session":1"#, r#""next_session":4294967297"#, 1),
+                "`4294967297` is not an integer",
+            ),
+            (edit(r#""next_session":1"#, r#""next_session":4294967295"#), "next_session leaves no session id"),
+        ] {
             let err = serde_json::from_str::<SyncMaster>(&hostile).expect_err(refusal);
             assert!(err.to_string().contains(refusal), "{refusal}: {err}");
         }
@@ -2334,7 +2278,7 @@ mod tests {
     /// order. The reference the listed flush is pinned to below.
     fn flush_by_sweep(m: &mut SyncMaster, force: bool) -> Vec<NotifyFlush> {
         let (policy, now) = (m.notify_policy, m.now_ms);
-        let mut due: Vec<u64> = m
+        let mut due: Vec<u32> = m
             .sessions
             .iter()
             .filter(|(_, s)| {
@@ -2350,7 +2294,7 @@ mod tests {
         let mut flushes = Vec::new();
         for sid in due {
             let session = m.sessions.get_mut(&sid).expect("listed from the map");
-            flushes.extend(session.flush(sid as u32, &m.dit, &mut m.table, now));
+            flushes.extend(session.flush(sid, &m.dit, now));
         }
         m.record_flushes(&flushes);
         flushes
@@ -2552,15 +2496,16 @@ mod tests {
     }
 
     #[test]
-    fn every_way_a_session_ends_gives_its_ids_back() {
+    fn every_way_a_session_ends_leaves_nothing_behind() {
         let mut m = master_with(vec![person("a", "7"), person("b", "7")]);
         let req = dept7();
         let c = m.resync(&req, ReSyncControl::poll(None)).unwrap().cookie.unwrap();
         m.apply(UpdateOp::Delete(dn("cn=a,o=xyz"))).unwrap();
         m.apply(UpdateOp::Add(person("c", "7"))).unwrap();
-        // `a` waits in `sent` for its `Delete`, `c` in `current` for its
-        // `Add`, `b` is in both: three ids, one hold each.
-        assert_eq!((m.table().len(), (0..3).map(|id| m.table().holds(id)).sum::<u32>()), (3, 3));
+        // `a` waits in the history for its `Delete`, `c` for its `Add`;
+        // `b` is unchanged and nowhere.
+        let h = &m.sessions[&c.session()].history;
+        assert_eq!((h.gone.len(), h.added.len(), h.modified.len()), (1, 1, 0));
         let ends: [fn(&mut SyncMaster, Cookie); 3] = [
             |m, c| drop(m.resync(&dept7(), ReSyncControl::sync_end(c)).unwrap()),
             |m, c| m.abandon(c),
@@ -2570,7 +2515,41 @@ mod tests {
             let mut m = serde_json::from_str::<SyncMaster>(&serde_json::to_string(&m).unwrap()).unwrap();
             m.apply(UpdateOp::Add(person("d", "9"))).unwrap(); // idle for expire_idle(0)
             end(&mut m, c);
-            assert_eq!((m.session_count(), m.table().len()), (0, 0));
+            assert_eq!((m.session_count(), m.memory_footprint()), (0, MasterFootprint::default()));
+            assert_eq!(m.routing_stats(), SyncMaster::new().routing_stats());
+        }
+    }
+
+    /// Three shapes the history must deliver exactly as the id ledgers
+    /// did, between two polls: a delete and a re-add of one DN, and a
+    /// rename there and back, are one `Modify`; a modify of an arrival
+    /// the replica never got is still one `Add`.
+    #[test]
+    fn the_history_delivers_the_ledgers_wire_shape() {
+        let set_mail = |cn: &str| UpdateOp::Modify {
+            dn: dn(&format!("cn={cn},o=xyz")),
+            mods: vec![Modification::Replace("mail".into(), vec![format!("{cn}@x").into()])],
+        };
+        let rename = |from: &str, to: &str| UpdateOp::ModifyDn {
+            dn: dn(&format!("cn={from},o=xyz")),
+            new_rdn: Rdn::new("cn", to),
+            new_superior: None,
+        };
+        let cases: [(&str, Vec<UpdateOp>, &str); 3] = [
+            ("delete and re-add", vec![UpdateOp::Delete(dn("cn=a,o=xyz")), UpdateOp::Add(person("a", "7").with("mail", "new@x"))], "cn=a,o=xyz, mod"),
+            ("rename there and back", vec![rename("a", "a2"), rename("a2", "a")], "cn=a,o=xyz, mod"),
+            ("modify of an unsent arrival", vec![UpdateOp::Add(person("b", "7")), set_mail("b")], "cn=b,o=xyz, add"),
+        ];
+        for (case, ops, want) in cases {
+            let mut m = master_with(vec![person("a", "7")]);
+            let c = m.resync(&dept7(), ReSyncControl::poll(None)).unwrap().cookie.unwrap();
+            for op in ops {
+                m.apply(op).unwrap();
+            }
+            let resp = m.resync(&dept7(), ReSyncControl::poll(Some(c))).unwrap();
+            assert_eq!(resp.actions.iter().map(|a| a.to_string()).collect::<Vec<_>>(), [want], "{case}");
+            let (SyncAction::Add(live) | SyncAction::Modify(live)) = &resp.actions[0] else { unreachable!() };
+            assert_eq!(Some(live), m.dit().get(live.dn()), "{case}: the entry as it is now");
         }
     }
 }

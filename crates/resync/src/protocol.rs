@@ -130,7 +130,7 @@ impl fmt::Display for SyncAction {
 
 /// One persist-mode notification wakeup: every action the master had
 /// queued for the session at flush time, coalesced per DN by the session
-/// ledger.
+/// history.
 ///
 /// A persist channel carries `NotifyBatch` messages, one per wakeup —
 /// never bare actions — so receiving a message *is* the wakeup and the

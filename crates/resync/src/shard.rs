@@ -3,7 +3,7 @@
 //!
 //! A [`ShardedMaster`] owns one `SyncMaster` per shard of a
 //! [`ShardMap`]; updates route to the shard owning the target DN, so
-//! each shard maintains its own `RoutingIndex`, session ledgers and
+//! each shard maintains its own `RoutingIndex`, session histories and
 //! replay buffers over just its slice of the DIT. Because the shard
 //! map partitions by subtree suffix and each shard's store holds only
 //! its own slice, a search region that spans shards is answered by
@@ -686,7 +686,7 @@ mod tests {
     /// One empty shard master, as it serializes.
     const EMPTY_SHARD: &str = concat!(
         r#"{"dit":{"entries":[],"suffixes":[],"csn":0},"sessions":{},"next_session":0,"#,
-        r#""ops_applied":0,"table":{"slots":[]},"replay_expiry_ops":null,"#,
+        r#""ops_applied":0,"replay_expiry_ops":null,"#,
         r#""redeliveries":0,"notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"#,
         r#""max_queue":18446744073709551615},"#,
         r#""now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,

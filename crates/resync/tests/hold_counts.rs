@@ -1,17 +1,18 @@
-//! Hold counts equal the references: after every step of a seeded stream
-//! of updates, polls, flushes, session ends and reloads, each live
-//! [`DnTable`](fbdr_resync::DnTable) slot's count is the number of sessions
-//! whose `sent ∪ current` holds it, no live slot has count 0 and every
-//! ledger id resolves.
+//! The history is the difference: after every step of a seeded stream of
+//! updates, renames, polls, flushes, session ends and reloads, a poll on a
+//! copy of the master brings each session's model replica — fed by every
+//! response and persist batch so far — to the session's content.
 //!
-//! The oracle is a mark-sweep over every session's ledgers: it recounts
-//! the references on its own, so it shares no code with the counts it
-//! checks.
+//! The oracle is the store's own search: it shares no code with the
+//! history it checks, and the copy goes through the master's snapshot, so
+//! the history's written form is checked on every step too.
 
 use crossbeam::channel::Receiver;
 use fbdr_dit::{Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
-use fbdr_resync::{Cookie, NotifyBatch, NotifyPolicy, ReSyncControl, SyncMaster};
+use fbdr_resync::{
+    Cookie, NotifyBatch, NotifyPolicy, ReSyncControl, ReplicaContent, SyncError, SyncMaster,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -88,9 +89,9 @@ fn person(id: usize, dept: u8) -> Entry {
         .with("dept", &dept.to_string())
 }
 
-/// Session `s`'s request. The last overlaps the first two, so an id is
-/// often held twice; the others are disjoint, so a modify often moves an
-/// id from one session's content to another's within one apply.
+/// Session `s`'s request. The last overlaps the first two, so a DN is
+/// often in two contents; the others are disjoint, so a modify often moves
+/// an entry from one session's content to another's within one apply.
 fn request(s: usize) -> SearchRequest {
     let f = ["(dept=0)", "(dept=1)", "(dept=2)", "(|(dept=0)(dept=1))"][s];
     SearchRequest::new(
@@ -100,12 +101,13 @@ fn request(s: usize) -> SearchRequest {
     )
 }
 
-/// The master, one cookie per live session and the persist receivers
-/// held open.
+/// The master, one cookie per live session, the persist receivers held
+/// open, and each session's model replica.
 struct World {
     m: SyncMaster,
     cookies: Vec<Option<Cookie>>,
     rx: Vec<Option<Receiver<NotifyBatch>>>,
+    models: Vec<ReplicaContent>,
 }
 
 impl World {
@@ -124,6 +126,7 @@ impl World {
             m,
             cookies: vec![None; sessions],
             rx: (0..sessions).map(|_| None).collect(),
+            models: vec![ReplicaContent::new(); sessions],
         };
         for s in 0..sessions {
             w.run(&Step::Start {
@@ -158,12 +161,18 @@ impl World {
             Step::Poll { s, dup } => {
                 let Some(c) = self.cookies[s] else { return };
                 let first = m.resync(&request(s), ReSyncControl::poll(Some(c)));
+                if let Ok(r) = &first {
+                    self.models[s].apply_all(&r.actions);
+                }
                 if dup {
                     let again = m.resync(&request(s), ReSyncControl::poll(Some(c)));
                     assert_eq!(
                         first.as_ref().map(|r| &r.actions),
                         again.as_ref().map(|r| &r.actions)
                     );
+                    if let Ok(r) = &again {
+                        self.models[s].apply_all(&r.actions);
+                    }
                 }
                 // A session expired under it: the cookie is dead.
                 self.cookies[s] = first.ok().and_then(|r| r.cookie);
@@ -189,57 +198,54 @@ impl World {
                 if let Some(c) = self.cookies[s].take() {
                     m.abandon(c);
                 }
-                if persist {
+                let resp = if persist {
                     let (resp, rx) = m.resync_persist(&request(s), None).expect("install");
-                    self.cookies[s] = resp.cookie;
                     self.rx[s] = Some(rx);
+                    resp
                 } else {
-                    self.cookies[s] = m
-                        .resync(&request(s), ReSyncControl::poll(None))
+                    self.rx[s] = None;
+                    m.resync(&request(s), ReSyncControl::poll(None))
                         .expect("install")
-                        .cookie;
-                }
+                };
+                self.cookies[s] = resp.cookie;
+                self.models[s] = ReplicaContent::new();
+                self.models[s].apply_all(&resp.actions);
             }
             Step::Reload => {
                 let json = serde_json::to_string(&*m).expect("serializes");
                 *m = serde_json::from_str(&json).expect("its own snapshot loads");
             }
         }
+        // Every persist batch reaches its model in the order it was sent.
+        for (rx, model) in self.rx.iter().zip(&mut self.models) {
+            for batch in rx.iter().flat_map(Receiver::try_iter) {
+                model.apply_all(&batch.actions);
+            }
+        }
     }
 }
 
-/// Mark-sweep over the ledgers: how many sessions' `sent ∪ current` holds
-/// each id, checked against the table's counts.
-fn holds_equal_references(m: &SyncMaster) -> Result<(), TestCaseError> {
-    let t = m.table();
-    let mut marks = vec![0u32; t.capacity()];
-    for (sent, current, touched) in m.ledgers() {
-        let mut held: Vec<u32> = sent.iter().chain(current).copied().collect();
-        held.sort_unstable();
-        held.dedup();
-        for &id in &held {
-            prop_assert!(t.dn_of(id).is_some(), "ledger id {} resolves to no DN", id);
-            marks[id as usize] += 1;
-        }
-        for id in touched {
-            prop_assert!(
-                held.binary_search(id).is_ok(),
-                "touched id {} outside sent ∪ current",
-                id
-            );
-        }
+/// A poll on a copy of the master, applied to a copy of each live
+/// session's model, gives the session's content: what the history holds
+/// is exactly what the replica lacks.
+fn a_poll_converges_every_session(w: &World) -> Result<(), TestCaseError> {
+    let json = serde_json::to_string(&w.m).expect("serializes");
+    let mut copy: SyncMaster = serde_json::from_str(&json).expect("its own snapshot loads");
+    for (s, cookie) in w.cookies.iter().enumerate() {
+        let Some(c) = *cookie else { continue };
+        let actions = match copy.resync(&request(s), ReSyncControl::poll(Some(c))) {
+            Ok(resp) => resp.actions,
+            // Expired under it: the session and its history are gone.
+            Err(SyncError::UnknownCookie(_)) => continue,
+            Err(e) => return Err(TestCaseError::fail(format!("session {s}: {e:?}"))),
+        };
+        let mut model = w.models[s].clone();
+        model.apply_all(&actions);
+        let mut want = copy.dit().search(&request(s));
+        want.sort_by(|a, b| a.dn().cmp(b.dn()));
+        let got: Vec<&Entry> = model.iter().collect();
+        prop_assert_eq!(got, want.iter().collect::<Vec<_>>(), "session {}", s);
     }
-    for (id, &refs) in marks.iter().enumerate() {
-        let id = id as u32;
-        prop_assert_eq!(t.holds(id), refs, "holds of id {} ({:?})", id, t.dn_of(id));
-        prop_assert_eq!(
-            t.dn_of(id).is_some(),
-            refs > 0,
-            "id {} is live exactly while held",
-            id
-        );
-    }
-    prop_assert_eq!(t.len(), marks.iter().filter(|&&r| r > 0).count());
     Ok(())
 }
 
@@ -247,20 +253,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn hold_counts_equal_the_references_after_every_step(
+    fn a_poll_brings_every_model_replica_to_its_content_after_every_step(
         plan in (1usize..=4).prop_flat_map(|n| (Just(n), prop::collection::vec(step(n), 1..120))),
     ) {
         let (sessions, steps) = plan;
         let mut w = World::new(sessions);
-        holds_equal_references(&w.m)?;
+        a_poll_converges_every_session(&w)?;
         for (i, s) in steps.iter().enumerate() {
             w.run(s);
-            holds_equal_references(&w.m).map_err(|e| TestCaseError::fail(format!("step {i} {s:?}: {e}")))?;
+            a_poll_converges_every_session(&w).map_err(|e| TestCaseError::fail(format!("step {i} {s:?}: {e}")))?;
         }
-        // Every session ends: nothing is held and every slot is free.
+        // Every session ends, and its history goes with it.
         for s in 0..sessions {
             w.run(&Step::Abandon { s });
         }
-        prop_assert_eq!(w.m.table().len(), 0);
+        prop_assert_eq!(w.m.memory_footprint().history_bytes, 0);
     }
 }

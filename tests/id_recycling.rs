@@ -1,22 +1,20 @@
-//! Id recycling: the master hands an id back to its table the moment the
-//! last session holding it lets go, and no session can tell.
+//! Churn through a master's sessions: DNs come and go, and no session can
+//! tell what the master keeps for it.
 //!
-//! Every session ledger (`sent`, `current`, `touched`) is a list of ids
-//! over the master's `DnTable`, and an id's hold count is the number of
-//! sessions whose `sent ∪ current` has it. A delivered `Delete`, a
-//! departure nobody was sent and a session's end each drop holds, and the
-//! last one frees the slot for the next DN. The recycling proptest drives
-//! arbitrary interleavings of updates and polls — fresh DNs that land in
-//! freed slots, duplicated cookies, and a session that goes silent through
-//! the churn and resumes at the end — and feeds every response into a
-//! model replica keyed by DN: at every poll the model is the master's
-//! answer, every `Delete` names a DN the model holds, and no deletion is
-//! lost.
+//! A session is its history: the DNs that entered, changed inside or left
+//! its content since the last delivery. A delivery empties it, an arrival
+//! that leaves again before one is dropped, and a session's end takes it
+//! away. The churn proptest drives arbitrary interleavings of updates and
+//! polls — fresh DNs where others were deleted, duplicated cookies, and a
+//! session that goes silent through the churn and resumes at the end — and
+//! feeds every response into a model replica keyed by DN: at every poll
+//! the model is the master's answer, every `Delete` names a DN the model
+//! holds, and no deletion is lost.
 //!
-//! The footprint test carries the counts' reason to exist: over one fixed
-//! churn run with a dead session — and no eviction, no collection pass, no
-//! clock — the master's deterministic footprint stays flat and its id
-//! space stays the size of what is held.
+//! The footprint test carries the bound: over one fixed churn run with a
+//! dead session — and no eviction, no collection pass, no clock — the
+//! master's deterministic footprint stays flat and its histories stay the
+//! size of the content, not of the churn.
 
 use fbdr_ldap::{Entry, Filter, SearchRequest};
 use fbdr_resync::{Cookie, ReSyncControl, ReplicaContent, SyncAction, SyncMaster};
@@ -78,7 +76,7 @@ impl Fleet {
 
     fn apply(&mut self, op: fbdr_dit::UpdateOp) {
         // Deleting absent entries and re-adding present ones are refused,
-        // like racing clients; the ledgers must not notice either way.
+        // like racing clients; the histories must not notice either way.
         let _ = self.master.apply(op);
     }
 
@@ -171,9 +169,9 @@ proptest! {
             fleet.poll(s, true)?;
             fleet.poll(s, false)?;
         }
-        // Only what some session holds has an id.
+        // Every session has been told everything: no history is left.
         let f = fleet.master.memory_footprint();
-        prop_assert!(f.table_live <= ENTRIES * 2, "{:?}", f);
+        prop_assert_eq!(f.history_bytes, 0, "{:?}", f);
     }
 }
 
@@ -182,9 +180,9 @@ proptest! {
 /// fresh in-filter DNs added and deleted `WINDOW` steps later, two sessions
 /// polling on a cadence and one that installs and never returns. The dead
 /// session is never evicted, yet the footprint high-water stays within
-/// 1.10x of the post-warm-up segment, and after 2 400 fresh DNs the id
-/// space is the base entries plus the window plus one poll interval of
-/// deletes. Byte accounting is the master's own (`MasterFootprint`), so
+/// 1.10x of the post-warm-up segment, and after 2 400 fresh DNs each
+/// session's history is at most the base entries plus the window. Byte
+/// accounting is the master's own (`MasterFootprint`), so
 /// the numbers are exact for the run. Every poll along the way is still
 /// checked against the session's model.
 #[test]
@@ -229,14 +227,16 @@ fn a_dead_session_does_not_grow_the_master() {
         "footprint crept: {high_water:?}"
     );
     assert_eq!(f.sessions, 3, "nothing evicts the dead session");
-    // The most ids ever held at once: the base entries, the window, and
-    // the deletes a live session has not been sent yet (each polls every
-    // 16 steps) — not the 2 400 DNs that came and went.
+    // The histories hold at most the base entries and the window each
+    // (the dead session's: what it was sent and has not been told about,
+    // and the arrivals since) — not the 2 400 DNs that came and went. An
+    // item is its DN and a slot (`MasterFootprint::history_bytes`).
     assert_eq!(fleet.master.dit().len(), 1 + ENTRIES + WINDOW);
+    let item = fbdr_resync::dn_approx_bytes(&dn(ENTRIES + STEPS)) + 32;
     assert!(
-        f.table_capacity <= ENTRIES + WINDOW + 16,
-        "id space {} after {STEPS} fresh DNs: {f:?}",
-        f.table_capacity
+        f.history_bytes <= 3 * (ENTRIES + WINDOW) * item,
+        "history of {} B after {STEPS} fresh DNs: {f:?}",
+        f.history_bytes
     );
     assert!(obs
         .registry()
