@@ -134,16 +134,12 @@ pub fn replay_filter(
         full_entries: report_after.resync_traffic.full_entries - report_before.resync_traffic.full_entries,
         dn_only: report_after.resync_traffic.dn_only - report_before.resync_traffic.dn_only,
         bytes: report_after.resync_traffic.bytes - report_before.resync_traffic.bytes,
-        redelivered_pdus: report_after.resync_traffic.redelivered_pdus
-            - report_before.resync_traffic.redelivered_pdus,
     };
     out.revolution_traffic = SyncTraffic {
         full_entries: report_after.revolution_traffic.full_entries
             - report_before.revolution_traffic.full_entries,
         dn_only: report_after.revolution_traffic.dn_only - report_before.revolution_traffic.dn_only,
         bytes: report_after.revolution_traffic.bytes - report_before.revolution_traffic.bytes,
-        redelivered_pdus: report_after.revolution_traffic.redelivered_pdus
-            - report_before.revolution_traffic.redelivered_pdus,
     };
     out.revolutions = report_after.revolutions - report_before.revolutions;
     out.replica_entries = replicator.replica().entry_count();

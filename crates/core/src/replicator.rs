@@ -176,9 +176,9 @@ impl Replicator {
     /// One sync cycle: every filter polls each shard it overlaps through
     /// that shard's own retrying driver — transient failures are retried
     /// with backoff, lost sessions are reconciled by set digest (shipping
-    /// only the diverged entries) or reinstalled when divergence exceeds
-    /// the budget, and a slice whose retry budget runs out is served stale
-    /// until the next cycle (see [`FilterReplica::sync_with_sharded`]).
+    /// only the diverged entries) or reinstalled when the reconcile
+    /// exchange fails, and a slice whose retry budget runs out is served
+    /// stale until the next cycle (see [`FilterReplica::sync_with_sharded`]).
     ///
     /// # Errors
     ///

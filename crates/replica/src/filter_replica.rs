@@ -48,6 +48,7 @@
 //! O(replica), and a bulk install stays a bulk load.
 
 use crate::index::{KeyColumns, SnapshotIndex};
+use crate::intern::DnTable;
 use crate::persistent::SlotVec;
 use crate::stats::{AtomicReplicaStats, ReplicaStats};
 use crossbeam::channel::{Receiver, TryRecvError};
@@ -56,7 +57,7 @@ use fbdr_dit::posting;
 use fbdr_ldap::{AttrSelection, Entry, SearchRequest};
 use fbdr_obs::{event, Counter, Histogram, Obs};
 use fbdr_resync::{
-    Clock, CompositeCookie, DnTable, NotifyBatch, RoutingIndex, ShardCoordinator, ShardId,
+    Clock, CompositeCookie, NotifyBatch, RoutingIndex, ShardCoordinator, ShardId,
     ShardMap, ShardOutcome, ShardStatus, SyncAction, SyncDriver, SyncError, SyncMaster, SyncMode,
     SyncTransport, SyncTraffic,
 };
@@ -823,8 +824,8 @@ impl FilterReplica {
     ///   marks the filter **stale** and moves on — the content keeps being
     ///   served (availability over freshness; hits are counted in
     ///   [`ReplicaStats::stale_serves`]) and the next cycle retries;
-    /// - an unrecoverable session error (expired cookie, replay past its
-    ///   window) first attempts a **reconciliation** exchange
+    /// - an unrecoverable session error (expired cookie, or one two
+    ///   responses behind) first attempts a **reconciliation** exchange
     ///   (`fbdr_resync::reconcile`): the replica digests its held items
     ///   and receives only what actually diverged, re-establishing a live
     ///   cookie at divergence-proportional cost, and falls back to a full
@@ -922,14 +923,12 @@ impl FilterReplica {
     /// hard error, else the traffic. `sync_one` reads the filter's held
     /// entries only when a slice needs them (to reconcile or reinstall).
     ///
-    /// A cycle over every filter in which every slice came back fresh and
-    /// none was a redelivery leaves each filter holding the master's
-    /// answer for it, in the master's bodies, all read from the state the
-    /// master is in while the cycle holds the transport: it settles every
-    /// filter ([`StoredFilter::settled`]), unless the replica streams. A
-    /// redelivered batch was built for an earlier, lost answer, so it
-    /// leaves its filter at an older state — possibly over a newer body
-    /// another filter was sent — and the cycle settles nothing.
+    /// A cycle over every filter in which every slice came back fresh
+    /// leaves each filter holding the master's answer for it, in the
+    /// master's bodies, all read from the state the master is in while the
+    /// cycle holds the transport — a retried answer too, since the master
+    /// builds it from its live DIT: it settles every filter
+    /// ([`StoredFilter::settled`]), unless the replica streams.
     ///
     /// Returns `Ok(None)` without publishing when `only` names no stored
     /// filter.
@@ -960,7 +959,6 @@ impl FilterReplica {
             let mut actions: Vec<SyncAction> = Vec::new();
             for out in outcomes {
                 total.absorb(&out.traffic);
-                settles &= !out.redelivered;
                 actions.extend(out.actions);
                 let reason = match out.status {
                     ShardStatus::Stale => "unreachable",
@@ -2015,7 +2013,7 @@ mod tests {
 
     /// A transport over a real master that fails the next `outage` calls;
     /// `drop_responses` instead lets the master process the request and
-    /// loses the answer on the way back (the replay-buffer case).
+    /// loses the answer on the way back (the retried-cookie case).
     struct FlakyMaster {
         master: SyncMaster,
         outage: u32,
@@ -2542,7 +2540,7 @@ mod proptests {
             .map(|(i, s)| SyncAction::Add(build_entry(i, s)))
             .collect();
         let mut work = ContentSnapshot::empty();
-        let mut table = DnTable::new();
+        let mut table = DnTable::default();
         let mut sf = StoredFilter {
             prepared: Arc::new(PreparedQuery::new(SearchRequest::from_root(Filter::match_all()))),
             ids: Arc::default(),
@@ -3079,9 +3077,11 @@ mod proptests {
         Ok(())
     }
 
-    /// A cycle that applies a redelivered batch settles nothing: the batch
-    /// leaves its filter at the state the lost answer was built from.
-    /// Both shapes, with the department filter (0) under the prefix (1):
+    /// A cycle that applies a retried answer may settle, because the
+    /// master builds the retry from its live DIT. A verbatim copy of the
+    /// lost answer would leave its filter at the state that answer was
+    /// built from, settled, in both of these shapes, with the department
+    /// filter (0) under the prefix (1):
     /// the department's empty answer is lost and q0 then leaves it, or
     /// the prefix's answer moving q0 to 2407 is lost and q0 then joins
     /// the department — the next full cycle stores the prefix's older

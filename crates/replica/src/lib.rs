@@ -40,6 +40,7 @@
 
 mod filter_replica;
 mod index;
+mod intern;
 mod persistent;
 mod stats;
 mod subtree;

@@ -1,7 +1,8 @@
 //! The replica-side sync driver: bounded retries with exponential backoff
 //! and deterministic jitter over any [`SyncTransport`].
 //!
-//! The master-side replay buffer (see `SyncMaster`) makes retrying safe;
+//! The master's answer to a retried cookie (see `SyncMaster`) makes
+//! retrying safe;
 //! this module makes it *automatic*. A [`SyncDriver`] wraps one logical
 //! resync exchange in a retry loop governed by a [`RetryConfig`]: a
 //! transient [`SyncError::Unavailable`] is retried after a backoff sleep,
@@ -236,8 +237,8 @@ pub struct DriverStats {
     /// Retries after a transient failure.
     pub retries: u64,
     /// Exchanges that succeeded only after at least one retry — each one
-    /// is a response the master served from its replay buffer or a
-    /// request that finally got through.
+    /// is a lost response the master answered again or a request that
+    /// finally got through.
     pub recovered: u64,
     /// Exchanges abandoned after exhausting the retry/timeout budget.
     pub exhausted: u64,
@@ -273,8 +274,7 @@ fn answered(
     resp: SyncResponse,
 ) -> (ShardOutcome, Option<Cookie>) {
     let traffic = resp.traffic();
-    let redelivered = resp.redelivered;
-    (ShardOutcome { shard, status, traffic, actions: resp.actions, redelivered }, resp.cookie)
+    (ShardOutcome { shard, status, traffic, actions: resp.actions }, resp.cookie)
 }
 
 /// Retrying wrapper around a [`SyncTransport`].
@@ -516,7 +516,6 @@ impl<C: Clock> SyncDriver<C> {
                 actions: Vec::new(),
                 status,
                 traffic: SyncTraffic::default(),
-                redelivered: false,
             },
         }
     }
@@ -547,7 +546,6 @@ impl<C: Clock> SyncDriver<C> {
                     status: ShardStatus::Reconciled,
                     traffic: outcome.traffic(),
                     actions: outcome.actions,
-                    redelivered: false,
                 };
                 return Ok((out, Some(outcome.cookie)));
             }
@@ -690,7 +688,7 @@ mod tests {
                 self.failures_left -= 1;
                 return Err(SyncError::Unavailable("scripted".into()));
             }
-            Ok(SyncResponse { actions: Vec::new(), cookie: Some(Cookie::new(1, 1)), redelivered: false })
+            Ok(SyncResponse { actions: Vec::new(), cookie: Some(Cookie::new(1, 1)) })
         }
 
         fn take_receiver_at(&mut self, _: ShardId, _: Cookie) -> Option<Receiver<NotifyBatch>> {

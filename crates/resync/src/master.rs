@@ -51,13 +51,15 @@ struct Session {
     /// Sequence number of the last response issued on this session (the
     /// low 32 bits of the cookie the replica holds).
     seq: u32,
-    /// The last response's actions, kept until the next request
-    /// acknowledges them by echoing the issued cookie. A request carrying
-    /// the *previous* cookie means the response was lost in transit; the
-    /// batch is re-delivered verbatim. Persisted, so at-least-once
-    /// delivery survives a master crash/restart.
-    pending: Option<Vec<SyncAction>>,
-    /// Master op-count when `pending` was built, for replay expiry.
+    /// The DNs the last response named, kept until the next request
+    /// acknowledges it by echoing the issued cookie. A request carrying
+    /// the *previous* cookie means the response was lost in transit: these
+    /// DNs and the history's are sent again at their live state
+    /// ([`Session::resend`]). Persisted, so at-least-once delivery
+    /// survives a master crash/restart.
+    unacked: History,
+    /// Master op-count when the last response was built: what an echo of
+    /// its cookie acknowledges.
     pending_at: u64,
     /// The reconciliation digest round awaiting its (optional) range
     /// round. Cleared by the first ordinary poll on the session.
@@ -103,21 +105,21 @@ pub struct MasterFootprint {
     /// Session history bytes: each recorded DN (normalized forms plus
     /// per-RDN overhead) plus a per-item slot.
     pub history_bytes: usize,
-    /// Unacknowledged replay-buffer bytes (pending batches).
-    pub replay_bytes: usize,
+    /// The DNs of responses not yet acknowledged, priced the same way.
+    pub unacked_bytes: usize,
 }
 
 impl MasterFootprint {
     /// Total accounted bytes.
     pub fn total_bytes(&self) -> usize {
-        self.history_bytes + self.replay_bytes
+        self.history_bytes + self.unacked_bytes
     }
 
     /// Accumulates another footprint (per-shard sums).
     pub fn merge(&mut self, other: MasterFootprint) {
         self.sessions += other.sessions;
         self.history_bytes += other.history_bytes;
-        self.replay_bytes += other.replay_bytes;
+        self.unacked_bytes += other.unacked_bytes;
     }
 }
 
@@ -232,11 +234,7 @@ pub struct SyncMaster {
     /// channel and an empty queue.
     #[serde(skip)]
     queued: BTreeSet<u32>,
-    /// `Some(n)`: a pending batch is replayable for at most `n` applied
-    /// updates; after that a retry gets [`SyncError::ReplayExpired`] and
-    /// must reinstall. `None`: batches are held until acknowledged.
-    replay_expiry_ops: Option<u64>,
-    /// How many responses were re-delivered from the replay buffer.
+    /// How many retries of a previous cookie were answered.
     redeliveries: u64,
     /// Persist-mode notification flush policy.
     #[serde(default)]
@@ -272,7 +270,8 @@ pub struct SyncMaster {
 impl<'de> Deserialize<'de> for SyncMaster {
     /// Loads a master and derives what it does not persist: the routing
     /// index. A session written before sessions kept their history is read
-    /// from its id ledgers over the snapshot's DN table.
+    /// from its id ledgers over the snapshot's DN table, and one written
+    /// with a verbatim replay batch has that batch's DNs unacknowledged.
     ///
     /// # Errors
     ///
@@ -290,7 +289,6 @@ impl<'de> Deserialize<'de> for SyncMaster {
             ops_applied: u64,
             #[serde(default)]
             table: WireTable,
-            replay_expiry_ops: Option<u64>,
             redeliveries: u64,
             #[serde(default)]
             notify_policy: NotifyPolicy,
@@ -342,7 +340,6 @@ impl<'de> Deserialize<'de> for SyncMaster {
             next_session: w.next_session,
             ops_applied: w.ops_applied,
             routing,
-            replay_expiry_ops: w.replay_expiry_ops,
             redeliveries: w.redeliveries,
             notify_policy: w.notify_policy,
             now_ms: w.now_ms,
@@ -357,7 +354,9 @@ impl<'de> Deserialize<'de> for SyncMaster {
 /// A persisted [`Session`]. A snapshot written before sessions kept their
 /// history has none: it has the replica's content as of the last delivery
 /// (`sent`), the live content (`current`) and what changed since
-/// (`touched`), as ascending ids over the master's DN table.
+/// (`touched`), as ascending ids over the master's DN table. One written
+/// before a retry was built from the live DIT has the last response's
+/// actions (`pending`) instead of its DNs.
 #[derive(Deserialize)]
 struct WireSession {
     request: SearchRequest,
@@ -373,6 +372,9 @@ struct WireSession {
     #[serde(default)]
     stable_at: u64,
     seq: u32,
+    #[serde(default)]
+    unacked: History,
+    #[serde(default)]
     pending: Option<Vec<SyncAction>>,
     pending_at: u64,
     #[serde(default)]
@@ -382,7 +384,8 @@ struct WireSession {
 impl WireSession {
     /// The session, with an older snapshot's ledgers read into its
     /// history: a touched id is added, modified or gone as it stands in
-    /// `(current, sent)`.
+    /// `(current, sent)`; and its replay batch into `unacked`, each DN by
+    /// its action's kind.
     fn into_session(self, slots: &[Option<Dn>]) -> Result<Session, String> {
         let ledgers = [("sent", &self.sent), ("current", &self.current), ("touched", &self.touched)];
         for (name, list) in ledgers {
@@ -403,6 +406,15 @@ impl WireSession {
             };
             set.insert(slot(slots, id)?.clone());
         }
+        let mut unacked = self.unacked;
+        for a in self.pending.iter().flatten() {
+            let set = match a {
+                SyncAction::Add(_) => &mut unacked.added,
+                SyncAction::Modify(_) => &mut unacked.modified,
+                SyncAction::Delete(_) | SyncAction::Retain(_) => &mut unacked.gone,
+            };
+            set.insert(a.dn().clone());
+        }
         Ok(Session {
             request: self.request,
             history,
@@ -413,7 +425,7 @@ impl WireSession {
             last_active: self.last_active,
             stable_at: self.stable_at,
             seq: self.seq,
-            pending: self.pending,
+            unacked,
             pending_at: self.pending_at,
             reconcile: self.reconcile,
         })
@@ -469,7 +481,7 @@ impl SyncMaster {
         self.ops_applied
     }
 
-    /// How many responses were served from the replay buffer (a lost or
+    /// How many retries of a previous cookie were answered (a lost or
     /// duplicated delivery was recovered).
     pub fn redeliveries(&self) -> u64 {
         self.redeliveries
@@ -599,13 +611,6 @@ impl SyncMaster {
     /// The observability handle this master records through.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Bounds the replay buffer: a pending batch older than `ops` applied
-    /// updates is dropped, and a retry for it fails with
-    /// [`SyncError::ReplayExpired`] (→ full reinstall at the replica).
-    pub fn set_replay_expiry_ops(&mut self, ops: u64) {
-        self.replay_expiry_ops = Some(ops);
     }
 
     // ------------------------------------------------------------------
@@ -778,12 +783,13 @@ impl SyncMaster {
     /// # At-least-once delivery
     ///
     /// Each response carries a cookie whose sequence number acknowledges
-    /// delivery when echoed in the next request. Until then the batch is
-    /// kept in a per-session replay buffer: a request carrying the
+    /// delivery when echoed in the next request. Until then the session
+    /// keeps the DNs the response named: a request carrying the
     /// *previous* cookie (the response was lost, or the request was
-    /// delivered twice) gets the same batch again, verbatim, under the
-    /// same cookie. The buffer is bounded by
-    /// [`SyncMaster::set_replay_expiry_ops`].
+    /// delivered twice) gets those DNs and the history's again, each at
+    /// its live state, under the same cookie. A first delivery keeps
+    /// nothing: no cookie before it exists, so a lost one is retried with
+    /// no cookie and opens a new session.
     ///
     /// # Errors
     ///
@@ -791,7 +797,7 @@ impl SyncMaster {
     /// [`SyncError::MissingCookie`] for `sync_end` without a cookie,
     /// [`SyncError::RequestMismatch`] when a resumed session was created
     /// for a different search request, and [`SyncError::ReplayExpired`]
-    /// when a lost batch can no longer be replayed.
+    /// for a cookie two or more responses behind.
     pub fn resync(&mut self, request: &SearchRequest, ctl: ReSyncControl) -> Result<SyncResponse, SyncError> {
         if self.obs.is_active() {
             self.obs.registry().counter("fbdr_resync_requests_total").inc();
@@ -815,7 +821,7 @@ impl SyncMaster {
                     return Err(SyncError::UnknownCookie(cookie));
                 }
                 self.note_session_count();
-                return Ok(SyncResponse { actions: Vec::new(), cookie: None, redelivered: false });
+                return Ok(SyncResponse { actions: Vec::new(), cookie: None });
             }
             SyncMode::Poll | SyncMode::Persist => {}
         }
@@ -825,7 +831,6 @@ impl SyncMaster {
             Some(c) => c.session(),
         };
         let ops_applied = self.ops_applied;
-        let expiry = self.replay_expiry_ops;
         let session = self
             .sessions
             .get_mut(&sid)
@@ -847,36 +852,24 @@ impl SyncMaster {
             session.notify = Some(tx);
             session.parked_receiver = Some(rx);
         }
-        let mut redelivery = None;
         let mut acked = false;
+        let mut retry = false;
         if let Some(c) = resumed {
             if c.seq() == session.seq {
-                // The last issued batch is acknowledged as delivered:
+                // The last response is acknowledged as delivered:
                 // everything built at or before `pending_at` is stable on
                 // this session, which advances the stability watermark.
-                session.pending = None;
+                session.unacked = History::default();
                 session.stable_at = session.stable_at.max(session.pending_at);
                 acked = true;
             } else if session.seq > 0 && c.seq() == session.seq - 1 {
                 // Retried request: the previous response never arrived
                 // (or this request was delivered twice).
-                let expired = expiry
-                    .is_some_and(|limit| ops_applied.saturating_sub(session.pending_at) > limit);
-                match (&session.pending, expired) {
-                    (Some(batch), false) => redelivery = Some(batch.clone()),
-                    _ => {
-                        let oldest_retained = session.pending_at;
-                        self.note_expiry(c, "pending batch past replay window");
-                        return Err(SyncError::ReplayExpired {
-                            cookie: c,
-                            oldest_retained,
-                            ops_applied,
-                        });
-                    }
-                }
+                session.history = session.resend(&self.dit);
+                retry = true;
             } else {
                 // A cookie from an older exchange: the replica's view is
-                // more than one batch behind and cannot be repaired
+                // more than one response behind and cannot be repaired
                 // incrementally.
                 let oldest_retained = session.pending_at;
                 self.note_expiry(c, "cookie more than one batch behind");
@@ -887,41 +880,37 @@ impl SyncMaster {
                 });
             }
         }
-        if let Some(actions) = redelivery {
-            let seq = self.sessions[&sid].seq;
-            let cookie = Cookie::new(sid, seq);
-            self.redeliveries += 1;
-            if self.obs.is_active() {
-                self.obs.registry().counter("fbdr_resync_redeliveries_total").inc();
-            }
-            let resp = SyncResponse { actions, cookie: Some(cookie), redelivered: true };
-            event!(
-                self.obs,
-                "resync",
-                "redelivery",
-                seq = seq,
-                actions = resp.actions.len(),
-            );
-            return Ok(resp);
-        }
-        // A poll builds and starts the history over: delivery is the replay
-        // buffer's job. A fresh session's first delivery is the content.
+        // A fresh session's first delivery is the content. Otherwise the
+        // history is sent, its DNs wait for the echo as `unacked`, and it
+        // starts over.
         let actions = match resumed {
             None => content(&self.dit, request)
                 .into_iter()
                 .map(|e| SyncAction::Add(e.clone()))
                 .collect(),
-            Some(_) => session.history.build(&self.dit),
+            Some(_) => {
+                let actions = session.history.build(&self.dit);
+                session.unacked = std::mem::take(&mut session.history);
+                actions
+            }
         };
-        session.history = History::default();
-        session.seq = session.seq.wrapping_add(1);
-        session.pending = Some(actions.clone());
+        if !retry {
+            session.seq = session.seq.wrapping_add(1);
+        }
         session.pending_at = ops_applied;
         let cookie = Cookie::new(sid, session.seq);
+        let resp = SyncResponse { actions, cookie: Some(cookie) };
+        if retry {
+            self.redeliveries += 1;
+            if self.obs.is_active() {
+                self.obs.registry().counter("fbdr_resync_redeliveries_total").inc();
+            }
+            event!(self.obs, "resync", "redelivery", seq = cookie.seq(), actions = resp.actions.len());
+            return Ok(resp);
+        }
         if acked && self.obs.is_active() {
             self.obs.registry().gauge("fbdr_resync_stability_lag").set(self.stability_lag() as i64);
         }
-        let resp = SyncResponse { actions, cookie: Some(cookie), redelivered: false };
         if self.obs.tracing_enabled() {
             let counts = resp.action_counts();
             event!(
@@ -938,7 +927,7 @@ impl SyncMaster {
         Ok(resp)
     }
 
-    /// Records a replay-window expiry: the counter plus a `resync.expiry`
+    /// Records an expired cookie: the counter plus a `resync.expiry`
     /// trace event carrying the offending cookie's sequence number.
     fn note_expiry(&self, cookie: Cookie, reason: &'static str) {
         if self.obs.is_active() {
@@ -1012,7 +1001,6 @@ impl SyncMaster {
         // so the session's history starts empty.
         let session = self.sessions.get_mut(&sid).expect("just created");
         session.seq = 1;
-        session.pending = None;
         session.reconcile = Some(ReconcileRound { shift: summary.shift() });
         let cookie = Cookie::new(sid, 1);
         event!(
@@ -1194,13 +1182,8 @@ impl SyncMaster {
     pub fn memory_footprint(&self) -> MasterFootprint {
         let mut f = MasterFootprint { sessions: self.sessions.len(), ..MasterFootprint::default() };
         for s in self.sessions.values() {
-            let h = &s.history;
-            let dns = h.added.iter().chain(&h.modified).chain(&h.gone);
-            f.history_bytes += dns.map(|dn| dn_approx_bytes(dn) + 32).sum::<usize>();
-            if let Some(pending) = &s.pending {
-                f.replay_bytes +=
-                    32 + pending.iter().map(SyncAction::estimated_size).sum::<usize>();
-            }
+            f.history_bytes += s.history.bytes();
+            f.unacked_bytes += s.unacked.bytes();
         }
         f
     }
@@ -1249,7 +1232,7 @@ impl SyncMaster {
                 // for anything older than its own birth.
                 stable_at: self.ops_applied,
                 seq: 0,
-                pending: None,
+                unacked: History::default(),
                 pending_at: self.ops_applied,
                 reconcile: None,
             },
@@ -1298,6 +1281,17 @@ impl History {
         true
     }
 
+    /// Every DN recorded, set by set.
+    fn dns(&self) -> impl Iterator<Item = &Dn> {
+        self.added.iter().chain(&self.modified).chain(&self.gone)
+    }
+
+    /// The footprint's price of the recorded DNs: each one's
+    /// [`dn_approx_bytes`] plus a 32-byte slot.
+    fn bytes(&self) -> usize {
+        self.dns().map(|dn| dn_approx_bytes(dn) + 32).sum()
+    }
+
     /// The batch the history stands for: deletes, then adds, then
     /// modifies, each in DN order, the entries read off the store.
     fn build<'a>(&'a self, dit: &'a DitStore) -> Vec<SyncAction> {
@@ -1310,6 +1304,31 @@ impl History {
 }
 
 impl Session {
+    /// What a retry of the previous cookie sends: every DN in `unacked`
+    /// or the history, at its live state — in the content, an `Add`, or a
+    /// `Modify` when the replica held it before the lost response (the
+    /// first record naming the DN says); out of it, a `Delete`. Read off
+    /// the live DIT and not composed from the two records, because a
+    /// flush since the lost response may have pushed changes neither
+    /// holds.
+    fn resend(&self, dit: &DitStore) -> History {
+        let mut out = History::default();
+        for was in [&self.unacked, &self.history] {
+            for dn in was.dns() {
+                if out.added.contains(dn) || out.modified.contains(dn) || out.gone.contains(dn) {
+                    continue;
+                }
+                let set = match dit.get(dn).filter(|e| self.request.matches(e)) {
+                    None => &mut out.gone,
+                    Some(_) if was.added.contains(dn) => &mut out.added,
+                    Some(_) => &mut out.modified,
+                };
+                set.insert(dn.clone());
+            }
+        }
+        out
+    }
+
     /// True while a client holds the other end of the persist channel: the
     /// receiver was taken and is still connected. A receiver still parked
     /// is nobody's — the response that named it may never have arrived —
@@ -1672,6 +1691,12 @@ mod tests {
         for gone in ["changelog", "tombstones", "stash", r#""gc""#, "last_active_ms"] {
             assert!(!again.contains(gone), "{gone}: {again}");
         }
+        // A retry of the cookie before the replay batch re-sends its `a`
+        // with the history's `c`, both as they are now.
+        let mut retry: SyncMaster = serde_json::from_str(old).unwrap();
+        let resp = retry.resync(&dept7(), ReSyncControl::poll(Some(Cookie::new(1, 0)))).unwrap();
+        let live = |cn: &str| SyncAction::Add(m.dit().get(&dn(&format!("cn={cn},o=xyz"))).unwrap().clone());
+        assert_eq!((resp.actions, resp.cookie), (vec![live("a"), live("c")], Some(Cookie::new(1, 1))));
         // The session resumes where it stood: `c` was added after its poll.
         let resp = m.resync(&dept7(), ReSyncControl::poll(Some(Cookie::new(1, 1)))).unwrap();
         assert_eq!(resp.actions, vec![SyncAction::Add(Entry::new(dn("cn=c,o=xyz")).with("cn", "c").with("dept", "7"))]);
@@ -1893,35 +1918,10 @@ mod tests {
         // The same request is delivered twice (a retransmitting network).
         let first = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap();
         let second = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap();
-        // Byte-for-byte the same batch — only the redelivery marker differs.
+        // Nothing changed in between: byte-for-byte the same batch.
         assert_eq!(first.actions, second.actions);
         assert_eq!(first.cookie, second.cookie);
-        assert!(!first.redelivered);
-        assert!(second.redelivered);
         assert_eq!(m.redeliveries(), 1);
-    }
-
-    #[test]
-    fn replay_expires_after_configured_ops() {
-        let mut m = master_with(vec![person("a", "7")]);
-        m.set_replay_expiry_ops(0);
-        let req = dept7();
-        let c0 = m.resync(&req, ReSyncControl::poll(None)).unwrap().cookie.unwrap();
-        m.apply(UpdateOp::Delete(dn("cn=a,o=xyz"))).unwrap();
-        let lost = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap();
-        assert_eq!(lost.actions.len(), 1);
-        // More updates land before the retry; the buffer has expired. The
-        // error reports how far behind the replica is (1 update landed
-        // after the lost batch was built).
-        m.apply(UpdateOp::Add(person("b", "7"))).unwrap();
-        let err = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap_err();
-        assert_eq!(
-            err,
-            SyncError::ReplayExpired { cookie: c0, oldest_retained: 1, ops_applied: 2 }
-        );
-        // The session itself stays alive: the *current* cookie still works.
-        let resp = m.resync(&req, ReSyncControl::poll(lost.cookie)).unwrap();
-        assert_eq!(resp.actions.len(), 1);
     }
 
     #[test]
@@ -1930,12 +1930,16 @@ mod tests {
         let req = dept7();
         let c0 = m.resync(&req, ReSyncControl::poll(None)).unwrap().cookie.unwrap();
         let c1 = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap().cookie.unwrap();
-        let _c2 = m.resync(&req, ReSyncControl::poll(Some(c1))).unwrap().cookie.unwrap();
+        let c2 = m.resync(&req, ReSyncControl::poll(Some(c1))).unwrap().cookie.unwrap();
         // c0 is now two exchanges behind — not replayable.
         assert!(matches!(
             m.resync(&req, ReSyncControl::poll(Some(c0))),
             Err(SyncError::ReplayExpired { cookie, .. }) if cookie == c0
         ));
+        // The session itself stays alive: the *current* cookie still works.
+        m.apply(UpdateOp::Add(person("b", "7"))).unwrap();
+        let resp = m.resync(&req, ReSyncControl::poll(Some(c2))).unwrap();
+        assert_eq!(resp.actions.len(), 1);
     }
 
     #[test]
@@ -2493,6 +2497,23 @@ mod tests {
         let _c2 = m.resync(&req, ReSyncControl::poll(Some(c1))).unwrap().cookie.unwrap();
         assert_eq!(m.stability_watermark(), Some(4));
         assert_eq!(m.stability_lag(), 0);
+    }
+
+    /// A poll's DNs wait for the echo, priced as the history's are; a
+    /// fresh install keeps none, and the echo drops them.
+    #[test]
+    fn unacked_bytes_are_the_delivered_dns_until_the_echo() {
+        let mut m = master_with(vec![person("a", "7"), person("b", "7")]);
+        let req = dept7();
+        let c0 = m.resync(&req, ReSyncControl::poll(None)).unwrap().cookie.unwrap();
+        assert_eq!(m.memory_footprint().unacked_bytes, 0, "a first delivery keeps nothing");
+        m.apply(UpdateOp::Delete(dn("cn=a,o=xyz"))).unwrap();
+        m.apply(UpdateOp::Add(person("c", "7"))).unwrap();
+        let c1 = m.resync(&req, ReSyncControl::poll(Some(c0))).unwrap().cookie.unwrap();
+        let priced = [dn("cn=a,o=xyz"), dn("cn=c,o=xyz")].iter().map(|d| dn_approx_bytes(d) + 32).sum();
+        assert_eq!((m.memory_footprint().unacked_bytes, m.memory_footprint().history_bytes), (priced, 0));
+        m.resync(&req, ReSyncControl::poll(Some(c1))).unwrap();
+        assert_eq!(m.memory_footprint().unacked_bytes, 0, "the echo acknowledges them");
     }
 
     #[test]

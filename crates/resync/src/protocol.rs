@@ -13,8 +13,8 @@ use std::fmt;
 /// The sequence number makes the protocol at-least-once safe: every
 /// response carries a fresh sequence, and the next request echoing it
 /// acknowledges delivery. A request echoing the *previous* sequence tells
-/// the master the last response was lost, and the master re-delivers it
-/// verbatim (see `SyncMaster`).
+/// the master the last response was lost, and the master sends what it
+/// named again, at its live state (see `SyncMaster`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Cookie(pub u64);
 
@@ -171,19 +171,12 @@ pub struct SyncResponse {
     pub actions: Vec<SyncAction>,
     /// Resumption cookie (`None` after `sync_end`).
     pub cookie: Option<Cookie>,
-    /// True when this response is a verbatim replay of an earlier one
-    /// whose delivery was never acknowledged.
-    pub redelivered: bool,
 }
 
 impl SyncResponse {
     /// Aggregated traffic cost of this response.
     pub fn traffic(&self) -> SyncTraffic {
-        let mut t = SyncTraffic::of(&self.actions);
-        if self.redelivered {
-            t.redelivered_pdus = t.pdus();
-        }
-        t
+        SyncTraffic::of(&self.actions)
     }
 
     /// Per-kind tally of this response's entry actions — what the
@@ -226,9 +219,6 @@ pub struct SyncTraffic {
     pub dn_only: u64,
     /// Estimated bytes across all PDUs.
     pub bytes: u64,
-    /// PDUs that were retransmissions of a lost response (already counted
-    /// in the totals above) — the at-least-once overhead.
-    pub redelivered_pdus: u64,
 }
 
 impl SyncTraffic {
@@ -256,7 +246,6 @@ impl SyncTraffic {
         self.full_entries += other.full_entries;
         self.dn_only += other.dn_only;
         self.bytes += other.bytes;
-        self.redelivered_pdus += other.redelivered_pdus;
     }
 
     /// Total PDU count.
@@ -293,8 +282,8 @@ pub enum SyncError {
     /// untouched — the caller may continue using it with the original
     /// request, or `abandon` it.
     RequestMismatch(Cookie),
-    /// The master can no longer replay the batch the cookie refers to
-    /// (the replay buffer expired or the cookie is from an older exchange).
+    /// The cookie is two or more responses behind the session's: the
+    /// master cannot repair the replica's view incrementally.
     /// The replica must re-establish the session — by reconciliation, or
     /// by full reload when reconciliation fails.
     ///
@@ -307,7 +296,7 @@ pub enum SyncError {
         /// The cookie the caller sent (exactly as sent).
         cookie: Cookie,
         /// Master op-count at which the session's retained history begins
-        /// (when the unacknowledged batch was built).
+        /// (when the last response was built).
         oldest_retained: u64,
         /// Master op-count when the request was rejected.
         ops_applied: u64,
@@ -437,17 +426,12 @@ mod tests {
                 SyncAction::Retain(e.dn().clone()),
             ],
             cookie: Some(Cookie(1)),
-            redelivered: false,
         };
         let t = resp.traffic();
         assert_eq!(t.full_entries, 2);
         assert_eq!(t.dn_only, 2);
         assert_eq!(t.pdus(), 4);
         assert!(t.bytes > 0);
-        assert_eq!(t.redelivered_pdus, 0);
-
-        let replayed = SyncResponse { redelivered: true, ..resp };
-        assert_eq!(replayed.traffic().redelivered_pdus, 4);
     }
 
     #[test]

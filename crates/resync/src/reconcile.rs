@@ -1,7 +1,7 @@
 //! Reconciliation-based session recovery: divergence-proportional resync.
 //!
 //! When a ReSync session proves unrecoverable (`needs_reinstall()` — an
-//! expired cookie or a replay window overrun), the PR-1 recovery ladder
+//! expired cookie or one two responses behind), the PR-1 recovery ladder
 //! bottomed out in a **full reinstall**: re-evaluate the filter at the
 //! master and re-ship every matching entry, a cost proportional to
 //! *content size*. This module replaces that rung with a set
@@ -421,7 +421,6 @@ impl ReconcileOutcome {
             full_entries: self.cost.shipped_entries,
             dn_only: self.cost.deletes,
             bytes: self.cost.stats.bytes_total(),
-            redelivered_pdus: 0,
         }
     }
 }

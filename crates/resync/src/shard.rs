@@ -3,8 +3,8 @@
 //!
 //! A [`ShardedMaster`] owns one `SyncMaster` per shard of a
 //! [`ShardMap`]; updates route to the shard owning the target DN, so
-//! each shard maintains its own `RoutingIndex`, session histories and
-//! replay buffers over just its slice of the DIT. Because the shard
+//! each shard maintains its own `RoutingIndex` and session histories
+//! over just its slice of the DIT. Because the shard
 //! map partitions by subtree suffix and each shard's store holds only
 //! its own slice, a search region that spans shards is answered by
 //! evaluating per-shard sub-requests and concatenating — the union is
@@ -358,14 +358,6 @@ impl ShardedMaster {
         out
     }
 
-    /// Bounds every shard's replay buffer (see
-    /// [`SyncMaster::set_replay_expiry_ops`]).
-    pub fn set_replay_expiry_ops(&mut self, ops: u64) {
-        for shard in &mut self.shards {
-            shard.set_replay_expiry_ops(ops);
-        }
-    }
-
     /// Summed deterministic byte accounting across all shards (see
     /// [`SyncMaster::memory_footprint`]).
     pub fn memory_footprint(&self) -> MasterFootprint {
@@ -463,10 +455,6 @@ pub struct ShardOutcome {
     pub status: ShardStatus,
     /// Traffic cost of the exchange(s) for this shard.
     pub traffic: SyncTraffic,
-    /// True when the master answered with a batch it built for an
-    /// earlier request whose answer was lost: the actions bring the slice
-    /// up to the master as it stood then, not as it stands now.
-    pub redelivered: bool,
 }
 
 /// What [`ShardCoordinator::install`] brings back: the initial content
@@ -686,7 +674,7 @@ mod tests {
     /// One empty shard master, as it serializes.
     const EMPTY_SHARD: &str = concat!(
         r#"{"dit":{"entries":[],"suffixes":[],"csn":0},"sessions":{},"next_session":0,"#,
-        r#""ops_applied":0,"replay_expiry_ops":null,"#,
+        r#""ops_applied":0,"#,
         r#""redeliveries":0,"notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"#,
         r#""max_queue":18446744073709551615},"#,
         r#""now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,

@@ -1,7 +1,8 @@
 //! The history is the difference: after every step of a seeded stream of
-//! updates, renames, polls, flushes, session ends and reloads, a poll on a
-//! copy of the master brings each session's model replica — fed by every
-//! response and persist batch so far — to the session's content.
+//! updates, renames, polls (some of their responses lost), flushes,
+//! session ends and reloads, a poll on a copy of the master brings each
+//! session's model replica — fed by every response that arrived and every
+//! persist batch so far — to the session's content.
 //!
 //! The oracle is the store's own search: it shares no code with the
 //! history it checks, and the copy goes through the master's snapshot, so
@@ -37,6 +38,11 @@ enum Step {
         s: usize,
         dup: bool,
     },
+    /// Polls a session and loses the response: the model and the cookie
+    /// stay as they were, so the next poll retries the cookie.
+    Lost {
+        s: usize,
+    },
     /// Forces every coalesced persist queue out.
     Flush,
     Policy {
@@ -68,6 +74,7 @@ fn step(sessions: usize) -> impl Strategy<Value = Step> {
         4 => (id(), 0u8..3).prop_map(|(id, dept)| Step::SetDept { id, dept }),
         2 => (id(), id()).prop_map(|(id, new_id)| Step::Rename { id, new_id }),
         4 => (0..sessions, any::<bool>()).prop_map(|(s, dup)| Step::Poll { s, dup }),
+        2 => (0..sessions).prop_map(|s| Step::Lost { s }),
         2 => Just(Step::Flush),
         1 => any::<bool>().prop_map(|coalesce| Step::Policy { coalesce }),
         1 => (0..sessions).prop_map(|s| Step::SyncEnd { s }),
@@ -177,6 +184,11 @@ impl World {
                 // A session expired under it: the cookie is dead.
                 self.cookies[s] = first.ok().and_then(|r| r.cookie);
             }
+            Step::Lost { s } => {
+                if let Some(c) = self.cookies[s] {
+                    drop(m.resync(&request(s), ReSyncControl::poll(Some(c))));
+                }
+            }
             Step::Flush => drop(m.flush_notifications(true)),
             Step::Policy { coalesce } => m.set_notify_policy(if coalesce {
                 NotifyPolicy::coalescing(2, 5)
@@ -269,4 +281,33 @@ proptest! {
         }
         prop_assert_eq!(w.m.memory_footprint().history_bytes, 0);
     }
+}
+
+/// A retry after flushes pushed what the lost response's arrival did
+/// next: under a coalescing policy a persist session's poll carrying
+/// `Add` X is lost, X is modified (a flush pushes `Modify` X) and leaves
+/// (a flush pushes `Delete` X). The retry must not send X again: composed
+/// from the two records it would be the lost `Add`, which is why the
+/// master reads the retry off the live DIT.
+#[test]
+fn a_retry_after_a_flushed_departure_does_not_bring_it_back() {
+    let mut w = World::new(4);
+    let x = 7;
+    for step in [
+        Step::Start { s: 3, persist: true },
+        Step::Policy { coalesce: true },
+        Step::Add { id: x, dept: 0 },
+        Step::Lost { s: 3 },
+        Step::SetDept { id: x, dept: 1 },
+        Step::Flush,
+        Step::SetDept { id: x, dept: 2 },
+        Step::Flush,
+    ] {
+        w.run(&step);
+        a_poll_converges_every_session(&w).unwrap_or_else(|e| panic!("{step:?}: {e}"));
+    }
+    assert!(!w.models[3].iter().any(|e| e.dn() == &dn(x)), "the flushes delivered the departure");
+    let c = w.cookies[3].expect("session 3 is live");
+    let retry = w.m.resync(&request(3), ReSyncControl::poll(Some(c))).expect("the retry is answered");
+    assert_eq!(retry.actions, vec![fbdr_resync::SyncAction::Delete(dn(x))]);
 }

@@ -3,7 +3,7 @@
 //! A `FaultyLink` drops 30% of the master's responses in flight — the
 //! master's state still advances, so a fire-and-forget client would lose
 //! those batches forever. The retrying `SyncDriver` plus the master's
-//! cookie-replay buffer recover every one of them, and the whole run is
+//! answer to a retried cookie recover every one of them, and the whole run is
 //! deterministic: same seed, same faults, same recovery.
 //!
 //! Run with `cargo run --release --example fault_injection`.
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with("serialNumber", &format!("0456{i:02}")),
         ))?;
         // Retries + cookie replay recover every lost response: the master
-        // re-delivers the unacknowledged batch instead of dropping it.
+        // sends what the lost one named again, at its live state.
         replica.sync_with(&mut link, &mut driver)?;
     }
     let stats = driver.stats();

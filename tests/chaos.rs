@@ -120,13 +120,13 @@ fn chaos_run(seed: u64) -> RunReport {
     }
     let clock = SimClock::new();
     let mut master = build_master();
-    if seed % 3 == 0 {
-        // Aggressive replay expiry: a batch missed across a cycle
-        // boundary is gone and the filter must recover — by digest
-        // reconciliation normally, or by reinstall on the seeds whose
-        // link cannot reconcile (below).
-        master.set_replay_expiry_ops(0);
-    }
+    // Every third schedule loses a session that fell behind: after a
+    // cycle that ended stale, the next update is followed by an idle
+    // sweep that expires it, and the filter must recover — by digest
+    // reconciliation normally, or by reinstall on the seeds whose link
+    // cannot reconcile (below).
+    let expires = seed % 3 == 0;
+    let mut behind = false;
 
     let replica = FilterReplica::new(0);
     let persist = seed % 4 == 0;
@@ -196,8 +196,13 @@ fn chaos_run(seed: u64) -> RunReport {
             _ => {}
         }
         link.master_mut().apply(op).unwrap();
+        if behind {
+            link.master_mut().expire_idle(0);
+            behind = false;
+        }
         if step % cadence == 0 {
             sync(&mut link).expect("only non-transient errors may surface");
+            behind = expires && replica.stale_filter_count() > 0;
         }
     }
 
@@ -254,7 +259,7 @@ fn hundred_seeded_fault_schedules_converge() {
     // The suite must actually exercise the machinery it verifies —
     // every recovery path fires somewhere across the hundred schedules.
     assert!(total.faults_injected > 100, "faults were injected: {total:?}");
-    assert!(total.redeliveries > 0, "replay buffer was used: {total:?}");
+    assert!(total.redeliveries > 0, "lost responses were re-sent: {total:?}");
     assert!(total.recovered > 0, "driver retries recovered exchanges: {total:?}");
     assert!(total.exhausted > 0, "some exchanges exhausted their budget: {total:?}");
     assert!(total.reconciliations > 0, "expired sessions were reconciled: {total:?}");
@@ -369,7 +374,7 @@ fn trace_events_and_counters_agree_under_response_loss() {
 
     // Redeliveries: master bookkeeping == registry counter == trace events.
     let redeliveries = link.master().redeliveries();
-    assert!(redeliveries > 0, "the schedule must exercise the replay buffer");
+    assert!(redeliveries > 0, "the schedule must exercise retries of a lost response");
     let reg = obs.registry();
     assert_eq!(reg.counter("fbdr_resync_redeliveries_total").get(), redeliveries);
     assert_eq!(ring.count("resync", "redelivery") as u64, redeliveries);
@@ -393,17 +398,16 @@ fn trace_events_and_counters_agree_under_response_loss() {
     assert_eq!(reg.counter("fbdr_resync_requests_total").get() - requests_at_install, d.attempts);
 }
 
-/// A scripted replay-eviction schedule: with zero replay retention and no
-/// retries, every dropped response strands the replica one batch behind,
-/// the batch is evicted before the next poll, and the cookie comes back
-/// `ReplayExpired`. Every such loss must be repaired by the reconcile
-/// rung — the reinstall counter stays at zero, and no deletion carried by
-/// a lost batch survives in the replica.
+/// A scripted session-eviction schedule: with no retries, every dropped
+/// response strands the replica one batch behind, the session idles out
+/// before the next poll, and the cookie comes back unknown. Every such
+/// loss must be repaired by the reconcile rung — the reinstall counter
+/// stays at zero, and no deletion carried by a lost batch survives in the
+/// replica.
 #[test]
 fn replay_eviction_recovers_by_reconciliation_without_reinstall() {
     let clock = SimClock::new();
     let mut master = build_master();
-    master.set_replay_expiry_ops(0);
     let replica = FilterReplica::new(0);
     replica.install_filter(&mut master, filter_request()).unwrap();
 
@@ -435,6 +439,10 @@ fn replay_eviction_recovers_by_reconciliation_without_reinstall() {
             }
         };
         link.master_mut().apply(op).unwrap();
+        if replica.stale_filter_count() > 0 {
+            // The last cycle ended stale: its session idles out first.
+            link.master_mut().expire_idle(0);
+        }
         let _ = replica.sync_with(&mut link, &mut driver);
     }
     link.quiesce();
@@ -465,7 +473,7 @@ fn replay_eviction_recovers_by_reconciliation_without_reinstall() {
 /// Soak: ten times the suite's churn through a master, with a rolling
 /// window of *fresh* DNs (each added in-filter, then deleted a few steps
 /// later) so garbage would accumulate if anything kept it — departed
-/// posting lists, replay buffers, retired interner slots. Ids released by
+/// posting lists, unacknowledged DNs, retired interner slots. Ids released by
 /// their last holder must hold the deterministic memory footprint flat
 /// after warmup, and the usual convergence and zero-lost-deletion checks
 /// must still pass under the same faults.
