@@ -533,7 +533,7 @@ impl<C: Clock> SyncDriver<C> {
         lost: &SyncError,
         held: &dyn Fn() -> Vec<Entry>,
     ) -> Result<(ShardOutcome, Option<Cookie>), ShardStatus> {
-        if let (SyncError::ReplayExpired { .. }, Some(c)) = (lost, prior) {
+        if let (SyncError::ReplayExpired(_), Some(c)) = (lost, prior) {
             // The session still exists at the master; release it before
             // re-establishing.
             transport.abandon_at(shard, c);

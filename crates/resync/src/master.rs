@@ -14,14 +14,14 @@ use fbdr_dit::{ChangeRecord, DitError, DitStore, UpdateOp};
 use fbdr_ldap::{Dn, Entry, SearchRequest};
 use fbdr_obs::{event, Obs};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// Per-session state: the request, its **history** since the last
 /// delivery (the paper's alternative to changelogs and tombstones), and
 /// the delivery bookkeeping. The session keeps no copy of the content:
 /// its first delivery and both reconcile rounds read the content off the
 /// DIT.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct Session {
     request: SearchRequest,
     history: History,
@@ -87,8 +87,7 @@ struct History {
 
 /// A reconciliation in flight: the bucket shift of its digest round's
 /// range summary, all the range round needs besides the live content (see
-/// [`SyncMaster::reconcile_ranges`]). An older snapshot's frozen items
-/// load as nothing: fields are read by name and the rest ignored.
+/// [`SyncMaster::reconcile_ranges`]).
 #[derive(Debug, Serialize, Deserialize)]
 struct ReconcileRound {
     shift: u32,
@@ -177,12 +176,6 @@ impl NotifyPolicy {
             max_queue: max_batch.max(1).saturating_mul(64),
         }
     }
-
-    /// Overrides the backpressure bound.
-    pub fn with_max_queue(mut self, max_queue: u64) -> Self {
-        self.max_queue = max_queue.max(1);
-        self
-    }
 }
 
 impl Default for NotifyPolicy {
@@ -237,23 +230,18 @@ pub struct SyncMaster {
     /// How many retries of a previous cookie were answered.
     redeliveries: u64,
     /// Persist-mode notification flush policy.
-    #[serde(default)]
     notify_policy: NotifyPolicy,
     /// Master clock in milliseconds, advanced by [`SyncMaster::advance_to`]
     /// — the time base for coalescing delays and batch staleness stamps.
     /// A master never told the time runs everything at t=0, which only
     /// matters to coalescing policies with a delay knob.
-    #[serde(default)]
     now_ms: u64,
     /// Notification wakeups sent (batches on any persist channel).
-    #[serde(default)]
     notify_wakeups: u64,
     /// Raw updates those wakeups carried (`>= notify_wakeups`; the ratio
     /// is the amplification coalescing saves).
-    #[serde(default)]
     notify_updates: u64,
     /// Persist channels torn down by queue-bound backpressure.
-    #[serde(default)]
     notify_overflows: u64,
     /// Process-local observability; not persisted (a restored master
     /// starts with [`Obs::off`] and can be re-attached via
@@ -268,75 +256,43 @@ pub struct SyncMaster {
 }
 
 impl<'de> Deserialize<'de> for SyncMaster {
-    /// Loads a master and derives what it does not persist: the routing
-    /// index. A session written before sessions kept their history is read
-    /// from its id ledgers over the snapshot's DN table, and one written
-    /// with a verbatim replay batch has that batch's DNs unacknowledged.
+    /// Loads a master from the snapshot it writes and derives what it
+    /// does not persist: the routing index. Every field is required, so a
+    /// snapshot in any other format is refused, not translated.
     ///
     /// # Errors
     ///
-    /// A session id past `next_session`, or a `next_session` that leaves
-    /// no id to hand out; in an older snapshot, a ledger that is not
-    /// strictly ascending, a `touched` id outside `sent ∪ current`, a
-    /// ledger id that names no DN, or a DN two held ids name.
+    /// A missing field, a session id past `next_session`, or a
+    /// `next_session` that leaves no id to hand out.
     fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
         use serde::de::Error as _;
         #[derive(Deserialize)]
         struct Wire {
             dit: DitStore,
-            sessions: HashMap<u32, WireSession>,
+            sessions: HashMap<u32, Session>,
             next_session: u32,
             ops_applied: u64,
-            #[serde(default)]
-            table: WireTable,
             redeliveries: u64,
-            #[serde(default)]
             notify_policy: NotifyPolicy,
-            #[serde(default)]
             now_ms: u64,
-            #[serde(default)]
             notify_wakeups: u64,
-            #[serde(default)]
             notify_updates: u64,
-            #[serde(default)]
             notify_overflows: u64,
-        }
-        #[derive(Default, Deserialize)]
-        struct WireTable {
-            slots: Vec<Option<Dn>>,
         }
         let w = Wire::deserialize(de)?;
         if w.next_session == u32::MAX {
             return Err(D::Error::custom("next_session leaves no session id"));
         }
-        // An older snapshot's ledger ids: each names a DN, no DN twice.
-        let slots = &w.table.slots;
-        let mut held: Vec<u32> =
-            w.sessions.values().flat_map(|s| s.sent.iter().chain(&s.current)).copied().collect();
-        held.sort_unstable();
-        held.dedup();
-        let mut named = HashSet::new();
-        for id in held {
-            let dn = slot(slots, id).map_err(D::Error::custom)?;
-            if !named.insert(dn) {
-                return Err(D::Error::custom(format!("{dn} is interned twice")));
-            }
-        }
         let mut routing = RoutingIndex::new();
-        let mut sessions = HashMap::with_capacity(w.sessions.len());
-        for (sid, s) in w.sessions {
+        for (&sid, s) in &w.sessions {
             if sid > w.next_session {
                 return Err(D::Error::custom(format!("session {sid} is past next_session")));
             }
-            let s = s
-                .into_session(slots)
-                .map_err(|e| D::Error::custom(format!("session {sid}: {e}")))?;
             routing.register(sid, &s.request);
-            sessions.insert(sid, s);
         }
         Ok(SyncMaster {
             dit: w.dit,
-            sessions,
+            sessions: w.sessions,
             next_session: w.next_session,
             ops_applied: w.ops_applied,
             routing,
@@ -349,95 +305,6 @@ impl<'de> Deserialize<'de> for SyncMaster {
             ..SyncMaster::default()
         })
     }
-}
-
-/// A persisted [`Session`]. A snapshot written before sessions kept their
-/// history has none: it has the replica's content as of the last delivery
-/// (`sent`), the live content (`current`) and what changed since
-/// (`touched`), as ascending ids over the master's DN table. One written
-/// before a retry was built from the live DIT has the last response's
-/// actions (`pending`) instead of its DNs.
-#[derive(Deserialize)]
-struct WireSession {
-    request: SearchRequest,
-    #[serde(default)]
-    history: History,
-    #[serde(default)]
-    sent: Vec<u32>,
-    #[serde(default)]
-    current: Vec<u32>,
-    #[serde(default)]
-    touched: Vec<u32>,
-    last_active: u64,
-    #[serde(default)]
-    stable_at: u64,
-    seq: u32,
-    #[serde(default)]
-    unacked: History,
-    #[serde(default)]
-    pending: Option<Vec<SyncAction>>,
-    pending_at: u64,
-    #[serde(default)]
-    reconcile: Option<ReconcileRound>,
-}
-
-impl WireSession {
-    /// The session, with an older snapshot's ledgers read into its
-    /// history: a touched id is added, modified or gone as it stands in
-    /// `(current, sent)`; and its replay batch into `unacked`, each DN by
-    /// its action's kind.
-    fn into_session(self, slots: &[Option<Dn>]) -> Result<Session, String> {
-        let ledgers = [("sent", &self.sent), ("current", &self.current), ("touched", &self.touched)];
-        for (name, list) in ledgers {
-            if list.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("`{name}` is not strictly ascending"));
-            }
-        }
-        let mut history = self.history;
-        for &id in &self.touched {
-            let now = self.current.binary_search(&id).is_ok();
-            let set = match (now, self.sent.binary_search(&id).is_ok()) {
-                (true, false) => &mut history.added,
-                (true, true) => &mut history.modified,
-                (false, true) => &mut history.gone,
-                (false, false) => {
-                    return Err(format!("touched id {id} is in neither `sent` nor `current`"))
-                }
-            };
-            set.insert(slot(slots, id)?.clone());
-        }
-        let mut unacked = self.unacked;
-        for a in self.pending.iter().flatten() {
-            let set = match a {
-                SyncAction::Add(_) => &mut unacked.added,
-                SyncAction::Modify(_) => &mut unacked.modified,
-                SyncAction::Delete(_) | SyncAction::Retain(_) => &mut unacked.gone,
-            };
-            set.insert(a.dn().clone());
-        }
-        Ok(Session {
-            request: self.request,
-            history,
-            notify: None,
-            parked_receiver: None,
-            dirty: 0,
-            dirty_since_ms: None,
-            last_active: self.last_active,
-            stable_at: self.stable_at,
-            seq: self.seq,
-            unacked,
-            pending_at: self.pending_at,
-            reconcile: self.reconcile,
-        })
-    }
-}
-
-/// The DN an older snapshot's table gives ledger id `id`.
-fn slot(slots: &[Option<Dn>], id: u32) -> Result<&Dn, String> {
-    slots
-        .get(id as usize)
-        .and_then(Option::as_ref)
-        .ok_or_else(|| format!("id {id} names no interned DN"))
 }
 
 #[derive(Debug, Clone)]
@@ -796,8 +663,10 @@ impl SyncMaster {
     /// [`SyncError::UnknownCookie`] for dead sessions,
     /// [`SyncError::MissingCookie`] for `sync_end` without a cookie,
     /// [`SyncError::RequestMismatch`] when a resumed session was created
-    /// for a different search request, and [`SyncError::ReplayExpired`]
-    /// for a cookie two or more responses behind.
+    /// for a different search request, [`SyncError::ReplayExpired`]
+    /// for a cookie two or more responses behind, and
+    /// [`SyncError::SessionsExhausted`] for a fresh session once every
+    /// session id has been handed out.
     pub fn resync(&mut self, request: &SearchRequest, ctl: ReSyncControl) -> Result<SyncResponse, SyncError> {
         if self.obs.is_active() {
             self.obs.registry().counter("fbdr_resync_requests_total").inc();
@@ -827,7 +696,7 @@ impl SyncMaster {
         }
         let resumed = ctl.cookie;
         let sid = match resumed {
-            None => self.start_session(request),
+            None => self.start_session(request)?,
             Some(c) => c.session(),
         };
         let ops_applied = self.ops_applied;
@@ -871,13 +740,8 @@ impl SyncMaster {
                 // A cookie from an older exchange: the replica's view is
                 // more than one response behind and cannot be repaired
                 // incrementally.
-                let oldest_retained = session.pending_at;
-                self.note_expiry(c, "cookie more than one batch behind");
-                return Err(SyncError::ReplayExpired {
-                    cookie: c,
-                    oldest_retained,
-                    ops_applied,
-                });
+                self.note_expiry(c, "cookie more than one response behind");
+                return Err(SyncError::ReplayExpired(c));
             }
         }
         // A fresh session's first delivery is the content. Otherwise the
@@ -977,7 +841,8 @@ impl SyncMaster {
     ///
     /// # Errors
     ///
-    /// Infallible today; returns `Result` for transport uniformity.
+    /// [`SyncError::SessionsExhausted`] once every session id has been
+    /// handed out.
     pub fn reconcile(
         &mut self,
         request: &SearchRequest,
@@ -986,7 +851,7 @@ impl SyncMaster {
         if self.obs.is_active() {
             self.obs.registry().counter("fbdr_resync_reconcile_requests_total").inc();
         }
-        let sid = self.start_session(request);
+        let sid = self.start_session(request)?;
         let mut hashes: Vec<u64> = Vec::new();
         let mut upserts: Vec<Entry> = Vec::new();
         for e in content(&self.dit, request) {
@@ -1214,8 +1079,9 @@ impl SyncMaster {
     /// Allocates a session and returns its id (the high half of every
     /// cookie issued on it; responses fill in the sequence number). Its
     /// history starts empty: the caller delivers the content itself.
-    fn start_session(&mut self, request: &SearchRequest) -> u32 {
-        self.next_session = self.next_session.checked_add(1).expect("session ids exhausted");
+    /// [`SyncError::SessionsExhausted`] once every id has been handed out.
+    fn start_session(&mut self, request: &SearchRequest) -> Result<u32, SyncError> {
+        self.next_session = self.next_session.checked_add(1).ok_or(SyncError::SessionsExhausted)?;
         let sid = self.next_session;
         self.routing.register(sid, request);
         self.sessions.insert(
@@ -1238,7 +1104,7 @@ impl SyncMaster {
             },
         );
         self.note_session_count();
-        sid
+        Ok(sid)
     }
 }
 
@@ -1656,123 +1522,21 @@ mod tests {
         assert_eq!(restored.dit().search_dns(&req).len(), 2);
     }
 
-    /// A master serialized before the log left the store (literal bytes,
-    /// taken from that code: one polled session with an add pending) still
-    /// loads and carries on; written back, neither history key is there.
+    /// The load reads the format the master writes and refuses any other.
+    /// Each row edits a sound snapshot, the master's own output with one
+    /// polled session, and names the refusal. The first two rows are the
+    /// formats an older master wrote: id ledgers over a DN table (literal
+    /// bytes, taken from that code), and a verbatim replay batch
+    /// (`pending`) in place of `unacked`.
     #[test]
-    fn a_snapshot_from_before_the_store_dropped_its_log_still_loads() {
-        let old = concat!(
-            r#"{"dit":{"entries":[{"dn":[{"attr":"o","value":"xyz"}],"attrs":{"objectclass":["organization"]}},{"dn":[{"attr":"cn","value":"a"},"#,
-            r#"{"attr":"o","value":"xyz"}],"attrs":{"cn":["a"],"dept":["7"],"mail":["a@x"]}},{"dn":[{"attr":"cn","value":"c"},"#,
-            r#"{"attr":"o","value":"xyz"}],"attrs":{"cn":["c"],"dept":["7"]}}],"suffixes":[[{"attr":"o","value":"xyz"}]],"csn":6,"changelog":[{"csn":1,"dn":[{"attr":"o","value":"xyz"}],"kind":"Add","changes":[["objectclass",["organization"]]],"new_dn":null},"#,
-            r#"{"csn":2,"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"kind":"Add","changes":[["cn",["a"]],["dept",["7"]]],"new_dn":null},"#,
-            r#"{"csn":3,"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"kind":"Add","changes":[["cn",["b"]],["dept",["7"]]],"new_dn":null},"#,
-            r#"{"csn":4,"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"kind":"Delete","changes":[],"new_dn":null},"#,
-            r#"{"csn":5,"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"kind":"Modify","changes":[["mail",["a@x"]]],"new_dn":null},"#,
-            r#"{"csn":6,"dn":[{"attr":"cn","value":"c"},"#,
-            r#"{"attr":"o","value":"xyz"}],"kind":"Add","changes":[["cn",["c"]],["dept",["7"]]],"new_dn":null}],"tombstones":[{"dn":[{"attr":"cn","value":"b"},"#,
-            r#"{"attr":"o","value":"xyz"}],"csn":4}]},"#,
-            r#""sessions":{"1":{"request":{"base":[{"attr":"o","value":"xyz"}],"scope":"Subtree","filter":{"Pred":{"attr":"dept","cmp":{"Eq":"7"}}},"attrs":"All"},"#,
-            r#""sent":[0],"current":[0,1],"touched":[1],"last_active":0,"last_active_ms":0,"stable_at":0,"seq":1,"pending":[{"Add":{"dn":[{"attr":"cn","value":"a"},"#,
-            r#"{"attr":"o","value":"xyz"}],"attrs":{"cn":["a"],"dept":["7"],"mail":["a@x"]}}}],"pending_at":0,"reconcile":null}},"#,
-            r#""next_session":1,"ops_applied":1,"table":{"slots":[[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],[{"attr":"cn","value":"c"},"#,
-            r#"{"attr":"o","value":"xyz"}]],"free":[]},"#,
-            r#""replay_expiry_ops":null,"redeliveries":0,"notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"max_queue":18446744073709551615},"#,
-            // The deadline's and the stash cap's keys are cut in two so
-            // CI's greps for the deleted names do not find them here.
-            r#""gc":{"session_"#,
-            r#"deadline_ms":null,"stash_"#,
-            r#"max_items":1048576,"every_ops":1024},"now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
-        );
-        assert!(old.contains(r#""changelog":["#) && old.contains(r#""tombstones":["#));
-        let mut m: SyncMaster = serde_json::from_str(old).expect("an old snapshot loads");
-        assert_eq!((m.session_count(), m.dit().len(), m.dit().csn()), (1, 3, fbdr_dit::Csn(6)));
-        let again = serde_json::to_string(&m).expect("serializes");
-        for gone in ["changelog", "tombstones", "stash", r#""gc""#, "last_active_ms"] {
-            assert!(!again.contains(gone), "{gone}: {again}");
-        }
-        // A retry of the cookie before the replay batch re-sends its `a`
-        // with the history's `c`, both as they are now.
-        let mut retry: SyncMaster = serde_json::from_str(old).unwrap();
-        let resp = retry.resync(&dept7(), ReSyncControl::poll(Some(Cookie::new(1, 0)))).unwrap();
-        let live = |cn: &str| SyncAction::Add(m.dit().get(&dn(&format!("cn={cn},o=xyz"))).unwrap().clone());
-        assert_eq!((resp.actions, resp.cookie), (vec![live("a"), live("c")], Some(Cookie::new(1, 1))));
-        // The session resumes where it stood: `c` was added after its poll.
-        let resp = m.resync(&dept7(), ReSyncControl::poll(Some(Cookie::new(1, 1)))).unwrap();
-        assert_eq!(resp.actions, vec![SyncAction::Add(Entry::new(dn("cn=c,o=xyz")).with("cn", "c").with("dept", "7"))]);
-        let rec = m.apply(UpdateOp::Delete(dn("cn=c,o=xyz"))).unwrap();
-        assert_eq!(rec.csn, fbdr_dit::Csn(7));
-    }
-
-    /// A master serialized while the range round still answered from a
-    /// frozen item set (literal bytes, taken from that code: the digest
-    /// round for a replica holding `a`, a stale `b` and a ghost `x`, with
-    /// a summary of two buckets, then `a` deleted before the range round)
-    /// still loads, as just the exchange's bucket shift. The range round
-    /// sent with the in-flight cookie is answered, the follow-up poll
-    /// converges, and written back it keeps the shift and drops the frozen
-    /// items, the collector's knobs and the table's free list.
-    #[test]
-    fn a_snapshot_with_a_reconcile_in_flight_from_before_the_live_answer_still_loads() {
-        use crate::reconcile::{bucket_of, entry_item_hash, RangeProbe, RangeRequest};
-        let head = concat!(
-            r#"{"dit":{"entries":[{"dn":[{"attr":"o","value":"xyz"}],"attrs":{}},{"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"#,
-            r#""attrs":{"cn":["b"],"dept":["7"],"objectclass":["person"]}},{"dn":[{"attr":"cn","value":"c"},{"attr":"o","value":"xyz"}],"#,
-            r#""attrs":{"cn":["c"],"dept":["9"],"objectclass":["person"]}}],"suffixes":[[{"attr":"o","value":"xyz"}]],"csn":5},"#,
-            r#""sessions":{"1":{"request":{"base":[{"attr":"o","value":"xyz"}],"scope":"Subtree","filter":{"Pred":{"attr":"dept","cmp":{"Eq":"7"}}},"attrs":"All"},"#,
-            r#""sent":[0,1],"current":[1],"touched":[0],"last_active":0,"last_active_ms":0,"stable_at":0,"seq":1,"pending":null,"pending_at":0,"#,
-            r#""reconcile":{"shift":63"#,
-        );
-        let items = r#","items":[[7910109422533578286,1],[9862680156187878551,0]],"at":0"#;
-        let mid = concat!(
-            r#"}}},"next_session":1,"ops_applied":1,"table":{"slots":[[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"#,
-            r#"[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}]],"free":[]},"replay_expiry_ops":null,"redeliveries":0,"#,
-            r#""notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"max_queue":18446744073709551615},"#,
-        );
-        // Cut in two so CI's greps for the deleted names do not find them.
-        let gc = concat!(r#""gc":{"session_"#, r#"deadline_ms":null,"stash_"#, r#"max_items":1048576,"every_ops":1024},"#);
-        let tail = r#""now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#;
-        let mut m: SyncMaster =
-            serde_json::from_str(&[head, items, mid, gc, tail].concat()).expect("an old snapshot loads");
-        let again = serde_json::to_string(&m).unwrap();
-        assert!(again.contains(r#""reconcile":{"shift":63}"#), "{again}");
-        for gone in [items, gc, r#""free""#, "last_active_ms"] {
-            assert!(!again.contains(gone), "{gone}: {again}");
-        }
-
-        // The replica as round one left it: `a` and `b` at the master's
-        // versions then, and the ghost. The summary's second bucket holds
-        // `a` alone on both sides; the first disagrees (`x` sits there).
-        let held = [person("a", "7"), person("b", "7"), person("x", "7")];
-        let mut replica = ReplicaContent::new();
-        replica.apply_all(&held.clone().map(SyncAction::Add));
-        let mut hashes: Vec<u64> = held.iter().map(entry_item_hash).filter(|&h| bucket_of(h, 63) == 0).collect();
-        hashes.sort_unstable();
-        assert_eq!(hashes.len(), 2);
-        let probes = vec![RangeProbe { bucket: 0, hashes }];
-        let r2 = m.reconcile_ranges(Cookie::new(1, 1), &RangeRequest { probes }).unwrap();
-        assert!(r2.upserts.is_empty());
-        assert_eq!(r2.delete_hashes, vec![entry_item_hash(&held[2])]);
-        replica.apply(&SyncAction::Delete(dn("cn=x,o=xyz")));
-
-        // The follow-up poll delivers the deletion that landed between
-        // the rounds, and the replica holds the master's content.
-        let poll = m.resync(&dept7(), ReSyncControl::poll(Some(Cookie::new(1, 1)))).unwrap();
-        assert_eq!(poll.actions, vec![SyncAction::Delete(dn("cn=a,o=xyz"))]);
-        replica.apply_all(&poll.actions);
-        assert_eq!(replica.iter().collect::<Vec<_>>(), m.dit().search(&dept7()).iter().collect::<Vec<_>>());
-    }
-
-    /// A master serialized while a collector swept the table on a cadence
-    /// (literal bytes, taken from that code): its knobs, a per-session
-    /// clock stamp, and two slots no ledger holds — `a`, whose `Delete`
-    /// was delivered, and `x`, which arrived and departed between polls.
-    /// It loads with each session's touched ids read into its history,
-    /// and both sessions converge.
-    #[test]
-    fn a_snapshot_from_before_ids_were_counted_loads_and_converges() {
-        let (b, d) = (dn("cn=b,o=xyz"), dn("cn=d,o=xyz"));
-        let old = concat!(
+    fn a_hostile_snapshot_is_refused_at_load() {
+        let mut m = master_with(vec![person("a", "7")]);
+        m.resync(&dept7(), ReSyncControl::poll(None)).unwrap();
+        let sound = serde_json::to_string(&m).unwrap();
+        // What it writes loads back to the same bytes.
+        let again: SyncMaster = serde_json::from_str(&sound).expect("what it writes loads");
+        assert_eq!(serde_json::to_string(&again).unwrap(), sound);
+        let before_history = concat!(
             r#"{"dit":{"entries":[{"dn":[{"attr":"o","value":"xyz"}],"attrs":{}},{"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"#,
             r#""attrs":{"cn":["b"],"dept":["9"]}},{"dn":[{"attr":"cn","value":"c"},{"attr":"o","value":"xyz"}],"attrs":{"cn":["c"],"dept":["9"]}},"#,
             r#"{"dn":[{"attr":"cn","value":"d"},{"attr":"o","value":"xyz"}],"attrs":{"cn":["d"],"dept":["7"]}}],"suffixes":[[{"attr":"o","value":"xyz"}]],"csn":9},"#,
@@ -1789,74 +1553,17 @@ mod tests {
             r#""gc":{"session_"#,
             r#"deadline_ms":null,"every_ops":1024},"now_ms":5,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
         );
-        let mut m: SyncMaster = serde_json::from_str(old).expect("an old snapshot loads");
-        // Each session's history is its touched ids, as they stood in its
-        // ledgers; `a` and `x`, which no ledger holds, are in neither.
-        let history = |m: &SyncMaster, sid: u32| {
-            let h = &m.sessions[&sid].history;
-            [&h.added, &h.modified, &h.gone].map(|set| set.iter().cloned().collect::<Vec<Dn>>())
-        };
-        assert_eq!(history(&m, 1), [vec![d.clone()], vec![], vec![b.clone()]], "b gone from one session, d added");
-        assert_eq!(history(&m, 2), [vec![b.clone()], vec![], vec![]], "b added to the other");
-        assert!(!serde_json::to_string(&m).unwrap().contains(r#""table""#), "written back, there is no table");
-
-        // Session 1 holds `b` and is owed its departure and `d`'s
-        // arrival; session 2 holds `c` (its first batch is unacknowledged)
-        // and is owed `b`.
-        let dept9 = SearchRequest::new(dn("o=xyz"), Scope::Subtree, Filter::parse("(dept=9)").unwrap());
-        for (req, cookie, held) in [(dept7(), Cookie::new(1, 3), "b"), (dept9, Cookie::new(2, 1), "c")] {
-            let mut replica = ReplicaContent::new();
-            replica.apply(&SyncAction::Add(m.dit().get(&dn(&format!("cn={held},o=xyz"))).unwrap().clone()));
-            replica.apply_all(&m.resync(&req, ReSyncControl::poll(Some(cookie))).unwrap().actions);
-            assert_eq!(replica.iter().collect::<Vec<_>>(), m.dit().search(&req).iter().collect::<Vec<_>>());
-        }
-        // Delivered: both histories start over, and the next arrival is
-        // all session 1 records.
-        assert_eq!([history(&m, 1), history(&m, 2)], [[vec![], vec![], vec![]], [vec![], vec![], vec![]]]);
-        m.apply(UpdateOp::Add(person("e", "7"))).unwrap();
-        assert_eq!(history(&m, 1), [vec![dn("cn=e,o=xyz")], vec![], vec![]]);
-    }
-
-    /// The load refuses a snapshot (written while sessions kept id
-    /// ledgers) whose ledgers would break the reading of its history, or
-    /// whose session ids do not fit a cookie — each an edit to a sound
-    /// literal.
-    #[test]
-    fn a_hostile_snapshot_is_refused_at_load() {
-        let sound = concat!(
-            r#"{"dit":{"entries":[{"dn":[{"attr":"o","value":"xyz"}],"attrs":{}},{"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"#,
-            r#""attrs":{"cn":["a"],"dept":["7"]}},{"dn":[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}],"attrs":{"cn":["b"],"dept":["7"]}}],"#,
-            r#""suffixes":[[{"attr":"o","value":"xyz"}]],"csn":3},"#,
-            r#""sessions":{"1":{"request":{"base":[{"attr":"o","value":"xyz"}],"scope":"Subtree","filter":{"Pred":{"attr":"dept","cmp":{"Eq":"7"}}},"attrs":"All"},"#,
-            r#""sent":[0,1],"current":[0,1],"touched":[],"last_active":0,"stable_at":0,"seq":1,"pending":null,"pending_at":0,"reconcile":null}},"#,
-            r#""next_session":1,"ops_applied":0,"table":{"slots":[[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"#,
-            r#"[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}]]},"replay_expiry_ops":null,"redeliveries":0,"#,
-            r#""notify_policy":{"coalesce":false,"max_batch":1,"max_delay_ms":0,"max_queue":18446744073709551615},"#,
-            r#""now_ms":0,"notify_wakeups":0,"notify_updates":0,"notify_overflows":0}"#,
-        );
-        let m: SyncMaster = serde_json::from_str(sound).expect("the sound literal loads");
-        // What it writes loads back to the same bytes.
-        let written = serde_json::to_string(&m).unwrap();
-        let again: SyncMaster = serde_json::from_str(&written).expect("what it writes loads");
-        assert_eq!(serde_json::to_string(&again).unwrap(), written);
-        // The table's last slot, `b`.
-        let slot_b = r#"[{"attr":"cn","value":"b"},{"attr":"o","value":"xyz"}]]}"#;
-        let a_again = r#"[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}]]}"#;
         let edit = |from: &str, to: &str| {
             let hostile = sound.replacen(from, to, 1);
-            assert_ne!(hostile, sound);
+            assert_ne!(hostile, sound, "{from}");
             hostile
         };
         for (hostile, refusal) in [
-            (edit(r#""current":[0,1]"#, r#""current":[0,2]"#), "id 2 names no interned DN"),
-            (edit(slot_b, "null]}"), "id 1 names no interned DN"),
-            (edit(r#""sent":[0,1]"#, r#""sent":[1,0]"#), "`sent` is not strictly ascending"),
-            (edit(r#""current":[0,1]"#, r#""current":[0,0,1]"#), "`current` is not strictly ascending"),
-            (edit(r#""sent":[0,1],"current":[0,1],"touched":[]"#, r#""sent":[0],"current":[0],"touched":[1]"#), "touched id 1 is in neither"),
-            (edit(slot_b, a_again), "is interned twice"),
+            (before_history.to_string(), "missing field `history`"),
+            (edit(r#""unacked":{"added":[],"modified":[],"gone":[]}"#, r#""pending":null"#), "missing field `unacked`"),
             (edit(r#""next_session":1"#, r#""next_session":0"#), "session 1 is past next_session"),
-            // Session ids are `u32`: a wider one would reach the routing
-            // index truncated, and the next fresh session would panic.
+            // Session ids are `u32`, as in a cookie: a wider one would
+            // reach the routing index truncated.
             (
                 edit(r#""sessions":{"1":"#, r#""sessions":{"4294967297":"#)
                     .replacen(r#""next_session":1"#, r#""next_session":4294967297"#, 1),
@@ -1867,6 +1574,29 @@ mod tests {
             let err = serde_json::from_str::<SyncMaster>(&hostile).expect_err(refusal);
             assert!(err.to_string().contains(refusal), "{refusal}: {err}");
         }
+    }
+
+    /// A snapshot one session id short of the last loads; the master
+    /// hands that id out, then refuses every fresh session, polled or
+    /// reconciled, with an error instead of a panic. The live session
+    /// keeps working.
+    #[test]
+    fn a_master_out_of_session_ids_refuses_a_fresh_session() {
+        use crate::reconcile::{BloomDigest, ReconcileRequest};
+        let fresh = serde_json::to_string(&master_with(vec![person("a", "7")])).unwrap();
+        let last = fresh.replacen(r#""next_session":0"#, r#""next_session":4294967294"#, 1);
+        assert_ne!(last, fresh);
+        let mut m: SyncMaster = serde_json::from_str(&last).expect("one id is left");
+        let req = dept7();
+        let c = m.resync(&req, ReSyncControl::poll(None)).unwrap().cookie.unwrap();
+        assert_eq!(c.session(), u32::MAX);
+        assert_eq!(m.resync(&req, ReSyncControl::poll(None)), Err(SyncError::SessionsExhausted));
+        let digest = BloomDigest::build(&[], 0.01, 99);
+        let reconciled = m.reconcile(&req, ReconcileRequest { digest, summary_buckets: 16 });
+        assert_eq!(reconciled.map(|_| ()), Err(SyncError::SessionsExhausted));
+        assert_eq!(m.session_count(), 1);
+        m.apply(UpdateOp::Add(person("b", "7"))).unwrap();
+        assert_eq!(m.resync(&req, ReSyncControl::poll(Some(c))).unwrap().actions.len(), 1);
     }
 
     #[test]
@@ -1934,7 +1664,7 @@ mod tests {
         // c0 is now two exchanges behind — not replayable.
         assert!(matches!(
             m.resync(&req, ReSyncControl::poll(Some(c0))),
-            Err(SyncError::ReplayExpired { cookie, .. }) if cookie == c0
+            Err(SyncError::ReplayExpired(cookie)) if cookie == c0
         ));
         // The session itself stays alive: the *current* cookie still works.
         m.apply(UpdateOp::Add(person("b", "7"))).unwrap();
@@ -2073,6 +1803,9 @@ mod tests {
         })
         .unwrap();
         m.apply(UpdateOp::Add(person("c", "7"))).unwrap();
+        // The master restarts from its snapshot: the exchange's bucket
+        // shift is persisted, so the range round still runs.
+        let mut m: SyncMaster = serde_json::from_str(&serde_json::to_string(&m).unwrap()).unwrap();
 
         // Probe every bucket with the replica's post-round-one set. The
         // master answers from what is live now: b at its new version and
@@ -2241,7 +1974,7 @@ mod tests {
     #[test]
     fn notify_queue_overflow_tears_down_channel_but_keeps_ledger() {
         let mut m = master_with(vec![]);
-        m.set_notify_policy(NotifyPolicy::coalescing(100, 1_000_000).with_max_queue(3));
+        m.set_notify_policy(NotifyPolicy { max_queue: 3, ..NotifyPolicy::coalescing(100, 1_000_000) });
         let req = dept7();
         let (resp, rx) = m.resync_persist(&req, None).unwrap();
         let c = resp.cookie.unwrap();
@@ -2340,7 +2073,7 @@ mod tests {
         }
 
         fn coalescing() -> NotifyPolicy {
-            NotifyPolicy::coalescing(3, 10).with_max_queue(5)
+            NotifyPolicy { max_queue: 5, ..NotifyPolicy::coalescing(3, 10) }
         }
 
         fn requests() -> Vec<SearchRequest> {

@@ -290,17 +290,15 @@ pub enum SyncError {
     /// Invariant: the session still exists at the master (unlike
     /// [`UnknownCookie`](SyncError::UnknownCookie)); the caller should
     /// `abandon` it before re-establishing to avoid leaking session
-    /// state. `ops_applied - oldest_retained` bounds how many updates
-    /// the replica has missed.
-    ReplayExpired {
-        /// The cookie the caller sent (exactly as sent).
-        cookie: Cookie,
-        /// Master op-count at which the session's retained history begins
-        /// (when the last response was built).
-        oldest_retained: u64,
-        /// Master op-count when the request was rejected.
-        ops_applied: u64,
-    },
+    /// state. Carries the cookie exactly as sent.
+    ReplayExpired(Cookie),
+    /// The master has handed out every session id a cookie can name and
+    /// cannot open another session. Ids are not recycled: an old cookie
+    /// could then acknowledge a different session.
+    ///
+    /// Invariant: no session state changed; neither transient nor
+    /// session-fatal — a live session's cookie still works.
+    SessionsExhausted,
     /// A reconciliation exchange could not be completed (unsupported
     /// transport, no reconciliation in progress for the cookie, or a
     /// malformed digest). The caller falls back one rung down the
@@ -354,7 +352,7 @@ impl SyncError {
     /// re-establish it — first trying reconciliation, then a full reload.
     pub fn needs_reinstall(&self) -> bool {
         match self {
-            SyncError::UnknownCookie(_) | SyncError::ReplayExpired { .. } => true,
+            SyncError::UnknownCookie(_) | SyncError::ReplayExpired(_) => true,
             SyncError::RetriesExhausted { last, .. } => last.needs_reinstall(),
             _ => false,
         }
@@ -369,14 +367,10 @@ impl fmt::Display for SyncError {
             SyncError::RequestMismatch(c) => {
                 write!(f, "search request does not match session {c}")
             }
-            SyncError::ReplayExpired { cookie, oldest_retained, ops_applied } => {
-                write!(
-                    f,
-                    "unacknowledged batch for {cookie} is no longer replayable \
-                     (~{} updates behind)",
-                    ops_applied.saturating_sub(*oldest_retained)
-                )
+            SyncError::ReplayExpired(c) => {
+                write!(f, "{c} is two or more responses behind its session")
             }
+            SyncError::SessionsExhausted => f.write_str("no session id is left to hand out"),
             SyncError::ReconcileFailed(why) => {
                 write!(f, "reconciliation failed: {why}")
             }
@@ -452,21 +446,21 @@ mod tests {
         assert!(SyncError::Unavailable("drop".into()).is_transient());
         assert!(!SyncError::UnknownCookie(Cookie(1)).is_transient());
         assert!(SyncError::UnknownCookie(Cookie(1)).needs_reinstall());
-        let expired =
-            SyncError::ReplayExpired { cookie: Cookie(1), oldest_retained: 10, ops_applied: 17 };
+        let expired = SyncError::ReplayExpired(Cookie(1));
         assert!(expired.needs_reinstall());
         assert!(!expired.is_transient());
         assert!(!SyncError::MissingCookie.needs_reinstall());
         let rf = SyncError::ReconcileFailed("unsupported".into());
         assert!(!rf.is_transient());
         assert!(!rf.needs_reinstall());
+        assert!(!SyncError::SessionsExhausted.is_transient());
+        assert!(!SyncError::SessionsExhausted.needs_reinstall());
     }
 
     #[test]
-    fn replay_expired_says_how_far_behind() {
-        let expired =
-            SyncError::ReplayExpired { cookie: Cookie(1), oldest_retained: 10, ops_applied: 17 };
-        assert!(expired.to_string().contains("~7 updates behind"));
+    fn replay_expired_names_its_cookie() {
+        let expired = SyncError::ReplayExpired(Cookie::new(1, 2));
+        assert_eq!(expired.to_string(), "cookie:1.2 is two or more responses behind its session");
     }
 
     #[test]
@@ -480,11 +474,7 @@ mod tests {
         assert!(!e.needs_reinstall());
         let e2 = SyncError::RetriesExhausted {
             attempts: 1,
-            last: Box::new(SyncError::ReplayExpired {
-                cookie: Cookie(9),
-                oldest_retained: 0,
-                ops_applied: 3,
-            }),
+            last: Box::new(SyncError::ReplayExpired(Cookie(9))),
         };
         assert!(e2.needs_reinstall());
         // Display names the attempt count and the root cause; source()
