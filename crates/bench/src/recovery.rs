@@ -6,8 +6,8 @@
 //! the replica was detached):
 //!
 //! - **cookie replay** — the session survived; an incremental poll ships
-//!   just the batched changes. The lower bound, available only while the
-//!   master still holds the session and its replay buffer.
+//!   just the changes since the cookie. The lower bound, available only
+//!   while the master still holds the session.
 //! - **reconcile** — the session is gone; the replica sends a Bloom
 //!   digest over its (entry, version) set and receives only the entries
 //!   the master cannot prove it has, plus the deletes found by the range

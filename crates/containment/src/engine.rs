@@ -6,12 +6,11 @@ use crate::qc::region_contained;
 use crate::same_template::same_template_contained;
 use crate::{filter_contained, Containment};
 use fbdr_ldap::{AttrName, AttrValue, SearchRequest, Template};
-use fbdr_obs::{event, Counter, Gauge, Histogram, MetricsRegistry, Obs};
+use fbdr_obs::{Counter, Gauge, MetricsRegistry, Obs, Timer};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Counters for the work performed by a [`ContainmentEngine`] — the query
 /// processing overhead the paper studies in §7.4.
@@ -182,9 +181,9 @@ pub struct ContainmentEngine {
     matrix: RwLock<CrossTemplateMatrix>,
     counters: EngineCounters,
     obs: Obs,
-    /// Pre-resolved `fbdr_containment_check_ns` histogram; `None` on an
-    /// unobserved engine, so the uninstrumented check costs one branch.
-    check_hist: Option<Arc<Histogram>>,
+    /// `containment.check`: times every dispatched check into
+    /// `fbdr_containment_check_ns`; inert on an unobserved engine.
+    check: Timer,
     /// `fbdr_ldap_templates_interned`,
     /// `fbdr_ldap_templates_uninterned_total` and
     /// `fbdr_ldap_attr_names_interned`: the process-wide template and
@@ -199,7 +198,7 @@ impl Default for ContainmentEngine {
             matrix: RwLock::new(CrossTemplateMatrix::new()),
             counters: EngineCounters::default(),
             obs: Obs::off(),
-            check_hist: None,
+            check: Timer::default(),
             template_table: None,
         }
     }
@@ -213,9 +212,10 @@ impl ContainmentEngine {
 
     /// Creates an observed engine: work counters live in the registry as
     /// `fbdr_containment_*_total`, every dispatched check is timed into
-    /// the `fbdr_containment_check_ns` histogram, and each decision emits
-    /// a `containment.decision` trace event when a subscriber is
-    /// installed. The registry also gets the size of the process-wide
+    /// the `fbdr_containment_check_ns` histogram, and each check's span
+    /// closes with a `containment.check` trace event (its outcome and
+    /// dispatch path) when a subscriber is installed. The registry also
+    /// gets the size of the process-wide
     /// template table (`fbdr_ldap_templates_interned`), the number of
     /// extractions it turned away (`fbdr_ldap_templates_uninterned_total`)
     /// and the size of the attribute-name table beside it
@@ -231,7 +231,7 @@ impl ContainmentEngine {
         let engine = ContainmentEngine {
             matrix: RwLock::new(CrossTemplateMatrix::new()),
             counters: EngineCounters::bound(reg),
-            check_hist: Some(reg.histogram("fbdr_containment_check_ns")),
+            check: obs.timer("containment", "check"),
             template_table: Some((
                 reg.gauge("fbdr_ldap_templates_interned"),
                 reg.counter("fbdr_ldap_templates_uninterned_total"),
@@ -268,15 +268,10 @@ impl ContainmentEngine {
         self.counters.reset();
     }
 
-    /// Number of compiled template pairs cached.
-    pub fn compiled_pairs(&self) -> usize {
-        self.matrix.read().len()
-    }
-
     /// Template-aware filter containment: is `q`'s filter contained in
     /// `s`'s filter?
     pub fn filter_contained(&self, q: &PreparedQuery<'_>, s: &PreparedQuery<'_>) -> bool {
-        let start = self.check_hist.as_ref().map(|_| Instant::now());
+        let mut span = self.check.start();
         let (path, contained) = if q.template == s.template {
             self.counters.same_template.inc();
             (
@@ -299,18 +294,12 @@ impl ContainmentEngine {
             }
             ("general", verdict == Containment::Yes)
         };
-        if let (Some(h), Some(t)) = (&self.check_hist, start) {
-            h.record_since(t);
+        if self.obs.tracing_enabled() {
+            span.record("contained", contained);
+            span.record("path", path);
+            span.record("cross_template", q.template != s.template);
+            span.record("stored_template", s.template.id().to_string());
         }
-        event!(
-            self.obs,
-            "containment",
-            "decision",
-            contained = contained,
-            path = path,
-            cross_template = q.template != s.template,
-            stored_template = s.template.id().to_string(),
-        );
         contained
     }
 
@@ -337,6 +326,15 @@ impl ContainmentEngine {
         let compiled = CrossTemplateMatrix::compile_pair(t1, t2);
         self.matrix.write().insert(t1, t2, compiled.clone());
         compiled
+    }
+}
+
+// Test hooks: only this crate's unit tests call them.
+#[cfg(test)]
+impl ContainmentEngine {
+    /// Number of compiled template pairs cached.
+    fn compiled_pairs(&self) -> usize {
+        self.matrix.read().len()
     }
 }
 

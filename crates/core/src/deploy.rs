@@ -107,13 +107,6 @@ impl ReplicaNode {
         }
     }
 
-    /// Replaces the coordinator — the shard map of a sharded master,
-    /// and/or explicit retry and reconcile policies.
-    pub fn with_coordinator(mut self, coordinator: ShardCoordinator<SystemClock>) -> Self {
-        self.coordinator = Mutex::new(coordinator);
-        self
-    }
-
     /// The underlying replica (all of whose operations take `&self`).
     pub fn replica(&self) -> &FilterReplica {
         &self.replica
@@ -151,11 +144,6 @@ impl ReplicaNode {
     /// epoch has been published.
     pub fn sync_with(&self, transport: &mut dyn SyncTransport) -> Result<SyncTraffic, SyncError> {
         self.replica.sync_with_sharded(transport, &mut self.coordinator.lock())
-    }
-
-    /// Aggregate driver statistics across all shards.
-    pub fn driver_stats(&self) -> fbdr_resync::DriverStats {
-        self.coordinator.lock().stats()
     }
 }
 
@@ -224,6 +212,22 @@ impl DirectoryService for SubtreeReplicaNode {
             Some(entries) => ServerOutcome::Results { entries, continuations: Vec::new() },
             None => ServerOutcome::DefaultReferral(self.master_url.clone()),
         }
+    }
+}
+
+// Test hooks: only this crate's unit tests call them.
+#[cfg(test)]
+impl ReplicaNode {
+    /// Replaces the coordinator — the shard map of a sharded master,
+    /// and/or explicit retry and reconcile policies.
+    fn with_coordinator(mut self, coordinator: ShardCoordinator<SystemClock>) -> Self {
+        self.coordinator = Mutex::new(coordinator);
+        self
+    }
+
+    /// Aggregate driver statistics across all shards.
+    fn driver_stats(&self) -> fbdr_resync::DriverStats {
+        self.coordinator.lock().stats()
     }
 }
 

@@ -71,7 +71,8 @@ impl FaultTarget for ShardedMaster {
 /// `SyncDriver`: the driver retries what the link breaks. Faults model
 /// the transport, not the master — a *dropped request* never reaches the
 /// master, while a *dropped response* is processed by the master and lost
-/// on the way back (the case the replay buffer exists for). A *crash
+/// on the way back (the case a retried cookie exists for: the master
+/// re-sends its changes from the live DIT). A *crash
 /// restart* serializes the master to JSON and restores it, losing exactly
 /// the state that does not survive persistence (live persist channels).
 ///

@@ -158,6 +158,8 @@ impl FaultPlan {
     }
 
     /// A plan that never injects anything.
+    // A test hook: only tests call it.
+    #[doc(hidden)]
     pub fn clean() -> FaultPlan {
         FaultPlan::builder(0).build()
     }

@@ -114,11 +114,6 @@ impl Dn {
         Dn { rdns: rdns.into() }
     }
 
-    /// True for the DIT root.
-    pub fn is_root(&self) -> bool {
-        self.rdns.is_empty()
-    }
-
     /// Number of RDN components (0 for the root).
     pub fn depth(&self) -> usize {
         self.rdns.len()
@@ -281,6 +276,15 @@ fn unescape(s: &str) -> Cow<'_, str> {
 /// The characters a value's string form writes behind a backslash.
 fn needs_escape(c: char) -> bool {
     matches!(c, ',' | '=' | '\\')
+}
+
+// Test hooks: only this crate's unit tests call them.
+#[cfg(test)]
+impl Dn {
+    /// True for the DIT root.
+    pub(crate) fn is_root(&self) -> bool {
+        self.rdns.is_empty()
+    }
 }
 
 #[cfg(test)]

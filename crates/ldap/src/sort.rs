@@ -39,6 +39,8 @@ impl SortKey {
     }
 
     /// Descending sort on `attr` (the control's `reverseOrder` flag).
+    // A test hook: only tests call it.
+    #[doc(hidden)]
     pub fn descending(attr: impl Into<AttrName>) -> Self {
         SortKey { attr: attr.into(), reverse: true }
     }

@@ -83,6 +83,8 @@ pub struct SearchResult {
 
 impl SearchResult {
     /// True when every referred server answered (no partial coverage).
+    // A test hook: only tests call it.
+    #[doc(hidden)]
     pub fn is_complete(&self) -> bool {
         self.unreachable.is_empty()
     }
@@ -99,11 +101,6 @@ pub struct Client<'a> {
 impl<'a> Client<'a> {
     pub(crate) fn new(net: &'a Network) -> Self {
         Client { net, total: OpStats::default() }
-    }
-
-    /// Statistics accumulated over the client's lifetime.
-    pub fn lifetime_stats(&self) -> OpStats {
-        self.total
     }
 
     /// Performs a search starting at `server_url`, chasing referrals until
@@ -221,6 +218,15 @@ fn continuation_request(orig: &SearchRequest, new_base: Dn) -> SearchRequest {
         Scope::Base => Scope::Base,
     };
     SearchRequest::with_attrs(new_base, scope, orig.filter().clone(), orig.attrs().clone())
+}
+
+// Test hooks: only this crate's unit tests call them.
+#[cfg(test)]
+impl Client<'_> {
+    /// Statistics accumulated over the client's lifetime.
+    fn lifetime_stats(&self) -> OpStats {
+        self.total
+    }
 }
 
 #[cfg(test)]

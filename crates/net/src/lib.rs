@@ -95,18 +95,14 @@ impl Network {
         self.servers.insert(service.url().to_owned(), service);
     }
 
-    /// Removes a node by URL (e.g. to swap in a fault-injecting wrapper).
-    /// Returns the removed service, if any.
-    pub fn remove_server(&mut self, url: &str) -> Option<Box<dyn DirectoryService>> {
-        self.servers.remove(url)
-    }
-
     /// Looks up a node by URL.
     pub fn server(&self, url: &str) -> Option<&dyn DirectoryService> {
         self.servers.get(url).map(Box::as_ref)
     }
 
     /// Server URLs in the network.
+    // A test hook: only tests call it.
+    #[doc(hidden)]
     pub fn urls(&self) -> impl Iterator<Item = &str> {
         self.servers.keys().map(String::as_str)
     }
@@ -119,5 +115,15 @@ impl Network {
     /// Creates a referral-chasing client for this network.
     pub fn client(&self) -> Client<'_> {
         Client::new(self)
+    }
+}
+
+// Test hooks: only this crate's unit tests call them.
+#[cfg(test)]
+impl Network {
+    /// Removes a node by URL (e.g. to swap in a fault-injecting wrapper).
+    /// Returns the removed service, if any.
+    pub(crate) fn remove_server(&mut self, url: &str) -> Option<Box<dyn DirectoryService>> {
+        self.servers.remove(url)
     }
 }

@@ -194,6 +194,8 @@ impl ShardMap {
     }
 
     /// Builder-style [`ShardMap::assign`].
+    // A test hook: only tests call it.
+    #[doc(hidden)]
     pub fn with_subtree(mut self, suffix: Dn, shard: ShardId) -> Self {
         self.assign(suffix, shard);
         self
@@ -204,6 +206,8 @@ impl ShardMap {
     /// # Panics
     ///
     /// Panics when `suffixes` is empty or longer than `u16::MAX` shards.
+    // A test hook: only tests call it.
+    #[doc(hidden)]
     pub fn by_suffixes(suffixes: Vec<Dn>) -> Self {
         assert!(!suffixes.is_empty(), "a shard map needs at least one suffix");
         let mut map = ShardMap::new(ShardId::ZERO);

@@ -11,9 +11,13 @@
 //!   log2-bucketed [`Histogram`]s (recorded in nanoseconds, reported as
 //!   p50/p90/p99/max), rendered as Prometheus-style text or a
 //!   serializable [`MetricsSnapshot`].
-//! * A structured tracing facade — [`event!`]/[`span!`] emit flat typed
+//! * A structured tracing facade — [`event!`] emits flat typed
 //!   [`Event`]s to a pluggable [`Subscriber`]; the [`RingBuffer`]
 //!   recorder lets tests assert on exactly what was emitted.
+//! * One stopwatch: [`Obs::timer`] resolves a scope's histogram once,
+//!   when a component is built, and each [`Timer::start`] opens a
+//!   [`Span`] that records into it on drop and, when tracing, emits the
+//!   scope's closing event. A span allocates nothing.
 //! * The [`Obs`] handle that ties both together and keeps the
 //!   *uninstrumented* path branch-cheap: a component holding
 //!   [`Obs::off`] pays one predictable branch per hook, no allocation,
@@ -36,10 +40,20 @@
 //! event!(obs, "resync", "redelivery", seq = 7u64, actions = 3usize);
 //! obs.registry().counter("fbdr_resync_redeliveries_total").inc();
 //!
+//! // A timed layer resolves its timer once and opens a span per call.
+//! let exchange = obs.timer("resync", "exchange");
+//! {
+//!     let mut span = exchange.start();
+//!     span.record("seq", 7u64);
+//!     // ... measured work ...
+//! }
+//!
 //! assert_eq!(trace.count("resync", "redelivery"), 1);
 //! assert_eq!(trace.events()[0].u64_field("seq"), Some(7));
+//! assert_eq!(trace.count("resync", "exchange"), 1);
 //! let snap = obs.registry().snapshot();
 //! assert_eq!(snap.counters["fbdr_resync_redeliveries_total"], 1);
+//! assert_eq!(snap.histograms["fbdr_resync_exchange_ns"].count, 1);
 //! ```
 
 pub mod metrics;
@@ -74,9 +88,11 @@ struct ObsInner {
 ///
 /// The default handle is [`Obs::off`]: permanently inert, shared
 /// process-wide, and free to clone. Instrumented components check
-/// [`Obs::is_active`] (a plain field read) before touching the clock,
-/// the registry or the subscriber — the "disabled-subscriber fast path"
-/// whose cost `benchmark/` reads as `obs.on_overhead_ratio`.
+/// [`Obs::is_active`] (a plain field read) before touching the registry
+/// or the subscriber, and time their scopes with the [`Timer`]s
+/// [`Obs::timer`] resolves, which are inert on the inert handle — the
+/// "disabled-subscriber fast path" whose cost `benchmark/` reads as
+/// `obs.on_overhead_ratio`.
 #[derive(Clone)]
 pub struct Obs {
     inner: Arc<ObsInner>,
@@ -134,7 +150,8 @@ impl Obs {
     }
 
     /// True when a subscriber is installed (and the handle is active):
-    /// events built by [`event!`]/[`span!`] will actually be delivered.
+    /// events built by [`event!`] and spans' closing events will actually
+    /// be delivered.
     #[inline]
     pub fn tracing_enabled(&self) -> bool {
         self.inner.active && self.inner.tracing.load(Ordering::Relaxed)
@@ -170,74 +187,107 @@ impl Obs {
         }
     }
 
-    /// Opens a timed span. When the handle is active the span measures
-    /// wall time and, on drop, records it into the registry histogram
-    /// `fbdr_<target>_<name>_ns` and emits a `<target>.<name>` event
-    /// (with a `duration_ns` field plus any fields added via
-    /// [`Span::record`]). On the inert handle the span is a no-op shell.
-    pub fn span(&self, target: &'static str, name: &'static str) -> Span {
+    /// Resolves the timer of the scope `<target>.<name>`: the registry
+    /// histogram `fbdr_<target>_<name>_ns` is looked up once, here, so a
+    /// component builds its timers when it is built and each
+    /// [`Timer::start`] only reads the clock. On the inert handle the
+    /// timer is inert too.
+    pub fn timer(&self, target: &'static str, name: &'static str) -> Timer {
         if !self.inner.active {
-            return Span { inner: None };
+            return Timer::default();
         }
-        Span {
-            inner: Some(SpanInner {
+        Timer {
+            inner: Some(TimerInner {
+                histogram: self.registry().histogram(&format!("fbdr_{target}_{name}_ns")),
                 obs: self.clone(),
                 target,
                 name,
-                start: Instant::now(),
-                fields: Vec::new(),
             }),
         }
     }
 }
 
-struct SpanInner {
+#[derive(Clone)]
+struct TimerInner {
     obs: Obs,
+    histogram: Arc<Histogram>,
     target: &'static str,
     name: &'static str,
-    start: Instant,
+}
+
+/// The one way to time a scope: a pre-resolved histogram plus the
+/// handle its closing events go to, built by [`Obs::timer`].
+///
+/// [`Timer::start`] opens a [`Span`] that borrows the timer, so opening
+/// and closing one allocates nothing and touches no refcount. The
+/// default timer is inert: `start` is one branch and reads no clock.
+#[derive(Clone, Default)]
+pub struct Timer {
+    inner: Option<TimerInner>,
+}
+
+impl fmt::Debug for Timer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.inner {
+            Some(t) => write!(f, "Timer({}.{})", t.target, t.name),
+            None => f.write_str("Timer(off)"),
+        }
+    }
+}
+
+impl Timer {
+    /// Opens a span that measures until it is dropped.
+    #[inline]
+    pub fn start(&self) -> Span<'_> {
+        Span {
+            timer: self.inner.as_ref().map(|t| (t, Instant::now())),
+            fields: Vec::new(),
+        }
+    }
+}
+
+/// A timed scope opened by [`Timer::start`].
+///
+/// Dropping it records the elapsed nanoseconds into the timer's
+/// histogram and, when a subscriber is installed, emits the closing
+/// event `<target>.<name>` with the fields added by [`Span::record`]
+/// plus `duration_ns`. With no subscriber a span costs two clock reads
+/// and one histogram record.
+#[must_use = "a span measures until it is dropped; binding it to _ drops it immediately"]
+pub struct Span<'a> {
+    timer: Option<(&'a TimerInner, Instant)>,
     fields: Vec<(&'static str, FieldValue)>,
 }
 
-/// A timed scope opened by [`Obs::span`] or the [`span!`] macro. Dropping
-/// it records the elapsed nanoseconds into the histogram
-/// `fbdr_<target>_<name>_ns` and emits a closing event when tracing is
-/// enabled.
-#[must_use = "a span measures until it is dropped; binding it to _ drops it immediately"]
-pub struct Span {
-    inner: Option<SpanInner>,
-}
-
-impl Span {
-    /// Attaches a field to the closing event (no-op on an inert span).
+impl Span<'_> {
+    /// Attaches a field to the closing event. Does nothing unless tracing
+    /// is on, so a value that is costly to build should be guarded by
+    /// [`Obs::tracing_enabled`].
     pub fn record(&mut self, key: &'static str, value: impl Into<FieldValue>) {
-        if let Some(inner) = &mut self.inner {
-            inner.fields.push((key, value.into()));
+        if let Some((t, _)) = self.timer {
+            if t.obs.tracing_enabled() {
+                self.fields.push((key, value.into()));
+            }
         }
     }
 
-    /// True when this span is actually measuring (its `Obs` was active).
+    /// True when this span is actually measuring (its timer is active).
     pub fn is_active(&self) -> bool {
-        self.inner.is_some()
+        self.timer.is_some()
     }
 }
 
-impl Drop for Span {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let Some(inner) = self.inner.take() else {
+        let Some((t, start)) = self.timer else {
             return;
         };
-        let elapsed = inner.start.elapsed().as_nanos() as u64;
-        let name = format!("fbdr_{}_{}_ns", inner.target, inner.name);
-        inner.obs.registry().histogram(&name).record(elapsed);
-        if inner.obs.tracing_enabled() {
-            let mut fields = inner.fields;
+        let elapsed = start.elapsed().as_nanos() as u64;
+        t.histogram.record(elapsed);
+        if t.obs.tracing_enabled() {
+            let mut fields = std::mem::take(&mut self.fields);
             fields.push(("duration_ns", FieldValue::U64(elapsed)));
-            inner.obs.emit(Event {
-                target: inner.target,
-                name: inner.name,
-                fields,
-            });
+            t.obs.emit(Event { target: t.target, name: t.name, fields });
         }
     }
 }
@@ -273,26 +323,6 @@ macro_rules! event {
     };
 }
 
-/// Opens a timed [`Span`] through an [`Obs`] handle; sugar for
-/// [`Obs::span`].
-///
-/// ```
-/// use fbdr_obs::{span, Obs};
-///
-/// let obs = Obs::new();
-/// {
-///     let _span = span!(obs, "selection", "revolve");
-///     // ... measured work ...
-/// }
-/// assert_eq!(obs.registry().histogram("fbdr_selection_revolve_ns").count(), 1);
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($obs:expr, $target:expr, $name:expr) => {
-        $obs.span($target, $name)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,7 +335,8 @@ mod tests {
         assert!(!b.tracing_enabled());
         a.set_subscriber(Arc::new(RingBuffer::new(4)));
         assert!(!a.tracing_enabled());
-        let span = a.span("x", "y");
+        let timer = a.timer("x", "y");
+        let span = timer.start();
         assert!(!span.is_active());
         drop(span);
         assert!(a.registry().snapshot().is_empty());
@@ -335,8 +366,9 @@ mod tests {
         let obs = Obs::new();
         let rb = Arc::new(RingBuffer::new(4));
         obs.set_subscriber(rb.clone());
+        let timer = obs.timer("resync", "exchange");
         {
-            let mut span = span!(obs, "resync", "exchange");
+            let mut span = timer.start();
             span.record("seq", 3u64);
         }
         let snap = obs.registry().snapshot();
@@ -345,6 +377,19 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].u64_field("seq"), Some(3));
         assert!(events[0].u64_field("duration_ns").is_some());
+    }
+
+    #[test]
+    fn a_span_records_fields_only_while_tracing() {
+        let obs = Obs::new();
+        let timer = obs.timer("t", "n");
+        {
+            let mut span = timer.start();
+            span.record("x", 1u64);
+            assert!(span.is_active());
+            assert!(span.fields.is_empty(), "no subscriber, no fields");
+        }
+        assert_eq!(obs.registry().histogram("fbdr_t_n_ns").count(), 1);
     }
 
     #[test]

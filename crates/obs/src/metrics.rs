@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A monotonically increasing counter.
 ///
@@ -168,12 +167,6 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Records the elapsed time since `start`, in nanoseconds.
-    #[inline]
-    pub fn record_since(&self, start: Instant) {
-        self.record(start.elapsed().as_nanos() as u64);
     }
 
     /// Number of samples recorded.

@@ -55,7 +55,7 @@ use crossbeam::channel::{Receiver, TryRecvError};
 use fbdr_containment::{ContainmentEngine, EngineStats, PreparedQuery};
 use fbdr_dit::posting;
 use fbdr_ldap::{AttrSelection, Entry, SearchRequest};
-use fbdr_obs::{event, Counter, Histogram, Obs};
+use fbdr_obs::{event, Counter, Histogram, Obs, Timer};
 use fbdr_resync::{
     Clock, CompositeCookie, NotifyBatch, RoutingIndex, ShardCoordinator, ShardId,
     ShardMap, ShardOutcome, ShardStatus, SyncAction, SyncDriver, SyncError, SyncMaster, SyncMode,
@@ -65,7 +65,6 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// One synchronized generalized filter inside a content snapshot.
 ///
@@ -375,11 +374,6 @@ pub struct DecisionCacheStats {
 /// lookups.
 #[derive(Debug)]
 struct AnswerMetrics {
-    /// `fbdr_replica_try_answer_ns` — end-to-end local answer latency.
-    answer_ns: Arc<Histogram>,
-    /// `fbdr_replica_index_build_ns` — incremental index maintenance time
-    /// per applied action batch.
-    index_build_ns: Arc<Histogram>,
     /// `fbdr_replica_plan_candidates` — candidate-set size the planner
     /// handed to residual verification (plan selectivity).
     plan_candidates: Arc<Histogram>,
@@ -450,6 +444,11 @@ pub struct FilterReplica {
     writer: Mutex<WriterState>,
     obs: Obs,
     metrics: Option<AnswerMetrics>,
+    /// `replica.try_answer` — end-to-end local answer latency.
+    answer_timer: Timer,
+    /// `replica.index_build` — incremental index maintenance per applied
+    /// action batch.
+    index_timer: Timer,
 }
 
 impl FilterReplica {
@@ -463,8 +462,9 @@ impl FilterReplica {
     /// `fbdr_replica_*_total` metrics (one counter source — see
     /// [`AtomicReplicaStats::bound`]), every
     /// [`try_answer`](FilterReplica::try_answer) is timed into
-    /// `fbdr_replica_try_answer_ns`, index maintenance is timed into
-    /// `fbdr_replica_index_build_ns`, plan selectivity, exact plans
+    /// `fbdr_replica_try_answer_ns` (span `replica.try_answer`), index
+    /// maintenance into `fbdr_replica_index_build_ns` (span
+    /// `replica.index_build`), plan selectivity, exact plans
     /// (`fbdr_replica_plan_exact_total`), hits answered with a container's
     /// whole content (`fbdr_replica_answer_whole_total`; a `qc_hit` event
     /// says `whole`) and the filter index's candidates
@@ -483,8 +483,6 @@ impl FilterReplica {
             (
                 AtomicReplicaStats::bound(reg),
                 Some(AnswerMetrics {
-                    answer_ns: reg.histogram("fbdr_replica_try_answer_ns"),
-                    index_build_ns: reg.histogram("fbdr_replica_index_build_ns"),
                     plan_candidates: reg.histogram("fbdr_replica_plan_candidates"),
                     plan_indexed: reg.counter("fbdr_replica_plan_indexed_total"),
                     plan_exact: reg.counter("fbdr_replica_plan_exact_total"),
@@ -506,6 +504,8 @@ impl FilterReplica {
             engine: ContainmentEngine::with_obs(obs.clone()),
             stats,
             writer: Mutex::new(WriterState::default()),
+            answer_timer: obs.timer("replica", "try_answer"),
+            index_timer: obs.timer("replica", "index_build"),
             obs,
             metrics,
         }
@@ -575,6 +575,8 @@ impl FilterReplica {
 
     /// Number of generalized filters currently marked stale (their last
     /// sync cycle could not reach the master).
+    // A test hook: only tests call it.
+    #[doc(hidden)]
     pub fn stale_filter_count(&self) -> usize {
         self.snapshot().filters.iter().filter(|s| s.stale).count()
     }
@@ -1040,11 +1042,8 @@ impl FilterReplica {
         if actions.is_empty() {
             return;
         }
-        let start = self.metrics.as_ref().map(|_| Instant::now());
+        let _span = self.index_timer.start();
         apply_actions(work, table, sf, actions);
-        if let (Some(m), Some(t)) = (&self.metrics, start) {
-            m.index_build_ns.record_since(t);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1089,15 +1088,11 @@ impl FilterReplica {
     /// # }
     /// ```
     pub fn try_answer(&self, query: &SearchRequest) -> Option<Vec<Entry>> {
-        let start = self.metrics.as_ref().map(|_| Instant::now());
+        let _span = self.answer_timer.start();
         self.stats.record_query();
         let prepared = PreparedQuery::borrowed(query);
         let snap = self.snapshot();
-        let out = self.answer_prepared(query, &prepared, &snap);
-        if let (Some(m), Some(t)) = (&self.metrics, start) {
-            m.answer_ns.record_since(t);
-        }
-        out
+        self.answer_prepared(query, &prepared, &snap)
     }
 
     /// The answer path proper, against an already-prepared query and an
@@ -1269,15 +1264,11 @@ impl FilterReplica {
     /// containment and union composition — runs against a single epoch
     /// read.
     pub fn try_answer_composed(&self, query: &SearchRequest) -> Option<Vec<Entry>> {
-        let start = self.metrics.as_ref().map(|_| Instant::now());
+        let _span = self.answer_timer.start();
         self.stats.record_query();
         let prepared = PreparedQuery::borrowed(query);
         let snap = self.snapshot();
-        let out = self.answer_composed_prepared(query, &prepared, &snap);
-        if let (Some(m), Some(t)) = (&self.metrics, start) {
-            m.answer_ns.record_since(t);
-        }
-        out
+        self.answer_composed_prepared(query, &prepared, &snap)
     }
 
     fn answer_composed_prepared(

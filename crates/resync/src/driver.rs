@@ -20,10 +20,8 @@ use crate::SyncMaster;
 use crossbeam::channel::Receiver;
 use fbdr_ldap::{Entry, SearchRequest};
 use fbdr_net::ShardId;
-use fbdr_obs::{event, Histogram, Obs};
+use fbdr_obs::{event, Obs, Timer};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// A source of (possibly simulated) milliseconds and sleeps.
 pub trait Clock {
@@ -248,9 +246,6 @@ pub struct DriverStats {
     /// Full content reinstalls after an unrecoverable session error that
     /// reconciliation could not (or was not allowed to) repair.
     pub reinstalls: u64,
-    /// Persist subscriptions that degraded to polling after their
-    /// notification channel disconnected.
-    pub poll_fallbacks: u64,
 }
 
 impl DriverStats {
@@ -262,7 +257,6 @@ impl DriverStats {
         self.exhausted += other.exhausted;
         self.reconciliations += other.reconciliations;
         self.reinstalls += other.reinstalls;
-        self.poll_fallbacks += other.poll_fallbacks;
     }
 }
 
@@ -307,11 +301,10 @@ pub struct SyncDriver<C: Clock = SystemClock> {
     jitter_state: u64,
     stats: DriverStats,
     obs: Obs,
-    /// Pre-resolved `fbdr_resync_exchange_ns` histogram; `None` on an
-    /// unobserved driver.
-    exchange_hist: Option<Arc<Histogram>>,
-    /// Pre-resolved `fbdr_resync_reconcile_exchange_ns` histogram.
-    reconcile_hist: Option<Arc<Histogram>>,
+    /// `resync.exchange`: times [`SyncDriver::resync`].
+    exchange: Timer,
+    /// `resync.reconcile_exchange`: times [`SyncDriver::reconcile`].
+    reconcile_exchange: Timer,
 }
 
 impl SyncDriver<SystemClock> {
@@ -337,13 +330,15 @@ impl<C: Clock> SyncDriver<C> {
             jitter_state,
             stats: DriverStats::default(),
             obs: Obs::off(),
-            exchange_hist: None,
-            reconcile_hist: None,
+            exchange: Timer::default(),
+            reconcile_exchange: Timer::default(),
         }
     }
 
     /// Attaches observability: every exchange is timed into the
-    /// `fbdr_resync_exchange_ns` histogram, degradation-ladder
+    /// `fbdr_resync_exchange_ns` histogram and every reconciliation into
+    /// `fbdr_resync_reconcile_exchange_ns` (spans `resync.exchange` and
+    /// `resync.reconcile_exchange`), degradation-ladder
     /// transitions (retry → reinstall → serve-stale) are mirrored into
     /// `fbdr_resync_*_total` registry counters, and `driver.*` trace
     /// events are emitted when a subscriber is installed.
@@ -351,12 +346,8 @@ impl<C: Clock> SyncDriver<C> {
     /// [`SyncDriver::stats`] stays per-driver; the registry counters
     /// aggregate across every driver sharing the same [`Obs`].
     pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.exchange_hist = obs
-            .is_active()
-            .then(|| obs.registry().histogram("fbdr_resync_exchange_ns"));
-        self.reconcile_hist = obs
-            .is_active()
-            .then(|| obs.registry().histogram("fbdr_resync_reconcile_exchange_ns"));
+        self.exchange = obs.timer("resync", "exchange");
+        self.reconcile_exchange = obs.timer("resync", "reconcile_exchange");
         self.obs = obs;
         self
     }
@@ -400,12 +391,9 @@ impl<C: Clock> SyncDriver<C> {
         request: &SearchRequest,
         ctl: ReSyncControl,
     ) -> Result<SyncResponse, SyncError> {
-        let timer = self.exchange_hist.as_ref().map(|_| Instant::now());
-        let out = self.retry_loop(&mut |_attempt| transport.resync_at(shard, request, ctl));
-        if let (Some(h), Some(t)) = (&self.exchange_hist, timer) {
-            h.record_since(t);
-        }
-        out
+        let timer = self.exchange.clone();
+        let _span = timer.start();
+        self.retry_loop(&mut |_attempt| transport.resync_at(shard, request, ctl))
     }
 
     /// Runs a full reconciliation exchange (see [`crate::reconcile`])
@@ -429,7 +417,8 @@ impl<C: Clock> SyncDriver<C> {
         request: &SearchRequest,
         held: &dyn Fn() -> Vec<Entry>,
     ) -> Result<ReconcileOutcome, SyncError> {
-        let timer = self.reconcile_hist.as_ref().map(|_| Instant::now());
+        let timer = self.reconcile_exchange.clone();
+        let _span = timer.start();
         let out = self.retry_loop(&mut |attempt| {
             reconcile::reconcile(transport, shard, request, held, attempt)
         });
@@ -453,9 +442,6 @@ impl<C: Clock> SyncDriver<C> {
                 deletes = outcome.cost.deletes,
                 fallback_probes = outcome.cost.fallback_probes,
             );
-        }
-        if let (Some(h), Some(t)) = (&self.reconcile_hist, timer) {
-            h.record_since(t);
         }
         out
     }

@@ -1062,6 +1062,8 @@ impl SyncMaster {
     /// Panics if the routing index violates its invariants (stale ids,
     /// unsorted or empty retained posting lists, registered sessions
     /// missing from their postings). Test helper.
+    // A test hook: only tests call it.
+    #[doc(hidden)]
     pub fn debug_validate_routing(&self) {
         self.routing.debug_validate();
         for &sid in self.sessions.keys() {

@@ -30,7 +30,7 @@ use crate::generalize::Generalizer;
 use fbdr_containment::{ContainmentEngine, PreparedQuery};
 use fbdr_dit::DitStore;
 use fbdr_ldap::SearchRequest;
-use fbdr_obs::{event, span, Obs};
+use fbdr_obs::{event, Obs, Timer};
 use fbdr_replica::FilterReplica;
 use fbdr_resync::{ShardCoordinator, ShardedMaster, SyncError, SyncTraffic};
 use serde::{Deserialize, Serialize};
@@ -238,6 +238,8 @@ pub struct FilterSelector {
     /// Observability handle; [`Obs::off`] unless attached via
     /// [`FilterSelector::with_obs`].
     obs: Obs,
+    /// `selection.revolve`: times each [`FilterSelector::step`].
+    revolve: Timer,
 }
 
 impl FilterSelector {
@@ -260,6 +262,7 @@ impl FilterSelector {
             last_ops_applied: 0,
             report: SelectionReport::default(),
             obs: Obs::off(),
+            revolve: Timer::default(),
         }
     }
 
@@ -271,6 +274,7 @@ impl FilterSelector {
     /// `selection.{revolution,promote,evict}` trace events.
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.revolve = obs.timer("selection", "revolve");
         self.obs = obs;
         self
     }
@@ -281,6 +285,8 @@ impl FilterSelector {
     }
 
     /// Number of filters currently installed by this selector.
+    // A test hook: only tests call it.
+    #[doc(hidden)]
     pub fn managed_count(&self) -> usize {
         self.managed.len()
     }
@@ -332,7 +338,8 @@ impl FilterSelector {
         coordinator: &mut ShardCoordinator,
         replica: &FilterReplica,
     ) -> Result<StepReport, SyncError> {
-        let _span = span!(self.obs, "selection", "revolve");
+        let timer = self.revolve.clone();
+        let _span = timer.start();
         let step = self.report.steps + 1;
         let decay = self.config.decay;
 

@@ -69,9 +69,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.evicted.len(),
     );
 
-    // Faulty sync: 30% of responses are lost in flight. The driver's
-    // retries and the master's replay buffer recover each one, emitting
-    // driver.retry / resync.redelivery events along the way.
+    // Faulty sync: 30% of responses are lost in flight. The driver
+    // retries the cookie and the master re-sends its changes from the
+    // live DIT, emitting driver.retry / resync.redelivery events along
+    // the way.
     let clock = SimClock::new();
     let plan = FaultPlan::builder(7).drop_response(0.30).latency_ms(1, 20).build();
     let mut link = FaultyLink::new(master, plan, clock.clone());

@@ -385,7 +385,7 @@ fn trace_events_and_counters_agree_under_response_loss() {
     assert_eq!(reg.counter("fbdr_resync_retries_total").get(), retries);
     assert_eq!(ring.count("driver", "retry") as u64, retries);
 
-    // Every redelivery event carries the replayed batch's cookie seq.
+    // Every redelivery event carries the retried cookie's seq.
     for e in ring.named("resync", "redelivery") {
         assert!(e.u64_field("seq").is_some(), "redelivery without a seq: {e}");
     }

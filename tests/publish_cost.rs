@@ -8,7 +8,8 @@
 //! at least one allocation per held entry and fails both.
 //!
 //! The same counter guards the read path's inner loop: a containment
-//! check on the same-template and compiled paths allocates nothing — and
+//! check on the same-template and compiled paths allocates nothing, nor
+//! does the span that times a layer (beyond its event, when traced) — and
 //! what comes before it: a query of a known template is prepared by
 //! looking the template up, so extracting it allocates for its values and
 //! a whole point-query hit for its lists (DESIGN §5, *Templates*; the table under a
@@ -214,6 +215,38 @@ fn containment_check_allocates_nothing() {
     assert_eq!(stats.compiled - before.compiled, 3);
     assert_eq!(stats.skipped_never - before.skipped_never, 1);
     assert_eq!(allocations, 0, "allocations in six containment checks");
+}
+
+/// A subscriber that keeps nothing, so what an emission allocates is the
+/// event alone.
+struct Discard;
+
+impl fbdr::obs::Subscriber for Discard {
+    fn on_event(&self, _: &fbdr::obs::Event) {}
+}
+
+#[test]
+fn a_span_allocates_nothing() {
+    let obs = Obs::new();
+    let timer = obs.timer("replica", "try_answer");
+    let ((), bytes) = bytes_of(|| {
+        let mut span = timer.start();
+        span.record("hit", true);
+    });
+    assert_eq!(bytes, 0, "bytes of a span with no subscriber");
+    assert_eq!(obs.registry().histogram("fbdr_replica_try_answer_ns").count(), 1);
+
+    // With a subscriber, the span's closing event is all it allocates: as
+    // many allocations as an `event!` with the same fields.
+    obs.set_subscriber(std::sync::Arc::new(Discard));
+    let ((), span) = allocations_of(|| {
+        let mut span = timer.start();
+        span.record("hit", true);
+    });
+    let ((), event) = allocations_of(|| {
+        fbdr::obs::event!(obs, "replica", "try_answer", hit = true, duration_ns = 1u64);
+    });
+    assert_eq!((span, event), (1, 1), "allocations of a span's close and of its event");
 }
 
 #[test]
@@ -596,7 +629,7 @@ fn deep_copy(e: &Entry) -> Entry {
 /// the directory in the same state: after two passes that size every
 /// list, map and ledger, and after a hundred more. Before each reading
 /// every session is polled twice (the second poll acknowledges the first
-/// and leaves an empty replay buffer).
+/// and leaves the session nothing unacknowledged).
 fn heap_drift_over_100k_replaces(sessions: usize) -> (i64, i64) {
     let before = live_bytes();
     let body = {
