@@ -30,13 +30,15 @@
 //! parameters; gate 3 by `fbdr-selection`'s
 //! `budgeted_steps_respect_budgets_and_stay_consistent`.
 
+use crate::evolution::EvolutionSelector;
+use crate::experiment::{replay_filter, ReplayConfig};
 use crate::Scale;
-use fbdr_core::experiment::{replay_filter, select_static_filters, ReplayConfig};
+use fbdr_core::experiment::select_static_filters;
 use fbdr_core::{Replicator, ServedBy};
 use fbdr_replica::FilterReplica;
 use fbdr_resync::{ShardCoordinator, ShardedMaster, SyncMaster};
 use fbdr_selection::generalize::{Generalizer, ValuePrefix, WidenToPresence};
-use fbdr_selection::{EvolutionSelector, FilterSelector, SelectorConfig, StepConfig};
+use fbdr_selection::{FilterSelector, SelectorConfig, StepConfig};
 use fbdr_workload::{
     EnterpriseDirectory, Scenario, ScenarioConfig, ScenarioKind, TracedQuery, WorkloadEvent,
 };

@@ -18,13 +18,17 @@
 //! | [`ChangelogSync`] | changelog records | yes | every deleted DN (delete records carry no attributes) |
 //! | [`NaiveChangelogSync`] | changelog records only, filtered deletes | **no** | low, but leaves ghost entries |
 //!
-//! The ReSync protocol itself ([`crate::SyncMaster`]) maintains per-session
-//! history and sends exactly `E01 ∪ E10 ∪ (E11 ∩ sent)`.
+//! The ReSync protocol itself ([`SyncMaster`](fbdr_resync::SyncMaster))
+//! maintains per-session history and sends exactly
+//! `E01 ∪ E10 ∪ (E11 ∩ sent)`. Every strategy here speaks its three
+//! commands (add, modify, delete); the one PDU of its own, [`RetainSync`]'s
+//! DN-only *retain*, is priced as the DN-only PDU it is and never put on
+//! the protocol's wire.
 
-use crate::content::ReplicaContent;
-use crate::protocol::{SyncAction, SyncTraffic};
-use fbdr_dit::{ChangeKind, Csn, DitStore, History};
-use fbdr_ldap::{Dn, Entry, SearchRequest};
+use crate::history::History;
+use fbdr_dit::{ChangeKind, Csn, DitStore};
+use fbdr_ldap::{Entry, SearchRequest};
+use fbdr_resync::{ReplicaContent, SyncAction, SyncTraffic};
 use std::collections::{HashMap, HashSet};
 
 /// A replica-side synchronization strategy.
@@ -64,15 +68,20 @@ impl Synchronizer for FullReload {
             .into_iter()
             .map(SyncAction::Add)
             .collect();
-        replica.apply_snapshot_cycle(&actions);
+        *replica = ReplicaContent::new();
+        replica.apply_all(&actions);
         SyncTraffic::of(&actions)
     }
 }
 
 /// The history-free scheme of equation (3): changed in-content entries are
-/// sent in full, unchanged ones as DN-only `retain` actions, and anything
+/// sent in full, unchanged ones as DN-only *retain* PDUs, and anything
 /// unmentioned is implicitly deleted. Converges without any deletion
 /// history, but every cycle touches the entire content.
+///
+/// A cycle builds the next content from scratch: an entry sent in full
+/// goes in as sent, a retained one keeps the copy the replica held, and
+/// what the cycle does not mention is gone.
 #[derive(Debug, Default)]
 pub struct RetainSync {
     last_csn: Csn,
@@ -91,18 +100,27 @@ impl Synchronizer for RetainSync {
         replica: &mut ReplicaContent,
     ) -> SyncTraffic {
         let changed: HashSet<String> = changed_dns(history, self.last_csn);
-        let mut actions = Vec::new();
+        let mut next = ReplicaContent::new();
+        let mut traffic = SyncTraffic::default();
         for e in master.search(request) {
-            let k = e.dn().to_string();
-            if changed.contains(&k) || !replica.contains(e.dn()) {
-                actions.push(SyncAction::Add(e));
-            } else {
-                actions.push(SyncAction::Retain(e.dn().clone()));
+            let held = replica.get(e.dn()).filter(|_| !changed.contains(&e.dn().to_string()));
+            match held {
+                Some(kept) => {
+                    // A retain carries the DN alone: priced as the DN-only
+                    // PDU a delete is.
+                    traffic.count(&SyncAction::Delete(e.dn().clone()));
+                    next.apply(&SyncAction::Add(kept.clone()));
+                }
+                None => {
+                    let add = SyncAction::Add(e);
+                    traffic.count(&add);
+                    next.apply(&add);
+                }
             }
         }
         self.last_csn = master.csn();
-        replica.apply_snapshot_cycle(&actions);
-        SyncTraffic::of(&actions)
+        *replica = next;
+        traffic
     }
 }
 
@@ -345,25 +363,12 @@ fn changed_dns(history: &History, since: Csn) -> HashSet<String> {
     out
 }
 
-/// Compares a replica's content against the master's current answer for
-/// `request`; returns the mismatching DNs (empty = converged).
-pub fn divergence(master: &DitStore, request: &SearchRequest, replica: &ReplicaContent) -> Vec<String> {
-    let master_dns: HashSet<String> = master
-        .search_dns(request)
-        .iter()
-        .map(Dn::to_string)
-        .collect();
-    let replica_dns: HashSet<String> = replica.iter().map(|e| e.dn().to_string()).collect();
-    let mut diff: Vec<String> = master_dns.symmetric_difference(&replica_dns).cloned().collect();
-    diff.sort();
-    diff
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fbdr_dit::{Modification, UpdateOp};
-    use fbdr_ldap::{Filter, Scope};
+    use fbdr_ldap::{Dn, Filter, Scope};
+    use fbdr_resync::divergence;
 
     fn dn(s: &str) -> Dn {
         s.parse().unwrap()
@@ -496,17 +501,5 @@ mod tests {
         // The convergent strategies handle the same history fine.
         ts.sync(&m, &h, &req, &mut replica2);
         assert!(divergence(&m, &req, &replica2).is_empty());
-    }
-
-    #[test]
-    fn divergence_reports_both_directions() {
-        let m = master();
-        let req = dept7();
-        let mut replica = ReplicaContent::new();
-        // Missing entries.
-        assert_eq!(divergence(&m, &req, &replica).len(), 2);
-        // Ghost entry.
-        replica.apply(&SyncAction::Add(person("ghost", "7")));
-        assert_eq!(divergence(&m, &req, &replica).len(), 3);
     }
 }

@@ -11,12 +11,12 @@
 //! updates to the stored filter list and are therefore unsuitable for a
 //! replication scenario, where every install costs a content transfer.
 //! [`EvolutionSelector`] exists to quantify that churn against
-//! [`FilterSelector`](crate::FilterSelector)'s periodic updates.
+//! [`FilterSelector`](fbdr_selection::FilterSelector)'s periodic updates.
 
-use crate::generalize::Generalizer;
 use fbdr_ldap::SearchRequest;
 use fbdr_replica::FilterReplica;
 use fbdr_resync::{ShardCoordinator, ShardedMaster, SyncError, SyncTraffic};
+use fbdr_selection::generalize::Generalizer;
 use std::collections::HashMap;
 
 /// Churn and traffic accounting for an evolution-based run.
@@ -260,7 +260,7 @@ fn key(r: &SearchRequest) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generalize::ValuePrefix;
+    use fbdr_selection::generalize::ValuePrefix;
     use fbdr_ldap::{Entry, Filter};
     use fbdr_resync::SyncMaster;
 

@@ -1,13 +1,13 @@
 //! Hit-ratio experiments: Figures 4, 5, 8 and 9.
 
-use crate::setup::Params;
-use fbdr_core::experiment::{
-    build_context_replica, replay_filter, replay_subtree, select_static_filters, ReplayConfig,
-    Routing,
+use crate::experiment::{
+    build_context_replica, replay_filter, replay_subtree, select_subtree_contexts, ReplayConfig,
 };
+use crate::setup::Params;
+use crate::subtree::SubtreeReplica;
+use fbdr_core::experiment::select_static_filters;
 use fbdr_core::Replicator;
 use fbdr_dit::NamingContext;
-use fbdr_replica::SubtreeReplica;
 use fbdr_resync::SyncMaster;
 use fbdr_selection::generalize::{Generalizer, Identity, ValuePrefix, WidenToPresence};
 use fbdr_selection::{FilterSelector, SelectorConfig};
@@ -71,11 +71,10 @@ pub fn fig4(params: &Params) -> Vec<Fig4Row> {
         }
         let f_out = replay_filter(&mut repl, &day2, &[], no_updates());
 
-        let countries = fbdr_core::experiment::select_subtree_contexts(&dir, &day1, budget);
+        let countries = select_subtree_contexts(&dir, &day1, budget);
         let mut master = dir.dit().clone();
         let mut sub = build_context_replica(&master, &countries);
-        let s_out =
-            replay_subtree(&mut master, &mut sub, &day2, &[], no_updates(), Routing::Oracle);
+        let s_out = replay_subtree(&mut master, &mut sub, &day2, &[], no_updates());
 
         rows.push(Fig4Row {
             budget_frac: frac,
@@ -137,8 +136,7 @@ pub fn fig5(params: &Params) -> Vec<Fig5Row> {
         }
 
         let (mut master, sub_size, mut sub) = division_replica(&dir, &day1, budget);
-        let s_out =
-            replay_subtree(&mut master, &mut sub, &day2, &[], no_updates(), Routing::Oracle);
+        let s_out = replay_subtree(&mut master, &mut sub, &day2, &[], no_updates());
         rows.push(Fig5Row {
             budget,
             hit_r_small: hit[0],

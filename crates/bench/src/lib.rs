@@ -27,13 +27,35 @@
 //! [`adaptation::run`] (`repro adaptation`). Wall-clock claims are not
 //! measured here — they belong to the repo's one ruler, `benchmark/`.
 //! The crate also holds the `ldapsim` sandbox ([`shell`]).
+//!
+//! # The paper's comparison systems
+//!
+//! The systems the paper measures ReSync and the filter replica against
+//! live here, beside the experiments that run them, and not in the system
+//! crates:
+//!
+//! | section | system | module |
+//! |---|---|---|
+//! | §5.2 | full reload, retain (eq. 3), tombstone, changelog and naive-changelog sync | [`baseline`] |
+//! | §5.2 | the changelog and tombstones those schemes read | [`history`] |
+//! | §6.2 | per-query evolutions and revolutions of \[12\] | [`evolution`] |
+//! | §3.4.1 | the subtree replica | [`subtree`] |
+//! | §7 | the trace-replay drivers of both replica models | [`experiment`] |
+//!
+//! They depend on the system crates' public API only; no system crate
+//! depends on this one.
 
 pub mod adaptation;
+pub mod baseline;
+pub mod evolution;
+pub mod experiment;
+pub mod history;
 pub mod hits;
 pub mod protocol;
 pub mod recovery;
 pub mod setup;
 pub mod shell;
+pub mod subtree;
 pub mod tables;
 pub mod traffic;
 

@@ -1,7 +1,8 @@
-//! The subtree-based replication model (§3.4.1).
+//! The subtree-based replication model (§3.4.1), the conventional model
+//! the paper's filter replica is measured against.
 
-use crate::stats::{AtomicReplicaStats, ReplicaStats};
-use fbdr_dit::{ChangeKind, Csn, DitStore, History, NamingContext};
+use crate::history::History;
+use fbdr_dit::{ChangeKind, Csn, DitStore, NamingContext};
 use fbdr_ldap::{Dn, Entry, Scope, SearchRequest};
 use fbdr_resync::SyncTraffic;
 
@@ -13,16 +14,15 @@ use fbdr_resync::SyncTraffic;
 /// (the paper's `isContained` algorithm); a query additionally counts as a
 /// *hit* only when no referral intersects its region (§3.1.3).
 ///
-/// Like [`FilterReplica`](crate::FilterReplica), query answering takes
-/// `&self` (statistics are relaxed atomics), so concurrent readers need no
-/// external lock; [`sync_from`](SubtreeReplica::sync_from) and
+/// Like [`FilterReplica`](fbdr_replica::FilterReplica), query answering
+/// takes `&self`, so concurrent readers need no external lock;
+/// [`sync_from`](SubtreeReplica::sync_from) and
 /// [`replicate_context`](SubtreeReplica::replicate_context) mutate the
 /// entry store and keep `&mut self`.
 #[derive(Debug, Default)]
 pub struct SubtreeReplica {
     contexts: Vec<NamingContext>,
     store: DitStore,
-    stats: AtomicReplicaStats,
     last_csn: Csn,
 }
 
@@ -41,16 +41,6 @@ impl SubtreeReplica {
     /// against hit ratio in Figures 4 and 5.
     pub fn entry_count(&self) -> usize {
         self.store.len()
-    }
-
-    /// Accumulated hit statistics (a snapshot of the atomic counters).
-    pub fn stats(&self) -> ReplicaStats {
-        self.stats.snapshot()
-    }
-
-    /// Resets hit statistics (e.g. between training and evaluation days).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
     }
 
     /// Adds a replication context and loads its entries from the master.
@@ -119,21 +109,14 @@ impl SubtreeReplica {
     }
 
     /// Tries to answer a query locally. Returns the entries on a hit,
-    /// `None` (→ referral) on a miss. Statistics are updated either way.
+    /// `None` (→ referral) on a miss.
     ///
     /// Takes `&self`: any number of threads may query concurrently. Note
-    /// that unlike [`FilterReplica`](crate::FilterReplica), the subtree
-    /// store itself is not snapshot-isolated — readers must not run
-    /// concurrently with `sync_from` (wrap in a `RwLock` for that, as
-    /// `SubtreeReplicaNode` in `fbdr-core` does).
+    /// that unlike [`FilterReplica`](fbdr_replica::FilterReplica), the
+    /// subtree store itself is not snapshot-isolated — readers must not run
+    /// concurrently with `sync_from` (wrap it in a `RwLock` for that).
     pub fn try_answer(&self, query: &SearchRequest) -> Option<Vec<Entry>> {
-        self.stats.record_query();
-        if self.is_fully_answerable(query) {
-            self.stats.record_hit();
-            Some(self.store.search(query))
-        } else {
-            None
-        }
+        self.is_fully_answerable(query).then(|| self.store.search(query))
     }
 
     /// Synchronizes with the master: every change to an entry inside a
@@ -287,7 +270,6 @@ mod tests {
         let r = us_replica(&m);
         let q = SearchRequest::from_root(Filter::parse("(serialNumber=045611)").unwrap());
         assert!(r.try_answer(&q).is_none());
-        assert_eq!(r.stats().hit_ratio(), 0.0);
     }
 
     #[test]
@@ -307,8 +289,6 @@ mod tests {
             Filter::parse("(serialNumber=1*)").unwrap(),
         );
         assert!(r.try_answer(&miss).is_none());
-        assert_eq!(r.stats().queries, 2);
-        assert_eq!(r.stats().hits, 1);
     }
 
     #[test]

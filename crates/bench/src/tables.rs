@@ -1,17 +1,16 @@
 //! Table 1, the §7.2(c) "other queries" analysis, the §5.2 sync-traffic
 //! ablation and the §7.4 processing-overhead study.
 
+use crate::baseline::{
+    ChangelogSync, FullReload, NaiveChangelogSync, RetainSync, Synchronizer, TombstoneSync,
+};
+use crate::experiment::{replay_filter, ReplayConfig};
+use crate::history::History;
 use crate::setup::Params;
 use fbdr_containment::filter_contained;
-use fbdr_core::experiment::{replay_filter, ReplayConfig};
 use fbdr_core::Replicator;
-use fbdr_dit::History;
 use fbdr_ldap::{Filter, Scope, SearchRequest};
-use fbdr_resync::baseline::{
-    divergence, ChangelogSync, FullReload, NaiveChangelogSync, RetainSync, Synchronizer,
-    TombstoneSync,
-};
-use fbdr_resync::{ReSyncControl, ReplicaContent, SyncMaster, SyncTraffic};
+use fbdr_resync::{divergence, ReSyncControl, ReplicaContent, SyncMaster, SyncTraffic};
 use fbdr_selection::generalize::{ConstantRegion, Generalizer, ValuePrefix};
 use fbdr_selection::{FilterSelector, SelectorConfig};
 use fbdr_workload::{distribution, QueryKind, TracedQuery, UpdateConfig, UpdateGenerator};
@@ -261,11 +260,11 @@ pub struct SelectionAblationRow {
 /// little better but churn the stored filter list constantly — unsuitable
 /// when every install costs a content transfer.
 pub fn selection_ablation(params: &Params) -> Vec<SelectionAblationRow> {
-    use fbdr_core::experiment::{replay_filter, ReplayConfig as RC};
+    use crate::experiment::{replay_filter, ReplayConfig as RC};
     use fbdr_replica::FilterReplica;
     use fbdr_resync::{ShardCoordinator, ShardedMaster};
     use fbdr_selection::generalize::{Identity, WidenToPresence};
-    use fbdr_selection::EvolutionSelector;
+    use crate::evolution::EvolutionSelector;
 
     let dir = params.directory();
     let (day1, day2) = params.two_days(&dir);

@@ -1,10 +1,11 @@
 //! Update-traffic experiments: Figures 6 and 7.
 
-use crate::setup::Params;
-use fbdr_core::experiment::{
-    build_context_replica, replay_filter, replay_subtree, select_static_filters,
-    select_subtree_contexts, ReplayConfig, Routing,
+use crate::experiment::{
+    build_context_replica, replay_filter, replay_subtree, select_subtree_contexts, ReplayConfig,
 };
+use crate::setup::Params;
+use crate::subtree::SubtreeReplica;
+use fbdr_core::experiment::select_static_filters;
 use fbdr_core::Replicator;
 use fbdr_resync::SyncMaster;
 use fbdr_selection::generalize::{Generalizer, Identity, ValuePrefix, WidenToPresence};
@@ -58,7 +59,7 @@ pub fn fig6(params: &Params) -> Vec<Fig6Row> {
         let countries = select_subtree_contexts(&dir, &day1, budget);
         let mut master = dir.dit().clone();
         let mut sub = build_context_replica(&master, &countries);
-        let s_out = replay_subtree(&mut master, &mut sub, &day2, &updates, cfg, Routing::Oracle);
+        let s_out = replay_subtree(&mut master, &mut sub, &day2, &updates, cfg);
 
         rows.push(Fig6Row {
             budget_frac: frac,
@@ -134,12 +135,12 @@ pub fn fig7(params: &Params) -> Vec<Fig7Row> {
         // Subtree: replicate the whole division tree; updates never touch
         // department entries, so sync traffic is (near) zero.
         let mut master = dir.dit().clone();
-        let mut sub = fbdr_replica::SubtreeReplica::new();
+        let mut sub = SubtreeReplica::new();
         sub.replicate_context(
             &master,
             fbdr_dit::NamingContext::new("ou=divisions,o=xyz".parse().expect("valid dn")),
         );
-        let s_out = replay_subtree(&mut master, &mut sub, &day2, &updates, cfg, Routing::Oracle);
+        let s_out = replay_subtree(&mut master, &mut sub, &day2, &updates, cfg);
 
         rows.push(Fig7Row {
             budget,
@@ -201,7 +202,6 @@ pub fn latency(params: &Params) -> Vec<LatencyRow> {
             &day2,
             &[],
             ReplayConfig { sync_every: 0, update_every: 0 },
-            Routing::Oracle,
         );
         rows.push(LatencyRow {
             config: format!("subtree replica ({} countries)", countries.len()),

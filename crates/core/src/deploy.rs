@@ -6,13 +6,11 @@
 //! else gets a *default referral* to the master — exactly how the paper's
 //! replica behaves at the protocol level (§3: "the meta information is
 //! used to determine if an incoming query is semantically contained in
-//! any stored query. Otherwise a referral is generated").
-//! [`SubtreeReplicaNode`] does the same for the conventional subtree
-//! model, so both replica types register in a [`Network`](fbdr_net::Network)
-//! via `add_service` like any other node.
+//! any stored query. Otherwise a referral is generated"). It registers in
+//! a [`Network`](fbdr_net::Network) via `add_service` like any other node.
 //!
-//! Neither node wraps its replica in an exclusive lock on the read path:
-//! `FilterReplica` answers from immutable content snapshots, so
+//! The node does not wrap its replica in an exclusive lock on the read
+//! path: `FilterReplica` answers from immutable content snapshots, so
 //! [`ReplicaNode::handle_search`](DirectoryService::handle_search) runs
 //! concurrently on any number of client threads, even while
 //! [`ReplicaNode::sync_with`] is mid-cycle on another. The same node
@@ -63,13 +61,12 @@
 //! # }
 //! ```
 
-use fbdr_dit::{DitStore, History};
 use fbdr_net::{DirectoryService, ServerOutcome};
-use fbdr_replica::{FilterReplica, SubtreeReplica};
+use fbdr_replica::FilterReplica;
 use fbdr_resync::{
     ShardCoordinator, ShardMap, SyncError, SyncTraffic, SyncTransport, SystemClock,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 /// A filter-based replica addressable as a directory node: local answers
 /// for contained queries, a default referral to the master otherwise.
@@ -160,61 +157,6 @@ impl DirectoryService for ReplicaNode {
     }
 }
 
-/// A subtree replica addressable as a directory node, for head-to-head
-/// deployments against [`ReplicaNode`] (§3.4.1 vs. the paper's model).
-///
-/// Unlike `FilterReplica`, the subtree store is not snapshot-isolated, so
-/// the node holds an [`RwLock`]: concurrent readers share the read lock;
-/// [`sync_from`](SubtreeReplicaNode::sync_from) briefly takes the write
-/// lock for the whole cycle.
-#[derive(Debug)]
-pub struct SubtreeReplicaNode {
-    url: String,
-    replica: RwLock<SubtreeReplica>,
-    master_url: String,
-}
-
-impl SubtreeReplicaNode {
-    /// Wraps a (loaded) subtree replica as a network node referring
-    /// misses to `master_url`.
-    pub fn new(
-        url: impl Into<String>,
-        replica: SubtreeReplica,
-        master_url: impl Into<String>,
-    ) -> Self {
-        SubtreeReplicaNode {
-            url: url.into(),
-            replica: RwLock::new(replica),
-            master_url: master_url.into(),
-        }
-    }
-
-    /// Hit statistics accumulated while serving.
-    pub fn stats(&self) -> fbdr_replica::ReplicaStats {
-        self.replica.read().stats()
-    }
-
-    /// Ships every pending change of the held contexts from the master,
-    /// read off the caller's `history` of it (readers block for the
-    /// duration of the cycle). Returns the sync traffic.
-    pub fn sync_from(&self, master: &DitStore, history: &History) -> SyncTraffic {
-        self.replica.write().sync_from(master, history)
-    }
-}
-
-impl DirectoryService for SubtreeReplicaNode {
-    fn url(&self) -> &str {
-        &self.url
-    }
-
-    fn handle_search(&self, req: &fbdr_ldap::SearchRequest) -> ServerOutcome {
-        match self.replica.read().try_answer(req) {
-            Some(entries) => ServerOutcome::Results { entries, continuations: Vec::new() },
-            None => ServerOutcome::DefaultReferral(self.master_url.clone()),
-        }
-    }
-}
-
 // Test hooks: only this crate's unit tests call them.
 #[cfg(test)]
 impl ReplicaNode {
@@ -234,8 +176,8 @@ impl ReplicaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbdr_dit::NamingContext;
-    use fbdr_ldap::{Entry, Filter, Scope, SearchRequest};
+    use fbdr_dit::{DitStore, NamingContext};
+    use fbdr_ldap::{Entry, Filter, SearchRequest};
     use fbdr_net::{Network, Server};
     use fbdr_resync::SyncMaster;
 
@@ -405,93 +347,5 @@ mod tests {
         }
         // Two shard sessions opened at install plus two polled at sync.
         assert_eq!(node.driver_stats().attempts, 4);
-    }
-
-    #[test]
-    fn subtree_node_answers_and_refers() {
-        let mut dit = DitStore::new();
-        dit.add_suffix("o=xyz".parse().unwrap());
-        dit.add(Entry::new("o=xyz".parse().unwrap()).with("objectclass", "organization"))
-            .unwrap();
-        dit.add(Entry::new("c=us,o=xyz".parse().unwrap()).with("objectclass", "country"))
-            .unwrap();
-        dit.add(
-            Entry::new("cn=a,c=us,o=xyz".parse().unwrap())
-                .with("objectclass", "person")
-                .with("serialNumber", "040001"),
-        )
-        .unwrap();
-
-        let mut sub = SubtreeReplica::new();
-        sub.replicate_context(&dit, NamingContext::new("c=us,o=xyz".parse().unwrap()));
-
-        let mut net = Network::new();
-        net.add_server(Server::new(
-            "ldap://master",
-            dit.clone(),
-            vec![NamingContext::new("o=xyz".parse().unwrap())],
-            None,
-        ));
-        net.add_service(Box::new(SubtreeReplicaNode::new(
-            "ldap://sub",
-            sub,
-            "ldap://master",
-        )));
-
-        let mut client = net.client();
-        // A query based inside the held context: answered locally.
-        let hit = SearchRequest::new(
-            "c=us,o=xyz".parse().unwrap(),
-            Scope::Subtree,
-            Filter::parse("(serialNumber=04*)").unwrap(),
-        );
-        let res = client.search("ldap://sub", &hit).unwrap();
-        assert_eq!(res.stats.round_trips, 1);
-        assert_eq!(res.entries.len(), 1);
-
-        // A root-based query: subtree replicas can never answer those
-        // (§3.1.1) — referred to the master.
-        let miss = SearchRequest::from_root(Filter::parse("(serialNumber=040001)").unwrap());
-        let res = client.search("ldap://sub", &miss).unwrap();
-        assert_eq!(res.stats.round_trips, 2);
-        assert_eq!(res.entries.len(), 1);
-
-        // The node saw both queries; only one was a hit.
-        let node = net.server("ldap://sub").unwrap();
-        assert_eq!(node.url(), "ldap://sub");
-    }
-
-    #[test]
-    fn subtree_node_syncs_in_place() {
-        let mut dit = DitStore::new();
-        dit.add_suffix("o=xyz".parse().unwrap());
-        dit.add(Entry::new("o=xyz".parse().unwrap()).with("objectclass", "organization"))
-            .unwrap();
-        dit.add(Entry::new("c=us,o=xyz".parse().unwrap()).with("objectclass", "country"))
-            .unwrap();
-        let mut sub = SubtreeReplica::new();
-        sub.replicate_context(&dit, NamingContext::new("c=us,o=xyz".parse().unwrap()));
-        let node = SubtreeReplicaNode::new("ldap://sub", sub, "ldap://master");
-
-        let mut history = History::new();
-        let added = dit.add(
-            Entry::new("cn=n,c=us,o=xyz".parse().unwrap())
-                .with("objectclass", "person")
-                .with("serialNumber", "049999"),
-        );
-        history.record(added.unwrap());
-        let t = node.sync_from(&dit, &history);
-        assert_eq!(t.full_entries, 1);
-
-        let q = SearchRequest::new(
-            "c=us,o=xyz".parse().unwrap(),
-            Scope::Subtree,
-            Filter::parse("(serialNumber=049999)").unwrap(),
-        );
-        match node.handle_search(&q) {
-            ServerOutcome::Results { entries, .. } => assert_eq!(entries.len(), 1),
-            other => panic!("expected local answer, got {other:?}"),
-        }
-        assert_eq!(node.stats().hits, 1);
     }
 }

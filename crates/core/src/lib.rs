@@ -12,9 +12,11 @@
 //!   `ShardedMaster` — the directory on one or several master shards; a
 //!   plain `SyncMaster` converts into the one-shard case — and there is no
 //!   second façade for the sharded deployment.
-//! * [`experiment`] — the trace-replay engine regenerating the paper's
-//!   figures: hit-ratio vs replica size, update traffic vs hit ratio, hit
-//!   ratio vs number of stored filters.
+//! * [`deploy`] — the replica as a node of a simulated distributed
+//!   directory, answering contained queries and referring the rest.
+//! * [`experiment`] — the train-then-freeze filter selection of Figure 4.
+//!   The trace-replay engine behind the paper's figures lives in
+//!   `fbdr-bench` with the comparison systems it measures.
 //!
 //! # Example
 //!

@@ -12,10 +12,9 @@
 //!   it works on, shared by this store and the replica's snapshot index.
 //! * [`ChangeRecord`] / change sequence numbers ([`Csn`]) — an RFC-changelog
 //!   style record of one update operation (changed attributes only), which
-//!   every `apply` returns and the store does not keep.
-//! * [`History`] — a consumer's own changelog and [`Tombstone`] list, fed
-//!   from those records: what the changelog- and tombstone-based
-//!   synchronization baselines and the subtree replica's feed read.
+//!   every `apply` returns and the store does not keep. The changelog and
+//!   tombstone history that §5.2's baselines read is kept from these
+//!   records by `fbdr-bench`, which runs the paper's comparison systems.
 //! * [`NamingContext`] — the `(suffix, referrals…)` tuple of the LDAP
 //!   distributed directory model (§2.3 of the paper).
 //!
@@ -49,7 +48,7 @@ pub mod posting;
 mod store;
 mod update;
 
-pub use changelog::{ChangeKind, ChangeRecord, Csn, History, Tombstone};
+pub use changelog::{ChangeKind, ChangeRecord, Csn};
 pub use context::NamingContext;
 pub use error::{DitError, ImportError};
 pub use store::DitStore;

@@ -150,8 +150,8 @@ impl Serialize for Entries {
 ///
 /// Every applied update returns a [`ChangeRecord`] with a monotonically
 /// increasing [`Csn`]. The store keeps the counter, not the records: a
-/// consumer that needs a changelog or tombstones feeds what `apply`
-/// returns to its own [`History`](crate::History).
+/// consumer that needs a changelog or tombstones keeps what `apply`
+/// returns.
 #[derive(Debug, Default, Clone, Serialize)]
 pub struct DitStore {
     entries: Entries,
@@ -576,7 +576,6 @@ impl DitStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::History;
     use fbdr_ldap::{Filter, Rdn};
 
     fn dn(s: &str) -> Dn {
@@ -926,21 +925,16 @@ mod tests {
     fn a_history_fed_from_apply_accumulates_in_csn_order() {
         let mut s = base_store();
         let c0 = s.csn();
-        let mut h = History::new();
-        h.record(s.delete(&dn("cn=Ravi Rao,c=in,o=xyz")).unwrap());
+        let deleted = s.delete(&dn("cn=Ravi Rao,c=in,o=xyz")).unwrap();
         let mail = vec![Modification::Replace("mail".into(), vec!["j@x".into()])];
-        h.record(s.modify(&dn("cn=Jane Roe,c=us,o=xyz"), mail).unwrap());
+        let modified = s.modify(&dn("cn=Jane Roe,c=us,o=xyz"), mail).unwrap();
         // A refused update takes no CSN and leaves no record.
         assert!(s.delete(&dn("cn=Ravi Rao,c=in,o=xyz")).is_err());
-        let since = h.since(c0);
-        assert_eq!(since.len(), 2);
+        let since = [deleted, modified];
         assert_eq!((since[0].csn, since[1].csn), (c0.next(), s.csn()));
         assert_eq!(since[0].kind, ChangeKind::Delete);
         // Delete records carry no attributes — the changelog limitation.
         assert!(since[0].changes.is_empty());
-        let tombstones = h.tombstones_since(Csn::ZERO);
-        assert_eq!(tombstones.len(), 1);
-        assert_eq!((&tombstones[0].dn, tombstones[0].csn), (&since[0].dn, since[0].csn));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! agree with the tree walk, and a history fed from `apply` must be a
 //! well-formed changelog.
 
-use fbdr_dit::{diff_entries, ChangeKind, ChangeRecord, Csn, DitStore, History, Modification, UpdateOp};
+use fbdr_dit::{diff_entries, ChangeRecord, DitStore, Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use proptest::prelude::*;
 
@@ -372,34 +372,25 @@ proptest! {
         }
     }
 
-    /// A history fed what `apply` returns is a changelog: CSNs increase
-    /// strictly, one per accepted update up to the store's own counter, and
-    /// deletes leave tombstones with matching CSNs.
+    /// What `apply` returns is a changelog: CSNs increase strictly, one
+    /// per accepted update up to the store's own counter.
     #[test]
     fn changelog_csn_monotone(ops in ops(60)) {
         let mut d = fresh();
         let born = d.csn();
-        let mut h = History::new();
+        let mut log: Vec<ChangeRecord> = Vec::new();
         for o in &ops {
             if let Some(rec) = apply(&mut d, o) {
                 prop_assert_eq!(rec.csn, d.csn());
-                h.record(rec);
+                log.push(rec);
             }
         }
         let mut last = born;
-        for rec in h.since(Csn::ZERO) {
+        for rec in &log {
             prop_assert_eq!(rec.csn, last.next());
             last = rec.csn;
         }
         prop_assert_eq!(last, d.csn());
-        let delete_csns: Vec<_> = h
-            .since(Csn::ZERO)
-            .iter()
-            .filter(|r| r.kind == ChangeKind::Delete)
-            .map(|r| r.csn)
-            .collect();
-        let tombstone_csns: Vec<_> = h.tombstones_since(Csn::ZERO).iter().map(|t| t.csn).collect();
-        prop_assert_eq!(delete_csns, tombstone_csns);
     }
 
     /// `diff_entries(old, new)` applied to `old` yields exactly `new`,

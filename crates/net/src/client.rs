@@ -95,12 +95,11 @@ impl SearchResult {
 #[derive(Debug)]
 pub struct Client<'a> {
     net: &'a Network,
-    total: OpStats,
 }
 
 impl<'a> Client<'a> {
     pub(crate) fn new(net: &'a Network) -> Self {
-        Client { net, total: OpStats::default() }
+        Client { net }
     }
 
     /// Performs a search starting at `server_url`, chasing referrals until
@@ -192,7 +191,6 @@ impl<'a> Client<'a> {
                 }
             }
         }
-        self.total.absorb(&stats);
         let obs = self.net.obs();
         if obs.is_active() {
             let reg = obs.registry();
@@ -218,15 +216,6 @@ fn continuation_request(orig: &SearchRequest, new_base: Dn) -> SearchRequest {
         Scope::Base => Scope::Base,
     };
     SearchRequest::with_attrs(new_base, scope, orig.filter().clone(), orig.attrs().clone())
-}
-
-// Test hooks: only this crate's unit tests call them.
-#[cfg(test)]
-impl Client<'_> {
-    /// Statistics accumulated over the client's lifetime.
-    fn lifetime_stats(&self) -> OpStats {
-        self.total
-    }
 }
 
 #[cfg(test)]
@@ -367,10 +356,10 @@ mod tests {
         let net = figure2_network();
         let mut client = net.client();
         let req = SearchRequest::new(dn("c=in,o=xyz"), Scope::Subtree, Filter::match_all());
-        client.search("ldap://hostC", &req).unwrap();
-        client.search("ldap://hostC", &req).unwrap();
-        assert_eq!(client.lifetime_stats().round_trips, 2);
-        assert_eq!(client.lifetime_stats().entries_returned, 4);
+        let mut total = client.search("ldap://hostC", &req).unwrap().stats;
+        total.absorb(&client.search("ldap://hostC", &req).unwrap().stats);
+        assert_eq!(total.round_trips, 2);
+        assert_eq!(total.entries_returned, 4);
     }
 
     /// A node that is down: every request times out.

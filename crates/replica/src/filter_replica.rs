@@ -1429,7 +1429,6 @@ fn apply_actions(
                     }
                 }
             }
-            SyncAction::Retain(_) => {}
         }
     }
     if unsettles {

@@ -1,21 +1,18 @@
 #![warn(missing_docs)]
-//! Partial replicas of a directory: the paper's two replication models.
+//! The paper's partial replica of a directory.
 //!
-//! * [`SubtreeReplica`] — the conventional model (§3.4.1): the replica
-//!   holds one or more naming contexts (subtrees, possibly delimited by
-//!   referral objects) and answers a query iff the base lies inside a held
-//!   context (`isContained`) and, for full answers, no subordinate
-//!   referral intersects the query region.
-//! * [`FilterReplica`] — the paper's model: the replica stores the content
-//!   of one or more *LDAP queries* — statically configured generalized
-//!   filters kept in sync via ReSync, plus a short window of recently
-//!   performed user queries cached for temporal locality (§7.4). An
-//!   incoming query is answerable iff it is semantically contained
-//!   (`QC`) in some stored query.
-//!
-//! Both replicas expose [`try_answer`](FilterReplica::try_answer) returning
+//! [`FilterReplica`] is the paper's model: the replica stores the content
+//! of one or more *LDAP queries* — statically configured generalized
+//! filters kept in sync via ReSync, plus a short window of recently
+//! performed user queries cached for temporal locality (§7.4). An
+//! incoming query is answerable iff it is semantically contained (`QC`) in
+//! some stored query. [`try_answer`](FilterReplica::try_answer) returns
 //! the locally computed result on a hit and `None` (→ referral to the
-//! master) on a miss, plus hit-ratio accounting ([`ReplicaStats`]).
+//! master) on a miss, with hit-ratio accounting ([`ReplicaStats`]).
+//!
+//! The conventional subtree model it is measured against (§3.4.1) is one
+//! of the paper's comparison systems and lives in `fbdr-bench`
+//! (`fbdr_bench::subtree`), the crate that runs them.
 //!
 //! # Indexed evaluation
 //!
@@ -32,10 +29,10 @@
 //!
 //! # Concurrency
 //!
-//! Query answering is `&self` on both models. [`FilterReplica`] goes
-//! further: its content lives in immutable per-epoch snapshots behind an
-//! `Arc` swap, so readers run concurrently with sync cycles and never see
-//! a half-applied update batch. Statistics are relaxed atomics
+//! Query answering is `&self`, and [`FilterReplica`]'s content lives in
+//! immutable per-epoch snapshots behind an `Arc` swap, so readers run
+//! concurrently with sync cycles and never see a half-applied update
+//! batch. Statistics are relaxed atomics
 //! ([`AtomicReplicaStats`]) snapshotted into plain [`ReplicaStats`].
 
 mod filter_replica;
@@ -43,10 +40,8 @@ mod index;
 mod intern;
 mod persistent;
 mod stats;
-mod subtree;
 
 pub use filter_replica::{DecisionCacheStats, FilterReplica};
 pub use stats::{AtomicReplicaStats, ReplicaStats};
-pub use subtree::SubtreeReplica;
 
 pub use fbdr_resync::SyncTraffic;

@@ -125,11 +125,6 @@ impl AtomicReplicaStats {
         self.cache_hits.inc();
     }
 
-    /// Counts a plain hit (subtree model: no generalized/cached split).
-    pub fn record_hit(&self) {
-        self.hits.inc();
-    }
-
     /// Counts a persist→poll degradation.
     pub fn record_poll_fallback(&self) {
         self.poll_fallbacks.inc();

@@ -1,18 +1,15 @@
-//! The replica-side content of one synchronized search request.
+//! The replica-side content of one synchronized search request: the
+//! reference content ReSync must converge to.
 
 use crate::intern::dn_key;
 use crate::protocol::SyncAction;
-use fbdr_ldap::{Dn, Entry};
-use std::collections::BTreeMap;
+use fbdr_dit::DitStore;
+use fbdr_ldap::{Dn, Entry, SearchRequest};
+use std::collections::{BTreeMap, HashSet};
 
 /// The set of entries a replica holds for one replicated search request,
 /// updated by applying [`SyncAction`]s. Keyed by DN under LDAP matching
 /// rules (`Dn`'s own equality), so `CN=B,O=X` finds `cn=b,o=x`.
-///
-/// `Retain` actions participate in the history-free scheme of equation
-/// (3): a sync cycle built from retain/add/modify actions implicitly
-/// deletes everything not mentioned — apply such cycles with
-/// [`ReplicaContent::apply_snapshot_cycle`].
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaContent {
     entries: BTreeMap<Dn, Entry>,
@@ -56,8 +53,7 @@ impl ReplicaContent {
         dns
     }
 
-    /// Applies one incremental action (add/modify upsert, delete removes;
-    /// retain is a no-op here).
+    /// Applies one incremental action (add/modify upsert, delete removes).
     pub fn apply(&mut self, action: &SyncAction) {
         match action {
             SyncAction::Add(e) | SyncAction::Modify(e) => {
@@ -66,7 +62,6 @@ impl ReplicaContent {
             SyncAction::Delete(dn) => {
                 self.entries.remove(dn);
             }
-            SyncAction::Retain(_) => {}
         }
     }
 
@@ -76,33 +71,26 @@ impl ReplicaContent {
             self.apply(a);
         }
     }
+}
 
-    /// Applies a *snapshot cycle* (equation (3)): every entry the cycle
-    /// does not mention via add/modify/retain is dropped.
-    pub fn apply_snapshot_cycle<'a, I: IntoIterator<Item = &'a SyncAction>>(&mut self, actions: I) {
-        let mut next = BTreeMap::new();
-        for a in actions {
-            match a {
-                SyncAction::Add(e) | SyncAction::Modify(e) => {
-                    next.insert(e.dn().clone(), e.clone());
-                }
-                SyncAction::Retain(dn) => {
-                    if let Some((dn, e)) = self.entries.remove_entry(dn) {
-                        next.insert(dn, e);
-                    }
-                }
-                SyncAction::Delete(dn) => {
-                    next.remove(dn);
-                }
-            }
-        }
-        self.entries = next;
-    }
+/// Compares a replica's content against the master's current answer for
+/// `request`; returns the mismatching DNs (empty = converged).
+pub fn divergence(master: &DitStore, request: &SearchRequest, replica: &ReplicaContent) -> Vec<String> {
+    let master_dns: HashSet<String> = master
+        .search_dns(request)
+        .iter()
+        .map(Dn::to_string)
+        .collect();
+    let replica_dns: HashSet<String> = replica.iter().map(|e| e.dn().to_string()).collect();
+    let mut diff: Vec<String> = master_dns.symmetric_difference(&replica_dns).cloned().collect();
+    diff.sort();
+    diff
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbdr_ldap::{Filter, Scope};
 
     fn entry(dn: &str) -> Entry {
         Entry::new(dn.parse().unwrap()).with("objectclass", "person")
@@ -133,30 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_cycle_drops_unmentioned() {
-        let mut c = ReplicaContent::new();
-        c.apply(&SyncAction::Add(entry("cn=a,o=x")));
-        c.apply(&SyncAction::Add(entry("cn=b,o=x")));
-        c.apply(&SyncAction::Add(entry("cn=c,o=x")));
-        // Cycle: retain a, modify b; c unmentioned -> dropped.
-        let cycle = vec![
-            SyncAction::Retain("cn=a,o=x".parse().unwrap()),
-            SyncAction::Modify(entry("cn=b,o=x").with("mail", "m@x")),
-        ];
-        c.apply_snapshot_cycle(&cycle);
-        assert_eq!(c.len(), 2);
-        assert!(c.contains(&"cn=a,o=x".parse().unwrap()));
-        assert!(!c.contains(&"cn=c,o=x".parse().unwrap()));
-    }
-
-    #[test]
-    fn retain_of_unknown_dn_is_ignored() {
-        let mut c = ReplicaContent::new();
-        c.apply_snapshot_cycle(&[SyncAction::Retain("cn=ghost,o=x".parse().unwrap())]);
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn readd_after_delete_reuses_slot() {
         let mut c = ReplicaContent::new();
         c.apply(&SyncAction::Add(entry("cn=a,o=x")));
@@ -174,5 +138,38 @@ mod tests {
             c.apply(&SyncAction::Add(entry(dn)));
         }
         assert_eq!(c.sorted_dns(), ["cn=a,o=x", "cn=b,o=x", "cn=c,o=x"]);
+    }
+
+    fn person(cn: &str, dept: &str) -> Entry {
+        Entry::new(format!("cn={cn},o=xyz").parse().unwrap())
+            .with("objectclass", "person")
+            .with("cn", cn)
+            .with("dept", dept)
+    }
+
+    fn master() -> DitStore {
+        let mut d = DitStore::new();
+        d.add_suffix("o=xyz".parse().unwrap());
+        d.add(Entry::new("o=xyz".parse().unwrap())).unwrap();
+        for (cn, dept) in [("a", "7"), ("b", "7"), ("c", "9")] {
+            d.add(person(cn, dept)).unwrap();
+        }
+        d
+    }
+
+    fn dept7() -> SearchRequest {
+        SearchRequest::new("o=xyz".parse().unwrap(), Scope::Subtree, Filter::parse("(dept=7)").unwrap())
+    }
+
+    #[test]
+    fn divergence_reports_both_directions() {
+        let m = master();
+        let req = dept7();
+        let mut replica = ReplicaContent::new();
+        // Missing entries.
+        assert_eq!(divergence(&m, &req, &replica).len(), 2);
+        // Ghost entry.
+        replica.apply(&SyncAction::Add(person("ghost", "7")));
+        assert_eq!(divergence(&m, &req, &replica).len(), 3);
     }
 }

@@ -1,6 +1,5 @@
 #![warn(missing_docs)]
-//! The **ReSync** filter synchronization protocol (§5 of the paper) and
-//! the baseline synchronizers it is compared against.
+//! The **ReSync** filter synchronization protocol (§5 of the paper).
 //!
 //! A filter-based replica stores the content of one or more search
 //! requests. Keeping that content in sync with the master requires the
@@ -12,22 +11,16 @@
 //!
 //! Computing `E10` reliably requires history. ReSync keeps **per-session
 //! history**: at update time the master records, for each active session,
-//! the DNs that left the session's content ([`SyncMaster`]). The
-//! alternatives are implemented in [`baseline`] for comparison:
+//! the DNs that left the session's content ([`SyncMaster`]). A response
+//! carries three commands ([`SyncAction`]): add, modify and delete.
+//! [`ReplicaContent`] applies them, and [`divergence`] compares a content
+//! with the master's answer — the reference a replica must converge to.
 //!
-//! * [`baseline::FullReload`] — resend everything;
-//! * [`baseline::TombstoneSync`] — ship every deleted DN (tombstones hold
-//!   state, not data);
-//! * [`baseline::ChangelogSync`] — convergent but must conservatively
-//!   delete every modified-and-now-unmatched DN, and still ship every
-//!   deleted DN (changelogs record only changed attributes);
-//! * [`baseline::NaiveChangelogSync`] — filters deletions through the
-//!   changelog and consequently **fails to converge** when an entry is
-//!   modified out of the content and then deleted (the paper's §5.2
-//!   counterexample);
-//! * [`baseline::RetainSync`] — the history-free scheme of equation (3):
-//!   unchanged in-content entries are conveyed with `retain` actions
-//!   (DN-only), at the cost of touching the whole content every cycle.
+//! The alternatives §5.2 measures ReSync against — full reload, the
+//! history-free retain scheme of equation (3), tombstones, a convergent
+//! changelog reader and the naive one that fails to converge — are the
+//! paper's comparison systems. They live in `fbdr-bench`
+//! (`fbdr_bench::baseline`), the crate that runs them.
 //!
 //! # Example: an update session (poll mode)
 //!
@@ -58,7 +51,6 @@
 //! # }
 //! ```
 
-pub mod baseline;
 mod content;
 pub mod driver;
 mod intern;
@@ -68,7 +60,7 @@ pub mod reconcile;
 mod routing;
 pub mod shard;
 
-pub use content::ReplicaContent;
+pub use content::{divergence, ReplicaContent};
 pub use intern::{dn_key, entry_key};
 pub use driver::{Clock, DriverStats, RetryConfig, SyncDriver, SyncTransport, SystemClock};
 pub use fbdr_net::{ShardId, ShardMap};

@@ -785,7 +785,6 @@ impl SyncMaster {
                 adds = counts.adds,
                 modifies = counts.modifies,
                 deletes = counts.deletes,
-                retains = counts.retains,
             );
         }
         Ok(resp)

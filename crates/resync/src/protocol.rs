@@ -89,9 +89,6 @@ pub enum SyncAction {
     /// Entry moved out of the content — only the DN travels. (May result
     /// from a delete, modify or rename.)
     Delete(Dn),
-    /// Entry is unchanged and still in the content (used by history-free
-    /// synchronization per equation (3)) — only the DN travels.
-    Retain(Dn),
 }
 
 impl SyncAction {
@@ -99,7 +96,7 @@ impl SyncAction {
     pub fn dn(&self) -> &Dn {
         match self {
             SyncAction::Add(e) | SyncAction::Modify(e) => e.dn(),
-            SyncAction::Delete(dn) | SyncAction::Retain(dn) => dn,
+            SyncAction::Delete(dn) => dn,
         }
     }
 
@@ -107,7 +104,7 @@ impl SyncAction {
     pub fn estimated_size(&self) -> usize {
         match self {
             SyncAction::Add(e) | SyncAction::Modify(e) => e.estimated_size() + 8,
-            SyncAction::Delete(dn) | SyncAction::Retain(dn) => dn.display_len() + 8,
+            SyncAction::Delete(dn) => dn.display_len() + 8,
         }
     }
 
@@ -123,7 +120,6 @@ impl fmt::Display for SyncAction {
             SyncAction::Add(e) => write!(f, "{}, add", e.dn()),
             SyncAction::Modify(e) => write!(f, "{}, mod", e.dn()),
             SyncAction::Delete(dn) => write!(f, "{dn}, delete"),
-            SyncAction::Retain(dn) => write!(f, "{dn}, retain"),
         }
     }
 }
@@ -189,7 +185,6 @@ impl SyncResponse {
                 SyncAction::Add(_) => c.adds += 1,
                 SyncAction::Modify(_) => c.modifies += 1,
                 SyncAction::Delete(_) => c.deletes += 1,
-                SyncAction::Retain(_) => c.retains += 1,
             }
         }
         c
@@ -205,8 +200,6 @@ pub struct ActionCounts {
     pub modifies: u64,
     /// `Delete` actions (DN leaving the content).
     pub deletes: u64,
-    /// `Retain` actions (DN confirmed unchanged).
-    pub retains: u64,
 }
 
 /// Synchronization traffic accounting: how many full entries travelled,
@@ -215,7 +208,7 @@ pub struct ActionCounts {
 pub struct SyncTraffic {
     /// PDUs carrying a complete entry (add/modify).
     pub full_entries: u64,
-    /// PDUs carrying only a DN (delete/retain).
+    /// PDUs carrying only a DN (delete).
     pub dn_only: u64,
     /// Estimated bytes across all PDUs.
     pub bytes: u64,
@@ -417,14 +410,13 @@ mod tests {
                 SyncAction::Add(e.clone()),
                 SyncAction::Modify(e.clone()),
                 SyncAction::Delete(e.dn().clone()),
-                SyncAction::Retain(e.dn().clone()),
             ],
             cookie: Some(Cookie(1)),
         };
         let t = resp.traffic();
         assert_eq!(t.full_entries, 2);
-        assert_eq!(t.dn_only, 2);
-        assert_eq!(t.pdus(), 4);
+        assert_eq!(t.dn_only, 1);
+        assert_eq!(t.pdus(), 3);
         assert!(t.bytes > 0);
     }
 

@@ -16,12 +16,13 @@
 //!   ([`SelectorConfig`]) is one configuration of the selector's budgeted
 //!   step; the *online* one ([`StepConfig`]'s default) relaxes it so the
 //!   stored set tracks the workload continuously, a few moves at a time.
-//! * [`EvolutionSelector`] — the evolution/revolution baseline of
-//!   Kapitskaia, Ng and Srivastava \[12\], which updates the stored set on
-//!   *every* query; its filter churn shows why per-query evolutions are
-//!   unsuitable for a replication scenario (§6.2).
 //!
-//! The selectors act on the sharded deployment — a
+//! The evolution/revolution baseline of Kapitskaia, Ng and Srivastava
+//! \[12\], which updates the stored set on *every* query, is one of the
+//! paper's comparison systems and lives in `fbdr-bench`
+//! (`fbdr_bench::evolution`), the crate that runs them.
+//!
+//! The selector acts on the sharded deployment — a
 //! [`ShardedMaster`](fbdr_resync::ShardedMaster), of which an unsharded
 //! master is the one-shard case, and the
 //! [`ShardCoordinator`](fbdr_resync::ShardCoordinator) that syncs the
@@ -31,8 +32,6 @@
 
 pub mod generalize;
 
-mod evolution;
 mod selector;
 
-pub use evolution::{EvolutionReport, EvolutionSelector};
 pub use selector::{FilterSelector, SelectionReport, SelectorConfig, StepConfig, StepReport};

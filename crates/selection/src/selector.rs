@@ -15,7 +15,7 @@
 //!
 //! Every knob of [`StepConfig`] only *relaxes* the paper's periodic
 //! revolution — hysteresis and dwell absorb the flapping that makes
-//! per-query evolution ([`EvolutionSelector`](crate::EvolutionSelector))
+//! per-query evolution (\[12\], `fbdr_bench::evolution`)
 //! unsuitable when every install costs a content transfer; the update
 //! charge makes benefit net of propagation cost, in the spirit of
 //! interest-based propagation (Endris et al.) — and the periodic

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example enterprise_replication`
 
-use fbdr::core::experiment::{replay_filter, ReplayConfig};
+use fbdr_bench::experiment::{replay_filter, ReplayConfig};
 use fbdr::prelude::*;
 use fbdr::selection::generalize::{Identity, ValuePrefix, WidenToPresence};
 use fbdr::workload::UpdateGenerator;

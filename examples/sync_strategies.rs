@@ -5,12 +5,13 @@
 //!
 //! Run with: `cargo run --release --example sync_strategies`
 
-use fbdr::dit::{History, Modification, UpdateOp};
+use fbdr::dit::{Modification, UpdateOp};
 use fbdr::prelude::*;
-use fbdr::resync::baseline::{
-    divergence, ChangelogSync, FullReload, NaiveChangelogSync, RetainSync, Synchronizer,
-    TombstoneSync,
+use fbdr::resync::divergence;
+use fbdr_bench::baseline::{
+    ChangelogSync, FullReload, NaiveChangelogSync, RetainSync, Synchronizer, TombstoneSync,
 };
+use fbdr_bench::history::History;
 
 fn person(cn: &str, dept: &str) -> Entry {
     Entry::new(format!("cn={cn},o=xyz").parse().expect("valid dn"))

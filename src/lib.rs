@@ -14,15 +14,20 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`ldap`] | `fbdr-ldap` | DNs, entries, RFC 2254 filters, templates, search requests |
-//! | [`dit`] | `fbdr-dit` | in-memory DIT store, indexes, updates, changelog, tombstones |
+//! | [`dit`] | `fbdr-dit` | in-memory DIT store, indexes, updates, changelog records |
 //! | [`containment`] | `fbdr-containment` | QC algorithm, Propositions 1–3, containment engine |
 //! | [`net`] | `fbdr-net` | simulated distributed directory with referral chasing |
-//! | [`resync`] | `fbdr-resync` | ReSync protocol + baseline synchronizers |
-//! | [`replica`] | `fbdr-replica` | subtree and filter replicas |
+//! | [`resync`] | `fbdr-resync` | ReSync protocol, replica content, convergence check |
+//! | [`replica`] | `fbdr-replica` | the filter replica |
 //! | [`selection`] | `fbdr-selection` | filter generalization + selection |
 //! | [`workload`] | `fbdr-workload` | enterprise directory + Table 1 traces |
-//! | [`core`] | `fbdr-core` | the `Replicator` façade + experiment engine |
+//! | [`core`] | `fbdr-core` | the `Replicator` façade, its deployment, static filter selection |
 //! | [`obs`] | `fbdr-obs` | metrics registry, latency histograms, structured tracing |
+//!
+//! The systems the paper measures its own against — §5.2's sync
+//! baselines, the per-query evolutions of \[12\], the subtree replica —
+//! and the experiment engine that runs them are not part of the facade:
+//! they live in `fbdr-bench`, with the `repro` runner.
 //!
 //! # Quickstart
 //!
@@ -77,7 +82,7 @@ pub mod prelude {
     };
     pub use fbdr_net::{Network, Server};
     pub use fbdr_obs::{MetricsRegistry, Obs, RingBuffer};
-    pub use fbdr_replica::{FilterReplica, SubtreeReplica};
+    pub use fbdr_replica::FilterReplica;
     pub use fbdr_resync::{
         ReSyncControl, ReplicaContent, SyncAction, SyncMaster, SyncMode, SyncTraffic,
     };

@@ -7,6 +7,7 @@ use fbdr::core::deploy::ReplicaNode;
 use fbdr::dit::{DitStore, NamingContext};
 use fbdr::net::Network;
 use fbdr::prelude::*;
+use fbdr_bench::subtree::SubtreeReplica;
 use fbdr_faults::{FaultPlan, FaultyLink, SimClock};
 use fbdr_resync::{
     Cookie, NotifyBatch, ReSyncControl, RetryConfig, ShardId, SyncDriver, SyncError,

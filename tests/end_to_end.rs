@@ -4,7 +4,7 @@
 //! must equal what the master would return — the soundness property that
 //! justifies answering from the replica at all.
 
-use fbdr::core::experiment::{replay_filter, ReplayConfig};
+use fbdr_bench::experiment::{replay_filter, ReplayConfig};
 use fbdr::prelude::*;
 use fbdr::selection::generalize::ValuePrefix;
 use fbdr::workload::{TraceGenerator, UpdateGenerator};

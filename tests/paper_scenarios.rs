@@ -3,6 +3,7 @@
 use fbdr::dit::{DitStore, NamingContext};
 use fbdr::net::{Network, Server};
 use fbdr::prelude::*;
+use fbdr_bench::subtree::SubtreeReplica;
 
 fn dn(s: &str) -> Dn {
     s.parse().expect("valid dn")
