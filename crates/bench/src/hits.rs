@@ -162,16 +162,8 @@ fn division_replica(
         // (&(dept=D)(div=V)) — extract V.
         if let Some(div) = f.split("(div=").nth(1) {
             let div = div.trim_end_matches("))");
-            if let Some((d, _)) = dir.departments().iter().find(|(_, v)| v == div) {
-                let _ = d;
-                *benefit.entry(
-                    dir.departments()
-                        .iter()
-                        .find(|(_, v)| v == div)
-                        .map(|(_, v)| v.as_str())
-                        .expect("division exists"),
-                )
-                .or_default() += 1;
+            if let Some((_, v)) = dir.departments().iter().find(|(_, v)| v == div) {
+                *benefit.entry(v.as_str()).or_default() += 1;
             }
         }
     }

@@ -7,13 +7,15 @@ use crate::baseline::{
 use crate::experiment::{replay_filter, ReplayConfig};
 use crate::history::History;
 use crate::setup::Params;
-use fbdr_containment::filter_contained;
+use fbdr_containment::{filter_contained, region_contained, Containment};
 use fbdr_core::Replicator;
-use fbdr_ldap::{Filter, Scope, SearchRequest};
+use fbdr_ldap::{Entry, Filter, Scope, SearchRequest};
+use fbdr_replica::FilterReplica;
 use fbdr_resync::{divergence, ReSyncControl, ReplicaContent, SyncMaster, SyncTraffic};
 use fbdr_selection::generalize::{ConstantRegion, Generalizer, ValuePrefix};
 use fbdr_selection::{FilterSelector, SelectorConfig};
 use fbdr_workload::{distribution, QueryKind, TracedQuery, UpdateConfig, UpdateGenerator};
+use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -261,7 +263,6 @@ pub struct SelectionAblationRow {
 /// when every install costs a content transfer.
 pub fn selection_ablation(params: &Params) -> Vec<SelectionAblationRow> {
     use crate::experiment::{replay_filter, ReplayConfig as RC};
-    use fbdr_replica::FilterReplica;
     use fbdr_resync::{ShardCoordinator, ShardedMaster};
     use fbdr_selection::generalize::{Identity, WidenToPresence};
     use crate::evolution::EvolutionSelector;
@@ -347,7 +348,6 @@ pub struct CompositionRow {
 /// contained in any *single* stored filter, but often in the union of a
 /// few. Measures the hit-ratio gain from union composition.
 pub fn composition(params: &Params) -> Vec<CompositionRow> {
-    use fbdr_replica::FilterReplica;
     let dir = params.directory();
     let (day1, day2) = params.two_days(&dir);
 
@@ -390,24 +390,14 @@ pub fn composition(params: &Params) -> Vec<CompositionRow> {
 
     let mut rows = Vec::new();
     for &k in &params.filter_counts {
-        let single_replica = FilterReplica::new(0);
-        let composed_replica = FilterReplica::new(0);
-        let mut m1 = SyncMaster::with_dit(dir.dit().clone());
-        let mut m2 = SyncMaster::with_dit(dir.dit().clone());
+        let replica = FilterReplica::new(0);
+        let mut master = SyncMaster::with_dit(dir.dit().clone());
         for f in ranked.iter().take(k) {
-            single_replica.install_filter(&mut m1, f.clone()).expect("fresh master");
-            composed_replica.install_filter(&mut m2, f.clone()).expect("fresh master");
+            replica.install_filter(&mut master, f.clone()).expect("fresh master");
         }
-        let mut single_hits = 0usize;
-        let mut composed_hits = 0usize;
-        for q in &batches {
-            if single_replica.try_answer(q).is_some() {
-                single_hits += 1;
-            }
-            if composed_replica.try_answer_composed(q).is_some() {
-                composed_hits += 1;
-            }
-        }
+        let single_hits = batches.iter().filter(|q| replica.try_answer(q).is_some()).count();
+        let composed_hits =
+            batches.iter().filter(|q| try_answer_composed(&replica, q).is_some()).count();
         rows.push(CompositionRow {
             filters: k,
             single: single_hits as f64 / batches.len().max(1) as f64,
@@ -415,6 +405,52 @@ pub fn composition(params: &Params) -> Vec<CompositionRow> {
         });
     }
     rows
+}
+
+/// Answers `query` from the **union** of the replica's stored filters —
+/// an extension beyond the paper, which checks containment in a single
+/// stored query (§3.4.2). A query like
+/// `(|(serialNumber=0456*)(serialNumber=0457*))` is answerable when each
+/// branch is covered by a different stored filter.
+///
+/// The check is sound: the query's region must lie inside every
+/// contributing filter's region and its attributes among theirs, and its
+/// filter must be contained (general Prop 1 procedure) in the disjunction
+/// of theirs. The answer is the union of the contributing filters' own
+/// answers, kept where the query's filter and region match and projected
+/// to its attributes. Returns `None` on a miss.
+fn try_answer_composed(replica: &FilterReplica, query: &SearchRequest) -> Option<Vec<Entry>> {
+    if let Some(hit) = replica.try_answer(query) {
+        return Some(hit);
+    }
+    let candidates: Vec<SearchRequest> = replica
+        .filters()
+        .map(|(stored, _)| stored)
+        .filter(|s| {
+            region_contained(query.base(), query.scope(), s.base(), s.scope())
+                && query.attrs().is_subset_of(s.attrs())
+        })
+        .collect();
+    if candidates.len() < 2 {
+        return None; // single-filter containment already failed above
+    }
+    let union = Filter::or(candidates.iter().map(|s| s.filter().clone()).collect());
+    if filter_contained(query.filter(), &union) != Containment::Yes {
+        return None;
+    }
+    let mut seen = HashSet::new();
+    let mut answer = Vec::new();
+    for stored in &candidates {
+        for e in replica.try_answer(stored)? {
+            if query.scope().contains(query.base(), e.dn())
+                && query.filter().matches(&e)
+                && seen.insert(e.dn().clone())
+            {
+                answer.push(query.attrs().project(&e));
+            }
+        }
+    }
+    Some(answer)
 }
 
 /// One row of the §7.4 overhead study.
@@ -583,6 +619,40 @@ mod tests {
             last.composed,
             last.single
         );
+    }
+
+    #[test]
+    fn composed_answering_covers_unions() {
+        let dn = |s: &str| s.parse::<fbdr_ldap::Dn>().expect("dn");
+        let query = |f: &str| SearchRequest::from_root(Filter::parse(f).expect("filter"));
+        let mut m = SyncMaster::new();
+        m.dit_mut().add_suffix(dn("o=xyz"));
+        m.dit_mut().add(Entry::new(dn("o=xyz"))).expect("add");
+        for c in ["us", "in"] {
+            m.dit_mut().add(Entry::new(dn(&format!("c={c},o=xyz")))).expect("add");
+        }
+        for (cn, c, sn) in
+            [("a", "us", "045611"), ("b", "us", "045612"), ("c", "in", "045621"), ("d", "in", "120001")]
+        {
+            let person = Entry::new(dn(&format!("cn={cn},c={c},o=xyz")));
+            m.dit_mut().add(person.with("cn", cn).with("serialNumber", sn)).expect("add");
+        }
+        let r = FilterReplica::new(0);
+        r.install_filter(&mut m, query("(serialNumber=0456*)")).expect("install");
+        r.install_filter(&mut m, query("(serialNumber=12*)")).expect("install");
+
+        // Neither stored filter alone contains this disjunction, but
+        // their union does.
+        let q = query("(|(serialNumber=045612)(serialNumber=120001))");
+        assert!(r.try_answer(&q).is_none(), "single-filter containment must miss");
+        let hit = try_answer_composed(&r, &q).expect("union containment hits");
+        let mut dns: Vec<String> = hit.iter().map(|e| e.dn().to_string()).collect();
+        dns.sort();
+        assert_eq!(dns, ["cn=b,c=us,o=xyz", "cn=d,c=in,o=xyz"]);
+
+        // A disjunct outside both filters stays a miss.
+        let q = query("(|(serialNumber=045612)(serialNumber=999999))");
+        assert!(try_answer_composed(&r, &q).is_none());
     }
 
     #[test]

@@ -356,10 +356,10 @@ mod tests {
         let net = figure2_network();
         let mut client = net.client();
         let req = SearchRequest::new(dn("c=in,o=xyz"), Scope::Subtree, Filter::match_all());
-        let mut total = client.search("ldap://hostC", &req).unwrap().stats;
-        total.absorb(&client.search("ldap://hostC", &req).unwrap().stats);
-        assert_eq!(total.round_trips, 2);
-        assert_eq!(total.entries_returned, 4);
+        let first = client.search("ldap://hostC", &req).unwrap().stats;
+        let second = client.search("ldap://hostC", &req).unwrap().stats;
+        assert_eq!(first.round_trips + second.round_trips, 2);
+        assert_eq!(first.entries_returned + second.entries_returned, 4);
     }
 
     /// A node that is down: every request times out.

@@ -49,15 +49,6 @@ pub struct OpStats {
 }
 
 impl OpStats {
-    /// Merges another operation's statistics into this one.
-    pub fn absorb(&mut self, other: &OpStats) {
-        self.round_trips += other.round_trips;
-        self.entries_returned += other.entries_returned;
-        self.referrals_received += other.referrals_received;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-    }
-
     /// Total bytes on the wire, both directions.
     pub fn bytes_total(&self) -> u64 {
         self.bytes_sent + self.bytes_received
@@ -189,16 +180,6 @@ mod tests {
         let m = CostModel::default();
         assert_eq!(m.elapsed_ms(4), 200.0);
         assert!(CostModel::lan().elapsed_ms(4) < m.elapsed_ms(1));
-    }
-
-    #[test]
-    fn absorb_sums_fields() {
-        let mut a = OpStats { round_trips: 1, entries_returned: 3, ..OpStats::default() };
-        let b = OpStats { round_trips: 2, referrals_received: 1, ..OpStats::default() };
-        a.absorb(&b);
-        assert_eq!(a.round_trips, 3);
-        assert_eq!(a.entries_returned, 3);
-        assert_eq!(a.referrals_received, 1);
     }
 
     #[test]

@@ -423,8 +423,7 @@ struct AnswerMetrics {
 ///
 /// The replica is split read/write:
 ///
-/// * **Readers** ([`try_answer`](FilterReplica::try_answer),
-///   [`try_answer_composed`](FilterReplica::try_answer_composed)) take
+/// * **Readers** ([`try_answer`](FilterReplica::try_answer)) take
 ///   `&self`, clone the current content-snapshot `Arc` (the `RwLock` is
 ///   held only for that pointer copy) and answer from their private
 ///   epoch. Statistics are relaxed atomics. Any number of threads may
@@ -1096,7 +1095,7 @@ impl FilterReplica {
     }
 
     /// The answer path proper, against an already-prepared query and an
-    /// already-read snapshot (so composed answering reuses both).
+    /// already-read snapshot.
     fn answer_prepared(
         &self,
         query: &SearchRequest,
@@ -1245,77 +1244,6 @@ impl FilterReplica {
             }
         }
         None
-    }
-
-    /// Tries to answer a query from the **union** of stored generalized
-    /// filters — an extension beyond the paper, which only checks
-    /// containment in a single stored query (§3.4.2). A query like
-    /// `(|(serialNumber=0456*)(serialNumber=0457*))` is answerable when
-    /// each branch is covered by a different stored filter.
-    ///
-    /// The check is sound: the query region must lie inside every
-    /// contributing filter's region, and the query filter must be
-    /// contained (general Prop 1 procedure) in the disjunction of the
-    /// contributing filters. Returns `None` on a miss; does not consult
-    /// the query cache. Statistics count this as a generalized hit.
-    ///
-    /// Like [`try_answer`](FilterReplica::try_answer) this takes `&self`;
-    /// the query is prepared once and the whole attempt — single-filter
-    /// containment and union composition — runs against a single epoch
-    /// read.
-    pub fn try_answer_composed(&self, query: &SearchRequest) -> Option<Vec<Entry>> {
-        let _span = self.answer_timer.start();
-        self.stats.record_query();
-        let prepared = PreparedQuery::borrowed(query);
-        let snap = self.snapshot();
-        self.answer_composed_prepared(query, &prepared, &snap)
-    }
-
-    fn answer_composed_prepared(
-        &self,
-        query: &SearchRequest,
-        prepared: &PreparedQuery<'_>,
-        snap: &ContentSnapshot,
-    ) -> Option<Vec<Entry>> {
-        if let Some(hit) = self.answer_prepared(query, prepared, snap) {
-            return Some(hit);
-        }
-        // Candidates: stored filters whose region and attribute selection
-        // cover the query's (the filter part is checked on the union).
-        let candidates: Vec<&StoredFilter> = snap
-            .filters
-            .iter()
-            .filter(|sf| {
-                let s = sf.prepared.request();
-                fbdr_containment::region_contained(
-                    query.base(),
-                    query.scope(),
-                    s.base(),
-                    s.scope(),
-                ) && query.attrs().is_subset_of(s.attrs())
-            })
-            .collect();
-        if candidates.len() < 2 {
-            return None; // single-filter containment already failed above
-        }
-        let union = fbdr_ldap::Filter::or(
-            candidates.iter().map(|sf| sf.prepared.request().filter().clone()).collect(),
-        );
-        if fbdr_containment::filter_contained(query.filter(), &union)
-            != fbdr_containment::Containment::Yes
-        {
-            return None;
-        }
-        // The answer_prepared call above already counted this query (as a
-        // miss); composition converts it into a hit.
-        self.stats.record_generalized_hit(false);
-        let mut lists: Vec<&[u32]> = Vec::with_capacity(candidates.len());
-        for sf in &candidates {
-            sf.hits.fetch_add(1, Ordering::Relaxed);
-            lists.push(&sf.ids);
-        }
-        let ids = posting::union_walk(lists);
-        Some(self.evaluate_indexed(snap, query, &ids, false))
     }
 }
 
@@ -1611,32 +1539,6 @@ mod tests {
         }
         assert_eq!(r.cached_query_count(), 2);
         assert!(r.try_answer(&q1).is_none(), "q1 should be evicted");
-    }
-
-    #[test]
-    fn composed_answering_covers_unions() {
-        let mut m = master();
-        let r = FilterReplica::new(0);
-        r.install_filter(&mut m, root_query("(serialNumber=0456*)")).unwrap();
-        r.install_filter(&mut m, root_query("(serialNumber=12*)")).unwrap();
-
-        // Neither stored filter alone contains this disjunction, but
-        // their union does.
-        let q = root_query("(|(serialNumber=045612)(serialNumber=120001))");
-        assert!(r.try_answer(&q).is_none(), "single-filter containment must miss");
-        let hit = r.try_answer_composed(&q).expect("union containment hits");
-        let mut dns: Vec<String> = hit.iter().map(|e| e.dn().to_string()).collect();
-        dns.sort();
-        assert_eq!(dns, ["cn=b,c=us,o=xyz", "cn=d,c=in,o=xyz"]);
-        assert_eq!(r.stats().generalized_hits, 1);
-        // The explicit try_answer above plus the composed call count two
-        // query attempts; the composed hit is counted exactly once.
-        assert_eq!(r.stats().queries, 2);
-        assert_eq!(r.stats().hits, 1);
-
-        // A disjunct outside both filters stays a miss.
-        let q = root_query("(|(serialNumber=045612)(serialNumber=999999))");
-        assert!(r.try_answer_composed(&q).is_none());
     }
 
     #[test]

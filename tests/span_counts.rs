@@ -75,7 +75,7 @@ fn each_span_closes_once_per_operation_of_its_kind() {
     assert_eq!((d.reconciliations, d.reinstalls), (reconciles, 0), "{d:?}");
     assert_eq!(d.attempts - d.retries, exchanges + reconciles, "{d:?}");
 
-    // Ten hits, five misses and one composed answer.
+    // Ten hits and five misses.
     let mut answers = 0;
     for i in 30..40 {
         assert!(replica.try_answer(&query(&format!("(serialNumber=1000{i:02})"))).is_some());
@@ -85,9 +85,6 @@ fn each_span_closes_once_per_operation_of_its_kind() {
         assert!(replica.try_answer(&query(&format!("(serialNumber=9{i})"))).is_none());
         answers += 1;
     }
-    let either = "(|(serialNumber=10003*)(departmentNumber=1))";
-    assert!(replica.try_answer_composed(&query(either)).is_some());
-    answers += 1;
 
     // One selector step, promoting (serialNumber=0456*): one more
     // install, so one more index build.
