@@ -96,10 +96,12 @@ impl ReplicaNode {
         replica: FilterReplica,
         master_url: impl Into<String>,
     ) -> Self {
+        // The node's sessions are observed as its replica is.
+        let coordinator = ShardCoordinator::new(ShardMap::single()).with_obs(replica.obs().clone());
         ReplicaNode {
             url: url.into(),
             replica,
-            coordinator: Mutex::new(ShardCoordinator::new(ShardMap::single())),
+            coordinator: Mutex::new(coordinator),
             master_url: master_url.into(),
         }
     }

@@ -66,13 +66,16 @@ pub struct Replicator {
 impl Replicator {
     /// Creates a replicator; `cache_window` recent user queries are cached
     /// (0 disables caching). The coordinator takes its shard map from the
-    /// master.
+    /// master, and the replica and the coordinator's drivers record
+    /// through the master's observability handle
+    /// ([`ShardedMaster::obs`]).
     pub fn new(master: impl Into<ShardedMaster>, cache_window: usize) -> Self {
         let master = master.into();
-        let coordinator = ShardCoordinator::new(master.map().clone());
+        let obs = master.obs().clone();
+        let coordinator = ShardCoordinator::new(master.map().clone()).with_obs(obs.clone());
         Replicator {
             master,
-            replica: FilterReplica::new(cache_window),
+            replica: FilterReplica::with_obs(cache_window, obs),
             coordinator,
             selector: None,
             cache_misses: cache_window > 0,
@@ -90,7 +93,8 @@ impl Replicator {
 
     /// Overrides the per-shard retry policy.
     pub fn with_config(mut self, retry: RetryConfig) -> Self {
-        self.coordinator = ShardCoordinator::with_config(self.master.map().clone(), retry);
+        self.coordinator = ShardCoordinator::with_config(self.master.map().clone(), retry)
+            .with_obs(self.replica.obs().clone());
         self
     }
 

@@ -51,7 +51,7 @@ mod update;
 pub use changelog::{ChangeKind, ChangeRecord, Csn};
 pub use context::NamingContext;
 pub use error::{DitError, ImportError};
-pub use store::DitStore;
+pub use store::{DitStore, EntryId};
 pub use update::{diff_entries, Modification, UpdateOp};
 
 pub use fbdr_ldap::{Dn, Entry, Filter, Scope, SearchRequest};

@@ -28,6 +28,13 @@ impl PartialOrd for TreeKey {
     }
 }
 
+/// Names an entry of a [`DitStore`] for as long as it lives — across
+/// modifies and renames — so that a caller that reads, edits and reads
+/// again hashes its DN once ([`DitStore::id_of`]). Once the entry is
+/// deleted the id may name another entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryId(u32);
+
 /// The entries, addressed by dense id: `slots[id]` holds the entry, two
 /// maps give DN → id, and the attribute index lists ids. `ids` is
 /// *identity* — which id a DN has, one hash of the DN's normalized text —
@@ -237,6 +244,16 @@ impl DitStore {
         self.entries.id_of(dn).map(|id| self.entries.get(id))
     }
 
+    /// The id of the entry at `dn`.
+    pub fn id_of(&self, dn: &Dn) -> Option<EntryId> {
+        self.entries.id_of(dn).map(EntryId)
+    }
+
+    /// The entry `id` names, if it lives.
+    pub fn entry(&self, id: EntryId) -> Option<&Entry> {
+        self.entries.slots.get(id.0 as usize)?.as_ref()
+    }
+
     /// True if an entry exists at `dn`.
     pub fn contains(&self, dn: &Dn) -> bool {
         self.entries.id_of(dn).is_some()
@@ -385,6 +402,35 @@ impl DitStore {
         let Some(id) = self.entries.id_of(dn) else {
             return Err(DitError::NoSuchEntry(dn.clone()));
         };
+        self.modify_entry(id, dn, mods)
+    }
+
+    /// [`DitStore::modify`] of the entry `id` names, without looking its
+    /// DN up: the record and any error name it by the DN it holds.
+    ///
+    /// # Errors
+    ///
+    /// [`DitError::NoSuchValue`], as [`DitStore::modify`].
+    ///
+    /// # Panics
+    ///
+    /// If `id` names no entry: it was taken before that entry's delete.
+    pub fn modify_at(
+        &mut self,
+        id: EntryId,
+        mods: Vec<Modification>,
+    ) -> Result<ChangeRecord, DitError> {
+        let dn = self.entry(id).expect("an id names a live entry").dn().clone();
+        self.modify_entry(id.0, &dn, mods)
+    }
+
+    /// Edits the entry in slot `id`, named `dn` in the record.
+    fn modify_entry(
+        &mut self,
+        id: u32,
+        dn: &Dn,
+        mods: Vec<Modification>,
+    ) -> Result<ChangeRecord, DitError> {
         let mut touched: Vec<AttrName> = Vec::new();
         for m in &mods {
             if !touched.contains(m.attr()) {

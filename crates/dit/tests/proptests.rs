@@ -3,7 +3,7 @@
 //! agree with the tree walk, and a history fed from `apply` must be a
 //! well-formed changelog.
 
-use fbdr_dit::{diff_entries, ChangeRecord, DitStore, Modification, UpdateOp};
+use fbdr_dit::{diff_entries, ChangeRecord, DitError, DitStore, Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use proptest::prelude::*;
 
@@ -93,43 +93,60 @@ fn reload(d: &DitStore) -> DitStore {
 
 /// Applies one op; the record, when the store accepted an update.
 fn apply(d: &mut DitStore, op: &Op) -> Option<ChangeRecord> {
+    apply_as(d, op, false).and_then(Result::ok)
+}
+
+/// Submits an update, a modify by the id of its DN when `by_id`.
+fn submit(d: &mut DitStore, op: UpdateOp, by_id: bool) -> Result<ChangeRecord, DitError> {
+    match (op, by_id) {
+        (UpdateOp::Modify { dn, mods }, true) => match d.id_of(&dn) {
+            Some(id) => d.modify_at(id, mods),
+            None => Err(DitError::NoSuchEntry(dn)),
+        },
+        (op, _) => d.apply(op),
+    }
+}
+
+/// Applies one op, its modifies by id when `by_id`; what the store said,
+/// unless the op was a reload.
+fn apply_as(d: &mut DitStore, op: &Op, by_id: bool) -> Option<Result<ChangeRecord, DitError>> {
     let modify = |dn, m| UpdateOp::Modify { dn, mods: vec![m] };
     let n_value = |n: &usize| vec![SPELLINGS[*n].into()];
-    let applied = match op {
-        Op::Add { id, dept, serial, n } => d.apply(UpdateOp::Add(
+    let update = match op {
+        Op::Add { id, dept, serial, n } => UpdateOp::Add(
             Entry::new(dn_of(*id))
                 .with("objectclass", "person")
                 .with("cn", &format!("p{id}"))
                 .with("dept", &dept.to_string())
                 .with("serialNumber", &format!("{serial:06}"))
                 .with("n", SPELLINGS[*n]),
-        )),
-        Op::Delete { id } => d.apply(UpdateOp::Delete(dn_of(*id))),
-        Op::SetDept { id, dept } => d.apply(modify(
+        ),
+        Op::Delete { id } => UpdateOp::Delete(dn_of(*id)),
+        Op::SetDept { id, dept } => modify(
             dn_of(*id),
             Modification::Replace("dept".into(), vec![dept.to_string().into()]),
-        )),
-        Op::Rename { id, new_id } => d.apply(UpdateOp::ModifyDn {
+        ),
+        Op::Rename { id, new_id } => UpdateOp::ModifyDn {
             dn: dn_of(*id),
             new_rdn: Rdn::new("cn", format!("p{new_id}")),
             new_superior: None,
-        }),
+        },
         Op::AddN { id, n } => {
-            d.apply(modify(dn_of(*id), Modification::AddValues("n".into(), n_value(n))))
+            modify(dn_of(*id), Modification::AddValues("n".into(), n_value(n)))
         }
         Op::DropN { id, n } => {
-            d.apply(modify(dn_of(*id), Modification::DeleteValues("n".into(), n_value(n))))
+            modify(dn_of(*id), Modification::DeleteValues("n".into(), n_value(n)))
         }
-        Op::SetN { id, values } => d.apply(modify(
+        Op::SetN { id, values } => modify(
             dn_of(*id),
             Modification::Replace("n".into(), values.iter().map(|&n| SPELLINGS[n].into()).collect()),
-        )),
+        ),
         Op::Reload => {
             *d = reload(d);
             return None;
         }
     };
-    applied.ok()
+    Some(submit(d, update, by_id))
 }
 
 fn subtree(filter: &str) -> SearchRequest {
@@ -239,6 +256,20 @@ proptest! {
         }
         for req in queries_and(&region) {
             prop_assert_eq!(sorted(d.search_dns(&req)), sorted(brute_force(&d, &req)), "index/scan mismatch for {}", req);
+        }
+    }
+
+    /// A modify by id is the modify by DN: the same record or error, and
+    /// the same store after it, over any op mix — renames, which keep an
+    /// entry's id, and reloads, which renumber every id, included.
+    #[test]
+    fn a_modify_by_id_is_the_modify_by_dn(ops in ops(60)) {
+        let (mut by_dn, mut by_id) = (fresh(), fresh());
+        for o in &ops {
+            let want = apply_as(&mut by_dn, o, false);
+            prop_assert_eq!(apply_as(&mut by_id, o, true), want, "{:?}", o);
+            let store = |d: &DitStore| serde_json::to_string(d).expect("store serializes");
+            prop_assert_eq!(store(&by_id), store(&by_dn), "after {:?}", o);
         }
     }
 

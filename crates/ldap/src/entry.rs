@@ -27,6 +27,14 @@ impl<'de> Deserialize<'de> for Spine {
     }
 }
 
+/// An entry's body: its name and its attributes. Serialized as the
+/// entry: `dn`, then the attributes.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct Body {
+    dn: Dn,
+    attrs: Spine,
+}
+
 /// An entry in the Directory Information Tree.
 ///
 /// An entry is a set of attribute/value pairs plus a distinguished name.
@@ -49,42 +57,82 @@ impl<'de> Deserialize<'de> for Spine {
 ///
 /// # Sharing
 ///
-/// An `Entry` is a handle on a body shared copy-on-write in two levels:
-/// the attributes are one sorted slice of `(name, values)` behind one
-/// `Arc`, a single value sits in the slice and a [`ValueSet`] of several
-/// behind an `Arc` of its own. [`Clone`] bumps two refcounts (the DN's
-/// and the slice's) and copies no text, so a search result, a sync action
-/// and a replica's slot hold the very body the master's store does. A
-/// clone is still a value — nothing written through one handle shows
-/// through another: the first write to a shared body copies the slice's
-/// pointers and the one set it changes, every other set stays shared, and
-/// a write that changes nothing copies nothing.
+/// An `Entry` is one pointer to a body shared copy-on-write in three
+/// levels: the body holds the DN and the attributes, the attributes are
+/// one sorted slice of `(name, values)` behind an `Arc` of its own, a
+/// single value sits in the slice and a [`ValueSet`] of several behind an
+/// `Arc` of its own. [`Clone`] bumps one refcount and copies no text, so a
+/// search result, a sync action and a replica's slot hold the very body
+/// the master's store does. A clone is still a value — nothing written
+/// through one handle shows through another: the first write to a shared
+/// entry gives it a body of its own that shares the old one's DN and
+/// slice, then copies the slice's pointers and the one set it changes;
+/// every other set stays shared, and a write that changes nothing copies
+/// nothing.
 ///
 /// The body is its values' bytes and little else: names come out of one
 /// process-wide table ([`AttrName`]), a value is one string
-/// ([`AttrValue`]), and an eight-attribute person is about a kilobyte in
+/// ([`AttrValue`]), and an eight-attribute person is under a kilobyte in
 /// some twenty allocations (DESIGN §5, *Entry representation*).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Entry {
-    dn: Dn,
-    attrs: Spine,
+#[derive(Clone, PartialEq, Eq)]
+pub struct Entry(Arc<Body>);
+
+/// The sizes DESIGN §5 counts an entry's bytes with: a build that grows
+/// one of them fails here.
+#[cfg(target_pointer_width = "64")]
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<Entry>() == 8);
+    assert!(size_of::<Attr>() == 48);
+    assert!(size_of::<ValueSet>() == 32 && size_of::<AttrValue>() == 32);
+    assert!(size_of::<AttrName>() == 16);
+};
+
+impl fmt::Debug for Entry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Entry").field("dn", &self.0.dn).field("attrs", &self.0.attrs).finish()
+    }
+}
+
+impl Serialize for Entry {
+    fn serialize<S: serde::Serializer>(&self, ser: S) -> Result<S::Ok, S::Error> {
+        self.0.serialize(ser)
+    }
+}
+
+impl<'de> Deserialize<'de> for Entry {
+    fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        Body::deserialize(de).map(|body| Entry(Arc::new(body)))
+    }
 }
 
 impl Entry {
     /// Creates an empty entry with the given name.
     pub fn new(dn: Dn) -> Self {
-        Entry { dn, attrs: Spine(Arc::default()) }
+        Entry(Arc::new(Body { dn, attrs: Spine(Arc::default()) }))
     }
 
     /// The entry's distinguished name.
     pub fn dn(&self) -> &Dn {
-        &self.dn
+        &self.0.dn
     }
 
     /// Renames the entry (modify DN). The caller is responsible for keeping
     /// any store indexes consistent.
     pub fn set_dn(&mut self, dn: Dn) {
-        self.dn = dn;
+        Arc::make_mut(&mut self.0).dn = dn;
+    }
+
+    /// How many handles share this entry's body, this one included.
+    // A test hook: only tests call it.
+    #[doc(hidden)]
+    pub fn body_handles(&self) -> usize {
+        Arc::strong_count(&self.0)
+    }
+
+    /// The attributes, ascending by name.
+    fn slice(&self) -> &[Attr] {
+        &self.0.attrs.0
     }
 
     /// Where `attr` is in the slice, or where it would go. A name spelled
@@ -94,37 +142,47 @@ impl Entry {
     /// compares no strings. Any other spelling, and an absent name, is
     /// binary-searched by lowercased name.
     fn position(&self, attr: &AttrName) -> Result<usize, usize> {
-        match self.attrs.0.iter().position(|(held, _)| held.same_handle(attr)) {
+        let attrs = self.slice();
+        match attrs.iter().position(|(held, _)| held.same_handle(attr)) {
             Some(at) => Ok(at),
-            None => self.attrs.0.binary_search_by(|(held, _)| held.cmp(attr)),
+            None => attrs.binary_search_by(|(held, _)| held.cmp(attr)),
         }
     }
 
     /// The values of the attribute at `at`, for writing — the
     /// copy-on-write step of a mutator that edits an attribute it holds,
-    /// taken once it knows the call changes something: a slice other
-    /// handles share is first copied, pointer by pointer.
+    /// taken once it knows the call changes something: a body other
+    /// handles share is first copied (its DN and slice shared), then a
+    /// slice other bodies share, pointer by pointer.
     fn values_mut(&mut self, at: usize) -> &mut ValueSet {
-        &mut Arc::make_mut(&mut self.attrs.0)[at].1
+        &mut Arc::make_mut(&mut Arc::make_mut(&mut self.0).attrs.0)[at].1
+    }
+
+    /// Puts `attrs` in the body, or in a body of its own when the body is
+    /// shared.
+    fn set_slice(&mut self, attrs: Arc<[Attr]>) {
+        Arc::make_mut(&mut self.0).attrs = Spine(attrs);
     }
 
     /// Gaining an attribute is a new slice, shared or not.
     fn insert_at(&mut self, at: usize, attr: Attr) {
-        let (before, after) = self.attrs.0.split_at(at);
-        self.attrs.0 = before.iter().cloned().chain([attr]).chain(after.iter().cloned()).collect();
+        let (before, after) = self.slice().split_at(at);
+        let attrs = before.iter().cloned().chain([attr]).chain(after.iter().cloned()).collect();
+        self.set_slice(attrs);
     }
 
     /// And so is losing one.
     fn remove_at(&mut self, at: usize) {
-        let (before, after) = (&self.attrs.0[..at], &self.attrs.0[at + 1..]);
-        self.attrs.0 = before.iter().chain(after).cloned().collect();
+        let (before, after) = (&self.slice()[..at], &self.slice()[at + 1..]);
+        let attrs = before.iter().chain(after).cloned().collect();
+        self.set_slice(attrs);
     }
 
     /// Adds a value; returns true if it was not already present.
     pub fn add(&mut self, attr: impl Into<AttrName>, value: impl Into<AttrValue>) -> bool {
         let (attr, value) = (attr.into(), value.into());
         match self.position(&attr) {
-            Ok(at) => !self.attrs.0[at].1.contains(&value) && self.values_mut(at).insert(value),
+            Ok(at) => !self.slice()[at].1.contains(&value) && self.values_mut(at).insert(value),
             Err(at) => {
                 self.insert_at(at, (attr, value.into()));
                 true
@@ -147,7 +205,7 @@ impl Entry {
     /// attribute entirely when its last value goes.
     pub fn remove_value(&mut self, attr: &AttrName, value: &AttrValue) -> bool {
         let Ok(at) = self.position(attr) else { return false };
-        let held = &self.attrs.0[at].1;
+        let held = &self.slice()[at].1;
         if !held.contains(value) {
             return false;
         }
@@ -180,7 +238,7 @@ impl Entry {
         match self.position(&attr) {
             // Changes nothing only if every spelling stays: equal values
             // may be written differently, and the new set brings its own.
-            Ok(at) if self.attrs.0[at].1.same_spellings(&set) => {}
+            Ok(at) if self.slice()[at].1.same_spellings(&set) => {}
             Ok(at) if set.is_empty() => self.remove_at(at),
             Ok(at) => *self.values_mut(at) = set,
             Err(_) if set.is_empty() => {}
@@ -206,7 +264,7 @@ impl Entry {
     /// The value set of an attribute as the entry holds it, for a reader
     /// that keeps it: a clone shares the values instead of copying them.
     pub fn value_set(&self, attr: &AttrName) -> Option<&ValueSet> {
-        self.position(attr).ok().map(|at| &self.attrs.0[at].1)
+        self.position(attr).ok().map(|at| &self.slice()[at].1)
     }
 
     /// The first value of an attribute, if any.
@@ -216,12 +274,12 @@ impl Entry {
 
     /// Iterates `(name, values)` pairs in attribute-name order.
     pub fn attrs(&self) -> impl Iterator<Item = (&AttrName, &ValueSet)> {
-        self.attrs.0.iter().map(|(a, vs)| (a, vs))
+        self.slice().iter().map(|(a, vs)| (a, vs))
     }
 
     /// Names of all present attributes.
     pub fn attr_names(&self) -> impl Iterator<Item = &AttrName> {
-        self.attrs.0.iter().map(|(a, _)| a)
+        self.slice().iter().map(|(a, _)| a)
     }
 
     /// Projects the entry onto a subset of attributes (used when answering
@@ -234,8 +292,8 @@ impl Entry {
         let mut kept: Vec<usize> = attrs.into_iter().filter_map(|a| self.position(a).ok()).collect();
         kept.sort_unstable();
         kept.dedup();
-        let attrs = kept.into_iter().map(|at| self.attrs.0[at].clone()).collect();
-        Entry { dn: self.dn.clone(), attrs: Spine(attrs) }
+        let attrs = kept.into_iter().map(|at| self.slice()[at].clone()).collect();
+        Entry(Arc::new(Body { dn: self.dn().clone(), attrs: Spine(attrs) }))
     }
 
     /// Estimated wire size in bytes: DN plus every attribute name and value.
@@ -243,7 +301,7 @@ impl Entry {
     /// Used by the traffic cost model; this intentionally approximates a
     /// BER-encoded LDAP entry PDU rather than reproducing ASN.1 exactly.
     pub fn estimated_size(&self) -> usize {
-        let mut n = self.dn.display_len() + 8;
+        let mut n = self.dn().display_len() + 8;
         for (a, vs) in self.attrs() {
             for v in vs {
                 n += a.as_str().len() + v.raw().len() + 4;
@@ -256,7 +314,7 @@ impl Entry {
 impl fmt::Display for Entry {
     /// LDIF-like rendering.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "dn: {}", self.dn)?;
+        writeln!(f, "dn: {}", self.dn())?;
         for (a, vs) in self.attrs() {
             for v in vs {
                 writeln!(f, "{a}: {v}")?;
@@ -349,14 +407,6 @@ mod tests {
         assert_eq!(p.dn(), e.dn());
     }
 
-    /// The sizes DESIGN §5 counts an entry's bytes with.
-    #[cfg(target_pointer_width = "64")]
-    const _: () = {
-        assert!(std::mem::size_of::<Entry>() == 32);
-        assert!(std::mem::size_of::<Attr>() == 56);
-        assert!(std::mem::size_of::<AttrValue>() == 40 && std::mem::size_of::<AttrName>() == 16);
-    };
-
     /// Handles cross threads: the replica's readers hold the bodies its
     /// writer and the master's store do.
     const _: fn() = || {
@@ -374,12 +424,16 @@ mod tests {
         assert!(!e.remove_attr(&"fax".into()));
         e.replace("mail", ["john@us.xyz.com"]);
         e.replace("fax", Vec::<&str>::new());
+        assert!(Arc::ptr_eq(&e.0, &held.0));
+        assert_eq!(held.body_handles(), 2);
+        // A rename is a body of its own, sharing the slice.
         e.set_dn("cn=Renamed,o=xyz".parse().unwrap());
-        assert!(Arc::ptr_eq(&e.attrs.0, &held.attrs.0));
+        assert!(!Arc::ptr_eq(&e.0, &held.0));
+        assert!(Arc::ptr_eq(&e.0.attrs.0, &held.0.attrs.0));
         // The first write that changes something copies the slice's
         // pointers and the one set it edits.
         assert!(e.add("cn", "Johnny"));
-        assert!(!Arc::ptr_eq(&e.attrs.0, &held.attrs.0));
+        assert!(!Arc::ptr_eq(&e.0.attrs.0, &held.0.attrs.0));
         for (a, set) in held.attrs() {
             assert_eq!(set.ptr_eq(e.value_set(a).unwrap()), a.lower() != "cn", "{a}");
         }

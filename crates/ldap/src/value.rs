@@ -37,16 +37,59 @@ use std::sync::Arc;
 /// A value is one refcounted string, so a clone copies no text: a serial
 /// number, a mail address or anything else already written in normal form
 /// is its spelling alone; `John Doe` is `john doe` followed by `John Doe`.
+/// Beside it sit where the normalized form ends and, for an integer, its
+/// number: 32 bytes in all.
 #[derive(Clone)]
 pub struct AttrValue {
     /// The normalized form, then — when it is another string — the
     /// spelling.
     text: Arc<str>,
-    /// Bytes of `text` that are the normalized form: all of them when the
-    /// spelling is in normal form. (A spelling that differs is never
-    /// empty, so the two cases cannot be confused.)
-    norm_len: usize,
-    int: Option<i64>,
+    kind: Kind,
+}
+
+/// How many bytes of an [`AttrValue`]'s text are its normalized form
+/// (all of them when the spelling is in normal form — a spelling that
+/// differs is never empty, so the two cases cannot be confused), and
+/// whether that form is a signed 64-bit integer.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Not an integer — or one whose normal form is longer than `Int`'s
+    /// `u32` can say, whose number is parsed again when asked for.
+    Text(usize),
+    /// An integer and the length of its normal form.
+    Int(i64, u32),
+}
+
+/// The longest normal form [`Kind::Int`] holds.
+const LONGEST_INT: usize = u32::MAX as usize;
+
+impl Kind {
+    /// The kind of a value whose normalized form is `norm`.
+    fn of(norm: &str) -> Kind {
+        match (norm.parse::<i64>(), u32::try_from(norm.len())) {
+            (Ok(n), Ok(len)) => Kind::Int(n, len),
+            _ => Kind::Text(norm.len()),
+        }
+    }
+
+    #[inline]
+    fn norm_len(self) -> usize {
+        match self {
+            Kind::Text(len) => len,
+            Kind::Int(_, len) => len as usize,
+        }
+    }
+
+    /// The integer view of the value whose normalized form `norm` gives,
+    /// asked for only past `LONGEST_INT`.
+    #[inline]
+    fn int<'a>(self, norm: impl FnOnce() -> &'a str) -> Option<i64> {
+        match self {
+            Kind::Int(n, _) => Some(n),
+            Kind::Text(len) if len > LONGEST_INT => norm().parse().ok(),
+            Kind::Text(_) => None,
+        }
+    }
 }
 
 impl fmt::Debug for AttrValue {
@@ -54,7 +97,7 @@ impl fmt::Debug for AttrValue {
         f.debug_struct("AttrValue")
             .field("raw", &self.raw())
             .field("norm", &self.normalized())
-            .field("int", &self.int)
+            .field("int", &self.as_int())
             .finish()
     }
 }
@@ -80,22 +123,26 @@ impl AttrValue {
     }
 
     /// The original spelling of the value.
+    #[inline]
     pub fn raw(&self) -> &str {
-        if self.norm_len == self.text.len() {
+        let norm_len = self.kind.norm_len();
+        if norm_len == self.text.len() {
             &self.text
         } else {
-            &self.text[self.norm_len..]
+            &self.text[norm_len..]
         }
     }
 
     /// The normalized (matching) form of the value.
+    #[inline]
     pub fn normalized(&self) -> &str {
-        &self.text[..self.norm_len]
+        &self.text[..self.kind.norm_len()]
     }
 
     /// Numeric view if the normalized value is a signed 64-bit integer.
+    #[inline]
     pub fn as_int(&self) -> Option<i64> {
-        self.int
+        self.kind.int(|| self.normalized())
     }
 
     /// Typed ordering of `self` against a range assertion value: an
@@ -103,8 +150,8 @@ impl AttrValue {
     /// values (`None`); a string assertion compares normalized text
     /// lexicographically.
     pub fn range_cmp(&self, assertion: &AttrValue) -> Option<Ordering> {
-        match assertion.int {
-            Some(xi) => self.int.map(|vi| vi.cmp(&xi)),
+        match assertion.as_int() {
+            Some(xi) => self.as_int().map(|vi| vi.cmp(&xi)),
             None => Some(self.normalized().cmp(assertion.normalized())),
         }
     }
@@ -197,7 +244,7 @@ impl Ord for AttrValue {
     /// not use this order; they are typed by their assertion value (see
     /// [`Comparison::matches_value`](crate::Comparison::matches_value)).
     fn cmp(&self, other: &Self) -> Ordering {
-        match (self.int, other.int) {
+        match (self.as_int(), other.as_int()) {
             (Some(a), Some(b)) => a.cmp(&b).then_with(|| self.normalized().cmp(other.normalized())),
             (Some(_), None) => Ordering::Less,
             (None, Some(_)) => Ordering::Greater,
@@ -225,8 +272,8 @@ impl From<&str> for AttrValue {
             text.push_str(raw);
             (text.into(), norm_len)
         };
-        let int = text[..norm_len].parse::<i64>().ok();
-        AttrValue { text, norm_len, int }
+        let kind = Kind::of(&text[..norm_len]);
+        AttrValue { text, kind }
     }
 }
 
@@ -466,6 +513,57 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a.cmp(&b), Ordering::Equal);
         assert_eq!(a.as_int(), b.as_int());
+    }
+
+    /// What the 40-byte layout, which stored `normalized().parse().ok()`
+    /// as an `Option<i64>`, said about each value: integers first, by
+    /// number and then by text; everything else by text.
+    fn reference_cmp(a: &AttrValue, b: &AttrValue) -> Ordering {
+        let int = |v: &AttrValue| v.normalized().parse::<i64>().ok();
+        match (int(a), int(b)) {
+            (Some(x), Some(y)) => x.cmp(&y).then_with(|| a.normalized().cmp(b.normalized())),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => a.normalized().cmp(b.normalized()),
+        }
+    }
+
+    #[test]
+    fn the_integer_view_and_the_order_are_unchanged() {
+        let (min, max) = (i64::MIN.to_string(), i64::MAX.to_string());
+        let cases: [(&str, &str, Option<i64>); 10] = [
+            ("+0007", "+0007", Some(7)),
+            ("7", "7", Some(7)),
+            (" 0456 ", "0456", Some(456)),
+            ("456", "456", Some(456)),
+            ("-0", "-0", Some(0)),
+            (&min, &min, Some(i64::MIN)),
+            (&max, &max, Some(i64::MAX)),
+            ("9223372036854775808", "9223372036854775808", None),
+            ("", "", None),
+            ("Abc", "abc", None),
+        ];
+        let values: Vec<AttrValue> = cases.iter().map(|(raw, ..)| AttrValue::new(*raw)).collect();
+        for (v, (raw, norm, int)) in values.iter().zip(cases) {
+            assert_eq!((v.raw(), v.normalized(), v.as_int()), (raw, norm, int), "{raw:?}");
+            for w in &values {
+                assert_eq!(v.cmp(w), reference_cmp(v, w), "{v:?} against {w:?}");
+            }
+        }
+        assert!(values[0] < values[1] && values[2] < values[3]);
+        assert!(values[5] < values[4] && values[4] < values[6] && values[6] < values[7]);
+    }
+
+    /// A normal form too long for `Kind::Int`'s length is kept as text
+    /// and still reads, so orders, as its integer.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn an_integer_past_the_int_kind_is_still_an_integer() {
+        assert!(matches!(Kind::of("0007"), Kind::Int(7, 4)));
+        assert!(matches!(Kind::of("7a"), Kind::Text(2)));
+        assert_eq!(Kind::Text(LONGEST_INT + 1).int(|| "0007"), Some(7));
+        assert_eq!(Kind::Text(LONGEST_INT + 1).int(|| "7a"), None);
+        assert_eq!(Kind::Text(LONGEST_INT).int(|| "0007"), None);
     }
 
     #[test]

@@ -634,7 +634,7 @@ impl FilterReplica {
         master: &mut SyncMaster,
         request: SearchRequest,
     ) -> Result<SyncTraffic, SyncError> {
-        let mut one_shard = ShardCoordinator::new(ShardMap::single());
+        let mut one_shard = ShardCoordinator::new(ShardMap::single()).with_obs(self.obs.clone());
         self.install(master, &mut one_shard, request, SyncMode::Poll)
     }
 
@@ -657,7 +657,7 @@ impl FilterReplica {
         master: &mut SyncMaster,
         request: SearchRequest,
     ) -> Result<SyncTraffic, SyncError> {
-        let mut one_shard = ShardCoordinator::new(ShardMap::single());
+        let mut one_shard = ShardCoordinator::new(ShardMap::single()).with_obs(self.obs.clone());
         self.install(master, &mut one_shard, request, SyncMode::Persist)
     }
 
@@ -1091,17 +1091,6 @@ impl FilterReplica {
         self.stats.record_query();
         let prepared = PreparedQuery::borrowed(query);
         let snap = self.snapshot();
-        self.answer_prepared(query, &prepared, &snap)
-    }
-
-    /// The answer path proper, against an already-prepared query and an
-    /// already-read snapshot.
-    fn answer_prepared(
-        &self,
-        query: &SearchRequest,
-        prepared: &PreparedQuery<'_>,
-        snap: &ContentSnapshot,
-    ) -> Option<Vec<Entry>> {
         // Generalized filters first (they are authoritative and synced):
         // the filter index names the filters that can contain the query,
         // and the first of them that does, in filter order, wins.
@@ -1115,7 +1104,7 @@ impl FilterReplica {
         let decision = candidates
             .iter()
             .map(|&pos| pos as usize)
-            .find(|&pos| self.engine.query_contained(prepared, &snap.filters[pos].prepared));
+            .find(|&pos| self.engine.query_contained(&prepared, &snap.filters[pos].prepared));
         // A query that asks exactly what its container holds is answered
         // with the whole content: a stored filter's when it is settled, a
         // cached query's always (its frozen result is the master's answer
@@ -1139,13 +1128,13 @@ impl FilterReplica {
                 return Some(project_all(query, snap.entries_of(&sf.ids)));
             }
             let inside = region_inside(query, sf.prepared.request());
-            return Some(self.evaluate_indexed(snap, query, &sf.ids, inside));
+            return Some(self.evaluate_indexed(&snap, query, &sf.ids, inside));
         }
         // Then the cached queries that can contain it, oldest first.
         let cached = self.cache.lock().candidates(query);
         for cq in &cached {
             if filter_readable_from(query, cq.prepared.request())
-                && self.engine.query_contained(prepared, &cq.prepared)
+                && self.engine.query_contained(&prepared, &cq.prepared)
             {
                 cq.hits.fetch_add(1, Ordering::Relaxed);
                 self.stats.record_cache_hit();
@@ -1338,22 +1327,28 @@ fn apply_actions(
     sf: &mut StoredFilter,
     actions: &[SyncAction],
 ) {
-    let held = Arc::make_mut(&mut sf.ids);
+    // The filter's list is copied (when an older epoch shares it) only by
+    // an action that changes it: most batches modify entries it holds.
     let mut unsettles = false;
     for a in actions {
         match a {
             SyncAction::Add(e) | SyncAction::Modify(e) => {
                 let id = table.hold(e.dn());
-                if !posting::insert_sorted(held, id) {
+                if posting::contains(&sf.ids, id) {
                     // This filter held it already: one hold per filter.
                     table.release(id);
+                } else {
+                    posting::insert_sorted(Arc::make_mut(&mut sf.ids), id);
                 }
                 unsettles |= work.store(id, e.clone()) && table.holds(id) > 1;
             }
             SyncAction::Delete(dn) => {
                 if let Some(id) = table.get(dn) {
-                    if posting::remove_sorted(held, id) && table.release(id) {
-                        work.evict(id);
+                    if posting::contains(&sf.ids, id) {
+                        posting::remove_sorted(Arc::make_mut(&mut sf.ids), id);
+                        if table.release(id) {
+                            work.evict(id);
+                        }
                     }
                 }
             }
@@ -1806,9 +1801,10 @@ mod tests {
         let shared = chunks.iter().zip(after.entries.chunk_addrs()).filter(|(a, b)| *a == b);
         assert!(chunks.len() >= 2_500 / 64);
         assert_eq!(shared.count(), chunks.len() - 1);
-        // Filters: the touched one has a new posting list beside the same
-        // prepared query, the other is untouched.
-        assert!(!Arc::ptr_eq(&before.filters[0].ids, &after.filters[0].ids));
+        // Filters: the touched one held the entry already, so its posting
+        // list is not copied, beside the same prepared query; the other is
+        // untouched.
+        assert!(Arc::ptr_eq(&before.filters[0].ids, &after.filters[0].ids));
         assert!(Arc::ptr_eq(&before.filters[0].prepared, &after.filters[0].prepared));
         assert!(Arc::ptr_eq(&before.filters[1].ids, &after.filters[1].ids));
 

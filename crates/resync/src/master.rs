@@ -10,7 +10,7 @@ use crate::reconcile::{
 };
 use crate::routing::RoutingIndex;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use fbdr_dit::{ChangeRecord, DitError, DitStore, UpdateOp};
+use fbdr_dit::{ChangeKind, ChangeRecord, DitError, DitStore, UpdateOp};
 use fbdr_ldap::{Dn, Entry, SearchRequest};
 use fbdr_obs::{event, Obs};
 use serde::{Deserialize, Serialize};
@@ -528,8 +528,10 @@ impl SyncMaster {
         let mut cand = std::mem::take(&mut self.scratch);
         cand.clear();
         // The target's OLD state: a handle (a refcount, not a copy) that
-        // outlives the store's apply.
-        let old = self.dit.get(op.target()).cloned();
+        // outlives the store's apply. Its id outlives a modify and a
+        // rename too, so the target's DN is hashed once.
+        let id = self.dit.id_of(op.target());
+        let old = id.and_then(|id| self.dit.entry(id)).cloned();
         let mut residual_hits = 0usize;
         if naive {
             self.routing.all_sessions(&mut cand);
@@ -541,7 +543,11 @@ impl SyncMaster {
             self.routing.residual_for_dn(op.target(), &mut cand);
             residual_hits = cand.len() - before;
         }
-        let rec = match self.dit.apply(op) {
+        let applied = match (op, id) {
+            (UpdateOp::Modify { mods, .. }, Some(id)) => self.dit.modify_at(id, mods),
+            (op, _) => self.dit.apply(op),
+        };
+        let rec = match applied {
             Ok(rec) => rec,
             Err(e) => {
                 self.scratch = cand;
@@ -553,7 +559,11 @@ impl SyncMaster {
         let renamed = rec.new_dn.is_some();
         // Entry state after the operation (None if deleted) — borrowed,
         // never cloned on this path.
-        let new_entry = self.dit.get(new_dn);
+        let new_entry = match rec.kind {
+            ChangeKind::Add => self.dit.get(new_dn),
+            ChangeKind::Delete => None,
+            ChangeKind::Modify | ChangeKind::ModifyDn => id.and_then(|id| self.dit.entry(id)),
+        };
         if !naive {
             if let Some(e) = new_entry {
                 self.routing.candidates_for_entry(e, &mut cand);

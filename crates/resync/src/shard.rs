@@ -339,6 +339,12 @@ impl ShardedMaster {
         }
     }
 
+    /// The observability handle [`ShardedMaster::set_obs`] attached (the
+    /// first shard's).
+    pub fn obs(&self) -> &Obs {
+        self.shards[0].obs()
+    }
+
     /// Advances every shard's notification clock to `now_ms` (monotonic).
     pub fn advance_to(&mut self, now_ms: u64) {
         for shard in &mut self.shards {
@@ -495,6 +501,15 @@ impl ShardCoordinator<SystemClock> {
 }
 
 impl<C: Clock> ShardCoordinator<C> {
+    /// Observes every shard's driver through `obs`
+    /// ([`SyncDriver::with_obs`]): their exchanges and `driver.*` events
+    /// aggregate into its registry, and each driver's
+    /// [`SyncDriver::stats`] stays its own.
+    pub fn with_obs(mut self, obs: Obs) -> Self {
+        self.drivers = self.drivers.into_iter().map(|d| d.with_obs(obs.clone())).collect();
+        self
+    }
+
     /// One shard's driver.
     pub fn driver(&self, shard: ShardId) -> &SyncDriver<C> {
         &self.drivers[shard.index()]
