@@ -54,6 +54,10 @@ struct Entries {
     by_dn: BTreeMap<TreeKey, u32>,
     ids: HashMap<Dn, u32>,
     indexes: Indexes,
+    /// [`Entries::edit`]'s snapshot of the attributes it touches: empty
+    /// between edits, kept for its capacity so that an edit allocates no
+    /// list for it.
+    before: Vec<Option<(AttrName, ValueSet)>>,
 }
 
 impl Entries {
@@ -91,29 +95,37 @@ impl Entries {
     }
 
     /// Edits the entry in slot `id` and moves the id between the index
-    /// keys of the `touched` attributes — the only ones `edit` may change —
-    /// so an update costs its change, not the entry. The previous handle
-    /// is the snapshot: the index diff reads the old values off it, and
-    /// when `edit` fails it goes back in the slot and the index is left
-    /// alone.
+    /// keys of the `touched` attributes — the only ones `edit` may change,
+    /// beside the DN when it cannot fail — so an update costs its change,
+    /// not the entry. The touched attributes, as the entry held them, are
+    /// the snapshot: the index diff reads the old values off them, and
+    /// when `edit` fails they go back in the entry and the index is left
+    /// alone. Nothing else of the entry is held meanwhile, so a body no
+    /// other handle shares is edited in place, not copied.
     fn edit(
         &mut self,
         id: u32,
         touched: &[AttrName],
         edit: impl FnOnce(&mut Entry) -> Result<(), DitError>,
     ) -> Result<&Entry, DitError> {
-        let entry = self.slots[id as usize].as_mut().expect("listed ids are live");
-        let before = entry.clone();
-        if let Err(err) = edit(entry) {
-            *entry = before;
-            return Err(err);
+        let Entries { slots, indexes, before, .. } = self;
+        let entry = slots[id as usize].as_mut().expect("listed ids are live");
+        let held = |a| entry.attr(a).map(|(name, values)| (name.clone(), values.clone()));
+        before.extend(touched.iter().map(held));
+        let edited = edit(entry);
+        for (a, old) in touched.iter().zip(before.drain(..)) {
+            if edited.is_err() {
+                entry.remove_attr(a);
+                if let Some((name, values)) = old {
+                    entry.replace(name, values.iter().cloned());
+                }
+                continue;
+            }
+            let (old, new) = (old.as_ref().map(|(_, values)| values), entry.value_set(a));
+            indexes.remove(a, index::keys_only_in(old.into_iter().flatten(), new), id);
+            indexes.insert(a, index::keys_only_in(new.into_iter().flatten(), old), id);
         }
-        for a in touched {
-            let (old, new) = (before.value_set(a), entry.value_set(a));
-            self.indexes.remove(a, index::keys_only_in(old.into_iter().flatten(), new), id);
-            self.indexes.insert(a, index::keys_only_in(new.into_iter().flatten(), old), id);
-        }
-        Ok(entry)
+        edited.map(|()| &*entry)
     }
 
     /// Moves the id of the entry renamed from `old` to `new` under its new
@@ -915,6 +927,22 @@ mod tests {
         assert!(matches!(err, Err(DitError::NoSuchValue(_, _))));
         assert_eq!(s.get(&target).unwrap(), &before);
         assert_eq!(s.search(&sub("o=xyz", "(mail=john@us.xyz.com)")).len(), 1);
+        // An attribute dropped and given back under another spelling
+        // before the failure is the entry's own again, spelling and all.
+        let err = s.modify(
+            &target,
+            vec![
+                Modification::DeleteAttr("MAIL".into()),
+                Modification::AddValues("Mail".into(), vec!["other@x".into()]),
+                Modification::DeleteValues("mail".into(), vec!["absent".into()]),
+            ],
+        );
+        assert!(matches!(err, Err(DitError::NoSuchValue(_, _))));
+        let after = s.get(&target).unwrap();
+        assert_eq!(after, &before);
+        assert_eq!(after.attr(&"MAIL".into()).map(|(name, _)| name.as_str()), Some("mail"));
+        assert_index_exact(&s);
+        assert_eq!(s.search(&sub("o=xyz", "(mail=other@x)")).len(), 0);
     }
 
     #[test]

@@ -267,6 +267,15 @@ impl Entry {
         self.position(attr).ok().map(|at| &self.slice()[at].1)
     }
 
+    /// The attribute as the entry holds it: the entry's spelling of its
+    /// name beside its values.
+    pub fn attr(&self, attr: &AttrName) -> Option<(&AttrName, &ValueSet)> {
+        self.position(attr).ok().map(|at| {
+            let (name, values) = &self.slice()[at];
+            (name, values)
+        })
+    }
+
     /// The first value of an attribute, if any.
     pub fn first_value(&self, attr: &AttrName) -> Option<&AttrValue> {
         self.values(attr).next()

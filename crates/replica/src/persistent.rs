@@ -162,12 +162,6 @@ impl<K, V> Default for PMap<K, V> {
 }
 
 impl<K, V> PMap<K, V> {
-    /// True when the map holds no key: [`PMap::update`] collapses a
-    /// root left with one child, so an empty map is an empty root.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.root.len() == 0
-    }
-
     /// The value stored under `key`.
     pub(crate) fn get<Q>(&self, key: &Q) -> Option<&V>
     where
@@ -327,9 +321,16 @@ impl<T> SlotVec<T> {
         }
         &mut Arc::make_mut(&mut self.chunks[i / CHUNK])[i % CHUNK]
     }
+
+    /// The occupied slots, ascending, with their indexes.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.chunks.iter().enumerate().flat_map(|(c, chunk)| {
+            let slots = chunk.iter().enumerate();
+            slots.filter_map(move |(i, slot)| slot.as_ref().map(|t| (c * CHUNK + i, t)))
+        })
+    }
 }
 
-#[cfg(test)]
 impl<K: Ord, V> PMap<K, V> {
     /// Every item, in key order.
     pub(crate) fn iter(&self) -> Range<'_, '_, K, V, K> {
@@ -339,6 +340,12 @@ impl<K: Ord, V> PMap<K, V> {
 
 #[cfg(test)]
 impl<K, V> PMap<K, V> {
+    /// True when the map holds no key: [`PMap::update`] collapses a
+    /// root left with one child, so an empty map is an empty root.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.root.len() == 0
+    }
+
     /// Addresses of every node, for structural-sharing assertions.
     pub(crate) fn node_addrs(&self) -> Vec<usize> {
         fn walk<K, V>(node: &Arc<Node<K, V>>, out: &mut Vec<usize>) {

@@ -267,14 +267,10 @@ impl SyncTransport for ParkedLink {
     }
 }
 
-/// Readers never serialize behind the writer, as one deterministic
-/// schedule: a sync cycle is parked inside its transport leg (writer lock
-/// held, next epoch not yet published) and `try_answer` on another thread
-/// still returns, from the pre-cycle epoch. A read path that takes the
-/// writer lock blocks until the release and trips the timeout. (How
-/// reads *scale* with readers is wall-clock: `benchmark/`.)
-#[test]
-fn a_writer_parked_mid_cycle_does_not_block_readers() {
+/// A master holding one person, `ver=v0`, and a replica holding it
+/// through `(objectclass=person)`; the master has since moved it to
+/// `ver=v1`, which the replica's next cycle brings.
+fn one_person_behind(replica: &FilterReplica) -> SyncMaster {
     let mut master = SyncMaster::new();
     master.dit_mut().add_suffix("o=xyz".parse().expect("dn"));
     master.dit_mut().add(Entry::new("o=xyz".parse().expect("dn"))).expect("add");
@@ -284,41 +280,98 @@ fn a_writer_parked_mid_cycle_does_not_block_readers() {
         .add(Entry::new(person.clone()).with("objectclass", "person").with("ver", "v0"))
         .expect("add");
     let query = SearchRequest::from_root(Filter::parse("(objectclass=person)").expect("ok"));
-    let replica = FilterReplica::new(0);
-    replica.install_filter(&mut master, query.clone()).expect("install");
+    replica.install_filter(&mut master, query).expect("install");
     master
         .apply(UpdateOp::Modify {
             dn: person,
             mods: vec![Modification::Replace("ver".into(), vec!["v1".into()])],
         })
         .expect("apply");
-    let ver = |answer: Option<Vec<Entry>>| {
-        let entries = answer.expect("the stored filter answers its own query");
-        entries[0].first_value(&"ver".into()).expect("ver").raw().to_owned()
-    };
+    master
+}
 
-    let epoch = replica.epoch();
+/// Runs a sync cycle of `replica` against `master` that parks inside its
+/// transport leg (writer lock held, next epoch not yet published), runs
+/// `read` on another thread meanwhile, and releases the cycle. Returns
+/// what `read` returned, or fails when it did not return within five
+/// seconds — when it waited for the writer.
+fn read_while_a_writer_is_parked<T: Send>(
+    replica: &FilterReplica,
+    master: SyncMaster,
+    read: impl FnOnce() -> T + Send,
+) -> T {
     let (parked_tx, parked) = mpsc::channel();
     let (release, release_rx) = mpsc::channel();
     let mut link = ParkedLink { master, parked: parked_tx, release: release_rx };
     let mut driver: SyncDriver<SystemClock> = SyncDriver::default();
     std::thread::scope(|s| {
-        let (replica, query) = (&replica, &query);
         let writer = s.spawn(|| replica.sync_with(&mut link, &mut driver));
         parked.recv_timeout(Duration::from_secs(10)).expect("the cycle reaches its poll leg");
         // The read runs on its own thread so that a serialized read path
         // fails the test instead of hanging it.
         let (answered_tx, answered) = mpsc::channel();
-        s.spawn(move || answered_tx.send((replica.try_answer(query), replica.epoch())));
+        s.spawn(move || answered_tx.send(read()));
         let seen = answered.recv_timeout(Duration::from_secs(5));
         release.send(()).expect("writer is parked");
-        let (answer, seen_epoch) = seen.expect("try_answer waited for the parked writer");
-        assert_eq!(seen_epoch, epoch, "nothing is published mid-cycle");
-        assert_eq!(ver(answer), "v0", "the pre-cycle epoch's answer");
         writer.join().expect("no panic").expect("clean cycle");
-    });
+        seen.expect("the read waited for the parked writer")
+    })
+}
+
+/// The one `ver` value of the one entry of an answer.
+fn ver(answer: Option<Vec<Entry>>) -> String {
+    let entries = answer.expect("the stored filter answers");
+    assert_eq!(entries.len(), 1);
+    entries[0].first_value(&"ver".into()).expect("ver").raw().to_owned()
+}
+
+/// Readers never serialize behind the writer, as one deterministic
+/// schedule: a sync cycle is parked inside its transport leg (writer lock
+/// held, next epoch not yet published) and `try_answer` on another thread
+/// still returns, from the pre-cycle epoch. A read path that takes the
+/// writer lock blocks until the release and trips the timeout. (How
+/// reads *scale* with readers is wall-clock: `benchmark/`.)
+#[test]
+fn a_writer_parked_mid_cycle_does_not_block_readers() {
+    let replica = FilterReplica::new(0);
+    let master = one_person_behind(&replica);
+    let query = SearchRequest::from_root(Filter::parse("(objectclass=person)").expect("ok"));
+    let epoch = replica.epoch();
+    let (answer, seen_epoch) =
+        read_while_a_writer_is_parked(&replica, master, || (replica.try_answer(&query), replica.epoch()));
+    assert_eq!(seen_epoch, epoch, "nothing is published mid-cycle");
+    assert_eq!(ver(answer), "v0", "the pre-cycle epoch's answer");
     assert_eq!(replica.epoch(), epoch + 1);
     assert_eq!(ver(replica.try_answer(&query)), "v1");
+}
+
+/// The first query that plans on an attribute the replica's index does
+/// not keep has it kept — under the writer lock, taken only if free. With
+/// a writer parked mid-cycle the reader does not wait: it answers at once,
+/// correctly, by verifying the candidates, and keeps nothing. After the
+/// cycle the next such query keeps the attribute, and publishes no epoch.
+#[test]
+fn a_reader_asking_for_a_new_attribute_does_not_wait_for_a_parked_writer() {
+    let obs = Obs::new();
+    let replica = FilterReplica::with_obs(0, obs.clone());
+    let master = one_person_behind(&replica);
+    let asked = |v: &str| {
+        let f = format!("(&(objectclass=person)(ver={v}))");
+        SearchRequest::from_root(Filter::parse(&f).expect("ok"))
+    };
+    let kept = || obs.registry().gauge("fbdr_replica_index_kept_attrs").get();
+    let epoch = replica.epoch();
+    let (old, new) = read_while_a_writer_is_parked(&replica, master, || {
+        (replica.try_answer(&asked("v0")), replica.try_answer(&asked("v1")))
+    });
+    assert_eq!(ver(old), "v0", "the pre-cycle epoch's answer");
+    assert_eq!(new.expect("contained"), vec![], "the pre-cycle epoch has no v1");
+    assert_eq!(kept(), 0, "a busy writer keeps nothing");
+    assert_eq!(replica.epoch(), epoch + 1);
+    assert_eq!(ver(replica.try_answer(&asked("v1"))), "v1");
+    assert_eq!(kept(), 2, "objectclass and ver");
+    assert_eq!(replica.try_answer(&asked("v0")).expect("contained"), vec![]);
+    assert_eq!(replica.epoch(), epoch + 1, "keeping is no new epoch");
 }
 
 /// The metrics registry uses `Relaxed` atomics throughout — cheap on the

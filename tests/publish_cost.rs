@@ -174,6 +174,45 @@ fn a_delivery_allocates_for_what_changed() {
     assert_eq!(small_flush, large_flush, "a flush's bytes grew with the entries held");
 }
 
+/// Allocations of a drain that applies one `Modify` of person 42's mail
+/// (held by two filters) to a replica of 1 000 entries, after the replica
+/// answered `asked` — the attributes a query plans on are the ones it
+/// keeps postings for (DESIGN §9, *What the index keeps*). `moved` is the
+/// new mail: the old one again rewrites nothing.
+fn mail_drain_after(asked: Option<&str>, moved: &str) -> u64 {
+    let (mut master, replica) = deployment(1_000);
+    if let Some(f) = asked {
+        assert_eq!(replica.try_answer(&query(f)).expect("contained").len(), 1);
+    }
+    master
+        .apply(UpdateOp::Modify {
+            dn: dn("cn=p00042,c=us,o=xyz"),
+            mods: vec![Modification::Replace("mail".into(), vec![moved.into()])],
+        })
+        .expect("modify");
+    let (traffic, allocations) = allocations_of(|| replica.drain_notifications());
+    assert_eq!(traffic.full_entries, 2, "one notification per holding filter");
+    allocations
+}
+
+#[test]
+fn a_drain_of_an_attribute_no_query_planned_on_copies_no_index_node() {
+    let mail = "(&(objectclass=inetOrgPerson)(mail=p42@us.xyz.com))";
+    let serial = "(&(objectclass=inetOrgPerson)(serialNumber=100042))";
+    // The entry comes back as it was: the slot is written, no index key.
+    let rewrite = mail_drain_after(Some(mail), "p42@us.xyz.com");
+    let unasked = mail_drain_after(None, "moved@us.xyz.com");
+    let elsewhere = mail_drain_after(Some(serial), "moved@us.xyz.com");
+    let kept = mail_drain_after(Some(mail), "moved@us.xyz.com");
+    println!(
+        "single-Modify drain of mail: {unasked} allocations with nothing kept, {elsewhere} with \
+         other attributes kept, {kept} with mail kept; {rewrite} when no value changed"
+    );
+    assert_eq!(unasked, rewrite, "a drain copied index nodes for an attribute nobody planned on");
+    assert_eq!(elsewhere, rewrite, "a drain copied index nodes for an attribute nobody planned on");
+    assert!(kept > rewrite, "a kept attribute's change copied nothing: {kept} allocations");
+}
+
 #[test]
 fn empty_drain_allocates_nothing() {
     let (mut master, replica) = deployment(1_000);
@@ -537,6 +576,31 @@ fn a_write_to_a_shared_entry_copies_what_it_changes() {
     // pointers, the index keys, the change record (3 506 B when the write
     // copied a `BTreeMap` spine and built a set behind an `Arc`).
     assert!(narrow <= 2_000, "a one-value modify of a held entry allocated {narrow} B");
+}
+
+/// Allocations of the store's edit replacing person 42's one `mail`
+/// value, while another handle on the entry's body is `held` or not.
+fn store_modify(held: bool) -> u64 {
+    let mut master = master_of(100);
+    let person = dn("cn=p00042,c=us,o=xyz");
+    let holder = held.then(|| master.dit().get(&person).expect("person").clone());
+    let mods = vec![Modification::Replace("mail".into(), vec!["moved@us.xyz.com".into()])];
+    let (record, allocations) = allocations_of(|| master.dit_mut().modify(&person, mods));
+    record.expect("modify");
+    if let Some(holder) = holder {
+        assert_eq!(holder.first_value(&"mail".into()).map(AttrValue::raw), Some("p42@us.xyz.com"));
+    }
+    allocations
+}
+
+#[test]
+fn a_modify_of_an_entry_nothing_else_holds_copies_no_body() {
+    let (alone, shared) = (store_modify(false), store_modify(true));
+    println!("one-value modify in the store: {alone} allocations alone, {shared} beside another handle");
+    // Shared, the write gives the entry a body and a slice of its own;
+    // alone, it edits both in place (a rollback snapshot of the whole
+    // entry made every edit the shared case).
+    assert_eq!(alone + 2, shared, "a modify of an unshared entry copied its body");
 }
 
 /// What `build` leaves on the heap, and the allocations it took.
