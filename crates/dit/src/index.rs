@@ -20,11 +20,22 @@
 //! * **when a plan is the answer** ([`Plan::exact`]) — a predicate whose
 //!   scan names its whole match set (`scan_is_exact`), an `And` of
 //!   exact children that all planned, an `Or` of exact children. A store
-//!   visits an exact plan's ids without evaluating the filter on them.
+//!   visits an exact plan's ids without evaluating the filter on them;
+//! * **what a plan keeps** ([`unkept_in`]) — neither store lists an
+//!   attribute until a plan names it: each knows every attribute name its
+//!   entries carry, and keeps postings only for the ones a filter would
+//!   plan on — a predicate with a scan outside a `Not`, inside an `Or`
+//!   only when every branch could plan. An edit of any other attribute
+//!   touches no posting. The first plan that names a carried, unkept
+//!   attribute has it listed over the live entries once, and edits
+//!   maintain it from then on; a name no entry carries plans to the empty
+//!   list and is never kept.
 //!
 //! The maps differ because the stores do: the replica publishes immutable
-//! epochs from a persistent map, the master edits plain `std` maps
-//! (`Indexes`, below) in place. What the maps hold is the same: their text
+//! epochs from a persistent map, and keeps an attribute by publishing a
+//! snapshot that lists it; the master edits plain `std` maps (`Indexes`,
+//! below) in place, and keeps an attribute in a [`OnceLock`] under the
+//! search's shared borrow. What the maps hold is the same: their text
 //! keys are [`TextKey`]s, which keep short text in the map node, and their
 //! values [`Posting`]s, which keep a lone id there too; both stores edit a
 //! posting by `Posting::insert` and `Posting::remove` alone. A key that
@@ -39,14 +50,15 @@
 //! numeric keys, so a numeric scan does not plan on it.
 
 use crate::posting::{self, Posting};
-use fbdr_ldap::{AttrName, AttrValue, Comparison, Filter, Predicate, ValueSet};
+use fbdr_ldap::{AttrName, AttrValue, Comparison, Entry, Filter, Predicate, ValueSet};
 use std::borrow::{Borrow, Cow};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, RangeBounds};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Bytes of text a [`TextKey`] holds inline: what is left of 24 bytes
 /// after the variant tag and the length. Serial numbers, department
@@ -337,11 +349,82 @@ pub fn plan<'a>(
     }
 }
 
+/// The attributes `filter` would plan on that `unkept` names — carried by
+/// the store and not kept — each once, in the filter's order: the whole
+/// "what a plan keeps" rule, which both stores call before they keep. A
+/// predicate counts when it has a scan ([`predicate_scan`]) and no `Not`
+/// is above it, and inside an `Or` only when every branch could plan were
+/// every attribute kept ([`plan`]'s own rule): an `Or` that fails to plan
+/// keeps nothing. Allocates only when it finds one.
+pub fn unkept_in(filter: &Filter, unkept: impl Fn(&AttrName) -> bool) -> Vec<&AttrName> {
+    /// Pushes onto `out` what `unkept_in` names in `filter`; returns
+    /// whether `filter` could plan were every attribute kept.
+    fn gather<'f>(
+        filter: &'f Filter,
+        unkept: &impl Fn(&AttrName) -> bool,
+        out: &mut Vec<&'f AttrName>,
+    ) -> bool {
+        match filter {
+            Filter::Pred(p) => {
+                if predicate_scan(p).is_none() {
+                    return false;
+                }
+                if unkept(p.attr()) && !out.contains(&p.attr()) {
+                    out.push(p.attr());
+                }
+                true
+            }
+            Filter::Not(_) => false,
+            Filter::And(fs) => fs.iter().fold(false, |any, f| gather(f, unkept, out) | any),
+            Filter::Or(fs) => {
+                let mark = out.len();
+                let all = fs.iter().all(|f| gather(f, unkept, out));
+                if !all {
+                    out.truncate(mark);
+                }
+                all
+            }
+        }
+    }
+    let mut out = Vec::new();
+    gather(filter, &unkept, &mut out);
+    out
+}
+
 /// Postings for one attribute, edited in place.
 #[derive(Debug, Default, Clone, PartialEq)]
 struct AttrIndex {
     text: BTreeMap<TextKey, Posting>,
     num: BTreeMap<i64, Posting>,
+}
+
+impl AttrIndex {
+    /// The postings of `attr` over the live entries of `slots`, each
+    /// listed under its slot's index as its id.
+    fn listed(attr: &AttrName, slots: &[Option<Entry>]) -> Self {
+        let mut idx = AttrIndex::default();
+        for (id, entry) in (0..).zip(slots) {
+            if let Some(values) = entry.as_ref().and_then(|e| e.value_set(attr)) {
+                idx.edit(keys_only_in(values, None), |ids| {
+                    ids.insert(id);
+                    true
+                });
+            }
+        }
+        idx
+    }
+
+    /// Edits the posting under each of `keys` ([`update`]). Both maps are
+    /// asked: an integer changing its spelling takes the only text key out
+    /// while its numeric key stays listed.
+    fn edit<'a>(&mut self, keys: impl Iterator<Item = Key<'a>>, edit: impl Fn(&mut Posting) -> bool) {
+        for key in keys {
+            match key {
+                Key::Text(k) => update(&mut self.text, k.as_bytes(), || TextKey::new(k), &edit),
+                Key::Num(n) => update(&mut self.num, &n, || n, &edit),
+            }
+        }
+    }
 }
 
 /// The replica's `PMap::update` over a `std` map, so that both stores edit
@@ -372,65 +455,92 @@ fn update<K, Q>(
     }
 }
 
-/// The master store's index over all attributes, keyed by the lowercased
-/// attribute name. Never serialized: the store rebuilds it from its
-/// entries.
-#[derive(Debug, Default, Clone, PartialEq)]
+/// The master store's index: the lowercased name of every attribute a
+/// stored entry carries or once carried → the attribute's postings once a
+/// plan has named it (*kept*), unset before. A name is added on its first
+/// sight and stays, so the map is bounded by the names the entries carry,
+/// never by the names searches ask for. An edit of an attribute that is
+/// not kept stops at the hash probe that finds its name; the first plan on
+/// it lists it over the live entries, once, under `&self`
+/// ([`OnceLock::get_or_init`]: a second search asking at the same time
+/// waits for that one listing), and edits maintain it from then on. Once
+/// an attribute is kept, reading it takes no lock. Never serialized: the
+/// store rebuilds the names from its entries, and keeps nothing until a
+/// plan asks.
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Indexes {
-    by_attr: HashMap<Box<str>, AttrIndex>,
+    by_attr: HashMap<Box<str>, OnceLock<AttrIndex>>,
 }
 
 impl Indexes {
-    /// Lists `id` under `keys` of `attr`.
-    pub(crate) fn insert<'a>(&mut self, attr: &AttrName, keys: impl Iterator<Item = Key<'a>>, id: u32) {
-        self.edit(attr, keys, |ids| {
+    /// Moves `id` from the keys of `old` — the values of `attr` the entry
+    /// held — to those of `new` — the values it holds now, `None` for an
+    /// attribute it did not or does not carry — touching only the keys
+    /// that differ, and only when the attribute is kept.
+    pub(crate) fn reindex(
+        &mut self,
+        attr: &AttrName,
+        old: Option<&ValueSet>,
+        new: Option<&ValueSet>,
+        id: u32,
+    ) {
+        let Some(kept) = self.by_attr.get_mut(attr.lower()) else {
+            if new.is_some() {
+                self.by_attr.insert(attr.lower().into(), OnceLock::new());
+            }
+            return;
+        };
+        let Some(idx) = kept.get_mut() else { return };
+        idx.edit(keys_only_in(old.into_iter().flatten(), new), |ids| {
+            ids.remove(id);
+            !ids.is_empty()
+        });
+        idx.edit(keys_only_in(new.into_iter().flatten(), old), |ids| {
             ids.insert(id);
             true
         });
     }
 
-    /// Unlists `id` from `keys` of `attr`.
-    pub(crate) fn remove<'a>(&mut self, attr: &AttrName, keys: impl Iterator<Item = Key<'a>>, id: u32) {
-        self.edit(attr, keys, |ids| {
-            ids.remove(id);
-            !ids.is_empty()
-        });
-    }
-
-    /// Edits the posting under each of `keys` of `attr` ([`update`]); the
-    /// attribute leaves with its last key. Both maps are asked: an integer
-    /// changing its spelling takes the only text key out while its numeric
-    /// key stays listed.
-    fn edit<'a>(
-        &mut self,
-        attr: &AttrName,
-        keys: impl Iterator<Item = Key<'a>>,
-        edit: impl Fn(&mut Posting) -> bool,
-    ) {
-        let mut keys = keys.peekable();
-        if keys.peek().is_none() {
-            return;
+    /// Plans `filter` ([`plan`]) over the kept attributes. A predicate
+    /// that would plan on a carried attribute the index does not keep does
+    /// not; when one is met, the attributes [`unkept_in`] names are kept —
+    /// listed over the live entries of `slots`, whose indexes are their
+    /// ids — and the filter is planned again.
+    pub(crate) fn plan<'a>(&'a self, filter: &Filter, slots: &[Option<Entry>]) -> Option<Plan<'a>> {
+        let met_unkept = Cell::new(false);
+        let planned = plan(filter, &|p| self.lists_for_predicate(p, &met_unkept));
+        if !met_unkept.get() {
+            return planned;
         }
-        let idx = match self.by_attr.get_mut(attr.lower()) {
-            Some(idx) => idx,
-            None => self.by_attr.entry(attr.lower().into()).or_default(),
-        };
-        for key in keys {
-            match key {
-                Key::Text(k) => update(&mut idx.text, k.as_bytes(), || TextKey::new(k), &edit),
-                Key::Num(n) => update(&mut idx.num, &n, || n, &edit),
+        let unkept = unkept_in(filter, |a| self.carries_unkept(a));
+        if unkept.is_empty() {
+            return planned;
+        }
+        for attr in unkept {
+            if let Some(kept) = self.by_attr.get(attr.lower()) {
+                kept.get_or_init(|| AttrIndex::listed(attr, slots));
             }
         }
-        if idx.text.is_empty() && idx.num.is_empty() {
-            self.by_attr.remove(attr.lower());
-        }
+        plan(filter, &|p| self.lists_for_predicate(p, &met_unkept))
     }
 
-    /// The store's half of [`plan`].
-    pub(crate) fn lists_for_predicate(&self, p: &Predicate) -> Option<Cow<'_, [u32]>> {
+    /// Whether a stored entry carries or carried `attr` and the index does
+    /// not keep it.
+    fn carries_unkept(&self, attr: &AttrName) -> bool {
+        self.by_attr.get(attr.lower()).is_some_and(|kept| kept.get().is_none())
+    }
+
+    /// The store's half of [`plan`]: `None`, and `met_unkept` set, for an
+    /// attribute carried but not kept; the empty list for one no entry
+    /// carries.
+    fn lists_for_predicate(&self, p: &Predicate, met_unkept: &Cell<bool>) -> Option<Cow<'_, [u32]>> {
         let scan = predicate_scan(p)?;
-        let Some(idx) = self.by_attr.get(p.attr().lower()) else {
+        let Some(kept) = self.by_attr.get(p.attr().lower()) else {
             return Some(Cow::Owned(Vec::new()));
+        };
+        let Some(idx) = kept.get() else {
+            met_unkept.set(true);
+            return None;
         };
         Some(scan_lists(
             &scan,
@@ -438,6 +548,27 @@ impl Indexes {
             |lo, hi| idx.text.range::<[u8], _>((lo, hi)),
             |lo, hi| idx.num.range((lo, hi)),
         ))
+    }
+
+    /// Checks the index against `slots`: every attribute a live entry
+    /// carries is named, and every kept attribute's postings are the ones
+    /// listed afresh over the live entries — none missing, none stale. The
+    /// kept names, sorted, or what differs.
+    pub(crate) fn check(&self, slots: &[Option<Entry>]) -> Result<Vec<&str>, String> {
+        for e in slots.iter().flatten() {
+            if let Some(a) = e.attr_names().find(|a| !self.by_attr.contains_key(a.lower())) {
+                return Err(format!("{} carries {a}, which the index does not name", e.dn()));
+            }
+        }
+        let mut kept = Vec::new();
+        for (name, idx) in self.by_attr.iter().filter_map(|(name, kept)| Some((name, kept.get()?))) {
+            if *idx != AttrIndex::listed(&AttrName::new(&**name), slots) {
+                return Err(format!("the postings of {name} are not its values' keys"));
+            }
+            kept.push(&**name);
+        }
+        kept.sort_unstable();
+        Ok(kept)
     }
 }
 
@@ -612,32 +743,42 @@ mod tests {
         }
     }
 
+    /// An index that keeps the attributes the fixtures plan on before any
+    /// entry arrives, as the store keeps one once a plan names it.
+    fn kept() -> Indexes {
+        let mut ix = Indexes::default();
+        for attr in ["serialnumber", "dept", "n"] {
+            ix.by_attr.insert(attr.into(), OnceLock::from(AttrIndex::default()));
+        }
+        ix
+    }
+
     /// Lists `id` under every key of `attr: value`, as adding an entry
     /// with that one value would.
     fn insert(ix: &mut Indexes, attr: &str, value: &str, id: u32) {
-        let (attr, value) = (AttrName::new(attr), AttrValue::new(value));
-        ix.insert(&attr, keys_only_in([&value], None), id);
+        ix.reindex(&AttrName::new(attr), None, Some(&ValueSet::from_iter([value.into()])), id);
     }
 
     fn remove(ix: &mut Indexes, attr: &str, value: &str, id: u32) {
-        let (attr, value) = (AttrName::new(attr), AttrValue::new(value));
-        ix.remove(&attr, keys_only_in([&value], None), id);
+        ix.reindex(&AttrName::new(attr), Some(&ValueSet::from_iter([value.into()])), None, id);
     }
 
     fn sample() -> Indexes {
-        let mut ix = Indexes::default();
+        let mut ix = kept();
         insert(&mut ix, "serialNumber", "045612", 0);
         insert(&mut ix, "serialNumber", "045699", 1);
         insert(&mut ix, "serialNumber", "120000", 2);
         ix
     }
 
+    /// The plan of `f` over an index whose planned attributes are all kept
+    /// (no entry is there to list a new one over).
     fn plan_of(ix: &Indexes, f: &str) -> Option<Vec<u32>> {
-        plan(&Filter::parse(f).unwrap(), &|p| ix.lists_for_predicate(p)).map(|p| p.ids.into_owned())
+        ix.plan(&Filter::parse(f).unwrap(), &[]).map(|p| p.ids.into_owned())
     }
 
     fn exact_of(ix: &Indexes, f: &str) -> Option<bool> {
-        plan(&Filter::parse(f).unwrap(), &|p| ix.lists_for_predicate(p)).map(|p| p.exact)
+        ix.plan(&Filter::parse(f).unwrap(), &[]).map(|p| p.exact)
     }
 
     #[test]
@@ -671,7 +812,7 @@ mod tests {
 
     #[test]
     fn integer_bounds_are_exact_over_spellings_and_skip_non_integers() {
-        let mut ix = Indexes::default();
+        let mut ix = kept();
         for (id, v) in ["0500", "500", "+500", "499", "501", "5oo", "abc"].iter().enumerate() {
             insert(&mut ix, "n", v, id as u32);
         }
@@ -720,13 +861,13 @@ mod tests {
         remove(&mut ix, "serialNumber", "045612", 0);
         assert_eq!(plan_of(&ix, "(serialnumber=045612)"), Some(vec![]));
         assert_eq!(plan_of(&ix, "(serialnumber<=45650)"), Some(vec![]));
-        let idx = &ix.by_attr["serialnumber"];
+        let idx = ix.by_attr["serialnumber"].get().expect("kept");
         assert_eq!((idx.text.len(), idx.num.len()), (2, 2));
     }
 
     #[test]
     fn multiple_ids_per_value() {
-        let mut ix = Indexes::default();
+        let mut ix = kept();
         insert(&mut ix, "dept", "2406", 3);
         insert(&mut ix, "dept", "2406", 1);
         assert_eq!(plan_of(&ix, "(dept=2406)"), Some(vec![1, 3]));
@@ -736,7 +877,7 @@ mod tests {
 
     #[test]
     fn boolean_plans() {
-        let mut ix = Indexes::default();
+        let mut ix = kept();
         for id in 0..12u32 {
             insert(&mut ix, "serialNumber", &format!("{}", 100_000 + id), id);
             insert(&mut ix, "dept", &format!("{}", id % 3), id);
@@ -756,9 +897,88 @@ mod tests {
         assert_eq!(plan_of(&ix, "(dept=*)"), None);
     }
 
+    fn person(id: u32) -> Entry {
+        Entry::new(format!("cn=e{id},o=x").parse().unwrap())
+            .with("objectclass", "person")
+            .with("serialNumber", &format!("{:06}", 100_000 + id))
+            .with("dept", &format!("{}", id % 3))
+    }
+
+    /// Planned ids and exactness of `f`, keeping over `slots` what it asks.
+    fn planned(ix: &Indexes, slots: &[Option<Entry>], f: &str) -> Option<(Vec<u32>, bool)> {
+        ix.plan(&Filter::parse(f).unwrap(), slots).map(|p| (p.ids.into_owned(), p.exact))
+    }
+
+    #[test]
+    fn a_carried_attribute_plans_once_a_plan_keeps_it() {
+        // Six slots, the third empty: every name the people carry is
+        // named, none is kept.
+        let mut slots: Vec<Option<Entry>> = (0..6).map(|id| (id != 2).then(|| person(id))).collect();
+        let mut ix = Indexes::default();
+        for (id, e) in (0..).zip(&slots) {
+            for (a, vs) in e.iter().flat_map(Entry::attrs) {
+                ix.reindex(a, None, Some(vs), id);
+            }
+        }
+        assert_eq!(ix.check(&slots), Ok(vec![]));
+        // What does not plan keeps nothing: presence, a `Not`, an `Or` with
+        // a branch that cannot plan. A name nobody carries is the empty
+        // list, exact, and is not named.
+        assert_eq!(planned(&ix, &slots, "(dept=*)"), None);
+        assert_eq!(planned(&ix, &slots, "(!(dept=1))"), None);
+        assert_eq!(planned(&ix, &slots, "(|(dept=1)(serialNumber=*3))"), None);
+        assert_eq!(planned(&ix, &slots, "(ghost=1)"), Some((vec![], true)));
+        assert_eq!(ix.check(&slots), Ok(vec![]));
+        assert!(!ix.by_attr.contains_key("ghost"));
+        // A write to an attribute nobody keeps edits no posting.
+        let mut moved = person(4);
+        moved.replace("dept", ["2"]);
+        ix.reindex(&"dept".into(), person(4).value_set(&"dept".into()), moved.value_set(&"dept".into()), 4);
+        slots[4] = Some(moved.clone());
+        assert_eq!(ix.check(&slots), Ok(vec![]));
+        // The first plan keeps what it plans on, listed over the live
+        // slots, and plans on it.
+        let f = "(&(dept=2)(serialNumber>=100003)(!(objectclass=x)))";
+        assert_eq!(planned(&ix, &slots, f), Some((vec![4, 5], false)));
+        assert_eq!(ix.check(&slots), Ok(vec!["dept", "serialnumber"]));
+        let either = "(|(dept=0)(objectclass=person))";
+        assert_eq!(planned(&ix, &slots, either), Some((vec![0, 1, 3, 4, 5], true)));
+        assert_eq!(ix.check(&slots), Ok(vec!["dept", "objectclass", "serialnumber"]));
+        // From then on, edits maintain it.
+        ix.reindex(&"dept".into(), moved.value_set(&"dept".into()), person(4).value_set(&"dept".into()), 4);
+        slots[4] = Some(person(4));
+        for (a, vs) in person(5).attrs() {
+            ix.reindex(a, Some(vs), None, 5);
+        }
+        slots[5] = None;
+        assert_eq!(ix.check(&slots), Ok(vec!["dept", "objectclass", "serialnumber"]));
+        assert_eq!(planned(&ix, &slots, f), Some((vec![], false)));
+        assert_eq!(planned(&ix, &slots, "(dept=1)"), Some((vec![1, 4], true)));
+    }
+
+    #[test]
+    fn unkept_in_names_what_a_filter_would_plan_on() {
+        let carried = ["serialnumber", "dept", "mail", "objectclass"];
+        let unkept = |f: &str, kept: &[&str]| -> Vec<String> {
+            let f = Filter::parse(f).unwrap();
+            let unkept = |a: &AttrName| carried.contains(&a.lower()) && !kept.contains(&a.lower());
+            unkept_in(&f, unkept).iter().map(|a| a.to_string()).collect()
+        };
+        // Presence and `Not` plan on nothing; an `Or` only when every
+        // branch can; a name nobody carries is never kept; each name once,
+        // as the filter first spells it.
+        let f = "(&(serialNumber=1)(dept=*)(!(mail=x))(|(dept=1)(objectclass=*))\
+                 (|(DEPT=2)(serialNumber>=3))(ghost=1))";
+        assert_eq!(unkept(f, &[]), ["serialNumber", "DEPT"]);
+        assert!(unkept("(|(mail=x)(objectclass=*))", &[]).is_empty());
+        assert_eq!(unkept("(&(mail=x)(|(dept=1)(&(objectclass=*)(mail>=y))))", &[]), ["mail", "dept"]);
+        assert_eq!(unkept(f, &["dept"]), ["serialNumber"]);
+        assert!(unkept("(ghost=1)", &[]).is_empty());
+    }
+
     #[test]
     fn exactness_follows_the_filter_shape() {
-        let mut ix = Indexes::default();
+        let mut ix = kept();
         for id in 0..12u32 {
             insert(&mut ix, "serialNumber", &format!("{}", 100_000 + id), id);
             insert(&mut ix, "dept", &format!("{}", id % 3), id);

@@ -1,11 +1,13 @@
 //! The rulebook's exactness property: whenever a plan says it is exact,
 //! its ids are the brute-force match set — the entries `Filter::matches`
 //! accepts, evaluated on every entry. Run on the master's [`Indexes`],
-//! indexing the drawn entries under their positions as ids. The replica's
-//! storage answers exact plans through the same [`plan`], and its oracle
-//! proptest compares those answers with a scan that verifies every entry.
+//! which names the drawn entries' attributes under their positions as ids
+//! and keeps each attribute when the first filter plans on it. The replica's
+//! storage answers exact plans through the same [`plan`](super::plan),
+//! and its oracle proptest compares those answers with a scan that
+//! verifies every entry.
 
-use super::{keys_only_in, plan, Indexes};
+use super::Indexes;
 use fbdr_ldap::{Entry, Filter, Predicate, SubstringPattern};
 use proptest::prelude::*;
 
@@ -103,16 +105,17 @@ proptest! {
         entries in entries(),
         filters in prop::collection::vec(filter(), 1..8),
     ) {
+        let slots: Vec<Option<Entry>> = entries.iter().cloned().map(Some).collect();
         let mut ix = Indexes::default();
         for (id, e) in (0..).zip(&entries) {
             for (a, vs) in e.attrs() {
-                ix.insert(a, keys_only_in(vs, None), id);
+                ix.reindex(a, None, Some(vs), id);
             }
         }
         for f in &filters {
             let matching: Vec<u32> =
                 (0..).zip(&entries).filter(|(_, e)| f.matches(e)).map(|(id, _)| id).collect();
-            let Some(p) = plan(f, &|p| ix.lists_for_predicate(p)) else { continue };
+            let Some(p) = ix.plan(f, &slots) else { continue };
             prop_assert!(
                 matching.iter().all(|id| p.ids.binary_search(id).is_ok()),
                 "the plan of {} misses a match: {:?} against {:?}",

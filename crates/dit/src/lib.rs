@@ -8,8 +8,9 @@
 //!   LDAP-style update operations ([`UpdateOp`]) and indexed search
 //!   evaluation for [`SearchRequest`]s.
 //! * [`index`] and [`posting`] — the index rulebook (what is indexed, how
-//!   a predicate is scanned, how a filter plans) and the sorted id lists
-//!   it works on, shared by this store and the replica's snapshot index.
+//!   a predicate is scanned, how a filter plans, which attributes a plan
+//!   keeps) and the sorted id lists it works on, shared by this store and
+//!   the replica's snapshot index.
 //! * [`ChangeRecord`] / change sequence numbers ([`Csn`]) — an RFC-changelog
 //!   style record of one update operation (changed attributes only), which
 //!   every `apply` returns and the store does not keep. The changelog and

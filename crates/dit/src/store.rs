@@ -2,7 +2,7 @@
 
 use crate::changelog::{ChangeKind, ChangeRecord, Csn};
 use crate::error::{DitError, ImportError};
-use crate::index::{self, Indexes};
+use crate::index::Indexes;
 use crate::update::{Modification, UpdateOp};
 use fbdr_ldap::{AttrName, Dn, Entry, Filter, Scope, SearchRequest, ValueSet};
 use serde::{Deserialize, Serialize};
@@ -76,7 +76,7 @@ impl Entries {
             u32::try_from(self.slots.len() - 1).expect("id space exhausted")
         });
         for (a, vs) in entry.attrs() {
-            self.indexes.insert(a, index::keys_only_in(vs, None), id);
+            self.indexes.reindex(a, None, Some(vs), id);
         }
         self.by_dn.insert(TreeKey(entry.dn().clone()), id);
         self.ids.insert(entry.dn().clone(), id);
@@ -89,7 +89,7 @@ impl Entries {
         self.by_dn.remove(&TreeKey(dn.clone()));
         let entry = self.slots[id as usize].take().expect("listed ids are live");
         for (a, vs) in entry.attrs() {
-            self.indexes.remove(a, index::keys_only_in(vs, None), id);
+            self.indexes.reindex(a, Some(vs), None, id);
         }
         self.free.push(id);
     }
@@ -97,7 +97,8 @@ impl Entries {
     /// Edits the entry in slot `id` and moves the id between the index
     /// keys of the `touched` attributes — the only ones `edit` may change,
     /// beside the DN when it cannot fail — so an update costs its change,
-    /// not the entry. The touched attributes, as the entry held them, are
+    /// not the entry, and nothing in the index for an attribute no search
+    /// has planned on. The touched attributes, as the entry held them, are
     /// the snapshot: the index diff reads the old values off them, and
     /// when `edit` fails they go back in the entry and the index is left
     /// alone. Nothing else of the entry is held meanwhile, so a body no
@@ -121,9 +122,7 @@ impl Entries {
                 }
                 continue;
             }
-            let (old, new) = (old.as_ref().map(|(_, values)| values), entry.value_set(a));
-            indexes.remove(a, index::keys_only_in(old.into_iter().flatten(), new), id);
-            indexes.insert(a, index::keys_only_in(new.into_iter().flatten(), old), id);
+            indexes.reindex(a, old.as_ref().map(|(_, values)| values), entry.value_set(a), id);
         }
         edited.map(|()| &*entry)
     }
@@ -301,6 +300,15 @@ impl DitStore {
         self.subtree(base).filter(move |e| e.dn().depth() == depth)
     }
 
+    /// Checks the attribute index against the entries: every attribute
+    /// an entry carries is named, and every kept attribute's postings are
+    /// the ones listed afresh over the entries. The lowercased names of
+    /// the kept attributes, sorted, or what differs. For tests.
+    #[doc(hidden)]
+    pub fn check_index(&self) -> Result<Vec<&str>, String> {
+        self.entries.indexes.check(&self.entries.slots)
+    }
+
     // ---------------------------------------------------------------
     // LDIF import / export
     // ---------------------------------------------------------------
@@ -332,7 +340,7 @@ impl DitStore {
                 Some(p) if self.contains(&p) => {}
                 _ => self.add_suffix(e.dn().clone()),
             }
-            self.add(e).map_err(ImportError::Dit)?;
+            self.insert(e).map_err(ImportError::Dit)?;
             added += 1;
         }
         Ok(added)
@@ -372,6 +380,21 @@ impl DitStore {
         let changes = changes_of(&entry, entry.attr_names());
         self.entries.insert(entry);
         Ok(self.record(dn, ChangeKind::Add, changes, None))
+    }
+
+    /// Adds an entry as [`DitStore::add`] does, taking the next CSN, and
+    /// builds no [`ChangeRecord`]: the add of a bulk loader, which would
+    /// drop the record — a handle on every value set of the entry — at
+    /// once.
+    ///
+    /// # Errors
+    ///
+    /// As [`DitStore::add`].
+    pub fn insert(&mut self, entry: Entry) -> Result<(), DitError> {
+        self.check_place(entry.dn())?;
+        self.entries.insert(entry);
+        self.csn = self.csn.next();
+        Ok(())
     }
 
     /// Whether a new entry may be named `dn`: the name is free, and it is a
@@ -586,13 +609,21 @@ impl DitStore {
     /// other scans the subtree in tree order. An exact plan
     /// ([`index::Plan::exact`]) is the filter's answer, so its candidates
     /// get the base check alone — and not even that when the base covers
-    /// every registered suffix, since every entry lies under one.
+    /// every registered suffix, since every entry lies under one. The
+    /// first search that plans on an attribute has the index keep it
+    /// ([`index::unkept_in`]): its values are listed over the entries
+    /// once, under this shared borrow, and updates maintain them from then
+    /// on.
     ///
     /// This is the bulk-enumeration seam the sync layer's session
     /// installation uses: it interns ids straight off the borrowed
     /// entries, however many match. The entries are lent for the store's
     /// borrow, not just the call, so a caller merging several stores'
     /// matches can keep the references and project them once.
+    ///
+    /// [`index::plan`]: crate::index::plan
+    /// [`index::Plan::exact`]: crate::index::Plan::exact
+    /// [`index::unkept_in`]: crate::index::unkept_in
     pub fn for_each_match<'a>(&'a self, req: &SearchRequest, f: impl FnMut(&'a Entry)) {
         self.for_each_match_in(req.base(), req.scope(), req.filter(), f);
     }
@@ -613,8 +644,8 @@ impl DitStore {
             Scope::Base => self.get(base).into_iter().filter(matches).for_each(f),
             Scope::OneLevel => self.children(base).filter(matches).for_each(f),
             Scope::Subtree => {
-                let indexes = &self.entries.indexes;
-                match index::plan(filter, &|p| indexes.lists_for_predicate(p)) {
+                let Entries { indexes, slots, .. } = &self.entries;
+                match indexes.plan(filter, slots) {
                     None => self.subtree(base).filter(matches).for_each(f),
                     Some(plan) => {
                         let everywhere = self.suffixes.iter().all(|s| base.is_ancestor_or_self_of(s));
@@ -810,19 +841,17 @@ mod tests {
         assert!(rec.changes[0].1.ptr_eq(stored.value_set(&"mail".into()).unwrap()));
     }
 
-    /// The derived state says exactly what the entries hold. The index
-    /// equals one rebuilt from the slots under the same ids, so no posting
-    /// is missing and none is stale; the identity map and the order map
+    /// The derived state says exactly what the entries hold. Every
+    /// attribute an entry carries is named in the index, and each kept
+    /// attribute's postings equal ones listed afresh from the slots under
+    /// the same ids, so no posting is missing and none is stale
+    /// ([`DitStore::check_index`]); the identity map and the order map
     /// name the same DNs under the same ids, each the id of the slot that
     /// holds the entry of that name.
     fn assert_index_exact(s: &DitStore) {
-        let mut rebuilt = Indexes::default();
-        for (id, e) in s.entries.slots.iter().enumerate() {
-            for (a, vs) in e.iter().flat_map(Entry::attrs) {
-                rebuilt.insert(a, index::keys_only_in(vs, None), id as u32);
-            }
+        if let Err(differs) = s.check_index() {
+            panic!("{differs}");
         }
-        assert_eq!(s.entries.indexes, rebuilt);
         let live = s.entries.slots.iter().flatten().count();
         assert_eq!(s.entries.ids.len(), live);
         assert_eq!(s.entries.by_dn.len(), live);
@@ -874,12 +903,14 @@ mod tests {
         s.modify(&heir, drop("0500")).unwrap();
         assert_index_exact(&s);
         assert_eq!(s.search_dns(&sub("o=xyz", "(n>=0)")), Vec::<Dn>::new());
-        // Emptying the store empties the index.
+        // Emptying the store empties the postings of `n`, which the
+        // searches above kept, and `n` stays kept.
         let leaves_first: Vec<Dn> = s.iter().map(|e| e.dn().clone()).collect();
         for d in leaves_first.iter().rev() {
             s.delete(d).unwrap();
         }
-        assert_eq!(s.entries.indexes, Indexes::default());
+        assert_eq!(s.check_index(), Ok(vec!["n"]));
+        assert_eq!(s.search_dns(&sub("", "(n>=0)")), Vec::<Dn>::new());
         assert_eq!(s.entries.free.len(), s.entries.slots.len());
     }
 

@@ -1,8 +1,10 @@
 //! Property tests for the DIT store: indexed search must agree with a
-//! brute-force scan after any sequence of updates, point lookups must
-//! agree with the tree walk, and a history fed from `apply` must be a
-//! well-formed changelog.
+//! brute-force scan after any sequence of updates, the index must keep
+//! exact postings for the attributes searches planned on and none for the
+//! others, point lookups must agree with the tree walk, and a history fed
+//! from `apply` must be a well-formed changelog.
 
+use fbdr_dit::index::predicate_scan;
 use fbdr_dit::{diff_entries, ChangeRecord, DitError, DitStore, Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use proptest::prelude::*;
@@ -242,6 +244,53 @@ fn sorted(mut dns: Vec<Dn>) -> Vec<Dn> {
     dns
 }
 
+/// One step of a stream that interleaves updates with searches.
+#[derive(Debug, Clone)]
+enum Step {
+    Apply(Op),
+    /// A subtree search of the suffix: one of [`queries`], or of
+    /// [`ASKED_AGAIN`] past their end.
+    Search(usize),
+}
+
+/// Filters beside [`queries`] that name an attribute in another case than
+/// the entries spell it, or a name no entry carries, or plan on one
+/// attribute beside one that cannot plan.
+const ASKED_AGAIN: &[&str] = &[
+    "(DEPT=2)",
+    "(SerialNumber>=0300)",
+    "(&(N>=499)(!(cn=p1)))",
+    "(|(n=500)(ghost=1))",
+    "(|(cn=p1)(serialNumber=*1))",
+    "(&(ghost=1)(dept=1))",
+];
+
+fn search_of(i: usize) -> SearchRequest {
+    let asked = queries();
+    match asked.get(i) {
+        Some(q) => q.clone(),
+        None => subtree(ASKED_AGAIN[i - asked.len()]),
+    }
+}
+
+/// Up to `len` steps over a population of 1 to 16 people, one in four a
+/// search.
+fn steps(len: usize) -> impl Strategy<Value = Vec<Step>> {
+    let searches = queries().len() + ASKED_AGAIN.len();
+    prop_oneof![1usize..=2, 1usize..=16].prop_flat_map(move |people| {
+        let step = prop_oneof![
+            3 => op(people).prop_map(Step::Apply),
+            1 => (0..searches).prop_map(Step::Search),
+        ];
+        prop::collection::vec(step, 0..len)
+    })
+}
+
+/// The lowercased names of the attributes a predicate of `req` names.
+fn named(req: &SearchRequest) -> Vec<String> {
+    req.filter().predicates().iter().map(|p| p.attr().lower().to_owned()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -257,6 +306,57 @@ proptest! {
         for req in queries_and(&region) {
             prop_assert_eq!(sorted(d.search_dns(&req)), sorted(brute_force(&d, &req)), "index/scan mismatch for {}", req);
         }
+    }
+
+    /// The index keeps what searches plan on and nothing else, and what it
+    /// keeps stays exact: over a stream of adds, modifies, deletes, renames
+    /// and reloads (multi-valued `n` in several integer spellings, ids
+    /// recycled) interleaved with searches that keep attributes at random
+    /// points, after every step every search made equals a brute-force
+    /// scan, every kept attribute's postings equal ones listed afresh over
+    /// the live entries, and only an attribute a search named is kept
+    /// (none after a reload, which rebuilds the names alone). At the end,
+    /// every query answers as a scan does.
+    #[test]
+    fn kept_postings_stay_exact_and_unasked_ones_stay_unkept(steps in steps(80)) {
+        let mut d = fresh();
+        let mut asked: Vec<String> = Vec::new();
+        for step in &steps {
+            // An attribute this step's search must have kept: a lone
+            // predicate's, when it has a scan and a live entry carries it.
+            let mut must_keep = None;
+            match step {
+                Step::Apply(o) => {
+                    if matches!(o, Op::Reload) {
+                        asked.clear();
+                    }
+                    apply(&mut d, o);
+                }
+                Step::Search(i) => {
+                    let req = search_of(*i);
+                    prop_assert_eq!(sorted(d.search_dns(&req)), sorted(brute_force(&d, &req)), "{}", req);
+                    asked.extend(named(&req));
+                    if let Filter::Pred(p) = req.filter() {
+                        let carried = d.iter().any(|e| e.value_set(p.attr()).is_some());
+                        if carried && predicate_scan(p).is_some() {
+                            must_keep = Some(p.attr().lower().to_owned());
+                        }
+                    }
+                }
+            }
+            let kept = d.check_index().map_err(|e| TestCaseError::fail(format!("{e} after {step:?}")))?;
+            for a in &kept {
+                prop_assert!(asked.iter().any(|n| n == a), "{} kept, never asked, after {:?}", a, step);
+            }
+            if let Some(a) = must_keep {
+                prop_assert!(kept.contains(&a.as_str()), "{} not kept after {:?}", a, step);
+            }
+        }
+        for i in 0..queries().len() + ASKED_AGAIN.len() {
+            let req = search_of(i);
+            prop_assert_eq!(sorted(d.search_dns(&req)), sorted(brute_force(&d, &req)), "{}", req);
+        }
+        prop_assert!(d.check_index().is_ok());
     }
 
     /// A modify by id is the modify by DN: the same record or error, and

@@ -58,7 +58,7 @@ use crate::persistent::SlotVec;
 use crate::stats::{AtomicReplicaStats, ReplicaStats};
 use crossbeam::channel::{Receiver, TryRecvError};
 use fbdr_containment::{ContainmentEngine, EngineStats, PreparedQuery};
-use fbdr_dit::posting;
+use fbdr_dit::{index, posting};
 use fbdr_ldap::{AttrSelection, Entry, Filter, SearchRequest};
 use fbdr_obs::{event, Counter, Gauge, Histogram, Obs, Timer};
 use fbdr_resync::{
@@ -1259,7 +1259,7 @@ impl FilterReplica {
     /// (or there was nothing to keep). Writers never consult what readers
     /// asked: they maintain what is kept.
     fn keep_planned(&self, snap: &Arc<ContentSnapshot>, filter: &Filter) -> Option<Arc<ContentSnapshot>> {
-        let attrs = snap.index.unkept_in(filter);
+        let attrs = index::unkept_in(filter, |a| snap.index.carries_unkept(a));
         if attrs.is_empty() {
             return None;
         }
@@ -1854,7 +1854,8 @@ mod tests {
     fn keep(r: &FilterReplica, f: &str) {
         let q = root_query(f);
         r.evaluate_indexed(&r.snapshot(), &q, &[], false);
-        assert!(r.snapshot().index.unkept_in(q.filter()).is_empty(), "{f} kept");
+        let snap = r.snapshot();
+        assert!(index::unkept_in(q.filter(), |a| snap.index.carries_unkept(a)).is_empty(), "{f} kept");
     }
 
     #[test]
@@ -2598,7 +2599,9 @@ mod proptests {
         let before = r.evaluate_indexed(&stale, q, ids, false);
         prop_assert_eq!(&before, &oracle(&stale, q, ids), "not kept, {}", q);
         let after = r.evaluate_indexed(&r.snapshot(), q, ids, false);
-        prop_assert!(r.snapshot().index.unkept_in(q.filter()).is_empty(), "kept, {}", q);
+        let snap = r.snapshot();
+        let unkept = index::unkept_in(q.filter(), |a| snap.index.carries_unkept(a));
+        prop_assert!(unkept.is_empty(), "kept, {}", q);
         Ok(after)
     }
 

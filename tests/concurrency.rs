@@ -1,7 +1,11 @@
 //! Thread-safety: one network (master + replica node) serving concurrent
-//! clients, lock-free `&self` query answering, epoch consistency under a
-//! faulty concurrent writer, and Send/Sync guarantees on the core types
+//! clients, lock-free `&self` query answering, the master store keeping an
+//! attribute under a shared borrow, epoch consistency under a faulty
+//! concurrent writer, and Send/Sync guarantees on the core types
 //! (C-SEND-SYNC).
+
+#[allow(dead_code)]
+mod support;
 
 use fbdr::core::deploy::ReplicaNode;
 use fbdr::dit::{DitStore, NamingContext};
@@ -14,8 +18,9 @@ use fbdr_resync::{
     SyncResponse, SyncTransport, SystemClock,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
+use support::allocations_of;
 
 #[test]
 fn send_sync_markers() {
@@ -372,6 +377,58 @@ fn a_reader_asking_for_a_new_attribute_does_not_wait_for_a_parked_writer() {
     assert_eq!(kept(), 2, "objectclass and ver");
     assert_eq!(replica.try_answer(&asked("v0")).expect("contained"), vec![]);
     assert_eq!(replica.epoch(), epoch + 1, "keeping is no new epoch");
+}
+
+/// The first search that plans on an attribute the master store does not
+/// keep lists it under the search's shared borrow, once. Two threads make
+/// that first search at the same moment on one shared store (`DitStore` is
+/// `Send + Sync`, `send_sync_markers`): both get the brute-force answer,
+/// and one of them lists the attribute while the other allocates what a
+/// search of a kept attribute does, give or take the list of what to keep.
+#[test]
+fn two_first_searches_of_one_attribute_list_it_once() {
+    let mut dit = DitStore::new();
+    dit.add_suffix("o=xyz".parse().expect("dn"));
+    dit.insert(Entry::new("o=xyz".parse().expect("dn"))).expect("suffix");
+    for i in 0..2_000 {
+        dit.insert(
+            Entry::new(format!("cn=p{i},o=xyz").parse().expect("dn"))
+                .with("objectclass", "person")
+                .with("telephoneNumber", &format!("555-{i:05}")),
+        )
+        .expect("person");
+    }
+    let req = SearchRequest::from_root(Filter::parse("(telephoneNumber=555-001*)").expect("ok"));
+    let dns = |answer: Vec<Entry>| {
+        let mut dns: Vec<Dn> = answer.iter().map(|e| e.dn().clone()).collect();
+        dns.sort();
+        dns
+    };
+    let brute = dns(dit.iter().filter(|e| req.matches(e)).cloned().collect());
+    assert_eq!(brute.len(), 100);
+    assert_eq!(dit.check_index(), Ok(vec![]), "nothing is kept before a search plans");
+    let warm = {
+        let twin = dit.clone();
+        twin.search(&req);
+        allocations_of(|| twin.search(&req)).1
+    };
+
+    let start = Barrier::new(2);
+    let first = || {
+        start.wait();
+        let (answer, allocations) = allocations_of(|| dit.search(&req));
+        (dns(answer), allocations)
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(first);
+        let b = s.spawn(first);
+        (a.join().expect("thread a"), b.join().expect("thread b"))
+    });
+    assert_eq!((&a.0, &b.0), (&brute, &brute));
+    let listed = [a.1, b.1].iter().filter(|&&n| n > warm + 1).count();
+    println!("first searches: {} and {} allocations, {warm} once kept", a.1, b.1);
+    assert_eq!(listed, 1, "{} and {} allocations against {warm}: listed {listed} times", a.1, b.1);
+    assert_eq!(dit.check_index(), Ok(vec!["telephonenumber"]));
 }
 
 /// The metrics registry uses `Relaxed` atomics throughout — cheap on the

@@ -29,7 +29,9 @@
 //! for no copy of the request per shard — and a write to an entry someone
 //! else holds copies the set it changes, not the entry. What an entry
 //! weighs in a loaded store, and what holding one costs a replica, are
-//! mostly index (DESIGN §9): a key one entry holds keeps its id inline.
+//! bodies and index (DESIGN §9): a key one entry holds keeps its id
+//! inline, and an attribute no search planned on is not listed — a modify
+//! of one edits no posting, and a bulk load allocates no change record.
 //!
 //! Last, the allocator tracks the thread's *live* bytes, for what the
 //! master keeps: under a stream of updates to a fixed population its heap
@@ -532,6 +534,11 @@ fn a_sharded_miss_borrows_its_request() {
     let (master, _) = teams();
     let sharded = sharded_teams();
     let nobody = team_query("z");
+    // Asked once before, on both: the first search of an attribute has
+    // each store list it (DESIGN §9, *What the index keeps*), four lists
+    // at four shards where one store makes one.
+    master.dit().search(&nobody);
+    sharded.search(&nobody);
     let (found, one_store) = allocations_of(|| master.dit().search(&nobody).len());
     assert_eq!(found, 0);
     let (found, four_shards) = allocations_of(|| sharded.search(&nobody).len());
@@ -603,6 +610,64 @@ fn a_modify_of_an_entry_nothing_else_holds_copies_no_body() {
     assert_eq!(alone + 2, shared, "a modify of an unshared entry copied its body");
 }
 
+/// Allocations of the store's edit replacing person 42's
+/// `telephoneNumber` with person 43's, on a master of 1 000 people that
+/// answered `asked` first — the attributes a search plans on are the ones
+/// the store keeps postings for (DESIGN §9, *What the index keeps*).
+fn phone_modify_after(asked: Option<&str>) -> u64 {
+    let mut master = master_of(1_000);
+    if let Some(f) = asked {
+        assert_eq!(master.dit().search(&query(f)).len(), 1);
+    }
+    let person = dn("cn=p00042,c=us,o=xyz");
+    let mods = vec![Modification::Replace("telephoneNumber".into(), vec!["555-00043".into()])];
+    let (record, allocations) = allocations_of(|| master.dit_mut().modify(&person, mods));
+    record.expect("modify");
+    allocations
+}
+
+#[test]
+fn a_modify_of_an_attribute_no_search_planned_on_edits_no_posting() {
+    let unasked = phone_modify_after(None);
+    let elsewhere = phone_modify_after(Some("(serialNumber=100042)"));
+    let kept = phone_modify_after(Some("(telephoneNumber=555-00042)"));
+    println!(
+        "one-value modify of telephoneNumber in the store: {unasked} allocations with nothing kept, \
+         {elsewhere} with serialNumber kept, {kept} with telephoneNumber kept"
+    );
+    assert_eq!(unasked, elsewhere, "a modify edited postings of an attribute no search planned on");
+    // Kept, the number person 43 and now person 42 hold lists two ids,
+    // which no longer fit in the map node.
+    assert!(kept > unasked, "a kept attribute's change allocated nothing: {kept} allocations");
+}
+
+/// A bulk loader's `insert` is `add` less the record: loading `n` people
+/// allocates `n` fewer times — each record's list of the entry's value
+/// sets — and nothing else differs.
+#[test]
+fn a_bulk_load_allocates_no_record() {
+    let people: Vec<Entry> = (0..1_000).map(person).collect();
+    let load = |recorded: bool| {
+        let mut master = master_of(0);
+        let people = people.clone();
+        let ((), allocations) = allocations_of(|| {
+            for p in people {
+                if recorded {
+                    master.dit_mut().add(p).map(drop).expect("person");
+                } else {
+                    master.dit_mut().insert(p).expect("person");
+                }
+            }
+        });
+        assert_eq!(master.dit().len(), 1_002);
+        assert_eq!(master.dit().csn().0, 1_002, "each add takes a CSN, recorded or not");
+        allocations
+    };
+    let (inserted, added) = (load(false), load(true));
+    println!("loading 1 000 people: {inserted} allocations by insert, {added} by add");
+    assert_eq!(inserted + 1_000, added, "a bulk load allocated records");
+}
+
 /// What `build` leaves on the heap, and the allocations it took.
 fn live_and_allocations_of<T>(build: impl FnOnce() -> T) -> (T, i64, u64) {
     let before = live_bytes();
@@ -627,11 +692,20 @@ fn an_entry_is_the_bytes_of_its_values() {
 
     // Bodies, both DN maps and the index: 8 026 B with the layout above,
     // 1 576 B while every index key had a list on the heap, 1 487 B with
-    // 40-byte values.
+    // 40-byte values, 1 422 B with one pointer per entry — every
+    // attribute of every entry listed. Now an attribute is listed once a
+    // search plans on it: a loaded store lists none (1 028 B), and a
+    // search on `serialNumber` adds that attribute's postings (1 156 B).
     let (store, live, _) = live_and_allocations_of(|| master_of(2_000));
     let per_entry = live / 2_000;
-    println!("a store of 2 000 people: {per_entry} B live per entry");
-    assert!(per_entry <= 1_487, "a loaded store holds {per_entry} B per entry");
+    let serial = query("(serialNumber=100042)");
+    let (_, keeping, _) = live_and_allocations_of(|| store.dit().search(&serial).len());
+    let kept_per_entry = (live + keeping) / 2_000;
+    println!(
+        "a store of 2 000 people: {per_entry} B live per entry, {kept_per_entry} B once serialNumber is kept"
+    );
+    assert!(per_entry <= 1_028, "a loaded store holds {per_entry} B per entry");
+    assert!(kept_per_entry <= 1_156, "a store keeping serialNumber holds {kept_per_entry} B per entry");
     assert_eq!(store.dit().len(), 2_002);
 }
 

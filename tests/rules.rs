@@ -325,6 +325,15 @@ const RULES: &[Rule] = &[
               pair, record_since or span! comes back into the library's non-test code. crates/bench \
               is left out: its overheads table times whole loops.",
     },
+    Rule {
+        name: "One keep rule",
+        checks: &[absent(55, Tree(&["crates/replica/src"]), &[r"fn unkept_in\b"])],
+        why: "One keep rule (DESIGN §9, *What the index keeps*): which attributes a plan keeps — a \
+              predicate with a scan outside a Not, inside an Or only when every branch could plan — \
+              is decided in fbdr_dit::index::unkept_in alone, and both the master's store and the \
+              replica's snapshot index call it. The replica asks only whether it carries an \
+              attribute it does not keep, and has no rule of its own.",
+    },
 ];
 
 /// A line a check objects to.
