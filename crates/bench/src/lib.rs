@@ -1,8 +1,8 @@
 //! Experiment harness for the fbdr reproduction.
 //!
 //! Every table and figure of the paper's evaluation (§7) is regenerated by
-//! a function in this crate; the `repro` binary prints them as text
-//! tables. Absolute numbers differ from the paper (the substrate is a
+//! a function in this crate; [`repro`] renders them as text tables, which
+//! the `repro` binary prints. Absolute numbers differ from the paper (the substrate is a
 //! simulator, the directory synthetic and scaled), but the *shapes* —
 //! which model wins, by roughly what factor, where knees fall — are the
 //! reproduction targets recorded in `EXPERIMENTS.md`.
@@ -53,6 +53,7 @@ pub mod history;
 pub mod hits;
 pub mod protocol;
 pub mod recovery;
+pub mod repro;
 pub mod setup;
 pub mod shell;
 pub mod subtree;

@@ -30,7 +30,9 @@
 //! in its value map (a few nodes of at most 32 items) plus the shared list
 //! it edits, if the key has one; [`SnapshotIndex::reindex`] diffs the old
 //! and new version of an entry so a `Modify` touches only the values that
-//! differ, and skips an attribute the index does not keep before it
+//! differ, skips an attribute whose value set both versions share before
+//! it looks the attribute up — after a copy-on-write write, every one the
+//! write did not change — and skips one the index does not keep before it
 //! computes a key. A node or list is copied on its first touch in a cycle and
 //! edited in place on every later one, so a bulk install stays a bulk
 //! load. A kept attribute is never rebuilt from the entry store: it is
@@ -113,7 +115,9 @@ impl SnapshotIndex {
     /// Applies `edit` to the posting of every key of a kept attribute
     /// that `e` is listed under and `other` is not; `edit` returns whether
     /// the key stays (a key goes with its last id). An attribute seen for
-    /// the first time is added, not kept.
+    /// the first time is added, not kept. An attribute whose value set
+    /// `other` shares — a write copies only the sets it changes (`Entry`'s
+    /// *Sharing*) — differs in nothing and is not looked up.
     fn edit_difference(
         &mut self,
         e: &Entry,
@@ -121,6 +125,10 @@ impl SnapshotIndex {
         edit: impl Fn(&mut Posting) -> bool,
     ) {
         for (attr, values) in e.attrs() {
+            let others = other.and_then(|o| o.value_set(attr));
+            if others.is_some_and(|o| o.ptr_eq(values)) {
+                continue;
+            }
             let name = attr.lower().as_bytes();
             match self.by_attr.get(name) {
                 Some(Some(_)) => {}
@@ -130,8 +138,7 @@ impl SnapshotIndex {
                     continue;
                 }
             }
-            let mut keys =
-                index::keys_only_in(values, other.and_then(|o| o.value_set(attr))).peekable();
+            let mut keys = index::keys_only_in(values, others).peekable();
             if keys.peek().is_none() {
                 continue;
             }
@@ -471,6 +478,38 @@ mod tests {
         assert_eq!(plan_of(&ix, "(mail=two@x)"), Some(vec![]));
         assert!(postings_of(&ix, "mail").text.is_empty());
         assert_eq!(plan_of(&ix, "(dept=2)"), Some(vec![2, 5]));
+    }
+
+    /// A write shares the value sets it does not change with the version
+    /// it writes over, and those are not looked up: the result is the
+    /// index a version sharing nothing gives.
+    #[test]
+    fn a_shared_value_set_reindexes_as_an_equal_one() {
+        let held: Vec<Entry> = (0..6).map(entry).collect();
+        let mut shared = kept();
+        let mut copied = kept();
+        for (id, e) in (0..).zip(&held) {
+            shared.reindex(id, None, Some(e));
+            copied.reindex(id, None, Some(&entry(id)));
+        }
+        let mut new = held[2].clone();
+        new.replace("dept", ["7"]);
+        new.add("mail", "two@x");
+        let untouched = postings_of(&shared, "serialnumber").text.node_addrs();
+        shared.reindex(2, Some(&held[2]), Some(&new));
+        let mut fresh = entry(2);
+        fresh.replace("dept", ["7"]);
+        fresh.add("mail", "two@x");
+        copied.reindex(2, Some(&entry(2)), Some(&fresh));
+        for f in ["(dept=2)", "(dept=7)", "(mail=two@x)", "(serialNumber=100002)", "(objectclass=person)"] {
+            assert_eq!(plan_of(&shared, f), plan_of(&copied, f), "{f}");
+        }
+        assert_eq!(plan_of(&shared, "(dept=7)"), Some(vec![2]));
+        assert_eq!(postings_of(&shared, "serialnumber").text.node_addrs(), untouched);
+        // The very body again changes nothing.
+        let epoch = shared.clone();
+        shared.reindex(2, Some(&new), Some(&new.clone()));
+        assert_eq!(shared.node_addrs(), epoch.node_addrs());
     }
 
     #[test]

@@ -30,9 +30,12 @@
 //! # Concurrency
 //!
 //! Query answering is `&self`, and [`FilterReplica`]'s content lives in
-//! immutable per-epoch snapshots behind an `Arc` swap, so readers run
-//! concurrently with sync cycles and never see a half-applied update
-//! batch. Statistics are relaxed atomics
+//! per-epoch snapshots behind an `Arc` swap, so readers run concurrently
+//! with sync cycles and never see a half-applied update batch. An epoch a
+//! reader holds never changes; a persist drain that finds the published
+//! epoch held by nobody applies its batch to it in place, under the
+//! content lock, so a reader may wait for that one apply. Statistics are
+//! relaxed atomics
 //! ([`AtomicReplicaStats`]) snapshotted into plain [`ReplicaStats`].
 
 mod filter_replica;
@@ -41,7 +44,7 @@ mod intern;
 mod persistent;
 mod stats;
 
-pub use filter_replica::{DecisionCacheStats, FilterReplica};
+pub use filter_replica::{DecisionCacheStats, FilterReplica, HeldEpoch};
 pub use stats::{AtomicReplicaStats, ReplicaStats};
 
 pub use fbdr_resync::SyncTraffic;

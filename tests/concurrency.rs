@@ -379,6 +379,137 @@ fn a_reader_asking_for_a_new_attribute_does_not_wait_for_a_parked_writer() {
     assert_eq!(replica.epoch(), epoch + 1, "keeping is no new epoch");
 }
 
+/// A master holding `groups` groups of `members` people each, every one at
+/// `ver=v0`, and a replica holding all of them through one persist-mode
+/// filter, `(objectclass=person)`.
+fn persist_groups(groups: usize, members: usize) -> (SyncMaster, FilterReplica) {
+    let mut master = SyncMaster::new();
+    master.dit_mut().add_suffix("o=xyz".parse().expect("dn"));
+    master.dit_mut().add(Entry::new("o=xyz".parse().expect("dn"))).expect("add");
+    for g in 0..groups {
+        for m in 0..members {
+            let person = Entry::new(format!("cn=g{g}m{m},o=xyz").parse().expect("dn"))
+                .with("objectclass", "person")
+                .with("grp", &format!("g{g}"))
+                .with("ver", "v0");
+            master.dit_mut().add(person).expect("add");
+        }
+    }
+    let replica = FilterReplica::new(0);
+    let everyone = SearchRequest::from_root(Filter::parse("(objectclass=person)").expect("ok"));
+    replica.install_filter_persistent(&mut master, everyone).expect("install");
+    (master, replica)
+}
+
+/// Moves every member of every group to `ver`, one update each.
+fn move_everyone(master: &mut SyncMaster, groups: usize, members: usize, ver: &str) {
+    for g in 0..groups {
+        for m in 0..members {
+            master
+                .apply(UpdateOp::Modify {
+                    dn: format!("cn=g{g}m{m},o=xyz").parse().expect("dn"),
+                    mods: vec![Modification::Replace("ver".into(), vec![ver.into()])],
+                })
+                .expect("apply");
+        }
+    }
+}
+
+/// The `ver` of every entry of an answer, in DN order.
+fn vers(answer: Option<Vec<Entry>>) -> Vec<String> {
+    let mut entries = answer.expect("the stored filter answers");
+    entries.sort_by(|a, b| a.dn().cmp(b.dn()));
+    entries.iter().map(|e| e.first_value(&"ver".into()).expect("ver").raw().to_owned()).collect()
+}
+
+/// A drain edits the published epoch in place only when nobody holds it.
+/// An epoch held across a drain answers as it did before, and the drain
+/// still publishes — beside it. Once the epoch is let go, the next drain
+/// publishes in place, and the answer follows.
+#[test]
+fn a_held_epoch_answers_as_before_while_a_drain_publishes_beside_it() {
+    let (mut master, replica) = persist_groups(1, 3);
+    let query = SearchRequest::from_root(Filter::parse("(&(objectclass=person)(grp=g0))").expect("ok"));
+    let epoch = replica.epoch();
+    let held = replica.hold_epoch();
+    move_everyone(&mut master, 1, 3, "v1");
+    assert_eq!(replica.drain_notifications().full_entries, 3);
+    assert_eq!(held.epoch(), epoch, "a held epoch keeps its number");
+    assert_eq!(vers(held.try_answer(&query)), ["v0"; 3], "and its content");
+    assert_eq!(replica.epoch(), epoch + 1, "the drain published");
+    assert_eq!(vers(replica.try_answer(&query)), ["v1"; 3]);
+    drop(held);
+    move_everyone(&mut master, 1, 3, "v2");
+    assert_eq!(replica.drain_notifications().full_entries, 3);
+    assert_eq!(replica.epoch(), epoch + 2);
+    assert_eq!(vers(replica.try_answer(&query)), ["v2"; 3]);
+}
+
+/// Readers race a stream of persist drains, each of which carries one
+/// round: every member of every group moved to `v{round}`, applied as one
+/// epoch. Whether a drain finds the epoch held (and publishes beside it)
+/// or not (and edits it in place), every answer is one epoch's content:
+/// a reader holding epoch `base + r` sees round `r` everywhere, and a
+/// plain `try_answer` never sees two rounds in one group.
+#[test]
+fn readers_never_see_half_a_drained_batch() {
+    const GROUPS: usize = 4;
+    const MEMBERS: usize = 4;
+    const ROUNDS: usize = 300;
+    let (mut master, replica) = persist_groups(GROUPS, MEMBERS);
+    let base = replica.epoch();
+    let group_query = |g: usize| {
+        let f = format!("(&(objectclass=person)(grp=g{g}))");
+        SearchRequest::from_root(Filter::parse(&f).expect("ok"))
+    };
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(3);
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2)
+            .map(|t| {
+                let (replica, done, start, group_query) = (&replica, &done, &start, &group_query);
+                s.spawn(move || {
+                    start.wait();
+                    let mut answered = 0u64;
+                    let mut i = t;
+                    loop {
+                        let g = i % GROUPS;
+                        i += 1;
+                        let seen = if i % 2 == 0 {
+                            let held = replica.hold_epoch();
+                            let round = held.epoch() - base;
+                            let seen = vers(held.try_answer(&group_query(g)));
+                            assert_eq!(seen, vec![format!("v{round}"); MEMBERS], "epoch {round}");
+                            seen
+                        } else {
+                            vers(replica.try_answer(&group_query(g)))
+                        };
+                        assert_eq!(seen.len(), MEMBERS, "group g{g} must be complete");
+                        assert!(seen.windows(2).all(|w| w[0] == w[1]), "torn read: {seen:?}");
+                        answered += 1;
+                        if done.load(Ordering::Relaxed) {
+                            break answered;
+                        }
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        for round in 1..=ROUNDS {
+            move_everyone(&mut master, GROUPS, MEMBERS, &format!("v{round}"));
+            assert_eq!(replica.drain_notifications().full_entries, (GROUPS * MEMBERS) as u64);
+        }
+        done.store(true, Ordering::Relaxed);
+        for reader in readers {
+            assert!(reader.join().expect("no torn read") > 0);
+        }
+    });
+    assert_eq!(replica.epoch(), base + ROUNDS as u64);
+    for g in 0..GROUPS {
+        assert_eq!(vers(replica.try_answer(&group_query(g))), vec![format!("v{ROUNDS}"); MEMBERS]);
+    }
+}
+
 /// The first search that plans on an attribute the master store does not
 /// keep lists it under the search's shared borrow, once. Two threads make
 /// that first search at the same moment on one shared store (`DitStore` is
