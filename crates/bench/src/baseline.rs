@@ -286,12 +286,12 @@ impl Synchronizer for NaiveChangelogSync {
         replica: &mut ReplicaContent,
     ) -> SyncTraffic {
         let mut actions = Vec::new();
-        for rec in history.since(self.last_csn) {
+        for (rec, changes) in history.changes_since(self.last_csn) {
             let k = rec.dn.to_string();
             match rec.kind {
                 ChangeKind::Add => {
                     let mut e = Entry::new(rec.dn.clone());
-                    for (a, vs) in &rec.changes {
+                    for (a, vs) in changes {
                         e.replace(a.clone(), vs.iter().cloned());
                     }
                     if request.matches(&e) {
@@ -304,7 +304,7 @@ impl Synchronizer for NaiveChangelogSync {
                         .knowledge
                         .entry(k)
                         .or_insert_with(|| Entry::new(rec.dn.clone()));
-                    for (a, vs) in &rec.changes {
+                    for (a, vs) in changes {
                         e.replace(a.clone(), vs.iter().cloned());
                     }
                     let e = e.clone();
@@ -406,11 +406,14 @@ mod tests {
         let mut traffics = Vec::new();
         traffics.push(sync.sync(&m, &h, &req, &mut replica));
         // Round of updates: b leaves (modify), c joins, a deleted, d added.
-        let dept = |v: &str| vec![Modification::Replace("dept".into(), vec![v.into()])];
-        h.record(m.modify(&dn("cn=b,o=xyz"), dept("8")).unwrap());
-        h.record(m.modify(&dn("cn=c,o=xyz"), dept("7")).unwrap());
-        h.record(m.delete(&dn("cn=a,o=xyz")).unwrap());
-        h.record(m.apply(UpdateOp::Add(person("d", "7"))).unwrap());
+        let dept = |cn: &str, v: &str| UpdateOp::Modify {
+            dn: dn(&format!("cn={cn},o=xyz")),
+            mods: vec![Modification::Replace("dept".into(), vec![v.into()])],
+        };
+        let (gone, joined) = (UpdateOp::Delete(dn("cn=a,o=xyz")), UpdateOp::Add(person("d", "7")));
+        for op in [dept("b", "8"), dept("c", "7"), gone, joined] {
+            h.apply(&mut m, op).unwrap();
+        }
         traffics.push(sync.sync(&m, &h, &req, &mut replica));
         (m, replica, traffics)
     }
@@ -489,8 +492,8 @@ mod tests {
         ts.sync(&m, &h, &req, &mut replica2);
 
         let dept8 = vec![Modification::Replace("dept".into(), vec!["8".into()])];
-        h.record(m.modify(&dn("cn=a,o=xyz"), dept8).unwrap());
-        h.record(m.delete(&dn("cn=a,o=xyz")).unwrap());
+        h.apply(&mut m, UpdateOp::Modify { dn: dn("cn=a,o=xyz"), mods: dept8 }).unwrap();
+        h.apply(&mut m, UpdateOp::Delete(dn("cn=a,o=xyz"))).unwrap();
         naive.sync(&m, &h, &req, &mut replica);
 
         let ghosts = divergence(&m, &req, &replica);

@@ -161,9 +161,7 @@ pub fn replay_subtree(
         }
         record(&mut out.per_kind, tq.kind, hit);
         if cfg.update_every > 0 && (i + 1) % cfg.update_every == 0 && next_update < updates.len() {
-            if let Ok(rec) = master.apply(updates[next_update].clone()) {
-                history.record(rec);
-            }
+            let _ = history.apply(master, updates[next_update].clone());
             next_update += 1;
             out.updates_applied += 1;
         }

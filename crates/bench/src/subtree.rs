@@ -186,7 +186,7 @@ impl SubtreeReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbdr_dit::Modification;
+    use fbdr_dit::{Modification, UpdateOp};
     use fbdr_ldap::Filter;
 
     fn dn(s: &str) -> Dn {
@@ -296,11 +296,14 @@ mod tests {
         let mut m = master();
         let mut r = us_replica(&m);
         let mut h = History::new();
-        let mail = |v: &str| vec![Modification::Replace("mail".into(), vec![v.into()])];
+        let mail = |target: &str, v: &str| UpdateOp::Modify {
+            dn: dn(target),
+            mods: vec![Modification::Replace("mail".into(), vec![v.into()])],
+        };
         // Change inside the context: shipped even though no query needs it.
-        h.record(m.modify(&dn("cn=a,c=us,o=xyz"), mail("a@x")).unwrap());
+        h.apply(&mut m, mail("cn=a,c=us,o=xyz", "a@x")).unwrap();
         // Change outside the context: not shipped.
-        h.record(m.modify(&dn("cn=c,c=in,o=xyz"), mail("c@x")).unwrap());
+        h.apply(&mut m, mail("cn=c,c=in,o=xyz", "c@x")).unwrap();
         let t = r.sync_from(&m, &h);
         assert_eq!(t.full_entries, 1);
         assert_eq!(t.dn_only, 0);
@@ -317,9 +320,14 @@ mod tests {
         let e = Entry::new(dn("cn=e,c=us,o=xyz"))
             .with("objectclass", "person")
             .with("serialNumber", "045699");
-        h.record(m.add(e).unwrap());
-        h.record(m.delete(&dn("cn=b,c=us,o=xyz")).unwrap());
-        h.record(m.modify_dn(&dn("cn=a,c=us,o=xyz"), fbdr_ldap::Rdn::new("cn", "a2"), None).unwrap());
+        let rename = UpdateOp::ModifyDn {
+            dn: dn("cn=a,c=us,o=xyz"),
+            new_rdn: fbdr_ldap::Rdn::new("cn", "a2"),
+            new_superior: None,
+        };
+        for op in [UpdateOp::Add(e), UpdateOp::Delete(dn("cn=b,c=us,o=xyz")), rename] {
+            h.apply(&mut m, op).unwrap();
+        }
         let t = r.sync_from(&m, &h);
         assert_eq!(t.full_entries, 2); // add e + rename target a2
         assert_eq!(t.dn_only, 2); // delete b + rename source a

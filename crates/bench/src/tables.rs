@@ -204,7 +204,7 @@ pub fn sync_ablation(params: &Params) -> Vec<SyncAblationRow> {
     for part in updates.chunks(chunk.max(1)) {
         for op in part {
             if let Ok(rec) = master.apply(op.clone()) {
-                history.record(rec);
+                history.record(rec, op, master.dit());
             }
         }
         let resp = master.resync(&request, ReSyncControl::poll(Some(cookie))).expect("poll");

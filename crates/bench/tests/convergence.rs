@@ -4,7 +4,7 @@
 
 use fbdr_bench::baseline::{ChangelogSync, FullReload, RetainSync, Synchronizer, TombstoneSync};
 use fbdr_bench::history::History;
-use fbdr_dit::{ChangeRecord, Modification, UpdateOp};
+use fbdr_dit::{Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use fbdr_resync::{divergence, ReplicaContent, SyncMaster};
 use proptest::prelude::*;
@@ -53,8 +53,8 @@ fn fresh_master() -> SyncMaster {
 /// Applies an abstract op, ignoring precondition failures (they model
 /// clients racing each other); the record of an accepted one. A rename
 /// changes the RDN only.
-fn apply(m: &mut SyncMaster, op: &Op) -> Option<ChangeRecord> {
-    let update = match op {
+fn update(op: &Op) -> UpdateOp {
+    match op {
         Op::Add { id, dept } => UpdateOp::Add(person(*id, *dept)),
         Op::Delete { id } => UpdateOp::Delete(dn_of(*id)),
         Op::SetDept { id, dept } => UpdateOp::Modify {
@@ -70,8 +70,7 @@ fn apply(m: &mut SyncMaster, op: &Op) -> Option<ChangeRecord> {
             new_rdn: Rdn::new("cn", format!("p{new_id}")),
             new_superior: None,
         },
-    };
-    m.apply(update).ok()
+    }
 }
 
 fn request() -> SearchRequest {
@@ -101,8 +100,9 @@ proptest! {
             let chunk = ops.len().div_ceil(cycles);
             for part in ops.chunks(chunk.max(1)) {
                 for o in part {
-                    if let Some(rec) = apply(&mut m, o) {
-                        history.record(rec);
+                    let op = update(o);
+                    if let Ok(rec) = m.apply(op.clone()) {
+                        history.record(rec, &op, m.dit());
                     }
                 }
                 s.sync(m.dit(), &history, &req, &mut replica);

@@ -1,15 +1,14 @@
 //! Change sequence numbers and changelog records.
 //!
 //! [`DitStore`](crate::DitStore) numbers each applied update with a
-//! [`Csn`] and hands back its [`ChangeRecord`] — the target DN, the kind of
-//! change and only the changed attributes, in the style of
-//! draft-good-ldap-changelog. The store keeps neither the records nor
-//! tombstones of deleted entries. The changelog and tombstone schemes that
-//! §5.2 contrasts with ReSync's per-session history are comparison systems
-//! of the paper, and live in `fbdr-bench` (`fbdr_bench::history`), fed
-//! from these records.
+//! [`Csn`] and hands back its [`ChangeRecord`] — the target DN and the kind
+//! of change, in the style of draft-good-ldap-changelog. The store keeps
+//! neither the records nor tombstones of deleted entries. The changelog
+//! and tombstone schemes that §5.2 contrasts with ReSync's per-session
+//! history are comparison systems of the paper, and live in `fbdr-bench`
+//! (`fbdr_bench::history`), fed from these records.
 
-use fbdr_ldap::{AttrName, Dn, ValueSet};
+use fbdr_ldap::Dn;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -61,8 +60,10 @@ impl fmt::Display for ChangeKind {
 }
 
 /// One changelog record, in the style of draft-good-ldap-changelog:
-/// the target DN, the kind of change, and *only* the changed attribute
-/// values — deliberately not the full entry.
+/// the target DN and the kind of change — deliberately not the entry. The
+/// record names no values: what a changelog reader needs of them it reads
+/// from the store after the update (`fbdr_bench::history` does), and an
+/// update pays for no list of its entry's value sets.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChangeRecord {
     /// Sequence number of this change.
@@ -71,11 +72,6 @@ pub struct ChangeRecord {
     pub dn: Dn,
     /// What kind of operation it was.
     pub kind: ChangeKind,
-    /// For `Modify`: the attribute/value pairs that were added or removed
-    /// (attribute name, new values after the change). For `Add`: all
-    /// attributes of the new entry. Empty for `Delete`. The value sets are
-    /// the stored entry's own, shared — a record copies no value.
-    pub changes: Vec<(AttrName, ValueSet)>,
     /// For `ModifyDn`: the new DN.
     pub new_dn: Option<Dn>,
 }

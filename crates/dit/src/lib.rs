@@ -12,8 +12,8 @@
 //!   keeps) and the sorted id lists it works on, shared by this store and
 //!   the replica's snapshot index.
 //! * [`ChangeRecord`] / change sequence numbers ([`Csn`]) — an RFC-changelog
-//!   style record of one update operation (changed attributes only), which
-//!   every `apply` returns and the store does not keep. The changelog and
+//!   style record of one update operation (its DN and kind, no values),
+//!   which every `apply` returns and the store does not keep. The changelog and
 //!   tombstone history that §5.2's baselines read is kept from these
 //!   records by `fbdr-bench`, which runs the paper's comparison systems.
 //! * [`NamingContext`] — the `(suffix, referrals…)` tuple of the LDAP

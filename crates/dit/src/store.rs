@@ -141,18 +141,6 @@ impl Entries {
     }
 }
 
-/// The value sets of `attrs` as `entry` now holds them, shared with it; an
-/// attribute the entry lacks lists no values.
-fn changes_of<'a>(
-    entry: &Entry,
-    attrs: impl IntoIterator<Item = &'a AttrName>,
-) -> Vec<(AttrName, ValueSet)> {
-    attrs
-        .into_iter()
-        .map(|a| (a.clone(), entry.value_set(a).cloned().unwrap_or_default()))
-        .collect()
-}
-
 impl Serialize for Entries {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.collect_seq(self.iter())
@@ -377,15 +365,13 @@ impl DitStore {
     pub fn add(&mut self, entry: Entry) -> Result<ChangeRecord, DitError> {
         self.check_place(entry.dn())?;
         let dn = entry.dn().clone();
-        let changes = changes_of(&entry, entry.attr_names());
         self.entries.insert(entry);
-        Ok(self.record(dn, ChangeKind::Add, changes, None))
+        Ok(self.record(dn, ChangeKind::Add, None))
     }
 
     /// Adds an entry as [`DitStore::add`] does, taking the next CSN, and
     /// builds no [`ChangeRecord`]: the add of a bulk loader, which would
-    /// drop the record — a handle on every value set of the entry — at
-    /// once.
+    /// drop the record at once.
     ///
     /// # Errors
     ///
@@ -423,7 +409,7 @@ impl DitStore {
             return Err(DitError::NotLeaf(dn.clone()));
         }
         self.entries.remove(dn);
-        Ok(self.record(dn.clone(), ChangeKind::Delete, Vec::new(), None))
+        Ok(self.record(dn.clone(), ChangeKind::Delete, None))
     }
 
     /// Modifies an entry's attributes.
@@ -472,7 +458,7 @@ impl DitStore {
                 touched.push(m.attr().clone());
             }
         }
-        let entry = self.entries.edit(id, &touched, |entry| {
+        self.entries.edit(id, &touched, |entry| {
             for m in &mods {
                 match m {
                     Modification::AddValues(a, vs) => {
@@ -499,8 +485,7 @@ impl DitStore {
             }
             Ok(())
         })?;
-        let changes = changes_of(entry, &touched);
-        Ok(self.record(dn.clone(), ChangeKind::Modify, changes, None))
+        Ok(self.record(dn.clone(), ChangeKind::Modify, None))
     }
 
     /// Renames and/or moves a leaf entry. Implements `deleteOldRDN=TRUE`
@@ -542,7 +527,7 @@ impl DitStore {
         self.check_place(&new_dn)?;
         let mut naming = vec![new_rdn.attr().clone()];
         naming.extend(dn.rdn().map(|old| old.attr().clone()).filter(|a| a != new_rdn.attr()));
-        let renamed = self.entries.edit(id, &naming, |entry| {
+        self.entries.edit(id, &naming, |entry| {
             // deleteOldRDN: drop the old naming value, add the new one.
             if let Some(old_rdn) = dn.rdn() {
                 entry.remove_value(old_rdn.attr(), old_rdn.value());
@@ -550,21 +535,14 @@ impl DitStore {
             entry.add(new_rdn.attr().clone(), new_rdn.value().clone());
             entry.set_dn(new_dn.clone());
             Ok(())
-        });
-        let changes = changes_of(renamed?, [new_rdn.attr()]);
+        })?;
         self.entries.rekey(dn, new_dn.clone());
-        Ok(self.record(dn.clone(), ChangeKind::ModifyDn, changes, Some(new_dn)))
+        Ok(self.record(dn.clone(), ChangeKind::ModifyDn, Some(new_dn)))
     }
 
-    fn record(
-        &mut self,
-        dn: Dn,
-        kind: ChangeKind,
-        changes: Vec<(AttrName, ValueSet)>,
-        new_dn: Option<Dn>,
-    ) -> ChangeRecord {
+    fn record(&mut self, dn: Dn, kind: ChangeKind, new_dn: Option<Dn>) -> ChangeRecord {
         self.csn = self.csn.next();
-        ChangeRecord { csn: self.csn, dn, kind, changes, new_dn }
+        ChangeRecord { csn: self.csn, dn, kind, new_dn }
     }
 
     // ---------------------------------------------------------------
@@ -833,12 +811,18 @@ mod tests {
                 ],
             )
             .unwrap();
-        let attrs: Vec<&str> = rec.changes.iter().map(|(a, _)| a.as_str()).collect();
-        assert_eq!(attrs, ["mail", "tel"]);
-        assert_eq!(rec.changes[0].1, ValueSet::from_iter(["a@x".into(), "b@x".into()]));
-        // The record shares the stored entry's sets; it copies no value.
-        let stored = s.get(&dn("cn=John Doe,c=us,o=xyz")).unwrap();
-        assert!(rec.changes[0].1.ptr_eq(stored.value_set(&"mail".into()).unwrap()));
+        assert_eq!((rec.kind, rec.csn), (ChangeKind::Modify, s.csn()));
+        // Both spellings of `mail` edited the one attribute, and the index
+        // lists each touched attribute's values as the entry holds them.
+        let stored = s.get(&rec.dn).unwrap();
+        let names: Vec<&str> = stored.attr_names().map(AttrName::as_str).collect();
+        assert_eq!(names.iter().filter(|a| a.eq_ignore_ascii_case("mail")).count(), 1);
+        assert_eq!(stored.value_set(&"mail".into()), Some(&ValueSet::from_iter(["a@x".into(), "b@x".into()])));
+        assert_eq!(stored.value_set(&"tel".into()), Some(&ValueSet::from_iter(["1".into()])));
+        for f in ["(mail=a@x)", "(mail=b@x)", "(tel=1)"] {
+            assert_eq!(s.search_dns(&sub("o=xyz", f)), vec![rec.dn.clone()], "{f}");
+        }
+        assert_index_exact(&s);
     }
 
     /// The derived state says exactly what the entries hold. Every
@@ -1038,8 +1022,11 @@ mod tests {
         let since = [deleted, modified];
         assert_eq!((since[0].csn, since[1].csn), (c0.next(), s.csn()));
         assert_eq!(since[0].kind, ChangeKind::Delete);
-        // Delete records carry no attributes — the changelog limitation.
-        assert!(since[0].changes.is_empty());
+        // A delete record names an entry the store no longer holds: no
+        // attribute is left to test a filter against — the changelog
+        // limitation.
+        assert!(s.get(&since[0].dn).is_none());
+        assert_eq!(since[1].kind, ChangeKind::Modify);
     }
 
     #[test]
@@ -1141,11 +1128,12 @@ mod tests {
         assert_eq!(serde_json::to_string(&s).unwrap(), format!("{kept}}}"));
         let rec = s.add(Entry::new(dn("cn=b,o=xyz")).with("cn", "b")).unwrap();
         assert_eq!(rec.csn, Csn(6));
-        // A record's changes read and write the form they had as lists.
+        // A record written with its changed values reads, and writes back
+        // without them.
         let rec5 = r#"{"csn":5,"dn":[{"attr":"cn","value":"a"},{"attr":"o","value":"xyz"}],"kind":"Modify","changes":[["mail",["a@x"]]],"new_dn":null}"#;
         let read: ChangeRecord = serde_json::from_str(rec5).unwrap();
-        assert_eq!(read.changes, [("mail".into(), ValueSet::from_iter(["a@x".into()]))]);
-        assert_eq!(serde_json::to_string(&read).unwrap(), rec5);
+        assert_eq!((read.csn, read.kind, &read.dn), (Csn(5), ChangeKind::Modify, &dn("cn=a,o=xyz")));
+        assert_eq!(serde_json::to_string(&read).unwrap(), rec5.replace(r#""changes":[["mail",["a@x"]]],"#, ""));
     }
 
     #[test]

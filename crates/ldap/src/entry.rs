@@ -71,9 +71,9 @@ struct Body {
 /// nothing.
 ///
 /// The body is its values' bytes and little else: names come out of one
-/// process-wide table ([`AttrName`]), a value is one string
-/// ([`AttrValue`]), and an eight-attribute person is under a kilobyte in
-/// some twenty allocations (DESIGN §5, *Entry representation*).
+/// process-wide table ([`AttrName`]), a value of up to 29 bytes of text
+/// is its own 32 bytes ([`AttrValue`]), and an eight-attribute person is
+/// some 600 B in a dozen allocations (DESIGN §5, *Entry representation*).
 #[derive(Clone, PartialEq, Eq)]
 pub struct Entry(Arc<Body>);
 

@@ -4,8 +4,9 @@
 //! uses is case-insensitive with insignificant whitespace
 //! (`caseIgnoreMatch`). [`AttrValue`] keeps the original spelling for
 //! display and a normalized form for equality, hashing and ordering — in
-//! one shared string, and the normalized form only when it is not the
-//! spelling itself.
+//! one run of bytes, and the normalized form only when it is not the
+//! spelling itself. Short text sits in the value; longer text is one
+//! shared string.
 //!
 //! Values that parse as signed 64-bit integers additionally expose a numeric
 //! view ([`AttrValue::as_int`]); ordering between two such values is numeric
@@ -34,61 +35,115 @@ use std::sync::Arc;
 /// assert!(AttrValue::new("a9") > AttrValue::new("a10")); // lexicographic
 /// ```
 ///
-/// A value is one refcounted string, so a clone copies no text: a serial
-/// number, a mail address or anything else already written in normal form
-/// is its spelling alone; `John Doe` is `john doe` followed by `John Doe`.
-/// Beside it sit where the normalized form ends and, for an integer, its
-/// number: 32 bytes in all.
+/// A value's text is its normalized form followed by its spelling when
+/// that is another string: a serial number, a mail address or anything
+/// else already written in normal form is its spelling alone; `John Doe`
+/// is `john doe` followed by `John Doe`. Text of up to 29 bytes — 21
+/// beside an integer's number — sits in the value's 32 bytes, so a
+/// person's serial, phone, department and name cost no allocation; longer
+/// text is one refcounted string, so a clone copies no text either way.
 #[derive(Clone)]
-pub struct AttrValue {
-    /// The normalized form, then — when it is another string — the
-    /// spelling.
-    text: Arc<str>,
-    kind: Kind,
+pub struct AttrValue(Repr);
+
+/// The four layouts of a value, each 32 bytes with the tag.
+#[derive(Clone)]
+enum Repr {
+    /// Text that fits, not an integer.
+    Short(Inline<SHORT>),
+    /// Text that fits beside its number: an integer.
+    ShortInt(Inline<SHORT_INT>, i64),
+    /// Longer text and how many of its bytes are the normal form — not an
+    /// integer, or one whose normal form is longer than `LongInt`'s `u32`
+    /// can say, whose number is parsed again when asked for.
+    Long(Arc<str>, usize),
+    /// Longer text, an integer: its number and the length of its normal
+    /// form.
+    LongInt(Arc<str>, i64, u32),
 }
 
-/// How many bytes of an [`AttrValue`]'s text are its normalized form
-/// (all of them when the spelling is in normal form — a spelling that
-/// differs is never empty, so the two cases cannot be confused), and
-/// whether that form is a signed 64-bit integer.
-#[derive(Clone, Copy)]
-enum Kind {
-    /// Not an integer — or one whose normal form is longer than `Int`'s
-    /// `u32` can say, whose number is parsed again when asked for.
-    Text(usize),
-    /// An integer and the length of its normal form.
-    Int(i64, u32),
-}
+/// Bytes of text a [`Repr::Short`] holds: what 32 bytes leave beside the
+/// tag and two lengths.
+const SHORT: usize = 32 - 3;
 
-/// The longest normal form [`Kind::Int`] holds.
+/// Bytes of text a [`Repr::ShortInt`] holds: what is left beside its
+/// `i64` too.
+const SHORT_INT: usize = SHORT - 8;
+
+/// The longest normal form [`Repr::LongInt`] holds.
 const LONGEST_INT: usize = u32::MAX as usize;
 
-impl Kind {
-    /// The kind of a value whose normalized form is `norm`.
-    fn of(norm: &str) -> Kind {
-        match (norm.parse::<i64>(), u32::try_from(norm.len())) {
-            (Ok(n), Ok(len)) => Kind::Int(n, len),
-            _ => Kind::Text(norm.len()),
+/// The text of a value held in the value: `len` bytes, the first `norm`
+/// of them the normal form. The bytes past `len` are zero, so two inline
+/// texts are equal exactly when their fields are.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Inline<const N: usize> {
+    norm: u8,
+    len: u8,
+    bytes: [u8; N],
+}
+
+impl<const N: usize> Inline<N> {
+    /// `norm` and then `spelling`, if they fit.
+    fn new(norm: &str, spelling: Option<&str>) -> Option<Self> {
+        let tail = spelling.unwrap_or_default();
+        let len = norm.len() + tail.len();
+        if len > N {
+            return None;
         }
+        let mut bytes = [0; N];
+        bytes[..norm.len()].copy_from_slice(norm.as_bytes());
+        bytes[norm.len()..len].copy_from_slice(tail.as_bytes());
+        Some(Inline { norm: norm.len() as u8, len: len as u8, bytes })
     }
 
     #[inline]
-    fn norm_len(self) -> usize {
-        match self {
-            Kind::Text(len) => len,
-            Kind::Int(_, len) => len as usize,
-        }
+    fn norm(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.norm)]
     }
 
-    /// The integer view of the value whose normalized form `norm` gives,
-    /// asked for only past `LONGEST_INT`.
     #[inline]
-    fn int<'a>(self, norm: impl FnOnce() -> &'a str) -> Option<i64> {
-        match self {
-            Kind::Int(n, _) => Some(n),
-            Kind::Text(len) if len > LONGEST_INT => norm().parse().ok(),
-            Kind::Text(_) => None,
+    fn raw(&self) -> &str {
+        let (norm, len) = (usize::from(self.norm), usize::from(self.len));
+        utf8(&self.bytes[if norm == len { 0 } else { norm }..len])
+    }
+}
+
+impl Repr {
+    /// A long value: `text`, whose first `norm_len` bytes are the normal
+    /// form, and its integer view `int`.
+    fn long(text: Arc<str>, norm_len: usize, int: Option<i64>) -> Repr {
+        match (int, u32::try_from(norm_len)) {
+            (Some(n), Ok(len)) => Repr::LongInt(text, n, len),
+            _ => Repr::Long(text, norm_len),
         }
+    }
+}
+
+/// Inline bytes as the `str` they were copied from.
+#[inline]
+fn utf8(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("an inline value holds the bytes of a str")
+}
+
+/// The spelling in a long value's `text` whose first `norm_len` bytes are
+/// the normal form: the rest, or all of it.
+#[inline]
+fn spelling(text: &str, norm_len: usize) -> &str {
+    if norm_len == text.len() {
+        text
+    } else {
+        &text[norm_len..]
+    }
+}
+
+/// The integer view of a long non-integer value whose normal form is
+/// `len` bytes, `norm`: one is kept as text only past `LONGEST_INT`.
+#[inline]
+fn int_past_longest<'a>(len: usize, norm: impl FnOnce() -> &'a str) -> Option<i64> {
+    if len > LONGEST_INT {
+        norm().parse().ok()
+    } else {
+        None
     }
 }
 
@@ -112,65 +167,113 @@ impl Serialize for AttrValue {
 
 impl<'de> Deserialize<'de> for AttrValue {
     fn deserialize<D: Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
-        Ok(AttrValue::new(String::deserialize(de)?))
+        Ok(AttrValue::from(String::deserialize(de)?.as_str()))
     }
 }
 
 impl AttrValue {
     /// Creates a value from its string spelling.
-    pub fn new(raw: impl Into<String>) -> Self {
-        AttrValue::from(raw.into().as_str())
+    pub fn new(raw: impl AsRef<str>) -> Self {
+        AttrValue::from(raw.as_ref())
+    }
+
+    /// The value whose normal form is `norm`, spelt `spelling` when that
+    /// is another string.
+    fn of(norm: &str, spelling: Option<&str>) -> Self {
+        let int = norm.parse().ok();
+        let inline = match int {
+            Some(n) => Inline::new(norm, spelling).map(|inline| Repr::ShortInt(inline, n)),
+            None => Inline::new(norm, spelling).map(Repr::Short),
+        };
+        AttrValue(inline.unwrap_or_else(|| {
+            let text = match spelling {
+                None => norm.into(),
+                Some(raw) => [norm, raw].concat().into(),
+            };
+            Repr::long(text, norm.len(), int)
+        }))
+    }
+
+    /// The normalized form's bytes: what equality, order, hash and prefix
+    /// compare, with no UTF-8 check.
+    #[inline]
+    fn norm(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Short(inline) => inline.norm(),
+            Repr::ShortInt(inline, _) => inline.norm(),
+            Repr::Long(text, len) => &text.as_bytes()[..*len],
+            Repr::LongInt(text, _, len) => &text.as_bytes()[..*len as usize],
+        }
     }
 
     /// The original spelling of the value.
     #[inline]
     pub fn raw(&self) -> &str {
-        let norm_len = self.kind.norm_len();
-        if norm_len == self.text.len() {
-            &self.text
-        } else {
-            &self.text[norm_len..]
+        match &self.0 {
+            Repr::Short(inline) => inline.raw(),
+            Repr::ShortInt(inline, _) => inline.raw(),
+            Repr::Long(text, len) => spelling(text, *len),
+            Repr::LongInt(text, _, len) => spelling(text, *len as usize),
         }
     }
 
     /// The normalized (matching) form of the value.
     #[inline]
     pub fn normalized(&self) -> &str {
-        &self.text[..self.kind.norm_len()]
+        match &self.0 {
+            Repr::Short(inline) => utf8(inline.norm()),
+            Repr::ShortInt(inline, _) => utf8(inline.norm()),
+            Repr::Long(text, len) => &text[..*len],
+            Repr::LongInt(text, _, len) => &text[..*len as usize],
+        }
     }
 
     /// Numeric view if the normalized value is a signed 64-bit integer.
     #[inline]
     pub fn as_int(&self) -> Option<i64> {
-        self.kind.int(|| self.normalized())
+        match &self.0 {
+            Repr::ShortInt(_, n) | Repr::LongInt(_, n, _) => Some(*n),
+            Repr::Short(_) => None,
+            Repr::Long(text, len) => int_past_longest(*len, || &text[..*len]),
+        }
     }
 
     /// Typed ordering of `self` against a range assertion value: an
     /// integer assertion compares numerically and rejects non-integer
     /// values (`None`); a string assertion compares normalized text
     /// lexicographically.
+    #[inline]
     pub fn range_cmp(&self, assertion: &AttrValue) -> Option<Ordering> {
         match assertion.as_int() {
             Some(xi) => self.as_int().map(|vi| vi.cmp(&xi)),
-            None => Some(self.normalized().cmp(assertion.normalized())),
+            None => Some(self.norm().cmp(assertion.norm())),
         }
     }
 
     /// True if the normalized form of `self` starts with the normalized
     /// form of `prefix`. Used for substring (`initial`) assertions.
+    #[inline]
     pub fn starts_with(&self, prefix: &AttrValue) -> bool {
-        self.normalized().starts_with(prefix.normalized())
+        self.norm().starts_with(prefix.norm())
     }
 
-    /// True if both are the same string in memory — one a clone of the
-    /// other — rather than merely equal.
+    /// True if both are the same text in memory — a long value and a
+    /// clone of it — or short values of the same bytes, which a clone
+    /// copies: values no reader can tell apart.
     pub(crate) fn ptr_eq(&self, other: &AttrValue) -> bool {
-        Arc::ptr_eq(&self.text, &other.text)
+        match (&self.0, &other.0) {
+            (Repr::Short(a), Repr::Short(b)) => a == b,
+            (Repr::ShortInt(a, _), Repr::ShortInt(b, _)) => a == b,
+            (Repr::Long(a, _), Repr::Long(b, _)) | (Repr::LongInt(a, ..), Repr::LongInt(b, ..)) => {
+                Arc::ptr_eq(a, b)
+            }
+            _ => false,
+        }
     }
 }
 
-/// True if `s` is its own normal form: [`push_normalized`] would append
-/// `s` itself.
+/// True if `s` is its own normal form: [`normal_chars`] would yield `s`
+/// itself.
 fn is_normal(s: &str) -> bool {
     let mut last_space = true;
     for c in s.chars() {
@@ -190,43 +293,35 @@ fn is_normal(s: &str) -> bool {
     s.is_empty() || !last_space
 }
 
-/// Appends the normal form of `s` per caseIgnoreMatch: trim, collapse
-/// spaces, lowercase.
-fn push_normalized(out: &mut String, s: &str) {
-    let start = out.len();
-    let mut last_space = true; // trims leading whitespace
-    for c in s.chars() {
-        if c.is_whitespace() {
-            if !last_space {
-                out.push(' ');
-                last_space = true;
-            }
-        } else {
-            out.extend(c.to_lowercase());
-            last_space = false;
-        }
-    }
-    // Runs are collapsed, so at most one space trails.
-    if last_space && out.len() > start {
-        out.pop();
-    }
+/// The normal form of `s` per caseIgnoreMatch: outer whitespace trimmed,
+/// inner runs collapsed to one space, lowercased.
+fn normal_chars(s: &str) -> impl Iterator<Item = char> + '_ {
+    s.split_whitespace().enumerate().flat_map(|(i, word)| {
+        let space = (i > 0).then_some(' ');
+        space.into_iter().chain(word.chars().flat_map(char::to_lowercase))
+    })
 }
 
 impl PartialEq for AttrValue {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.normalized() == other.normalized()
+        self.norm() == other.norm()
     }
 }
 
 impl Eq for AttrValue {}
 
 impl Hash for AttrValue {
+    /// Hashes as the normalized `str` does: its bytes, then `0xff`.
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.normalized().hash(state);
+        state.write(self.norm());
+        state.write_u8(0xff);
     }
 }
 
 impl PartialOrd for AttrValue {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -243,12 +338,13 @@ impl Ord for AttrValue {
     /// "1a") and would corrupt ordered containers. Range *predicates* do
     /// not use this order; they are typed by their assertion value (see
     /// [`Comparison::matches_value`](crate::Comparison::matches_value)).
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         match (self.as_int(), other.as_int()) {
-            (Some(a), Some(b)) => a.cmp(&b).then_with(|| self.normalized().cmp(other.normalized())),
+            (Some(a), Some(b)) => a.cmp(&b).then_with(|| self.norm().cmp(other.norm())),
             (Some(_), None) => Ordering::Less,
             (None, Some(_)) => Ordering::Greater,
-            (None, None) => self.normalized().cmp(other.normalized()),
+            (None, None) => self.norm().cmp(other.norm()),
         }
     }
 }
@@ -260,20 +356,28 @@ impl fmt::Display for AttrValue {
 }
 
 impl From<&str> for AttrValue {
-    /// One allocation for a spelling in normal form; the normalized form
-    /// is built, and kept before the spelling, only when it differs.
+    /// No allocation for text that fits in the value; for longer text,
+    /// one when the spelling is in normal form and two otherwise. The
+    /// normalized form is built, and kept before the spelling, only when
+    /// it differs.
     fn from(raw: &str) -> Self {
-        let (text, norm_len): (Arc<str>, usize) = if is_normal(raw) {
-            (raw.into(), raw.len())
-        } else {
-            let mut text = String::with_capacity(2 * raw.len());
-            push_normalized(&mut text, raw);
-            let norm_len = text.len();
-            text.push_str(raw);
-            (text.into(), norm_len)
-        };
-        let kind = Kind::of(&text[..norm_len]);
-        AttrValue { text, kind }
+        if is_normal(raw) {
+            return AttrValue::of(raw, None);
+        }
+        let (mut bytes, mut len) = ([0; SHORT], 0);
+        for c in normal_chars(raw) {
+            match bytes.get_mut(len..len + c.len_utf8()) {
+                Some(at) => len += c.encode_utf8(at).len(),
+                None => {
+                    let mut text = String::with_capacity(2 * raw.len());
+                    text.extend(normal_chars(raw));
+                    let (norm_len, int) = (text.len(), text.parse().ok());
+                    text.push_str(raw);
+                    return AttrValue(Repr::long(text.into(), norm_len, int));
+                }
+            }
+        }
+        AttrValue::of(utf8(&bytes[..len]), Some(raw))
     }
 }
 
@@ -285,7 +389,7 @@ impl From<String> for AttrValue {
 
 impl From<i64> for AttrValue {
     fn from(n: i64) -> Self {
-        AttrValue::new(n.to_string())
+        AttrValue::from(n.to_string().as_str())
     }
 }
 
@@ -554,16 +658,64 @@ mod tests {
         assert!(values[5] < values[4] && values[4] < values[6] && values[6] < values[7]);
     }
 
-    /// A normal form too long for `Kind::Int`'s length is kept as text
+    /// A normal form too long for `LongInt`'s length is kept as text
     /// and still reads, so orders, as its integer.
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn an_integer_past_the_int_kind_is_still_an_integer() {
-        assert!(matches!(Kind::of("0007"), Kind::Int(7, 4)));
-        assert!(matches!(Kind::of("7a"), Kind::Text(2)));
-        assert_eq!(Kind::Text(LONGEST_INT + 1).int(|| "0007"), Some(7));
-        assert_eq!(Kind::Text(LONGEST_INT + 1).int(|| "7a"), None);
-        assert_eq!(Kind::Text(LONGEST_INT).int(|| "0007"), None);
+        assert!(matches!(Repr::long("0007".into(), 4, Some(7)), Repr::LongInt(_, 7, 4)));
+        assert!(matches!(Repr::long("7a".into(), 2, None), Repr::Long(_, 2)));
+        assert!(matches!(Repr::long("".into(), LONGEST_INT + 1, Some(7)), Repr::Long(_, _)));
+        assert_eq!(int_past_longest(LONGEST_INT + 1, || "0007"), Some(7));
+        assert_eq!(int_past_longest(LONGEST_INT + 1, || "7a"), None);
+        assert_eq!(int_past_longest(LONGEST_INT, || "0007"), None);
+    }
+
+    /// Which of the four layouts a value takes follows from its text's
+    /// length alone, and either side of each limit reads the same.
+    #[test]
+    fn text_that_fits_is_held_in_the_value() {
+        let layout = |raw: &str| match AttrValue::new(raw).0 {
+            Repr::Short(_) => "short",
+            Repr::ShortInt(..) => "short int",
+            Repr::Long(..) => "long",
+            Repr::LongInt(..) => "long int",
+        };
+        let cases = [
+            ("x".repeat(SHORT), "short"),
+            ("x".repeat(SHORT + 1), "long"),
+            // `Xyz…` is its normal form and then itself.
+            (format!("X{}", "y".repeat(SHORT / 2 - 1)), "short"),
+            (format!("X{}", "y".repeat(SHORT / 2)), "long"),
+            (format!("{}7", "0".repeat(SHORT_INT - 1)), "short int"),
+            (format!("{}7", "0".repeat(SHORT_INT)), "long int"),
+            (" 7 ".to_owned(), "short int"),
+            (i64::MIN.to_string(), "short int"),
+            // Whitespace the normal form drops: a long spelling.
+            (format!("  {}  ", "x".repeat(SHORT - 6)), "long"),
+            (format!("a{}b", " ".repeat(40)), "long"),
+        ];
+        for (raw, expected) in &cases {
+            assert_eq!(layout(raw), *expected, "{raw:?}");
+            let v = AttrValue::new(raw);
+            let norm: String = normal_chars(raw).collect();
+            assert_eq!((v.raw(), v.normalized(), v.as_int()), (raw.as_str(), norm.as_str(), norm.parse().ok()));
+        }
+        assert_eq!(size_of::<AttrValue>(), 32);
+    }
+
+    /// Short values of the same bytes are the same value to every reader;
+    /// two spellings whose texts coincide are not.
+    #[test]
+    fn short_values_are_the_same_when_their_bytes_are() {
+        let (a, b) = (AttrValue::new("Doe"), AttrValue::new("Doe"));
+        assert!(a.ptr_eq(&b) && a.ptr_eq(&a.clone()));
+        assert!(!a.ptr_eq(&AttrValue::new("doe")));
+        // `" b"` is `b` then ` b`; `"b b"` is its own normal form.
+        let (spaced, spelt) = (AttrValue::new(" b"), AttrValue::new("b b"));
+        assert!(!spaced.ptr_eq(&spelt) && spaced != spelt);
+        let long = AttrValue::new("x".repeat(SHORT + 1));
+        assert!(long.ptr_eq(&long.clone()) && !long.ptr_eq(&AttrValue::new(long.raw())));
     }
 
     #[test]

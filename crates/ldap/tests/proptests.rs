@@ -222,6 +222,39 @@ fn unicode_text() -> impl Strategy<Value = String> {
     ]
 }
 
+/// [`unicode_text`], and text of up to 64 bytes, so that lengths cross
+/// both of a value's inline limits (21 bytes of text beside an integer,
+/// 29 without): words, multi-byte letters and whitespace runs; or an
+/// integer spelt with a sign, leading zeros and outer spaces, up to the
+/// `i64` bounds and past them.
+fn text_across_the_inline_limits() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        "[a-zA-Z0-9@.-]{1,8}",
+        "[ \t]{1,4}",
+        (0..PIECES.len()).prop_map(|i| PIECES[i].to_owned()),
+    ];
+    let text = prop::collection::vec(piece, 0..24).prop_map(|pieces| {
+        let mut text = String::new();
+        for c in pieces.concat().chars() {
+            if text.len() + c.len_utf8() > 64 {
+                break;
+            }
+            text.push(c);
+        }
+        text
+    });
+    let number = prop_oneof![
+        any::<i64>().prop_map(|n| n.unsigned_abs().to_string()),
+        (0..NUMBERS.len()).prop_map(|i| NUMBERS[i].trim().trim_start_matches(['+', '-']).to_owned()),
+        "[0-9]{1,3}",
+    ];
+    let integer = (0..3usize, 0..26usize, number, 0..3usize).prop_map(|(sign, zeros, digits, pad)| {
+        let pad = " ".repeat(pad);
+        format!("{pad}{}{}{digits}{pad}", ["", "+", "-"][sign], "0".repeat(zeros))
+    });
+    prop_oneof![unicode_text(), text, integer]
+}
+
 fn hash_of(v: &impl Hash) -> u64 {
     let mut h = DefaultHasher::new();
     v.hash(&mut h);
@@ -454,10 +487,15 @@ proptest! {
     }
 
     /// A value means what it did when it stored its normalized form
-    /// beside every spelling: the same text to match by, the same
-    /// equality, order, hash, integer view, range and prefix answers.
+    /// beside every spelling, whether its text sits in the value or is
+    /// shared: the same text to match by, the same equality, order, hash,
+    /// integer view, range and prefix answers, and the same serialized
+    /// form. Two values the same in memory are equal.
     #[test]
-    fn a_value_means_what_its_always_stored_normal_form_did(a in unicode_text(), b in unicode_text()) {
+    fn a_value_means_what_its_always_stored_normal_form_did(
+        a in text_across_the_inline_limits(),
+        b in text_across_the_inline_limits(),
+    ) {
         let (x, y) = (AttrValue::new(a.as_str()), AttrValue::from(b.clone()));
         let (p, q) = (reference(&a), reference(&b));
         prop_assert_eq!((x.raw(), x.normalized(), x.as_int()), (a.as_str(), p.0.as_str(), p.1));
@@ -475,7 +513,20 @@ proptest! {
         let (twin, respelt) = (x.clone(), AttrValue::new(x.raw()));
         prop_assert_eq!((twin.raw(), twin.normalized(), twin.as_int()), (x.raw(), x.normalized(), x.as_int()));
         prop_assert_eq!((respelt.raw(), respelt.normalized()), (x.raw(), x.normalized()));
-        prop_assert_eq!(x.to_string(), a);
+        prop_assert_eq!(x.to_string(), a.as_str());
+        prop_assert_eq!(hash_of(&y), hash_of(&q.0));
+        prop_assert_eq!(y.starts_with(&x), q.0.starts_with(&p.0));
+        let json = serde_json::to_string(&x).expect("a value serializes");
+        prop_assert_eq!(&json, &serde_json::to_string(&a).expect("a string serializes"));
+        let read: AttrValue = serde_json::from_str(&json).expect("a value deserializes");
+        prop_assert_eq!((read.raw(), read.normalized(), read.as_int()), (x.raw(), x.normalized(), x.as_int()));
+        let one = |v: &AttrValue| ValueSet::from(v.clone());
+        prop_assert!(one(&x).ptr_eq(&one(&twin)));
+        for v in [&y, &respelt, &read] {
+            if one(&x).ptr_eq(&one(v)) {
+                prop_assert_eq!((x.raw(), x.normalized()), (v.raw(), v.normalized()));
+            }
+        }
     }
 
     /// AttrValue ordering is a lawful total order consistent with Eq.

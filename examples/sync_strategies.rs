@@ -66,19 +66,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the content (only `dept` appears in the changelog record) and then
     // deleted — the naive log reader cannot establish membership.
     for round in 0..3 {
+        let mut ops: Vec<UpdateOp> = Vec::new();
         for i in 0..20 {
             let id = round * 20 + i;
-            history.record(master.apply(UpdateOp::Modify {
+            ops.push(UpdateOp::Modify {
                 dn: format!("cn=p{id:03},o=xyz").parse()?,
                 mods: vec![Modification::Replace("mail".into(), vec![format!("r{round}@x").into()])],
-            })?);
+            });
         }
         if round == 1 {
-            history.record(master.apply(UpdateOp::Modify {
+            ops.push(UpdateOp::Modify {
                 dn: "cn=p000,o=xyz".parse()?,
                 mods: vec![Modification::Replace("dept".into(), vec!["9".into()])],
-            })?);
-            history.record(master.apply(UpdateOp::Delete("cn=p000,o=xyz".parse()?))?);
+            });
+            ops.push(UpdateOp::Delete("cn=p000,o=xyz".parse()?));
+        }
+        for op in ops {
+            let rec = master.apply(op.clone())?;
+            history.record(rec, &op, master.dit());
         }
 
         let resp = master.resync(&s, ReSyncControl::poll(Some(cookie)))?;
