@@ -328,7 +328,7 @@ impl DitStore {
                 Some(p) if self.contains(&p) => {}
                 _ => self.add_suffix(e.dn().clone()),
             }
-            self.insert(e).map_err(ImportError::Dit)?;
+            self.add(e).map_err(ImportError::Dit)?;
             added += 1;
         }
         Ok(added)
@@ -367,20 +367,6 @@ impl DitStore {
         let dn = entry.dn().clone();
         self.entries.insert(entry);
         Ok(self.record(dn, ChangeKind::Add, None))
-    }
-
-    /// Adds an entry as [`DitStore::add`] does, taking the next CSN, and
-    /// builds no [`ChangeRecord`]: the add of a bulk loader, which would
-    /// drop the record at once.
-    ///
-    /// # Errors
-    ///
-    /// As [`DitStore::add`].
-    pub fn insert(&mut self, entry: Entry) -> Result<(), DitError> {
-        self.check_place(entry.dn())?;
-        self.entries.insert(entry);
-        self.csn = self.csn.next();
-        Ok(())
     }
 
     /// Whether a new entry may be named `dn`: the name is free, and it is a
@@ -423,11 +409,13 @@ impl DitStore {
         let Some(id) = self.entries.id_of(dn) else {
             return Err(DitError::NoSuchEntry(dn.clone()));
         };
-        self.modify_entry(id, dn, mods)
+        self.modify_entry(id, dn, mods, &mut Vec::new())
     }
 
     /// [`DitStore::modify`] of the entry `id` names, without looking its
     /// DN up: the record and any error name it by the DN it holds.
+    /// `named` is cleared and left holding the attributes the mods name,
+    /// sorted, each once — the only ones the modify can have changed.
     ///
     /// # Errors
     ///
@@ -440,25 +428,26 @@ impl DitStore {
         &mut self,
         id: EntryId,
         mods: Vec<Modification>,
+        named: &mut Vec<AttrName>,
     ) -> Result<ChangeRecord, DitError> {
         let dn = self.entry(id).expect("an id names a live entry").dn().clone();
-        self.modify_entry(id.0, &dn, mods)
+        self.modify_entry(id.0, &dn, mods, named)
     }
 
-    /// Edits the entry in slot `id`, named `dn` in the record.
+    /// Edits the entry in slot `id`, named `dn` in the record; `touched`
+    /// as `named` of [`DitStore::modify_at`].
     fn modify_entry(
         &mut self,
         id: u32,
         dn: &Dn,
         mods: Vec<Modification>,
+        touched: &mut Vec<AttrName>,
     ) -> Result<ChangeRecord, DitError> {
-        let mut touched: Vec<AttrName> = Vec::new();
-        for m in &mods {
-            if !touched.contains(m.attr()) {
-                touched.push(m.attr().clone());
-            }
-        }
-        self.entries.edit(id, &touched, |entry| {
+        touched.clear();
+        touched.extend(mods.iter().map(|m| m.attr().clone()));
+        touched.sort_unstable();
+        touched.dedup();
+        self.entries.edit(id, touched, |entry| {
             for m in &mods {
                 match m {
                     Modification::AddValues(a, vs) => {

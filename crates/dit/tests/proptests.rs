@@ -102,7 +102,7 @@ fn apply(d: &mut DitStore, op: &Op) -> Option<ChangeRecord> {
 fn submit(d: &mut DitStore, op: UpdateOp, by_id: bool) -> Result<ChangeRecord, DitError> {
     match (op, by_id) {
         (UpdateOp::Modify { dn, mods }, true) => match d.id_of(&dn) {
-            Some(id) => d.modify_at(id, mods),
+            Some(id) => d.modify_at(id, mods, &mut Vec::new()),
             None => Err(DitError::NoSuchEntry(dn)),
         },
         (op, _) => d.apply(op),

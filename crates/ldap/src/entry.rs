@@ -282,7 +282,7 @@ impl Entry {
     }
 
     /// Iterates `(name, values)` pairs in attribute-name order.
-    pub fn attrs(&self) -> impl Iterator<Item = (&AttrName, &ValueSet)> {
+    pub fn attrs(&self) -> impl ExactSizeIterator<Item = (&AttrName, &ValueSet)> {
         self.slice().iter().map(|(a, vs)| (a, vs))
     }
 

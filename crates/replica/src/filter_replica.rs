@@ -72,7 +72,7 @@ use fbdr_dit::{index, posting};
 use fbdr_ldap::{AttrSelection, Entry, Filter, SearchRequest};
 use fbdr_obs::{event, Counter, Gauge, Histogram, Obs, Timer};
 use fbdr_resync::{
-    Clock, CompositeCookie, NotifyBatch, RoutingIndex, ShardCoordinator, ShardId,
+    Clock, CompositeCookie, NotifyBatch, Registration, RoutingIndex, ShardCoordinator, ShardId,
     ShardMap, ShardOutcome, ShardStatus, SyncAction, SyncDriver, SyncError, SyncMaster, SyncMode,
     SyncTransport, SyncTraffic,
 };
@@ -180,6 +180,8 @@ impl ContentSnapshot {
     /// ascending, and whether the filter index pruned them.
     fn filter_candidates(&self, query: &SearchRequest) -> (Vec<u32>, bool) {
         let index = self.filter_index.get_or_init(|| {
+            // The set never changes: no filter is removed, so no
+            // registration is kept.
             let mut index = RoutingIndex::new();
             for (pos, sf) in self.filters.iter().enumerate() {
                 register_prepared(&mut index, pos as u32, &sf.prepared);
@@ -232,8 +234,8 @@ impl ContentSnapshot {
 }
 
 /// Registers a prepared query under `id` without abstracting it again.
-fn register_prepared(index: &mut RoutingIndex, id: u32, q: &PreparedQuery<'_>) {
-    index.register_prepared(id, q.template(), q.values(), q.request().base());
+fn register_prepared(index: &mut RoutingIndex, id: u32, q: &PreparedQuery<'_>) -> Registration {
+    index.register_prepared(id, q.template(), q.values(), q.request().base())
 }
 
 /// Writer-side per-filter state that readers never touch: the ReSync
@@ -328,13 +330,13 @@ impl CachedQuery {
 /// of the queries that can contain a given one — containment checks and
 /// result evaluation run outside it.
 ///
-/// The queries, oldest first, are registered in an index under their
-/// sequence numbers: the query at position `i` has number `first + i`.
-/// Numbers only grow, so ascending candidate order is oldest-first order —
-/// the order a scan of the window meets them in.
+/// The queries, oldest first, each beside its registration in an index
+/// under its sequence number: the query at position `i` has number
+/// `first + i`. Numbers only grow, so ascending candidate order is
+/// oldest-first order — the order a scan of the window meets them in.
 #[derive(Debug, Default)]
 struct QueryCache {
-    queries: VecDeque<Arc<CachedQuery>>,
+    queries: VecDeque<(Arc<CachedQuery>, Registration)>,
     first: u32,
     index: RoutingIndex,
 }
@@ -347,24 +349,24 @@ impl QueryCache {
             // Sequence numbers exhausted: number the window from 0 again.
             self.first = 0;
             self.index = RoutingIndex::new();
-            for (i, held) in self.queries.iter().enumerate() {
-                register_prepared(&mut self.index, i as u32, &held.prepared);
+            for (i, (held, routed)) in self.queries.iter_mut().enumerate() {
+                *routed = register_prepared(&mut self.index, i as u32, &held.prepared);
             }
         }
-        register_prepared(&mut self.index, self.first + len, &cq.prepared);
-        self.queries.push_back(cq);
-        while self.queries.len() > cap {
-            self.queries.pop_front();
-            self.index.remove(self.first);
-            self.first += 1;
+        let routed = register_prepared(&mut self.index, self.first + len, &cq.prepared);
+        self.queries.push_back((cq, routed));
+        let evicted = self.queries.len().saturating_sub(cap);
+        for (_, oldest) in self.queries.drain(..evicted) {
+            self.index.remove(oldest);
         }
+        self.first += evicted as u32;
     }
 
     /// The cached queries that can contain `query`, oldest first.
     fn candidates(&self, query: &SearchRequest) -> Vec<Arc<CachedQuery>> {
         let all = self.first..self.first + self.queries.len() as u32;
         let (seqs, _) = containing_candidates(&self.index, query, all);
-        let held = |seq: &u32| self.queries[(seq - self.first) as usize].clone();
+        let held = |seq: &u32| self.queries[(seq - self.first) as usize].0.clone();
         seqs.iter().map(held).collect()
     }
 }
@@ -613,7 +615,7 @@ impl FilterReplica {
         let extra: HashSet<&fbdr_ldap::Dn> = window
             .queries
             .iter()
-            .flat_map(|cq| cq.entries.iter().map(Entry::dn))
+            .flat_map(|(cq, _)| cq.entries.iter().map(Entry::dn))
             .filter(|dn| w.table.get(dn).is_none())
             .collect();
         self.snapshot().live + extra.len()
@@ -813,6 +815,8 @@ impl FilterReplica {
             receivers.retain(|rx| {
                 let connected = loop {
                     match rx.try_recv() {
+                        // The first batch is handed over whole.
+                        Ok(b) if pending.is_empty() => pending = b.actions,
                         Ok(b) => pending.extend(b.actions),
                         Err(TryRecvError::Empty) => break true,
                         Err(TryRecvError::Disconnected) => break false,
@@ -1900,7 +1904,8 @@ mod tests {
         assert!(r.try_answer(&root_query("(serialNumber=045611)")).is_some());
         assert!(r.try_answer(&root_query("(departmentNumber=2406)")).is_none());
         assert_eq!(synced.filter_index.get().map(RoutingIndex::len), Some(1));
-        shrunk.filter_index.get().expect("built by the reader").debug_validate();
+        let rebuilt = shrunk.filter_index.get().expect("built by the reader");
+        assert_eq!((rebuilt.len(), rebuilt.stats().keys), (1, 1), "the serial filter alone");
     }
 
     /// A master holding `n` people in one department, all inside the
@@ -2456,7 +2461,7 @@ mod tests {
         // As if 2^32 - 3 queries had already passed through the window.
         {
             let mut window = r.cache.lock();
-            let held: Vec<_> = window.queries.iter().cloned().collect();
+            let held: Vec<_> = window.queries.iter().map(|(cq, _)| cq.clone()).collect();
             *window = QueryCache { first: u32::MAX - 3, ..QueryCache::default() };
             for cq in held {
                 window.push(cq, 2);
@@ -2469,7 +2474,7 @@ mod tests {
         {
             let window = r.cache.lock();
             assert_eq!((window.first, window.queries.len()), (1, 2));
-            window.index.debug_validate();
+            window.index.debug_validate(window.queries.iter().map(|(_, routed)| routed));
             assert_eq!(window.index.len(), 2);
         }
         assert!(r.try_answer(&queries[0]).is_none());
@@ -2881,7 +2886,7 @@ mod proptests {
             let every = Filter::parse("(|(dept=*)(sn=*)(n=*)(mail=*)(tag=*))").expect("valid filter");
             let r = FilterReplica::new(1);
             r.cache_query(SearchRequest::from_root(every.clone()), &frozen);
-            let cq = r.cache.lock().queries[0].clone();
+            let cq = r.cache.lock().queries[0].0.clone();
             prop_assert!(cq.columns.plan(&Filter::parse("(dept=1)").expect("valid filter")).is_some());
             let queries: Vec<SearchRequest> = filters
                 .iter()
@@ -2975,7 +2980,7 @@ mod proptests {
 
     fn window_hits(r: &FilterReplica) -> Vec<u64> {
         let window = r.cache.lock();
-        window.queries.iter().map(|cq| cq.hits.load(Ordering::Relaxed)).collect()
+        window.queries.iter().map(|(cq, _)| cq.hits.load(Ordering::Relaxed)).collect()
     }
 
     proptest! {

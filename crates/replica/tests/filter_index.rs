@@ -102,10 +102,12 @@ fn check_superset(query: &SearchRequest, stored: &[SearchRequest]) -> Result<usi
     let engine = ContainmentEngine::new();
     let mut index = RoutingIndex::new();
     let prepared: Vec<PreparedQuery> = stored.iter().cloned().map(PreparedQuery::new).collect();
-    for (pos, s) in prepared.iter().enumerate() {
-        index.register_prepared(pos as u32, s.template(), s.values(), s.request().base());
-    }
-    index.debug_validate();
+    let registered: Vec<_> = (prepared.iter().enumerate())
+        .map(|(pos, s)| {
+            index.register_prepared(pos as u32, s.template(), s.values(), s.request().base())
+        })
+        .collect();
+    index.debug_validate(&registered);
     let mut candidates = Vec::new();
     let indexed = index.candidates_for_query(query.filter(), &mut candidates);
     index.residual_for_dn(query.base(), &mut candidates);

@@ -67,7 +67,7 @@ pub use fbdr_net::{ShardId, ShardMap};
 pub use intern::dn_approx_bytes;
 pub use master::{MasterFootprint, NotifyFlush, NotifyPolicy, SyncMaster};
 pub use reconcile::ReconcileOutcome;
-pub use routing::{RoutingIndex, RoutingStats};
+pub use routing::{Registration, RoutingIndex, RoutingStats};
 pub use shard::{
     CompositeCookie, Installed, ShardCoordinator, ShardOutcome, ShardStatus, ShardedMaster,
 };

@@ -8,10 +8,10 @@ use crate::reconcile::{
     bucket_of, entry_item_hash, RangeRequest, RangeResponse, RangeSummary, ReconcileRequest,
     ReconcileResponse,
 };
-use crate::routing::RoutingIndex;
+use crate::routing::{Registration, RoutingIndex};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fbdr_dit::{ChangeKind, ChangeRecord, DitError, DitStore, UpdateOp};
-use fbdr_ldap::{Dn, Entry, SearchRequest};
+use fbdr_ldap::{AttrName, Dn, Entry, SearchRequest};
 use fbdr_obs::{event, Obs};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
@@ -25,6 +25,10 @@ use std::collections::{BTreeSet, HashMap};
 struct Session {
     request: SearchRequest,
     history: History,
+    /// Where the session is listed in the master's routing index; `None`
+    /// only while a loaded master has not listed it yet.
+    #[serde(skip)]
+    routed: Option<Registration>,
     /// Persist-mode notification channel, if the session is persistent.
     /// Not persisted: a restored persist session degrades to polling (its
     /// cookie stays valid), exactly like a dropped TCP connection.
@@ -218,6 +222,10 @@ pub struct SyncMaster {
     /// Reused candidate buffer, so steady-state routing allocates nothing.
     #[serde(skip)]
     scratch: Vec<u32>,
+    /// Reused buffer of the attributes a modification names, filled by
+    /// [`DitStore::modify_at`]: its new state is routed on these alone.
+    #[serde(skip)]
+    named: Vec<AttrName>,
     /// Sessions whose notification queue may hold something: an apply
     /// under a coalescing policy lists a session when it takes its `dirty`
     /// from zero, and [`SyncMaster::flush_notifications`] — the only
@@ -279,16 +287,16 @@ impl<'de> Deserialize<'de> for SyncMaster {
             notify_updates: u64,
             notify_overflows: u64,
         }
-        let w = Wire::deserialize(de)?;
+        let mut w = Wire::deserialize(de)?;
         if w.next_session == u32::MAX {
             return Err(D::Error::custom("next_session leaves no session id"));
         }
         let mut routing = RoutingIndex::new();
-        for (&sid, s) in &w.sessions {
+        for (&sid, s) in &mut w.sessions {
             if sid > w.next_session {
                 return Err(D::Error::custom(format!("session {sid} is past next_session")));
             }
-            routing.register(sid, &s.request);
+            s.routed = Some(routing.register(sid, &s.request));
         }
         Ok(SyncMaster {
             dit: w.dit,
@@ -310,6 +318,7 @@ impl<'de> Deserialize<'de> for SyncMaster {
 #[derive(Debug, Clone)]
 struct RouteMetrics {
     candidates: std::sync::Arc<fbdr_obs::Histogram>,
+    probes: std::sync::Arc<fbdr_obs::Counter>,
     indexed: std::sync::Arc<fbdr_obs::Counter>,
     scan: std::sync::Arc<fbdr_obs::Counter>,
     skipped: std::sync::Arc<fbdr_obs::Counter>,
@@ -467,6 +476,7 @@ impl SyncMaster {
             let reg = obs.registry();
             RouteMetrics {
                 candidates: reg.histogram("fbdr_resync_route_candidates"),
+                probes: reg.counter("fbdr_resync_route_probes_total"),
                 indexed: reg.counter("fbdr_resync_route_indexed_total"),
                 scan: reg.counter("fbdr_resync_route_scan_total"),
                 skipped: reg.counter("fbdr_resync_route_skipped_total"),
@@ -533,19 +543,22 @@ impl SyncMaster {
         let id = self.dit.id_of(op.target());
         let old = id.and_then(|id| self.dit.entry(id)).cloned();
         let mut residual_hits = 0usize;
+        let mut probes = 0usize;
         if naive {
-            self.routing.all_sessions(&mut cand);
+            cand.extend(self.sessions.keys().copied());
         } else {
             if let Some(old) = &old {
-                self.routing.candidates_for_entry(old, &mut cand);
+                probes += self.routing.candidates_for_entry(old, &mut cand);
             }
             let before = cand.len();
             self.routing.residual_for_dn(op.target(), &mut cand);
             residual_hits = cand.len() - before;
         }
-        let applied = match (op, id) {
-            (UpdateOp::Modify { mods, .. }, Some(id)) => self.dit.modify_at(id, mods),
-            (op, _) => self.dit.apply(op),
+        let (applied, modified) = match (op, id) {
+            (UpdateOp::Modify { mods, .. }, Some(id)) => {
+                (self.dit.modify_at(id, mods, &mut self.named), true)
+            }
+            (op, _) => (self.dit.apply(op), false),
         };
         let rec = match applied {
             Ok(rec) => rec,
@@ -566,7 +579,14 @@ impl SyncMaster {
         };
         if !naive {
             if let Some(e) = new_entry {
-                self.routing.candidates_for_entry(e, &mut cand);
+                // A modification changes only the attributes it names:
+                // the new state is routed on those, the rest met the old
+                // state's lookup.
+                probes += if modified {
+                    self.routing.candidates_for_attrs(e, &self.named, &mut cand)
+                } else {
+                    self.routing.candidates_for_entry(e, &mut cand)
+                };
             }
             if renamed {
                 let before = cand.len();
@@ -580,6 +600,7 @@ impl SyncMaster {
         if !naive {
             if let Some(m) = &self.route_metrics {
                 m.candidates.record(cand.len() as u64);
+                m.probes.add(probes as u64);
                 if cand.is_empty() {
                     m.skipped.inc();
                 } else {
@@ -992,11 +1013,13 @@ impl SyncMaster {
     /// Ends a session — the one way one goes: it leaves the routing index
     /// with its history. Returns whether it was live.
     fn remove_session(&mut self, sid: u32) -> bool {
-        let live = self.sessions.remove(&sid).is_some();
-        if live {
-            self.routing.remove(sid);
+        let Some(session) = self.sessions.remove(&sid) else {
+            return false;
+        };
+        if let Some(routed) = session.routed {
+            self.routing.remove(routed);
         }
-        live
+        true
     }
 
     /// Tears down every persist notification channel, as a network
@@ -1074,10 +1097,11 @@ impl SyncMaster {
     // A test hook: only tests call it.
     #[doc(hidden)]
     pub fn debug_validate_routing(&self) {
-        self.routing.debug_validate();
-        for &sid in self.sessions.keys() {
-            assert!(self.routing.contains(sid), "live session {sid} absent from the routing index");
+        for (sid, s) in &self.sessions {
+            let routed = s.routed.as_ref().map(Registration::id);
+            assert_eq!(routed, Some(*sid), "live session {sid} absent from the routing index");
         }
+        self.routing.debug_validate(self.sessions.values().filter_map(|s| s.routed.as_ref()));
     }
 
     /// Publishes the live session count gauge.
@@ -1094,12 +1118,13 @@ impl SyncMaster {
     fn start_session(&mut self, request: &SearchRequest) -> Result<u32, SyncError> {
         self.next_session = self.next_session.checked_add(1).ok_or(SyncError::SessionsExhausted)?;
         let sid = self.next_session;
-        self.routing.register(sid, request);
+        let routed = Some(self.routing.register(sid, request));
         self.sessions.insert(
             sid,
             Session {
                 request: request.clone(),
                 history: History::default(),
+                routed,
                 notify: None,
                 parked_receiver: None,
                 dirty: 0,

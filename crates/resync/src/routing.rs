@@ -19,7 +19,7 @@
 //! body every filter of the template shares, in every index of the
 //! process; the template's [`routing plans`](fbdr_ldap::Template::routing_plans)
 //! are derived once on that body, and each filter's concrete assertion
-//! values key into posting maps of ids:
+//! values key into postings of ids:
 //!
 //! * **equality** `(attr, value)` → filters asserting exactly that value,
 //! * **prefix** `(attr, initial)` → filters with an initial-substring
@@ -41,7 +41,10 @@
 //! entry's attribute state. The master therefore looks up candidates from
 //! the entry's **old and new** values — an entry leaving a filter stops
 //! matching the new state, but its old state still hits the session's
-//! keys, which is exactly what routes the departure.
+//! keys, which is exactly what routes the departure. A modification
+//! changes only the attributes it names, and a key on any other attribute
+//! meets both states alike, so the new state is looked up on the named
+//! attributes alone ([`RoutingIndex::candidates_for_attrs`]).
 //!
 //! *Witness*: a positive conjunctive query `Q` has a witness — the entry
 //! state holding, per predicate, the one value
@@ -57,175 +60,203 @@
 //!
 //! # Keys
 //!
-//! The index speaks the stores' vocabulary (DESIGN §9): an attribute is
-//! keyed by its [`AttrName`] handle, a value or prefix by its normalized
-//! text as a [`TextKey`], and the filters under a key are a [`Posting`],
-//! edited by `Posting::insert` and `Posting::remove` and dropped with its
-//! last id. Every posting structure, the residual buckets included, hangs
-//! off one per-attribute map, so a lookup costs one hash probe per entry
-//! attribute (or query predicate) plus one per value and per distinct
-//! prefix length, borrows the probed text as bytes, and allocates nothing
-//! but the caller's output vector (a query's substring pattern of several
-//! components builds its concatenated witness text). Registering a filter
-//! of a known template on a warm index allocates once, for the list of
-//! keys it is remembered under, and removing it allocates nothing: one
-//! allocation for an equality, a prefix or a two-alternative conjunction
-//! and none for a residual filter, by the count in `tests/publish_cost.rs`
-//! (a value longer than a `TextKey` holds inline adds its text).
+//! Every posting — equality, prefix, presence and residual bucket — sits
+//! in one map keyed by a 64-bit hash of (kind, attribute, normalized
+//! text), its ids in a [`Posting`]. The hash is keyed per index (std's
+//! `RandomState`), so no text can be crafted to collide, and a collision
+//! only adds a candidate: every caller verifies its candidates, the master
+//! by `Filter::matches` and the replica by containment. Beside the map, a
+//! short list sorted by attribute says what each *keyed* attribute is
+//! keyed by (equality and presence counts, prefix lengths); an attribute
+//! leaves it with its last key. Whoever registers a filter holds its
+//! [`Registration`] — the master in its session, the window in its slot —
+//! and hands it back to remove the filter, so the index keeps no map from
+//! ids to places.
+//!
+//! # Costs
+//!
+//! * **Lookup**: an entry's attributes and the keyed ones, both sorted
+//!   by name, are walked together once, and only a keyed attribute costs
+//!   anything: one hash and one probe for its presence key, and per value
+//!   one for its equality keys and one per distinct prefix length. The
+//!   new state of a modified entry costs the same over the attributes the
+//!   modification names. A query costs the same per predicate of its
+//!   witness. Nothing is allocated but the caller's output vector (a
+//!   query's substring pattern of several components builds its
+//!   concatenated witness text). Both entry lookups return their probe
+//!   count.
+//! * **Registration**: one hash and one probe per key, and a binary search
+//!   of the keyed attributes. A conjunction offering several alternatives
+//!   also hashes and probes each alternative's keys once, to pick the
+//!   least-loaded. A filter of one key (an equality, a prefix, a
+//!   conjunction keyed by one child) or a residual filter allocates
+//!   nothing on a warm index; a filter of several keys allocates its list
+//!   of keys once, by the count in `tests/publish_cost.rs`.
+//! * **Removal**: one probe per key, and no allocation.
 
-use fbdr_dit::index::TextKey;
 use fbdr_dit::posting::Posting;
-use fbdr_ldap::{AttrName, AttrValue, Dn, Filter, SearchRequest, SlotKey, Template};
+use fbdr_ldap::{AttrName, AttrValue, Dn, Entry, Filter, SearchRequest, SlotKey, Template, ValueSet};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::hash_map::{self, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hasher, RandomState};
+
+/// What a key asserts of its attribute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Equal to a normalized value.
+    Eq,
+    /// Starting with a normalized prefix of this many bytes.
+    Prefix(u32),
+    /// Present.
+    Present,
+}
+
+/// The byte that starts each kind's text in a key's hash.
+const EQ: u8 = 0;
+const PREFIX: u8 = 1;
+const PRESENT: u8 = 2;
+/// A residual bucket: the root RDN of a residual filter's base.
+const RESIDUAL: u8 = 3;
+
+impl Kind {
+    fn tag(self) -> u8 {
+        match self {
+            Kind::Eq => EQ,
+            Kind::Prefix(_) => PREFIX,
+            Kind::Present => PRESENT,
+        }
+    }
+}
 
 /// A concrete posting key a filter is registered under.
-#[derive(Debug, Clone)]
-enum RouteKey {
-    /// Attribute asserted equal to a normalized value.
-    Eq(AttrName, TextKey),
-    /// Attribute asserted to start with a normalized prefix.
-    Prefix(AttrName, TextKey),
-    /// Attribute asserted present.
-    Present(AttrName),
+#[derive(Debug)]
+struct Key {
+    hash: u64,
+    attr: AttrName,
+    kind: Kind,
 }
 
-impl RouteKey {
-    /// Instantiates one key of a plan alternative against the filter's
-    /// slot values.
-    fn of(key: &SlotKey, values: &[impl Borrow<AttrValue>]) -> Self {
-        let text = |slot: &usize| TextKey::new(values[*slot].borrow().normalized());
-        match key {
-            SlotKey::Eq { attr, slot } => RouteKey::Eq(attr.clone(), text(slot)),
-            SlotKey::Prefix { attr, slot } => RouteKey::Prefix(attr.clone(), text(slot)),
-            SlotKey::Present { attr } => RouteKey::Present(attr.clone()),
-        }
-    }
-
-    fn attr(&self) -> &AttrName {
-        match self {
-            RouteKey::Eq(a, _) | RouteKey::Prefix(a, _) | RouteKey::Present(a) => a,
-        }
-    }
-}
-
-/// Where one filter is registered, remembered for exact removal.
-#[derive(Debug, Clone)]
+/// Where one filter is registered.
+#[derive(Debug)]
 enum Place {
-    /// Indexed under these posting keys.
-    Keys(Vec<RouteKey>),
-    /// On the residual scan-list under this base bucket, the root RDN's
-    /// attribute and normalized value (`None` = rooted at the empty DN,
-    /// scanned for every update).
-    Residual(Option<(AttrName, TextKey)>),
+    /// Indexed under one posting key.
+    One(Key),
+    /// Indexed under several.
+    Many(Box<[Key]>),
+    /// On the residual scan-list: in the bucket hashed from its base's
+    /// root RDN, or (`None`) rooted at the empty DN and scanned for every
+    /// update.
+    Residual(Option<u64>),
+}
+
+/// One filter's registration in a [`RoutingIndex`]: what
+/// [`RoutingIndex::register`] hands back and [`RoutingIndex::remove`]
+/// takes to unlist the filter, one probe per key. An id is registered at
+/// most once at a time; dropping a registration leaves its filter listed
+/// for the index's lifetime.
+#[derive(Debug)]
+pub struct Registration {
+    id: u32,
+    place: Place,
+}
+
+impl Registration {
+    /// The id the filter is listed under.
+    pub(crate) fn id(&self) -> u32 {
+        self.id
+    }
+
+    /// The posting keys, none for a residual filter.
+    fn keys(&self) -> &[Key] {
+        match &self.place {
+            Place::One(key) => std::slice::from_ref(key),
+            Place::Many(keys) => keys,
+            Place::Residual(_) => &[],
+        }
+    }
 }
 
 /// Counts of live index structures, for tests and observability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoutingStats {
-    /// Sessions currently registered.
+    /// Filters currently registered.
     pub sessions: usize,
-    /// Sessions reachable through posting keys.
+    /// Filters reachable through posting keys.
     pub indexed: usize,
-    /// Sessions on the residual scan-list.
+    /// Filters on the residual scan-list.
     pub residual: usize,
-    /// Distinct equality `(attr, value)` posting keys.
-    pub eq_keys: usize,
-    /// Distinct prefix `(attr, initial)` posting keys.
-    pub prefix_keys: usize,
-    /// Distinct presence posting keys.
-    pub present_keys: usize,
+    /// Distinct posting keys, residual buckets included (filters based at
+    /// the empty DN are on one list outside them).
+    pub keys: usize,
 }
 
-/// Every posting list attached to one attribute. Grouping the key kinds
-/// under a single map keeps the hot path at one probe per entry
-/// attribute.
-#[derive(Debug, Clone, Default)]
-struct AttrPostings {
-    /// Normalized value → filters asserting equality with it.
-    eq: HashMap<TextKey, Posting>,
-    /// Normalized initial text → filters asserting values start with it.
-    prefix: HashMap<TextKey, Posting>,
-    /// Byte length → number of `prefix` keys of that length: a value is
-    /// probed once per distinct length instead of once per key.
-    prefix_lens: BTreeMap<usize, usize>,
-    /// Filters asserting presence of the attribute.
-    present: Posting,
-    /// Normalized value → residual filters based under a root RDN of
-    /// this attribute and value.
-    residual: HashMap<TextKey, Posting>,
+/// What one attribute is keyed by.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Keyed {
+    attr: AttrName,
+    /// Equality keys registered on the attribute.
+    eq: u32,
+    /// Presence keys registered on it.
+    present: u32,
+    /// `(byte length, keys of that length)` of its prefix keys, by
+    /// length: a value is probed once per distinct length, not per key.
+    prefix_lens: Vec<(u32, u32)>,
 }
 
-impl AttrPostings {
+impl Keyed {
+    fn new(attr: AttrName) -> Self {
+        Keyed { attr, eq: 0, present: 0, prefix_lens: Vec::new() }
+    }
+
     fn is_empty(&self) -> bool {
-        self.eq.is_empty()
-            && self.prefix.is_empty()
-            && self.present.is_empty()
-            && self.residual.is_empty()
+        self.eq == 0 && self.present == 0 && self.prefix_lens.is_empty()
     }
 
-    /// Appends the filters whose equality or prefix key matches one
-    /// normalized value of the attribute.
-    fn probe(&self, norm: &str, out: &mut Vec<u32>) {
-        out.extend_from_slice(ids(&self.eq, norm.as_bytes()));
-        for &len in self.prefix_lens.keys() {
-            if len > norm.len() {
-                break;
-            }
-            // Cut inside a character, the head is no UTF-8 and no key.
-            out.extend_from_slice(ids(&self.prefix, &norm.as_bytes()[..len]));
-        }
-    }
-
-    /// Lists (`add`) or unlists `id` under one key of this attribute.
-    fn edit(&mut self, key: &RouteKey, id: u32, add: bool) {
-        match key {
-            RouteKey::Eq(_, v) => {
-                edit(&mut self.eq, v, id, add);
-            }
-            RouteKey::Prefix(_, p) => {
-                if edit(&mut self.prefix, p, id, add) {
-                    let n = self.prefix_lens.entry(p.as_bytes().len()).or_insert(0);
-                    *n = if add { *n + 1 } else { *n - 1 };
-                    if *n == 0 {
-                        self.prefix_lens.remove(&p.as_bytes().len());
+    /// Counts one key of `kind` in (`add`) or out.
+    fn count(&mut self, kind: Kind, add: bool) {
+        let bump = |n: &mut u32| *n = if add { *n + 1 } else { *n - 1 };
+        match kind {
+            Kind::Eq => bump(&mut self.eq),
+            Kind::Present => bump(&mut self.present),
+            Kind::Prefix(len) => match self.prefix_lens.binary_search_by_key(&len, |&(l, _)| l) {
+                Ok(at) => {
+                    bump(&mut self.prefix_lens[at].1);
+                    if self.prefix_lens[at].1 == 0 {
+                        self.prefix_lens.remove(at);
                     }
                 }
-            }
-            RouteKey::Present(_) => {
-                if add {
-                    self.present.insert(id);
-                } else {
-                    self.present.remove(id);
-                }
-            }
+                Err(at) => self.prefix_lens.insert(at, (len, 1)),
+            },
         }
     }
 }
 
-/// The ids under `key`, none when it is absent.
-fn ids<'a>(map: &'a HashMap<TextKey, Posting>, key: &[u8]) -> &'a [u32] {
-    map.get(key).map_or(&[], Posting::as_slice)
+/// The posting map's keys are hashes already: its hasher passes them on.
+#[derive(Debug, Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("posting keys are u64 hashes")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-/// Lists (`add`) or unlists `id` under `key`: the key is listed with its
-/// first id and dropped with its last. Returns true when the key came or
-/// went.
-fn edit(map: &mut HashMap<TextKey, Posting>, key: &TextKey, id: u32, add: bool) -> bool {
-    match map.get_mut(key.as_bytes()) {
-        Some(ids) if add => {
-            ids.insert(id);
-            false
-        }
-        Some(ids) => ids.remove(id) && ids.is_empty() && map.remove(key.as_bytes()).is_some(),
-        None if add => {
-            let mut ids = Posting::default();
-            ids.insert(id);
-            map.insert(key.clone(), ids);
-            true
-        }
-        None => false,
-    }
+/// A key's hash: `on` has taken its attribute's name, and the kind's tag
+/// byte and the text end it.
+fn hash(on: &DefaultHasher, tag: u8, text: &[u8]) -> u64 {
+    let mut h = on.clone();
+    h.write_u8(tag);
+    h.write(text);
+    h.finish()
 }
 
 /// An index over a set of registered filters, answering which of them can
@@ -234,13 +265,21 @@ fn edit(map: &mut HashMap<TextKey, Posting>, key: &TextKey, id: u32, add: bool) 
 /// Maintained across the filters' lifecycle (`register` on install,
 /// `remove` on abandon/expiry/eviction); never serialized — the master
 /// rebuilds it from the surviving sessions after deserialization.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RoutingIndex {
-    /// Attribute → its posting lists, residual buckets included.
-    by_attr: HashMap<AttrName, AttrPostings>,
-    /// Residual sessions based at the empty DN (scanned for every DN).
+    /// Keys the posting hashes.
+    hasher: RandomState,
+    /// Key hash → the filters registered under it.
+    postings: HashMap<u64, Posting, BuildHasherDefault<Prehashed>>,
+    /// The keyed attributes, sorted.
+    keyed: Vec<Keyed>,
+    /// Residual filters based at the empty DN (scanned for every DN).
     residual_root: Posting,
-    registered: HashMap<u32, Place>,
+    /// Residual filters listed in a base bucket.
+    residual_buckets: usize,
+    /// Filters registered, and how many of them are residual.
+    filters: usize,
+    residual: usize,
 }
 
 impl RoutingIndex {
@@ -249,86 +288,150 @@ impl RoutingIndex {
         RoutingIndex::default()
     }
 
-    /// Number of sessions currently registered.
+    /// Number of filters currently registered.
     pub fn len(&self) -> usize {
-        self.registered.len()
+        self.filters
     }
 
-    /// True when no session is registered.
+    /// True when no filter is registered.
     pub fn is_empty(&self) -> bool {
-        self.registered.is_empty()
+        self.filters == 0
     }
 
-    /// True when `id` is registered.
-    pub fn contains(&self, id: u32) -> bool {
-        self.registered.contains_key(&id)
+    /// The hash state after an attribute's name: where each of its keys'
+    /// hashes starts.
+    fn on(&self, attr: &AttrName) -> DefaultHasher {
+        let mut h = self.hasher.build_hasher();
+        h.write(attr.lower().as_bytes());
+        // No UTF-8 byte: the name ends here.
+        h.write_u8(0xff);
+        h
     }
 
-    /// How many sessions already sit on the posting list one plan key
-    /// names for these slot values — its share of the expected extra
-    /// fan-out of picking the key's alternative. Lower is better.
-    fn load(&self, key: &SlotKey, values: &[impl Borrow<AttrValue>]) -> usize {
-        let text = |slot: &usize| values[*slot].borrow().normalized().as_bytes();
-        let ids = match key {
-            SlotKey::Eq { attr, slot } => self.by_attr.get(attr).map(|b| ids(&b.eq, text(slot))),
-            SlotKey::Prefix { attr, slot } => {
-                self.by_attr.get(attr).map(|b| ids(&b.prefix, text(slot)))
+    /// The ids under a key hash, none when it is absent.
+    fn ids(&self, hash: u64) -> &[u32] {
+        self.postings.get(&hash).map_or(&[], Posting::as_slice)
+    }
+
+    /// What `attr` is keyed by, if anything.
+    fn keyed(&self, attr: &AttrName) -> Option<&Keyed> {
+        self.keyed.binary_search_by(|k| k.attr.cmp(attr)).ok().map(|at| &self.keyed[at])
+    }
+
+    /// Appends the filters asserting `k`'s attribute present; returns the
+    /// probes made.
+    fn probe_present(&self, k: &Keyed, on: &DefaultHasher, out: &mut Vec<u32>) -> usize {
+        if k.present == 0 {
+            return 0;
+        }
+        out.extend_from_slice(self.ids(hash(on, PRESENT, b"")));
+        1
+    }
+
+    /// Appends the filters whose equality or prefix key on `k`'s
+    /// attribute one normalized value meets; returns the probes made.
+    fn probe_text(&self, k: &Keyed, on: &DefaultHasher, norm: &str, out: &mut Vec<u32>) -> usize {
+        let mut probes = 0;
+        if k.eq > 0 {
+            out.extend_from_slice(self.ids(hash(on, EQ, norm.as_bytes())));
+            probes += 1;
+        }
+        for &(len, _) in &k.prefix_lens {
+            let len = len as usize;
+            if len > norm.len() {
+                break;
             }
-            SlotKey::Present { attr } => self.by_attr.get(attr).map(|b| b.present.as_slice()),
-        };
-        ids.map_or(0, <[u32]>::len)
+            // Cut inside a character, the head is no key's text.
+            if norm.is_char_boundary(len) {
+                out.extend_from_slice(self.ids(hash(on, PREFIX, &norm.as_bytes()[..len])));
+                probes += 1;
+            }
+        }
+        probes
     }
 
-    /// Registers a session under the routing keys of its request filter
+    /// Appends the filters keyed on `k`'s attribute that these values of
+    /// it meet; returns the probes made.
+    fn probe_values(&self, k: &Keyed, values: &ValueSet, out: &mut Vec<u32>) -> usize {
+        let on = self.on(&k.attr);
+        let mut probes = self.probe_present(k, &on, out);
+        if k.eq > 0 || !k.prefix_lens.is_empty() {
+            for v in values {
+                probes += self.probe_text(k, &on, v.normalized(), out);
+            }
+        }
+        probes
+    }
+
+    /// Instantiates one plan key for these slot values.
+    fn key(&self, key: &SlotKey, values: &[impl Borrow<AttrValue>]) -> Key {
+        let text = |slot: &usize| values[*slot].borrow().normalized();
+        let (attr, kind, text) = match key {
+            SlotKey::Eq { attr, slot } => (attr, Kind::Eq, text(slot)),
+            SlotKey::Prefix { attr, slot } => {
+                let t = text(slot);
+                (attr, Kind::Prefix(t.len() as u32), t)
+            }
+            SlotKey::Present { attr } => (attr, Kind::Present, ""),
+        };
+        Key { hash: hash(&self.on(attr), kind.tag(), text.as_bytes()), attr: attr.clone(), kind }
+    }
+
+    /// Registers a filter under the routing keys of its request filter
     /// ([`RoutingIndex::register_prepared`] on the template extracted
     /// here).
-    pub fn register(&mut self, id: u32, request: &SearchRequest) {
+    pub fn register(&mut self, id: u32, request: &SearchRequest) -> Registration {
         let (template, values) = Template::of(request.filter());
-        self.register_prepared(id, &template, &values, request.base());
+        self.register_prepared(id, &template, &values, request.base())
     }
 
     /// Registers a filter given as its already-extracted template and
     /// slot values (what a `PreparedQuery` holds, owned or borrowed) plus
     /// its search base: under the routing keys of one of the template's
     /// plans, or on the residual scan-list when the template is not
-    /// indexable.
+    /// indexable. `id` must not be registered already: whoever registered
+    /// it removes it first, with the registration returned here.
+    ///
     /// When the template offers several sound key sets (a conjunction of
-    /// indexable children), the alternative whose posting lists currently
-    /// hold the fewest sessions wins — near-constant assertions like
+    /// indexable children), the alternative whose postings currently hold
+    /// the fewest filters wins — near-constant assertions like
     /// `objectclass=person` stay unpicked once they start crowding, so a
     /// fleet of `(&(objectclass=person)(dept=N))` sessions keys on the
     /// selective `dept` slot instead of degenerating to a broadcast list.
-    /// Re-registering an id first removes its old registration.
     pub fn register_prepared(
         &mut self,
         id: u32,
         template: &Template,
         values: &[impl Borrow<AttrValue>],
         base: &Dn,
-    ) {
-        self.remove(id);
+    ) -> Registration {
+        self.filters += 1;
         let place = match template.routing_plans() {
             Some(alts) => {
-                let best = alts
-                    .iter()
-                    .min_by_key(|alt| {
-                        (alt.iter().map(|k| self.load(k, values)).sum::<usize>(), alt.len())
-                    })
-                    .expect("routing_plans returns non-empty alternatives");
-                let keys: Vec<RouteKey> = best.iter().map(|k| RouteKey::of(k, values)).collect();
-                for key in &keys {
-                    self.by_attr.entry(key.attr().clone()).or_default().edit(key, id, true);
+                let best = match alts {
+                    [only] => only,
+                    _ => alts
+                        .iter()
+                        .min_by_key(|alt| {
+                            let load = |k: &SlotKey| self.ids(self.key(k, values).hash).len();
+                            (alt.iter().map(load).sum::<usize>(), alt.len())
+                        })
+                        .expect("routing_plans returns non-empty alternatives"),
+                };
+                match best.as_slice() {
+                    [key] => Place::One(self.key(key, values)),
+                    keys => Place::Many(keys.iter().map(|k| self.key(k, values)).collect()),
                 }
-                Place::Keys(keys)
             }
             None => {
-                let bucket = base
-                    .rdns()
-                    .last()
-                    .map(|r| (r.attr().clone(), TextKey::new(r.value().normalized())));
-                match &bucket {
-                    Some((a, v)) => {
-                        edit(&mut self.by_attr.entry(a.clone()).or_default().residual, v, id, true);
+                self.residual += 1;
+                let bucket = base.rdns().last().map(|r| {
+                    hash(&self.on(r.attr()), RESIDUAL, r.value().normalized().as_bytes())
+                });
+                match bucket {
+                    Some(bucket) => {
+                        self.residual_buckets += 1;
+                        self.postings.entry(bucket).or_default().insert(id);
                     }
                     None => {
                         self.residual_root.insert(id);
@@ -337,63 +440,117 @@ impl RoutingIndex {
                 Place::Residual(bucket)
             }
         };
-        self.registered.insert(id, place);
+        let reg = Registration { id, place };
+        for key in reg.keys() {
+            self.list(key, id);
+        }
+        reg
     }
 
-    /// Removes a session from every posting list it appears in. A no-op
-    /// for unknown ids. Emptied posting lists are dropped, so the key
-    /// space tracks the live session population.
-    pub fn remove(&mut self, id: u32) {
-        let Some(place) = self.registered.remove(&id) else {
-            return;
-        };
-        match &place {
-            Place::Keys(keys) => {
-                for key in keys {
-                    self.unlist(key.attr(), |b| b.edit(key, id, false));
+    /// Removes a filter from every posting it appears in, given the
+    /// registration [`RoutingIndex::register`] returned for it. Emptied
+    /// postings are dropped, so the key space tracks the live population.
+    pub fn remove(&mut self, reg: Registration) {
+        self.filters -= 1;
+        match reg.place {
+            Place::Residual(bucket) => {
+                self.residual -= 1;
+                match bucket {
+                    Some(bucket) => {
+                        self.residual_buckets -= 1;
+                        self.unpost(bucket, reg.id);
+                    }
+                    None => {
+                        self.residual_root.remove(reg.id);
+                    }
                 }
             }
-            Place::Residual(Some((a, v))) => self.unlist(a, |b| {
-                edit(&mut b.residual, v, id, false);
-            }),
-            Place::Residual(None) => {
-                self.residual_root.remove(id);
+            Place::One(_) | Place::Many(_) => {
+                for key in reg.keys() {
+                    self.unlist(key, reg.id);
+                }
             }
         }
     }
 
-    /// Applies `edit` to the postings of `attr`, dropping them when it
-    /// leaves them empty.
-    fn unlist(&mut self, attr: &AttrName, edit: impl FnOnce(&mut AttrPostings)) {
-        if let Some(b) = self.by_attr.get_mut(attr) {
-            edit(b);
-            if b.is_empty() {
-                self.by_attr.remove(attr);
+    /// Lists `id` under `key` and counts the key on its attribute.
+    fn list(&mut self, key: &Key, id: u32) {
+        self.postings.entry(key.hash).or_default().insert(id);
+        let at = match self.keyed.binary_search_by(|k| k.attr.cmp(&key.attr)) {
+            Ok(at) => at,
+            Err(at) => {
+                self.keyed.insert(at, Keyed::new(key.attr.clone()));
+                at
+            }
+        };
+        self.keyed[at].count(key.kind, true);
+    }
+
+    /// Unlists `id` from under `key`, and the attribute with its last key.
+    fn unlist(&mut self, key: &Key, id: u32) {
+        self.unpost(key.hash, id);
+        if let Ok(at) = self.keyed.binary_search_by(|k| k.attr.cmp(&key.attr)) {
+            self.keyed[at].count(key.kind, false);
+            if self.keyed[at].is_empty() {
+                self.keyed.remove(at);
             }
         }
     }
 
-    /// Appends to `out` every indexed session one of whose keys matches
-    /// the entry's attribute state. Duplicates may be appended (a session
-    /// can match on several keys) — sort + dedup once after collecting
-    /// old and new state. One hash probe per entry attribute, zero
-    /// allocations.
-    pub fn candidates_for_entry(&self, entry: &fbdr_ldap::Entry, out: &mut Vec<u32>) {
-        if self.by_attr.is_empty() {
-            return;
-        }
-        for (attr, values) in entry.attrs() {
-            let Some(b) = self.by_attr.get(attr) else {
-                continue;
-            };
-            out.extend_from_slice(b.present.as_slice());
-            if b.eq.is_empty() && b.prefix.is_empty() {
-                continue;
-            }
-            for v in values {
-                b.probe(v.normalized(), out);
+    /// Unlists `id` from a posting, dropping the posting with its last id.
+    /// Absent when a colliding key of the same filter unlisted it already.
+    fn unpost(&mut self, hash: u64, id: u32) {
+        if let hash_map::Entry::Occupied(mut at) = self.postings.entry(hash) {
+            at.get_mut().remove(id);
+            if at.get().is_empty() {
+                at.remove();
             }
         }
+    }
+
+    /// Appends to `out` every indexed filter one of whose keys matches
+    /// the entry's attribute state, and returns the probes it took.
+    /// Duplicates may be appended (a filter can match on several keys) —
+    /// sort + dedup once after collecting old and new state. Both the
+    /// entry's attributes and the keyed ones are sorted by name, so one
+    /// merge walks them together; allocates nothing.
+    pub fn candidates_for_entry(&self, entry: &Entry, out: &mut Vec<u32>) -> usize {
+        let mut probes = 0;
+        let (mut keyed, mut attrs) = (self.keyed.iter(), entry.attrs());
+        let (mut k, mut a) = (keyed.next(), attrs.next());
+        while let (Some(key), Some((attr, values))) = (k, a) {
+            match key.attr.cmp(attr) {
+                Ordering::Less => k = keyed.next(),
+                Ordering::Greater => a = attrs.next(),
+                Ordering::Equal => {
+                    probes += self.probe_values(key, values, out);
+                    (k, a) = (keyed.next(), attrs.next());
+                }
+            }
+        }
+        probes
+    }
+
+    /// [`candidates_for_entry`](RoutingIndex::candidates_for_entry) over
+    /// the attributes `attrs` names alone: the lookup of a modified
+    /// entry's new state, whose other attributes the lookup of its old
+    /// state met already (see the module docs). Returns the probes it
+    /// took.
+    pub fn candidates_for_attrs(
+        &self,
+        entry: &Entry,
+        attrs: &[AttrName],
+        out: &mut Vec<u32>,
+    ) -> usize {
+        let mut probes = 0;
+        for attr in attrs {
+            if let Some(k) = self.keyed(attr) {
+                if let Some((_, values)) = entry.attr(attr) {
+                    probes += self.probe_values(k, values, out);
+                }
+            }
+        }
+        probes
     }
 
     /// Appends to `out` every indexed filter that can contain a query
@@ -408,14 +565,21 @@ impl RoutingIndex {
     pub fn candidates_for_query(&self, filter: &Filter, out: &mut Vec<u32>) -> bool {
         let start = out.len();
         let conjunctive = filter.for_each_conjunct(&mut |p| {
-            let Some(b) = self.by_attr.get(p.attr()) else {
+            let Some(k) = self.keyed(p.attr()) else {
                 return;
             };
-            out.extend_from_slice(b.present.as_slice());
+            let on = self.on(&k.attr);
+            self.probe_present(k, &on, out);
             match p.comparison().witness() {
-                Some(value) => b.probe(&value, out),
+                Some(value) => {
+                    self.probe_text(k, &on, &value, out);
+                }
                 // Presence: a value that extends no prefix but the empty one.
-                None => out.extend_from_slice(ids(&b.prefix, b"")),
+                None => {
+                    if k.prefix_lens.first().is_some_and(|&(len, _)| len == 0) {
+                        out.extend_from_slice(self.ids(hash(&on, PREFIX, b"")));
+                    }
+                }
             }
         });
         if !conjunctive {
@@ -424,97 +588,81 @@ impl RoutingIndex {
         conjunctive
     }
 
-    /// Appends to `out` every residual (scan-list) session whose base
+    /// Appends to `out` every residual (scan-list) filter whose base
     /// bucket covers `dn` — an updated entry's DN, or a query's base (a
     /// filter that contains the query is based at or above it): the
-    /// bucket of `dn`'s root-most RDN plus the sessions based at the
-    /// empty DN.
+    /// bucket of `dn`'s root-most RDN plus the filters based at the empty
+    /// DN.
     pub fn residual_for_dn(&self, dn: &Dn, out: &mut Vec<u32>) {
-        if let Some(r) = dn.rdns().last() {
-            if let Some(b) = self.by_attr.get(r.attr()) {
-                out.extend_from_slice(ids(&b.residual, r.value().normalized().as_bytes()));
+        if self.residual_buckets > 0 {
+            if let Some(r) = dn.rdns().last() {
+                let bucket = hash(&self.on(r.attr()), RESIDUAL, r.value().normalized().as_bytes());
+                out.extend_from_slice(self.ids(bucket));
             }
         }
         out.extend_from_slice(self.residual_root.as_slice());
     }
 
-    /// Appends every registered session id to `out` (the naive
-    /// reference path routes to everyone).
-    pub fn all_sessions(&self, out: &mut Vec<u32>) {
-        out.extend(self.registered.keys().copied());
-    }
-
     /// Live structure counts.
     pub fn stats(&self) -> RoutingStats {
-        let residual =
-            self.registered.values().filter(|place| matches!(place, Place::Residual(_))).count();
         RoutingStats {
-            sessions: self.registered.len(),
-            indexed: self.registered.len() - residual,
-            residual,
-            eq_keys: self.by_attr.values().map(|b| b.eq.len()).sum(),
-            prefix_keys: self.by_attr.values().map(|b| b.prefix.len()).sum(),
-            present_keys: self.by_attr.values().filter(|b| !b.present.is_empty()).count(),
+            sessions: self.filters,
+            indexed: self.filters - self.residual,
+            residual: self.residual,
+            keys: self.postings.len(),
         }
     }
 
-    /// Panics if any posting list holds an id that is not registered or
-    /// none, a registered id is missing from a posting list it should be
-    /// on, or the prefix-length counts disagree with the prefix keys.
-    /// Test-and-debug helper for the stale-id invariant.
-    pub fn debug_validate(&self) {
-        let check = |ids: &Posting, what: &str| {
-            for id in ids.as_slice() {
-                assert!(self.registered.contains_key(id), "{what}: stale session id {id}");
-            }
-        };
-        for (a, b) in &self.by_attr {
-            assert!(!b.is_empty(), "attr {a}: empty posting group retained");
-            for (kind, map) in [("eq", &b.eq), ("prefix", &b.prefix), ("residual", &b.residual)] {
-                for (k, ids) in map {
-                    let what = format!("{kind} {a}={k:?}");
-                    assert!(!ids.is_empty(), "{what}: empty posting retained");
-                    check(ids, &what);
-                }
-            }
-            check(&b.present, &format!("present {a}"));
-            let mut lens: BTreeMap<usize, usize> = BTreeMap::new();
-            for p in b.prefix.keys() {
-                *lens.entry(p.as_bytes().len()).or_insert(0) += 1;
-            }
-            assert_eq!(lens, b.prefix_lens, "attr {a}: prefix length counts drifted");
-        }
-        check(&self.residual_root, "residual root");
-        for (id, place) in &self.registered {
-            let on =
-                |ids: Option<&Posting>| ids.is_some_and(|l| l.as_slice().binary_search(id).is_ok());
-            let group = |a: &AttrName| self.by_attr.get(a);
-            match place {
-                Place::Keys(keys) => {
-                    for key in keys {
-                        let b = group(key.attr());
-                        let present = match key {
-                            RouteKey::Eq(_, v) => on(b.and_then(|b| b.eq.get(v))),
-                            RouteKey::Prefix(_, p) => on(b.and_then(|b| b.prefix.get(p))),
-                            RouteKey::Present(_) => on(b.map(|b| &b.present)),
-                        };
-                        assert!(present, "session {id}: missing from posting for {key:?}");
-                    }
-                }
-                Place::Residual(Some((a, v))) => {
-                    assert!(
-                        on(group(a).and_then(|b| b.residual.get(v))),
-                        "session {id}: missing from residual bucket {a}={v:?}"
-                    );
+    /// Panics unless the index lists exactly `registrations`: each id
+    /// once, under each of its keys and nowhere else, no posting empty,
+    /// and the keyed attributes' counts those of the keys. Test-and-debug
+    /// helper for the stale-id invariant.
+    pub fn debug_validate<'a>(&self, registrations: impl IntoIterator<Item = &'a Registration>) {
+        let mut ids = std::collections::BTreeSet::new();
+        let mut want: HashMap<u64, Posting> = HashMap::new();
+        let mut root = Posting::default();
+        let mut keyed: Vec<Keyed> = Vec::new();
+        let (mut residual, mut buckets) = (0, 0);
+        for reg in registrations {
+            assert!(ids.insert(reg.id), "id {} registered twice", reg.id);
+            match &reg.place {
+                Place::Residual(Some(bucket)) => {
+                    residual += 1;
+                    buckets += 1;
+                    want.entry(*bucket).or_default().insert(reg.id);
                 }
                 Place::Residual(None) => {
-                    assert!(
-                        on(Some(&self.residual_root)),
-                        "session {id}: missing from the root residual list"
-                    );
+                    residual += 1;
+                    root.insert(reg.id);
+                }
+                Place::One(_) | Place::Many(_) => {
+                    for key in reg.keys() {
+                        want.entry(key.hash).or_default().insert(reg.id);
+                        let at = match keyed.binary_search_by(|k| k.attr.cmp(&key.attr)) {
+                            Ok(at) => at,
+                            Err(at) => {
+                                keyed.insert(at, Keyed::new(key.attr.clone()));
+                                at
+                            }
+                        };
+                        keyed[at].count(key.kind, true);
+                    }
                 }
             }
         }
+        assert_eq!(
+            (ids.len(), residual, buckets),
+            (self.filters, self.residual, self.residual_buckets),
+            "filter counts drifted"
+        );
+        assert_eq!(root.as_slice(), self.residual_root.as_slice(), "the root residual list");
+        for (hash, posting) in &self.postings {
+            assert!(!posting.is_empty(), "key {hash:#x}: empty posting retained");
+            let expected = want.get(hash).map_or(&[][..], Posting::as_slice);
+            assert_eq!(posting.as_slice(), expected, "key {hash:#x}: stale or missing ids");
+        }
+        assert_eq!(want.len(), self.postings.len(), "a registered key has no posting");
+        assert_eq!(keyed, self.keyed, "keyed attribute counts drifted");
     }
 }
 
@@ -536,15 +684,25 @@ mod tests {
         out
     }
 
+    /// Registers `(base, filter)` pairs under their positions.
+    fn register_all(ix: &mut RoutingIndex, filters: &[(&str, &str)]) -> Vec<Registration> {
+        filters.iter().enumerate().map(|(id, (b, f))| ix.register(id as u32, &req(b, f))).collect()
+    }
+
     #[test]
     fn routes_by_equality_prefix_presence_and_residual() {
         let mut ix = RoutingIndex::new();
-        ix.register(0, &req("o=xyz", "(dept=7)"));
-        ix.register(1, &req("o=xyz", "(sn=smi*)"));
-        ix.register(2, &req("o=xyz", "(mail=*)"));
-        ix.register(3, &req("o=xyz", "(!(dept=7))")); // residual
-        ix.register(4, &req("o=abc", "(!(dept=7))")); // residual, other root
-        ix.debug_validate();
+        let regs = register_all(
+            &mut ix,
+            &[
+                ("o=xyz", "(dept=7)"),
+                ("o=xyz", "(sn=smi*)"),
+                ("o=xyz", "(mail=*)"),
+                ("o=xyz", "(!(dept=7))"), // residual
+                ("o=abc", "(!(dept=7))"), // residual, other root
+            ],
+        );
+        ix.debug_validate(&regs);
         assert_eq!(ix.stats().sessions, 5);
         assert_eq!(ix.stats().residual, 2);
 
@@ -564,36 +722,42 @@ mod tests {
     #[test]
     fn remove_leaves_no_stale_ids() {
         let mut ix = RoutingIndex::new();
-        ix.register(0, &req("o=xyz", "(&(objectclass=person)(dept=7))"));
-        ix.register(1, &req("o=xyz", "(|(dept=7)(dept=8))"));
-        ix.register(2, &req("o=xyz", "(serialnumber>=100)")); // residual
-        ix.debug_validate();
+        let mut regs = register_all(
+            &mut ix,
+            &[
+                ("o=xyz", "(&(objectclass=person)(dept=7))"),
+                ("o=xyz", "(|(dept=7)(dept=8))"),
+                ("o=xyz", "(serialnumber>=100)"), // residual
+            ],
+        );
+        ix.debug_validate(&regs);
 
-        ix.remove(1);
-        ix.debug_validate();
+        ix.remove(regs.remove(1));
+        ix.debug_validate(&regs);
         let e = Entry::new("cn=a,o=xyz".parse().unwrap()).with("dept", "8");
         assert_eq!(candidates(&ix, &e), vec![2]); // 1 gone, 0 keyed off dept=7 only
 
-        ix.remove(0);
-        ix.remove(2);
-        ix.remove(2); // idempotent
-        ix.debug_validate();
+        for reg in regs {
+            ix.remove(reg);
+        }
+        ix.debug_validate(&[]);
         assert!(ix.is_empty());
-        assert_eq!(ix.stats().eq_keys, 0);
-        assert_eq!(ix.stats().prefix_keys + ix.stats().present_keys, 0);
+        assert_eq!(ix.stats(), RoutingStats::default());
+        assert!(ix.keyed.is_empty());
     }
 
     #[test]
     fn reregister_replaces_old_keys() {
         let mut ix = RoutingIndex::new();
-        ix.register(7, &req("o=xyz", "(dept=7)"));
-        ix.register(7, &req("o=xyz", "(dept=9)"));
-        ix.debug_validate();
+        let first = ix.register(7, &req("o=xyz", "(dept=7)"));
+        ix.remove(first);
+        let again = ix.register(7, &req("o=xyz", "(dept=9)"));
+        ix.debug_validate([&again]);
         let e7 = Entry::new("cn=a,o=xyz".parse().unwrap()).with("dept", "7");
         let e9 = Entry::new("cn=a,o=xyz".parse().unwrap()).with("dept", "9");
         assert!(candidates(&ix, &e7).is_empty());
         assert_eq!(candidates(&ix, &e9), vec![7]);
-        assert_eq!(ix.stats().eq_keys, 1);
+        assert_eq!(ix.stats().keys, 1);
     }
 
     fn query_candidates(ix: &RoutingIndex, base: &str, filter: &str) -> Option<Vec<u32>> {
@@ -614,14 +778,19 @@ mod tests {
     #[test]
     fn query_lookup_finds_the_filters_that_can_contain_it() {
         let mut ix = RoutingIndex::new();
-        ix.register(0, &req("o=xyz", "(sn=smi*)"));
-        ix.register(1, &req("o=xyz", "(sn=smith)"));
-        ix.register(2, &req("o=xyz", "(sn=*)"));
-        ix.register(3, &req("o=xyz", "(sn=s*)"));
-        ix.register(4, &req("o=xyz", "(age>=30)")); // residual under o=xyz
-        ix.register(5, &req("o=abc", "(age>=30)")); // residual elsewhere
-        ix.register(6, &req("o=xyz", "(&(objectclass=person)(dept=7))"));
-        ix.debug_validate();
+        let regs = register_all(
+            &mut ix,
+            &[
+                ("o=xyz", "(sn=smi*)"),
+                ("o=xyz", "(sn=smith)"),
+                ("o=xyz", "(sn=*)"),
+                ("o=xyz", "(sn=s*)"),
+                ("o=xyz", "(age>=30)"), // residual under o=xyz
+                ("o=abc", "(age>=30)"), // residual elsewhere
+                ("o=xyz", "(&(objectclass=person)(dept=7))"),
+            ],
+        );
+        ix.debug_validate(&regs);
 
         // Equality: its value, the prefixes it extends, presence, residual.
         assert_eq!(query_candidates(&ix, "o=xyz", "(sn=Smith)"), Some(vec![0, 1, 2, 3, 4]));
@@ -652,18 +821,20 @@ mod tests {
     #[test]
     fn prefixes_are_probed_per_distinct_length_on_char_boundaries() {
         let mut ix = RoutingIndex::new();
-        for (id, f) in ["(cn=é*)", "(cn=éa*)", "(cn=éb*)", "(cn=x*)"].iter().enumerate() {
-            ix.register(id as u32, &req("o=xyz", f));
-        }
-        ix.debug_validate();
-        assert_eq!(ix.stats().prefix_keys, 4);
-        // "é" is two bytes: the length-1 probe of "éa…" falls inside it.
+        let filters = ["(cn=é*)", "(cn=éa*)", "(cn=éb*)", "(cn=x*)"].map(|f| ("o=xyz", f));
+        let mut regs = register_all(&mut ix, &filters);
+        ix.debug_validate(&regs);
+        assert_eq!(ix.stats().keys, 4);
+        assert_eq!(ix.keyed[0].prefix_lens, vec![(1, 1), (2, 1), (3, 2)]);
+        // "é" is two bytes: the length-1 probe of "éa…" falls inside it and
+        // is not made, so the value costs two probes, not three.
         let e = Entry::new("cn=a,o=xyz".parse().unwrap()).with("cn", "Éa1");
+        assert_eq!(ix.candidates_for_entry(&e, &mut Vec::new()), 2);
         assert_eq!(candidates(&ix, &e), vec![0, 1]);
         assert_eq!(query_candidates(&ix, "o=xyz", "(cn=éb)"), Some(vec![0, 2]));
-        ix.remove(1);
-        ix.remove(2);
-        ix.debug_validate();
+        ix.remove(regs.remove(2));
+        ix.remove(regs.remove(1));
+        ix.debug_validate(&regs);
         assert_eq!(candidates(&ix, &e), vec![0]);
         assert_eq!(query_candidates(&ix, "o=xyz", "(cn=x)"), Some(vec![3]));
     }
@@ -672,46 +843,87 @@ mod tests {
     fn a_prepared_registration_lands_on_the_same_keys() {
         let mut ix = RoutingIndex::new();
         let r = req("o=xyz", "(dept=9)");
-        ix.register(4, &r);
+        let four = ix.register(4, &r);
         let (t, v) = Template::of_borrowed(r.filter());
-        ix.register_prepared(5, &t, &v, r.base());
-        ix.debug_validate();
-        assert_eq!(ix.stats().eq_keys, 1);
+        let five = ix.register_prepared(5, &t, &v, r.base());
+        ix.debug_validate([&four, &five]);
+        assert_eq!(ix.stats().keys, 1);
         assert_eq!(query_candidates(&ix, "o=xyz", "(dept=9)"), Some(vec![4, 5]));
     }
 
-    /// Residual buckets hang off the same per-attribute map as the keys:
-    /// a bucket under `o=xyz` and an equality key on `o` come and go
-    /// independently.
+    /// A residual bucket and the keys of its attribute share the posting
+    /// map under different kinds: a bucket under `o=xyz` and an equality
+    /// key on `o` come and go independently.
     #[test]
     fn a_residual_bucket_and_keys_share_an_attribute() {
         let mut ix = RoutingIndex::new();
-        ix.register(0, &req("o=xyz", "(o=xyz)"));
-        ix.register(1, &req("o=xyz", "(!(cn=a))")); // residual under o=xyz
-        ix.debug_validate();
+        let keyed = ix.register(0, &req("o=xyz", "(o=xyz)"));
+        let residual = ix.register(1, &req("o=xyz", "(!(cn=a))")); // residual under o=xyz
+        ix.debug_validate([&keyed, &residual]);
         let e = Entry::new("o=xyz".parse().unwrap()).with("o", "xyz");
         assert_eq!(candidates(&ix, &e), vec![0, 1]);
-        ix.remove(0);
-        ix.debug_validate();
+        ix.remove(keyed);
+        ix.debug_validate([&residual]);
         assert_eq!(candidates(&ix, &e), vec![1]);
-        ix.register(0, &req("o=xyz", "(o=xyz)"));
-        ix.remove(1);
-        ix.debug_validate();
+        let keyed = ix.register(0, &req("o=xyz", "(o=xyz)"));
+        ix.remove(residual);
+        ix.debug_validate([&keyed]);
         assert_eq!(candidates(&ix, &e), vec![0]);
         assert_eq!(query_candidates(&ix, "o=xyz", "(o=xyz)"), Some(vec![0]));
-        ix.remove(0);
-        assert!(ix.by_attr.is_empty());
+        ix.remove(keyed);
+        assert!(ix.postings.is_empty() && ix.keyed.is_empty());
     }
 
     #[test]
     fn root_dse_residual_session_scans_every_update() {
         let mut ix = RoutingIndex::new();
-        ix.register(0, &req("", "(!(mail=*))"));
-        ix.debug_validate();
+        let reg = ix.register(0, &req("", "(!(mail=*))"));
+        ix.debug_validate([&reg]);
         let e = Entry::new("cn=a,o=xyz".parse().unwrap()).with("dept", "1");
         assert_eq!(candidates(&ix, &e), vec![0]);
-        ix.remove(0);
-        ix.debug_validate();
+        ix.remove(reg);
+        ix.debug_validate(&[]);
         assert!(ix.is_empty());
+    }
+
+    /// An entry costs a probe per value of a keyed attribute and nothing
+    /// for the rest, whichever of the two lists is longer; a modified
+    /// entry's lookup over the named attributes costs the named keyed
+    /// attributes' values alone.
+    #[test]
+    fn a_lookup_probes_only_keyed_attributes() {
+        let person = Entry::new("cn=a,o=xyz".parse().unwrap())
+            .with("objectclass", "person")
+            .with("cn", "a")
+            .with("mail", "a@x")
+            .with("sn", "Smith")
+            .with("dept", "7")
+            .with("dept", "8");
+        let mut ix = RoutingIndex::new();
+        let mut regs = vec![ix.register(0, &req("o=xyz", "(dept=7)"))];
+        let mut out = Vec::new();
+        // One keyed attribute, shorter than the entry: its two values.
+        assert_eq!(ix.candidates_for_entry(&person, &mut out), 2);
+        assert_eq!(out, vec![0]);
+        // More keyed attributes than the entry has, on both sides of its
+        // names.
+        for (i, a) in ["a", "b", "c", "d", "e", "f", "z"].iter().enumerate() {
+            regs.push(ix.register(1 + i as u32, &req("o=xyz", &format!("({a}=1)"))));
+        }
+        regs.push(ix.register(8, &req("o=xyz", "(mail=*)")));
+        ix.debug_validate(&regs);
+        assert!(ix.keyed.len() > person.attrs().len());
+        out.clear();
+        // dept's two values and mail's presence.
+        assert_eq!(ix.candidates_for_entry(&person, &mut out), 3);
+        assert_eq!(out, vec![0, 8]);
+        // The new state of a modify: the named attributes only.
+        let named = |names: &[&str]| names.iter().map(|n| AttrName::from(*n)).collect::<Vec<_>>();
+        out.clear();
+        assert_eq!(ix.candidates_for_attrs(&person, &named(&["sn", "cn"]), &mut out), 0);
+        assert!(out.is_empty());
+        assert_eq!(ix.candidates_for_attrs(&person, &named(&["dept"]), &mut out), 2);
+        assert_eq!(ix.candidates_for_attrs(&person, &named(&["a"]), &mut out), 0, "absent");
+        assert_eq!(out, vec![0]);
     }
 }

@@ -17,6 +17,18 @@ enum Op {
     SetDept { id: usize, dept: u8 },
     SetMail { id: usize, tag: u8 },
     Rename { id: usize, new_id: usize },
+    /// `dept` is keyed and may hold several values.
+    AddDept { id: usize, dept: u8 },
+    DropDept { id: usize, dept: u8 },
+    /// `mail` is keyed by presence.
+    DropMail { id: usize },
+    /// No session keys on `title`.
+    SetTitle { id: usize, tag: u8 },
+    /// One modify of an unkeyed and a keyed attribute: `title` sorts
+    /// after `dept`, `businessCategory` before it, so a new-state lookup
+    /// that skips either end of the named attributes misses a `dept` move.
+    SetTitleAndDept { id: usize, tag: u8, dept: u8 },
+    SetCategoryAndDept { id: usize, tag: u8, dept: u8 },
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -26,6 +38,14 @@ fn op() -> impl Strategy<Value = Op> {
         (0usize..12, 0u8..4).prop_map(|(id, dept)| Op::SetDept { id, dept }),
         (0usize..12, 0u8..4).prop_map(|(id, tag)| Op::SetMail { id, tag }),
         (0usize..12, 0usize..12).prop_map(|(id, new_id)| Op::Rename { id, new_id }),
+        (0usize..12, 0u8..4).prop_map(|(id, dept)| Op::AddDept { id, dept }),
+        (0usize..12, 0u8..4).prop_map(|(id, dept)| Op::DropDept { id, dept }),
+        (0usize..12).prop_map(|id| Op::DropMail { id }),
+        (0usize..12, 0u8..4).prop_map(|(id, tag)| Op::SetTitle { id, tag }),
+        (0usize..12, 0u8..4, 0u8..4)
+            .prop_map(|(id, tag, dept)| Op::SetTitleAndDept { id, tag, dept }),
+        (0usize..12, 0u8..4, 0u8..4)
+            .prop_map(|(id, tag, dept)| Op::SetCategoryAndDept { id, tag, dept }),
     ]
 }
 
@@ -47,7 +67,13 @@ fn fresh_master() -> SyncMaster {
     m
 }
 
+fn modify(id: usize, mods: Vec<Modification>) -> UpdateOp {
+    UpdateOp::Modify { dn: dn_of(id), mods }
+}
+
 fn to_update(op: &Op) -> UpdateOp {
+    let title = |tag: &u8| Modification::Replace("title".into(), vec![format!("t{tag}").into()]);
+    let dept = |dept: &u8| vec![dept.to_string().into()];
     match op {
         Op::Add { id, dept } => UpdateOp::Add(entry_of(*id, *dept)),
         Op::Delete { id } => UpdateOp::Delete(dn_of(*id)),
@@ -64,6 +90,27 @@ fn to_update(op: &Op) -> UpdateOp {
             new_rdn: Rdn::new("cn", format!("p{new_id}")),
             new_superior: None,
         },
+        Op::AddDept { id, dept: d } => {
+            modify(*id, vec![Modification::AddValues("dept".into(), dept(d))])
+        }
+        Op::DropDept { id, dept: d } => {
+            modify(*id, vec![Modification::DeleteValues("dept".into(), dept(d))])
+        }
+        Op::DropMail { id } => modify(*id, vec![Modification::DeleteAttr("mail".into())]),
+        Op::SetTitle { id, tag } => modify(*id, vec![title(tag)]),
+        Op::SetTitleAndDept { id, tag, dept: d } => {
+            modify(*id, vec![title(tag), Modification::Replace("dept".into(), dept(d))])
+        }
+        Op::SetCategoryAndDept { id, tag, dept: d } => {
+            let category = vec![format!("c{tag}").into()];
+            modify(
+                *id,
+                vec![
+                    Modification::Replace("dept".into(), dept(d)),
+                    Modification::Replace("businessCategory".into(), category),
+                ],
+            )
+        }
     }
 }
 
@@ -269,6 +316,52 @@ fn evaluations_per_update_follow_affected_sessions_not_registered_ones() {
     assert_eq!([few[3], many[3]], [8 + 2, 96 + 2]);
 }
 
+/// The probes one update's routing took, by the
+/// `fbdr_resync_route_probes_total` counter.
+fn probes_of(m: &mut SyncMaster, obs: &fbdr_obs::Obs, op: UpdateOp) -> u64 {
+    let probes = obs.registry().counter("fbdr_resync_route_probes_total");
+    let before = probes.get();
+    m.apply(op).expect("apply");
+    probes.get() - before
+}
+
+/// The new state of a modified entry is looked up on the attributes the
+/// modification names, and only those the index keys on: with sessions
+/// keyed on `dept` alone, the old state of person 0 costs one probe (its
+/// one `dept` value) and the new state one per new `dept` value.
+#[test]
+fn a_modify_probes_the_new_values_of_its_keyed_attributes() {
+    let mut m = seeded_master();
+    for dept in 0..3 {
+        let req = SearchRequest::new(
+            "o=xyz".parse().expect("valid dn"),
+            Scope::Subtree,
+            Filter::parse(&format!("(dept={dept})")).expect("valid filter"),
+        );
+        m.resync(&req, ReSyncControl::poll(None)).expect("install");
+    }
+    // Unobserved, nothing is counted.
+    let obs = fbdr_obs::Obs::new();
+    let _ = probes_of(&mut m, &obs, to_update(&Op::SetTitle { id: 0, tag: 1 }));
+    assert_eq!(obs.registry().counter("fbdr_resync_route_probes_total").get(), 0);
+    m.set_obs(obs.clone());
+    // An unkeyed attribute: the old state's one dept value, no new value.
+    assert_eq!(probes_of(&mut m, &obs, to_update(&Op::SetTitle { id: 0, tag: 2 })), 1);
+    assert_eq!(probes_of(&mut m, &obs, to_update(&Op::SetMail { id: 0, tag: 2 })), 1);
+    // A keyed one: the old value, then exactly the new values.
+    let two_depts =
+        modify(0, vec![Modification::Replace("dept".into(), vec!["1".into(), "2".into()])]);
+    assert_eq!(probes_of(&mut m, &obs, two_depts), 1 + 2);
+    let keyed_and_not = to_update(&Op::SetTitleAndDept { id: 0, tag: 3, dept: 0 });
+    assert_eq!(probes_of(&mut m, &obs, keyed_and_not), 2 + 1);
+    let not_and_keyed = to_update(&Op::SetCategoryAndDept { id: 0, tag: 3, dept: 1 });
+    assert_eq!(probes_of(&mut m, &obs, not_and_keyed), 1 + 1);
+    // Gone from the new state: the old value alone.
+    let dropped = modify(0, vec![Modification::DeleteAttr("dept".into())]);
+    assert_eq!(probes_of(&mut m, &obs, dropped), 1);
+    m.debug_validate_routing();
+}
+
 // ---------------------------------------------------------------------
 // Routing-index maintenance across the session lifecycle
 // ---------------------------------------------------------------------
@@ -292,7 +385,7 @@ fn start_session_registers_and_sync_end_removes() {
 
     m.resync(&req, ReSyncControl::sync_end(c)).unwrap();
     assert_eq!(m.routing_stats().sessions, 0);
-    assert_eq!(m.routing_stats().eq_keys, 0);
+    assert_eq!(m.routing_stats().keys, 0);
     m.debug_validate_routing();
 }
 
@@ -330,7 +423,7 @@ fn expire_idle_leaves_no_stale_posting_ids() {
     assert_eq!(m.session_count(), 0);
     let s = m.routing_stats();
     assert_eq!(s.sessions, 0);
-    assert_eq!(s.eq_keys + s.prefix_keys + s.present_keys + s.residual, 0);
+    assert_eq!(s.keys + s.residual, 0);
     m.debug_validate_routing();
 }
 

@@ -101,13 +101,13 @@ impl EnterpriseDirectory {
         let mut dit = DitStore::new();
         let root: Dn = "o=xyz".parse().expect("static dn");
         dit.add_suffix(root.clone());
-        dit.insert(Entry::new(root.clone()).with("objectclass", "organization").with("o", "xyz"))
+        dit.add(Entry::new(root.clone()).with("objectclass", "organization").with("o", "xyz"))
             .expect("fresh store");
 
         // --- Countries with skewed sizes ---
         let countries = country_sizes(&config);
         for (cc, _) in &countries {
-            dit.insert(
+            dit.add(
                 Entry::new(format!("c={cc},o=xyz").parse().expect("valid dn"))
                     .with("objectclass", "country")
                     .with("c", cc),
@@ -116,7 +116,7 @@ impl EnterpriseDirectory {
         }
 
         // --- Divisions and departments ---
-        dit.insert(
+        dit.add(
             Entry::new("ou=divisions,o=xyz".parse().expect("valid dn"))
                 .with("objectclass", "organizationalUnit")
                 .with("ou", "divisions"),
@@ -125,7 +125,7 @@ impl EnterpriseDirectory {
         let mut departments = Vec::new();
         for d in 0..config.divisions {
             let div = format!("div{:02}", d + 10);
-            dit.insert(
+            dit.add(
                 Entry::new(format!("ou={div},ou=divisions,o=xyz").parse().expect("valid dn"))
                     .with("objectclass", "organizationalUnit")
                     .with("ou", &div),
@@ -133,7 +133,7 @@ impl EnterpriseDirectory {
             .expect("fresh store");
             for k in 0..config.depts_per_division {
                 let dept = format!("{}", (d + 10) * 100 + k);
-                dit.insert(
+                dit.add(
                     Entry::new(
                         format!("ou={dept},ou={div},ou=divisions,o=xyz")
                             .parse()
@@ -149,7 +149,7 @@ impl EnterpriseDirectory {
         }
 
         // --- Locations (small, hot subtree) ---
-        dit.insert(
+        dit.add(
             Entry::new("ou=locations,o=xyz".parse().expect("valid dn"))
                 .with("objectclass", "organizationalUnit")
                 .with("ou", "locations"),
@@ -158,7 +158,7 @@ impl EnterpriseDirectory {
         let mut locations = Vec::new();
         for l in 0..config.locations {
             let name = format!("site{l:03}");
-            dit.insert(
+            dit.add(
                 Entry::new(format!("l={name},ou=locations,o=xyz").parse().expect("valid dn"))
                     .with("objectclass", "location")
                     .with("l", &name)
@@ -199,7 +199,7 @@ impl EnterpriseDirectory {
                     .with("departmentNumber", &dept)
                     .with("division", &division)
                     .with("telephoneNumber", &format!("261-{:07}", id));
-                dit.insert(entry).expect("fresh store");
+                dit.add(entry).expect("fresh store");
                 employees.push(EmployeeRecord {
                     dn_string,
                     serial: serial_str,

@@ -10,6 +10,9 @@ pub mod channel {
 
     struct Shared<T> {
         queue: Mutex<VecDeque<T>>,
+        /// The queue's length, written under its lock: an empty channel is
+        /// probed without taking the lock.
+        len: AtomicUsize,
         senders: AtomicUsize,
         receivers: AtomicUsize,
     }
@@ -56,6 +59,7 @@ pub mod channel {
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
         });
@@ -68,7 +72,9 @@ pub mod channel {
             if self.is_disconnected() {
                 return Err(SendError(msg));
             }
-            self.shared.queue.lock().expect("channel poisoned").push_back(msg);
+            let mut q = self.shared.queue.lock().expect("channel poisoned");
+            q.push_back(msg);
+            self.shared.len.store(q.len(), Ordering::SeqCst);
             Ok(())
         }
 
@@ -79,7 +85,7 @@ pub mod channel {
 
         /// Number of messages waiting in the channel.
         pub fn len(&self) -> usize {
-            self.shared.queue.lock().expect("channel poisoned").len()
+            self.shared.len.load(Ordering::SeqCst)
         }
 
         /// True if no messages are waiting.
@@ -108,12 +114,29 @@ pub mod channel {
     }
 
     impl<T> Receiver<T> {
-        /// Pops the next waiting message, if any.
+        /// Pops the next waiting message, if any. An empty channel is
+        /// answered from the message count, without the lock; it is
+        /// disconnected only when no sender is left and the count, read
+        /// again after the senders, is still 0 (a last send may land
+        /// between the two reads).
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut q = self.shared.queue.lock().expect("channel poisoned");
+            let shared = &*self.shared;
+            if shared.len.load(Ordering::SeqCst) == 0 {
+                if shared.senders.load(Ordering::SeqCst) != 0 {
+                    return Err(TryRecvError::Empty);
+                }
+                if shared.len.load(Ordering::SeqCst) == 0 {
+                    return Err(TryRecvError::Disconnected);
+                }
+            }
+            let mut q = shared.queue.lock().expect("channel poisoned");
             match q.pop_front() {
-                Some(v) => Ok(v),
-                None if self.shared.senders.load(Ordering::SeqCst) == 0 => {
+                Some(v) => {
+                    shared.len.store(q.len(), Ordering::SeqCst);
+                    Ok(v)
+                }
+                // Another receiver took it.
+                None if shared.senders.load(Ordering::SeqCst) == 0 => {
                     Err(TryRecvError::Disconnected)
                 }
                 None => Err(TryRecvError::Empty),
@@ -127,7 +150,7 @@ pub mod channel {
 
         /// Number of messages waiting in the channel.
         pub fn len(&self) -> usize {
-            self.shared.queue.lock().expect("channel poisoned").len()
+            self.shared.len.load(Ordering::SeqCst)
         }
 
         /// True if no messages are waiting.
@@ -194,6 +217,26 @@ pub mod channel {
             let (tx, rx) = unbounded::<u8>();
             drop(tx);
             assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        }
+
+        #[test]
+        fn an_empty_probe_sees_a_send_made_before_it() {
+            let (tx, rx) = unbounded();
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+            std::thread::spawn(move || tx.send(7).unwrap()).join().unwrap();
+            assert_eq!(rx.len(), 1);
+            assert_eq!(rx.try_recv(), Ok(7));
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+        }
+
+        #[test]
+        fn a_disconnected_channel_yields_its_queued_message_first() {
+            let (tx, rx) = unbounded();
+            tx.send(1).unwrap();
+            drop(tx);
+            assert_eq!(rx.try_recv(), Ok(1));
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
+            assert!(rx.is_empty());
         }
     }
 }

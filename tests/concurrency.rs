@@ -520,9 +520,9 @@ fn readers_never_see_half_a_drained_batch() {
 fn two_first_searches_of_one_attribute_list_it_once() {
     let mut dit = DitStore::new();
     dit.add_suffix("o=xyz".parse().expect("dn"));
-    dit.insert(Entry::new("o=xyz".parse().expect("dn"))).expect("suffix");
+    dit.add(Entry::new("o=xyz".parse().expect("dn"))).expect("suffix");
     for i in 0..2_000 {
-        dit.insert(
+        dit.add(
             Entry::new(format!("cn=p{i},o=xyz").parse().expect("dn"))
                 .with("objectclass", "person")
                 .with("telephoneNumber", &format!("555-{i:05}")),

@@ -382,9 +382,10 @@ fn a_point_in_a_large_cached_result_allocates_its_plan_and_answer() {
 
 /// Caching a result below the size that gets key columns allocates the
 /// prepared request, the result's list of handles and the window's
-/// bookkeeping: 11 allocations and 7 064 B for 200 entries, where the
-/// window's registration keyed by `String`s made it 15 and 7 112 B. A
-/// result at the size pays for one column per attribute its filter names.
+/// bookkeeping: 7 allocations and 2 160 B for 200 entries, where the
+/// window's registration keyed by `String`s made it 15 and 7 112 B, and
+/// one keyed by `AttrName` and `TextKey` 7 and 2 224 B. A result at the
+/// size pays for one column per attribute its filter names.
 #[test]
 fn caching_a_small_result_builds_no_columns() {
     let master = master_of(1_000);
@@ -409,47 +410,86 @@ fn caching_a_small_result_builds_no_columns() {
          {large_allocations} allocations, {large_bytes} B for 1 000"
     );
     assert!(
-        allocations <= 11 && bytes <= 7_112,
+        allocations <= 7 && bytes <= 2_160,
         "caching 200 entries: {allocations} allocations, {bytes} B"
     );
 }
 
-/// Registering a filter in a warm routing index allocates once, for the
-/// list of keys it is remembered under, and removing it allocates nothing
-/// (DESIGN §12): the index keys by the stack's `AttrName` and `TextKey`
-/// and lists ids in a `Posting`, so no key is copied into a `String` and a
-/// key that one filter holds keeps its id inline. Keyed by `String`s with
-/// a heap list per key, the four shapes below allocated 5, 5, 8 and 2
-/// times.
+/// Registering a filter of one key in a warm routing index allocates
+/// nothing, and removing any filter allocates nothing (DESIGN §12): a
+/// posting key is a 64-bit hash of the attribute and the normalized text,
+/// a key that one filter holds keeps its id inline, and the registration
+/// the caller holds keeps a single key in place. A filter of several keys
+/// allocates their list once. Keyed by `String`s with a heap list per key,
+/// the first four shapes below allocated 5, 5, 8 and 2 times; keyed by
+/// `AttrName` and `TextKey` with a list of keys per filter, 1, 1, 1 and 0.
 #[test]
 fn a_routing_registration_allocates_for_its_place() {
     let base = dn("c=us,o=xyz");
-    let shapes: [(&str, fn(usize) -> String); 4] = [
-        ("(serialNumber=045612)", |i| format!("(serialNumber={})", 100_000 + i)),
-        ("(serialNumber=0456*)", |i| format!("(serialNumber={}*)", 1_000 + i)),
-        ("(&(objectclass=person)(departmentNumber=7))", |i| {
-            format!("(&(objectclass=person)(departmentNumber={}))", 100 + i)
-        }),
-        ("(!(cn=x))", |i| format!("(!(cn=y{i}))")),
+    // (filter, a sibling of it, the filter's expected allocations)
+    type Shape = (&'static str, fn(usize) -> String, u64);
+    let shapes: [Shape; 5] = [
+        ("(serialNumber=045612)", |i| format!("(serialNumber={})", 100_000 + i), 0),
+        ("(serialNumber=0456*)", |i| format!("(serialNumber={}*)", 1_000 + i), 0),
+        (
+            "(&(objectclass=person)(departmentNumber=7))",
+            |i| format!("(&(objectclass=person)(departmentNumber={}))", 100 + i),
+            0,
+        ),
+        ("(!(cn=x))", |i| format!("(!(cn=y{i}))"), 0),
+        (
+            "(|(serialNumber=045612)(mail=x@y))",
+            |i| format!("(|(serialNumber={})(mail={i}@y))", 100_000 + i),
+            1,
+        ),
     ];
-    for (filter, sibling) in shapes {
+    for (filter, sibling, expected) in shapes {
         let mut index = RoutingIndex::new();
-        for i in 0..64 {
-            let (template, values) = Template::of(&Filter::parse(&sibling(i)).expect("filter"));
-            index.register_prepared(i as u32, &template, &values, &base);
-        }
+        let held: Vec<_> = (0..64)
+            .map(|i| {
+                let (template, values) = Template::of(&Filter::parse(&sibling(i)).expect("filter"));
+                index.register_prepared(i as u32, &template, &values, &base)
+            })
+            .collect();
         let (template, values) = Template::of(&Filter::parse(filter).expect("filter"));
-        index.register_prepared(64, &template, &values, &base);
-        index.remove(64);
-        let ((), registered) =
+        let warm = index.register_prepared(64, &template, &values, &base);
+        index.remove(warm);
+        let (registration, registered) =
             allocations_of(|| index.register_prepared(64, &template, &values, &base));
-        let ((), removed) = allocations_of(|| index.remove(64));
-        index.debug_validate();
+        let ((), removed) = allocations_of(|| index.remove(registration));
+        index.debug_validate(&held);
         assert_eq!(index.len(), 64);
         println!("routing {filter}: {registered} allocations to register, {removed} to remove");
-        assert!(registered <= 1, "registering {filter}: {registered} allocations");
+        assert_eq!(registered, expected, "registering {filter}: {registered} allocations");
         assert_eq!(removed, 0, "removing {filter}: {removed} allocations");
     }
+}
+
+/// A miss cached into a full window registers its query and removes the
+/// oldest one: the window's routing allocates nothing for either, so the
+/// call allocates the prepared query's values, the result's list and the
+/// cached query (5 while the index kept a list of keys per registration
+/// and a map from ids to them).
+#[test]
+fn caching_a_miss_into_a_full_window_allocates_for_the_query_not_its_routing() {
+    let master = master_of(1_000);
+    let replica = FilterReplica::new(8);
+    let miss = |i: usize| {
+        let q = query(&format!("(serialNumber={})", 100_000 + i));
+        let result = master.dit().search(&q);
+        assert_eq!(result.len(), 1);
+        (q, result)
+    };
+    for i in 0..16 {
+        let (q, result) = miss(i);
+        replica.cache_query(q, &result);
+    }
+    assert_eq!(replica.cached_query_count(), 8);
+    let (q, result) = miss(16);
+    let ((), allocations) = allocations_of(|| replica.cache_query(q, &result));
+    assert_eq!(replica.cached_query_count(), 8);
+    println!("caching a miss into a full window: {allocations} allocations");
+    assert_eq!(allocations, 3, "caching a one-entry point query");
 }
 
 /// Person `i` of the teams below, named `name`: the first 50 in team `a`,
@@ -662,32 +702,35 @@ fn a_modify_of_an_attribute_no_search_planned_on_edits_no_posting() {
     assert!(kept > unasked, "a kept attribute's change allocated nothing: {kept} allocations");
 }
 
-/// A bulk loader's `insert` is `add` less the record, and a record is a
-/// DN handle and a kind: loading people by either allocates alike. (Each
-/// add allocated once more while its record listed the entry's value
-/// sets.)
+/// The bulk loaders call `add` and drop its record, and a record is a DN
+/// handle and a kind: loading people allocates alike whether the records
+/// are dropped or kept. (Each add allocated once more while its record
+/// listed the entry's value sets.)
 #[test]
 fn a_bulk_load_allocates_no_record() {
     let people: Vec<Entry> = (0..1_000).map(person).collect();
-    let load = |recorded: bool| {
+    let load = |keep: bool| {
         let mut master = master_of(0);
         let people = people.clone();
+        let mut records = Vec::with_capacity(people.len());
         let ((), allocations) = allocations_of(|| {
             for p in people {
-                if recorded {
-                    master.dit_mut().add(p).map(drop).expect("person");
-                } else {
-                    master.dit_mut().insert(p).expect("person");
+                let record = master.dit_mut().add(p).expect("person");
+                if keep {
+                    records.push(record);
                 }
             }
         });
         assert_eq!(master.dit().len(), 1_002);
-        assert_eq!(master.dit().csn().0, 1_002, "each add takes a CSN, recorded or not");
+        assert_eq!(master.dit().csn().0, 1_002, "each add takes a CSN");
         allocations
     };
-    let (inserted, added) = (load(false), load(true));
-    println!("loading 1 000 people: {inserted} allocations by insert, {added} by add");
-    assert_eq!(inserted, added, "an add allocated for its record");
+    let (dropped, kept) = (load(false), load(true));
+    println!(
+        "loading 1 000 people: {dropped} allocations with the records dropped, \
+         {kept} with them kept"
+    );
+    assert_eq!(dropped, kept, "an add allocated for its record");
 }
 
 /// What `build` leaves on the heap, and the allocations it took.
