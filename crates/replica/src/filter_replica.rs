@@ -277,12 +277,12 @@ struct WriterState {
     /// hold nothing); the last release evicts the entry and frees the id.
     table: DnTable,
     /// Set for good once an install brings notification receivers (a
-    /// persist install; [`FilterSession::notifications`]). A drain
-    /// applies a batch between cycles, flushed whenever the master flushed
-    /// it, so it can store an older body over one a polled filter was sent
-    /// later, which that filter's session never sends again: no cycle can
-    /// then vouch for every filter's held bodies, and filters are settled
-    /// at install only ([`StoredFilter::settled`]).
+    /// persist install; [`FilterSession::notifications`]). A batch
+    /// stores the bodies of one flush of one session, and a session whose
+    /// flush is still queued at the master may hold, under an id they
+    /// share, a body it no longer matches: no cycle can then vouch for
+    /// every filter's held bodies, and filters are settled at install only
+    /// ([`StoredFilter::settled`]).
     streamed: bool,
 }
 
@@ -455,8 +455,9 @@ struct AnswerMetrics {
 /// window are registered in a filter-set index
 /// ([`fbdr_resync::RoutingIndex`]) that names the few that *can* contain
 /// the query, and only those get the exact containment check (see the
-/// module documentation). [`FilterReplica::try_answer_scan`] is the
-/// linear reference. An answer is a list of handles on the held entries
+/// module documentation). The decision is checked against the reference
+/// model (`fbdr-model`, driven by `tests/model.rs` at the workspace
+/// root), which scans. An answer is a list of handles on the held entries
 /// ([`Entry`] is shared copy-on-write): returning an entry costs a
 /// refcount, and nothing written later shows through an answer already
 /// given.
@@ -692,6 +693,24 @@ impl FilterReplica {
             .into_iter()
     }
 
+    /// Each stored filter's request and the entries it holds, in install
+    /// order: what a checker compares with the filter's content at the
+    /// master.
+    // A test hook: only tests call it.
+    #[doc(hidden)]
+    pub fn filter_contents(&self) -> Vec<(SearchRequest, Vec<Entry>)> {
+        let snap = self.snapshot();
+        let held = |sf: &StoredFilter| snap.entries_of(&sf.ids).cloned().collect();
+        snap.filters.iter().map(|sf| (sf.prepared.request().clone(), held(sf))).collect()
+    }
+
+    /// The cached queries, oldest first, with the hits each has answered.
+    pub fn cached_queries(&self) -> Vec<(SearchRequest, u64)> {
+        let window = self.cache.lock();
+        let held = |cq: &Arc<CachedQuery>| (cq.prepared.request().clone(), cq.hits.load(Ordering::Relaxed));
+        window.queries.iter().map(|(cq, _)| held(cq)).collect()
+    }
+
     // ------------------------------------------------------------------
     // Filter management (replica content determination, §6)
     // ------------------------------------------------------------------
@@ -755,10 +774,27 @@ impl FilterReplica {
         self.install(transport, coordinator, request, SyncMode::Poll)
     }
 
+    /// [`FilterReplica::install_filter_sharded`] in *persist* mode: the
+    /// coordinator takes one notification receiver per shard session, and
+    /// [`FilterReplica::drain_notifications`] applies what each streams.
+    ///
+    /// # Errors
+    ///
+    /// As [`FilterReplica::install_filter_sharded`].
+    pub fn install_filter_sharded_persistent<C: Clock>(
+        &self,
+        transport: &mut dyn SyncTransport,
+        coordinator: &mut ShardCoordinator<C>,
+        request: SearchRequest,
+    ) -> Result<SyncTraffic, SyncError> {
+        self.install(transport, coordinator, request, SyncMode::Persist)
+    }
+
     /// The one install: the coordinator opens the filter's sessions in
     /// `mode` ([`ShardCoordinator::install`]), then, under the writer
-    /// lock, the filter is built, its initial load applied and the next
-    /// epoch published. The session keeps whatever receivers the install
+    /// lock, what the channels hold is applied
+    /// ([`FilterReplica::catch_up`]), the filter is built, its initial
+    /// load applied and the next epoch published. The session keeps whatever receivers the install
     /// took, and a replica that holds one streams from then on
     /// ([`WriterState::streamed`]).
     fn install<C: Clock>(
@@ -769,11 +805,12 @@ impl FilterReplica {
         mode: SyncMode,
     ) -> Result<SyncTraffic, SyncError> {
         let mut w = self.writer.lock();
-        let (actions, cookie, traffic, receivers) =
+        let (actions, cookie, mut traffic, receivers) =
             coordinator.install(transport, &request, mode)?;
         let notifications = (!receivers.is_empty()).then(|| Box::new(receivers));
         w.streamed |= notifications.is_some();
         let mut work = ContentSnapshot::clone(&self.snapshot());
+        traffic.absorb(&self.catch_up(&mut work, &mut w));
         let at = work.filters.len();
         work.filters.push(StoredFilter {
             prepared: Arc::new(PreparedQuery::new(request)),
@@ -791,8 +828,9 @@ impl FilterReplica {
 
     /// Applies every pending persist-mode notification across all
     /// persistent filters: each session's receivers — one per shard its
-    /// persist install opened — are drained in turn. Returns the traffic
-    /// the notifications represent.
+    /// persist install opened — are emptied, and the batches applied in
+    /// the order the master built them. Returns the traffic the
+    /// notifications represent.
     ///
     /// A receiver whose channel has disconnected (master restart, dropped
     /// connection) degrades its shard to cookie-based polling: the
@@ -808,40 +846,17 @@ impl FilterReplica {
     /// published beside it, as a sync cycle does.
     pub fn drain_notifications(&self) -> SyncTraffic {
         let mut w = self.writer.lock();
-        let mut batches: Vec<(usize, Vec<SyncAction>)> = Vec::new();
-        for (i, session) in w.sessions.iter_mut().enumerate() {
-            let Some(receivers) = &mut session.notifications else { continue };
-            let mut pending: Vec<SyncAction> = Vec::new();
-            receivers.retain(|rx| {
-                let connected = loop {
-                    match rx.try_recv() {
-                        // The first batch is handed over whole.
-                        Ok(b) if pending.is_empty() => pending = b.actions,
-                        Ok(b) => pending.extend(b.actions),
-                        Err(TryRecvError::Empty) => break true,
-                        Err(TryRecvError::Disconnected) => break false,
-                    }
-                };
-                if !connected {
-                    self.stats.record_poll_fallback();
-                    event!(self.obs, "replica", "poll_fallback", filter_index = i);
-                }
-                connected
-            });
-            if !pending.is_empty() {
-                batches.push((i, pending));
-            }
-        }
+        let batches = self.take_notifications(&mut w.sessions);
         let mut traffic = SyncTraffic::default();
         if batches.is_empty() {
             return traffic;
         }
-        for (_, pending) in &batches {
-            traffic.absorb(&SyncTraffic::of(pending));
+        for (_, batch) in &batches {
+            traffic.absorb(&batch.traffic());
         }
         let mut apply = |work: &mut ContentSnapshot| {
-            for (i, pending) in &batches {
-                self.timed_apply(work, &mut w.table, *i, pending);
+            for (i, batch) in &batches {
+                self.timed_apply(work, &mut w.table, *i, &batch.actions);
             }
             self.next_epoch(work);
         };
@@ -858,6 +873,51 @@ impl FilterReplica {
         apply(&mut work);
         self.swap(Arc::new(work));
         traffic
+    }
+
+    /// Applies what the persist channels hold to `work` ahead of an
+    /// exchange's answer: the master built it before that answer, and
+    /// applied after it, it would take back the bodies and arrivals the
+    /// answer brought. Returns the traffic it applied.
+    fn catch_up(&self, work: &mut ContentSnapshot, w: &mut WriterState) -> SyncTraffic {
+        let mut traffic = SyncTraffic::default();
+        for (i, batch) in self.take_notifications(&mut w.sessions) {
+            traffic.absorb(&batch.traffic());
+            self.timed_apply(work, &mut w.table, i, &batch.actions);
+        }
+        traffic
+    }
+
+    /// Takes every notification batch that has arrived for the persist
+    /// filters, each beside its filter's position, in the order the master
+    /// built them ([`NotifyBatch::csn`]; a stable sort keeps each channel's
+    /// own order). Filter by filter, an older batch of one filter would
+    /// store its body over the newer one another filter was sent for the
+    /// same entry, and nothing would send the newer one again.
+    ///
+    /// A receiver whose channel has disconnected is discarded, and its
+    /// filter is polled from then on.
+    fn take_notifications(&self, sessions: &mut [FilterSession]) -> Vec<(usize, NotifyBatch)> {
+        let mut batches = Vec::new();
+        for (i, session) in sessions.iter_mut().enumerate() {
+            let Some(receivers) = &mut session.notifications else { continue };
+            receivers.retain(|rx| {
+                let connected = loop {
+                    match rx.try_recv() {
+                        Ok(b) => batches.push((i, b)),
+                        Err(TryRecvError::Empty) => break true,
+                        Err(TryRecvError::Disconnected) => break false,
+                    }
+                };
+                if !connected {
+                    self.stats.record_poll_fallback();
+                    event!(self.obs, "replica", "poll_fallback", filter_index = i);
+                }
+                connected
+            });
+        }
+        batches.sort_by_key(|(_, b)| b.csn);
+        batches
     }
 
     /// Removes a generalized filter (revolution eviction), ending its sync
@@ -1010,7 +1070,8 @@ impl FilterReplica {
     }
 
     /// The sync cycle — the only place stored filters are polled. Under
-    /// the writer lock: snapshot → for each selected filter (`only`, or
+    /// the writer lock: snapshot → what the channels hold
+    /// ([`FilterReplica::catch_up`]) → for each selected filter (`only`, or
     /// all of them), `sync_one` polls its slices, the slices' actions are
     /// merged and applied, and the filter is marked stale when any slice
     /// did not come back fresh → publish one epoch → report the first
@@ -1032,7 +1093,6 @@ impl FilterReplica {
         sync_one: &mut SyncOne<'_>,
     ) -> Result<Option<SyncTraffic>, SyncError> {
         let mut w = self.writer.lock();
-        let WriterState { sessions, table, streamed } = &mut *w;
         let snap = self.snapshot();
         let selected = match only {
             None => 0..snap.filters.len(),
@@ -1042,7 +1102,8 @@ impl FilterReplica {
             },
         };
         let mut work = ContentSnapshot::clone(&snap);
-        let mut total = SyncTraffic::default();
+        let mut total = self.catch_up(&mut work, &mut w);
+        let WriterState { sessions, table, streamed } = &mut *w;
         let mut failed: Option<SyncError> = None;
         let mut settles = only.is_none() && !*streamed;
         for i in selected {
@@ -1369,8 +1430,8 @@ impl FilterReplica {
     /// Answers a query by brute-force scan — the containment gate against
     /// every stored filter in turn (the paper's §7.4 algorithm), then the
     /// winner's posting list entry by entry — bypassing the filter index
-    /// and the index plan: the reference evaluator the indexed path is
-    /// benchmarked and property-tested against. Decides as
+    /// and the index plan: the §7.4 engine scan that `repro`'s overhead
+    /// table times and that tests hold the indexed path to. Decides as
     /// [`try_answer`](FilterReplica::try_answer) does among the stored
     /// filters but records no replica statistics and no hit counts, and
     /// does not consult the query cache. Being the reference, it verifies
@@ -2636,10 +2697,11 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    //! Equivalence property: for arbitrary content and arbitrary filters,
-    //! the planned/indexed evaluator and the naive scan oracle return the
-    //! same entries in the same order — including across epochs where
-    //! entries leave the content.
+    //! A large frozen result's key columns answer what verifying every
+    //! frozen entry answers, and the id table's hold counts equal the
+    //! stored filters' references through churn. What a replica answers
+    //! is checked against the reference model (`tests/model.rs` at the
+    //! workspace root).
 
     use super::tests::{dn, master, person};
     use super::*;
@@ -2677,50 +2739,6 @@ mod proptests {
             e = e.with("tag", &format!("t{}", tag % 3));
         }
         e
-    }
-
-    /// A replica whose single stored filter holds all generated entries,
-    /// built through the real writer path (id table + incremental index)
-    /// and published, keeping no attribute yet.
-    fn build_state(specs: &[EntrySpec]) -> (FilterReplica, Vec<u32>, DnTable) {
-        let r = FilterReplica::new(0);
-        let actions: Vec<SyncAction> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| SyncAction::Add(build_entry(i, s)))
-            .collect();
-        let mut work = ContentSnapshot::empty();
-        let mut table = DnTable::default();
-        work.filters.push(StoredFilter {
-            prepared: Arc::new(PreparedQuery::new(SearchRequest::from_root(Filter::match_all()))),
-            ids: Arc::default(),
-            stale: false,
-            settled: true,
-            hits: Arc::new(AtomicU64::new(0)),
-        });
-        apply_actions(&mut work, &mut table, 0, &actions);
-        let ids = work.filters[0].ids.to_vec();
-        r.swap(Arc::new(work));
-        (r, ids, table)
-    }
-
-    /// Evaluates `q` as a hit on the stored filter would, twice: on a copy
-    /// of the current snapshot — not current, so nothing is kept and the
-    /// attributes it lacks are verified — and on the current one, which
-    /// keeps them the first time. Both must be what the oracle says.
-    fn indexed_twice(
-        r: &FilterReplica,
-        q: &SearchRequest,
-        ids: &[u32],
-    ) -> Result<Vec<Entry>, TestCaseError> {
-        let stale = Arc::new(ContentSnapshot::clone(&r.snapshot()));
-        let before = r.evaluate_indexed(&stale, q, ids, false);
-        prop_assert_eq!(&before, &oracle(&stale, q, ids), "not kept, {}", q);
-        let after = r.evaluate_indexed(&r.snapshot(), q, ids, false);
-        let snap = r.snapshot();
-        let unkept = index::unkept_in(q.filter(), |a| snap.index.carries_unkept(a));
-        prop_assert!(unkept.is_empty(), "kept, {}", q);
-        Ok(after)
     }
 
     /// One leaf predicate, drawn to collide with generated values often
@@ -2788,83 +2806,6 @@ mod proptests {
         (0..BASES.len(), scope).prop_map(|(b, scope)| (dn(BASES[b]), scope))
     }
 
-    /// Scan oracle: same verification/order/projection tail, no plan.
-    fn oracle(snap: &ContentSnapshot, query: &SearchRequest, ids: &[u32]) -> Vec<Entry> {
-        collect_checked(query, snap.entries_of(ids), Check { region: true, filter: true })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(192))]
-        #[test]
-        fn indexed_evaluation_matches_scan_oracle(
-            // Often a handful of entries: the only carrier of a value is
-            // where an edit can take more of the index than it should.
-            specs in prop_oneof![
-                prop::collection::vec((0u8..8, 0u8..8, any::<bool>(), 0u8..8), 0..4),
-                prop::collection::vec((0u8..8, 0u8..8, any::<bool>(), 0u8..8), 0..40),
-            ],
-            filters in prop::collection::vec(filter(), 1..6),
-            // The root-based subtree query always; beside it, drawn ones.
-            regions in prop::collection::vec(region(), 1..4),
-            doomed in prop::collection::vec(any::<bool>(), 0..40),
-            // Indexes `SPELLINGS`; past its end the entry stays as it is.
-            respelled in prop::collection::vec(0usize..=SPELLINGS.len(), 0..40),
-            // Past its end a query is asked in epoch 1.
-            early in prop::collection::vec(any::<bool>(), 0..24),
-        ) {
-            let (r, ids, mut table) = build_state(&specs);
-            // Beside the drawn filters, integer bounds in every epoch.
-            let filters: Vec<Filter> = ["(n>=1)", "(n<=500)", "(&(n>=500)(n<=0500))"]
-                .iter()
-                .map(|f| Filter::parse(f).expect("valid filter"))
-                .chain(filters)
-                .collect();
-            let queries: Vec<SearchRequest> = filters
-                .iter()
-                .flat_map(|f| {
-                    std::iter::once((Dn::root(), Scope::Subtree))
-                        .chain(regions.iter().cloned())
-                        .map(move |(base, scope)| SearchRequest::new(base, scope, f.clone()))
-                })
-                .collect();
-            // Some queries are first asked in epoch 1; the others find
-            // their attributes unkept until epoch 2.
-            for (i, q) in queries.iter().enumerate() {
-                if early.get(i).copied().unwrap_or(true) {
-                    let indexed = indexed_twice(&r, q, &ids)?;
-                    prop_assert_eq!(&indexed, &oracle(&r.snapshot(), q, &ids), "epoch 1, {}", q);
-                }
-            }
-
-            // Entries leave and change between epochs: through the writer
-            // path, delete a subset and replace the values of `n` in
-            // another — an integer may only change its spelling — then
-            // re-check equivalence on the new epoch.
-            let changes: Vec<SyncAction> = specs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| {
-                    let e = build_entry(i, s);
-                    if doomed.get(i).copied().unwrap_or(false) {
-                        return Some(SyncAction::Delete(e.dn().clone()));
-                    }
-                    let spelling = SPELLINGS.get(*respelled.get(i)?)?;
-                    let mut e = e;
-                    e.replace("n", [*spelling]);
-                    Some(SyncAction::Modify(e))
-                })
-                .collect();
-            let mut work = ContentSnapshot::clone(&r.snapshot());
-            apply_actions(&mut work, &mut table, 0, &changes);
-            let ids2 = work.filters[0].ids.to_vec();
-            r.publish(work);
-            for q in &queries {
-                let indexed = indexed_twice(&r, q, &ids2)?;
-                prop_assert_eq!(&indexed, &oracle(&r.snapshot(), q, &ids2), "epoch 2, {}", q);
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -2903,174 +2844,6 @@ mod proptests {
                 prop_assert_eq!(&cq.answer(q), &verified, "{}", q);
                 if let Some(hit) = r.try_answer(q) {
                     prop_assert_eq!(&hit, &verified, "hit {}", q);
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // The filter index decides what a linear scan decides
-    // ------------------------------------------------------------------
-
-    /// Stored filters `(base, filter)`: keyed by prefix, equality, presence,
-    /// `Or` and `And`; residual (range, `Not`); nested and overlapping, so
-    /// *which* containing filter comes first matters.
-    const STORED_POOL: &[(&str, &str)] = &[
-        ("", "(serialNumber=0456*)"),
-        ("", "(serialNumber=04*)"),
-        ("o=xyz", "(departmentNumber=2406)"),
-        ("", "(departmentNumber=240*)"),
-        ("c=us,o=xyz", "(objectclass=*)"),
-        ("", "(serialNumber>=045612)"),
-        ("o=xyz", "(!(departmentNumber=9900))"),
-        ("", "(|(departmentNumber=2406)(departmentNumber=2407))"),
-        ("", "(&(objectclass=inetOrgPerson)(departmentNumber=2406))"),
-        ("", "(cn=*)"),
-    ];
-
-    /// Queries `(base, filter)`: every predicate kind, conjunctions, and
-    /// the `Or`/`Not` shapes that fall back to the full candidate list.
-    const QUERY_POOL: &[(&str, &str)] = &[
-        ("", "(serialNumber=045611)"),
-        ("", "(serialNumber=045612)"),
-        ("c=in,o=xyz", "(serialNumber=045621)"),
-        ("", "(serialNumber=120001)"),
-        ("", "(serialNumber=0456*)"),
-        ("", "(serialNumber=04561*)"),
-        ("", "(departmentNumber=2406)"),
-        ("c=us,o=xyz", "(departmentNumber=2406)"),
-        ("", "(departmentNumber=24*6)"),
-        ("", "(&(objectclass=inetOrgPerson)(departmentNumber=2406))"),
-        ("", "(|(serialNumber=045611)(serialNumber=045612))"),
-        ("", "(&(departmentNumber=2406)(!(cn=a)))"),
-        ("", "(serialNumber>=045620)"),
-        ("", "(cn=a)"),
-        ("c=us,o=xyz", "(cn=*)"),
-    ];
-
-    #[derive(Debug, Clone)]
-    enum Step {
-        /// Install the pool filter if absent, remove it if present
-        /// (positions of the later filters shift).
-        Toggle(usize),
-        Ask(usize),
-        /// Fetch the query's result from the master and cache it.
-        Cache(usize),
-        /// Change content at the master and sync: a content-only publish.
-        Touch(u8),
-    }
-
-    fn step() -> impl Strategy<Value = Step> {
-        prop_oneof![
-            (0..STORED_POOL.len()).prop_map(Step::Toggle),
-            (0..QUERY_POOL.len()).prop_map(Step::Ask),
-            (0..QUERY_POOL.len()).prop_map(Step::Ask),
-            (0..QUERY_POOL.len()).prop_map(Step::Cache),
-            (0u8..4).prop_map(Step::Touch),
-        ]
-    }
-
-    fn pool_request((base, filter): (&str, &str)) -> SearchRequest {
-        SearchRequest::new(dn(base), Scope::Subtree, Filter::parse(filter).unwrap())
-    }
-
-    fn filter_hits(r: &FilterReplica) -> Vec<u64> {
-        r.filters().map(|(_, hits)| hits).collect()
-    }
-
-    fn window_hits(r: &FilterReplica) -> Vec<u64> {
-        let window = r.cache.lock();
-        window.queries.iter().map(|(cq, _)| cq.hits.load(Ordering::Relaxed)).collect()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// Through installs, removes, content-only publishes and a live,
-        /// evicting cache window, `try_answer` picks the stored filter (or
-        /// else the cached query) that a linear scan in filter order (or
-        /// oldest-first) picks, and returns what the scan evaluator
-        /// returns.
-        #[test]
-        fn filter_index_decides_what_the_scan_decides(
-            steps in prop::collection::vec(step(), 1..48),
-        ) {
-            const WINDOW: usize = 3;
-            let mut m = master();
-            let r = FilterReplica::new(WINDOW);
-            let reference = ContainmentEngine::new();
-            // The model: pool indices in filter order, and the window.
-            let mut stored: Vec<usize> = Vec::new();
-            let mut window: VecDeque<(PreparedQuery, Vec<Entry>, u64)> = VecDeque::new();
-            for step in steps {
-                match step {
-                    Step::Toggle(i) => {
-                        let request = pool_request(STORED_POOL[i]);
-                        match stored.iter().position(|&held| held == i) {
-                            Some(pos) => {
-                                prop_assert!(r.remove_filter(&mut m, &request));
-                                stored.remove(pos);
-                            }
-                            None => {
-                                r.install_filter(&mut m, request).expect("install");
-                                stored.push(i);
-                            }
-                        }
-                    }
-                    Step::Cache(i) => {
-                        let query = pool_request(QUERY_POOL[i]);
-                        let result = m.dit().search(&query);
-                        r.cache_query(query.clone(), &result);
-                        window.push_back((PreparedQuery::new(query), result, 0));
-                        if window.len() > WINDOW {
-                            window.pop_front();
-                        }
-                    }
-                    Step::Touch(n) => {
-                        m.apply(UpdateOp::Modify {
-                            dn: dn("cn=d,c=in,o=xyz"),
-                            mods: vec![Modification::Replace(
-                                "departmentNumber".into(),
-                                vec![format!("240{}", 5 + n % 3).into()],
-                            )],
-                        })
-                        .expect("modify");
-                        let index_before = r.snapshot().filter_index.clone();
-                        r.sync(&mut m).expect("sync");
-                        prop_assert!(Arc::ptr_eq(&index_before, &r.snapshot().filter_index));
-                    }
-                    Step::Ask(i) => {
-                        let query = pool_request(QUERY_POOL[i]);
-                        let prepared = PreparedQuery::borrowed(&query);
-                        let by_filter = stored.iter().position(|&held| {
-                            let s = PreparedQuery::new(pool_request(STORED_POOL[held]));
-                            reference.query_contained(&prepared, &s)
-                        });
-                        let mut expect_filter_hits = filter_hits(&r);
-                        let scanned = r.try_answer_scan(&query);
-                        let got = r.try_answer(&query);
-                        prop_assert_eq!(scanned.is_some(), by_filter.is_some());
-                        match by_filter {
-                            Some(pos) => {
-                                expect_filter_hits[pos] += 1;
-                                prop_assert_eq!(&got, &scanned, "{}", query);
-                            }
-                            None => {
-                                let by_cache = window
-                                    .iter_mut()
-                                    .find(|(cq, _, _)| reference.query_contained(&prepared, cq));
-                                let expected = by_cache.map(|(_, frozen, hits)| {
-                                    *hits += 1;
-                                    let check = Check { region: true, filter: true };
-                                    collect_checked(&query, frozen.iter(), check)
-                                });
-                                prop_assert_eq!(&got, &expected, "{}", query);
-                            }
-                        }
-                        prop_assert_eq!(filter_hits(&r), expect_filter_hits, "{}", query);
-                        let expect_window: Vec<u64> = window.iter().map(|w| w.2).collect();
-                        prop_assert_eq!(window_hits(&r), expect_window, "{}", query);
-                    }
                 }
             }
         }

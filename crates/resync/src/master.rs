@@ -505,30 +505,15 @@ impl SyncMaster {
     /// keys, which is what routes the departure) and its *new* state,
     /// plus the residual scan-list for the affected naming context. Only
     /// candidates are evaluated, each against the old and the new entry;
-    /// sessions outside the set provably need no action.
+    /// sessions outside the set provably need no action. That the set
+    /// misses none is checked against the reference model (`fbdr-model`,
+    /// driven by `tests/model.rs` at the workspace root).
     ///
     /// # Errors
     ///
     /// Propagates [`DitError`] from the store; sessions are untouched on
     /// failure.
     pub fn apply(&mut self, op: UpdateOp) -> Result<ChangeRecord, DitError> {
-        self.apply_inner(op, false)
-    }
-
-    /// The pre-index fan-out reference: identical semantics to
-    /// [`SyncMaster::apply`], but every live session is evaluated against
-    /// every update, O(sessions) per op. Kept as the equivalence oracle:
-    /// `tests/routing_equivalence.rs` pins the routed path's actions, and
-    /// the evaluations per update it saves, against this one.
-    ///
-    /// # Errors
-    ///
-    /// As [`SyncMaster::apply`].
-    pub fn apply_naive(&mut self, op: UpdateOp) -> Result<ChangeRecord, DitError> {
-        self.apply_inner(op, true)
-    }
-
-    fn apply_inner(&mut self, op: UpdateOp, naive: bool) -> Result<ChangeRecord, DitError> {
         if self.sessions.is_empty() {
             // Nothing to route: no handles, no index work.
             let rec = self.dit.apply(op)?;
@@ -542,18 +527,13 @@ impl SyncMaster {
         // rename too, so the target's DN is hashed once.
         let id = self.dit.id_of(op.target());
         let old = id.and_then(|id| self.dit.entry(id)).cloned();
-        let mut residual_hits = 0usize;
         let mut probes = 0usize;
-        if naive {
-            cand.extend(self.sessions.keys().copied());
-        } else {
-            if let Some(old) = &old {
-                probes += self.routing.candidates_for_entry(old, &mut cand);
-            }
-            let before = cand.len();
-            self.routing.residual_for_dn(op.target(), &mut cand);
-            residual_hits = cand.len() - before;
+        if let Some(old) = &old {
+            probes += self.routing.candidates_for_entry(old, &mut cand);
         }
+        let before = cand.len();
+        self.routing.residual_for_dn(op.target(), &mut cand);
+        let mut residual_hits = cand.len() - before;
         let (applied, modified) = match (op, id) {
             (UpdateOp::Modify { mods, .. }, Some(id)) => {
                 (self.dit.modify_at(id, mods, &mut self.named), true)
@@ -577,41 +557,36 @@ impl SyncMaster {
             ChangeKind::Delete => None,
             ChangeKind::Modify | ChangeKind::ModifyDn => id.and_then(|id| self.dit.entry(id)),
         };
-        if !naive {
-            if let Some(e) = new_entry {
-                // A modification changes only the attributes it names:
-                // the new state is routed on those, the rest met the old
-                // state's lookup.
-                probes += if modified {
-                    self.routing.candidates_for_attrs(e, &self.named, &mut cand)
-                } else {
-                    self.routing.candidates_for_entry(e, &mut cand)
-                };
-            }
-            if renamed {
-                let before = cand.len();
-                self.routing.residual_for_dn(new_dn, &mut cand);
-                residual_hits += cand.len() - before;
-            }
+        if let Some(e) = new_entry {
+            // A modification changes only the attributes it names: the new
+            // state is routed on those, the rest met the old state's lookup.
+            probes += if modified {
+                self.routing.candidates_for_attrs(e, &self.named, &mut cand)
+            } else {
+                self.routing.candidates_for_entry(e, &mut cand)
+            };
+        }
+        if renamed {
+            let before = cand.len();
+            self.routing.residual_for_dn(new_dn, &mut cand);
+            residual_hits += cand.len() - before;
         }
         let indexed_hits = cand.len() - residual_hits;
         cand.sort_unstable();
         cand.dedup();
-        if !naive {
-            if let Some(m) = &self.route_metrics {
-                m.candidates.record(cand.len() as u64);
-                m.probes.add(probes as u64);
-                if cand.is_empty() {
-                    m.skipped.inc();
-                } else {
-                    // Not exclusive: an op can reach sessions through posting
-                    // keys *and* drag in the residual scan-list.
-                    if indexed_hits > 0 {
-                        m.indexed.inc();
-                    }
-                    if residual_hits > 0 {
-                        m.scan.inc();
-                    }
+        if let Some(m) = &self.route_metrics {
+            m.candidates.record(cand.len() as u64);
+            m.probes.add(probes as u64);
+            if cand.is_empty() {
+                m.skipped.inc();
+            } else {
+                // Not exclusive: an op can reach sessions through posting
+                // keys *and* drag in the residual scan-list.
+                if indexed_hits > 0 {
+                    m.indexed.inc();
+                }
+                if residual_hits > 0 {
+                    m.scan.inc();
                 }
             }
         }
@@ -1273,7 +1248,8 @@ impl Session {
             return None;
         }
         let n_actions = actions.len();
-        let batch = NotifyBatch { actions, coalesced_from, first_enqueued_ms, flushed_ms: now_ms };
+        let csn = dit.csn().0;
+        let batch = NotifyBatch { actions, coalesced_from, first_enqueued_ms, flushed_ms: now_ms, csn };
         let sent = self.notify.as_ref().is_some_and(|tx| tx.send(batch).is_ok());
         if !sent {
             // Disconnected between the probe and the send: keep the

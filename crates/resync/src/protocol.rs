@@ -149,6 +149,11 @@ pub struct NotifyBatch {
     pub first_enqueued_ms: u64,
     /// Master time (ms) when the batch was flushed into the channel.
     pub flushed_ms: u64,
+    /// The master store's change sequence number when the batch was
+    /// built: its bodies are the store's as of that change. A replica
+    /// applies the batches one master sent its sessions in this order, so
+    /// that an entry two filters hold ends with the body built last.
+    pub csn: u64,
 }
 
 impl NotifyBatch {

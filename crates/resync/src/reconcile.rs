@@ -111,10 +111,17 @@ pub const DIGEST_FPR: f64 = 0.01;
 /// number, so a retried exchange draws fresh false positives.
 const DIGEST_SEED: u64 = 0x5FD1_E7A4_92C3_0B86;
 
+/// The most buckets a range summary has: what a replica asks for at most,
+/// and what a master builds whatever it is asked.
+const MAX_BUCKETS: u32 = 4096;
+
+/// The most probes per item a digest makes.
+const MAX_PROBES: u32 = 16;
+
 /// Range-summary buckets for `items` held entries: ≈ items/8, clamped to
-/// `[16, 4096]`, rounded to a power of two.
+/// `[16, MAX_BUCKETS]`, rounded to a power of two.
 fn summary_buckets(items: usize) -> u32 {
-    ((items / 8) as u32).clamp(16, 4096).next_power_of_two()
+    ((items / 8) as u32).clamp(16, MAX_BUCKETS).next_power_of_two()
 }
 
 /// A seeded Bloom filter over the replica's item hashes.
@@ -123,7 +130,7 @@ fn summary_buckets(items: usize) -> u32 {
 /// positions derive from the double-hashing scheme over a per-exchange
 /// seed, so a retry with a fresh seed does not repeat the same false
 /// positives.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct BloomDigest {
     bits: Vec<u64>,
     /// Filter size in bits.
@@ -152,7 +159,7 @@ impl BloomDigest {
         let k = if hashes.is_empty() {
             1
         } else {
-            (((m as f64 / n) * ln2).round() as u32).clamp(1, 16)
+            (((m as f64 / n) * ln2).round() as u32).clamp(1, MAX_PROBES)
         };
         let mut d = BloomDigest {
             bits: vec![0u64; (m / 64) as usize],
@@ -198,6 +205,36 @@ impl BloomDigest {
     }
 }
 
+impl<'de> Deserialize<'de> for BloomDigest {
+    /// Loads a digest whose size, bits and probe count agree, as
+    /// [`BloomDigest::build`] makes them.
+    ///
+    /// # Errors
+    ///
+    /// No bits, a size other than the bit list's, or a probe count outside
+    /// `1..=16`: a membership probe would take its bit modulo zero, index
+    /// past the list, or probe as often as the sender asked.
+    fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
+        use serde::de::Error as _;
+        #[derive(Deserialize)]
+        struct Wire {
+            bits: Vec<u64>,
+            m: u64,
+            k: u32,
+            seed: u64,
+            items: u64,
+        }
+        let Wire { bits, m, k, seed, items } = Wire::deserialize(de)?;
+        if bits.is_empty() || bits.len() as u64 * 64 != m || !(1..=MAX_PROBES).contains(&k) {
+            return Err(D::Error::custom(format!(
+                "a digest of {} words cannot have {m} bits and {k} probes",
+                bits.len()
+            )));
+        }
+        Ok(BloomDigest { bits, m, k, seed, items })
+    }
+}
+
 // ----------------------------------------------------------------------
 // Range summary
 // ----------------------------------------------------------------------
@@ -234,9 +271,9 @@ pub(crate) fn bucket_of(hash: u64, shift: u32) -> usize {
 
 impl RangeSummary {
     /// Builds a summary with `buckets` buckets (rounded up to a power of
-    /// two, at least 2) over `hashes`.
+    /// two, at least 2 and at most 4096) over `hashes`.
     pub fn build(buckets: u32, hashes: &[u64]) -> RangeSummary {
-        let n = buckets.max(2).next_power_of_two();
+        let n = buckets.clamp(2, MAX_BUCKETS).next_power_of_two();
         let shift = 64 - n.trailing_zeros();
         let mut out =
             RangeSummary { shift, buckets: vec![BucketSummary::default(); n as usize] };

@@ -58,6 +58,11 @@
 //! query with `Or` or `Not` has no single witness and is reported
 //! unindexable: every registered filter is its candidate.
 //!
+//! Both contracts are checked end to end against the reference model
+//! (`fbdr-model`, driven by `tests/model.rs` at the workspace root),
+//! which routes nothing and decides by scanning: a candidate the index
+//! misses is a session left behind or a query answered by another filter.
+//!
 //! # Keys
 //!
 //! Every posting — equality, prefix, presence and residual bucket — sits

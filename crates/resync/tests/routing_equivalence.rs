@@ -1,52 +1,24 @@
-//! Routed fan-out equivalence: `SyncMaster::apply` (candidate routing via
-//! the session routing index) must be observably identical to
-//! `SyncMaster::apply_naive` (every session evaluated against every
-//! update) — same drained actions per session, same converged content —
-//! and the routing index must track the session lifecycle exactly.
+//! What routing saves and what it keeps: `SyncMaster::apply` evaluates
+//! only the sessions the routing index names, so the sessions evaluated
+//! per update follow the sessions an update affects, a modify probes only
+//! the keyed attributes it names, and the index tracks the session
+//! lifecycle exactly. That routing misses no session is checked against
+//! the reference model (`tests/model.rs` at the workspace root).
 
 use fbdr_dit::{Modification, UpdateOp};
 use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
-use fbdr_resync::{Cookie, ReSyncControl, ReplicaContent, SyncMaster};
-use proptest::prelude::*;
+use fbdr_resync::{ReSyncControl, ReplicaContent, SyncMaster};
 
-/// An abstract operation against a pool of person entries.
+/// Modifications of person entries that the probe counts below name.
 #[derive(Debug, Clone)]
 enum Op {
-    Add { id: usize, dept: u8 },
-    Delete { id: usize },
-    SetDept { id: usize, dept: u8 },
-    SetMail { id: usize, tag: u8 },
-    Rename { id: usize, new_id: usize },
-    /// `dept` is keyed and may hold several values.
-    AddDept { id: usize, dept: u8 },
-    DropDept { id: usize, dept: u8 },
-    /// `mail` is keyed by presence.
-    DropMail { id: usize },
+    Mail { id: usize, tag: u8 },
     /// No session keys on `title`.
-    SetTitle { id: usize, tag: u8 },
+    Title { id: usize, tag: u8 },
     /// One modify of an unkeyed and a keyed attribute: `title` sorts
-    /// after `dept`, `businessCategory` before it, so a new-state lookup
-    /// that skips either end of the named attributes misses a `dept` move.
-    SetTitleAndDept { id: usize, tag: u8, dept: u8 },
-    SetCategoryAndDept { id: usize, tag: u8, dept: u8 },
-}
-
-fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0usize..12, 0u8..4).prop_map(|(id, dept)| Op::Add { id, dept }),
-        (0usize..12).prop_map(|id| Op::Delete { id }),
-        (0usize..12, 0u8..4).prop_map(|(id, dept)| Op::SetDept { id, dept }),
-        (0usize..12, 0u8..4).prop_map(|(id, tag)| Op::SetMail { id, tag }),
-        (0usize..12, 0usize..12).prop_map(|(id, new_id)| Op::Rename { id, new_id }),
-        (0usize..12, 0u8..4).prop_map(|(id, dept)| Op::AddDept { id, dept }),
-        (0usize..12, 0u8..4).prop_map(|(id, dept)| Op::DropDept { id, dept }),
-        (0usize..12).prop_map(|id| Op::DropMail { id }),
-        (0usize..12, 0u8..4).prop_map(|(id, tag)| Op::SetTitle { id, tag }),
-        (0usize..12, 0u8..4, 0u8..4)
-            .prop_map(|(id, tag, dept)| Op::SetTitleAndDept { id, tag, dept }),
-        (0usize..12, 0u8..4, 0u8..4)
-            .prop_map(|(id, tag, dept)| Op::SetCategoryAndDept { id, tag, dept }),
-    ]
+    /// after `dept`, `businessCategory` before it.
+    TitleAndDept { id: usize, tag: u8, dept: u8 },
+    CategoryAndDept { id: usize, tag: u8, dept: u8 },
 }
 
 fn dn_of(id: usize) -> Dn {
@@ -75,33 +47,14 @@ fn to_update(op: &Op) -> UpdateOp {
     let title = |tag: &u8| Modification::Replace("title".into(), vec![format!("t{tag}").into()]);
     let dept = |dept: &u8| vec![dept.to_string().into()];
     match op {
-        Op::Add { id, dept } => UpdateOp::Add(entry_of(*id, *dept)),
-        Op::Delete { id } => UpdateOp::Delete(dn_of(*id)),
-        Op::SetDept { id, dept } => UpdateOp::Modify {
-            dn: dn_of(*id),
-            mods: vec![Modification::Replace("dept".into(), vec![dept.to_string().into()])],
-        },
-        Op::SetMail { id, tag } => UpdateOp::Modify {
-            dn: dn_of(*id),
-            mods: vec![Modification::Replace("mail".into(), vec![format!("m{tag}@x").into()])],
-        },
-        Op::Rename { id, new_id } => UpdateOp::ModifyDn {
-            dn: dn_of(*id),
-            new_rdn: Rdn::new("cn", format!("p{new_id}")),
-            new_superior: None,
-        },
-        Op::AddDept { id, dept: d } => {
-            modify(*id, vec![Modification::AddValues("dept".into(), dept(d))])
+        Op::Mail { id, tag } => {
+            modify(*id, vec![Modification::Replace("mail".into(), vec![format!("m{tag}@x").into()])])
         }
-        Op::DropDept { id, dept: d } => {
-            modify(*id, vec![Modification::DeleteValues("dept".into(), dept(d))])
-        }
-        Op::DropMail { id } => modify(*id, vec![Modification::DeleteAttr("mail".into())]),
-        Op::SetTitle { id, tag } => modify(*id, vec![title(tag)]),
-        Op::SetTitleAndDept { id, tag, dept: d } => {
+        Op::Title { id, tag } => modify(*id, vec![title(tag)]),
+        Op::TitleAndDept { id, tag, dept: d } => {
             modify(*id, vec![title(tag), Modification::Replace("dept".into(), dept(d))])
         }
-        Op::SetCategoryAndDept { id, tag, dept: d } => {
+        Op::CategoryAndDept { id, tag, dept: d } => {
             let category = vec![format!("c{tag}").into()];
             modify(
                 *id,
@@ -136,144 +89,45 @@ fn session_request(filter_idx: usize) -> SearchRequest {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Identical op streams through the routed path and the naive
-    /// all-sessions reference produce identical drained actions for every
-    /// session at every poll boundary, and the same converged content.
-    #[test]
-    fn routed_equals_naive(
-        ops in prop::collection::vec(op(), 1..60),
-        n_sessions in 1usize..9,
-        poll_every in 1usize..8,
-    ) {
-        let mut routed = fresh_master();
-        let mut naive = fresh_master();
-        let mut sessions: Vec<(SearchRequest, Cookie, Cookie, ReplicaContent, ReplicaContent)> =
-            Vec::new();
-        for i in 0..n_sessions {
-            let req = session_request(i);
-            let r = routed.resync(&req, ReSyncControl::poll(None)).expect("routed install");
-            let n = naive.resync(&req, ReSyncControl::poll(None)).expect("naive install");
-            prop_assert_eq!(&r.actions, &n.actions, "initial content differs for {}", &req);
-            let mut rc = ReplicaContent::new();
-            rc.apply_all(&r.actions);
-            let mut nc = ReplicaContent::new();
-            nc.apply_all(&n.actions);
-            sessions.push((req, r.cookie.unwrap(), n.cookie.unwrap(), rc, nc));
-        }
-        routed.debug_validate_routing();
-
-        for (i, o) in ops.iter().enumerate() {
-            let _ = routed.apply(to_update(o));
-            let _ = naive.apply_naive(to_update(o));
-            if (i + 1) % poll_every == 0 {
-                for (req, rc_cookie, nc_cookie, rc, nc) in &mut sessions {
-                    let r = routed
-                        .resync(req, ReSyncControl::poll(Some(*rc_cookie)))
-                        .expect("routed poll");
-                    let n = naive
-                        .resync(req, ReSyncControl::poll(Some(*nc_cookie)))
-                        .expect("naive poll");
-                    prop_assert_eq!(
-                        &r.actions, &n.actions,
-                        "drained actions diverge for {} after op {}", &*req, i
-                    );
-                    *rc_cookie = r.cookie.unwrap();
-                    *nc_cookie = n.cookie.unwrap();
-                    rc.apply_all(&r.actions);
-                    nc.apply_all(&n.actions);
-                }
-            }
-        }
-        for (req, rc_cookie, nc_cookie, rc, nc) in &mut sessions {
-            let r = routed.resync(req, ReSyncControl::poll(Some(*rc_cookie))).expect("final");
-            let n = naive.resync(req, ReSyncControl::poll(Some(*nc_cookie))).expect("final");
-            prop_assert_eq!(&r.actions, &n.actions, "final drains diverge for {}", &*req);
-            rc.apply_all(&r.actions);
-            nc.apply_all(&n.actions);
-            // Exact convergence: replica content equals the master answer,
-            // entries included.
-            let mut master_dns: Vec<String> =
-                routed.dit().search_dns(req).iter().map(|d| d.to_string()).collect();
-            master_dns.sort();
-            prop_assert_eq!(rc.sorted_dns(), master_dns, "routed replica diverged for {}", &*req);
-            for e in rc.iter() {
-                let at_master = routed.dit().get(e.dn()).expect("entry exists at master");
-                prop_assert_eq!(e, at_master, "entry content diverged");
-            }
-            prop_assert_eq!(rc.sorted_dns(), nc.sorted_dns());
-        }
-        routed.debug_validate_routing();
-    }
-
-    /// Persist-mode streams are identical too: the routed path must
-    /// notify exactly the actions the naive path notifies, in order.
-    #[test]
-    fn routed_persist_stream_equals_naive(
-        ops in prop::collection::vec(op(), 1..40),
-        filter_idx in 0usize..8,
-    ) {
-        let mut routed = fresh_master();
-        let mut naive = fresh_master();
-        let req = session_request(filter_idx);
-        let (r0, r_rx) = routed.resync_persist(&req, None).expect("routed persist");
-        let (n0, n_rx) = naive.resync_persist(&req, None).expect("naive persist");
-        prop_assert_eq!(&r0.actions, &n0.actions);
-        for o in &ops {
-            let _ = routed.apply(to_update(o));
-            let _ = naive.apply_naive(to_update(o));
-        }
-        let routed_stream: Vec<_> = r_rx.try_iter().collect();
-        let naive_stream: Vec<_> = n_rx.try_iter().collect();
-        prop_assert_eq!(routed_stream, naive_stream, "persist notification streams diverge");
-    }
-}
-
 // ---------------------------------------------------------------------
 // What routing saves: evaluations per update
 // ---------------------------------------------------------------------
 
 /// A replica fleet as sessions: `sessions` department slices plus two
 /// residual `(!(mail=*))` sessions; every update moves one person to the
-/// next department, so exactly two slices are affected. Applies the same
-/// stream routed and naive, checks every
-/// session drains the same actions, and returns `(routed ops that reached
-/// sessions through posting keys, routed ops that dragged in the residual
-/// scan-list, sessions evaluated by the routed path, sessions evaluated by
-/// the naive path)`, each per update.
+/// next department, so exactly two slices are affected. Checks that every
+/// session's polled content is the master's answer for it, and returns
+/// `(ops that reached sessions through posting keys, ops that dragged in
+/// the residual scan-list, sessions evaluated, sessions registered)`,
+/// each per update.
 fn dept_move_evaluations(sessions: usize) -> [u64; 4] {
     const PEOPLE: usize = 64;
     const UPDATES: usize = 128;
-    let build = || {
-        let mut m = fresh_master();
-        for i in 0..PEOPLE {
-            let person = Entry::new(dn_of(i))
-                .with("objectclass", "person")
-                .with("dept", &(i % sessions).to_string())
-                .with("mail", &format!("u{i}@xyz.com"));
-            m.dit_mut().add(person).expect("person");
-        }
-        let mut cookies = Vec::new();
-        let filters = (0..sessions)
-            .map(|s| format!("(dept={s})"))
-            .chain(["(!(mail=*))".to_owned(), "(!(mail=*))".to_owned()]);
-        for f in filters {
-            let req = SearchRequest::new(
-                "o=xyz".parse().expect("valid dn"),
-                Scope::Subtree,
-                Filter::parse(&f).expect("valid filter"),
-            );
-            let cookie = m.resync(&req, ReSyncControl::poll(None)).expect("install").cookie;
-            cookies.push((req, cookie.expect("cookie")));
-        }
-        (m, cookies)
-    };
-    let (mut routed, routed_sessions) = build();
-    let (mut naive, naive_sessions) = build();
+    let mut m = fresh_master();
+    for i in 0..PEOPLE {
+        let person = Entry::new(dn_of(i))
+            .with("objectclass", "person")
+            .with("dept", &(i % sessions).to_string())
+            .with("mail", &format!("u{i}@xyz.com"));
+        m.dit_mut().add(person).expect("person");
+    }
+    let filters = (0..sessions)
+        .map(|s| format!("(dept={s})"))
+        .chain(["(!(mail=*))".to_owned(), "(!(mail=*))".to_owned()]);
+    let mut held = Vec::new();
+    for f in filters {
+        let req = SearchRequest::new(
+            "o=xyz".parse().expect("valid dn"),
+            Scope::Subtree,
+            Filter::parse(&f).expect("valid filter"),
+        );
+        let resp = m.resync(&req, ReSyncControl::poll(None)).expect("install");
+        let mut content = ReplicaContent::new();
+        content.apply_all(&resp.actions);
+        held.push((req, resp.cookie.expect("cookie"), content));
+    }
     let obs = fbdr_obs::Obs::new();
-    routed.set_obs(obs.clone());
+    m.set_obs(obs.clone());
     for k in 0..UPDATES {
         let (i, pass) = (k % PEOPLE, k / PEOPLE + 1);
         let op = UpdateOp::Modify {
@@ -283,13 +137,14 @@ fn dept_move_evaluations(sessions: usize) -> [u64; 4] {
                 vec![((i + pass) % sessions).to_string().into()],
             )],
         };
-        routed.apply(op.clone()).expect("routed");
-        naive.apply_naive(op).expect("naive");
+        m.apply(op).expect("apply");
     }
-    for ((req, rc), (_, nc)) in routed_sessions.iter().zip(&naive_sessions) {
-        let r = routed.resync(req, ReSyncControl::poll(Some(*rc))).expect("routed drain");
-        let n = naive.resync(req, ReSyncControl::poll(Some(*nc))).expect("naive drain");
-        assert_eq!(r.actions, n.actions, "drained actions diverge for {req}");
+    for (req, cookie, content) in &mut held {
+        let resp = m.resync(req, ReSyncControl::poll(Some(*cookie))).expect("drain");
+        content.apply_all(&resp.actions);
+        let mut want = m.dit().search(req);
+        want.sort_by(|a, b| a.dn().cmp(b.dn()));
+        assert_eq!(content.iter().collect::<Vec<_>>(), want.iter().collect::<Vec<_>>(), "{req}");
     }
     let reg = obs.registry();
     let per_update = |n: u64| {
@@ -300,15 +155,15 @@ fn dept_move_evaluations(sessions: usize) -> [u64; 4] {
         per_update(reg.counter("fbdr_resync_route_indexed_total").get()),
         per_update(reg.counter("fbdr_resync_route_scan_total").get()),
         per_update(reg.histogram("fbdr_resync_route_candidates").snapshot().sum),
-        // The naive path evaluates every live session, by construction.
-        naive.session_count() as u64,
+        // Evaluating every live session is what an unrouted fan-out costs.
+        m.session_count() as u64,
     ]
 }
 
 #[test]
 fn evaluations_per_update_follow_affected_sessions_not_registered_ones() {
     let (few, many) = (dept_move_evaluations(8), dept_move_evaluations(96));
-    println!("[indexed, scan, routed evaluations, naive evaluations] per update: {few:?} at 8 sessions, {many:?} at 96");
+    println!("[indexed, scan, routed evaluations, registered sessions] per update: {few:?} at 8 sessions, {many:?} at 96");
     // Departure + arrival, plus the two residual sessions every update
     // under their base must be shown to.
     assert_eq!(few[..3], [1, 1, 2 + 2]);
@@ -342,19 +197,19 @@ fn a_modify_probes_the_new_values_of_its_keyed_attributes() {
     }
     // Unobserved, nothing is counted.
     let obs = fbdr_obs::Obs::new();
-    let _ = probes_of(&mut m, &obs, to_update(&Op::SetTitle { id: 0, tag: 1 }));
+    let _ = probes_of(&mut m, &obs, to_update(&Op::Title { id: 0, tag: 1 }));
     assert_eq!(obs.registry().counter("fbdr_resync_route_probes_total").get(), 0);
     m.set_obs(obs.clone());
     // An unkeyed attribute: the old state's one dept value, no new value.
-    assert_eq!(probes_of(&mut m, &obs, to_update(&Op::SetTitle { id: 0, tag: 2 })), 1);
-    assert_eq!(probes_of(&mut m, &obs, to_update(&Op::SetMail { id: 0, tag: 2 })), 1);
+    assert_eq!(probes_of(&mut m, &obs, to_update(&Op::Title { id: 0, tag: 2 })), 1);
+    assert_eq!(probes_of(&mut m, &obs, to_update(&Op::Mail { id: 0, tag: 2 })), 1);
     // A keyed one: the old value, then exactly the new values.
     let two_depts =
         modify(0, vec![Modification::Replace("dept".into(), vec!["1".into(), "2".into()])]);
     assert_eq!(probes_of(&mut m, &obs, two_depts), 1 + 2);
-    let keyed_and_not = to_update(&Op::SetTitleAndDept { id: 0, tag: 3, dept: 0 });
+    let keyed_and_not = to_update(&Op::TitleAndDept { id: 0, tag: 3, dept: 0 });
     assert_eq!(probes_of(&mut m, &obs, keyed_and_not), 2 + 1);
-    let not_and_keyed = to_update(&Op::SetCategoryAndDept { id: 0, tag: 3, dept: 1 });
+    let not_and_keyed = to_update(&Op::CategoryAndDept { id: 0, tag: 3, dept: 1 });
     assert_eq!(probes_of(&mut m, &obs, not_and_keyed), 1 + 1);
     // Gone from the new state: the old value alone.
     let dropped = modify(0, vec![Modification::DeleteAttr("dept".into())]);

@@ -1,26 +1,19 @@
-//! Sharded split-merge equivalence: a `ShardCoordinator` driving one
-//! session per shard of a `ShardedMaster` must be observably identical
-//! to a single session against one unsharded `SyncMaster` holding the
-//! same directory — same search answers (whole projected entries, in
-//! order, for any base, scope and selection), same converged replica content
-//! at every poll boundary, and composite cookies that survive a serde
-//! round trip (including part reordering) mid-stream — also when a
-//! shard's session is killed behind the coordinator's back and the
-//! recovery ladder has to reconcile or reinstall that shard's slice. Plus
-//! a chaos check: partitioning one shard leaves every other shard serving,
-//! and a persist fleet: coalesced flushes deliver what immediate push
-//! does, in fewer wakeups.
+//! Sharding under load and under partition: partitioning one shard
+//! leaves every other shard serving, and a persist fleet's coalesced
+//! flushes deliver what immediate push does, in fewer wakeups. That a
+//! sharded master answers and a coordinator merges what one store would
+//! is checked against the reference model (`tests/model.rs` at the
+//! workspace root).
 
 use fbdr_dit::{Modification, UpdateOp};
-use fbdr_ldap::{AttrSelection, Dn, Entry, Filter, Rdn, Scope, SearchRequest};
+use fbdr_ldap::{Dn, Entry, Filter, Rdn, Scope, SearchRequest};
 use crossbeam::channel::Receiver;
 use fbdr_resync::reconcile::{RangeRequest, RangeResponse, ReconcileRequest, ReconcileResponse};
 use fbdr_resync::{
-    CompositeCookie, Cookie, NotifyPolicy, ReSyncControl, ReplicaContent, RetryConfig,
-    ShardCoordinator, ShardId, ShardMap, ShardStatus, ShardedMaster, NotifyBatch, SyncError,
-    SyncMaster, SyncMode, SyncResponse, SyncTransport,
+    Cookie, NotifyPolicy, ReSyncControl, ReplicaContent, RetryConfig, ShardCoordinator, ShardId,
+    ShardMap, ShardStatus, ShardedMaster, NotifyBatch, SyncError, SyncMode, SyncResponse,
+    SyncTransport,
 };
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,13 +21,7 @@ const COUNTRIES: usize = 4;
 
 /// An abstract operation against a pool of person entries, each living
 /// under its id's country (`c=s{id % COUNTRIES},o=xyz`). Renames change
-/// the RDN only, so an entry never crosses its shard boundary and both
-/// sides of the comparison see identical success/failure per op.
-///
-/// `KillSession` is not an update: it ends the coordinator's session on
-/// shard `shard % n_shards` at the sharded master only (by `abandon`, or
-/// by the §5.2 idle limit when `expire`), so the next poll of that shard
-/// has to walk the recovery ladder.
+/// the RDN only, so an entry never crosses its shard boundary.
 #[derive(Debug, Clone)]
 enum Op {
     Add { id: usize, dept: u8 },
@@ -42,18 +29,6 @@ enum Op {
     SetDept { id: usize, dept: u8 },
     SetMail { id: usize, tag: u8 },
     Rename { id: usize, new_id: usize },
-    KillSession { shard: usize, expire: bool },
-}
-
-fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0usize..16, 0u8..4).prop_map(|(id, dept)| Op::Add { id, dept }),
-        (0usize..16).prop_map(|id| Op::Delete { id }),
-        (0usize..16, 0u8..4).prop_map(|(id, dept)| Op::SetDept { id, dept }),
-        (0usize..16, 0u8..4).prop_map(|(id, tag)| Op::SetMail { id, tag }),
-        (0usize..16, 0usize..16).prop_map(|(id, new_id)| Op::Rename { id, new_id }),
-        (0usize..4, any::<bool>()).prop_map(|(shard, expire)| Op::KillSession { shard, expire }),
-    ]
 }
 
 fn country_dn(c: usize) -> Dn {
@@ -73,7 +48,6 @@ fn entry_of(id: usize, dept: u8) -> Entry {
 
 fn to_update(op: &Op) -> UpdateOp {
     match op {
-        Op::KillSession { .. } => unreachable!("not an update"),
         Op::Add { id, dept } => UpdateOp::Add(entry_of(*id, *dept)),
         Op::Delete { id } => UpdateOp::Delete(dn_of(*id)),
         Op::SetDept { id, dept } => UpdateOp::Modify {
@@ -101,56 +75,10 @@ fn map_for(k: usize) -> ShardMap {
     map
 }
 
-/// The unsharded reference holding the full skeleton.
-fn unsharded() -> SyncMaster {
-    let mut m = SyncMaster::new();
-    m.dit_mut().add_suffix("o=xyz".parse().expect("valid dn"));
-    m.dit_mut().add(Entry::new("o=xyz".parse().expect("valid dn"))).expect("suffix add");
-    for c in 0..COUNTRIES {
-        m.dit_mut()
-            .add(Entry::new(country_dn(c)).with("objectclass", "country"))
-            .expect("country add");
-    }
-    m
-}
-
 /// A sharded master over `k` shards, each shard's DIT holding the
 /// skeleton plus its own countries.
 fn sharded(k: usize) -> ShardedMaster {
     sharded_on(map_for(k))
-}
-
-/// The lab of the nested layout: a suffix inside country 0.
-fn lab_dn() -> Dn {
-    "ou=lab,c=s0,o=xyz".parse().expect("valid dn")
-}
-
-/// The lab's entry and four people in it, parents first.
-fn lab_entries() -> Vec<Entry> {
-    let people = (0..4u8).map(|i| {
-        let person = Entry::new(format!("cn=lab{i},ou=lab,c=s0,o=xyz").parse().expect("valid dn"))
-            .with("objectclass", "person")
-            .with("cn", &format!("lab{i}"))
-            .with("dept", &i.to_string());
-        if i % 2 == 0 { person.with("mail", "lab@x") } else { person }
-    });
-    std::iter::once(Entry::new(lab_dn()).with("objectclass", "organizationalUnit")).chain(people).collect()
-}
-
-/// [`sharded`] with the lab carved out of country 0 for the last shard,
-/// which (unless it owns country 0) holds the country's entry as glue at
-/// depth 2 — below the `o=xyz` glue every shard holds, and above the
-/// lab. The lab itself is not added.
-fn sharded_with_lab(k: usize) -> ShardedMaster {
-    let mut map = map_for(k);
-    let lab_shard = ShardId::new(u16::try_from(k - 1).expect("fits"));
-    map.assign(lab_dn(), lab_shard);
-    let mut m = sharded_on(map);
-    if m.map().shard_of(&country_dn(0)) != lab_shard {
-        let glue = Entry::new(country_dn(0)).with("objectclass", "country");
-        m.shard_mut(lab_shard).dit_mut().add(glue).expect("glue add");
-    }
-    m
 }
 
 /// Every shard's DIT holding the suffix entry and the countries `map`
@@ -192,206 +120,6 @@ fn session_request(filter_idx: usize) -> SearchRequest {
 /// The held entries, as the recovery ladder reads them.
 fn held(content: &ReplicaContent) -> impl Fn() -> Vec<Entry> + '_ {
     || content.iter().cloned().collect()
-}
-
-/// Serde round trip with the parts deliberately reversed: the decoded
-/// cookie must normalize back to the same composite.
-fn scramble_cookie(cookie: &CompositeCookie) -> CompositeCookie {
-    let mut parts: Vec<(ShardId, Cookie)> = cookie.iter().collect();
-    parts.reverse();
-    let json = serde_json::to_string(&parts).expect("parts serialize");
-    let decoded: CompositeCookie = serde_json::from_str(&json).expect("cookie deserializes");
-    assert_eq!(&decoded, cookie, "scrambled round trip must normalize");
-    decoded
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// One coordinator-driven filter over N shards converges to exactly
-    /// the content a single unsharded session converges to — answers,
-    /// replica content, and cookies that resume across serde round trips —
-    /// whichever rung of the ladder each shard's poll ends on: a killed
-    /// session is reconciled, or reinstalled when the transport cannot
-    /// reconcile, and every other shard updates incrementally.
-    #[test]
-    fn coordinator_split_merge_equals_single_master(
-        ops in prop::collection::vec(op(), 1..60),
-        n_shards in 1usize..5,
-        filter_idx in 0usize..6,
-        poll_every in 1usize..8,
-        can_reconcile in any::<bool>(),
-    ) {
-        let mut single = unsharded();
-        let mut multi = FlakyShards {
-            inner: sharded(n_shards),
-            dead: ShardId::new(u16::MAX),
-            can_reconcile,
-        };
-        let mut coord = ShardCoordinator::new(multi.inner.map().clone());
-        let req = session_request(filter_idx);
-
-        let single_resp = single.resync(&req, ReSyncControl::poll(None)).expect("single install");
-        let mut single_cookie = single_resp.cookie.expect("cookie");
-        let mut single_content = ReplicaContent::new();
-        single_content.apply_all(&single_resp.actions);
-
-        let (actions, mut composite, _, _) =
-            coord.install(&mut multi, &req, SyncMode::Poll).expect("install");
-        let mut multi_content = ReplicaContent::new();
-        multi_content.apply_all(&actions);
-        prop_assert_eq!(multi_content.sorted_dns(), single_content.sorted_dns());
-
-        // Shards whose session died since their last poll.
-        let mut killed: Vec<ShardId> = Vec::new();
-        // One poll of the sharded side: every shard must come back fresh,
-        // on the rung its session's fate dictates.
-        let mut poll_sharded = |coord: &mut ShardCoordinator,
-                                multi: &mut FlakyShards,
-                                composite: &mut CompositeCookie,
-                                content: &mut ReplicaContent,
-                                killed: &mut Vec<ShardId>| {
-            // The composite cookie resumes after a scrambled serde round
-            // trip mid-stream.
-            *composite = scramble_cookie(composite);
-            let outcomes = coord.sync_filter(multi, &req, composite, &held(content));
-            for out in &outcomes {
-                let want = match (killed.contains(&out.shard), can_reconcile) {
-                    (false, _) => ShardStatus::Updated,
-                    (true, true) => ShardStatus::Reconciled,
-                    (true, false) => ShardStatus::Reinstalled,
-                };
-                assert_eq!(out.status, want, "{} ended on the wrong rung", out.shard);
-                content.apply_all(&out.actions);
-            }
-            killed.clear();
-        };
-
-        for (i, o) in ops.iter().enumerate() {
-            if let Op::KillSession { shard, expire } = o {
-                let shard = ShardId::new(u16::try_from(shard % n_shards).expect("fits"));
-                let master = multi.inner.shard_mut(shard);
-                let before = master.session_count();
-                match composite.get(shard) {
-                    Some(c) if !*expire => master.abandon(c),
-                    _ => {
-                        master.expire_idle(0);
-                    }
-                }
-                if master.session_count() < before && !killed.contains(&shard) {
-                    killed.push(shard);
-                }
-            } else {
-                let up = to_update(o);
-                let expect_ok = single.apply(up.clone()).is_ok();
-                let got_ok = multi.inner.apply(up).is_ok();
-                prop_assert_eq!(got_ok, expect_ok, "apply outcome diverged at op {}", i);
-            }
-
-            if (i + 1) % poll_every == 0 {
-                poll_sharded(
-                    &mut coord,
-                    &mut multi,
-                    &mut composite,
-                    &mut multi_content,
-                    &mut killed,
-                );
-                let r = single
-                    .resync(&req, ReSyncControl::poll(Some(single_cookie)))
-                    .expect("single poll");
-                single_cookie = r.cookie.expect("cookie");
-                single_content.apply_all(&r.actions);
-                prop_assert_eq!(
-                    multi_content.sorted_dns(), single_content.sorted_dns(),
-                    "converged content diverged after op {}", i
-                );
-            }
-        }
-
-        // Final drain on both sides.
-        poll_sharded(&mut coord, &mut multi, &mut composite, &mut multi_content, &mut killed);
-        let r = single.resync(&req, ReSyncControl::poll(Some(single_cookie))).expect("final");
-        single_content.apply_all(&r.actions);
-        prop_assert_eq!(multi_content.sorted_dns(), single_content.sorted_dns());
-        let multi = multi.inner;
-
-        // Exact convergence: the sharded replica content matches both the
-        // unsharded replica and the masters' own answers, entries included.
-        let mut single_dns: Vec<String> =
-            single.dit().search_dns(&req).iter().map(|d| d.to_string()).collect();
-        single_dns.sort();
-        prop_assert_eq!(multi_content.sorted_dns(), single_dns);
-        for e in multi_content.iter() {
-            let at_master = single.dit().get(e.dn()).expect("entry exists at master");
-            prop_assert_eq!(e, at_master, "entry content diverged");
-        }
-        // And the sharded master's fan-out search agrees with the
-        // unsharded answer set.
-        let mut sharded_answer: Vec<String> =
-            multi.search(&req).iter().map(|e| e.dn().to_string()).collect();
-        sharded_answer.sort();
-        let mut single_answer: Vec<String> =
-            single.dit().search(&req).iter().map(|e| e.dn().to_string()).collect();
-        single_answer.sort();
-        prop_assert_eq!(sharded_answer, single_answer);
-    }
-
-    /// After a random op stream, the sharded master's fan-out search
-    /// answers every request exactly as one store holding the whole
-    /// directory does: the same projected entries — for
-    /// bases at the root, the suffix (a glue entry on every shard), a
-    /// country and a person, under every scope, with all attributes or a
-    /// list, and every session filter. Half the cases nest a lab suffix
-    /// inside country 0 on another shard, whose glue then reaches depth 2,
-    /// and also search from the lab.
-    #[test]
-    fn sharded_search_equals_one_stores_search(
-        ops in prop::collection::vec(op(), 1..60),
-        n_shards in 1usize..5,
-        pick in 0usize..16,
-        lab in any::<bool>(),
-    ) {
-        let mut single = unsharded();
-        let mut multi = if lab { sharded_with_lab(n_shards) } else { sharded(n_shards) };
-        if lab {
-            for e in lab_entries() {
-                single.apply(UpdateOp::Add(e.clone())).expect("lab add");
-                multi.apply(UpdateOp::Add(e)).expect("lab add");
-            }
-        }
-        for (i, o) in ops.iter().enumerate() {
-            if matches!(o, Op::KillSession { .. }) {
-                continue;
-            }
-            let up = to_update(o);
-            let expect_ok = single.apply(up.clone()).is_ok();
-            prop_assert_eq!(multi.apply(up).is_ok(), expect_ok, "apply outcome diverged at op {}", i);
-        }
-        let person = (0..16)
-            .map(|i| dn_of((pick + i) % 16))
-            .find(|d| single.dit().contains(d))
-            .unwrap_or_else(|| dn_of(pick));
-        let mut bases = vec![Dn::root(), "o=xyz".parse().expect("valid dn"), country_dn(pick % COUNTRIES), person];
-        if lab {
-            bases.push(lab_dn());
-        }
-        let selections = [AttrSelection::All, AttrSelection::list(["dept", "mail"])];
-        for base in &bases {
-            for scope in [Scope::Base, Scope::OneLevel, Scope::Subtree] {
-                for attrs in &selections {
-                    for f in SESSION_FILTERS {
-                        let filter = Filter::parse(f).expect("valid filter");
-                        let req = SearchRequest::with_attrs(base.clone(), scope, filter, attrs.clone());
-                        let mut sharded = multi.search(&req);
-                        sharded.sort_by(|a, b| a.dn().cmp(b.dn()));
-                        let mut one = single.dit().search(&req);
-                        one.sort_by(|a, b| a.dn().cmp(b.dn()));
-                        prop_assert_eq!(sharded, one, "{}", req);
-                    }
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

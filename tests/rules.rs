@@ -220,9 +220,9 @@ const RULES: &[Rule] = &[
               fbdr_dit::posting::Posting — one id inline in the map node, two or more in a list \
               behind an Arc — edited by its insert and remove alone. A map of heap lists per key, \
               the master's or the replica's, does not come back beside it. The routing index \
-              (fbdr_resync::RoutingIndex, DESIGN §12) is on the same key types: AttrName per \
-              attribute, TextKey per value, a Posting per key; a String-keyed posting map and the \
-              slot helper that filled one stay gone.",
+              (fbdr_resync::RoutingIndex, DESIGN §12) keeps a Posting per key too, in one map \
+              keyed by a 64-bit hash of the key's attribute, kind and text; a String-keyed posting \
+              map and the slot helper that filled one stay gone.",
     },
     Rule {
         name: "One set of transport legs",
@@ -333,6 +333,15 @@ const RULES: &[Rule] = &[
               is decided in fbdr_dit::index::unkept_in alone, and both the master's store and the \
               replica's snapshot index call it. The replica asks only whether it carries an \
               attribute it does not keep, and has no rule of its own.",
+    },
+    Rule {
+        name: "One update path",
+        checks: &[absent(61, Tree(&["crates/resync/src"]), &[r"\bapply_naive\b", r"\bnaive:"])],
+        why: "One update path (DESIGN, *How the system is checked*): SyncMaster::apply routes \
+              every update through the routing index, and the reference model (fbdr-model, \
+              tests/model.rs) is what checks that routing misses no session. An unrouted copy of \
+              apply kept as an oracle, or a naive flag that forks the update path, does not come \
+              back.",
     },
 ];
 
