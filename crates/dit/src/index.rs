@@ -1,9 +1,9 @@
-//! The index rulebook, and the master store's attribute index.
+//! The index rulebook, and the attribute index of both stores.
 //!
-//! Both stores — the master's [`DitStore`](crate::DitStore) and the
-//! replica's per-epoch snapshot — answer a filter from sorted
-//! [`posting`] lists of dense entry ids. The rules live here, once; a
-//! store brings only its storage and a `lists_for_predicate`:
+//! Both stores — the master's [`DitStore`](crate::DitStore) and each
+//! epoch of a replica's content — answer a filter from sorted [`posting`]
+//! lists of dense entry ids, kept in one index type, [`Indexes`]. The
+//! rules live here, once:
 //!
 //! * **what is indexed** ([`keys_only_in`]) — every value under its
 //!   normalized text, a value with an integer view additionally under
@@ -21,40 +21,39 @@
 //!   scan names its whole match set (`scan_is_exact`), an `And` of
 //!   exact children that all planned, an `Or` of exact children. A store
 //!   visits an exact plan's ids without evaluating the filter on them;
-//! * **what a plan keeps** ([`unkept_in`]) — neither store lists an
-//!   attribute until a plan names it: each knows every attribute name its
-//!   entries carry, and keeps postings only for the ones a filter would
-//!   plan on — a predicate with a scan outside a `Not`, inside an `Or`
-//!   only when every branch could plan. An edit of any other attribute
-//!   touches no posting. The first plan that names a carried, unkept
-//!   attribute has it listed over the live entries once, and edits
-//!   maintain it from then on; a name no entry carries plans to the empty
-//!   list and is never kept.
+//! * **what a plan keeps** ([`unkept_in`]) — the index lists no attribute
+//!   until a plan names it: it knows every attribute name its entries
+//!   carry, and keeps postings only for the ones a filter would plan on —
+//!   a predicate with a scan outside a `Not`, inside an `Or` only when
+//!   every branch could plan. An edit of any other attribute touches no
+//!   posting. The first plan that names a carried, unkept attribute has it
+//!   listed over the live entries once, in the index's keep cell for it
+//!   ([`Indexes::plan`]), and edits maintain it from then on; a name no
+//!   entry carries plans to the empty list and is never kept.
 //!
-//! The maps differ because the stores do: the replica publishes immutable
-//! epochs from a persistent map, and keeps an attribute by publishing a
-//! snapshot that lists it; the master edits plain `std` maps (`Indexes`,
-//! below) in place, and keeps an attribute in a [`OnceLock`] under the
-//! search's shared borrow. What the maps hold is the same: their text
-//! keys are [`TextKey`]s, which keep short text in the map node, and their
-//! values [`Posting`]s, which keep a lone id there too; both stores edit a
-//! posting by `Posting::insert` and `Posting::remove` alone. A key that
-//! one entry holds — a serial number — is then all in the node, so a walk
-//! down either tree over a prefix or a range compares the bytes and reads
-//! the ids it finds in the nodes it descends, and follows a pointer only
-//! to long text or to a list that several entries share.
+//! The index's maps are persistent ([`PMap`]): its text keys are
+//! [`TextKey`]s, which keep short text in the map node, and its values
+//! [`Posting`]s, which keep a lone id there too; a posting is edited by
+//! `Posting::insert` and `Posting::remove` alone. A key that one entry
+//! holds — a serial number — is then all in the node, so a walk down the
+//! tree over a prefix or a range compares the bytes and reads the ids it
+//! finds in the nodes it descends, and follows a pointer only to long text
+//! or to a list that several entries share. A store that never clones its
+//! index — the master's — edits every node in place; a replica clones it
+//! per epoch and shares every node the next epoch does not write.
 //!
-//! A third store keeps its keys in no order: the replica's key column over
+//! One more store keeps its keys in no order: the replica's key column over
 //! a large cached result, one `(position, text key)` pair per value. It
 //! asks [`text_key_in`] of every pair instead of walking a map, and has no
 //! numeric keys, so a numeric scan does not plan on it.
 
+use crate::persistent::PMap;
 use crate::posting::{self, Posting};
 use fbdr_ldap::{AttrName, AttrValue, Comparison, Entry, Filter, Predicate, ValueSet};
 use std::borrow::{Borrow, Cow};
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, RangeBounds};
@@ -68,7 +67,7 @@ use std::sync::{Arc, OnceLock};
 /// (text of up to 30) measured +6.2 … +10.5 %, 24 bytes −2.2 … +1.5 %.
 const INLINE: usize = 22;
 
-/// The key of a text map in either store's index: a normalized value's
+/// The key of a text map in the attribute index: a normalized value's
 /// text, or a lowercased attribute name.
 ///
 /// 24 bytes. Text of at most 22 bytes sits in the key — in the map node —
@@ -110,15 +109,22 @@ impl TextKey {
     }
 
     /// The text's bytes (valid UTF-8: a key is only made from a `str`).
+    #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         match &self.0 {
             Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
             Repr::Heap(text) => text.as_bytes(),
         }
     }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("a key is made from a str")
+    }
 }
 
 impl Borrow<[u8]> for TextKey {
+    #[inline]
     fn borrow(&self) -> &[u8] {
         self.as_bytes()
     }
@@ -391,111 +397,117 @@ pub fn unkept_in(filter: &Filter, unkept: impl Fn(&AttrName) -> bool) -> Vec<&At
     out
 }
 
-/// Postings for one attribute, edited in place.
+/// The postings of one kept attribute: normalized value text → ids, in
+/// lexicographic order, and the integer view of the values that have one
+/// → ids.
 #[derive(Debug, Default, Clone, PartialEq)]
-struct AttrIndex {
-    text: BTreeMap<TextKey, Posting>,
-    num: BTreeMap<i64, Posting>,
+struct AttrMaps {
+    text: PMap<TextKey, Posting>,
+    num: PMap<i64, Posting>,
 }
 
-impl AttrIndex {
-    /// The postings of `attr` over the live entries of `slots`, each
-    /// listed under its slot's index as its id.
-    fn listed(attr: &AttrName, slots: &[Option<Entry>]) -> Self {
-        let mut idx = AttrIndex::default();
-        for (id, entry) in (0..).zip(slots) {
-            if let Some(values) = entry.as_ref().and_then(|e| e.value_set(attr)) {
-                idx.edit(keys_only_in(values, None), |ids| {
-                    ids.insert(id);
-                    true
-                });
-            }
+impl AttrMaps {
+    /// The postings of `attr` over `held`, each entry listed under its id,
+    /// and the number of entries that carry it.
+    fn listed<'e>(attr: &AttrName, held: impl Iterator<Item = (u32, &'e Entry)>) -> (Self, usize) {
+        let mut maps = AttrMaps::default();
+        let mut carriers = 0;
+        for (id, values) in held.filter_map(|(id, e)| Some((id, e.value_set(attr)?))) {
+            carriers += 1;
+            maps.edit(keys_only_in(values, None), |ids| {
+                ids.insert(id);
+                true
+            });
         }
-        idx
+        (maps, carriers)
     }
 
-    /// Edits the posting under each of `keys` ([`update`]). Both maps are
-    /// asked: an integer changing its spelling takes the only text key out
-    /// while its numeric key stays listed.
+    /// Edits the posting under each of `keys` ([`PMap::update`]: `edit`
+    /// sees an empty posting for an absent key, and returns whether the
+    /// key stays). Both maps are asked: an integer changing its spelling
+    /// takes the only text key out while its numeric key stays listed.
     fn edit<'a>(&mut self, keys: impl Iterator<Item = Key<'a>>, edit: impl Fn(&mut Posting) -> bool) {
         for key in keys {
             match key {
-                Key::Text(k) => update(&mut self.text, k.as_bytes(), || TextKey::new(k), &edit),
-                Key::Num(n) => update(&mut self.num, &n, || n, &edit),
+                Key::Text(k) => self.text.update(k.as_bytes(), || TextKey::new(k), &edit),
+                Key::Num(n) => self.num.update(&n, || n, &edit),
             }
         }
     }
 }
 
-/// The replica's `PMap::update` over a `std` map, so that both stores edit
-/// a posting the same way: `edit` sees the posting under `key` — an empty
-/// one when the key is absent, listed under `make_key()` only if it then
-/// holds an id — and returns whether the key stays.
-fn update<K, Q>(
-    map: &mut BTreeMap<K, Posting>,
-    key: &Q,
-    make_key: impl FnOnce() -> K,
-    edit: impl FnOnce(&mut Posting) -> bool,
-) where
-    K: Ord + Borrow<Q>,
-    Q: Ord + ?Sized,
-{
-    match map.get_mut(key) {
-        Some(ids) => {
-            if !edit(ids) {
-                map.remove(key);
-            }
-        }
-        None => {
-            let mut ids = Posting::default();
-            if edit(&mut ids) {
-                map.insert(make_key(), ids);
-            }
-        }
-    }
-}
-
-/// The master store's index: the lowercased name of every attribute a
-/// stored entry carries or once carried → the attribute's postings once a
-/// plan has named it (*kept*), unset before. A name is added on its first
-/// sight and stays, so the map is bounded by the names the entries carry,
-/// never by the names searches ask for. An edit of an attribute that is
-/// not kept stops at the hash probe that finds its name; the first plan on
-/// it lists it over the live entries, once, under `&self`
-/// ([`OnceLock::get_or_init`]: a second search asking at the same time
-/// waits for that one listing), and edits maintain it from then on. Once
-/// an attribute is kept, reading it takes no lock. Never serialized: the
-/// store rebuilds the names from its entries, and keeps nothing until a
-/// plan asks.
+/// The attribute index of both stores — the master's
+/// [`DitStore`](crate::DitStore), and each epoch of a replica's content:
+/// the lowercased name of every attribute a stored entry carries or once
+/// carried → a keep cell, set to the attribute's postings once a plan has
+/// named it (*kept*). A name is added on its first sight and stays, so
+/// the map is bounded by the names the entries carry, never by the names
+/// searches ask for. An edit of an attribute that is not kept stops at the
+/// hash probe that finds its name; the first plan on it lists it over the
+/// live entries, once, under `&self` ([`OnceLock::get_or_init`]: a second
+/// plan asking at the same time waits for that one listing), and edits
+/// maintain it from then on. Once an attribute is kept, reading it takes
+/// no lock.
+///
+/// The postings are persistent maps ([`PMap`]), so a clone — a replica's
+/// next epoch — copies the name map and a pointer per kept map, and
+/// shares every node with the original until one of them writes it. The
+/// name map itself is copied, keep cells and all: no cell is shared
+/// between two clones, so a plan that keeps an attribute on one leaves
+/// the other as it was. That is what makes a keep on a published epoch
+/// safe: a writer's copy cloned before it skipped that attribute's edits,
+/// and must not be handed a listing it never maintained. Never
+/// serialized: a store rebuilds the names from its entries, and keeps
+/// nothing until a plan asks.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct Indexes {
-    by_attr: HashMap<Box<str>, OnceLock<AttrIndex>>,
+pub struct Indexes {
+    by_attr: HashMap<TextKey, OnceLock<AttrMaps>>,
 }
 
 impl Indexes {
+    /// Moves `id` from the values of `old` — the entry version last
+    /// indexed under `id`, `None` for a slot that was empty — to those of
+    /// `new`, `None` for one that becomes empty, touching only what
+    /// differs in the kept attributes. An attribute whose value set both
+    /// versions share — a write copies only the sets it changes (`Entry`'s
+    /// *Sharing*) — differs in nothing and is not looked up.
+    pub fn reindex(&mut self, id: u32, old: Option<&Entry>, new: Option<&Entry>) {
+        for (attr, values) in old.into_iter().flat_map(Entry::attrs) {
+            let now = new.and_then(|e| e.value_set(attr));
+            if !now.is_some_and(|n| n.ptr_eq(values)) {
+                self.reindex_attr(attr, Some(values), now, id);
+            }
+        }
+        for (attr, values) in new.into_iter().flat_map(Entry::attrs) {
+            if old.and_then(|e| e.value_set(attr)).is_none() {
+                self.reindex_attr(attr, None, Some(values), id);
+            }
+        }
+    }
+
     /// Moves `id` from the keys of `old` — the values of `attr` the entry
     /// held — to those of `new` — the values it holds now, `None` for an
     /// attribute it did not or does not carry — touching only the keys
     /// that differ, and only when the attribute is kept.
-    pub(crate) fn reindex(
+    pub(crate) fn reindex_attr(
         &mut self,
         attr: &AttrName,
         old: Option<&ValueSet>,
         new: Option<&ValueSet>,
         id: u32,
     ) {
-        let Some(kept) = self.by_attr.get_mut(attr.lower()) else {
+        let Some(kept) = self.by_attr.get_mut(attr.lower().as_bytes()) else {
             if new.is_some() {
-                self.by_attr.insert(attr.lower().into(), OnceLock::new());
+                self.by_attr.insert(TextKey::new(attr.lower()), OnceLock::new());
             }
             return;
         };
-        let Some(idx) = kept.get_mut() else { return };
-        idx.edit(keys_only_in(old.into_iter().flatten(), new), |ids| {
+        let Some(maps) = kept.get_mut() else { return };
+        maps.edit(keys_only_in(old.into_iter().flatten(), new), |ids| {
             ids.remove(id);
             !ids.is_empty()
         });
-        idx.edit(keys_only_in(new.into_iter().flatten(), old), |ids| {
+        maps.edit(keys_only_in(new.into_iter().flatten(), old), |ids| {
             ids.insert(id);
             true
         });
@@ -504,9 +516,20 @@ impl Indexes {
     /// Plans `filter` ([`plan`]) over the kept attributes. A predicate
     /// that would plan on a carried attribute the index does not keep does
     /// not; when one is met, the attributes [`unkept_in`] names are kept —
-    /// listed over the live entries of `slots`, whose indexes are their
-    /// ids — and the filter is planned again.
-    pub(crate) fn plan<'a>(&'a self, filter: &Filter, slots: &[Option<Entry>]) -> Option<Plan<'a>> {
+    /// listed over the live entries `held` yields, each beside its id —
+    /// and the filter is planned again. `kept` hears of each attribute
+    /// this plan lists, with the number of entries that carry it; a plan
+    /// that waited for another's listing of the same attribute lists
+    /// nothing.
+    pub fn plan<'a, 'e, I>(
+        &'a self,
+        filter: &Filter,
+        held: impl Fn() -> I,
+        mut kept: impl FnMut(&AttrName, usize),
+    ) -> Option<Plan<'a>>
+    where
+        I: Iterator<Item = (u32, &'e Entry)>,
+    {
         let met_unkept = Cell::new(false);
         let planned = plan(filter, &|p| self.lists_for_predicate(p, &met_unkept));
         if !met_unkept.get() {
@@ -517,17 +540,27 @@ impl Indexes {
             return planned;
         }
         for attr in unkept {
-            if let Some(kept) = self.by_attr.get(attr.lower()) {
-                kept.get_or_init(|| AttrIndex::listed(attr, slots));
+            if let Some(cell) = self.by_attr.get(attr.lower().as_bytes()) {
+                cell.get_or_init(|| {
+                    let (maps, carriers) = AttrMaps::listed(attr, held());
+                    kept(attr, carriers);
+                    maps
+                });
             }
         }
         plan(filter, &|p| self.lists_for_predicate(p, &met_unkept))
     }
 
     /// Whether a stored entry carries or carried `attr` and the index does
-    /// not keep it.
-    fn carries_unkept(&self, attr: &AttrName) -> bool {
-        self.by_attr.get(attr.lower()).is_some_and(|kept| kept.get().is_none())
+    /// not keep it: what [`unkept_in`] asks of a store.
+    #[doc(hidden)]
+    pub fn carries_unkept(&self, attr: &AttrName) -> bool {
+        self.by_attr.get(attr.lower().as_bytes()).is_some_and(|kept| kept.get().is_none())
+    }
+
+    /// The number of attributes kept.
+    pub fn kept_count(&self) -> usize {
+        self.by_attr.values().filter(|kept| kept.get().is_some()).count()
     }
 
     /// The store's half of [`plan`]: `None`, and `met_unkept` set, for an
@@ -535,40 +568,83 @@ impl Indexes {
     /// carries.
     fn lists_for_predicate(&self, p: &Predicate, met_unkept: &Cell<bool>) -> Option<Cow<'_, [u32]>> {
         let scan = predicate_scan(p)?;
-        let Some(kept) = self.by_attr.get(p.attr().lower()) else {
+        let Some(kept) = self.by_attr.get(p.attr().lower().as_bytes()) else {
             return Some(Cow::Owned(Vec::new()));
         };
-        let Some(idx) = kept.get() else {
+        let Some(maps) = kept.get() else {
             met_unkept.set(true);
             return None;
         };
         Some(scan_lists(
             &scan,
-            |k| idx.text.get(k),
-            |lo, hi| idx.text.range::<[u8], _>((lo, hi)),
-            |lo, hi| idx.num.range((lo, hi)),
+            |k| maps.text.get(k),
+            |lo, hi| maps.text.range::<[u8]>(lo, hi),
+            |lo, hi| maps.num.range(lo, hi),
         ))
     }
 
-    /// Checks the index against `slots`: every attribute a live entry
-    /// carries is named, and every kept attribute's postings are the ones
-    /// listed afresh over the live entries — none missing, none stale. The
-    /// kept names, sorted, or what differs.
-    pub(crate) fn check(&self, slots: &[Option<Entry>]) -> Result<Vec<&str>, String> {
-        for e in slots.iter().flatten() {
-            if let Some(a) = e.attr_names().find(|a| !self.by_attr.contains_key(a.lower())) {
+    /// Checks the index against the live entries `held` yields, each
+    /// beside its id: every attribute one carries is named, and every kept
+    /// attribute's postings are the ones listed afresh over them — none
+    /// missing, none stale. The kept names, sorted, or what differs. For
+    /// tests.
+    #[doc(hidden)]
+    pub fn check<'e, I>(&self, held: impl Fn() -> I) -> Result<Vec<&str>, String>
+    where
+        I: Iterator<Item = (u32, &'e Entry)>,
+    {
+        for (_, e) in held() {
+            if let Some(a) = e.attr_names().find(|a| !self.by_attr.contains_key(a.lower().as_bytes())) {
                 return Err(format!("{} carries {a}, which the index does not name", e.dn()));
             }
         }
         let mut kept = Vec::new();
-        for (name, idx) in self.by_attr.iter().filter_map(|(name, kept)| Some((name, kept.get()?))) {
-            if *idx != AttrIndex::listed(&AttrName::new(&**name), slots) {
+        for (name, maps) in self.by_attr.iter().filter_map(|(name, kept)| Some((name.as_str(), kept.get()?))) {
+            if *maps != AttrMaps::listed(&AttrName::new(name), held()).0 {
                 return Err(format!("the postings of {name} are not its values' keys"));
             }
-            kept.push(&**name);
+            kept.push(name);
         }
         kept.sort_unstable();
         Ok(kept)
+    }
+
+    /// Addresses of every map node of the kept attributes, in name order,
+    /// and of every posting list still on the heap — a key's, when it
+    /// holds two or more ids — for structural-sharing assertions.
+    #[doc(hidden)]
+    pub fn node_addrs(&self) -> Vec<usize> {
+        fn lists<K: Ord>(map: &PMap<K, Posting>, out: &mut Vec<usize>) {
+            out.extend(map.node_addrs());
+            let heap = map.iter().filter(|(_, ids)| !ids.is_inline());
+            out.extend(heap.map(|(_, ids)| ids.as_slice().as_ptr() as usize));
+        }
+        let mut out = Vec::new();
+        for maps in self.kept() {
+            lists(&maps.text, &mut out);
+            lists(&maps.num, &mut out);
+        }
+        out
+    }
+
+    /// Every posting, text keys' then numeric keys', kept attribute by
+    /// kept attribute in name order.
+    #[doc(hidden)]
+    pub fn postings(&self) -> Vec<&Posting> {
+        let mut out = Vec::new();
+        for maps in self.kept() {
+            out.extend(maps.text.iter().map(|(_, ids)| ids));
+            out.extend(maps.num.iter().map(|(_, ids)| ids));
+        }
+        out
+    }
+
+    /// The kept attributes' maps, in name order.
+    fn kept(&self) -> impl Iterator<Item = &AttrMaps> {
+        let mut kept: Vec<(&TextKey, &AttrMaps)> =
+            self.by_attr.iter().filter_map(|(name, kept)| Some((name, kept.get()?))).collect();
+        kept.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        kept.into_iter().map(|(_, maps)| maps)
     }
 }
 
@@ -579,6 +655,7 @@ mod exactness;
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn a_text_key_is_24_bytes_and_holds_22_inline() {
@@ -631,22 +708,22 @@ mod tests {
             keys in prop::collection::vec(text(), 0..48),
             probes in prop::collection::vec(text(), 1..6),
         ) {
-            let mut map: BTreeMap<TextKey, Posting> = BTreeMap::new();
+            let mut map: PMap<TextKey, Posting> = PMap::default();
             let mut model: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
             for (id, k) in keys.iter().enumerate() {
-                super::update(&mut map, k.as_bytes(), || TextKey::new(k), |ids| {
+                map.update(k.as_bytes(), || TextKey::new(k), |ids| {
                     ids.insert(id as u32);
                     true
                 });
                 model.entry(k.as_str()).or_default().push(id as u32);
             }
-            prop_assert!(map.keys().map(TextKey::as_bytes).eq(model.keys().map(|k| k.as_bytes())));
-            prop_assert!(map.values().all(|ids| ids.is_inline() == (ids.as_slice().len() == 1)));
+            prop_assert!(map.iter().map(|(k, _)| k.as_bytes()).eq(model.keys().map(|k| k.as_bytes())));
+            prop_assert!(map.iter().all(|(_, ids)| ids.is_inline() == (ids.as_slice().len() == 1)));
             let scan = |scan: Scan<'_>| {
                 scan_lists(
                     &scan,
                     |k| map.get(k),
-                    |lo, hi| map.range::<[u8], _>((lo, hi)),
+                    |lo, hi| map.range::<[u8]>(lo, hi),
                     |_, _| std::iter::empty(),
                 )
                 .into_owned()
@@ -675,7 +752,7 @@ mod tests {
             for k in &keys {
                 let ids = map.get(k.as_bytes()).cloned().unwrap_or_default();
                 for &id in ids.as_slice() {
-                    super::update(&mut map, k.as_bytes(), || TextKey::new(k), |ids| {
+                    map.update(k.as_bytes(), || TextKey::new(k), |ids| {
                         ids.remove(id);
                         !ids.is_empty()
                     });
@@ -699,9 +776,9 @@ mod tests {
                 .enumerate()
                 .flat_map(|(id, vs)| vs.iter().map(move |v| (id as u32, TextKey::new(v))))
                 .collect();
-            let mut map: BTreeMap<TextKey, Posting> = BTreeMap::new();
+            let mut map: PMap<TextKey, Posting> = PMap::default();
             for (id, key) in &column {
-                super::update(&mut map, key.as_bytes(), || key.clone(), |ids| {
+                map.update(key.as_bytes(), || key.clone(), |ids| {
                     ids.insert(*id);
                     true
                 });
@@ -719,7 +796,7 @@ mod tests {
                 scan_lists(
                     scan,
                     |k| map.get(k),
-                    |lo, hi| map.range::<[u8], _>((lo, hi)),
+                    |lo, hi| map.range::<[u8]>(lo, hi),
                     |_, _| std::iter::empty(),
                 )
                 .into_owned()
@@ -744,11 +821,11 @@ mod tests {
     }
 
     /// An index that keeps the attributes the fixtures plan on before any
-    /// entry arrives, as the store keeps one once a plan names it.
+    /// entry arrives, as a store keeps one once a plan names it.
     fn kept() -> Indexes {
         let mut ix = Indexes::default();
-        for attr in ["serialnumber", "dept", "n"] {
-            ix.by_attr.insert(attr.into(), OnceLock::from(AttrIndex::default()));
+        for attr in ["objectclass", "serialnumber", "dept", "mail", "n"] {
+            ix.by_attr.insert(TextKey::new(attr), OnceLock::from(AttrMaps::default()));
         }
         ix
     }
@@ -756,11 +833,11 @@ mod tests {
     /// Lists `id` under every key of `attr: value`, as adding an entry
     /// with that one value would.
     fn insert(ix: &mut Indexes, attr: &str, value: &str, id: u32) {
-        ix.reindex(&AttrName::new(attr), None, Some(&ValueSet::from_iter([value.into()])), id);
+        ix.reindex_attr(&AttrName::new(attr), None, Some(&ValueSet::from_iter([value.into()])), id);
     }
 
     fn remove(ix: &mut Indexes, attr: &str, value: &str, id: u32) {
-        ix.reindex(&AttrName::new(attr), Some(&ValueSet::from_iter([value.into()])), None, id);
+        ix.reindex_attr(&AttrName::new(attr), Some(&ValueSet::from_iter([value.into()])), None, id);
     }
 
     fn sample() -> Indexes {
@@ -774,11 +851,16 @@ mod tests {
     /// The plan of `f` over an index whose planned attributes are all kept
     /// (no entry is there to list a new one over).
     fn plan_of(ix: &Indexes, f: &str) -> Option<Vec<u32>> {
-        ix.plan(&Filter::parse(f).unwrap(), &[]).map(|p| p.ids.into_owned())
+        ix.plan(&Filter::parse(f).unwrap(), std::iter::empty, |_, _| ()).map(|p| p.ids.into_owned())
     }
 
     fn exact_of(ix: &Indexes, f: &str) -> Option<bool> {
-        ix.plan(&Filter::parse(f).unwrap(), &[]).map(|p| p.exact)
+        ix.plan(&Filter::parse(f).unwrap(), std::iter::empty, |_, _| ()).map(|p| p.exact)
+    }
+
+    /// The postings of a kept attribute.
+    fn maps_of<'a>(ix: &'a Indexes, attr: &str) -> &'a AttrMaps {
+        ix.by_attr.get(attr.as_bytes()).and_then(OnceLock::get).expect("a kept attribute")
     }
 
     #[test]
@@ -861,8 +943,8 @@ mod tests {
         remove(&mut ix, "serialNumber", "045612", 0);
         assert_eq!(plan_of(&ix, "(serialnumber=045612)"), Some(vec![]));
         assert_eq!(plan_of(&ix, "(serialnumber<=45650)"), Some(vec![]));
-        let idx = ix.by_attr["serialnumber"].get().expect("kept");
-        assert_eq!((idx.text.len(), idx.num.len()), (2, 2));
+        let maps = maps_of(&ix, "serialnumber");
+        assert_eq!((maps.text.iter().count(), maps.num.iter().count()), (2, 2));
     }
 
     #[test]
@@ -904,9 +986,23 @@ mod tests {
             .with("dept", &format!("{}", id % 3))
     }
 
+    /// The live slots, each beside its id.
+    fn live(slots: &[Option<Entry>]) -> impl Iterator<Item = (u32, &Entry)> {
+        (0..).zip(slots).filter_map(|(id, e)| Some((id, e.as_ref()?)))
+    }
+
     /// Planned ids and exactness of `f`, keeping over `slots` what it asks.
     fn planned(ix: &Indexes, slots: &[Option<Entry>], f: &str) -> Option<(Vec<u32>, bool)> {
-        ix.plan(&Filter::parse(f).unwrap(), slots).map(|p| (p.ids.into_owned(), p.exact))
+        ix.plan(&Filter::parse(f).unwrap(), || live(slots), |_, _| ()).map(|p| (p.ids.into_owned(), p.exact))
+    }
+
+    /// An index keeping the fixtures' attributes, holding people `0..n`.
+    fn people(n: u32) -> Indexes {
+        let mut ix = kept();
+        for id in 0..n {
+            ix.reindex(id, None, Some(&person(id)));
+        }
+        ix
     }
 
     #[test]
@@ -915,12 +1011,11 @@ mod tests {
         // named, none is kept.
         let mut slots: Vec<Option<Entry>> = (0..6).map(|id| (id != 2).then(|| person(id))).collect();
         let mut ix = Indexes::default();
-        for (id, e) in (0..).zip(&slots) {
-            for (a, vs) in e.iter().flat_map(Entry::attrs) {
-                ix.reindex(a, None, Some(vs), id);
-            }
+        for (id, e) in live(&slots) {
+            ix.reindex(id, None, Some(e));
         }
-        assert_eq!(ix.check(&slots), Ok(vec![]));
+        assert_eq!(ix.check(|| live(&slots)), Ok(vec![]));
+        assert!(ix.postings().is_empty(), "nothing is kept before a plan");
         // What does not plan keeps nothing: presence, a `Not`, an `Or` with
         // a branch that cannot plan. A name nobody carries is the empty
         // list, exact, and is not named.
@@ -928,32 +1023,160 @@ mod tests {
         assert_eq!(planned(&ix, &slots, "(!(dept=1))"), None);
         assert_eq!(planned(&ix, &slots, "(|(dept=1)(serialNumber=*3))"), None);
         assert_eq!(planned(&ix, &slots, "(ghost=1)"), Some((vec![], true)));
-        assert_eq!(ix.check(&slots), Ok(vec![]));
-        assert!(!ix.by_attr.contains_key("ghost"));
-        // A write to an attribute nobody keeps edits no posting.
+        assert_eq!(ix.check(|| live(&slots)), Ok(vec![]));
+        assert!(!ix.by_attr.contains_key("ghost".as_bytes()));
+        // A write to an attribute nobody keeps edits no posting, and
+        // copies no node of a clone taken before it.
+        assert_eq!(planned(&ix, &slots, "(serialNumber=100003)"), Some((vec![3], true)));
+        let clone = ix.clone();
         let mut moved = person(4);
         moved.replace("dept", ["2"]);
-        ix.reindex(&"dept".into(), person(4).value_set(&"dept".into()), moved.value_set(&"dept".into()), 4);
+        ix.reindex(4, Some(&person(4)), Some(&moved));
         slots[4] = Some(moved.clone());
-        assert_eq!(ix.check(&slots), Ok(vec![]));
+        assert_eq!(ix.node_addrs(), clone.node_addrs());
+        assert_eq!(ix.check(|| live(&slots)), Ok(vec!["serialnumber"]));
         // The first plan keeps what it plans on, listed over the live
-        // slots, and plans on it.
+        // slots, says so, and plans on it.
         let f = "(&(dept=2)(serialNumber>=100003)(!(objectclass=x)))";
-        assert_eq!(planned(&ix, &slots, f), Some((vec![4, 5], false)));
-        assert_eq!(ix.check(&slots), Ok(vec!["dept", "serialnumber"]));
+        let mut listed = Vec::new();
+        let plan = ix.plan(&Filter::parse(f).unwrap(), || live(&slots), |a, n| listed.push((a.to_string(), n)));
+        assert_eq!(plan.map(|p| (p.ids.into_owned(), p.exact)), Some((vec![4, 5], false)));
+        assert_eq!(listed, [("dept".to_owned(), 5)]);
+        assert_eq!(ix.check(|| live(&slots)), Ok(vec!["dept", "serialnumber"]));
         let either = "(|(dept=0)(objectclass=person))";
         assert_eq!(planned(&ix, &slots, either), Some((vec![0, 1, 3, 4, 5], true)));
-        assert_eq!(ix.check(&slots), Ok(vec!["dept", "objectclass", "serialnumber"]));
+        assert_eq!(ix.check(|| live(&slots)), Ok(vec!["dept", "objectclass", "serialnumber"]));
+        assert_eq!(ix.kept_count(), 3);
+        // The keep is the index's own: the clone taken before it keeps
+        // only what it kept then.
+        assert_eq!(clone.kept_count(), 1);
+        assert!(clone.carries_unkept(&"dept".into()));
         // From then on, edits maintain it.
-        ix.reindex(&"dept".into(), moved.value_set(&"dept".into()), person(4).value_set(&"dept".into()), 4);
+        ix.reindex(4, Some(&moved), Some(&person(4)));
         slots[4] = Some(person(4));
-        for (a, vs) in person(5).attrs() {
-            ix.reindex(a, Some(vs), None, 5);
-        }
+        ix.reindex(5, Some(&person(5)), None);
         slots[5] = None;
-        assert_eq!(ix.check(&slots), Ok(vec!["dept", "objectclass", "serialnumber"]));
+        assert_eq!(ix.check(|| live(&slots)), Ok(vec!["dept", "objectclass", "serialnumber"]));
         assert_eq!(planned(&ix, &slots, f), Some((vec![], false)));
         assert_eq!(planned(&ix, &slots, "(dept=1)"), Some((vec![1, 4], true)));
+    }
+
+    /// What the shared keep rule asks of the index: a name an entry
+    /// carries, in any case, until it is kept; never one nobody carries.
+    #[test]
+    fn carries_unkept_until_kept() {
+        let mut ix = Indexes::default();
+        let slots = [Some(person(0).with("mail", "m@x"))];
+        ix.reindex(0, None, slots[0].as_ref());
+        let unkept = |ix: &Indexes, a: &str| ix.carries_unkept(&a.into());
+        assert!(unkept(&ix, "DEPT") && unkept(&ix, "mail") && !unkept(&ix, "ghost"));
+        assert_eq!(planned(&ix, &slots, "(dept=0)"), Some((vec![0], true)));
+        assert!(!unkept(&ix, "dept") && unkept(&ix, "serialNumber"));
+    }
+
+    #[test]
+    fn reindex_moves_only_the_values_that_differ() {
+        let mut ix = people(6);
+        let untouched = maps_of(&ix, "serialnumber").text.node_addrs();
+        let mut new = person(2);
+        new.replace("dept", ["7"]);
+        new.add("mail", "two@x");
+        ix.reindex(2, Some(&person(2)), Some(&new));
+        assert_eq!(plan_of(&ix, "(dept=2)"), Some(vec![5]));
+        assert_eq!(plan_of(&ix, "(dept=7)"), Some(vec![2]));
+        assert_eq!(plan_of(&ix, "(dept>=3)"), Some(vec![2]));
+        assert_eq!(plan_of(&ix, "(mail=two@x)"), Some(vec![2]));
+        assert_eq!(plan_of(&ix, "(serialNumber=100002)"), Some(vec![2]));
+        assert_eq!(plan_of(&ix, "(objectclass=person)"), Some((0..6).collect()));
+        assert_eq!(maps_of(&ix, "serialnumber").text.node_addrs(), untouched);
+        // Back again: the added attribute's keys leave with its only
+        // carrier; the attribute stays kept.
+        ix.reindex(2, Some(&new), Some(&person(2)));
+        assert_eq!(plan_of(&ix, "(mail=two@x)"), Some(vec![]));
+        assert!(maps_of(&ix, "mail").text.is_empty());
+        assert_eq!(plan_of(&ix, "(dept=2)"), Some(vec![2, 5]));
+    }
+
+    /// A write shares the value sets it does not change with the version
+    /// it writes over, and those are not looked up: the result is the
+    /// index a version sharing nothing gives.
+    #[test]
+    fn a_shared_value_set_reindexes_as_an_equal_one() {
+        let held: Vec<Entry> = (0..6).map(person).collect();
+        let mut shared = kept();
+        let mut copied = people(6);
+        for (id, e) in (0..).zip(&held) {
+            shared.reindex(id, None, Some(e));
+        }
+        let mut new = held[2].clone();
+        new.replace("dept", ["7"]);
+        new.add("mail", "two@x");
+        let untouched = maps_of(&shared, "serialnumber").text.node_addrs();
+        shared.reindex(2, Some(&held[2]), Some(&new));
+        let mut fresh = person(2);
+        fresh.replace("dept", ["7"]);
+        fresh.add("mail", "two@x");
+        copied.reindex(2, Some(&person(2)), Some(&fresh));
+        for f in ["(dept=2)", "(dept=7)", "(mail=two@x)", "(serialNumber=100002)", "(objectclass=person)"] {
+            assert_eq!(plan_of(&shared, f), plan_of(&copied, f), "{f}");
+        }
+        assert_eq!(plan_of(&shared, "(dept=7)"), Some(vec![2]));
+        assert_eq!(maps_of(&shared, "serialnumber").text.node_addrs(), untouched);
+        // The very body again changes nothing.
+        let epoch = shared.clone();
+        shared.reindex(2, Some(&new), Some(&new.clone()));
+        assert_eq!(shared.node_addrs(), epoch.node_addrs());
+    }
+
+    #[test]
+    fn remove_keeps_index_exact() {
+        let mut ix = people(6);
+        ix.reindex(2, Some(&person(2)), None);
+        assert_eq!(plan_of(&ix, "(serialNumber=100002)"), Some(vec![]));
+        assert_eq!(plan_of(&ix, "(dept=2)"), Some(vec![5]));
+        assert_eq!(plan_of(&ix, "(objectclass=person)"), Some(vec![0, 1, 3, 4, 5]));
+        // Removing everything empties every posting map.
+        for id in [0u32, 1, 3, 4, 5] {
+            ix.reindex(id, Some(&person(id)), None);
+        }
+        assert!(ix.postings().is_empty());
+        assert_eq!(ix.kept_count(), 5);
+    }
+
+    #[test]
+    fn a_numeric_key_outlives_all_but_its_last_spelling() {
+        let e = |values: &[&str]| {
+            values.iter().fold(Entry::new("cn=e,o=x".parse().unwrap()), |e, v| e.with("n", v))
+        };
+        let mut ix = kept();
+        ix.reindex(0, None, Some(&e(&["0500", "500", "5oo"])));
+        assert_eq!(plan_of(&ix, "(n>=500)"), Some(vec![0]));
+        ix.reindex(0, Some(&e(&["0500", "500", "5oo"])), Some(&e(&["0500", "5oo"])));
+        assert_eq!(plan_of(&ix, "(n=500)"), Some(vec![]));
+        assert_eq!(plan_of(&ix, "(&(n>=500)(n<=500))"), Some(vec![0]));
+        ix.reindex(0, Some(&e(&["0500", "5oo"])), Some(&e(&["5oo"])));
+        assert_eq!(plan_of(&ix, "(n>=-9)"), Some(vec![]));
+        assert!(maps_of(&ix, "n").num.is_empty());
+        assert_eq!(plan_of(&ix, "(n>=5a)"), Some(vec![0]));
+    }
+
+    #[test]
+    fn a_sole_carrier_respelling_its_integer_keeps_the_numeric_key() {
+        // The old text key goes before the new one arrives, so the
+        // attribute's text map is empty in between; the numeric key is in
+        // neither pass and must sit the edit out.
+        let e = |v: &str| Entry::new("cn=e,o=x".parse().unwrap()).with("n", v);
+        let mut ix = kept();
+        ix.reindex(0, None, Some(&e("500")));
+        for (from, to) in [("500", "0500"), ("0500", "+500")] {
+            ix.reindex(0, Some(&e(from)), Some(&e(to)));
+            assert_eq!(plan_of(&ix, "(n>=1)"), Some(vec![0]), "{from} -> {to}");
+            assert_eq!(plan_of(&ix, "(&(n>=500)(n<=500))"), Some(vec![0]));
+            assert_eq!(plan_of(&ix, &format!("(n={to})")), Some(vec![0]));
+            assert_eq!(plan_of(&ix, &format!("(n={from})")), Some(vec![]));
+        }
+        ix.reindex(0, Some(&e("+500")), None);
+        assert!(ix.postings().is_empty());
     }
 
     #[test]

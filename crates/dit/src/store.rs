@@ -75,9 +75,7 @@ impl Entries {
             self.slots.push(None);
             u32::try_from(self.slots.len() - 1).expect("id space exhausted")
         });
-        for (a, vs) in entry.attrs() {
-            self.indexes.reindex(a, None, Some(vs), id);
-        }
+        self.indexes.reindex(id, None, Some(&entry));
         self.by_dn.insert(TreeKey(entry.dn().clone()), id);
         self.ids.insert(entry.dn().clone(), id);
         self.slots[id as usize] = Some(entry);
@@ -88,9 +86,7 @@ impl Entries {
         let Some(id) = self.ids.remove(dn) else { return };
         self.by_dn.remove(&TreeKey(dn.clone()));
         let entry = self.slots[id as usize].take().expect("listed ids are live");
-        for (a, vs) in entry.attrs() {
-            self.indexes.reindex(a, Some(vs), None, id);
-        }
+        self.indexes.reindex(id, Some(&entry), None);
         self.free.push(id);
     }
 
@@ -122,7 +118,7 @@ impl Entries {
                 }
                 continue;
             }
-            indexes.reindex(a, old.as_ref().map(|(_, values)| values), entry.value_set(a), id);
+            indexes.reindex_attr(a, old.as_ref().map(|(_, values)| values), entry.value_set(a), id);
         }
         edited.map(|()| &*entry)
     }
@@ -139,6 +135,11 @@ impl Entries {
     fn iter(&self) -> impl Iterator<Item = &Entry> {
         self.by_dn.values().map(move |&id| self.get(id))
     }
+}
+
+/// The live entries of `slots`, each beside its id.
+fn live(slots: &[Option<Entry>]) -> impl Iterator<Item = (u32, &Entry)> {
+    (0..).zip(slots).filter_map(|(id, e)| Some((id, e.as_ref()?)))
 }
 
 impl Serialize for Entries {
@@ -294,7 +295,7 @@ impl DitStore {
     /// the kept attributes, sorted, or what differs. For tests.
     #[doc(hidden)]
     pub fn check_index(&self) -> Result<Vec<&str>, String> {
-        self.entries.indexes.check(&self.entries.slots)
+        self.entries.indexes.check(|| live(&self.entries.slots))
     }
 
     // ---------------------------------------------------------------
@@ -612,7 +613,7 @@ impl DitStore {
             Scope::OneLevel => self.children(base).filter(matches).for_each(f),
             Scope::Subtree => {
                 let Entries { indexes, slots, .. } = &self.entries;
-                match indexes.plan(filter, slots) {
+                match indexes.plan(filter, || live(slots), |_, _| ()) {
                     None => self.subtree(base).filter(matches).for_each(f),
                     Some(plan) => {
                         let everywhere = self.suffixes.iter().all(|s| base.is_ancestor_or_self_of(s));

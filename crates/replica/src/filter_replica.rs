@@ -7,11 +7,12 @@
 //! Replica-local answering is index-backed. Every entry DN is interned to
 //! a dense `u32` id once; stored-filter contents are sorted id posting
 //! lists; the entry store is an id-addressed vector of shared entries; and
-//! each published epoch carries a [`SnapshotIndex`] with
-//! equality/prefix/range posting lists over the attributes queries have
-//! planned on, each listed over the held entries once, when the first
-//! query that plans on it has it kept, and from then on maintained
-//! *incrementally* by the writer, never rebuilt from the entry store. A
+//! each published epoch carries an attribute index — the master store's
+//! own [`Indexes`] — with equality/prefix/range posting lists over the
+//! attributes queries have planned on. The first query that plans on an
+//! attribute lists it over the held entries of the epoch it reads, once;
+//! from then on the writer maintains it *incrementally* in every epoch
+//! cloned from that one, and never rebuilds it from the entry store. A
 //! drain pays for the attributes readers ask about, not for every
 //! attribute the entries carry. A query is answered by
 //! compiling its filter into an index plan, intersecting (galloping) with
@@ -44,9 +45,10 @@
 //!
 //! An epoch shares with its predecessor everything the cycle did not
 //! touch, node by node: the entry store is a chunked copy-on-write
-//! [`SlotVec`], every map of the index a persistent [`PMap`](crate::persistent),
-//! every posting list and prepared query its own `Arc`. Starting a cycle
-//! copies two pointer vectors (stored filters, entry chunks); after that
+//! [`SlotVec`], every posting map of the index a persistent
+//! [`PMap`](fbdr_dit::persistent::PMap), every posting list and prepared
+//! query its own `Arc`. Starting a cycle copies two pointer vectors
+//! (stored filters, entry chunks) and the index's name map; after that
 //! the first touch of a node copies it and later touches edit it in
 //! place, so publishing costs O(changed keys · node size), not
 //! O(replica), and a bulk install stays a bulk load. The retired epoch is
@@ -57,19 +59,21 @@
 //! its batch to that epoch in place, under the content lock. Nothing is
 //! shared, so nothing is copied — neither pointer vector, nor a chunk,
 //! nor a node — and nothing is retired: the batch pays for the slots and
-//! keys it writes. Install, remove, keeping an attribute and the sync
-//! cycle build their epoch beside the published one, and so does a drain
-//! that finds the epoch held: their edits are long, or interleave with
-//! exchanges while readers read.
+//! keys it writes. Install, remove and the sync cycle build their epoch
+//! beside the published one, and so does a drain that finds the epoch
+//! held: their edits are long, or interleave with exchanges while readers
+//! read. Keeping an attribute publishes nothing: a reader keeps it on the
+//! epoch it reads.
 
-use crate::index::{KeyColumns, SnapshotIndex};
+use crate::index::KeyColumns;
 use crate::intern::DnTable;
-use crate::persistent::SlotVec;
 use crate::stats::{AtomicReplicaStats, ReplicaStats};
 use crossbeam::channel::{Receiver, TryRecvError};
 use fbdr_containment::{ContainmentEngine, EngineStats, PreparedQuery};
-use fbdr_dit::{index, posting};
-use fbdr_ldap::{AttrSelection, Entry, Filter, SearchRequest};
+use fbdr_dit::index::Indexes;
+use fbdr_dit::persistent::SlotVec;
+use fbdr_dit::posting;
+use fbdr_ldap::{AttrSelection, Entry, SearchRequest};
 use fbdr_obs::{event, Counter, Gauge, Histogram, Obs, Timer};
 use fbdr_resync::{
     Clock, CompositeCookie, NotifyBatch, Registration, RoutingIndex, ShardCoordinator, ShardId,
@@ -121,9 +125,14 @@ struct StoredFilter {
 /// current one, which edits it in place under the content lock
 /// ([`FilterReplica::drain_notifications`]). Nothing is copied whole to
 /// make that clone: it copies two vectors of `Arc`s (stored filters,
-/// entry chunks) and the index's root pointer, and from there the first
-/// touch of a chunk, index node or posting list copies it and every later
-/// touch in the cycle edits it in place (see the module documentation).
+/// entry chunks) and the index's name map — a keep cell and two map roots
+/// per carried attribute — and from there the first touch of a chunk,
+/// index node or posting list copies it and every later touch in the
+/// cycle edits it in place (see the module documentation). The one thing
+/// a reader writes into an epoch is a keep cell of its index
+/// ([`Indexes::plan`]); the clone has cells of its own, so a keep made on
+/// the published epoch after the writer cloned it never reaches the
+/// writer's copy, whose edits skipped that attribute.
 /// Ids are resolved from DNs only by the writer, so the DN → id table is
 /// not part of the read view ([`WriterState::table`]). The stored-filter
 /// index is shared by pointer among all epochs of one filter generation.
@@ -138,7 +147,7 @@ struct ContentSnapshot {
     /// Number of occupied slots (the replica-size metric).
     live: usize,
     /// Equality/prefix/range posting lists over the occupied slots.
-    index: SnapshotIndex,
+    index: Indexes,
     /// The stored filters registered by position — a pure function of
     /// `filters`' prepared queries, built by the first reader that needs
     /// it. One cell per filter *set*: install and remove start a new one,
@@ -171,7 +180,7 @@ impl ContentSnapshot {
             filters: Vec::new(),
             entries: SlotVec::default(),
             live: 0,
-            index: SnapshotIndex::default(),
+            index: Indexes::default(),
             filter_index: Arc::default(),
         }
     }
@@ -433,8 +442,8 @@ struct AnswerMetrics {
     /// `fbdr_replica_filter_index_fallback_total` — lookups whose query
     /// shape (`Or`, `Not`) made every stored filter a candidate.
     filter_index_fallback: Arc<Counter>,
-    /// `fbdr_replica_index_kept_attrs` — attributes the snapshot index
-    /// keeps postings for.
+    /// `fbdr_replica_index_kept_attrs` — attributes the index of the
+    /// epoch a reader last kept one on keeps postings for.
     index_kept: Arc<Gauge>,
 }
 
@@ -483,6 +492,10 @@ struct AnswerMetrics {
 ///   median on the benchmark's §7 mix); a reader that arrives meanwhile
 ///   waits, then reads the whole batch. An epoch a reader holds never
 ///   changes: a drain that finds it held builds the next epoch beside it.
+/// * **A reader's first plan on an attribute** the epoch's index does
+///   not keep lists it into that epoch's keep cell; another reader
+///   planning on the same attribute of the same epoch waits for that one
+///   listing. The listing adds postings and changes no answer.
 #[derive(Debug)]
 pub struct FilterReplica {
     content: RwLock<Arc<ContentSnapshot>>,
@@ -513,7 +526,7 @@ impl FilterReplica {
     /// [`try_answer`](FilterReplica::try_answer) is timed into
     /// `fbdr_replica_try_answer_ns` (span `replica.try_answer`), index
     /// maintenance into `fbdr_replica_index_build_ns` (span
-    /// `replica.index_build`), the attributes the snapshot index keeps
+    /// `replica.index_build`), the attributes an epoch's index keeps
     /// (`fbdr_replica_index_kept_attrs`, and an `index_keep` event per
     /// attribute kept), plan selectivity, exact plans
     /// (`fbdr_replica_plan_exact_total`), hits answered with a container's
@@ -1348,29 +1361,38 @@ impl FilterReplica {
     /// query's region — the region is not checked either. Falls back to
     /// scanning the posting list when the filter is unplannable.
     ///
-    /// A predicate on an attribute the index carries but does not keep
-    /// does not plan. The first query that meets one has its attributes
-    /// kept ([`FilterReplica::keep_planned`]) and plans on the snapshot that
-    /// keeps them; when that cannot be done without waiting, the query is
-    /// planned without them, and its candidates verified.
+    /// The first query that plans on an attribute the epoch's index
+    /// carries but does not keep has it kept on that epoch
+    /// ([`Indexes::plan`]): listed over the epoch's held entries, under
+    /// this shared borrow, with no lock of the replica's. A second query
+    /// asking at the same time waits for that one listing; a writer is
+    /// never waited for.
     fn evaluate_indexed(
         &self,
-        snap: &Arc<ContentSnapshot>,
+        snap: &ContentSnapshot,
         query: &SearchRequest,
         ids: &[u32],
         inside: bool,
     ) -> Vec<Entry> {
-        let keeping;
-        let mut snap = snap;
-        let mut planned = snap.index.plan(query.filter());
-        if planned.unkept {
-            if let Some(kept) = self.keep_planned(snap, query.filter()) {
-                keeping = kept;
-                snap = &keeping;
-                planned = snap.index.plan(query.filter());
+        let mut listed = false;
+        let held = || snap.entries.iter().map(|(id, e)| (id as u32, e));
+        let planned = snap.index.plan(query.filter(), held, |attr, carriers| {
+            listed = true;
+            event!(
+                self.obs,
+                "replica",
+                "index_keep",
+                attribute = attr.as_str(),
+                entries = carriers,
+                epoch = snap.epoch,
+            );
+        });
+        if let Some(m) = &self.metrics {
+            if listed {
+                m.index_kept.set(snap.index.kept_count() as i64);
             }
         }
-        let Some(plan) = planned.plan else {
+        let Some(plan) = planned else {
             if let Some(m) = &self.metrics {
                 m.plan_scan.inc();
                 m.plan_candidates.record(ids.len() as u64);
@@ -1386,45 +1408,6 @@ impl FilterReplica {
             }
         }
         collect_checked(query, snap.entries_of(&sel), Check { region: !inside, filter: !plan.exact })
-    }
-
-    /// Keeps the attributes `filter` plans on that `snap`'s index carries
-    /// but does not keep: lists their values over the held entries, and
-    /// publishes the result as the current snapshot — the same content
-    /// under the same epoch. Done only when the writer lock is free and
-    /// `snap` is still the current snapshot, so that a reader never waits
-    /// for a writer and never publishes over a writer's epoch. Returns the
-    /// snapshot that keeps them, or `None` when it could not keep them
-    /// (or there was nothing to keep). Writers never consult what readers
-    /// asked: they maintain what is kept.
-    fn keep_planned(&self, snap: &Arc<ContentSnapshot>, filter: &Filter) -> Option<Arc<ContentSnapshot>> {
-        let attrs = index::unkept_in(filter, |a| snap.index.carries_unkept(a));
-        if attrs.is_empty() {
-            return None;
-        }
-        let _writer = self.writer.try_lock()?;
-        if !Arc::ptr_eq(&self.content.read(), snap) {
-            return None;
-        }
-        let mut work = ContentSnapshot::clone(snap);
-        for attr in attrs {
-            let held = work.entries.iter().map(|(id, e)| (id as u32, e));
-            let carriers = work.index.keep(attr, held);
-            event!(
-                self.obs,
-                "replica",
-                "index_keep",
-                attribute = attr.as_str(),
-                entries = carriers,
-                epoch = work.epoch,
-            );
-        }
-        if let Some(m) = &self.metrics {
-            m.index_kept.set(work.index.kept_count() as i64);
-        }
-        let work = Arc::new(work);
-        self.swap(work.clone());
-        Some(work)
     }
 
     /// Answers a query by brute-force scan — the containment gate against
@@ -1520,8 +1503,8 @@ fn filter_readable_from(query: &SearchRequest, cached: &SearchRequest) -> bool {
 
 /// Applies one batch of sync actions for the stored filter at position
 /// `filter` to the working content: the filter's posting list, the shared
-/// id-addressed entry store, the snapshot index and the table's hold
-/// counts — one per filter holding an id.
+/// id-addressed entry store, the epoch's attribute index and the table's
+/// hold counts — one per filter holding an id.
 ///
 /// When the batch stores a different body at an id another filter holds,
 /// that filter may now hold a body it does not match, and every other
@@ -1582,8 +1565,8 @@ fn apply_actions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbdr_dit::{Modification, UpdateOp};
-    use fbdr_ldap::{Dn, Scope};
+    use fbdr_dit::{index, Modification, UpdateOp};
+    use fbdr_ldap::{Dn, Filter, Scope};
     use fbdr_resync::{Cookie, ReSyncControl};
 
     pub(super) fn dn(s: &str) -> Dn {
@@ -2013,13 +1996,15 @@ mod tests {
         let after = r.snapshot();
         assert_eq!(after.epoch, before.epoch + 1);
 
-        // Index: the path to the old and to the new mail value in the two
-        // value maps, the attribute map's path. Every mail is one person's,
-        // so its id sits in the map node and no list is copied.
+        // Index: the path to the old and to the new mail value in the
+        // mail attribute's text map. Every mail is one person's, so its id
+        // sits in the map node and no list is copied. (Names and serial
+        // numbers are listed in key order, which fills their leaves: 401
+        // nodes and lists here, where half-full leaves made over 500.)
         let old: HashSet<usize> = before.index.node_addrs().into_iter().collect();
         let new = after.index.node_addrs();
         let copied = new.iter().filter(|a| !old.contains(a)).count();
-        assert!(new.len() > 500, "{} index nodes and heap lists", new.len());
+        assert!(new.len() > 300, "{} index nodes and heap lists", new.len());
         assert!(copied <= 12, "{copied} of {} index nodes copied", new.len());
         let postings = after.index.postings();
         let one_id: Vec<_> = postings.iter().filter(|ids| ids.as_slice().len() == 1).collect();
@@ -2060,15 +2045,14 @@ mod tests {
         assert_eq!(drained.epoch, installed.epoch + 1);
         assert_eq!(drained.index.node_addrs(), installed.index.node_addrs());
 
-        // The first query that plans on mail keeps it: the same content
-        // under the same epoch, now listing every held entry's mail.
+        // The first query that plans on mail keeps it on the epoch it
+        // reads: the same epoch, published nowhere anew, now listing every
+        // held entry's mail.
         let moved = root_query("(&(departmentNumber=7)(mail=new@xyz.com))");
         let hit = r.try_answer(&moved).expect("contained");
         assert_eq!(hit.len(), 1);
         let kept = r.snapshot();
-        assert_eq!(kept.epoch, drained.epoch);
-        assert!(Arc::ptr_eq(&kept.filters[0].ids, &drained.filters[0].ids));
-        assert_eq!(kept.entries.chunk_addrs(), drained.entries.chunk_addrs());
+        assert!(Arc::ptr_eq(&kept, &drained), "keeping is no publish");
         assert_eq!(kept.index.kept_count(), 2, "departmentNumber and mail");
         assert_eq!(obs.registry().gauge("fbdr_replica_index_kept_attrs").get(), 2);
         let keeps: Vec<_> = ring.events().into_iter().filter(|e| e.name == "index_keep").collect();
@@ -2080,19 +2064,23 @@ mod tests {
         assert!(keeps.iter().all(|e| e.u64_field("entries") == Some(500)));
         assert!(keeps.iter().all(|e| e.u64_field("epoch") == Some(kept.epoch)));
         let plan = |snap: &ContentSnapshot, f: &str| {
-            snap.index.plan(&Filter::parse(f).unwrap()).plan.map(|p| (p.ids.len(), p.exact))
+            let held = || snap.entries.iter().map(|(id, e)| (id as u32, e));
+            snap.index.plan(&Filter::parse(f).unwrap(), held, |_, _| ()).map(|p| (p.ids.len(), p.exact))
         };
         assert_eq!(plan(&kept, "(mail=new@xyz.com)"), Some((1, true)));
-        assert_eq!(plan(&drained, "(mail=new@xyz.com)"), None, "a held epoch is untouched");
+        // An epoch the query did not read keeps what it kept.
+        assert_eq!(installed.index.kept_count(), 0, "an older held epoch is untouched");
+        assert!(installed.index.carries_unkept(&"mail".into()));
 
         // Later drains maintain it, and the next query asks nothing more.
         m.apply(replace_mail("p00123", "newer@xyz.com")).unwrap();
         assert_eq!(r.drain_notifications().full_entries, 1);
         let next = r.snapshot();
+        assert_eq!(next.index.kept_count(), 2);
         assert_eq!(plan(&next, "(mail=newer@xyz.com)"), Some((1, true)));
         assert_eq!(plan(&next, "(mail=new@xyz.com)"), Some((0, true)));
         assert_eq!(r.try_answer(&moved).expect("contained").len(), 0);
-        assert!(Arc::ptr_eq(&next, &r.snapshot()), "nothing left to keep");
+        assert!(Arc::ptr_eq(&next, &r.snapshot()), "nothing published");
         assert_eq!(ring.events().iter().filter(|e| e.name == "index_keep").count(), 2);
     }
 
@@ -2706,7 +2694,7 @@ mod proptests {
     use super::tests::{dn, master, person};
     use super::*;
     use fbdr_dit::{Modification, UpdateOp};
-    use fbdr_ldap::{Dn, Scope};
+    use fbdr_ldap::{Dn, Filter, Scope};
     use proptest::prelude::*;
 
     /// Spec of one generated entry; the vector index names it. The tag
@@ -2970,7 +2958,9 @@ mod proptests {
     /// install and remove, the table's hold counts equal the stored
     /// filters' references; and after every step, single-filter, stale
     /// and redelivering cycles included, every settled filter holds only
-    /// bodies it matches.
+    /// bodies it matches, and the published epoch's index is exact: every
+    /// attribute a held entry carries named, every kept one's postings
+    /// those listed afresh over the held entries.
     fn churn_holds(steps: &[Churn]) -> Result<(), TestCaseError> {
         let mut m = master();
         let r = FilterReplica::new(0);
@@ -3017,6 +3007,9 @@ mod proptests {
                 holds_equal_filter_references(&r)?;
             }
             settled_filters_hold_their_matches(&r)?;
+            let snap = r.snapshot();
+            let held = || snap.entries.iter().map(|(id, e)| (id as u32, e));
+            snap.index.check(held).map_err(|e| TestCaseError::fail(format!("{e} after {step:?}")))?;
         }
         Ok(())
     }

@@ -16,11 +16,11 @@
 //!
 //! # Indexed evaluation
 //!
-//! [`FilterReplica`] answers queries through a per-epoch snapshot index:
+//! [`FilterReplica`] answers queries through a per-epoch attribute index:
 //! entry DNs are interned to dense `u32` ids, stored-filter contents are
 //! sorted posting lists ([`fbdr_dit::posting`]), and each epoch carries
-//! incrementally maintained equality/prefix/range posting lists under the
-//! master store's own index rules ([`fbdr_dit::index`]). A hit compiles the
+//! incrementally maintained equality/prefix/range posting lists in the
+//! master store's own index type ([`fbdr_dit::index::Indexes`]). A hit compiles the
 //! query filter into a candidate plan, intersects it (galloping) with the
 //! winning filter's list, and verifies residual predicates only on the
 //! candidates. Which filter wins is decided per query — a filter-set index
@@ -41,7 +41,7 @@
 mod filter_replica;
 mod index;
 mod intern;
-mod persistent;
+
 mod stats;
 
 pub use filter_replica::{DecisionCacheStats, FilterReplica, HeldEpoch};

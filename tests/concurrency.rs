@@ -242,9 +242,12 @@ fn readers_see_consistent_epochs_under_faulty_sync() {
 }
 
 /// A transport whose poll leg parks until released: the caller is held
-/// mid-cycle, writer lock taken, for as long as the test wants.
+/// mid-cycle, writer lock taken, for as long as the test wants. The first
+/// `pass` legs go through unparked, so that a cycle over several filters
+/// can be parked after it has applied the first ones' answers.
 struct ParkedLink {
     master: SyncMaster,
+    pass: usize,
     parked: mpsc::Sender<()>,
     release: mpsc::Receiver<()>,
 }
@@ -256,8 +259,12 @@ impl SyncTransport for ParkedLink {
         request: &SearchRequest,
         ctl: ReSyncControl,
     ) -> Result<SyncResponse, SyncError> {
-        self.parked.send(()).expect("test is listening");
-        self.release.recv().expect("test releases the writer");
+        if self.pass > 0 {
+            self.pass -= 1;
+        } else {
+            self.parked.send(()).expect("test is listening");
+            self.release.recv().expect("test releases the writer");
+        }
         self.master.resync(request, ctl)
     }
     fn take_receiver_at(
@@ -305,9 +312,21 @@ fn read_while_a_writer_is_parked<T: Send>(
     master: SyncMaster,
     read: impl FnOnce() -> T + Send,
 ) -> T {
+    read_while_a_writer_is_parked_after(replica, master, 0, read)
+}
+
+/// [`read_while_a_writer_is_parked`], the cycle parked in its poll leg of
+/// stored filter `pass` (in install order), after it has polled and
+/// applied the filters before it.
+fn read_while_a_writer_is_parked_after<T: Send>(
+    replica: &FilterReplica,
+    master: SyncMaster,
+    pass: usize,
+    read: impl FnOnce() -> T + Send,
+) -> T {
     let (parked_tx, parked) = mpsc::channel();
     let (release, release_rx) = mpsc::channel();
-    let mut link = ParkedLink { master, parked: parked_tx, release: release_rx };
+    let mut link = ParkedLink { master, pass, parked: parked_tx, release: release_rx };
     let mut driver: SyncDriver<SystemClock> = SyncDriver::default();
     std::thread::scope(|s| {
         let writer = s.spawn(|| replica.sync_with(&mut link, &mut driver));
@@ -351,10 +370,12 @@ fn a_writer_parked_mid_cycle_does_not_block_readers() {
 }
 
 /// The first query that plans on an attribute the replica's index does
-/// not keep has it kept — under the writer lock, taken only if free. With
-/// a writer parked mid-cycle the reader does not wait: it answers at once,
-/// correctly, by verifying the candidates, and keeps nothing. After the
-/// cycle the next such query keeps the attribute, and publishes no epoch.
+/// not keep has it kept on the epoch it reads, under that epoch's keep
+/// cell and no lock of the writer's. With a writer parked mid-cycle the
+/// reader does not wait: it keeps the attribute on the pre-cycle epoch
+/// and answers at once, correctly. The cycle's epoch was cloned before
+/// that keep and does not carry it: the next such query keeps the
+/// attribute again, on the new epoch, and publishes no epoch.
 #[test]
 fn a_reader_asking_for_a_new_attribute_does_not_wait_for_a_parked_writer() {
     let obs = Obs::new();
@@ -371,12 +392,53 @@ fn a_reader_asking_for_a_new_attribute_does_not_wait_for_a_parked_writer() {
     });
     assert_eq!(ver(old), "v0", "the pre-cycle epoch's answer");
     assert_eq!(new.expect("contained"), vec![], "the pre-cycle epoch has no v1");
-    assert_eq!(kept(), 0, "a busy writer keeps nothing");
+    assert_eq!(kept(), 2, "kept on the pre-cycle epoch, the writer busy");
     assert_eq!(replica.epoch(), epoch + 1);
     assert_eq!(ver(replica.try_answer(&asked("v1"))), "v1");
     assert_eq!(kept(), 2, "objectclass and ver");
     assert_eq!(replica.try_answer(&asked("v0")).expect("contained"), vec![]);
     assert_eq!(replica.epoch(), epoch + 1, "keeping is no new epoch");
+}
+
+/// A keep never leaks across epochs. The parked cycle has already applied
+/// a change to `ver` — carried by the first filter, `(cn=p)` — to its own
+/// copy of the content, skipping the index because `ver` was not kept.
+/// A reader then keeps `ver` on the pre-cycle epoch, which lists the old
+/// value. The published epoch must not carry that listing: a query on
+/// `ver` after the cycle answers as the master's search does.
+#[test]
+fn a_keep_on_the_read_epoch_never_reaches_the_parked_writers_copy() {
+    let replica = FilterReplica::new(0);
+    let mut master = SyncMaster::new();
+    master.dit_mut().add_suffix("o=xyz".parse().expect("dn"));
+    master.dit_mut().add(Entry::new("o=xyz".parse().expect("dn"))).expect("add");
+    let person = "cn=p,o=xyz".parse::<Dn>().expect("dn");
+    let entry = Entry::new(person.clone()).with("objectclass", "person").with("cn", "p").with("ver", "v0");
+    master.dit_mut().add(entry).expect("add");
+    // Installed second, polled second: the cycle parks after applying
+    // `(cn=p)`'s answer, which moves the person to `ver=v1`.
+    for f in ["(cn=p)", "(objectclass=person)"] {
+        let query = SearchRequest::from_root(Filter::parse(f).expect("ok"));
+        replica.install_filter(&mut master, query).expect("install");
+    }
+    master
+        .apply(UpdateOp::Modify {
+            dn: person,
+            mods: vec![Modification::Replace("ver".into(), vec!["v1".into()])],
+        })
+        .expect("apply");
+    let asked = |v: &str| {
+        let f = format!("(&(objectclass=person)(ver={v}))");
+        SearchRequest::from_root(Filter::parse(&f).expect("ok"))
+    };
+    let dit = master.dit().clone();
+    let old = read_while_a_writer_is_parked_after(&replica, master, 1, || replica.try_answer(&asked("v0")));
+    assert_eq!(ver(old), "v0", "the pre-cycle epoch's answer, through the attribute it kept");
+    for v in ["v0", "v1"] {
+        let dns = |answer: Vec<Entry>| answer.iter().map(|e| e.dn().clone()).collect::<Vec<Dn>>();
+        let answer = replica.try_answer(&asked(v)).expect("contained");
+        assert_eq!(dns(answer), dns(dit.search(&asked(v))), "ver={v} after the cycle");
+    }
 }
 
 /// A master holding `groups` groups of `members` people each, every one at
@@ -516,6 +578,9 @@ fn readers_never_see_half_a_drained_batch() {
 /// `Send + Sync`, `send_sync_markers`): both get the brute-force answer,
 /// and one of them lists the attribute while the other allocates what a
 /// search of a kept attribute does, give or take the list of what to keep.
+/// The replica keeps through the same index: two readers whose first
+/// query plans on the attribute, on one epoch, get the same answer, and
+/// the attribute is listed once (one `index_keep` event per attribute).
 #[test]
 fn two_first_searches_of_one_attribute_list_it_once() {
     let mut dit = DitStore::new();
@@ -560,6 +625,35 @@ fn two_first_searches_of_one_attribute_list_it_once() {
     println!("first searches: {} and {} allocations, {warm} once kept", a.1, b.1);
     assert_eq!(listed, 1, "{} and {} allocations against {warm}: listed {listed} times", a.1, b.1);
     assert_eq!(dit.check_index(), Ok(vec!["telephonenumber"]));
+
+    let obs = Obs::new();
+    let ring = Arc::new(fbdr_obs::RingBuffer::new(64));
+    obs.set_subscriber(ring.clone());
+    let replica = FilterReplica::with_obs(0, obs);
+    let mut master = SyncMaster::with_dit(dit);
+    let everyone = SearchRequest::from_root(Filter::parse("(objectclass=person)").expect("ok"));
+    replica.install_filter(&mut master, everyone).expect("install");
+    let asked = Filter::parse("(&(objectclass=person)(telephoneNumber=555-001*))").expect("ok");
+    let asked = SearchRequest::from_root(asked);
+    let epoch = replica.epoch();
+    let first = || {
+        start.wait();
+        dns(replica.try_answer(&asked).expect("contained"))
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(first);
+        let b = s.spawn(first);
+        (a.join().expect("thread a"), b.join().expect("thread b"))
+    });
+    assert_eq!((&a, &b), (&brute, &brute));
+    assert_eq!(replica.epoch(), epoch, "keeping is no publish");
+    let keeps: Vec<String> = ring
+        .events()
+        .iter()
+        .filter(|e| e.name == "index_keep")
+        .map(|e| format!("{:?}", e.field("attribute")))
+        .collect();
+    assert_eq!(keeps.len(), 2, "objectclass and telephoneNumber, each listed once: {keeps:?}");
 }
 
 /// The metrics registry uses `Relaxed` atomics throughout — cheap on the

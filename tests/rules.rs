@@ -330,9 +330,26 @@ const RULES: &[Rule] = &[
         checks: &[absent(55, Tree(&["crates/replica/src"]), &[r"fn unkept_in\b"])],
         why: "One keep rule (DESIGN §9, *What the index keeps*): which attributes a plan keeps — a \
               predicate with a scan outside a Not, inside an Or only when every branch could plan — \
-              is decided in fbdr_dit::index::unkept_in alone, and both the master's store and the \
-              replica's snapshot index call it. The replica asks only whether it carries an \
-              attribute it does not keep, and has no rule of its own.",
+              is decided in fbdr_dit::index::unkept_in alone, and the one keep mechanism calls it: \
+              Indexes::plan, which both the master's store and every replica epoch plan through. \
+              The replica has no rule of its own.",
+    },
+    Rule {
+        name: "One attribute index",
+        checks: &[
+            absent(
+                62,
+                Production(&["crates/*/src"]),
+                &["SnapshotIndex", r"\bAttrIndex\b", "keep_planned", "BTreeMap<TextKey, Posting>"],
+            ),
+            absent(62, Tree(&["crates/replica/src"]), &["mod persistent"]),
+        ],
+        why: "One attribute index (DESIGN §9, *What the index keeps*): the master's store and each \
+              epoch of a replica keep, edit and plan through fbdr_dit::index::Indexes, whose \
+              postings are persistent maps (fbdr_dit::persistent::PMap) and whose keep cells are \
+              never shared between clones. The replica's second index type, the master's std-map \
+              postings beside it, and the reader's keep by republishing an epoch do not come back; \
+              the persistent map lives in fbdr-dit alone.",
     },
     Rule {
         name: "One update path",
